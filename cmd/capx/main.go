@@ -35,9 +35,10 @@
 //	capx -structure crossing -sweep 16 -backend fastcap -edge 3e-7
 //	capx -structure bus -m 8 -n 8 -sweep 8 -hmin 5e-7 -hmax 2e-6
 //
-// Pipeline and sweep runs accept -json for machine-readable output
-// (capacitance matrix, backend/precond choice, iteration counts,
-// per-stage timings) for serving and telemetry integrations.
+// Every run accepts -json for machine-readable output (capacitance
+// matrix, backend/precond choice, iteration counts, per-stage timings;
+// for the template solver the phase timings and the fill's pair and
+// translation-class counts) for serving and telemetry integrations.
 //
 // Remote mode sends the same pipeline and sweep requests to a running
 // capxd daemon instead of solving locally, so repeated invocations ride
@@ -148,10 +149,6 @@ func main() {
 		runPipeline(st, *backend, *precond, *precision, *edge, *tol, *workers, *units, *maxPrint, *check, *jsonOut)
 		return
 	}
-	if *jsonOut {
-		log.Fatal("-json requires a pipeline backend (auto|dense|fastcap|pfft) or -sweep")
-	}
-
 	opt := parbem.Options{Workers: *workers, Tables: *tables}
 	be, err := parseBackend(*backend)
 	if err != nil {
@@ -167,6 +164,32 @@ func main() {
 		log.Fatal(err)
 	}
 
+	if *jsonOut {
+		ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
+		emitJSON(struct {
+			Structure string           `json:"structure"`
+			Backend   string           `json:"backend"`
+			N         int              `json:"basis_functions"`
+			M         int              `json:"templates"`
+			BasisMs   float64          `json:"basis_ms"`
+			TablesMs  float64          `json:"tables_ms"`
+			SetupMs   float64          `json:"setup_ms"`
+			SolveMs   float64          `json:"solve_ms"`
+			TotalMs   float64          `json:"total_ms"`
+			Fill      parbem.FillStats `json:"fill"`
+			Names     []string         `json:"conductors"`
+			CFarads   [][]float64      `json:"c_farads"`
+			Warnings  []string         `json:"maxwell_warnings,omitempty"`
+		}{
+			Structure: st.Name, Backend: opt.Backend.String(), N: res.N, M: res.M,
+			BasisMs: ms(res.Timing.BasisGen), TablesMs: ms(res.Timing.TableGen),
+			SetupMs: ms(res.Timing.Setup), SolveMs: ms(res.Timing.Solve), TotalMs: ms(res.Timing.Total),
+			Fill: res.Fill, Names: conductorNames(st), CFarads: matrixRows(res.C),
+			Warnings: parbem.CheckMaxwell(res.C, 0),
+		})
+		return
+	}
+
 	fmt.Printf("structure : %s (%d conductors)\n", st.Name, st.NumConductors())
 	fmt.Printf("backend   : %v, D = %d, accel = %v\n", opt.Backend, *workers, *accel)
 	fmt.Printf("basis     : N = %d functions, M = %d templates (M/N = %.2f)\n",
@@ -179,8 +202,10 @@ func main() {
 		fmt.Printf("timing    : basis %v | setup %v | solve %v | total %v\n",
 			res.Timing.BasisGen, res.Timing.Setup, res.Timing.Solve, res.Timing.Total)
 	}
-	fmt.Printf("setup %%   : %.1f%%\n\n",
+	fmt.Printf("setup %%   : %.1f%%\n",
 		100*float64(res.Timing.Setup)/float64(res.Timing.Total))
+	fmt.Printf("fill      : %d far pairs | %d near pairs in %d translation classes | table %.1f KB\n\n",
+		res.Fill.PairsFar, res.Fill.PairsNear, res.Fill.ClassesIntegrated, float64(res.Fill.TableBytes)/1024)
 
 	names := make([]string, st.NumConductors())
 	for i, c := range st.Conductors {
@@ -735,8 +760,10 @@ func runBatch(files []string, backend string, workers int, tables, accel, check 
 	s := eng.Stats()
 	fmt.Printf("batch     : %d structures in %v (%.1f/s)\n",
 		len(files), elapsed, float64(len(files))/elapsed.Seconds())
-	fmt.Printf("caches    : state %d hits / %d misses, pair integrals %d hits / %d misses (%d entries)\n",
-		s.StateHits, s.StateMisses, s.PairHits, s.PairMisses, s.PairEntries)
+	fmt.Printf("caches    : state %d hits / %d misses, pair classes %d hits / %d misses (%d entries, %.1f KB)\n",
+		s.StateHits, s.StateMisses, s.PairHits, s.PairMisses, s.PairEntries, float64(s.Fill.TableBytes)/1024)
+	fmt.Printf("fill      : %d far pairs | %d near pairs in %d translation classes\n",
+		s.Fill.PairsFar, s.Fill.PairsNear, s.Fill.ClassesIntegrated)
 }
 
 func buildStructure(kind string, m, n int) (*parbem.Structure, error) {

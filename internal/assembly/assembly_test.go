@@ -9,6 +9,7 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
+	"parbem/internal/sched"
 )
 
 func TestKToIJRoundtrip(t *testing.T) {
@@ -280,7 +281,7 @@ func TestFillSerialProducesSPDMatrix(t *testing.T) {
 	}
 }
 
-func TestFillPartialMergeEqualsSerial(t *testing.T) {
+func TestPartialMergeEqualsSerial(t *testing.T) {
 	set := buildSmallSet(t)
 	in := NewIntegrator()
 	want := FillSerial(set, in)
@@ -298,7 +299,8 @@ func TestFillPartialMergeEqualsSerial(t *testing.T) {
 		P := linalg.NewDense(set.N(), set.N())
 		bounds := PartitionK(K, d)
 		for p := 0; p < d; p++ {
-			part := FillPartial(set, in, bounds[p], bounds[p+1])
+			part := NewPartial(set, bounds[p], bounds[p+1])
+			FillRanges(set, in, bounds[p:p+2], sched.Local(1), part)
 			part.MergeInto(P)
 		}
 		Symmetrize(P)

@@ -1,0 +1,83 @@
+package assembly_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"parbem/internal/assembly"
+	"parbem/internal/basis"
+	"parbem/internal/geom"
+	"parbem/internal/mpi"
+	"parbem/internal/par"
+)
+
+// TestFillBitwiseAcrossBackends: a class value is a pure function of its
+// key and column-aligned chunks never split the sum behind an entry of P,
+// so every backend, partition and worker count fills the same bits.
+func TestFillBitwiseAcrossBackends(t *testing.T) {
+	set := basis.Build(geom.DefaultBus(4, 4).Build(), basis.DefaultBuilderOptions())
+	want := assembly.FillSerial(set, assembly.NewIntegrator())
+	check := func(name string, got []float64) {
+		t.Helper()
+		for i, v := range want.Data {
+			if got[i] != v {
+				t.Fatalf("%s: P[%d] = %b, serial %b", name, i, got[i], v)
+			}
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		for _, static := range []bool{true, false} {
+			P := par.Fill(set, assembly.NewIntegrator(), par.Options{Workers: w, Static: static})
+			check(fmt.Sprintf("par workers=%d static=%v", w, static), P.Data)
+		}
+	}
+	in := assembly.NewIntegrator()
+	P := mpi.FillDistributedOpts(set, in, mpi.NewNetwork(3), mpi.FillOptions{ThreadsPerRank: 2})
+	check("mpi 3 ranks x 2 threads", P.Data)
+
+	// The ranks' counters arrive by message: every pair is counted once,
+	// and a class more than once only where several ranks need it.
+	serial := assembly.NewIntegrator()
+	assembly.FillSerial(set, serial)
+	s, d := serial.FillStats(), in.FillStats()
+	if d.PairsFar != s.PairsFar || d.PairsNear != s.PairsNear {
+		t.Errorf("distributed counted %d far + %d near pairs, serial %d + %d", d.PairsFar, d.PairsNear, s.PairsFar, s.PairsNear)
+	}
+	if d.ClassesIntegrated < s.ClassesIntegrated || d.ClassesIntegrated > 3*s.ClassesIntegrated {
+		t.Errorf("3 ranks integrated %d classes, one table %d", d.ClassesIntegrated, s.ClassesIntegrated)
+	}
+}
+
+// TestIrregularGeometryBookkeeping runs the fill where little repeats
+// (the transistor-interconnect structure) and checks by count, not by
+// clock, that the class machinery stays cheap there: one lookup per near
+// pair, nothing else. Hit ratio and time per pair are logged for the
+// reader.
+func TestIrregularGeometryBookkeeping(t *testing.T) {
+	set := basis.Build(geom.DefaultInterconnect().Build(), basis.DefaultBuilderOptions())
+	in := assembly.NewIntegrator()
+	in.Pairs = assembly.NewPairCache(0)
+	t0 := time.Now()
+	assembly.FillSerial(set, in)
+	el := time.Since(t0)
+
+	st := in.FillStats()
+	pairs := assembly.NumPairs(set.M())
+	if st.PairsFar+st.PairsNear != pairs {
+		t.Errorf("%d far + %d near pairs, want %d in all", st.PairsFar, st.PairsNear, pairs)
+	}
+	hits, misses := in.Pairs.Stats()
+	if int64(hits+misses) != st.PairsNear {
+		t.Errorf("%d table lookups for %d near pairs", hits+misses, st.PairsNear)
+	}
+	if int64(misses) != st.ClassesIntegrated || int64(in.Pairs.Len()) != st.ClassesIntegrated {
+		t.Errorf("%d misses, %d entries, %d classes integrated", misses, in.Pairs.Len(), st.ClassesIntegrated)
+	}
+	if per := float64(st.TableBytes) / float64(st.ClassesIntegrated); per > 120 {
+		t.Errorf("table holds %.0f bytes per class", per)
+	}
+	t.Logf("interconnect: M = %d, %d pairs (%d far), %d classes for %d near pairs (hit ratio %.2f), %.0f ns/pair, table %d KB",
+		set.M(), pairs, st.PairsFar, st.ClassesIntegrated, st.PairsNear,
+		float64(hits)/float64(st.PairsNear), float64(el.Nanoseconds())/float64(pairs), st.TableBytes>>10)
+}

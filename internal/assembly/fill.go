@@ -5,6 +5,7 @@ import (
 
 	"parbem/internal/basis"
 	"parbem/internal/linalg"
+	"parbem/internal/sched"
 )
 
 // NumPairs returns K = M*(M+1)/2, the number of upper-triangular template
@@ -46,65 +47,79 @@ type Partial struct {
 	Data         *linalg.Dense // N x (ColHi-ColLo+1)
 }
 
-// Add accumulates v into partial entry (row, col) of P coordinates.
-func (p *Partial) Add(row, col int, v float64) {
-	p.Data.Add(row, col-p.ColLo, v)
+// NewPartial allocates the zero slab that the k-range [kLo, kHi) of set
+// condenses into.
+func NewPartial(set *basis.Set, kLo, kHi int64) *Partial {
+	p := &Partial{N: set.N(), ColLo: 0, ColHi: -1}
+	if kHi > kLo {
+		_, jFirst := KToIJ(kLo)
+		_, jLast := KToIJ(kHi - 1)
+		p.ColLo, p.ColHi = set.Owner[jFirst], set.Owner[jLast]
+	}
+	p.Data = linalg.NewDense(p.N, p.ColHi-p.ColLo+1)
+	return p
 }
 
-// ColRange returns the P-column range [lo, hi] touched by the k-range
-// [kLo, kHi) for the given basis set.
-func ColRange(set *basis.Set, kLo, kHi int64) (int, int) {
-	_, jFirst := KToIJ(kLo)
-	_, jLast := KToIJ(kHi - 1)
-	return set.Owner[jFirst], set.Owner[jLast]
+// WholePartial views the full N x N matrix P as the slab of the whole
+// k-range, so a fill can accumulate into P directly.
+func WholePartial(P *linalg.Dense) *Partial {
+	return &Partial{N: P.Rows, ColLo: 0, ColHi: P.Cols - 1, Data: P}
 }
 
-// FillPartial computes all P~ entries for k in [kLo, kHi) and condenses
-// them into a Partial slab following the accumulation rule of Algorithm 1:
-// an off-diagonal template pair whose templates share a basis function
+// fillRange computes all P~ entries for k in [kLo, kHi) and condenses
+// them into dst following the accumulation rule of Algorithm 1: an
+// off-diagonal template pair whose templates share a basis function
 // lands on P's diagonal twice.
 //
 // (The paper's printed Algorithm 1 guards the doubling with "i = j and
 // l_i = l_j"; as Figure 3's text explains, the doubling applies to
 // *off-diagonal* P~ entries condensing onto P's diagonal, so the condition
 // is implemented here as i != j with l_i = l_j.)
-func FillPartial(set *basis.Set, in *Integrator, kLo, kHi int64) *Partial {
-	if kHi <= kLo {
-		return &Partial{N: set.N(), ColLo: 0, ColHi: -1, Data: linalg.NewDense(set.N(), 0)}
-	}
-	colLo, colHi := ColRange(set, kLo, kHi)
-	p := &Partial{
-		N:     set.N(),
-		ColLo: colLo,
-		ColHi: colHi,
-		Data:  linalg.NewDense(set.N(), colHi-colLo+1),
-	}
+func (f *Interned) fillRange(dst *Partial, kLo, kHi int64) {
+	var c FillStats
+	owner := f.set.Owner
+	i, j := KToIJ(kLo)
 	for k := kLo; k < kHi; k++ {
-		i, j := KToIJ(k)
-		v := in.TemplatePair(&set.Templates[i], &set.Templates[j])
-		li, lj := set.Owner[i], set.Owner[j]
+		v := f.pair(i, j, &c)
+		li, lj := owner[i], owner[j]
 		if i != j && li == lj {
-			p.Add(li, lj, 2*v)
-		} else {
-			p.Add(li, lj, v)
+			v *= 2
+		}
+		dst.Data.Add(li, lj-dst.ColLo, v)
+		if i++; i > j {
+			i, j = 0, j+1
 		}
 	}
-	return p
+	f.in.AddFillStats(c)
 }
 
-// MergeIntoSlab adds the partial into a wider partial slab. dst's column
-// range must contain p's (callers size dst from ColRange of the enclosing
-// k-range).
-func (p *Partial) MergeIntoSlab(dst *Partial) {
-	off := p.ColLo - dst.ColLo
-	for i := 0; i < p.N; i++ {
-		row := p.Data.Row(i)
-		drow := dst.Data.Row(i)
-		for c, v := range row {
-			if v != 0 {
-				drow[off+c] += v
-			}
+// FillRanges is the chunk-queue core of every fill path: it interns the
+// set once, then computes each k-chunk [bounds[t], bounds[t+1]) on the
+// executor's workers, accumulating straight into dst, which must cover
+// the columns of [bounds[0], bounds[len-1]).
+//
+// Chunks run concurrently without a lock or a private slab, so no two of
+// them may touch the same column of P: the interior boundaries are moved
+// to column starts first (AlignColumns). Every entry of P is then summed
+// by one chunk in k order, whatever the partition, worker count or
+// backend, and since class values are pure functions of their keys the
+// filled matrix is bitwise reproducible — provided callers that split
+// the k-range between FillRanges calls align those splits too.
+//
+// The shared-memory backend passes sched.Local or a shared sched.Pool and
+// the whole matrix; a distributed-memory rank passes a rank-local
+// executor and its private slab, which it then serializes onto the
+// network.
+func FillRanges(set *basis.Set, in *Integrator, bounds []int64, ex sched.Executor, dst *Partial) {
+	f := in.Intern(set)
+	bounds = AlignColumns(set, bounds)
+	ex.Map(len(bounds)-1, func(t int) {
+		if lo, hi := bounds[t], bounds[t+1]; hi > lo {
+			f.fillRange(dst, lo, hi)
 		}
+	})
+	if f.pairs != nil {
+		in.AddFillStats(FillStats{TableBytes: f.pairs.Bytes()})
 	}
 }
 
@@ -121,22 +136,30 @@ func (p *Partial) MergeInto(P *linalg.Dense) {
 	}
 }
 
-// Symmetrize copies the upper triangle of P onto the lower triangle.
+// Symmetrize copies the upper triangle of P onto the lower triangle, in
+// blocks so that neither the rows read nor the columns written leave the
+// cache between uses.
 func Symmetrize(P *linalg.Dense) {
-	for i := 0; i < P.Rows; i++ {
-		for j := i + 1; j < P.Cols; j++ {
-			P.Set(j, i, P.At(i, j))
+	const bs = 32
+	n := P.Rows
+	for ib := 0; ib < n; ib += bs {
+		for jb := ib; jb < n; jb += bs {
+			for i := ib; i < min(ib+bs, n); i++ {
+				row := P.Row(i)
+				for j := max(jb, i+1); j < min(jb+bs, n); j++ {
+					P.Data[j*P.Cols+i] = row[j]
+				}
+			}
 		}
 	}
 }
 
-// FillSerial runs Algorithm 1 on a single node: the full k-range, merged
-// and symmetrized. The returned matrix is the unscaled P (multiply by
+// FillSerial runs Algorithm 1 on a single node: the full k-range,
+// symmetrized. The returned matrix is the unscaled P (multiply by
 // 1/(4*pi*eps) for physical units).
 func FillSerial(set *basis.Set, in *Integrator) *linalg.Dense {
 	P := linalg.NewDense(set.N(), set.N())
-	part := FillPartial(set, in, 0, NumPairs(set.M()))
-	part.MergeInto(P)
+	FillRanges(set, in, []int64{0, NumPairs(set.M())}, sched.Local(1), WholePartial(P))
 	Symmetrize(P)
 	return P
 }
@@ -168,110 +191,32 @@ func PartitionRange(lo, hi int64, d int) []int64 {
 	return bounds
 }
 
-// pairCostEstimate is a relative cost model for one template-pair
-// integration, used only for load balancing. The constants are measured
-// average costs per dispatch class (relative to a far-field pair = 1),
-// indexed by the proximity bucket that controls quadrature-order elevation
-// (see Integrator.order).
-func pairCostEstimate(set *basis.Set, cfg costConfig, i, j int) float64 {
-	ti, tj := &set.Templates[i], &set.Templates[j]
-	d := ti.Support.Dist(tj.Support)
-	diam := 0.5 * (ti.Support.Diameter() + tj.Support.Diameter())
-	if d > cfg.farFactor*diam {
-		return 1
-	}
-	if d > cfg.midFactor*diam {
-		return 4
-	}
-	b := 0
-	if d < 0.05*diam {
-		b = 2
-	} else if d < diam {
-		b = 1
-	}
-	par := ti.Support.ParallelTo(tj.Support)
-	si, sj := !ti.IsFlat(), !tj.IsFlat()
-	switch {
-	case !si && !sj:
-		if par {
-			return 12 // analytic 16-corner form, distance-independent
+// AlignColumns returns the k-partition with each interior boundary moved
+// to the nearest k at which a new column of P starts (the first pair of a
+// basis function's first template). Aligned chunks touch disjoint columns
+// of P — unaligned neighbours share one (paper Figure 5) — which is what
+// lets FillRanges run them without a lock and makes the sum behind every
+// entry of P independent of the partition. Chunks stay contiguous in k
+// and within one column's worth of pairs of the requested sizes.
+//
+// The partitions it is applied to are the paper's equal-count divisions,
+// not cost-weighted ones: a pair costs a table lookup unless it is the
+// first of its translation class, which no static estimate can know, so
+// balance is left to dynamic chunking.
+func AlignColumns(set *basis.Set, bounds []int64) []int64 {
+	out := append([]int64(nil), bounds...)
+	first, last := out[0], out[len(out)-1]
+	for t, k := range out {
+		if k <= first || k >= last {
+			continue
 		}
-		return [3]float64{40, 85, 136}[b]
-	case si != sj:
-		if par {
-			return [3]float64{22, 46, 51}[b]
+		_, j := KToIJ(k)
+		fn := set.Functions[set.Owner[j]]
+		below, above := IJToK(0, fn.TplLo), IJToK(0, fn.TplHi)
+		if k-below > above-k {
+			below = above
 		}
-		return [3]float64{64, 241, 1009}[b]
-	default:
-		if par && ti.Dir == tj.Dir {
-			return [3]float64{48, 153, 523}[b]
-		}
-		if par {
-			return [3]float64{84, 353, 1400}[b]
-		}
-		return [3]float64{64, 241, 1009}[b]
+		out[t] = min(max(below, first), last)
 	}
-}
-
-type costConfig struct{ farFactor, midFactor float64 }
-
-// PartitionKCost splits [0, K) into d contiguous partitions whose
-// *estimated costs* are equal, by sampling a few pair costs per column of
-// P~ (the exact per-pair cost depends on template kinds and distances, so
-// the paper's equal-count division can be imbalanced when basis richness
-// varies; see Section 3's balance discussion). Boundaries remain
-// contiguous in k, preserving the column-contiguity that the
-// distributed-memory partial matrices rely on (Figure 5).
-func PartitionKCost(set *basis.Set, in *Integrator, d int) []int64 {
-	m := set.M()
-	K := NumPairs(m)
-	if d <= 1 || m < 2*d {
-		return PartitionK(K, d)
-	}
-	cfg := costConfig{farFactor: in.Cfg.FarFactor, midFactor: in.Cfg.MidFactor}
-	if in.Cfg.DisableApprox {
-		cfg.farFactor = math.Inf(1)
-		cfg.midFactor = math.Inf(1)
-	}
-	// Column costs from a deterministic sample of rows.
-	colCost := make([]float64, m)
-	var total float64
-	const samples = 9
-	for j := 0; j < m; j++ {
-		var s float64
-		n := 0
-		for p := 0; p < samples && p <= j; p++ {
-			i := j * p / (samples - 1)
-			s += pairCostEstimate(set, cfg, i, j)
-			n++
-		}
-		colCost[j] = s / float64(n) * float64(j+1)
-		total += colCost[j]
-	}
-	// Cut at equal cumulative cost, interpolating within columns.
-	bounds := make([]int64, d+1)
-	bounds[d] = K
-	cum := 0.0
-	next := 1
-	for j := 0; j < m && next < d; j++ {
-		target := total * float64(next) / float64(d)
-		for next < d && cum+colCost[j] >= target {
-			frac := (target - cum) / colCost[j]
-			k := IJToK(0, j) + int64(frac*float64(j+1))
-			if k > K {
-				k = K
-			}
-			if k < bounds[next-1] {
-				k = bounds[next-1]
-			}
-			bounds[next] = k
-			next++
-			target = total * float64(next) / float64(d)
-		}
-		cum += colCost[j]
-	}
-	for ; next < d; next++ {
-		bounds[next] = K
-	}
-	return bounds
+	return out
 }

@@ -5,6 +5,39 @@
 // forms for the non-varying directions, Gaussian quadrature for directions
 // with 1-D shape variation (split at shape kinks), and distance-based
 // dimension reduction.
+//
+// # Canonical translation classes
+//
+// Instantiable templates are a handful of shapes stamped out at every
+// crossing, so most template pairs of a structure are rigid translates of
+// one another. Every fill therefore starts by interning its templates
+// (Integrator.Intern, O(M)): each template gets a small class — normal,
+// vary direction, shape parameters rounded to 40 mantissa bits, and its
+// U/V extents in lattice units — and the per-template constants the
+// far-field gate needs. A non-far pair (i, j), i <= j, is then identified
+// by (class of i, class of j, corner displacement in lattice units), and
+// its unit-amplitude integral is evaluated once, on the instance rebuilt
+// from that key (i's corner at the origin), and stored in a PairCache;
+// the matrix entry is amp_i * amp_j * value. The key keeps the order of
+// the pair: the mid-field and generic dispatch collocate one template
+// against the other, so the mirrored pair is a different approximation
+// of the same integral, several percent away at mid range, and folding
+// the two would move results.
+//
+// The lattice quantum is the power of two in (2^-40, 2^-39] of the
+// structure's largest bounding-box side: four orders of magnitude above
+// the rounding noise of coordinate arithmetic (which is what makes
+// "3*pitch - pitch" and "2*pitch - 0" different bit patterns), and three
+// below the accuracy anyone checks capacitances to. It is relative to
+// the structure, not absolute, so a structure described in microns and
+// the same one in meters intern identically; it is a constant, not a
+// setting.
+//
+// What bypasses the table: far pairs (the point-charge form is cheaper
+// than any lookup), templates whose shape has no compact encoding
+// (basis.TabulatedShape), and integrators with a caller-supplied MathOps
+// provider, which has no identity to key on. Those are evaluated at
+// their absolute coordinates by Integrator.TemplatePair's code path.
 package assembly
 
 import (
@@ -19,9 +52,8 @@ import (
 )
 
 // Integrator evaluates template-pair Galerkin integrals under a kernel
-// configuration. It is stateless apart from the configuration and the
-// optional (concurrency-safe) acceleration structures, and safe for
-// concurrent use.
+// configuration. Apart from the fill counters it is stateless, and it is
+// safe for concurrent use; Cfg and Tab must not change once it is in use.
 type Integrator struct {
 	Cfg *kernel.Config
 
@@ -32,24 +64,55 @@ type Integrator struct {
 	// so it is opt-in (solver.Options.Tables / the batch engine).
 	Tab *tabulate.Collocation
 
-	// Pairs, when non-nil, memoizes whole template-pair integrals by
-	// relative geometry (see PairCache). Cached values are bitwise
-	// reproductions of the uncached path.
+	// Pairs is the table of translation-class integrals the fills of
+	// this integrator read and extend (see PairCache): share one to reuse
+	// classes across fills. Nil gives every fill a table of its own. A
+	// class value is a pure function of its canonical key; it differs
+	// from evaluating the same pair at its absolute coordinates by
+	// rounding only.
 	Pairs *PairCache
 
-	// fpOnce memoizes the configuration fingerprint folded into pair
-	// cache keys (Cfg and Tab are immutable for the Integrator's
-	// lifetime). Guarded lazily so struct-literal construction keeps
-	// working; the Integrator must not be copied after first use.
-	fpOnce sync.Once
-	fp     uint64
-	fpOK   bool
+	mu    sync.Mutex
+	stats FillStats
 }
 
-// cacheFP returns the memoized configuration fingerprint.
-func (in *Integrator) cacheFP() (uint64, bool) {
-	in.fpOnce.Do(func() { in.fp, in.fpOK = in.cacheFingerprint() })
-	return in.fp, in.fpOK
+// FillStats counts the work of the fills run through an Integrator.
+type FillStats struct {
+	// PairsFar is the number of template pairs served by the far-field
+	// point-charge form; PairsNear the rest, each of which is one
+	// PairCache lookup (or, for what bypasses the table, one integration).
+	PairsFar  int64 `json:"pairs_far"`
+	PairsNear int64 `json:"pairs_near"`
+	// ClassesIntegrated is the number of translation classes these fills
+	// integrated and added to their table.
+	ClassesIntegrated int64 `json:"classes_integrated"`
+	// TableBytes sums, over the fills, the size of the fill's table when
+	// the fill ended.
+	TableBytes int64 `json:"table_bytes"`
+}
+
+// Add folds o into s.
+func (s *FillStats) Add(o FillStats) {
+	s.PairsFar += o.PairsFar
+	s.PairsNear += o.PairsNear
+	s.ClassesIntegrated += o.ClassesIntegrated
+	s.TableBytes += o.TableBytes
+}
+
+// FillStats returns the counters accumulated so far.
+func (in *Integrator) FillStats() FillStats {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.stats
+}
+
+// AddFillStats folds s into the counters. Fills call it once per chunk;
+// the distributed backend uses it to credit the ranks' work, which
+// arrives by message, to the caller's integrator.
+func (in *Integrator) AddFillStats(s FillStats) {
+	in.mu.Lock()
+	in.stats.Add(s)
+	in.mu.Unlock()
 }
 
 // NewIntegrator returns an integrator with the default configuration.
@@ -70,6 +133,10 @@ type nodeBuf struct {
 func (nb *nodeBuf) fill(sh basis.Shape, iv geom.Interval, order int) {
 	if order > 32 {
 		order = 32
+	}
+	if cs, ok := sh.(*classShape); ok {
+		cs.fill(nb, iv, order)
+		return
 	}
 	var brk [4]float64
 	nseg := 0
@@ -111,7 +178,9 @@ func (nb *nodeBuf) fillFlat(iv geom.Interval, order int) {
 //
 //	P~_ij = int int T_i(r) T_j(r') / |r - r'| ds' ds
 //
-// (the 1/(4*pi*eps) prefactor is applied once at the system level).
+// (the 1/(4*pi*eps) prefactor is applied once at the system level) at the
+// templates' absolute coordinates. It is the reference the class values
+// of a fill are tested against; fills go through Interned.Pair.
 func (in *Integrator) TemplatePair(ti, tj *basis.Template) float64 {
 	cfg := in.Cfg
 	d := ti.Support.Dist(tj.Support)
@@ -121,28 +190,13 @@ func (in *Integrator) TemplatePair(ti, tj *basis.Template) float64 {
 		// Far field: both templates collapse to point charges carrying
 		// their zeroth moments, placed at their charge centroids
 		// (support centers are wrong for asymmetric arch shapes).
-		// Far pairs never consult the pair cache: the point form is
-		// cheaper than the lookup.
 		return ti.Moment() * tj.Moment() / ti.Centroid().Dist(tj.Centroid())
-	}
-
-	if in.Pairs != nil {
-		if fp, okCfg := in.cacheFP(); okCfg {
-			if k, ok := keyOf(fp, ti, tj); ok {
-				sh := in.Pairs.shardOf(&k)
-				if v, hit := sh.get(k); hit {
-					return v
-				}
-				v := in.templatePairNear(ti, tj, d, diam)
-				sh.put(k, v)
-				return v
-			}
-		}
 	}
 	return in.templatePairNear(ti, tj, d, diam)
 }
 
-// templatePairNear evaluates a non-far pair (the cacheable work).
+// templatePairNear evaluates a non-far pair: the work a class value stands
+// for. d and diam are the support distance and mean support diameter.
 func (in *Integrator) templatePairNear(ti, tj *basis.Template, d, diam float64) float64 {
 	cfg := in.Cfg
 
@@ -163,28 +217,27 @@ func (in *Integrator) templatePairNear(ti, tj *basis.Template, d, diam float64) 
 		return ti.Moment() * in.potentialAt(tj, ti.Centroid())
 	}
 
+	q := in.order(d, diam)
 	if ti.Support.ParallelTo(tj.Support) {
 		switch {
 		case tj.IsFlat():
-			return in.stripPair(ti, tj)
+			return in.stripPair(ti, tj, q)
 		case ti.IsFlat():
-			return in.stripPair(tj, ti)
+			return in.stripPair(tj, ti, q)
 		default:
 			if ti.Dir == tj.Dir {
-				return in.pairSameAxis(ti, tj)
+				return in.pairSameAxis(ti, tj, q)
 			}
-			return in.pairCrossAxis(ti, tj)
+			return in.pairCrossAxis(ti, tj, q)
 		}
 	}
-	return in.genericPair(ti, tj)
+	return in.genericPair(ti, tj, q)
 }
 
 // order picks the per-dimension Gauss order, elevated for close pairs where
 // the (integrable) kernel singularity slows quadrature convergence.
-func (in *Integrator) order(ti, tj *basis.Template) int {
+func (in *Integrator) order(d, diam float64) int {
 	q := in.Cfg.QuadOrder
-	d := ti.Support.Dist(tj.Support)
-	diam := 0.5 * (ti.Support.Diameter() + tj.Support.Diameter())
 	switch {
 	case d < 0.05*diam:
 		q *= 4
@@ -200,10 +253,9 @@ func (in *Integrator) order(ti, tj *basis.Template) int {
 // stripPair integrates a shaped template against a flat template in a
 // parallel plane: 1-D shape-weighted quadrature along the varying
 // direction, closed-form 3-D strip integral for the rest (paper Eq. 7).
-func (in *Integrator) stripPair(shaped, flat *basis.Template) float64 {
+func (in *Integrator) stripPair(shaped, flat *basis.Template, q int) float64 {
 	ops := in.Cfg.Ops
 	Z := shaped.Support.Offset - flat.Support.Offset
-	q := in.order(shaped, flat)
 	var vary, tv, sv, su geom.Interval
 	if shaped.Dir == basis.VaryU {
 		vary, tv = shaped.Support.U, shaped.Support.V
@@ -228,10 +280,9 @@ func (in *Integrator) stripPair(shaped, flat *basis.Template) float64 {
 // Mismatched Gauss orders (q, q+1) guarantee the quadrature nodes never
 // collide on the (integrably log-singular) diagonal X = 0 for coincident
 // supports.
-func (in *Integrator) pairSameAxis(ti, tj *basis.Template) float64 {
+func (in *Integrator) pairSameAxis(ti, tj *basis.Template, q int) float64 {
 	ops := in.Cfg.Ops
 	Z := ti.Support.Offset - tj.Support.Offset
-	q := in.order(ti, tj)
 	var vi, vj, fi, fj geom.Interval
 	if ti.Dir == basis.VaryU {
 		vi, fi = ti.Support.U, ti.Support.V
@@ -274,10 +325,9 @@ func (in *Integrator) pairSameAxis(ti, tj *basis.Template) float64 {
 // quadrature over the two varying coordinates, and for the two flat
 // directions the closed-form mixed second antiderivative F2 differenced at
 // the four interval-end combinations.
-func (in *Integrator) pairCrossAxis(ti, tj *basis.Template) float64 {
+func (in *Integrator) pairCrossAxis(ti, tj *basis.Template, q int) float64 {
 	ops := in.Cfg.Ops
 	Z := ti.Support.Offset - tj.Support.Offset
-	q := in.order(ti, tj)
 	// Varying interval of ti and its flat complement; same for tj. The
 	// two flat directions are paired: ti's flat axis is tj's varying
 	// axis and vice versa.
@@ -330,8 +380,7 @@ func (in *Integrator) pairCrossAxis(ti, tj *basis.Template) float64 {
 // shaped pairs varying along different axes): shape-weighted tensor
 // quadrature over the target support, with the source potential evaluated
 // in closed form (flat) or by 1-D quadrature over its varying direction.
-func (in *Integrator) genericPair(ti, tj *basis.Template) float64 {
-	q := in.order(ti, tj)
+func (in *Integrator) genericPair(ti, tj *basis.Template, q int) float64 {
 	sup := ti.Support
 	var nu, nv nodeBuf
 	switch ti.Dir {

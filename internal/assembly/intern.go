@@ -1,0 +1,115 @@
+package assembly
+
+import (
+	"math"
+
+	"parbem/internal/basis"
+	"parbem/internal/geom"
+)
+
+// Interned is a basis set prepared for one fill: per template, its class
+// in the fill's PairCache and the constants the pair loop would otherwise
+// recompute for every pair. It is read-only after Intern and safe for
+// concurrent use.
+type Interned struct {
+	in    *Integrator
+	set   *basis.Set
+	pairs *PairCache // nil when the integrator's configuration has no identity
+	tpl   []tplInfo
+	invQ  float64 // 1 / lattice quantum
+	far   float64 // far-field gate factor; +Inf when approximations are off
+}
+
+type tplInfo struct {
+	cls      *tplClass  // nil: evaluate at absolute coordinates
+	lo, hi   [3]float64 // support extent along X, Y, Z
+	amp      float64
+	moment   float64
+	diam     float64
+	centroid geom.Vec3
+}
+
+// Intern prepares a fill of set in two passes over its templates: their
+// constants and bounding box, which fixes the lattice, then their classes.
+func (in *Integrator) Intern(set *basis.Set) *Interned {
+	f := &Interned{in: in, set: set, tpl: make([]tplInfo, set.M()), far: in.Cfg.FarFactor}
+	if in.Cfg.DisableApprox {
+		f.far = math.Inf(1)
+	}
+	inf := math.Inf(1)
+	lo, hi := [3]float64{inf, inf, inf}, [3]float64{-inf, -inf, -inf}
+	for i := range set.Templates {
+		t, ti := &set.Templates[i], &f.tpl[i]
+		for ax := geom.X; ax <= geom.Z; ax++ {
+			e := t.Support.Extent(ax)
+			ti.lo[ax], ti.hi[ax] = e.Lo, e.Hi
+			lo[ax], hi[ax] = min(lo[ax], e.Lo), max(hi[ax], e.Hi)
+		}
+		ti.amp, ti.moment, ti.diam, ti.centroid = t.Amplitude, t.Moment(), t.Support.Diameter(), t.Centroid()
+	}
+	extent := max(hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2])
+	fp, ok := in.cacheFingerprint()
+	if !ok || !(extent > 0) || math.IsInf(extent, 1) {
+		return f
+	}
+	_, e := math.Frexp(extent)
+	qexp := e - latticeBits
+	f.invQ = math.Ldexp(1, -qexp)
+	if f.pairs = in.Pairs; f.pairs == nil {
+		f.pairs = NewPairCache(0)
+	}
+	for i := range set.Templates {
+		f.tpl[i].cls = f.pairs.classOf(fp, qexp, &set.Templates[i])
+	}
+	return f
+}
+
+// Pair returns the P~ entry of templates i and j.
+func (f *Interned) Pair(i, j int) float64 {
+	var c FillStats
+	v := f.pair(i, j, &c)
+	f.in.AddFillStats(c)
+	return v
+}
+
+// pair is Pair with the work counted into c.
+func (f *Interned) pair(i, j int, c *FillStats) float64 {
+	a, b := &f.tpl[i], &f.tpl[j]
+	var d2 float64
+	for ax := range a.lo {
+		if g := b.lo[ax] - a.hi[ax]; g > 0 {
+			d2 += g * g
+		} else if g := a.lo[ax] - b.hi[ax]; g > 0 {
+			d2 += g * g
+		}
+	}
+	d, diam := math.Sqrt(d2), 0.5*(a.diam+b.diam)
+	if d > f.far*diam {
+		// Far field, decided and evaluated at absolute coordinates: point
+		// charges carrying the zeroth moments at the charge centroids.
+		c.PairsFar++
+		return a.moment * b.moment / a.centroid.Dist(b.centroid)
+	}
+	c.PairsNear++
+	ca, cb := a.cls, b.cls
+	if ca == nil || cb == nil {
+		return f.in.templatePairNear(&f.set.Templates[i], &f.set.Templates[j], d, diam)
+	}
+	k := pairKey{a: ca.id, b: cb.id}
+	for ax := range k.d {
+		k.d[ax] = int64(math.RoundToEven((b.lo[ax] - a.lo[ax]) * f.invQ))
+	}
+	h := k.hash()
+	v, ok := f.pairs.get(&k, h)
+	if !ok {
+		// Integrate the instance the key describes, not the pair that
+		// happened to ask, and decide mid/near dispatch on it.
+		ta, tb := ca.instance([3]int64{}), cb.instance(k.d)
+		v = f.in.templatePairNear(&ta, &tb, ta.Support.Dist(tb.Support),
+			0.5*(ta.Support.Diameter()+tb.Support.Diameter()))
+		if f.pairs.put(&k, h, v) {
+			c.ClassesIntegrated++
+		}
+	}
+	return a.amp * b.amp * v
+}

@@ -3,117 +3,319 @@ package assembly
 import (
 	"math"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"parbem/internal/basis"
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 )
 
-// floatBits is math.Float64bits, local for the shard hash.
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-// PairCache memoizes template-pair Galerkin integrals across matrix fills.
-// The key is the pair's *relative* geometry — both supports translated so
-// the first support's corner is the origin — so a hit requires only that
-// the two templates be an exact rigid translate of a previously integrated
-// pair. That is exactly the situation the paper's instantiable templates
-// create: a repeated-template corpus (the same bus extracted many times,
-// or one structure whose crossings repeat on a regular pitch) re-derives
-// the same relative pair geometries over and over, and the batch engine
-// shares one cache across all of its extractions so every repeat becomes
-// a lookup.
+// PairCache is the table of translation-class integrals (see the package
+// comment): it maps a canonical pair key — the two templates' classes and
+// the lattice displacement between their corners — to the unit-amplitude
+// Galerkin integral of the instance rebuilt from that key. The value is a
+// pure function of the key: whichever pair of a class arrives first,
+// whichever worker, backend or extraction asks, the bits are the same,
+// and two workers racing on one class store the same number. It differs
+// from evaluating a member pair at its absolute coordinates by rounding
+// only (the lattice moves coordinates by at most 2^-40 of the structure).
 //
-// Only non-far pairs are worth caching (the far-field point approximation
-// is cheaper than the lookup); TemplatePair applies that gate before
-// consulting the cache. A cached value is the output of the same
-// deterministic code path as a fresh evaluation; when a hit serves a
-// *translated* copy of the original pair, the two evaluations could have
-// differed in the last ulp (absolute coordinates round differently), so
-// enabling the cache perturbs results by at most machine epsilon.
+// Every fill uses one: its own unless Integrator.Pairs supplies a shared
+// table, which is how the batch engine reuses classes across extractions.
+// The kernel configuration and tabulated-kernel identity are part of
+// every class, so differently configured integrators can share a table
+// without aliasing.
 //
-// The cache is sharded: each shard is an independent mutex-protected LRU,
-// so concurrent fill workers rarely contend on the same lock.
+// The table is sharded, each shard a mutex over flat open-addressed
+// arrays that are allocated on first use, so an idle table costs nothing
+// and concurrent fill workers rarely meet on a lock. It is bounded: a
+// shard that reaches its share of the entry budget is emptied and refills
+// (its arrays are kept), which costs re-integration, never correctness.
 type PairCache struct {
-	shards [pairShards]pairShard
+	shards   [pairShards]pairShard
+	perShard int
+	bytes    atomic.Int64
+
+	mu      sync.Mutex
+	classes map[classKey]*tplClass
+	lastID  uint32
 }
 
-const pairShards = 64
+const (
+	pairShards = 64
+	// pairPage is the number of entries a shard allocates at a time.
+	pairPage = 32
+	// latticeBits sets the lattice quantum to 2^-latticeBits of the
+	// structure's extent (rounded up to a power of two), and shape
+	// parameters are rounded to as many mantissa bits.
+	latticeBits = 40
+	// maxClasses bounds the class index of a long-lived shared table.
+	maxClasses = 1 << 14
+)
 
-// pairShard is one LRU shard: a map into a doubly linked ring ordered by
-// recency.
-type pairShard struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[pairKey]*pairNode
-	head *pairNode // most recent
-	tail *pairNode // least recent
-	hits uint64
-	miss uint64
-}
-
-type pairNode struct {
-	key        pairKey
-	val        float64
-	prev, next *pairNode
-}
-
-// pairKey captures the translation-invariant geometry of a template pair
-// plus a fingerprint of the integration configuration it was evaluated
-// under (kernel settings and tabulated-kernel identity), so one shared
-// cache never aliases values across differently-configured extractions.
-// It is a comparable value type so lookups stay allocation-free.
+// pairKey identifies a translation class of template pairs (i, j), i <= j.
 type pairKey struct {
-	cfg              uint64
-	normalA, normalB geom.Axis
-	dirA, dirB       basis.VaryDir
-	shapeA, shapeB   shapeKey
-	// Relative geometry: support A's in-plane extents and support B's
-	// plane offset and in-plane intervals, all translated so support
-	// A's (offset, U.Lo, V.Lo) corner is the origin.
-	g          [7]float64
-	ampA, ampB float64
+	a, b uint32   // class ids of templates i and j
+	d    [3]int64 // j's corner minus i's along X, Y, Z, in lattice units
 }
 
-// shapeKey is the comparable encoding of a template shape.
-type shapeKey struct {
-	kind uint8
-	p    [3]float64
+func (k *pairKey) hash() uint64 {
+	h := uint64(k.a)<<32 | uint64(k.b)
+	h = (h ^ uint64(k.d[0])) * 0x9e3779b97f4a7c15
+	h ^= h >> 29
+	h = (h ^ uint64(k.d[1])) * 0xbf58476d1ce4e5b9
+	h ^= h >> 32
+	h = (h ^ uint64(k.d[2])) * 0x94d049bb133111eb
+	return h ^ h>>29
 }
 
-// shapeKeyOf encodes the shape; ok is false for shape types that cannot
-// be encoded compactly (TabulatedShape), which simply bypasses the cache.
-func shapeKeyOf(s basis.Shape) (shapeKey, bool) {
-	switch sh := s.(type) {
-	case basis.FlatShape:
-		return shapeKey{kind: 0}, true
-	case basis.ArchShape:
-		return shapeKey{kind: 1, p: [3]float64{sh.EdgePos, sh.LambdaIn, sh.LambdaOut}}, true
-	}
-	return shapeKey{}, false
+type pairEntry struct {
+	key pairKey
+	val float64
 }
 
-// NewPairCache creates a cache bounded to roughly maxEntries entries
-// (split across shards; 0 means the default of 1<<18).
+// pairShard stores its entries in fixed pages, appended in arrival order,
+// and finds them through an open-addressed index of entry numbers: only
+// the 4-byte index is ever reallocated.
+type pairShard struct {
+	mu         sync.Mutex
+	index      []uint32 // 0 = empty, else 1 + entry number; len is a power of two
+	pages      []*[pairPage]pairEntry
+	n          int
+	hits, miss uint64
+}
+
+// NewPairCache creates a table bounded to roughly maxEntries classes
+// (split across shards; 0 means the default of 1<<18, about 13 MB full).
 func NewPairCache(maxEntries int) *PairCache {
 	if maxEntries <= 0 {
 		maxEntries = 1 << 18
 	}
-	per := maxEntries / pairShards
-	if per < 16 {
-		per = 16
+	return &PairCache{
+		perShard: max(maxEntries/pairShards, 16),
+		classes:  make(map[classKey]*tplClass),
 	}
-	c := &PairCache{}
-	for i := range c.shards {
-		c.shards[i].cap = per
-		c.shards[i].m = make(map[pairKey]*pairNode)
-	}
-	return c
 }
 
-// cacheFingerprint condenses every configuration input that influences
-// a template-pair integral into one word for the pair-cache key. ok is
-// false for configurations the cache cannot identify (a custom MathOps
-// provider), which simply bypasses caching.
+func (s *pairShard) entry(n uint32) *pairEntry { return &s.pages[n/pairPage][n%pairPage] }
+
+func (s *pairShard) find(k *pairKey, h uint64) *pairEntry {
+	if len(s.index) == 0 {
+		return nil
+	}
+	mask := uint64(len(s.index) - 1)
+	for p := h & mask; ; p = (p + 1) & mask {
+		e := s.index[p]
+		if e == 0 {
+			return nil
+		}
+		if ent := s.entry(e - 1); ent.key == *k {
+			return ent
+		}
+	}
+}
+
+// link points the first free index slot on h's probe path at entry e.
+func (s *pairShard) link(h uint64, e uint32) {
+	mask := uint64(len(s.index) - 1)
+	p := h & mask
+	for s.index[p] != 0 {
+		p = (p + 1) & mask
+	}
+	s.index[p] = e + 1
+}
+
+func (c *PairCache) get(k *pairKey, h uint64) (float64, bool) {
+	s := &c.shards[h>>58]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.find(k, h); e != nil {
+		s.hits++
+		return e.val, true
+	}
+	s.miss++
+	return 0, false
+}
+
+// put stores a class value and reports whether the class was new (false
+// when another worker integrated the same class first).
+func (c *PairCache) put(k *pairKey, h uint64, v float64) bool {
+	s := &c.shards[h>>58]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.find(k, h) != nil {
+		return false
+	}
+	if s.n >= c.perShard {
+		s.n = 0
+		clear(s.index)
+	}
+	if 2*(s.n+1) > len(s.index) {
+		old := len(s.index)
+		s.index = make([]uint32, max(64, 2*old))
+		for e := 0; e < s.n; e++ {
+			s.link(s.entry(uint32(e)).key.hash(), uint32(e))
+		}
+		c.bytes.Add(int64(4 * (len(s.index) - old)))
+	}
+	if s.n == len(s.pages)*pairPage {
+		s.pages = append(s.pages, new([pairPage]pairEntry))
+		c.bytes.Add(int64(unsafe.Sizeof(*s.pages[0])))
+	}
+	*s.entry(uint32(s.n)) = pairEntry{key: *k, val: v}
+	s.link(h, uint32(s.n))
+	s.n++
+	return true
+}
+
+// Stats returns cumulative lookup hit and miss counts.
+func (c *PairCache) Stats() (hits, misses uint64) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		hits += s.hits
+		misses += s.miss
+		s.mu.Unlock()
+	}
+	return hits, misses
+}
+
+// Len returns the current number of stored classes.
+func (c *PairCache) Len() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += s.n
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// Bytes returns the memory held by the table's entry pages and indexes.
+func (c *PairCache) Bytes() int64 { return c.bytes.Load() }
+
+// classKey is everything that decides a template's contribution to a
+// class value, bar its position and amplitude.
+type classKey struct {
+	cfg         uint64    // integrator fingerprint
+	qexp        int32     // lattice quantum = 2^qexp
+	normal, dir uint8     // support normal, vary direction
+	arch        bool      // ArchShape (p holds its parameters) or constant
+	p           [3]uint64 // shape parameter bits, rounded
+	eu, ev      int64     // support extents in lattice units
+}
+
+// tplClass is an interned template class; id is unique for the table's
+// lifetime.
+type tplClass struct {
+	id     uint32
+	q      float64 // lattice quantum
+	normal geom.Axis
+	dir    basis.VaryDir
+	shape  basis.Shape // FlatShape or *classShape
+	eu, ev float64     // support extents, whole multiples of q
+}
+
+// instance rebuilds the class's unit-amplitude template with its corner d
+// lattice units from the origin. All coordinates are exact: q is a power
+// of two and the lattice spans 41 bits.
+func (c *tplClass) instance(d [3]int64) basis.Template {
+	r := geom.Rect{Normal: c.normal}
+	r.Offset = float64(d[c.normal]) * c.q
+	u, v := float64(d[r.UAxis()])*c.q, float64(d[r.VAxis()])*c.q
+	r.U = geom.Interval{Lo: u, Hi: u + c.eu}
+	r.V = geom.Interval{Lo: v, Hi: v + c.ev}
+	return basis.Template{Support: r, Dir: c.dir, Shape: c.shape, Amplitude: 1}
+}
+
+// roundBits rounds p to latticeBits mantissa bits and returns the bits.
+func roundBits(p float64) uint64 {
+	const drop = 52 - latticeBits
+	return (math.Float64bits(p) + 1<<(drop-1)) &^ (1<<drop - 1)
+}
+
+// classOf interns t's class under the integrator fingerprint cfg and the
+// lattice quantum 2^qexp. It returns nil for a template the table cannot
+// describe: a shape without a compact encoding, or a support below the
+// lattice's resolution.
+func (c *PairCache) classOf(cfg uint64, qexp int, t *basis.Template) *tplClass {
+	q := math.Ldexp(1, qexp)
+	k := classKey{cfg: cfg, qexp: int32(qexp), normal: uint8(t.Support.Normal), dir: uint8(t.Dir)}
+	if t.Dir != basis.VaryNone {
+		switch sh := t.Shape.(type) {
+		case basis.FlatShape:
+		case basis.ArchShape:
+			k.arch = true
+			k.p = [3]uint64{roundBits(sh.EdgePos), roundBits(sh.LambdaIn), roundBits(sh.LambdaOut)}
+		default:
+			return nil
+		}
+	}
+	k.eu = int64(math.RoundToEven(t.Support.U.Len() / q))
+	k.ev = int64(math.RoundToEven(t.Support.V.Len() / q))
+	if k.eu <= 0 || k.ev <= 0 {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cl := c.classes[k]; cl != nil {
+		return cl
+	}
+	if len(c.classes) >= maxClasses {
+		// Forget the index, not the ids: entries of forgotten classes
+		// can never be reached again and age out with their shards.
+		clear(c.classes)
+	}
+	c.lastID++
+	cl := &tplClass{id: c.lastID, q: q, normal: t.Support.Normal, dir: t.Dir,
+		shape: basis.FlatShape{}, eu: float64(k.eu) * q, ev: float64(k.ev) * q}
+	if k.arch {
+		cl.shape = &classShape{ArchShape: basis.ArchShape{
+			EdgePos:   math.Float64frombits(k.p[0]),
+			LambdaIn:  math.Float64frombits(k.p[1]),
+			LambdaOut: math.Float64frombits(k.p[2]),
+		}}
+	}
+	c.classes[k] = cl
+	return cl
+}
+
+// classShape is a class's arch profile together with its shape-weighted
+// Gauss nodes on the unit interval, built once per order: what nodeBuf.fill
+// would otherwise re-derive, exponentials included, for every pair.
+type classShape struct {
+	basis.ArchShape
+	nodes [33]atomic.Pointer[unitNodes]
+}
+
+type unitNodes struct{ t, w []float64 }
+
+// fill maps the unit-interval nodes of the given order (<= 32) onto iv.
+func (cs *classShape) fill(nb *nodeBuf, iv geom.Interval, order int) {
+	un := cs.nodes[order].Load()
+	if un == nil {
+		var unit nodeBuf
+		unit.fill(cs.ArchShape, geom.Interval{Lo: 0, Hi: 1}, order)
+		un = &unitNodes{
+			t: append([]float64(nil), unit.x[:unit.n]...),
+			w: append([]float64(nil), unit.w[:unit.n]...),
+		}
+		cs.nodes[order].Store(un) // a racing builder stores the same numbers
+	}
+	l := iv.Len()
+	for i, t := range un.t {
+		nb.x[i] = iv.Lo + t*l
+		nb.w[i] = un.w[i] * l
+	}
+	nb.n = len(un.t)
+}
+
+// cacheFingerprint condenses every configuration input that influences a
+// template-pair integral into one word, part of every class key. ok is
+// false for configurations the table cannot identify (a custom MathOps
+// provider), whose fills bypass it.
 func (in *Integrator) cacheFingerprint() (uint64, bool) {
 	cfg := in.Cfg
 	var opsID uint64
@@ -131,8 +333,8 @@ func (in *Integrator) cacheFingerprint() (uint64, bool) {
 		h *= 1099511628211
 	}
 	mix(opsID)
-	mix(floatBits(cfg.FarFactor))
-	mix(floatBits(cfg.MidFactor))
+	mix(math.Float64bits(cfg.FarFactor))
+	mix(math.Float64bits(cfg.MidFactor))
 	mix(uint64(cfg.QuadOrder))
 	if cfg.DisableApprox {
 		mix(1)
@@ -141,151 +343,4 @@ func (in *Integrator) cacheFingerprint() (uint64, bool) {
 		mix(in.Tab.Fingerprint())
 	}
 	return h, true
-}
-
-// keyOf builds the translation-invariant key; ok is false when the pair
-// is not cacheable (un-encodable shape).
-func keyOf(cfgFP uint64, ti, tj *basis.Template) (pairKey, bool) {
-	var k pairKey
-	k.cfg = cfgFP
-	var ok bool
-	if k.shapeA, ok = shapeKeyOf(ti.Shape); !ok {
-		return k, false
-	}
-	if k.shapeB, ok = shapeKeyOf(tj.Shape); !ok {
-		return k, false
-	}
-	k.normalA, k.normalB = ti.Support.Normal, tj.Support.Normal
-	k.dirA, k.dirB = ti.Dir, tj.Dir
-	k.ampA, k.ampB = ti.Amplitude, tj.Amplitude
-	sa, sb := &ti.Support, &tj.Support
-	// Translate both supports by support A's origin. The in-plane axes
-	// of a rect are fixed functions of its normal, so for equal normals
-	// the U/V axes align; for different normals the key still encodes a
-	// well-defined relative geometry because the normals are part of it.
-	// Each support's in-plane origin shift must be expressed in the
-	// *other* rect's axes when normals differ, so instead of reasoning
-	// per-axis we subtract support A's world-space corner from both
-	// rects' world-space coordinates via their axis extents.
-	au, av, an := sa.U.Lo, sa.V.Lo, sa.Offset
-	// World components of A's corner, indexed by axis.
-	var corner [3]float64
-	corner[sa.UAxis()] = au
-	corner[sa.VAxis()] = av
-	corner[sa.Normal] = an
-	k.g[0] = sa.U.Hi - au
-	k.g[1] = sa.V.Hi - av
-	k.g[2] = sb.U.Lo - corner[sb.UAxis()]
-	k.g[3] = sb.U.Hi - corner[sb.UAxis()]
-	k.g[4] = sb.V.Lo - corner[sb.VAxis()]
-	k.g[5] = sb.V.Hi - corner[sb.VAxis()]
-	k.g[6] = sb.Offset - corner[sb.Normal]
-	return k, true
-}
-
-// shardOf picks the shard by a cheap hash of the key's geometry.
-func (c *PairCache) shardOf(k *pairKey) *pairShard {
-	// FNV-style mix of a few discriminating floats.
-	h := uint64(14695981039346656037)
-	mix := func(f float64) {
-		h ^= floatBits(f)
-		h *= 1099511628211
-	}
-	mix(k.g[2])
-	mix(k.g[4])
-	mix(k.g[6])
-	mix(k.g[0])
-	h ^= uint64(k.normalA)<<8 | uint64(k.normalB)<<4 | uint64(k.dirA)<<2 | uint64(k.dirB)
-	return &c.shards[h%pairShards]
-}
-
-// get returns the cached value for the key.
-func (s *pairShard) get(k pairKey) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.m[k]
-	if n == nil {
-		s.miss++
-		return 0, false
-	}
-	s.hits++
-	s.moveToFront(n)
-	return n.val, true
-}
-
-// put inserts a value, evicting the least recently used entry when full.
-func (s *pairShard) put(k pairKey, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.m[k]; n != nil {
-		n.val = v
-		s.moveToFront(n)
-		return
-	}
-	if len(s.m) >= s.cap && s.tail != nil {
-		old := s.tail
-		s.unlink(old)
-		delete(s.m, old.key)
-	}
-	n := &pairNode{key: k, val: v}
-	s.m[k] = n
-	s.pushFront(n)
-}
-
-func (s *pairShard) moveToFront(n *pairNode) {
-	if s.head == n {
-		return
-	}
-	s.unlink(n)
-	s.pushFront(n)
-}
-
-func (s *pairShard) pushFront(n *pairNode) {
-	n.prev = nil
-	n.next = s.head
-	if s.head != nil {
-		s.head.prev = n
-	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
-	}
-}
-
-func (s *pairShard) unlink(n *pairNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		s.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		s.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-// Stats returns cumulative hit and miss counts across shards.
-func (c *PairCache) Stats() (hits, misses uint64) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.miss
-		s.mu.Unlock()
-	}
-	return hits, misses
-}
-
-// Len returns the current entry count.
-func (c *PairCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
 }

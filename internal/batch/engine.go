@@ -10,10 +10,12 @@
 //     template basis sets keyed by an exact geometry signature,
 //     tabulated collocation kernels keyed by their spec, and pre-warmed
 //     quadrature rule sets;
-//   - shares one template-pair integral cache across all extractions, so
+//   - shares one translation-class table (assembly.PairCache) across all
+//     extractions. A lone Extract already integrates each class of its
+//     structure once; the shared table adds reuse across structures, so
 //     a repeated-template corpus (the same bus extracted many times, or
-//     translated copies of one crossing layout) fills its matrix mostly
-//     from lookups; and
+//     translated copies of one crossing layout) integrates nothing
+//     after the first; and
 //   - schedules every fill's chunks onto one persistent work-stealing
 //     worker pool instead of spawning per-call goroutines.
 //
@@ -75,11 +77,12 @@ type Options struct {
 	// CacheEntries bounds the state LRU (basis sets, kernel tables,
 	// quadrature warm sets; 0 = 64).
 	CacheEntries int
-	// PairCacheEntries bounds the shared template-pair integral cache
+	// PairCacheEntries bounds the shared translation-class table
 	// (0 = default 1<<18).
 	PairCacheEntries int
-	// DisableCache turns off both the state LRU and the pair cache
-	// (every call recomputes, but still shares the worker pool).
+	// DisableCache turns off both the state LRU and the shared class
+	// table (every call rebuilds its basis and fills from a table of its
+	// own, but still shares the worker pool).
 	DisableCache bool
 
 	// Tables enables the tabulated collocation kernel; the engine
@@ -112,6 +115,7 @@ type Engine struct {
 
 	mu     sync.Mutex
 	closed bool
+	fill   assembly.FillStats
 }
 
 // Stats is a snapshot of the engine's cache effectiveness. The JSON
@@ -121,10 +125,14 @@ type Stats struct {
 	// StateHits/StateMisses count the basis/table/quad/plan LRU.
 	StateHits   uint64 `json:"state_hits"`
 	StateMisses uint64 `json:"state_misses"`
-	// PairHits/PairMisses count the template-pair integral cache.
+	// PairHits/PairMisses count the lookups of the shared class table:
+	// one per non-far template pair, a miss being an integration.
 	PairHits    uint64 `json:"pair_hits"`
 	PairMisses  uint64 `json:"pair_misses"`
 	PairEntries int    `json:"pair_entries"`
+	// Fill sums solver.Result.Fill over the engine's extractions, except
+	// that its TableBytes is the shared table's size now.
+	Fill assembly.FillStats `json:"fill"`
 }
 
 // New creates an engine and starts its worker pool. The quadrature rule
@@ -195,6 +203,12 @@ func (e *Engine) Stats() Stats {
 		s.PairHits, s.PairMisses = e.pairs.Stats()
 		s.PairEntries = e.pairs.Len()
 	}
+	e.mu.Lock()
+	s.Fill = e.fill
+	e.mu.Unlock()
+	if e.pairs != nil {
+		s.Fill.TableBytes = e.pairs.Bytes()
+	}
 	return s
 }
 
@@ -245,6 +259,9 @@ func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 	res.Timing.BasisGen = tBasis
 	res.Timing.TableGen = tTable
 	res.Timing.Total += tBasis + tTable
+	e.mu.Lock()
+	e.fill.Add(res.Fill)
+	e.mu.Unlock()
 	return res, nil
 }
 

@@ -38,12 +38,19 @@ func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *lin
 // entries of P~ in its k-partition into a partial matrix P_Kd; ranks
 // d != 0 serialize their partials and send them to the main rank, which
 // shifts each slab to its column offset and accumulates into P. The
-// returned matrix (rank 0's result) is symmetrized and unscaled.
+// returned matrix (rank 0's result) is symmetrized and unscaled, and
+// bitwise the one assembly.FillSerial returns: partitions are aligned to
+// columns of P, so no entry's sum is split across ranks or chunks.
 //
-// The rank-local fill runs through the same work-stealing chunk scheduler
-// as the shared-memory backend (assembly.FillRanges): the rank's k-range
-// is re-chunked and executed on ThreadsPerRank local workers, each chunk's
-// slab merging into the rank's partial.
+// Ranks share no memory, so each integrates the translation classes of
+// its partition into a table of its own (in.Pairs is not used) and
+// reports its work counters in its header message; rank 0 credits the
+// sum to in.
+//
+// The rank-local fill runs through the same chunk scheduler as the
+// shared-memory backend (assembly.FillRanges): the rank's k-range is
+// re-chunked and executed on ThreadsPerRank local workers, accumulating
+// into the rank's partial.
 func FillDistributedOpts(set *basis.Set, in *assembly.Integrator, net *Network, fo FillOptions) *linalg.Dense {
 	size := net.size
 	threads := fo.ThreadsPerRank
@@ -54,12 +61,10 @@ func FillDistributedOpts(set *basis.Set, in *assembly.Integrator, net *Network, 
 	if cpt <= 0 {
 		cpt = 4
 	}
-	// One contiguous k-partition per rank (Figure 5/6); boundaries are
-	// placed at equal *estimated cost* rather than equal count, since a
-	// rank stuck with the expensive shaped-template block would bound
-	// the whole setup (every rank computes the same partition
-	// deterministically, so no coordination is needed).
-	bounds := assembly.PartitionKCost(set, in, size)
+	// One contiguous k-partition per rank (Figure 5/6), the paper's equal
+	// division moved to column boundaries (every rank computes the same
+	// partition deterministically, so no coordination is needed).
+	bounds := assembly.AlignColumns(set, assembly.PartitionK(assembly.NumPairs(set.M()), size))
 
 	var result *linalg.Dense
 	RunOn(net, func(c *Comm) {
@@ -67,30 +72,31 @@ func FillDistributedOpts(set *basis.Set, in *assembly.Integrator, net *Network, 
 		// (paper: "the process d holds its own copy of template
 		// definitions"); this also guarantees no shared mutable state.
 		local := set.Clone()
+		rin := &assembly.Integrator{Cfg: in.Cfg, Tab: in.Tab}
 		lo, hi := bounds[c.Rank()], bounds[c.Rank()+1]
+		part := assembly.NewPartial(local, lo, hi)
+		assembly.FillRanges(local, rin, assembly.PartitionRange(lo, hi, threads*cpt), sched.Local(threads), part)
+		st := rin.FillStats()
 
 		if c.Rank() != 0 {
-			if hi <= lo {
-				c.SendInts(0, tagPartHeader, []int{0, -1})
-				return
+			c.SendInts(0, tagPartHeader, []int{part.ColLo, part.ColHi,
+				int(st.PairsFar), int(st.PairsNear), int(st.ClassesIntegrated), int(st.TableBytes)})
+			if part.ColHi >= part.ColLo {
+				c.SendFloat64s(0, tagPartData, part.Data.Data)
 			}
-			part := fillRank(local, in, lo, hi, threads, cpt)
-			c.SendInts(0, tagPartHeader, []int{part.ColLo, part.ColHi})
-			c.SendFloat64s(0, tagPartData, part.Data.Data)
 			return
 		}
 
-		// Main process: own partition directly into P, then merge the
-		// incoming partial matrices.
+		// Main process: own partition, then the incoming partial
+		// matrices, into P.
 		n := local.N()
 		P := linalg.NewDense(n, n)
-		if hi > lo {
-			part := fillRank(local, in, lo, hi, threads, cpt)
-			part.MergeInto(P)
-		}
+		part.MergeInto(P)
 		for r := 1; r < size; r++ {
 			hdr := c.RecvInts(r, tagPartHeader)
 			colLo, colHi := hdr[0], hdr[1]
+			st.Add(assembly.FillStats{PairsFar: int64(hdr[2]), PairsNear: int64(hdr[3]),
+				ClassesIntegrated: int64(hdr[4]), TableBytes: int64(hdr[5])})
 			if colHi < colLo {
 				continue
 			}
@@ -102,30 +108,8 @@ func FillDistributedOpts(set *basis.Set, in *assembly.Integrator, net *Network, 
 			part.MergeInto(P)
 		}
 		assembly.Symmetrize(P)
+		in.AddFillStats(st)
 		result = P
 	})
 	return result
-}
-
-// fillRank computes one rank's partial slab for [lo, hi) by running the
-// re-chunked range through the shared scheduler on `threads` local
-// workers.
-func fillRank(set *basis.Set, in *assembly.Integrator, lo, hi int64, threads, chunksPerThread int) *assembly.Partial {
-	if threads == 1 {
-		// Paper-baseline layout: one thread per process computes its
-		// whole partition directly (no sub-chunk slabs or extra merge).
-		return assembly.FillPartial(set, in, lo, hi)
-	}
-	colLo, colHi := assembly.ColRange(set, lo, hi)
-	slab := &assembly.Partial{
-		N:     set.N(),
-		ColLo: colLo,
-		ColHi: colHi,
-		Data:  linalg.NewDense(set.N(), colHi-colLo+1),
-	}
-	sub := assembly.PartitionRange(lo, hi, threads*chunksPerThread)
-	assembly.FillRanges(set, in, sub, sched.Local(threads), func(p *assembly.Partial) {
-		p.MergeIntoSlab(slab)
-	})
-	return slab
 }

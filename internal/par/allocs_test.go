@@ -47,11 +47,61 @@ func TestTemplatePairAllocationFree(t *testing.T) {
 	}
 }
 
+// TestInternedPairAllocationFree is the same guard for the path fills take:
+// a pair served from the class table, and a pair whose class has to be
+// integrated and stored, allocate nothing once the table's pages and the
+// classes' quadrature nodes exist. The miss case runs on a table with the
+// smallest entry budget, whose shards keep emptying and refilling in
+// place, so every sweep integrates again without the table growing.
+func TestInternedPairAllocationFree(t *testing.T) {
+	st := geom.DefaultBus(4, 4).Build()
+	set := basis.Build(st, basis.DefaultBuilderOptions())
+	m := set.M()
+	sweep := func(f *assembly.Interned) func() {
+		return func() {
+			for i := 0; i < m; i++ {
+				for j := i; j < m; j += 2 {
+					f.Pair(i, j)
+				}
+			}
+		}
+	}
+
+	hit := assembly.NewIntegrator()
+	hit.Pairs = assembly.NewPairCache(0)
+	if allocs := testing.AllocsPerRun(5, sweep(hit.Intern(set))); allocs != 0 {
+		t.Errorf("warm table: a sweep of Pair calls allocates %.0f objects", allocs)
+	}
+	if _, misses := hit.Pairs.Stats(); int64(misses) != hit.FillStats().ClassesIntegrated {
+		t.Errorf("warm table: %d misses for %d classes", misses, hit.FillStats().ClassesIntegrated)
+	}
+
+	miss := assembly.NewIntegrator()
+	miss.Pairs = assembly.NewPairCache(1)
+	f := miss.Intern(set)
+	run := sweep(f)
+	run()
+	run() // every shard has been through a reset: pages and indexes are at full size
+	before := miss.FillStats().ClassesIntegrated
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("resetting table: a sweep of Pair calls allocates %.0f objects", allocs)
+	}
+	if after := miss.FillStats().ClassesIntegrated; after == before {
+		t.Error("resetting table: the measured sweeps integrated nothing, so no miss was measured")
+	}
+
+	// Interning is one pass over the templates: on a table that knows the
+	// classes it allocates its two slices and nothing per template.
+	if allocs := testing.AllocsPerRun(5, func() { miss.Intern(set) }); allocs > 2 {
+		t.Errorf("Intern allocates %.0f objects for %d templates", allocs, m)
+	}
+}
+
 // TestFillSteadyStateAllocs bounds the allocations of a whole Fill call:
-// everything allocated is per-chunk bookkeeping (partial slabs, scheduler
-// deques), independent of the k-range size. The bound is deliberately
-// generous; the point is that the integration inner loop contributes
-// nothing.
+// everything allocated is the matrix, the interned templates, the
+// scheduler's deques and the class table's pages (one per 32 classes),
+// none of it per pair. The bound is deliberately generous; the point is
+// that the integration inner loop contributes nothing.
 func TestFillSteadyStateAllocs(t *testing.T) {
 	st := geom.DefaultBus(3, 3).Build()
 	set := basis.Build(st, basis.DefaultBuilderOptions())
@@ -62,8 +112,9 @@ func TestFillSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		Fill(set, in, opt)
 	})
-	// 2 workers x 16 chunks/worker: slabs + deques + scheduler state is
-	// a few hundred objects; the ~58k pair integrals must add zero.
+	// 2 workers x 16 chunks/worker of scheduler state and ~100 table
+	// pages are a few hundred objects; the ~58k pair integrals must add
+	// zero.
 	if allocs > 2000 {
 		t.Fatalf("Fill allocates %.0f objects per call; integration hot path is no longer allocation-free", allocs)
 	}

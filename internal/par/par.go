@@ -1,17 +1,21 @@
 // Package par implements the shared-memory parallel system setup of paper
 // Section 5.1 / Figure 4: the k-range of Algorithm 1 is split into
-// contiguous partitions, D workers (the OpenMP-thread analog) compute
-// their template interactions into private partial matrices, and the
-// results are merged into the shared system matrix P as each partition
-// completes.
+// contiguous partitions and D workers (the OpenMP-thread analog) compute
+// their template interactions. Where the paper has each worker fill a
+// private partial matrix and merge it under a mutex, the partitions here
+// are moved to columns of P (assembly.AlignColumns), so they own
+// disjoint parts of the shared system matrix and accumulate into it
+// directly.
 //
 // Two scheduling modes are provided. Static mode is the paper's Algorithm
-// 1 verbatim: exactly D equal partitions. The default dynamic mode keeps
-// the same contiguous-partition structure but splits the k-range into
+// 1: exactly D equal partitions. The default dynamic mode keeps the same
+// contiguous-partition structure but splits the k-range into
 // ChunksPerWorker*D chunks claimed from a shared queue — the standard
-// OpenMP "schedule(dynamic)" refinement that absorbs the residual cost
-// variance between template pairs. The ablation benchmark
-// (BenchmarkAblationDivision) quantifies the difference.
+// OpenMP "schedule(dynamic)" refinement that absorbs the cost variance
+// between template pairs, which is large: a pair costs a table lookup
+// unless it is the first of its translation class. The ablation benchmark
+// (BenchmarkAblationDivision) quantifies the difference. Either way the
+// matrix is bitwise the one assembly.FillSerial returns.
 package par
 
 import (
@@ -57,25 +61,17 @@ func Fill(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Dense {
 	P := linalg.NewDense(n, n)
 	K := assembly.NumPairs(set.M())
 
-	nparts := d
-	var bounds []int64
-	if opt.Static {
-		// The paper's Algorithm 1: one equal partition per node.
-		bounds = assembly.PartitionK(K, nparts)
-	} else {
+	nparts := d // the paper's Algorithm 1: one equal partition per node
+	if !opt.Static {
 		nparts = d * cpw
-		bounds = assembly.PartitionKCost(set, in, nparts)
 	}
+	bounds := assembly.PartitionK(K, nparts) // FillRanges moves them to columns of P
 
 	var ex sched.Executor = opt.Pool
 	if opt.Pool == nil {
 		ex = sched.Local(d)
 	}
-	// Adjacent partitions can share one column of P (paper Figure 5);
-	// FillRanges serializes the merges.
-	assembly.FillRanges(set, in, bounds, ex, func(part *assembly.Partial) {
-		part.MergeInto(P)
-	})
+	assembly.FillRanges(set, in, bounds, ex, assembly.WholePartial(P))
 	assembly.Symmetrize(P)
 	return P
 }

@@ -78,9 +78,11 @@ type Options struct {
 	// Tables; no TableGen cost is incurred).
 	Tab *tabulate.Collocation
 
-	// Pairs, when non-nil, memoizes template-pair integrals across
-	// extractions (shared by the batch engine; values are bitwise
-	// identical to uncached evaluation).
+	// Pairs, when non-nil, is the translation-class table this fill
+	// reads and extends (the batch engine shares one across its
+	// extractions). Nil gives the fill a table of its own, so a lone
+	// extraction still integrates each class of its structure once. See
+	// assembly.PairCache for what a class value is.
 	Pairs *assembly.PairCache
 
 	// Pool, when non-nil, runs the SharedMem fill chunks on a shared
@@ -107,6 +109,9 @@ type Result struct {
 	// MatrixBytes is the memory held by the dense system matrix.
 	MatrixBytes int
 	Timing      Timing
+	// Fill counts the work of the system setup: far and near template
+	// pairs, translation classes integrated, and the class table's size.
+	Fill assembly.FillStats
 	// Set is the generated basis (exposed for diagnostics and examples).
 	Set *basis.Set
 	// P is the scaled system matrix (retained for diagnostics; may be
@@ -201,6 +206,7 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 		MatrixBytes: 8 * len(P.Data),
 		Set:         set,
 		P:           P,
+		Fill:        in.FillStats(),
 		Timing: Timing{
 			TableGen: tTable,
 			Setup:    tSetup,

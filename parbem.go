@@ -17,22 +17,26 @@
 //
 // # Batch extraction
 //
-// A service extracting many structures should use an Engine instead of
-// repeated Extract calls. The engine keeps one persistent work-stealing
-// worker pool and a concurrency-safe LRU of immutable expensive state —
-// template basis sets keyed by exact geometry signature, tabulated
-// kernel tables, warmed quadrature rules — plus a shared cache of
-// template-pair integrals, so repeated or translated template layouts
-// fill their system matrices mostly from lookups:
+// A lone Extract already integrates each distinct template pair of its
+// structure once: the fill groups pairs that are translates of one
+// another into classes, and every repeat of a class is a table lookup
+// (Result.Fill reports the counts; see internal/assembly). What a
+// service extracting many structures gains from an Engine is reuse
+// *across* structures: one persistent work-stealing worker pool, a
+// concurrency-safe LRU of immutable expensive state — template basis
+// sets keyed by exact geometry signature, tabulated kernel tables,
+// warmed quadrature rules — and one class table shared by all of its
+// extractions, so a structure seen before, or one built from the same
+// template layouts, fills its system matrix from lookups alone:
 //
 //	eng := parbem.NewEngine(parbem.EngineOptions{Workers: 8})
 //	defer eng.Close()
 //	results, err := eng.ExtractAll(structures) // concurrent, cache-shared
 //	res, err = eng.Extract(st)                 // one at a time also works
 //
-// On a corpus of repeated bus structures the engine delivers several
-// times the throughput of sequential Extract calls (see
-// BenchmarkEngineBatch in internal/batch). The same engine is available
+// On a corpus of repeated bus structures the engine integrates the
+// corpus' classes once and builds its basis once (BenchmarkEngineBatch
+// in internal/batch has the timing). The same engine is available
 // on the command line as `capx -batch file1.geo file2.geo ...`.
 //
 // # Choosing a backend
@@ -174,6 +178,7 @@ package parbem
 import (
 	"io"
 
+	"parbem/internal/assembly"
 	"parbem/internal/basis"
 	"parbem/internal/batch"
 	"parbem/internal/extract"
@@ -246,6 +251,10 @@ type (
 	// Result is a completed extraction with the capacitance matrix,
 	// sizes and per-phase timing.
 	Result = solver.Result
+	// FillStats is Result.Fill: the template pairs of the system setup
+	// by far and near, the translation classes integrated for the near
+	// ones, and the class table's size.
+	FillStats = assembly.FillStats
 	// Backend selects serial, shared-memory or distributed execution.
 	Backend = solver.Backend
 	// BuilderOptions tunes instantiable-basis generation.
@@ -287,8 +296,8 @@ func Extract(st *Structure, opt Options) (*Result, error) {
 // Batch extraction engine types (see internal/batch for details).
 type (
 	// Engine is a batch extraction service: persistent worker pool plus
-	// caches of basis sets, kernel tables and pair integrals shared
-	// across extractions.
+	// caches of basis sets, kernel tables and translation-class
+	// integrals shared across extractions.
 	Engine = batch.Engine
 	// EngineOptions configures NewEngine; the zero value is a
 	// SharedMem engine with GOMAXPROCS workers and caching enabled.
