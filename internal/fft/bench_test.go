@@ -9,67 +9,41 @@ import (
 // N=1088 pads to 64x64x32).
 const benchNx, benchNy, benchNz = 64, 64, 32
 
-// BenchmarkConvolve measures the fused grid convolution: the r2c
-// half-spectrum path (fp64 and fp32) against the c2c complex path it
-// replaced. The r2c/c2c fp64 delta is the headline transform win of
-// the real-input engine.
+// BenchmarkConvolve measures the fused grid convolution at both widths.
 func BenchmarkConvolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-
-	b.Run("r2c-fp64", func(b *testing.B) {
-		g := NewRGrid3(benchNx, benchNy, benchNz)
-		kh := NewRGrid3(benchNx, benchNy, benchNz)
-		fillRandReal(rng, g, nil)
-		fillRandReal(rng, kh, nil)
-		kh.ForwardReal()
-		g.ConvolveInto(kh)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.ConvolveInto(kh)
-		}
-	})
-	b.Run("r2c-fp32", func(b *testing.B) {
-		g := NewRGrid3F32(benchNx, benchNy, benchNz)
-		kh := NewRGrid3F32(benchNx, benchNy, benchNz)
-		for i := range g.Data {
-			g.Data[i] = rng.Float32()
-		}
-		for i := range kh.Data {
-			kh.Data[i] = rng.Float32()
-		}
-		kh.ForwardReal()
-		g.ConvolveInto(kh)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.ConvolveInto(kh)
-		}
-	})
-	b.Run("c2c-fp64", func(b *testing.B) {
-		g := NewGrid3(benchNx, benchNy, benchNz)
-		kh := NewGrid3(benchNx, benchNy, benchNz)
-		for i := range g.Data {
-			g.Data[i] = complex(rng.NormFloat64(), 0)
-			kh.Data[i] = complex(rng.NormFloat64(), 0)
-		}
-		kh.Forward3()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Forward3()
-			g.MulPointwise(kh)
-			g.Inverse3()
-		}
-	})
+	b.Run("r2c-fp64", benchConvolve[float64])
+	b.Run("r2c-fp32", benchConvolve[float32])
 }
 
-// BenchmarkForward1D measures the table-driven 1-D kernel on a typical
-// grid-edge length.
-func BenchmarkForward1D(b *testing.B) {
-	x := make([]complex128, 64)
-	for i := range x {
-		x[i] = complex(float64(i%7), float64(i%5))
-	}
+func benchConvolve[T float](b *testing.B) {
+	rng := rand.New(rand.NewSource(21))
+	g := newRGrid[T](benchNx, benchNy, benchNz)
+	kh := newRGrid[T](benchNx, benchNy, benchNz)
+	fillRandReal(rng, g)
+	fillRandReal(rng, kh)
+	kh.ForwardReal()
+	g.ConvolveInto(kh)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Forward(x)
+		g.ConvolveInto(kh)
+	}
+}
+
+// BenchmarkForward1D measures the 1-D kernel on a typical grid-edge
+// length.
+func BenchmarkForward1D(b *testing.B) {
+	b.Run("fp64", benchForward1D[float64])
+	b.Run("fp32", benchForward1D[float32])
+}
+
+func benchForward1D[T float](b *testing.B) {
+	x := make([]T, 2*64)
+	for i := range x {
+		x[i] = T(i % 7)
+	}
+	tab := tablesFor[T](len(x) / 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		transform(x, tab.fwd, 1)
 	}
 }

@@ -1,48 +1,60 @@
 // Package fft is the convolution engine of the precorrected-FFT
-// baseline (internal/pfft): an iterative radix-2 FFT with cached
-// twiddle-factor and bit-reversal tables, 3-D transforms over dense
-// grids, and — the layout the physics actually needs — real-input
-// convolution grids that carry only the non-redundant half spectrum.
-// The standard library has no FFT, so this is built from scratch.
+// baseline (internal/pfft): one real-input 3-D convolution grid,
+// RGrid[T], instantiated at float64 (RGrid3) and float32 (RGrid3F32)
+// from the same code — one table-driven radix-2 kernel, one r2c/c2r
+// line pair, one table cache. The standard library has no FFT, so this
+// is built from scratch.
 //
 // # Real-input convolution contract
 //
 // The grid data pfft convolves is real (charges projected onto grid
-// nodes, potentials read back), so RGrid3/RGrid3F32 store an
-// Nx x Ny x Nz real grid and transform it r2c along z via conjugate
-// symmetry into Hz = Nz/2+1 complex bins, then c2c along y and x over
-// the Hz half-planes. Compared to a complex-to-complex transform of
-// the same grid this halves the transform flops, the grid memory and
-// the kernel-spectrum storage. ConvolveInto fuses the full circular
+// nodes, potentials read back), so an RGrid stores an Nx x Ny x Nz real
+// grid and transforms it r2c along z via conjugate symmetry into
+// Hz = Nz/2+1 complex bins, then c2c along y and x over the Hz
+// half-planes. Compared to a complex-to-complex transform of the same
+// grid this halves the transform flops, the grid memory and the
+// kernel-spectrum storage. ConvolveInto fuses the full circular
 // convolution (forward, pointwise spectral multiply, inverse) in one
 // call; the 1/n inverse scaling is folded into the final butterfly
 // stage of each axis rather than a separate sweep over the data.
 //
 // # Half-spectrum layout
 //
-// An RGrid3 line (ix, iy) occupies Nz+2 float64 slots. In real space
-// the first Nz are the samples f(ix, iy, 0..Nz-1); after ForwardReal
-// the same slots hold the Hz half-spectrum bins X[0..Nz/2] as (re, im)
+// A grid line (ix, iy) occupies Nz+2 slots of T. In real space the
+// first Nz are the samples f(ix, iy, 0..Nz-1); after ForwardReal the
+// same slots hold the Hz half-spectrum bins X[0..Nz/2] as (re, im)
 // pairs — X[k] for k > Nz/2 is implied by the conjugate symmetry
 // X[Nz-k] = conj(X[k]) of real input. X[0] and X[Nz/2] are real.
 //
+// # Precision
+//
+// Complex values are explicit (re, im) pairs of T rather than
+// complex64/complex128: Go cannot take real/imag of a type parameter,
+// and gc lowers complex64 multiplication through float64 (widen,
+// multiply, narrow), which made a complex64 kernel slower than the
+// float64 one it exists to beat. Both widths run the same operations
+// in the same order; the float64 instantiation reproduces complex128
+// arithmetic exactly, the float32 one differs from it by fp32 rounding
+// of the butterflies only (roots of unity are computed in float64 and
+// rounded once) — about 1e-7 relative on the grid sizes pfft uses, far
+// below the iterative-refinement tolerance that consumes the result.
+//
 // # Parallelism model
 //
-// Each 3-D transform is Nx*Ny (z), Nx*Nz (y) and Ny*Nz (x)
-// independent 1-D line transforms. When a grid's Exec executor is set,
-// the line loops and the pointwise spectral multiply are chunked over
-// it with per-worker line buffers drawn from a sched.Scratch pool;
-// results are bit-identical to the serial path regardless of
-// scheduling (every line is transformed by the same table-driven
-// kernel). With Exec nil everything runs inline and the warm paths are
-// allocation-free. A grid serves one transform at a time.
+// Each 3-D transform is Nx*Ny (z), Nx*Hz (y) and Ny*Hz (x) independent
+// 1-D line transforms. When a grid's Exec executor is set, the line
+// loops and the pointwise spectral multiply are chunked over it with
+// per-task line buffers drawn from a sched.Scratch pool; results are
+// bit-identical to the serial path regardless of scheduling (every
+// line is transformed by the same kernel). With Exec nil everything
+// runs inline and the warm paths are allocation-free. A grid serves one
+// transform at a time.
 package fft
 
 import (
-	"fmt"
+	"math"
 	"math/bits"
-
-	"parbem/internal/sched"
+	"sync"
 )
 
 // IsPow2 reports whether n is a positive power of two.
@@ -56,101 +68,109 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// Forward computes the in-place forward DFT of x (len must be a power
-// of two): X[k] = sum_j x[j] exp(-2 pi i j k / n).
-func Forward(x []complex128) {
-	n := checkedLen128(x)
-	transform(x, twiddles(n, -1), revTable(n))
+// float is the set of sample widths the engine is instantiated at.
+type float interface{ float32 | float64 }
+
+// tables holds what a length-n line transform looks up: the
+// bit-reversal permutation, applied while a line is gathered into its
+// buffer, and the roots of unity of the forward (-) and inverse (+)
+// direction as (re, im) pairs, laid out stage by stage so that every
+// butterfly stage reads its roots contiguously: the stage whose
+// butterflies pair values half apart holds exp(-+2 pi i k / (2 half)),
+// k in [0, half), at slots [2(half-1), 2(2 half-1)). The last stage,
+// slots [n-2, 2n-2), is therefore the plain first-half table
+// exp(-+2 pi i k / n), k in [0, n/2).
+type tables[T float] struct {
+	rev      []int32
+	fwd, inv []T
 }
 
-// Inverse computes the in-place inverse DFT including the 1/n scaling,
-// folded into the final butterfly stage (no separate scaling sweep).
-func Inverse(x []complex128) {
-	n := checkedLen128(x)
-	transformScaled(x, twiddles(n, +1), revTable(n), 1/float64(n))
-}
+// tableCache maps tableKey[T]{n} to *tables[T], for the life of the
+// process: one 3-D transform runs thousands of short line transforms,
+// and a table lookup per butterfly beats both recomputing the root per
+// stage and the w *= wStep recurrence (which drifts by O(n eps) across
+// a line). Entries are tiny — one per distinct grid edge and width —
+// and read-mostly; sync.Map keeps concurrent transforms lock-free on
+// the hit path.
+var tableCache sync.Map
 
-func checkedLen128(x []complex128) int {
-	n := len(x)
-	if !IsPow2(n) {
-		panic(fmt.Sprintf("fft: length %d is not a power of two", n))
+type tableKey[T float] struct{ n int }
+
+// tablesFor returns the tables of power-of-two length n. Roots are
+// computed in float64 and rounded to T once.
+func tablesFor[T float](n int) *tables[T] {
+	key := tableKey[T]{n}
+	if t, ok := tableCache.Load(key); ok {
+		return t.(*tables[T])
 	}
-	return n
-}
-
-// transform is the iterative Cooley-Tukey radix-2 kernel with
-// table-driven twiddles (the w *= wStep recurrence it replaces loses
-// O(n eps) across a row). The caller supplies the twiddle and
-// bit-reversal tables so the per-row lookups are hoisted out of the
-// 3-D transform's line loops.
-func transform(x []complex128, w []complex128, rev []int32) {
-	n := len(x)
-	for i, j := range rev {
-		if int(j) > i {
-			x[i], x[j] = x[j], x[i]
+	t := &tables[T]{
+		rev: make([]int32, n),
+		fwd: make([]T, 0, 2*n),
+		inv: make([]T, 0, 2*n),
+	}
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	for i := range t.rev {
+		t.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+	}
+	for half := 1; half < n; half <<= 1 {
+		for k := 0; k < half; k++ {
+			s, c := math.Sincos(2 * math.Pi * float64(k*(n/(2*half))) / float64(n))
+			t.fwd = append(t.fwd, T(c), T(-s))
+			t.inv = append(t.inv, T(c), T(s))
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w[k*stride]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+	tableCache.Store(key, t)
+	return t
+}
+
+// transform is the iterative Cooley-Tukey radix-2 kernel: the in-place
+// DFT of a power-of-two line of (re, im) pairs that the caller has
+// gathered in bit-reversed order, with w the fwd or inv roots of the
+// line's tables. Every output is multiplied by scale, which is folded
+// into the final butterfly stage: that stage spans the whole line (one
+// butterfly per element pair), so scaling its outputs is exactly a
+// separate x[i] *= scale sweep, minus the extra pass over the data.
+// scale is 1 (forward) or a share of 1/n (inverse), so it is 1 whenever
+// the line has a single value.
+//
+// Lines and roots are flat []T rather than []struct{re, im T}: gc folds
+// the field offset into the addressing mode of a load from a []T or a
+// 16-byte struct element but not an 8-byte one, which made the struct
+// form 25% slower at float32 (measured, n = 64). The per-block
+// reslicing to equal lengths leaves one bounds check per butterfly,
+// the first access at k+1.
+func transform[T float](x, w []T, scale T) {
+	n := len(x)
+	last := n >> 1 // the final stage pairs slots n/2 apart
+	if scale != 1 {
+		last >>= 1
+	}
+	for h := 2; h <= last; h <<= 1 {
+		stage := w[h-2 : 2*h-2]
+		for start := 0; start+2*h <= n; start += 2 * h {
+			lo, hi := x[start:start+h], x[start+h:start+2*h]
+			hi, ws := hi[:len(lo)], stage[:len(lo)]
+			for k := 0; k < len(lo)-1; k += 2 {
+				tr := hi[k]*ws[k] - hi[k+1]*ws[k+1]
+				ti := hi[k]*ws[k+1] + hi[k+1]*ws[k]
+				ar, ai := lo[k], lo[k+1]
+				lo[k], lo[k+1] = ar+tr, ai+ti
+				hi[k], hi[k+1] = ar-tr, ai-ti
 			}
 		}
 	}
-}
-
-// transformScaled is transform with a uniform output scaling folded
-// into the final butterfly stage: the last stage spans the whole row
-// (one butterfly per element pair), so multiplying its outputs is
-// exactly the separate x[i] *= scale sweep, minus the extra pass over
-// the data. For power-of-two scalings (1/n here) the fold is
-// bit-identical to the sweep.
-func transformScaled(x []complex128, w []complex128, rev []int32, scale float64) {
-	n := len(x)
-	if n == 1 {
-		if scale != 1 {
-			x[0] *= complex(scale, 0)
-		}
+	if scale == 1 {
 		return
 	}
-	for i, j := range rev {
-		if int(j) > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	for size := 2; size < n; size <<= 1 {
-		half := size >> 1
-		stride := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w[k*stride]
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-			}
-		}
-	}
-	half := n >> 1
-	s := complex(scale, 0)
-	for k := 0; k < half; k++ {
-		a := x[k]
-		b := x[k+half] * w[k]
-		x[k] = (a + b) * s
-		x[k+half] = (a - b) * s
-	}
-}
-
-// lineTransform dispatches to the scaled or unscaled kernel.
-func lineTransform(x []complex128, w []complex128, rev []int32, scale float64) {
-	if scale == 1 {
-		transform(x, w, rev)
-	} else {
-		transformScaled(x, w, rev, scale)
+	h := n >> 1
+	lo, hi, ws := x[:h], x[h:], w[h-2:]
+	hi, ws = hi[:len(lo)], ws[:len(lo)]
+	for k := 0; k < len(lo)-1; k += 2 {
+		tr := hi[k]*ws[k] - hi[k+1]*ws[k+1]
+		ti := hi[k]*ws[k+1] + hi[k+1]*ws[k]
+		ar, ai := lo[k], lo[k+1]
+		lo[k], lo[k+1] = (ar+tr)*scale, (ai+ti)*scale
+		hi[k], hi[k+1] = (ar-tr)*scale, (ai-ti)*scale
 	}
 }
 
@@ -159,8 +179,8 @@ func lineTransform(x []complex128, w []complex128, rev []int32, scale float64) {
 // microseconds a line costs, fine enough to balance across workers.
 const lineChunk = 32
 
-// elemChunk is the number of grid elements per executor task in the
-// elementwise passes (pointwise multiply).
+// elemChunk is the number of complex bins per executor task in the
+// pointwise spectral multiply.
 const elemChunk = 8192
 
 func chunkTasks(n, chunk int) int { return (n + chunk - 1) / chunk }
@@ -172,164 +192,4 @@ func chunkSpan(t, n, chunk int) (int, int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// lineBuf is the per-worker gather/scatter state of one parallel task:
-// one line buffer per strided axis.
-type lineBuf struct {
-	y, x []complex128
-}
-
-// Grid3 is a dense complex grid of dimensions Nx x Ny x Nz (all powers
-// of two), stored x-major: index = (ix*Ny + iy)*Nz + iz.
-type Grid3 struct {
-	Nx, Ny, Nz int
-	Data       []complex128
-	// Exec optionally parallelizes the line transforms and pointwise
-	// multiplies; nil runs everything inline (allocation-free when
-	// warm). Set it before transforming; a grid serves one transform
-	// at a time either way.
-	Exec sched.Executor
-	// lines pools the gather/scatter buffers of the strided y/x
-	// transforms: the warm serial value keeps repeated transforms (one
-	// per matvec in pfft) allocation-free, parallel tasks draw
-	// per-worker buffers from the overflow pool.
-	lines *sched.Scratch[*lineBuf]
-}
-
-// NewGrid3 allocates a zeroed grid.
-func NewGrid3(nx, ny, nz int) *Grid3 {
-	if !IsPow2(nx) || !IsPow2(ny) || !IsPow2(nz) {
-		panic("fft: grid dimensions must be powers of two")
-	}
-	return &Grid3{
-		Nx: nx, Ny: ny, Nz: nz,
-		Data: make([]complex128, nx*ny*nz),
-		lines: sched.NewScratch(func() *lineBuf {
-			return &lineBuf{y: make([]complex128, ny), x: make([]complex128, nx)}
-		}),
-	}
-}
-
-// Idx returns the linear index of (ix, iy, iz).
-func (g *Grid3) Idx(ix, iy, iz int) int { return (ix*g.Ny+iy)*g.Nz + iz }
-
-// Forward3 transforms the grid in place along all three axes.
-func (g *Grid3) Forward3() { g.transformAll(-1, false) }
-
-// Inverse3 inverse-transforms the grid in place; the 1/(Nx*Ny*Nz)
-// scaling is folded into the final butterfly stage of each axis.
-func (g *Grid3) Inverse3() { g.transformAll(+1, true) }
-
-// transformAll applies a 1-D transform along z, then y, then x, with
-// twiddle/reversal tables fetched once per axis. Each axis is a set of
-// independent lines, chunked over Exec when present.
-func (g *Grid3) transformAll(sign float64, scaled bool) {
-	nx, ny, nz := g.Nx, g.Ny, g.Nz
-	wz, rz := twiddles(nz, sign), revTable(nz)
-	wy, ry := twiddles(ny, sign), revTable(ny)
-	wx, rx := twiddles(nx, sign), revTable(nx)
-	sz, sy, sx := 1.0, 1.0, 1.0
-	if scaled {
-		sz, sy, sx = 1/float64(nz), 1/float64(ny), 1/float64(nx)
-	}
-	if g.Exec == nil {
-		b := g.lines.Acquire()
-		g.zLines(0, nx*ny, wz, rz, sz)
-		g.yLines(0, nx*nz, b.y, wy, ry, sy)
-		g.xLines(0, ny*nz, b.x, wx, rx, sx)
-		g.lines.Release(b)
-		return
-	}
-	g.Exec.Map(chunkTasks(nx*ny, lineChunk), func(t int) {
-		lo, hi := chunkSpan(t, nx*ny, lineChunk)
-		g.zLines(lo, hi, wz, rz, sz)
-	})
-	g.Exec.Map(chunkTasks(nx*nz, lineChunk), func(t int) {
-		lo, hi := chunkSpan(t, nx*nz, lineChunk)
-		b := g.lines.Acquire()
-		g.yLines(lo, hi, b.y, wy, ry, sy)
-		g.lines.Release(b)
-	})
-	g.Exec.Map(chunkTasks(ny*nz, lineChunk), func(t int) {
-		lo, hi := chunkSpan(t, ny*nz, lineChunk)
-		b := g.lines.Acquire()
-		g.xLines(lo, hi, b.x, wx, rx, sx)
-		g.lines.Release(b)
-	})
-}
-
-// zLines transforms contiguous z lines [lo, hi) (line r = (ix*Ny+iy)).
-func (g *Grid3) zLines(lo, hi int, w []complex128, rev []int32, scale float64) {
-	nz := g.Nz
-	for r := lo; r < hi; r++ {
-		base := r * nz
-		lineTransform(g.Data[base:base+nz], w, rev, scale)
-	}
-}
-
-// yLines transforms strided y lines [lo, hi) (line t = ix*Nz + iz)
-// through the gather/scatter buffer buf.
-func (g *Grid3) yLines(lo, hi int, buf []complex128, w []complex128, rev []int32, scale float64) {
-	data := g.Data
-	ny, nz := g.Ny, g.Nz
-	for t := lo; t < hi; t++ {
-		ix, iz := t/nz, t%nz
-		p := ix*ny*nz + iz
-		q := p
-		for iy := 0; iy < ny; iy++ {
-			buf[iy] = data[q]
-			q += nz
-		}
-		lineTransform(buf, w, rev, scale)
-		q = p
-		for iy := 0; iy < ny; iy++ {
-			data[q] = buf[iy]
-			q += nz
-		}
-	}
-}
-
-// xLines transforms strided x lines [lo, hi) (line t = iy*Nz + iz).
-func (g *Grid3) xLines(lo, hi int, buf []complex128, w []complex128, rev []int32, scale float64) {
-	data := g.Data
-	nx, nz := g.Nx, g.Nz
-	planeStride := g.Ny * nz
-	for t := lo; t < hi; t++ {
-		p := t // iy*nz + iz
-		q := p
-		for ix := 0; ix < nx; ix++ {
-			buf[ix] = data[q]
-			q += planeStride
-		}
-		lineTransform(buf, w, rev, scale)
-		q = p
-		for ix := 0; ix < nx; ix++ {
-			data[q] = buf[ix]
-			q += planeStride
-		}
-	}
-}
-
-// MulPointwise multiplies g by h element-wise (same dimensions),
-// chunked over the executor when present.
-func (g *Grid3) MulPointwise(h *Grid3) {
-	if g.Nx != h.Nx || g.Ny != h.Ny || g.Nz != h.Nz {
-		panic("fft: grid dimension mismatch")
-	}
-	n := len(g.Data)
-	if g.Exec == nil {
-		mulRange128(g.Data, h.Data, 0, n)
-		return
-	}
-	g.Exec.Map(chunkTasks(n, elemChunk), func(t int) {
-		lo, hi := chunkSpan(t, n, elemChunk)
-		mulRange128(g.Data, h.Data, lo, hi)
-	})
-}
-
-func mulRange128(dst, src []complex128, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] *= src[i]
-	}
 }

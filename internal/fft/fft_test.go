@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// The package's test oracles (naiveDFT here, naiveDFT3 and
+// directConvolve in rgrid_test.go) share nothing with the engine: no
+// tables, no butterflies, no half-spectrum layout. They work in float64
+// whatever width the engine under test runs at.
+
 // naiveDFT is the O(n^2) reference.
 func naiveDFT(x []complex128) []complex128 {
 	n := len(x)
@@ -22,49 +27,69 @@ func naiveDFT(x []complex128) []complex128 {
 	return out
 }
 
-func TestForwardMatchesNaive(t *testing.T) {
+// bothWidths runs one generic test body on both instantiations.
+func bothWidths(t *testing.T, fp64, fp32 func(*testing.T)) {
+	t.Run("fp64", fp64)
+	t.Run("fp32", fp32)
+}
+
+// tol picks the tolerance of the width under test.
+func tol[T float](fp64, fp32 float64) float64 {
+	if _, ok := any(T(0)).(float32); ok {
+		return fp32
+	}
+	return fp64
+}
+
+func TestTransformMatchesNaiveDFT(t *testing.T) {
+	bothWidths(t, testTransformMatchesNaiveDFT[float64], testTransformMatchesNaiveDFT[float32])
+}
+
+// testTransformMatchesNaiveDFT checks the 1-D kernel against the O(n^2)
+// sum (relative error summed over the line: rounding level of T, which
+// the float64-computed twiddles keep even at the longest pfft line),
+// then the scaled inverse against the input.
+func testTransformMatchesNaiveDFT[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 64, 256} {
-		x := make([]complex128, n)
+		x := make([]T, 2*n)
+		ref := make([]complex128, n)
 		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			x[i] = T(rng.NormFloat64())
 		}
-		want := naiveDFT(x)
-		got := make([]complex128, n)
-		copy(got, x)
-		Forward(got)
-		for i := range got {
-			if cmplx.Abs(got[i]-want[i]) > 1e-9*float64(n) {
-				t.Fatalf("n=%d: X[%d] = %v want %v", n, i, got[i], want[i])
+		for i := range ref {
+			ref[i] = complex(float64(x[2*i]), float64(x[2*i+1]))
+		}
+		want := naiveDFT(ref)
+		tab := tablesFor[T](n)
+		y := bitReversed(x, tab.rev)
+		transform(y, tab.fwd, 1)
+		var num, den float64
+		for i := range want {
+			num += cmplx.Abs(complex(float64(y[2*i]), float64(y[2*i+1])) - want[i])
+			den += cmplx.Abs(want[i])
+		}
+		if rel := num / den; !(rel <= tol[T](1e-12, 2e-6)) {
+			t.Errorf("n=%d: forward relative error %.3g", n, rel)
+		}
+		y = bitReversed(y, tab.rev)
+		transform(y, tab.inv, 1/T(n))
+		for i := range y {
+			if d := math.Abs(float64(y[i] - x[i])); d > tol[T](1e-12, 1e-5) {
+				t.Fatalf("n=%d: round-trip error %.3g at slot %d", n, d, i)
 			}
 		}
 	}
 }
 
-func TestForwardInverseRoundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := make([]complex128, 128)
-	orig := make([]complex128, 128)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		orig[i] = x[i]
+// bitReversed copies a line of (re, im) pairs into the order transform
+// takes it in.
+func bitReversed[T float](x []T, rev []int32) []T {
+	y := make([]T, len(x))
+	for i, r := range rev {
+		y[2*r], y[2*r+1] = x[2*i], x[2*i+1]
 	}
-	Forward(x)
-	Inverse(x)
-	for i := range x {
-		if cmplx.Abs(x[i]-orig[i]) > 1e-12 {
-			t.Fatalf("roundtrip[%d] = %v want %v", i, x[i], orig[i])
-		}
-	}
-}
-
-func TestNonPow2Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-power-of-two")
-		}
-	}()
-	Forward(make([]complex128, 12))
+	return y
 }
 
 func TestNextPow2(t *testing.T) {
@@ -76,87 +101,5 @@ func TestNextPow2(t *testing.T) {
 	}
 	if !IsPow2(64) || IsPow2(0) || IsPow2(12) {
 		t.Error("IsPow2 wrong")
-	}
-}
-
-func TestGrid3RoundtripAndParseval(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := NewGrid3(8, 4, 16)
-	orig := make([]complex128, len(g.Data))
-	var energy float64
-	for i := range g.Data {
-		g.Data[i] = complex(rng.NormFloat64(), 0)
-		orig[i] = g.Data[i]
-		energy += real(g.Data[i]) * real(g.Data[i])
-	}
-	g.Forward3()
-	// Parseval: sum |X|^2 = N * sum |x|^2.
-	var fenergy float64
-	for _, v := range g.Data {
-		fenergy += real(v)*real(v) + imag(v)*imag(v)
-	}
-	n := float64(8 * 4 * 16)
-	if math.Abs(fenergy-n*energy)/math.Abs(n*energy) > 1e-10 {
-		t.Errorf("Parseval violated: %g vs %g", fenergy, n*energy)
-	}
-	g.Inverse3()
-	for i := range g.Data {
-		if cmplx.Abs(g.Data[i]-orig[i]) > 1e-10 {
-			t.Fatalf("3D roundtrip failed at %d", i)
-		}
-	}
-}
-
-func TestGrid3ConvolutionTheorem(t *testing.T) {
-	// Circular convolution of a delta at origin with any kernel returns
-	// the kernel.
-	k := NewGrid3(4, 4, 4)
-	rng := rand.New(rand.NewSource(4))
-	for i := range k.Data {
-		k.Data[i] = complex(rng.NormFloat64(), 0)
-	}
-	orig := make([]complex128, len(k.Data))
-	copy(orig, k.Data)
-
-	q := NewGrid3(4, 4, 4)
-	q.Data[q.Idx(0, 0, 0)] = 1
-
-	k.Forward3()
-	q.Forward3()
-	q.MulPointwise(k)
-	q.Inverse3()
-	for i := range q.Data {
-		if cmplx.Abs(q.Data[i]-orig[i]) > 1e-10 {
-			t.Fatalf("delta convolution failed at %d: %v vs %v", i, q.Data[i], orig[i])
-		}
-	}
-}
-
-func TestGrid3ShiftedDeltaConvolution(t *testing.T) {
-	// Convolving with a shifted delta circularly shifts the kernel.
-	k := NewGrid3(4, 4, 4)
-	for i := range k.Data {
-		k.Data[i] = complex(float64(i), 0)
-	}
-	orig := make([]complex128, len(k.Data))
-	copy(orig, k.Data)
-
-	q := NewGrid3(4, 4, 4)
-	q.Data[q.Idx(1, 0, 0)] = 1
-
-	k.Forward3()
-	q.Forward3()
-	q.MulPointwise(k)
-	q.Inverse3()
-	for ix := 0; ix < 4; ix++ {
-		for iy := 0; iy < 4; iy++ {
-			for iz := 0; iz < 4; iz++ {
-				want := orig[k.Idx((ix+3)%4, iy, iz)]
-				got := q.Data[q.Idx(ix, iy, iz)]
-				if cmplx.Abs(got-want) > 1e-10 {
-					t.Fatalf("shifted conv (%d,%d,%d): %v want %v", ix, iy, iz, got, want)
-				}
-			}
-		}
 	}
 }

@@ -1,6 +1,9 @@
 package fft
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,46 +11,125 @@ import (
 	"parbem/internal/sched"
 )
 
-// fillRandReal fills an RGrid3's real samples (the padded spectral
-// slots stay zero) and mirrors them into a c2c reference grid.
-func fillRandReal(rng *rand.Rand, g *RGrid3, ref *Grid3) {
+// fillRandReal fills a grid's real samples (the padded spectral slots
+// stay zero).
+func fillRandReal[T float](rng *rand.Rand, g *RGrid[T]) {
 	for ix := 0; ix < g.Nx; ix++ {
 		for iy := 0; iy < g.Ny; iy++ {
 			for iz := 0; iz < g.Nz; iz++ {
-				v := rng.NormFloat64()
-				g.Data[g.RIdx(ix, iy, iz)] = v
-				if ref != nil {
-					ref.Data[ref.Idx(ix, iy, iz)] = complex(v, 0)
-				}
+				g.Data[g.RIdx(ix, iy, iz)] = T(rng.NormFloat64())
 			}
 		}
 	}
+}
+
+// samples copies a grid's real samples into a dense float64 array,
+// index (ix*Ny + iy)*Nz + iz — the oracles' layout.
+func samples[T float](g *RGrid[T]) []float64 {
+	out := make([]float64, 0, g.Nx*g.Ny*g.Nz)
+	for ix := 0; ix < g.Nx; ix++ {
+		for iy := 0; iy < g.Ny; iy++ {
+			for iz := 0; iz < g.Nz; iz++ {
+				out = append(out, float64(g.Data[g.RIdx(ix, iy, iz)]))
+			}
+		}
+	}
+	return out
+}
+
+// naiveDFT3 is the full 3-D spectrum of dense real data: naiveDFT
+// along z, then y, then x.
+func naiveDFT3(f []float64, nx, ny, nz int) []complex128 {
+	x := make([]complex128, len(f))
+	for i, v := range f {
+		x[i] = complex(v, 0)
+	}
+	axis := func(n, stride int, start func(line int) int, lines int) {
+		buf := make([]complex128, n)
+		for l := 0; l < lines; l++ {
+			p := start(l)
+			for i := range buf {
+				buf[i] = x[p+i*stride]
+			}
+			for i, v := range naiveDFT(buf) {
+				x[p+i*stride] = v
+			}
+		}
+	}
+	axis(nz, 1, func(l int) int { return l * nz }, nx*ny)
+	axis(ny, nz, func(l int) int { return (l/nz)*ny*nz + l%nz }, nx*nz)
+	axis(nx, ny*nz, func(l int) int { return l }, ny*nz)
+	return x
+}
+
+// directConvolve is the O(n^2) circular convolution of dense real
+// data: out[i] = sum_j f[j] k[(i - j) mod (Nx, Ny, Nz)].
+func directConvolve(f, k []float64, nx, ny, nz int) []float64 {
+	out := make([]float64, len(f))
+	idx := func(ix, iy, iz int) int { return (ix*ny+iy)*nz + iz }
+	for ix := 0; ix < nx; ix++ {
+		for iy := 0; iy < ny; iy++ {
+			for iz := 0; iz < nz; iz++ {
+				var s float64
+				for jx := 0; jx < nx; jx++ {
+					for jy := 0; jy < ny; jy++ {
+						for jz := 0; jz < nz; jz++ {
+							s += f[idx(jx, jy, jz)] * k[idx((ix-jx+nx)%nx, (iy-jy+ny)%ny, (iz-jz+nz)%nz)]
+						}
+					}
+				}
+				out[idx(ix, iy, iz)] = s
+			}
+		}
+	}
+	return out
+}
+
+func maxAbs(v []float64) float64 {
+	var m float64
+	for _, x := range v {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
 }
 
 var rgridDims = [][3]int{
 	{1, 1, 2}, {1, 1, 8}, {2, 2, 2}, {4, 4, 4}, {8, 4, 16}, {2, 8, 4}, {16, 2, 2},
 }
 
-// TestRGrid3SpectrumMatchesC2C pins the half spectrum to the full c2c
-// transform of the same real data: bin (ix, iy, k), k <= Nz/2, must
-// match the full spectrum exactly up to rounding.
-func TestRGrid3SpectrumMatchesC2C(t *testing.T) {
+func TestSpectrumMatchesNaiveDFT(t *testing.T) {
+	bothWidths(t, testSpectrumMatchesNaiveDFT[float64], testSpectrumMatchesNaiveDFT[float32])
+}
+
+// testSpectrumMatchesNaiveDFT pins the half spectrum to the per-axis
+// O(n^2) transform of the same real data, twice over: bin (ix, iy, k),
+// k <= Nz/2, must match the full spectrum's bin, and — the invariant
+// the half spectrum relies on — be the conjugate of the full spectrum's
+// mirror bin (-ix, -iy, -k), so the dropped z half is exactly the
+// conjugate mirror of the stored half.
+func testSpectrumMatchesNaiveDFT[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	mod := func(i, n int) int { return ((i % n) + n) % n }
 	for _, dim := range rgridDims {
-		g := NewRGrid3(dim[0], dim[1], dim[2])
-		ref := NewGrid3(dim[0], dim[1], dim[2])
-		fillRandReal(rng, g, ref)
+		nx, ny, nz := dim[0], dim[1], dim[2]
+		g := newRGrid[T](nx, ny, nz)
+		fillRandReal(rng, g)
+		full := naiveDFT3(samples(g), nx, ny, nz)
 		g.ForwardReal()
-		ref.Forward3()
-		for ix := 0; ix < g.Nx; ix++ {
-			for iy := 0; iy < g.Ny; iy++ {
+		eps := tol[T](1e-11, 1e-4)
+		for ix := 0; ix < nx; ix++ {
+			for iy := 0; iy < ny; iy++ {
 				for k := 0; k < g.Hz; k++ {
-					re := g.Data[g.RIdx(ix, iy, 2*k)]
-					im := g.Data[g.RIdx(ix, iy, 2*k+1)]
-					want := ref.Data[ref.Idx(ix, iy, k)]
-					if math.Abs(re-real(want)) > 1e-11 || math.Abs(im-imag(want)) > 1e-11 {
-						t.Fatalf("dims %v bin (%d,%d,%d): (%g,%g) want %v",
-							dim, ix, iy, k, re, im, want)
+					re := float64(g.Data[g.RIdx(ix, iy, 2*k)])
+					im := float64(g.Data[g.RIdx(ix, iy, 2*k+1)])
+					want := full[(ix*ny+iy)*nz+k]
+					if math.Abs(re-real(want)) > eps || math.Abs(im-imag(want)) > eps {
+						t.Fatalf("dims %v bin (%d,%d,%d): (%g,%g) want %v", dim, ix, iy, k, re, im, want)
+					}
+					mirror := full[(mod(-ix, nx)*ny+mod(-iy, ny))*nz+mod(-k, nz)]
+					if math.Abs(re-real(mirror)) > eps || math.Abs(im+imag(mirror)) > eps {
+						t.Fatalf("dims %v conjugate symmetry broken at (%d,%d,%d): (%g,%g) vs mirror %v",
+							dim, ix, iy, k, re, im, mirror)
 					}
 				}
 			}
@@ -55,113 +137,72 @@ func TestRGrid3SpectrumMatchesC2C(t *testing.T) {
 	}
 }
 
-// TestRGrid3ConjugateSymmetry verifies the invariant the half spectrum
-// relies on: for real input the full-spectrum bin (-ix, -iy, -k) is
-// the conjugate of bin (ix, iy, k), so the dropped z half is exactly
-// the conjugate mirror of the stored half (and the self-conjugate bins
-// like (0,0,0) are forced real).
-func TestRGrid3ConjugateSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := NewRGrid3(4, 8, 16)
-	ref := NewGrid3(4, 8, 16)
-	fillRandReal(rng, g, ref)
-	g.ForwardReal()
-	ref.Forward3()
-	mod := func(i, n int) int { return ((i % n) + n) % n }
-	for ix := 0; ix < g.Nx; ix++ {
-		for iy := 0; iy < g.Ny; iy++ {
-			for k := 0; k < g.Hz; k++ {
-				re := g.Data[g.RIdx(ix, iy, 2*k)]
-				im := g.Data[g.RIdx(ix, iy, 2*k+1)]
-				mirror := ref.Data[ref.Idx(mod(-ix, g.Nx), mod(-iy, g.Ny), mod(-k, g.Nz))]
-				if math.Abs(re-real(mirror)) > 1e-11 || math.Abs(im+imag(mirror)) > 1e-11 {
-					t.Fatalf("conjugate symmetry broken at (%d,%d,%d): (%g,%g) vs mirror %v",
-						ix, iy, k, re, im, mirror)
-				}
-			}
-		}
-	}
+func TestRoundtrip(t *testing.T) {
+	bothWidths(t, testRoundtrip[float64], testRoundtrip[float32])
 }
 
-// TestRGrid3Roundtrip pins ForwardReal+InverseReal to the identity.
-func TestRGrid3Roundtrip(t *testing.T) {
+// testRoundtrip pins ForwardReal+InverseReal to the identity.
+func testRoundtrip[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, dim := range rgridDims {
-		g := NewRGrid3(dim[0], dim[1], dim[2])
-		fillRandReal(rng, g, nil)
-		orig := append([]float64(nil), g.Data...)
+		g := newRGrid[T](dim[0], dim[1], dim[2])
+		fillRandReal(rng, g)
+		orig := samples(g)
 		g.ForwardReal()
 		g.InverseReal()
-		for ix := 0; ix < g.Nx; ix++ {
-			for iy := 0; iy < g.Ny; iy++ {
-				for iz := 0; iz < g.Nz; iz++ {
-					i := g.RIdx(ix, iy, iz)
-					if math.Abs(g.Data[i]-orig[i]) > 1e-12 {
-						t.Fatalf("dims %v roundtrip[%d,%d,%d] = %g want %g",
-							dim, ix, iy, iz, g.Data[i], orig[i])
-					}
-				}
+		for i, v := range samples(g) {
+			if math.Abs(v-orig[i]) > tol[T](1e-12, 1e-5) {
+				t.Fatalf("dims %v roundtrip[%d] = %g want %g", dim, i, v, orig[i])
 			}
 		}
 	}
 }
 
-// TestRGrid3ConvolveMatchesC2C is the headline property test: the
-// fused r2c convolution must match the existing c2c Grid3 path to
-// 1e-12 on random real grids and kernels.
-func TestRGrid3ConvolveMatchesC2C(t *testing.T) {
+func TestConvolveMatchesDirect(t *testing.T) {
+	bothWidths(t, testConvolveMatchesDirect[float64], testConvolveMatchesDirect[float32])
+}
+
+// testConvolveMatchesDirect is the headline property test: the fused
+// r2c convolution must match the direct O(n^2) circular convolution on
+// random real grids and kernels.
+func testConvolveMatchesDirect[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, dim := range rgridDims {
-		g := NewRGrid3(dim[0], dim[1], dim[2])
-		kh := NewRGrid3(dim[0], dim[1], dim[2])
-		cg := NewGrid3(dim[0], dim[1], dim[2])
-		ckh := NewGrid3(dim[0], dim[1], dim[2])
-		fillRandReal(rng, g, cg)
-		fillRandReal(rng, kh, ckh)
+		nx, ny, nz := dim[0], dim[1], dim[2]
+		g, kh := newRGrid[T](nx, ny, nz), newRGrid[T](nx, ny, nz)
+		fillRandReal(rng, g)
+		fillRandReal(rng, kh)
+		want := directConvolve(samples(g), samples(kh), nx, ny, nz)
 		kh.ForwardReal()
-		ckh.Forward3()
-
 		g.ConvolveInto(kh)
-		cg.Forward3()
-		cg.MulPointwise(ckh)
-		cg.Inverse3()
-
-		var ref float64
-		for _, v := range cg.Data {
-			if a := math.Abs(real(v)); a > ref {
-				ref = a
-			}
-		}
-		for ix := 0; ix < g.Nx; ix++ {
-			for iy := 0; iy < g.Ny; iy++ {
-				for iz := 0; iz < g.Nz; iz++ {
-					got := g.Data[g.RIdx(ix, iy, iz)]
-					want := cg.Data[cg.Idx(ix, iy, iz)]
-					if math.Abs(got-real(want)) > 1e-12*math.Max(1, ref) {
-						t.Fatalf("dims %v conv[%d,%d,%d] = %g want %g",
-							dim, ix, iy, iz, got, real(want))
-					}
-				}
+		eps := tol[T](1e-12, 1e-4) * math.Max(1, maxAbs(want))
+		for i, got := range samples(g) {
+			if math.Abs(got-want[i]) > eps {
+				t.Fatalf("dims %v conv[%d] = %g want %g", dim, i, got, want[i])
 			}
 		}
 	}
 }
 
-// TestRGrid3ParallelMatchesSerial pins the executor-parallel transforms
-// to the serial path bit for bit: every line runs the same table-driven
-// kernel, so chunking must not change a single ulp.
-func TestRGrid3ParallelMatchesSerial(t *testing.T) {
+func TestParallelMatchesSerial(t *testing.T) {
+	bothWidths(t, testParallelMatchesSerial[float64], testParallelMatchesSerial[float32])
+}
+
+// testParallelMatchesSerial pins the executor-parallel transforms to
+// the serial path bit for bit: every line runs the same kernel, so
+// chunking must not change a single ulp.
+func testParallelMatchesSerial[T float](t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	for _, dim := range [][3]int{{4, 4, 4}, {8, 16, 32}, {16, 8, 8}} {
-		ser := NewRGrid3(dim[0], dim[1], dim[2])
-		par := NewRGrid3(dim[0], dim[1], dim[2])
+		ser := newRGrid[T](dim[0], dim[1], dim[2])
+		par := newRGrid[T](dim[0], dim[1], dim[2])
 		par.Exec = pool
-		kh := NewRGrid3(dim[0], dim[1], dim[2])
-		fillRandReal(rng, ser, nil)
+		kh := newRGrid[T](dim[0], dim[1], dim[2])
+		fillRandReal(rng, ser)
 		copy(par.Data, ser.Data)
-		fillRandReal(rng, kh, nil)
+		fillRandReal(rng, kh)
 		kh.ForwardReal()
 
 		ser.ConvolveInto(kh)
@@ -175,91 +216,67 @@ func TestRGrid3ParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGrid3ParallelMatchesSerial is the c2c analogue.
-func TestGrid3ParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	ser := NewGrid3(8, 16, 8)
-	par := NewGrid3(8, 16, 8)
-	par.Exec = pool
-	for i := range ser.Data {
-		ser.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		par.Data[i] = ser.Data[i]
-	}
-	ser.Forward3()
-	par.Forward3()
-	ser.Inverse3()
-	par.Inverse3()
-	for i := range ser.Data {
-		if ser.Data[i] != par.Data[i] {
-			t.Fatalf("parallel c2c differs at %d: %v vs %v", i, par.Data[i], ser.Data[i])
-		}
-	}
-}
-
-// TestRGrid3F32MatchesFP64 pins the float32 mirror to the fp64 path at
-// fp32 tolerance.
-func TestRGrid3F32MatchesFP64(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g64 := NewRGrid3(8, 4, 16)
-	kh64 := NewRGrid3(8, 4, 16)
-	g32 := NewRGrid3F32(8, 4, 16)
-	kh32 := NewRGrid3F32(8, 4, 16)
-	fillRandReal(rng, g64, nil)
-	fillRandReal(rng, kh64, nil)
-	for i, v := range g64.Data {
-		g32.Data[i] = float32(v)
-	}
-	for i, v := range kh64.Data {
-		kh32.Data[i] = float32(v)
-	}
-	kh64.ForwardReal()
-	kh32.ForwardReal()
-	g64.ConvolveInto(kh64)
-	g32.ConvolveInto(kh32)
-	var ref float64
-	for _, v := range g64.Data {
-		if a := math.Abs(v); a > ref {
-			ref = a
-		}
-	}
-	for ix := 0; ix < g64.Nx; ix++ {
-		for iy := 0; iy < g64.Ny; iy++ {
-			for iz := 0; iz < g64.Nz; iz++ {
-				a := g64.Data[g64.RIdx(ix, iy, iz)]
-				b := float64(g32.Data[g32.RIdx(ix, iy, iz)])
-				if math.Abs(a-b) > 1e-4*math.Max(1, ref) {
-					t.Fatalf("fp32 convolution deviates at (%d,%d,%d): %g vs %g",
-						ix, iy, iz, b, a)
-				}
-			}
-		}
-	}
-}
-
-// TestConvolveDimMismatchPanics pins the dimension check of the fused
-// convolve path.
-func TestConvolveDimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for mismatched kernel dims")
-		}
-	}()
-	g := NewRGrid3(4, 4, 4)
-	kh := NewRGrid3(4, 4, 8)
+// TestConvolvePinnedParent pins the float64 engine to the complex128
+// engine it replaced: the digest below is of RGrid3.ConvolveInto output
+// at commit 8fd6d65, every element compared by its bits. Only the sign
+// of an exact zero is normalised: the old kernel scaled by multiplying
+// with complex(s, 0), whose 0*x terms can flip it, and no add/multiply
+// chain downstream can turn that into a nonzero difference.
+func TestConvolvePinnedParent(t *testing.T) {
+	const parent = "51640f2fad49321bae4da8fa491a7739e364e976f768086d4b1b5cf16694d375"
+	rng := rand.New(rand.NewSource(20260927))
+	g, kh := NewRGrid3(16, 8, 32), NewRGrid3(16, 8, 32)
+	fillRandReal(rng, g)
+	fillRandReal(rng, kh)
+	kh.ForwardReal()
 	g.ConvolveInto(kh)
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range g.Data {
+		if v == 0 {
+			v = 0 // -0 -> +0
+		}
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != parent {
+		t.Fatalf("ConvolveInto digest %s, parent commit's %s", got, parent)
+	}
 }
 
-// TestConvolveAllocFree proves the warm fused convolution allocates
+func TestBadDimsPanic(t *testing.T) {
+	bothWidths(t, testBadDimsPanic[float64], testBadDimsPanic[float32])
+}
+
+// testBadDimsPanic pins the constructor's power-of-two check and the
+// dimension check of the fused convolve path.
+func testBadDimsPanic[T float](t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("expected panic for %s", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("non-power-of-two dimension", func() { newRGrid[T](4, 12, 4) })
+	mustPanic("Nz < 2", func() { newRGrid[T](4, 4, 1) })
+	mustPanic("mismatched kernel dims", func() { newRGrid[T](4, 4, 4).ConvolveInto(newRGrid[T](4, 4, 8)) })
+}
+
+func TestConvolveAllocFree(t *testing.T) {
+	bothWidths(t, testConvolveAllocFree[float64], testConvolveAllocFree[float32])
+}
+
+// testConvolveAllocFree proves the warm fused convolution allocates
 // nothing in serial mode, and only constant scheduler bookkeeping when
 // parallel (the precedent bound of the pfft Apply loops).
-func TestConvolveAllocFree(t *testing.T) {
-	kh := NewRGrid3(8, 8, 16)
+func testConvolveAllocFree[T float](t *testing.T) {
+	kh := newRGrid[T](8, 8, 16)
 	kh.Data[kh.RIdx(0, 0, 0)] = 1
 	kh.ForwardReal()
 
-	ser := NewRGrid3(8, 8, 16)
+	ser := newRGrid[T](8, 8, 16)
 	ser.ConvolveInto(kh) // warm
 	if allocs := testing.AllocsPerRun(10, func() {
 		ser.ConvolveInto(kh)
@@ -269,23 +286,12 @@ func TestConvolveAllocFree(t *testing.T) {
 
 	pool := sched.NewPool(4)
 	defer pool.Close()
-	par := NewRGrid3(8, 8, 16)
+	par := newRGrid[T](8, 8, 16)
 	par.Exec = pool
 	par.ConvolveInto(kh)
 	if allocs := testing.AllocsPerRun(10, func() {
 		par.ConvolveInto(kh)
 	}); allocs > 200 {
 		t.Fatalf("pooled ConvolveInto allocates %.0f objects per call; line loops are no longer allocation-free", allocs)
-	}
-
-	ser32 := NewRGrid3F32(8, 8, 16)
-	kh32 := NewRGrid3F32(8, 8, 16)
-	kh32.Data[kh32.RIdx(0, 0, 0)] = 1
-	kh32.ForwardReal()
-	ser32.ConvolveInto(kh32)
-	if allocs := testing.AllocsPerRun(10, func() {
-		ser32.ConvolveInto(kh32)
-	}); allocs != 0 {
-		t.Fatalf("serial fp32 ConvolveInto allocates %.0f objects per call", allocs)
 	}
 }

@@ -6,14 +6,15 @@ import (
 )
 
 // Mixed-precision apply path: a float32 mirror of the stencils, the
-// precorrection entries and the grid convolution (half-spectrum r2c
-// FFT through fft.RGrid3F32). The pFFT matvec is bandwidth-bound on
-// the padded grid and the correction CSR, so halving the element width
-// roughly halves the traffic per apply; the fp32 rounding is absorbed
-// by the float64 iterative refinement wrapper in internal/op exactly
-// as for the multipole operator. Unlike the multipole mirror no
-// rescaling is needed: every pFFT intermediate is at most one power of
-// 1/r, far inside float32 range even for micron geometry.
+// precorrection entries and the grid convolution (fft.RGrid3F32, the
+// float32 instantiation of the engine the fp64 path runs at float64).
+// The pFFT matvec is bandwidth-bound on the padded grid and the
+// correction CSR, so halving the element width roughly halves the
+// traffic per apply; the fp32 rounding is absorbed by the float64
+// iterative refinement wrapper in internal/op exactly as for the
+// multipole operator. Unlike the multipole mirror no rescaling is
+// needed: every pFFT intermediate is at most one power of 1/r, far
+// inside float32 range even for micron geometry.
 
 // mixedScratch is the per-ApplyMixed mutable state: fp32 charges and
 // the float32 padded work grid.
@@ -120,7 +121,7 @@ func (op *Operator) EnableMixed() {
 func (op *Operator) MixedEnabled() bool { return op.mixed != nil }
 
 // ApplyMixed computes dst = P x through the float32 mirror: fp32
-// project, half-spectrum complex64 FFT convolution, fp32 interpolate +
+// project, half-spectrum float32 FFT convolution, fp32 interpolate +
 // precorrect. dst and x stay float64 at the interface (the refinement
 // loop owns them). Falls back to the fp64 Apply when EnableMixed has
 // not run. Safe for concurrent use and allocation-free after warmup in

@@ -8,10 +8,10 @@
 //
 // The grid data this method convolves is real — charges in, potentials
 // out — so the convolution runs on internal/fft's real-to-complex
-// half-spectrum grids (fft.RGrid3/RGrid3F32): relative to the
-// complex-to-complex grids they replace, the work grid and the cached
-// kernel spectrum take half the memory and the transforms half the
-// flops.
+// half-spectrum grid (fft.RGrid, at float64 as RGrid3 and at float32
+// as RGrid3F32): relative to a complex-to-complex grid, the work grid
+// and the cached kernel spectrum take half the memory and the
+// transforms half the flops.
 //
 // The operator matches the guarantees of its multipole sibling
 // (internal/fmm): Apply is safe for concurrent use (per-Apply scratch is
