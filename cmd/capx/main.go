@@ -37,8 +37,10 @@
 //
 // Every run accepts -json for machine-readable output (capacitance
 // matrix, backend/precond choice, iteration counts, per-stage timings;
-// for the template solver the phase timings and the fill's pair and
-// translation-class counts) for serving and telemetry integrations.
+// for the template solver the phase timings, the fill's pair and
+// translation-class counts, and the inertia the direct solve found — a
+// nonzero negative_pivots says the system matrix was indefinite) for
+// serving and telemetry integrations.
 //
 // Remote mode sends the same pipeline and sweep requests to a running
 // capxd daemon instead of solving locally, so repeated invocations ride
@@ -177,6 +179,8 @@ func main() {
 			SolveMs   float64          `json:"solve_ms"`
 			TotalMs   float64          `json:"total_ms"`
 			Fill      parbem.FillStats `json:"fill"`
+			NegPivots int              `json:"negative_pivots"`
+			Pivots2x2 int              `json:"pivots_2x2"`
 			Names     []string         `json:"conductors"`
 			CFarads   [][]float64      `json:"c_farads"`
 			Warnings  []string         `json:"maxwell_warnings,omitempty"`
@@ -184,7 +188,8 @@ func main() {
 			Structure: st.Name, Backend: opt.Backend.String(), N: res.N, M: res.M,
 			BasisMs: ms(res.Timing.BasisGen), TablesMs: ms(res.Timing.TableGen),
 			SetupMs: ms(res.Timing.Setup), SolveMs: ms(res.Timing.Solve), TotalMs: ms(res.Timing.Total),
-			Fill: res.Fill, Names: conductorNames(st), CFarads: matrixRows(res.C),
+			Fill: res.Fill, NegPivots: res.Inertia.Negative, Pivots2x2: res.Inertia.Blocks2x2,
+			Names: conductorNames(st), CFarads: matrixRows(res.C),
 			Warnings: parbem.CheckMaxwell(res.C, 0),
 		})
 		return
@@ -204,6 +209,12 @@ func main() {
 	}
 	fmt.Printf("setup %%   : %.1f%%\n",
 		100*float64(res.Timing.Setup)/float64(res.Timing.Total))
+	definite := "positive definite"
+	if res.Inertia.Negative > 0 {
+		definite = "indefinite"
+	}
+	fmt.Printf("solve     : LDLt, %d negative pivots, %d 2x2 blocks (system matrix %s)\n",
+		res.Inertia.Negative, res.Inertia.Blocks2x2, definite)
 	fmt.Printf("fill      : %d far pairs | %d near pairs in %d translation classes | table %.1f KB\n\n",
 		res.Fill.PairsFar, res.Fill.PairsNear, res.Fill.ClassesIntegrated, float64(res.Fill.TableBytes)/1024)
 

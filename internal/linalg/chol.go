@@ -48,9 +48,12 @@ func NewCholesky(a *Dense) (*Cholesky, error) {
 
 // cholFactor performs a blocked right-looking Cholesky on the lower
 // triangle of l in place. The O(N^3) triangular-solve and trailing-update
-// phases are parallelized across row chunks — the paper's solve step
+// phases are parallelized across row chunks. The paper's solve step
 // "resorts to the standard direct method implemented in multithreaded
-// linear algebra libraries" (Section 3), and this is that library.
+// linear algebra libraries" (Section 3); that library is FactorSym
+// (ldlt.go) here, and this Cholesky factors the block-Jacobi near
+// blocks, whose factors replicas exchange as content-addressed
+// artifacts — so its arithmetic must not change.
 func cholFactor(l *Dense, nb int) error {
 	n := l.Rows
 	workers := runtime.GOMAXPROCS(0)
@@ -188,42 +191,4 @@ func (c *Cholesky) Solve(dst, b []float64) {
 		}
 		dst[i] = s / c.L.At(i, i)
 	}
-}
-
-// SolveMatrix solves A X = B, returning X with B's shape. Right-hand-side
-// columns are independent and solved in parallel.
-func (c *Cholesky) SolveMatrix(b *Dense) *Dense {
-	n := c.L.Rows
-	if b.Rows != n {
-		panic("linalg: SolveMatrix dimension mismatch")
-	}
-	x := NewDense(b.Rows, b.Cols)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > b.Cols {
-		workers = b.Cols
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			col := make([]float64, n)
-			for j := range next {
-				for i := 0; i < n; i++ {
-					col[i] = b.At(i, j)
-				}
-				c.Solve(col, col)
-				for i := 0; i < n; i++ {
-					x.Set(i, j, col[i])
-				}
-			}
-		}()
-	}
-	for j := 0; j < b.Cols; j++ {
-		next <- j
-	}
-	close(next)
-	wg.Wait()
-	return x
 }

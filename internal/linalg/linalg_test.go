@@ -120,65 +120,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n, k := 30, 4
-	a := randomSPD(n, rng)
-	xWant := NewDense(n, k)
-	for i := range xWant.Data {
-		xWant.Data[i] = rng.NormFloat64()
-	}
-	b := NewDense(n, k)
-	Mul(b, a, xWant)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ch.SolveMatrix(b)
-	if d := MaxAbsDiff(x, xWant); d > 1e-8 {
-		t.Fatalf("SolveMatrix error %g", d)
-	}
-}
-
-func TestLUSolveAndDet(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 7, 40} {
-		a := NewDense(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		f, err := NewLU(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := make([]float64, n)
-		a.MulVec(b, want)
-		got := make([]float64, n)
-		f.Solve(got, b)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Errorf("n=%d: x[%d] = %g want %g", n, i, got[i], want[i])
-				break
-			}
-		}
-	}
-	// Known determinant.
-	a := NewDenseFrom(2, 2, []float64{1, 2, 3, 4})
-	f, _ := NewLU(a)
-	if math.Abs(f.Det()+2) > 1e-12 {
-		t.Fatalf("det = %g want -2", f.Det())
-	}
-	// Singular matrix.
-	s := NewDenseFrom(2, 2, []float64{1, 2, 2, 4})
-	if _, err := NewLU(s); err != ErrSingular {
-		t.Fatalf("singular err = %v", err)
-	}
-}
-
 func TestQRLeastSquares(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, n := 50, 8

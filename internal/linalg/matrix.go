@@ -1,13 +1,15 @@
 // Package linalg is a self-contained dense linear-algebra kit for the
-// extractor: a row-major dense matrix type, blocked Cholesky factorization
-// for the SPD system matrix P, partial-pivoting LU, Householder QR
-// least-squares (used by rational fitting), and restarted GMRES (used by the
-// piecewise-constant iterative baselines).
+// extractor: a row-major dense matrix type, a blocked Bunch–Kaufman LDLᵀ
+// for the symmetric system matrix P (FactorSym), blocked Cholesky for the
+// preconditioner's near blocks, Householder QR least-squares (used by
+// rational fitting), and restarted GMRES (used by the piecewise-constant
+// iterative baselines).
 //
 // The paper leans on vendor-optimized BLAS for the (tiny) solve step; here
-// blocking keeps the factorizations cache-friendly enough that the solve
-// stays a negligible fraction of total extraction time, which is what the
-// paper's scaling argument needs.
+// blocking and a register-tiled trailing update keep the factorization
+// near one multiply-add per cycle, so that the solve stays a small
+// fraction of total extraction time, which is what the paper's scaling
+// argument needs.
 package linalg
 
 import (

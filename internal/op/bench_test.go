@@ -1,9 +1,15 @@
 package op
 
 import (
+	"fmt"
 	"testing"
 
+	"parbem/internal/assembly"
+	"parbem/internal/basis"
 	"parbem/internal/fmm"
+	"parbem/internal/geom"
+	"parbem/internal/kernel"
+	"parbem/internal/linalg"
 )
 
 // BenchmarkPipelineSolve compares the unified pipeline's multi-RHS solve
@@ -55,5 +61,40 @@ func BenchmarkPipelineDirect(b *testing.B) {
 		if _, err := pl.ExtractRHS(phi); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// templateSystem fills the instantiable-basis system of an m x n bus
+// the way solver.ExtractSet does: the matrix the direct solve is for,
+// and its moment-weighted indicator right-hand sides.
+func templateSystem(m, n int) (p, phi *linalg.Dense) {
+	set := basis.Build(geom.DefaultBus(m, n).Build(), basis.DefaultBuilderOptions())
+	p = assembly.FillSerial(set, assembly.NewIntegrator())
+	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), p.Data)
+	moments := set.Moments()
+	phi = linalg.NewDense(set.N(), set.NumConductors)
+	for i, f := range set.Functions {
+		phi.Set(i, f.Conductor, moments[i])
+	}
+	return p, phi
+}
+
+// BenchmarkSolveSPD measures the direct solve on real template
+// matrices: the 8x8 bus (N = 224, positive definite, 16 right-hand
+// sides) and the 16x16 bus (N = 704, indefinite, 32). ns/madd counts
+// the N³/6 of the factorization and the N²·n_c of the two sweeps.
+func BenchmarkSolveSPD(b *testing.B) {
+	for _, m := range []int{8, 16} {
+		b.Run(fmt.Sprintf("bus%d", m), func(b *testing.B) {
+			p, phi := templateSystem(m, m)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveSPD(p, phi); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n, nc := float64(p.Rows), float64(phi.Cols)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n*n/6+n*n*nc), "ns/madd")
+		})
 	}
 }

@@ -32,7 +32,7 @@
 // right-hand-side construction (unit-potential excitation per conductor,
 // Galerkin-tested with panel areas), the multi-RHS solve (concurrent
 // preconditioned restarted GMRES on pooled workspaces, or the direct
-// equilibrated-Cholesky path for dense backends), and the
+// path for dense backends: one equilibrated, pivoted LDLᵀ), and the
 // charge-to-capacitance reduction C = Phi^T Rho (symmetrized).
 //
 // # Preconditioner

@@ -87,8 +87,8 @@ type Options struct {
 	Tol float64
 	// Restart is the GMRES restart length (0 = 60).
 	Restart int
-	// Direct forces the dense direct solve (equilibrated Cholesky with
-	// LU fallback) instead of Krylov iteration; it requires the dense
+	// Direct forces the dense direct solve (SolveSPD: one equilibrated,
+	// pivoted LDLᵀ) instead of Krylov iteration; it requires the dense
 	// backend (auto resolving to dense is fine).
 	Direct bool
 	// Precision selects the matvec arithmetic of accelerated backends
@@ -162,6 +162,10 @@ type Result struct {
 	Backend Backend
 	// Precision is the resolved matvec arithmetic (never PrecisionAuto).
 	Precision Precision
+	// Inertia is what the direct solve's factorization found: negative
+	// pivots mean the system matrix was not positive definite (see
+	// SolveSPD). Zero for Krylov solves, which factor nothing.
+	Inertia linalg.Inertia
 }
 
 // Pipeline is the unified solve path: one operator, one preconditioner,
@@ -512,7 +516,7 @@ func (p *Pipeline) ExtractRHS(phi *linalg.Dense) (*Result, error) {
 
 func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Result, error) {
 	t0 := time.Now()
-	rho, iters, err := p.SolveRHSWarmCtx(ctx, phi, x0)
+	rho, iters, inertia, err := p.solveRHS(ctx, phi, x0)
 	if err != nil {
 		// A context interruption still reduces whatever iterate the
 		// solve reached into a best-effort capacitance estimate, so a
@@ -534,6 +538,7 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 		SolveTime:  time.Since(t0),
 		Backend:    p.backend,
 		Precision:  p.Precision(),
+		Inertia:    inertia,
 	}, nil
 }
 
@@ -557,23 +562,32 @@ func (p *Pipeline) SolveRHSWarm(phi, x0 *linalg.Dense) (*linalg.Dense, int, erro
 // count. The direct path checks ctx once before factorizing (a dense
 // factorization has no interior checkpoints).
 func (p *Pipeline) SolveRHSWarmCtx(ctx context.Context, phi, x0 *linalg.Dense) (*linalg.Dense, int, error) {
-	n := p.a.Dim()
-	if phi.Rows != n {
-		return nil, 0, errors.New("op: RHS dimension mismatch")
+	rho, iters, _, err := p.solveRHS(ctx, phi, x0)
+	return rho, iters, err
+}
+
+// solveRHS is SolveRHSWarmCtx, also returning the direct path's inertia.
+func (p *Pipeline) solveRHS(ctx context.Context, phi, x0 *linalg.Dense) (*linalg.Dense, int, linalg.Inertia, error) {
+	if phi.Rows != p.a.Dim() {
+		return nil, 0, linalg.Inertia{}, errors.New("op: RHS dimension mismatch")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, &Interrupted{Err: err}
+		return nil, 0, linalg.Inertia{}, &Interrupted{Err: err}
 	}
 	if p.opt.Direct {
-		rho, err := SolveSPD(p.dense, phi)
-		if err != nil {
-			return nil, 0, err
-		}
-		return rho, 0, nil
+		rho, inertia, err := solveSym(p.dense, phi)
+		return rho, 0, inertia, err
 	}
+	rho, iters, err := p.solveKrylov(ctx, phi, x0)
+	return rho, iters, linalg.Inertia{}, err
+}
+
+// solveKrylov runs one preconditioned GMRES per column of phi.
+func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense) (*linalg.Dense, int, error) {
+	n := p.a.Dim()
 	nc := phi.Cols
 	if x0 != nil && (x0.Rows != n || x0.Cols != nc) {
 		x0 = nil
@@ -683,81 +697,71 @@ func Reduce(ex sched.Executor, phi, rho *linalg.Dense) *linalg.Dense {
 	return c
 }
 
-// SolveSPD solves P X = Phi by Cholesky with symmetric Jacobi
-// equilibration: the system diagonal can span several orders of
-// magnitude (face basis moments vs small arch templates in the
-// instantiable solver), so P is first scaled to unit diagonal,
-// S P S y = S Phi with S = diag(P_ii^-1/2). P is SPD in exact
-// arithmetic, but quadrature error on nearly dependent basis functions
-// can push a tiny eigenvalue below zero on large problems; an escalating
-// uniform shift on the equilibrated matrix (starting at 1e-12, far below
-// the integration accuracy) restores positive definiteness. LU remains
-// the last-resort fallback. The input matrix is not modified.
+// SolveSPD solves P X = Phi for the symmetric system matrix of a
+// Galerkin discretization. P is positive definite in exact arithmetic
+// but only nominally so here: the paper's point and collocation
+// approximations of far and mid-range template pairs (Section 4.1) are
+// not Galerkin integrals, and on a large structure they can carry an
+// eigenvalue across zero — the 16x16 bus, scaled to unit diagonal, has
+// one at -0.016 under a spectrum that reaches 60, and none nearer to
+// zero than 0.012, so it is indefinite and perfectly conditioned. The
+// one factorization is therefore a pivoted symmetric-indefinite LDLᵀ
+// (linalg.FactorSym), which costs what a Cholesky costs and reports the
+// inertia it finds. There is no diagonal shift: rescuing a Cholesky by
+// moving the spectrum solves a different system, and this matrix would
+// need a shift far above the integration accuracy. P is first scaled to
+// unit diagonal, S P S y = S Phi with S = diag(|P_ii|^-1/2) (1 where
+// P_ii = 0): the diagonal spans orders of magnitude (face basis moments
+// against small arch templates), and Bunch–Kaufman pivoting compares
+// magnitudes, so unscaled it would interchange on units, not on
+// structure. Only P's lower triangle is read and neither input is
+// modified; a singular matrix, or a NaN or Inf in either, is an error
+// wrapping linalg.ErrSingular.
 func SolveSPD(p, phi *linalg.Dense) (*linalg.Dense, error) {
+	x, _, err := solveSym(p, phi)
+	return x, err
+}
+
+// solveSym is SolveSPD, also returning what the factorization found.
+func solveSym(p, phi *linalg.Dense) (*linalg.Dense, linalg.Inertia, error) {
 	nr := p.Rows
 	if phi.Rows != nr {
-		return nil, errors.New("op: SolveSPD dimension mismatch")
+		return nil, linalg.Inertia{}, errors.New("op: SolveSPD dimension mismatch")
 	}
 	s := make([]float64, nr)
-	ok := true
+	for i := range s {
+		s[i] = 1
+		if d := math.Abs(p.At(i, i)); d != 0 {
+			s[i] = 1 / math.Sqrt(d)
+		}
+	}
+	// The one working copy: the scaled lower triangle, factored in place.
+	eq := linalg.NewDense(nr, nr)
 	for i := 0; i < nr; i++ {
-		d := p.At(i, i)
-		if d <= 0 {
-			ok = false
-			break
-		}
-		s[i] = 1 / math.Sqrt(d)
-	}
-	if ok {
-		eq := linalg.NewDense(nr, nr)
-		for i := 0; i < nr; i++ {
-			prow := p.Row(i)
-			erow := eq.Row(i)
-			si := s[i]
-			for j, v := range prow {
-				erow[j] = si * v * s[j]
-			}
-		}
-		ephi := linalg.NewDense(nr, phi.Cols)
-		for i := 0; i < nr; i++ {
-			for j := 0; j < phi.Cols; j++ {
-				ephi.Set(i, j, s[i]*phi.At(i, j))
-			}
-		}
-		for _, shift := range []float64{0, 1e-12, 1e-10, 1e-8} {
-			if shift > 0 {
-				for i := 0; i < nr; i++ {
-					eq.Set(i, i, 1+shift)
-				}
-			}
-			ch, err := linalg.NewCholesky(eq)
-			if err != nil {
-				continue
-			}
-			y := ch.SolveMatrix(ephi)
-			// Undo the scaling: x = S y.
-			for i := 0; i < nr; i++ {
-				for j := 0; j < y.Cols; j++ {
-					y.Set(i, j, s[i]*y.At(i, j))
-				}
-			}
-			return y, nil
+		prow, erow, si := p.Row(i), eq.Row(i), s[i]
+		for j := 0; j <= i; j++ {
+			erow[j] = si * prow[j] * s[j]
 		}
 	}
-	lu, err := linalg.NewLU(p)
+	f, err := linalg.FactorSym(eq)
 	if err != nil {
-		return nil, fmt.Errorf("op: system matrix unsolvable: %w", err)
+		return nil, linalg.Inertia{}, fmt.Errorf("op: system matrix unsolvable: %w", err)
 	}
-	rho := linalg.NewDense(nr, phi.Cols)
-	sched.Local(0).Map(phi.Cols, func(j int) {
-		col := make([]float64, nr)
-		for i := 0; i < nr; i++ {
-			col[i] = phi.At(i, j)
+	x := linalg.NewDense(nr, phi.Cols)
+	var bad float64 // stays 0 while every entry of Phi is finite
+	for i := 0; i < nr; i++ {
+		xrow, si := x.Row(i), s[i]
+		for j, v := range phi.Row(i) {
+			xrow[j] = si * v
+			bad += v * 0
 		}
-		lu.Solve(col, col)
-		for i := 0; i < nr; i++ {
-			rho.Set(i, j, col[i])
-		}
-	})
-	return rho, nil
+	}
+	if bad != 0 {
+		return nil, linalg.Inertia{}, fmt.Errorf("op: non-finite right-hand side: %w", linalg.ErrSingular)
+	}
+	f.Solve(x)
+	for i := 0; i < nr; i++ {
+		linalg.Scal(s[i], x.Row(i))
+	}
+	return x, f.Inertia(), nil
 }

@@ -114,9 +114,12 @@ type Result struct {
 	Fill assembly.FillStats
 	// Set is the generated basis (exposed for diagnostics and examples).
 	Set *basis.Set
-	// P is the scaled system matrix (retained for diagnostics; may be
-	// nil if ReleaseP was requested).
+	// P is the scaled system matrix, retained for diagnostics.
 	P *linalg.Dense
+	// Inertia is what the solve's factorization found: Negative > 0
+	// says P was not positive definite (see op.SolveSPD for why a
+	// template matrix may not be, and why that is still solved exactly).
+	Inertia linalg.Inertia
 }
 
 // Extract runs the full pipeline on a structure.
@@ -193,14 +196,15 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 	tSetup := time.Since(t1)
 
 	t2 := time.Now()
-	C, err := solveSystem(set, P)
+	sol, err := solveSystem(set, P)
 	if err != nil {
 		return nil, err
 	}
 	tSolve := time.Since(t2)
 
 	return &Result{
-		C:           C,
+		C:           sol.C,
+		Inertia:     sol.Inertia,
 		N:           set.N(),
 		M:           set.M(),
 		MatrixBytes: 8 * len(P.Data),
@@ -240,10 +244,9 @@ func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Dense, 
 
 // solveSystem recovers C = Phi^T rho with Phi the conductor-indicator
 // right-hand sides weighted by basis moments, through the unified
-// pipeline's direct path (equilibrated Cholesky with escalating-shift
-// recovery and LU fallback — see op.SolveSPD) and its shared
-// capacitance reduction.
-func solveSystem(set *basis.Set, P *linalg.Dense) (*linalg.Dense, error) {
+// pipeline's direct path (one equilibrated, pivoted LDLᵀ — see
+// op.SolveSPD) and its shared capacitance reduction.
+func solveSystem(set *basis.Set, P *linalg.Dense) (*op.Result, error) {
 	n := set.NumConductors
 	N := set.N()
 	moments := set.Moments()
@@ -260,5 +263,5 @@ func solveSystem(set *basis.Set, P *linalg.Dense) (*linalg.Dense, error) {
 	if err != nil {
 		return nil, fmt.Errorf("solver: %w", err)
 	}
-	return res.C, nil
+	return res, nil
 }

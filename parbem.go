@@ -46,7 +46,8 @@
 // extraction behind the instantiable basis — runs through one unified
 // operator pipeline (internal/op): backend-agnostic RHS construction,
 // concurrent multi-RHS preconditioned GMRES on pooled workspaces (or the
-// direct equilibrated-Cholesky path for dense), and the shared
+// direct path for dense: one equilibrated symmetric-indefinite LDLᵀ,
+// whose inertia the result carries), and the shared
 // charge-to-capacitance reduction. Three operator backends implement the
 // pipeline's matvec contract:
 //

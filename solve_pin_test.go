@@ -1,0 +1,91 @@
+package parbem
+
+import (
+	"encoding/json"
+	"os"
+	"runtime"
+	"testing"
+
+	"parbem/internal/linalg"
+	"parbem/internal/op"
+)
+
+// TestDirectSolvePinnedBus16 pins what the benchmark's tmpl_bus16 gate
+// checks, as work rather than wall clock: the 16x16 bus against the
+// benchmark's own reference, an order of magnitude inside its limit of
+// 1e-8 (κ ≈ 5e3 and the translation-class lattice leave ~1e-11); what
+// the factorization found on the way; and the solve step's allocation,
+// which must stay at one N² working copy plus the panel workspace — a
+// second copy of the matrix, or a second attempt at factoring it, fails
+// here.
+func TestDirectSolvePinnedBus16(t *testing.T) {
+	raw, err := os.ReadFile("bench/ref/tmpl_bus16.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pin struct {
+		Cases map[string][][]float64 `json:"cases"`
+	}
+	if err := json.Unmarshal(raw, &pin); err != nil {
+		t.Fatal(err)
+	}
+	rows := pin.Cases["bus"]
+	if len(rows) == 0 {
+		t.Fatal(`no "bus" case in the benchmark's reference`)
+	}
+	ref := linalg.NewDense(len(rows), len(rows))
+	for i, r := range rows {
+		copy(ref.Row(i), r)
+	}
+
+	res, err := Extract(NewBus(16, 16).Build(), Options{Backend: SharedMem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := CapError(res.C, ref)
+	t.Logf("16x16 bus: N = %d, CapError vs bench/ref %.3g, inertia %+v", res.N, e, res.Inertia)
+	if !(e <= 1e-10) {
+		t.Errorf("CapError vs the benchmark's reference = %g, limit 1e-10", e)
+	}
+	if v := CheckMaxwell(res.C, 0); len(v) > 0 {
+		t.Errorf("not of Maxwell form: %v", v)
+	}
+
+	// The solve step again, as solver.ExtractSet runs it, between two
+	// readings of the allocator.
+	moments := res.Set.Moments()
+	phi := linalg.NewDense(res.N, res.Set.NumConductors)
+	for i, f := range res.Set.Functions {
+		phi.Set(i, f.Conductor, moments[i])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pl, err := op.NewFromDense(res.P, op.Options{Direct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := pl.ExtractRHS(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := CapError(sol.C, res.C); d != 0 {
+		t.Errorf("the recomposed solve step differs from Extract's by %g", d)
+	}
+	alloc, copyBytes := float64(after.TotalAlloc-before.TotalAlloc), 8*float64(res.N)*float64(res.N)
+	t.Logf("solve step allocated %.2f MB = %.2f x 8N²", alloc/1e6, alloc/copyBytes)
+	if alloc > 1.3*copyBytes {
+		t.Errorf("solve step allocated %.0f bytes, over 1.3 x 8N² = %.0f: more than one working copy of the matrix", alloc, 1.3*copyBytes)
+	}
+
+	// Buses up to 14x14 are still positive definite.
+	for _, m := range []int{4, 8} {
+		small, err := Extract(NewBus(m, m).Build(), Options{Backend: SharedMem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if small.Inertia != (linalg.Inertia{}) {
+			t.Errorf("%dx%d bus: inertia %+v, want a positive definite system matrix", m, m, small.Inertia)
+		}
+	}
+}
