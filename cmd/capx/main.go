@@ -7,7 +7,7 @@
 //
 //	capx -structure crossing
 //	capx -structure bus -m 24 -n 24 -backend shared -workers 4
-//	capx -structure interconnect -backend mpi -workers 10 -accel
+//	capx -structure interconnect -backend mpi -workers 10
 //
 // Batch mode extracts many geometry files through one shared engine
 // (persistent worker pool, basis/table/pair-integral caches), which is
@@ -74,7 +74,6 @@ func main() {
 		precond   = flag.String("precond", "auto", "pipeline preconditioner: auto | none | jacobi | block")
 		precision = flag.String("precision", "auto", "pipeline matvec arithmetic: auto | fp64 | mixed (float32 operator inside float64 refinement)")
 		workers   = flag.Int("workers", 4, "parallel nodes D")
-		accel     = flag.Bool("accel", false, "enable tabulated elementary functions (Section 4.2.3)")
 		units     = flag.Float64("unit", 1e15, "output scale (1e15 = fF)")
 		maxPrint  = flag.Int("maxprint", 12, "largest matrix printed in full")
 		spice     = flag.String("spice", "", "also write a SPICE netlist to this file")
@@ -100,7 +99,7 @@ func main() {
 		if *spice != "" {
 			log.Fatal("-spice is not supported in batch mode")
 		}
-		runBatch(flag.Args(), *backend, *workers, *tables, *accel, *check, *units, *maxPrint)
+		runBatch(flag.Args(), *backend, *workers, *tables, *check, *units, *maxPrint)
 		return
 	}
 
@@ -157,9 +156,6 @@ func main() {
 		log.Fatal(err)
 	}
 	opt.Backend = be
-	if *accel {
-		opt.Kernel = parbem.FastKernelConfig()
-	}
 
 	res, err := parbem.Extract(st, opt)
 	if err != nil {
@@ -196,7 +192,7 @@ func main() {
 	}
 
 	fmt.Printf("structure : %s (%d conductors)\n", st.Name, st.NumConductors())
-	fmt.Printf("backend   : %v, D = %d, accel = %v\n", opt.Backend, *workers, *accel)
+	fmt.Printf("backend   : %v, D = %d\n", opt.Backend, *workers)
 	fmt.Printf("basis     : N = %d functions, M = %d templates (M/N = %.2f)\n",
 		res.N, res.M, float64(res.M)/float64(res.N))
 	fmt.Printf("memory    : %.1f KB system matrix\n", float64(res.MatrixBytes)/1024)
@@ -713,7 +709,7 @@ func parseBackend(name string) (parbem.Backend, error) {
 
 // runBatch extracts every geometry file through one shared engine and
 // prints a per-structure summary plus aggregate cache statistics.
-func runBatch(files []string, backend string, workers int, tables, accel, check bool, units float64, maxPrint int) {
+func runBatch(files []string, backend string, workers int, tables, check bool, units float64, maxPrint int) {
 	if len(files) == 0 {
 		log.Fatal("batch mode needs geometry files as arguments")
 	}
@@ -739,9 +735,6 @@ func runBatch(files []string, backend string, workers int, tables, accel, check 
 		Backend: be,
 		Workers: workers,
 		Tables:  tables,
-	}
-	if accel {
-		engOpt.Kernel = parbem.FastKernelConfig()
 	}
 	eng := parbem.NewEngine(engOpt)
 	defer eng.Close()

@@ -31,10 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := parbem.Extract(st, parbem.Options{
-		Backend: parbem.SharedMem,
-		Kernel:  parbem.FastKernelConfig(),
-	})
+	res, err := parbem.Extract(st, parbem.Options{Backend: parbem.SharedMem})
 	if err != nil {
 		log.Fatal(err)
 	}

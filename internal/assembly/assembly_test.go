@@ -147,7 +147,7 @@ func TestPairSameAxisSelfTermFinitePositive(t *testing.T) {
 	a.Dir = basis.VaryU
 	a.Shape = nearFlatArch()
 	got := in.TemplatePair(&a, &a)
-	ref := kernel.SelfGalerkin(kernel.StdOps, a.Support)
+	ref := kernel.SelfGalerkin(a.Support)
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("self term not finite: %g", got)
 	}

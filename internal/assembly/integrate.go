@@ -34,10 +34,9 @@
 // setting.
 //
 // What bypasses the table: far pairs (the point-charge form is cheaper
-// than any lookup), templates whose shape has no compact encoding
-// (basis.TabulatedShape), and integrators with a caller-supplied MathOps
-// provider, which has no identity to key on. Those are evaluated at
-// their absolute coordinates by Integrator.TemplatePair's code path.
+// than any lookup) and templates whose shape has no compact encoding
+// (basis.TabulatedShape). Those are evaluated at their absolute
+// coordinates by Integrator.TemplatePair's code path.
 package assembly
 
 import (
@@ -254,7 +253,6 @@ func (in *Integrator) order(d, diam float64) int {
 // parallel plane: 1-D shape-weighted quadrature along the varying
 // direction, closed-form 3-D strip integral for the rest (paper Eq. 7).
 func (in *Integrator) stripPair(shaped, flat *basis.Template, q int) float64 {
-	ops := in.Cfg.Ops
 	Z := shaped.Support.Offset - flat.Support.Offset
 	var vary, tv, sv, su geom.Interval
 	if shaped.Dir == basis.VaryU {
@@ -269,7 +267,7 @@ func (in *Integrator) stripPair(shaped, flat *basis.Template, q int) float64 {
 	var sum float64
 	for i := 0; i < nb.n; i++ {
 		sum += nb.w[i] *
-			kernel.GalerkinStrip(ops, tv.Lo, tv.Hi, sv.Lo, sv.Hi, su.Lo, su.Hi, nb.x[i], Z)
+			kernel.GalerkinStrip(tv.Lo, tv.Hi, sv.Lo, sv.Hi, su.Lo, su.Hi, nb.x[i], Z)
 	}
 	return shaped.Amplitude * flat.Amplitude * sum
 }
@@ -281,7 +279,6 @@ func (in *Integrator) stripPair(shaped, flat *basis.Template, q int) float64 {
 // collide on the (integrably log-singular) diagonal X = 0 for coincident
 // supports.
 func (in *Integrator) pairSameAxis(ti, tj *basis.Template, q int) float64 {
-	ops := in.Cfg.Ops
 	Z := ti.Support.Offset - tj.Support.Offset
 	var vi, vj, fi, fj geom.Interval
 	if ti.Dir == basis.VaryU {
@@ -312,7 +309,7 @@ func (in *Integrator) pairSameAxis(ti, tj *basis.Template, q int) float64 {
 			if math.Abs(X) < tiny {
 				X = tiny
 			}
-			inner += nbuf.w[b] * kernel.GalerkinPair1D(ops, fi.Lo, fi.Hi, fj.Lo, fj.Hi, X, Z)
+			inner += nbuf.w[b] * kernel.GalerkinPair1D(fi.Lo, fi.Hi, fj.Lo, fj.Hi, X, Z)
 		}
 		sum += wa * inner
 	}
@@ -326,7 +323,6 @@ func (in *Integrator) pairSameAxis(ti, tj *basis.Template, q int) float64 {
 // directions the closed-form mixed second antiderivative F2 differenced at
 // the four interval-end combinations.
 func (in *Integrator) pairCrossAxis(ti, tj *basis.Template, q int) float64 {
-	ops := in.Cfg.Ops
 	Z := ti.Support.Offset - tj.Support.Offset
 	// Varying interval of ti and its flat complement; same for tj. The
 	// two flat directions are paired: ti's flat axis is tj's varying
@@ -368,7 +364,7 @@ func (in *Integrator) pairCrossAxis(ti, tj *basis.Template, q int) float64 {
 					continue
 				}
 			}
-			inner += nb.w[b] * kernel.RectPotential(ops,
+			inner += nb.w[b] * kernel.RectPotential(
 				fj.Lo, fj.Hi, fi.Lo, fi.Hi, u, nb.x[b], Z)
 		}
 		sum += wa * inner
@@ -419,7 +415,6 @@ func (in *Integrator) potentialAt(tj *basis.Template, p geom.Vec3) float64 {
 		}
 		return tj.Amplitude * kernel.RectCollocation(in.Cfg, tj.Support, p)
 	}
-	ops := in.Cfg.Ops
 	sup := tj.Support
 	q := in.Cfg.QuadOrder * 2
 	if q > 32 {
@@ -443,7 +438,7 @@ func (in *Integrator) potentialAt(tj *basis.Template, p geom.Vec3) float64 {
 	for i := 0; i < nb.n; i++ {
 		du := pVary - nb.x[i]
 		d2 := du*du + pn*pn
-		sum += nb.w[i] * kernel.SegPotential(ops, flat.Lo, flat.Hi, pFlat, d2)
+		sum += nb.w[i] * kernel.SegPotential(flat.Lo, flat.Hi, pFlat, d2)
 	}
 	return tj.Amplitude * sum
 }

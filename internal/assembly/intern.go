@@ -5,6 +5,7 @@ import (
 
 	"parbem/internal/basis"
 	"parbem/internal/geom"
+	"parbem/internal/kernel"
 )
 
 // Interned is a basis set prepared for one fill: per template, its class
@@ -14,7 +15,7 @@ import (
 type Interned struct {
 	in    *Integrator
 	set   *basis.Set
-	pairs *PairCache // nil when the integrator's configuration has no identity
+	pairs *PairCache // nil when the set has no extent to put a lattice on
 	tpl   []tplInfo
 	invQ  float64 // 1 / lattice quantum
 	far   float64 // far-field gate factor; +Inf when approximations are off
@@ -32,6 +33,11 @@ type tplInfo struct {
 // Intern prepares a fill of set in two passes over its templates: their
 // constants and bounding box, which fixes the lattice, then their classes.
 func (in *Integrator) Intern(set *basis.Set) *Interned {
+	return in.intern(set, in.cacheFingerprint(kernel.ArithVersion))
+}
+
+// intern is Intern with the classes filed under the fingerprint fp.
+func (in *Integrator) intern(set *basis.Set, fp uint64) *Interned {
 	f := &Interned{in: in, set: set, tpl: make([]tplInfo, set.M()), far: in.Cfg.FarFactor}
 	if in.Cfg.DisableApprox {
 		f.far = math.Inf(1)
@@ -48,8 +54,7 @@ func (in *Integrator) Intern(set *basis.Set) *Interned {
 		ti.amp, ti.moment, ti.diam, ti.centroid = t.Amplitude, t.Moment(), t.Support.Diameter(), t.Centroid()
 	}
 	extent := max(hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2])
-	fp, ok := in.cacheFingerprint()
-	if !ok || !(extent > 0) || math.IsInf(extent, 1) {
+	if !(extent > 0) || math.IsInf(extent, 1) {
 		return f
 	}
 	_, e := math.Frexp(extent)

@@ -8,7 +8,6 @@ import (
 
 	"parbem/internal/basis"
 	"parbem/internal/geom"
-	"parbem/internal/kernel"
 )
 
 // PairCache is the table of translation-class integrals (see the package
@@ -312,27 +311,19 @@ func (cs *classShape) fill(nb *nodeBuf, iv geom.Interval, order int) {
 	nb.n = len(un.t)
 }
 
-// cacheFingerprint condenses every configuration input that influences a
-// template-pair integral into one word, part of every class key. ok is
-// false for configurations the table cannot identify (a custom MathOps
-// provider), whose fills bypass it.
-func (in *Integrator) cacheFingerprint() (uint64, bool) {
+// cacheFingerprint condenses every input that influences a template-pair
+// integral into one word, part of every class key: the configuration and
+// the arithmetic version (kernel.ArithVersion, a parameter so that a test
+// can write entries as an older build would have), so that a table never
+// serves one arithmetic's values to another.
+func (in *Integrator) cacheFingerprint(arith uint64) uint64 {
 	cfg := in.Cfg
-	var opsID uint64
-	switch cfg.Ops {
-	case kernel.StdOps:
-		opsID = 1
-	case kernel.FastOps:
-		opsID = 2
-	default:
-		return 0, false
-	}
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		h ^= v
 		h *= 1099511628211
 	}
-	mix(opsID)
+	mix(arith)
 	mix(math.Float64bits(cfg.FarFactor))
 	mix(math.Float64bits(cfg.MidFactor))
 	mix(uint64(cfg.QuadOrder))
@@ -342,5 +333,5 @@ func (in *Integrator) cacheFingerprint() (uint64, bool) {
 	if in.Tab != nil {
 		mix(in.Tab.Fingerprint())
 	}
-	return h, true
+	return h
 }

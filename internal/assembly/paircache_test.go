@@ -272,14 +272,50 @@ func TestPairCacheBypasses(t *testing.T) {
 	if f.Pair(1, 1); in.FillStats().ClassesIntegrated != 1 {
 		t.Errorf("flat self pair beside a tabulated shape: %d classes, want 1", in.FillStats().ClassesIntegrated)
 	}
+}
 
-	// A caller's own MathOps has no identity to key on: no table at all.
-	custom := NewIntegrator()
-	custom.Cfg.Ops = &kernel.MathOps{Log: math.Log, Atan: math.Atan, Atan2: math.Atan2}
-	custom.Pairs = NewPairCache(0)
-	FillSerial(set, custom)
-	if st := custom.FillStats(); st.ClassesIntegrated != 0 || st.TableBytes != 0 || custom.Pairs.Len() != 0 {
-		t.Errorf("custom MathOps reached the table: %+v", st)
+// TestPairCacheOldArithmeticNeverAdopted shares one table between a fill
+// of the arithmetic before kernel.ArithVersion existed (fingerprint id 1,
+// the standard-library provider) and a fill of today's: every class the
+// old fill left behind, poisoned here so that adopting one would show, is
+// a miss for the new fill, which integrates all of its classes afresh.
+func TestPairCacheOldArithmeticNeverAdopted(t *testing.T) {
+	set := busSet()
+	fresh := NewIntegrator()
+	want := FillSerial(set, fresh)
+	classes := fresh.FillStats().ClassesIntegrated
+
+	pc := NewPairCache(0)
+	in := NewIntegrator()
+	in.Pairs = pc
+	old := in.intern(set, in.cacheFingerprint(1))
+	var c FillStats
+	for i := 0; i < set.M(); i++ {
+		for j := i; j < set.M(); j++ {
+			old.pair(i, j, &c)
+		}
+	}
+	if c.ClassesIntegrated != classes || int64(pc.Len()) != classes {
+		t.Fatalf("old-arithmetic fill stored %d classes (table %d), want %d", c.ClassesIntegrated, pc.Len(), classes)
+	}
+	for i := range pc.shards {
+		sh := &pc.shards[i]
+		for e := 0; e < sh.n; e++ {
+			sh.entry(uint32(e)).val = math.NaN()
+		}
+	}
+
+	got := FillSerial(set, in)
+	if st := in.FillStats(); st.ClassesIntegrated != classes {
+		t.Errorf("fill over an old table integrated %d classes, want all %d", st.ClassesIntegrated, classes)
+	}
+	if int64(pc.Len()) != 2*classes {
+		t.Errorf("table holds %d classes, want the old %d beside the new %d", pc.Len(), classes, classes)
+	}
+	for i, v := range want.Data {
+		if got.Data[i] != v {
+			t.Fatalf("P[%d] = %g over a table of old-arithmetic values, %g from a fresh table", i, got.Data[i], v)
+		}
 	}
 }
 

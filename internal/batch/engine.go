@@ -368,9 +368,8 @@ func (e *Engine) ExtractAll(sts []*geom.Structure) ([]*solver.Result, error) {
 // results exact); per-family extractions serialize on their plan.
 //
 // Caveat: opt.FMM/PFFT worker-pool and evaluator overrides (Pool,
-// NearEval) are not part of the family key, and all non-standard
-// kernel.Config.Ops providers share one key tag; callers varying those
-// per request should use explicit parbem.NewPlan instances instead.
+// NearEval) are not part of the family key; callers varying those per
+// request should use explicit parbem.NewPlan instances instead.
 func (e *Engine) ExtractPipeline(st *geom.Structure, maxEdge float64, opt op.Options) (*plan.Result, error) {
 	return e.ExtractPipelineCtx(context.Background(), st, maxEdge, opt)
 }
@@ -446,14 +445,7 @@ func planSignature(st *geom.Structure, maxEdge float64, opt op.Options) string {
 			buf = append(buf, 0)
 			return
 		}
-		if c.Ops == kernel.StdOps {
-			buf = append(buf, 1)
-		} else {
-			// Any non-standard elementary-function provider (the
-			// tabulated fastmath set, or a caller's own) shares one
-			// tag; see the ExtractPipeline caveat.
-			buf = append(buf, 2)
-		}
+		buf = append(buf, kernel.ArithVersion) // nonzero: the presence tag
 		f(c.FarFactor)
 		f(c.MidFactor)
 		u(uint64(c.QuadOrder))

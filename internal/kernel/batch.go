@@ -92,11 +92,11 @@ func (b *Batch) Eval(s geom.Rect) float64 {
 			return b.area * s.Area() / b.center.Dist(s.Center())
 		}
 		if d > cfg.MidFactor*diam {
-			return b.area * rectPotentialAt(cfg.Ops, s, b.center)
+			return b.area * rectPotentialAt(s, b.center)
 		}
 	}
 	if b.t.ParallelTo(s) {
-		return rectGalerkinParallel(cfg.Ops, b.t, s)
+		return rectGalerkinParallel(b.t, s)
 	}
 	return b.evalPerp(s, d, diam)
 }
@@ -120,7 +120,6 @@ func (b *Batch) evalPerp(s geom.Rect, d, diam float64) float64 {
 	cu := b.axisCode(s.UAxis())
 	cv := b.axisCode(s.VAxis())
 	cn := b.axisCode(s.Normal)
-	ops := b.cfg.Ops
 	u1, u2, v1, v2 := s.U.Lo, s.U.Hi, s.V.Lo, s.V.Hi
 	off := s.Offset
 	var sum float64
@@ -128,7 +127,7 @@ func (b *Batch) evalPerp(s geom.Rect, d, diam float64) float64 {
 		var inner float64
 		for j, v := range l.vs {
 			vals := [3]float64{b.t.Offset, u, v}
-			inner += l.wy[j] * RectPotential(ops, u1, u2, v1, v2,
+			inner += l.wy[j] * RectPotential(u1, u2, v1, v2,
 				vals[cu], vals[cv], vals[cn]-off)
 		}
 		sum += l.wx[i] * inner

@@ -32,7 +32,6 @@ func TestRectGalerkinBatchMatches(t *testing.T) {
 		cfg  *Config
 	}{
 		{"default", DefaultConfig()},
-		{"fast", FastConfig()},
 		{"exact", func() *Config { c := DefaultConfig(); c.DisableApprox = true; return c }()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,7 +92,7 @@ func benchBlock() (geom.Rect, []geom.Rect) {
 }
 
 func BenchmarkRectGalerkinPairwise(b *testing.B) {
-	cfg := FastConfig()
+	cfg := DefaultConfig()
 	tgt, src := benchBlock()
 	var sink float64
 	b.ResetTimer()
@@ -106,7 +105,7 @@ func BenchmarkRectGalerkinPairwise(b *testing.B) {
 }
 
 func BenchmarkRectGalerkinBatch(b *testing.B) {
-	cfg := FastConfig()
+	cfg := DefaultConfig()
 	tgt, src := benchBlock()
 	var batch Batch
 	var sink float64

@@ -7,8 +7,6 @@ import (
 
 // Config controls how rectangle-pair Galerkin integrals are evaluated.
 type Config struct {
-	Ops *MathOps // elementary-function provider (StdOps or fastmath-backed)
-
 	// FarFactor is the approximation distance multiplier (paper Section
 	// 4.1): when the separation exceeds FarFactor times the mean rectangle
 	// diameter, the 4-D integral is collapsed to a point-to-point
@@ -27,12 +25,10 @@ type Config struct {
 	DisableApprox bool
 }
 
-// DefaultConfig returns the production configuration: standard math,
-// approximation distances tuned for ~1% integral accuracy, and a 4-point
-// outer rule.
+// DefaultConfig returns the production configuration: approximation
+// distances tuned for ~1% integral accuracy, and a 4-point outer rule.
 func DefaultConfig() *Config {
 	return &Config{
-		Ops:       StdOps,
 		FarFactor: 12,
 		MidFactor: 4,
 		QuadOrder: 4,
@@ -53,31 +49,31 @@ func RectGalerkin(cfg *Config, t, s geom.Rect) float64 {
 		if d > cfg.MidFactor*diam {
 			// Intermediate: collocate the target at its centroid
 			// (2-D closed form), keep the source exact.
-			return t.Area() * rectPotentialAt(cfg.Ops, s, t.Center())
+			return t.Area() * rectPotentialAt(s, t.Center())
 		}
 	}
 	if t.ParallelTo(s) {
-		return rectGalerkinParallel(cfg.Ops, t, s)
+		return rectGalerkinParallel(t, s)
 	}
 	return rectGalerkinPerp(cfg, t, s)
 }
 
 // rectGalerkinParallel evaluates the analytic 4-D expression for rectangles
 // in parallel planes (including coplanar, overlapping and identical).
-func rectGalerkinParallel(ops *MathOps, t, s geom.Rect) float64 {
+func rectGalerkinParallel(t, s geom.Rect) float64 {
 	Z := t.Offset - s.Offset
-	return GalerkinParallel(ops,
+	return GalerkinParallel(
 		t.U.Lo, t.U.Hi, t.V.Lo, t.V.Hi,
 		s.U.Lo, s.U.Hi, s.V.Lo, s.V.Hi, Z)
 }
 
 // rectPotentialAt evaluates the collocation closed form of source rectangle
 // s at an arbitrary 3-D point p.
-func rectPotentialAt(ops *MathOps, s geom.Rect, p geom.Vec3) float64 {
+func rectPotentialAt(s geom.Rect, p geom.Vec3) float64 {
 	pu := p.Component(s.UAxis())
 	pv := p.Component(s.VAxis())
 	pz := p.Component(s.Normal) - s.Offset
-	return RectPotential(ops, s.U.Lo, s.U.Hi, s.V.Lo, s.V.Hi, pu, pv, pz)
+	return RectPotential(s.U.Lo, s.U.Hi, s.V.Lo, s.V.Hi, pu, pv, pz)
 }
 
 // rectGalerkinPerp evaluates the Galerkin integral for perpendicular
@@ -95,9 +91,8 @@ func rectGalerkinPerp(cfg *Config, t, s geom.Rect) float64 {
 	} else if d < diam {
 		order = min(order*2, quad.MaxOrder)
 	}
-	ops := cfg.Ops
 	return quad.Integrate2D(func(u, v float64) float64 {
-		return rectPotentialAt(ops, s, t.Point(u, v))
+		return rectPotentialAt(s, t.Point(u, v))
 	}, t.U.Lo, t.U.Hi, t.V.Lo, t.V.Hi, order, order)
 }
 
@@ -110,7 +105,7 @@ func RectCollocation(cfg *Config, s geom.Rect, p geom.Vec3) float64 {
 			return s.Area() / s.Center().Dist(p)
 		}
 	}
-	return rectPotentialAt(cfg.Ops, s, p)
+	return rectPotentialAt(s, p)
 }
 
 // SelfGalerkin computes the Galerkin self-term of a rectangle: the 4-D
@@ -118,8 +113,8 @@ func RectCollocation(cfg *Config, s geom.Rect, p geom.Vec3) float64 {
 // F4 expression remains finite here; for a unit square the value is
 // 8/3*(ln(1+sqrt2) + (1-sqrt2)/... ) ~= 3.5255 (verified in tests against a
 // Duffy-transformed numerical reference).
-func SelfGalerkin(ops *MathOps, r geom.Rect) float64 {
-	return GalerkinParallel(ops,
+func SelfGalerkin(r geom.Rect) float64 {
+	return GalerkinParallel(
 		r.U.Lo, r.U.Hi, r.V.Lo, r.V.Hi,
 		r.U.Lo, r.U.Hi, r.V.Lo, r.V.Hi, 0)
 }

@@ -8,17 +8,10 @@ import "math"
 //
 // It backs the closed-form Galerkin pairing of the non-varying direction
 // when both templates carry 1-D shape variation along the same axis.
-func F2Y(ops *MathOps, X, Y, Z float64) float64 {
-	x2, y2, z2 := X*X, Y*Y, Z*Z
-	r := math.Sqrt(x2 + y2 + z2)
-	var s float64
-	if math.Abs(Y) > coefEps {
-		yr := plusR(Y, r, x2+z2)
-		if yr > 0 {
-			s += Y * ops.Log(yr)
-		}
-	}
-	return s - r
+func F2Y(X, Y, Z float64) float64 {
+	x2, z2 := X*X, Z*Z
+	r := math.Sqrt(x2 + Y*Y + z2)
+	return logTerm(Y, plusR(Y, r, x2+z2)) - r
 }
 
 // GalerkinPair1D computes the 2-D integral
@@ -30,9 +23,9 @@ func F2Y(ops *MathOps, X, Y, Z float64) float64 {
 // logarithmically as (X, Z) -> 0 with overlapping intervals; callers
 // integrating over X must keep quadrature nodes off X = 0 (see
 // assembly.TemplatePair).
-func GalerkinPair1D(ops *MathOps, t1, t2, s1, s2, X, Z float64) float64 {
-	return F2Y(ops, X, t2-s1, Z) - F2Y(ops, X, t1-s1, Z) -
-		F2Y(ops, X, t2-s2, Z) + F2Y(ops, X, t1-s2, Z)
+func GalerkinPair1D(t1, t2, s1, s2, X, Z float64) float64 {
+	return F2Y(X, t2-s1, Z) - F2Y(X, t1-s1, Z) -
+		F2Y(X, t2-s2, Z) + F2Y(X, t1-s2, Z)
 }
 
 // GalerkinStrip computes the 3-D integral
@@ -43,7 +36,7 @@ func GalerkinPair1D(ops *MathOps, t1, t2, s1, s2, X, Z float64) float64 {
 // rectangle [su1,su2] x [sv1,sv2], with plane separation Z. It is the
 // inner closed form when exactly one template of a parallel pair carries
 // 1-D variation (paper Eq. 7 with the quadrature on the varying side).
-func GalerkinStrip(ops *MathOps, tv1, tv2, sv1, sv2, su1, su2, u, Z float64) float64 {
+func GalerkinStrip(tv1, tv2, sv1, sv2, su1, su2, u, Z float64) float64 {
 	vs := [2]float64{tv1, tv2}
 	vps := [2]float64{sv1, sv2}
 	var sum float64
@@ -51,7 +44,7 @@ func GalerkinStrip(ops *MathOps, tv1, tv2, sv1, sv2, su1, su2, u, Z float64) flo
 		for jp := 0; jp < 2; jp++ {
 			s := signPair(j, jp)
 			Y := vs[j] - vps[jp]
-			sum += s * (F3(ops, Y, u-su1, Z) - F3(ops, Y, u-su2, Z))
+			sum += s * f3DiffY(Y, u-su1, u-su2, Z)
 		}
 	}
 	return sum
@@ -70,7 +63,7 @@ func GalerkinStrip(ops *MathOps, tv1, tv2, sv1, sv2, su1, su2, u, Z float64) flo
 // evaluation point is collinear with the segment (d2 = 0), so the result
 // stays exact for all off-segment points. Points exactly on the open
 // segment are true singularities and return +Inf.
-func SegPotential(ops *MathOps, v1, v2, pv, d2 float64) float64 {
+func SegPotential(v1, v2, pv, d2 float64) float64 {
 	V1 := pv - v1 // >= V2 for v1 < v2
 	V2 := pv - v2
 	r1 := math.Sqrt(V1*V1 + d2)
@@ -78,15 +71,15 @@ func SegPotential(ops *MathOps, v1, v2, pv, d2 float64) float64 {
 	switch {
 	case V2 >= 0:
 		// Point beyond the v2 end: both substitutions well-conditioned.
-		return ops.Log((V1 + r1) / (V2 + r2))
+		return log((V1 + r1) / (V2 + r2))
 	case V1 <= 0:
 		// Point before the v1 end: use V+r = d2/(r-V); d2 cancels.
-		return ops.Log((r2 - V2) / (r1 - V1))
+		return log((r2 - V2) / (r1 - V1))
 	default:
 		// Projection inside the segment: (V1+r1)(r2-V2)/d2.
 		if d2 == 0 {
 			return math.Inf(1)
 		}
-		return ops.Log((V1 + r1) * (r2 - V2) / d2)
+		return log((V1 + r1) * (r2 - V2) / d2)
 	}
 }

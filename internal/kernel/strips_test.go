@@ -15,7 +15,7 @@ func TestGalerkinPair1DAgainstQuadrature(t *testing.T) {
 		{0, 1, 0, 1, 2.0, 0.0},
 	}
 	for _, c := range cases {
-		got := GalerkinPair1D(StdOps, c.t1, c.t2, c.s1, c.s2, c.X, c.Z)
+		got := GalerkinPair1D(c.t1, c.t2, c.s1, c.s2, c.X, c.Z)
 		want := quad.Integrate2D(func(v, vp float64) float64 {
 			d := v - vp
 			return 1 / math.Sqrt(c.X*c.X+d*d+c.Z*c.Z)
@@ -34,14 +34,14 @@ func TestGalerkinStripAgainstQuadrature(t *testing.T) {
 		{-1, 0, 1, 2, 0, 1, -0.3, 1},  // offset plane
 	}
 	for _, c := range cases {
-		got := GalerkinStrip(StdOps, c.tv1, c.tv2, c.sv1, c.sv2, c.su1, c.su2, c.u, c.Z)
+		got := GalerkinStrip(c.tv1, c.tv2, c.sv1, c.sv2, c.su1, c.su2, c.u, c.Z)
 		// Reference: 1-D quadrature over v of the independently verified
 		// RectPotential closed form, with the integration split at the
 		// source's v bounds where the integrand kinks (the naive 3-D
 		// brute quadrature is inaccurate when the target line crosses
 		// the source rectangle).
 		f := func(v float64) float64 {
-			return RectPotential(StdOps, c.su1, c.su2, c.sv1, c.sv2, c.u, v, c.Z)
+			return RectPotential(c.su1, c.su2, c.sv1, c.sv2, c.u, v, c.Z)
 		}
 		splits := []float64{c.tv1}
 		for _, brk := range []float64{c.sv1, c.sv2} {
@@ -75,20 +75,20 @@ func TestSegPotential(t *testing.T) {
 		{0, 1, -2, 0},   // collinear before (d2 = 0)
 	}
 	for _, c := range cases {
-		got := SegPotential(StdOps, c.v1, c.v2, c.pv, c.d2)
+		got := SegPotential(c.v1, c.v2, c.pv, c.d2)
 		want := ref(c.v1, c.v2, c.pv, c.d2)
 		if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-10 {
 			t.Errorf("SegPotential(%+v) = %g want %g", c, got, want)
 		}
 	}
 	// Exactly on the open segment: divergent.
-	if got := SegPotential(StdOps, 0, 1, 0.5, 0); !math.IsInf(got, 1) {
+	if got := SegPotential(0, 1, 0.5, 0); !math.IsInf(got, 1) {
 		t.Errorf("on-segment SegPotential = %g, want +Inf", got)
 	}
 	// Collinear symmetric identity: potential at pv beyond v2 equals
 	// potential at mirrored point before v1.
-	a := SegPotential(StdOps, 0, 1, 1.75, 0)
-	b := SegPotential(StdOps, 0, 1, -0.75, 0)
+	a := SegPotential(0, 1, 1.75, 0)
+	b := SegPotential(0, 1, -0.75, 0)
 	if math.Abs(a-b) > 1e-12 {
 		t.Errorf("collinear mirror symmetry broken: %g vs %g", a, b)
 	}
@@ -99,7 +99,7 @@ func TestF2YDerivativeProperty(t *testing.T) {
 	h := 1e-5
 	for _, p := range [][3]float64{{1, 0.5, 0.3}, {0.2, -1, 0.7}, {2, 2, 0}} {
 		X, Y, Z := p[0], p[1], p[2]
-		d2 := (F2Y(StdOps, X, Y+h, Z) - 2*F2Y(StdOps, X, Y, Z) + F2Y(StdOps, X, Y-h, Z)) / (h * h)
+		d2 := (F2Y(X, Y+h, Z) - 2*F2Y(X, Y, Z) + F2Y(X, Y-h, Z)) / (h * h)
 		want := 1 / math.Sqrt(X*X+Y*Y+Z*Z)
 		if rel := math.Abs(d2-want) / want; rel > 1e-4 {
 			t.Errorf("F2Y'' at %v = %g want %g", p, d2, want)

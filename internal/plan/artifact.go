@@ -82,33 +82,31 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 	case po != nil && po.Cfg != nil:
 		cfg = po.Cfg
 	}
-	key, ok := artifactHash(p.opt.MaxEdge, p.eps, cfg, be, fo, po, st)
+	key, ok := artifactHash(artifactSchema, p.opt.MaxEdge, p.eps, cfg, be, fo, po, st)
 	if !ok {
 		return ""
 	}
 	return key
 }
 
-// artifactHash computes the family content hash, or ok=false when the
-// build is unkeyable (function-valued options that cannot participate
-// in a content hash, e.g. a custom MathOps provider or an fmm NearEval
+// artifactSchema opens every family hash: the version of the hash layout
+// and the arithmetic of the kernel values an artifact holds, so that an
+// artifact written by a build with another arithmetic — on disk or in a
+// peer's store — is a miss, never adopted. ("pba1" was followed by an
+// elementary-function provider tag.)
+var artifactSchema = []byte{'p', 'b', 'a', '2', kernel.ArithVersion}
+
+// artifactHash computes the family content hash under the given schema
+// header, or ok=false when the build is unkeyable (a function-valued
+// option that cannot participate in a content hash: an fmm NearEval
 // override).
 //
 // Backend tuning values are hashed raw (unresolved zero defaults are
 // distinct from their explicit equivalents): identical Options always
 // produce identical keys, which is the contract that matters; a
 // zero-vs-explicit-default mismatch only costs a missed dedup.
-func artifactHash(maxEdge, eps float64, cfg *kernel.Config, be op.Backend,
+func artifactHash(schema []byte, maxEdge, eps float64, cfg *kernel.Config, be op.Backend,
 	fo *fmm.Options, po *pfft.Options, st *geom.Structure) (string, bool) {
-	var opsTag byte
-	switch cfg.Ops {
-	case nil, kernel.StdOps:
-		opsTag = 0
-	case kernel.FastOps:
-		opsTag = 1
-	default:
-		return "", false
-	}
 	if fo != nil && fo.NearEval != nil {
 		return "", false
 	}
@@ -119,7 +117,8 @@ func artifactHash(maxEdge, eps float64, cfg *kernel.Config, be op.Backend,
 		h.Write(buf[:])
 	}
 	wf := func(f float64) { w64(math.Float64bits(f)) }
-	h.Write([]byte{'p', 'b', 'a', '1', opsTag, byte(be)})
+	h.Write(schema)
+	h.Write([]byte{byte(be)})
 	wf(maxEdge)
 	wf(eps)
 	wf(cfg.FarFactor)

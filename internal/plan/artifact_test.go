@@ -1,12 +1,15 @@
 package plan
 
 import (
+	"encoding/binary"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"parbem/internal/fmm"
 	"parbem/internal/geom"
+	"parbem/internal/kernel"
 	"parbem/internal/op"
 	"parbem/internal/pfft"
 )
@@ -217,5 +220,77 @@ func TestPlanArtifactLengthMismatchDegrades(t *testing.T) {
 	warm := extractVia(t, store, pipe, 0.5e-6)
 	if warm.Reused.NearField {
 		t.Error("length-mismatched payload adopted")
+	}
+}
+
+// TestPlanArtifactOldArithmeticNeverAdopted plants, under the family key
+// a build from before kernel.ArithVersion computed for the same request
+// ("pba1" and its standard-provider tag), a well-formed near-field
+// artifact of the right shape with wrong values — what a disk store kept
+// across an upgrade, or a peer still running the old build, would hand
+// back. The plan must miss it, integrate afresh and store under its own
+// key; the stale entry is never read.
+func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
+	pipe := op.Options{Backend: op.BackendDense, Direct: true}
+	st := crossingAt(0.5e-6)
+	clean := newMemStore()
+	cold := extractVia(t, clean, pipe, 0.5e-6)
+
+	p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: newMemStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := p.artifactKey(st, op.BackendDense, nil, nil)
+	oldKey, ok := artifactHash([]byte{'p', 'b', 'a', '1', 0}, 0.5e-6, p.eps, p.cfg, op.BackendDense, nil, nil, st)
+	if !ok || oldKey == key {
+		t.Fatalf("old-schema key %q, current key %q: want two distinct keys", oldKey, key)
+	}
+	payload, found := clean.Get(key + nearSuffix)
+	if !found {
+		t.Fatal("cold build stored no near-field artifact under the current key")
+	}
+	stale := append([]byte(nil), payload...)
+	for i := len(stale) - 8; i >= 17; i -= 8 { // every value doubled: adoption would show in C
+		v := math.Float64frombits(binary.LittleEndian.Uint64(stale[i:]))
+		binary.LittleEndian.PutUint64(stale[i:], math.Float64bits(2*v))
+	}
+	store := newMemStore()
+	store.Put(oldKey+nearSuffix, stale)
+
+	p2, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p2.Extract(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := p2.Stats(); s.ArtifactHits != 0 || s.ArtifactMisses == 0 || s.ArtifactPuts == 0 {
+		t.Errorf("stats over a store of old-arithmetic artifacts: %+v, want misses and puts only", s)
+	}
+	if res.Reused.NearField {
+		t.Error("near field reported as reused")
+	}
+	if e := capError(res.C, cold.C); e != 0 {
+		t.Errorf("result differs from a clean cold build by %.3g", e)
+	}
+	if _, found := store.Get(key + nearSuffix); !found {
+		t.Error("fresh build was not stored under the current key")
+	}
+}
+
+// TestPlanLiteralKernelConfig: a kernel.Config written as a literal, not
+// obtained from DefaultConfig, is a complete configuration. (It used to
+// hash like the default one and then dereference a nil function table in
+// the near-field fill.)
+func TestPlanLiteralKernelConfig(t *testing.T) {
+	run := func(cfg *kernel.Config) *Result {
+		return extractVia(t, newMemStore(), op.Options{Backend: op.BackendFMM, Tol: 1e-8,
+			FMM: &fmm.Options{Workers: 1, Cfg: cfg}}, 0.5e-6)
+	}
+	lit := run(&kernel.Config{FarFactor: 12, MidFactor: 4, QuadOrder: 4})
+	def := run(kernel.DefaultConfig())
+	if e := capError(lit.C, def.C); e != 0 {
+		t.Errorf("literal default-valued config differs from DefaultConfig by %.3g", e)
 	}
 }

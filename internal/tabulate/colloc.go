@@ -134,7 +134,7 @@ func NewCollocation(spec CollocationSpec) *Collocation {
 		{Min: 0, Max: s.Range, N: s.NZ},
 	}
 	t := Build(dims, func(p []float64) float64 {
-		return kernel.RectPotential(kernel.StdOps, 0, 1, 0, p[0], p[1], p[2], p[3])
+		return kernel.RectPotential(0, 1, 0, p[0], p[1], p[2], p[3])
 	})
 	return &Collocation{spec: s, tab: t}
 }

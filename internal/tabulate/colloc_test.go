@@ -26,7 +26,7 @@ func TestCollocationMatchesClosedForm(t *testing.T) {
 		if !ok {
 			continue
 		}
-		want := kernel.RectPotential(kernel.StdOps, u1, u1+w, v1, v1+h, pu, pv, pz)
+		want := kernel.RectPotential(u1, u1+w, v1, v1+h, pu, pv, pz)
 		if rel := math.Abs(got-want) / math.Abs(want); rel > maxRel {
 			maxRel = rel
 		}
@@ -75,7 +75,7 @@ func TestCollocationAxisSwapSymmetry(t *testing.T) {
 	if !ok {
 		t.Fatal("query unexpectedly out of domain")
 	}
-	want := kernel.RectPotential(kernel.StdOps, 0, 1e-6, 0, 3e-6, 0.5e-6, 1e-6, 1e-6)
+	want := kernel.RectPotential(0, 1e-6, 0, 3e-6, 0.5e-6, 1e-6, 1e-6)
 	if rel := math.Abs(got-want) / want; rel > 0.02 {
 		t.Errorf("swapped-orientation error %.2f%%", 100*rel)
 	}

@@ -41,7 +41,7 @@ func NewDefinite2D(dom Domain2D, nw, nh, nx, ny int) *Definite2D {
 		{dom.YMin, dom.YMax, ny},
 	}
 	t := Build(dims, func(p []float64) float64 {
-		return kernel.RectPotential(kernel.StdOps, 0, p[0], 0, p[1], p[2], p[3], 0)
+		return kernel.RectPotential(0, p[0], 0, p[1], p[2], p[3], 0)
 	})
 	return &Definite2D{tab: t}
 }
@@ -71,7 +71,7 @@ func NewIndefinite2D(dom Domain2D, n int) *Indefinite2D {
 		{dom.YMin - dom.HMax, dom.YMax, n},
 	}
 	t := Build(dims, func(p []float64) float64 {
-		return kernel.F2(kernel.StdOps, p[0], p[1], 0)
+		return kernel.F2(p[0], p[1], 0)
 	})
 	return &Indefinite2D{tab: t}
 }

@@ -73,7 +73,7 @@ func TestDefinite2DAccuracy(t *testing.T) {
 		{1, 1, 3, 3}, {0.5, 1.5, -2, 4}, {2, 2, 4.5, -2.5}, {1.2, 0.8, 3.5, 0.5},
 	} {
 		got := tab.Eval(p[0], p[1], p[2], p[3])
-		want := kernel.RectPotential(kernel.StdOps, 0, p[0], 0, p[1], p[2], p[3], 0)
+		want := kernel.RectPotential(0, p[0], 0, p[1], p[2], p[3], 0)
 		rel := math.Abs(got-want) / math.Abs(want)
 		if rel > maxRel {
 			maxRel = rel
@@ -95,7 +95,7 @@ func TestIndefinite2DMatchesClosedForm(t *testing.T) {
 		{1, 1, 3, 3}, {0.5, 1.5, -2, 4}, {2, 2, 4.5, -2.5}, {1.2, 0.8, 3.5, 0.5},
 	} {
 		got := tab.Eval(p[0], p[1], p[2], p[3])
-		want := kernel.RectPotential(kernel.StdOps, 0, p[0], 0, p[1], p[2], p[3], 0)
+		want := kernel.RectPotential(0, p[0], 0, p[1], p[2], p[3], 0)
 		rel := math.Abs(got-want) / math.Abs(want)
 		if rel > maxRel {
 			maxRel = rel

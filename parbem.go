@@ -285,10 +285,6 @@ func NewMatrix(rows, cols int) *Matrix { return linalg.NewDense(rows, cols) }
 // DefaultKernelConfig returns the standard integration configuration.
 func DefaultKernelConfig() *KernelConfig { return kernel.DefaultConfig() }
 
-// FastKernelConfig returns the integration configuration with the
-// tabulated elementary functions of paper Section 4.2.3 enabled.
-func FastKernelConfig() *KernelConfig { return kernel.FastConfig() }
-
 // Extract runs instantiable-basis capacitance extraction on a structure.
 func Extract(st *Structure, opt Options) (*Result, error) {
 	return solver.Extract(st, opt)
