@@ -38,7 +38,7 @@
 // Every run accepts -json for machine-readable output (capacitance
 // matrix, backend/precond choice, iteration counts, per-stage timings;
 // for the template solver the phase timings, the fill's pair and
-// translation-class counts, and the inertia the direct solve found — a
+// symmetry-class counts, and the inertia the direct solve found — a
 // nonzero negative_pivots says the system matrix was indefinite) for
 // serving and telemetry integrations.
 //
@@ -211,7 +211,7 @@ func main() {
 	}
 	fmt.Printf("solve     : LDLt, %d negative pivots, %d 2x2 blocks (system matrix %s)\n",
 		res.Inertia.Negative, res.Inertia.Blocks2x2, definite)
-	fmt.Printf("fill      : %d far pairs | %d near pairs in %d translation classes | table %.1f KB\n\n",
+	fmt.Printf("fill      : %d far pairs | %d near pairs in %d symmetry classes | table %.1f KB\n\n",
 		res.Fill.PairsFar, res.Fill.PairsNear, res.Fill.ClassesIntegrated, float64(res.Fill.TableBytes)/1024)
 
 	names := make([]string, st.NumConductors())
@@ -766,7 +766,7 @@ func runBatch(files []string, backend string, workers int, tables, check bool, u
 		len(files), elapsed, float64(len(files))/elapsed.Seconds())
 	fmt.Printf("caches    : state %d hits / %d misses, pair classes %d hits / %d misses (%d entries, %.1f KB)\n",
 		s.StateHits, s.StateMisses, s.PairHits, s.PairMisses, s.PairEntries, float64(s.Fill.TableBytes)/1024)
-	fmt.Printf("fill      : %d far pairs | %d near pairs in %d translation classes\n",
+	fmt.Printf("fill      : %d far pairs | %d near pairs in %d symmetry classes\n",
 		s.Fill.PairsFar, s.Fill.PairsNear, s.Fill.ClassesIntegrated)
 }
 

@@ -32,20 +32,24 @@ func TestFillBitwiseAcrossBackends(t *testing.T) {
 			check(fmt.Sprintf("par workers=%d static=%v", w, static), P.Data)
 		}
 	}
-	in := assembly.NewIntegrator()
-	P := mpi.FillDistributedOpts(set, in, mpi.NewNetwork(3), mpi.FillOptions{ThreadsPerRank: 2})
-	check("mpi 3 ranks x 2 threads", P.Data)
-
-	// The ranks' counters arrive by message: every pair is counted once,
-	// and a class more than once only where several ranks need it.
+	// Every rank fills from a table of its own, with class ids in the
+	// order its partition meets them. The ranks' counters arrive by
+	// message: every pair is counted once, and a class more than once only
+	// where several ranks need it.
 	serial := assembly.NewIntegrator()
 	assembly.FillSerial(set, serial)
-	s, d := serial.FillStats(), in.FillStats()
-	if d.PairsFar != s.PairsFar || d.PairsNear != s.PairsNear {
-		t.Errorf("distributed counted %d far + %d near pairs, serial %d + %d", d.PairsFar, d.PairsNear, s.PairsFar, s.PairsNear)
-	}
-	if d.ClassesIntegrated < s.ClassesIntegrated || d.ClassesIntegrated > 3*s.ClassesIntegrated {
-		t.Errorf("3 ranks integrated %d classes, one table %d", d.ClassesIntegrated, s.ClassesIntegrated)
+	s := serial.FillStats()
+	for _, ranks := range []int{1, 2, 3, 4, 10} {
+		in := assembly.NewIntegrator()
+		P := mpi.FillDistributedOpts(set, in, mpi.NewNetwork(ranks), mpi.FillOptions{ThreadsPerRank: 2})
+		check(fmt.Sprintf("mpi %d ranks x 2 threads", ranks), P.Data)
+		d := in.FillStats()
+		if d.PairsFar != s.PairsFar || d.PairsNear != s.PairsNear {
+			t.Errorf("%d ranks counted %d far + %d near pairs, serial %d + %d", ranks, d.PairsFar, d.PairsNear, s.PairsFar, s.PairsNear)
+		}
+		if d.ClassesIntegrated < s.ClassesIntegrated || d.ClassesIntegrated > int64(ranks)*s.ClassesIntegrated {
+			t.Errorf("%d ranks integrated %d classes, one table %d", ranks, d.ClassesIntegrated, s.ClassesIntegrated)
+		}
 	}
 }
 
@@ -76,6 +80,10 @@ func TestIrregularGeometryBookkeeping(t *testing.T) {
 	}
 	if per := float64(st.TableBytes) / float64(st.ClassesIntegrated); per > 120 {
 		t.Errorf("table holds %.0f bytes per class", per)
+	}
+	// 10 170 under translations alone.
+	if st.ClassesIntegrated > 6500 {
+		t.Errorf("%d symmetry classes for %d near pairs, want at most 6500", st.ClassesIntegrated, st.PairsNear)
 	}
 	t.Logf("interconnect: M = %d, %d pairs (%d far), %d classes for %d near pairs (hit ratio %.2f), %.0f ns/pair, table %d KB",
 		set.M(), pairs, st.PairsFar, st.ClassesIntegrated, st.PairsNear,

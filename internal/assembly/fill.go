@@ -201,7 +201,7 @@ func PartitionRange(lo, hi int64, d int) []int64 {
 //
 // The partitions it is applied to are the paper's equal-count divisions,
 // not cost-weighted ones: a pair costs a table lookup unless it is the
-// first of its translation class, which no static estimate can know, so
+// first of its symmetry class, which no static estimate can know, so
 // balance is left to dynamic chunking.
 func AlignColumns(set *basis.Set, bounds []int64) []int64 {
 	out := append([]int64(nil), bounds...)

@@ -6,23 +6,54 @@
 // with 1-D shape variation (split at shape kinks), and distance-based
 // dimension reduction.
 //
-// # Canonical translation classes
+// # Canonical symmetry classes
 //
 // Instantiable templates are a handful of shapes stamped out at every
-// crossing, so most template pairs of a structure are rigid translates of
-// one another. Every fill therefore starts by interning its templates
-// (Integrator.Intern, O(M)): each template gets a small class — normal,
-// vary direction, shape parameters rounded to 40 mantissa bits, and its
-// U/V extents in lattice units — and the per-template constants the
-// far-field gate needs. A non-far pair (i, j), i <= j, is then identified
-// by (class of i, class of j, corner displacement in lattice units), and
-// its unit-amplitude integral is evaluated once, on the instance rebuilt
-// from that key (i's corner at the origin), and stored in a PairCache;
-// the matrix entry is amp_i * amp_j * value. The key keeps the order of
-// the pair: the mid-field and generic dispatch collocate one template
-// against the other, so the mirrored pair is a different approximation
-// of the same integral, several percent away at mid range, and folding
-// the two would move results.
+// crossing, and 1/|r-r'| does not change under an isometry, so most
+// template pairs of a structure are images of one another under a
+// translation, a reflection or an exchange of axes. Every fill therefore
+// starts by interning its templates (Integrator.Intern, O(M)): each
+// template gets a small class — its extents along X, Y and Z in lattice
+// units (zero along the normal), the axis its shape varies along, and the
+// shape parameters, rounded — and the per-template constants the far-field
+// gate needs. With a class come the classes of its images under the six
+// axis orders, read from either end of the vary axis: an arch (e, lin,
+// lout) read from the other end is (1-e, lout, lin), exactly, because e is
+// rounded to a grid of [0, 1] (2^-40) and not to a number of mantissa bits.
+//
+// A non-far pair (i, j), i <= j, is identified by its image under the one
+// of the 48 signed axis permutations that its own geometry picks
+// (Interned.canon): every axis along which j's centre lies below i's is
+// reflected, then the axes are put in descending order of centre
+// displacement. The key is (class of i's image, class of j's image, centre
+// displacement in lattice units); the unit-amplitude integral is evaluated
+// once, on the instance rebuilt from that key (i's image with its corner at
+// the origin), and stored in a PairCache; the matrix entry is amp_i * amp_j
+// * value. The per-pair cost is a dozen integer operations and two reads
+// of the classes' image tables.
+//
+// What is not quotiented is the order of the pair: the mid-field and
+// generic dispatch collocate one template against the other, so the
+// swapped pair is a different approximation of the same integral, several
+// percent away at mid range, and folding the two would move results. Nor
+// are ties resolved: an axis with no centre displacement keeps its
+// direction and axes with equal displacements keep their order, so such a
+// pair and its image under the isometry that the tie leaves free can have
+// different keys (89 of 19 447 keys on the 16x16 bus are such duplicates).
+// Choosing between them would need an order on classes, and the only
+// cheap one is by id, which depends on what was interned first. As it is,
+// the isometry applied depends on the pair's geometry alone and the value
+// stored is a pure function of the key — the integral of the instance the
+// key describes — so every backend, partition, rank-private table and
+// shared table holds the same bits whatever the order of arrival.
+//
+// A class value differs from the pair's integral at its own coordinates
+// by rounding: the lattice moves coordinates by at most 2^-40 of the
+// structure, and the closed forms are invariant under the isometries only
+// up to the cancellation in their corner sums (1e-9 relative at worst, the
+// 16-corner parallel form at mid range). The far gate and the dispatch
+// thresholds are functions of distances and diameters, which isometries
+// keep.
 //
 // The lattice quantum is the power of two in (2^-40, 2^-39] of the
 // structure's largest bounding-box side: four orders of magnitude above
@@ -63,8 +94,8 @@ type Integrator struct {
 	// so it is opt-in (solver.Options.Tables / the batch engine).
 	Tab *tabulate.Collocation
 
-	// Pairs is the table of translation-class integrals the fills of
-	// this integrator read and extend (see PairCache): share one to reuse
+	// Pairs is the table of symmetry-class integrals the fills of this
+	// integrator read and extend (see PairCache): share one to reuse
 	// classes across fills. Nil gives every fill a table of its own. A
 	// class value is a pure function of its canonical key; it differs
 	// from evaluating the same pair at its absolute coordinates by
@@ -82,7 +113,8 @@ type FillStats struct {
 	// PairCache lookup (or, for what bypasses the table, one integration).
 	PairsFar  int64 `json:"pairs_far"`
 	PairsNear int64 `json:"pairs_near"`
-	// ClassesIntegrated is the number of translation classes these fills
+	// ClassesIntegrated is the number of symmetry classes (near pairs up
+	// to translation, reflection and axis permutation) these fills
 	// integrated and added to their table.
 	ClassesIntegrated int64 `json:"classes_integrated"`
 	// TableBytes sums, over the fills, the size of the fill's table when
@@ -390,14 +422,21 @@ func (in *Integrator) genericPair(ti, tj *basis.Template, q int) float64 {
 		nu.fillFlat(sup.U, q)
 		nv.fillFlat(sup.V, q)
 	}
+	src := source{in: in, t: tj}
+	src.prepare()
+	ua, va := sup.UAxis(), sup.VAxis()
+	var p [3]float64
+	p[sup.Normal] = sup.Offset
 	var sum float64
 	for a := 0; a < nu.n; a++ {
 		wu := nu.w[a]
 		if wu == 0 {
 			continue
 		}
+		p[ua] = nu.x[a]
 		for b := 0; b < nv.n; b++ {
-			sum += wu * nv.w[b] * in.potentialAt(tj, sup.Point(nu.x[a], nv.x[b]))
+			p[va] = nv.x[b]
+			sum += wu * nv.w[b] * src.potentialAt(&p)
 		}
 	}
 	return ti.Amplitude * sum
@@ -406,39 +445,64 @@ func (in *Integrator) genericPair(ti, tj *basis.Template, q int) float64 {
 // potentialAt evaluates the single-layer potential of template tj at point
 // p (including tj's amplitude, excluding 1/(4*pi*eps)).
 func (in *Integrator) potentialAt(tj *basis.Template, p geom.Vec3) float64 {
+	src := source{in: in, t: tj}
+	src.prepare()
+	return src.potentialAt(&[3]float64{p.X, p.Y, p.Z})
+}
+
+// source is a template set up as the source of potential evaluations, so
+// that genericPair's q^2 target points share what depends on the template
+// alone: a flat one's resolved axes; a shaped one's axes and its
+// quadrature nodes along the varying direction.
+type source struct {
+	in   *Integrator
+	t    *basis.Template
+	rect kernel.Source // flat
+
+	flat         geom.Interval // shaped: the support along the constant direction
+	aVary, aFlat geom.Axis
+	nb           nodeBuf
+}
+
+// prepare fills in what follows from in and t. (They are set by the caller:
+// stored through s, they would be taken to escape.)
+func (s *source) prepare() {
+	in, tj := s.in, s.t
+	sup := tj.Support
 	if tj.IsFlat() {
-		if cfg := in.Cfg; in.Tab != nil && !cfg.DisableApprox &&
-			tj.Support.DistToPoint(p) <= cfg.FarFactor*tj.Support.Diameter() {
-			if v, ok := in.Tab.EvalRect(tj.Support, p); ok {
-				return tj.Amplitude * v
+		s.rect = kernel.NewSource(sup)
+		return
+	}
+	vary := sup.U
+	s.flat, s.aVary, s.aFlat = sup.V, sup.UAxis(), sup.VAxis()
+	if tj.Dir != basis.VaryU {
+		vary, s.flat, s.aVary, s.aFlat = sup.V, sup.U, s.aFlat, s.aVary
+	}
+	s.nb.fill(tj.Shape, vary, min(2*in.Cfg.QuadOrder, 32))
+}
+
+// potentialAt is the template's potential at the point with world
+// coordinates p.
+func (s *source) potentialAt(p *[3]float64) float64 {
+	in, tj := s.in, s.t
+	if tj.IsFlat() {
+		if cfg := in.Cfg; in.Tab != nil && !cfg.DisableApprox {
+			pt := geom.Vec3{X: p[0], Y: p[1], Z: p[2]}
+			if tj.Support.DistToPoint(pt) <= cfg.FarFactor*tj.Support.Diameter() {
+				if v, ok := in.Tab.EvalRect(tj.Support, pt); ok {
+					return tj.Amplitude * v
+				}
 			}
 		}
-		return tj.Amplitude * kernel.RectCollocation(in.Cfg, tj.Support, p)
+		return tj.Amplitude * s.rect.Collocation(in.Cfg, p)
 	}
-	sup := tj.Support
-	q := in.Cfg.QuadOrder * 2
-	if q > 32 {
-		q = 32
-	}
-	var vary, flat geom.Interval
-	var pVary, pFlat float64
-	if tj.Dir == basis.VaryU {
-		vary, flat = sup.U, sup.V
-		pVary = p.Component(sup.UAxis())
-		pFlat = p.Component(sup.VAxis())
-	} else {
-		vary, flat = sup.V, sup.U
-		pVary = p.Component(sup.VAxis())
-		pFlat = p.Component(sup.UAxis())
-	}
-	pn := p.Component(sup.Normal) - sup.Offset
-	var nb nodeBuf
-	nb.fill(tj.Shape, vary, q)
+	pVary, pFlat := p[s.aVary], p[s.aFlat]
+	pn := p[tj.Support.Normal] - tj.Support.Offset
 	var sum float64
-	for i := 0; i < nb.n; i++ {
-		du := pVary - nb.x[i]
+	for i := 0; i < s.nb.n; i++ {
+		du := pVary - s.nb.x[i]
 		d2 := du*du + pn*pn
-		sum += nb.w[i] * kernel.SegPotential(flat.Lo, flat.Hi, pFlat, d2)
+		sum += s.nb.w[i] * kernel.SegPotential(s.flat.Lo, s.flat.Hi, pFlat, d2)
 	}
 	return tj.Amplitude * sum
 }

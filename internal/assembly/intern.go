@@ -96,20 +96,21 @@ func (f *Interned) pair(i, j int, c *FillStats) float64 {
 		return a.moment * b.moment / a.centroid.Dist(b.centroid)
 	}
 	c.PairsNear++
-	ca, cb := a.cls, b.cls
-	if ca == nil || cb == nil {
+	if a.cls == nil || b.cls == nil {
 		return f.in.templatePairNear(&f.set.Templates[i], &f.set.Templates[j], d, diam)
 	}
-	k := pairKey{a: ca.id, b: cb.id}
-	for ax := range k.d {
-		k.d[ax] = int64(math.RoundToEven((b.lo[ax] - a.lo[ax]) * f.invQ))
-	}
+	var k pairKey
+	ca, cb := f.canon(a, b, &k)
 	h := k.hash()
 	v, ok := f.pairs.get(&k, h)
 	if !ok {
 		// Integrate the instance the key describes, not the pair that
 		// happened to ask, and decide mid/near dispatch on it.
-		ta, tb := ca.instance([3]int64{}), cb.instance(k.d)
+		var at [3]int64
+		for ax, c := range k.d {
+			at[ax] = (c + ca.ext[ax] - cb.ext[ax]) / 2
+		}
+		ta, tb := ca.instance([3]int64{}), cb.instance(at)
 		v = f.in.templatePairNear(&ta, &tb, ta.Support.Dist(tb.Support),
 			0.5*(ta.Support.Diameter()+tb.Support.Diameter()))
 		if f.pairs.put(&k, h, v) {
@@ -117,4 +118,34 @@ func (f *Interned) pair(i, j int, c *FillStats) float64 {
 		}
 	}
 	return a.amp * b.amp * v
+}
+
+// canon writes the key of the near pair (a, b) to k — its class under
+// translations, reflections and axis permutations — and returns the
+// classes of the two templates of the instance the key describes. Each
+// axis along which b's centre lies below a's is reflected, then the axes
+// are put in descending order of centre displacement; an axis with no
+// displacement keeps its direction and axes with equal displacements keep
+// their order, so the symmetry applied depends on the pair's geometry
+// alone.
+func (f *Interned) canon(a, b *tplInfo, k *pairKey) (ca, cb *tplClass) {
+	// Twice the centre displacement in lattice units, made non-negative,
+	// then the three comparisons that order it: all in arithmetic, because
+	// as branches they are coin tosses that cost more than the rest.
+	c0, c1, c2 := f.centre2(a, b, 0), f.centre2(a, b, 1), f.centre2(a, b, 2)
+	s0, s1, s2 := c0>>63, c1>>63, c2>>63 // all ones where b's centre lies below a's
+	c0, c1, c2 = (c0^s0)-s0, (c1^s1)-s1, (c2^s2)-s2
+	neg := uint64(s0&1 | s1&2 | s2&4)
+	o := uint64(c0-c1)>>63 | uint64(c0-c2)>>63<<1 | uint64(c1-c2)>>63<<2
+	hi, lo := max(c0, c1, c2), min(c0, c1, c2)
+	k.d = [3]int64{hi, c0 + c1 + c2 - hi - lo, lo}
+	ca, cb = a.cls.img[o][neg>>a.cls.vary&1], b.cls.img[o][neg>>b.cls.vary&1]
+	k.a, k.b = ca.id, cb.id
+	return ca, cb
+}
+
+// centre2 returns twice the displacement of b's centre from a's along ax,
+// in lattice units.
+func (f *Interned) centre2(a, b *tplInfo, ax int) int64 {
+	return 2*int64(math.RoundToEven((b.lo[ax]-a.lo[ax])*f.invQ)) + b.cls.ext[ax] - a.cls.ext[ax]
 }

@@ -10,15 +10,17 @@ import (
 	"parbem/internal/geom"
 )
 
-// PairCache is the table of translation-class integrals (see the package
-// comment): it maps a canonical pair key — the two templates' classes and
-// the lattice displacement between their corners — to the unit-amplitude
-// Galerkin integral of the instance rebuilt from that key. The value is a
-// pure function of the key: whichever pair of a class arrives first,
-// whichever worker, backend or extraction asks, the bits are the same,
-// and two workers racing on one class store the same number. It differs
-// from evaluating a member pair at its absolute coordinates by rounding
-// only (the lattice moves coordinates by at most 2^-40 of the structure).
+// PairCache is the table of symmetry-class integrals (see the package
+// comment): it maps a canonical pair key — the classes of the two
+// templates' images and the lattice displacement between their centres —
+// to the unit-amplitude Galerkin integral of the instance rebuilt from
+// that key. The value is a pure function of the key: whichever pair of a
+// class arrives first, whichever worker, backend or extraction asks, the
+// bits are the same, and two workers racing on one class store the same
+// number. It differs from evaluating a member pair at its absolute
+// coordinates by rounding only (the lattice moves coordinates by at most
+// 2^-40 of the structure; the closed forms are invariant under
+// isometries up to their own cancellation).
 //
 // Every fill uses one: its own unless Integrator.Pairs supplies a shared
 // table, which is how the batch engine reuses classes across extractions.
@@ -46,17 +48,20 @@ const (
 	// pairPage is the number of entries a shard allocates at a time.
 	pairPage = 32
 	// latticeBits sets the lattice quantum to 2^-latticeBits of the
-	// structure's extent (rounded up to a power of two), and shape
-	// parameters are rounded to as many mantissa bits.
+	// structure's extent (rounded up to a power of two); arch decay
+	// lengths are rounded to as many mantissa bits and edge positions to
+	// multiples of 2^-latticeBits.
 	latticeBits = 40
-	// maxClasses bounds the class index of a long-lived shared table.
+	// maxClasses bounds the class index of a long-lived shared table,
+	// images included.
 	maxClasses = 1 << 14
 )
 
-// pairKey identifies a translation class of template pairs (i, j), i <= j.
+// pairKey identifies a symmetry class of template pairs (i, j), i <= j, by
+// its canonical member (see Interned.canon).
 type pairKey struct {
-	a, b uint32   // class ids of templates i and j
-	d    [3]int64 // j's corner minus i's along X, Y, Z, in lattice units
+	a, b uint32   // class ids of the images of templates i and j
+	d    [3]int64 // twice j's centre minus i's along X, Y, Z, in lattice units
 }
 
 func (k *pairKey) hash() uint64 {
@@ -196,14 +201,48 @@ func (c *PairCache) Len() int {
 func (c *PairCache) Bytes() int64 { return c.bytes.Load() }
 
 // classKey is everything that decides a template's contribution to a
-// class value, bar its position and amplitude.
+// class value, bar its position and amplitude, in world terms, so that
+// its image under an axis permutation or a reflection is another key.
 type classKey struct {
-	cfg         uint64    // integrator fingerprint
-	qexp        int32     // lattice quantum = 2^qexp
-	normal, dir uint8     // support normal, vary direction
-	arch        bool      // ArchShape (p holds its parameters) or constant
-	p           [3]uint64 // shape parameter bits, rounded
-	eu, ev      int64     // support extents in lattice units
+	cfg  uint64    // integrator fingerprint
+	qexp int32     // lattice quantum = 2^qexp
+	vary uint8     // world axis the shape varies along, noVary for a constant template
+	arch bool      // ArchShape (edge and lambda hold its parameters) or constant
+	edge int64     // EdgePos in units of 2^-latticeBits
+	lam  [2]uint64 // LambdaIn and LambdaOut bits, rounded
+	ext  [3]int64  // support extents along X, Y, Z in lattice units, 0 along the normal
+}
+
+// noVary is the vary axis of a constant template: a sign bit no reflection
+// sets (see Interned.canon).
+const noVary = 3
+
+// axisOrders lists, by the outcome of the three comparisons canon makes
+// between axis displacements, where each world axis goes when the axes are
+// stably sorted by descending displacement: bit 0 set, X's is below Y's;
+// bit 1, X's below Z's; bit 2, Y's below Z's. Outcomes 2 and 5 cannot
+// occur and stand for the identity.
+var axisOrders = [8][3]uint8{
+	{0, 1, 2}, {1, 0, 2}, {0, 1, 2}, {2, 0, 1},
+	{0, 2, 1}, {0, 1, 2}, {1, 2, 0}, {2, 1, 0},
+}
+
+// image returns the key of the template's image under the axis
+// permutation to (axis ax goes to to[ax]), reflected along its vary axis
+// if mirror: an arch (e, lin, lout) read from the other end is
+// (1-e, lout, lin), exactly, because e sits on a fixed grid.
+func (k classKey) image(to [3]uint8, mirror bool) classKey {
+	im := k
+	for ax, t := range to {
+		im.ext[t] = k.ext[ax]
+	}
+	if k.vary != noVary {
+		im.vary = to[k.vary]
+	}
+	if mirror && k.arch {
+		im.edge, im.lam = 1<<latticeBits-k.edge, [2]uint64{k.lam[1], k.lam[0]}
+	}
+	return im
 }
 
 // tplClass is an interned template class; id is unique for the table's
@@ -213,19 +252,24 @@ type tplClass struct {
 	q      float64 // lattice quantum
 	normal geom.Axis
 	dir    basis.VaryDir
+	vary   uint8       // as classKey.vary
 	shape  basis.Shape // FlatShape or *classShape
-	eu, ev float64     // support extents, whole multiples of q
+	ext    [3]int64    // as classKey.ext
+	// img[o][m] is the class of this class's image under axisOrders[o],
+	// mirrored along the vary axis if m == 1. Images are interned with
+	// their class, so every class of the index has the whole table.
+	img [8][2]*tplClass
 }
 
 // instance rebuilds the class's unit-amplitude template with its corner d
 // lattice units from the origin. All coordinates are exact: q is a power
 // of two and the lattice spans 41 bits.
 func (c *tplClass) instance(d [3]int64) basis.Template {
-	r := geom.Rect{Normal: c.normal}
-	r.Offset = float64(d[c.normal]) * c.q
-	u, v := float64(d[r.UAxis()])*c.q, float64(d[r.VAxis()])*c.q
-	r.U = geom.Interval{Lo: u, Hi: u + c.eu}
-	r.V = geom.Interval{Lo: v, Hi: v + c.ev}
+	r := geom.Rect{Normal: c.normal, Offset: float64(d[c.normal]) * c.q}
+	ua, va := r.UAxis(), r.VAxis()
+	u, v := float64(d[ua])*c.q, float64(d[va])*c.q
+	r.U = geom.Interval{Lo: u, Hi: u + float64(c.ext[ua])*c.q}
+	r.V = geom.Interval{Lo: v, Hi: v + float64(c.ext[va])*c.q}
 	return basis.Template{Support: r, Dir: c.dir, Shape: c.shape, Amplitude: 1}
 }
 
@@ -235,26 +279,38 @@ func roundBits(p float64) uint64 {
 	return (math.Float64bits(p) + 1<<(drop-1)) &^ (1<<drop - 1)
 }
 
-// classOf interns t's class under the integrator fingerprint cfg and the
-// lattice quantum 2^qexp. It returns nil for a template the table cannot
-// describe: a shape without a compact encoding, or a support below the
-// lattice's resolution.
+// classOf interns t's class, and with it the classes of its images, under
+// the integrator fingerprint cfg and the lattice quantum 2^qexp. It
+// returns nil for a template the table cannot describe: a shape without a
+// compact encoding, or a support below the lattice's resolution.
 func (c *PairCache) classOf(cfg uint64, qexp int, t *basis.Template) *tplClass {
 	q := math.Ldexp(1, qexp)
-	k := classKey{cfg: cfg, qexp: int32(qexp), normal: uint8(t.Support.Normal), dir: uint8(t.Dir)}
+	sup := t.Support
+	ua, va := sup.UAxis(), sup.VAxis()
+	k := classKey{cfg: cfg, qexp: int32(qexp), vary: noVary}
 	if t.Dir != basis.VaryNone {
+		k.vary = uint8(ua)
+		if t.Dir == basis.VaryV {
+			k.vary = uint8(va)
+		}
 		switch sh := t.Shape.(type) {
 		case basis.FlatShape:
 		case basis.ArchShape:
-			k.arch = true
-			k.p = [3]uint64{roundBits(sh.EdgePos), roundBits(sh.LambdaIn), roundBits(sh.LambdaOut)}
+			// The edge goes on a grid of [0, 1], not to a number of
+			// mantissa bits, so that 1-e is on it too.
+			e := math.RoundToEven(sh.EdgePos * (1 << latticeBits))
+			if !(math.Abs(e) <= 1<<(latticeBits+1)) {
+				return nil
+			}
+			k.arch, k.edge = true, int64(e)
+			k.lam = [2]uint64{roundBits(sh.LambdaIn), roundBits(sh.LambdaOut)}
 		default:
 			return nil
 		}
 	}
-	k.eu = int64(math.RoundToEven(t.Support.U.Len() / q))
-	k.ev = int64(math.RoundToEven(t.Support.V.Len() / q))
-	if k.eu <= 0 || k.ev <= 0 {
+	k.ext[ua] = int64(math.RoundToEven(sup.U.Len() / q))
+	k.ext[va] = int64(math.RoundToEven(sup.V.Len() / q))
+	if k.ext[ua] <= 0 || k.ext[va] <= 0 {
 		return nil
 	}
 	c.mu.Lock()
@@ -262,22 +318,58 @@ func (c *PairCache) classOf(cfg uint64, qexp int, t *basis.Template) *tplClass {
 	if cl := c.classes[k]; cl != nil {
 		return cl
 	}
-	if len(c.classes) >= maxClasses {
+	// A new class brings its orbit under the six axis orders and the
+	// mirror: at most 12 classes, each other's images.
+	if len(c.classes)+12 > maxClasses {
 		// Forget the index, not the ids: entries of forgotten classes
 		// can never be reached again and age out with their shards.
 		clear(c.classes)
 	}
-	c.lastID++
-	cl := &tplClass{id: c.lastID, q: q, normal: t.Support.Normal, dir: t.Dir,
-		shape: basis.FlatShape{}, eu: float64(k.eu) * q, ev: float64(k.ev) * q}
+	var orbit [8][2]classKey
+	for o, to := range axisOrders {
+		for m := range orbit[o] {
+			ik := k.image(to, m == 1)
+			orbit[o][m] = ik
+			if c.classes[ik] == nil {
+				c.lastID++
+				c.classes[ik] = newClass(c.lastID, q, &ik)
+			}
+		}
+	}
+	for o := range orbit {
+		for _, ik := range orbit[o] {
+			cl := c.classes[ik]
+			for o2, to := range axisOrders {
+				for m := range cl.img[o2] {
+					cl.img[o2][m] = c.classes[ik.image(to, m == 1)]
+				}
+			}
+		}
+	}
+	return c.classes[k]
+}
+
+// newClass builds the class that key k describes.
+func newClass(id uint32, q float64, k *classKey) *tplClass {
+	cl := &tplClass{id: id, q: q, vary: k.vary, shape: basis.FlatShape{}, ext: k.ext}
+	for ax, e := range k.ext {
+		if e == 0 {
+			cl.normal = geom.Axis(ax)
+		}
+	}
+	if k.vary != noVary {
+		cl.dir = basis.VaryV
+		if geom.Axis(k.vary) == (geom.Rect{Normal: cl.normal}).UAxis() {
+			cl.dir = basis.VaryU
+		}
+	}
 	if k.arch {
 		cl.shape = &classShape{ArchShape: basis.ArchShape{
-			EdgePos:   math.Float64frombits(k.p[0]),
-			LambdaIn:  math.Float64frombits(k.p[1]),
-			LambdaOut: math.Float64frombits(k.p[2]),
+			EdgePos:   float64(k.edge) / (1 << latticeBits),
+			LambdaIn:  math.Float64frombits(k.lam[0]),
+			LambdaOut: math.Float64frombits(k.lam[1]),
 		}}
 	}
-	c.classes[k] = cl
 	return cl
 }
 

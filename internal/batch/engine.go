@@ -10,12 +10,12 @@
 //     template basis sets keyed by an exact geometry signature,
 //     tabulated collocation kernels keyed by their spec, and pre-warmed
 //     quadrature rule sets;
-//   - shares one translation-class table (assembly.PairCache) across all
+//   - shares one symmetry-class table (assembly.PairCache) across all
 //     extractions. A lone Extract already integrates each class of its
 //     structure once; the shared table adds reuse across structures, so
 //     a repeated-template corpus (the same bus extracted many times, or
-//     translated copies of one crossing layout) integrates nothing
-//     after the first; and
+//     translated, mirrored or turned copies of one crossing layout)
+//     integrates nothing after the first; and
 //   - schedules every fill's chunks onto one persistent work-stealing
 //     worker pool instead of spawning per-call goroutines.
 //
@@ -77,7 +77,7 @@ type Options struct {
 	// CacheEntries bounds the state LRU (basis sets, kernel tables,
 	// quadrature warm sets; 0 = 64).
 	CacheEntries int
-	// PairCacheEntries bounds the shared translation-class table
+	// PairCacheEntries bounds the shared symmetry-class table
 	// (0 = default 1<<18).
 	PairCacheEntries int
 	// DisableCache turns off both the state LRU and the shared class

@@ -173,7 +173,7 @@ func corpus16() []*geom.Structure {
 
 // TestEngineBatchWork is the engine's acceptance criterion as work done,
 // not wall time: across the repeated-template corpus the engine
-// integrates the corpus' translation classes once and builds its basis
+// integrates the corpus' symmetry classes once and builds its basis
 // once, and a lone Extract already integrates each class of its own
 // structure once, so what the engine adds is the reuse across
 // structures. BenchmarkEngineBatch has the timing.

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"math"
+
 	"parbem/internal/geom"
 	"parbem/internal/quad"
 )
@@ -76,6 +78,39 @@ func rectPotentialAt(s geom.Rect, p geom.Vec3) float64 {
 	return RectPotential(s.U.Lo, s.U.Hi, s.V.Lo, s.V.Hi, pu, pv, pz)
 }
 
+// Source is a source rectangle whose potential is wanted at many points,
+// with its axes resolved once. A point is its three world coordinates
+// indexed by axis: a caller sweeping a target plane rewrites two of them
+// per point, and nothing is dispatched on an axis in between.
+type Source struct {
+	r    geom.Rect
+	u, v geom.Axis
+}
+
+// NewSource prepares s as a Source.
+func NewSource(s geom.Rect) Source { return Source{r: s, u: s.UAxis(), v: s.VAxis()} }
+
+// Potential is the collocation closed form of the source at p,
+// int_s 1/|p-r'| ds' without the 1/(4*pi*eps) prefactor: rectPotentialAt
+// on resolved axes.
+func (s *Source) Potential(p *[3]float64) float64 {
+	r := &s.r
+	return RectPotential(r.U.Lo, r.U.Hi, r.V.Lo, r.V.Hi, p[s.u], p[s.v], p[r.Normal]-r.Offset)
+}
+
+// Collocation is Potential under the approximation-distance dispatch: a
+// point in the far field sees the source as a point charge.
+func (s *Source) Collocation(cfg *Config, p *[3]float64) float64 {
+	if !cfg.DisableApprox {
+		r := &s.r
+		dn, du, dv := p[r.Normal]-r.Offset, r.U.DistTo(p[s.u]), r.V.DistTo(p[s.v])
+		if math.Sqrt(dn*dn+du*du+dv*dv) > cfg.FarFactor*r.Diameter() {
+			return r.Area() / r.Center().Dist(geom.Vec3{X: p[0], Y: p[1], Z: p[2]})
+		}
+	}
+	return s.Potential(p)
+}
+
 // rectGalerkinPerp evaluates the Galerkin integral for perpendicular
 // rectangles: outer tensor Gauss quadrature over the target, inner 2-D
 // closed form over the source (paper Eq. 7 structure). Perpendicular
@@ -91,21 +126,14 @@ func rectGalerkinPerp(cfg *Config, t, s geom.Rect) float64 {
 	} else if d < diam {
 		order = min(order*2, quad.MaxOrder)
 	}
+	src := NewSource(s)
+	tu, tv := t.UAxis(), t.VAxis()
+	var p [3]float64
+	p[t.Normal] = t.Offset
 	return quad.Integrate2D(func(u, v float64) float64 {
-		return rectPotentialAt(s, t.Point(u, v))
+		p[tu], p[tv] = u, v
+		return src.Potential(&p)
 	}, t.U.Lo, t.U.Hi, t.V.Lo, t.V.Hi, order, order)
-}
-
-// RectCollocation computes the potential integral of source rectangle s at
-// point p: int_s 1/|p-r'| ds'. The 1/(4*pi*eps) prefactor is omitted.
-func RectCollocation(cfg *Config, s geom.Rect, p geom.Vec3) float64 {
-	if !cfg.DisableApprox {
-		d := s.DistToPoint(p)
-		if d > cfg.FarFactor*s.Diameter() {
-			return s.Area() / s.Center().Dist(p)
-		}
-	}
-	return rectPotentialAt(s, p)
 }
 
 // SelfGalerkin computes the Galerkin self-term of a rectangle: the 4-D

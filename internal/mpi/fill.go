@@ -42,10 +42,11 @@ func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *lin
 // bitwise the one assembly.FillSerial returns: partitions are aligned to
 // columns of P, so no entry's sum is split across ranks or chunks.
 //
-// Ranks share no memory, so each integrates the translation classes of
-// its partition into a table of its own (in.Pairs is not used) and
-// reports its work counters in its header message; rank 0 credits the
-// sum to in.
+// Ranks share no memory, so each integrates the symmetry classes of its
+// partition into a table of its own (in.Pairs is not used) and reports
+// its work counters in its header message; rank 0 credits the sum to in.
+// A class value is a pure function of its key, so a class that several
+// ranks integrate has the same bits on each.
 //
 // The rank-local fill runs through the same chunk scheduler as the
 // shared-memory backend (assembly.FillRanges): the rank's k-range is

@@ -13,7 +13,8 @@
 // ChunksPerWorker*D chunks claimed from a shared queue — the standard
 // OpenMP "schedule(dynamic)" refinement that absorbs the cost variance
 // between template pairs, which is large: a pair costs a table lookup
-// unless it is the first of its translation class. The ablation benchmark
+// unless it is the first of its symmetry class (its like under
+// translations, reflections and axis permutations). The ablation benchmark
 // (BenchmarkAblationDivision) quantifies the difference. Either way the
 // matrix is bitwise the one assembly.FillSerial returns.
 package par

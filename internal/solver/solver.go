@@ -78,7 +78,7 @@ type Options struct {
 	// Tables; no TableGen cost is incurred).
 	Tab *tabulate.Collocation
 
-	// Pairs, when non-nil, is the translation-class table this fill
+	// Pairs, when non-nil, is the symmetry-class table this fill
 	// reads and extends (the batch engine shares one across its
 	// extractions). Nil gives the fill a table of its own, so a lone
 	// extraction still integrates each class of its structure once. See
@@ -110,7 +110,7 @@ type Result struct {
 	MatrixBytes int
 	Timing      Timing
 	// Fill counts the work of the system setup: far and near template
-	// pairs, translation classes integrated, and the class table's size.
+	// pairs, symmetry classes integrated, and the class table's size.
 	Fill assembly.FillStats
 	// Set is the generated basis (exposed for diagnostics and examples).
 	Set *basis.Set

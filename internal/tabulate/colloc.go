@@ -188,7 +188,7 @@ func (c *Collocation) EvalCoords(u1, u2, v1, v2, pu, pv, pz float64) (v float64,
 }
 
 // EvalRect evaluates the collocation potential of rectangle s at point p
-// (the tabulated counterpart of kernel.RectCollocation without the
+// (the tabulated counterpart of kernel.Source.Collocation without the
 // far-field dispatch, which callers apply first).
 func (c *Collocation) EvalRect(s geom.Rect, p geom.Vec3) (float64, bool) {
 	pu := p.Component(s.UAxis())

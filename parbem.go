@@ -253,7 +253,7 @@ type (
 	// sizes and per-phase timing.
 	Result = solver.Result
 	// FillStats is Result.Fill: the template pairs of the system setup
-	// by far and near, the translation classes integrated for the near
+	// by far and near, the symmetry classes integrated for the near
 	// ones, and the class table's size.
 	FillStats = assembly.FillStats
 	// Backend selects serial, shared-memory or distributed execution.
@@ -293,7 +293,7 @@ func Extract(st *Structure, opt Options) (*Result, error) {
 // Batch extraction engine types (see internal/batch for details).
 type (
 	// Engine is a batch extraction service: persistent worker pool plus
-	// caches of basis sets, kernel tables and translation-class
+	// caches of basis sets, kernel tables and symmetry-class
 	// integrals shared across extractions.
 	Engine = batch.Engine
 	// EngineOptions configures NewEngine; the zero value is a

@@ -13,8 +13,9 @@ import (
 // TestDirectSolvePinnedBus16 pins what the benchmark's tmpl_bus16 gate
 // checks, as work rather than wall clock: the 16x16 bus against the
 // benchmark's own reference, an order of magnitude inside its limit of
-// 1e-8 (κ ≈ 5e3 and the translation-class lattice leave ~1e-11); what
-// the factorization found on the way; and the solve step's allocation,
+// 1e-8 (κ ≈ 5e3 and the class table's lattice and isometries leave
+// ~1e-11); the work of the fill, as counts that repeat exactly; what the
+// factorization found on the way; and the solve step's allocation,
 // which must stay at one N² working copy plus the panel workspace — a
 // second copy of the matrix, or a second attempt at factoring it, fails
 // here.
@@ -49,6 +50,14 @@ func TestDirectSolvePinnedBus16(t *testing.T) {
 	}
 	if v := CheckMaxwell(res.C, 0); len(v) > 0 {
 		t.Errorf("not of Maxwell form: %v", v)
+	}
+	// 54 598 classes and a 2.75 MB table under translations alone.
+	if f := res.Fill; f.PairsFar != 548016 || f.PairsNear != 945840 || f.ClassesIntegrated > 21000 || f.TableBytes > 1.2e6 {
+		t.Errorf("fill: %d far and %d near pairs in %d classes, table %d bytes; want 548016 and 945840 in at most 21000, 1.2 MB",
+			f.PairsFar, f.PairsNear, f.ClassesIntegrated, f.TableBytes)
+	}
+	if res.Inertia != (linalg.Inertia{Negative: 1, Blocks2x2: 1}) {
+		t.Errorf("inertia %+v, want one negative pivot in one 2x2 block", res.Inertia)
 	}
 
 	// The solve step again, as solver.ExtractSet runs it, between two
