@@ -19,7 +19,6 @@ import (
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
 	"parbem/internal/mpi"
-	"parbem/internal/par"
 	"parbem/internal/pcbem"
 	"parbem/internal/pfft"
 	"parbem/internal/ratfit"
@@ -231,28 +230,6 @@ func BenchmarkFig2_CrossingProfileExtraction(b *testing.B) {
 }
 
 // ---- Ablations (design choices from DESIGN.md) ----
-
-// BenchmarkAblationDivision compares the paper's static equal-count
-// partition against cost-weighted dynamic chunking at D=4.
-func BenchmarkAblationDivision_Static(b *testing.B) {
-	st := NewBus(6, 6).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
-	in := assembly.NewIntegrator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		par.Fill(set, in, par.Options{Workers: 4, Static: true})
-	}
-}
-
-func BenchmarkAblationDivision_Dynamic(b *testing.B) {
-	st := NewBus(6, 6).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
-	in := assembly.NewIntegrator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		par.Fill(set, in, par.Options{Workers: 4})
-	}
-}
 
 // BenchmarkAblationApproxDistance quantifies the approximation-distance
 // dimension reduction (paper Section 4.1).

@@ -10,7 +10,7 @@
 //	capx -structure interconnect -backend mpi -workers 10
 //
 // Batch mode extracts many geometry files through one shared engine
-// (persistent worker pool, basis/table/pair-integral caches), which is
+// (persistent worker pool, basis and symmetry-class caches), which is
 // several times faster than separate runs when structures repeat:
 //
 //	capx -batch -workers 8 bus1.geo bus2.geo bus3.geo
@@ -23,8 +23,6 @@
 //
 //	capx -structure bus -m 16 -n 16 -backend auto -edge 4e-7 -tol 1e-5
 //	capx -structure bus -backend fastcap -precond block
-//
-// The legacy -baseline flag maps onto the same pipeline path.
 //
 // Sweep mode runs a separation (H) sweep of the crossing or bus
 // structure through one staged extraction plan: after the first point,
@@ -70,7 +68,7 @@ func main() {
 		input     = flag.String("input", "", "read structure from a geometry file instead")
 		m         = flag.Int("m", 8, "bus: lower-layer wire count")
 		n         = flag.Int("n", 8, "bus: upper-layer wire count")
-		backend   = flag.String("backend", "serial", "instantiable solver: serial | shared | mpi; piecewise-constant pipeline: auto | dense | fastcap | pfft")
+		backend   = flag.String("backend", "serial", "instantiable-basis solver, by fill backend: serial | shared | mpi; piecewise-constant pipeline, by operator: auto | dense | fastcap | pfft")
 		precond   = flag.String("precond", "auto", "pipeline preconditioner: auto | none | jacobi | block")
 		precision = flag.String("precision", "auto", "pipeline matvec arithmetic: auto | fp64 | mixed (float32 operator inside float64 refinement)")
 		workers   = flag.Int("workers", 4, "parallel nodes D")
@@ -79,10 +77,8 @@ func main() {
 		spice     = flag.String("spice", "", "also write a SPICE netlist to this file")
 		check     = flag.Bool("check", true, "validate the Maxwell matrix structure")
 		batchMode = flag.Bool("batch", false, "batch mode: extract the geometry files given as arguments through one shared engine")
-		tables    = flag.Bool("tables", false, "enable the tabulated collocation kernel (Section 4.2.1)")
-		baseline  = flag.String("baseline", "", "run a piecewise-constant baseline instead: fastcap | pfft | dense")
-		tol       = flag.Float64("tol", 1e-4, "baseline iterative solver relative tolerance")
-		edge      = flag.Float64("edge", 0.5e-6, "baseline max panel edge (m)")
+		tol       = flag.Float64("tol", 1e-4, "pipeline iterative solver relative tolerance")
+		edge      = flag.Float64("edge", 0.5e-6, "pipeline max panel edge (m)")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON (capacitance matrix, backend/precond, iterations, per-stage timings) instead of text")
 		sweep     = flag.Int("sweep", 0, "h-sweep mode: extract N separation variants through one staged plan (crossing or bus structure)")
 		hmin      = flag.Float64("hmin", 0, "sweep: smallest separation (0 = 0.6x the structure default)")
@@ -99,7 +95,7 @@ func main() {
 		if *spice != "" {
 			log.Fatal("-spice is not supported in batch mode")
 		}
-		runBatch(flag.Args(), *backend, *workers, *tables, *check, *units, *maxPrint)
+		runBatch(flag.Args(), *backend, *workers, *check, *units, *maxPrint)
 		return
 	}
 
@@ -132,30 +128,21 @@ func main() {
 	}
 
 	if *remote != "" {
-		kind := *backend
-		if *baseline != "" {
-			kind = *baseline
+		if !isPipelineBackend(*backend) {
+			log.Fatalf("-remote needs a pipeline backend (auto|dense|fastcap|pfft), got %q", *backend)
 		}
-		if !isPipelineBackend(kind) {
-			log.Fatalf("-remote needs a pipeline backend (auto|dense|fastcap|pfft), got %q", kind)
-		}
-		runRemote(*remote, st, kind, *precond, *precision, *edge, *tol, *units, *maxPrint, *check, *jsonOut)
-		return
-	}
-	if *baseline != "" {
-		runPipeline(st, *baseline, *precond, *precision, *edge, *tol, *workers, *units, *maxPrint, *check, *jsonOut)
+		runRemote(*remote, st, *backend, *precond, *precision, *edge, *tol, *units, *maxPrint, *check, *jsonOut)
 		return
 	}
 	if isPipelineBackend(*backend) {
 		runPipeline(st, *backend, *precond, *precision, *edge, *tol, *workers, *units, *maxPrint, *check, *jsonOut)
 		return
 	}
-	opt := parbem.Options{Workers: *workers, Tables: *tables}
 	be, err := parseBackend(*backend)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt.Backend = be
+	opt := parbem.Options{Backend: be, Workers: *workers}
 
 	res, err := parbem.Extract(st, opt)
 	if err != nil {
@@ -170,7 +157,6 @@ func main() {
 			N         int              `json:"basis_functions"`
 			M         int              `json:"templates"`
 			BasisMs   float64          `json:"basis_ms"`
-			TablesMs  float64          `json:"tables_ms"`
 			SetupMs   float64          `json:"setup_ms"`
 			SolveMs   float64          `json:"solve_ms"`
 			TotalMs   float64          `json:"total_ms"`
@@ -182,8 +168,8 @@ func main() {
 			Warnings  []string         `json:"maxwell_warnings,omitempty"`
 		}{
 			Structure: st.Name, Backend: opt.Backend.String(), N: res.N, M: res.M,
-			BasisMs: ms(res.Timing.BasisGen), TablesMs: ms(res.Timing.TableGen),
-			SetupMs: ms(res.Timing.Setup), SolveMs: ms(res.Timing.Solve), TotalMs: ms(res.Timing.Total),
+			BasisMs: ms(res.Timing.BasisGen), SetupMs: ms(res.Timing.Setup),
+			SolveMs: ms(res.Timing.Solve), TotalMs: ms(res.Timing.Total),
 			Fill: res.Fill, NegPivots: res.Inertia.Negative, Pivots2x2: res.Inertia.Blocks2x2,
 			Names: conductorNames(st), CFarads: matrixRows(res.C),
 			Warnings: parbem.CheckMaxwell(res.C, 0),
@@ -196,13 +182,8 @@ func main() {
 	fmt.Printf("basis     : N = %d functions, M = %d templates (M/N = %.2f)\n",
 		res.N, res.M, float64(res.M)/float64(res.N))
 	fmt.Printf("memory    : %.1f KB system matrix\n", float64(res.MatrixBytes)/1024)
-	if res.Timing.TableGen > 0 {
-		fmt.Printf("timing    : basis %v | tables %v | setup %v | solve %v | total %v\n",
-			res.Timing.BasisGen, res.Timing.TableGen, res.Timing.Setup, res.Timing.Solve, res.Timing.Total)
-	} else {
-		fmt.Printf("timing    : basis %v | setup %v | solve %v | total %v\n",
-			res.Timing.BasisGen, res.Timing.Setup, res.Timing.Solve, res.Timing.Total)
-	}
+	fmt.Printf("timing    : basis %v | setup %v | solve %v | total %v\n",
+		res.Timing.BasisGen, res.Timing.Setup, res.Timing.Solve, res.Timing.Total)
 	fmt.Printf("setup %%   : %.1f%%\n",
 		100*float64(res.Timing.Setup)/float64(res.Timing.Total))
 	definite := "positive definite"
@@ -214,37 +195,49 @@ func main() {
 	fmt.Printf("fill      : %d far pairs | %d near pairs in %d symmetry classes | table %.1f KB\n\n",
 		res.Fill.PairsFar, res.Fill.PairsNear, res.Fill.ClassesIntegrated, float64(res.Fill.TableBytes)/1024)
 
-	names := make([]string, st.NumConductors())
-	for i, c := range st.Conductors {
-		names[i] = c.Name
-	}
+	printCapacitance(st, res.C, *check, *spice, false, *units, *maxPrint)
+}
 
-	if *check {
-		if violations := parbem.CheckMaxwell(res.C, 0); len(violations) > 0 {
-			fmt.Println("Maxwell-matrix warnings:")
-			for _, v := range violations {
-				fmt.Printf("  %s\n", v)
-			}
-			fmt.Println()
+// printCapacitance ends every local report: under -check the violations
+// of the Maxwell structure, then the matrix under the conductors' names.
+// A non-empty spice also writes the matrix there as a SPICE netlist.
+// Batch mode prints one of these per file and asks for the compact form:
+// a "warning:" line per violation, no headings.
+func printCapacitance(st *parbem.Structure, c *parbem.Matrix, check bool, spice string, compact bool, units float64, maxPrint int) {
+	names := conductorNames(st)
+	var violations []string
+	if check {
+		violations = parbem.CheckMaxwell(c, 0)
+	}
+	if compact {
+		for _, v := range violations {
+			fmt.Printf("  warning: %s\n", v)
 		}
+		printMatrix(c, units, names, maxPrint)
+		return
 	}
-
-	if *spice != "" {
-		f, err := os.Create(*spice)
+	if len(violations) > 0 {
+		fmt.Println("Maxwell-matrix warnings:")
+		for _, v := range violations {
+			fmt.Printf("  %s\n", v)
+		}
+		fmt.Println()
+	}
+	if spice != "" {
+		f, err := os.Create(spice)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := parbem.WriteSpice(f, res.C, names, 1e-20); err != nil {
+		if err := parbem.WriteSpice(f, c, names, 1e-20); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("netlist   : %s\n\n", *spice)
+		fmt.Printf("netlist   : %s\n\n", spice)
 	}
-
 	fmt.Println("capacitance matrix (scaled):")
-	printMatrix(res.C, *units, names, *maxPrint)
+	printMatrix(c, units, names, maxPrint)
 }
 
 // printMatrix prints the full matrix up to maxPrint conductors, else the
@@ -304,7 +297,7 @@ func pipelineOptions(kind, precond, precision string, tol float64, workers int) 
 		opt.Backend = parbem.BackendDense
 		// An explicit -precond request means the user wants the
 		// preconditioned iterative path; the default is the direct
-		// factorization (the historical -baseline dense behavior).
+		// factorization.
 		opt.Direct = precond == "" || precond == "auto"
 	default:
 		log.Fatalf("unknown pipeline backend %q (want auto, dense, fastcap or pfft)", kind)
@@ -403,22 +396,7 @@ func runPipeline(st *parbem.Structure, kind, precond, precision string, edge, to
 			res.Iterations, tol, precond, res.Precision)
 	}
 	fmt.Printf("timing    : setup %v | solve %v | total %v\n\n", res.SetupTime, res.SolveTime, total)
-
-	names := make([]string, st.NumConductors())
-	for i, c := range st.Conductors {
-		names[i] = c.Name
-	}
-	if check {
-		if violations := parbem.CheckMaxwell(res.C, 0); len(violations) > 0 {
-			fmt.Println("Maxwell-matrix warnings:")
-			for _, v := range violations {
-				fmt.Printf("  %s\n", v)
-			}
-			fmt.Println()
-		}
-	}
-	fmt.Println("capacitance matrix (scaled):")
-	printMatrix(res.C, units, names, maxPrint)
+	printCapacitance(st, res.C, check, "", false, units, maxPrint)
 }
 
 // sweepPoint is the per-variant record of a sweep (shared by the text
@@ -436,31 +414,31 @@ type sweepPoint struct {
 	CFarads    [][]float64 `json:"c_farads,omitempty"`
 }
 
-// runSweep extracts a separation sweep through one staged plan
-// (parbem.NewPlan) and reports per-point timings, reuse and the
-// cold-vs-warm amortization.
-func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, precond, precision string, edge, tol float64, workers int, jsonOut bool) {
+// sweepRange checks the -sweep flags and resolves them into what both
+// sweep modes run on: the builder of the structure at separation h and
+// the range of h (a zero bound defaults to 0.6x / 2x the structure's own
+// separation).
+func sweepRange(structure string, m, n, points int, hmin, hmax float64, backend string) (func(h float64) *parbem.Structure, float64, float64) {
 	if !isPipelineBackend(backend) {
 		log.Fatalf("-sweep needs a pipeline backend (auto|dense|fastcap|pfft), got %q", backend)
 	}
-	defH := 0.0
-	variant := func(h float64) *parbem.Structure {
-		switch structure {
-		case "crossing":
+	var defH float64
+	var variant func(h float64) *parbem.Structure
+	switch structure {
+	case "crossing":
+		defH = parbem.NewCrossingPair().H
+		variant = func(h float64) *parbem.Structure {
 			sp := parbem.NewCrossingPair()
 			sp.H = h
 			return sp.Build()
-		default: // bus
+		}
+	case "bus":
+		defH = parbem.NewBus(m, n).H
+		variant = func(h float64) *parbem.Structure {
 			sp := parbem.NewBus(m, n)
 			sp.H = h
 			return sp.Build()
 		}
-	}
-	switch structure {
-	case "crossing":
-		defH = parbem.NewCrossingPair().H
-	case "bus":
-		defH = parbem.NewBus(m, n).H
 	default:
 		log.Fatalf("-sweep supports the crossing and bus structures (their separation H), got %q", structure)
 	}
@@ -473,6 +451,14 @@ func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, p
 	if points < 2 || hmax <= hmin {
 		log.Fatalf("bad sweep range: %d points over [%g, %g]", points, hmin, hmax)
 	}
+	return variant, hmin, hmax
+}
+
+// runSweep extracts a separation sweep through one staged plan
+// (parbem.NewPlan) and reports per-point timings, reuse and the
+// cold-vs-warm amortization.
+func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, precond, precision string, edge, tol float64, workers int, jsonOut bool) {
+	variant, hmin, hmax := sweepRange(structure, m, n, points, hmin, hmax, backend)
 
 	p, err := parbem.NewPlan(parbem.PlanOptions{
 		MaxEdge:  edge,
@@ -608,42 +594,10 @@ func runRemote(base string, st *parbem.Structure, kind, precond, precision strin
 }
 
 // runRemoteSweep streams an h-sweep through a capxd daemon: the variant
-// geometries are built locally (same range logic as runSweep) and ride
-// the server's family-keyed plan cache.
+// geometries are built locally (sweepRange, as in runSweep) and ride the
+// server's family-keyed plan cache.
 func runRemoteSweep(base, structure string, m, n, points int, hmin, hmax float64, backend, precond, precision string, edge, tol float64, jsonOut bool) {
-	if !isPipelineBackend(backend) {
-		log.Fatalf("-sweep needs a pipeline backend (auto|dense|fastcap|pfft), got %q", backend)
-	}
-	var defH float64
-	variant := func(h float64) *parbem.Structure {
-		switch structure {
-		case "crossing":
-			sp := parbem.NewCrossingPair()
-			sp.H = h
-			return sp.Build()
-		default:
-			sp := parbem.NewBus(m, n)
-			sp.H = h
-			return sp.Build()
-		}
-	}
-	switch structure {
-	case "crossing":
-		defH = parbem.NewCrossingPair().H
-	case "bus":
-		defH = parbem.NewBus(m, n).H
-	default:
-		log.Fatalf("-sweep supports the crossing and bus structures (their separation H), got %q", structure)
-	}
-	if hmin == 0 {
-		hmin = 0.6 * defH
-	}
-	if hmax == 0 {
-		hmax = 2 * defH
-	}
-	if points < 2 || hmax <= hmin {
-		log.Fatalf("bad sweep range: %d points over [%g, %g]", points, hmin, hmax)
-	}
+	variant, hmin, hmax := sweepRange(structure, m, n, points, hmin, hmax, backend)
 
 	req := &serve.SweepRequest{EdgeM: edge, Backend: backend, Precond: precond, Precision: precision, Tol: tol}
 	hs := make([]float64, points)
@@ -709,7 +663,7 @@ func parseBackend(name string) (parbem.Backend, error) {
 
 // runBatch extracts every geometry file through one shared engine and
 // prints a per-structure summary plus aggregate cache statistics.
-func runBatch(files []string, backend string, workers int, tables, check bool, units float64, maxPrint int) {
+func runBatch(files []string, backend string, workers int, check bool, units float64, maxPrint int) {
 	if len(files) == 0 {
 		log.Fatal("batch mode needs geometry files as arguments")
 	}
@@ -731,12 +685,7 @@ func runBatch(files []string, backend string, workers int, tables, check bool, u
 		structures[i] = st
 	}
 
-	engOpt := parbem.EngineOptions{
-		Backend: be,
-		Workers: workers,
-		Tables:  tables,
-	}
-	eng := parbem.NewEngine(engOpt)
+	eng := parbem.NewEngine(parbem.EngineOptions{Backend: be, Workers: workers})
 	defer eng.Close()
 
 	t0 := time.Now()
@@ -749,16 +698,7 @@ func runBatch(files []string, backend string, workers int, tables, check bool, u
 	for i, res := range results {
 		fmt.Printf("%-24s %3d conductors  N=%4d  M=%4d  setup %v\n",
 			files[i], structures[i].NumConductors(), res.N, res.M, res.Timing.Setup)
-		if check {
-			for _, v := range parbem.CheckMaxwell(res.C, 0) {
-				fmt.Printf("  warning: %s\n", v)
-			}
-		}
-		names := make([]string, structures[i].NumConductors())
-		for j, c := range structures[i].Conductors {
-			names[j] = c.Name
-		}
-		printMatrix(res.C, units, names, maxPrint)
+		printCapacitance(structures[i], res.C, check, "", true, units, maxPrint)
 		fmt.Println()
 	}
 	s := eng.Stats()

@@ -136,7 +136,6 @@ func run(args []string) int {
 		tenantRate   = fs.Float64("tenant-rate", 0, "per-tenant admitted requests/sec via X-Tenant header (0 = unlimited)")
 		tenantBurst  = fs.Int("tenant-burst", 0, "per-tenant burst capacity (0 = ceil(rate))")
 		cache        = fs.Int("cache", 0, "state/plan LRU entries (0 = default 64)")
-		pairCache    = fs.Int("paircache", 0, "pair-integral cache entries (0 = default)")
 		maxBody      = fs.Int64("maxbody", 0, "request body cap in bytes (0 = default 8 MiB)")
 		maxPanels    = fs.Int("maxpanels", 0, "per-request estimated panel cap (0 = default 200000)")
 		history      = fs.Int("jobhistory", 0, "finished jobs kept for GET /jobs/{id} (0 = default 256)")
@@ -203,7 +202,6 @@ func run(args []string) int {
 		TenantRate:       *tenantRate,
 		TenantBurst:      *tenantBurst,
 		CacheEntries:     *cache,
-		PairCacheEntries: *pairCache,
 		JobHistory:       *history,
 		DataDir:          *dataDir,
 		ArtifactDir:      artifactDir,

@@ -163,9 +163,6 @@ func TestBackendConsistency(t *testing.T) {
 				{"distributed-3", func() (*Result, error) {
 					return Extract(st, Options{Backend: Distributed, Workers: 3})
 				}},
-				{"distributed-3x2threads", func() (*Result, error) {
-					return Extract(st, Options{Backend: Distributed, Workers: 3, ThreadsPerRank: 2})
-				}},
 				// Twice through the engine: the second run is served
 				// from the basis and pair-integral caches and must not
 				// drift either.

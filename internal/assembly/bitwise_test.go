@@ -27,10 +27,8 @@ func TestFillBitwiseAcrossBackends(t *testing.T) {
 		}
 	}
 	for _, w := range []int{1, 2, 4} {
-		for _, static := range []bool{true, false} {
-			P := par.Fill(set, assembly.NewIntegrator(), par.Options{Workers: w, Static: static})
-			check(fmt.Sprintf("par workers=%d static=%v", w, static), P.Data)
-		}
+		P := par.Fill(set, assembly.NewIntegrator(), par.Options{Workers: w})
+		check(fmt.Sprintf("par workers=%d", w), P.Data)
 	}
 	// Every rank fills from a table of its own, with class ids in the
 	// order its partition meets them. The ranks' counters arrive by
@@ -41,8 +39,8 @@ func TestFillBitwiseAcrossBackends(t *testing.T) {
 	s := serial.FillStats()
 	for _, ranks := range []int{1, 2, 3, 4, 10} {
 		in := assembly.NewIntegrator()
-		P := mpi.FillDistributedOpts(set, in, mpi.NewNetwork(ranks), mpi.FillOptions{ThreadsPerRank: 2})
-		check(fmt.Sprintf("mpi %d ranks x 2 threads", ranks), P.Data)
+		P := mpi.FillDistributed(set, in, mpi.NewNetwork(ranks))
+		check(fmt.Sprintf("mpi %d ranks", ranks), P.Data)
 		d := in.FillStats()
 		if d.PairsFar != s.PairsFar || d.PairsNear != s.PairsNear {
 			t.Errorf("%d ranks counted %d far + %d near pairs, serial %d + %d", ranks, d.PairsFar, d.PairsNear, s.PairsFar, s.PairsNear)

@@ -168,26 +168,15 @@ func FillSerial(set *basis.Set, in *Integrator) *linalg.Dense {
 // partitions (the paper's equal division; the last partition absorbs the
 // remainder). It returns the d+1 boundaries.
 func PartitionK(K int64, d int) []int64 {
-	return PartitionRange(0, K, d)
-}
-
-// PartitionRange splits [lo, hi) into d near-equal contiguous partitions,
-// returning the d+1 boundaries. It generalizes PartitionK to sub-ranges so
-// a distributed-memory rank can re-chunk its own partition for its local
-// scheduler.
-func PartitionRange(lo, hi int64, d int) []int64 {
 	if d < 1 {
 		d = 1
 	}
-	if hi < lo {
-		hi = lo
-	}
 	bounds := make([]int64, d+1)
-	per := (hi - lo) / int64(d)
-	for i := 0; i <= d; i++ {
-		bounds[i] = lo + int64(i)*per
+	per := K / int64(d)
+	for i := range bounds {
+		bounds[i] = int64(i) * per
 	}
-	bounds[d] = hi
+	bounds[d] = K
 	return bounds
 }
 

@@ -78,21 +78,13 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/quad"
-	"parbem/internal/tabulate"
 )
 
 // Integrator evaluates template-pair Galerkin integrals under a kernel
 // configuration. Apart from the fill counters it is stateless, and it is
-// safe for concurrent use; Cfg and Tab must not change once it is in use.
+// safe for concurrent use; Cfg must not change once it is in use.
 type Integrator struct {
 	Cfg *kernel.Config
-
-	// Tab, when non-nil, serves in-domain rectangle collocation
-	// potentials from the tabulated kernel (paper Section 4.2.1)
-	// instead of the closed form; out-of-domain queries fall back. It
-	// changes integral values within the table's interpolation error,
-	// so it is opt-in (solver.Options.Tables / the batch engine).
-	Tab *tabulate.Collocation
 
 	// Pairs is the table of symmetry-class integrals the fills of this
 	// integrator read and extend (see PairCache): share one to reuse
@@ -232,14 +224,6 @@ func (in *Integrator) templatePairNear(ti, tj *basis.Template, d, diam float64) 
 	cfg := in.Cfg
 
 	if ti.IsFlat() && tj.IsFlat() {
-		if in.Tab != nil && !cfg.DisableApprox && d > cfg.MidFactor*diam {
-			// The tabulated counterpart of RectGalerkin's intermediate
-			// branch: collocate the target at its center against the
-			// tabulated source potential.
-			if v, ok := in.Tab.EvalRect(tj.Support, ti.Support.Center()); ok {
-				return ti.Amplitude * tj.Amplitude * ti.Support.Area() * v
-			}
-		}
 		return ti.Amplitude * tj.Amplitude * kernel.RectGalerkin(cfg, ti.Support, tj.Support)
 	}
 
@@ -373,10 +357,6 @@ func (in *Integrator) pairCrossAxis(ti, tj *basis.Template, q int) float64 {
 	var na, nb nodeBuf
 	na.fill(ti.Shape, vi, q)
 	nb.fill(tj.Shape, vj, q)
-	tab := in.Tab
-	if in.Cfg.DisableApprox {
-		tab = nil // full-accuracy mode: no tabulated kernels
-	}
 	var sum float64
 	for a := 0; a < na.n; a++ {
 		wa := na.w[a]
@@ -386,16 +366,9 @@ func (in *Integrator) pairCrossAxis(ti, tj *basis.Template, q int) float64 {
 		u := na.x[a] // ti's varying coordinate == tj's flat axis coordinate
 		// The two flat directions integrate in closed form: a 2-D
 		// rectangle integral of 1/r over [fj] x [fi] evaluated at the
-		// in-plane point (u, vp) with plane separation Z — served from
-		// the tabulated kernel when the normalized query is in domain.
+		// in-plane point (u, vp) with plane separation Z.
 		var inner float64
 		for b := 0; b < nb.n; b++ {
-			if tab != nil {
-				if v, ok := tab.EvalCoords(fj.Lo, fj.Hi, fi.Lo, fi.Hi, u, nb.x[b], Z); ok {
-					inner += nb.w[b] * v
-					continue
-				}
-			}
 			inner += nb.w[b] * kernel.RectPotential(
 				fj.Lo, fj.Hi, fi.Lo, fi.Hi, u, nb.x[b], Z)
 		}
@@ -486,14 +459,6 @@ func (s *source) prepare() {
 func (s *source) potentialAt(p *[3]float64) float64 {
 	in, tj := s.in, s.t
 	if tj.IsFlat() {
-		if cfg := in.Cfg; in.Tab != nil && !cfg.DisableApprox {
-			pt := geom.Vec3{X: p[0], Y: p[1], Z: p[2]}
-			if tj.Support.DistToPoint(pt) <= cfg.FarFactor*tj.Support.Diameter() {
-				if v, ok := in.Tab.EvalRect(tj.Support, pt); ok {
-					return tj.Amplitude * v
-				}
-			}
-		}
 		return tj.Amplitude * s.rect.Collocation(in.Cfg, p)
 	}
 	pVary, pFlat := p[s.aVary], p[s.aFlat]

@@ -24,9 +24,8 @@ import (
 //
 // Every fill uses one: its own unless Integrator.Pairs supplies a shared
 // table, which is how the batch engine reuses classes across extractions.
-// The kernel configuration and tabulated-kernel identity are part of
-// every class, so differently configured integrators can share a table
-// without aliasing.
+// The kernel configuration is part of every class, so differently
+// configured integrators can share a table without aliasing.
 //
 // The table is sharded, each shard a mutex over flat open-addressed
 // arrays that are allocated on first use, so an idle table costs nothing
@@ -421,9 +420,6 @@ func (in *Integrator) cacheFingerprint(arith uint64) uint64 {
 	mix(uint64(cfg.QuadOrder))
 	if cfg.DisableApprox {
 		mix(1)
-	}
-	if in.Tab != nil {
-		mix(in.Tab.Fingerprint())
 	}
 	return h
 }

@@ -7,12 +7,12 @@ import (
 
 // LRU is the engine's concurrency-safe least-recently-used cache for
 // immutable expensive state (basis sets keyed by geometry signature,
-// tabulated kernel tables, warmed quadrature rule sets). Lookups of
-// missing keys compute the value exactly once even under concurrent
-// demand for the same key (single-flight): late arrivals block on the
-// first caller's computation instead of duplicating it, which is what
-// makes ExtractAll over a repeated-template corpus do one basis build
-// and one table build total.
+// pipeline plans keyed by family, the warmed quadrature rule set).
+// Lookups of missing keys compute the value exactly once even under
+// concurrent demand for the same key (single-flight): late arrivals
+// block on the first caller's computation instead of duplicating it,
+// which is what makes ExtractAll over a repeated-template corpus do one
+// basis build in total.
 type LRU struct {
 	mu   sync.Mutex
 	cap  int

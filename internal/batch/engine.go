@@ -3,13 +3,12 @@
 // per-call setup across a stream of structures.
 //
 // A plain Extract call rebuilds everything from scratch every time —
-// quadrature rules, tabulated kernel tables, the template basis — and
-// spawns a fresh worker set for its parallel fill. The engine instead
+// quadrature rules, the template basis — and spawns a fresh worker set
+// for its parallel fill. The engine instead
 //
 //   - caches immutable expensive state behind a concurrency-safe LRU:
-//     template basis sets keyed by an exact geometry signature,
-//     tabulated collocation kernels keyed by their spec, and pre-warmed
-//     quadrature rule sets;
+//     template basis sets keyed by an exact geometry signature and
+//     pre-warmed quadrature rule sets;
 //   - shares one symmetry-class table (assembly.PairCache) across all
 //     extractions. A lone Extract already integrates each class of its
 //     structure once; the shared table adds reuse across structures, so
@@ -25,8 +24,8 @@
 //
 // Solves flow through the unified operator pipeline (internal/op) via
 // solver.ExtractSet, so every engine extraction shares the same direct
-// path (equilibrated Cholesky, shift recovery, LU fallback) and
-// capacitance reduction as the interactive entry points.
+// path (one equilibrated, pivoted LDLᵀ, op.SolveSPD) and capacitance
+// reduction as the interactive entry points.
 //
 // Piecewise-constant pipeline extractions (ExtractPipeline) ride the
 // same LRU with staged extraction plans (internal/plan) keyed by
@@ -38,7 +37,6 @@ package batch
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -52,21 +50,21 @@ import (
 	"parbem/internal/quad"
 	"parbem/internal/sched"
 	"parbem/internal/solver"
-	"parbem/internal/tabulate"
 )
 
 // Options configures an Engine. The zero value is a SharedMem engine
-// with GOMAXPROCS workers, default kernel and basis settings, caching
-// enabled and tables off.
+// with GOMAXPROCS workers. The template path has no other settings:
+// default basis and kernel configuration, vacuum permittivity, the state
+// LRU and one shared class table of assembly.NewPairCache's default
+// size, always on.
 type Options struct {
 	// Backend selects the fill backend (default SharedMem; SharedMem
 	// fills run on the engine's persistent pool).
 	Backend solver.Backend
-	// Workers sizes the shared worker pool (0 = GOMAXPROCS).
+	// Workers sizes the shared worker pool (0 = GOMAXPROCS). ExtractAll
+	// runs max(2, Workers) extractions at once; their fills interleave
+	// on the pool.
 	Workers int
-	// Concurrency bounds how many extractions ExtractAll runs at once
-	// (0 = max(2, Workers)); their fills interleave on the shared pool.
-	Concurrency int
 	// PlanWorkers caps how many pool workers one ExtractPipeline
 	// request's stage builds and operator applies occupy (0 = the whole
 	// pool). A service running several pipeline extractions at once
@@ -74,28 +72,9 @@ type Options struct {
 	// instead of oversubscribing it (sched.Budgeted).
 	PlanWorkers int
 
-	// CacheEntries bounds the state LRU (basis sets, kernel tables,
-	// quadrature warm sets; 0 = 64).
+	// CacheEntries bounds the state LRU (basis sets, pipeline plans,
+	// the quadrature warm set; 0 = 64).
 	CacheEntries int
-	// PairCacheEntries bounds the shared symmetry-class table
-	// (0 = default 1<<18).
-	PairCacheEntries int
-	// DisableCache turns off both the state LRU and the shared class
-	// table (every call rebuilds its basis and fills from a table of its
-	// own, but still shares the worker pool).
-	DisableCache bool
-
-	// Tables enables the tabulated collocation kernel; the engine
-	// builds it once per spec and reuses it for every extraction.
-	Tables bool
-	// TableSpec overrides the table domain/resolution (nil = defaults).
-	TableSpec *tabulate.CollocationSpec
-
-	// Basis, Kernel, Eps, ThreadsPerRank mirror solver.Options.
-	Basis          basis.BuilderOptions
-	Kernel         *kernel.Config
-	Eps            float64
-	ThreadsPerRank int
 
 	// Artifacts optionally supplies a persistent stage-artifact store
 	// shared by every pipeline plan the engine caches (see
@@ -139,18 +118,15 @@ type Stats struct {
 // set is warmed immediately so the first extraction pays no rule-build
 // latency.
 func New(opt Options) *Engine {
-	e := &Engine{opt: opt, pool: sched.NewPool(opt.Workers)}
-	if !opt.DisableCache {
-		capEntries := opt.CacheEntries
-		if capEntries == 0 {
-			capEntries = 64
-		}
-		e.state = NewLRU(capEntries)
-		e.pairs = assembly.NewPairCache(opt.PairCacheEntries)
-		e.state.GetOrCompute("quad:32", func() (any, error) {
-			return warmQuad(32), nil
-		})
+	capEntries := opt.CacheEntries
+	if capEntries == 0 {
+		capEntries = 64
 	}
+	e := &Engine{opt: opt, pool: sched.NewPool(opt.Workers),
+		state: NewLRU(capEntries), pairs: assembly.NewPairCache(0)}
+	e.state.GetOrCompute("quad:32", func() (any, error) {
+		return warmQuad(32), nil
+	})
 	return e
 }
 
@@ -193,124 +169,43 @@ func (e *Engine) planExec() sched.Executor {
 	return sched.Budgeted(e.pool, e.opt.PlanWorkers)
 }
 
-// Stats returns cache counters (zero when caching is disabled).
+// Stats returns the cache counters.
 func (e *Engine) Stats() Stats {
 	var s Stats
-	if e.state != nil {
-		s.StateHits, s.StateMisses = e.state.Stats()
-	}
-	if e.pairs != nil {
-		s.PairHits, s.PairMisses = e.pairs.Stats()
-		s.PairEntries = e.pairs.Len()
-	}
+	s.StateHits, s.StateMisses = e.state.Stats()
+	s.PairHits, s.PairMisses = e.pairs.Stats()
+	s.PairEntries = e.pairs.Len()
 	e.mu.Lock()
 	s.Fill = e.fill
 	e.mu.Unlock()
-	if e.pairs != nil {
-		s.Fill.TableBytes = e.pairs.Bytes()
-	}
+	s.Fill.TableBytes = e.pairs.Bytes()
 	return s
 }
 
 // Extract runs one extraction through the engine's caches and pool.
 // The returned Result shares the cached basis set (read-only); its
-// Timing.BasisGen and Timing.TableGen are zero on cache hits — that is
-// the amortization the engine exists for.
+// Timing.BasisGen is zero on a cache hit — that is the amortization the
+// engine exists for.
 func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
 
+	// tBasis is written only when this call computes the entry; on a hit
+	// (or a join of another caller's computation) it stays 0, which is
+	// exactly what the timing should report.
 	var tBasis time.Duration
-	var set *basis.Set
-	if e.state != nil {
-		// tBasis is written only when this call computes the entry; on
-		// a hit (or a join of another caller's computation) it stays 0,
-		// which is exactly what the timing should report.
-		v, _, err := e.state.GetOrCompute("basis:"+geoSignature(st, e.opt.Basis), func() (any, error) {
-			t0 := time.Now()
-			s, err := solver.BuildBasis(st, e.opt.Basis)
-			tBasis = time.Since(t0)
-			return s, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		set = v.(*basis.Set)
-	} else {
+	v, _, err := e.state.GetOrCompute("basis:"+geoSignature(st), func() (any, error) {
 		t0 := time.Now()
-		s, err := solver.BuildBasis(st, e.opt.Basis)
-		if err != nil {
-			return nil, err
-		}
+		s, err := solver.BuildBasis(st, basis.BuilderOptions{})
 		tBasis = time.Since(t0)
-		set = s
-	}
-
-	tab, tTable, err := e.table()
-	if err != nil {
-		return nil, err
-	}
-
-	res, err := solver.ExtractSet(set, e.solverOptions(tab))
-	if err != nil {
-		return nil, err
-	}
-	res.Timing.BasisGen = tBasis
-	res.Timing.TableGen = tTable
-	res.Timing.Total += tBasis + tTable
-	e.mu.Lock()
-	e.fill.Add(res.Fill)
-	e.mu.Unlock()
-	return res, nil
-}
-
-// table returns the (possibly cached) collocation table when enabled.
-func (e *Engine) table() (*tabulate.Collocation, time.Duration, error) {
-	if !e.opt.Tables {
-		return nil, 0, nil
-	}
-	spec := tabulate.CollocationSpec{}
-	if e.opt.TableSpec != nil {
-		spec = *e.opt.TableSpec
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("batch: bad table spec: %w", err)
-	}
-	if e.state == nil {
-		t0 := time.Now()
-		tab := tabulate.NewCollocation(spec)
-		return tab, time.Since(t0), nil
-	}
-	var tTable time.Duration
-	v, computed, err := e.state.GetOrCompute(fmt.Sprintf("table:%v", spec.Key()), func() (any, error) {
-		t0 := time.Now()
-		tab := tabulate.NewCollocation(spec)
-		tTable = time.Since(t0)
-		return tab, nil
+		return s, err
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if !computed {
-		tTable = 0
-	}
-	return v.(*tabulate.Collocation), tTable, nil
-}
 
-// solverOptions assembles the per-call solver options around the shared
-// state.
-func (e *Engine) solverOptions(tab *tabulate.Collocation) solver.Options {
-	opt := solver.Options{
-		Backend:        e.opt.Backend,
-		Workers:        e.opt.Workers,
-		Basis:          e.opt.Basis,
-		Kernel:         e.opt.Kernel,
-		Eps:            e.opt.Eps,
-		ThreadsPerRank: e.opt.ThreadsPerRank,
-		Tab:            tab,
-		Pairs:          e.pairs,
-	}
+	opt := solver.Options{Backend: e.opt.Backend, Workers: e.opt.Workers, Pairs: e.pairs}
 	if opt.Backend == solver.SharedMem {
 		e.mu.Lock()
 		if !e.closed {
@@ -319,24 +214,26 @@ func (e *Engine) solverOptions(tab *tabulate.Collocation) solver.Options {
 		}
 		e.mu.Unlock()
 	}
-	return opt
+	res, err := solver.ExtractSet(v.(*basis.Set), opt)
+	if err != nil {
+		return nil, err
+	}
+	res.Timing.BasisGen = tBasis
+	res.Timing.Total += tBasis
+	e.mu.Lock()
+	e.fill.Add(res.Fill)
+	e.mu.Unlock()
+	return res, nil
 }
 
-// ExtractAll extracts every structure, running up to Concurrency
+// ExtractAll extracts every structure, running up to max(2, Workers)
 // extractions at once over the shared pool and caches. results[i]
 // corresponds to sts[i]; on error, results for structures that failed
 // are nil and the first error is returned (the rest still complete).
 func (e *Engine) ExtractAll(sts []*geom.Structure) ([]*solver.Result, error) {
 	results := make([]*solver.Result, len(sts))
 	errs := make([]error, len(sts))
-	conc := e.opt.Concurrency
-	if conc <= 0 {
-		conc = e.pool.Workers()
-		if conc < 2 {
-			conc = 2
-		}
-	}
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, max(2, e.pool.Workers()))
 	var wg sync.WaitGroup
 	for i, st := range sts {
 		wg.Add(1)
@@ -367,9 +264,9 @@ func (e *Engine) ExtractAll(sts []*geom.Structure) ([]*solver.Result, error) {
 // happen to share a family key simply rebuild (the plan's diff keeps
 // results exact); per-family extractions serialize on their plan.
 //
-// Caveat: opt.FMM/PFFT worker-pool and evaluator overrides (Pool,
-// NearEval) are not part of the family key; callers varying those per
-// request should use explicit parbem.NewPlan instances instead.
+// Caveat: an opt.FMM/PFFT worker-pool override (Pool) is not part of the
+// family key; callers varying it per request should use explicit
+// parbem.NewPlan instances instead.
 func (e *Engine) ExtractPipeline(st *geom.Structure, maxEdge float64, opt op.Options) (*plan.Result, error) {
 	return e.ExtractPipelineCtx(context.Background(), st, maxEdge, opt)
 }
@@ -385,19 +282,9 @@ func (e *Engine) ExtractPipelineCtx(ctx context.Context, st *geom.Structure, max
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
-	mk := func() (*plan.Plan, error) {
+	v, _, err := e.state.GetOrCompute(planSignature(st, maxEdge, opt), func() (any, error) {
 		return plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: opt,
 			Exec: e.planExec(), Artifacts: e.opt.Artifacts})
-	}
-	if e.state == nil {
-		p, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		return p.ExtractCtx(ctx, st)
-	}
-	v, _, err := e.state.GetOrCompute(planSignature(st, maxEdge, opt), func() (any, error) {
-		return mk()
 	})
 	if err != nil {
 		return nil, err
@@ -484,26 +371,14 @@ func planSignature(st *geom.Structure, maxEdge float64, opt op.Options) string {
 	return string(buf)
 }
 
-// geoSignature serializes the exact geometry and builder options into a
-// collision-free cache key: two structures share a key iff their
-// conductor boxes are bitwise identical in the same order under the same
-// builder options (names are irrelevant to the basis). Keys are a few
-// dozen bytes per box, which the bounded LRU holds comfortably.
-func geoSignature(st *geom.Structure, bopt basis.BuilderOptions) string {
+// geoSignature serializes the exact geometry into a collision-free cache
+// key: two structures share a key iff their conductor boxes are bitwise
+// identical in the same order (names are irrelevant to the basis). Keys
+// are a few dozen bytes per box, which the bounded LRU holds comfortably.
+func geoSignature(st *geom.Structure) string {
 	var buf []byte
 	f := func(x float64) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	f(bopt.MaxCoupleGap)
-	f(bopt.ExtFactor)
-	f(bopt.InFactor)
-	f(bopt.DecayFactor)
-	f(bopt.MinShadowFrac)
-	f(bopt.ArchAmpFactor)
-	if bopt.SeparateInduced {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(st.Conductors)))
 	for _, c := range st.Conductors {

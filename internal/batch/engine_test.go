@@ -66,7 +66,7 @@ func TestEngineExtractAllConcurrent(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		corpus = append(corpus, stA, stB)
 	}
-	e := New(Options{Workers: 2, Concurrency: 4})
+	e := New(Options{Workers: 4}) // four extractions at once
 	defer e.Close()
 	results, err := e.ExtractAll(corpus)
 	if err != nil {
@@ -106,47 +106,6 @@ func TestEngineExtractAllError(t *testing.T) {
 	}
 	if results[1] != nil {
 		t.Error("invalid structure should have nil result")
-	}
-}
-
-func TestEngineDisabledCacheStillWorks(t *testing.T) {
-	st := geom.DefaultCrossingPair().Build()
-	e := New(Options{Workers: 1, DisableCache: true})
-	defer e.Close()
-	res, err := e.Extract(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _ := solver.Extract(st, solver.Options{Backend: solver.Serial})
-	if e := relErr(res, ref); e > 1e-10 {
-		t.Fatalf("deviates by %g", e)
-	}
-	if s := e.Stats(); s.StateHits+s.StateMisses+s.PairHits+s.PairMisses != 0 {
-		t.Error("caches active despite DisableCache")
-	}
-}
-
-func TestEngineTables(t *testing.T) {
-	st := geom.DefaultCrossingPair().Build()
-	e := New(Options{Workers: 1, Tables: true})
-	defer e.Close()
-	r1, err := e.Extract(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Timing.TableGen == 0 {
-		t.Error("first extraction should have built the table")
-	}
-	r2, err := e.Extract(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Timing.TableGen != 0 {
-		t.Error("second extraction rebuilt the table despite the cache")
-	}
-	ref, _ := solver.Extract(st, solver.Options{Backend: solver.Serial})
-	if e := relErr(r2, ref); e > 0.02 {
-		t.Errorf("tabulated-kernel result deviates by %.3f%%", 100*e)
 	}
 }
 
@@ -293,20 +252,5 @@ func TestEnginePipelinePlanReuse(t *testing.T) {
 	s := eng.Stats()
 	if s.StateHits < 2 {
 		t.Errorf("plan cache hits = %d, want >= 2", s.StateHits)
-	}
-}
-
-// TestEnginePipelineNoCache covers the DisableCache path: every call
-// builds a one-shot plan but still solves correctly.
-func TestEnginePipelineNoCache(t *testing.T) {
-	eng := New(Options{Workers: 1, DisableCache: true})
-	defer eng.Close()
-	st := geom.DefaultCrossingPair().Build()
-	res, err := eng.ExtractPipeline(st, 0.6e-6, op.Options{Backend: op.BackendDense, Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.C.Rows != 2 {
-		t.Fatalf("C is %dx%d", res.C.Rows, res.C.Cols)
 	}
 }

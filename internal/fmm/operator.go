@@ -37,13 +37,6 @@ type Options struct {
 	// driven through parbem.ExtractFastCapLike (0 = 1e-4). The operator
 	// itself does not consume it.
 	Tol float64
-	// NearEval optionally overrides the exact near-field entry
-	// integration (e.g. the tabulated-collocation adapter in
-	// internal/op): it returns the unscaled Galerkin integral for the
-	// target/source pair, or ok=false to fall back to the closed-form
-	// quadrature. Blocks are integrated once per unordered pair, so an
-	// asymmetric evaluator still yields a symmetric near field.
-	NearEval func(target, source geom.Rect) (float64, bool)
 }
 
 func (o *Options) defaults() {
@@ -195,7 +188,7 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 	// the stored values are adopted wholesale and only the indices are
 	// rebuilt. The per-entry Prev/Class lookup is the fallback.
 	var adopt []float64
-	if reuse != nil && int64(len(reuse.Vals)) == total && op.opt.NearEval == nil {
+	if reuse != nil && int64(len(reuse.Vals)) == total {
 		adopt = reuse.Vals
 	}
 	var look *nearLookup
@@ -239,88 +232,46 @@ func (op *Operator) nearValue(pi, pj int32, galerkin bool) float64 {
 		if pj < pi {
 			pi, pj = pj, pi
 		}
-		if ne := op.opt.NearEval; ne != nil {
-			if v, ok := ne(op.panels[pi].Rect, op.panels[pj].Rect); ok {
-				return op.scale * v
-			}
-		}
 		return op.scale * kernel.RectGalerkin(op.opt.Cfg, op.panels[pi].Rect, op.panels[pj].Rect)
 	}
 	return op.scale * op.areas[pi] * op.areas[pj] / op.centers[pi].Dist(op.centers[pj])
 }
 
-// fillPair integrates the near block of one unordered leaf pair and
-// scatters it into the CSR rows of both leaves. With a non-nil lookup,
-// exact-Galerkin entries whose panel pair is unchanged since the
-// previous variant are copied instead of integrated (point entries are
-// a single division and are always recomputed). Exact-Galerkin blocks
-// without a NearEval override go through the cache-blocked path.
+// fillPair fills the near block of one unordered leaf pair and scatters
+// it into the CSR rows of both leaves. Exact-Galerkin blocks — a leaf's
+// block with itself always is one — go through the cache-blocked
+// fillPairBatched; point entries are a single division each and are
+// always recomputed.
 func (op *Operator) fillPair(pr *nearPair, look *nearLookup) {
-	if pr.galerkin && op.opt.NearEval == nil {
+	if pr.galerkin {
 		op.fillPairBatched(pr, look)
 		return
 	}
-	var copied, computed int64
-	value := func(pi, pj int32) float64 {
-		if !pr.galerkin {
-			return op.nearValue(pi, pj, false)
-		}
-		if look != nil {
-			if v, ok := look.value(pi, pj); ok {
-				copied++
-				return v
-			}
-		}
-		computed++
-		return op.nearValue(pi, pj, true)
-	}
 	na, nb := &op.t.nodes[pr.a], &op.t.nodes[pr.b]
-	pa := op.t.perm[na.lo:na.hi]
-	if pr.a == pr.b {
-		// Self block: symmetric, compute the upper triangle once.
-		for ia, pi := range pa {
-			base := op.nearOff[pi] + int64(pr.offA)
-			for jb := ia; jb < len(pa); jb++ {
-				pj := pa[jb]
-				v := value(pi, pj)
-				op.nearIdx[base+int64(jb)] = pj
-				op.nearVal[base+int64(jb)] = v
-				if jb != ia {
-					b2 := op.nearOff[pj] + int64(pr.offA) + int64(ia)
-					op.nearIdx[b2] = pi
-					op.nearVal[b2] = v
-				}
-			}
+	pa, pb := op.t.perm[na.lo:na.hi], op.t.perm[nb.lo:nb.hi]
+	for ia, pi := range pa {
+		base := op.nearOff[pi] + int64(pr.offA)
+		for jb, pj := range pb {
+			v := op.nearValue(pi, pj, false)
+			op.nearIdx[base+int64(jb)] = pj
+			op.nearVal[base+int64(jb)] = v
+			b2 := op.nearOff[pj] + int64(pr.offB) + int64(ia)
+			op.nearIdx[b2] = pi
+			op.nearVal[b2] = v
 		}
-	} else {
-		pb := op.t.perm[nb.lo:nb.hi]
-		for ia, pi := range pa {
-			base := op.nearOff[pi] + int64(pr.offA)
-			for jb, pj := range pb {
-				v := value(pi, pj)
-				op.nearIdx[base+int64(jb)] = pj
-				op.nearVal[base+int64(jb)] = v
-				b2 := op.nearOff[pj] + int64(pr.offB) + int64(ia)
-				op.nearIdx[b2] = pi
-				op.nearVal[b2] = v
-			}
-		}
-	}
-	if look != nil && pr.galerkin {
-		look.copied.Add(copied)
-		look.computed.Add(computed)
 	}
 }
 
-// fillPairBatched is fillPair for exact-Galerkin blocks evaluated with
-// the closed-form kernel: one kernel.Batch per block amortizes the
-// target-side setup (axis extents, diameter, centroid and the
-// perpendicular quadrature tables) across each block row. Rows are
-// walked so that every fresh integral runs in nearValue's canonical
-// orientation — lower panel index as target — which makes the batch
-// target a function of the row alone and keeps the stored values
-// bitwise identical to the per-pair path (and therefore to the entries
-// Reuse copies across geometry variants).
+// fillPairBatched is fillPair for exact-Galerkin blocks. With a non-nil
+// lookup, entries whose panel pair is unchanged since the previous
+// variant are copied instead of integrated. For the rest, one
+// kernel.Batch per block amortizes the target-side setup (axis extents,
+// diameter, centroid and the perpendicular quadrature tables) across
+// each block row. Rows are walked so that every fresh integral runs in
+// nearValue's canonical orientation — lower panel index as target —
+// which makes the batch target a function of the row alone and keeps the
+// stored values bitwise identical to the per-pair path (and therefore to
+// the entries Reuse copies across geometry variants).
 func (op *Operator) fillPairBatched(pr *nearPair, look *nearLookup) {
 	var copied, computed int64
 	var batch kernel.Batch

@@ -58,23 +58,20 @@ type Reuse struct {
 	// CSR layout is a deterministic function of the topology, so the
 	// stored values land at the same offsets a fresh integration would
 	// fill. Ignored — degrading to the Prev/Class path or a fresh
-	// build — when its length disagrees with the CSR being built or a
-	// NearEval override is configured.
+	// build — when its length disagrees with the CSR being built.
 	Vals []float64
 }
 
 // valid reports whether reuse is applicable for an operator being built
 // with the given options: aligned panel sets and integral-identical
 // settings (the copied values bake in the kernel configuration and the
-// 1/(4*pi*eps) scale; NearEval overrides are function-valued and cannot
-// be compared, so both sides must be nil).
+// 1/(4*pi*eps) scale).
 func (r *Reuse) valid(n int, opt *Options) bool {
 	if r == nil || r.Prev == nil || len(r.Class) != n || r.Prev.Dim() != n {
 		return false
 	}
 	p := &r.Prev.opt
-	return p.Eps == opt.Eps && *p.Cfg == *opt.Cfg &&
-		p.NearEval == nil && opt.NearEval == nil
+	return p.Eps == opt.Eps && *p.Cfg == *opt.Cfg
 }
 
 // nearLookup resolves previous-variant near entries by panel pair. The

@@ -13,55 +13,24 @@ const (
 	tagPartData   = 2
 )
 
-// FillOptions tunes the distributed fill beyond the paper's baseline.
-type FillOptions struct {
-	// ThreadsPerRank runs the rank-local fill on this many goroutine
-	// "threads" through the shared work-stealing scheduler (the hybrid
-	// MPI+OpenMP layout of real BEM codes). Zero or one keeps the
-	// paper's one-thread-per-process model.
-	ThreadsPerRank int
-	// ChunksPerThread sets how many chunks each rank splits its
-	// partition into per thread (default 4; more chunks smooth residual
-	// imbalance inside the rank).
-	ChunksPerThread int
-}
-
 // FillDistributed runs the distributed-memory system setup of paper
-// Section 5.2 / Figures 5 and 6 on the given network with the default
-// one-thread-per-rank layout.
-func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *linalg.Dense {
-	return FillDistributedOpts(set, in, net, FillOptions{})
-}
-
-// FillDistributedOpts is FillDistributed with explicit fill options: every
-// rank holds a private copy of the template definitions and computes the
-// entries of P~ in its k-partition into a partial matrix P_Kd; ranks
-// d != 0 serialize their partials and send them to the main rank, which
-// shifts each slab to its column offset and accumulates into P. The
-// returned matrix (rank 0's result) is symmetrized and unscaled, and
-// bitwise the one assembly.FillSerial returns: partitions are aligned to
-// columns of P, so no entry's sum is split across ranks or chunks.
+// Section 5.2 / Figures 5 and 6 on the given network, one thread and one
+// k-partition per rank as in the paper: every rank holds a private copy
+// of the template definitions and computes the entries of P~ in its
+// k-partition into a partial matrix P_Kd; ranks d != 0 serialize their
+// partials and send them to the main rank, which shifts each slab to its
+// column offset and accumulates into P. The returned matrix (rank 0's
+// result) is symmetrized and unscaled, and bitwise the one
+// assembly.FillSerial returns: partitions are aligned to columns of P, so
+// no entry's sum is split across ranks.
 //
 // Ranks share no memory, so each integrates the symmetry classes of its
 // partition into a table of its own (in.Pairs is not used) and reports
 // its work counters in its header message; rank 0 credits the sum to in.
 // A class value is a pure function of its key, so a class that several
 // ranks integrate has the same bits on each.
-//
-// The rank-local fill runs through the same chunk scheduler as the
-// shared-memory backend (assembly.FillRanges): the rank's k-range is
-// re-chunked and executed on ThreadsPerRank local workers, accumulating
-// into the rank's partial.
-func FillDistributedOpts(set *basis.Set, in *assembly.Integrator, net *Network, fo FillOptions) *linalg.Dense {
+func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *linalg.Dense {
 	size := net.size
-	threads := fo.ThreadsPerRank
-	if threads <= 0 {
-		threads = 1
-	}
-	cpt := fo.ChunksPerThread
-	if cpt <= 0 {
-		cpt = 4
-	}
 	// One contiguous k-partition per rank (Figure 5/6), the paper's equal
 	// division moved to column boundaries (every rank computes the same
 	// partition deterministically, so no coordination is needed).
@@ -73,10 +42,10 @@ func FillDistributedOpts(set *basis.Set, in *assembly.Integrator, net *Network, 
 		// (paper: "the process d holds its own copy of template
 		// definitions"); this also guarantees no shared mutable state.
 		local := set.Clone()
-		rin := &assembly.Integrator{Cfg: in.Cfg, Tab: in.Tab}
+		rin := &assembly.Integrator{Cfg: in.Cfg}
 		lo, hi := bounds[c.Rank()], bounds[c.Rank()+1]
 		part := assembly.NewPartial(local, lo, hi)
-		assembly.FillRanges(local, rin, assembly.PartitionRange(lo, hi, threads*cpt), sched.Local(threads), part)
+		assembly.FillRanges(local, rin, []int64{lo, hi}, sched.Local(1), part)
 		st := rin.FillStats()
 
 		if c.Rank() != 0 {

@@ -163,32 +163,3 @@ func TestAutoBackendFollowsCostModel(t *testing.T) {
 		t.Errorf("auto stayed dense above the cutoff (N=%d)", big.N())
 	}
 }
-
-// TestTabulatedOperatorMatchesExact validates the tabulated-near-field
-// adapter: the operator built with collocation-table near entries must
-// agree with the exact fmm operator to within the table's interpolation
-// error on a full solve.
-func TestTabulatedOperatorMatchesExact(t *testing.T) {
-	spec := busSpec(t, 3, 3, 1e-6).withDefaults()
-	exact, err := New(spec, Options{Backend: BackendFMM, Tol: 1e-6, FMM: &fmm.Options{Theta: 0.35}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eres, err := exact.Extract()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tabOp := NewTabulated(spec.Panels, testCollocation(t), fmm.Options{Theta: 0.35, Eps: spec.Eps, Cfg: spec.Cfg})
-	pl, err := NewWithOperator(spec, tabOp, Options{Tol: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pl.Extract()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := capDiff(res, eres); d > 0.02 {
-		t.Errorf("tabulated near field deviates from exact by %g", d)
-	}
-}

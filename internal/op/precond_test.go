@@ -2,27 +2,11 @@ package op
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"parbem/internal/fmm"
 	"parbem/internal/linalg"
-	"parbem/internal/tabulate"
 )
-
-var (
-	collocOnce sync.Once
-	colloc     *tabulate.Collocation
-)
-
-// testCollocation builds (once) the default collocation table.
-func testCollocation(tb testing.TB) *tabulate.Collocation {
-	tb.Helper()
-	collocOnce.Do(func() {
-		colloc = tabulate.NewCollocation(tabulate.CollocationSpec{})
-	})
-	return colloc
-}
 
 // TestBlockJacobiSolvesBlockDiagonalExactly pins the preconditioner's
 // algebra: on a block-diagonal SPD matrix, Apply must be the exact

@@ -7,16 +7,16 @@
 // disjoint parts of the shared system matrix and accumulate into it
 // directly.
 //
-// Two scheduling modes are provided. Static mode is the paper's Algorithm
-// 1: exactly D equal partitions. The default dynamic mode keeps the same
-// contiguous-partition structure but splits the k-range into
-// ChunksPerWorker*D chunks claimed from a shared queue — the standard
-// OpenMP "schedule(dynamic)" refinement that absorbs the cost variance
-// between template pairs, which is large: a pair costs a table lookup
-// unless it is the first of its symmetry class (its like under
-// translations, reflections and axis permutations). The ablation benchmark
-// (BenchmarkAblationDivision) quantifies the difference. Either way the
-// matrix is bitwise the one assembly.FillSerial returns.
+// There is one schedule. The paper's Algorithm 1 gives each of the D
+// workers one equal partition; that balances pairs, not work, and since
+// the fill integrates each symmetry class of template pairs once the
+// work is bimodal — a pair costs a table lookup unless it is the first
+// of its class (its like under translations, reflections and axis
+// permutations), which costs an integration, and which pairs come first
+// no static division can know. So the k-range is cut into
+// chunksPerWorker*D contiguous chunks that the workers claim from a
+// shared queue, OpenMP's "schedule(dynamic)". The matrix is bitwise the
+// one assembly.FillSerial returns whatever the chunking.
 package par
 
 import (
@@ -33,12 +33,6 @@ type Options struct {
 	// Workers is the number of parallel computing nodes D. Zero means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Static selects the paper's exact equal division into D partitions
-	// instead of dynamic chunking.
-	Static bool
-	// ChunksPerWorker sets the dynamic-mode chunk count multiplier
-	// (default 16).
-	ChunksPerWorker int
 	// Pool, when non-nil, runs the chunks on a shared persistent
 	// work-stealing pool (the batch engine's worker set) instead of
 	// spawning Workers goroutines for this call alone. The pool's size
@@ -47,6 +41,15 @@ type Options struct {
 	Pool *sched.Pool
 }
 
+// chunksPerWorker is how many chunks the k-range is cut into per worker.
+// The last readings of the ablation that compared it with the paper's one
+// equal partition per worker, before that mode was deleted (6x6 bus,
+// D = 4 on a 2-vCPU host, ms per fill): 16.0, 15.9, 12.0 static against
+// 9.13, 9.07, 9.11 at 16 chunks per worker when both vCPUs were free;
+// 18.1, 17.3, 15.6, 15.1 against 17.8, 15.1, 15.1, 14.5 on a day they
+// shared one core, where no schedule has an idle worker to feed.
+const chunksPerWorker = 16
+
 // Fill runs the parallelized system setup and returns the symmetrized,
 // unscaled system matrix P.
 func Fill(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Dense {
@@ -54,19 +57,10 @@ func Fill(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Dense {
 	if d <= 0 {
 		d = runtime.GOMAXPROCS(0)
 	}
-	cpw := opt.ChunksPerWorker
-	if cpw <= 0 {
-		cpw = 16
-	}
 	n := set.N()
 	P := linalg.NewDense(n, n)
-	K := assembly.NumPairs(set.M())
-
-	nparts := d // the paper's Algorithm 1: one equal partition per node
-	if !opt.Static {
-		nparts = d * cpw
-	}
-	bounds := assembly.PartitionK(K, nparts) // FillRanges moves them to columns of P
+	// FillRanges moves the boundaries to columns of P.
+	bounds := assembly.PartitionK(assembly.NumPairs(set.M()), d*chunksPerWorker)
 
 	var ex sched.Executor = opt.Pool
 	if opt.Pool == nil {

@@ -68,9 +68,9 @@ const (
 )
 
 // artifactKey returns the family content hash for the current build,
-// or "" when persistence is off or the build is unkeyable. The kernel
-// configuration hashed is the effective one the backend integrates with
-// (a backend-level Cfg override wins over the plan's).
+// or "" when persistence is off. The kernel configuration hashed is the
+// effective one the backend integrates with (a backend-level Cfg
+// override wins over the plan's).
 func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, po *pfft.Options) string {
 	if p.opt.Artifacts == nil {
 		return ""
@@ -82,11 +82,7 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 	case po != nil && po.Cfg != nil:
 		cfg = po.Cfg
 	}
-	key, ok := artifactHash(artifactSchema, p.opt.MaxEdge, p.eps, cfg, be, fo, po, st)
-	if !ok {
-		return ""
-	}
-	return key
+	return artifactHash(artifactSchema, p.opt.MaxEdge, p.eps, cfg, be, fo, po, st)
 }
 
 // artifactSchema opens every family hash: the version of the hash layout
@@ -97,19 +93,14 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 var artifactSchema = []byte{'p', 'b', 'a', '2', kernel.ArithVersion}
 
 // artifactHash computes the family content hash under the given schema
-// header, or ok=false when the build is unkeyable (a function-valued
-// option that cannot participate in a content hash: an fmm NearEval
-// override).
+// header.
 //
 // Backend tuning values are hashed raw (unresolved zero defaults are
 // distinct from their explicit equivalents): identical Options always
 // produce identical keys, which is the contract that matters; a
 // zero-vs-explicit-default mismatch only costs a missed dedup.
 func artifactHash(schema []byte, maxEdge, eps float64, cfg *kernel.Config, be op.Backend,
-	fo *fmm.Options, po *pfft.Options, st *geom.Structure) (string, bool) {
-	if fo != nil && fo.NearEval != nil {
-		return "", false
-	}
+	fo *fmm.Options, po *pfft.Options, st *geom.Structure) string {
 	h := sha256.New()
 	var buf [8]byte
 	w64 := func(v uint64) {
@@ -153,7 +144,7 @@ func artifactHash(schema []byte, maxEdge, eps float64, cfg *kernel.Config, be op
 			wf(b.Max.Z)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), true
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // appendFloats appends the little-endian bits of v.

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"parbem/internal/fmm"
-	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/op"
 	"parbem/internal/pfft"
@@ -189,12 +188,6 @@ func TestPlanArtifactKeySeparation(t *testing.T) {
 	if k := p.artifactKey(stA, op.BackendFMM, &fo2, nil); k == kF {
 		t.Error("distinct fmm tuning shares a family hash")
 	}
-	// Function-valued options cannot be keyed.
-	fo3 := fo
-	fo3.NearEval = func(_, _ geom.Rect) (float64, bool) { return 0, false }
-	if k := p.artifactKey(stA, op.BackendFMM, &fo3, nil); k != "" {
-		t.Error("NearEval override produced a key")
-	}
 	for _, k := range []string{kA, kF} {
 		if strings.ToLower(k) != k {
 			t.Errorf("key %q not lowercase hex", k)
@@ -241,8 +234,8 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := p.artifactKey(st, op.BackendDense, nil, nil)
-	oldKey, ok := artifactHash([]byte{'p', 'b', 'a', '1', 0}, 0.5e-6, p.eps, p.cfg, op.BackendDense, nil, nil, st)
-	if !ok || oldKey == key {
+	oldKey := artifactHash([]byte{'p', 'b', 'a', '1', 0}, 0.5e-6, p.eps, p.cfg, op.BackendDense, nil, nil, st)
+	if oldKey == key {
 		t.Fatalf("old-schema key %q, current key %q: want two distinct keys", oldKey, key)
 	}
 	payload, found := clean.Get(key + nearSuffix)

@@ -479,9 +479,8 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 	}
 
 	// Topology + NearField per backend. akey is the persistent-store
-	// family hash ("" = persistence off or unkeyable build); the
-	// near-field payload is adopted on a store hit and written through
-	// on a miss.
+	// family hash ("" = persistence off); the near-field payload is
+	// adopted on a store hit and written through on a miss.
 	var pb op.Prebuilt
 	var akey string
 	switch be {

@@ -172,10 +172,9 @@ type Options struct {
 	// TenantRate 0 disables tenant limiting.
 	TenantRate  float64
 	TenantBurst int
-	// CacheEntries / PairCacheEntries size an owned engine's caches
-	// (0 = engine defaults).
-	CacheEntries     int
-	PairCacheEntries int
+	// CacheEntries sizes an owned engine's state LRU (0 = engine
+	// default).
+	CacheEntries int
 	// DefaultPrecision is the matvec arithmetic applied to requests that
 	// leave their precision selector empty or "auto" (capxd -precision).
 	// The zero value (op.PrecisionAuto) keeps the cost model in charge.
@@ -434,11 +433,10 @@ func Open(opt Options) (*Server, error) {
 			arts = s.artifacts
 		}
 		s.eng = batch.New(batch.Options{
-			Workers:          opt.Workers,
-			PlanWorkers:      opt.WorkerBudget,
-			CacheEntries:     opt.CacheEntries,
-			PairCacheEntries: opt.PairCacheEntries,
-			Artifacts:        arts,
+			Workers:      opt.Workers,
+			PlanWorkers:  opt.WorkerBudget,
+			CacheEntries: opt.CacheEntries,
+			Artifacts:    arts,
 		})
 		s.ownEng = true
 	}

@@ -18,7 +18,6 @@ import (
 	"parbem/internal/op"
 	"parbem/internal/par"
 	"parbem/internal/sched"
-	"parbem/internal/tabulate"
 )
 
 // Backend selects how the system setup step is executed.
@@ -62,22 +61,6 @@ type Options struct {
 	// backend (nil = ideal network of Workers ranks).
 	Network *mpi.Network
 
-	// ThreadsPerRank runs each Distributed rank's local fill on this
-	// many goroutine threads (hybrid layout; 0 = 1).
-	ThreadsPerRank int
-
-	// Tables enables the tabulated collocation kernel (paper Section
-	// 4.2.1): the table is built as part of this call (the TableGen
-	// phase) and used wherever the normalized query is in domain. The
-	// batch engine instead injects an already-built table via Tab, which
-	// is the whole point of its table cache.
-	Tables bool
-	// TableSpec overrides the table resolution/domain (nil = defaults).
-	TableSpec *tabulate.CollocationSpec
-	// Tab is a prebuilt collocation table (takes precedence over
-	// Tables; no TableGen cost is incurred).
-	Tab *tabulate.Collocation
-
 	// Pairs, when non-nil, is the symmetry-class table this fill
 	// reads and extends (the batch engine shares one across its
 	// extractions). Nil gives the fill a table of its own, so a lone
@@ -94,7 +77,6 @@ type Options struct {
 // Timing is the phase breakdown of one extraction.
 type Timing struct {
 	BasisGen time.Duration
-	TableGen time.Duration // tabulated-kernel build (zero when cached or off)
 	Setup    time.Duration // system matrix fill (the dominant phase)
 	Solve    time.Duration // factorization + triangular solves + C recovery
 	Total    time.Duration
@@ -170,21 +152,7 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 		cfg = kernel.DefaultConfig()
 	}
 
-	var tTable time.Duration
-	tab := opt.Tab
-	if tab == nil && opt.Tables {
-		spec := tabulate.CollocationSpec{}
-		if opt.TableSpec != nil {
-			spec = *opt.TableSpec
-		}
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("solver: bad table spec: %w", err)
-		}
-		tt := time.Now()
-		tab = tabulate.NewCollocation(spec)
-		tTable = time.Since(tt)
-	}
-	in := &assembly.Integrator{Cfg: cfg, Tab: tab, Pairs: opt.Pairs}
+	in := &assembly.Integrator{Cfg: cfg, Pairs: opt.Pairs}
 
 	t1 := time.Now()
 	P, err := fill(set, in, opt)
@@ -212,10 +180,9 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 		P:           P,
 		Fill:        in.FillStats(),
 		Timing: Timing{
-			TableGen: tTable,
-			Setup:    tSetup,
-			Solve:    tSolve,
-			Total:    tTable + tSetup + tSolve,
+			Setup: tSetup,
+			Solve: tSolve,
+			Total: tSetup + tSolve,
 		},
 	}, nil
 }
@@ -236,8 +203,7 @@ func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Dense, 
 			}
 			net = mpi.NewNetwork(d)
 		}
-		return mpi.FillDistributedOpts(set, in, net,
-			mpi.FillOptions{ThreadsPerRank: opt.ThreadsPerRank}), nil
+		return mpi.FillDistributed(set, in, net), nil
 	}
 	return nil, errors.New("solver: unknown backend")
 }

@@ -1,12 +1,16 @@
-// Package tabulate implements the table-based integration accelerations of
-// paper Sections 4.2.1 and 4.2.2: direct tabulation of the definite
-// integral on a regular multi-parameter grid with multilinear
-// interpolation, and tabulation of the indefinite integral (fewer
-// parameters, evaluated by corner differencing).
+// Package tabulate is the table behind the integration accelerations of
+// paper Sections 4.2.1 and 4.2.2: a scalar function sampled on a regular
+// multi-parameter grid and interpolated multilinearly. Direct tabulation
+// stores the definite integral; tabulating the indefinite integral needs
+// fewer parameters and is evaluated by corner differencing.
 //
-// Tables are generic over dimension; the capacitance kernel instantiates
-// them for the simplified 2-D expression of paper Eq. (13), which is also
-// what Table 1 of the paper measures.
+// The fill does not read tables: since it integrates each symmetry class
+// of template pairs once (package assembly) a lookup has almost nothing
+// left to save, and the tabulated collocation kernel that was wired
+// through it measured as a loss end to end. What remains is what the
+// paper's Table 1 measures — cmd/benchtables and BenchmarkTable1_* build
+// both tabulations of the simplified 2-D expression of Eq. (13) on a
+// Table and time them against the closed form.
 package tabulate
 
 import (
@@ -116,34 +120,6 @@ func (t *Table) Eval2(x0, x1 float64) float64 {
 	v10 := t.data[base+s0]
 	v11 := t.data[base+s0+s1]
 	return v00*(1-f0)*(1-f1) + v01*(1-f0)*f1 + v10*f0*(1-f1) + v11*f0*f1
-}
-
-// Eval4 is an allocation-free fast path for 4-parameter tables, using
-// nested linear interpolation (15 lerps instead of a 16-corner weighted
-// sum).
-func (t *Table) Eval4(x0, x1, x2, x3 float64) float64 {
-	d0, d1, d2, d3 := t.dims[0], t.dims[1], t.dims[2], t.dims[3]
-	i0, f0 := splitU(clampU((x0-d0.Min)/d0.step(), d0.N), d0.N)
-	i1, f1 := splitU(clampU((x1-d1.Min)/d1.step(), d1.N), d1.N)
-	i2, f2 := splitU(clampU((x2-d2.Min)/d2.step(), d2.N), d2.N)
-	i3, f3 := splitU(clampU((x3-d3.Min)/d3.step(), d3.N), d3.N)
-	s0, s1, s2 := t.strides[0], t.strides[1], t.strides[2]
-	// Innermost dimension is contiguous (stride 1).
-	base := i0*s0 + i1*s1 + i2*s2 + i3
-	lerp3 := func(off int) float64 {
-		lo := t.data[off]
-		return lo + f3*(t.data[off+1]-lo)
-	}
-	lerp23 := func(off int) float64 {
-		lo := lerp3(off)
-		return lo + f2*(lerp3(off+s2)-lo)
-	}
-	lerp123 := func(off int) float64 {
-		lo := lerp23(off)
-		return lo + f1*(lerp23(off+s1)-lo)
-	}
-	lo := lerp123(base)
-	return lo + f0*(lerp123(base+s0)-lo)
 }
 
 func clampU(u float64, n int) float64 {

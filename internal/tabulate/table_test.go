@@ -3,8 +3,6 @@ package tabulate
 import (
 	"math"
 	"testing"
-
-	"parbem/internal/kernel"
 )
 
 func TestTableExactOnLinearFunctions(t *testing.T) {
@@ -40,7 +38,7 @@ func TestTableClamping(t *testing.T) {
 	}
 }
 
-func TestEval2AndEval4FastPaths(t *testing.T) {
+func TestEval2FastPath(t *testing.T) {
 	f2 := func(x []float64) float64 { return math.Sin(x[0]) * math.Cos(x[1]) }
 	t2 := Build([]Dim{{0, 2, 30}, {0, 2, 30}}, f2)
 	for x := 0.05; x < 2; x += 0.3 {
@@ -51,58 +49,6 @@ func TestEval2AndEval4FastPaths(t *testing.T) {
 				t.Fatalf("Eval2 mismatch at (%g,%g)", x, y)
 			}
 		}
-	}
-	f4 := func(x []float64) float64 { return x[0] + 2*x[1] + x[2]*x[3] }
-	t4 := Build([]Dim{{0, 1, 4}, {0, 1, 4}, {0, 1, 4}, {0, 1, 4}}, f4)
-	probe := [][4]float64{{0.1, 0.9, 0.3, 0.5}, {0, 1, 0.5, 0.25}}
-	for _, p := range probe {
-		a := t4.Eval(p[0], p[1], p[2], p[3])
-		b := t4.Eval4(p[0], p[1], p[2], p[3])
-		if math.Abs(a-b) > 1e-14 {
-			t.Fatalf("Eval4 mismatch at %v: %g vs %g", p, a, b)
-		}
-	}
-}
-
-func TestDefinite2DAccuracy(t *testing.T) {
-	dom := DefaultDomain2D()
-	tab := NewDefinite2D(dom, 10, 10, 48, 48)
-	// Probe away from the rectangle edges where the integrand kinks.
-	maxRel := 0.0
-	for _, p := range [][4]float64{
-		{1, 1, 3, 3}, {0.5, 1.5, -2, 4}, {2, 2, 4.5, -2.5}, {1.2, 0.8, 3.5, 0.5},
-	} {
-		got := tab.Eval(p[0], p[1], p[2], p[3])
-		want := kernel.RectPotential(0, p[0], 0, p[1], p[2], p[3], 0)
-		rel := math.Abs(got-want) / math.Abs(want)
-		if rel > maxRel {
-			maxRel = rel
-		}
-	}
-	if maxRel > 0.02 {
-		t.Fatalf("direct tabulation error %g > 2%%", maxRel)
-	}
-	if tab.Bytes() < 1000 {
-		t.Fatal("implausibly small table")
-	}
-}
-
-func TestIndefinite2DMatchesClosedForm(t *testing.T) {
-	dom := DefaultDomain2D()
-	tab := NewIndefinite2D(dom, 600)
-	maxRel := 0.0
-	for _, p := range [][4]float64{
-		{1, 1, 3, 3}, {0.5, 1.5, -2, 4}, {2, 2, 4.5, -2.5}, {1.2, 0.8, 3.5, 0.5},
-	} {
-		got := tab.Eval(p[0], p[1], p[2], p[3])
-		want := kernel.RectPotential(0, p[0], 0, p[1], p[2], p[3], 0)
-		rel := math.Abs(got-want) / math.Abs(want)
-		if rel > maxRel {
-			maxRel = rel
-		}
-	}
-	if maxRel > 0.02 {
-		t.Fatalf("indefinite tabulation error %g > 2%%", maxRel)
 	}
 }
 

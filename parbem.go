@@ -18,16 +18,17 @@
 // # Batch extraction
 //
 // A lone Extract already integrates each distinct template pair of its
-// structure once: the fill groups pairs that are translates of one
-// another into classes, and every repeat of a class is a table lookup
-// (Result.Fill reports the counts; see internal/assembly). What a
-// service extracting many structures gains from an Engine is reuse
-// *across* structures: one persistent work-stealing worker pool, a
-// concurrency-safe LRU of immutable expensive state — template basis
-// sets keyed by exact geometry signature, tabulated kernel tables,
-// warmed quadrature rules — and one class table shared by all of its
-// extractions, so a structure seen before, or one built from the same
-// template layouts, fills its system matrix from lookups alone:
+// structure once: the fill groups pairs that are images of one another
+// under a translation, a reflection or an exchange of axes into symmetry
+// classes, and every repeat of a class is a table lookup (Result.Fill
+// reports the counts; see internal/assembly). What a service extracting
+// many structures gains from an Engine is reuse *across* structures: one
+// persistent work-stealing worker pool, a concurrency-safe LRU of
+// immutable expensive state — template basis sets keyed by exact
+// geometry signature, warmed quadrature rules — and one class table
+// shared by all of its extractions, so a structure seen before, or one
+// built from the same template layouts (mirrored or turned copies
+// included), fills its system matrix from lookups alone:
 //
 //	eng := parbem.NewEngine(parbem.EngineOptions{Workers: 8})
 //	defer eng.Close()
@@ -108,15 +109,18 @@
 //		...
 //	}
 //
-// On a 16-point crossing h-sweep the plan path is several times faster
-// than independent ExtractPipeline calls while agreeing to 1e-10
-// (TestSweepIncrementalSpeedup); SweepH and the capx -sweep flag run on
-// plans internally. Results must be treated as read-only — cache hits
+// On a 16-point crossing h-sweep the plan path agrees with independent
+// ExtractPipeline calls to 1e-10 while copying at least three near-field
+// entries for each one it integrates, adopting the block factors on most
+// steps and converging every warm-started solve in fewer iterations than
+// its cold twin (TestSweepIncrementalSpeedup asserts that work, not wall
+// clock; the timing is the plan_sweep workload of bench/). SweepH and the capx -sweep flag run on plans
+// internally. Results must be treated as read-only — cache hits
 // return the cached object and warm starts read the stored charges.
 //
 // # Running as a service
 //
-// All of the above amortization — the engine's basis/table/pair caches,
+// All of the above amortization — the engine's basis and class caches,
 // the family-keyed plan cache, the persistent worker pool — pays off
 // most when it survives process lifetime. The capxd daemon
 // (cmd/capxd, implemented in internal/serve) serves extractions over
@@ -166,8 +170,10 @@
 // Responses carry the same telemetry schema as capx -json, and capx
 // -remote http://... rides a warm server from the command line.
 // Identical-family requests hit the shared plan cache across HTTP
-// requests (TestServeWarmCacheSpeedup enforces the >= 2x warm
-// amortization); the golden-corpus harness (TestGoldenCorpus) pins
+// requests (TestServeWarmCacheSpeedup asserts the reuse — every variant
+// after the first adopts the near field and the factors and converges in
+// fewer iterations than a one-shot solve — not a wall-clock ratio); the
+// golden-corpus harness (TestGoldenCorpus) pins
 // every backend against stored reference matrices so service
 // refactors cannot silently drift the physics. The capxload harness
 // (cmd/capxload) drives the golden corpus at configurable concurrency
@@ -195,7 +201,6 @@ import (
 	"parbem/internal/plan"
 	"parbem/internal/report"
 	"parbem/internal/solver"
-	"parbem/internal/tabulate"
 )
 
 // Geometry types (see internal/geom for details).
@@ -293,18 +298,14 @@ func Extract(st *Structure, opt Options) (*Result, error) {
 // Batch extraction engine types (see internal/batch for details).
 type (
 	// Engine is a batch extraction service: persistent worker pool plus
-	// caches of basis sets, kernel tables and symmetry-class
-	// integrals shared across extractions.
+	// caches of basis sets and symmetry-class integrals shared across
+	// extractions.
 	Engine = batch.Engine
 	// EngineOptions configures NewEngine; the zero value is a
-	// SharedMem engine with GOMAXPROCS workers and caching enabled.
+	// SharedMem engine with GOMAXPROCS workers.
 	EngineOptions = batch.Options
 	// EngineStats reports the engine's cache effectiveness.
 	EngineStats = batch.Stats
-	// CollocationSpec sizes the tabulated collocation kernel used when
-	// Options.Tables / EngineOptions.Tables is enabled (zero value =
-	// calibrated defaults).
-	CollocationSpec = tabulate.CollocationSpec
 )
 
 // NewEngine creates a batch extraction engine and starts its worker

@@ -2,7 +2,12 @@ package parbem
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
+
+	"parbem/internal/assembly"
+	"parbem/internal/par"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -97,5 +102,32 @@ func TestSetupDominatesTotal(t *testing.T) {
 	t.Logf("setup fraction: %.1f%% (N=%d, M=%d)", 100*frac, res.N, res.M)
 	if frac < 0.80 {
 		t.Errorf("setup fraction %.1f%% below 80%%", 100*frac)
+	}
+}
+
+// TestOptionSurface pins the settable values on the paper's path, from
+// Extract to the pair integrals. PR 19 deleted 23 that no workload,
+// command default or example set, each guarding a fork. A new one has to
+// edit this list, and its change should say which two existing callers
+// need different values of it; with one value in use it is a constant.
+func TestOptionSurface(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want []string
+	}{
+		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Basis", "Kernel", "Eps", "Network", "Pairs", "Pool"}},
+		{reflect.TypeOf(EngineOptions{}), []string{"Backend", "Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
+		{reflect.TypeOf(par.Options{}), []string{"Workers", "Pool"}},
+		{reflect.TypeOf(assembly.Integrator{}), []string{"Cfg", "Pairs"}},
+	} {
+		var got []string
+		for _, f := range reflect.VisibleFields(c.typ) {
+			if f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v has exported fields %v, want %v", c.typ, got, c.want)
+		}
 	}
 }
