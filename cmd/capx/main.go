@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -178,7 +179,7 @@ func main() {
 	}
 
 	fmt.Printf("structure : %s (%d conductors)\n", st.Name, st.NumConductors())
-	fmt.Printf("backend   : %v, D = %d\n", opt.Backend, *workers)
+	fmt.Printf("backend   : %v, D = %d\n", opt.Backend, nodesUsed(be, *workers))
 	fmt.Printf("basis     : N = %d functions, M = %d templates (M/N = %.2f)\n",
 		res.N, res.M, float64(res.M)/float64(res.N))
 	fmt.Printf("memory    : %.1f KB system matrix\n", float64(res.MatrixBytes)/1024)
@@ -647,6 +648,21 @@ func rowsToMatrix(rows [][]float64) *parbem.Matrix {
 		}
 	}
 	return m
+}
+
+// nodesUsed is the D a template backend runs on for a -workers value:
+// serial ignores the flag, and 0 means one rank to mpi, every core to
+// shared.
+func nodesUsed(be parbem.Backend, workers int) int {
+	switch {
+	case be == parbem.Serial:
+		return 1
+	case workers > 0:
+		return workers
+	case be == parbem.SharedMem:
+		return runtime.GOMAXPROCS(0)
+	}
+	return 1
 }
 
 func parseBackend(name string) (parbem.Backend, error) {

@@ -268,7 +268,7 @@ func TestFillSerialProducesSPDMatrix(t *testing.T) {
 		t.Fatalf("P is %dx%d", P.Rows, P.Cols)
 	}
 	if e := P.SymmetryError(); e != 0 {
-		t.Fatalf("P not exactly symmetric after Symmetrize: %g", e)
+		t.Fatalf("P not exactly symmetric after MirrorUpper: %g", e)
 	}
 	// Positive diagonal.
 	for i := 0; i < P.Rows; i++ {
@@ -303,7 +303,7 @@ func TestPartialMergeEqualsSerial(t *testing.T) {
 			FillRanges(set, in, bounds[p:p+2], sched.Local(1), part)
 			part.MergeInto(P)
 		}
-		Symmetrize(P)
+		P.MirrorUpper()
 		if diff := linalg.MaxAbsDiff(P, want); diff > 1e-12*scale {
 			t.Fatalf("d=%d: partition merge differs from serial by %g", d, diff)
 		}

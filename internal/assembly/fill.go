@@ -93,10 +93,11 @@ func (f *Interned) fillRange(dst *Partial, kLo, kHi int64) {
 	f.in.AddFillStats(c)
 }
 
-// FillRanges is the chunk-queue core of every fill path: it interns the
-// set once, then computes each k-chunk [bounds[t], bounds[t+1]) on the
-// executor's workers, accumulating straight into dst, which must cover
-// the columns of [bounds[0], bounds[len-1]).
+// FillRanges is the core of every fill path: it interns the set once,
+// then computes each k-chunk [bounds[t], bounds[t+1]) on the executor —
+// whose claimers take the chunks in order from one counter — accumulating
+// straight into dst, which must cover the columns of
+// [bounds[0], bounds[len-1]).
 //
 // Chunks run concurrently without a lock or a private slab, so no two of
 // them may touch the same column of P: the interior boundaries are moved
@@ -136,31 +137,13 @@ func (p *Partial) MergeInto(P *linalg.Dense) {
 	}
 }
 
-// Symmetrize copies the upper triangle of P onto the lower triangle, in
-// blocks so that neither the rows read nor the columns written leave the
-// cache between uses.
-func Symmetrize(P *linalg.Dense) {
-	const bs = 32
-	n := P.Rows
-	for ib := 0; ib < n; ib += bs {
-		for jb := ib; jb < n; jb += bs {
-			for i := ib; i < min(ib+bs, n); i++ {
-				row := P.Row(i)
-				for j := max(jb, i+1); j < min(jb+bs, n); j++ {
-					P.Data[j*P.Cols+i] = row[j]
-				}
-			}
-		}
-	}
-}
-
 // FillSerial runs Algorithm 1 on a single node: the full k-range,
 // symmetrized. The returned matrix is the unscaled P (multiply by
 // 1/(4*pi*eps) for physical units).
 func FillSerial(set *basis.Set, in *Integrator) *linalg.Dense {
 	P := linalg.NewDense(set.N(), set.N())
 	FillRanges(set, in, []int64{0, NumPairs(set.M())}, sched.Local(1), WholePartial(P))
-	Symmetrize(P)
+	P.MirrorUpper()
 	return P
 }
 

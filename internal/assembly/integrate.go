@@ -65,9 +65,11 @@
 // setting.
 //
 // What bypasses the table: far pairs (the point-charge form is cheaper
-// than any lookup) and templates whose shape has no compact encoding
-// (basis.TabulatedShape). Those are evaluated at their absolute
-// coordinates by Integrator.TemplatePair's code path.
+// than any lookup), and templates the key cannot describe — a
+// basis.Shape implementation other than FlatShape and ArchShape (no
+// builder emits one) or a support below the lattice's resolution. Those
+// are evaluated at their absolute coordinates by
+// Integrator.TemplatePair's code path.
 package assembly
 
 import (

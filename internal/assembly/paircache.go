@@ -280,8 +280,9 @@ func roundBits(p float64) uint64 {
 
 // classOf interns t's class, and with it the classes of its images, under
 // the integrator fingerprint cfg and the lattice quantum 2^qexp. It
-// returns nil for a template the table cannot describe: a shape without a
-// compact encoding, or a support below the lattice's resolution.
+// returns nil for a template the table cannot describe: a shape that is
+// neither of package basis's two, or a support below the lattice's
+// resolution.
 func (c *PairCache) classOf(cfg uint64, qexp int, t *basis.Template) *tplClass {
 	q := math.Ldexp(1, qexp)
 	sup := t.Support

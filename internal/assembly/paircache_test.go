@@ -258,19 +258,26 @@ func TestPairCacheConfigsDoNotAlias(t *testing.T) {
 	}
 }
 
-func TestPairCacheBypasses(t *testing.T) {
-	sampled := tpl(geom.Z, 0, 0, 1, 0, 1, basis.VaryU, basis.TabulatedShape{Samples: []float64{0, 1, 0.5}}, 1)
-	flat := tpl(geom.Z, 0.5, 0, 1, 0, 1, basis.VaryNone, basis.FlatShape{}, 1)
-	set := pairSet(sampled, flat)
+// rampShape is a basis.Shape the class key has no encoding for.
+type rampShape struct{}
 
-	// A shape with no compact encoding is integrated where it stands.
+func (rampShape) Eval(t float64) float64 { return t }
+func (rampShape) Mean() float64          { return 0.5 }
+func (rampShape) FirstMoment() float64   { return 1. / 3 }
+
+func TestPairCacheBypasses(t *testing.T) {
+	ramp := tpl(geom.Z, 0, 0, 1, 0, 1, basis.VaryU, rampShape{}, 1)
+	flat := tpl(geom.Z, 0.5, 0, 1, 0, 1, basis.VaryNone, basis.FlatShape{}, 1)
+	set := pairSet(ramp, flat)
+
+	// A shape the key cannot describe is integrated where it stands.
 	in := NewIntegrator()
 	f := in.Intern(set)
-	if got, want := f.Pair(0, 1), in.TemplatePair(&sampled, &flat); got != want {
-		t.Errorf("tabulated shape: %g, direct %g", got, want)
+	if got, want := f.Pair(0, 1), in.TemplatePair(&ramp, &flat); got != want {
+		t.Errorf("foreign shape: %g, direct %g", got, want)
 	}
 	if f.Pair(1, 1); in.FillStats().ClassesIntegrated != 1 {
-		t.Errorf("flat self pair beside a tabulated shape: %d classes, want 1", in.FillStats().ClassesIntegrated)
+		t.Errorf("flat self pair beside a foreign shape: %d classes, want 1", in.FillStats().ClassesIntegrated)
 	}
 }
 

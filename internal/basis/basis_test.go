@@ -58,24 +58,6 @@ func TestArchShapeMeanProperty(t *testing.T) {
 	}
 }
 
-func TestTabulatedShape(t *testing.T) {
-	s := TabulatedShape{Samples: []float64{0, 1, 0.5}}
-	if s.Eval(0) != 0 || s.Eval(1) != 0.5 {
-		t.Error("endpoint eval wrong")
-	}
-	if got := s.Eval(0.25); math.Abs(got-0.5) > 1e-15 {
-		t.Errorf("Eval(0.25) = %g want 0.5", got)
-	}
-	// Mean is the trapezoid integral: 0.5*(0+1)/2 + 0.5*(1+0.5)/2 = 0.625.
-	if got := s.Mean(); math.Abs(got-0.625) > 1e-15 {
-		t.Errorf("Mean = %g want 0.625", got)
-	}
-	// Out-of-range clamps.
-	if s.Eval(-1) != 0 || s.Eval(2) != 0.5 {
-		t.Error("clamping broken")
-	}
-}
-
 func TestTemplateValueAndMoment(t *testing.T) {
 	sup := geom.Rect{Normal: geom.Z, U: geom.Interval{Lo: 0, Hi: 2}, V: geom.Interval{Lo: 0, Hi: 3}}
 	flat := Template{Support: sup, Dir: VaryNone, Shape: FlatShape{}, Amplitude: 2}

@@ -105,54 +105,6 @@ func (a ArchShape) Breakpoint() (float64, bool) {
 	return a.EdgePos, true
 }
 
-// TabulatedShape is a sampled profile with linear interpolation, produced
-// by the template-extraction pipeline (internal/extract) from elementary
-// problems.
-type TabulatedShape struct {
-	Samples []float64 // values at uniform points over [0, 1]; len >= 2
-}
-
-// Eval implements Shape.
-func (s TabulatedShape) Eval(t float64) float64 {
-	n := len(s.Samples)
-	u := t * float64(n-1)
-	if u <= 0 {
-		return s.Samples[0]
-	}
-	if u >= float64(n-1) {
-		return s.Samples[n-1]
-	}
-	i := int(u)
-	f := u - float64(i)
-	return s.Samples[i]*(1-f) + s.Samples[i+1]*f
-}
-
-// Mean implements Shape (trapezoid rule, exact for the interpolant).
-func (s TabulatedShape) Mean() float64 {
-	n := len(s.Samples)
-	sum := 0.5 * (s.Samples[0] + s.Samples[n-1])
-	for _, v := range s.Samples[1 : n-1] {
-		sum += v
-	}
-	return sum / float64(n-1)
-}
-
-// FirstMoment implements Shape (trapezoid rule on t*S(t), exact for the
-// piecewise-linear interpolant up to the quadratic correction, which is
-// included per segment).
-func (s TabulatedShape) FirstMoment() float64 {
-	n := len(s.Samples)
-	h := 1 / float64(n-1)
-	var sum float64
-	for i := 0; i+1 < n; i++ {
-		t0 := float64(i) * h
-		a, b := s.Samples[i], s.Samples[i+1]
-		// int_{t0}^{t0+h} t*(a + (b-a)(t-t0)/h) dt
-		sum += h * (t0*(a+b)/2 + h*(a+2*b)/6)
-	}
-	return sum
-}
-
 // VaryDir identifies which in-plane direction of a template's support
 // rectangle carries the 1-D shape variation.
 type VaryDir int

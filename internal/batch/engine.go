@@ -15,8 +15,8 @@
 //     a repeated-template corpus (the same bus extracted many times, or
 //     translated, mirrored or turned copies of one crossing layout)
 //     integrates nothing after the first; and
-//   - schedules every fill's chunks onto one persistent work-stealing
-//     worker pool instead of spawning per-call goroutines.
+//   - schedules every fill's chunks onto one persistent worker pool
+//     (sched.Pool) instead of spawning per-call goroutines.
 //
 // The paper's observation that nearly all extraction time is the
 // embarrassingly parallel matrix fill is what makes this profitable: the
@@ -233,18 +233,9 @@ func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 func (e *Engine) ExtractAll(sts []*geom.Structure) ([]*solver.Result, error) {
 	results := make([]*solver.Result, len(sts))
 	errs := make([]error, len(sts))
-	sem := make(chan struct{}, max(2, e.pool.Workers()))
-	var wg sync.WaitGroup
-	for i, st := range sts {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, st *geom.Structure) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.Extract(st)
-		}(i, st)
-	}
-	wg.Wait()
+	sched.Local(max(2, e.pool.Workers())).Map(len(sts), func(i int) {
+		results[i], errs[i] = e.Extract(sts[i])
+	})
 	for _, err := range errs {
 		if err != nil {
 			return results, err

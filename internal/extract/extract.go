@@ -14,15 +14,14 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
-	"parbem/internal/basis"
 	"parbem/internal/fmm"
 	"parbem/internal/geom"
 	"parbem/internal/linalg"
 	"parbem/internal/op"
 	"parbem/internal/pcbem"
 	"parbem/internal/plan"
+	"parbem/internal/sched"
 )
 
 // iterativeThreshold is the panel count above which the elementary
@@ -204,52 +203,6 @@ func FitArch(p *Profile, sp geom.CrossingPairSpec) (*ArchFit, error) {
 	return &ArchFit{Flat: flat, Peak: peak, PeakPos: peakPos, Decay: decay}, nil
 }
 
-// ShapeFromProfile tabulates the residual arch shape over [edge-li,
-// edge+le] (one side of the crossing), normalized to peak 1, for use as a
-// basis.TabulatedShape.
-func ShapeFromProfile(p *Profile, fit *ArchFit, sp geom.CrossingPairSpec, samples int) basis.TabulatedShape {
-	if samples < 2 {
-		samples = 32
-	}
-	edge := sp.Width / 2
-	li := math.Min(1.5*sp.H, sp.Width/2)
-	le := 2 * sp.H
-	lo, hi := edge-li, edge+le
-	out := make([]float64, samples)
-	maxAbs := 0.0
-	for i := 0; i < samples; i++ {
-		u := lo + (hi-lo)*float64(i)/float64(samples-1)
-		r := interp(p, u) - fit.Flat
-		out[i] = r
-		if a := math.Abs(r); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs > 0 {
-		for i := range out {
-			out[i] = math.Abs(out[i]) / maxAbs
-		}
-	}
-	return basis.TabulatedShape{Samples: out}
-}
-
-// interp linearly interpolates the profile at u.
-func interp(p *Profile, u float64) float64 {
-	n := len(p.U)
-	if u <= p.U[0] {
-		return p.Rho[0]
-	}
-	if u >= p.U[n-1] {
-		return p.Rho[n-1]
-	}
-	i := sort.SearchFloat64s(p.U, u)
-	if i == 0 {
-		return p.Rho[0]
-	}
-	t := (u - p.U[i-1]) / (p.U[i] - p.U[i-1])
-	return p.Rho[i-1]*(1-t) + p.Rho[i]*t
-}
-
 // PointError records the failure of one sweep point, tagged with the
 // separation it belongs to.
 type PointError struct {
@@ -334,38 +287,23 @@ func SweepHWorkers(base geom.CrossingPairSpec, hs []float64, maxEdge float64, wo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(hs) {
-		workers = len(hs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = min(workers, len(hs)) // every chunk below is non-empty
 	// The panel count — and hence the method selection — is the same
 	// for every point (only positions vary with h), so resolve the plan
 	// options once, not per worker.
 	popt := crossingPlanOptions(base, maxEdge)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(hs) / workers
-		hi := (w + 1) * len(hs) / workers
-		if lo == hi {
-			continue
+	sched.Local(workers).Map(workers, func(w int) {
+		chunk := order[w*len(hs)/workers : (w+1)*len(hs)/workers]
+		p, err := plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: popt})
+		if err != nil {
+			p = nil // degrade to independent per-point solves
 		}
-		wg.Add(1)
-		go func(chunk []int) {
-			defer wg.Done()
-			p, err := plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: popt})
-			if err != nil {
-				p = nil // degrade to independent per-point solves
-			}
-			for _, i := range chunk {
-				sp := base
-				sp.H = hs[i]
-				fits[i], errs[i] = sweepPoint(p, sp, maxEdge)
-			}
-		}(order[lo:hi])
-	}
-	wg.Wait()
+		for _, i := range chunk {
+			sp := base
+			sp.H = hs[i]
+			fits[i], errs[i] = sweepPoint(p, sp, maxEdge)
+		}
+	})
 
 	var joined []error
 	for i, err := range errs {

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"parbem/internal/geom"
@@ -40,7 +41,7 @@ func TestCrossingProfileShape(t *testing.T) {
 	}
 	// Magnitude peaks near the crossing (center) and decays toward the
 	// ends (paper Figure 2's bump).
-	mid := math.Abs(interp(prof, 0))
+	mid := math.Abs(prof.Rho[sort.SearchFloat64s(prof.U, 0)])
 	end := math.Abs(prof.Rho[0])
 	if mid <= end {
 		t.Errorf("no charge crowding: |rho(0)| = %g <= |rho(end)| = %g", mid, end)
@@ -68,38 +69,6 @@ func TestFitArchFindsBump(t *testing.T) {
 	// h/10 and 10h.
 	if fit.Decay < sp.H/10 || fit.Decay > 10*sp.H {
 		t.Errorf("decay %g not on the h scale (h=%g)", fit.Decay, sp.H)
-	}
-}
-
-func TestShapeFromProfileNormalized(t *testing.T) {
-	sp := smallSpec()
-	prof, err := CrossingProfile(sp, 0.4e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fit, err := FitArch(prof, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := ShapeFromProfile(prof, fit, sp, 32)
-	if len(shape.Samples) != 32 {
-		t.Fatalf("samples = %d", len(shape.Samples))
-	}
-	maxV := 0.0
-	for _, v := range shape.Samples {
-		if v < 0 || v > 1 {
-			t.Fatalf("sample %g outside [0,1]", v)
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if math.Abs(maxV-1) > 1e-12 {
-		t.Errorf("shape not normalized to peak 1: %g", maxV)
-	}
-	// Usable as a basis shape.
-	if shape.Mean() <= 0 || shape.Mean() > 1 {
-		t.Errorf("shape mean %g implausible", shape.Mean())
 	}
 }
 

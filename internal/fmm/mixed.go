@@ -25,13 +25,15 @@ type mixedScratch struct {
 	l0      []float32
 	l1      [][3]float32
 	l2      [][6]float32
-	// xg is the per-leaf gathered x sub-vector: every row of a leaf has
-	// the same near-field column layout, so the gather is hoisted out of
-	// the row loop and each row becomes a dense contiguous dot product.
+	// xg holds the per-leaf gathered x sub-vectors: every row of a leaf
+	// has the same near-field column layout, so the gather is hoisted out
+	// of the row loop and each row becomes a dense contiguous dot
+	// product. Leaf k owns xg[xgOff[k]:xgOff[k+1]] (mixedState.xgOff):
+	// the leaves are evaluated concurrently and must not share it.
 	xg []float32
 }
 
-func newMixedScratch(n, nodes, maxRow int) *mixedScratch {
+func newMixedScratch(n, nodes, xgLen int) *mixedScratch {
 	return &mixedScratch{
 		x:       make([]float32, n),
 		charges: make([]float32, n),
@@ -41,7 +43,7 @@ func newMixedScratch(n, nodes, maxRow int) *mixedScratch {
 		l0:      make([]float32, nodes),
 		l1:      make([][3]float32, nodes),
 		l2:      make([][6]float32, nodes),
-		xg:      make([]float32, maxRow),
+		xg:      make([]float32, xgLen),
 	}
 }
 
@@ -76,6 +78,7 @@ type mixedState struct {
 	// instead of 140 bytes streamed per pair.
 	m2lTab    []float32
 	m2lTabIdx []int32
+	xgOff     []int // leaf k's segment of mixedScratch.xg, by position in op.leaves
 	scratch   *sched.Scratch[*mixedScratch]
 }
 
@@ -152,14 +155,18 @@ func (op *Operator) EnableMixed() {
 			}
 		}
 		n, nodes := len(op.panels), len(op.t.nodes)
-		maxRow := 0
-		for pi := 0; pi < n; pi++ {
-			if w := int(op.nearOff[pi+1] - op.nearOff[pi]); w > maxRow {
-				maxRow = w
+		m.xgOff = make([]int, len(op.leaves)+1)
+		for k, lf := range op.leaves {
+			w := 0
+			if nd := &op.t.nodes[lf]; nd.hi > nd.lo {
+				row := op.t.perm[nd.lo]
+				w = int(op.nearOff[row+1] - op.nearOff[row])
 			}
+			m.xgOff[k+1] = m.xgOff[k] + w
 		}
+		xgLen := m.xgOff[len(op.leaves)]
 		m.scratch = sched.NewScratch(func() *mixedScratch {
-			return newMixedScratch(n, nodes, maxRow)
+			return newMixedScratch(n, nodes, xgLen)
 		})
 		op.mixed = m
 	})
@@ -193,8 +200,8 @@ func (op *Operator) ApplyMixed(dst, x []float64) {
 			op.m2lNode32(m, s, id)
 		}
 		op.downward32(m, s)
-		for _, lf := range op.leaves {
-			op.evalLeaf32(m, s, lf, dst)
+		for k := range op.leaves {
+			op.evalLeaf32(m, s, k, dst)
 		}
 		return
 	}
@@ -210,9 +217,8 @@ func (op *Operator) ApplyMixed(dst, x []float64) {
 		}
 	})
 	op.downward32(m, s)
-	leaves := op.leaves
-	op.exec.Map(len(leaves), func(k int) {
-		op.evalLeaf32(m, s, leaves[k], dst)
+	op.exec.Map(len(op.leaves), func(k int) {
+		op.evalLeaf32(m, s, k, dst)
 	})
 }
 
@@ -436,7 +442,8 @@ func (op *Operator) downward32(m *mixedState, s *mixedScratch) {
 // product (two streaming loads per entry instead of value + index +
 // dependent gather). L2P is unchanged; the final store converts to
 // float64.
-func (op *Operator) evalLeaf32(m *mixedState, s *mixedScratch, lf int32, dst []float64) {
+func (op *Operator) evalLeaf32(m *mixedState, s *mixedScratch, li int, dst []float64) {
+	lf := op.leaves[li]
 	nd := &op.t.nodes[lf]
 	rows := op.t.perm[nd.lo:nd.hi]
 	if len(rows) == 0 {
@@ -444,7 +451,7 @@ func (op *Operator) evalLeaf32(m *mixedState, s *mixedScratch, lf int32, dst []f
 	}
 	lo0, hi0 := op.nearOff[rows[0]], op.nearOff[rows[0]+1]
 	cols := op.nearIdx[lo0:hi0]
-	xg := s.xg[:len(cols)]
+	xg := s.xg[m.xgOff[li]:m.xgOff[li+1]]
 	x := s.x
 	for k, c := range cols {
 		xg[k] = x[c]

@@ -41,6 +41,36 @@ func TestApplyMixedMatchesApply(t *testing.T) {
 	}
 }
 
+// TestApplyMixedParallelMatchesSerial runs the float32 apply on four
+// workers: every leaf gathers x into its own segment of the scratch, so
+// the result is the serial one bitwise. (The leaves once shared one
+// gather buffer — a data race this test shows under -race, and as wrong
+// rows whenever two leaves overlapped.)
+func TestApplyMixedParallelMatchesSerial(t *testing.T) {
+	panels := busPanels(t, 3, 3, 1e-6)
+	n := len(panels)
+	rng := rand.New(rand.NewSource(4))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	serial := NewOperator(panels, Options{Workers: 1})
+	serial.EnableMixed()
+	want := make([]float64, n)
+	serial.ApplyMixed(want, x)
+	par := NewOperator(panels, Options{Workers: 4})
+	par.EnableMixed()
+	got := make([]float64, n)
+	for rep := 0; rep < 5; rep++ {
+		par.ApplyMixed(got, x)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("rep %d: parallel mixed apply diverged at %d: %g vs %g", rep, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestApplyMixedBeforeEnable pins the fallback contract: without
 // EnableMixed, ApplyMixed must produce the fp64 result bitwise.
 func TestApplyMixedBeforeEnable(t *testing.T) {

@@ -4,7 +4,8 @@ import (
 	"errors"
 	"math"
 	"runtime"
-	"sync"
+
+	"parbem/internal/sched"
 )
 
 // ErrNotSPD is returned when Cholesky factorization encounters a
@@ -101,42 +102,25 @@ func cholFactor(l *Dense, nb int) error {
 	return nil
 }
 
-// parallelRows runs fn over [lo, hi) in block-cyclic row chunks: per-row
-// work in the trailing update grows with the row index (triangular), so
-// round-robin blocks keep the workers balanced. Serial when the range is
-// small and goroutine overhead would dominate.
+// parallelRows runs fn over [lo, hi) in 32-row blocks on the scheduler:
+// per-row work in the trailing update grows with the row index
+// (triangular), so the workers claim blocks one at a time. Blocks write
+// disjoint rows, so the result does not depend on who ran which. Serial
+// when the range is small and the fan-out would dominate.
 func parallelRows(lo, hi, workers int, fn func(lo, hi int)) {
 	n := hi - lo
 	if n <= 0 {
 		return
-	}
-	if workers > n {
-		workers = n
 	}
 	if workers <= 1 || n < 128 {
 		fn(lo, hi)
 		return
 	}
 	const block = 32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := w * block; ; b += workers * block {
-				a := lo + b
-				if a >= hi {
-					return
-				}
-				e := a + block
-				if e > hi {
-					e = hi
-				}
-				fn(a, e)
-			}
-		}(w)
-	}
-	wg.Wait()
+	sched.Local(workers).Map((n+block-1)/block, func(b int) {
+		a := lo + b*block
+		fn(a, min(a+block, hi))
+	})
 }
 
 // cholUnblocked factors the kb x kb diagonal block starting at (k, k).

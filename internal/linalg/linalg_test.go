@@ -278,6 +278,26 @@ func TestSymmetryError(t *testing.T) {
 	}
 }
 
+// TestMirrorUpper checks the blocked copy at sizes on both sides of its
+// block edge: the lower triangle becomes the upper's transpose, the
+// upper triangle and the diagonal keep their values.
+func TestMirrorUpper(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 32, 33, 70} {
+		m := NewDense(n, n)
+		for i := range m.Data {
+			m.Data[i] = float64(i + 1)
+		}
+		m.MirrorUpper()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if want := float64(min(i, j)*n + max(i, j) + 1); m.At(i, j) != want {
+					t.Fatalf("n=%d: m[%d,%d] = %g, want %g", n, i, j, m.At(i, j), want)
+				}
+			}
+		}
+	}
+}
+
 func TestCholeskyPropertySolveRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := func(seed int64) bool {

@@ -115,6 +115,24 @@ func MaxAbsDiff(a, b *Dense) float64 {
 	return m
 }
 
+// MirrorUpper copies the upper triangle of the square matrix m onto its
+// lower triangle, in blocks so that neither the rows read nor the
+// columns written leave the cache between uses.
+func (m *Dense) MirrorUpper() {
+	const bs = 32
+	n := m.Rows
+	for ib := 0; ib < n; ib += bs {
+		for jb := ib; jb < n; jb += bs {
+			for i := ib; i < min(ib+bs, n); i++ {
+				row := m.Row(i)
+				for j := max(jb, i+1); j < min(jb+bs, n); j++ {
+					m.Data[j*m.Cols+i] = row[j]
+				}
+			}
+		}
+	}
+}
+
 // SymmetryError returns max_ij |m_ij - m_ji| for a square matrix.
 func (m *Dense) SymmetryError() float64 {
 	if m.Rows != m.Cols {

@@ -77,7 +77,7 @@ func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *lin
 			}
 			part.MergeInto(P)
 		}
-		assembly.Symmetrize(P)
+		P.MirrorUpper()
 		in.AddFillStats(st)
 		result = P
 	})

@@ -64,9 +64,8 @@
 // only the requested Tol does. If the refinement stalls (the float32
 // operator cannot reduce the residual further), the pipeline finishes
 // the solve in pure fp64; correctness is never traded for speed.
-// PrecisionAuto (the default) delegates to costmodel.SelectPrecision,
-// which enables mixed only above a panel-count floor and below a
-// tolerance floor (tight tolerances near float32 epsilon gain nothing).
+// PrecisionAuto (the default) resolves to PrecisionFP64: mixed runs
+// only when asked for by name.
 // Dense backends ignore the knob (no float32 mirror). Result.Precision
 // and Pipeline.Precision report the arithmetic that actually ran, never
 // PrecisionAuto.
@@ -149,8 +148,9 @@ func (s *Spec) RHS() *linalg.Dense {
 	return phi
 }
 
-// assembleChunks is the target task count for the parallel fill: several
-// per worker so the cost-balanced ranges load-balance under stealing.
+// assembleChunks is the task count of the parallel fill: several per
+// worker, so that claiming the cost-balanced row ranges one at a time
+// evens out what the triangular estimate misses.
 const assembleChunks = 64
 
 // TriangularRowBounds partitions rows [0, n) into chunks carrying
@@ -183,35 +183,7 @@ func TriangularRowBounds(n, chunks int) []int {
 // triangle is integrated in parallel over cost-balanced row ranges, then
 // mirrored (each entry is computed exactly once).
 func (s *Spec) AssembleDense() *linalg.Dense {
-	n := s.N()
-	m := linalg.NewDense(n, n)
-	ex := s.exec()
-	bounds := TriangularRowBounds(n, assembleChunks)
-	ex.Map(len(bounds)-1, func(t int) {
-		var batch kernel.Batch
-		for i := bounds[t]; i < bounds[t+1]; i++ {
-			row := m.Row(i)
-			batch.Reset(s.Cfg, s.Panels[i].Rect)
-			for j := i; j < n; j++ {
-				row[j] = kernel.Scale(batch.Eval(s.Panels[j].Rect), s.Eps)
-			}
-		}
-	})
-	// Mirror the strictly-lower triangle from the filled upper half.
-	chunk := (n + assembleChunks - 1) / assembleChunks
-	ex.Map((n+chunk-1)/chunk, func(t int) {
-		lo := t * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			for j := 0; j < i; j++ {
-				row[j] = m.At(j, i)
-			}
-		}
-	})
+	m, _ := s.AssembleDenseReuse(nil, nil)
 	return m
 }
 
@@ -220,24 +192,26 @@ func (s *Spec) AssembleDense() *linalg.Dense {
 // (equal non-negative class values, panels aligned 1:1 by index; see
 // geom.Diff and internal/plan) are copied from prev instead of
 // re-integrated. It returns the matrix and the number of unordered
-// entries served from prev. A shape-mismatched prev degrades to a full
+// entries served from prev. A nil or shape-mismatched prev is a full
 // fresh assembly.
 func (s *Spec) AssembleDenseReuse(prev *linalg.Dense, class []int32) (*linalg.Dense, int64) {
 	n := s.N()
-	if prev == nil || prev.Rows != n || prev.Cols != n || len(class) != n {
-		return s.AssembleDense(), 0
+	if prev != nil && (prev.Rows != n || prev.Cols != n || len(class) != n) {
+		prev = nil
 	}
 	m := linalg.NewDense(n, n)
-	ex := s.exec()
 	bounds := TriangularRowBounds(n, assembleChunks)
 	var reused atomic.Int64
-	ex.Map(len(bounds)-1, func(t int) {
+	s.exec().Map(len(bounds)-1, func(t int) {
 		var nr int64
 		var batch kernel.Batch
 		for i := bounds[t]; i < bounds[t+1]; i++ {
 			row := m.Row(i)
-			prow := prev.Row(i)
-			ci := class[i]
+			var prow []float64
+			ci := int32(-1) // no class: integrate the whole row
+			if prev != nil {
+				prow, ci = prev.Row(i), class[i]
+			}
 			batch.Reset(s.Cfg, s.Panels[i].Rect)
 			for j := i; j < n; j++ {
 				if ci >= 0 && ci == class[j] {
@@ -250,21 +224,7 @@ func (s *Spec) AssembleDenseReuse(prev *linalg.Dense, class []int32) (*linalg.De
 		}
 		reused.Add(nr)
 	})
-	// Mirror the strictly-lower triangle from the filled upper half.
-	chunk := (n + assembleChunks - 1) / assembleChunks
-	ex.Map((n+chunk-1)/chunk, func(t int) {
-		lo := t * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			for j := 0; j < i; j++ {
-				row[j] = m.At(j, i)
-			}
-		}
-	})
+	m.MirrorUpper()
 	return m, reused.Load()
 }
 

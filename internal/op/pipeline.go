@@ -91,11 +91,10 @@ type Options struct {
 	// pivoted LDLᵀ) instead of Krylov iteration; it requires the dense
 	// backend (auto resolving to dense is fine).
 	Direct bool
-	// Precision selects the matvec arithmetic of accelerated backends
-	// (default PrecisionAuto: the cost model enables the float32 mirror
-	// when the problem is large enough and the tolerance allows
-	// refinement to recover full fp64 accuracy). Dense and direct
-	// solves always run fp64.
+	// Precision selects the matvec arithmetic of accelerated backends:
+	// PrecisionMixed runs the float32 mirror inside fp64 refinement,
+	// PrecisionAuto (the default) and PrecisionFP64 run fp64. Dense and
+	// direct solves always run fp64.
 	Precision Precision
 	// FMM overrides the multipole operator options (nil = defaults;
 	// Eps/Cfg are filled from the Spec when zero).
@@ -600,56 +599,51 @@ func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense) (*lin
 	if p.pre != nil {
 		pre = p.pre.Apply
 	}
-	var wg sync.WaitGroup
-	for j := 0; j < nc; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			ws := p.acquireWS(n)
-			defer p.ws.Put(ws)
-			b := make([]float64, n)
-			x := make([]float64, n)
+	// As many claimers as columns: the solves run concurrently.
+	sched.Local(nc).Map(nc, func(j int) {
+		ws := p.acquireWS(n)
+		defer p.ws.Put(ws)
+		b := make([]float64, n)
+		x := make([]float64, n)
+		for i := 0; i < n; i++ {
+			b[i] = phi.At(i, j)
+		}
+		if x0 != nil {
 			for i := 0; i < n; i++ {
-				b[i] = phi.At(i, j)
+				x[i] = x0.At(i, j)
 			}
-			if x0 != nil {
-				for i := 0; i < n; i++ {
-					x[i] = x0.At(i, j)
-				}
-			}
-			var res linalg.GMRESResult
-			var err error
-			if p.mixedA != nil {
-				res, err = p.solveRefined(ctx, ws, x, b, pre)
-			} else {
-				res, err = linalg.GMRESWith(ws, p.a, x, b, linalg.GMRESOptions{
-					Tol:     p.opt.Tol,
-					Restart: p.opt.Restart,
-					Precond: pre,
-					Ctx:     ctx,
-				})
-			}
-			// Record partial iteration counts, residuals and the last
-			// iterate even on failure: an interrupted solve reports the
-			// work it completed, and the partial charges feed the
-			// best-effort capacitance estimate of a deadline-aware
-			// early exit. Columns write disjoint entries, so the shared
-			// matrix needs no locking.
-			iters[j] = res.Iterations
-			resids[j] = res.Residual
-			for i := 0; i < n; i++ {
-				rho.Set(i, j, x[i])
-			}
-			if err != nil {
-				errs[j] = fmt.Errorf("op: GMRES failed on column %d: %w", j, err)
-				return
-			}
-			if !res.Converged {
-				errs[j] = fmt.Errorf("op: GMRES stalled on column %d (res %g)", j, res.Residual)
-			}
-		}(j)
-	}
-	wg.Wait()
+		}
+		var res linalg.GMRESResult
+		var err error
+		if p.mixedA != nil {
+			res, err = p.solveRefined(ctx, ws, x, b, pre)
+		} else {
+			res, err = linalg.GMRESWith(ws, p.a, x, b, linalg.GMRESOptions{
+				Tol:     p.opt.Tol,
+				Restart: p.opt.Restart,
+				Precond: pre,
+				Ctx:     ctx,
+			})
+		}
+		// Record partial iteration counts, residuals and the last
+		// iterate even on failure: an interrupted solve reports the
+		// work it completed, and the partial charges feed the
+		// best-effort capacitance estimate of a deadline-aware
+		// early exit. Columns write disjoint entries, so the shared
+		// matrix needs no locking.
+		iters[j] = res.Iterations
+		resids[j] = res.Residual
+		for i := 0; i < n; i++ {
+			rho.Set(i, j, x[i])
+		}
+		if err != nil {
+			errs[j] = fmt.Errorf("op: GMRES failed on column %d: %w", j, err)
+			return
+		}
+		if !res.Converged {
+			errs[j] = fmt.Errorf("op: GMRES stalled on column %d (res %g)", j, res.Residual)
+		}
+	})
 	total := 0
 	for j := 0; j < nc; j++ {
 		total += iters[j]

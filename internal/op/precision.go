@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"parbem/internal/costmodel"
 	"parbem/internal/linalg"
 )
 
@@ -15,10 +14,10 @@ type Precision int
 
 // Matvec precisions.
 const (
-	// PrecisionAuto lets the cost model decide
-	// (costmodel.SelectPrecision): mixed when the backend has a float32
-	// mirror, the problem is large enough to amortize it, and the
-	// tolerance is reachable through fp32 inner arithmetic.
+	// PrecisionAuto (the zero value) resolves to PrecisionFP64: the
+	// float32 mirror never showed an end-to-end win and its refinement
+	// intermittently blew up (bench/README.md), so it runs only when
+	// asked for by name.
 	PrecisionAuto Precision = iota
 	// PrecisionFP64 runs every apply in float64.
 	PrecisionFP64
@@ -73,24 +72,14 @@ func (m mixedMatvec) Dim() int               { return m.ma.Dim() }
 func (m mixedMatvec) Apply(dst, x []float64) { m.ma.ApplyMixed(dst, x) }
 
 // resolvePrecision enables the operator's float32 mirror when the
-// requested (or cost-model-selected) precision is mixed. Dense and
-// direct solves, and operators without a mirror, stay fp64 regardless.
+// requested precision is mixed. Dense and direct solves, and operators
+// without a mirror, stay fp64 regardless.
 func (p *Pipeline) resolvePrecision() {
-	if p.opt.Direct {
+	if p.opt.Direct || p.opt.Precision != PrecisionMixed {
 		return
 	}
 	ma, ok := p.a.(MixedApplier)
 	if !ok {
-		return
-	}
-	prec := p.opt.Precision
-	if prec == PrecisionAuto {
-		w := costmodel.Workload{Panels: p.a.Dim(), Tol: p.opt.Tol}
-		if costmodel.SelectPrecision(w) == costmodel.ChooseMixed {
-			prec = PrecisionMixed
-		}
-	}
-	if prec != PrecisionMixed {
 		return
 	}
 	ma.EnableMixed()

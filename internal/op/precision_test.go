@@ -2,9 +2,22 @@ package op
 
 import (
 	"testing"
-
-	"parbem/internal/costmodel"
 )
+
+// stubMirror is a mirror-capable operator that computes nothing: it
+// records whether a pipeline asked for its float32 mirror.
+type stubMirror struct {
+	n     int
+	mixed bool
+}
+
+func (s *stubMirror) Dim() int               { return s.n }
+func (s *stubMirror) Apply(dst, x []float64) { copy(dst, x) }
+func (s *stubMirror) EnableMixed()           { s.mixed = true }
+func (s *stubMirror) MixedEnabled() bool     { return s.mixed }
+func (s *stubMirror) ApplyMixed(dst, x []float64) {
+	copy(dst, x)
+}
 
 // TestPrecisionParseString pins the flag round trip.
 func TestPrecisionParseString(t *testing.T) {
@@ -64,34 +77,50 @@ func TestPipelineMixedMatchesFP64(t *testing.T) {
 	}
 }
 
-// TestPipelineAutoPrecision pins the automatic selection: small
-// problems and dense backends stay fp64; the cost model's thresholds
-// are exercised directly on the workload summary.
+// TestPipelineAutoPrecision pins what auto resolves to: fp64, whatever
+// the size — a mirror-capable operator of 4096 unknowns built with
+// zero-value Options must not have its float32 mirror enabled (it was,
+// from 2048 panels up, while the cost model decided) — and the mirror
+// still runs when asked for by name. Dense backends have no mirror.
 func TestPipelineAutoPrecision(t *testing.T) {
-	spec := busSpec(t, 2, 2, 1e-6) // few hundred panels, below MixedMinPanels
-	p, err := New(spec, Options{Backend: BackendFMM})
+	small := busSpec(t, 2, 2, 1e-6)
+	big := small
+	for len(big.Panels) < 4096 {
+		big.Panels = append(big.Panels, small.Panels...)
+	}
+	big.Panels = big.Panels[:4096:4096]
+	for _, tc := range []struct {
+		opt  Options
+		want Precision
+	}{
+		{Options{}, PrecisionFP64},
+		{Options{Precision: PrecisionFP64}, PrecisionFP64},
+		{Options{Precision: PrecisionMixed}, PrecisionMixed},
+	} {
+		a := &stubMirror{n: len(big.Panels)}
+		p, err := NewWithOperator(big, a, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Precision() != tc.want || a.mixed != (tc.want == PrecisionMixed) {
+			t.Errorf("Precision %v on a %d-unknown mirror-capable operator: resolved %v (mirror built: %v), want %v",
+				tc.opt.Precision, a.n, p.Precision(), a.mixed, tc.want)
+		}
+	}
+
+	p, err := New(small, Options{Backend: BackendFMM})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Precision() != PrecisionFP64 {
 		t.Errorf("small fmm pipeline resolved to %v, want fp64", p.Precision())
 	}
-	d, err := New(spec, Options{Backend: BackendDense, Precision: PrecisionMixed})
+	d, err := New(small, Options{Backend: BackendDense, Precision: PrecisionMixed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Precision() != PrecisionFP64 {
 		t.Errorf("dense pipeline resolved to %v, want fp64 (no mirror)", d.Precision())
-	}
-
-	if c := costmodel.SelectPrecision(costmodel.Workload{Panels: 100000, Tol: 1e-4}); c != costmodel.ChooseMixed {
-		t.Errorf("large loose workload: %v, want mixed", c)
-	}
-	if c := costmodel.SelectPrecision(costmodel.Workload{Panels: 100, Tol: 1e-4}); c != costmodel.ChooseFP64 {
-		t.Errorf("small workload: %v, want fp64", c)
-	}
-	if c := costmodel.SelectPrecision(costmodel.Workload{Panels: 100000, Tol: 1e-9}); c != costmodel.ChooseFP64 {
-		t.Errorf("tight-tolerance workload: %v, want fp64", c)
 	}
 }
 

@@ -99,7 +99,7 @@ func TestInternedPairAllocationFree(t *testing.T) {
 
 // TestFillSteadyStateAllocs bounds the allocations of a whole Fill call:
 // everything allocated is the matrix, the interned templates, the
-// scheduler's deques and the class table's pages (one per 32 classes),
+// scheduler's job and the class table's pages (one per 32 classes),
 // none of it per pair. The bound is deliberately generous; the point is
 // that the integration inner loop contributes nothing.
 func TestFillSteadyStateAllocs(t *testing.T) {

@@ -14,9 +14,10 @@
 // of its class (its like under translations, reflections and axis
 // permutations), which costs an integration, and which pairs come first
 // no static division can know. So the k-range is cut into
-// chunksPerWorker*D contiguous chunks that the workers claim from a
-// shared queue, OpenMP's "schedule(dynamic)". The matrix is bitwise the
-// one assembly.FillSerial returns whatever the chunking.
+// chunksPerWorker*D contiguous chunks that the workers claim one at a
+// time from a shared counter (internal/sched: one atomic add per claim),
+// OpenMP's "schedule(dynamic)". The matrix is bitwise the one
+// assembly.FillSerial returns whatever the chunking.
 package par
 
 import (
@@ -33,15 +34,16 @@ type Options struct {
 	// Workers is the number of parallel computing nodes D. Zero means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Pool, when non-nil, runs the chunks on a shared persistent
-	// work-stealing pool (the batch engine's worker set) instead of
-	// spawning Workers goroutines for this call alone. The pool's size
-	// then determines the parallelism; Workers still controls the chunk
-	// count.
+	// Pool, when non-nil, runs the chunks on a shared persistent worker
+	// pool (the batch engine's worker set) alongside the caller, instead
+	// of spawning Workers-1 goroutines for this call alone. The pool's
+	// size then determines the parallelism; Workers still controls the
+	// chunk count.
 	Pool *sched.Pool
 }
 
-// chunksPerWorker is how many chunks the k-range is cut into per worker.
+// chunksPerWorker is how many chunks the k-range is cut into per worker;
+// the shared queue they are claimed from is the scheduler's claim counter.
 // The last readings of the ablation that compared it with the paper's one
 // equal partition per worker, before that mode was deleted (6x6 bus,
 // D = 4 on a 2-vCPU host, ms per fill): 16.0, 15.9, 12.0 static against
@@ -67,6 +69,6 @@ func Fill(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Dense {
 		ex = sched.Local(d)
 	}
 	assembly.FillRanges(set, in, bounds, ex, assembly.WholePartial(P))
-	assembly.Symmetrize(P)
+	P.MirrorUpper()
 	return P
 }

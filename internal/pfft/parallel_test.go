@@ -26,16 +26,24 @@ func TestApplyAllocFree(t *testing.T) {
 		t.Fatalf("serial Apply allocates %.0f objects per call", allocs)
 	}
 
-	// Parallel mode: per-Map scheduler bookkeeping only, independent of
-	// the panel count (the precedent bound of internal/fmm).
+	// Parallel mode: per-Map scheduler bookkeeping only — a job, its done
+	// channel and, on Local, one goroutine closure per extra worker — for
+	// each Map call of Apply and of the grid's line transforms,
+	// independent of the panel count.
+	local := NewOperator(panels, Options{Workers: 2})
 	pool := sched.NewPool(4)
 	defer pool.Close()
-	par := NewOperator(panels, Options{Pool: pool})
-	par.Apply(dst, x)
-	if allocs := testing.AllocsPerRun(10, func() {
-		par.Apply(dst, x)
-	}); allocs > 200 {
-		t.Fatalf("pooled Apply allocates %.0f objects per call; grid loops are no longer allocation-free", allocs)
+	pooled := NewOperator(panels, Options{Pool: pool})
+	for _, tc := range []struct {
+		name string
+		op   *Operator
+	}{{"Workers: 2", local}, {"pooled", pooled}} {
+		tc.op.Apply(dst, x)
+		allocs := testing.AllocsPerRun(10, func() { tc.op.Apply(dst, x) })
+		t.Logf("%s Apply: %.0f objects per call", tc.name, allocs)
+		if allocs > 60 && !raceBuild {
+			t.Errorf("%s Apply allocates %.0f objects per call (want <= 60); the scheduler or the grid loops started allocating", tc.name, allocs)
+		}
 	}
 }
 

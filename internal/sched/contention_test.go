@@ -9,19 +9,25 @@ import (
 	"unsafe"
 )
 
-// TestFalseSharingPadding pins the padded layouts: a deque occupies a
-// whole number of false-sharing ranges (so two heap-allocated deques can
-// never share a prefetch-paired cache line), and the job's pending
-// counter does not share a range with the read-mostly header fields.
+// TestFalseSharingPadding pins the padded layouts: a job's two counters,
+// next (bumped on every claim) and left (on every completion), are a
+// false-sharing range apart from each other, from the read-only header
+// the claimers load on every task, and from whatever the allocator puts
+// after the job.
 func TestFalseSharingPadding(t *testing.T) {
-	if s := unsafe.Sizeof(deque{}); s%falseSharingRange != 0 {
-		t.Errorf("deque size %d is not a multiple of %d", s, falseSharingRange)
-	}
 	var j job
 	headerEnd := unsafe.Offsetof(j.done) + unsafe.Sizeof(j.done)
-	if unsafe.Offsetof(j.pending)-headerEnd < falseSharingRange {
-		t.Errorf("job.pending %d bytes past header end (want >= %d)",
-			unsafe.Offsetof(j.pending)-headerEnd, falseSharingRange)
+	for _, gap := range []struct {
+		name     string
+		from, to uintptr
+	}{
+		{"header -> next", headerEnd, unsafe.Offsetof(j.next)},
+		{"next -> left", unsafe.Offsetof(j.next), unsafe.Offsetof(j.left)},
+		{"left -> end", unsafe.Offsetof(j.left), unsafe.Sizeof(j)},
+	} {
+		if gap.to-gap.from < falseSharingRange {
+			t.Errorf("job: %s is %d bytes (want >= %d)", gap.name, gap.to-gap.from, falseSharingRange)
+		}
 	}
 	var s Scratch[*int]
 	if unsafe.Offsetof(s.extra)-unsafe.Offsetof(s.busy) < falseSharingRange {
@@ -43,12 +49,9 @@ func contentionWorkers() []int {
 }
 
 // BenchmarkMapContention measures the scheduler's per-task overhead
-// under maximal contention: many near-empty tasks, so every claim is a
-// deque pop racing the thieves and every completion hits the shared
-// pending counter. This is the micro-bench that exposed the false
-// sharing the deque/job cache-line padding removes — at >= 2 workers
-// the padded layout cuts cross-core invalidation traffic on the pop
-// and finish paths.
+// under maximal contention: many near-empty tasks, so every claim and
+// every completion is an atomic add on a counter all claimers share.
+// It is the micro-bench the job's cache-line padding is judged by.
 func BenchmarkMapContention(b *testing.B) {
 	const tasks = 4096
 	for _, w := range contentionWorkers() {

@@ -1,27 +1,29 @@
-// Package sched provides the work-stealing chunk scheduler shared by the
-// parallel matrix-fill backends. The shared-memory fill (internal/par),
-// the per-rank fill of the simulated distributed backend (internal/mpi)
-// and the batch extraction engine (internal/batch) all execute their
-// k-range chunks through the same primitives:
+// Package sched is the one scheduler every parallel loop of the library
+// runs on: the matrix fills, the dense assembly and operator applies, the
+// factorizations' trailing updates and the per-column, per-structure and
+// per-sweep-chunk fan-outs above them.
 //
-//   - Local(d) runs one task set on d throwaway goroutines (the classic
-//     per-call worker spawn, used by standalone Extract calls);
-//   - Pool is a persistent set of workers that many concurrent jobs share,
-//     so a stream of extractions reuses one warm worker set instead of
-//     spawning goroutines per call.
+// There is one mechanism. A Map call is a job — n tasks, a function and
+// a claim counter — and whoever works on it claims the next index from
+// the counter and runs it until the counter runs out: OpenMP's
+// schedule(dynamic), the balance refinement of paper Section 3. The
+// executors differ only in who the claimers are:
 //
-// In both cases tasks are dealt to per-worker deques in round-robin order
-// and idle workers steal from the tail of the busiest victim, which
-// absorbs the cost variance between chunks (the dynamic-scheduling
-// refinement of paper Section 3's balance discussion) without a single
-// contended queue.
+//   - Local(d) is the caller plus min(d, n)-1 throwaway goroutines;
+//   - Pool is a persistent worker set that many concurrent Map calls
+//     share: each worker joins the oldest job with unclaimed tasks, and
+//     the caller claims alongside them;
+//   - Budgeted(ex, k) caps one Map call at k claimers of ex.
+//
+// Because the caller always claims, a Map never waits for a free worker:
+// it completes on the caller alone if it must, so a task may itself call
+// Map, on the same executor or any other.
 package sched
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Executor runs n indexed tasks, distributing them over workers.
@@ -31,133 +33,50 @@ type Executor interface {
 	Map(n int, fn func(task int))
 }
 
-// falseSharingRange is the padding granularity separating per-worker
-// mutable state. 128 bytes covers the 64-byte cache lines of current
-// amd64/arm64 parts plus the adjacent-line spatial prefetcher, which
-// pulls line pairs and would otherwise re-couple neighbouring deques.
+// falseSharingRange is the padding granularity separating mutable state
+// that different cores hammer: the 64-byte cache lines of current
+// amd64/arm64 parts, doubled for the adjacent-line spatial prefetcher.
 const falseSharingRange = 128
 
-// dequeState holds a contiguous window of task indices still to run. The
-// owner pops from the front, thieves pop from the back; chunk granularity
-// is coarse (matrix-fill chunks), so a mutex is cheaper than a lock-free
-// deque and obviously correct.
-type dequeState struct {
-	mu     sync.Mutex
-	tasks  []int
-	lo, hi int // remaining window [lo, hi)
-}
-
-// deque pads the state to a cache-line-pair boundary: each worker hammers
-// its own deque's mutex and window bounds on every task claim, and the
-// thieves' remaining() scans read all of them, so two deques sharing a
-// line turn every pop into cross-core traffic (false sharing).
-type deque struct {
-	dequeState
-	_ [(falseSharingRange - unsafe.Sizeof(dequeState{})%falseSharingRange) % falseSharingRange]byte
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.lo >= d.hi {
-		return 0, false
-	}
-	t := d.tasks[d.lo]
-	d.lo++
-	return t, true
-}
-
-func (d *deque) popBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.lo >= d.hi {
-		return 0, false
-	}
-	d.hi--
-	return d.tasks[d.hi], true
-}
-
-func (d *deque) remaining() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.hi - d.lo
-}
-
-// job is one Map call in flight: tasks dealt across per-worker deques plus
-// a completion latch. The pending counter is decremented by every worker
-// on every task completion, so it sits on its own cache-line pair away
-// from the read-mostly header fields (deques/fn/done) that take() reads
-// on each claim.
+// job is one Map call in flight. Every claimer adds to next on every
+// claim and to left on every completion, so each counter has a cache-line
+// pair to itself, away from the header the claimers only read.
 type job struct {
-	deques  []*deque
-	fn      func(task int)
-	done    chan struct{}
-	_       [falseSharingRange]byte
-	pending atomic.Int64
-	_       [falseSharingRange - 8]byte
+	n    int
+	fn   func(task int)
+	done chan struct{} // closed by whoever completes the last task
+	_    [falseSharingRange]byte
+	next atomic.Int64 // tasks claimed so far
+	_    [falseSharingRange - 8]byte
+	left atomic.Int64 // tasks not yet completed
+	_    [falseSharingRange - 8]byte
 }
 
-// newJob deals n tasks round-robin over nw deques. Round-robin (rather
-// than contiguous blocks) interleaves the cost profile across workers,
-// since cost-balanced chunk bounds are already contiguous in k. Deques
-// are allocated individually (never as one array) so the padded type's
-// size keeps any two of them off shared cache lines.
-func newJob(n, nw int, fn func(task int)) *job {
-	j := &job{deques: make([]*deque, nw), fn: fn, done: make(chan struct{})}
-	for w := range j.deques {
-		cnt := n / nw
-		if w < n%nw {
-			cnt++
-		}
-		j.deques[w] = &deque{dequeState: dequeState{tasks: make([]int, 0, cnt)}}
-	}
-	for t := 0; t < n; t++ {
-		d := j.deques[t%nw]
-		d.tasks = append(d.tasks, t)
-		d.hi++
-	}
-	j.pending.Store(int64(n))
+func newJob(n int, fn func(task int)) *job {
+	j := &job{n: n, fn: fn, done: make(chan struct{})}
+	j.left.Store(int64(n))
 	return j
 }
 
-// take claims one task for worker w: own deque first, then steal from the
-// victim with the most remaining work.
-func (j *job) take(w int) (int, bool) {
-	if t, ok := j.deques[w].popFront(); ok {
-		return t, true
-	}
+// work claims and runs tasks until none is unclaimed.
+func (j *job) work() {
 	for {
-		best, bestLeft := -1, 0
-		for v := range j.deques {
-			if v == w {
-				continue
-			}
-			if left := j.deques[v].remaining(); left > bestLeft {
-				best, bestLeft = v, left
-			}
+		t := int(j.next.Add(1)) - 1
+		if t >= j.n {
+			return
 		}
-		if best < 0 {
-			return 0, false
+		j.fn(t)
+		if j.left.Add(-1) == 0 {
+			close(j.done)
 		}
-		if t, ok := j.deques[best].popBack(); ok {
-			return t, true
-		}
-		// Lost the race to the victim's last task; rescan.
-	}
-}
-
-// finish marks one task complete, closing the latch on the last.
-func (j *job) finish() {
-	if j.pending.Add(-1) == 0 {
-		close(j.done)
 	}
 }
 
 // local is the throwaway-goroutine executor.
 type local struct{ workers int }
 
-// Local returns an executor that spawns d goroutines per Map call
-// (d <= 0 means GOMAXPROCS). It is the per-call analog of Pool.
+// Local returns an executor that runs each Map call on the caller plus
+// up to d-1 goroutines spawned for the call (d <= 0 means GOMAXPROCS).
 func Local(d int) Executor {
 	if d <= 0 {
 		d = runtime.GOMAXPROCS(0)
@@ -165,48 +84,29 @@ func Local(d int) Executor {
 	return local{workers: d}
 }
 
-// Map implements Executor.
+// Map implements Executor. With one worker or one task it is a plain
+// loop in the caller.
 func (l local) Map(n int, fn func(task int)) {
-	if n <= 0 {
+	nw := min(l.workers, n)
+	if nw <= 1 {
+		inline(n, fn)
 		return
 	}
-	nw := l.workers
-	if nw > n {
-		nw = n
+	j := newJob(n, fn)
+	for w := 1; w < nw; w++ {
+		go j.work()
 	}
-	j := newJob(n, nw, fn)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				t, ok := j.take(w)
-				if !ok {
-					return
-				}
-				fn(t)
-				j.finish()
-			}
-		}(w)
-	}
-	wg.Wait()
+	j.work()
+	<-j.done
 }
 
 // Budgeted wraps an executor so that every Map call occupies at most k
 // of its workers at once: the call submits k feeder tasks that claim the
 // n real tasks from a shared counter. A long-running service hands each
 // request a Budgeted view of one shared persistent Pool, so concurrent
-// requests divide the pool instead of each trying to spread across all
-// of it (the oversubscription the per-request budget exists to prevent).
+// requests divide the pool instead of each spreading across all of it.
 // k = 1 runs inline in the caller without touching the executor at all;
 // k <= 0 returns ex unwrapped (no budget).
-//
-// The wrapped fn must not itself call Map on the same underlying Pool:
-// feeders run on pool workers, and a nested blocking Map from a worker
-// can deadlock the pool. All fill/apply call sites in this module are
-// flat (they Map only from request goroutines), which is what makes the
-// budget safe to thread through the operator stack.
 func Budgeted(ex Executor, k int) Executor {
 	if k <= 0 || ex == nil {
 		return ex
@@ -219,20 +119,11 @@ type budgeted struct {
 	k  int
 }
 
-// Map implements Executor: every task index in [0, n) runs exactly once
-// and Map returns only after all completed, on at most k workers.
+// Map implements Executor, on at most k workers of ex.
 func (b budgeted) Map(n int, fn func(task int)) {
-	if n <= 0 {
-		return
-	}
-	k := b.k
-	if k > n {
-		k = n
-	}
-	if k == 1 {
-		for t := 0; t < n; t++ {
-			fn(t)
-		}
+	k := min(b.k, n)
+	if k <= 1 {
+		inline(n, fn)
 		return
 	}
 	var next atomic.Int64
@@ -247,16 +138,16 @@ func (b budgeted) Map(n int, fn func(task int)) {
 	})
 }
 
-// Pool is a persistent work-stealing worker pool. Concurrent Map calls
-// from any number of goroutines share the same workers; each call blocks
-// until its own tasks are done. Close stops the workers (outstanding Map
-// calls complete first).
+// Pool is a persistent worker set. Concurrent Map calls from any number
+// of goroutines — tasks of the pool's own jobs included — share the same
+// workers; each call claims tasks of its own job alongside them and
+// returns when that job is done. Close stops the workers.
 type Pool struct {
 	workers int
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	jobs   []*job
+	jobs   []*job // in arrival order; exhausted ones are dropped by the workers
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -270,7 +161,7 @@ func NewPool(d int) *Pool {
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(d)
 	for w := 0; w < d; w++ {
-		go p.worker(w)
+		go p.worker()
 	}
 	return p
 }
@@ -278,102 +169,68 @@ func NewPool(d int) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Map implements Executor: it enqueues n tasks and blocks until all ran.
+// Map implements Executor: it posts the job for the workers to join,
+// claims tasks itself and blocks until all ran. On a closed pool the
+// caller is the only claimer.
 func (p *Pool) Map(n int, fn func(task int)) {
 	if n <= 0 {
 		return
 	}
-	j := newJob(n, p.workers, fn)
+	j := newJob(n, fn)
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		// The pool is gone; run inline rather than deadlock the caller.
-		for t := 0; t < n; t++ {
-			fn(t)
-		}
-		return
+	if !p.closed {
+		p.jobs = append(p.jobs, j)
+		p.cond.Broadcast()
 	}
-	p.jobs = append(p.jobs, j)
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	j.work()
 	<-j.done
 }
 
-// Close stops the workers after in-flight jobs drain.
+// Close stops the workers once no posted job has unclaimed tasks.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	p.mu.Unlock()
 	p.cond.Broadcast()
+	p.mu.Unlock()
 	p.wg.Wait()
 }
 
-// worker is the main loop of pool worker w: claim tasks from any active
-// job (own deque first, then steal), sleep when no claimable work exists.
-func (p *Pool) worker(w int) {
+// worker is the main loop of a pool worker: join the oldest job with
+// unclaimed tasks, sleep when there is none.
+func (p *Pool) worker() {
 	defer p.wg.Done()
-	for {
-		p.mu.Lock()
-		for len(p.jobs) == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if len(p.jobs) == 0 && p.closed {
-			p.mu.Unlock()
-			return
-		}
-		jobs := make([]*job, len(p.jobs))
-		copy(jobs, p.jobs)
-		p.mu.Unlock()
-
-		ran := false
-		for _, j := range jobs {
-			for {
-				t, ok := j.take(w % len(j.deques))
-				if !ok {
-					break
-				}
-				ran = true
-				j.fn(t)
-				if j.pending.Add(-1) == 0 {
-					close(j.done)
-					p.removeJob(j)
-				}
-			}
-		}
-		if !ran {
-			// Every visible task is claimed by another worker; wait for
-			// a new job (or shutdown) instead of spinning. Job removal
-			// also broadcasts, so we re-check soon after state changes.
-			p.mu.Lock()
-			if len(p.jobs) == len(jobs) && !p.closed && sameJobs(p.jobs, jobs) {
-				p.cond.Wait()
-			}
-			p.mu.Unlock()
-		}
-	}
-}
-
-// removeJob deletes a completed job from the active list.
-func (p *Pool) removeJob(j *job) {
 	p.mu.Lock()
-	for i, q := range p.jobs {
-		if q == j {
-			p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
+	for {
+		if j := p.oldest(); j != nil {
+			p.mu.Unlock()
+			j.work()
+			p.mu.Lock()
+		} else if p.closed {
 			break
+		} else {
+			p.cond.Wait()
 		}
 	}
 	p.mu.Unlock()
-	p.cond.Broadcast()
 }
 
-func sameJobs(a, b []*job) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// oldest returns the first posted job with unclaimed tasks, or nil, and
+// drops the fully claimed ones (their callers hold them until the last
+// task completes). A worker sleeps only after a scan that found nothing
+// and every Map wakes the sleepers, so an idle pool's list is empty and
+// retains no caller's closure. The caller holds p.mu.
+func (p *Pool) oldest() *job {
+	live := p.jobs[:0]
+	for _, j := range p.jobs {
+		if j.next.Load() < int64(j.n) {
+			live = append(live, j)
 		}
 	}
-	return true
+	clear(p.jobs[len(live):])
+	p.jobs = live
+	if len(live) == 0 {
+		return nil
+	}
+	return live[0]
 }

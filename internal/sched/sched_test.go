@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // checkMap verifies that Map runs every task exactly once.
@@ -65,9 +66,9 @@ func TestPoolReusableAfterIdle(t *testing.T) {
 	checkMap(t, p, 10)
 }
 
-func TestStealing(t *testing.T) {
-	// One slow task pinned to worker 0's deque must not serialize the
-	// rest: with stealing, the other worker drains everything else.
+func TestBlockedTaskDoesNotSerialize(t *testing.T) {
+	// One task that blocks whoever claimed it must not hold up the rest:
+	// the other claimers drain everything else from the shared counter.
 	p := NewPool(2)
 	defer p.Close()
 	block := make(chan struct{})
@@ -152,4 +153,81 @@ func TestBudgetedConcurrentRequests(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestNestedMapOnBusyPool occupies every worker of a pool with a task
+// that itself calls Map on that pool. No worker is free to help, so the
+// inner calls complete only because each caller claims its own tasks.
+// outer = workers is the case that deadlocked the deque scheduler (its
+// callers only waited); outer = workers+1 also holds the outer caller in
+// a task, so the barrier passes only once every worker is inside one.
+func TestNestedMapOnBusyPool(t *testing.T) {
+	const workers, inner = 3, 25
+	for _, outer := range []int{workers, workers + 1} {
+		p := NewPool(workers)
+		var ran, arrived atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			p.Map(outer, func(int) {
+				arrived.Add(1)
+				for arrived.Load() < int64(outer) {
+					runtime.Gosched()
+				}
+				p.Map(inner, func(int) { ran.Add(1) })
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("outer=%d: nested Map on a fully occupied pool did not complete (%d of %d inner tasks ran)",
+				outer, ran.Load(), outer*inner)
+		}
+		p.Close()
+		if got := ran.Load(); got != int64(outer*inner) {
+			t.Errorf("outer=%d: ran %d inner tasks, want %d", outer, got, outer*inner)
+		}
+	}
+}
+
+// TestExactlyOnceConcurrentNested hammers each executor with concurrent
+// Map calls whose tasks call Map on the same executor again, and counts
+// every (call, outer, inner) index: each must run exactly once.
+func TestExactlyOnceConcurrentNested(t *testing.T) {
+	pool := NewPool(3)
+	defer pool.Close()
+	closed := NewPool(2)
+	closed.Close()
+	for _, tc := range []struct {
+		name string
+		ex   Executor
+	}{
+		{"local", Local(3)},
+		{"pool", pool},
+		{"budgeted", Budgeted(pool, 2)},
+		{"closed-pool", closed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const callers, outer, inner = 4, 9, 11
+			counts := make([]int32, callers*outer*inner)
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					tc.ex.Map(outer, func(o int) {
+						tc.ex.Map(inner, func(i int) {
+							atomic.AddInt32(&counts[(c*outer+o)*inner+i], 1)
+						})
+					})
+				}(c)
+			}
+			wg.Wait()
+			for i, c := range counts {
+				if c != 1 {
+					t.Fatalf("index %d ran %d times", i, c)
+				}
+			}
+		})
+	}
 }

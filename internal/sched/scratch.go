@@ -10,12 +10,18 @@ import (
 // paths stay allocation-free).
 func MapOrInline(ex Executor, n int, fn func(task int)) {
 	if ex == nil {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+		inline(n, fn)
 		return
 	}
 	ex.Map(n, fn)
+}
+
+// inline runs the tasks in index order in the caller: no job, no
+// goroutine, no allocation.
+func inline(n int, fn func(task int)) {
+	for t := 0; t < n; t++ {
+		fn(t)
+	}
 }
 
 // Scratch manages the per-call mutable state of concurrency-safe

@@ -87,9 +87,8 @@ type ExtractResponse struct {
 	Backend   string `json:"backend"`
 	Requested string `json:"requested"`
 	Precond   string `json:"precond"`
-	// Precision is the resolved matvec arithmetic of the solve
-	// ("fp64" or "mixed"; auto requests report what the cost model
-	// picked).
+	// Precision is the resolved matvec arithmetic of the solve ("fp64",
+	// or "mixed" where the request or the daemon's default asked for it).
 	Precision  string  `json:"precision"`
 	NumPanels  int     `json:"num_panels"`
 	EdgeM      float64 `json:"edge_m"`

@@ -1,8 +1,7 @@
 // Package serve implements the long-running extraction service behind
 // the capxd daemon: an HTTP/JSON front end over one shared
-// batch.Engine, so the plan, basis, kernel-table and pair-integral
-// caches built up by PRs 1-4 amortize across requests and process
-// lifetime instead of dying with each CLI invocation.
+// batch.Engine, so its plan cache and state LRU amortize across requests
+// and process lifetime instead of dying with each CLI invocation.
 //
 // # Endpoints
 //
@@ -97,7 +96,9 @@
 // structural family — an h-sweep arriving as separate HTTP requests —
 // reuse each other's near-field integrals, block factorizations and
 // warm starts exactly as an explicit parbem.Plan sweep would
-// (TestServeWarmCacheSpeedup pins the amortization at >= 2x).
+// (TestServeWarmCacheSpeedup asserts the reuse as work not done — stages
+// adopted, iterations saved, state-LRU hits; the milliseconds are the
+// benchmark's serve.cold_ms against serve.variant_ms).
 //
 // # Running a replica set
 //
@@ -177,7 +178,7 @@ type Options struct {
 	CacheEntries int
 	// DefaultPrecision is the matvec arithmetic applied to requests that
 	// leave their precision selector empty or "auto" (capxd -precision).
-	// The zero value (op.PrecisionAuto) keeps the cost model in charge.
+	// The zero value (op.PrecisionAuto) means fp64.
 	DefaultPrecision op.Precision
 	// Limits bound individual requests (zero value = defaults).
 	Limits Limits

@@ -69,8 +69,8 @@ type Options struct {
 	Pairs *assembly.PairCache
 
 	// Pool, when non-nil, runs the SharedMem fill chunks on a shared
-	// persistent work-stealing pool instead of spawning per-call
-	// workers.
+	// persistent worker pool (and the caller) instead of spawning
+	// per-call workers.
 	Pool *sched.Pool
 }
 

@@ -23,12 +23,12 @@
 // classes, and every repeat of a class is a table lookup (Result.Fill
 // reports the counts; see internal/assembly). What a service extracting
 // many structures gains from an Engine is reuse *across* structures: one
-// persistent work-stealing worker pool, a concurrency-safe LRU of
-// immutable expensive state — template basis sets keyed by exact
-// geometry signature, warmed quadrature rules — and one class table
-// shared by all of its extractions, so a structure seen before, or one
-// built from the same template layouts (mirrored or turned copies
-// included), fills its system matrix from lookups alone:
+// persistent worker pool, a concurrency-safe LRU of immutable expensive
+// state — template basis sets keyed by exact geometry signature, warmed
+// quadrature rules — and one class table shared by all of its
+// extractions, so a structure seen before, or one built from the same
+// template layouts (mirrored or turned copies included), fills its
+// system matrix from lookups alone:
 //
 //	eng := parbem.NewEngine(parbem.EngineOptions{Workers: 8})
 //	defer eng.Close()
@@ -80,9 +80,9 @@
 // operator — half the operator memory traffic — inside float64
 // iterative refinement, so the result still converges to the requested
 // tolerance in full precision; a stalling refinement falls back to pure
-// fp64 automatically. PrecisionAuto (default) enables mixed only where
-// the cost model expects it to win: large operators at moderate
-// tolerances. Dense solves always run fp64. On the command line:
+// fp64 automatically. PrecisionAuto (default) is fp64: the mirror has
+// shown no end-to-end win and runs only when asked for by name. Dense
+// solves always run fp64. On the command line:
 // `capx -precision auto|fp64|mixed`.
 //
 // # Sweeps and variants
@@ -344,7 +344,7 @@ const (
 
 // Precision selects the matvec arithmetic of the accelerated backends:
 // fp64, mixed (float32 operator inside float64 iterative refinement) or
-// auto (the cost model picks). See the "Choosing a backend" section.
+// auto (= fp64). See the "Choosing a backend" section.
 type Precision = op.Precision
 
 // ParsePrecision parses a -precision selector ("auto", "fp64",
