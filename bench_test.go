@@ -7,6 +7,7 @@ package parbem
 // the measured-vs-paper comparison.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
 	"parbem/internal/mpi"
+	"parbem/internal/op"
 	"parbem/internal/pcbem"
 	"parbem/internal/pfft"
 	"parbem/internal/ratfit"
@@ -165,20 +167,31 @@ func BenchmarkTable3_Distributed10(b *testing.B) { benchBus(b, Distributed, 10) 
 
 // ---- Figure 8: rival parallel efficiency (reduced problem) ----
 
-func benchRivalFMM(b *testing.B, workers int) {
+// benchRival times the pipeline's GMRES solve over a rival operator
+// built outside the loop (cmd/benchfig8 measures the same thing).
+func benchRival(b *testing.B, build func(panels []geom.Panel) op.Operator) {
 	b.Helper()
-	st := NewBus(2, 2).Build()
-	prob, err := pcbem.NewProblem(st, 0.5e-6)
+	prob, err := pcbem.NewProblem(NewBus(2, 2).Build(), 0.5e-6)
 	if err != nil {
 		b.Fatal(err)
 	}
-	op := fmm.NewOperator(prob.Panels, fmm.Options{Workers: workers})
+	a := build(prob.Panels)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prob.SolveIterative(op, 1e-4); err != nil {
+		pl, err := op.NewWithOperator(prob.Spec(), a, op.Options{Tol: 1e-4})
+		if err == nil {
+			_, err = pl.ExtractWarmCtx(context.Background(), nil)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func benchRivalFMM(b *testing.B, workers int) {
+	benchRival(b, func(panels []geom.Panel) op.Operator {
+		return fmm.NewOperator(panels, fmm.Options{Workers: workers})
+	})
 }
 
 func BenchmarkFig8_FMM_Workers1(b *testing.B) { benchRivalFMM(b, 1) }
@@ -186,19 +199,9 @@ func BenchmarkFig8_FMM_Workers4(b *testing.B) { benchRivalFMM(b, 4) }
 func BenchmarkFig8_FMM_Workers8(b *testing.B) { benchRivalFMM(b, 8) }
 
 func benchRivalPFFT(b *testing.B, workers int) {
-	b.Helper()
-	st := NewBus(2, 2).Build()
-	prob, err := pcbem.NewProblem(st, 0.5e-6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	op := pfft.NewOperator(prob.Panels, pfft.Options{Workers: workers})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prob.SolveIterative(op, 1e-4); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRival(b, func(panels []geom.Panel) op.Operator {
+		return pfft.NewOperator(panels, pfft.Options{Workers: workers})
+	})
 }
 
 func BenchmarkFig8_PFFT_Workers1(b *testing.B) { benchRivalPFFT(b, 1) }

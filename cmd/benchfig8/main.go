@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -18,6 +19,8 @@ import (
 	"parbem"
 	"parbem/internal/costmodel"
 	"parbem/internal/fmm"
+	"parbem/internal/geom"
+	"parbem/internal/op"
 	"parbem/internal/pcbem"
 	"parbem/internal/pfft"
 	"parbem/internal/solver"
@@ -41,8 +44,12 @@ func main() {
 	st := parbem.NewBus(*busM, *busM).Build()
 	omp := measureThisWork(st, parbem.SharedMem, ds, *reps)
 	mpi := measureThisWork(st, parbem.Distributed, ds, *reps)
-	fmmEff := measureRivalFMM(ds, *rivalEdge, *reps)
-	pfftEff := measureRivalPFFT(ds, *rivalEdge, *reps)
+	fmmEff := measureRival(func(panels []geom.Panel, d int) op.Operator {
+		return fmm.NewOperator(panels, fmm.Options{Workers: d})
+	}, ds, *rivalEdge, *reps)
+	pfftEff := measureRival(func(panels []geom.Panel, d int) op.Operator {
+		return pfft.NewOperator(panels, pfft.Options{Workers: d})
+	}, ds, *rivalEdge, *reps)
 
 	fmt.Printf("%3s %14s %14s %14s %14s %12s %12s\n",
 		"D", "OpenMP(meas)", "MPI(meas)", "FMM[7](meas)", "pFFT[1](meas)", "FMM[7]pub", "pFFT[1]pub")
@@ -75,41 +82,25 @@ func measureThisWork(st *parbem.Structure, backend solver.Backend, ds []int, rep
 	return efficiencies(times, ds)
 }
 
-// measureRivalFMM times the GMRES solve of the multipole baseline with D
-// matvec workers on the 2x2 bus.
-func measureRivalFMM(ds []int, edge float64, reps int) []float64 {
-	st := parbem.NewBus(2, 2).Build()
-	prob, err := pcbem.NewProblem(st, edge)
+// measureRival times the pipeline's GMRES solve (preconditioner build
+// included) over a rival operator built with D matvec workers on the 2x2
+// bus: the harness builds the operator itself, outside the timed region,
+// and wraps it as bench/ does.
+func measureRival(build func(panels []geom.Panel, d int) op.Operator, ds []int, edge float64, reps int) []float64 {
+	prob, err := pcbem.NewProblem(parbem.NewBus(2, 2).Build(), edge)
 	if err != nil {
 		log.Fatal(err)
 	}
 	times := make([]time.Duration, len(ds))
 	for i, d := range ds {
-		op := fmm.NewOperator(prob.Panels, fmm.Options{Workers: d})
+		a := build(prob.Panels, d)
 		times[i] = bestOf(reps, func() time.Duration {
 			t0 := time.Now()
-			if _, err := prob.SolveIterative(op, 1e-4); err != nil {
-				log.Fatal(err)
+			pl, err := op.NewWithOperator(prob.Spec(), a, op.Options{Tol: 1e-4})
+			if err == nil {
+				_, err = pl.ExtractWarmCtx(context.Background(), nil)
 			}
-			return time.Since(t0)
-		})
-	}
-	return efficiencies(times, ds)
-}
-
-// measureRivalPFFT does the same for the precorrected-FFT baseline.
-func measureRivalPFFT(ds []int, edge float64, reps int) []float64 {
-	st := parbem.NewBus(2, 2).Build()
-	prob, err := pcbem.NewProblem(st, edge)
-	if err != nil {
-		log.Fatal(err)
-	}
-	times := make([]time.Duration, len(ds))
-	for i, d := range ds {
-		op := pfft.NewOperator(prob.Panels, pfft.Options{Workers: d})
-		times[i] = bestOf(reps, func() time.Duration {
-			t0 := time.Now()
-			if _, err := prob.SolveIterative(op, 1e-4); err != nil {
+			if err != nil {
 				log.Fatal(err)
 			}
 			return time.Since(t0)

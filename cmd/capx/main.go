@@ -196,7 +196,7 @@ func main() {
 	fmt.Printf("fill      : %d far pairs | %d near pairs in %d symmetry classes | table %.1f KB\n\n",
 		res.Fill.PairsFar, res.Fill.PairsNear, res.Fill.ClassesIntegrated, float64(res.Fill.TableBytes)/1024)
 
-	printCapacitance(st, res.C, *check, *spice, false, *units, *maxPrint)
+	printCapacitance(conductorNames(st), res.C, *check, *spice, false, *units, *maxPrint)
 }
 
 // printCapacitance ends every local report: under -check the violations
@@ -204,8 +204,7 @@ func main() {
 // A non-empty spice also writes the matrix there as a SPICE netlist.
 // Batch mode prints one of these per file and asks for the compact form:
 // a "warning:" line per violation, no headings.
-func printCapacitance(st *parbem.Structure, c *parbem.Matrix, check bool, spice string, compact bool, units float64, maxPrint int) {
-	names := conductorNames(st)
+func printCapacitance(names []string, c *parbem.Matrix, check bool, spice string, compact bool, units float64, maxPrint int) {
 	var violations []string
 	if check {
 		violations = parbem.CheckMaxwell(c, 0)
@@ -346,8 +345,8 @@ func emitJSON(v any) {
 }
 
 // runPipeline solves the structure through the unified operator pipeline
-// and reports the resolved backend, panel counts, Krylov iterations and
-// timing next to the capacitance matrix.
+// and reports it in the daemon's record: -json prints exactly what POST
+// /extract would answer, less the job id and the reuse marker.
 func runPipeline(st *parbem.Structure, kind, precond, precision string, edge, tol float64, workers int, units float64, maxPrint int, check bool, jsonOut bool) {
 	opt := pipelineOptions(kind, precond, precision, tol, workers)
 
@@ -356,48 +355,30 @@ func runPipeline(st *parbem.Structure, kind, precond, precision string, edge, to
 	if err != nil {
 		log.Fatal(err)
 	}
-	total := time.Since(t0)
-
+	rec := serve.NewExtractResponse(st, res, kind, precond, edge, tol, time.Since(t0))
 	if jsonOut {
-		emitJSON(struct {
-			Structure  string      `json:"structure"`
-			Backend    string      `json:"backend"`
-			Requested  string      `json:"requested"`
-			Precond    string      `json:"precond"`
-			Precision  string      `json:"precision"`
-			NumPanels  int         `json:"num_panels"`
-			Edge       float64     `json:"edge_m"`
-			Tol        float64     `json:"tol"`
-			Iterations int         `json:"iterations"`
-			SetupMs    float64     `json:"setup_ms"`
-			SolveMs    float64     `json:"solve_ms"`
-			TotalMs    float64     `json:"total_ms"`
-			Names      []string    `json:"conductors"`
-			CFarads    [][]float64 `json:"c_farads"`
-			Warnings   []string    `json:"maxwell_warnings,omitempty"`
-		}{
-			Structure: st.Name, Backend: res.Backend.String(), Requested: kind,
-			Precond: precond, Precision: res.Precision.String(),
-			NumPanels: res.NumPanels, Edge: edge, Tol: tol,
-			Iterations: res.Iterations,
-			SetupMs:    res.SetupTime.Seconds() * 1e3,
-			SolveMs:    res.SolveTime.Seconds() * 1e3,
-			TotalMs:    total.Seconds() * 1e3,
-			Names:      conductorNames(st), CFarads: matrixRows(res.C),
-			Warnings: parbem.CheckMaxwell(res.C, 0),
-		})
+		emitJSON(rec)
 		return
 	}
+	printExtract(rec, "", units, maxPrint, check)
+}
 
-	fmt.Printf("structure : %s (%d conductors)\n", st.Name, st.NumConductors())
-	fmt.Printf("backend   : %v (requested %s), N = %d panels, edge = %g m\n",
-		res.Backend, kind, res.NumPanels, edge)
+// printExtract is the text report of one pipeline extraction, solved
+// here or by a daemon (served says where).
+func printExtract(res *serve.ExtractResponse, served string, units float64, maxPrint int, check bool) {
+	fmt.Printf("structure : %s (%d conductors)%s\n", res.Structure, len(res.Conductors), served)
+	fmt.Printf("backend   : %s (requested %s), N = %d panels, edge = %g m", res.Backend, res.Requested, res.NumPanels, res.EdgeM)
+	if res.Reused != "" {
+		fmt.Printf(", reused %s", res.Reused)
+	}
+	fmt.Println()
 	if res.Iterations > 0 {
 		fmt.Printf("krylov    : %d GMRES iterations total (tol %g, precond %s, precision %s, all conductors concurrent)\n",
-			res.Iterations, tol, precond, res.Precision)
+			res.Iterations, res.Tol, res.Precond, res.Precision)
 	}
-	fmt.Printf("timing    : setup %v | solve %v | total %v\n\n", res.SetupTime, res.SolveTime, total)
-	printCapacitance(st, res.C, check, "", false, units, maxPrint)
+	fmt.Printf("timing    : setup %.2f ms | solve %.2f ms | total %.2f ms\n\n",
+		res.SetupMs, res.SolveMs, res.TotalMs)
+	printCapacitance(res.Conductors, rowsToMatrix(res.CFarads), check, "", false, units, maxPrint)
 }
 
 // sweepPoint is the per-variant record of a sweep (shared by the text
@@ -478,15 +459,8 @@ func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, p
 		if err != nil {
 			log.Fatalf("sweep point h=%g: %v", h, err)
 		}
-		reused := "none"
-		if res.Reused.NearField {
-			reused = "near-field"
-			if res.Reused.Factorization {
-				reused += "+factors"
-			}
-		}
 		recs[i] = sweepPoint{
-			H: h, Iterations: res.Iterations, Reused: reused,
+			H: h, Iterations: res.Iterations, Reused: serve.ReusedName(res.Reused),
 			DiscMs:  res.Stages.Discretize.Seconds() * 1e3,
 			TopoMs:  res.Stages.Topology.Seconds() * 1e3,
 			NearMs:  res.Stages.NearField.Seconds() * 1e3,
@@ -554,7 +528,7 @@ func geometryText(st *parbem.Structure) string {
 }
 
 // runRemote sends one pipeline extraction to a capxd daemon and prints
-// the response in the local runPipeline formats.
+// the response as runPipeline prints its own.
 func runRemote(base string, st *parbem.Structure, kind, precond, precision string, edge, tol, units float64, maxPrint int, check, jsonOut bool) {
 	c := serve.NewClient(base)
 	res, err := c.Extract(context.Background(), &serve.ExtractRequest{
@@ -572,26 +546,7 @@ func runRemote(base string, st *parbem.Structure, kind, precond, precision strin
 		emitJSON(res)
 		return
 	}
-	fmt.Printf("structure : %s (%d conductors), served by %s [job %s]\n",
-		res.Structure, len(res.Conductors), base, res.JobID)
-	fmt.Printf("backend   : %s (requested %s), N = %d panels, edge = %g m, reused %s\n",
-		res.Backend, res.Requested, res.NumPanels, res.EdgeM, res.Reused)
-	if res.Iterations > 0 {
-		fmt.Printf("krylov    : %d GMRES iterations total (tol %g, precond %s, precision %s)\n",
-			res.Iterations, tol, precond, res.Precision)
-	}
-	fmt.Printf("timing    : setup %.2f ms | solve %.2f ms | total %.2f ms\n\n",
-		res.SetupMs, res.SolveMs, res.TotalMs)
-	if check && len(res.Warnings) > 0 {
-		fmt.Println("Maxwell-matrix warnings:")
-		for _, v := range res.Warnings {
-			fmt.Printf("  %s\n", v)
-		}
-		fmt.Println()
-	}
-	c2 := rowsToMatrix(res.CFarads)
-	fmt.Println("capacitance matrix (scaled):")
-	printMatrix(c2, units, res.Conductors, maxPrint)
+	printExtract(res, fmt.Sprintf(", served by %s [job %s]", base, res.JobID), units, maxPrint, check)
 }
 
 // runRemoteSweep streams an h-sweep through a capxd daemon: the variant
@@ -714,7 +669,7 @@ func runBatch(files []string, backend string, workers int, check bool, units flo
 	for i, res := range results {
 		fmt.Printf("%-24s %3d conductors  N=%4d  M=%4d  setup %v\n",
 			files[i], structures[i].NumConductors(), res.N, res.M, res.Timing.Setup)
-		printCapacitance(structures[i], res.C, check, "", true, units, maxPrint)
+		printCapacitance(conductorNames(structures[i]), res.C, check, "", true, units, maxPrint)
 		fmt.Println()
 	}
 	s := eng.Stats()

@@ -20,7 +20,7 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/geomio"
 	"parbem/internal/op"
-	"parbem/internal/pcbem"
+	"parbem/internal/plan"
 	"parbem/internal/serve"
 	"parbem/internal/serve/journal"
 )
@@ -47,16 +47,18 @@ func crossingGeo(t *testing.T, h float64) string {
 	return sb.String()
 }
 
-// refCap solves the same variant with a one-shot direct dense pipeline.
+// refCap solves the same variant dense direct on a fresh one-variant
+// plan: no reuse, no journal, no daemon.
 func refCap(t *testing.T, h float64) [][]float64 {
 	t.Helper()
 	sp := geom.DefaultCrossingPair()
 	sp.H = h
-	prob, err := pcbem.NewProblem(sp.Build(), testEdge)
+	pl, err := plan.New(plan.Options{MaxEdge: testEdge,
+		Pipeline: op.Options{Backend: op.BackendDense, Direct: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prob.SolvePipeline(op.Options{Backend: op.BackendDense, Direct: true})
+	res, err := pl.Extract(sp.Build())
 	if err != nil {
 		t.Fatal(err)
 	}

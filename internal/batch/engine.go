@@ -161,11 +161,12 @@ func (e *Engine) Workers() int { return e.pool.Workers() }
 // under (0 = the whole pool).
 func (e *Engine) PlanWorkers() int { return e.opt.PlanWorkers }
 
-// planExec returns the executor pipeline plans run their stage builds
-// and operator applies on: the engine's persistent pool, budgeted to
-// PlanWorkers per request when configured. After Close the pool runs
+// PlanExec returns the executor one request's parallel work runs on —
+// the stage builds and operator applies of a pipeline plan, the points
+// of a template sweep: the engine's persistent pool, budgeted to
+// PlanWorkers per Map call when configured. After Close the pool runs
 // Map calls inline, so cached plans keep working serially.
-func (e *Engine) planExec() sched.Executor {
+func (e *Engine) PlanExec() sched.Executor {
 	return sched.Budgeted(e.pool, e.opt.PlanWorkers)
 }
 
@@ -244,9 +245,9 @@ func (e *Engine) ExtractAll(sts []*geom.Structure) ([]*solver.Result, error) {
 	return results, nil
 }
 
-// ExtractPipeline runs a piecewise-constant pipeline extraction
-// (parbem.ExtractPipeline semantics) through the engine's plan cache:
-// structures route to a staged extraction plan (internal/plan) keyed by
+// ExtractPipeline runs a piecewise-constant pipeline extraction through
+// the engine's plan cache: where parbem.ExtractPipeline extracts on a
+// throwaway plan, here structures route to a cached one keyed by
 // their structural family — conductor/box layout plus the solve options
 // — so geometry variants of one family arriving in a stream reuse each
 // other's stage artifacts: unchanged near-field integrals are copied,
@@ -275,7 +276,7 @@ func (e *Engine) ExtractPipelineCtx(ctx context.Context, st *geom.Structure, max
 	}
 	v, _, err := e.state.GetOrCompute(planSignature(st, maxEdge, opt), func() (any, error) {
 		return plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: opt,
-			Exec: e.planExec(), Artifacts: e.opt.Artifacts})
+			Exec: e.PlanExec(), Artifacts: e.opt.Artifacts})
 	})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,7 @@ import (
 
 	"parbem/internal/geom"
 	"parbem/internal/op"
-	"parbem/internal/pcbem"
+	"parbem/internal/plan"
 	"parbem/internal/solver"
 )
 
@@ -201,9 +201,9 @@ func BenchmarkEngineBatch(b *testing.B) {
 }
 
 // TestEnginePipelinePlanReuse routes geometry variants of one family
-// through the engine's plan cache and checks both correctness (vs an
-// independent pipeline solve) and that the shared plan actually reused
-// stage artifacts across the stream.
+// through the engine's plan cache and checks both correctness (vs a
+// fresh one-variant plan) and that the shared plan actually reused stage
+// artifacts across the stream.
 func TestEnginePipelinePlanReuse(t *testing.T) {
 	eng := New(Options{Workers: 2})
 	defer eng.Close()
@@ -218,11 +218,11 @@ func TestEnginePipelinePlanReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("h=%g: %v", h, err)
 		}
-		prob, err := pcbem.NewProblem(st, edge)
+		pl, err := plan.New(plan.Options{MaxEdge: edge, Pipeline: popt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := prob.SolvePipeline(popt)
+		ref, err := pl.Extract(st)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,17 +9,17 @@
 package extract
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
+	"sync"
 
 	"parbem/internal/fmm"
 	"parbem/internal/geom"
 	"parbem/internal/linalg"
 	"parbem/internal/op"
-	"parbem/internal/pcbem"
 	"parbem/internal/plan"
 	"parbem/internal/sched"
 )
@@ -36,30 +36,46 @@ const iterativeThreshold = 1500
 // extracted arch shapes are differences of nearby densities.
 const iterativeTol = 1e-6
 
-// solveCrossing solves a panelized crossing problem with the fastest
-// applicable method. Above iterativeThreshold panels it runs the unified
-// pipeline on the list-based multipole operator with a conservative
-// opening parameter, the near-field block-Jacobi preconditioner and a
-// tight tolerance; if that solve fails to converge (the accuracy guard),
-// it falls back to the dense direct solve rather than return a degraded
-// profile.
-func solveCrossing(prob *pcbem.Problem) (*pcbem.Result, error) {
-	if prob.N() < iterativeThreshold {
-		return prob.SolveDense()
+// denseDirect is the exact solve of a crossing problem.
+var denseDirect = op.Options{Backend: op.BackendDense, Direct: true}
+
+// crossingOptions is the method selection of a crossing solve, made once
+// per sweep: the panel count is the same at every separation (only
+// positions vary with h). Below iterativeThreshold panels it is the
+// dense direct solve; above, the list-based multipole operator with a
+// conservative opening parameter, the near-field block-Jacobi
+// preconditioner and a tight tolerance. Stage builds run on ex.
+func crossingOptions(ex sched.Executor, sp geom.CrossingPairSpec, maxEdge float64) plan.Options {
+	opt := plan.Options{MaxEdge: maxEdge, Pipeline: denseDirect, Exec: ex}
+	if len(sp.Build().Panelize(maxEdge)) >= iterativeThreshold {
+		// Workers: 1 — parallelism comes from the layers above (SweepH
+		// solves several h-points at once and the pipeline one GMRES per
+		// conductor); a parallel operator here would oversubscribe ~P^2.
+		opt.Pipeline = op.Options{
+			Backend: op.BackendFMM,
+			Precond: op.PrecondBlockJacobi,
+			Tol:     iterativeTol,
+			FMM:     &fmm.Options{Theta: 0.3, NearFactor: 2, Workers: 1},
+		}
 	}
-	// Workers: 1 — parallelism comes from the layers above (SweepH runs
-	// GOMAXPROCS h-points concurrently and the pipeline one GMRES per
-	// conductor); a parallel operator here would oversubscribe ~P^2.
-	res, err := prob.SolvePipeline(op.Options{
-		Backend: op.BackendFMM,
-		Precond: op.PrecondBlockJacobi,
-		Tol:     iterativeTol,
-		FMM:     &fmm.Options{Theta: 0.3, NearFactor: 2, Workers: 1},
-	})
-	if err == nil {
-		return res, nil
+	return opt
+}
+
+// solveCrossing solves one crossing problem as a variant of p, a plan
+// made from opt. If an iterative solve fails to converge (the accuracy
+// guard), it falls back to the dense direct solve on a plan of its own
+// rather than return a degraded profile; a done context is not a failed
+// solve.
+func solveCrossing(ctx context.Context, p *plan.Plan, opt plan.Options, sp geom.CrossingPairSpec) (*plan.Result, error) {
+	res, err := p.ExtractCtx(ctx, sp.Build())
+	if err == nil || opt.Pipeline.Direct || ctx.Err() != nil {
+		return res, err
 	}
-	return prob.SolveDense()
+	opt.Pipeline = denseDirect
+	if p, err = plan.New(opt); err != nil {
+		return nil, err
+	}
+	return p.ExtractCtx(ctx, sp.Build())
 }
 
 // Profile is the width-averaged charge density on the target wire's top
@@ -73,16 +89,16 @@ type Profile struct {
 // source (upper) wire at 1 V and the target (lower) wire grounded, and
 // returns the induced charge profile on the target's top face.
 func CrossingProfile(sp geom.CrossingPairSpec, maxEdge float64) (*Profile, error) {
-	st := sp.Build()
-	prob, err := pcbem.NewProblem(st, maxEdge)
+	opt := crossingOptions(nil, sp, maxEdge)
+	p, err := plan.New(opt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := solveCrossing(prob)
+	res, err := solveCrossing(context.Background(), p, opt, sp)
 	if err != nil {
 		return nil, err
 	}
-	return profileFrom(sp, prob.Panels, res.Rho)
+	return profileFrom(sp, res.Panels, res.Rho)
 }
 
 // profileFrom bins a solved charge density into the width-averaged
@@ -253,26 +269,28 @@ func PointErrors(err error) []*PointError {
 // instantiable template library.
 //
 // The h-points are geometry variants of one structure, so the sweep
-// runs on staged extraction plans (internal/plan): points are processed
-// in h order, sharded into GOMAXPROCS contiguous chunks, one plan per
-// chunk — adjacent separations reuse each other's near-field integrals,
-// factorizations and charge solutions, cutting per-point cost several
-// times over independent solves (BenchmarkSweepIncremental).
+// runs on staged extraction plans (internal/plan): points are handed out
+// in h order as tasks of one ex.Map call, and each task solves its point
+// on a plan no other task is using — as many plans as ex runs tasks at
+// once, one on a serial executor. Successive separations on a plan reuse
+// each other's near-field integrals, factorizations and charge
+// solutions, cutting per-point cost several times over independent
+// solves (BenchmarkSweepIncremental); the plans' stage builds run on ex
+// too, so a budgeted executor bounds the whole sweep.
 //
-// Failing points no longer abort the sweep: every error is collected as
-// a PointError carrying its h value and returned joined, with fits[i]
-// nil exactly for the failed points — callers keep the healthy part of
-// the sweep.
-func SweepH(base geom.CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, error) {
-	return SweepHWorkers(base, hs, maxEdge, 0)
+// Every plan extraction observes ctx at its stage boundaries and GMRES
+// iterations: once ctx is done the remaining points fail fast with the
+// context's error. Failing points do not abort the sweep: every error is
+// collected as a PointError carrying its h value and returned joined,
+// with fits[i] nil exactly for the failed points — callers keep the
+// healthy part of the sweep.
+func SweepH(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, error) {
+	fits, _, err := sweepH(ctx, ex, base, hs, maxEdge)
+	return fits, err
 }
 
-// SweepHWorkers is SweepH with an explicit fan-out bound: at most
-// workers point-solver goroutines run at once (0 = GOMAXPROCS). A
-// service embedding the sweep passes its per-job worker budget (the
-// engine's PlanWorkers) so template sweeps share the machine with the
-// pool-budgeted pipeline jobs instead of oversubscribing it.
-func SweepHWorkers(base geom.CrossingPairSpec, hs []float64, maxEdge float64, workers int) ([]*ArchFit, error) {
+// sweepH is SweepH, also returning the plans it ran on.
+func sweepH(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, []*plan.Plan, error) {
 	fits := make([]*ArchFit, len(hs))
 	errs := make([]error, len(hs))
 
@@ -284,25 +302,36 @@ func SweepHWorkers(base geom.CrossingPairSpec, hs []float64, maxEdge float64, wo
 	}
 	sort.Slice(order, func(a, b int) bool { return hs[order[a]] < hs[order[b]] })
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	opt := crossingOptions(ex, base, maxEdge)
+	var mu sync.Mutex
+	var plans, idle []*plan.Plan
+	take := func() (*plan.Plan, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if n := len(idle); n > 0 {
+			p := idle[n-1]
+			idle = idle[:n-1]
+			return p, nil
+		}
+		p, err := plan.New(opt)
+		if err == nil {
+			plans = append(plans, p)
+		}
+		return p, err
 	}
-	workers = min(workers, len(hs)) // every chunk below is non-empty
-	// The panel count — and hence the method selection — is the same
-	// for every point (only positions vary with h), so resolve the plan
-	// options once, not per worker.
-	popt := crossingPlanOptions(base, maxEdge)
-	sched.Local(workers).Map(workers, func(w int) {
-		chunk := order[w*len(hs)/workers : (w+1)*len(hs)/workers]
-		p, err := plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: popt})
+	ex.Map(len(hs), func(k int) {
+		i := order[k]
+		p, err := take()
 		if err != nil {
-			p = nil // degrade to independent per-point solves
+			errs[i] = err
+			return
 		}
-		for _, i := range chunk {
-			sp := base
-			sp.H = hs[i]
-			fits[i], errs[i] = sweepPoint(p, sp, maxEdge)
-		}
+		sp := base
+		sp.H = hs[i]
+		fits[i], errs[i] = sweepPoint(ctx, p, opt, sp)
+		mu.Lock()
+		idle = append(idle, p)
+		mu.Unlock()
 	})
 
 	var joined []error
@@ -311,40 +340,16 @@ func SweepHWorkers(base geom.CrossingPairSpec, hs []float64, maxEdge float64, wo
 			joined = append(joined, &PointError{H: hs[i], Err: err})
 		}
 	}
-	return fits, errors.Join(joined...)
+	return fits, plans, errors.Join(joined...)
 }
 
-// crossingPlanOptions resolves solveCrossing's method selection for the
-// sweep's panel count: dense direct below the iterative threshold, the
-// conservative multipole configuration above it.
-func crossingPlanOptions(base geom.CrossingPairSpec, maxEdge float64) op.Options {
-	if len(base.Build().Panelize(maxEdge)) < iterativeThreshold {
-		return op.Options{Backend: op.BackendDense, Direct: true}
+// sweepPoint extracts and fits one h-point on p.
+func sweepPoint(ctx context.Context, p *plan.Plan, opt plan.Options, sp geom.CrossingPairSpec) (*ArchFit, error) {
+	res, err := solveCrossing(ctx, p, opt, sp)
+	if err != nil {
+		return nil, err
 	}
-	return op.Options{
-		Backend: op.BackendFMM,
-		Precond: op.PrecondBlockJacobi,
-		Tol:     iterativeTol,
-		FMM:     &fmm.Options{Theta: 0.3, NearFactor: 2, Workers: 1},
-	}
-}
-
-// sweepPoint extracts and fits one h-point, preferring the shared plan
-// and falling back to an independent solve on a plan solve failure (the
-// accuracy guard of solveCrossing, preserved under reuse). Profile
-// binning errors are deterministic in the panelization and would repeat
-// identically on the fallback, so they return directly.
-func sweepPoint(p *plan.Plan, sp geom.CrossingPairSpec, maxEdge float64) (*ArchFit, error) {
-	if p != nil {
-		if res, err := p.Extract(sp.Build()); err == nil {
-			prof, err := profileFrom(sp, res.Panels, res.Rho)
-			if err != nil {
-				return nil, err
-			}
-			return FitArch(prof, sp)
-		}
-	}
-	prof, err := CrossingProfile(sp, maxEdge)
+	prof, err := profileFrom(sp, res.Panels, res.Rho)
 	if err != nil {
 		return nil, err
 	}

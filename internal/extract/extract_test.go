@@ -79,7 +79,7 @@ func TestSweepHMonotonicity(t *testing.T) {
 		t.Skip("sweep is slow")
 	}
 	base := smallSpec()
-	fits, err := SweepH(base, []float64{0.3e-6, 0.6e-6, 1.2e-6}, 0.4e-6)
+	fits, err := sweep(base, []float64{0.3e-6, 0.6e-6, 1.2e-6}, 0.4e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,20 @@
 package extract
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
-	"parbem/internal/pcbem"
+	"parbem/internal/geom"
+	"parbem/internal/plan"
+	"parbem/internal/sched"
 )
+
+// sweep is SweepH as the library runs it.
+func sweep(base geom.CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, error) {
+	return SweepH(context.Background(), sched.Local(0), base, hs, maxEdge)
+}
 
 // TestIterativeCrossingMatchesDense verifies the accelerated template
 // solve: above the panel threshold solveCrossing must route through the
@@ -17,28 +25,30 @@ func TestIterativeCrossingMatchesDense(t *testing.T) {
 		t.Skip("dense reference solve is O(N^3)")
 	}
 	sp := smallSpec()
-	st := sp.Build()
-	prob, err := pcbem.NewProblem(st, 0.15e-6)
-	if err != nil {
-		t.Fatal(err)
+	opt := crossingOptions(nil, sp, 0.15e-6)
+	solve := func(opt plan.Options) *plan.Result {
+		p, err := plan.New(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := solveCrossing(context.Background(), p, opt, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if prob.N() < iterativeThreshold {
-		t.Fatalf("problem too small to exercise the fast path: N=%d", prob.N())
-	}
-	fast, err := solveCrossing(prob)
-	if err != nil {
-		t.Fatal(err)
+	fast := solve(opt)
+	if fast.NumPanels < iterativeThreshold {
+		t.Fatalf("problem too small to exercise the fast path: N=%d", fast.NumPanels)
 	}
 	if fast.Iterations == 0 {
 		t.Fatal("solveCrossing did not take the iterative path")
 	}
-	dense, err := prob.SolveDense()
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt.Pipeline = denseDirect
+	dense := solve(opt)
 	// Column 1 is the excitation CrossingProfile reads.
 	var num, den float64
-	for i := 0; i < prob.N(); i++ {
+	for i := 0; i < fast.NumPanels; i++ {
 		d := fast.Rho.At(i, 1) - dense.Rho.At(i, 1)
 		num += d * d
 		den += dense.Rho.At(i, 1) * dense.Rho.At(i, 1)
@@ -61,7 +71,7 @@ func TestIterativeCrossingMatchesDense(t *testing.T) {
 func TestSweepHMatchesSequential(t *testing.T) {
 	base := smallSpec()
 	hs := []float64{0.4e-6, 0.8e-6}
-	fits, err := SweepH(base, hs, 0.5e-6)
+	fits, err := sweep(base, hs, 0.5e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +109,7 @@ func TestSweepHMatchesSequential(t *testing.T) {
 func TestSweepHPartialErrors(t *testing.T) {
 	base := smallSpec()
 	hs := []float64{0.4e-6, math.NaN(), 0.8e-6}
-	fits, err := SweepH(base, hs, 0.5e-6)
+	fits, err := sweep(base, hs, 0.5e-6)
 	if err == nil {
 		t.Fatal("poisoned sweep returned no error")
 	}
@@ -125,7 +135,7 @@ func TestSweepHPartialErrors(t *testing.T) {
 func TestPointErrorsDecomposition(t *testing.T) {
 	base := smallSpec()
 	hs := []float64{math.NaN(), 0.5e-6, math.Inf(1), 0.8e-6}
-	fits, err := SweepH(base, hs, 0.5e-6)
+	fits, err := sweep(base, hs, 0.5e-6)
 	pes := PointErrors(err)
 	if len(pes) != 2 {
 		t.Fatalf("got %d point errors, want 2 (err: %v)", len(pes), err)
@@ -153,5 +163,35 @@ func TestPointErrorsDecomposition(t *testing.T) {
 	}
 	if PointErrors(nil) != nil {
 		t.Error("PointErrors(nil) != nil")
+	}
+}
+
+// TestSweepHCancelled pins the sweep's deadline behaviour as work, not
+// time: under an already-cancelled context every point fails with the
+// context's error and no plan integrates a near field.
+func TestSweepHCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hs := []float64{0.4e-6, 0.6e-6, 0.8e-6}
+	fits, plans, err := sweepH(ctx, sched.Local(2), smallSpec(), hs, 0.5e-6)
+	pes := PointErrors(err)
+	if len(pes) != len(hs) {
+		t.Fatalf("%d point errors for %d points (err: %v)", len(pes), len(hs), err)
+	}
+	for i, pe := range pes {
+		if !errors.Is(pe, context.Canceled) {
+			t.Errorf("h=%g: error %v does not wrap context.Canceled", pe.H, pe.Err)
+		}
+		if fits[i] != nil {
+			t.Errorf("point %d produced a fit under a cancelled context", i)
+		}
+	}
+	if len(plans) == 0 {
+		t.Fatal("the sweep ran on no plan")
+	}
+	for _, p := range plans {
+		if s := p.Stats(); s.NearBuilds != 0 {
+			t.Errorf("a cancelled sweep built %d near fields", s.NearBuilds)
+		}
 	}
 }

@@ -30,7 +30,7 @@
 //     Apply allocates nothing after warmup and concurrent Applies (e.g.
 //     one GMRES per conductor) are safe.
 //
-// Combined with GMRES (internal/pcbem.SolveIterative) this gives the
+// Combined with GMRES (the solve stage of internal/plan) this gives the
 // O(N)-style matvec whose limited parallel scalability the paper
 // contrasts with the instantiable-basis solver.
 package fmm

@@ -36,11 +36,11 @@ func BenchmarkPipelineSolve(b *testing.B) {
 			var iters int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, it, err := pl.SolveRHS(phi)
+				res, err := pl.ExtractRHS(phi)
 				if err != nil {
 					b.Fatal(err)
 				}
-				iters = it
+				iters = res.Iterations
 			}
 			b.ReportMetric(float64(iters), "iters/op")
 		})
@@ -51,7 +51,7 @@ func BenchmarkPipelineSolve(b *testing.B) {
 // excluded; factorization + solves + reduction).
 func BenchmarkPipelineDirect(b *testing.B) {
 	spec := busSpec(b, 3, 3, 1.5e-6).withDefaults()
-	pl, err := New(spec, Options{Backend: BackendDense, Direct: true})
+	pl, err := newPipeline(spec, Options{Backend: BackendDense, Direct: true})
 	if err != nil {
 		b.Fatal(err)
 	}

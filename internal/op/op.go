@@ -94,8 +94,7 @@ type NearBlocker interface {
 }
 
 // Spec describes a panelized extraction problem to the pipeline: the
-// geometry, the physics constants and the execution resources. It is the
-// backend-independent half of pcbem.Problem.
+// geometry, the physics constants and the execution resources.
 type Spec struct {
 	Panels        []geom.Panel
 	NumConductors int

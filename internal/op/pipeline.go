@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"parbem/internal/costmodel"
 	"parbem/internal/fmm"
@@ -155,8 +154,6 @@ type Result struct {
 	Rho        *linalg.Dense // N x n panel charge densities per excitation
 	NumPanels  int
 	Iterations int // total Krylov iterations (0 for direct)
-	SetupTime  time.Duration
-	SolveTime  time.Duration
 	// Backend is the resolved operator backend (never BackendAuto).
 	Backend Backend
 	// Precision is the resolved matvec arithmetic (never PrecisionAuto).
@@ -169,10 +166,11 @@ type Result struct {
 
 // Pipeline is the unified solve path: one operator, one preconditioner,
 // pooled GMRES workspaces, and the shared RHS-construction and
-// capacitance-reduction steps. Construct with New (backend built from a
-// Spec, with automatic selection), NewWithOperator (caller-supplied
-// operator) or NewFromDense (already-assembled system matrix). A
-// Pipeline may be reused for many solves; Solve/Extract are safe to call
+// capacitance-reduction steps. It never builds an operator: construct
+// with NewPrebuilt (stage artifacts of internal/plan, the one driver of a
+// panel extraction), NewWithOperator (caller-supplied operator) or
+// NewFromDense (already-assembled system matrix). A Pipeline may be
+// reused for many solves; the Extract methods are safe to call
 // concurrently.
 type Pipeline struct {
 	spec    Spec
@@ -181,50 +179,12 @@ type Pipeline struct {
 	pre     Preconditioner
 	dense   *linalg.Dense // retained when the backend assembled densely
 	backend Backend
-	setup   time.Duration
 	ws      sync.Pool
 	// factors is the optional reused-block lookup of NewPrebuilt.
 	factors func(idx []int32) *linalg.Cholesky
 	// mixedA is non-nil when the resolved precision is mixed: the
 	// operator with its float32 mirror enabled (see precision.go).
 	mixedA MixedApplier
-}
-
-// New builds the pipeline for a panelized problem, constructing the
-// operator selected by opt.Backend (BackendAuto delegates to the cost
-// model) and the preconditioner selected by opt.Precond.
-func New(spec Spec, opt Options) (*Pipeline, error) {
-	spec = spec.withDefaults()
-	opt = opt.withDefaults()
-	if spec.N() == 0 {
-		return nil, errors.New("op: empty panelization")
-	}
-	backend := opt.Backend
-	if backend == BackendAuto {
-		backend = selectBackend(&spec, opt)
-	}
-	t0 := time.Now()
-	p := &Pipeline{spec: spec, opt: opt, backend: backend}
-	switch backend {
-	case BackendDense:
-		p.dense = spec.AssembleDense()
-		p.a = NewDenseOperator(p.dense, spec.Exec)
-	case BackendFMM:
-		p.a = fmm.NewOperator(spec.Panels, FMMOptions(spec, opt))
-	case BackendPFFT:
-		p.a = pfft.NewOperator(spec.Panels, PFFTOptions(spec, opt))
-	default:
-		return nil, fmt.Errorf("op: unknown backend %v", opt.Backend)
-	}
-	if opt.Direct && p.dense == nil {
-		return nil, fmt.Errorf("op: direct solve requires the dense backend, got %v", backend)
-	}
-	if err := p.buildPrecond(); err != nil {
-		return nil, err
-	}
-	p.resolvePrecision()
-	p.setup = time.Since(t0)
-	return p, nil
 }
 
 // NewWithOperator wraps a caller-constructed operator (any Matvec) in
@@ -239,13 +199,11 @@ func NewWithOperator(spec Spec, a Operator, opt Options) (*Pipeline, error) {
 	if opt.Direct {
 		return nil, errors.New("op: direct solve needs a dense backend, not a wrapped operator")
 	}
-	t0 := time.Now()
 	p := &Pipeline{spec: spec, opt: opt, a: a, backend: backendOf(a)}
 	if err := p.buildPrecond(); err != nil {
 		return nil, err
 	}
 	p.resolvePrecision()
-	p.setup = time.Since(t0)
 	return p, nil
 }
 
@@ -270,10 +228,9 @@ func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
 	return p, nil
 }
 
-// FMMOptions resolves the multipole operator options New would use for
-// a spec: the caller override with Eps and Cfg filled from the spec.
-// Exported so stage builders (internal/plan) construct operators
-// exactly as the pipeline would.
+// FMMOptions resolves the multipole operator options of a spec: the
+// caller override with Eps and Cfg filled from the spec. The stage
+// builders of internal/plan construct their operators from it.
 func FMMOptions(spec Spec, opt Options) fmm.Options {
 	spec = spec.withDefaults()
 	fo := fmm.Options{}
@@ -295,8 +252,8 @@ func FMMOptions(spec Spec, opt Options) fmm.Options {
 	return fo
 }
 
-// PFFTOptions resolves the precorrected-FFT operator options New would
-// use for a spec (see FMMOptions).
+// PFFTOptions resolves the precorrected-FFT operator options of a spec
+// (see FMMOptions).
 func PFFTOptions(spec Spec, opt Options) pfft.Options {
 	spec = spec.withDefaults()
 	po := pfft.Options{}
@@ -317,7 +274,7 @@ func PFFTOptions(spec Spec, opt Options) pfft.Options {
 	return po
 }
 
-// ResolveBackend reports the backend New would construct for spec/opt
+// ResolveBackend reports the backend a plan builds for spec/opt
 // (BackendAuto resolved through the cost model).
 func ResolveBackend(spec Spec, opt Options) Backend {
 	spec = spec.withDefaults()
@@ -350,7 +307,7 @@ type Prebuilt struct {
 
 // NewPrebuilt wraps caller-built stage artifacts in a pipeline,
 // skipping operator construction entirely. The spec supplies RHS data,
-// the executor and the point-Jacobi diagonal, exactly as in New.
+// the executor and the point-Jacobi diagonal.
 func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 	spec = spec.withDefaults()
 	opt = opt.withDefaults()
@@ -364,7 +321,6 @@ func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 	if a.Dim() != spec.N() {
 		return nil, errors.New("op: prebuilt operator dimension mismatch")
 	}
-	t0 := time.Now()
 	p := &Pipeline{
 		spec: spec, opt: opt, a: a, dense: pb.Dense,
 		backend: backendOf(a), factors: pb.Factors,
@@ -376,7 +332,6 @@ func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 		return nil, err
 	}
 	p.resolvePrecision()
-	p.setup = time.Since(t0)
 	return p, nil
 }
 
@@ -457,49 +412,20 @@ func (p *Pipeline) diagonal() []float64 {
 	return p.spec.diagonal()
 }
 
-// Operator exposes the pipeline's operator (diagnostics, tests).
-func (p *Pipeline) Operator() Operator { return p.a }
-
-// Backend reports the resolved backend.
-func (p *Pipeline) Backend() Backend { return p.backend }
-
 // Preconditioner exposes the built preconditioner (nil = none).
 func (p *Pipeline) Preconditioner() Preconditioner { return p.pre }
 
-// SetupTime reports the operator + preconditioner construction time.
-func (p *Pipeline) SetupTime() time.Duration { return p.setup }
-
-// SetTol updates the Krylov tolerance for subsequent solves (0 resets
-// the 1e-4 default). Tolerance is a solve-only parameter: no stage
-// artifact depends on it, so plans reuse the whole pipeline across
-// tolerance changes. Not safe to call concurrently with active solves.
-func (p *Pipeline) SetTol(tol float64) {
-	if tol == 0 {
-		tol = 1e-4
-	}
-	p.opt.Tol = tol
-}
-
-// Extract builds the unit-potential RHS from the spec, solves, and
-// reduces to the capacitance matrix.
-func (p *Pipeline) Extract() (*Result, error) {
-	return p.ExtractWarm(nil)
-}
-
-// ExtractWarm is Extract with warm-started Krylov solves: column j of
-// x0 seeds the initial guess for conductor j (typically the previous
-// geometry variant's charge solution in a sweep). A nil or
-// shape-mismatched x0 falls back to zero starts; the direct path
-// ignores it. The warm start changes iteration counts, never the
-// converged solution (which is determined by the tolerance).
-func (p *Pipeline) ExtractWarm(x0 *linalg.Dense) (*Result, error) {
-	return p.ExtractWarmCtx(context.Background(), x0)
-}
-
-// ExtractWarmCtx is ExtractWarm bounded by a context: the GMRES
-// iteration loop observes ctx at every checkpoint, so a deadline or
-// cancellation stops the solve early with an *Interrupted error carrying
-// the iterations completed. A nil ctx means context.Background().
+// ExtractWarmCtx builds the unit-potential RHS from the spec, solves and
+// reduces to the capacitance matrix. Column j of x0 seeds the Krylov
+// initial guess for conductor j (typically the previous geometry
+// variant's charge solution in a sweep); a nil or shape-mismatched x0
+// means zero starts and the direct path ignores it. A warm start changes
+// iteration counts, never the converged solution (which is determined by
+// the tolerance). The GMRES iteration loop observes ctx at every
+// checkpoint, so a deadline or cancellation stops the solve early with an
+// *Interrupted error carrying the iterations completed; the direct path
+// checks ctx once before factorizing (a dense factorization has no
+// interior checkpoints). A nil ctx means context.Background().
 func (p *Pipeline) ExtractWarmCtx(ctx context.Context, x0 *linalg.Dense) (*Result, error) {
 	if p.spec.NumConductors == 0 {
 		return nil, errors.New("op: pipeline has no spec (use ExtractRHS)")
@@ -514,7 +440,6 @@ func (p *Pipeline) ExtractRHS(phi *linalg.Dense) (*Result, error) {
 }
 
 func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Result, error) {
-	t0 := time.Now()
 	rho, iters, inertia, err := p.solveRHS(ctx, phi, x0)
 	if err != nil {
 		// A context interruption still reduces whatever iterate the
@@ -533,39 +458,16 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 		Rho:        rho,
 		NumPanels:  p.a.Dim(),
 		Iterations: iters,
-		SetupTime:  p.setup,
-		SolveTime:  time.Since(t0),
 		Backend:    p.backend,
 		Precision:  p.Precision(),
 		Inertia:    inertia,
 	}, nil
 }
 
-// SolveRHS solves P Rho = Phi without the reduction step. Direct
-// pipelines factorize once per call; iterative pipelines run one
-// preconditioned GMRES per column concurrently, each on a pooled
-// workspace (allocation-free once the pool is warm).
-func (p *Pipeline) SolveRHS(phi *linalg.Dense) (*linalg.Dense, int, error) {
-	return p.SolveRHSWarm(phi, nil)
-}
-
-// SolveRHSWarm is SolveRHS with per-column initial guesses from x0
-// (see ExtractWarm).
-func (p *Pipeline) SolveRHSWarm(phi, x0 *linalg.Dense) (*linalg.Dense, int, error) {
-	return p.SolveRHSWarmCtx(context.Background(), phi, x0)
-}
-
-// SolveRHSWarmCtx is SolveRHSWarm bounded by a context (nil = no
-// bound): every column's GMRES observes ctx per iteration, and a done
-// context returns an *Interrupted error with the partial iteration
-// count. The direct path checks ctx once before factorizing (a dense
-// factorization has no interior checkpoints).
-func (p *Pipeline) SolveRHSWarmCtx(ctx context.Context, phi, x0 *linalg.Dense) (*linalg.Dense, int, error) {
-	rho, iters, _, err := p.solveRHS(ctx, phi, x0)
-	return rho, iters, err
-}
-
-// solveRHS is SolveRHSWarmCtx, also returning the direct path's inertia.
+// solveRHS solves P Rho = Phi without the reduction step: the direct
+// path factorizes once per call and returns the inertia it found, the
+// iterative one runs one preconditioned GMRES per column concurrently,
+// each on a pooled workspace (allocation-free once the pool is warm).
 func (p *Pipeline) solveRHS(ctx context.Context, phi, x0 *linalg.Dense) (*linalg.Dense, int, linalg.Inertia, error) {
 	if phi.Rows != p.a.Dim() {
 		return nil, 0, linalg.Inertia{}, errors.New("op: RHS dimension mismatch")

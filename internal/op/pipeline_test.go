@@ -1,6 +1,7 @@
 package op
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,6 +20,28 @@ func busSpec(tb testing.TB, m, n int, edge float64) Spec {
 		tb.Fatal("no panels generated")
 	}
 	return Spec{Panels: panels, NumConductors: st.NumConductors()}
+}
+
+// newPipeline builds the operator opt.Backend names over spec and wraps
+// it the way a cold variant of internal/plan does — op itself never
+// builds an operator.
+func newPipeline(spec Spec, opt Options) (*Pipeline, error) {
+	spec = spec.withDefaults()
+	var pb Prebuilt
+	switch opt.Backend {
+	case BackendDense:
+		pb.Dense = spec.AssembleDense()
+	case BackendFMM:
+		pb.Operator = fmm.NewOperator(spec.Panels, FMMOptions(spec, opt))
+	case BackendPFFT:
+		pb.Operator = pfft.NewOperator(spec.Panels, PFFTOptions(spec, opt))
+	}
+	return NewPrebuilt(spec, opt, pb)
+}
+
+// extract is a cold solve of the pipeline's own right-hand sides.
+func extract(pl *Pipeline) (*Result, error) {
+	return pl.ExtractWarmCtx(context.Background(), nil)
 }
 
 // capDiff returns the maximum capacitance deviation relative to the
@@ -42,22 +65,22 @@ func capDiff(got, ref *Result) float64 {
 // produce the same capacitance matrix.
 func TestPipelineDirectMatchesIterativeDense(t *testing.T) {
 	spec := busSpec(t, 2, 2, 1e-6)
-	direct, err := New(spec, Options{Backend: BackendDense, Direct: true})
+	direct, err := newPipeline(spec, Options{Backend: BackendDense, Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := direct.Extract()
+	dres, err := extract(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dres.Iterations != 0 {
 		t.Errorf("direct path reported %d Krylov iterations", dres.Iterations)
 	}
-	iter, err := New(spec, Options{Backend: BackendDense, Tol: 1e-8})
+	iter, err := newPipeline(spec, Options{Backend: BackendDense, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ires, err := iter.Extract()
+	ires, err := extract(iter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,22 +96,22 @@ func TestPipelineDirectMatchesIterativeDense(t *testing.T) {
 // reference through the shared pipeline (formerly in internal/fmm).
 func TestFMMSolveMatchesDense(t *testing.T) {
 	spec := busSpec(t, 2, 2, 1e-6)
-	direct, err := New(spec, Options{Backend: BackendDense, Direct: true})
+	direct, err := newPipeline(spec, Options{Backend: BackendDense, Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := direct.Extract()
+	dres, err := extract(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := New(spec, Options{
+	pl, err := newPipeline(spec, Options{
 		Backend: BackendFMM, Tol: 1e-6,
 		FMM: &fmm.Options{Theta: 0.35},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pl.Extract()
+	res, err := extract(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,22 +128,22 @@ func TestFMMSolveMatchesDense(t *testing.T) {
 // internal/pfft).
 func TestPFFTSolveMatchesDense(t *testing.T) {
 	spec := busSpec(t, 2, 2, 1e-6)
-	direct, err := New(spec, Options{Backend: BackendDense, Direct: true})
+	direct, err := newPipeline(spec, Options{Backend: BackendDense, Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dres, err := direct.Extract()
+	dres, err := extract(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := New(spec, Options{
+	pl, err := newPipeline(spec, Options{
 		Backend: BackendPFFT, Tol: 1e-6,
 		PFFT: &pfft.Options{NearRadius: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pl.Extract()
+	res, err := extract(pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,12 +156,8 @@ func TestPFFTSolveMatchesDense(t *testing.T) {
 // recommendation on both sides of the dense cutoff.
 func TestAutoBackendFollowsCostModel(t *testing.T) {
 	small := busSpec(t, 2, 2, 1.5e-6).withDefaults()
-	pl, err := New(small, Options{Backend: BackendAuto, Direct: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Backend() != BackendDense {
-		t.Errorf("auto chose %v for N=%d, want dense", pl.Backend(), small.N())
+	if got := ResolveBackend(small, Options{}); got != BackendDense {
+		t.Errorf("auto chose %v for N=%d, want dense", got, small.N())
 	}
 
 	big := busSpec(t, 8, 8, 0.75e-6).withDefaults()
@@ -149,11 +168,7 @@ func TestAutoBackendFollowsCostModel(t *testing.T) {
 	want := costmodel.Select(costmodel.Workload{
 		Panels: big.N(), Span: span, MedianEdge: med, Tol: 1e-4,
 	})
-	pl2, err := New(big, Options{Backend: BackendAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := pl2.Backend()
+	got := ResolveBackend(big, Options{})
 	if (want == costmodel.ChooseFMM && got != BackendFMM) ||
 		(want == costmodel.ChoosePFFT && got != BackendPFFT) ||
 		(want == costmodel.ChooseDense && got != BackendDense) {

@@ -43,25 +43,25 @@ func TestPrecisionParseString(t *testing.T) {
 func TestPipelineMixedMatchesFP64(t *testing.T) {
 	spec := busSpec(t, 4, 4, 1e-6)
 	for _, backend := range []Backend{BackendFMM, BackendPFFT} {
-		ref, err := New(spec, Options{Backend: backend, Tol: 1e-6, Precision: PrecisionFP64})
+		ref, err := newPipeline(spec, Options{Backend: backend, Tol: 1e-6, Precision: PrecisionFP64})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ref.Precision() != PrecisionFP64 {
 			t.Fatalf("%v: forced fp64 resolved to %v", backend, ref.Precision())
 		}
-		rres, err := ref.Extract()
+		rres, err := extract(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix, err := New(spec, Options{Backend: backend, Tol: 1e-6, Precision: PrecisionMixed})
+		mix, err := newPipeline(spec, Options{Backend: backend, Tol: 1e-6, Precision: PrecisionMixed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if mix.Precision() != PrecisionMixed {
 			t.Fatalf("%v: forced mixed resolved to %v", backend, mix.Precision())
 		}
-		mres, err := mix.Extract()
+		mres, err := extract(mix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,14 +108,14 @@ func TestPipelineAutoPrecision(t *testing.T) {
 		}
 	}
 
-	p, err := New(small, Options{Backend: BackendFMM})
+	p, err := newPipeline(small, Options{Backend: BackendFMM})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Precision() != PrecisionFP64 {
 		t.Errorf("small fmm pipeline resolved to %v, want fp64", p.Precision())
 	}
-	d, err := New(small, Options{Backend: BackendDense, Precision: PrecisionMixed})
+	d, err := newPipeline(small, Options{Backend: BackendDense, Precision: PrecisionMixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,19 +129,19 @@ func TestPipelineAutoPrecision(t *testing.T) {
 // and finish in full fp64, still converging to the requested residual.
 func TestPipelineMixedTightTolerance(t *testing.T) {
 	spec := busSpec(t, 4, 4, 1e-6)
-	ref, err := New(spec, Options{Backend: BackendFMM, Tol: 1e-10, Precision: PrecisionFP64})
+	ref, err := newPipeline(spec, Options{Backend: BackendFMM, Tol: 1e-10, Precision: PrecisionFP64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := ref.Extract()
+	rres, err := extract(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mix, err := New(spec, Options{Backend: BackendFMM, Tol: 1e-10, Precision: PrecisionMixed})
+	mix, err := newPipeline(spec, Options{Backend: BackendFMM, Tol: 1e-10, Precision: PrecisionMixed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := mix.Extract()
+	mres, err := extract(mix)
 	if err != nil {
 		t.Fatalf("mixed solve at tight tolerance failed: %v", err)
 	}

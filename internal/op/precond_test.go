@@ -137,7 +137,7 @@ func TestBlockJacobiReducesIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := plain.Extract()
+	pres, err := extract(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestBlockJacobiReducesIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres, err := block.Extract()
+	bres, err := extract(block)
 	if err != nil {
 		t.Fatal(err)
 	}

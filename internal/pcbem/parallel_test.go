@@ -20,11 +20,12 @@ func TestAssembleDenseMatchesEntries(t *testing.T) {
 	defer pool.Close()
 	for _, ex := range []sched.Executor{nil, sched.Local(1), sched.Local(7), pool} {
 		p.Par = ex
-		m := p.AssembleDense()
-		n := p.N()
+		spec := p.Spec()
+		m := spec.AssembleDense()
+		n := spec.N()
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
-				if got, want := m.At(i, j), p.Entry(i, j); got != want {
+				if got, want := m.At(i, j), spec.Entry(i, j); got != want {
 					t.Fatalf("executor %T: P[%d][%d] = %g, want %g", ex, i, j, got, want)
 				}
 				// Lower triangle is mirrored from the upper (the
@@ -59,16 +60,11 @@ func TestSolveIterativeConcurrentColumnsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := p.DenseOp()
-	first, err := p.SolveIterative(op, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := p.Spec()
+	a := denseOp(spec)
+	first := solveIterative(t, spec, a, 1e-8)
 	for rep := 0; rep < 3; rep++ {
-		res, err := p.SolveIterative(op, 1e-8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solveIterative(t, spec, a, 1e-8)
 		if res.Iterations != first.Iterations {
 			t.Fatalf("iteration count not deterministic: %d vs %d", res.Iterations, first.Iterations)
 		}
@@ -87,9 +83,10 @@ func BenchmarkAssembleDense(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	spec := p.Spec()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.AssembleDense()
+		spec.AssembleDense()
 	}
 }
 
@@ -99,9 +96,10 @@ func BenchmarkAssembleDenseSerial(b *testing.B) {
 		b.Fatal(err)
 	}
 	p.Par = sched.Local(1)
+	spec := p.Spec()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.AssembleDense()
+		spec.AssembleDense()
 	}
 }
 
@@ -112,11 +110,10 @@ func BenchmarkSolveIterativeMultiRHS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	op := p.DenseOp()
+	spec := p.Spec()
+	a := denseOp(spec)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveIterative(op, 1e-6); err != nil {
-			b.Fatal(err)
-		}
+		solveIterative(b, spec, a, 1e-6)
 	}
 }

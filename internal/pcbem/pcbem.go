@@ -4,22 +4,19 @@
 // unknown constant charge density, with Galerkin interactions assembled
 // from the closed-form integrals of internal/kernel.
 //
-// It is now a thin geometric front end over the unified operator/solve
-// pipeline (internal/op): Problem owns the panelization and physics
-// constants, while RHS construction, dense assembly, the preconditioned
-// multi-RHS Krylov solves and the charge-to-capacitance reduction all
-// live in op.Pipeline, shared with the multipole (internal/fmm) and
-// precorrected-FFT (internal/pfft) acceleration baselines, the
-// template-extraction fast path and the instantiable-basis solver.
+// What is left of it here is the geometric front end: Problem owns the
+// panelization and the physics constants, and Spec hands them to the
+// operator/solve layer (internal/op). A panel extraction is staged, timed
+// and solved in one place, internal/plan; the measuring harnesses that
+// build an operator of their own (bench/, cmd/benchfig8) start from a
+// Problem's Spec.
 package pcbem
 
 import (
 	"errors"
-	"fmt"
 
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
-	"parbem/internal/linalg"
 	"parbem/internal/op"
 	"parbem/internal/sched"
 )
@@ -62,86 +59,4 @@ func (p *Problem) Spec() op.Spec {
 		Cfg:           p.Cfg,
 		Exec:          p.Par,
 	}
-}
-
-// N returns the number of unknowns (panels).
-func (p *Problem) N() int { return len(p.Panels) }
-
-// Entry computes one scaled Galerkin matrix entry P_ij.
-func (p *Problem) Entry(i, j int) float64 {
-	v := kernel.RectGalerkin(p.Cfg, p.Panels[i].Rect, p.Panels[j].Rect)
-	return kernel.Scale(v, p.Eps)
-}
-
-// AssembleDense builds the full N x N Galerkin matrix: the upper
-// triangle is integrated in parallel over cost-balanced row ranges, then
-// mirrored (each entry is computed exactly once).
-func (p *Problem) AssembleDense() *linalg.Dense {
-	spec := p.Spec()
-	return spec.AssembleDense()
-}
-
-// RHS builds the N x n right-hand-side matrix Phi: row i has the panel
-// area in the column of its conductor (Galerkin testing of the unit
-// potential).
-func (p *Problem) RHS() *linalg.Dense {
-	spec := p.Spec()
-	return spec.RHS()
-}
-
-// Result is a completed piecewise-constant extraction (the pipeline's
-// result type; SetupTime covers operator construction, Iterations is the
-// total Krylov count across all conductor excitations, 0 for direct).
-type Result = op.Result
-
-// SolveDense assembles the dense system and solves it directly
-// (equilibrated Cholesky with LU fallback, through the pipeline's direct
-// path). It is O(N^2) memory and O(N^3) time: the "system solving
-// bottleneck" the paper's introduction describes.
-func (p *Problem) SolveDense() (*Result, error) {
-	return p.SolvePipeline(op.Options{Backend: op.BackendDense, Direct: true})
-}
-
-// SolveIterative solves the system with preconditioned GMRES through an
-// arbitrary matvec operator (dense, multipole-accelerated, or
-// precorrected-FFT) via the unified pipeline: all conductor right-hand
-// sides are solved concurrently on pooled workspaces, preconditioned
-// with the operator's near-field blocks when it exposes them
-// (block-Jacobi) and with the exact point-Jacobi diagonal otherwise. The
-// operator's Apply must be safe for concurrent use (the fmm and pfft
-// operators and DenseOp all are).
-func (p *Problem) SolveIterative(a linalg.Matvec, tol float64) (*Result, error) {
-	pl, err := op.NewWithOperator(p.Spec(), a, op.Options{Tol: tol})
-	if err != nil {
-		return nil, fmt.Errorf("pcbem: %w", err)
-	}
-	res, err := pl.Extract()
-	if err != nil {
-		return nil, fmt.Errorf("pcbem: %w", err)
-	}
-	return res, nil
-}
-
-// SolvePipeline solves the problem through the unified pipeline with
-// explicit backend/preconditioner control (op.Options zero value:
-// cost-model backend selection, automatic preconditioner, 1e-4
-// tolerance).
-func (p *Problem) SolvePipeline(opt op.Options) (*Result, error) {
-	pl, err := op.New(p.Spec(), opt)
-	if err != nil {
-		return nil, fmt.Errorf("pcbem: %w", err)
-	}
-	res, err := pl.Extract()
-	if err != nil {
-		return nil, fmt.Errorf("pcbem: %w", err)
-	}
-	return res, nil
-}
-
-// DenseOp exposes the dense assembled matrix as a Matvec for testing the
-// iterative path independently of the accelerated operators; above the
-// linalg.DenseOpParCutoff size its matvec runs row-blocked on the
-// problem's executor.
-func (p *Problem) DenseOp() linalg.Matvec {
-	return linalg.DenseOp{M: p.AssembleDense(), Exec: p.Par}
 }

@@ -1,13 +1,52 @@
 package pcbem
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
+	"parbem/internal/op"
+	"parbem/internal/plan"
 )
+
+// solveDense is the dense direct extraction of st on a throwaway plan.
+func solveDense(t *testing.T, st *geom.Structure, maxEdge float64) *plan.Result {
+	t.Helper()
+	pl, err := plan.New(plan.Options{MaxEdge: maxEdge,
+		Pipeline: op.Options{Backend: op.BackendDense, Direct: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Extract(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// solveIterative runs the pipeline's concurrent multi-RHS GMRES over the
+// assembled matrix as a plain matvec (point-Jacobi preconditioned: a
+// linalg.DenseOp exposes no near blocks).
+func solveIterative(tb testing.TB, spec op.Spec, a linalg.Matvec, tol float64) *op.Result {
+	tb.Helper()
+	pl, err := op.NewWithOperator(spec, a, op.Options{Tol: tol})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := pl.ExtractWarmCtx(context.Background(), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// denseOp assembles spec's matrix as a matvec on spec's executor.
+func denseOp(spec op.Spec) linalg.Matvec {
+	return linalg.DenseOp{M: spec.AssembleDense(), Exec: spec.Exec}
+}
 
 func plateStructure(side, gap, thick float64) *geom.Structure {
 	return &geom.Structure{
@@ -26,14 +65,7 @@ func TestParallelPlateConvergence(t *testing.T) {
 	ideal := kernel.Eps0 * side * side / gap
 	var prev float64
 	for i, maxEdge := range []float64{5e-6, 2.5e-6} {
-		p, err := NewProblem(plateStructure(side, gap, 0.5e-6), maxEdge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := p.SolveDense()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := solveDense(t, plateStructure(side, gap, 0.5e-6), maxEdge)
 		c := -res.C.At(0, 1)
 		ratio := c / ideal
 		if ratio < 1.0 || ratio > 2.0 {
@@ -55,7 +87,8 @@ func TestDenseMatrixSPDAndSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	P := p.AssembleDense()
+	spec := p.Spec()
+	P := spec.AssembleDense()
 	if e := P.SymmetryError(); e > 0 {
 		t.Errorf("symmetry error %g", e)
 	}
@@ -65,18 +98,13 @@ func TestDenseMatrixSPDAndSymmetric(t *testing.T) {
 }
 
 func TestIterativeMatchesDense(t *testing.T) {
-	p, err := NewProblem(geom.DefaultCrossingPair().Build(), 2e-6)
+	st := geom.DefaultCrossingPair().Build()
+	p, err := NewProblem(st, 2e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := p.SolveDense()
-	if err != nil {
-		t.Fatal(err)
-	}
-	iter, err := p.SolveIterative(p.DenseOp(), 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := solveDense(t, st, 2e-6)
+	iter := solveIterative(t, p.Spec(), denseOp(p.Spec()), 1e-8)
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			a, b := direct.C.At(i, j), iter.C.At(i, j)
@@ -93,16 +121,9 @@ func TestIterativeMatchesDense(t *testing.T) {
 func TestChargeConservationSign(t *testing.T) {
 	// With conductor 0 at 1V and conductor 1 grounded, panels on
 	// conductor 0 carry net positive charge, conductor 1 net negative.
-	p, err := NewProblem(geom.DefaultCrossingPair().Build(), 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.SolveDense()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveDense(t, geom.DefaultCrossingPair().Build(), 1e-6)
 	var q0, q1 float64
-	for i, pan := range p.Panels {
+	for i, pan := range res.Panels {
 		q := res.Rho.At(i, 0) * pan.Area()
 		if pan.Conductor == 0 {
 			q0 += q
@@ -125,7 +146,7 @@ func TestPanelCountGrowsWithRefinement(t *testing.T) {
 	st := geom.DefaultCrossingPair().Build()
 	p1, _ := NewProblem(st, 2e-6)
 	p2, _ := NewProblem(st, 0.5e-6)
-	if p2.N() <= p1.N() {
-		t.Errorf("refinement did not grow panels: %d vs %d", p1.N(), p2.N())
+	if len(p2.Panels) <= len(p1.Panels) {
+		t.Errorf("refinement did not grow panels: %d vs %d", len(p1.Panels), len(p2.Panels))
 	}
 }

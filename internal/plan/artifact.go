@@ -82,7 +82,7 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 	case po != nil && po.Cfg != nil:
 		cfg = po.Cfg
 	}
-	return artifactHash(artifactSchema, p.opt.MaxEdge, p.eps, cfg, be, fo, po, st)
+	return artifactHash(artifactSchema, p.opt.MaxEdge, kernel.Eps0, cfg, be, fo, po, st)
 }
 
 // artifactSchema opens every family hash: the version of the hash layout

@@ -234,7 +234,7 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := p.artifactKey(st, op.BackendDense, nil, nil)
-	oldKey := artifactHash([]byte{'p', 'b', 'a', '1', 0}, 0.5e-6, p.eps, p.cfg, op.BackendDense, nil, nil, st)
+	oldKey := artifactHash([]byte{'p', 'b', 'a', '1', 0}, 0.5e-6, kernel.Eps0, p.cfg, op.BackendDense, nil, nil, st)
 	if oldKey == key {
 		t.Fatalf("old-schema key %q, current key %q: want two distinct keys", oldKey, key)
 	}

@@ -23,10 +23,7 @@
 //
 //   - Identical geometry (every box bitwise equal, geom.Diff.Identical):
 //     every stage is reused; Extract returns the cached result without
-//     touching any artifact. A tolerance change re-solves on the reused
-//     pipeline (tolerance is a solve-only input); a dielectric change
-//     rescales the result (the capacitance of a homogeneous medium is
-//     exactly linear in eps).
+//     touching any artifact.
 //   - Rigid box translations (geom.Diff classifies every box as
 //     Same/Translated and panel counts align): panels map 1:1 across
 //     variants and are grouped into rigid-motion classes, one per
@@ -51,8 +48,11 @@
 // factor reuse cannot affect results at all — only iteration counts.
 //
 // A Plan is safe for concurrent use but serializes extractions; for
-// concurrent sweeps, shard the variants across plans (extract.SweepH
-// runs one plan per contiguous chunk of sorted h values).
+// concurrent sweeps, spread the variants over plans (extract.SweepH
+// keeps one plan per point being solved at once).
+//
+// There is no other driver of a panel extraction: a one-shot one
+// (parbem.ExtractPipeline) is a plan with one variant.
 package plan
 
 import (
@@ -81,14 +81,9 @@ type Options struct {
 	// Pipeline configures the solve: backend, preconditioner,
 	// tolerance, per-backend operator tuning.
 	Pipeline op.Options
-	// Eps is the dielectric permittivity (0 = vacuum). See SetEps.
-	Eps float64
 	// Exec optionally supplies the executor for parallel assembly and
 	// reductions (nil = throwaway sched.Local per stage build).
 	Exec sched.Executor
-	// NoWarmStart disables seeding iterative solves with the previous
-	// variant's charge solution.
-	NoWarmStart bool
 	// Artifacts optionally supplies a persistent stage-artifact store
 	// (see artifact.go): near-field values and block factors are read
 	// through it before building and written through after, so a
@@ -104,8 +99,6 @@ type Options struct {
 type Stats struct {
 	Extracts  int `json:"extracts"`   // Extract calls
 	CacheHits int `json:"cache_hits"` // identical-geometry calls served without any build
-	Rescales  int `json:"rescales"`   // identical-geometry calls served by eps rescaling
-	Resolves  int `json:"resolves"`   // identical-geometry calls re-solved (tol change)
 
 	DiscBuilds int `json:"disc_builds"` // Discretization stage builds
 	TopoBuilds int `json:"topo_builds"` // Topology stage builds
@@ -208,7 +201,6 @@ type Plan struct {
 	mu    sync.Mutex
 	opt   Options
 	cfg   *kernel.Config
-	eps   float64
 	cur   *variant
 	stats Stats
 }
@@ -217,22 +209,14 @@ type Plan struct {
 type variant struct {
 	st     *geom.Structure // geometry snapshot (deep copy)
 	prov   []geom.BoxRef
-	spec   op.Spec
 	be     op.Backend
 	fmmOp  *fmm.Operator
 	pfftOp *pfft.Operator
 	dense  *linalg.Dense
-	pipe   *op.Pipeline
 	// factors maps a near block's exact unknown sequence to its
 	// Cholesky factor (Factorization stage artifact).
 	factors map[string]*linalg.Cholesky
 	res     *Result
-	eps     float64 // dielectric the artifacts were built at
-	tol     float64 // tolerance res was solved at
-	// resScaled caches the last eps-rescaled result so repeated
-	// identical-geometry extractions at epsScaled are cache hits.
-	resScaled *Result
-	epsScaled float64
 }
 
 // New creates a plan. MaxEdge must be positive.
@@ -240,36 +224,7 @@ func New(opt Options) (*Plan, error) {
 	if opt.MaxEdge <= 0 {
 		return nil, errors.New("plan: MaxEdge must be positive")
 	}
-	eps := opt.Eps
-	if eps == 0 {
-		eps = kernel.Eps0
-	}
-	return &Plan{opt: opt, cfg: kernel.DefaultConfig(), eps: eps}, nil
-}
-
-// SetEps updates the dielectric permittivity (0 = vacuum) for
-// subsequent extractions. For unchanged geometry this costs one
-// rescale: the homogeneous-medium capacitance is exactly linear in eps,
-// so every stage artifact is reused.
-func (p *Plan) SetEps(eps float64) {
-	if eps == 0 {
-		eps = kernel.Eps0
-	}
-	p.mu.Lock()
-	p.eps = eps
-	p.mu.Unlock()
-}
-
-// SetTol updates the Krylov tolerance (0 = the 1e-4 default) for
-// subsequent extractions. Tolerance is a solve-only input: no stage
-// artifact is invalidated.
-func (p *Plan) SetTol(tol float64) {
-	p.mu.Lock()
-	p.opt.Pipeline.Tol = tol
-	if p.cur != nil {
-		p.cur.pipe.SetTol(tol)
-	}
-	p.mu.Unlock()
+	return &Plan{opt: opt, cfg: kernel.DefaultConfig()}, nil
 }
 
 // Stats returns a snapshot of the plan's build/reuse counters.
@@ -289,8 +244,8 @@ func (p *Plan) Extract(st *geom.Structure) (*Result, error) {
 // the build chain and the solve's GMRES iterations observe ctx, so a
 // deadline or cancellation stops the extraction early with an
 // *Interrupted error instead of completing work nobody will read. A nil
-// ctx means context.Background(). Identical-geometry cache hits and
-// rescales are served regardless (they cost microseconds).
+// ctx means context.Background(). Identical-geometry cache hits are
+// served regardless (they cost microseconds).
 func (p *Plan) ExtractCtx(ctx context.Context, st *geom.Structure) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -302,101 +257,10 @@ func (p *Plan) ExtractCtx(ctx context.Context, st *geom.Structure) (*Result, err
 		return nil, err
 	}
 	if cur := p.cur; cur != nil && sameGeometry(cur.st, st) {
-		if tolEqual(p.opt.Pipeline, cur.tol) || p.opt.Pipeline.Direct {
-			if p.eps == cur.eps {
-				p.stats.CacheHits++
-				return cur.res, nil
-			}
-			return p.rescale(cur)
-		}
-		// Tolerance changed: re-solve on the reused artifacts (built at
-		// cur.eps) first, then rescale if the dielectric differs too —
-		// rescales must always derive from a result at the configured
-		// tolerance.
-		if _, err := p.resolve(ctx, cur); err != nil {
-			return nil, err
-		}
-		if p.eps == cur.eps {
-			return cur.res, nil
-		}
-		return p.rescale(cur)
+		p.stats.CacheHits++
+		return cur.res, nil
 	}
 	return p.build(ctx, st)
-}
-
-// tolEqual reports whether the configured tolerance matches the one a
-// result was solved at (normalizing the zero default).
-func tolEqual(o op.Options, tol float64) bool {
-	want := o.Tol
-	if want == 0 {
-		want = 1e-4
-	}
-	return want == tol
-}
-
-// resolve re-runs the solve stage on fully reused artifacts (tolerance
-// change on unchanged geometry).
-func (p *Plan) resolve(ctx context.Context, cur *variant) (*Result, error) {
-	p.stats.Resolves++
-	t0 := time.Now()
-	var x0 *linalg.Dense
-	if !p.opt.NoWarmStart {
-		x0 = cur.res.Rho
-		p.stats.WarmStarts++
-	}
-	opres, err := cur.pipe.ExtractWarmCtx(ctx, x0)
-	if err != nil {
-		return nil, interrupted(err, "solve", time.Since(t0))
-	}
-	res := p.wrap(cur, opres, StageReuse{true, true, true, true}, StageTimings{Solve: time.Since(t0)}, t0)
-	cur.res = res
-	cur.tol = solvedTol(p.opt.Pipeline)
-	cur.resScaled = nil // rescales derive from res; drop the stale one
-	return res, nil
-}
-
-// rescale serves an identical-geometry extraction at a different
-// dielectric: C and Rho are exactly linear in eps. The scaled result is
-// cached, so polling the same variant at the new dielectric hits.
-func (p *Plan) rescale(cur *variant) (*Result, error) {
-	if cur.resScaled != nil && cur.epsScaled == p.eps {
-		p.stats.CacheHits++
-		return cur.resScaled, nil
-	}
-	p.stats.Rescales++
-	t0 := time.Now()
-	s := p.eps / cur.eps
-	base := cur.res
-	scale := func(m *linalg.Dense) *linalg.Dense {
-		out := m.Clone()
-		for i := range out.Data {
-			out.Data[i] *= s
-		}
-		return out
-	}
-	res := &Result{
-		C:             scale(base.C),
-		Rho:           scale(base.Rho),
-		Panels:        base.Panels,
-		NumPanels:     base.NumPanels,
-		NumConductors: base.NumConductors,
-		Iterations:    base.Iterations,
-		Backend:       base.Backend,
-		Precision:     base.Precision,
-		Reused:        StageReuse{true, true, true, true},
-		Stages:        StageTimings{Solve: time.Since(t0)},
-		Total:         time.Since(t0),
-	}
-	cur.resScaled, cur.epsScaled = res, p.eps
-	return res, nil
-}
-
-// solvedTol normalizes the configured tolerance.
-func solvedTol(o op.Options) float64 {
-	if o.Tol == 0 {
-		return 1e-4
-	}
-	return o.Tol
 }
 
 // interrupted wraps a context-checkpoint error from the solve layer as
@@ -448,7 +312,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 	spec := op.Spec{
 		Panels:        panels,
 		NumConductors: snap.NumConductors(),
-		Eps:           p.eps,
+		Eps:           kernel.Eps0,
 		Cfg:           p.cfg,
 		Exec:          p.opt.Exec,
 	}
@@ -457,12 +321,12 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 
 	// Rigid-motion classes vs the previous variant (nil = no reuse).
 	var class []int32
-	if cur != nil && cur.eps == p.eps {
+	if cur != nil {
 		class = motionClasses(cur, snap, prov)
 	}
 	be := op.ResolveBackend(spec, p.opt.Pipeline)
 
-	nv := &variant{st: snap, prov: prov, spec: spec, be: be, eps: p.eps}
+	nv := &variant{st: snap, prov: prov, be: be}
 	res := &Result{
 		Panels:        panels,
 		NumPanels:     len(panels),
@@ -634,7 +498,6 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nv.pipe = pipe
 	p.stats.FactBuilds++
 	res.Stages.Factorize = time.Since(tF)
 	if bj, ok := pipe.Preconditioner().(*op.BlockJacobi); ok {
@@ -653,7 +516,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 	}
 	tS := time.Now()
 	var x0 *linalg.Dense
-	if !p.opt.NoWarmStart && !popt.Direct && cur != nil && cur.res != nil &&
+	if !popt.Direct && cur != nil &&
 		cur.res.Rho.Rows == len(panels) && cur.res.Rho.Cols == spec.NumConductors {
 		x0 = cur.res.Rho
 		p.stats.WarmStarts++
@@ -669,26 +532,8 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 	res.Total = time.Since(t0)
 
 	nv.res = res
-	nv.tol = solvedTol(p.opt.Pipeline)
 	p.cur = nv
 	return res, nil
-}
-
-// wrap assembles a Result around an op.Result for the reuse paths.
-func (p *Plan) wrap(cur *variant, opres *op.Result, reused StageReuse, stages StageTimings, t0 time.Time) *Result {
-	return &Result{
-		C:             opres.C,
-		Rho:           opres.Rho,
-		Panels:        cur.spec.Panels,
-		NumPanels:     len(cur.spec.Panels),
-		NumConductors: cur.spec.NumConductors,
-		Iterations:    opres.Iterations,
-		Backend:       cur.be,
-		Precision:     opres.Precision,
-		Reused:        reused,
-		Stages:        stages,
-		Total:         time.Since(t0),
-	}
 }
 
 // sameGeometry reports bitwise-identical conductor boxes (names are

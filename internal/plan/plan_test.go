@@ -8,8 +8,22 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/linalg"
 	"parbem/internal/op"
-	"parbem/internal/pcbem"
 )
+
+// fresh extracts st on a throwaway one-variant plan: what a variant
+// solved with reuse is compared against.
+func fresh(t *testing.T, st *geom.Structure, opt Options) *Result {
+	t.Helper()
+	p, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Extract(st)
+	if err != nil {
+		t.Fatalf("fresh plan: %v", err)
+	}
+	return res
+}
 
 // capError is the conventional accuracy metric: max relative entry
 // difference, normalized per-row by the diagonal.
@@ -33,9 +47,9 @@ func crossingAt(h float64) *geom.Structure {
 }
 
 // TestPlanIncrementalConsistency sweeps the crossing separation through
-// one plan per backend and pins every point to an independent
-// from-scratch pipeline extraction of the same variant: stage reuse
-// must be invisible in the results to 1e-10. Iterative backends run at
+// one plan per backend and pins every point to a fresh one-variant plan
+// of the same variant: stage reuse must be invisible in the results to
+// 1e-10. Iterative backends run at
 // a 1e-12 tolerance so solver-path differences (warm starts, copied
 // entries' coordinate noise) sit far below the bound.
 func TestPlanIncrementalConsistency(t *testing.T) {
@@ -73,16 +87,9 @@ func TestPlanIncrementalConsistency(t *testing.T) {
 				if err != nil {
 					t.Fatalf("h=%g: plan: %v", h, err)
 				}
-				prob, err := pcbem.NewProblem(st, edge)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := prob.SolvePipeline(be.opt)
-				if err != nil {
-					t.Fatalf("h=%g: independent: %v", h, err)
-				}
+				ref := fresh(t, st, Options{MaxEdge: edge, Pipeline: be.opt})
 				if e := capError(res.C, ref.C); e > 1e-10 {
-					t.Errorf("h=%g: plan deviates from independent by %.3g (tol 1e-10)", h, e)
+					t.Errorf("h=%g: reuse deviates from a fresh plan by %.3g (tol 1e-10)", h, e)
 				}
 			}
 			s := p.Stats()
@@ -184,83 +191,5 @@ func TestPlanStageReuse(t *testing.T) {
 	}
 	if reshaped.Reused.NearField {
 		t.Error("reshaped variant claims near-field reuse")
-	}
-}
-
-// TestPlanEpsAndTol covers the solve-only invalidations: a dielectric
-// change rescales, a tolerance change re-solves, and both match
-// independent extractions.
-func TestPlanEpsAndTol(t *testing.T) {
-	const edge = 0.5e-6
-	st := crossingAt(0.5e-6)
-	p, err := New(Options{MaxEdge: edge, Pipeline: op.Options{
-		Backend: op.BackendFMM, Tol: 1e-10, FMM: &fmm.Options{Workers: 1},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Extract(st); err != nil {
-		t.Fatal(err)
-	}
-
-	// Dielectric change: all stages reused, result exactly linear.
-	const eps2 = 3.9 * 8.8541878128e-12
-	p.SetEps(eps2)
-	scaled, err := p.Extract(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob, err := pcbem.NewProblem(st, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob.Eps = eps2
-	ref, err := prob.SolvePipeline(op.Options{
-		Backend: op.BackendFMM, Tol: 1e-10, FMM: &fmm.Options{Workers: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := capError(scaled.C, ref.C); e > 1e-8 {
-		t.Errorf("eps rescale deviates from independent by %.3g", e)
-	}
-	s := p.Stats()
-	if s.Rescales == 0 {
-		t.Error("eps change did not take the rescale path")
-	}
-	if s.NearBuilds != 1 {
-		t.Errorf("eps change rebuilt the near field (%d builds)", s.NearBuilds)
-	}
-
-	// Tolerance change: same artifacts, new solve.
-	p.SetEps(0)
-	p.SetTol(1e-6)
-	if _, err := p.Extract(st); err != nil {
-		t.Fatal(err)
-	}
-	s = p.Stats()
-	if s.Resolves == 0 {
-		t.Error("tolerance change did not take the re-solve path")
-	}
-	if s.NearBuilds != 1 {
-		t.Errorf("tolerance change rebuilt the near field (%d builds)", s.NearBuilds)
-	}
-
-	// Combined tolerance + dielectric change: the rescale must derive
-	// from a solve at the new tolerance, not the cached old one.
-	p.SetTol(1e-10)
-	p.SetEps(eps2)
-	both, err := p.Extract(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := capError(both.C, ref.C); e > 1e-8 {
-		t.Errorf("tol+eps change deviates from independent by %.3g", e)
-	}
-	s2 := p.Stats()
-	if s2.Resolves <= s.Resolves {
-		t.Error("tol+eps change skipped the re-solve")
-	}
-	if s2.NearBuilds != 1 {
-		t.Errorf("tol+eps change rebuilt the near field (%d builds)", s2.NearBuilds)
 	}
 }

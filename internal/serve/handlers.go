@@ -80,9 +80,10 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 // ExtractResponse is the POST /extract result: the capx -json pipeline
-// telemetry schema plus the job id and the plan-stage reuse marker.
+// telemetry schema plus the job id and the plan-stage reuse marker, which
+// the daemon always sets and a one-shot capx run leaves out.
 type ExtractResponse struct {
-	JobID     string `json:"job_id"`
+	JobID     string `json:"job_id,omitempty"`
 	Structure string `json:"structure"`
 	Backend   string `json:"backend"`
 	Requested string `json:"requested"`
@@ -97,7 +98,7 @@ type ExtractResponse struct {
 	// Reused reports the plan-stage reuse of the build that produced
 	// this result ("none", "near-field", "near-field+factors"); an
 	// identical-geometry cache hit repeats the original build's flags.
-	Reused     string      `json:"reused"`
+	Reused     string      `json:"reused,omitempty"`
 	SetupMs    float64     `json:"setup_ms"`
 	SolveMs    float64     `json:"solve_ms"`
 	TotalMs    float64     `json:"total_ms"`
@@ -285,26 +286,36 @@ func (s *Server) runExtract(j *job, req *ExtractRequest, st *geom.Structure) (*E
 	}
 	total := time.Since(t0)
 	s.m.observeStages(res.Backend.String(), res.Stages, total)
+	out := NewExtractResponse(st, res, req.Backend, req.Precond, req.EdgeM, req.Tol, total)
+	out.JobID, out.Reused = j.id, ReusedName(res.Reused)
+	return out, nil
+}
+
+// NewExtractResponse fills the telemetry record of one plan extraction
+// for the request that asked for it (backend and precond as requested,
+// "" = auto; total is the caller's wall time around the extraction). It
+// is the one place a plan result becomes JSON: POST /extract adds the job
+// id and the reuse marker, capx -json prints it as it is. Setup is
+// everything before the solve stage.
+func NewExtractResponse(st *geom.Structure, res *plan.Result, backend, precond string, edgeM, tol float64, total time.Duration) *ExtractResponse {
 	setup := res.Stages.Discretize + res.Stages.Topology + res.Stages.NearField + res.Stages.Factorize
 	return &ExtractResponse{
-		JobID:      j.id,
 		Structure:  st.Name,
 		Backend:    res.Backend.String(),
-		Requested:  requestedName(req.Backend),
-		Precond:    requestedName(req.Precond),
+		Requested:  requestedName(backend),
+		Precond:    requestedName(precond),
 		Precision:  res.Precision.String(),
 		NumPanels:  res.NumPanels,
-		EdgeM:      req.EdgeM,
-		Tol:        req.Tol,
+		EdgeM:      edgeM,
+		Tol:        tol,
 		Iterations: res.Iterations,
-		Reused:     reusedName(res.Reused),
 		SetupMs:    setup.Seconds() * 1e3,
 		SolveMs:    res.Stages.Solve.Seconds() * 1e3,
 		TotalMs:    total.Seconds() * 1e3,
 		Conductors: conductorNames(st),
 		CFarads:    matrixRows(res.C),
 		Warnings:   report.CheckMaxwell(res.C, 0),
-	}, nil
+	}
 }
 
 // SweepHeader is the first NDJSON line of a /sweep response.
@@ -496,7 +507,7 @@ func (s *Server) runVariantSweep(j *job, req *SweepRequest, sts []*geom.Structur
 			Index: i, Structure: st.Name,
 			Backend:    res.Backend.String(),
 			Iterations: res.Iterations,
-			Reused:     reusedName(res.Reused),
+			Reused:     ReusedName(res.Reused),
 			TotalMs:    total.Seconds() * 1e3,
 			CFarads:    matrixRows(res.C),
 			Conductors: conductorNames(st),
@@ -512,22 +523,16 @@ func (s *Server) runVariantSweep(j *job, req *SweepRequest, sts []*geom.Structur
 // here, at the service edge, each failure becomes that point's error
 // entry in the stream.
 func (s *Server) runTemplateSweep(j *job, req *SweepRequest, emit func(*SweepPoint) bool) {
-	// Template sweeps run outside the budgeted engine pool (the sweep
-	// owns its fan-out and per-chunk plans), so they serialize on a
-	// dedicated slot and are bounded to the server's per-job worker
-	// budget instead of multiplying the whole machine by the runner
-	// count.
-	select {
-	case s.tmplSem <- struct{}{}:
-		defer func() { <-s.tmplSem }()
-	case <-j.ctx.Done():
-		return
-	}
-	if j.ctx.Err() != nil {
-		return
-	}
+	// The points and their plans' stage builds run on the engine's
+	// budgeted executor, like a pipeline job's, and observe the job's
+	// deadline and cancellation at every stage boundary and iteration.
 	hs := req.TemplateHs
-	fits, err := s.sweepH(geom.DefaultCrossingPair(), hs, req.EdgeM, s.opt.WorkerBudget)
+	fits, err := s.sweepH(j.ctx, s.eng.PlanExec(), geom.DefaultCrossingPair(), hs, req.EdgeM)
+	if j.ctx.Err() != nil {
+		// The whole sweep is over, not its points one by one: runSweep
+		// reports the deadline or disconnect in place of the trailer.
+		return
+	}
 	if len(fits) < len(hs) {
 		fits = append(fits, make([]*extract.ArchFit, len(hs)-len(fits))...)
 	}
@@ -586,8 +591,8 @@ func requestedName(s string) string {
 	return s
 }
 
-// reusedName renders plan stage reuse the way capx -sweep does.
-func reusedName(r plan.StageReuse) string {
+// ReusedName renders plan stage reuse, for the wire and for capx -sweep.
+func ReusedName(r plan.StageReuse) string {
 	if !r.NearField {
 		return "none"
 	}

@@ -9,11 +9,13 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parbem/internal/extract"
 	"parbem/internal/geom"
+	"parbem/internal/sched"
 )
 
 // TestServeDeadline504 pins the end-to-end deadline path: a synchronous
@@ -193,7 +195,7 @@ func TestServeSweepPointsCountDelivered(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s.sweepH = func(_ geom.CrossingPairSpec, hs []float64, _ float64, _ int) ([]*extract.ArchFit, error) {
+	s.sweepH = func(_ context.Context, _ sched.Executor, _ geom.CrossingPairSpec, hs []float64, _ float64) ([]*extract.ArchFit, error) {
 		// The client vanishes while the solver is running; every point
 		// emitted afterwards races delivery against the dead context.
 		cancel()
@@ -232,6 +234,46 @@ func TestServeSweepPointsCountDelivered(t *testing.T) {
 
 // promLine matches one exposition sample: name{labels} value.
 var promLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
+
+// TestServeTemplateSweepDeadline pins that a template sweep runs under
+// its job's deadline. The sweep is handed the job's context; once that
+// is done its points fail fast (extract's TestSweepHCancelled pins that
+// no near field is integrated), and the stream ends in a
+// deadline_exceeded line — not in per-point failures and a trailer, and
+// not after every remaining point has been solved for nobody.
+func TestServeTemplateSweepDeadline(t *testing.T) {
+	s, c := startServer(t, Options{Workers: 1})
+	hs := []float64{0.4e-6, 0.5e-6, 0.6e-6}
+	var expired atomic.Int32
+	s.sweepH = func(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, edge float64) ([]*extract.ArchFit, error) {
+		<-ctx.Done() // the deadline expires mid-sweep
+		fits, err := extract.SweepH(ctx, ex, base, hs, edge)
+		for _, pe := range extract.PointErrors(err) {
+			if errors.Is(pe, context.DeadlineExceeded) {
+				expired.Add(1)
+			}
+		}
+		return fits, err
+	}
+	streamed := 0
+	_, err := c.Sweep(context.Background(),
+		&SweepRequest{EdgeM: 0.5e-6, TemplateHs: hs, TimeoutMs: 20},
+		func(*SweepPoint) { streamed++ })
+	re := new(RequestError)
+	if !errors.As(err, &re) || re.Code != CodeDeadlineExceeded {
+		t.Fatalf("expired template sweep returned %v, want a deadline_exceeded line", err)
+	}
+	if got := int(expired.Load()); got != len(hs) {
+		t.Errorf("%d of %d points failed with the job's deadline", got, len(hs))
+	}
+	if streamed != 0 {
+		t.Errorf("%d points streamed as failures of their own", streamed)
+	}
+	if st := s.Stats(); st.DeadlineExceeded != 1 || st.Failed != 1 || st.SweepPointErrors != 0 {
+		t.Errorf("stats: deadline_exceeded %d failed %d sweep_point_errors %d, want 1/1/0",
+			st.DeadlineExceeded, st.Failed, st.SweepPointErrors)
+	}
+}
 
 // parseProm parses Prometheus text exposition into series → value.
 func parseProm(t *testing.T, text string) map[string]float64 {

@@ -36,9 +36,8 @@
 // execute on a sched.Budgeted view of the engine's persistent worker
 // pool, capped at WorkerBudget workers per request — concurrent
 // requests divide the pool instead of each spawning GOMAXPROCS
-// goroutines on top of one another. The one exception is template
-// sweeps: extract.SweepH owns its machine-wide fan-out outside the
-// engine pool, so those serialize on a dedicated single slot instead.
+// goroutines on top of one another. A template sweep (extract.SweepH)
+// fans its points out on the same budgeted view.
 //
 // # Deadlines
 //
@@ -140,6 +139,7 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/op"
 	"parbem/internal/plan"
+	"parbem/internal/sched"
 	"parbem/internal/serve/journal"
 )
 
@@ -265,12 +265,6 @@ type Server struct {
 	queues  [numClasses]chan *job
 	runners int
 	wg      sync.WaitGroup
-	// tmplSem serializes template sweeps: the sweep fans out to
-	// budget-many solver goroutines with their own per-chunk plans,
-	// outside the engine pool the per-job worker budget bounds, so at
-	// most one such sweep runs at a time (its goroutines are extra
-	// threads beyond the pool even when budget-bounded).
-	tmplSem chan struct{}
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -282,10 +276,10 @@ type Server struct {
 	c     counters
 	m     *metrics
 
-	// sweepH runs the template h-sweep (extract.SweepHWorkers, bounded
-	// by the worker budget); tests inject mid-sweep failures through it
-	// to pin the per-point error reporting at the service edge.
-	sweepH func(geom.CrossingPairSpec, []float64, float64, int) ([]*extract.ArchFit, error)
+	// sweepH runs the template h-sweep (extract.SweepH, on the engine's
+	// budgeted executor); tests inject mid-sweep failures through it to
+	// pin the per-point error reporting at the service edge.
+	sweepH func(context.Context, sched.Executor, geom.CrossingPairSpec, []float64, float64) ([]*extract.ArchFit, error)
 }
 
 // counters are the monotonic job/request counters of /stats. Queued
@@ -403,16 +397,15 @@ func New(opt Options) *Server {
 // queryable via GET /jobs/{id}, unfinished ones are re-enqueued.
 func Open(opt Options) (*Server, error) {
 	s := &Server{
-		opt:     opt,
-		limits:  opt.Limits.withDefaults(),
-		eng:     opt.Engine,
-		jobs:    make(map[string]*job),
-		idem:    make(map[string]string),
-		start:   time.Now(),
-		m:       newMetrics(),
-		sweepH:  extract.SweepHWorkers,
-		tmplSem: make(chan struct{}, 1),
-		logf:    opt.Logf,
+		opt:    opt,
+		limits: opt.Limits.withDefaults(),
+		eng:    opt.Engine,
+		jobs:   make(map[string]*job),
+		idem:   make(map[string]string),
+		start:  time.Now(),
+		m:      newMetrics(),
+		sweepH: extract.SweepH,
+		logf:   opt.Logf,
 	}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}

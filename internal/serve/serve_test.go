@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/geomio"
 	"parbem/internal/op"
-	"parbem/internal/pcbem"
+	"parbem/internal/plan"
+	"parbem/internal/sched"
 )
 
 // geoText serializes a structure to the wire format.
@@ -93,21 +95,14 @@ func TestServeExtractAndJobs(t *testing.T) {
 		t.Error("response carries no job id")
 	}
 
-	// The service must agree with a one-shot pipeline solve.
-	prob, err := pcbem.NewProblem(st, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := prob.SolvePipeline(op.Options{Backend: op.BackendDense, Direct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The service must agree with a fresh one-variant plan.
+	ref := freshPlan(t, st, edge, op.Options{Backend: op.BackendDense, Direct: true})
 	refRows := make([][]float64, ref.C.Rows)
 	for i := range refRows {
 		refRows[i] = ref.C.Row(i)
 	}
 	if e := capError(res.CFarads, refRows); e > 1e-10 {
-		t.Errorf("served result deviates from one-shot dense by %.3g (tol 1e-10)", e)
+		t.Errorf("served result deviates from a fresh dense plan by %.3g (tol 1e-10)", e)
 	}
 
 	// Async submission round-trips through GET /jobs/{id}.
@@ -181,23 +176,16 @@ func TestServeWarmCacheSpeedup(t *testing.T) {
 		served[i] = res
 	}
 
-	// Every served matrix agrees with an independent one-shot solve, and
-	// every variant after the first took fewer iterations than it.
+	// Every served matrix agrees with a fresh one-variant plan, and every
+	// variant after the first took fewer iterations than it.
 	for i, h := range hs {
-		prob, err := pcbem.NewProblem(crossingAt(h), edge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := prob.SolvePipeline(popt)
-		if err != nil {
-			t.Fatalf("one-shot h=%g: %v", h, err)
-		}
+		ref := freshPlan(t, crossingAt(h), edge, popt)
 		refRows := make([][]float64, ref.C.Rows)
 		for r := range refRows {
 			refRows[r] = ref.C.Row(r)
 		}
 		if e := capError(served[i].CFarads, refRows); e > 1e-10 {
-			t.Errorf("h=%g: served deviates from one-shot by %.3g (tol 1e-10)", h, e)
+			t.Errorf("h=%g: served deviates from a fresh plan by %.3g (tol 1e-10)", h, e)
 		}
 		if i == 0 {
 			if served[i].Reused != "none" {
@@ -209,7 +197,7 @@ func TestServeWarmCacheSpeedup(t *testing.T) {
 			t.Errorf("h=%g: reused %q, want the first variant's near field and factors", h, served[i].Reused)
 		}
 		if served[i].Iterations >= ref.Iterations {
-			t.Errorf("h=%g: %d iterations from a warm start, one-shot %d", h, served[i].Iterations, ref.Iterations)
+			t.Errorf("h=%g: %d iterations from a warm start, cold %d", h, served[i].Iterations, ref.Iterations)
 		}
 	}
 
@@ -256,14 +244,35 @@ func TestServeSweepVariants(t *testing.T) {
 	}
 }
 
-// TestServeSweepWorkerBudget pins that template sweeps receive the
-// server's effective per-job worker budget rather than fanning out
-// machine-wide (extract.SweepHWorkers treats it as its goroutine bound).
+// freshPlan extracts st on a throwaway one-variant plan: what a served
+// result — cached, reused or warm-started — is compared against.
+func freshPlan(t *testing.T, st *geom.Structure, edge float64, popt op.Options) *plan.Result {
+	t.Helper()
+	pl, err := plan.New(plan.Options{MaxEdge: edge, Pipeline: popt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Extract(st)
+	if err != nil {
+		t.Fatalf("fresh plan: %v", err)
+	}
+	return res
+}
+
+// TestServeSweepWorkerBudget pins that a template sweep is handed the
+// engine's budgeted executor rather than fanning out machine-wide: at a
+// budget of one worker, Map runs its tasks one at a time.
 func TestServeSweepWorkerBudget(t *testing.T) {
 	s, c := startServer(t, Options{Workers: 2, WorkerBudget: 1})
-	got := -1
-	s.sweepH = func(_ geom.CrossingPairSpec, in []float64, _ float64, workers int) ([]*extract.ArchFit, error) {
-		got = workers
+	var running, widest atomic.Int32
+	s.sweepH = func(_ context.Context, ex sched.Executor, _ geom.CrossingPairSpec, in []float64, _ float64) ([]*extract.ArchFit, error) {
+		ex.Map(8, func(int) {
+			if n := running.Add(1); n > widest.Load() {
+				widest.Store(n)
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+		})
 		fits := make([]*extract.ArchFit, len(in))
 		for i := range fits {
 			fits[i] = &extract.ArchFit{Flat: 1, Peak: 2, Decay: 1e-7}
@@ -276,8 +285,8 @@ func TestServeSweepWorkerBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	if got != 1 {
-		t.Fatalf("template sweep ran with workers=%d, want the budget 1", got)
+	if got := widest.Load(); got != 1 {
+		t.Fatalf("template sweep's executor ran %d tasks at once, want the budget 1", got)
 	}
 }
 
@@ -291,7 +300,7 @@ func TestServeSweepTemplatePointError(t *testing.T) {
 	// Inject the exact failure shape SweepH produces when a point dies
 	// mid-sweep: fits[i] nil for the failed point, the joined error
 	// carrying one PointError per failure.
-	s.sweepH = func(base geom.CrossingPairSpec, in []float64, maxEdge float64, workers int) ([]*extract.ArchFit, error) {
+	s.sweepH = func(_ context.Context, _ sched.Executor, _ geom.CrossingPairSpec, in []float64, _ float64) ([]*extract.ArchFit, error) {
 		fits := make([]*extract.ArchFit, len(in))
 		var errs []error
 		for i, h := range in {
@@ -529,7 +538,7 @@ func TestServeCancelledQueuedJobSkipped(t *testing.T) {
 // the daemon keeps serving.
 func TestServePanicContainment(t *testing.T) {
 	s, c := startServer(t, Options{Workers: 1})
-	s.sweepH = func(geom.CrossingPairSpec, []float64, float64, int) ([]*extract.ArchFit, error) {
+	s.sweepH = func(context.Context, sched.Executor, geom.CrossingPairSpec, []float64, float64) ([]*extract.ArchFit, error) {
 		panic("injected solver panic")
 	}
 	_, err := c.Sweep(context.Background(),

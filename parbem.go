@@ -42,15 +42,17 @@
 //
 // # Choosing a backend
 //
-// Every piecewise-constant solve — the dense reference, the multipole
-// and precorrected-FFT accelerated baselines, and the template
-// extraction behind the instantiable basis — runs through one unified
-// operator pipeline (internal/op): backend-agnostic RHS construction,
-// concurrent multi-RHS preconditioned GMRES on pooled workspaces (or the
-// direct path for dense: one equilibrated symmetric-indefinite LDLᵀ,
-// whose inertia the result carries), and the shared
-// charge-to-capacitance reduction. Three operator backends implement the
-// pipeline's matvec contract:
+// The piecewise-constant baselines the paper measures against — the
+// dense reference and the multipole and precorrected-FFT accelerated
+// solvers — share one driver: ExtractPipeline panelizes the structure,
+// builds the selected operator stage by stage on a Plan (see the next
+// section; a one-shot extraction is a plan with one variant) and solves
+// every conductor excitation through the unified pipeline of
+// internal/op: concurrent preconditioned GMRES on pooled workspaces, or
+// for dense with PipelineOptions.Direct one equilibrated
+// symmetric-indefinite LDLᵀ, then the shared charge-to-capacitance
+// reduction (which the template solver behind Extract uses too). Three
+// operator backends implement the pipeline's matvec contract:
 //
 //   - dense (ExtractReference): parallel symmetric Galerkin assembly
 //     plus a direct factorization. O(N^2) memory and O(N^3) time — the
@@ -66,13 +68,14 @@
 //     densely fill a compact volume (the cost model's grid fill factor),
 //     where the uniform grid convolution amortizes best.
 //
-// ExtractPipeline exposes the selection directly: BackendAuto picks one
-// of the three from the panel count and grid fill factor
-// (internal/costmodel.Select), and the preconditioner — point-Jacobi or
-// near-field block-Jacobi (PrecondAuto uses the operator's near blocks
-// when it exposes them) — cuts Krylov iteration counts across all
-// accelerated backends. The same controls are available on the command
-// line via `capx -backend auto|dense|fastcap|pfft -precond auto|none|jacobi|block`.
+// BackendAuto picks one of the three from the panel count and grid fill
+// factor (internal/costmodel.Select), and the preconditioner —
+// point-Jacobi or near-field block-Jacobi (PrecondAuto uses the
+// operator's near blocks when it exposes them) — cuts Krylov iteration
+// counts across all accelerated backends. The result is a PlanResult: the
+// resolved backend, the Krylov iteration total and per-stage timings. The
+// same controls are available on the command line via
+// `capx -backend auto|dense|fastcap|pfft -precond auto|none|jacobi|block`.
 //
 // Orthogonally to the backend, PipelineOptions.Precision picks the
 // matvec arithmetic of the accelerated operators. PrecisionMixed runs
@@ -89,18 +92,19 @@
 //
 // Design-loop workloads re-extract the same structure under small
 // geometry perturbations: separation sweeps, width/spacing studies,
-// corpus batches of near-identical cells. A Plan (NewPlan) makes that
-// incremental instead of from-scratch: it factors the build into staged
-// artifacts — discretization, tree/grid topology, exact near-field
-// integrals, preconditioner factorizations — each content-addressed by
-// what it actually depends on, so a geometry delta invalidates only the
-// stages that truly changed. Boxes that move rigidly between variants
-// (an h-sweep translating one layer) keep every interaction integral
-// among themselves: only cross-group entries are re-integrated, block
-// factors over unchanged panels are adopted, and the previous variant's
-// charge solution warm-starts the Krylov solves. Identical geometry is
-// a pure cache hit; a tolerance change re-solves on reused artifacts; a
-// dielectric change is a single exact rescale.
+// corpus batches of near-identical cells. A Plan (NewPlan) that outlives
+// one extraction makes that incremental instead of from-scratch: it
+// factors the build into staged artifacts — discretization, tree/grid
+// topology, exact near-field integrals, preconditioner factorizations —
+// each content-addressed by what it actually depends on, so a geometry
+// delta invalidates only the stages that truly changed. Boxes that move
+// rigidly between variants (an h-sweep translating one layer) keep every
+// interaction integral among themselves: only cross-group entries are
+// re-integrated, block factors over unchanged panels are adopted, and
+// the previous variant's charge solution warm-starts the Krylov solves.
+// Identical geometry is a pure cache hit. A plan has one tolerance and
+// one set of solve options for life; a different tolerance is a
+// different plan.
 //
 //	p, _ := parbem.NewPlan(parbem.PlanOptions{MaxEdge: 0.25e-6})
 //	for _, h := range hs {
@@ -109,14 +113,15 @@
 //		...
 //	}
 //
-// On a 16-point crossing h-sweep the plan path agrees with independent
-// ExtractPipeline calls to 1e-10 while copying at least three near-field
+// On a 16-point crossing h-sweep the shared plan agrees with a fresh
+// plan per point to 1e-10 while copying at least three near-field
 // entries for each one it integrates, adopting the block factors on most
 // steps and converging every warm-started solve in fewer iterations than
 // its cold twin (TestSweepIncrementalSpeedup asserts that work, not wall
-// clock; the timing is the plan_sweep workload of bench/). SweepH and the capx -sweep flag run on plans
-// internally. Results must be treated as read-only — cache hits
-// return the cached object and warm starts read the stored charges.
+// clock; the timing is the plan_sweep workload of bench/). SweepH and the
+// capx -sweep flag run on plans internally. Results must be treated as
+// read-only — cache hits return the cached object and warm starts read
+// the stored charges.
 //
 // # Running as a service
 //
@@ -183,6 +188,7 @@
 package parbem
 
 import (
+	"context"
 	"io"
 
 	"parbem/internal/assembly"
@@ -196,10 +202,10 @@ import (
 	"parbem/internal/linalg"
 	"parbem/internal/mpi"
 	"parbem/internal/op"
-	"parbem/internal/pcbem"
 	"parbem/internal/pfft"
 	"parbem/internal/plan"
 	"parbem/internal/report"
+	"parbem/internal/sched"
 	"parbem/internal/solver"
 )
 
@@ -317,9 +323,6 @@ func NewEngine(opt EngineOptions) *Engine { return batch.New(opt) }
 // interconnect cost model).
 func NewNetwork(size int) *Network { return mpi.NewNetwork(size) }
 
-// ReferenceResult is a piecewise-constant baseline extraction.
-type ReferenceResult = pcbem.Result
-
 // PipelineOptions configures the unified piecewise-constant solve
 // pipeline: operator backend, preconditioner, tolerance and per-backend
 // operator tuning. The zero value selects the backend with the cost
@@ -351,30 +354,27 @@ type Precision = op.Precision
 // "mixed"; "" = auto).
 func ParsePrecision(s string) (Precision, error) { return op.ParsePrecision(s) }
 
-// ExtractPipeline solves the structure with the unified operator
-// pipeline: panelize at maxEdge, build the selected (or cost-model
-// chosen) operator backend, solve all conductor excitations with
+// ExtractPipeline solves the structure with the selected (or cost-model
+// chosen) piecewise-constant backend on a throwaway Plan: panelize at
+// maxEdge, build the operator, solve all conductor excitations with
 // preconditioned GMRES (or directly for the dense backend with
 // opt.Direct) and reduce to the capacitance matrix. The result reports
-// the resolved backend and the total Krylov iteration count.
-func ExtractPipeline(st *Structure, maxEdge float64, opt PipelineOptions) (*ReferenceResult, error) {
-	p, err := pcbem.NewProblem(st, maxEdge)
+// the resolved backend, the total Krylov iteration count and the
+// per-stage timings.
+func ExtractPipeline(st *Structure, maxEdge float64, opt PipelineOptions) (*PlanResult, error) {
+	p, err := NewPlan(PlanOptions{MaxEdge: maxEdge, Pipeline: opt})
 	if err != nil {
 		return nil, err
 	}
-	return p.SolvePipeline(opt)
+	return p.Extract(st)
 }
 
 // ExtractReference solves the structure with a finely discretized
 // piecewise-constant Galerkin BEM and a dense direct solve. It is O(N^3)
 // but gives the accuracy reference for the instantiable-basis solver.
 // maxEdge is the maximum panel edge length in meters.
-func ExtractReference(st *Structure, maxEdge float64) (*ReferenceResult, error) {
-	p, err := pcbem.NewProblem(st, maxEdge)
-	if err != nil {
-		return nil, err
-	}
-	return p.SolveDense()
+func ExtractReference(st *Structure, maxEdge float64) (*PlanResult, error) {
+	return ExtractPipeline(st, maxEdge, PipelineOptions{Backend: BackendDense, Direct: true})
 }
 
 // FastCapOptions tunes the multipole baseline. Set Tol to override the
@@ -387,7 +387,7 @@ type FastCapOptions = fmm.Options
 // GMRES through the unified pipeline). The returned result carries the
 // total Krylov iteration count across all conductor excitations (solved
 // concurrently).
-func ExtractFastCapLike(st *Structure, maxEdge float64, opt FastCapOptions) (*ReferenceResult, error) {
+func ExtractFastCapLike(st *Structure, maxEdge float64, opt FastCapOptions) (*PlanResult, error) {
 	return ExtractPipeline(st, maxEdge, PipelineOptions{
 		Backend: BackendFMM, Tol: opt.Tol, FMM: &opt,
 	})
@@ -399,7 +399,7 @@ type PFFTOptions = pfft.Options
 
 // ExtractPFFT solves the structure with the precorrected-FFT accelerated
 // piecewise-constant solver (through the same unified pipeline).
-func ExtractPFFT(st *Structure, maxEdge float64, opt PFFTOptions) (*ReferenceResult, error) {
+func ExtractPFFT(st *Structure, maxEdge float64, opt PFFTOptions) (*PlanResult, error) {
 	return ExtractPipeline(st, maxEdge, PipelineOptions{
 		Backend: BackendPFFT, Tol: opt.Tol, PFFT: &opt,
 	})
@@ -413,8 +413,9 @@ type (
 	// PlanOptions configures NewPlan (MaxEdge is required; Pipeline
 	// mirrors PipelineOptions).
 	PlanOptions = plan.Options
-	// PlanResult is a completed plan extraction with per-stage timings
-	// and reuse flags. Treat it as read-only.
+	// PlanResult is a completed piecewise-constant extraction — of one
+	// variant of a Plan, or of an ExtractPipeline call — with per-stage
+	// timings and reuse flags. Treat it as read-only.
 	PlanResult = plan.Result
 	// PlanStats counts a plan's stage builds and reuse.
 	PlanStats = plan.Stats
@@ -475,7 +476,7 @@ func FitArch(p *Profile, sp CrossingPairSpec) (*ArchFit, error) {
 
 // SweepH extracts a(h), b(h) over a range of separations.
 func SweepH(base CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, error) {
-	return extract.SweepH(base, hs, maxEdge)
+	return extract.SweepH(context.Background(), sched.Local(0), base, hs, maxEdge)
 }
 
 // CapError returns the maximum relative difference between two capacitance

@@ -106,10 +106,12 @@ func TestSetupDominatesTotal(t *testing.T) {
 }
 
 // TestOptionSurface pins the settable values on the paper's path, from
-// Extract to the pair integrals. PR 19 deleted 23 that no workload,
-// command default or example set, each guarding a fork. A new one has to
-// edit this list, and its change should say which two existing callers
-// need different values of it; with one value in use it is a constant.
+// Extract to the pair integrals, and on the panel path, from a Plan to
+// the pipeline's solve. PR 19 deleted 23 that no workload, command
+// default or example set, each guarding a fork, and PR 21 two of a plan's
+// six. A new one has to edit this list, and its change should say which
+// two existing callers need different values of it; with one value in
+// use it is a constant.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
@@ -117,6 +119,8 @@ func TestOptionSurface(t *testing.T) {
 	}{
 		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Basis", "Kernel", "Eps", "Network", "Pairs", "Pool"}},
 		{reflect.TypeOf(EngineOptions{}), []string{"Backend", "Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
+		{reflect.TypeOf(PlanOptions{}), []string{"MaxEdge", "Pipeline", "Exec", "Artifacts"}},
+		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Precond", "Tol", "Restart", "Direct", "Precision", "FMM", "PFFT"}},
 		{reflect.TypeOf(par.Options{}), []string{"Workers", "Pool"}},
 		{reflect.TypeOf(assembly.Integrator{}), []string{"Cfg", "Pairs"}},
 	} {

@@ -57,10 +57,10 @@ func TestSweepIncrementalSpeedup(t *testing.T) {
 	for i, h := range hs {
 		indep, err := ExtractPipeline(variant(h), edge, popt)
 		if err != nil {
-			t.Fatalf("independent h=%g: %v", h, err)
+			t.Fatalf("fresh plan h=%g: %v", h, err)
 		}
 		if e := CapError(planRes[i].C, indep.C); e > 1e-10 {
-			t.Errorf("h=%g: plan deviates from independent by %.3g (tol 1e-10)", h, e)
+			t.Errorf("h=%g: reuse deviates from a fresh one-variant plan by %.3g (tol 1e-10)", h, e)
 		}
 		if i == 0 {
 			continue
