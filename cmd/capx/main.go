@@ -513,8 +513,8 @@ func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, p
 	}
 	fmt.Printf("\namortize  : cold %.1f ms/pt, warm %.1f ms/pt (%.1fx), sweep total %v\n",
 		coldMs, warmPer, coldMs/warmPer, total)
-	fmt.Printf("reuse     : %d near entries copied, %d computed, %d block factors adopted, %d warm starts\n",
-		stats.NearReused, stats.NearComputed, stats.FactReused, stats.WarmStarts)
+	fmt.Printf("reuse     : %d near entries copied, %d read from the class table (%d classes integrated), %d block factors adopted, %d warm starts\n",
+		stats.NearReused, stats.NearComputed, stats.ClassesIntegrated, stats.FactReused, stats.WarmStarts)
 }
 
 // geometryText serializes a structure to the geomio wire format for the

@@ -80,7 +80,7 @@ func (f *Interned) fillRange(dst *Partial, kLo, kHi int64) {
 	owner := f.set.Owner
 	i, j := KToIJ(kLo)
 	for k := kLo; k < kHi; k++ {
-		v := f.pair(i, j, &c)
+		v := f.PairInto(i, j, &c)
 		li, lj := owner[i], owner[j]
 		if i != j && li == lj {
 			v *= 2

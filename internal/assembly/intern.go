@@ -8,17 +8,20 @@ import (
 	"parbem/internal/kernel"
 )
 
-// Interned is a basis set prepared for one fill: per template, its class
-// in the fill's PairCache and the constants the pair loop would otherwise
-// recompute for every pair. It is read-only after Intern and safe for
-// concurrent use.
+// Interned is a basis set, or a panelization (InternPanels), prepared for
+// one fill: per template, its class in the fill's PairCache and the
+// constants the pair loop would otherwise recompute for every pair. It is
+// read-only after interning and safe for concurrent use.
 type Interned struct {
 	in    *Integrator
-	set   *basis.Set
+	set   *basis.Set // the templates; nil when panels were interned
 	pairs *PairCache // nil when the set has no extent to put a lattice on
 	tpl   []tplInfo
 	invQ  float64 // 1 / lattice quantum
 	far   float64 // far-field gate factor; +Inf when approximations are off
+	// panels are what InternPanels interned, each a flat template of
+	// amplitude 1 (last: what every pair reads stays on one cache line).
+	panels []geom.Panel
 }
 
 type tplInfo struct {
@@ -33,19 +36,39 @@ type tplInfo struct {
 // Intern prepares a fill of set in two passes over its templates: their
 // constants and bounding box, which fixes the lattice, then their classes.
 func (in *Integrator) Intern(set *basis.Set) *Interned {
-	return in.intern(set, in.cacheFingerprint(kernel.ArithVersion))
+	return in.intern(&Interned{set: set}, set.M(), in.cacheFingerprint(kernel.ArithVersion))
 }
 
-// intern is Intern with the classes filed under the fingerprint fp.
-func (in *Integrator) intern(set *basis.Set, fp uint64) *Interned {
-	f := &Interned{in: in, set: set, tpl: make([]tplInfo, set.M()), far: in.Cfg.FarFactor}
+// InternPanels interns a panelization under cfg, its classes filed in pairs
+// (nil = a table of its own): panel i is template i, flat, of amplitude 1,
+// so PairInto(i, j, c) is the unit Galerkin integral of the ordered pair
+// (target i, source j) — see "Panels" in the package comment. It is the
+// one source of exact panel-pair values: dense assembly, the multipole
+// near field and the pfft precorrection all read it.
+func InternPanels(cfg *kernel.Config, pairs *PairCache, panels []geom.Panel) *Interned {
+	in := &Integrator{Cfg: cfg, Pairs: pairs}
+	return in.intern(&Interned{panels: panels}, len(panels), in.cacheFingerprint(kernel.ArithVersion))
+}
+
+// template returns template i of what f interned.
+func (f *Interned) template(i int) basis.Template {
+	if f.set != nil {
+		return f.set.Templates[i]
+	}
+	return basis.Template{Support: f.panels[i].Rect, Shape: basis.FlatShape{}, Amplitude: 1}
+}
+
+// intern fills in f, which holds the m templates to intern, with their
+// classes filed under the fingerprint fp.
+func (in *Integrator) intern(f *Interned, m int, fp uint64) *Interned {
+	f.in, f.tpl, f.far = in, make([]tplInfo, m), in.Cfg.FarFactor
 	if in.Cfg.DisableApprox {
 		f.far = math.Inf(1)
 	}
 	inf := math.Inf(1)
 	lo, hi := [3]float64{inf, inf, inf}, [3]float64{-inf, -inf, -inf}
-	for i := range set.Templates {
-		t, ti := &set.Templates[i], &f.tpl[i]
+	for i := range f.tpl {
+		t, ti := f.template(i), &f.tpl[i]
 		for ax := geom.X; ax <= geom.Z; ax++ {
 			e := t.Support.Extent(ax)
 			ti.lo[ax], ti.hi[ax] = e.Lo, e.Hi
@@ -63,8 +86,9 @@ func (in *Integrator) intern(set *basis.Set, fp uint64) *Interned {
 	if f.pairs = in.Pairs; f.pairs == nil {
 		f.pairs = NewPairCache(0)
 	}
-	for i := range set.Templates {
-		f.tpl[i].cls = f.pairs.classOf(fp, qexp, &set.Templates[i])
+	for i := range f.tpl {
+		t := f.template(i)
+		f.tpl[i].cls = f.pairs.classOf(fp, qexp, &t)
 	}
 	return f
 }
@@ -72,13 +96,15 @@ func (in *Integrator) intern(set *basis.Set, fp uint64) *Interned {
 // Pair returns the P~ entry of templates i and j.
 func (f *Interned) Pair(i, j int) float64 {
 	var c FillStats
-	v := f.pair(i, j, &c)
+	v := f.PairInto(i, j, &c)
 	f.in.AddFillStats(c)
 	return v
 }
 
-// pair is Pair with the work counted into c.
-func (f *Interned) pair(i, j int, c *FillStats) float64 {
+// PairInto is Pair with the work counted into c, which the caller owns (one
+// per worker of a sweep), not into the integrator under its lock. The pair
+// is ordered: i is the target of whatever the dispatch collocates.
+func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 	a, b := &f.tpl[i], &f.tpl[j]
 	var d2 float64
 	for ax := range a.lo {
@@ -97,7 +123,7 @@ func (f *Interned) pair(i, j int, c *FillStats) float64 {
 	}
 	c.PairsNear++
 	if a.cls == nil || b.cls == nil {
-		return f.in.templatePairNear(&f.set.Templates[i], &f.set.Templates[j], d, diam)
+		return f.pairAbsolute(i, j, d, diam)
 	}
 	var k pairKey
 	ca, cb := f.canon(a, b, &k)
@@ -118,6 +144,17 @@ func (f *Interned) pair(i, j int, c *FillStats) float64 {
 		}
 	}
 	return a.amp * b.amp * v
+}
+
+// pairAbsolute evaluates a near pair the key cannot describe at its own
+// coordinates. It is kept out of line: its two templates in PairInto's
+// frame are 160 bytes more to clear on every call, 3% of a template fill,
+// for a branch no builder's output takes.
+//
+//go:noinline
+func (f *Interned) pairAbsolute(i, j int, d, diam float64) float64 {
+	ti, tj := f.template(i), f.template(j)
+	return f.in.templatePairNear(&ti, &tj, d, diam)
 }
 
 // canon writes the key of the near pair (a, b) to k — its class under

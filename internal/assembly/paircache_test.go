@@ -295,11 +295,11 @@ func TestPairCacheOldArithmeticNeverAdopted(t *testing.T) {
 	pc := NewPairCache(0)
 	in := NewIntegrator()
 	in.Pairs = pc
-	old := in.intern(set, in.cacheFingerprint(1))
+	old := in.intern(&Interned{set: set}, set.M(), in.cacheFingerprint(1))
 	var c FillStats
 	for i := 0; i < set.M(); i++ {
 		for j := i; j < set.M(); j++ {
-			old.pair(i, j, &c)
+			old.PairInto(i, j, &c)
 		}
 	}
 	if c.ClassesIntegrated != classes || int64(pc.Len()) != classes {

@@ -10,11 +10,14 @@
 //     template basis sets keyed by an exact geometry signature and
 //     pre-warmed quadrature rule sets;
 //   - shares one symmetry-class table (assembly.PairCache) across all
-//     extractions. A lone Extract already integrates each class of its
-//     structure once; the shared table adds reuse across structures, so
-//     a repeated-template corpus (the same bus extracted many times, or
-//     translated, mirrored or turned copies of one crossing layout)
-//     integrates nothing after the first; and
+//     extractions, template and panel alike. A lone Extract already
+//     integrates each class of its structure once; the shared table adds
+//     reuse across structures, so a repeated-template corpus (the same
+//     bus extracted many times, or translated, mirrored or turned copies
+//     of one crossing layout) integrates nothing after the first, and
+//     every pipeline plan the engine caches reads its exact panel-pair
+//     integrals from the same table, whichever family key it sits
+//     under; and
 //   - schedules every fill's chunks onto one persistent worker pool
 //     (sched.Pool) instead of spawning per-call goroutines.
 //
@@ -105,12 +108,15 @@ type Stats struct {
 	StateHits   uint64 `json:"state_hits"`
 	StateMisses uint64 `json:"state_misses"`
 	// PairHits/PairMisses count the lookups of the shared class table:
-	// one per non-far template pair, a miss being an integration.
+	// one per non-far pair — of templates (Extract) or of panels whose
+	// entry no previous variant supplied (ExtractPipeline) — a miss being
+	// an integration.
 	PairHits    uint64 `json:"pair_hits"`
 	PairMisses  uint64 `json:"pair_misses"`
 	PairEntries int    `json:"pair_entries"`
-	// Fill sums solver.Result.Fill over the engine's extractions, except
-	// that its TableBytes is the shared table's size now.
+	// Fill sums solver.Result.Fill over the engine's template extractions
+	// and the pair work of its pipeline plans' builds, except that its
+	// TableBytes is the shared table's size now.
 	Fill assembly.FillStats `json:"fill"`
 }
 
@@ -122,6 +128,12 @@ func New(opt Options) *Engine {
 	if capEntries == 0 {
 		capEntries = 64
 	}
+	// The class table keeps assembly's default bound, 2^18 classes (13 MB
+	// full). Measured on the serve_mix workload, whose four families visit
+	// 8 H values each — 187 k classes, 180 k of them the crossing pair's,
+	// 9.6 MB: everything fits, op_s 3.4-3.8 ms and peak RSS 168 MB; at 2^16
+	// a shard is emptied before an H value comes round again, 5.2 ms and
+	// 152 MB. A constant, not a setting: no caller has asked for another.
 	e := &Engine{opt: opt, pool: sched.NewPool(opt.Workers),
 		state: NewLRU(capEntries), pairs: assembly.NewPairCache(0)}
 	e.state.GetOrCompute("quad:32", func() (any, error) {
@@ -276,12 +288,16 @@ func (e *Engine) ExtractPipelineCtx(ctx context.Context, st *geom.Structure, max
 	}
 	v, _, err := e.state.GetOrCompute(planSignature(st, maxEdge, opt), func() (any, error) {
 		return plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: opt,
-			Exec: e.PlanExec(), Artifacts: e.opt.Artifacts})
+			Exec: e.PlanExec(), Artifacts: e.opt.Artifacts, Pairs: e.pairs})
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*plan.Plan).ExtractCtx(ctx, st)
+	res, fill, err := v.(*plan.Plan).ExtractFillCtx(ctx, st)
+	e.mu.Lock()
+	e.fill.Add(fill)
+	e.mu.Unlock()
+	return res, err
 }
 
 // FamilyKey returns the geometry-family key ExtractPipeline caches

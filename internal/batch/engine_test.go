@@ -1,11 +1,13 @@
 package batch
 
 import (
+	"context"
 	"testing"
 
 	"parbem/internal/geom"
 	"parbem/internal/op"
 	"parbem/internal/plan"
+	"parbem/internal/sched"
 	"parbem/internal/solver"
 )
 
@@ -252,5 +254,60 @@ func TestEnginePipelinePlanReuse(t *testing.T) {
 	s := eng.Stats()
 	if s.StateHits < 2 {
 		t.Errorf("plan cache hits = %d, want >= 2", s.StateHits)
+	}
+}
+
+// TestEnginePanelPairsShared: every plan the engine caches reads the
+// engine's one class table, so requests that miss the plan cache — here
+// the same panels under eight family keys, four at a time — still share
+// their integrals: the classes of the structure are integrated once among
+// them, every other pair is a lookup, the counters say so, and each result
+// is bitwise the one a plan with a table of its own returns.
+func TestEnginePanelPairsShared(t *testing.T) {
+	const edge, requests = 0.5e-6, 8
+	popt := op.Options{Backend: op.BackendDense, Direct: true}
+	st := geom.DefaultCrossingPair().Build()
+	pl, err := plan.New(plan.Options{MaxEdge: edge, Pipeline: popt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, fill, err := pl.ExtractFillCtx(context.Background(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng := New(Options{Workers: 2})
+	defer eng.Close()
+	got := make([]*plan.Result, requests)
+	errs := make([]error, requests)
+	sched.Local(4).Map(requests, func(k int) {
+		// The edge moves in its fourth digit: another family key, the
+		// same panel counts.
+		got[k], errs[k] = eng.ExtractPipeline(st, edge*(1+1e-4*float64(k)), popt)
+	})
+	for k, res := range got {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		for i, v := range res.C.Data {
+			if v != want.C.Data[i] {
+				t.Fatalf("request %d: C[%d] = %v through the shared table, %v through a private one", k, i, v, want.C.Data[i])
+			}
+		}
+	}
+	s := eng.Stats()
+	if s.StateMisses < requests {
+		t.Errorf("%d plan cache misses over %d family keys", s.StateMisses, requests)
+	}
+	if s.Fill.ClassesIntegrated != fill.ClassesIntegrated || s.PairEntries != int(fill.ClassesIntegrated) {
+		t.Errorf("%d classes integrated, %d in the table; the structure has %d", s.Fill.ClassesIntegrated, s.PairEntries, fill.ClassesIntegrated)
+	}
+	if s.Fill.PairsNear != requests*fill.PairsNear || s.Fill.PairsFar != requests*fill.PairsFar {
+		t.Errorf("fill %+v over %d requests of %+v each", s.Fill, requests, fill)
+	}
+	// Two requests that meet on a class both miss and both integrate it;
+	// one of them stores it.
+	if looked := int64(s.PairHits + s.PairMisses); looked != s.Fill.PairsNear || int64(s.PairMisses) < fill.ClassesIntegrated {
+		t.Errorf("%d hits + %d misses for %d near pairs in %d classes", s.PairHits, s.PairMisses, s.Fill.PairsNear, fill.ClassesIntegrated)
 	}
 }

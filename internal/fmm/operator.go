@@ -3,9 +3,9 @@ package fmm
 import (
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
+	"parbem/internal/assembly"
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
@@ -24,6 +24,10 @@ type Options struct {
 	Workers    int // parallel workers when Pool is nil (default GOMAXPROCS)
 	Eps        float64
 	Cfg        *kernel.Config
+	// Pairs is the symmetry-class table the exact near entries are read
+	// from and added to (assembly.InternPanels; nil = a table of this
+	// operator's own).
+	Pairs *assembly.PairCache
 	// Pool optionally supplies a shared persistent worker pool
 	// (internal/sched); when nil, construction and Apply use a
 	// throwaway sched.Local executor sized by Workers, or run inline
@@ -97,6 +101,9 @@ type Operator struct {
 
 	centers []geom.Vec3
 	areas   []float64
+	// pairs is the panels interned in the class table: the source of every
+	// exact near entry.
+	pairs *assembly.Interned
 
 	// Near field: one CSR matrix over panels (exact Galerkin plus
 	// point-monopole entries, pre-scaled).
@@ -118,8 +125,12 @@ type Operator struct {
 	lists *interactions
 
 	// nearReused / nearComputed count the exact-Galerkin entries copied
-	// from a previous variant vs integrated fresh at construction.
+	// from a previous variant vs read from the class table at
+	// construction, and nearFill is the pair work of the latter; fillMu
+	// guards the three while the blocks fill.
 	nearReused, nearComputed int64
+	nearFill                 assembly.FillStats
+	fillMu                   sync.Mutex
 
 	// scratch manages per-Apply buffers: warm dedicated value for the
 	// one-Apply-at-a-time case, pooled overflow for concurrent Applies.
@@ -161,6 +172,7 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 		leaves:  t.leaves(),
 		scale:   1 / (kernel.FourPi * opt.Eps),
 		lists:   inter,
+		pairs:   assembly.InternPanels(opt.Cfg, opt.Pairs, panels),
 	}
 	if opt.Exec != nil {
 		op.exec = opt.Exec
@@ -197,7 +209,7 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 	}
 
 	// Fill near blocks, one task per unordered leaf pair; each block is
-	// integrated once and scattered to both sides. Every (row, block)
+	// evaluated once and scattered to both sides. Every (row, block)
 	// segment is owned by exactly one pair, so no locking is needed.
 	pairs := inter.pairs
 	sched.MapOrInline(op.exec, len(pairs), func(k int) {
@@ -210,8 +222,8 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 	if adopt != nil {
 		op.nearReused = total
 	} else if look != nil {
-		op.nearReused = look.copied.Load()
-		op.nearComputed = look.computed.Load()
+		// A build without a previous variant counts no entries either way.
+		op.nearComputed = op.nearFill.PairsFar + op.nearFill.PairsNear
 	}
 
 	op.scratch = sched.NewScratch(func() *applyScratch {
@@ -220,138 +232,65 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 	return op
 }
 
-// nearValue computes one pre-scaled near-field entry. Exact entries are
-// integrated in a canonical orientation (lower panel index as target):
-// the quadrature of perpendicular pairs is not exactly symmetric in its
-// arguments, and the canonical order makes each pair's value a function
-// of the pair alone — independent of which octree leaf hosted the
-// integration — so values copied across geometry variants (see Reuse)
-// match what a fresh build would compute.
-func (op *Operator) nearValue(pi, pj int32, galerkin bool) float64 {
+// nearValue computes one pre-scaled near-field entry, counting an exact
+// one into c. Exact entries are evaluated in a canonical orientation (lower
+// panel index as target): the quadrature of perpendicular pairs is not
+// exactly symmetric in its arguments, and the canonical order makes each
+// pair's value a function of the pair alone — independent of which octree
+// leaf hosted the evaluation — so values copied across geometry variants
+// (see Reuse) match what a fresh build would compute. The value is the one
+// of the ordered pair's symmetry class (assembly.InternPanels), integrated
+// only if the table has not met the class.
+func (op *Operator) nearValue(pi, pj int32, galerkin bool, c *assembly.FillStats) float64 {
 	if galerkin {
-		if pj < pi {
-			pi, pj = pj, pi
-		}
-		return op.scale * kernel.RectGalerkin(op.opt.Cfg, op.panels[pi].Rect, op.panels[pj].Rect)
+		return op.scale * op.pairs.PairInto(int(min(pi, pj)), int(max(pi, pj)), c)
 	}
 	return op.scale * op.areas[pi] * op.areas[pj] / op.centers[pi].Dist(op.centers[pj])
 }
 
 // fillPair fills the near block of one unordered leaf pair and scatters
-// it into the CSR rows of both leaves. Exact-Galerkin blocks — a leaf's
-// block with itself always is one — go through the cache-blocked
-// fillPairBatched; point entries are a single division each and are
-// always recomputed.
+// it into the CSR rows of both leaves, every unordered panel pair once: a
+// leaf's block with itself, always exact, is walked over its upper
+// triangle. With a non-nil lookup, exact entries whose panel pair is
+// unchanged since the previous variant are copied — a load where the class
+// table costs a key, a hash and a probe; the rest are nearValue's. Point
+// entries are a single division each and are always recomputed.
 func (op *Operator) fillPair(pr *nearPair, look *nearLookup) {
-	if pr.galerkin {
-		op.fillPairBatched(pr, look)
-		return
-	}
 	na, nb := &op.t.nodes[pr.a], &op.t.nodes[pr.b]
 	pa, pb := op.t.perm[na.lo:na.hi], op.t.perm[nb.lo:nb.hi]
+	var copied int64
+	var fill assembly.FillStats
 	for ia, pi := range pa {
 		base := op.nearOff[pi] + int64(pr.offA)
-		for jb, pj := range pb {
-			v := op.nearValue(pi, pj, false)
+		jb := 0
+		if pr.a == pr.b {
+			jb = ia
+		}
+		for ; jb < len(pb); jb++ {
+			pj := pb[jb]
+			v, ok := 0.0, false
+			if pr.galerkin && look != nil {
+				v, ok = look.value(pi, pj)
+			}
+			if ok {
+				copied++
+			} else {
+				v = op.nearValue(pi, pj, pr.galerkin, &fill)
+			}
 			op.nearIdx[base+int64(jb)] = pj
 			op.nearVal[base+int64(jb)] = v
-			b2 := op.nearOff[pj] + int64(pr.offB) + int64(ia)
-			op.nearIdx[b2] = pi
-			op.nearVal[b2] = v
-		}
-	}
-}
-
-// fillPairBatched is fillPair for exact-Galerkin blocks. With a non-nil
-// lookup, entries whose panel pair is unchanged since the previous
-// variant are copied instead of integrated. For the rest, one
-// kernel.Batch per block amortizes the target-side setup (axis extents,
-// diameter, centroid and the perpendicular quadrature tables) across
-// each block row. Rows are walked so that every fresh integral runs in
-// nearValue's canonical orientation — lower panel index as target —
-// which makes the batch target a function of the row alone and keeps the
-// stored values bitwise identical to the per-pair path (and therefore to
-// the entries Reuse copies across geometry variants).
-func (op *Operator) fillPairBatched(pr *nearPair, look *nearLookup) {
-	var copied, computed int64
-	var batch kernel.Batch
-	cfg := op.opt.Cfg
-	value := func(pi, pj int32, src geom.Rect) float64 {
-		if look != nil {
-			if v, ok := look.value(pi, pj); ok {
-				copied++
-				return v
-			}
-		}
-		computed++
-		return op.scale * batch.Eval(src)
-	}
-	na, nb := &op.t.nodes[pr.a], &op.t.nodes[pr.b]
-	pa := op.t.perm[na.lo:na.hi]
-	if pr.a == pr.b {
-		// Self block: leaf positions sorted by panel index turn the
-		// upper triangle into canonically-oriented rows.
-		ord := make([]int32, len(pa))
-		for k := range ord {
-			ord[k] = int32(k)
-		}
-		sort.Slice(ord, func(x, y int) bool { return pa[ord[x]] < pa[ord[y]] })
-		for oi, ia := range ord {
-			pi := pa[ia]
-			batch.Reset(cfg, op.panels[pi].Rect)
-			base := op.nearOff[pi] + int64(pr.offA)
-			for _, jb := range ord[oi:] {
-				pj := pa[jb]
-				v := value(pi, pj, op.panels[pj].Rect)
-				op.nearIdx[base+int64(jb)] = pj
-				op.nearVal[base+int64(jb)] = v
-				if jb != ia {
-					b2 := op.nearOff[pj] + int64(pr.offA) + int64(ia)
-					op.nearIdx[b2] = pi
-					op.nearVal[b2] = v
-				}
-			}
-		}
-	} else {
-		// Cross block, two passes: rows of a against higher-indexed
-		// sources in b, then rows of b against higher-indexed sources
-		// in a. Distinct leaves never share a panel, so every unordered
-		// pair is integrated exactly once.
-		pb := op.t.perm[nb.lo:nb.hi]
-		for ia, pi := range pa {
-			batch.Reset(cfg, op.panels[pi].Rect)
-			base := op.nearOff[pi] + int64(pr.offA)
-			for jb, pj := range pb {
-				if pj < pi {
-					continue
-				}
-				v := value(pi, pj, op.panels[pj].Rect)
-				op.nearIdx[base+int64(jb)] = pj
-				op.nearVal[base+int64(jb)] = v
+			if pi != pj {
 				b2 := op.nearOff[pj] + int64(pr.offB) + int64(ia)
 				op.nearIdx[b2] = pi
 				op.nearVal[b2] = v
 			}
 		}
-		for jb, pj := range pb {
-			batch.Reset(cfg, op.panels[pj].Rect)
-			base := op.nearOff[pj] + int64(pr.offB)
-			for ia, pi := range pa {
-				if pi < pj {
-					continue
-				}
-				v := value(pi, pj, op.panels[pi].Rect)
-				op.nearIdx[base+int64(ia)] = pi
-				op.nearVal[base+int64(ia)] = v
-				b2 := op.nearOff[pi] + int64(pr.offA) + int64(jb)
-				op.nearIdx[b2] = pj
-				op.nearVal[b2] = v
-			}
-		}
 	}
-	if look != nil {
-		look.copied.Add(copied)
-		look.computed.Add(computed)
+	if pr.galerkin {
+		op.fillMu.Lock()
+		op.nearReused += copied
+		op.nearFill.Add(fill)
+		op.fillMu.Unlock()
 	}
 }
 
@@ -409,11 +348,16 @@ func (op *Operator) Dim() int { return len(op.panels) }
 func (op *Operator) NearEntries() int { return len(op.nearVal) }
 
 // NearReuse reports how many exact-Galerkin near entries were copied
-// from the previous variant vs integrated fresh at construction (both
-// zero when the operator was built without reuse).
+// from the previous variant vs read from the class table at construction
+// (both zero when the operator was built without reuse).
 func (op *Operator) NearReuse() (copied, computed int64) {
 	return op.nearReused, op.nearComputed
 }
+
+// NearFill reports the pair work behind the exact entries that were not
+// copied: far-gated pairs, class-table lookups, and the classes this
+// construction was the first to integrate.
+func (op *Operator) NearFill() assembly.FillStats { return op.nearFill }
 
 // NearBlocks implements the pipeline's near-block contract
 // (internal/op.NearBlocker): the exact-Galerkin self blocks of the

@@ -2,7 +2,6 @@ package fmm
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"parbem/internal/geom"
 )
@@ -83,9 +82,6 @@ type nearLookup struct {
 	prev  *Operator
 	class []int32
 	pos   []int32 // panel -> position within its previous leaf
-	// copied/computed count exact-Galerkin entries served from Prev vs
-	// integrated fresh (updated once per pair block).
-	copied, computed atomic.Int64
 }
 
 func newNearLookup(r *Reuse) *nearLookup {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"parbem/internal/assembly"
 	"parbem/internal/geom"
 )
 
@@ -111,6 +112,7 @@ func TestReuseLookupBitwise(t *testing.T) {
 	look := newNearLookup(&Reuse{Prev: prev, Class: cls})
 	n := int32(len(pa))
 	checked, bad := 0, 0
+	var fill assembly.FillStats
 	for pi := int32(0); pi < n; pi++ {
 		for pj := pi; pj < n; pj += 7 {
 			v, ok := look.value(pi, pj)
@@ -118,7 +120,7 @@ func TestReuseLookupBitwise(t *testing.T) {
 				continue
 			}
 			checked++
-			if v != prev.nearValue(pi, pj, true) {
+			if v != prev.nearValue(pi, pj, true, &fill) {
 				bad++
 			}
 		}

@@ -26,6 +26,13 @@ import (
 // tables across Reset calls (reallocated only when the order grows), so
 // one long-lived value per worker makes blocked fills allocation-light.
 // Not safe for concurrent use; give each worker its own.
+//
+// No fill uses it any more: since PR 22 every exact panel-pair value comes
+// from the symmetry-class table (assembly.InternPanels), which integrates a
+// class once where a Batch made each of its pairs cheaper. Batch and
+// RectGalerkinBatch stay compiled for the frozen bench/'s kernel.pair_ns
+// probe and their own tests, and go with that probe (ROADMAP, removal
+// candidates).
 type Batch struct {
 	cfg *Config
 	t   geom.Rect

@@ -74,8 +74,9 @@ package op
 import (
 	"math"
 	"sort"
-	"sync/atomic"
+	"sync"
 
+	"parbem/internal/assembly"
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
@@ -105,6 +106,17 @@ type Spec struct {
 	// Exec runs parallel assembly, dense matvecs and the reduction
 	// (nil = a throwaway sched.Local sized by GOMAXPROCS).
 	Exec sched.Executor
+	// Pairs is the symmetry-class table that every exact panel-pair value
+	// of this spec is read from and added to — Entry, the dense assembly,
+	// and the fmm and pfft operators built from FMMOptions / PFFTOptions
+	// (nil = a table of each one's own). Sharing one across specs shares
+	// the integrals: a class is a pair up to translation, reflection and
+	// axis permutation, whichever structure it occurs in.
+	Pairs *assembly.PairCache
+
+	// interned is Panels in Pairs, built by the first call that needs a
+	// pair value.
+	interned *assembly.Interned
 }
 
 // withDefaults fills zero fields (value receiver: the caller's spec is
@@ -130,10 +142,23 @@ func (s *Spec) exec() sched.Executor {
 // N returns the unknown count.
 func (s *Spec) N() int { return len(s.Panels) }
 
-// Entry computes one scaled Galerkin matrix entry P_ij.
+// pairs returns the spec's panels interned in its class table. The first
+// call interns them and is not safe to race with another; a Spec is built
+// and first used by one goroutine.
+func (s *Spec) pairs() *assembly.Interned {
+	if s.interned == nil {
+		s.interned = assembly.InternPanels(s.Cfg, s.Pairs, s.Panels)
+	}
+	return s.interned
+}
+
+// Entry computes one scaled Galerkin matrix entry P_ij, panel i the target:
+// the value of the pair's symmetry class (assembly.InternPanels), which is
+// what AssembleDense stores at (i, j) for i <= j, to the bit, whatever else
+// the table has served.
 func (s *Spec) Entry(i, j int) float64 {
-	v := kernel.RectGalerkin(s.Cfg, s.Panels[i].Rect, s.Panels[j].Rect)
-	return kernel.Scale(v, s.Eps)
+	var c assembly.FillStats
+	return kernel.Scale(s.pairs().PairInto(i, j, &c), s.Eps)
 }
 
 // RHS builds the N x n right-hand-side matrix Phi: row i has the panel
@@ -182,49 +207,57 @@ func TriangularRowBounds(n, chunks int) []int {
 // triangle is integrated in parallel over cost-balanced row ranges, then
 // mirrored (each entry is computed exactly once).
 func (s *Spec) AssembleDense() *linalg.Dense {
-	m, _ := s.AssembleDenseReuse(nil, nil)
+	m, _, _ := s.AssembleDenseReuse(nil, nil)
 	return m
 }
 
 // AssembleDenseReuse is AssembleDense with delta-aware reuse: entries
 // whose panel pair moved rigidly as a unit since prev was assembled
 // (equal non-negative class values, panels aligned 1:1 by index; see
-// geom.Diff and internal/plan) are copied from prev instead of
-// re-integrated. It returns the matrix and the number of unordered
-// entries served from prev. A nil or shape-mismatched prev is a full
-// fresh assembly.
-func (s *Spec) AssembleDenseReuse(prev *linalg.Dense, class []int32) (*linalg.Dense, int64) {
+// geom.Diff and internal/plan) are copied from prev; every other entry
+// (i, j), i <= j, is the value of its symmetry class in the spec's table
+// with panel i the target (see Entry), integrated only if the table has
+// not met the class. The copy stays beside the table because it is a
+// load where a lookup is a key, a hash and a probe. It returns the matrix,
+// the number of unordered entries served from prev, and the pair work of
+// the rest. A nil or shape-mismatched prev is a full fresh assembly.
+func (s *Spec) AssembleDenseReuse(prev *linalg.Dense, class []int32) (*linalg.Dense, int64, assembly.FillStats) {
 	n := s.N()
 	if prev != nil && (prev.Rows != n || prev.Cols != n || len(class) != n) {
 		prev = nil
 	}
 	m := linalg.NewDense(n, n)
 	bounds := TriangularRowBounds(n, assembleChunks)
-	var reused atomic.Int64
+	pairs := s.pairs()
+	var mu sync.Mutex // guards the two totals
+	var reused int64
+	var fill assembly.FillStats
 	s.exec().Map(len(bounds)-1, func(t int) {
 		var nr int64
-		var batch kernel.Batch
+		var c assembly.FillStats
 		for i := bounds[t]; i < bounds[t+1]; i++ {
 			row := m.Row(i)
 			var prow []float64
-			ci := int32(-1) // no class: integrate the whole row
+			ci := int32(-1) // no class: every entry of the row from the table
 			if prev != nil {
 				prow, ci = prev.Row(i), class[i]
 			}
-			batch.Reset(s.Cfg, s.Panels[i].Rect)
 			for j := i; j < n; j++ {
 				if ci >= 0 && ci == class[j] {
 					row[j] = prow[j]
 					nr++
 				} else {
-					row[j] = kernel.Scale(batch.Eval(s.Panels[j].Rect), s.Eps)
+					row[j] = kernel.Scale(pairs.PairInto(i, j, &c), s.Eps)
 				}
 			}
 		}
-		reused.Add(nr)
+		mu.Lock()
+		reused += nr
+		fill.Add(c)
+		mu.Unlock()
 	})
 	m.MirrorUpper()
-	return m, reused.Load()
+	return m, reused, fill
 }
 
 // diagonal computes the exact matrix diagonal (point-Jacobi data).

@@ -31,9 +31,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"parbem/internal/assembly"
 	"parbem/internal/fft"
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
@@ -55,6 +55,10 @@ type Options struct {
 	Workers    int // parallel workers when Pool is nil (default GOMAXPROCS)
 	Eps        float64
 	Cfg        *kernel.Config
+	// Pairs is the symmetry-class table the exact precorrection entries
+	// are read from and added to (assembly.InternPanels; nil = a table of
+	// this operator's own).
+	Pairs *assembly.PairCache
 	// Pool optionally supplies a shared persistent worker pool
 	// (internal/sched); when nil, construction and Apply use a
 	// throwaway sched.Local executor sized by Workers, or run inline
@@ -151,10 +155,13 @@ type Operator struct {
 	// kernelShared reports that kernelHat was adopted from a previous
 	// variant's operator (same padded dims and spacing) instead of
 	// re-transformed; nearReused/nearComputed count the exact-Galerkin
-	// precorrection entries copied from the previous variant vs
-	// integrated fresh.
+	// precorrection entries copied from the previous variant vs read from
+	// the class table, and nearFill is the pair work of the latter (fillMu
+	// guards it while the rows fill).
 	kernelShared             bool
 	nearReused, nearComputed int64
+	nearFill                 assembly.FillStats
+	fillMu                   sync.Mutex
 	// topoTime / nearTime split construction into its topology phase
 	// (grid sizing, kernel transform, stencils, node adjacency) and its
 	// near-field phase (precorrection integration) for the staged
@@ -337,10 +344,16 @@ func reusePrev(r *Reuse) *Operator {
 }
 
 // NearReuse reports how many exact-Galerkin precorrection entries were
-// copied from the previous variant vs integrated fresh at construction.
+// copied from the previous variant vs read from the class table at
+// construction.
 func (op *Operator) NearReuse() (copied, computed int64) {
 	return op.nearReused, op.nearComputed
 }
+
+// NearFill reports the pair work behind the exact entries that were not
+// copied: far-gated pairs, class-table lookups, and the classes this
+// construction was the first to integrate.
+func (op *Operator) NearFill() assembly.FillStats { return op.nearFill }
 
 // KernelShared reports whether the kernel transform was adopted from
 // the previous variant.
@@ -558,7 +571,9 @@ func (op *Operator) gridPair(i, j int) float64 {
 // With a non-nil reuse, exact-Galerkin entries of rigidly co-moved
 // pairs are copied from the previous variant; when additionally the
 // grids coincide and both stencils are unchanged, the grid-mediated
-// part is unchanged too and the whole correction entry is copied.
+// part is unchanged too and the whole correction entry is copied. Every
+// other exact entry is the value of the ordered pair's symmetry class
+// (assembly.InternPanels), the row's panel the target.
 func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
 	cell := op.opt.NearRadius * op.h
 	type key struct{ x, y, z int32 }
@@ -606,6 +621,7 @@ func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
 		}
 	}
 
+	pairs := assembly.InternPanels(op.opt.Cfg, op.opt.Pairs, op.panels)
 	sched.MapOrInline(op.exec, len(op.panels), func(i int) {
 		ci := op.centers[i]
 		k := keyOf(ci)
@@ -624,7 +640,8 @@ func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
 		sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
 		val := make([]float64, len(idx))
 		exa := make([]float64, len(idx))
-		var nr, nc int64
+		var nr int64 // exact entries copied; fill counts the rest
+		var fill assembly.FillStats
 		if art != nil && int(art.RowLen[i]) == len(idx) {
 			// The rebuilt row matches the stored one — adopt the whole
 			// row and skip integration.
@@ -634,7 +651,9 @@ func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
 			op.nearIdx[i] = idx
 			op.nearVal[i] = val
 			op.nearExact[i] = exa
-			atomic.AddInt64(&op.nearReused, int64(len(idx)))
+			op.fillMu.Lock()
+			op.nearReused += int64(len(idx))
+			op.fillMu.Unlock()
 			return
 		}
 		stenI := gridsEq && op.sten[i] == prev.sten[i]
@@ -652,8 +671,7 @@ func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
 				}
 			}
 			if !copiedExact {
-				exact = op.scale * kernel.RectGalerkin(op.opt.Cfg,
-					op.panels[i].Rect, op.panels[j].Rect)
+				exact = op.scale * pairs.PairInto(i, int(j), &fill)
 			}
 			if !copiedVal {
 				gridPart := op.scale * op.areas[i] * op.areas[j] * op.gridPair(i, int(j))
@@ -662,17 +680,18 @@ func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
 			exa[t] = exact
 			if copiedExact {
 				nr++
-			} else {
-				nc++
 			}
 		}
 		op.nearIdx[i] = idx
 		op.nearVal[i] = val
 		op.nearExact[i] = exa
+		op.fillMu.Lock()
+		op.nearFill.Add(fill)
 		if prev != nil || art != nil {
-			atomic.AddInt64(&op.nearReused, nr)
-			atomic.AddInt64(&op.nearComputed, nc)
+			op.nearReused += nr
+			op.nearComputed += fill.PairsFar + fill.PairsNear
 		}
+		op.fillMu.Unlock()
 	})
 }
 

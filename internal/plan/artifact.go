@@ -85,12 +85,15 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 	return artifactHash(artifactSchema, p.opt.MaxEdge, kernel.Eps0, cfg, be, fo, po, st)
 }
 
-// artifactSchema opens every family hash: the version of the hash layout
-// and the arithmetic of the kernel values an artifact holds, so that an
-// artifact written by a build with another arithmetic — on disk or in a
-// peer's store — is a miss, never adopted. ("pba1" was followed by an
-// elementary-function provider tag.)
-var artifactSchema = []byte{'p', 'b', 'a', '2', kernel.ArithVersion}
+// artifactSchema opens every family hash: the version of what an artifact
+// holds, and the arithmetic of its kernel values, so that an artifact
+// written by a build that computed them otherwise — on disk or in a peer's
+// store — is a miss, never adopted. ("pba1" was followed by an
+// elementary-function provider tag; "pba2" near fields — dense, fmm and
+// pfft alike — held each pair's integral at its absolute coordinates, where
+// "pba3" holds the value of the pair's symmetry class: the same arithmetic,
+// kernel.ArithVersion unmoved, but not the same numbers.)
+var artifactSchema = []byte{'p', 'b', 'a', '3', kernel.ArithVersion}
 
 // artifactHash computes the family content hash under the given schema
 // header.

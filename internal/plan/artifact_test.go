@@ -217,58 +217,63 @@ func TestPlanArtifactLengthMismatchDegrades(t *testing.T) {
 }
 
 // TestPlanArtifactOldArithmeticNeverAdopted plants, under the family key
-// a build from before kernel.ArithVersion computed for the same request
-// ("pba1" and its standard-provider tag), a well-formed near-field
+// an older build computed for the same request, a well-formed near-field
 // artifact of the right shape with wrong values — what a disk store kept
 // across an upgrade, or a peer still running the old build, would hand
-// back. The plan must miss it, integrate afresh and store under its own
-// key; the stale entry is never read.
+// back. Two such builds: the one from before kernel.ArithVersion ("pba1"
+// and its standard-provider tag), and PR 21's ("pba2"), whose near-field
+// values were integrated at each pair's absolute coordinates where this
+// build stores symmetry-class values. The plan must miss the entry,
+// integrate afresh and store under its own key; the stale entry is never
+// read.
 func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 	pipe := op.Options{Backend: op.BackendDense, Direct: true}
 	st := crossingAt(0.5e-6)
 	clean := newMemStore()
 	cold := extractVia(t, clean, pipe, 0.5e-6)
 
-	p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: newMemStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := p.artifactKey(st, op.BackendDense, nil, nil)
-	oldKey := artifactHash([]byte{'p', 'b', 'a', '1', 0}, 0.5e-6, kernel.Eps0, p.cfg, op.BackendDense, nil, nil, st)
-	if oldKey == key {
-		t.Fatalf("old-schema key %q, current key %q: want two distinct keys", oldKey, key)
-	}
-	payload, found := clean.Get(key + nearSuffix)
-	if !found {
-		t.Fatal("cold build stored no near-field artifact under the current key")
-	}
-	stale := append([]byte(nil), payload...)
-	for i := len(stale) - 8; i >= 17; i -= 8 { // every value doubled: adoption would show in C
-		v := math.Float64frombits(binary.LittleEndian.Uint64(stale[i:]))
-		binary.LittleEndian.PutUint64(stale[i:], math.Float64bits(2*v))
-	}
-	store := newMemStore()
-	store.Put(oldKey+nearSuffix, stale)
+	for _, schema := range [][]byte{{'p', 'b', 'a', '1', 0}, {'p', 'b', 'a', '2', kernel.ArithVersion}} {
+		p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: newMemStore()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := p.artifactKey(st, op.BackendDense, nil, nil)
+		oldKey := artifactHash(schema, 0.5e-6, kernel.Eps0, p.cfg, op.BackendDense, nil, nil, st)
+		if oldKey == key {
+			t.Fatalf("schema %q: old key %q, current key %q: want two distinct keys", schema[:4], oldKey, key)
+		}
+		payload, found := clean.Get(key + nearSuffix)
+		if !found {
+			t.Fatal("cold build stored no near-field artifact under the current key")
+		}
+		stale := append([]byte(nil), payload...)
+		for i := len(stale) - 8; i >= 17; i -= 8 { // every value doubled: adoption would show in C
+			v := math.Float64frombits(binary.LittleEndian.Uint64(stale[i:]))
+			binary.LittleEndian.PutUint64(stale[i:], math.Float64bits(2*v))
+		}
+		store := newMemStore()
+		store.Put(oldKey+nearSuffix, stale)
 
-	p2, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p2.Extract(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := p2.Stats(); s.ArtifactHits != 0 || s.ArtifactMisses == 0 || s.ArtifactPuts == 0 {
-		t.Errorf("stats over a store of old-arithmetic artifacts: %+v, want misses and puts only", s)
-	}
-	if res.Reused.NearField {
-		t.Error("near field reported as reused")
-	}
-	if e := capError(res.C, cold.C); e != 0 {
-		t.Errorf("result differs from a clean cold build by %.3g", e)
-	}
-	if _, found := store.Get(key + nearSuffix); !found {
-		t.Error("fresh build was not stored under the current key")
+		p2, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p2.Extract(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := p2.Stats(); s.ArtifactHits != 0 || s.ArtifactMisses == 0 || s.ArtifactPuts == 0 {
+			t.Errorf("schema %q: stats over a store of old artifacts: %+v, want misses and puts only", schema[:4], s)
+		}
+		if res.Reused.NearField {
+			t.Errorf("schema %q: near field reported as reused", schema[:4])
+		}
+		if e := capError(res.C, cold.C); e != 0 {
+			t.Errorf("schema %q: result differs from a clean cold build by %.3g", schema[:4], e)
+		}
+		if _, found := store.Get(key + nearSuffix); !found {
+			t.Errorf("schema %q: fresh build was not stored under the current key", schema[:4])
+		}
 	}
 }
 

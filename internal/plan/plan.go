@@ -41,11 +41,17 @@
 //     rebuild from scratch.
 //
 // Reuse never changes what is computed, only where the value comes
-// from: copied entries are bitwise equal to what a canonical fresh
-// integration at the previous coordinates produced, so plan-reused
-// sweeps match independent extractions to the coordinate-noise floor,
-// far below 1e-10 (TestPlanIncrementalConsistency). Preconditioner
-// factor reuse cannot affect results at all — only iteration counts.
+// from. Every exact entry that is not copied is the value of its panel
+// pair's symmetry class (assembly.InternPanels), read from the plan's
+// class table (Options.Pairs) and integrated only if the table has not
+// met the class; a copied entry is bitwise the class value the previous
+// build read, and a pair that moved rigidly keeps its class, so
+// plan-reused sweeps match independent extractions to the
+// coordinate-noise floor, far below 1e-10
+// (TestPlanIncrementalConsistency). The copy stays beside the table
+// because it is a load where a lookup is a key, a hash and a probe.
+// Preconditioner factor reuse cannot affect results at all — only
+// iteration counts.
 //
 // A Plan is safe for concurrent use but serializes extractions; for
 // concurrent sweeps, spread the variants over plans (extract.SweepH
@@ -63,6 +69,7 @@ import (
 	"sync"
 	"time"
 
+	"parbem/internal/assembly"
 	"parbem/internal/fmm"
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
@@ -91,6 +98,13 @@ type Options struct {
 	// for families it (or a peer) has built before. Nil disables
 	// persistence.
 	Artifacts ArtifactStore
+	// Pairs optionally supplies the symmetry-class table every exact
+	// panel-pair integral of the plan's builds is read from and added to
+	// (assembly.InternPanels): a table shared between plans integrates a
+	// class — a pair up to translation, reflection and axis permutation —
+	// once for all of them. Nil gives the plan a table of its own, which
+	// still serves every variant it builds.
+	Pairs *assembly.PairCache
 }
 
 // Stats counts stage builds and reuse over a plan's lifetime. The JSON
@@ -105,11 +119,16 @@ type Stats struct {
 	NearBuilds int `json:"near_builds"` // NearField stage builds
 	FactBuilds int `json:"fact_builds"` // Factorization stage builds (pipeline constructions)
 
-	NearReused   int64 `json:"near_reused"`   // near-field entries copied across variants
-	NearComputed int64 `json:"near_computed"` // near-field entries integrated fresh
-	DenseReused  int64 `json:"dense_reused"`  // dense upper-triangle entries copied
-	FactReused   int   `json:"fact_reused"`   // block factors adopted across variants
-	WarmStarts   int   `json:"warm_starts"`   // solves seeded from the previous variant
+	NearReused int64 `json:"near_reused"` // near-field entries copied across variants
+	// NearComputed counts the near-field entries (fmm, pfft) that were not
+	// copied but read from the class table — a lookup, or the integration
+	// of a class the table had not met; ClassesIntegrated counts those
+	// integrations, over every backend, dense included.
+	NearComputed      int64 `json:"near_computed"`
+	ClassesIntegrated int64 `json:"classes_integrated"`
+	DenseReused       int64 `json:"dense_reused"` // dense upper-triangle entries copied
+	FactReused        int   `json:"fact_reused"`  // block factors adopted across variants
+	WarmStarts        int   `json:"warm_starts"`  // solves seeded from the previous variant
 
 	// Persistent-store traffic (zero unless Options.Artifacts is set).
 	ArtifactHits   int64 `json:"artifact_hits"`   // stage payloads decoded from the store
@@ -224,6 +243,9 @@ func New(opt Options) (*Plan, error) {
 	if opt.MaxEdge <= 0 {
 		return nil, errors.New("plan: MaxEdge must be positive")
 	}
+	if opt.Pairs == nil {
+		opt.Pairs = assembly.NewPairCache(0)
+	}
 	return &Plan{opt: opt, cfg: kernel.DefaultConfig()}, nil
 }
 
@@ -247,6 +269,15 @@ func (p *Plan) Extract(st *geom.Structure) (*Result, error) {
 // ctx means context.Background(). Identical-geometry cache hits are
 // served regardless (they cost microseconds).
 func (p *Plan) ExtractCtx(ctx context.Context, st *geom.Structure) (*Result, error) {
+	res, _, err := p.ExtractFillCtx(ctx, st)
+	return res, err
+}
+
+// ExtractFillCtx is ExtractCtx, also returning the pair work this call's
+// build did — zero for a cache hit, whose Result is the one an earlier
+// call was handed — so that an owner of many plans (the batch engine) can
+// total it.
+func (p *Plan) ExtractFillCtx(ctx context.Context, st *geom.Structure) (*Result, assembly.FillStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -254,13 +285,16 @@ func (p *Plan) ExtractCtx(ctx context.Context, st *geom.Structure) (*Result, err
 	defer p.mu.Unlock()
 	p.stats.Extracts++
 	if err := st.Validate(); err != nil {
-		return nil, err
+		return nil, assembly.FillStats{}, err
 	}
 	if cur := p.cur; cur != nil && sameGeometry(cur.st, st) {
 		p.stats.CacheHits++
-		return cur.res, nil
+		return cur.res, assembly.FillStats{}, nil
 	}
-	return p.build(ctx, st)
+	var fill assembly.FillStats
+	res, err := p.build(ctx, st, &fill)
+	p.stats.ClassesIntegrated += fill.ClassesIntegrated
+	return res, fill, err
 }
 
 // interrupted wraps a context-checkpoint error from the solve layer as
@@ -284,8 +318,9 @@ func interrupted(err error, stage string, elapsed time.Duration) error {
 	return err
 }
 
-// build runs the staged chain for a new geometry variant.
-func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
+// build runs the staged chain for a new geometry variant, adding the pair
+// work of its near-field stage to fill.
+func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.FillStats) (*Result, error) {
 	t0 := time.Now()
 	cur := p.cur
 	// check is the stage-boundary context checkpoint: the expensive
@@ -315,6 +350,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 		Eps:           kernel.Eps0,
 		Cfg:           p.cfg,
 		Exec:          p.opt.Exec,
+		Pairs:         p.opt.Pairs,
 	}
 	p.stats.DiscBuilds++
 	dDisc := time.Since(tD)
@@ -364,17 +400,19 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 				p.stats.ArtifactMisses++
 			}
 		}
-		switch {
-		case adopted:
+		if adopted {
 			res.Reused.NearField = true
-		case res.Reused.NearField && cur.dense != nil:
+		} else {
+			var prev *linalg.Dense // nil: nothing to copy, a fresh assembly
+			if res.Reused.NearField {
+				prev = cur.dense
+			}
 			var nr int64
-			nv.dense, nr = spec.AssembleDenseReuse(cur.dense, class)
+			var f assembly.FillStats
+			nv.dense, nr, f = spec.AssembleDenseReuse(prev, class)
+			fill.Add(f)
 			p.stats.DenseReused += nr
 			res.Reused.NearField = nr > 0
-		default:
-			nv.dense = spec.AssembleDense()
-			res.Reused.NearField = false
 		}
 		if akey != "" && !adopted {
 			p.opt.Artifacts.Put(akey+nearSuffix, encodeDenseArtifact(nv.dense))
@@ -416,6 +454,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 		tN := time.Now()
 		nv.fmmOp = fmm.NewOperatorWith(topo, spec.Panels, fo, r)
 		copied, computed := nv.fmmOp.NearReuse()
+		fill.Add(nv.fmmOp.NearFill())
 		p.stats.NearReused += copied
 		p.stats.NearComputed += computed
 		res.Reused.NearField = copied > 0
@@ -451,6 +490,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure) (*Result, error) {
 		}
 		nv.pfftOp = pfft.NewOperatorReuse(spec.Panels, po, r)
 		copied, computed := nv.pfftOp.NearReuse()
+		fill.Add(nv.pfftOp.NearFill())
 		p.stats.NearReused += copied
 		p.stats.NearComputed += computed
 		// KernelShared adopts the previous variant's half-spectrum

@@ -223,9 +223,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	writeCounter(&b, "parbem_engine_state_hits_total", "Engine basis/table/quad/plan LRU hits.", st.Engine.StateHits)
 	writeCounter(&b, "parbem_engine_state_misses_total", "Engine basis/table/quad/plan LRU misses.", st.Engine.StateMisses)
-	writeCounter(&b, "parbem_engine_pair_hits_total", "Template pair-integral cache hits.", st.Engine.PairHits)
-	writeCounter(&b, "parbem_engine_pair_misses_total", "Template pair-integral cache misses.", st.Engine.PairMisses)
-	writeGauge(&b, "parbem_engine_pair_entries", "Template pair-integral cache size.", float64(st.Engine.PairEntries))
+	writeCounter(&b, "parbem_engine_pair_hits_total", "Symmetry-class table lookups served from the table (template and panel pairs).", st.Engine.PairHits)
+	writeCounter(&b, "parbem_engine_pair_misses_total", "Symmetry-class table lookups that integrated their class.", st.Engine.PairMisses)
+	writeGauge(&b, "parbem_engine_pair_entries", "Symmetry classes held by the engine's table.", float64(st.Engine.PairEntries))
 
 	if a := st.Artifacts; a != nil {
 		writeGauge(&b, "parbem_artifact_entries", "Resident artifacts in the persistent store.", float64(a.Entries))

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"parbem/internal/batch"
 	"parbem/internal/extract"
 	"parbem/internal/geom"
 	"parbem/internal/sched"
@@ -275,6 +276,67 @@ func TestServeTemplateSweepDeadline(t *testing.T) {
 	}
 }
 
+// TestServePairCountersLive: the engine's class table is the one every
+// served panel extraction reads, so /stats' pair_* count served traffic. A
+// cold dense extract of the 2x2 bus misses once per symmetry class of its
+// 7 260 panel pairs — the 378 of assembly's census — and hits on every
+// other pair; the same family at another H misses only on the classes H
+// moved and copies the rest of the matrix from the previous variant; and
+// /metrics reads what /stats reads. (One worker and a budget of one: two
+// claimers that meet on a class both miss on it.)
+func TestServePairCountersLive(t *testing.T) {
+	s, c := startServer(t, Options{Workers: 1, WorkerBudget: 1})
+	ctx := context.Background()
+	busAt := func(h float64) string {
+		sp := geom.DefaultBus(2, 2)
+		sp.H = h
+		return geoText(t, sp.Build())
+	}
+	extract := func(h float64) batch.Stats {
+		t.Helper()
+		if _, err := c.Extract(ctx, &ExtractRequest{Geometry: busAt(h), EdgeM: 1e-6, Backend: "dense"}); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats().Engine
+	}
+	if e := s.Stats().Engine; e.PairHits != 0 || e.PairMisses != 0 || e.PairEntries != 0 {
+		t.Fatalf("an idle server's class table: %+v", e)
+	}
+	cold := extract(geom.DefaultBus(2, 2).H)
+	if cold.PairMisses != 378 || cold.PairHits != 7260-378 || cold.PairEntries != 378 || cold.Fill.ClassesIntegrated != 378 {
+		t.Errorf("cold extract: %d misses, %d hits, %d entries, %d classes integrated; want 378 classes for 7260 pairs",
+			cold.PairMisses, cold.PairHits, cold.PairEntries, cold.Fill.ClassesIntegrated)
+	}
+	variant := extract(1.25 * geom.DefaultBus(2, 2).H)
+	if variant.PairHits <= cold.PairHits {
+		t.Errorf("a variant of the family moved pair_hits %d -> %d", cold.PairHits, variant.PairHits)
+	}
+	if moved := variant.PairMisses - cold.PairMisses; moved == 0 || moved >= 378 || variant.Fill.ClassesIntegrated != int64(variant.PairMisses) {
+		t.Errorf("a variant of the family missed on %d classes (cold: 378), %d integrated in all for %d misses",
+			moved, variant.Fill.ClassesIntegrated, variant.PairMisses)
+	}
+
+	resp, err := http.Get(c.BaseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := parseProm(t, string(body))
+	for name, want := range map[string]float64{
+		"parbem_engine_pair_hits_total":   float64(variant.PairHits),
+		"parbem_engine_pair_misses_total": float64(variant.PairMisses),
+		"parbem_engine_pair_entries":      float64(variant.PairEntries),
+	} {
+		if got, ok := series[name]; !ok || got != want {
+			t.Errorf("%s = %v (present: %v), /stats says %v", name, got, ok, want)
+		}
+	}
+}
+
 // parseProm parses Prometheus text exposition into series → value.
 func parseProm(t *testing.T, text string) map[string]float64 {
 	t.Helper()
@@ -342,6 +404,8 @@ func TestServeMetricsAgreesWithStats(t *testing.T) {
 		"parbem_sweep_point_errors_total":         st.SweepPointErrors,
 		"parbem_engine_state_hits_total":          st.Engine.StateHits,
 		"parbem_engine_state_misses_total":        st.Engine.StateMisses,
+		"parbem_engine_pair_hits_total":           st.Engine.PairHits,
+		"parbem_engine_pair_misses_total":         st.Engine.PairMisses,
 		"parbem_bad_requests_total":               st.BadRequests,
 		"parbem_jobs_rejected_queue_full_total":   st.RejectedQueueFull,
 		"parbem_jobs_rejected_rate_limited_total": st.RejectedRateLimited,

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"parbem/internal/assembly"
+	"parbem/internal/fmm"
+	"parbem/internal/op"
 	"parbem/internal/par"
+	"parbem/internal/pfft"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -111,7 +114,10 @@ func TestSetupDominatesTotal(t *testing.T) {
 // default or example set, each guarding a fork, and PR 21 two of a plan's
 // six. A new one has to edit this list, and its change should say which
 // two existing callers need different values of it; with one value in
-// use it is a constant.
+// use it is a constant. PR 22's Pairs is a resource handle, like Exec and
+// Artifacts beside it: the batch engine passes its shared class table and
+// everything else leaves it nil; it travels plan -> op.Spec -> the fmm and
+// pfft operators, whose option structs are listed from here on.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
@@ -119,10 +125,13 @@ func TestOptionSurface(t *testing.T) {
 	}{
 		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Basis", "Kernel", "Eps", "Network", "Pairs", "Pool"}},
 		{reflect.TypeOf(EngineOptions{}), []string{"Backend", "Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
-		{reflect.TypeOf(PlanOptions{}), []string{"MaxEdge", "Pipeline", "Exec", "Artifacts"}},
+		{reflect.TypeOf(PlanOptions{}), []string{"MaxEdge", "Pipeline", "Exec", "Artifacts", "Pairs"}},
 		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Precond", "Tol", "Restart", "Direct", "Precision", "FMM", "PFFT"}},
 		{reflect.TypeOf(par.Options{}), []string{"Workers", "Pool"}},
 		{reflect.TypeOf(assembly.Integrator{}), []string{"Cfg", "Pairs"}},
+		{reflect.TypeOf(op.Spec{}), []string{"Panels", "NumConductors", "Eps", "Cfg", "Exec", "Pairs"}},
+		{reflect.TypeOf(fmm.Options{}), []string{"LeafSize", "Theta", "NearFactor", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec", "Tol"}},
+		{reflect.TypeOf(pfft.Options{}), []string{"GridSpacing", "MaxNodes", "NearRadius", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec", "Tol"}},
 	} {
 		var got []string
 		for _, f := range reflect.VisibleFields(c.typ) {
