@@ -69,12 +69,11 @@ func TestIrregularGeometryBookkeeping(t *testing.T) {
 	if st.PairsFar+st.PairsNear != pairs {
 		t.Errorf("%d far + %d near pairs, want %d in all", st.PairsFar, st.PairsNear, pairs)
 	}
-	hits, misses := in.Pairs.Stats()
-	if int64(hits+misses) != st.PairsNear {
-		t.Errorf("%d table lookups for %d near pairs", hits+misses, st.PairsNear)
-	}
-	if int64(misses) != st.ClassesIntegrated || int64(in.Pairs.Len()) != st.ClassesIntegrated {
-		t.Errorf("%d misses, %d entries, %d classes integrated", misses, in.Pairs.Len(), st.ClassesIntegrated)
+	// One lookup per near pair: a miss if it added a class, else a hit,
+	// of which the cursor can have served no more than there were.
+	hits := st.PairsNear - st.ClassesIntegrated
+	if int64(in.Pairs.Len()) != st.ClassesIntegrated || st.PairSequential > hits {
+		t.Errorf("%d entries for %d classes integrated; %d of %d hits by cursor", in.Pairs.Len(), st.ClassesIntegrated, st.PairSequential, hits)
 	}
 	if per := float64(st.TableBytes) / float64(st.ClassesIntegrated); per > 120 {
 		t.Errorf("table holds %.0f bytes per class", per)
@@ -83,7 +82,8 @@ func TestIrregularGeometryBookkeeping(t *testing.T) {
 	if st.ClassesIntegrated > 6500 {
 		t.Errorf("%d symmetry classes for %d near pairs, want at most 6500", st.ClassesIntegrated, st.PairsNear)
 	}
-	t.Logf("interconnect: M = %d, %d pairs (%d far), %d classes for %d near pairs (hit ratio %.2f), %.0f ns/pair, table %d KB",
+	t.Logf("interconnect: M = %d, %d pairs (%d far), %d classes for %d near pairs (hit ratio %.2f, %.2f by cursor), %.0f ns/pair, table %d KB",
 		set.M(), pairs, st.PairsFar, st.ClassesIntegrated, st.PairsNear,
-		float64(hits)/float64(st.PairsNear), float64(el.Nanoseconds())/float64(pairs), st.TableBytes>>10)
+		float64(hits)/float64(st.PairsNear), float64(st.PairSequential)/float64(st.PairsNear),
+		float64(el.Nanoseconds())/float64(pairs), st.TableBytes>>10)
 }

@@ -29,8 +29,13 @@
 // displacement in lattice units); the unit-amplitude integral is evaluated
 // once, on the instance rebuilt from that key (i's image with its corner at
 // the origin), and stored in a PairCache; the matrix entry is amp_i * amp_j
-// * value. The per-pair cost is a dozen integer operations and two reads
-// of the classes' image tables.
+// * value. The per-pair cost is a dozen integer operations, two reads of
+// the classes' image tables and the lookup: the table keeps its entries in
+// the order they arrived, a later fill asks for them in very nearly that
+// order, so a sweep remembers where its last hit was and first compares
+// its key with the entries beside it — no hash, no lock, the next line of
+// memory — before it probes the table's index (see PairCache; FillStats
+// counts both kinds).
 //
 // What is not quotiented is the order of the pair: the mid-field and
 // generic dispatch collocate one template against the other, so the
@@ -146,13 +151,24 @@ type Integrator struct {
 	stats FillStats
 }
 
-// FillStats counts the work of the fills run through an Integrator.
+// FillStats counts the work of the fills run through an Integrator. The
+// worker of a sweep owns one for the sweep's length (Interned.PairInto) and
+// folds it into an aggregate with Add when it is done.
 type FillStats struct {
 	// PairsFar is the number of template pairs served by the far-field
 	// point-charge form; PairsNear the rest, each of which is one
 	// PairCache lookup (or, for what bypasses the table, one integration).
+	// A lookup is a miss if it added its class to the table
+	// (ClassesIntegrated) and a hit otherwise; the table itself counts
+	// nothing.
 	PairsFar  int64 `json:"pairs_far"`
 	PairsNear int64 `json:"pairs_near"`
+	// PairSequential is the number of those lookups the sweep's cursor
+	// served — the class sat next to the sweep's last hit in the table's
+	// arrival-order log — without the key being hashed or the index
+	// touched. It repeats exactly only at one worker: what a worker's
+	// stream looks like depends on the chunks it claimed.
+	PairSequential int64 `json:"pair_sequential"`
 	// ClassesIntegrated is the number of symmetry classes (near pairs up
 	// to translation, reflection and axis permutation) these fills
 	// integrated and added to their table.
@@ -160,12 +176,17 @@ type FillStats struct {
 	// TableBytes sums, over the fills, the size of the fill's table when
 	// the fill ended.
 	TableBytes int64 `json:"table_bytes"`
+
+	// cur is the sweep's place in the table's log. It pins a generation
+	// of the table, so it stays with the worker: Add does not copy it.
+	cur pairCursor
 }
 
-// Add folds o into s.
+// Add folds o's counts into s.
 func (s *FillStats) Add(o FillStats) {
 	s.PairsFar += o.PairsFar
 	s.PairsNear += o.PairsNear
+	s.PairSequential += o.PairSequential
 	s.ClassesIntegrated += o.ClassesIntegrated
 	s.TableBytes += o.TableBytes
 }

@@ -102,7 +102,8 @@ func (f *Interned) Pair(i, j int) float64 {
 }
 
 // PairInto is Pair with the work counted into c, which the caller owns (one
-// per worker of a sweep), not into the integrator under its lock. The pair
+// per worker of a sweep), not into the integrator under its lock, and which
+// remembers where in the table the sweep's last pair was found. The pair
 // is ordered: i is the target of whatever the dispatch collocates.
 func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 	a, b := &f.tpl[i], &f.tpl[j]
@@ -127,8 +128,7 @@ func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 	}
 	var k pairKey
 	ca, cb := f.canon(a, b, &k)
-	h := k.hash()
-	v, ok := f.pairs.get(&k, h)
+	v, ok := f.pairs.get(&k, c)
 	if !ok {
 		// Integrate the instance the key describes, not the pair that
 		// happened to ask, and decide mid/near dispatch on it.
@@ -139,7 +139,7 @@ func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 		ta, tb := ca.instance([3]int64{}), cb.instance(at)
 		v = f.in.templatePairNear(&ta, &tb, ta.Support.Dist(tb.Support),
 			0.5*(ta.Support.Diameter()+tb.Support.Diameter()))
-		if f.pairs.put(&k, h, v) {
+		if f.pairs.put(&k, v) {
 			c.ClassesIntegrated++
 		}
 	}

@@ -27,25 +27,49 @@ import (
 // The kernel configuration is part of every class, so differently
 // configured integrators can share a table without aliasing.
 //
-// The table is sharded, each shard a mutex over flat open-addressed
-// arrays that are allocated on first use, so an idle table costs nothing
-// and concurrent fill workers rarely meet on a lock. It is bounded: a
-// shard that reaches its share of the entry budget is emptied and refills
-// (its arrays are kept), which costs re-integration, never correctness.
+// The table is one generation at a time: a log of {key, value} entries in
+// the order the classes arrived, in fixed pages, and an open-addressed
+// index of log positions. Nothing exists until the first class is stored,
+// so an idle table costs nothing. Lookups take no lock. An entry is
+// written once and then published — by the atomic store of its index
+// slot, then of the log's length — so whoever learns a position from
+// either reads an entry that no longer changes. Stores are rare (one per
+// class ever integrated, each behind a quadrature) and serialize on one
+// mutex; they grow the index by building the next one and swapping the
+// pointer, and a lookup that raced the swap at worst misses, integrates
+// the same bits and finds the class present when it comes to store them.
+//
+// The table is bounded: the store that finds the log full installs a
+// fresh generation, holding that one class, in place of the old, which
+// costs re-integration, never correctness. Lookups in flight finish on
+// the generation they loaded and the collector frees it once the last is
+// done.
+//
+// A refill asks for classes in very nearly the order the first fill
+// stored them — that is the order of the log — so every sweep carries a
+// cursor (in its FillStats): the generation and the position one past its
+// last hit. A lookup compares its key with the entry there, then with the
+// entry before the last hit (the mirror image of a run walks the log
+// backwards), and only then hashes and probes the index. A cursor keeps
+// its generation reachable, so it lives in the counters a worker owns for
+// the length of one sweep and nowhere else: FillStats.Add leaves it
+// behind, and no aggregate (Integrator, batch.Engine, plan.Stats) is ever
+// assigned a worker's FillStats whole.
 type PairCache struct {
-	shards   [pairShards]pairShard
-	perShard int
-	bytes    atomic.Int64
+	limit int // entries a generation holds
+	gen   atomic.Pointer[pairGen]
 
-	mu      sync.Mutex
+	mu      sync.Mutex // serializes put, and classOf
 	classes map[classKey]*tplClass
 	lastID  uint32
 }
 
 const (
-	pairShards = 64
-	// pairPage is the number of entries a shard allocates at a time.
-	pairPage = 32
+	// pairPage is the number of entries in a page of the log, and the
+	// smallest bound a table can have.
+	pairPage = 256
+	// pairIndexMin is the number of slots of a generation's first index.
+	pairIndexMin = 1024
 	// latticeBits sets the lattice quantum to 2^-latticeBits of the
 	// structure's extent (rounded up to a power of two); arch decay
 	// lengths are rounded to as many mantissa bits and edge positions to
@@ -78,126 +102,161 @@ type pairEntry struct {
 	val float64
 }
 
-// pairShard stores its entries in fixed pages, appended in arrival order,
-// and finds them through an open-addressed index of entry numbers: only
-// the 4-byte index is ever reallocated.
-type pairShard struct {
-	mu         sync.Mutex
-	index      []uint32 // 0 = empty, else 1 + entry number; len is a power of two
-	pages      []*[pairPage]pairEntry
-	n          int
-	hits, miss uint64
+// pairGen is one generation of the table. Only put, under the table's
+// mutex, writes to it.
+type pairGen struct {
+	// pages is the log. The slice is as long as the bound needs from the
+	// start; page p is allocated when entry p*pairPage arrives.
+	pages []*[pairPage]pairEntry
+	n     atomic.Uint32 // entries published
+	// index holds 0 for an empty slot, else 1 + a log position; its length
+	// is a power of two at least twice n.
+	index atomic.Pointer[[]atomic.Uint32]
 }
 
-// NewPairCache creates a table bounded to roughly maxEntries classes
-// (split across shards; 0 means the default of 1<<18, about 13 MB full).
+// pairCursor is where a sweep's last hit was: pos is one past it in gen's
+// log.
+type pairCursor struct {
+	gen *pairGen
+	pos uint32
+}
+
+// NewPairCache creates a table bounded to maxEntries classes (0 means the
+// default of 1<<18, about 13 MB full; at least one page of the log).
 func NewPairCache(maxEntries int) *PairCache {
 	if maxEntries <= 0 {
 		maxEntries = 1 << 18
 	}
 	return &PairCache{
-		perShard: max(maxEntries/pairShards, 16),
-		classes:  make(map[classKey]*tplClass),
+		limit:   max(maxEntries, pairPage),
+		classes: make(map[classKey]*tplClass),
 	}
 }
 
-func (s *pairShard) entry(n uint32) *pairEntry { return &s.pages[n/pairPage][n%pairPage] }
+func (g *pairGen) entry(p uint32) *pairEntry { return &g.pages[p/pairPage][p%pairPage] }
 
-func (s *pairShard) find(k *pairKey, h uint64) *pairEntry {
-	if len(s.index) == 0 {
-		return nil
-	}
-	mask := uint64(len(s.index) - 1)
-	for p := h & mask; ; p = (p + 1) & mask {
-		e := s.index[p]
+// find probes the index for k, whose hash is h.
+func (g *pairGen) find(k *pairKey, h uint64) (pos uint32, ok bool) {
+	index := *g.index.Load()
+	mask := uint64(len(index) - 1)
+	for s := h & mask; ; s = (s + 1) & mask {
+		e := index[s].Load()
 		if e == 0 {
-			return nil
+			return 0, false
 		}
-		if ent := s.entry(e - 1); ent.key == *k {
-			return ent
+		if g.entry(e-1).key == *k {
+			return e - 1, true
 		}
 	}
 }
 
-// link points the first free index slot on h's probe path at entry e.
-func (s *pairShard) link(h uint64, e uint32) {
-	mask := uint64(len(s.index) - 1)
-	p := h & mask
-	for s.index[p] != 0 {
-		p = (p + 1) & mask
+// link points the first free slot on h's probe path at log position p.
+func link(index []atomic.Uint32, h uint64, p uint32) {
+	mask := uint64(len(index) - 1)
+	s := h & mask
+	for index[s].Load() != 0 {
+		s = (s + 1) & mask
 	}
-	s.index[p] = e + 1
+	index[s].Store(p + 1)
 }
 
-func (c *PairCache) get(k *pairKey, h uint64) (float64, bool) {
-	s := &c.shards[h>>58]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e := s.find(k, h); e != nil {
-		s.hits++
-		return e.val, true
+// get looks k up for the sweep that owns s: at its cursor, at the entry
+// before its last hit, then through the index. A hit moves the cursor.
+func (c *PairCache) get(k *pairKey, s *FillStats) (float64, bool) {
+	g := c.gen.Load()
+	if g == nil {
+		return 0, false
 	}
-	s.miss++
-	return 0, false
+	if s.cur.gen != g {
+		s.cur = pairCursor{gen: g}
+	}
+	p := s.cur.pos
+	if p < g.n.Load() {
+		if e := g.entry(p); e.key == *k {
+			s.cur.pos = p + 1
+			s.PairSequential++
+			return e.val, true
+		}
+	}
+	if p >= 2 {
+		if e := g.entry(p - 2); e.key == *k {
+			s.cur.pos = p - 1
+			s.PairSequential++
+			return e.val, true
+		}
+	}
+	p, ok := g.find(k, k.hash())
+	if !ok {
+		return 0, false
+	}
+	s.cur.pos = p + 1
+	return g.entry(p).val, true
 }
 
 // put stores a class value and reports whether the class was new (false
 // when another worker integrated the same class first).
-func (c *PairCache) put(k *pairKey, h uint64, v float64) bool {
-	s := &c.shards[h>>58]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.find(k, h) != nil {
-		return false
-	}
-	if s.n >= c.perShard {
-		s.n = 0
-		clear(s.index)
-	}
-	if 2*(s.n+1) > len(s.index) {
-		old := len(s.index)
-		s.index = make([]uint32, max(64, 2*old))
-		for e := 0; e < s.n; e++ {
-			s.link(s.entry(uint32(e)).key.hash(), uint32(e))
+func (c *PairCache) put(k *pairKey, v float64) bool {
+	h := k.hash()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g := c.gen.Load()
+	slots := pairIndexMin
+	if g != nil {
+		if _, ok := g.find(k, h); ok {
+			return false
 		}
-		c.bytes.Add(int64(4 * (len(s.index) - old)))
+		if int(g.n.Load()) < c.limit {
+			g.append(k, h, v)
+			return true
+		}
+		slots = len(*g.index.Load()) // what the bound takes: the next generation will fill up too
 	}
-	if s.n == len(s.pages)*pairPage {
-		s.pages = append(s.pages, new([pairPage]pairEntry))
-		c.bytes.Add(int64(unsafe.Sizeof(*s.pages[0])))
-	}
-	*s.entry(uint32(s.n)) = pairEntry{key: *k, val: v}
-	s.link(h, uint32(s.n))
-	s.n++
+	g = &pairGen{pages: make([]*[pairPage]pairEntry, (c.limit+pairPage-1)/pairPage)}
+	index := make([]atomic.Uint32, slots)
+	g.index.Store(&index)
+	g.append(k, h, v)
+	c.gen.Store(g)
 	return true
 }
 
-// Stats returns cumulative lookup hit and miss counts.
-func (c *PairCache) Stats() (hits, misses uint64) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.miss
-		s.mu.Unlock()
+// append writes the entry at the end of the log, then publishes it. h is
+// k's hash.
+func (g *pairGen) append(k *pairKey, h uint64, v float64) {
+	n := g.n.Load()
+	if n%pairPage == 0 {
+		g.pages[n/pairPage] = new([pairPage]pairEntry)
 	}
-	return hits, misses
+	*g.entry(n) = pairEntry{key: *k, val: v}
+	if index := *g.index.Load(); 2*(int(n)+1) <= len(index) {
+		link(index, h, n)
+	} else {
+		grown := make([]atomic.Uint32, 2*len(index))
+		for p := uint32(0); p <= n; p++ {
+			link(grown, g.entry(p).key.hash(), p)
+		}
+		g.index.Store(&grown)
+	}
+	g.n.Store(n + 1)
 }
 
 // Len returns the current number of stored classes.
 func (c *PairCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.n
-		s.mu.Unlock()
+	if g := c.gen.Load(); g != nil {
+		return int(g.n.Load())
 	}
-	return n
+	return 0
 }
 
-// Bytes returns the memory held by the table's entry pages and indexes.
-func (c *PairCache) Bytes() int64 { return c.bytes.Load() }
+// Bytes returns the memory held by the live generation's log and index.
+func (c *PairCache) Bytes() int64 {
+	g := c.gen.Load()
+	if g == nil {
+		return 0
+	}
+	pages := (int64(g.n.Load()) + pairPage - 1) / pairPage
+	return int64(len(g.pages))*int64(unsafe.Sizeof(g.pages[0])) +
+		pages*int64(unsafe.Sizeof(*g.pages[0])) + 4*int64(len(*g.index.Load()))
+}
 
 // classKey is everything that decides a template's contribution to a
 // class value, bar its position and amplitude, in world terms, so that
@@ -322,7 +381,7 @@ func (c *PairCache) classOf(cfg uint64, qexp int, t *basis.Template) *tplClass {
 	// mirror: at most 12 classes, each other's images.
 	if len(c.classes)+12 > maxClasses {
 		// Forget the index, not the ids: entries of forgotten classes
-		// can never be reached again and age out with their shards.
+		// can never be reached again and go with their generation.
 		clear(c.classes)
 	}
 	var orbit [8][2]classKey

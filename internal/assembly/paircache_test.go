@@ -184,12 +184,15 @@ func TestPairCacheRepeatsWithinAndAcrossFills(t *testing.T) {
 	if s2.ClassesIntegrated != s1.ClassesIntegrated || s2.PairsNear != 2*s1.PairsNear {
 		t.Errorf("second fill integrated %d more classes", s2.ClassesIntegrated-s1.ClassesIntegrated)
 	}
-	hits, misses := in.Pairs.Stats()
-	if int64(hits+misses) != s2.PairsNear || int64(misses) != s2.ClassesIntegrated {
-		t.Errorf("table saw %d hits + %d misses for %d near pairs, %d classes", hits, misses, s2.PairsNear, s2.ClassesIntegrated)
-	}
+	// Every near pair is one lookup, a miss if it added its class: the
+	// table holds one entry per miss, and the second fill, which added
+	// none, was served hits alone — some of them by its cursor.
 	if int64(in.Pairs.Len()) != s2.ClassesIntegrated || in.Pairs.Bytes() == 0 {
 		t.Errorf("table holds %d classes in %d bytes, integrated %d", in.Pairs.Len(), in.Pairs.Bytes(), s2.ClassesIntegrated)
+	}
+	hits1, hits2 := s1.PairsNear-s1.ClassesIntegrated, s2.PairsNear-s1.PairsNear
+	if seq2 := s2.PairSequential - s1.PairSequential; s1.PairSequential > hits1 || seq2 > hits2 || seq2 <= s1.PairSequential {
+		t.Errorf("cursor served %d of %d hits, then %d of %d", s1.PairSequential, hits1, seq2, hits2)
 	}
 }
 
@@ -217,22 +220,40 @@ func TestPairCacheTranslatedStructuresShareClasses(t *testing.T) {
 	}
 }
 
+// TestPairCacheBound fills through a table with the smallest bound there
+// is, one page of the log: the table never holds more, it does get there
+// (so generations were replaced under the fill), and P is bit for bit the
+// one a table that never rolls gives.
 func TestPairCacheBound(t *testing.T) {
-	c := NewPairCache(pairShards * 16) // minimum per-shard capacity
+	c := NewPairCache(1)
+	if c.limit != pairPage {
+		t.Fatalf("smallest table is bounded to %d entries, want one page (%d)", c.limit, pairPage)
+	}
 	set := busSet()
 	in := NewIntegrator()
 	in.Pairs = c
-	want := FillSerial(set, NewIntegrator())
-	got := FillSerial(set, in)
-	if got, max := c.Len(), pairShards*16; got > max {
-		t.Fatalf("table grew to %d entries, cap %d", got, max)
+	f, priv := in.Intern(set), NewIntegrator().Intern(set)
+	var st, ps FillStats
+	reached := false
+	for i := 0; i < set.M(); i++ {
+		for j := i; j < set.M(); j++ {
+			if got, want := f.PairInto(i, j, &st), priv.PairInto(i, j, &ps); got != want {
+				t.Fatalf("pair (%d, %d) = %g under a table that keeps rolling, %g otherwise", i, j, got, want)
+			}
+			if n := c.Len(); n > pairPage {
+				t.Fatalf("table grew to %d entries, bound %d", n, pairPage)
+			} else if n == pairPage {
+				reached = true
+			}
+		}
 	}
-	if st := in.FillStats(); st.ClassesIntegrated <= int64(pairShards*16) {
-		t.Fatalf("only %d classes integrated: the bound was never reached", st.ClassesIntegrated)
+	if !reached || st.ClassesIntegrated <= 2*pairPage {
+		t.Fatalf("%d classes integrated: the bound was not reached twice", st.ClassesIntegrated)
 	}
+	want, got := FillSerial(set, NewIntegrator()), FillSerial(set, in)
 	for i, v := range want.Data {
 		if got.Data[i] != v {
-			t.Fatalf("P[%d] = %g under a table that keeps resetting, %g otherwise", i, got.Data[i], v)
+			t.Fatalf("P[%d] = %g under a table that keeps rolling, %g otherwise", i, got.Data[i], v)
 		}
 	}
 }
@@ -305,11 +326,9 @@ func TestPairCacheOldArithmeticNeverAdopted(t *testing.T) {
 	if c.ClassesIntegrated != classes || int64(pc.Len()) != classes {
 		t.Fatalf("old-arithmetic fill stored %d classes (table %d), want %d", c.ClassesIntegrated, pc.Len(), classes)
 	}
-	for i := range pc.shards {
-		sh := &pc.shards[i]
-		for e := 0; e < sh.n; e++ {
-			sh.entry(uint32(e)).val = math.NaN()
-		}
+	g := pc.gen.Load()
+	for p := uint32(0); p < g.n.Load(); p++ {
+		g.entry(p).val = math.NaN()
 	}
 
 	got := FillSerial(set, in)

@@ -110,7 +110,10 @@ type Stats struct {
 	// PairHits/PairMisses count the lookups of the shared class table:
 	// one per non-far pair — of templates (Extract) or of panels whose
 	// entry no previous variant supplied (ExtractPipeline) — a miss being
-	// an integration.
+	// an integration. The table's lookups take no lock and count nothing;
+	// these are Fill's counts, which the fills' workers keep: misses are
+	// its ClassesIntegrated, hits the rest of its PairsNear. (With the
+	// Distributed backend they describe the ranks' private tables.)
 	PairHits    uint64 `json:"pair_hits"`
 	PairMisses  uint64 `json:"pair_misses"`
 	PairEntries int    `json:"pair_entries"`
@@ -131,9 +134,10 @@ func New(opt Options) *Engine {
 	// The class table keeps assembly's default bound, 2^18 classes (13 MB
 	// full). Measured on the serve_mix workload, whose four families visit
 	// 8 H values each — 187 k classes, 180 k of them the crossing pair's,
-	// 9.6 MB: everything fits, op_s 3.4-3.8 ms and peak RSS 168 MB; at 2^16
-	// a shard is emptied before an H value comes round again, 5.2 ms and
-	// 152 MB. A constant, not a setting: no caller has asked for another.
+	// 9.6 MB: everything fits, op_s 3.4-3.8 ms and peak RSS 168 MB at PR 22;
+	// at 2^16 classes were dropped before their H value came round again,
+	// 5.2 ms and 152 MB. A constant, not a setting: no caller has asked for
+	// another.
 	e := &Engine{opt: opt, pool: sched.NewPool(opt.Workers),
 		state: NewLRU(capEntries), pairs: assembly.NewPairCache(0)}
 	e.state.GetOrCompute("quad:32", func() (any, error) {
@@ -186,11 +190,12 @@ func (e *Engine) PlanExec() sched.Executor {
 func (e *Engine) Stats() Stats {
 	var s Stats
 	s.StateHits, s.StateMisses = e.state.Stats()
-	s.PairHits, s.PairMisses = e.pairs.Stats()
 	s.PairEntries = e.pairs.Len()
 	e.mu.Lock()
 	s.Fill = e.fill
 	e.mu.Unlock()
+	s.PairMisses = uint64(s.Fill.ClassesIntegrated)
+	s.PairHits = uint64(s.Fill.PairsNear) - s.PairMisses
 	s.Fill.TableBytes = e.pairs.Bytes()
 	return s
 }

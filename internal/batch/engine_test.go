@@ -305,9 +305,9 @@ func TestEnginePanelPairsShared(t *testing.T) {
 	if s.Fill.PairsNear != requests*fill.PairsNear || s.Fill.PairsFar != requests*fill.PairsFar {
 		t.Errorf("fill %+v over %d requests of %+v each", s.Fill, requests, fill)
 	}
-	// Two requests that meet on a class both miss and both integrate it;
-	// one of them stores it.
-	if looked := int64(s.PairHits + s.PairMisses); looked != s.Fill.PairsNear || int64(s.PairMisses) < fill.ClassesIntegrated {
+	// Two requests that meet on a class both integrate it; the one that
+	// stores it counts the miss.
+	if looked := int64(s.PairHits + s.PairMisses); looked != s.Fill.PairsNear || int64(s.PairMisses) != fill.ClassesIntegrated {
 		t.Errorf("%d hits + %d misses for %d near pairs in %d classes", s.PairHits, s.PairMisses, s.Fill.PairsNear, fill.ClassesIntegrated)
 	}
 }

@@ -167,12 +167,11 @@ func (c *Cholesky) Solve(dst, b []float64) {
 		}
 		dst[i] = s / ri[i]
 	}
-	// Backward: L^T x = y.
+	// Backward: L^T x = y, by rows of L (a column of L^T is a stride-n
+	// walk): x_i is final once the rows below have been taken off it.
 	for i := n - 1; i >= 0; i-- {
-		s := dst[i]
-		for j := i + 1; j < n; j++ {
-			s -= c.L.At(j, i) * dst[j]
-		}
-		dst[i] = s / c.L.At(i, i)
+		ri := c.L.Row(i)
+		dst[i] /= ri[i]
+		Axpy(-dst[i], ri[:i], dst[:i])
 	}
 }

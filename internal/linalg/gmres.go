@@ -129,6 +129,16 @@ func (ws *GMRESWorkspace) ensure(n, m int) {
 	ws.z = make([]float64, ws.n)
 }
 
+// allZero reports whether every element of x is zero (either sign).
+func allZero(x []float64) bool {
+	for _, v := range x {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // GMRES solves A x = b with restarted GMRES(m), writing the solution into
 // x (which also provides the initial guess). It allocates a fresh
 // workspace; use GMRESWith to reuse one across solves.
@@ -185,10 +195,14 @@ func GMRESWith(ws *GMRESWorkspace, a Matvec, x, b []float64, opt GMRESOptions) (
 				return GMRESResult{Iterations: total, Residual: lastRel}, err
 			}
 		}
-		// r = b - A x.
-		a.Apply(r, x)
-		for i := range r {
-			r[i] = b[i] - r[i]
+		// r = b - A x; A·0 is not worth a matvec to find out.
+		if total == 0 && allZero(x) {
+			copy(r, b)
+		} else {
+			a.Apply(r, x)
+			for i := range r {
+				r[i] = b[i] - r[i]
+			}
 		}
 		beta := Norm2(r)
 		rel := beta / bnorm

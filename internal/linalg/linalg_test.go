@@ -257,6 +257,46 @@ func TestGMRESRestartedAndPreconditioned(t *testing.T) {
 	}
 }
 
+// countingOp counts the matvecs a solve spends.
+type countingOp struct {
+	DenseOp
+	applies *int
+}
+
+func (c countingOp) Apply(dst, x []float64) {
+	*c.applies++
+	c.DenseOp.Apply(dst, x)
+}
+
+// TestGMRESZeroGuessSpendsNoMatvecOnIt: from x = 0 the initial residual is
+// b, exactly, so a one-cycle solve applies the operator once per iteration
+// and once for the residual it reports; any other guess costs one more.
+func TestGMRESZeroGuessSpendsNoMatvecOnIt(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	n := 60
+	a := randomSPD(n, rng)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	for _, guess := range []float64{0, 1e-3} {
+		x := make([]float64, n)
+		x[n/2] = guess
+		applies := 0
+		res, err := GMRES(countingOp{DenseOp{M: a}, &applies}, x, b, GMRESOptions{Tol: 1e-10, Restart: n})
+		if err != nil || !res.Converged {
+			t.Fatalf("guess %g: %v %+v", guess, err, res)
+		}
+		want := res.Iterations + 1
+		if guess != 0 {
+			want++
+		}
+		if applies != want {
+			t.Errorf("guess %g: %d matvecs for %d iterations, want %d", guess, applies, res.Iterations, want)
+		}
+	}
+}
+
 func TestGMRESZeroRHS(t *testing.T) {
 	a := randomSPD(5, rand.New(rand.NewSource(8)))
 	x := []float64{1, 2, 3, 4, 5}

@@ -50,7 +50,7 @@ func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *lin
 
 		if c.Rank() != 0 {
 			c.SendInts(0, tagPartHeader, []int{part.ColLo, part.ColHi,
-				int(st.PairsFar), int(st.PairsNear), int(st.ClassesIntegrated), int(st.TableBytes)})
+				int(st.PairsFar), int(st.PairsNear), int(st.PairSequential), int(st.ClassesIntegrated), int(st.TableBytes)})
 			if part.ColHi >= part.ColLo {
 				c.SendFloat64s(0, tagPartData, part.Data.Data)
 			}
@@ -65,8 +65,8 @@ func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *lin
 		for r := 1; r < size; r++ {
 			hdr := c.RecvInts(r, tagPartHeader)
 			colLo, colHi := hdr[0], hdr[1]
-			st.Add(assembly.FillStats{PairsFar: int64(hdr[2]), PairsNear: int64(hdr[3]),
-				ClassesIntegrated: int64(hdr[4]), TableBytes: int64(hdr[5])})
+			st.Add(assembly.FillStats{PairsFar: int64(hdr[2]), PairsNear: int64(hdr[3]), PairSequential: int64(hdr[4]),
+				ClassesIntegrated: int64(hdr[5]), TableBytes: int64(hdr[6])})
 			if colHi < colLo {
 				continue
 			}

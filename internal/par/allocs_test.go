@@ -7,6 +7,7 @@ package par
 // up in benchmark numbers.
 
 import (
+	"runtime"
 	"testing"
 
 	"parbem/internal/assembly"
@@ -48,12 +49,15 @@ func TestTemplatePairAllocationFree(t *testing.T) {
 }
 
 // TestInternedPairAllocationFree is the same guard for the path fills take:
-// a pair served from the class table, and a pair whose class has to be
-// integrated and stored, allocate nothing once the table's pages and the
-// classes' quadrature nodes exist. The miss case runs on a table with the
-// smallest entry budget, whose shards keep emptying and refilling in
-// place, so every sweep integrates again without the table growing.
+// a pair served from the class table allocates nothing, and a pair whose
+// class has to be integrated and stored allocates nothing either once the
+// classes' quadrature nodes exist — except the store that finds the table
+// full, which installs the next generation: the generation, its page
+// directory, its first page, and an index of the size the last one grew to
+// with its header, genObjects in all. The miss case runs on a table with
+// the smallest bound, one page, so every sweep rolls it several times.
 func TestInternedPairAllocationFree(t *testing.T) {
+	const genObjects, bound = 5, 256
 	st := geom.DefaultBus(4, 4).Build()
 	set := basis.Build(st, basis.DefaultBuilderOptions())
 	m := set.M()
@@ -72,8 +76,8 @@ func TestInternedPairAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, sweep(hit.Intern(set))); allocs != 0 {
 		t.Errorf("warm table: a sweep of Pair calls allocates %.0f objects", allocs)
 	}
-	if _, misses := hit.Pairs.Stats(); int64(misses) != hit.FillStats().ClassesIntegrated {
-		t.Errorf("warm table: %d misses for %d classes", misses, hit.FillStats().ClassesIntegrated)
+	if n := hit.FillStats().ClassesIntegrated; n == 0 || int64(hit.Pairs.Len()) != n {
+		t.Errorf("warm table: %d entries for %d classes", hit.Pairs.Len(), n)
 	}
 
 	miss := assembly.NewIntegrator()
@@ -81,13 +85,26 @@ func TestInternedPairAllocationFree(t *testing.T) {
 	f := miss.Intern(set)
 	run := sweep(f)
 	run()
-	run() // every shard has been through a reset: pages and indexes are at full size
-	before := miss.FillStats().ClassesIntegrated
-	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-		t.Errorf("resetting table: a sweep of Pair calls allocates %.0f objects", allocs)
+	run() // the classes' quadrature nodes exist, the index is at full size
+	// The store that is number 1 modulo the bound opens a generation.
+	opened := func() int64 { return (miss.FillStats().ClassesIntegrated + bound - 1) / bound }
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	gens := opened()
+	runtime.ReadMemStats(&m0)
+	for r := 0; r < 5; r++ {
+		run()
 	}
-	if after := miss.FillStats().ClassesIntegrated; after == before {
-		t.Error("resetting table: the measured sweeps integrated nothing, so no miss was measured")
+	runtime.ReadMemStats(&m1)
+	gens = opened() - gens
+	if gens < 5 || miss.Pairs.Len() > bound {
+		t.Fatalf("rolling table: %d generations over 5 sweeps, %d entries", gens, miss.Pairs.Len())
+	}
+	// The runtime's own background objects get the slack AllocsPerRun's
+	// rounding would give them; one more object per generation is 85.
+	if objects := int64(m1.Mallocs - m0.Mallocs); objects > genObjects*gens+16 {
+		t.Errorf("rolling table: 5 sweeps through %d generations allocate %d objects, want %d per generation and none between",
+			gens, objects, genObjects)
 	}
 
 	// Interning is one pass over the templates: on a table that knows the
@@ -99,7 +116,7 @@ func TestInternedPairAllocationFree(t *testing.T) {
 
 // TestFillSteadyStateAllocs bounds the allocations of a whole Fill call:
 // everything allocated is the matrix, the interned templates, the
-// scheduler's job and the class table's pages (one per 32 classes),
+// scheduler's job and the class table's pages (one per 256 classes),
 // none of it per pair. The bound is deliberately generous; the point is
 // that the integration inner loop contributes nothing.
 func TestFillSteadyStateAllocs(t *testing.T) {
@@ -112,9 +129,9 @@ func TestFillSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		Fill(set, in, opt)
 	})
-	// 2 workers x 16 chunks/worker of scheduler state and ~100 table
-	// pages are a few hundred objects; the ~58k pair integrals must add
-	// zero.
+	// 2 workers x 16 chunks/worker of scheduler state and the table's
+	// dozen pages and indexes are a hundred objects; the ~58k pair
+	// integrals must add zero.
 	if allocs > 2000 {
 		t.Fatalf("Fill allocates %.0f objects per call; integration hot path is no longer allocation-free", allocs)
 	}

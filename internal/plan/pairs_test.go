@@ -15,8 +15,8 @@ import (
 // the pair's symmetry class alone, so the same request returns the same
 // bits of C whatever its class table has been through — a table of the
 // plan's own, a shared one met cold, the same one warm (nothing left to
-// integrate), and one so small that its shards are emptied while the build
-// runs — at one worker and at two, on every backend.
+// integrate), and one so small that its generations are replaced while the
+// build runs — at one worker and at two, on every backend.
 func TestPairTableHistoryBitwise(t *testing.T) {
 	st := crossingAt(0.5e-6)
 	for _, be := range []op.Backend{op.BackendDense, op.BackendFMM, op.BackendPFFT} {
@@ -48,7 +48,7 @@ func TestPairTableHistoryBitwise(t *testing.T) {
 					t.Errorf("%v, %d workers, %s table: no class integrated", be, workers, c.history)
 				case c.pairs == tiny && be != op.BackendPFFT && fill.ClassesIntegrated <= int64(tiny.Len()):
 					// (A precorrection reaches a few grid cells: 169 classes.)
-					t.Errorf("%v, %d workers: %d classes integrated, %d in the table at the end: no shard was emptied", be, workers, fill.ClassesIntegrated, tiny.Len())
+					t.Errorf("%v, %d workers: %d classes integrated, %d in the table at the end: no generation was replaced", be, workers, fill.ClassesIntegrated, tiny.Len())
 				}
 				t.Logf("%v, %d workers, %s table: %+v", be, workers, c.history, fill)
 				if want == nil {

@@ -282,8 +282,9 @@ func TestServeTemplateSweepDeadline(t *testing.T) {
 // 7 260 panel pairs — the 378 of assembly's census — and hits on every
 // other pair; the same family at another H misses only on the classes H
 // moved and copies the rest of the matrix from the previous variant; and
-// /metrics reads what /stats reads. (One worker and a budget of one: two
-// claimers that meet on a class both miss on it.)
+// /metrics reads what /stats reads. (One worker and a budget of one: the
+// share of hits a sweep's cursor serves, pair_sequential, repeats only
+// then.)
 func TestServePairCountersLive(t *testing.T) {
 	s, c := startServer(t, Options{Workers: 1, WorkerBudget: 1})
 	ctx := context.Background()
@@ -307,6 +308,9 @@ func TestServePairCountersLive(t *testing.T) {
 		t.Errorf("cold extract: %d misses, %d hits, %d entries, %d classes integrated; want 378 classes for 7260 pairs",
 			cold.PairMisses, cold.PairHits, cold.PairEntries, cold.Fill.ClassesIntegrated)
 	}
+	if cold.Fill.PairSequential == 0 || uint64(cold.Fill.PairSequential) > cold.PairHits {
+		t.Errorf("cold extract: %d of %d hits by cursor", cold.Fill.PairSequential, cold.PairHits)
+	}
 	variant := extract(1.25 * geom.DefaultBus(2, 2).H)
 	if variant.PairHits <= cold.PairHits {
 		t.Errorf("a variant of the family moved pair_hits %d -> %d", cold.PairHits, variant.PairHits)
@@ -327,9 +331,10 @@ func TestServePairCountersLive(t *testing.T) {
 	}
 	series := parseProm(t, string(body))
 	for name, want := range map[string]float64{
-		"parbem_engine_pair_hits_total":   float64(variant.PairHits),
-		"parbem_engine_pair_misses_total": float64(variant.PairMisses),
-		"parbem_engine_pair_entries":      float64(variant.PairEntries),
+		"parbem_engine_pair_hits_total":       float64(variant.PairHits),
+		"parbem_engine_pair_misses_total":     float64(variant.PairMisses),
+		"parbem_engine_pair_sequential_total": float64(variant.Fill.PairSequential),
+		"parbem_engine_pair_entries":          float64(variant.PairEntries),
 	} {
 		if got, ok := series[name]; !ok || got != want {
 			t.Errorf("%s = %v (present: %v), /stats says %v", name, got, ok, want)
@@ -406,6 +411,7 @@ func TestServeMetricsAgreesWithStats(t *testing.T) {
 		"parbem_engine_state_misses_total":        st.Engine.StateMisses,
 		"parbem_engine_pair_hits_total":           st.Engine.PairHits,
 		"parbem_engine_pair_misses_total":         st.Engine.PairMisses,
+		"parbem_engine_pair_sequential_total":     uint64(st.Engine.Fill.PairSequential),
 		"parbem_bad_requests_total":               st.BadRequests,
 		"parbem_jobs_rejected_queue_full_total":   st.RejectedQueueFull,
 		"parbem_jobs_rejected_rate_limited_total": st.RejectedRateLimited,
