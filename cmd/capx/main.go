@@ -373,7 +373,7 @@ func printExtract(res *serve.ExtractResponse, served string, units float64, maxP
 	}
 	fmt.Println()
 	if res.Iterations > 0 {
-		fmt.Printf("krylov    : %d GMRES iterations total (tol %g, precond %s, precision %s, all conductors concurrent)\n",
+		fmt.Printf("krylov    : %d GMRES iterations total (tol %g, precond %s, precision %s, one search space for all conductors)\n",
 			res.Iterations, res.Tol, res.Precond, res.Precision)
 	}
 	fmt.Printf("timing    : setup %.2f ms | solve %.2f ms | total %.2f ms\n\n",

@@ -48,9 +48,9 @@ var denseDirect = op.Options{Backend: op.BackendDense, Direct: true}
 func crossingOptions(ex sched.Executor, sp geom.CrossingPairSpec, maxEdge float64) plan.Options {
 	opt := plan.Options{MaxEdge: maxEdge, Pipeline: denseDirect, Exec: ex}
 	if len(sp.Build().Panelize(maxEdge)) >= iterativeThreshold {
-		// Workers: 1 — parallelism comes from the layers above (SweepH
-		// solves several h-points at once and the pipeline one GMRES per
-		// conductor); a parallel operator here would oversubscribe ~P^2.
+		// Workers: 1 — parallelism comes from the layer above (SweepH
+		// solves several h-points at once); a parallel operator under it
+		// would oversubscribe ~P^2.
 		opt.Pipeline = op.Options{
 			Backend: op.BackendFMM,
 			Precond: op.PrecondBlockJacobi,

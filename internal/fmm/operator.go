@@ -66,7 +66,7 @@ func (o *Options) defaults() {
 
 // applyScratch is the per-Apply mutable state: panel charges, upward
 // moments and downward local expansions. Bundling it keeps Apply
-// re-entrant (concurrent GMRES solves share one Operator) and
+// re-entrant (concurrent solves may share one Operator) and
 // allocation-free after warmup.
 type applyScratch struct {
 	charges []float64

@@ -27,8 +27,8 @@
 //     each target node via the M2L lists, translates locals down the tree
 //     (L2L), and evaluates local expansion plus near CSR row per panel
 //     (L2P). All scratch state lives in a per-Apply buffer bundle, so
-//     Apply allocates nothing after warmup and concurrent Applies (e.g.
-//     one GMRES per conductor) are safe.
+//     Apply allocates nothing after warmup and concurrent Applies (two
+//     pipelines solving over one operator) are safe.
 //
 // Combined with GMRES (the solve stage of internal/plan) this gives the
 // O(N)-style matvec whose limited parallel scalability the paper

@@ -158,14 +158,11 @@ func (c *Cholesky) Solve(dst, b []float64) {
 	if &dst[0] != &b[0] {
 		copy(dst, b)
 	}
-	// Forward: L y = b.
+	// Forward: L y = b, each row one Dot (four independent sums where a
+	// running s -= ri[j]*dst[j] is one dependent chain).
 	for i := 0; i < n; i++ {
 		ri := c.L.Row(i)
-		s := dst[i]
-		for j := 0; j < i; j++ {
-			s -= ri[j] * dst[j]
-		}
-		dst[i] = s / ri[i]
+		dst[i] = (dst[i] - Dot(ri[:i], dst[:i])) / ri[i]
 	}
 	// Backward: L^T x = y, by rows of L (a column of L^T is a stride-n
 	// walk): x_i is final once the rows below have been taken off it.

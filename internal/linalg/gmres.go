@@ -3,7 +3,6 @@ package linalg
 import (
 	"context"
 	"errors"
-	"math"
 
 	"parbem/internal/sched"
 )
@@ -42,91 +41,150 @@ func (d DenseOp) Apply(dst, x []float64) {
 // Dim implements Matvec.
 func (d DenseOp) Dim() int { return d.M.Rows }
 
-// GMRESOptions configures the restarted GMRES solver.
+// GMRESOptions configures a solve in a search space (GMRESWorkspace).
 type GMRESOptions struct {
-	Tol     float64                // relative residual tolerance (default 1e-6)
-	Restart int                    // Krylov subspace size before restart (default 50)
-	MaxIter int                    // total iteration cap (default 10 * Dim)
+	Tol float64 // relative residual tolerance (default 1e-6)
+	// Restart bounds the directions a space keeps (default 50, at most the
+	// dimension); it is read when the space is emptied (GMRESWith, Reset),
+	// not by Solve. The space is a ring: once full, a new direction
+	// overwrites the oldest and nothing is ever reset — a longer solve
+	// minimises over the last Restart directions, its residual never grows.
+	Restart int
+	MaxIter int                    // iteration cap per solve (default 10 * Dim)
 	Precond func(dst, r []float64) // optional right preconditioner M^{-1}
-	// Ctx optionally bounds the solve: it is checked once per Arnoldi
-	// iteration (each iteration is dominated by a matvec, so the check
-	// is noise) and once per restart cycle. A done context stops the
-	// solve at the next checkpoint and GMRESWith returns ctx.Err() with
-	// the iterations completed so far — a deadline-aware early exit,
-	// not a converged solution.
+	// Ctx optionally bounds the solve: it is checked once before any work
+	// and once per iteration (beside an operator application the check is
+	// noise). A done context stops the solve at the next checkpoint with
+	// ctx.Err(), x and the result holding the iterate reached, its
+	// iteration count and its residual — an early exit, not a solution.
 	Ctx context.Context
 }
 
 // GMRESResult reports convergence statistics.
 type GMRESResult struct {
+	// Iterations is the number of directions the solve added to its space,
+	// one operator application each.
 	Iterations int
-	Residual   float64 // final relative residual
-	Converged  bool
+	// Applies counts every operator application of the solve: the
+	// iterations, the residual of a nonzero initial guess and the true
+	// residual taken once the recurrence says converged.
+	Applies int
+	// Residual is the relative residual of the iterate left in x. On
+	// convergence it is the true one, recomputed from the operator; on an
+	// interruption, a breakdown or MaxIter it is the recurrence's, which x
+	// has by construction: x and r move together, one direction at a time.
+	Residual  float64
+	Converged bool
 }
 
-// ErrGMRESBreakdown indicates an unexpected zero in the Arnoldi process.
+// ErrGMRESBreakdown reports a direction the space could not take: the
+// operator's image of the preconditioned residual was zero, not a number,
+// or in the span of the images already held (a stagnated residual, a
+// collapsed image). x holds the last iterate before it.
 var ErrGMRESBreakdown = errors.New("linalg: GMRES breakdown")
 
-// GMRESWorkspace holds every buffer a restarted GMRES solve needs —
-// Arnoldi basis, Hessenberg factors, rotation state and residual
-// scratch — so repeated solves (multi-RHS extractions, parameter
-// sweeps) allocate nothing after the first. A workspace serves one
-// solve at a time; concurrent solves each need their own.
+// dependent is the share of a candidate's image that must survive
+// orthogonalisation against the held directions for the space to take it:
+// below it the normalised pair would carry the rounding of c = A·u
+// amplified past any tolerance worth asking for.
+const dependent = 1e-10
+
+// GMRESWorkspace is a residual-minimising search space for one operator A:
+// pairs (u_k, c_k = A·u_k) with the c_k orthonormal. Solving A x = b in it
+// is GCR: the residual is first projected onto the held c's — x += (c_k·r)
+// u_k, r -= (c_k·r) c_k, no operator application — and then directions
+// z = M⁻¹ r, c = A z are added, c orthogonalised against the held c's with
+// the same combination applied to z, until r is small. On an emptied space
+// the iterates are those of right-preconditioned GMRES (same Krylov space,
+// same minimiser): the one-right-hand-side use, GMRESWith. Kept across
+// right-hand sides of one operator, the space starts each later solve
+// where the earlier ones' directions leave it, and Seed puts known good
+// directions (the solutions of a nearby system) in first. Its pairs are
+// only true for the A that produced them.
+//
+// Buffers are allocated as directions arrive, so repeated solves allocate
+// nothing once the space has been as full as they make it. A workspace
+// serves one solve at a time.
 type GMRESWorkspace struct {
-	n, m int
-	v    [][]float64 // m+1 Arnoldi vectors of length n
-	h    *Dense      // (m+1) x m Hessenberg
-	cs   []float64
-	sn   []float64
-	g    []float64
-	yk   []float64
+	u, c [][]float64 // the ring of pairs, allocated slot by slot
 	r    []float64
-	w    []float64
-	z    []float64
+	dim  int // dimension of the pairs held
+	lim  int // ring size: the Restart the space was emptied with
+	held int // pairs in the ring: the held slots cyclically before next
+	next int // slot the next pair is written to (the oldest, once full)
 }
 
-// NewGMRESWorkspace preallocates buffers for dimension-n solves with the
-// given restart length (0 = the default 50).
-func NewGMRESWorkspace(n, restart int) *GMRESWorkspace {
-	ws := &GMRESWorkspace{}
-	ws.ensure(n, normalizeRestart(n, restart))
-	return ws
+// Reset empties the space and sets it up for dimension n and up to restart
+// directions (0 = 50, at most n); buffers are kept. The zero workspace
+// needs one Reset before its first Solve or Seed.
+func (ws *GMRESWorkspace) Reset(n, restart int) {
+	m := restart
+	if m == 0 {
+		m = 50
+	}
+	m = min(m, n)
+	for len(ws.u) < m {
+		ws.u, ws.c = append(ws.u, nil), append(ws.c, nil)
+	}
+	if cap(ws.r) < n {
+		ws.r = make([]float64, n)
+	}
+	ws.dim, ws.lim, ws.held, ws.next = n, m, 0, 0
 }
 
-func normalizeRestart(n, restart int) int {
-	if restart == 0 {
-		restart = 50
+// claim returns the buffers of the slot the next pair goes to. On a full
+// ring that is the oldest pair, which leaves the space here.
+func (ws *GMRESWorkspace) claim() (u, c []float64) {
+	s, n := ws.next, ws.dim
+	if ws.held == ws.lim {
+		ws.held--
 	}
-	if restart > n {
-		restart = n
+	if cap(ws.u[s]) < n {
+		ws.u[s], ws.c[s] = make([]float64, n), make([]float64, n)
 	}
-	return restart
+	return ws.u[s][:n], ws.c[s][:n]
 }
 
-// ensure grows the workspace to cover an n-dimensional solve with
-// restart m; existing capacity is reused.
-func (ws *GMRESWorkspace) ensure(n, m int) {
-	if ws.n >= n && ws.m >= m {
-		return
+// pair returns the i-th newest held pair, i in [1, held].
+func (ws *GMRESWorkspace) pair(i int) (u, c []float64) {
+	s := (ws.next - i + ws.lim) % ws.lim
+	return ws.u[s][:ws.dim], ws.c[s][:ws.dim]
+}
+
+// admit takes the claimed pair (u, c = A·u) into the space: c is
+// orthogonalised against the held c's by modified Gram-Schmidt, u follows
+// with the same coefficients so that c = A·u stays true, and both are
+// scaled to |c| = 1. It reports false, and the space is as it was less the
+// pair claim dropped, when what is left of c is not a usable direction.
+func (ws *GMRESWorkspace) admit(u, c []float64) bool {
+	before := Norm2(c)
+	for i := 1; i <= ws.held; i++ {
+		uk, ck := ws.pair(i)
+		h := Dot(ck, c)
+		Axpy(-h, ck, c)
+		Axpy(-h, uk, u)
 	}
-	if n > ws.n {
-		ws.n = n
+	nrm := Norm2(c)
+	if !(nrm > dependent*before) { // also a zero or non-finite image
+		return false
 	}
-	if m > ws.m {
-		ws.m = m
-	}
-	ws.v = make([][]float64, ws.m+1)
-	for i := range ws.v {
-		ws.v[i] = make([]float64, ws.n)
-	}
-	ws.h = NewDense(ws.m+1, ws.m)
-	ws.cs = make([]float64, ws.m)
-	ws.sn = make([]float64, ws.m)
-	ws.g = make([]float64, ws.m+1)
-	ws.yk = make([]float64, ws.m)
-	ws.r = make([]float64, ws.n)
-	ws.w = make([]float64, ws.n)
-	ws.z = make([]float64, ws.n)
+	Scal(1/nrm, c)
+	Scal(1/nrm, u)
+	ws.next = (ws.next + 1) % ws.lim
+	ws.held++
+	return true
+}
+
+// Seed offers the space the direction u at the cost of one application of
+// a (c = A·u): the previous solutions of a sequence of nearby systems are
+// the directions the next one's solutions mostly lie along. It reports
+// whether the space took it; a direction already in the span of the held
+// ones (or a zero one) is dropped. u is not modified.
+func (ws *GMRESWorkspace) Seed(a Matvec, u []float64) bool {
+	su, sc := ws.claim()
+	copy(su, u)
+	a.Apply(sc, su)
+	return ws.admit(su, sc)
 }
 
 // allZero reports whether every element of x is zero (either sign).
@@ -139,24 +197,40 @@ func allZero(x []float64) bool {
 	return true
 }
 
-// GMRES solves A x = b with restarted GMRES(m), writing the solution into
-// x (which also provides the initial guess). It allocates a fresh
-// workspace; use GMRESWith to reuse one across solves.
+// GMRES solves A x = b by right-preconditioned GMRES, writing the solution
+// into x (which also provides the initial guess). It allocates a fresh
+// space; use GMRESWith to reuse one's buffers across solves.
 func GMRES(a Matvec, x, b []float64, opt GMRESOptions) (GMRESResult, error) {
 	return GMRESWith(nil, a, x, b, opt)
 }
 
-// GMRESWith is GMRES with caller-provided scratch: ws is grown as needed
-// and reused, so steady-state solves are allocation-free. ws may be nil.
+// GMRESWith is GMRES in caller-provided scratch: ws is emptied, sized for
+// the solve (opt.Restart directions) and solved in, so steady-state solves
+// are allocation-free. ws may be nil.
 func GMRESWith(ws *GMRESWorkspace, a Matvec, x, b []float64, opt GMRESOptions) (GMRESResult, error) {
-	n := a.Dim()
-	if len(x) != n || len(b) != n {
+	if ws == nil {
+		ws = &GMRESWorkspace{}
+	}
+	ws.Reset(a.Dim(), opt.Restart)
+	return ws.Solve(a, x, b, opt)
+}
+
+// Solve solves A x = b in the space as it stands, x providing the initial
+// guess: the residual is projected onto the held directions, then
+// directions are added until the relative residual is at most opt.Tol, at
+// which point the true residual is recomputed and reported (Converged
+// allows it 10·Tol for the drift of the recurrence). x and r are updated
+// together after every direction, so whenever Solve returns — converged,
+// interrupted, out of iterations or broken down — x is the iterate whose
+// residual the result carries. The directions stay for the next solve.
+func (ws *GMRESWorkspace) Solve(a Matvec, x, b []float64, opt GMRESOptions) (GMRESResult, error) {
+	n := ws.dim
+	if a.Dim() != n || len(x) != n || len(b) != n {
 		return GMRESResult{}, errors.New("linalg: GMRES dimension mismatch")
 	}
 	if opt.Tol == 0 {
 		opt.Tol = 1e-6
 	}
-	opt.Restart = normalizeRestart(n, opt.Restart)
 	if opt.MaxIter == 0 {
 		opt.MaxIter = 10 * n
 	}
@@ -167,143 +241,65 @@ func GMRESWith(ws *GMRESWorkspace, a Matvec, x, b []float64, opt GMRESOptions) (
 		}
 		return GMRESResult{Converged: true}, nil
 	}
-
-	m := opt.Restart
-	if ws == nil {
-		ws = NewGMRESWorkspace(n, m)
+	// 1 = no progress beyond the guess, the report of a solve stopped
+	// before it knew its residual.
+	res := GMRESResult{Residual: 1}
+	if opt.Ctx != nil {
+		if err := opt.Ctx.Err(); err != nil {
+			return res, err
+		}
+	}
+	// residual sets r = b - A x from the operator.
+	r := ws.r[:n]
+	residual := func() {
+		a.Apply(r, x)
+		res.Applies++
+		for i := range r {
+			r[i] = b[i] - r[i]
+		}
+	}
+	// A·0 is not worth an application to find out.
+	if allZero(x) {
+		copy(r, b)
 	} else {
-		ws.ensure(n, m)
+		residual()
 	}
-	// Views at the solve's dimensions (the workspace may be larger).
-	v := ws.v[:m+1]
-	for i := range v {
-		v[i] = ws.v[i][:n]
+	step := func(u, c []float64) {
+		alpha := Dot(c, r)
+		Axpy(alpha, u, x)
+		Axpy(-alpha, c, r)
 	}
-	h := ws.h
-	cs, sn := ws.cs, ws.sn
-	g := ws.g[:m+1]
-	r, w, z := ws.r[:n], ws.w[:n], ws.z[:n]
-
-	total := 0
-	// lastRel is the most recent relative residual estimate, reported
-	// on a context interruption so an early exit still tells the caller
-	// how far the last iterate got (1 = no progress beyond the guess).
-	lastRel := 1.0
+	for i := ws.held; i >= 1; i-- { // oldest first
+		step(ws.pair(i))
+	}
 	for {
+		res.Residual = Norm2(r) / bnorm
+		if res.Residual <= opt.Tol {
+			residual()
+			res.Residual = Norm2(r) / bnorm
+			res.Converged = res.Residual <= 10*opt.Tol
+			return res, nil
+		}
+		if res.Iterations >= opt.MaxIter {
+			return res, nil
+		}
 		if opt.Ctx != nil {
 			if err := opt.Ctx.Err(); err != nil {
-				return GMRESResult{Iterations: total, Residual: lastRel}, err
+				return res, err
 			}
 		}
-		// r = b - A x; A·0 is not worth a matvec to find out.
-		if total == 0 && allZero(x) {
-			copy(r, b)
-		} else {
-			a.Apply(r, x)
-			for i := range r {
-				r[i] = b[i] - r[i]
-			}
-		}
-		beta := Norm2(r)
-		rel := beta / bnorm
-		lastRel = rel
-		if rel <= opt.Tol {
-			return GMRESResult{Iterations: total, Residual: rel, Converged: true}, nil
-		}
-		if total >= opt.MaxIter {
-			return GMRESResult{Iterations: total, Residual: rel, Converged: false}, nil
-		}
-		copy(v[0], r)
-		Scal(1/beta, v[0])
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
-
-		k := 0
-		for ; k < m && total < opt.MaxIter; k++ {
-			if opt.Ctx != nil {
-				if err := opt.Ctx.Err(); err != nil {
-					// Mid-cycle stop: x still holds the last restart's
-					// iterate; lastRel is its Givens residual estimate.
-					return GMRESResult{Iterations: total, Residual: lastRel}, err
-				}
-			}
-			total++
-			// w = A M^{-1} v_k.
-			src := v[k]
-			if opt.Precond != nil {
-				opt.Precond(z, v[k])
-				src = z
-			}
-			a.Apply(w, src)
-			// Modified Gram-Schmidt.
-			for i := 0; i <= k; i++ {
-				hik := Dot(w, v[i])
-				h.Set(i, k, hik)
-				Axpy(-hik, v[i], w)
-			}
-			wn := Norm2(w)
-			h.Set(k+1, k, wn)
-			if wn > 0 {
-				copy(v[k+1], w)
-				Scal(1/wn, v[k+1])
-			}
-			// Apply previous Givens rotations to the new column.
-			for i := 0; i < k; i++ {
-				t := cs[i]*h.At(i, k) + sn[i]*h.At(i+1, k)
-				h.Set(i+1, k, -sn[i]*h.At(i, k)+cs[i]*h.At(i+1, k))
-				h.Set(i, k, t)
-			}
-			// New rotation to annihilate h(k+1, k).
-			hk, hk1 := h.At(k, k), h.At(k+1, k)
-			d := math.Hypot(hk, hk1)
-			if d == 0 {
-				return GMRESResult{Iterations: total}, ErrGMRESBreakdown
-			}
-			cs[k], sn[k] = hk/d, hk1/d
-			h.Set(k, k, d)
-			h.Set(k+1, k, 0)
-			g[k+1] = -sn[k] * g[k]
-			g[k] *= cs[k]
-			rel = math.Abs(g[k+1]) / bnorm
-			lastRel = rel
-			if rel <= opt.Tol {
-				k++
-				break
-			}
-		}
-		// Solve the k x k triangular system and update x.
-		yk := ws.yk[:k]
-		for i := k - 1; i >= 0; i-- {
-			s := g[i]
-			for j := i + 1; j < k; j++ {
-				s -= h.At(i, j) * yk[j]
-			}
-			yk[i] = s / h.At(i, i)
-		}
-		// x += M^{-1} V y.
-		for i := range w {
-			w[i] = 0
-		}
-		for j := 0; j < k; j++ {
-			Axpy(yk[j], v[j], w)
-		}
+		u, c := ws.claim()
 		if opt.Precond != nil {
-			opt.Precond(z, w)
-			copy(w, z)
+			opt.Precond(u, r)
+		} else {
+			copy(u, r)
 		}
-		for i := range x {
-			x[i] += w[i]
+		a.Apply(c, u)
+		res.Iterations++
+		res.Applies++
+		if !ws.admit(u, c) {
+			return res, ErrGMRESBreakdown
 		}
-		if rel <= opt.Tol {
-			// Recompute the true residual for the report.
-			a.Apply(r, x)
-			for i := range r {
-				r[i] = b[i] - r[i]
-			}
-			rel = Norm2(r) / bnorm
-			return GMRESResult{Iterations: total, Residual: rel, Converged: rel <= opt.Tol*10}, nil
-		}
+		step(u, c)
 	}
 }

@@ -83,7 +83,7 @@ func TestGMRESWorkspaceReuse(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	ws := NewGMRESWorkspace(n, 20)
+	ws := newSpace(n, 20)
 	var first GMRESResult
 	for rep := 0; rep < 3; rep++ {
 		x := make([]float64, n)
@@ -115,6 +115,21 @@ func TestGMRESWorkspaceReuse(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("GMRESWith allocates %.0f objects per warm solve", allocs)
+	}
+	// Nor do solves in a space that is kept: once its ring is full every
+	// direction goes into a slot that exists.
+	ws.Reset(n, 4)
+	solve := func() {
+		for i := range x {
+			x[i] = 0
+		}
+		if res, err := ws.Solve(op, x, b, GMRESOptions{Tol: 1e-10}); err != nil || !res.Converged {
+			t.Fatal(res, err)
+		}
+	}
+	solve()
+	if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
+		t.Fatalf("Solve in a kept space allocates %.0f objects", allocs)
 	}
 }
 
@@ -197,7 +212,7 @@ func BenchmarkGMRESWarmWorkspace(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
-	ws := NewGMRESWorkspace(n, 50)
+	ws := newSpace(n, 50)
 	x := make([]float64, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

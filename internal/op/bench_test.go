@@ -15,7 +15,8 @@ import (
 // BenchmarkPipelineSolve compares the unified pipeline's multi-RHS solve
 // over the fmm operator with and without the near-field block-Jacobi
 // preconditioner (equal tolerance). The iters/op metric is the total
-// Krylov count across all conductor columns.
+// Krylov count across all conductor columns, applies/op every operator
+// application behind it (iterations and residual checks; no seeds here).
 func BenchmarkPipelineSolve(b *testing.B) {
 	spec := busSpec(b, 4, 4, 1e-6).withDefaults()
 	a := fmm.NewOperator(spec.Panels, fmm.Options{Eps: spec.Eps, Cfg: spec.Cfg})
@@ -33,16 +34,17 @@ func BenchmarkPipelineSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var iters int
+			var iters, applies int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := pl.ExtractRHS(phi)
 				if err != nil {
 					b.Fatal(err)
 				}
-				iters = res.Iterations
+				iters, applies = res.Iterations, res.Applies
 			}
 			b.ReportMetric(float64(iters), "iters/op")
+			b.ReportMetric(float64(applies), "applies/op")
 		})
 	}
 }

@@ -11,12 +11,14 @@
 //	Apply(dst, x)  // dst = P x; dst and x never alias
 //	Dim() int      // square dimension N
 //
-// Apply must be safe for concurrent use — the pipeline solves all
-// conductor right-hand sides at once, one Krylov iteration stream per
-// column — and should be allocation-free after warmup (the fmm and pfft
-// operators and DenseOperator all are in serial mode). Backends may
-// additionally implement NearBlocker to expose their near-field diagonal
-// blocks:
+// One solve applies the operator one call at a time — the conductor
+// right-hand sides are solved in index order, and the only parallelism is
+// the operator's own, on the executor it was built with — but a Pipeline
+// may run several solves at once and an operator may serve several
+// pipelines, so Apply must be safe for concurrent use; it should be
+// allocation-free after warmup (the fmm and pfft operators and
+// DenseOperator all are in serial mode). Backends may additionally
+// implement NearBlocker to expose their near-field diagonal blocks:
 //
 //	NearBlocks() (idx [][]int32, blocks []*linalg.Dense)
 //
@@ -24,22 +26,27 @@
 // blocks[k] is the corresponding dense sub-matrix of the operator. The
 // fmm operator returns its exact-Galerkin octree-leaf self blocks, the
 // pfft operator its precorrection-cluster blocks, and DenseOperator
-// fixed-size diagonal blocks.
+// spatial clusters of at most 64 panels of one conductor.
 //
 // # Pipeline
 //
 // Pipeline owns the three steps every entry point used to re-implement:
 // right-hand-side construction (unit-potential excitation per conductor,
-// Galerkin-tested with panel areas), the multi-RHS solve (concurrent
-// preconditioned restarted GMRES on pooled workspaces, or the direct
-// path for dense backends: one equilibrated, pivoted LDLᵀ), and the
-// charge-to-capacitance reduction C = Phi^T Rho (symmetrized).
+// Galerkin-tested with panel areas), the multi-RHS solve, and the
+// charge-to-capacitance reduction C = Phi^T Rho (symmetrized). The solve
+// is the direct path for dense backends (one equilibrated, pivoted LDLᵀ)
+// or one preconditioned, residual-minimising Krylov search space per call
+// (linalg.GMRESWorkspace): the columns share the operator, so they share
+// the space — each projects onto the directions the earlier ones added
+// before it pays for new ones — and a variant's solve seeds it with the
+// previous variant's charges (ExtractWarmCtx). The space holds
+// Options.Restart directions, never restarts, and dies with the call.
 //
 // # Preconditioner
 //
 // The block-Jacobi preconditioner (NewBlockJacobi) factorizes each near
 // block once with Cholesky at setup and applies all block solves
-// allocation-free inside GMRESWith; unknowns outside every block fall
+// allocation-free inside the solve; unknowns outside every block fall
 // back to the exact point-Jacobi diagonal. Because the near blocks carry
 // the strong interactions of the Galerkin matrix, block-Jacobi cuts
 // Krylov iteration counts across all accelerated backends relative to
@@ -73,6 +80,7 @@ package op
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -83,7 +91,8 @@ import (
 	"parbem/internal/sched"
 )
 
-// Operator is the solve-backend contract: a concurrency-safe matvec.
+// Operator is the solve-backend contract: a matvec safe for concurrent
+// pipelines (one solve never applies it twice at once).
 type Operator = linalg.Matvec
 
 // NearBlocker is optionally implemented by operators that can expose
@@ -290,48 +299,89 @@ func (s *Spec) stats() (span [3]float64, medianEdge float64) {
 	return span, edges[len(edges)/2]
 }
 
-// denseBlockSize is DenseOperator's near-block width: large enough that
-// the blocks capture meaningful local coupling, small enough that the
-// per-iteration block solves stay negligible next to the dense matvec.
-const denseBlockSize = 64
+// denseBlockMax bounds DenseOperator's near blocks: large enough that a
+// block captures the local coupling, small enough that the per-iteration
+// block solves stay negligible next to the dense matvec. Widths 48 to 128
+// on the same clusters left the iteration counts flat.
+const denseBlockMax = 64
 
 // DenseOperator adapts an assembled dense system matrix to the pipeline.
 // Its matvec delegates to linalg.DenseOp (row-blocked parallel above the
-// cutoff when an executor is configured) and its near blocks are
-// fixed-size diagonal blocks of the matrix.
+// cutoff when an executor is configured) and its near blocks are the
+// sub-matrices over spatial clusters of its panels.
 type DenseOperator struct {
 	linalg.DenseOp
-	// BlockSize overrides the near-block width (0 = denseBlockSize).
-	BlockSize int
+	panels []geom.Panel
 }
 
-// NewDenseOperator wraps an assembled matrix for the pipeline.
-func NewDenseOperator(m *linalg.Dense, ex sched.Executor) *DenseOperator {
-	return &DenseOperator{DenseOp: linalg.DenseOp{M: m, Exec: ex}}
+// NewDenseOperator wraps the assembled matrix of panels for the pipeline.
+func NewDenseOperator(m *linalg.Dense, panels []geom.Panel, ex sched.Executor) *DenseOperator {
+	return &DenseOperator{DenseOp: linalg.DenseOp{M: m, Exec: ex}, panels: panels}
 }
 
-// NearBlocks implements NearBlocker with contiguous diagonal blocks.
+// NearBlocks implements NearBlocker with spatial clusters that follow the
+// conductors, like the fmm and pfft operators' leaves: each conductor's
+// panels are bisected along the longest extent of their centres until a
+// cluster holds at most denseBlockMax of them. A block never straddles two
+// conductors, so a conductor that moves rigidly takes its blocks — and
+// their factors — with it, and inside a block the indices ascend, so the
+// same cluster is the same index sequence in every variant.
 func (d *DenseOperator) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
-	bs := d.BlockSize
-	if bs <= 0 {
-		bs = denseBlockSize
+	ctr := make([][3]float64, len(d.panels))
+	var byCond [][]int32
+	for i, pan := range d.panels {
+		c := pan.Center()
+		ctr[i] = [3]float64{c.X, c.Y, c.Z}
+		for len(byCond) <= pan.Conductor {
+			byCond = append(byCond, nil)
+		}
+		byCond[pan.Conductor] = append(byCond[pan.Conductor], int32(i))
 	}
-	n := d.M.Rows
-	for lo := 0; lo < n; lo += bs {
-		hi := lo + bs
-		if hi > n {
-			hi = n
+	for _, ix := range byCond {
+		if len(ix) > 0 {
+			idx = bisect(idx, ix, ctr)
 		}
-		ix := make([]int32, hi-lo)
-		b := linalg.NewDense(hi-lo, hi-lo)
-		for i := lo; i < hi; i++ {
-			ix[i-lo] = int32(i)
-			copy(b.Row(i-lo), d.M.Row(i)[lo:hi])
+	}
+	blocks = make([]*linalg.Dense, len(idx))
+	for k, ix := range idx {
+		b := linalg.NewDense(len(ix), len(ix))
+		for r, i := range ix {
+			row, src := b.Row(r), d.M.Row(int(i))
+			for c, j := range ix {
+				row[c] = src[j]
+			}
 		}
-		idx = append(idx, ix)
-		blocks = append(blocks, b)
+		blocks[k] = b
 	}
 	return idx, blocks
+}
+
+// bisect appends the clusters of the panels ix (centres ctr) to out. A
+// cluster above the bound is sorted along the longest extent of its
+// centres (ties by index) and cut so that each side gets a whole number of
+// blocks' worth.
+func bisect(out [][]int32, ix []int32, ctr [][3]float64) [][]int32 {
+	if len(ix) <= denseBlockMax {
+		slices.Sort(ix)
+		return append(out, ix)
+	}
+	axis, longest := 0, -1.0
+	for k := 0; k < 3; k++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, i := range ix {
+			lo, hi = math.Min(lo, ctr[i][k]), math.Max(hi, ctr[i][k])
+		}
+		if hi-lo > longest {
+			axis, longest = k, hi-lo
+		}
+	}
+	sort.Slice(ix, func(a, b int) bool {
+		ca, cb := ctr[ix[a]][axis], ctr[ix[b]][axis]
+		return ca < cb || ca == cb && ix[a] < ix[b]
+	})
+	nb := (len(ix) + denseBlockMax - 1) / denseBlockMax
+	cut := len(ix) * (nb / 2) / nb
+	return bisect(bisect(out, ix[:cut], ctr), ix[cut:], ctr)
 }
 
 var (

@@ -82,9 +82,11 @@ type Options struct {
 	Backend Backend
 	// Precond selects the preconditioner (default PrecondAuto).
 	Precond PrecondKind
-	// Tol is the GMRES relative residual tolerance (0 = 1e-4).
+	// Tol is the Krylov relative residual tolerance (0 = 1e-4).
 	Tol float64
-	// Restart is the GMRES restart length (0 = 60).
+	// Restart bounds the directions a solve's search space keeps (0 = 60):
+	// a ring shared by every right-hand side of the call, in which a new
+	// direction overwrites the oldest once it is full. Nothing restarts.
 	Restart int
 	// Direct forces the dense direct solve (SolveSPD: one equilibrated,
 	// pivoted LDLᵀ) instead of Krylov iteration; it requires the dense
@@ -123,13 +125,15 @@ type Interrupted struct {
 	// Iterations completed across all RHS columns before the stop.
 	Iterations int
 	// Residual is the worst (largest) relative residual across the RHS
-	// columns at the stop — the convergence state of the last iterate
-	// (1 = no progress beyond the initial guess, 0 = unknown).
+	// columns of Partial at the stop: what the column in flight had
+	// reached, or 1 (no progress) when a later column had not been
+	// started. 0 = unknown (the stop preceded the solve).
 	Residual float64
-	// Partial is the best-effort charge solution assembled from each
-	// column's last GMRES iterate (nil when the stop preceded any
-	// iterate). Converged columns carry their solution; interrupted
-	// columns whatever their last restart cycle produced.
+	// Partial is the best-effort charge solution (nil when the stop
+	// preceded any iterate). Columns are solved in index order: those
+	// before the one in flight carry their converged solutions, that one
+	// the iterate whose residual it reports (x and r move together, one
+	// direction at a time), those after it zeros.
 	Partial *linalg.Dense
 	// PartialC is the capacitance matrix reduced from Partial — the
 	// deadline-aware partial result a service surfaces alongside the
@@ -154,6 +158,9 @@ type Result struct {
 	Rho        *linalg.Dense // N x n panel charge densities per excitation
 	NumPanels  int
 	Iterations int // total Krylov iterations (0 for direct)
+	// Applies counts the operator applications of the Krylov solve: the
+	// iterations, one per seed and one true-residual check per column.
+	Applies int
 	// Backend is the resolved operator backend (never BackendAuto).
 	Backend Backend
 	// Precision is the resolved matvec arithmetic (never PrecisionAuto).
@@ -165,8 +172,8 @@ type Result struct {
 }
 
 // Pipeline is the unified solve path: one operator, one preconditioner,
-// pooled GMRES workspaces, and the shared RHS-construction and
-// capacitance-reduction steps. It never builds an operator: construct
+// one Krylov search space per solve call, and the shared RHS-construction
+// and capacitance-reduction steps. It never builds an operator: construct
 // with NewPrebuilt (stage artifacts of internal/plan, the one driver of a
 // panel extraction), NewWithOperator (caller-supplied operator) or
 // NewFromDense (already-assembled system matrix). A Pipeline may be
@@ -179,13 +186,11 @@ type Pipeline struct {
 	pre     Preconditioner
 	dense   *linalg.Dense // retained when the backend assembled densely
 	backend Backend
-	// ws is the free list of GMRES workspaces, one per column solved at
-	// once. Not a sync.Pool: the runtime keeps every pool that has been
-	// Put to reachable until the second collection after, and this one is
-	// a field of the pipeline, so each dead pipeline of a service that
-	// builds one per request — its assembled matrix, its block factors —
-	// stayed live for two cycles: 100 of the 168 MB the collector counted
-	// live on the serve_mix workload.
+	// ws is the free list of search-space buffers, one per solve call in
+	// flight. Not a sync.Pool: the runtime keeps a pool that has been Put
+	// to reachable for two collections, and as a field this one kept every
+	// dead pipeline of a service that builds one per request — matrix and
+	// block factors — with it: 100 of serve_mix's 168 MB live heap.
 	wsMu sync.Mutex
 	ws   []*linalg.GMRESWorkspace
 	// factors is the optional reused-block lookup of NewPrebuilt.
@@ -215,25 +220,24 @@ func NewWithOperator(spec Spec, a Operator, opt Options) (*Pipeline, error) {
 	return p, nil
 }
 
-// NewFromDense wraps an already-assembled system matrix (the
-// instantiable-basis solver's path: the matrix is tiny and solved
-// directly unless opt says otherwise). The spec-free pipeline takes its
-// dimensions from the matrix and its diagonal for preconditioning.
+// NewFromDense wraps an already-assembled system matrix for the direct
+// solve (the instantiable-basis solver's path; opt.Direct must be set: a
+// Krylov solve wants the panels behind the matrix, see NewPrebuilt). The
+// spec-free pipeline takes its dimensions from the matrix.
 func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
 	opt = opt.withDefaults()
 	if m.Rows != m.Cols {
 		return nil, errors.New("op: system matrix not square")
 	}
-	p := &Pipeline{
+	if !opt.Direct {
+		return nil, errors.New("op: NewFromDense solves directly (set Options.Direct)")
+	}
+	return &Pipeline{
 		opt:     opt,
 		dense:   m,
-		a:       NewDenseOperator(m, nil),
+		a:       linalg.DenseOp{M: m},
 		backend: BackendDense,
-	}
-	if err := p.buildPrecond(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	}, nil
 }
 
 // FMMOptions resolves the multipole operator options of a spec: the
@@ -330,7 +334,7 @@ func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 		if pb.Dense == nil {
 			return nil, errors.New("op: NewPrebuilt needs an operator or an assembled matrix")
 		}
-		a = NewDenseOperator(pb.Dense, spec.Exec)
+		a = NewDenseOperator(pb.Dense, spec.Panels, spec.Exec)
 	}
 	if a.Dim() != spec.N() {
 		return nil, errors.New("op: prebuilt operator dimension mismatch")
@@ -430,14 +434,15 @@ func (p *Pipeline) diagonal() []float64 {
 func (p *Pipeline) Preconditioner() Preconditioner { return p.pre }
 
 // ExtractWarmCtx builds the unit-potential RHS from the spec, solves and
-// reduces to the capacitance matrix. Column j of x0 seeds the Krylov
-// initial guess for conductor j (typically the previous geometry
-// variant's charge solution in a sweep); a nil or shape-mismatched x0
-// means zero starts and the direct path ignores it. A warm start changes
-// iteration counts, never the converged solution (which is determined by
-// the tolerance). The GMRES iteration loop observes ctx at every
-// checkpoint, so a deadline or cancellation stops the solve early with an
-// *Interrupted error carrying the iterations completed; the direct path
+// reduces to the capacitance matrix. The columns of x0 (typically the
+// previous geometry variant's charge solution in a sweep) seed the Krylov
+// search space every conductor's solve starts in, one operator
+// application each; a nil or shape-mismatched x0 means an empty space, and
+// the direct path and the mixed-precision refinement ignore it. Seeds
+// change iteration counts, never the converged solution (which is
+// determined by the tolerance). The solve observes ctx before every
+// operator application, so a deadline or cancellation stops it early with
+// an *Interrupted error carrying the iterations completed; the direct path
 // checks ctx once before factorizing (a dense factorization has no
 // interior checkpoints). A nil ctx means context.Background().
 func (p *Pipeline) ExtractWarmCtx(ctx context.Context, x0 *linalg.Dense) (*Result, error) {
@@ -454,7 +459,23 @@ func (p *Pipeline) ExtractRHS(phi *linalg.Dense) (*Result, error) {
 }
 
 func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Result, error) {
-	rho, iters, inertia, err := p.solveRHS(ctx, phi, x0)
+	if phi.Rows != p.a.Dim() {
+		return nil, errors.New("op: RHS dimension mismatch")
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, &Interrupted{Err: err}
+	}
+	res := &Result{NumPanels: p.a.Dim(), Backend: p.backend, Precision: p.Precision()}
+	var err error
+	if p.opt.Direct {
+		// One factorization per call; the inertia is what it found.
+		res.Rho, res.Inertia, err = solveSym(p.dense, phi)
+	} else {
+		err = p.solveKrylov(ctx, phi, x0, res)
+	}
 	if err != nil {
 		// A context interruption still reduces whatever iterate the
 		// solve reached into a best-effort capacitance estimate, so a
@@ -466,134 +487,95 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 		}
 		return nil, err
 	}
-	c := Reduce(p.spec.exec(), phi, rho)
-	return &Result{
-		C:          c,
-		Rho:        rho,
-		NumPanels:  p.a.Dim(),
-		Iterations: iters,
-		Backend:    p.backend,
-		Precision:  p.Precision(),
-		Inertia:    inertia,
-	}, nil
+	res.C = Reduce(p.spec.exec(), phi, res.Rho)
+	return res, nil
 }
 
-// solveRHS solves P Rho = Phi without the reduction step: the direct
-// path factorizes once per call and returns the inertia it found, the
-// iterative one runs one preconditioned GMRES per column concurrently,
-// each on a pooled workspace (allocation-free once the pool is warm).
-func (p *Pipeline) solveRHS(ctx context.Context, phi, x0 *linalg.Dense) (*linalg.Dense, int, linalg.Inertia, error) {
-	if phi.Rows != p.a.Dim() {
-		return nil, 0, linalg.Inertia{}, errors.New("op: RHS dimension mismatch")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, linalg.Inertia{}, &Interrupted{Err: err}
-	}
-	if p.opt.Direct {
-		rho, inertia, err := solveSym(p.dense, phi)
-		return rho, 0, inertia, err
-	}
-	rho, iters, err := p.solveKrylov(ctx, phi, x0)
-	return rho, iters, linalg.Inertia{}, err
-}
-
-// solveKrylov runs one preconditioned GMRES per column of phi.
-func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense) (*linalg.Dense, int, error) {
+// solveKrylov solves the columns of phi in index order in one
+// residual-minimising search space (linalg.GMRESWorkspace): the columns
+// share the operator and their Krylov spaces overlap, so each first
+// projects onto the directions the earlier ones left and pays applications
+// only for what is missing. The columns of a matching x0 — the previous
+// variant's charges — go in first as seeds, one application each; the
+// mixed-precision refinement solves against two operators, so it takes
+// none and empties the space for every inner solve. The space lives for
+// this call only, on buffers from the pipeline's free list. Nothing is
+// spawned: a solve's parallelism is its operator's, on the spec's executor.
+func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense, out *Result) error {
 	n := p.a.Dim()
 	nc := phi.Cols
-	if x0 != nil && (x0.Rows != n || x0.Cols != nc) {
-		x0 = nil
-	}
 	rho := linalg.NewDense(n, nc)
-	iters := make([]int, nc)
-	resids := make([]float64, nc)
-	errs := make([]error, nc)
-	var pre func(dst, r []float64)
+	opt := linalg.GMRESOptions{Tol: p.opt.Tol, Restart: p.opt.Restart, Ctx: ctx}
 	if p.pre != nil {
-		pre = p.pre.Apply
+		opt.Precond = p.pre.Apply
 	}
-	// As many claimers as columns: the solves run concurrently.
-	sched.Local(nc).Map(nc, func(j int) {
-		ws := p.acquireWS(n)
-		defer p.releaseWS(ws)
-		b := make([]float64, n)
-		x := make([]float64, n)
-		for i := 0; i < n; i++ {
-			b[i] = phi.At(i, j)
-		}
-		if x0 != nil {
-			for i := 0; i < n; i++ {
+	ws := p.acquireWS()
+	defer p.releaseWS(ws)
+	ws.Reset(n, p.opt.Restart)
+	b := make([]float64, n)
+	x := make([]float64, n)
+	if x0 != nil && x0.Rows == n && x0.Cols == nc && p.mixedA == nil {
+		for j := 0; j < nc; j++ {
+			if err := ctx.Err(); err != nil {
+				return &Interrupted{Err: err}
+			}
+			for i := range x {
 				x[i] = x0.At(i, j)
 			}
+			ws.Seed(p.a, x) // a dependent seed is dropped
+			out.Applies++
+		}
+	}
+	worst := 0.0 // largest residual over the columns solved so far
+	for j := 0; j < nc; j++ {
+		for i := range b {
+			b[i], x[i] = phi.At(i, j), 0
 		}
 		var res linalg.GMRESResult
 		var err error
 		if p.mixedA != nil {
-			res, err = p.solveRefined(ctx, ws, x, b, pre)
+			res, err = p.solveRefined(ctx, ws, x, b, opt.Precond)
 		} else {
-			res, err = linalg.GMRESWith(ws, p.a, x, b, linalg.GMRESOptions{
-				Tol:     p.opt.Tol,
-				Restart: p.opt.Restart,
-				Precond: pre,
-				Ctx:     ctx,
-			})
+			res, err = ws.Solve(p.a, x, b, opt)
 		}
-		// Record partial iteration counts, residuals and the last
-		// iterate even on failure: an interrupted solve reports the
-		// work it completed, and the partial charges feed the
-		// best-effort capacitance estimate of a deadline-aware
-		// early exit. Columns write disjoint entries, so the shared
-		// matrix needs no locking.
-		iters[j] = res.Iterations
-		resids[j] = res.Residual
-		for i := 0; i < n; i++ {
+		// The iterate counts even on failure: an interrupted solve
+		// reports the work it completed, and its partial charges feed the
+		// best-effort capacitance of a deadline-aware early exit.
+		out.Iterations += res.Iterations
+		out.Applies += res.Applies
+		worst = math.Max(worst, res.Residual)
+		for i := range x {
 			rho.Set(i, j, x[i])
 		}
+		if cerr := ctx.Err(); err != nil && cerr != nil && errors.Is(err, cerr) {
+			if j < nc-1 {
+				worst = math.Max(worst, 1) // no progress on a column not started
+			}
+			return &Interrupted{
+				Iterations: out.Iterations, Residual: worst, Partial: rho, Err: cerr,
+			}
+		}
 		if err != nil {
-			errs[j] = fmt.Errorf("op: GMRES failed on column %d: %w", j, err)
-			return
+			return fmt.Errorf("op: GMRES failed on column %d: %w", j, err)
 		}
 		if !res.Converged {
-			errs[j] = fmt.Errorf("op: GMRES stalled on column %d (res %g)", j, res.Residual)
-		}
-	})
-	total := 0
-	for j := 0; j < nc; j++ {
-		total += iters[j]
-	}
-	for j := 0; j < nc; j++ {
-		if errs[j] != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(errs[j], cerr) {
-				worst := 0.0
-				for _, r := range resids {
-					if r > worst {
-						worst = r
-					}
-				}
-				return nil, total, &Interrupted{
-					Iterations: total, Residual: worst, Partial: rho, Err: cerr,
-				}
-			}
-			return nil, total, errs[j]
+			return fmt.Errorf("op: GMRES stalled on column %d (res %g)", j, res.Residual)
 		}
 	}
-	return rho, total, nil
+	out.Rho = rho
+	return nil
 }
 
-// acquireWS takes a GMRES workspace from the free list (grown as needed).
-func (p *Pipeline) acquireWS(n int) *linalg.GMRESWorkspace {
+// acquireWS takes a search space's buffers from the free list.
+func (p *Pipeline) acquireWS() *linalg.GMRESWorkspace {
 	p.wsMu.Lock()
+	defer p.wsMu.Unlock()
 	k := len(p.ws)
 	if k == 0 {
-		p.wsMu.Unlock()
-		return linalg.NewGMRESWorkspace(n, p.opt.Restart)
+		return &linalg.GMRESWorkspace{}
 	}
 	ws := p.ws[k-1]
 	p.ws = p.ws[:k-1]
-	p.wsMu.Unlock()
 	return ws
 }
 

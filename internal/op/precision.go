@@ -119,10 +119,13 @@ const (
 // float64. When refinement stalls — the fp32 noise floor amplified by
 // conditioning exceeds what the remaining tolerance needs — the solve
 // finishes with full fp64 GMRES from the current iterate, so mixed
-// precision never loses accuracy, only (in the worst case) time.
+// precision never loses accuracy, only (in the worst case) time. The
+// inner and the finishing solves are against different operators, so each
+// runs on an emptied space (linalg.GMRESWith on ws): nothing is shared
+// between them or across columns.
 func (p *Pipeline) solveRefined(ctx context.Context, ws *linalg.GMRESWorkspace, x, b []float64, pre func(dst, r []float64)) (linalg.GMRESResult, error) {
 	tol := p.opt.Tol
-	bn := norm2(b)
+	bn := linalg.Norm2(b)
 	if bn == 0 {
 		for i := range x {
 			x[i] = 0
@@ -133,20 +136,21 @@ func (p *Pipeline) solveRefined(ctx context.Context, ws *linalg.GMRESWorkspace, 
 	r := make([]float64, n)
 	d := make([]float64, n)
 	inner := mixedMatvec{p.mixedA}
-	total := 0
+	total, applies := 0, 0
 	rel := math.Inf(1)
 	for outer := 0; outer < refineMaxOuter; outer++ {
 		if err := ctx.Err(); err != nil {
-			return linalg.GMRESResult{Iterations: total, Residual: rel}, err
+			return linalg.GMRESResult{Iterations: total, Applies: applies, Residual: rel}, err
 		}
 		p.a.Apply(r, x)
+		applies++
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
 		prev := rel
-		rel = norm2(r) / bn
+		rel = linalg.Norm2(r) / bn
 		if rel <= tol {
-			return linalg.GMRESResult{Iterations: total, Residual: rel, Converged: true}, nil
+			return linalg.GMRESResult{Iterations: total, Applies: applies, Residual: rel, Converged: true}, nil
 		}
 		if outer > 0 && !(rel < 0.5*prev) {
 			// Stalled (or NaN): refinement is no longer contracting.
@@ -168,9 +172,10 @@ func (p *Pipeline) solveRefined(ctx context.Context, ws *linalg.GMRESWorkspace, 
 			Tol: innerTol, Restart: p.opt.Restart, Precond: pre, Ctx: ctx,
 		})
 		total += res.Iterations
+		applies += res.Applies
 		if err != nil {
 			if ctx.Err() != nil {
-				return linalg.GMRESResult{Iterations: total, Residual: rel}, err
+				return linalg.GMRESResult{Iterations: total, Applies: applies, Residual: rel}, err
 			}
 			// Numerical breakdown in the fp32 inner solve: the fp64
 			// fallback below owns the column from here.
@@ -186,14 +191,6 @@ func (p *Pipeline) solveRefined(ctx context.Context, ws *linalg.GMRESWorkspace, 
 		Tol: tol, Restart: p.opt.Restart, Precond: pre, Ctx: ctx,
 	})
 	res.Iterations += total
+	res.Applies += applies
 	return res, err
-}
-
-// norm2 is the Euclidean norm.
-func norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // Preconditioner approximates dst = M^{-1} r for the pipeline's right-
-// preconditioned GMRES. Apply must be safe for concurrent use (one call
-// per right-hand-side column is in flight at a time) and allocation-free
-// after warmup.
+// preconditioned Krylov solve. One solve applies it one call at a time
+// (the columns are solved in order); Apply must still be safe for
+// concurrent use, because a Pipeline's Extract methods are, and
+// allocation-free after warmup.
 type Preconditioner interface {
 	Apply(dst, r []float64)
 }
@@ -66,8 +67,8 @@ type BlockJacobi struct {
 	covered []bool
 
 	// scratch manages the gather/solve buffer: warm dedicated value for
-	// the one-Apply-at-a-time case, pooled overflow for concurrent
-	// Applies (one per RHS column).
+	// the one-Apply-at-a-time case (one solve), pooled overflow for
+	// concurrent Applies (two solves on one pipeline).
 	scratch *sched.Scratch[*[]float64]
 	maxBlk  int
 

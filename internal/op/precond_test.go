@@ -118,12 +118,118 @@ func TestFMMNearBlocksMatchEntries(t *testing.T) {
 	}
 }
 
+// TestDenseNearBlocksFollowConductors pins the dense operator's block
+// rule: every block lies in one conductor, holds at most denseBlockMax
+// unknowns in ascending order and is the matrix restricted to them; the
+// blocks are disjoint and cover every unknown.
+func TestDenseNearBlocksFollowConductors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		spec   Spec
+		blocks int
+	}{
+		{"crossing", crossingSpec(t, 0.4e-6), 10}, // 262 panels a wire: 5 blocks each
+		{"bus3x3", busSpec(t, 3, 3, 1e-6), 6},     // 38 panels a wire: its own block
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec.withDefaults()
+			m := spec.AssembleDense()
+			idx, blocks := NewDenseOperator(m, spec.Panels, nil).NearBlocks()
+			if len(idx) != tc.blocks || len(blocks) != len(idx) {
+				t.Errorf("%d blocks over %d index lists, want %d", len(blocks), len(idx), tc.blocks)
+			}
+			seen := make([]bool, spec.N())
+			for k, ix := range idx {
+				if len(ix) == 0 || len(ix) > denseBlockMax {
+					t.Fatalf("block %d holds %d unknowns", k, len(ix))
+				}
+				for r, i := range ix {
+					if seen[i] {
+						t.Fatalf("unknown %d in two blocks", i)
+					}
+					seen[i] = true
+					if r > 0 && ix[r-1] >= i {
+						t.Fatalf("block %d not ascending at %d", k, r)
+					}
+					if spec.Panels[i].Conductor != spec.Panels[ix[0]].Conductor {
+						t.Fatalf("block %d straddles conductors %d and %d", k,
+							spec.Panels[ix[0]].Conductor, spec.Panels[i].Conductor)
+					}
+					for c, j := range ix {
+						if blocks[k].At(r, c) != m.At(int(i), int(j)) {
+							t.Fatalf("block %d entry (%d,%d) is not the matrix's (%d,%d)", k, r, c, i, j)
+						}
+					}
+				}
+			}
+			for i, s := range seen {
+				if !s {
+					t.Fatalf("unknown %d uncovered", i)
+				}
+			}
+		})
+	}
+}
+
+// indexRanges is a dense matvec whose near blocks are runs of consecutive
+// indices, which straddle faces and conductors: the rule the dense
+// operator had before its blocks followed the conductors.
+type indexRanges struct{ linalg.DenseOp }
+
+func (d indexRanges) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
+	n := d.M.Rows
+	for lo := 0; lo < n; lo += denseBlockMax {
+		hi := min(lo+denseBlockMax, n)
+		ix := make([]int32, hi-lo)
+		b := linalg.NewDense(hi-lo, hi-lo)
+		for i := lo; i < hi; i++ {
+			ix[i-lo] = int32(i)
+			copy(b.Row(i-lo), d.M.Row(i)[lo:hi])
+		}
+		idx, blocks = append(idx, ix), append(blocks, b)
+	}
+	return idx, blocks
+}
+
 // TestBlockJacobiReducesIterations is the preconditioner's reason to
-// exist: on a >= 2k-panel bus, block-Jacobi must strictly reduce the
-// total GMRES iteration count against the unpreconditioned fmm path at
-// equal tolerance, while producing the same capacitance matrix within
-// the solve tolerance.
+// exist. fmm: on a >= 2k-panel bus, block-Jacobi must strictly reduce the
+// total iteration count against the unpreconditioned path at equal
+// tolerance, while producing the same capacitance matrix within the solve
+// tolerance. dense: blocks that are spatial clusters of one conductor must
+// strictly beat blocks of as many consecutive indices over the same
+// matrix.
 func TestBlockJacobiReducesIterations(t *testing.T) {
+	t.Run("dense", func(t *testing.T) {
+		spec := crossingSpec(t, 0.4e-6).withDefaults()
+		m := spec.AssembleDense()
+		ranges, err := NewWithOperator(spec, indexRanges{linalg.DenseOp{M: m}}, Options{Precond: PrecondBlockJacobi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rres, err := extract(ranges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters, err := NewPrebuilt(spec, Options{Precond: PrecondBlockJacobi}, Prebuilt{Dense: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cres, err := extract(clusters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cres.Iterations >= rres.Iterations {
+			t.Errorf("clusters did not reduce iterations: %d vs index ranges %d", cres.Iterations, rres.Iterations)
+		}
+		t.Logf("N=%d: index ranges %d iterations, clusters %d", spec.N(), rres.Iterations, cres.Iterations)
+		if d := capDiff(cres, rres); d > 2e-4 {
+			t.Errorf("results deviate by %g", d)
+		}
+	})
+	t.Run("fmm", testBlockJacobiReducesIterationsFMM)
+}
+
+func testBlockJacobiReducesIterationsFMM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fmm construction and solves")
 	}

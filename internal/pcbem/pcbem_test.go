@@ -27,7 +27,7 @@ func solveDense(t *testing.T, st *geom.Structure, maxEdge float64) *plan.Result 
 	return res
 }
 
-// solveIterative runs the pipeline's concurrent multi-RHS GMRES over the
+// solveIterative runs the pipeline's multi-RHS Krylov solve over the
 // assembled matrix as a plain matvec (point-Jacobi preconditioned: a
 // linalg.DenseOp exposes no near blocks).
 func solveIterative(tb testing.TB, spec op.Spec, a linalg.Matvec, tol float64) *op.Result {

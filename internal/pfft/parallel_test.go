@@ -49,8 +49,8 @@ func TestApplyAllocFree(t *testing.T) {
 
 // TestConcurrentAppliesMatchSerial exercises the scratch overflow path:
 // many goroutines applying the same operator concurrently must all get
-// the bit-exact serial answer (the pipeline runs one GMRES per conductor
-// over one shared operator).
+// the bit-exact serial answer (concurrent solves may share one
+// operator).
 func TestConcurrentAppliesMatchSerial(t *testing.T) {
 	panels := busPanels(t, 2, 2, 1.5e-6)
 	n := len(panels)

@@ -101,7 +101,7 @@ type stencil struct {
 
 // applyScratch is the per-Apply mutable state: panel charges and the
 // padded FFT work grid (real, half-spectrum layout). Pooling it keeps
-// Apply re-entrant (concurrent GMRES solves share one Operator) and
+// Apply re-entrant (concurrent solves may share one Operator) and
 // allocation-free after warmup.
 type applyScratch struct {
 	charges []float64

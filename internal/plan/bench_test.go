@@ -11,7 +11,9 @@ import (
 // through one plan on the fmm backend. One benchmark iteration is the
 // whole sweep; cold_ms/pt is the from-scratch first point, warm_ms/pt
 // the average of the 15 delta-reused points — their ratio is the
-// per-point setup amortization the plan layer exists for.
+// per-point setup amortization the plan layer exists for. applies/op is
+// the sweep's operator applications: iterations, seeds and residual
+// checks, the count the solve stage's time is a multiple of.
 func BenchmarkSweepIncremental(b *testing.B) {
 	const edge = 0.25e-6
 	const points = 16
@@ -25,6 +27,7 @@ func BenchmarkSweepIncremental(b *testing.B) {
 	}}
 	b.ResetTimer()
 	var cold, warm float64
+	applies := 0
 	for n := 0; n < b.N; n++ {
 		p, err := New(opt)
 		if err != nil {
@@ -35,6 +38,7 @@ func BenchmarkSweepIncremental(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			applies += res.Applies
 			ms := res.Total.Seconds() * 1e3
 			if i == 0 {
 				cold += ms
@@ -43,6 +47,7 @@ func BenchmarkSweepIncremental(b *testing.B) {
 			}
 		}
 	}
+	b.ReportMetric(float64(applies)/float64(b.N), "applies/op")
 	b.ReportMetric(cold/float64(b.N), "cold_ms/pt")
 	b.ReportMetric(warm/float64(b.N*(points-1)), "warm_ms/pt")
 }

@@ -35,7 +35,10 @@
 //     Discretization and Topology stages are rebuilt — both are
 //     O(N log N) with no kernel integration, noise next to the
 //     integral-bearing stages they feed. The previous variant's charge
-//     solution warm-starts the Krylov solves.
+//     solutions seed the search space the Krylov solve of every conductor
+//     starts in (op.Pipeline.ExtractWarmCtx). On the dense backend the
+//     near blocks are clusters of one conductor's panels, so a rigid
+//     motion keeps every block's factor (TestKrylovLadders).
 //   - Anything else (resized boxes, changed counts): the affected
 //     panels' entries are re-integrated; incomparable geometries
 //     rebuild from scratch.
@@ -128,7 +131,7 @@ type Stats struct {
 	ClassesIntegrated int64 `json:"classes_integrated"`
 	DenseReused       int64 `json:"dense_reused"` // dense upper-triangle entries copied
 	FactReused        int   `json:"fact_reused"`  // block factors adopted across variants
-	WarmStarts        int   `json:"warm_starts"`  // solves seeded from the previous variant
+	WarmStarts        int   `json:"warm_starts"`  // solves offered the previous variant's charges as seeds
 
 	// Persistent-store traffic (zero unless Options.Artifacts is set).
 	ArtifactHits   int64 `json:"artifact_hits"`   // stage payloads decoded from the store
@@ -156,7 +159,7 @@ type StageTimings struct {
 
 // Result is a completed plan extraction. It is shared with the plan's
 // internal state (cache hits return the same object; Rho seeds the next
-// variant's warm start) and must be treated as read-only.
+// variant's solve) and must be treated as read-only.
 type Result struct {
 	C   *linalg.Dense // n x n capacitance matrix (F)
 	Rho *linalg.Dense // N x n panel charge densities per excitation
@@ -165,11 +168,14 @@ type Result struct {
 	NumPanels     int
 	NumConductors int
 	Iterations    int // total Krylov iterations (0 for direct)
-	Backend       op.Backend
-	Precision     op.Precision // resolved matvec arithmetic (never auto)
-	Reused        StageReuse
-	Stages        StageTimings
-	Total         time.Duration
+	// Applies counts the solve's operator applications: the iterations,
+	// one per seed and one true-residual check per column.
+	Applies   int
+	Backend   op.Backend
+	Precision op.Precision // resolved matvec arithmetic (never auto)
+	Reused    StageReuse
+	Stages    StageTimings
+	Total     time.Duration
 }
 
 // Interrupted reports an extraction stopped at a context checkpoint:
@@ -550,7 +556,8 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		}
 	}
 
-	// Solve (warm-started from the previous variant when aligned).
+	// Solve (in a space seeded by the previous variant's charges when
+	// aligned).
 	if err := check("solve"); err != nil {
 		return nil, err
 	}
@@ -567,7 +574,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 	}
 	res.Stages.Solve = time.Since(tS)
 	res.C, res.Rho = opres.C, opres.Rho
-	res.Iterations = opres.Iterations
+	res.Iterations, res.Applies = opres.Iterations, opres.Applies
 	res.Precision = opres.Precision
 	res.Total = time.Since(t0)
 

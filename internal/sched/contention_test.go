@@ -70,7 +70,7 @@ func BenchmarkMapContention(b *testing.B) {
 
 // BenchmarkScratchContention measures concurrent Acquire/Release on one
 // Scratch: the hot CAS on busy plus sync.Pool overflow, the pattern of
-// concurrent GMRES columns sharing one operator.
+// concurrent solves sharing one operator.
 func BenchmarkScratchContention(b *testing.B) {
 	for _, w := range contentionWorkers() {
 		b.Run(fmt.Sprintf("g=%d", w), func(b *testing.B) {

@@ -48,7 +48,9 @@
 // builds the selected operator stage by stage on a Plan (see the next
 // section; a one-shot extraction is a plan with one variant) and solves
 // every conductor excitation through the unified pipeline of
-// internal/op: concurrent preconditioned GMRES on pooled workspaces, or
+// internal/op: one preconditioned Krylov search space that all the
+// excitations of a solve share (each starts from what the earlier ones
+// found; PipelineOptions.Restart bounds the directions it keeps), or
 // for dense with PipelineOptions.Direct one equilibrated
 // symmetric-indefinite LDLᵀ, then the shared charge-to-capacitance
 // reduction (which the template solver behind Extract uses too). Three
@@ -113,8 +115,10 @@
 // delta invalidates only the stages that truly changed. Boxes that move
 // rigidly between variants (an h-sweep translating one layer) keep every
 // interaction integral among themselves: only cross-group entries go back
-// to the class table, block factors over unchanged panels are adopted, and
-// the previous variant's charge solution warm-starts the Krylov solves.
+// to the class table, block factors over unchanged panels are adopted —
+// all of them on the dense backend, whose blocks never straddle two
+// conductors — and the previous variant's charge solutions, every
+// conductor's, seed the search space the Krylov solve starts in.
 // Identical geometry is a pure cache hit. A plan has one tolerance and
 // one set of solve options for life; a different tolerance is a
 // different plan.
@@ -129,12 +133,12 @@
 // On a 16-point crossing h-sweep the shared plan agrees with a fresh
 // plan per point to 1e-10 while copying at least three near-field
 // entries for each one it integrates, adopting the block factors on most
-// steps and converging every warm-started solve in fewer iterations than
+// steps and converging every seeded solve in fewer iterations than
 // its cold twin (TestSweepIncrementalSpeedup asserts that work, not wall
 // clock; the timing is the plan_sweep workload of bench/). SweepH and the
 // capx -sweep flag run on plans internally. Results must be treated as
-// read-only — cache hits return the cached object and warm starts read
-// the stored charges.
+// read-only — cache hits return the cached object and the next
+// variant's seeds are the stored charges.
 //
 // # Running as a service
 //
