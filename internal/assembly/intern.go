@@ -22,6 +22,11 @@ type Interned struct {
 	// panels are what InternPanels interned, each a flat template of
 	// amplitude 1 (last: what every pair reads stays on one cache line).
 	panels []geom.Panel
+	// groups, rank and reps index the panels for the block fill (see
+	// "Blocks"); nil when a basis set was interned.
+	groups []tplGroup
+	rank   [][3]uint16 // per panel: its extent's rank in its group, per axis
+	reps   []int32     // per group and axis: one member per distinct extent
 }
 
 type tplInfo struct {
@@ -77,18 +82,20 @@ func (in *Integrator) intern(f *Interned, m int, fp uint64) *Interned {
 		ti.amp, ti.moment, ti.diam, ti.centroid = t.Amplitude, t.Moment(), t.Support.Diameter(), t.Centroid()
 	}
 	extent := max(hi[0]-lo[0], hi[1]-lo[1], hi[2]-lo[2])
-	if !(extent > 0) || math.IsInf(extent, 1) {
-		return f
+	if extent > 0 && !math.IsInf(extent, 1) {
+		_, e := math.Frexp(extent)
+		qexp := e - latticeBits
+		f.invQ = math.Ldexp(1, -qexp)
+		if f.pairs = in.Pairs; f.pairs == nil {
+			f.pairs = NewPairCache(0)
+		}
+		for i := range f.tpl {
+			t := f.template(i)
+			f.tpl[i].cls = f.pairs.classOf(fp, qexp, &t)
+		}
 	}
-	_, e := math.Frexp(extent)
-	qexp := e - latticeBits
-	f.invQ = math.Ldexp(1, -qexp)
-	if f.pairs = in.Pairs; f.pairs == nil {
-		f.pairs = NewPairCache(0)
-	}
-	for i := range f.tpl {
-		t := f.template(i)
-		f.tpl[i].cls = f.pairs.classOf(fp, qexp, &t)
+	if f.set == nil {
+		f.group()
 	}
 	return f
 }
@@ -110,21 +117,19 @@ func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 	var d2 float64
 	for ax := range a.lo {
 		if g := b.lo[ax] - a.hi[ax]; g > 0 {
-			d2 += g * g
+			d2 += float64(g * g)
 		} else if g := a.lo[ax] - b.hi[ax]; g > 0 {
-			d2 += g * g
+			d2 += float64(g * g)
 		}
 	}
-	d, diam := math.Sqrt(d2), 0.5*(a.diam+b.diam)
-	if d > f.far*diam {
-		// Far field, decided and evaluated at absolute coordinates: point
-		// charges carrying the zeroth moments at the charge centroids.
+	if f.beyond(d2, a, b) {
+		// Far field, decided and evaluated at absolute coordinates.
 		c.PairsFar++
-		return a.moment * b.moment / a.centroid.Dist(b.centroid)
+		return farValue(a, b)
 	}
 	c.PairsNear++
 	if a.cls == nil || b.cls == nil {
-		return f.pairAbsolute(i, j, d, diam)
+		return f.pairAbsolute(i, j, d2)
 	}
 	var k pairKey
 	ca, cb := f.canon(a, b, &k)
@@ -152,9 +157,23 @@ func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 // for a branch no builder's output takes.
 //
 //go:noinline
-func (f *Interned) pairAbsolute(i, j int, d, diam float64) float64 {
+func (f *Interned) pairAbsolute(i, j int, d2 float64) float64 {
 	ti, tj := f.template(i), f.template(j)
-	return f.in.templatePairNear(&ti, &tj, d, diam)
+	return f.in.templatePairNear(&ti, &tj, math.Sqrt(d2), 0.5*(f.tpl[i].diam+f.tpl[j].diam))
+}
+
+// beyond is the far gate: whether a pair whose supports lie sqrt(d2) apart
+// is past FarFactor mean diameters. (The squares summed into d2 are rounded
+// on their own — float64(g * g) — so that no architecture fuses them into
+// the sum and the block fill's per-axis tables add up to the same bits.)
+func (f *Interned) beyond(d2 float64, a, b *tplInfo) bool {
+	return math.Sqrt(d2) > f.far*(0.5*(a.diam+b.diam))
+}
+
+// farValue is the far-field form: point charges carrying the zeroth
+// moments at the charge centroids.
+func farValue(a, b *tplInfo) float64 {
+	return a.moment * b.moment / a.centroid.Dist(b.centroid)
 }
 
 // canon writes the key of the near pair (a, b) to k — its class under

@@ -62,6 +62,14 @@ type PairCache struct {
 	mu      sync.Mutex // serializes put, and classOf
 	classes map[classKey]*tplClass
 	lastID  uint32
+
+	// blocks is the free list of the block fill's scratch (see "Blocks"):
+	// the fills of a long-lived table take their tables and memos from it
+	// and give them back, so a steady stream of assemblies allocates none.
+	blocks struct {
+		sync.Mutex
+		free []*blockScratch
+	}
 }
 
 const (

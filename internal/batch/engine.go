@@ -109,11 +109,12 @@ type Stats struct {
 	StateMisses uint64 `json:"state_misses"`
 	// PairHits/PairMisses count the lookups of the shared class table:
 	// one per non-far pair — of templates (Extract) or of panels whose
-	// entry no previous variant supplied (ExtractPipeline) — a miss being
-	// an integration. The table's lookups take no lock and count nothing;
-	// these are Fill's counts, which the fills' workers keep: misses are
-	// its ClassesIntegrated, hits the rest of its PairsNear. (With the
-	// Distributed backend they describe the ranks' private tables.)
+	// entry no previous variant supplied and no block memo served
+	// (ExtractPipeline) — a miss being an integration. The table's lookups
+	// take no lock and count nothing; these are Fill's counts, which the
+	// fills' workers keep: misses are its ClassesIntegrated, hits the rest
+	// of its PairsNear less its PairMemo. (With the Distributed backend
+	// they describe the ranks' private tables.)
 	PairHits    uint64 `json:"pair_hits"`
 	PairMisses  uint64 `json:"pair_misses"`
 	PairEntries int    `json:"pair_entries"`
@@ -195,7 +196,7 @@ func (e *Engine) Stats() Stats {
 	s.Fill = e.fill
 	e.mu.Unlock()
 	s.PairMisses = uint64(s.Fill.ClassesIntegrated)
-	s.PairHits = uint64(s.Fill.PairsNear) - s.PairMisses
+	s.PairHits = uint64(s.Fill.PairsNear-s.Fill.PairMemo) - s.PairMisses
 	s.Fill.TableBytes = e.pairs.Bytes()
 	return s
 }

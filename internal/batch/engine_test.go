@@ -168,7 +168,7 @@ func TestEngineBatchWork(t *testing.T) {
 		t.Errorf("15 repeats: %d basis cache hits and %d misses, want 15 and 0",
 			all.StateHits-first.StateHits, all.StateMisses-first.StateMisses)
 	}
-	if f := all.Fill; f.PairsNear != 16*lone.Fill.PairsNear || f.ClassesIntegrated != lone.Fill.ClassesIntegrated ||
+	if f := all.Fill; f.PairsNear != 16*lone.Fill.PairsNear || f.ClassesIntegrated != lone.Fill.ClassesIntegrated || f.PairMemo != 0 ||
 		all.PairHits+all.PairMisses != uint64(f.PairsNear) || all.PairEntries != int(f.ClassesIntegrated) {
 		t.Errorf("engine stats do not add up: %+v", all)
 	}
@@ -306,8 +306,12 @@ func TestEnginePanelPairsShared(t *testing.T) {
 		t.Errorf("fill %+v over %d requests of %+v each", s.Fill, requests, fill)
 	}
 	// Two requests that meet on a class both integrate it; the one that
-	// stores it counts the miss.
-	if looked := int64(s.PairHits + s.PairMisses); looked != s.Fill.PairsNear || int64(s.PairMisses) != fill.ClassesIntegrated {
-		t.Errorf("%d hits + %d misses for %d near pairs in %d classes", s.PairHits, s.PairMisses, s.Fill.PairsNear, fill.ClassesIntegrated)
+	// stores it counts the miss. A near pair its block's memo served was
+	// no lookup.
+	if fill.PairMemo == 0 || s.Fill.PairMemo != requests*fill.PairMemo {
+		t.Errorf("%d near pairs from block memos over %d requests of %d each", s.Fill.PairMemo, requests, fill.PairMemo)
+	}
+	if looked := int64(s.PairHits + s.PairMisses); looked != s.Fill.PairsNear-s.Fill.PairMemo || int64(s.PairMisses) != fill.ClassesIntegrated {
+		t.Errorf("%d hits + %d misses for %d near pairs, %d from memos, in %d classes", s.PairHits, s.PairMisses, s.Fill.PairsNear, s.Fill.PairMemo, fill.ClassesIntegrated)
 	}
 }

@@ -70,10 +70,22 @@ func (s *Structure) PanelizeProv(maxEdge float64) ([]Panel, []BoxRef) {
 }
 
 // panelize generates the panels in deterministic conductor/box/face
-// order, optionally recording provenance.
+// order, optionally recording provenance. It counts them first, so that
+// each slice is allocated once.
 func (s *Structure) panelize(maxEdge float64, wantProv bool) ([]Panel, []BoxRef) {
-	var out []Panel
+	n := 0
+	for _, c := range s.Conductors {
+		for _, b := range c.Boxes {
+			for _, f := range b.Faces() {
+				n += gridCount(f.U.Len(), maxEdge) * gridCount(f.V.Len(), maxEdge)
+			}
+		}
+	}
+	out := make([]Panel, 0, n)
 	var prov []BoxRef
+	if wantProv {
+		prov = make([]BoxRef, 0, n)
+	}
 	var scratch []Rect
 	for ci, c := range s.Conductors {
 		for bi, b := range c.Boxes {

@@ -28,7 +28,8 @@ const (
 // partition into a table of its own (in.Pairs is not used) and reports
 // its work counters in its header message; rank 0 credits the sum to in.
 // A class value is a pure function of its key, so a class that several
-// ranks integrate has the same bits on each.
+// ranks integrate has the same bits on each. The header carries no
+// PairMemo: a template fill has no blocks, so it is 0 on every rank.
 func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *linalg.Dense {
 	size := net.size
 	// One contiguous k-partition per rank (Figure 5/6), the paper's equal

@@ -82,7 +82,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"parbem/internal/assembly"
 	"parbem/internal/geom"
@@ -164,7 +163,8 @@ func (s *Spec) pairs() *assembly.Interned {
 // Entry computes one scaled Galerkin matrix entry P_ij, panel i the target:
 // the value of the pair's symmetry class (assembly.InternPanels), which is
 // what AssembleDense stores at (i, j) for i <= j, to the bit, whatever else
-// the table has served.
+// the table has served and whether the pair's block looked the class up
+// or took it from a pair of the same displacement.
 func (s *Spec) Entry(i, j int) float64 {
 	var c assembly.FillStats
 	return kernel.Scale(s.pairs().PairInto(i, j, &c), s.Eps)
@@ -181,39 +181,8 @@ func (s *Spec) RHS() *linalg.Dense {
 	return phi
 }
 
-// assembleChunks is the task count of the parallel fill: several per
-// worker, so that claiming the cost-balanced row ranges one at a time
-// evens out what the triangular estimate misses.
-const assembleChunks = 64
-
-// TriangularRowBounds partitions rows [0, n) into chunks carrying
-// roughly equal upper-triangle entry counts (row i holds n-i entries).
-func TriangularRowBounds(n, chunks int) []int {
-	if n <= 0 {
-		return []int{0, 0}
-	}
-	if chunks > n {
-		chunks = n
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	total := int64(n) * int64(n+1) / 2
-	target := total / int64(chunks)
-	bounds := make([]int, 1, chunks+1)
-	var acc int64
-	for i := 0; i < n; i++ {
-		acc += int64(n - i)
-		if acc >= target && len(bounds) < chunks {
-			bounds = append(bounds, i+1)
-			acc = 0
-		}
-	}
-	return append(bounds, n)
-}
-
 // AssembleDense builds the full N x N Galerkin matrix: the upper
-// triangle is integrated in parallel over cost-balanced row ranges, then
+// triangle is filled in parallel, block by block of panel groups, then
 // mirrored (each entry is computed exactly once).
 func (s *Spec) AssembleDense() *linalg.Dense {
 	m, _, _ := s.AssembleDenseReuse(nil, nil)
@@ -225,46 +194,22 @@ func (s *Spec) AssembleDense() *linalg.Dense {
 // (equal non-negative class values, panels aligned 1:1 by index; see
 // geom.Diff and internal/plan) are copied from prev; every other entry
 // (i, j), i <= j, is the value of its symmetry class in the spec's table
-// with panel i the target (see Entry), integrated only if the table has
-// not met the class. The copy stays beside the table because it is a
-// load where a lookup is a key, a hash and a probe. It returns the matrix,
-// the number of unordered entries served from prev, and the pair work of
-// the rest. A nil or shape-mismatched prev is a full fresh assembly.
+// with panel i the target (see Entry). The upper triangle is filled by
+// blocks of panel groups (assembly.Interned.FillUpper): inside a block,
+// the first near pair of each distinct centre displacement looks its class
+// up — integrated only if the table has not met it — and the pairs that
+// share the displacement take the same bits from the block's memo. The
+// copy stays beside the table because it is a load where a lookup is a
+// key, a hash and a probe. It returns the matrix, the number of unordered
+// entries served from prev, and the pair work of the rest. A nil or
+// shape-mismatched prev is a full fresh assembly.
 func (s *Spec) AssembleDenseReuse(prev *linalg.Dense, class []int32) (*linalg.Dense, int64, assembly.FillStats) {
 	n := s.N()
 	if prev != nil && (prev.Rows != n || prev.Cols != n || len(class) != n) {
 		prev = nil
 	}
 	m := linalg.NewDense(n, n)
-	bounds := TriangularRowBounds(n, assembleChunks)
-	pairs := s.pairs()
-	var mu sync.Mutex // guards the two totals
-	var reused int64
-	var fill assembly.FillStats
-	s.exec().Map(len(bounds)-1, func(t int) {
-		var nr int64
-		var c assembly.FillStats
-		for i := bounds[t]; i < bounds[t+1]; i++ {
-			row := m.Row(i)
-			var prow []float64
-			ci := int32(-1) // no class: every entry of the row from the table
-			if prev != nil {
-				prow, ci = prev.Row(i), class[i]
-			}
-			for j := i; j < n; j++ {
-				if ci >= 0 && ci == class[j] {
-					row[j] = prow[j]
-					nr++
-				} else {
-					row[j] = kernel.Scale(pairs.PairInto(i, j, &c), s.Eps)
-				}
-			}
-		}
-		mu.Lock()
-		reused += nr
-		fill.Add(c)
-		mu.Unlock()
-	})
+	reused, fill := s.pairs().FillUpper(s.exec(), m, prev, class, s.Eps)
 	m.MirrorUpper()
 	return m, reused, fill
 }

@@ -20,7 +20,9 @@
 // Artifacts can never change results, only construction time: a decoded
 // payload is adopted only when its shape matches the layout the build
 // just produced (length checks in fmm, per-row checks in pfft, dim
-// checks here), and any mismatch or corruption degrades to a fresh
+// checks here) and, for the dense and fmm near fields, its values could
+// have come from an assembly (finite; a dense matrix mirrored bitwise with
+// a positive diagonal), and any mismatch or corruption degrades to a fresh
 // integration.
 package plan
 
@@ -181,7 +183,10 @@ func encodeDenseArtifact(d *linalg.Dense) []byte {
 }
 
 // decodeDenseArtifact rejects any payload whose dims disagree with the
-// n-panel build it is being adopted into.
+// n-panel build it is being adopted into, and any matrix no assembly
+// produces: a non-finite value, an entry that is not bitwise its mirror's
+// (the assembly mirrors its upper triangle), a diagonal entry that is not
+// positive (a self term is).
 func decodeDenseArtifact(data []byte, n int) *linalg.Dense {
 	if len(data) < 17 || data[0] != artTagDense {
 		return nil
@@ -192,10 +197,30 @@ func decodeDenseArtifact(data []byte, n int) *linalg.Dense {
 		return nil
 	}
 	vals, rest, ok := readFloats(data[17:], n*n)
-	if !ok || len(rest) != 0 {
+	if !ok || len(rest) != 0 || !finite(vals) {
 		return nil
 	}
+	for i := 0; i < n; i++ {
+		if !(vals[i*n+i] > 0) {
+			return nil
+		}
+		for j := i + 1; j < n; j++ {
+			if math.Float64bits(vals[i*n+j]) != math.Float64bits(vals[j*n+i]) {
+				return nil
+			}
+		}
+	}
 	return &linalg.Dense{Rows: n, Cols: n, Data: vals}
+}
+
+// finite reports whether every value of v is a finite number.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func encodeFMMNearArtifact(vals []float64) []byte {
@@ -205,6 +230,8 @@ func encodeFMMNearArtifact(vals []float64) []byte {
 	return appendFloats(b, vals)
 }
 
+// decodeFMMNearArtifact rejects a payload of the wrong length (fmm checks
+// it against its layout) or holding a non-finite value.
 func decodeFMMNearArtifact(data []byte) []float64 {
 	if len(data) < 9 || data[0] != artTagFMM {
 		return nil
@@ -214,7 +241,7 @@ func decodeFMMNearArtifact(data []byte) []float64 {
 		return nil
 	}
 	vals, rest, ok := readFloats(data[9:], int(n))
-	if !ok || len(rest) != 0 {
+	if !ok || len(rest) != 0 || !finite(vals) {
 		return nil
 	}
 	return vals

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"parbem/internal/fmm"
 	"parbem/internal/kernel"
+	"parbem/internal/linalg"
 	"parbem/internal/op"
 	"parbem/internal/pfft"
 )
@@ -275,6 +277,124 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 			t.Errorf("schema %q: fresh build was not stored under the current key", schema[:4])
 		}
 	}
+}
+
+// TestPlanArtifactImplausibleValuesNeverAdopted plants, under the family's
+// own key, a well-framed dense near field of the right shape that no
+// assembly produces — NaNs, or one entry that is not its mirror's — as a
+// corrupted disk or a faulty peer could hand back. The plan must count a
+// miss, build afresh, store the good payload over the bad one and return
+// C bitwise equal to a build without a store.
+func TestPlanArtifactImplausibleValuesNeverAdopted(t *testing.T) {
+	pipe := op.Options{Backend: op.BackendDense, Direct: true}
+	st := crossingAt(0.5e-6)
+	plain := extractVia(t, nil, pipe, 0.5e-6)
+	clean := newMemStore()
+	p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: clean})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Extract(st); err != nil {
+		t.Fatal(err)
+	}
+	cold := p.Stats() // what an empty store costs
+	key := p.artifactKey(st, op.BackendDense, nil, nil) + nearSuffix
+	good, found := clean.Get(key)
+	if !found {
+		t.Fatal("cold build stored no near-field artifact under the family key")
+	}
+	n := int(binary.LittleEndian.Uint64(good[1:]))
+	for name, spoil := range map[string]func(b []byte){
+		"nan": func(b []byte) {
+			for i := 17; i < len(b); i += 8 {
+				binary.LittleEndian.PutUint64(b[i:], math.Float64bits(math.NaN()))
+			}
+		},
+		"asymmetric": func(b []byte) {
+			at := 17 + 8*(0*n+1) // entry (0, 1); (1, 0) keeps its bits
+			v := math.Float64frombits(binary.LittleEndian.Uint64(b[at:]))
+			binary.LittleEndian.PutUint64(b[at:], math.Float64bits(math.Nextafter(v, 0)))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := append([]byte(nil), good...)
+			spoil(bad)
+			if decodeDenseArtifact(bad, n) != nil {
+				t.Fatal("the decoder adopts the spoiled payload")
+			}
+			store := newMemStore()
+			store.Put(key, bad)
+			p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Extract(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := p.Stats(); s != cold || s.ArtifactHits != 0 || s.ArtifactMisses == 0 || res.Reused.NearField {
+				t.Errorf("stats %+v, near field reused %v: want an empty store's %+v", s, res.Reused.NearField, cold)
+			}
+			for i, v := range res.C.Data {
+				if math.Float64bits(v) != math.Float64bits(plain.C.Data[i]) {
+					t.Fatalf("C[%d] = %v, %v without a store", i, v, plain.C.Data[i])
+				}
+			}
+			if data, _ := store.Get(key); decodeDenseArtifact(data, n) == nil {
+				t.Error("the fresh build did not replace the spoiled payload")
+			}
+		})
+	}
+}
+
+// TestDecodeFMMNearRejectsNonFinite: an fmm near field holding a NaN or an
+// infinity is no artifact; a finite one round-trips.
+func TestDecodeFMMNearRejectsNonFinite(t *testing.T) {
+	if v := decodeFMMNearArtifact(encodeFMMNearArtifact([]float64{1, -2, 0})); len(v) != 3 || v[1] != -2 {
+		t.Errorf("finite payload decoded to %v", v)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if v := decodeFMMNearArtifact(encodeFMMNearArtifact([]float64{1, bad, 0})); v != nil {
+			t.Errorf("payload holding %v adopted: %v", bad, v)
+		}
+	}
+}
+
+// FuzzDecodeDenseArtifact: whatever the bytes, the decoder does not panic,
+// and a matrix it returns has the build's shape, finite entries, a positive
+// diagonal and bitwise mirrored off-diagonal entries, and encodes back to
+// the same bytes.
+func FuzzDecodeDenseArtifact(f *testing.F) {
+	sym := linalg.NewDenseFrom(2, 2, []float64{2, -1, -1, 3})
+	f.Add(encodeDenseArtifact(sym), uint8(2))
+	f.Add(encodeDenseArtifact(linalg.NewDenseFrom(2, 2, []float64{2, -1, -0.5, 3})), uint8(2))
+	f.Add(encodeDenseArtifact(linalg.NewDenseFrom(1, 1, []float64{math.NaN()})), uint8(1))
+	f.Add(encodeDenseArtifact(linalg.NewDenseFrom(1, 1, []float64{-1})), uint8(1))
+	f.Add([]byte{artTagDense}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, nb uint8) {
+		n := int(nb % 16)
+		d := decodeDenseArtifact(data, n)
+		if d == nil {
+			return
+		}
+		if d.Rows != n || d.Cols != n || len(d.Data) != n*n {
+			t.Fatalf("%dx%d matrix of %d values for n = %d", d.Rows, d.Cols, len(d.Data), n)
+		}
+		for i := 0; i < n; i++ {
+			if v := d.At(i, i); !(v > 0) || math.IsInf(v, 1) {
+				t.Fatalf("diagonal entry %d = %v", i, v)
+			}
+			for j := 0; j < n; j++ {
+				v := d.At(i, j)
+				if math.IsNaN(v) || math.IsInf(v, 0) || math.Float64bits(v) != math.Float64bits(d.At(j, i)) {
+					t.Fatalf("entry (%d, %d) = %v, its mirror %v", i, j, v, d.At(j, i))
+				}
+			}
+		}
+		if !bytes.Equal(encodeDenseArtifact(d), data) {
+			t.Fatal("the adopted matrix does not encode back to its payload")
+		}
+	})
 }
 
 // TestPlanLiteralKernelConfig: a kernel.Config written as a literal, not

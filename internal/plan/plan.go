@@ -47,7 +47,10 @@
 // from. Every exact entry that is not copied is the value of its panel
 // pair's symmetry class (assembly.InternPanels), read from the plan's
 // class table (Options.Pairs) and integrated only if the table has not
-// met the class; a copied entry is bitwise the class value the previous
+// met the class — on the dense backend, read once per distinct centre
+// displacement of a block of panel groups and handed to the block's other
+// pairs of that displacement, which have the same class (assembly's
+// "Blocks"); a copied entry is bitwise the class value the previous
 // build read, and a pair that moved rigidly keeps its class, so
 // plan-reused sweeps match independent extractions to the
 // coordinate-noise floor, far below 1e-10

@@ -226,6 +226,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter(&b, "parbem_engine_pair_hits_total", "Symmetry-class table lookups served from the table (template and panel pairs).", st.Engine.PairHits)
 	writeCounter(&b, "parbem_engine_pair_misses_total", "Symmetry-class table lookups that integrated their class.", st.Engine.PairMisses)
 	writeCounter(&b, "parbem_engine_pair_sequential_total", "Symmetry-class table hits served next to the sweep's last hit in the table's log, without the index.", uint64(st.Engine.Fill.PairSequential))
+	writeCounter(&b, "parbem_engine_pair_memo_total", "Near panel pairs of the dense fill served by their block's memo, without a table lookup.", uint64(st.Engine.Fill.PairMemo))
 	writeGauge(&b, "parbem_engine_pair_entries", "Symmetry classes held by the engine's table.", float64(st.Engine.PairEntries))
 
 	if a := st.Artifacts; a != nil {

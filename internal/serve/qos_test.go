@@ -280,7 +280,8 @@ func TestServeTemplateSweepDeadline(t *testing.T) {
 // served panel extraction reads, so /stats' pair_* count served traffic. A
 // cold dense extract of the 2x2 bus misses once per symmetry class of its
 // 7 260 panel pairs — the 378 of assembly's census — and hits on every
-// other pair; the same family at another H misses only on the classes H
+// other pair it looks up; 5 686 pairs its blocks' memos serve (pair_memo)
+// look nothing up. The same family at another H misses only on the classes H
 // moved and copies the rest of the matrix from the previous variant; and
 // /metrics reads what /stats reads. (One worker and a budget of one: the
 // share of hits a sweep's cursor serves, pair_sequential, repeats only
@@ -304,9 +305,10 @@ func TestServePairCountersLive(t *testing.T) {
 		t.Fatalf("an idle server's class table: %+v", e)
 	}
 	cold := extract(geom.DefaultBus(2, 2).H)
-	if cold.PairMisses != 378 || cold.PairHits != 7260-378 || cold.PairEntries != 378 || cold.Fill.ClassesIntegrated != 378 {
-		t.Errorf("cold extract: %d misses, %d hits, %d entries, %d classes integrated; want 378 classes for 7260 pairs",
-			cold.PairMisses, cold.PairHits, cold.PairEntries, cold.Fill.ClassesIntegrated)
+	if cold.PairMisses != 378 || cold.PairHits != 7260-5686-378 || cold.PairEntries != 378 || cold.Fill.ClassesIntegrated != 378 ||
+		cold.Fill.PairsNear != 7260 || cold.Fill.PairMemo != 5686 {
+		t.Errorf("cold extract: %d misses, %d hits, %d from block memos, %d entries, %d classes integrated; want 378 classes for 7260 pairs, 1574 of them looked up",
+			cold.PairMisses, cold.PairHits, cold.Fill.PairMemo, cold.PairEntries, cold.Fill.ClassesIntegrated)
 	}
 	if cold.Fill.PairSequential == 0 || uint64(cold.Fill.PairSequential) > cold.PairHits {
 		t.Errorf("cold extract: %d of %d hits by cursor", cold.Fill.PairSequential, cold.PairHits)
@@ -334,6 +336,7 @@ func TestServePairCountersLive(t *testing.T) {
 		"parbem_engine_pair_hits_total":       float64(variant.PairHits),
 		"parbem_engine_pair_misses_total":     float64(variant.PairMisses),
 		"parbem_engine_pair_sequential_total": float64(variant.Fill.PairSequential),
+		"parbem_engine_pair_memo_total":       float64(variant.Fill.PairMemo),
 		"parbem_engine_pair_entries":          float64(variant.PairEntries),
 	} {
 		if got, ok := series[name]; !ok || got != want {
@@ -396,6 +399,9 @@ func TestServeMetricsAgreesWithStats(t *testing.T) {
 	}
 	series := parseProm(t, string(body))
 	st := s.Stats()
+	if st.Engine.Fill.PairMemo == 0 {
+		t.Error("dense extracts of the crossing pair: no near pair served by a block memo")
+	}
 
 	for name, want := range map[string]uint64{
 		"parbem_jobs_accepted_total":              st.Accepted,
@@ -412,6 +418,7 @@ func TestServeMetricsAgreesWithStats(t *testing.T) {
 		"parbem_engine_pair_hits_total":           st.Engine.PairHits,
 		"parbem_engine_pair_misses_total":         st.Engine.PairMisses,
 		"parbem_engine_pair_sequential_total":     uint64(st.Engine.Fill.PairSequential),
+		"parbem_engine_pair_memo_total":           uint64(st.Engine.Fill.PairMemo),
 		"parbem_bad_requests_total":               st.BadRequests,
 		"parbem_jobs_rejected_queue_full_total":   st.RejectedQueueFull,
 		"parbem_jobs_rejected_rate_limited_total": st.RejectedRateLimited,
