@@ -505,16 +505,17 @@ func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, p
 
 	fmt.Printf("sweep     : %s, %d points over H = [%g, %g] m, backend %s, edge %g m\n",
 		structure, points, hmin, hmax, backend, edge)
-	fmt.Printf("%10s %6s %12s %9s %9s %9s %9s %9s\n",
+	fmt.Printf("%10s %6s %18s %9s %9s %9s %9s %9s\n",
 		"h (m)", "iters", "reused", "topo ms", "near ms", "fact ms", "solve ms", "total ms")
 	for _, r := range recs {
-		fmt.Printf("%10.3g %6d %12s %9.2f %9.2f %9.2f %9.2f %9.2f\n",
+		fmt.Printf("%10.3g %6d %18s %9.2f %9.2f %9.2f %9.2f %9.2f\n",
 			r.H, r.Iterations, r.Reused, r.TopoMs, r.NearMs, r.FactMs, r.SolveMs, r.TotalMs)
 	}
 	fmt.Printf("\namortize  : cold %.1f ms/pt, warm %.1f ms/pt (%.1fx), sweep total %v\n",
 		coldMs, warmPer, coldMs/warmPer, total)
-	fmt.Printf("reuse     : %d near entries copied, %d read from the class table (%d classes integrated), %d block factors adopted, %d warm starts\n",
-		stats.NearReused, stats.NearComputed, stats.ClassesIntegrated, stats.FactReused, stats.WarmStarts)
+	// The keys of -json's "stats" (plan.Stats).
+	fmt.Printf("reuse     : near_reused %d, near_computed %d, classes_integrated %d, dense_reused %d, fact_reused %d, warm_starts %d\n",
+		stats.NearReused, stats.NearComputed, stats.ClassesIntegrated, stats.DenseReused, stats.FactReused, stats.WarmStarts)
 }
 
 // geometryText serializes a structure to the geomio wire format for the

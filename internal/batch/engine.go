@@ -268,11 +268,13 @@ func (e *Engine) ExtractAll(sts []*geom.Structure) ([]*solver.Result, error) {
 // throwaway plan, here structures route to a cached one keyed by
 // their structural family — conductor/box layout plus the solve options
 // — so geometry variants of one family arriving in a stream reuse each
-// other's stage artifacts: unchanged near-field integrals are copied,
-// block factorizations adopted and Krylov solves warm-started, exactly
-// as in an explicit parbem.Plan sweep. Unrelated geometries that
-// happen to share a family key simply rebuild (the plan's diff keeps
-// results exact); per-family extractions serialize on their plan.
+// other's stage artifacts: unchanged near-field integrals are not
+// integrated again (copied on dense, read from the class table on fmm
+// and pfft), block factorizations are adopted and Krylov solves
+// warm-started, exactly as in an explicit parbem.Plan sweep. Unrelated
+// geometries that happen to share a family key simply rebuild (the plan's
+// diff keeps results exact); per-family extractions serialize on their
+// plan.
 //
 // Caveat: an opt.FMM/PFFT worker-pool override (Pool) is not part of the
 // family key; callers varying it per request should use explicit

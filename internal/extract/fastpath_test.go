@@ -65,9 +65,9 @@ func TestIterativeCrossingMatchesDense(t *testing.T) {
 // TestSweepHMatchesSequential pins the plan-based sweep to the
 // per-point results: each h is the same elementary problem an
 // independent CrossingProfile solves, and stage reuse only perturbs
-// integrals at the coordinate-noise floor (copied entries are bitwise
-// what a fresh canonical integration at the previous coordinates
-// produced), far below the fits' physical scales.
+// integrals at the coordinate-noise floor (a copied dense entry is the
+// class value a fresh build reads; plan's TestVariantNearFieldBitwise),
+// far below the fits' physical scales.
 func TestSweepHMatchesSequential(t *testing.T) {
 	base := smallSpec()
 	hs := []float64{0.4e-6, 0.8e-6}

@@ -118,19 +118,10 @@ type Operator struct {
 	leaves []int32
 	scale  float64 // 1/(4*pi*eps)
 
-	// lists retains the dual-tree traversal output (near pair
-	// decomposition and per-leaf near lists): delta-aware reconstruction
-	// of a later geometry variant addresses this operator's CSR through
-	// it (see nearLookup).
-	lists *interactions
-
-	// nearReused / nearComputed count the exact-Galerkin entries copied
-	// from a previous variant vs read from the class table at
-	// construction, and nearFill is the pair work of the latter; fillMu
-	// guards the three while the blocks fill.
-	nearReused, nearComputed int64
-	nearFill                 assembly.FillStats
-	fillMu                   sync.Mutex
+	// nearFill is the pair work of the exact entries read from the class
+	// table at construction; fillMu guards it while the blocks fill.
+	nearFill assembly.FillStats
+	fillMu   sync.Mutex
 
 	// scratch manages per-Apply buffers: warm dedicated value for the
 	// one-Apply-at-a-time case, pooled overflow for concurrent Applies.
@@ -153,10 +144,8 @@ func NewOperator(panels []geom.Panel, opt Options) *Operator {
 }
 
 // NewOperatorWith assembles the operator over a pre-built topology,
-// optionally copying unchanged exact-Galerkin near entries from a
-// previous variant's operator (reuse may be nil; invalid reuse — panel
-// count mismatch, different kernel settings — degrades to a full
-// fresh fill).
+// optionally adopting a stored near field (reuse may be nil; a value
+// array of the wrong length degrades to a fresh fill).
 func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reuse) *Operator {
 	opt.defaults()
 	t, inter := tp.t, tp.inter
@@ -171,7 +160,6 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 		m2lSrc:  inter.m2lSrc,
 		leaves:  t.leaves(),
 		scale:   1 / (kernel.FourPi * opt.Eps),
-		lists:   inter,
 		pairs:   assembly.InternPanels(opt.Cfg, opt.Pairs, panels),
 	}
 	if opt.Exec != nil {
@@ -198,32 +186,18 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 	// A value-array artifact (Reuse.Vals) short-circuits integration
 	// entirely: the CSR layout is deterministic for this topology, so
 	// the stored values are adopted wholesale and only the indices are
-	// rebuilt. The per-entry Prev/Class lookup is the fallback.
-	var adopt []float64
-	if reuse != nil && int64(len(reuse.Vals)) == total {
-		adopt = reuse.Vals
-	}
-	var look *nearLookup
-	if adopt == nil && reuse.valid(len(panels), &op.opt) {
-		look = newNearLookup(reuse)
-	}
+	// built.
+	adopt := reuse != nil && int64(len(reuse.Vals)) == total
 
 	// Fill near blocks, one task per unordered leaf pair; each block is
 	// evaluated once and scattered to both sides. Every (row, block)
 	// segment is owned by exactly one pair, so no locking is needed.
 	pairs := inter.pairs
 	sched.MapOrInline(op.exec, len(pairs), func(k int) {
-		if adopt != nil {
-			op.fillPairAdopt(&pairs[k], adopt)
-			return
-		}
-		op.fillPair(&pairs[k], look)
+		op.fillPair(&pairs[k], !adopt)
 	})
-	if adopt != nil {
-		op.nearReused = total
-	} else if look != nil {
-		// A build without a previous variant counts no entries either way.
-		op.nearComputed = op.nearFill.PairsFar + op.nearFill.PairsNear
+	if adopt {
+		copy(op.nearVal, reuse.Vals)
 	}
 
 	op.scratch = sched.NewScratch(func() *applyScratch {
@@ -237,10 +211,9 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 // panel index as target): the quadrature of perpendicular pairs is not
 // exactly symmetric in its arguments, and the canonical order makes each
 // pair's value a function of the pair alone — independent of which octree
-// leaf hosted the evaluation — so values copied across geometry variants
-// (see Reuse) match what a fresh build would compute. The value is the one
-// of the ordered pair's symmetry class (assembly.InternPanels), integrated
-// only if the table has not met the class.
+// leaf hosted the evaluation — so the CSR is symmetric. The value is the
+// one of the ordered pair's symmetry class (assembly.InternPanels),
+// integrated only if the table has not met the class.
 func (op *Operator) nearValue(pi, pj int32, galerkin bool, c *assembly.FillStats) float64 {
 	if galerkin {
 		return op.scale * op.pairs.PairInto(int(min(pi, pj)), int(max(pi, pj)), c)
@@ -248,17 +221,14 @@ func (op *Operator) nearValue(pi, pj int32, galerkin bool, c *assembly.FillStats
 	return op.scale * op.areas[pi] * op.areas[pj] / op.centers[pi].Dist(op.centers[pj])
 }
 
-// fillPair fills the near block of one unordered leaf pair and scatters
-// it into the CSR rows of both leaves, every unordered panel pair once: a
-// leaf's block with itself, always exact, is walked over its upper
-// triangle. With a non-nil lookup, exact entries whose panel pair is
-// unchanged since the previous variant are copied — a load where the class
-// table costs a key, a hash and a probe; the rest are nearValue's. Point
-// entries are a single division each and are always recomputed.
-func (op *Operator) fillPair(pr *nearPair, look *nearLookup) {
+// fillPair writes the near block of one unordered leaf pair into the CSR
+// rows of both leaves, every unordered panel pair once: a leaf's block
+// with itself, always exact, is walked over its upper triangle. It writes
+// the indices, and with values also each entry — nearValue's, scattered
+// to both sides; without, the caller copies an adopted value array.
+func (op *Operator) fillPair(pr *nearPair, values bool) {
 	na, nb := &op.t.nodes[pr.a], &op.t.nodes[pr.b]
 	pa, pb := op.t.perm[na.lo:na.hi], op.t.perm[nb.lo:nb.hi]
-	var copied int64
 	var fill assembly.FillStats
 	for ia, pi := range pa {
 		base := op.nearOff[pi] + int64(pr.offA)
@@ -268,69 +238,19 @@ func (op *Operator) fillPair(pr *nearPair, look *nearLookup) {
 		}
 		for ; jb < len(pb); jb++ {
 			pj := pb[jb]
-			v, ok := 0.0, false
-			if pr.galerkin && look != nil {
-				v, ok = look.value(pi, pj)
-			}
-			if ok {
-				copied++
-			} else {
-				v = op.nearValue(pi, pj, pr.galerkin, &fill)
-			}
-			op.nearIdx[base+int64(jb)] = pj
-			op.nearVal[base+int64(jb)] = v
-			if pi != pj {
-				b2 := op.nearOff[pj] + int64(pr.offB) + int64(ia)
-				op.nearIdx[b2] = pi
-				op.nearVal[b2] = v
+			// On the diagonal of a self block (pi == pj) b2 is dst.
+			dst, b2 := base+int64(jb), op.nearOff[pj]+int64(pr.offB)+int64(ia)
+			op.nearIdx[dst], op.nearIdx[b2] = pj, pi
+			if values {
+				v := op.nearValue(pi, pj, pr.galerkin, &fill)
+				op.nearVal[dst], op.nearVal[b2] = v, v
 			}
 		}
 	}
-	if pr.galerkin {
+	if pr.galerkin && values {
 		op.fillMu.Lock()
-		op.nearReused += copied
 		op.nearFill.Add(fill)
 		op.fillMu.Unlock()
-	}
-}
-
-// fillPairAdopt is fillPair when a complete value-array artifact is
-// adopted (Reuse.Vals): it rebuilds the CSR indices of one unordered
-// leaf pair and copies the values from the artifact at the same
-// offsets, skipping all integration. Point-monopole entries adopt too —
-// for bit-identical geometry they are bitwise what a fresh division
-// would produce.
-func (op *Operator) fillPairAdopt(pr *nearPair, vals []float64) {
-	na, nb := &op.t.nodes[pr.a], &op.t.nodes[pr.b]
-	pa := op.t.perm[na.lo:na.hi]
-	if pr.a == pr.b {
-		for ia, pi := range pa {
-			base := op.nearOff[pi] + int64(pr.offA)
-			for jb := ia; jb < len(pa); jb++ {
-				pj := pa[jb]
-				dst := base + int64(jb)
-				op.nearIdx[dst] = pj
-				op.nearVal[dst] = vals[dst]
-				if jb != ia {
-					b2 := op.nearOff[pj] + int64(pr.offA) + int64(ia)
-					op.nearIdx[b2] = pi
-					op.nearVal[b2] = vals[b2]
-				}
-			}
-		}
-		return
-	}
-	pb := op.t.perm[nb.lo:nb.hi]
-	for ia, pi := range pa {
-		base := op.nearOff[pi] + int64(pr.offA)
-		for jb, pj := range pb {
-			dst := base + int64(jb)
-			op.nearIdx[dst] = pj
-			op.nearVal[dst] = vals[dst]
-			b2 := op.nearOff[pj] + int64(pr.offB) + int64(ia)
-			op.nearIdx[b2] = pi
-			op.nearVal[b2] = vals[b2]
-		}
 	}
 }
 
@@ -347,16 +267,9 @@ func (op *Operator) Dim() int { return len(op.panels) }
 // diagnostics for Table 2).
 func (op *Operator) NearEntries() int { return len(op.nearVal) }
 
-// NearReuse reports how many exact-Galerkin near entries were copied
-// from the previous variant vs read from the class table at construction
-// (both zero when the operator was built without reuse).
-func (op *Operator) NearReuse() (copied, computed int64) {
-	return op.nearReused, op.nearComputed
-}
-
-// NearFill reports the pair work behind the exact entries that were not
-// copied: far-gated pairs, class-table lookups, and the classes this
-// construction was the first to integrate.
+// NearFill reports the pair work behind the exact entries: far-gated
+// pairs, class-table lookups, and the classes this construction was the
+// first to integrate (all zero when a value array was adopted).
 func (op *Operator) NearFill() assembly.FillStats { return op.nearFill }
 
 // NearBlocks implements the pipeline's near-block contract

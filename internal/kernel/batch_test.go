@@ -24,9 +24,7 @@ func randRect(rng *rand.Rand, spread float64) geom.Rect {
 
 // TestRectGalerkinBatchMatches pins the batch evaluator to the per-pair
 // path bitwise: the cached target-side quantities and the replicated
-// quadrature loop must not perturb a single ulp, because near-field
-// reuse across geometry variants (fmm.Reuse) compares copied entries
-// against fresh integrations.
+// quadrature loop must not perturb a single ulp.
 func TestRectGalerkinBatchMatches(t *testing.T) {
 	for _, tc := range []struct {
 		name string

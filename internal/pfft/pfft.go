@@ -154,14 +154,12 @@ type Operator struct {
 
 	// kernelShared reports that kernelHat was adopted from a previous
 	// variant's operator (same padded dims and spacing) instead of
-	// re-transformed; nearReused/nearComputed count the exact-Galerkin
-	// precorrection entries copied from the previous variant vs read from
-	// the class table, and nearFill is the pair work of the latter (fillMu
-	// guards it while the rows fill).
-	kernelShared             bool
-	nearReused, nearComputed int64
-	nearFill                 assembly.FillStats
-	fillMu                   sync.Mutex
+	// re-transformed; nearFill is the pair work of the exact precorrection
+	// entries read from the class table (fillMu guards it while the rows
+	// fill).
+	kernelShared bool
+	nearFill     assembly.FillStats
+	fillMu       sync.Mutex
 	// topoTime / nearTime split construction into its topology phase
 	// (grid sizing, kernel transform, stencils, node adjacency) and its
 	// near-field phase (precorrection integration) for the staged
@@ -178,14 +176,15 @@ type Operator struct {
 	mixedOnce sync.Once
 }
 
-// Reuse requests delta-aware construction: the kernel transform is
-// adopted from Prev when the padded grid dims and spacing match, and
-// exact-Galerkin precorrection entries whose panel pair moved rigidly
-// as a unit since Prev was built (equal non-negative Class values; see
-// geom.Diff and internal/plan) are copied instead of re-integrated.
+// Reuse offers construction what another build already holds. The
+// precorrection of a geometry variant is always built: every exact entry
+// is its symmetry class's value (assembly.InternPanels), so a class the
+// table has met costs a lookup and never an integration.
 type Reuse struct {
-	Prev  *Operator
-	Class []int32
+	// Prev is a previous operator whose kernel transform is adopted when
+	// the padded grid dims and spacing match: the transform is a function
+	// of those alone.
+	Prev *Operator
 	// Artifact, when non-nil, adopts complete precorrection rows
 	// captured by NearArtifact from an operator built over bit-identical
 	// panels and options (the disk artifact store's path; internal/plan
@@ -226,17 +225,6 @@ func (a *NearArtifact) valid(n int) bool {
 	return int64(len(a.Val)) == total && int64(len(a.Exact)) == total
 }
 
-// validNear reports whether per-entry exact reuse applies: aligned
-// panel sets and integral-identical settings (copied values bake in the
-// kernel configuration and the 1/(4*pi*eps) scale).
-func (r *Reuse) validNear(n int, opt *Options) bool {
-	if r == nil || r.Prev == nil || len(r.Class) != n || r.Prev.Dim() != n {
-		return false
-	}
-	p := &r.Prev.opt
-	return p.Eps == opt.Eps && *p.Cfg == *opt.Cfg
-}
-
 // NewOperator builds the grid, kernel transform, stencils and
 // precorrection entries.
 func NewOperator(panels []geom.Panel, opt Options) *Operator {
@@ -244,8 +232,8 @@ func NewOperator(panels []geom.Panel, opt Options) *Operator {
 }
 
 // NewOperatorReuse is NewOperator with optional reuse of a previous
-// variant's stage artifacts (reuse may be nil; inapplicable reuse
-// degrades to a full fresh build).
+// operator's kernel transform and a stored precorrection (reuse may be
+// nil; inapplicable reuse degrades to a fresh build).
 func NewOperatorReuse(panels []geom.Panel, opt Options, reuse *Reuse) *Operator {
 	t0 := time.Now()
 	opt.defaults()
@@ -323,11 +311,7 @@ func NewOperatorReuse(panels []geom.Panel, opt Options, reuse *Reuse) *Operator 
 	if reuse != nil && reuse.Artifact.valid(len(panels)) {
 		art = reuse.Artifact
 	}
-	if reuse.validNear(len(panels), &op.opt) {
-		op.buildPrecorrection(reuse, art)
-	} else {
-		op.buildPrecorrection(nil, art)
-	}
+	op.buildPrecorrection(art)
 	op.nearTime = time.Since(tN)
 	op.scratch = sched.NewScratch(func() *applyScratch {
 		return newScratch(len(panels), op.px, op.py, op.pz, op.exec)
@@ -343,16 +327,9 @@ func reusePrev(r *Reuse) *Operator {
 	return r.Prev
 }
 
-// NearReuse reports how many exact-Galerkin precorrection entries were
-// copied from the previous variant vs read from the class table at
-// construction.
-func (op *Operator) NearReuse() (copied, computed int64) {
-	return op.nearReused, op.nearComputed
-}
-
-// NearFill reports the pair work behind the exact entries that were not
-// copied: far-gated pairs, class-table lookups, and the classes this
-// construction was the first to integrate.
+// NearFill reports the pair work behind the exact entries of the rows
+// that were not adopted: far-gated pairs, class-table lookups, and the
+// classes this construction was the first to integrate.
 func (op *Operator) NearFill() assembly.FillStats { return op.nearFill }
 
 // KernelShared reports whether the kernel transform was adopted from
@@ -565,16 +542,14 @@ func (op *Operator) gridPair(i, j int) float64 {
 // both the (exact - grid) correction entries and the exact entries (the
 // near-block data). The spatial-hash cells double as the near-block
 // clusters, assigned deterministically in panel order. Rows are sorted
-// by source panel index, which makes them binary-searchable for the
-// delta-aware reuse of later geometry variants.
+// by source panel index: that order is the stored artifact's row layout
+// (NearArtifact), whatever order the hash cells were visited in.
 //
-// With a non-nil reuse, exact-Galerkin entries of rigidly co-moved
-// pairs are copied from the previous variant; when additionally the
-// grids coincide and both stencils are unchanged, the grid-mediated
-// part is unchanged too and the whole correction entry is copied. Every
-// other exact entry is the value of the ordered pair's symmetry class
-// (assembly.InternPanels), the row's panel the target.
-func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
+// Every exact entry is the value of the ordered pair's symmetry class
+// (assembly.InternPanels), the row's panel the target, and every
+// correction is that value less the grid-mediated part. A row whose
+// length matches the adopted artifact's is copied from it instead.
+func (op *Operator) buildPrecorrection(art *NearArtifact) {
 	cell := op.opt.NearRadius * op.h
 	type key struct{ x, y, z int32 }
 	buckets := make(map[key][]int32)
@@ -600,16 +575,6 @@ func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
 		op.clusters[id] = append(op.clusters[id], int32(i))
 	}
 	limit := op.opt.NearRadius * op.h
-
-	var prev *Operator
-	var class []int32
-	if reuse != nil {
-		prev, class = reuse.Prev, reuse.Class
-	}
-	// The grid-mediated part of an entry is a function of the two
-	// stencils, the logical dims and the spacing only.
-	gridsEq := prev != nil && op.kernelShared &&
-		prev.nx == op.nx && prev.ny == op.ny && prev.nz == op.nz
 
 	// Flat-artifact adoption: precompute row offsets into the artifact's
 	// concatenated arrays (validated by the caller via NearArtifact.valid).
@@ -640,70 +605,25 @@ func (op *Operator) buildPrecorrection(reuse *Reuse, art *NearArtifact) {
 		sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
 		val := make([]float64, len(idx))
 		exa := make([]float64, len(idx))
-		var nr int64 // exact entries copied; fill counts the rest
-		var fill assembly.FillStats
+		op.nearIdx[i], op.nearVal[i], op.nearExact[i] = idx, val, exa
 		if art != nil && int(art.RowLen[i]) == len(idx) {
 			// The rebuilt row matches the stored one — adopt the whole
 			// row and skip integration.
 			lo := artOff[i]
 			copy(val, art.Val[lo:lo+int64(len(idx))])
 			copy(exa, art.Exact[lo:lo+int64(len(idx))])
-			op.nearIdx[i] = idx
-			op.nearVal[i] = val
-			op.nearExact[i] = exa
-			op.fillMu.Lock()
-			op.nearReused += int64(len(idx))
-			op.fillMu.Unlock()
 			return
 		}
-		stenI := gridsEq && op.sten[i] == prev.sten[i]
+		var fill assembly.FillStats
 		for t, j := range idx {
-			var exact float64
-			copiedExact, copiedVal := false, false
-			if prev != nil && class[i] >= 0 && class[i] == class[j] {
-				if p, ok := prevRowFind(prev, i, j); ok {
-					exact = prev.nearExact[i][p]
-					copiedExact = true
-					if stenI && op.sten[j] == prev.sten[j] {
-						val[t] = prev.nearVal[i][p]
-						copiedVal = true
-					}
-				}
-			}
-			if !copiedExact {
-				exact = op.scale * pairs.PairInto(i, int(j), &fill)
-			}
-			if !copiedVal {
-				gridPart := op.scale * op.areas[i] * op.areas[j] * op.gridPair(i, int(j))
-				val[t] = exact - gridPart
-			}
-			exa[t] = exact
-			if copiedExact {
-				nr++
-			}
+			exact := op.scale * pairs.PairInto(i, int(j), &fill)
+			gridPart := op.scale * op.areas[i] * op.areas[j] * op.gridPair(i, int(j))
+			exa[t], val[t] = exact, exact-gridPart
 		}
-		op.nearIdx[i] = idx
-		op.nearVal[i] = val
-		op.nearExact[i] = exa
 		op.fillMu.Lock()
 		op.nearFill.Add(fill)
-		if prev != nil || art != nil {
-			op.nearReused += nr
-			op.nearComputed += fill.PairsFar + fill.PairsNear
-		}
 		op.fillMu.Unlock()
 	})
-}
-
-// prevRowFind binary-searches the previous variant's (sorted) row i for
-// source panel j.
-func prevRowFind(prev *Operator, i int, j int32) (int, bool) {
-	row := prev.nearIdx[i]
-	p := sort.Search(len(row), func(p int) bool { return row[p] >= j })
-	if p == len(row) || row[p] != j {
-		return 0, false
-	}
-	return p, true
 }
 
 // Dim implements linalg.Matvec.

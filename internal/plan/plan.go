@@ -27,21 +27,22 @@
 //   - Rigid box translations (geom.Diff classifies every box as
 //     Same/Translated and panel counts align): panels map 1:1 across
 //     variants and are grouped into rigid-motion classes, one per
-//     distinct exact translation. Every near-field integral between two
-//     panels of the same class has bit-identical relative geometry and
-//     is copied from the previous variant instead of re-integrated
-//     (fmm/pfft per-entry reuse, dense per-entry reuse); near blocks
-//     whose panels share one class keep their Cholesky factors. The
-//     Discretization and Topology stages are rebuilt — both are
-//     O(N log N) with no kernel integration, noise next to the
-//     integral-bearing stages they feed. The previous variant's charge
-//     solutions seed the search space the Krylov solve of every conductor
-//     starts in (op.Pipeline.ExtractWarmCtx). On the dense backend the
-//     near blocks are clusters of one conductor's panels, so a rigid
-//     motion keeps every block's factor (TestKrylovLadders).
-//   - Anything else (resized boxes, changed counts): the affected
-//     panels' entries are re-integrated; incomparable geometries
-//     rebuild from scratch.
+//     distinct exact translation. Two panels of the same class have
+//     bit-identical relative geometry: on the dense backend their entry
+//     is copied from the previous variant's matrix, and near blocks
+//     whose panels share one class keep their Cholesky factors on every
+//     backend. The Discretization and Topology stages are rebuilt — both
+//     are O(N log N) with no kernel integration, noise next to the
+//     integral-bearing stages they feed — and so are the fmm and pfft
+//     near fields, exactly as a fresh build's (a pfft variant adopts the
+//     previous kernel transform when the grid matches). The previous
+//     variant's charge solutions seed the search space the Krylov solve
+//     of every conductor starts in (op.Pipeline.ExtractWarmCtx). On the
+//     dense backend the near blocks are clusters of one conductor's
+//     panels, so a rigid motion keeps every block's factor
+//     (TestKrylovLadders).
+//   - Anything else (resized boxes, changed counts): every entry is
+//     built afresh; incomparable geometries rebuild from scratch.
 //
 // Reuse never changes what is computed, only where the value comes
 // from. Every exact entry that is not copied is the value of its panel
@@ -50,12 +51,17 @@
 // met the class — on the dense backend, read once per distinct centre
 // displacement of a block of panel groups and handed to the block's other
 // pairs of that displacement, which have the same class (assembly's
-// "Blocks"); a copied entry is bitwise the class value the previous
-// build read, and a pair that moved rigidly keeps its class, so
-// plan-reused sweeps match independent extractions to the
-// coordinate-noise floor, far below 1e-10
-// (TestPlanIncrementalConsistency). The copy stays beside the table
-// because it is a load where a lookup is a key, a hash and a probe.
+// "Blocks"). A pair that moved rigidly keeps its class, so a variant
+// integrates only the classes it has not met and its near field is
+// bitwise a fresh plan's (TestVariantNearFieldBitwise): a copied dense
+// entry is the value the previous build read.
+//
+// The dense copy is the one copy left beside the table because it was
+// measured to pay: without it a dense variant's near stage ran 9-20%
+// slower at one core (crossing pair 2.4 -> 2.9 ms, 3x3 bus 0.72 -> 0.80,
+// plates 0.24 -> 0.28) and serve_mix, half of whose requests are dense
+// variants, read serve.variant_ms 1.81 -> 1.92 ms. The fmm and pfft
+// copies saved a lookup, never an integration, and were deleted.
 // Preconditioner factor reuse cannot affect results at all — only
 // iteration counts.
 //
@@ -125,11 +131,13 @@ type Stats struct {
 	NearBuilds int `json:"near_builds"` // NearField stage builds
 	FactBuilds int `json:"fact_builds"` // Factorization stage builds (pipeline constructions)
 
-	NearReused int64 `json:"near_reused"` // near-field entries copied across variants
-	// NearComputed counts the near-field entries (fmm, pfft) that were not
-	// copied but read from the class table — a lookup, or the integration
-	// of a class the table had not met; ClassesIntegrated counts those
-	// integrations, over every backend, dense included.
+	// NearReused counts the near-field entries the builds produced without
+	// integrating, on every backend: class-table hits, block-memo loads,
+	// dense entries copied from the previous variant and entries adopted
+	// from the artifact store. NearComputed counts the classes they
+	// integrated instead; so does ClassesIntegrated, which an owner of
+	// many plans sums with the rest of a call's pair work.
+	NearReused        int64 `json:"near_reused"`
 	NearComputed      int64 `json:"near_computed"`
 	ClassesIntegrated int64 `json:"classes_integrated"`
 	DenseReused       int64 `json:"dense_reused"` // dense upper-triangle entries copied
@@ -143,7 +151,9 @@ type Stats struct {
 }
 
 // StageReuse flags which stage artifacts of a Result came (at least
-// partially) from the previous variant.
+// partially) from the previous variant or the artifact store: NearField
+// for dense entries copied or a near field adopted whole, Topology for a
+// shared pfft kernel transform, Factorization for adopted block factors.
 type StageReuse struct {
 	Discretization bool
 	Topology       bool
@@ -377,10 +387,6 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		NumPanels:     len(panels),
 		NumConductors: spec.NumConductors,
 		Backend:       be,
-		Reused: StageReuse{
-			Discretization: false,
-			NearField:      class != nil && cur.be == be,
-		},
 	}
 	res.Stages.Discretize = dDisc
 	if err := check("topology"); err != nil {
@@ -410,16 +416,19 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 			}
 		}
 		if adopted {
+			n := int64(len(panels))
+			p.countNear(assembly.FillStats{}, n*(n+1)/2)
 			res.Reused.NearField = true
 		} else {
 			var prev *linalg.Dense // nil: nothing to copy, a fresh assembly
-			if res.Reused.NearField {
-				prev = cur.dense
+			if class != nil {
+				prev = cur.dense // nil unless the previous variant was dense
 			}
 			var nr int64
 			var f assembly.FillStats
 			nv.dense, nr, f = spec.AssembleDenseReuse(prev, class)
 			fill.Add(f)
+			p.countNear(f, nr)
 			p.stats.DenseReused += nr
 			res.Reused.NearField = nr > 0
 		}
@@ -441,35 +450,32 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 			return nil, err
 		}
 		var r *fmm.Reuse
-		if res.Reused.NearField && cur.fmmOp != nil {
-			r = &fmm.Reuse{Prev: cur.fmmOp, Class: class}
-		}
-		artHit := false
 		if akey != "" {
 			if data, ok := p.opt.Artifacts.Get(akey + nearSuffix); ok {
 				if vals := decodeFMMNearArtifact(data); vals != nil {
-					if r == nil {
-						r = &fmm.Reuse{}
-					}
-					r.Vals = vals
-					artHit = true
+					r = &fmm.Reuse{Vals: vals}
 					p.stats.ArtifactHits++
 				}
 			}
-			if !artHit {
+			if r == nil {
 				p.stats.ArtifactMisses++
 			}
 		}
 		tN := time.Now()
 		nv.fmmOp = fmm.NewOperatorWith(topo, spec.Panels, fo, r)
-		copied, computed := nv.fmmOp.NearReuse()
-		fill.Add(nv.fmmOp.NearFill())
-		p.stats.NearReused += copied
-		p.stats.NearComputed += computed
-		res.Reused.NearField = copied > 0
+		f := nv.fmmOp.NearFill()
+		fill.Add(f)
+		// A fill reads at least every panel's pair with itself, so a build
+		// that read none adopted the stored values.
+		var adopted int64
+		if r != nil && f.PairsNear+f.PairsFar == 0 {
+			adopted = int64(len(nv.fmmOp.NearVals()))
+		}
+		p.countNear(f, adopted)
+		res.Reused.NearField = adopted > 0
 		p.stats.NearBuilds++
 		res.Stages.NearField = time.Since(tN)
-		if akey != "" && !artHit {
+		if akey != "" && r == nil {
 			p.opt.Artifacts.Put(akey+nearSuffix, encodeFMMNearArtifact(nv.fmmOp.NearVals()))
 			p.stats.ArtifactPuts++
 		}
@@ -477,40 +483,38 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 	case op.BackendPFFT:
 		po := op.PFFTOptions(spec, p.opt.Pipeline)
 		akey = p.artifactKey(snap, be, nil, &po)
-		var r *pfft.Reuse
-		if res.Reused.NearField && cur.pfftOp != nil {
-			r = &pfft.Reuse{Prev: cur.pfftOp, Class: class}
+		// The previous operator, when it was pfft, offers its kernel
+		// transform.
+		r := &pfft.Reuse{}
+		if cur != nil {
+			r.Prev = cur.pfftOp
 		}
-		artHit := false
 		if akey != "" {
 			if data, ok := p.opt.Artifacts.Get(akey + nearSuffix); ok {
 				if a := decodePFFTNearArtifact(data, len(panels)); a != nil {
-					if r == nil {
-						r = &pfft.Reuse{}
-					}
 					r.Artifact = a
-					artHit = true
 					p.stats.ArtifactHits++
 				}
 			}
-			if !artHit {
+			if r.Artifact == nil {
 				p.stats.ArtifactMisses++
 			}
 		}
 		nv.pfftOp = pfft.NewOperatorReuse(spec.Panels, po, r)
-		copied, computed := nv.pfftOp.NearReuse()
-		fill.Add(nv.pfftOp.NearFill())
-		p.stats.NearReused += copied
-		p.stats.NearComputed += computed
+		f := nv.pfftOp.NearFill()
+		fill.Add(f)
+		// Every entry of a row that was not adopted is one PairInto call.
+		adopted := int64(nv.pfftOp.NearEntries()) - f.PairsFar - f.PairsNear
+		p.countNear(f, adopted)
 		// KernelShared adopts the previous variant's half-spectrum
 		// kernel FFT when the padded grid dims and spacing match; the
 		// r2c layout halves what a shared (or rebuilt) spectrum costs.
 		res.Reused.Topology = nv.pfftOp.KernelShared()
-		res.Reused.NearField = copied > 0
+		res.Reused.NearField = adopted > 0
 		p.stats.TopoBuilds++
 		p.stats.NearBuilds++
 		res.Stages.Topology, res.Stages.NearField = nv.pfftOp.PhaseTimes()
-		if akey != "" && !artHit {
+		if akey != "" && r.Artifact == nil {
 			p.opt.Artifacts.Put(akey+nearSuffix, encodePFFTNearArtifact(nv.pfftOp.NearArtifact()))
 			p.stats.ArtifactPuts++
 		}
@@ -584,6 +588,15 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 	nv.res = res
 	p.cur = nv
 	return res, nil
+}
+
+// countNear books a near-field build's work: the classes it integrated,
+// and the near entries it produced without integrating — table hits and
+// block-memo loads (its lookups less the integrations) plus whole, the
+// entries it copied from the previous variant or adopted from the store.
+func (p *Plan) countNear(f assembly.FillStats, whole int64) {
+	p.stats.NearComputed += f.ClassesIntegrated
+	p.stats.NearReused += f.PairsNear - f.ClassesIntegrated + whole
 }
 
 // sameGeometry reports bitwise-identical conductor boxes (names are

@@ -2,12 +2,14 @@ package plan
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"parbem/internal/fmm"
 	"parbem/internal/geom"
 	"parbem/internal/linalg"
 	"parbem/internal/op"
+	"parbem/internal/pfft"
 )
 
 // fresh extracts st on a throwaway one-variant plan: what a variant
@@ -49,9 +51,8 @@ func crossingAt(h float64) *geom.Structure {
 // TestPlanIncrementalConsistency sweeps the crossing separation through
 // one plan per backend and pins every point to a fresh one-variant plan
 // of the same variant: stage reuse must be invisible in the results to
-// 1e-10. Iterative backends run at
-// a 1e-12 tolerance so solver-path differences (warm starts, copied
-// entries' coordinate noise) sit far below the bound.
+// 1e-10. Iterative backends run at a 1e-12 tolerance so solver-path
+// differences (warm starts, adopted factors) sit far below the bound.
 func TestPlanIncrementalConsistency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full solves per backend")
@@ -93,10 +94,95 @@ func TestPlanIncrementalConsistency(t *testing.T) {
 				}
 			}
 			s := p.Stats()
-			if s.NearReused == 0 && s.DenseReused == 0 {
-				t.Error("sweep reused no near-field entries")
+			if s.NearReused == 0 {
+				t.Error("sweep produced every near-field entry by integrating")
 			}
 			t.Logf("stats: %+v", s)
+		})
+	}
+}
+
+// TestVariantNearFieldBitwise: a variant's near field is bitwise a fresh
+// plan's on every backend — the fmm CSR values, the pfft precorrection
+// rows (corrections and exact entries) and the dense matrix, entry by
+// entry. An fmm or pfft variant builds its near field as a fresh build
+// does, from the class table; a dense variant copies the entries of
+// rigidly co-moved panel pairs, which must be the values a fresh build
+// reads. The crossing's x/y span fixes the pfft grid, so a z-only H change
+// shares the previous variant's kernel transform.
+func TestVariantNearFieldBitwise(t *testing.T) {
+	busAt := func(h float64) *geom.Structure {
+		sp := geom.DefaultBus(3, 3)
+		sp.H = h
+		return sp.Build()
+	}
+	dense := op.Options{Backend: op.BackendDense, Direct: true}
+	for _, c := range []struct {
+		name    string
+		edge    float64
+		at      func(h float64) *geom.Structure
+		h0, h1  float64
+		opt     op.Options
+		entries int
+	}{
+		{"fmm/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6,
+			op.Options{Backend: op.BackendFMM, FMM: &fmm.Options{Workers: 1}}, 122182},
+		// There the two layers share no near leaf pair, so every entry
+		// keeps its value; at TestSweepIncrementalSpeedup's first step
+		// 75 604 of the entries change.
+		{"fmm/crossing-close", 0.25e-6, crossingAt, 0.3e-6, 0.35e-6,
+			op.Options{Backend: op.BackendFMM, FMM: &fmm.Options{Workers: 1}}, 275072},
+		// (A loose tolerance: the near field is what is compared, and the
+		// solve's convolutions are what the race detector is slow at.)
+		{"pfft/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6,
+			op.Options{Backend: op.BackendPFFT, Tol: 0.5, PFFT: &pfft.Options{Workers: 1}}, 7610},
+		{"dense/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6, dense, 274576},
+		{"dense/bus3x3", 1e-6, busAt, 0.6e-6, 1.3e-6, dense, 51984},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// run extracts the given separations through one plan and
+			// returns the last one's result and near-field values: per
+			// entry one value, or a pfft row entry's correction and exact
+			// value.
+			run := func(hs ...float64) (res *Result, rows []int32, vals [][]float64) {
+				p, err := New(Options{MaxEdge: c.edge, Pipeline: c.opt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, h := range hs {
+					if res, err = p.Extract(c.at(h)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				switch v := p.cur; {
+				case v.fmmOp != nil:
+					return res, nil, [][]float64{v.fmmOp.NearVals()}
+				case v.pfftOp != nil:
+					a := v.pfftOp.NearArtifact()
+					return res, a.RowLen, [][]float64{a.Val, a.Exact}
+				}
+				return res, nil, [][]float64{p.cur.dense.Data}
+			}
+			res, gotRows, got := run(c.h0, c.h1)
+			_, wantRows, want := run(c.h1)
+			if c.opt.Backend == op.BackendPFFT && !res.Reused.Topology {
+				t.Error("a z-only H change did not share the kernel transform")
+			}
+			if !slices.Equal(gotRows, wantRows) || len(got[0]) != c.entries || len(want[0]) != c.entries {
+				t.Fatalf("layouts differ: %d and %d entries, want %d", len(got[0]), len(want[0]), c.entries)
+			}
+			differ := 0
+			for k := range c.entries {
+				for s := range want {
+					if math.Float64bits(got[s][k]) != math.Float64bits(want[s][k]) {
+						differ++
+						break
+					}
+				}
+			}
+			if differ != 0 {
+				t.Errorf("%d of %d near-field entries differ from a fresh plan's", differ, c.entries)
+			}
 		})
 	}
 }
@@ -163,8 +249,9 @@ func TestPlanStageReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Reused.NearField {
-		t.Error("h variant did not reuse near-field entries")
+	// An fmm variant builds its near field as a fresh build does.
+	if warm.Reused.NearField {
+		t.Error("fmm h variant claims near-field reuse")
 	}
 	if !warm.Reused.Factorization {
 		t.Error("h variant did not adopt any block factors")
@@ -173,9 +260,9 @@ func TestPlanStageReuse(t *testing.T) {
 	if s.NearReused == 0 || s.FactReused == 0 || s.WarmStarts == 0 {
 		t.Errorf("reuse counters not advanced: %+v", s)
 	}
-	if s.NearReused < s.NearComputed {
-		t.Errorf("copied %d < computed %d near entries: within-layer pairs should dominate",
-			s.NearReused, s.NearComputed)
+	if s.NearComputed != s.ClassesIntegrated || s.NearReused < s.NearComputed {
+		t.Errorf("near entries: %d without integrating, %d classes integrated (%d by the fills): lookups should dominate",
+			s.NearReused, s.NearComputed, s.ClassesIntegrated)
 	}
 	if warm.Iterations >= cold.Iterations {
 		t.Errorf("warm start did not cut iterations: cold %d, warm %d",

@@ -96,7 +96,10 @@ type ExtractResponse struct {
 	Tol        float64 `json:"tol"`
 	Iterations int     `json:"iterations"`
 	// Reused reports the plan-stage reuse of the build that produced
-	// this result ("none", "near-field", "near-field+factors"); an
+	// this result: "none", "near-field" (dense entries copied from the
+	// previous variant, or a near field adopted from the artifact store),
+	// "factors" (block factors adopted over a near field that was built —
+	// an fmm or pfft variant) or "near-field+factors". An
 	// identical-geometry cache hit repeats the original build's flags.
 	Reused     string      `json:"reused,omitempty"`
 	SetupMs    float64     `json:"setup_ms"`
@@ -348,9 +351,10 @@ type SweepPoint struct {
 	// legitimate value (h=0 contact sweeps, direct solves with zero
 	// Krylov iterations, sub-millisecond cache hits rounding to 0) and
 	// must survive the round trip to capx -remote.
-	HM         float64       `json:"h_m"`
-	Backend    string        `json:"backend,omitempty"`
-	Iterations int           `json:"iterations"`
+	HM         float64 `json:"h_m"`
+	Backend    string  `json:"backend,omitempty"`
+	Iterations int     `json:"iterations"`
+	// Reused is ExtractResponse.Reused's name for the point's build.
 	Reused     string        `json:"reused,omitempty"`
 	TotalMs    float64       `json:"total_ms"`
 	CFarads    [][]float64   `json:"c_farads,omitempty"`
@@ -593,13 +597,15 @@ func requestedName(s string) string {
 
 // ReusedName renders plan stage reuse, for the wire and for capx -sweep.
 func ReusedName(r plan.StageReuse) string {
-	if !r.NearField {
-		return "none"
-	}
-	if r.Factorization {
+	switch {
+	case r.NearField && r.Factorization:
 		return "near-field+factors"
+	case r.NearField:
+		return "near-field"
+	case r.Factorization:
+		return "factors"
 	}
-	return "near-field"
+	return "none"
 }
 
 // conductorNames lists the structure's conductor names.

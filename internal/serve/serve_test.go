@@ -146,66 +146,75 @@ func TestServeExtractAndJobs(t *testing.T) {
 // TestServeWarmCacheSpeedup is the acceptance criterion of the service
 // layer: identical-family requests against a warm capxd share the plan
 // cache across HTTP requests, so the 2nd..Nth variant is built from the
-// first one's stages — near field and block factors reused, solves
+// first one's stages — block factors adopted, dense entries copied, solves
 // warm-started and shorter — while agreeing with one-shot ExtractPipeline
-// solves to < 1e-10. The speedup is asserted as the work that is not
-// done, in counts that repeat exactly on any host (how many near-field
-// entries a variant copies and integrates is TestSweepIncrementalSpeedup's
-// to pin, on the same plans); what it comes to in milliseconds is the
-// benchmark's serve.cold_ms against serve.variant_ms.
+// solves to < 1e-10. An fmm variant builds its near field as a fresh build
+// does, from the class table, so it reports "factors"; a dense variant
+// copies its rigidly moved entries and reports "near-field+factors". The
+// speedup is asserted as the work that is not done, in counts that repeat
+// exactly on any host (how many classes a variant integrates is
+// TestSweepIncrementalSpeedup's to pin, on the same plans); what it comes
+// to in milliseconds is the benchmark's serve.cold_ms against
+// serve.variant_ms.
 func TestServeWarmCacheSpeedup(t *testing.T) {
 	const edge = 0.25e-6
 	hs := []float64{0.35e-6, 0.40e-6, 0.45e-6, 0.50e-6}
-	// Tight tolerance so plan warm starts are invisible next to the
-	// 1e-10 agreement bound (the TestSweepIncrementalSpeedup setup).
-	popt := op.Options{Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi, Tol: 1e-12}
-
 	s, c := startServer(t, Options{Workers: 2})
 	ctx := context.Background()
-	cold := s.Stats().Engine
-
-	served := make([]*ExtractResponse, len(hs))
-	for i, h := range hs {
-		res, err := c.Extract(ctx, &ExtractRequest{
-			Geometry: geoText(t, crossingAt(h)),
-			EdgeM:    edge, Backend: "fastcap", Precond: "block", Tol: 1e-12,
-		})
-		if err != nil {
-			t.Fatalf("h=%g: %v", h, err)
-		}
-		served[i] = res
-	}
-
-	// Every served matrix agrees with a fresh one-variant plan, and every
-	// variant after the first took fewer iterations than it.
-	for i, h := range hs {
-		ref := freshPlan(t, crossingAt(h), edge, popt)
-		refRows := make([][]float64, ref.C.Rows)
-		for r := range refRows {
-			refRows[r] = ref.C.Row(r)
-		}
-		if e := capError(served[i].CFarads, refRows); e > 1e-10 {
-			t.Errorf("h=%g: served deviates from a fresh plan by %.3g (tol 1e-10)", h, e)
-		}
-		if i == 0 {
-			if served[i].Reused != "none" {
-				t.Errorf("first request of the family reused %q", served[i].Reused)
+	for _, leg := range []struct {
+		backend string
+		popt    op.Options
+		want    string
+	}{
+		// Tight tolerance so plan warm starts are invisible next to the
+		// 1e-10 agreement bound (the TestSweepIncrementalSpeedup setup).
+		{"fastcap", op.Options{Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi, Tol: 1e-12}, "factors"},
+		{"dense", op.Options{Backend: op.BackendDense, Precond: op.PrecondBlockJacobi, Tol: 1e-12}, "near-field+factors"},
+	} {
+		cold := s.Stats().Engine
+		served := make([]*ExtractResponse, len(hs))
+		for i, h := range hs {
+			res, err := c.Extract(ctx, &ExtractRequest{
+				Geometry: geoText(t, crossingAt(h)),
+				EdgeM:    edge, Backend: leg.backend, Precond: "block", Tol: 1e-12,
+			})
+			if err != nil {
+				t.Fatalf("%s, h=%g: %v", leg.backend, h, err)
 			}
-			continue
+			served[i] = res
 		}
-		if served[i].Reused != "near-field+factors" {
-			t.Errorf("h=%g: reused %q, want the first variant's near field and factors", h, served[i].Reused)
-		}
-		if served[i].Iterations >= ref.Iterations {
-			t.Errorf("h=%g: %d iterations from a warm start, cold %d", h, served[i].Iterations, ref.Iterations)
-		}
-	}
 
-	// One plan was built for the family and found again by every later
-	// request.
-	if st := s.Stats().Engine; st.StateMisses-cold.StateMisses != 1 || st.StateHits-cold.StateHits != uint64(len(hs)-1) {
-		t.Errorf("engine state lookups over %d requests: %d misses, %d hits; want 1 and %d",
-			len(hs), st.StateMisses-cold.StateMisses, st.StateHits-cold.StateHits, len(hs)-1)
+		// Every served matrix agrees with a fresh one-variant plan, and
+		// every variant after the first took fewer iterations than it.
+		for i, h := range hs {
+			ref := freshPlan(t, crossingAt(h), edge, leg.popt)
+			refRows := make([][]float64, ref.C.Rows)
+			for r := range refRows {
+				refRows[r] = ref.C.Row(r)
+			}
+			if e := capError(served[i].CFarads, refRows); e > 1e-10 {
+				t.Errorf("%s, h=%g: served deviates from a fresh plan by %.3g (tol 1e-10)", leg.backend, h, e)
+			}
+			if i == 0 {
+				if served[i].Reused != "none" {
+					t.Errorf("%s: first request of the family reused %q", leg.backend, served[i].Reused)
+				}
+				continue
+			}
+			if served[i].Reused != leg.want {
+				t.Errorf("%s, h=%g: reused %q, want %q", leg.backend, h, served[i].Reused, leg.want)
+			}
+			if served[i].Iterations >= ref.Iterations {
+				t.Errorf("%s, h=%g: %d iterations from a warm start, cold %d", leg.backend, h, served[i].Iterations, ref.Iterations)
+			}
+		}
+
+		// One plan was built for the family and found again by every
+		// later request.
+		if st := s.Stats().Engine; st.StateMisses-cold.StateMisses != 1 || st.StateHits-cold.StateHits != uint64(len(hs)-1) {
+			t.Errorf("%s: engine state lookups over %d requests: %d misses, %d hits; want 1 and %d",
+				leg.backend, len(hs), st.StateMisses-cold.StateMisses, st.StateHits-cold.StateHits, len(hs)-1)
+		}
 	}
 }
 

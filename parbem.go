@@ -113,12 +113,15 @@
 // topology, exact near-field integrals, preconditioner factorizations —
 // each content-addressed by what it actually depends on, so a geometry
 // delta invalidates only the stages that truly changed. Boxes that move
-// rigidly between variants (an h-sweep translating one layer) keep every
-// interaction integral among themselves: only cross-group entries go back
-// to the class table, block factors over unchanged panels are adopted —
-// all of them on the dense backend, whose blocks never straddle two
-// conductors — and the previous variant's charge solutions, every
-// conductor's, seed the search space the Krylov solve starts in.
+// rigidly between variants (an h-sweep translating one layer) keep the
+// symmetry class of every pair among themselves, so a variant integrates
+// only the classes its new separation brings. The dense backend copies
+// the entries of those unchanged pairs from the previous matrix; fmm and
+// pfft look them up in the class table, as a fresh build does. Block
+// factors over unchanged panels are adopted — all of them on the dense
+// backend, whose blocks never straddle two conductors — and the previous
+// variant's charge solutions, every conductor's, seed the search space the
+// Krylov solve starts in.
 // Identical geometry is a pure cache hit. A plan has one tolerance and
 // one set of solve options for life; a different tolerance is a
 // different plan.
@@ -131,11 +134,11 @@
 //	}
 //
 // On a 16-point crossing h-sweep the shared plan agrees with a fresh
-// plan per point to 1e-10 while copying at least three near-field
-// entries for each one it integrates, adopting the block factors on most
-// steps and converging every seeded solve in fewer iterations than
-// its cold twin (TestSweepIncrementalSpeedup asserts that work, not wall
-// clock; the timing is the plan_sweep workload of bench/). SweepH and the
+// plan per point to 1e-10 while integrating 36 to 970 classes per variant
+// where the first point integrates 1 348, adopting the block factors on
+// 13 of 15 steps and converging every seeded solve in fewer iterations
+// than its cold twin (TestSweepIncrementalSpeedup asserts that work, not
+// wall clock; the timing is the plan_sweep workload of bench/). SweepH and the
 // capx -sweep flag run on plans internally. Results must be treated as
 // read-only — cache hits return the cached object and the next
 // variant's seeds are the stored charges.

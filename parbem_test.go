@@ -132,6 +132,11 @@ func TestOptionSurface(t *testing.T) {
 		{reflect.TypeOf(op.Spec{}), []string{"Panels", "NumConductors", "Eps", "Cfg", "Exec", "Pairs"}},
 		{reflect.TypeOf(fmm.Options{}), []string{"LeafSize", "Theta", "NearFactor", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec", "Tol"}},
 		{reflect.TypeOf(pfft.Options{}), []string{"GridSpacing", "MaxNodes", "NearRadius", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec", "Tol"}},
+		// A variant's fmm or pfft near field is built, never copied from
+		// the previous operator: what is left to offer is a stored near
+		// field and, on pfft, the previous kernel transform.
+		{reflect.TypeOf(fmm.Reuse{}), []string{"Vals"}},
+		{reflect.TypeOf(pfft.Reuse{}), []string{"Prev", "Artifact"}},
 	} {
 		var got []string
 		for _, f := range reflect.VisibleFields(c.typ) {

@@ -1,6 +1,8 @@
 package parbem
 
 import (
+	"context"
+	"slices"
 	"testing"
 	"time"
 )
@@ -8,14 +10,14 @@ import (
 // TestSweepIncrementalSpeedup enforces the staged-plan value
 // proposition: a 16-point crossing h-sweep through one parbem.Plan does a
 // fraction of the work of 16 independent ExtractPipeline calls while
-// agreeing with every one of them to 1e-10. The speedup comes from work
-// elimination, not parallelism — on the h variants only cross-layer
-// near-field integrals are recomputed, block factors over unchanged
-// panels are adopted, and the Krylov solves warm-start from the previous
-// point — so it is asserted as work, in the plan's own counters, which
-// repeat exactly on any host. (The wall-clock ratio, about 2-3x on one
-// core, is logged; the benchmark's plan_sweep workload is where it is
-// measured.)
+// agreeing with every one of them to 1e-10. The saving is work
+// elimination, not parallelism — a variant integrates only the symmetry
+// classes its plan's table has not met (a pair that moved rigidly keeps
+// its class), block factors over unchanged panels are adopted, and the
+// Krylov solves start from the previous point's charges — so it is
+// asserted as work, in the plan's own counters, which repeat exactly on
+// any host. (The wall-clock ratio is logged; the benchmark's plan_sweep
+// workload is where it is measured.)
 func TestSweepIncrementalSpeedup(t *testing.T) {
 	const (
 		edge   = 0.25e-6
@@ -44,11 +46,15 @@ func TestSweepIncrementalSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	planRes := make([]*PlanResult, points)
+	classes := make([]int64, points)
+	lookups := make([]int64, points)
 	t0 := time.Now()
 	for i, h := range hs {
-		if planRes[i], err = p.Extract(variant(h)); err != nil {
+		res, fill, err := p.ExtractFillCtx(context.Background(), variant(h))
+		if err != nil {
 			t.Fatalf("plan h=%g: %v", h, err)
 		}
+		planRes[i], classes[i], lookups[i] = res, fill.ClassesIntegrated, fill.PairsNear
 	}
 	planTime := time.Since(t0)
 
@@ -65,9 +71,6 @@ func TestSweepIncrementalSpeedup(t *testing.T) {
 		if i == 0 {
 			continue
 		}
-		if !planRes[i].Reused.NearField {
-			t.Errorf("h=%g: near field built without the previous point's", h)
-		}
 		if planRes[i].Reused.Factorization {
 			factors++
 		}
@@ -78,19 +81,23 @@ func TestSweepIncrementalSpeedup(t *testing.T) {
 	indepTime := time.Since(t0)
 
 	st := p.Stats()
-	t.Logf("16-point h-sweep: plan %v, independent %v, %.2fx (stats %+v)",
-		planTime, indepTime, float64(indepTime)/float64(planTime), st)
+	t.Logf("16-point h-sweep: plan %v, independent %v, %.2fx; near lookups per point %v (stats %+v)",
+		planTime, indepTime, float64(indepTime)/float64(planTime), lookups, st)
 	if st.WarmStarts != points-1 {
 		t.Errorf("%d warm starts over %d variants", st.WarmStarts, points-1)
 	}
-	// The cold first point counts no entries either way; over the
-	// variants at most a quarter of the near field is integrated afresh.
-	if st.NearReused < 3*st.NearComputed || st.NearComputed == 0 {
-		t.Errorf("near-field entries: %d copied, %d integrated; want at least 3:1", st.NearReused, st.NearComputed)
+	// The first point integrates its classes; a variant integrates only
+	// the cross-layer classes its new separation brings.
+	if want := []int64{1348, 970, 970, 970, 465, 66, 66, 66, 66, 66, 287, 287, 287, 287, 95, 36}; !slices.Equal(classes, want) {
+		t.Errorf("classes integrated per point %v, want %v", classes, want)
+	}
+	if st.NearComputed != st.ClassesIntegrated || st.NearReused < 3*st.NearComputed {
+		t.Errorf("near-field entries: %d without integrating, %d classes integrated (%d counted by the fills); want at least 3:1",
+			st.NearReused, st.NearComputed, st.ClassesIntegrated)
 	}
 	// Block factors carry over except where a step moves panels between
 	// leaves (2 of these 15 steps).
-	if factors < (points-1)*3/4 || st.FactReused == 0 {
-		t.Errorf("block factors adopted on %d of %d variants (%d factors)", factors, points-1, st.FactReused)
+	if factors != points-3 || st.FactReused != 1664 {
+		t.Errorf("block factors adopted on %d of %d variants (%d factors), want %d (1664)", factors, points-1, st.FactReused, points-3)
 	}
 }
