@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"parbem/internal/basis"
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
@@ -158,6 +159,22 @@ func TestFillUpperScratchReused(t *testing.T) {
 		t.Logf("%d panels in %d groups: %v objects a fill", len(panels), len(f.groups), allocs)
 		if allocs > 5 {
 			t.Errorf("%d panels: %v objects a fill, want the task list and the closure's few", len(panels), allocs)
+		}
+	}
+}
+
+// TestClassBlocksSlabs: a template fill's block tables are four objects —
+// their header, the block headers, the cells and the memo — whatever the
+// number of templates, once the class table's free list holds the
+// builder's scratch (a cold table adds the scratch and its two buffers).
+func TestClassBlocksSlabs(t *testing.T) {
+	for _, n := range []int{3, 8, 16, 24} {
+		f := NewIntegrator().Intern(basis.Build(geom.DefaultBus(n, n).Build(), basis.DefaultBuilderOptions()))
+		b := f.classBlocks()
+		allocs := testing.AllocsPerRun(5, func() { f.classBlocks() })
+		t.Logf("%dx%d bus: %d templates in %d groups, %d cells (%d KB of memo), %v objects", n, n, len(f.tpl), len(f.groups), len(b.memo), len(b.memo)*8>>10, allocs)
+		if allocs != 4 {
+			t.Errorf("%dx%d bus: the block tables are %v objects, want 4", n, n, allocs)
 		}
 	}
 }

@@ -75,12 +75,12 @@ func WholePartial(P *linalg.Dense) *Partial {
 // l_i = l_j"; as Figure 3's text explains, the doubling applies to
 // *off-diagonal* P~ entries condensing onto P's diagonal, so the condition
 // is implemented here as i != j with l_i = l_j.)
-func (f *Interned) fillRange(dst *Partial, kLo, kHi int64) {
+func (f *Interned) fillRange(dst *Partial, t *classBlocks, kLo, kHi int64) {
 	var c FillStats
 	owner := f.set.Owner
 	i, j := KToIJ(kLo)
 	for k := kLo; k < kHi; k++ {
-		v := f.PairInto(i, j, &c)
+		v := f.blockPair(t, i, j, &c)
 		li, lj := owner[i], owner[j]
 		if i != j && li == lj {
 			v *= 2
@@ -93,11 +93,45 @@ func (f *Interned) fillRange(dst *Partial, kLo, kHi int64) {
 	f.in.AddFillStats(c)
 }
 
-// FillRanges is the core of every fill path: it interns the set once,
-// then computes each k-chunk [bounds[t], bounds[t+1]) on the executor —
-// whose claimers take the chunks in order from one counter — accumulating
-// straight into dst, which must cover the columns of
-// [bounds[0], bounds[len-1]).
+// blockPair is PairInto(i, j, c), to the bit, with the class value read
+// through the memo cell of the pair in its block of t (see "Blocks"): only
+// the first pair of a cell builds a key. Pairs of templates in no group, and
+// of blocks filled pair by pair, go through PairInto.
+func (f *Interned) blockPair(t *classBlocks, i, j int, c *FillStats) float64 {
+	gi, gj := f.member[i], f.member[j]
+	if gi < 0 || gj < 0 {
+		return f.PairInto(i, j, c)
+	}
+	h := &t.hdr[int(gi)*t.ng+int(gj)]
+	if h.memo < 0 {
+		return f.PairInto(i, j, c)
+	}
+	a, b := &f.tpl[i], &f.tpl[j]
+	if f.beyond(dist2(a, b), a, b) {
+		c.PairsFar++
+		return farValue(a, b)
+	}
+	c.PairsNear++
+	ri, rj := &f.rank[i], &f.rank[j]
+	cell := &t.memo[int(h.memo)+
+		int(t.cells[int(h.tab[0])+int(ri[0])*int(h.nb[0])+int(rj[0])])+
+		int(t.cells[int(h.tab[1])+int(ri[1])*int(h.nb[1])+int(rj[1])])+
+		int(t.cells[int(h.tab[2])+int(ri[2])*int(h.nb[2])+int(rj[2])])]
+	bits := cell.Load()
+	if bits == 0 {
+		v := f.classValue(a, b, c)
+		cell.Store(math.Float64bits(v)) // a racing worker stores the same bits
+		return a.amp * b.amp * v
+	}
+	c.PairMemo++
+	return a.amp * b.amp * math.Float64frombits(bits)
+}
+
+// FillRanges is the core of every fill path: it interns the set once and
+// builds its block tables (see "Blocks"), then computes each k-chunk
+// [bounds[t], bounds[t+1]) on the executor — whose claimers take the chunks
+// in order from one counter — accumulating straight into dst, which must
+// cover the columns of [bounds[0], bounds[len-1]).
 //
 // Chunks run concurrently without a lock or a private slab, so no two of
 // them may touch the same column of P: the interior boundaries are moved
@@ -113,10 +147,11 @@ func (f *Interned) fillRange(dst *Partial, kLo, kHi int64) {
 // network.
 func FillRanges(set *basis.Set, in *Integrator, bounds []int64, ex sched.Executor, dst *Partial) {
 	f := in.Intern(set)
+	blocks := f.classBlocks()
 	bounds = AlignColumns(set, bounds)
 	ex.Map(len(bounds)-1, func(t int) {
 		if lo, hi := bounds[t], bounds[t+1]; hi > lo {
-			f.fillRange(dst, lo, hi)
+			f.fillRange(dst, blocks, lo, hi)
 		}
 	})
 	if f.pairs != nil {
@@ -172,9 +207,10 @@ func PartitionK(K int64, d int) []int64 {
 // and within one column's worth of pairs of the requested sizes.
 //
 // The partitions it is applied to are the paper's equal-count divisions,
-// not cost-weighted ones: a pair costs a table lookup unless it is the
-// first of its symmetry class, which no static estimate can know, so
-// balance is left to dynamic chunking.
+// not cost-weighted ones: a near pair costs a memo read unless it is the
+// first of its memo cell, then a table lookup unless it is the first of its
+// symmetry class, which no static estimate can know, so balance is left to
+// dynamic chunking.
 func AlignColumns(set *basis.Set, bounds []int64) []int64 {
 	out := append([]int64(nil), bounds...)
 	first, last := out[0], out[len(out)-1]

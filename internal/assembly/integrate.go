@@ -160,6 +160,34 @@
 // alone, so the counts repeat at every executor width. Each task takes its
 // tables and memo from the class table's free list and gives them back, so
 // a steady stream of assemblies through one table allocates none.
+//
+// A template fill (FillRanges) reads its pairs through block memos too, but
+// its order is Algorithm 1's: the upper triangle in k order, every entry of
+// P summed in that order. Templates are not interned in runs — at 16x16 the
+// bus's 1 728 templates form 1 280 runs of one class, but take 13 classes —
+// so a template fill's groups are classes (cut every groupMax members,
+// classGroupMax groups at most), and a near pair's block is the ordered pair
+// (group of i, group of j). Before the fill, every block's per-axis tables
+// are built once, by the function the panel blocks use, into one slab, and
+// its cells are laid out in one memo the fill's workers share. The k-order
+// loop is unchanged; per pair it reads the cell from the two templates'
+// ranks, and the first pair of a cell calls the key path and stores the
+// unit class value's bits in it (0 is empty; a racing worker stores the same
+// bits, the value being a pure function of the key); the rest take them and
+// multiply by their own amplitudes as PairInto does. Every pair gets the
+// value PairInto would return, to the bit, and is added where and when it
+// was before, so P is bitwise what it was at any worker count, rank count
+// or partition. Of the 945 840 near pairs of the 16x16 bus the fill looks
+// up 44 256 (15 988 of 113 112 at 8x8, 90 875 of 2 668 500 at 24x24;
+// TestTemplateLookupsPerFill); the classes integrated do not change.
+//
+// Both kinds of block leave out of their cells the extent pairs whose gap
+// along one axis alone passes FarFactor times the groups' largest mean
+// diameter: such a pair is far whatever the other axes add, by the
+// monotone-rounding argument above. The memo of the 16x16 bus is 82 464
+// cells, 0.66 MB (123 804 without the cut). A template block whose memo
+// would hold more cells than it has pairs, or pass tableMax, is filled pair
+// by pair, as are templates without a class.
 package assembly
 
 import (
@@ -202,10 +230,10 @@ type FillStats struct {
 	// otherwise; the table itself counts nothing.
 	PairsFar  int64 `json:"pairs_far"`
 	PairsNear int64 `json:"pairs_near"`
-	// PairMemo is the number of near pairs the block fill served from the
-	// memo of their block (see "Blocks" in the package comment): a pair of
-	// the same class came first there, so no key was built. Template fills
-	// have no blocks and count none.
+	// PairMemo is the number of near pairs a block fill — a template fill
+	// or a dense panel assembly — served from the memo of their block (see
+	// "Blocks" in the package comment): a pair of the same class came first
+	// there, so no key was built.
 	PairMemo int64 `json:"pair_memo"`
 	// PairSequential is the number of those lookups the sweep's cursor
 	// served — the class sat next to the sweep's last hit in the table's

@@ -22,11 +22,13 @@ type Interned struct {
 	// panels are what InternPanels interned, each a flat template of
 	// amplitude 1 (last: what every pair reads stays on one cache line).
 	panels []geom.Panel
-	// groups, rank and reps index the panels for the block fill (see
-	// "Blocks"); nil when a basis set was interned.
+	// groups, rank and reps index the templates for the block fill (see
+	// "Blocks"); member is each template's group when they are a basis
+	// set's, -1 for none.
 	groups []tplGroup
-	rank   [][3]uint16 // per panel: its extent's rank in its group, per axis
+	rank   [][3]uint16 // per template: its extent's rank in its group, per axis
 	reps   []int32     // per group and axis: one member per distinct extent
+	member []int32
 }
 
 type tplInfo struct {
@@ -94,9 +96,7 @@ func (in *Integrator) intern(f *Interned, m int, fp uint64) *Interned {
 			f.tpl[i].cls = f.pairs.classOf(fp, qexp, &t)
 		}
 	}
-	if f.set == nil {
-		f.group()
-	}
+	f.group()
 	return f
 }
 
@@ -114,14 +114,7 @@ func (f *Interned) Pair(i, j int) float64 {
 // is ordered: i is the target of whatever the dispatch collocates.
 func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 	a, b := &f.tpl[i], &f.tpl[j]
-	var d2 float64
-	for ax := range a.lo {
-		if g := b.lo[ax] - a.hi[ax]; g > 0 {
-			d2 += float64(g * g)
-		} else if g := a.lo[ax] - b.hi[ax]; g > 0 {
-			d2 += float64(g * g)
-		}
-	}
+	d2 := dist2(a, b)
 	if f.beyond(d2, a, b) {
 		// Far field, decided and evaluated at absolute coordinates.
 		c.PairsFar++
@@ -131,6 +124,13 @@ func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 	if a.cls == nil || b.cls == nil {
 		return f.pairAbsolute(i, j, d2)
 	}
+	return a.amp * b.amp * f.classValue(a, b, c)
+}
+
+// classValue returns the unit value of the class of the near pair (a, b),
+// both with a class: it builds the key, looks it up and, on a miss,
+// integrates the class and stores it.
+func (f *Interned) classValue(a, b *tplInfo, c *FillStats) float64 {
 	var k pairKey
 	ca, cb := f.canon(a, b, &k)
 	v, ok := f.pairs.get(&k, c)
@@ -148,7 +148,17 @@ func (f *Interned) PairInto(i, j int, c *FillStats) float64 {
 			c.ClassesIntegrated++
 		}
 	}
-	return a.amp * b.amp * v
+	return v
+}
+
+// dist2 is the square of the distance between the supports of a and b,
+// summed in axis order.
+func dist2(a, b *tplInfo) float64 {
+	var d2 float64
+	for ax := range a.lo {
+		d2 += gap2(a.lo[ax], a.hi[ax], b.lo[ax], b.hi[ax])
+	}
+	return d2
 }
 
 // pairAbsolute evaluates a near pair the key cannot describe at its own

@@ -108,8 +108,8 @@ type Stats struct {
 	StateHits   uint64 `json:"state_hits"`
 	StateMisses uint64 `json:"state_misses"`
 	// PairHits/PairMisses count the lookups of the shared class table:
-	// one per non-far pair — of templates (Extract) or of panels whose
-	// entry no previous variant supplied and no block memo served
+	// one per non-far pair that no block memo served — of templates
+	// (Extract) or of panels whose entry no previous variant supplied
 	// (ExtractPipeline) — a miss being an integration. The table's lookups
 	// take no lock and count nothing; these are Fill's counts, which the
 	// fills' workers keep: misses are its ClassesIntegrated, hits the rest

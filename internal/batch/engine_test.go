@@ -168,8 +168,8 @@ func TestEngineBatchWork(t *testing.T) {
 		t.Errorf("15 repeats: %d basis cache hits and %d misses, want 15 and 0",
 			all.StateHits-first.StateHits, all.StateMisses-first.StateMisses)
 	}
-	if f := all.Fill; f.PairsNear != 16*lone.Fill.PairsNear || f.ClassesIntegrated != lone.Fill.ClassesIntegrated || f.PairMemo != 0 ||
-		all.PairHits+all.PairMisses != uint64(f.PairsNear) || all.PairEntries != int(f.ClassesIntegrated) {
+	if f := all.Fill; f.PairsNear != 16*lone.Fill.PairsNear || f.ClassesIntegrated != lone.Fill.ClassesIntegrated ||
+		all.PairHits+all.PairMisses+uint64(f.PairMemo) != uint64(f.PairsNear) || all.PairEntries != int(f.ClassesIntegrated) {
 		t.Errorf("engine stats do not add up: %+v", all)
 	}
 }

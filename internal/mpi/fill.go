@@ -28,8 +28,9 @@ const (
 // partition into a table of its own (in.Pairs is not used) and reports
 // its work counters in its header message; rank 0 credits the sum to in.
 // A class value is a pure function of its key, so a class that several
-// ranks integrate has the same bits on each. The header carries no
-// PairMemo: a template fill has no blocks, so it is 0 on every rank.
+// ranks integrate has the same bits on each. Each rank's block memo is its
+// own too, so its PairMemo counts the pairs of its partition that its memo
+// served.
 func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *linalg.Dense {
 	size := net.size
 	// One contiguous k-partition per rank (Figure 5/6), the paper's equal
@@ -51,7 +52,7 @@ func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *lin
 
 		if c.Rank() != 0 {
 			c.SendInts(0, tagPartHeader, []int{part.ColLo, part.ColHi,
-				int(st.PairsFar), int(st.PairsNear), int(st.PairSequential), int(st.ClassesIntegrated), int(st.TableBytes)})
+				int(st.PairsFar), int(st.PairsNear), int(st.PairMemo), int(st.PairSequential), int(st.ClassesIntegrated), int(st.TableBytes)})
 			if part.ColHi >= part.ColLo {
 				c.SendFloat64s(0, tagPartData, part.Data.Data)
 			}
@@ -66,8 +67,8 @@ func FillDistributed(set *basis.Set, in *assembly.Integrator, net *Network) *lin
 		for r := 1; r < size; r++ {
 			hdr := c.RecvInts(r, tagPartHeader)
 			colLo, colHi := hdr[0], hdr[1]
-			st.Add(assembly.FillStats{PairsFar: int64(hdr[2]), PairsNear: int64(hdr[3]), PairSequential: int64(hdr[4]),
-				ClassesIntegrated: int64(hdr[5]), TableBytes: int64(hdr[6])})
+			st.Add(assembly.FillStats{PairsFar: int64(hdr[2]), PairsNear: int64(hdr[3]), PairMemo: int64(hdr[4]),
+				PairSequential: int64(hdr[5]), ClassesIntegrated: int64(hdr[6]), TableBytes: int64(hdr[7])})
 			if colHi < colLo {
 				continue
 			}

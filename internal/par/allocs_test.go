@@ -108,17 +108,22 @@ func TestInternedPairAllocationFree(t *testing.T) {
 	}
 
 	// Interning is one pass over the templates: on a table that knows the
-	// classes it allocates its two slices and nothing per template.
-	if allocs := testing.AllocsPerRun(5, func() { miss.Intern(set) }); allocs > 2 {
+	// classes it allocates the Interned and its templates, and the four
+	// slabs of the group index (groups, ranks, extent lists, each
+	// template's group), and nothing per template.
+	if allocs := testing.AllocsPerRun(5, func() { miss.Intern(set) }); allocs > 6 {
 		t.Errorf("Intern allocates %.0f objects for %d templates", allocs, m)
 	}
 }
 
 // TestFillSteadyStateAllocs bounds the allocations of a whole Fill call:
-// everything allocated is the matrix, the interned templates, the
-// scheduler's job and the class table's pages (one per 256 classes),
-// none of it per pair. The bound is deliberately generous; the point is
-// that the integration inner loop contributes nothing.
+// everything allocated is the matrix, the interned templates and their
+// group index (six slabs), the block tables (their header, the block
+// headers, the cells and the memo: four), the tables' builder's scratch
+// (three, and its place on the class table's free list), the scheduler's
+// job and the class table's pages (one per 256 classes), none of it per
+// pair or per block. The bound is deliberately generous; the point is that
+// the integration inner loop contributes nothing.
 func TestFillSteadyStateAllocs(t *testing.T) {
 	st := geom.DefaultBus(3, 3).Build()
 	set := basis.Build(st, basis.DefaultBuilderOptions())
