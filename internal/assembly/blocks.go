@@ -156,16 +156,30 @@ func gap2(alo, ahi, blo, bhi float64) float64 {
 	return 0
 }
 
-// FillUpper writes the upper triangle of the interned panels' scaled
-// Galerkin matrix into m: entry (i, j), i <= j, is kernel.Scale(PairInto(i,
-// j), eps) to the bit, panel i the target, except that an entry whose two
-// panels share a non-negative class in class is copied from prev (nil: none
-// is). The blocks of the panel groups run as tasks on ex, each with
-// scratch from the class table's free list (see "Blocks"). It returns the
-// number of entries copied and the pair work of the rest. f must hold
-// panels.
-func (f *Interned) FillUpper(ex sched.Executor, m, prev *linalg.Dense, class []int32, eps float64) (int64, FillStats) {
+// FillUpper writes the interned panels' scaled Galerkin matrix into m, both
+// triangles from the upper: entries (i, j) and (j, i), i <= j, are
+// kernel.Scale(PairInto(i, j), eps) to the bit, panel i the target. The
+// exception are the entries whose two panels share a non-negative class in
+// class (nil: none do): m is then the matrix of the same panels before they
+// moved, and those entries, in both triangles, are kept as m holds them.
+// A block whose two groups lie in one class is skipped whole. The blocks
+// of the panel groups run as tasks on ex, each with scratch from the class
+// table's free list (see "Blocks"). It returns the number of upper entries
+// kept and the pair work of the rest. f must hold panels.
+func (f *Interned) FillUpper(ex sched.Executor, m *linalg.Dense, class []int32, eps float64) (int64, FillStats) {
 	starts := f.tasks()
+	var gcls []int32 // per group: the class all its panels share, else -1
+	if class != nil {
+		gcls = make([]int32, len(f.groups))
+		for g, G := range f.groups {
+			gcls[g] = class[G.lo]
+			for i := G.lo + 1; i < G.hi && gcls[g] >= 0; i++ {
+				if class[i] != gcls[g] {
+					gcls[g] = -1
+				}
+			}
+		}
+	}
 	var mu sync.Mutex // guards the two totals
 	var reused int64
 	var fill FillStats
@@ -174,8 +188,12 @@ func (f *Interned) FillUpper(ex sched.Executor, m, prev *linalg.Dense, class []i
 		var c FillStats
 		var nr int64
 		for pos := starts[t]; pos != starts[t+1]; {
-			p, _ := f.piece(pos)
-			nr += f.fillPiece(w, p, m, prev, class, eps, &c)
+			p, pairs := f.piece(pos)
+			if gcls != nil && gcls[p.a] >= 0 && gcls[p.a] == gcls[p.b] {
+				nr += pairs
+			} else {
+				nr += f.fillPiece(w, p, m, class, eps, &c)
+			}
 			pos = f.after(p)
 		}
 		f.pairs.release(w)
@@ -485,17 +503,16 @@ func (f *Interned) classBlocks() *classBlocks {
 	return t
 }
 
-// fillPiece fills piece p (see FillUpper) with w's tables, counting into c,
-// and returns the number of entries copied from prev.
-func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m, prev *linalg.Dense, class []int32, eps float64, c *FillStats) (nr int64) {
+// fillPiece fills piece p (see FillUpper) with w's tables, each entry and
+// its mirror, counting into c, and returns the number of entries kept.
+func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m *linalg.Dense, class []int32, eps float64, c *FillStats) (nr int64) {
 	B := &f.groups[p.b]
 	mode := w.prepare(f, &f.groups[p.a], B)
 	for i := int(p.rlo); i < int(p.rhi); i++ {
 		row := m.Row(i)
-		var prow []float64
-		ci := int32(-1) // no class: no entry of the row from prev
-		if prev != nil {
-			prow, ci = prev.Row(i), class[i]
+		ci := int32(-1) // no class: no entry of the row is kept
+		if class != nil {
+			ci = class[i]
 		}
 		j0 := int(B.lo)
 		if p.a == p.b {
@@ -513,30 +530,29 @@ func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m, prev *linalg.Dens
 		}
 		for j := j0; j < int(B.hi); j++ {
 			if ci >= 0 && ci == class[j] {
-				row[j] = prow[j]
 				nr++
 				continue
 			}
-			if mode == blockDirect {
-				row[j] = kernel.Scale(f.PairInto(i, j, c), eps)
-				continue
-			}
+			var v float64
 			b, rb := &f.tpl[j], &f.rank[j]
-			if mode == blockFar || mode == blockMixed && f.beyond((g0[rb[0]]+g1[rb[1]])+g2[rb[2]], a, b) {
+			switch {
+			case mode == blockDirect:
+				v = kernel.Scale(f.PairInto(i, j, c), eps)
+			case mode == blockFar || mode == blockMixed && f.beyond((g0[rb[0]]+g1[rb[1]])+g2[rb[2]], a, b):
 				c.PairsFar++
-				row[j] = kernel.Scale(farValue(a, b), eps)
-				continue
+				v = kernel.Scale(farValue(a, b), eps)
+			default:
+				cell := int(k0[rb[0]]) + int(k1[rb[1]]) + int(k2[rb[2]])
+				if w.stamp[cell] == w.epoch {
+					c.PairsNear++
+					c.PairMemo++
+					v = w.memo[cell]
+				} else {
+					v = kernel.Scale(f.PairInto(i, j, c), eps)
+					w.memo[cell], w.stamp[cell] = v, w.epoch
+				}
 			}
-			cell := int(k0[rb[0]]) + int(k1[rb[1]]) + int(k2[rb[2]])
-			if w.stamp[cell] == w.epoch {
-				c.PairsNear++
-				c.PairMemo++
-				row[j] = w.memo[cell]
-				continue
-			}
-			v := kernel.Scale(f.PairInto(i, j, c), eps)
-			w.memo[cell], w.stamp[cell] = v, w.epoch
-			row[j] = v
+			row[j], m.Data[j*m.Cols+i] = v, v
 		}
 	}
 	return nr

@@ -43,11 +43,14 @@ func TestFillUpperSplitsLargeBlocks(t *testing.T) {
 	var first FillStats
 	for _, workers := range []int{1, 2, 3} {
 		m := linalg.NewDense(n, n)
-		_, fill := InternPanels(cfg, nil, panels).FillUpper(sched.Local(workers), m, nil, nil, kernel.Eps0)
+		_, fill := InternPanels(cfg, nil, panels).FillUpper(sched.Local(workers), m, nil, kernel.Eps0)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				if math.Float64bits(m.At(i, j)) != math.Float64bits(want[i*n+j]) {
 					t.Fatalf("%d workers: P[%d][%d] = %v, pair by pair %v", workers, i, j, m.At(i, j), want[i*n+j])
+				}
+				if math.Float64bits(m.At(j, i)) != math.Float64bits(want[i*n+j]) {
+					t.Fatalf("%d workers: P[%d][%d] = %v, not its mirror's %v", workers, j, i, m.At(j, i), want[i*n+j])
 				}
 			}
 		}
@@ -57,6 +60,45 @@ func TestFillUpperSplitsLargeBlocks(t *testing.T) {
 		if fill.PairsNear != wantFill.PairsNear || fill.PairsFar != wantFill.PairsFar || fill.PairMemo != first.PairMemo || fill.PairMemo == 0 {
 			t.Errorf("%d workers: %d near (%d from memos), %d far; pair by pair %d near, %d far; one worker %d from memos",
 				workers, fill.PairsNear, fill.PairMemo, fill.PairsFar, wantFill.PairsNear, wantFill.PairsFar, first.PairMemo)
+		}
+	}
+}
+
+// TestFillUpperInPlaceTwoTriangleWrites: a rigid-motion variant — the top
+// plate raised, the bottom one kept — filled in place over the matrix of
+// the geometry before it is bitwise a fresh fill of the variant, in both
+// triangles, at one, two and four workers, whose tasks write every value
+// they compute at (i, j) and at (j, i). It keeps exactly the pairs within
+// one plate and computes the rest.
+func TestFillUpperInPlaceTwoTriangleWrites(t *testing.T) {
+	cfg := kernel.DefaultConfig()
+	before, after := plates(0.5e-6).Panelize(1e-6), plates(0.7e-6).Panelize(1e-6)
+	n := len(after)
+	class := make([]int32, n)
+	for i, p := range after {
+		class[i] = int32(p.Conductor)
+	}
+	var kept int64
+	for i := range n {
+		for j := i; j < n; j++ {
+			if class[i] == class[j] {
+				kept++
+			}
+		}
+	}
+	want := linalg.NewDense(n, n)
+	_, cold := InternPanels(cfg, nil, after).FillUpper(sched.Local(1), want, nil, kernel.Eps0)
+	for _, workers := range []int{1, 2, 4} {
+		m := linalg.NewDense(n, n)
+		InternPanels(cfg, nil, before).FillUpper(sched.Local(workers), m, nil, kernel.Eps0)
+		nr, fill := InternPanels(cfg, nil, after).FillUpper(sched.Local(workers), m, class, kernel.Eps0)
+		for k, v := range m.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[k]) {
+				t.Fatalf("%d workers: P[%d][%d] = %v, a fresh fill's %v", workers, k/n, k%n, v, want.Data[k])
+			}
+		}
+		if nr != kept || nr+fill.PairsNear+fill.PairsFar != cold.PairsNear+cold.PairsFar {
+			t.Errorf("%d workers: %d kept, %d near, %d far; want %d kept of %d pairs", workers, nr, fill.PairsNear, fill.PairsFar, kept, cold.PairsNear+cold.PairsFar)
 		}
 	}
 }
@@ -114,7 +156,7 @@ func TestBlockGateModes(t *testing.T) {
 					mode := w.prepare(f, A, &f.groups[b])
 					modes[mode]++
 					var got, want FillStats
-					f.fillPiece(&w, blockPiece{int32(a), int32(b), A.lo, A.hi}, m, nil, nil, kernel.Eps0, &got)
+					f.fillPiece(&w, blockPiece{int32(a), int32(b), A.lo, A.hi}, m, nil, kernel.Eps0, &got)
 					for i := A.lo; i < A.hi; i++ {
 						for j := max(i, f.groups[b].lo); j < f.groups[b].hi; j++ {
 							v := kernel.Scale(ref.PairInto(int(i), int(j), &want), kernel.Eps0)
@@ -154,8 +196,8 @@ func TestFillUpperScratchReused(t *testing.T) {
 	} {
 		f := InternPanels(cfg, NewPairCache(0), panels)
 		m := linalg.NewDense(len(panels), len(panels))
-		f.FillUpper(sched.Local(1), m, nil, nil, kernel.Eps0)
-		allocs := testing.AllocsPerRun(5, func() { f.FillUpper(sched.Local(1), m, nil, nil, kernel.Eps0) })
+		f.FillUpper(sched.Local(1), m, nil, kernel.Eps0)
+		allocs := testing.AllocsPerRun(5, func() { f.FillUpper(sched.Local(1), m, nil, kernel.Eps0) })
 		t.Logf("%d panels in %d groups: %v objects a fill", len(panels), len(f.groups), allocs)
 		if allocs > 5 {
 			t.Errorf("%d panels: %v objects a fill, want the task list and the closure's few", len(panels), allocs)

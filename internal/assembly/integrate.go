@@ -150,10 +150,15 @@
 // smallest gap against the largest diameters (all far), or the largest gap
 // against the smallest diameters (all near, and no gate is evaluated).
 // Rounding is monotone, so a bound never decides a pair otherwise than the
-// gate would. Far values are evaluated per pair at absolute coordinates; a
-// rigid-motion copy from the previous variant stays a per-entry load.
+// gate would. Far values are evaluated per pair at absolute coordinates.
 // Blocks of classless panels, single-pair blocks and blocks whose tables
 // would be too large go through PairInto pair by pair in the same loop.
+//
+// A block writes each value it computes at (i, j) and at (j, i), so the
+// assembly needs no mirror pass. A geometry variant fills the matrix of the
+// variant before it in place: a pair of panels that moved rigidly together
+// keeps its value in both triangles, unread and unwritten, and a block
+// whose two groups lie in one rigid-motion class is skipped whole.
 //
 // Blocks over pieceMax pairs are cut into row ranges, and the block order
 // is cut into tasks of about that many pairs; the cut depends on the panels

@@ -278,18 +278,19 @@ func (op *Operator) NearFill() assembly.FillStats { return op.nearFill }
 // panels, so the blocks are disjoint and cover every unknown; each block
 // is a principal sub-matrix of the SPD Galerkin matrix and therefore
 // Cholesky-factorizable.
-func (op *Operator) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
+func (op *Operator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense) {
 	// pos[panel] = position of the panel within its own leaf.
 	pos := make([]int32, len(op.panels))
 	for _, lf := range op.leaves {
 		nd := &op.t.nodes[lf]
-		for k, pi := range op.t.perm[nd.lo:nd.hi] {
+		pan := op.t.perm[nd.lo:nd.hi]
+		for k, pi := range pan {
 			pos[pi] = int32(k)
 		}
+		idx = append(idx, append([]int32(nil), pan...))
 	}
-	for _, lf := range op.leaves {
-		nd := &op.t.nodes[lf]
-		pan := op.t.perm[nd.lo:nd.hi]
+	return idx, func(k int) *linalg.Dense {
+		lf, pan := op.leaves[k], idx[k]
 		b := linalg.NewDense(len(pan), len(pan))
 		for r, pi := range pan {
 			row := b.Row(r)
@@ -302,10 +303,8 @@ func (op *Operator) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
 				}
 			}
 		}
-		idx = append(idx, append([]int32(nil), pan...))
-		blocks = append(blocks, b)
+		return b
 	}
-	return idx, blocks
 }
 
 // Apply implements linalg.Matvec: upward moment pass, M2L over the

@@ -20,10 +20,11 @@
 // DenseOperator all are in serial mode). Backends may additionally
 // implement NearBlocker to expose their near-field diagonal blocks:
 //
-//	NearBlocks() (idx [][]int32, blocks []*linalg.Dense)
+//	NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense)
 //
 // idx[k] lists the unknowns of block k (disjoint across blocks) and
-// blocks[k] is the corresponding dense sub-matrix of the operator. The
+// block(k) copies out the corresponding dense sub-matrix of the operator,
+// which the preconditioner asks for only where it must factor one. The
 // fmm operator returns its exact-Galerkin octree-leaf self blocks, the
 // pfft operator its precorrection-cluster blocks, and DenseOperator
 // spatial clusters of at most 64 panels of one conductor.
@@ -96,10 +97,10 @@ type Operator = linalg.Matvec
 
 // NearBlocker is optionally implemented by operators that can expose
 // disjoint near-field diagonal blocks for block-Jacobi preconditioning.
-// idx[k] holds the unknown indices of block k; blocks[k] the dense
-// sub-matrix over those unknowns. Blocks must not share unknowns.
+// idx[k] holds the unknown indices of block k; block(k) returns a new
+// dense sub-matrix over those unknowns. Blocks must not share unknowns.
 type NearBlocker interface {
-	NearBlocks() (idx [][]int32, blocks []*linalg.Dense)
+	NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense)
 }
 
 // Spec describes a panelized extraction problem to the pipeline: the
@@ -181,39 +182,40 @@ func (s *Spec) RHS() *linalg.Dense {
 	return phi
 }
 
-// AssembleDense builds the full N x N Galerkin matrix: the upper
-// triangle is filled in parallel, block by block of panel groups, then
-// mirrored (each entry is computed exactly once).
+// AssembleDense builds the full N x N Galerkin matrix in parallel, block
+// by block of panel groups; each entry is computed once and written to
+// both triangles.
 func (s *Spec) AssembleDense() *linalg.Dense {
 	m, _, _ := s.AssembleDenseReuse(nil, nil)
 	return m
 }
 
-// AssembleDenseReuse is AssembleDense with delta-aware reuse: entries
-// whose panel pair moved rigidly as a unit since prev was assembled
-// (equal non-negative class values, panels aligned 1:1 by index; see
-// geom.Diff and internal/plan) are copied from prev; every other entry
-// (i, j), i <= j, is the value of its symmetry class in the spec's table
-// with panel i the target (see Entry). The upper triangle is filled by
-// blocks of panel groups (assembly.Interned.FillUpper): inside a block,
-// the first near pair of each distinct centre displacement looks its class
-// up — integrated only if the table has not met it — and the pairs that
-// share the displacement take the same bits from the block's memo. The
-// copy stays beside the table because it was measured to pay: without it
-// a dense variant's near stage ran 9-20% slower at one core (crossing pair
-// 2.4 -> 2.9 ms, plates 0.24 -> 0.28 ms) and serve_mix, half of whose
-// requests are dense variants, read serve.variant_ms 1.81 -> 1.92 ms. It
-// returns the matrix, the number of unordered entries served from prev,
-// and the pair work of the rest. A nil or shape-mismatched prev is a full
-// fresh assembly.
+// AssembleDenseReuse is AssembleDense into prev, the matrix of the
+// previous variant of these panels, which it overwrites and returns; a nil
+// or shape-mismatched prev gets a new matrix. Entries whose panel pair
+// moved rigidly as a unit since prev was assembled (equal non-negative
+// class values, panels aligned 1:1 by index; see geom.Diff and
+// internal/plan) keep prev's value, in both triangles, and are neither
+// read nor written; every other entry (i, j), i <= j, and its mirror are
+// the value of its symmetry class in the spec's table with panel i the
+// target (see Entry). The matrix is filled by blocks of panel groups
+// (assembly.Interned.FillUpper): a block whose two groups moved as one is
+// skipped; inside any other block, the first near pair of each distinct
+// centre displacement looks its class up — integrated only if the table
+// has not met it — and the pairs that share the displacement take the same
+// bits from the block's memo. A variant therefore allocates, zeroes and
+// mirrors no matrix, and touches only what moved. It returns the matrix,
+// the number of unordered entries kept, and the pair work of the rest.
 func (s *Spec) AssembleDenseReuse(prev *linalg.Dense, class []int32) (*linalg.Dense, int64, assembly.FillStats) {
 	n := s.N()
-	if prev != nil && (prev.Rows != n || prev.Cols != n || len(class) != n) {
-		prev = nil
+	m := prev
+	if m == nil || m.Rows != n || m.Cols != n {
+		m, class = linalg.NewDense(n, n), nil
 	}
-	m := linalg.NewDense(n, n)
-	reused, fill := s.pairs().FillUpper(s.exec(), m, prev, class, s.Eps)
-	m.MirrorUpper()
+	if len(class) != n {
+		class = nil
+	}
+	reused, fill := s.pairs().FillUpper(s.exec(), m, class, s.Eps)
 	return m, reused, fill
 }
 
@@ -274,7 +276,7 @@ func NewDenseOperator(m *linalg.Dense, panels []geom.Panel, ex sched.Executor) *
 // conductors, so a conductor that moves rigidly takes its blocks — and
 // their factors — with it, and inside a block the indices ascend, so the
 // same cluster is the same index sequence in every variant.
-func (d *DenseOperator) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
+func (d *DenseOperator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense) {
 	ctr := make([][3]float64, len(d.panels))
 	var byCond [][]int32
 	for i, pan := range d.panels {
@@ -290,8 +292,8 @@ func (d *DenseOperator) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
 			idx = bisect(idx, ix, ctr)
 		}
 	}
-	blocks = make([]*linalg.Dense, len(idx))
-	for k, ix := range idx {
+	return idx, func(k int) *linalg.Dense {
+		ix := idx[k]
 		b := linalg.NewDense(len(ix), len(ix))
 		for r, i := range ix {
 			row, src := b.Row(r), d.M.Row(int(i))
@@ -299,9 +301,8 @@ func (d *DenseOperator) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
 				row[c] = src[j]
 			}
 		}
-		blocks[k] = b
+		return b
 	}
-	return idx, blocks
 }
 
 // bisect appends the clusters of the panels ix (centres ctr) to out. A

@@ -406,8 +406,8 @@ func (p *Pipeline) buildPrecond() error {
 		if !hasBlocks {
 			return fmt.Errorf("op: %v operator exposes no near blocks for block-Jacobi", p.backend)
 		}
-		idx, blocks := nb.NearBlocks()
-		bj, err := NewBlockJacobiWith(p.a.Dim(), idx, blocks, p.diagonal(), p.factors)
+		idx, block := nb.NearBlocks()
+		bj, err := NewBlockJacobiWith(p.a.Dim(), idx, block, p.diagonal(), p.factors)
 		if err != nil {
 			return err
 		}

@@ -80,19 +80,20 @@ type BlockJacobi struct {
 // over them. diag supplies the exact matrix diagonal used for unknowns
 // no block covers (nil = identity there).
 func NewBlockJacobi(n int, idx [][]int32, blocks []*linalg.Dense, diag []float64) (*BlockJacobi, error) {
-	return NewBlockJacobiWith(n, idx, blocks, diag, nil)
-}
-
-// NewBlockJacobiWith is NewBlockJacobi with an optional lookup of
-// previously computed factors: when factors returns a non-nil Cholesky
-// of the block's shape, it is adopted instead of re-factorizing (the
-// staged extraction plans carry unchanged blocks' factors across
-// geometry variants this way).
-func NewBlockJacobiWith(n int, idx [][]int32, blocks []*linalg.Dense, diag []float64,
-	factors func(idx []int32) *linalg.Cholesky) (*BlockJacobi, error) {
 	if len(idx) != len(blocks) {
 		return nil, errors.New("op: block index/matrix count mismatch")
 	}
+	return NewBlockJacobiWith(n, idx, func(k int) *linalg.Dense { return blocks[k] }, diag, nil)
+}
+
+// NewBlockJacobiWith is NewBlockJacobi with the blocks handed over one at a
+// time (NearBlocker's block) and an optional lookup of previously computed
+// factors: when factors returns a non-nil Cholesky of the block's shape, it
+// is adopted instead of re-factorizing, and the block's entries are never
+// asked for (the staged extraction plans carry unchanged blocks' factors
+// across geometry variants this way).
+func NewBlockJacobiWith(n int, idx [][]int32, block func(k int) *linalg.Dense, diag []float64,
+	factors func(idx []int32) *linalg.Cholesky) (*BlockJacobi, error) {
 	bj := &BlockJacobi{
 		n:       n,
 		covered: make([]bool, n),
@@ -109,10 +110,6 @@ func NewBlockJacobiWith(n int, idx [][]int32, blocks []*linalg.Dense, diag []flo
 		}
 	}
 	for k, ix := range idx {
-		b := blocks[k]
-		if b.Rows != len(ix) || b.Cols != len(ix) {
-			return nil, errors.New("op: near block shape mismatch")
-		}
 		if len(ix) == 0 {
 			continue
 		}
@@ -129,27 +126,29 @@ func NewBlockJacobiWith(n int, idx [][]int32, blocks []*linalg.Dense, diag []flo
 				bj.reusedFactors++
 			}
 		}
-		if blk.chol != nil {
-			// Adopted from a previous variant.
-		} else if ch, err := linalg.NewCholesky(b); err == nil {
-			blk.chol = ch
-		} else {
-			// Not numerically SPD (possible for cluster blocks with
-			// zero-filled missing pairs): fall back to this block's
-			// diagonal.
-			blk.inv = make([]float64, len(ix))
-			for t := range ix {
-				if d := b.At(t, t); d > 0 {
-					blk.inv[t] = 1 / d
-				} else {
-					blk.inv[t] = 1
+		if blk.chol == nil { // not adopted from a previous variant
+			b := block(k)
+			if b.Rows != len(ix) || b.Cols != len(ix) {
+				return nil, errors.New("op: near block shape mismatch")
+			}
+			if ch, err := linalg.NewCholesky(b); err == nil {
+				blk.chol = ch
+			} else {
+				// Not numerically SPD (possible for cluster blocks with
+				// zero-filled missing pairs): fall back to this block's
+				// diagonal.
+				blk.inv = make([]float64, len(ix))
+				for t := range ix {
+					if d := b.At(t, t); d > 0 {
+						blk.inv[t] = 1 / d
+					} else {
+						blk.inv[t] = 1
+					}
 				}
 			}
 		}
 		bj.blocks = append(bj.blocks, blk)
-		if len(ix) > bj.maxBlk {
-			bj.maxBlk = len(ix)
-		}
+		bj.maxBlk = max(bj.maxBlk, len(ix))
 	}
 	bj.scratch = sched.NewScratch(func() *[]float64 {
 		buf := make([]float64, bj.maxBlk)

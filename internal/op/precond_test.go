@@ -64,8 +64,8 @@ func TestBlockJacobiRejectsOverlap(t *testing.T) {
 func TestBlockJacobiApplyAllocFree(t *testing.T) {
 	spec := busSpec(t, 3, 3, 1.5e-6).withDefaults()
 	a := fmm.NewOperator(spec.Panels, fmm.Options{Workers: 1, Eps: spec.Eps, Cfg: spec.Cfg})
-	idx, blocks := a.NearBlocks()
-	bj, err := NewBlockJacobi(a.Dim(), idx, blocks, spec.diagonal())
+	idx, block := a.NearBlocks()
+	bj, err := NewBlockJacobiWith(a.Dim(), idx, block, spec.diagonal(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +91,10 @@ func TestBlockJacobiApplyAllocFree(t *testing.T) {
 func TestFMMNearBlocksMatchEntries(t *testing.T) {
 	spec := busSpec(t, 2, 2, 1.5e-6).withDefaults()
 	a := fmm.NewOperator(spec.Panels, fmm.Options{Workers: 1, Eps: spec.Eps, Cfg: spec.Cfg})
-	idx, blocks := a.NearBlocks()
+	idx, block := a.NearBlocks()
 	seen := make([]bool, spec.N())
 	for k, ix := range idx {
-		blk := blocks[k]
+		blk := block(k)
 		for r, pi := range ix {
 			if seen[pi] {
 				t.Fatalf("unknown %d in two blocks", pi)
@@ -134,15 +134,16 @@ func TestDenseNearBlocksFollowConductors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := tc.spec.withDefaults()
 			m := spec.AssembleDense()
-			idx, blocks := NewDenseOperator(m, spec.Panels, nil).NearBlocks()
-			if len(idx) != tc.blocks || len(blocks) != len(idx) {
-				t.Errorf("%d blocks over %d index lists, want %d", len(blocks), len(idx), tc.blocks)
+			idx, block := NewDenseOperator(m, spec.Panels, nil).NearBlocks()
+			if len(idx) != tc.blocks {
+				t.Errorf("%d blocks, want %d", len(idx), tc.blocks)
 			}
 			seen := make([]bool, spec.N())
 			for k, ix := range idx {
 				if len(ix) == 0 || len(ix) > denseBlockMax {
 					t.Fatalf("block %d holds %d unknowns", k, len(ix))
 				}
+				b := block(k)
 				for r, i := range ix {
 					if seen[i] {
 						t.Fatalf("unknown %d in two blocks", i)
@@ -156,7 +157,7 @@ func TestDenseNearBlocksFollowConductors(t *testing.T) {
 							spec.Panels[ix[0]].Conductor, spec.Panels[i].Conductor)
 					}
 					for c, j := range ix {
-						if blocks[k].At(r, c) != m.At(int(i), int(j)) {
+						if b.At(r, c) != m.At(int(i), int(j)) {
 							t.Fatalf("block %d entry (%d,%d) is not the matrix's (%d,%d)", k, r, c, i, j)
 						}
 					}
@@ -176,19 +177,23 @@ func TestDenseNearBlocksFollowConductors(t *testing.T) {
 // operator had before its blocks followed the conductors.
 type indexRanges struct{ linalg.DenseOp }
 
-func (d indexRanges) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
+func (d indexRanges) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense) {
 	n := d.M.Rows
 	for lo := 0; lo < n; lo += denseBlockMax {
-		hi := min(lo+denseBlockMax, n)
-		ix := make([]int32, hi-lo)
-		b := linalg.NewDense(hi-lo, hi-lo)
-		for i := lo; i < hi; i++ {
-			ix[i-lo] = int32(i)
-			copy(b.Row(i-lo), d.M.Row(i)[lo:hi])
+		ix := make([]int32, min(lo+denseBlockMax, n)-lo)
+		for r := range ix {
+			ix[r] = int32(lo + r)
 		}
-		idx, blocks = append(idx, ix), append(blocks, b)
+		idx = append(idx, ix)
 	}
-	return idx, blocks
+	return idx, func(k int) *linalg.Dense {
+		lo, w := int(idx[k][0]), len(idx[k])
+		b := linalg.NewDense(w, w)
+		for r := range w {
+			copy(b.Row(r), d.M.Row(lo + r)[lo:lo+w])
+		}
+		return b
+	}
 }
 
 // TestBlockJacobiReducesIterations is the preconditioner's reason to

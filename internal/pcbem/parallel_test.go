@@ -70,10 +70,10 @@ func denseCases(t *testing.T) []denseCase {
 
 // TestAssembleDenseMatchesEntries pins the block fill to the entry
 // definition: on every case, at every executor, cold and as a rigid-motion
-// variant (prev and class given), every upper entry is bitwise Entry(i, j)
-// — or prev's where the two panels share a class — the lower triangle is
-// the mirror, and the near and far pair counts are what asking PairInto
-// pair by pair counts.
+// variant (prev and class given, prev filled in place), every upper entry
+// is bitwise Entry(i, j) — or prev's where the two panels share a class —
+// the lower triangle is the mirror, and the near and far pair counts are
+// what asking PairInto pair by pair counts.
 func TestAssembleDenseMatchesEntries(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
@@ -94,13 +94,17 @@ func TestAssembleDenseMatchesEntries(t *testing.T) {
 					class[i] = int32(pan.Conductor)
 				}
 			}
+			// A symmetric stand-in for the previous variant's matrix.
 			prev := linalg.NewDense(n, n)
-			for k := range prev.Data {
-				prev.Data[k] = -float64(k + 1)
+			for i := 0; i < n; i++ {
+				for j := i; j < n; j++ {
+					prev.Set(i, j, -float64(i*n+j+1))
+					prev.Set(j, i, -float64(i*n+j+1))
+				}
 			}
 			want := make([]float64, n*n)
 			var cold, variant assembly.FillStats
-			var copied int64
+			var copied int64 // entries a variant keeps
 			per := assembly.InternPanels(p.Cfg, nil, p.Panels)
 			for i := 0; i < n; i++ {
 				for j := i; j < n; j++ {
@@ -124,7 +128,10 @@ func TestAssembleDenseMatchesEntries(t *testing.T) {
 					var fill assembly.FillStats
 					wantFill, wantReused := cold, int64(0)
 					if moved {
-						m, reused, fill = spec.AssembleDenseReuse(prev, class)
+						in := prev.Clone()
+						if m, reused, fill = spec.AssembleDenseReuse(in, class); m != in {
+							t.Fatalf("executor %T: the variant was not filled into prev", ex)
+						}
 						wantFill, wantReused = variant, copied
 					} else {
 						m, reused, fill = spec.AssembleDenseReuse(nil, nil)

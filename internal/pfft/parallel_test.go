@@ -94,13 +94,10 @@ func TestConcurrentAppliesMatchSerial(t *testing.T) {
 func TestNearBlocksPartition(t *testing.T) {
 	panels := busPanels(t, 3, 3, 1e-6)
 	op := NewOperator(panels, Options{Workers: 1})
-	idx, blocks := op.NearBlocks()
-	if len(idx) != len(blocks) {
-		t.Fatalf("%d index sets vs %d blocks", len(idx), len(blocks))
-	}
+	idx, block := op.NearBlocks()
 	seen := make([]bool, len(panels))
 	for k, ix := range idx {
-		blk := blocks[k]
+		blk := block(k)
 		if blk.Rows != len(ix) || blk.Cols != len(ix) {
 			t.Fatalf("block %d shape %dx%d for %d unknowns", k, blk.Rows, blk.Cols, len(ix))
 		}

@@ -647,14 +647,16 @@ func (op *Operator) NearEntries() int {
 // cluster pairs beyond the precorrection radius are not stored and stay
 // zero (the preconditioner falls back to the block diagonal if the
 // zero-filled block loses positive definiteness).
-func (op *Operator) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
+func (op *Operator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense) {
 	pos := make([]int32, len(op.panels))
 	for _, cl := range op.clusters {
 		for k, pi := range cl {
 			pos[pi] = int32(k)
 		}
+		idx = append(idx, append([]int32(nil), cl...))
 	}
-	for _, cl := range op.clusters {
+	return idx, func(k int) *linalg.Dense {
+		cl := idx[k]
 		b := linalg.NewDense(len(cl), len(cl))
 		for r, pi := range cl {
 			row := b.Row(r)
@@ -666,10 +668,8 @@ func (op *Operator) NearBlocks() (idx [][]int32, blocks []*linalg.Dense) {
 				}
 			}
 		}
-		idx = append(idx, append([]int32(nil), cl...))
-		blocks = append(blocks, b)
+		return b
 	}
-	return idx, blocks
 }
 
 // Apply implements linalg.Matvec: project, convolve, interpolate,

@@ -29,13 +29,14 @@
 //     variants and are grouped into rigid-motion classes, one per
 //     distinct exact translation. Two panels of the same class have
 //     bit-identical relative geometry: on the dense backend their entry
-//     is copied from the previous variant's matrix, and near blocks
-//     whose panels share one class keep their Cholesky factors on every
-//     backend. The Discretization and Topology stages are rebuilt — both
-//     are O(N log N) with no kernel integration, noise next to the
-//     integral-bearing stages they feed — and so are the fmm and pfft
-//     near fields, exactly as a fresh build's (a pfft variant adopts the
-//     previous kernel transform when the grid matches). The previous
+//     is kept where it is, in the previous variant's matrix, which the
+//     variant rewrites in place, and near blocks whose panels share one
+//     class keep their Cholesky factors on every backend (their entries
+//     are not even copied out). The Discretization and Topology stages
+//     are rebuilt — both are O(N log N) with no kernel integration, noise
+//     next to the integral-bearing stages they feed — and so are the fmm
+//     and pfft near fields, exactly as a fresh build's (a pfft variant
+//     adopts the previous kernel transform when the grid matches). The previous
 //     variant's charge solutions seed the search space the Krylov solve
 //     of every conductor starts in (op.Pipeline.ExtractWarmCtx). On the
 //     dense backend the near blocks are clusters of one conductor's
@@ -45,7 +46,7 @@
 //     built afresh; incomparable geometries rebuild from scratch.
 //
 // Reuse never changes what is computed, only where the value comes
-// from. Every exact entry that is not copied is the value of its panel
+// from. Every exact entry that is not kept is the value of its panel
 // pair's symmetry class (assembly.InternPanels), read from the plan's
 // class table (Options.Pairs) and integrated only if the table has not
 // met the class — on the dense backend, read once per distinct centre
@@ -53,17 +54,25 @@
 // pairs of that displacement, which have the same class (assembly's
 // "Blocks"). A pair that moved rigidly keeps its class, so a variant
 // integrates only the classes it has not met and its near field is
-// bitwise a fresh plan's (TestVariantNearFieldBitwise): a copied dense
+// bitwise a fresh plan's (TestVariantNearFieldBitwise): a kept dense
 // entry is the value the previous build read.
 //
-// The dense copy is the one copy left beside the table because it was
-// measured to pay: without it a dense variant's near stage ran 9-20%
-// slower at one core (crossing pair 2.4 -> 2.9 ms, 3x3 bus 0.72 -> 0.80,
-// plates 0.24 -> 0.28) and serve_mix, half of whose requests are dense
-// variants, read serve.variant_ms 1.81 -> 1.92 ms. The fmm and pfft
-// copies saved a lookup, never an integration, and were deleted.
+// A dense variant takes the previous variant's matrix as its own and
+// rewrites, in both triangles, only the entries whose pair did not move as
+// one; a block of panel groups that moved as one is skipped whole, so a
+// variant allocates, zeroes and mirrors no N x N matrix. The fmm and pfft
+// variants build their near fields afresh: a copy from the previous
+// operator saved a lookup, never an integration, and was deleted.
 // Preconditioner factor reuse cannot affect results at all — only
 // iteration counts.
+//
+// # Interrupts
+//
+// A build stopped at a checkpoint (Interrupted) installs nothing: the
+// previous variant stays current, with its geometry, result, charges and
+// factors, so its geometry is still a cache hit. The one artifact it does
+// not keep is its dense matrix, which the interrupted build took to
+// rewrite; the next dense variant therefore assembles from scratch.
 //
 // A Plan is safe for concurrent use but serializes extractions; for
 // concurrent sweeps, spread the variants over plans (extract.SweepH
@@ -133,14 +142,14 @@ type Stats struct {
 
 	// NearReused counts the near-field entries the builds produced without
 	// integrating, on every backend: class-table hits, block-memo loads,
-	// dense entries copied from the previous variant and entries adopted
-	// from the artifact store. NearComputed counts the classes they
+	// dense entries kept in the previous variant's matrix and entries
+	// adopted from the artifact store. NearComputed counts the classes they
 	// integrated instead; so does ClassesIntegrated, which an owner of
 	// many plans sums with the rest of a call's pair work.
 	NearReused        int64 `json:"near_reused"`
 	NearComputed      int64 `json:"near_computed"`
 	ClassesIntegrated int64 `json:"classes_integrated"`
-	DenseReused       int64 `json:"dense_reused"` // dense upper-triangle entries copied
+	DenseReused       int64 `json:"dense_reused"` // dense upper-triangle entries kept in place
 	FactReused        int   `json:"fact_reused"`  // block factors adopted across variants
 	WarmStarts        int   `json:"warm_starts"`  // solves offered the previous variant's charges as seeds
 
@@ -152,8 +161,9 @@ type Stats struct {
 
 // StageReuse flags which stage artifacts of a Result came (at least
 // partially) from the previous variant or the artifact store: NearField
-// for dense entries copied or a near field adopted whole, Topology for a
-// shared pfft kernel transform, Factorization for adopted block factors.
+// for dense entries kept in place or a near field adopted whole, Topology
+// for a shared pfft kernel transform, Factorization for adopted block
+// factors.
 type StageReuse struct {
 	Discretization bool
 	Topology       bool
@@ -202,9 +212,11 @@ type Result struct {
 // from a cancellation.
 //
 // An interrupted extraction never corrupts the plan: stage artifacts of
-// the previous variant stay installed, so a later retry (or the next
-// request of the family) proceeds as if the interrupted call never
-// happened.
+// the previous variant stay installed, except its dense matrix, which a
+// dense build takes as the storage it rewrites. A repeat of the previous
+// geometry is still a cache hit, and the next variant gets every result
+// bit a fresh plan would, only without the matrix to rewrite: it assembles
+// from scratch (Stats.DenseReused does not grow).
 type Interrupted struct {
 	// Stage is the interrupted stage: "discretize", "topology",
 	// "near-field", "factorize" or "solve".
@@ -345,7 +357,8 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 	// check is the stage-boundary context checkpoint: the expensive
 	// stages (near-field integration, factorization, solve) never start
 	// once the deadline has passed. An interrupted build leaves p.cur on
-	// the previous variant — no partial artifacts are ever installed.
+	// the previous variant — no partial artifacts are ever installed, and
+	// its dense matrix, once taken, is gone (see "Interrupts").
 	check := func(stage string) error {
 		if err := ctx.Err(); err != nil {
 			return &Interrupted{Stage: stage, Elapsed: time.Since(t0), Err: err}
@@ -420,9 +433,12 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 			p.countNear(assembly.FillStats{}, n*(n+1)/2)
 			res.Reused.NearField = true
 		} else {
-			var prev *linalg.Dense // nil: nothing to copy, a fresh assembly
-			if class != nil {
-				prev = cur.dense // nil unless the previous variant was dense
+			// The previous variant's matrix (nil unless it was dense) is the
+			// storage this one is written into. It leaves cur first, so an
+			// interrupted build leaves no half-rewritten matrix installed.
+			var prev *linalg.Dense
+			if cur != nil {
+				prev, cur.dense = cur.dense, nil
 			}
 			var nr int64
 			var f assembly.FillStats
@@ -593,7 +609,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 // countNear books a near-field build's work: the classes it integrated,
 // and the near entries it produced without integrating — table hits and
 // block-memo loads (its lookups less the integrations) plus whole, the
-// entries it copied from the previous variant or adopted from the store.
+// entries it kept from the previous variant or adopted from the store.
 func (p *Plan) countNear(f assembly.FillStats, whole int64) {
 	p.stats.NearComputed += f.ClassesIntegrated
 	p.stats.NearReused += f.PairsNear - f.ClassesIntegrated + whole
@@ -694,7 +710,7 @@ func blockKey(buf *[]byte, ix []int32) []byte {
 // factorLookup builds the NewPrebuilt factor lookup: a previous block's
 // factor is adopted when the new block covers the exact same unknown
 // sequence and every unknown kept its rigid-motion class (so the block
-// matrix is bitwise the copied previous one). Factor reuse can never
+// matrix is bitwise the previous one). Factor reuse can never
 // change results — the preconditioner only steers iteration counts.
 func factorLookup(cur *variant, class []int32) func(idx []int32) *linalg.Cholesky {
 	if cur == nil || cur.factors == nil || class == nil {

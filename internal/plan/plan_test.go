@@ -106,10 +106,12 @@ func TestPlanIncrementalConsistency(t *testing.T) {
 // plan's on every backend — the fmm CSR values, the pfft precorrection
 // rows (corrections and exact entries) and the dense matrix, entry by
 // entry. An fmm or pfft variant builds its near field as a fresh build
-// does, from the class table; a dense variant copies the entries of
+// does, from the class table; a dense variant rewrites the previous
+// variant's matrix in place and keeps, in both triangles, the entries of
 // rigidly co-moved panel pairs, which must be the values a fresh build
-// reads. The crossing's x/y span fixes the pfft grid, so a z-only H change
-// shares the previous variant's kernel transform.
+// reads — as many as Stats.DenseReused pins. The crossing's x/y span fixes
+// the pfft grid, so a z-only H change shares the previous variant's kernel
+// transform.
 func TestVariantNearFieldBitwise(t *testing.T) {
 	busAt := func(h float64) *geom.Structure {
 		sp := geom.DefaultBus(3, 3)
@@ -124,27 +126,28 @@ func TestVariantNearFieldBitwise(t *testing.T) {
 		h0, h1  float64
 		opt     op.Options
 		entries int
+		kept    int64 // upper entries the dense variant keeps
 	}{
 		{"fmm/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6,
-			op.Options{Backend: op.BackendFMM, FMM: &fmm.Options{Workers: 1}}, 122182},
+			op.Options{Backend: op.BackendFMM, FMM: &fmm.Options{Workers: 1}}, 122182, 0},
 		// There the two layers share no near leaf pair, so every entry
 		// keeps its value; at TestSweepIncrementalSpeedup's first step
 		// 75 604 of the entries change.
 		{"fmm/crossing-close", 0.25e-6, crossingAt, 0.3e-6, 0.35e-6,
-			op.Options{Backend: op.BackendFMM, FMM: &fmm.Options{Workers: 1}}, 275072},
+			op.Options{Backend: op.BackendFMM, FMM: &fmm.Options{Workers: 1}}, 275072, 0},
 		// (A loose tolerance: the near field is what is compared, and the
 		// solve's convolutions are what the race detector is slow at.)
 		{"pfft/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6,
-			op.Options{Backend: op.BackendPFFT, Tol: 0.5, PFFT: &pfft.Options{Workers: 1}}, 7610},
-		{"dense/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6, dense, 274576},
-		{"dense/bus3x3", 1e-6, busAt, 0.6e-6, 1.3e-6, dense, 51984},
+			op.Options{Backend: op.BackendPFFT, Tol: 0.5, PFFT: &pfft.Options{Workers: 1}}, 7610, 0},
+		{"dense/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6, dense, 274576, 68906},
+		{"dense/bus3x3", 1e-6, busAt, 0.6e-6, 1.3e-6, dense, 51984, 6555},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// run extracts the given separations through one plan and
-			// returns the last one's result and near-field values: per
-			// entry one value, or a pfft row entry's correction and exact
-			// value.
-			run := func(hs ...float64) (res *Result, rows []int32, vals [][]float64) {
+			// returns the last one's result, near-field values — per entry
+			// one value, or a pfft row entry's correction and exact value —
+			// and the plan's Stats.DenseReused.
+			run := func(hs ...float64) (res *Result, rows []int32, vals [][]float64, kept int64) {
 				p, err := New(Options{MaxEdge: c.edge, Pipeline: c.opt})
 				if err != nil {
 					t.Fatal(err)
@@ -154,17 +157,21 @@ func TestVariantNearFieldBitwise(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				kept = p.Stats().DenseReused
 				switch v := p.cur; {
 				case v.fmmOp != nil:
-					return res, nil, [][]float64{v.fmmOp.NearVals()}
+					return res, nil, [][]float64{v.fmmOp.NearVals()}, kept
 				case v.pfftOp != nil:
 					a := v.pfftOp.NearArtifact()
-					return res, a.RowLen, [][]float64{a.Val, a.Exact}
+					return res, a.RowLen, [][]float64{a.Val, a.Exact}, kept
 				}
-				return res, nil, [][]float64{p.cur.dense.Data}
+				return res, nil, [][]float64{p.cur.dense.Data}, kept
 			}
-			res, gotRows, got := run(c.h0, c.h1)
-			_, wantRows, want := run(c.h1)
+			res, gotRows, got, kept := run(c.h0, c.h1)
+			_, wantRows, want, _ := run(c.h1)
+			if kept != c.kept {
+				t.Errorf("the variant kept %d dense entries, want %d", kept, c.kept)
+			}
 			if c.opt.Backend == op.BackendPFFT && !res.Reused.Topology {
 				t.Error("a z-only H change did not share the kernel transform")
 			}

@@ -282,7 +282,7 @@ func TestServeTemplateSweepDeadline(t *testing.T) {
 // 7 260 panel pairs — the 378 of assembly's census — and hits on every
 // other pair it looks up; 5 686 pairs its blocks' memos serve (pair_memo)
 // look nothing up. The same family at another H misses only on the classes H
-// moved and copies the rest of the matrix from the previous variant; and
+// moved and keeps the rest of the previous variant's matrix; and
 // /metrics reads what /stats reads. (One worker and a budget of one: the
 // share of hits a sweep's cursor serves, pair_sequential, repeats only
 // then.)
