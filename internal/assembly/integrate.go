@@ -356,7 +356,7 @@ func (in *Integrator) TemplatePair(ti, tj *basis.Template) float64 {
 	d := ti.Support.Dist(tj.Support)
 	diam := 0.5 * (ti.Support.Diameter() + tj.Support.Diameter())
 
-	if !cfg.DisableApprox && d > cfg.FarFactor*diam {
+	if !cfg.DisableApprox && d > kernel.FarFactor*diam {
 		// Far field: both templates collapse to point charges carrying
 		// their zeroth moments, placed at their charge centroids
 		// (support centers are wrong for asymmetric arch shapes).
@@ -374,7 +374,7 @@ func (in *Integrator) templatePairNear(ti, tj *basis.Template, d, diam float64) 
 		return ti.Amplitude * tj.Amplitude * kernel.RectGalerkin(cfg, ti.Support, tj.Support)
 	}
 
-	if !cfg.DisableApprox && d > cfg.MidFactor*diam {
+	if !cfg.DisableApprox && d > kernel.MidFactor*diam {
 		// Intermediate: collocate the target at its charge centroid.
 		return ti.Moment() * in.potentialAt(tj, ti.Centroid())
 	}

@@ -43,7 +43,7 @@ type tplInfo struct {
 // Intern prepares a fill of set in two passes over its templates: their
 // constants and bounding box, which fixes the lattice, then their classes.
 func (in *Integrator) Intern(set *basis.Set) *Interned {
-	return in.intern(&Interned{set: set}, set.M(), in.cacheFingerprint(kernel.ArithVersion))
+	return in.intern(&Interned{set: set}, set.M(), in.Cfg.Fingerprint(kernel.ArithVersion))
 }
 
 // InternPanels interns a panelization under cfg, its classes filed in pairs
@@ -54,7 +54,7 @@ func (in *Integrator) Intern(set *basis.Set) *Interned {
 // near field and the pfft precorrection all read it.
 func InternPanels(cfg *kernel.Config, pairs *PairCache, panels []geom.Panel) *Interned {
 	in := &Integrator{Cfg: cfg, Pairs: pairs}
-	return in.intern(&Interned{panels: panels}, len(panels), in.cacheFingerprint(kernel.ArithVersion))
+	return in.intern(&Interned{panels: panels}, len(panels), in.Cfg.Fingerprint(kernel.ArithVersion))
 }
 
 // template returns template i of what f interned.
@@ -68,7 +68,7 @@ func (f *Interned) template(i int) basis.Template {
 // intern fills in f, which holds the m templates to intern, with their
 // classes filed under the fingerprint fp.
 func (in *Integrator) intern(f *Interned, m int, fp uint64) *Interned {
-	f.in, f.tpl, f.far = in, make([]tplInfo, m), in.Cfg.FarFactor
+	f.in, f.tpl, f.far = in, make([]tplInfo, m), kernel.FarFactor
 	if in.Cfg.DisableApprox {
 		f.far = math.Inf(1)
 	}

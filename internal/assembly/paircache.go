@@ -469,25 +469,3 @@ func (cs *classShape) fill(nb *nodeBuf, iv geom.Interval, order int) {
 	}
 	nb.n = len(un.t)
 }
-
-// cacheFingerprint condenses every input that influences a template-pair
-// integral into one word, part of every class key: the configuration and
-// the arithmetic version (kernel.ArithVersion, a parameter so that a test
-// can write entries as an older build would have), so that a table never
-// serves one arithmetic's values to another.
-func (in *Integrator) cacheFingerprint(arith uint64) uint64 {
-	cfg := in.Cfg
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mix(arith)
-	mix(math.Float64bits(cfg.FarFactor))
-	mix(math.Float64bits(cfg.MidFactor))
-	mix(uint64(cfg.QuadOrder))
-	if cfg.DisableApprox {
-		mix(1)
-	}
-	return h
-}

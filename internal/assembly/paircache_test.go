@@ -8,6 +8,8 @@ import (
 	"parbem/internal/basis"
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
+	"parbem/internal/linalg"
+	"parbem/internal/sched"
 )
 
 func busSet() *basis.Set {
@@ -94,7 +96,7 @@ func TestClassValueMatchesDirect(t *testing.T) {
 			set := pairSet(a, b)
 			ti, tj := &set.Templates[i], &set.Templates[j]
 			d, diam := ti.Support.Dist(tj.Support), 0.5*(ti.Support.Diameter()+tj.Support.Diameter())
-			if mid := d > in.Cfg.MidFactor*diam; mid != (c.name == "mid-field") {
+			if mid := d > kernel.MidFactor*diam; mid != (c.name == "mid-field") {
 				t.Fatalf("%s: d = %g, diam = %g: wrong side of the mid-field gate", c.name, d, diam)
 			}
 			want := in.TemplatePair(ti, tj)
@@ -279,6 +281,66 @@ func TestPairCacheConfigsDoNotAlias(t *testing.T) {
 	}
 }
 
+// TestPairCacheKeysCarryFingerprint: a class key reads the kernel
+// configuration through its fingerprint alone. Over one table primed by a
+// default-configured panel fill, a literal default configuration is
+// served every class (it integrates none), and one that differs in
+// QuadOrder, DisableApprox or arithmetic version is served none (it
+// integrates as many classes as over a table of its own).
+func TestPairCacheKeysCarryFingerprint(t *testing.T) {
+	panels := geom.DefaultCrossingPair().Build().Panelize(1e-6)
+	n := len(panels)
+	fill := func(cfg *kernel.Config, arith uint64, pairs *PairCache) FillStats {
+		in := &Integrator{Cfg: cfg, Pairs: pairs}
+		_, st := sweepPanels(in.intern(&Interned{panels: panels}, n, cfg.Fingerprint(arith)), n, everyPair)
+		return st
+	}
+	pc := NewPairCache(0)
+	if prime := fill(kernel.DefaultConfig(), kernel.ArithVersion, pc); prime.ClassesIntegrated == 0 {
+		t.Fatal("the priming fill integrated no class")
+	}
+	if st := fill(&kernel.Config{QuadOrder: 4}, kernel.ArithVersion, pc); st.ClassesIntegrated != 0 {
+		t.Errorf("a literal default configuration integrated %d classes over the primed table, want 0", st.ClassesIntegrated)
+	}
+	for _, c := range []struct {
+		name  string
+		cfg   *kernel.Config
+		arith uint64
+	}{
+		{"QuadOrder 5", &kernel.Config{QuadOrder: 5}, kernel.ArithVersion},
+		{"DisableApprox", &kernel.Config{QuadOrder: 4, DisableApprox: true}, kernel.ArithVersion},
+		{"arithmetic before", kernel.DefaultConfig(), kernel.ArithVersion - 1},
+	} {
+		got, want := fill(c.cfg, c.arith, pc), fill(c.cfg, c.arith, nil)
+		if got.ClassesIntegrated != want.ClassesIntegrated {
+			t.Errorf("%s: %d classes integrated over the primed table, %d over its own", c.name, got.ClassesIntegrated, want.ClassesIntegrated)
+		}
+	}
+}
+
+// TestLiteralKernelConfig: a kernel.Config written as a literal, not
+// obtained from DefaultConfig, is a complete configuration wherever one
+// enters — a template fill (what solver.Extract runs) and a panel fill
+// (InternPanels) — and gives the DefaultConfig one's values bit for bit.
+func TestLiteralKernelConfig(t *testing.T) {
+	lit, def := &kernel.Config{QuadOrder: 4}, kernel.DefaultConfig()
+	set := busSet()
+	same := func(what string, got, want *linalg.Dense) {
+		for k, v := range want.Data {
+			if math.Float64bits(got.Data[k]) != math.Float64bits(v) {
+				t.Fatalf("%s: P[%d] = %v under a literal configuration, %v under DefaultConfig", what, k, got.Data[k], v)
+			}
+		}
+	}
+	same("template fill", FillSerial(set, &Integrator{Cfg: lit}), FillSerial(set, &Integrator{Cfg: def}))
+	panels := geom.DefaultCrossingPair().Build().Panelize(1e-6)
+	n := len(panels)
+	got, want := linalg.NewDense(n, n), linalg.NewDense(n, n)
+	InternPanels(lit, nil, panels).FillUpper(sched.Local(1), got, nil, kernel.Eps0)
+	InternPanels(def, nil, panels).FillUpper(sched.Local(1), want, nil, kernel.Eps0)
+	same("panel fill", got, want)
+}
+
 // rampShape is a basis.Shape the class key has no encoding for.
 type rampShape struct{}
 
@@ -316,7 +378,7 @@ func TestPairCacheOldArithmeticNeverAdopted(t *testing.T) {
 	pc := NewPairCache(0)
 	in := NewIntegrator()
 	in.Pairs = pc
-	old := in.intern(&Interned{set: set}, set.M(), in.cacheFingerprint(1))
+	old := in.intern(&Interned{set: set}, set.M(), in.Cfg.Fingerprint(1))
 	var c FillStats
 	for i := 0; i < set.M(); i++ {
 		for j := i; j < set.M(); j++ {

@@ -20,9 +20,9 @@ func plates(gap float64) *geom.Structure {
 // sits on one of the four values the §4.1 dispatch compares it with: the
 // far and mid factors, and the two at which the perpendicular quadrature
 // raises its order.
-func onThreshold(cfg *kernel.Config, t, s geom.Rect) bool {
+func onThreshold(t, s geom.Rect) bool {
 	r := t.Dist(s) / (0.5 * (t.Diameter() + s.Diameter()))
-	for _, th := range []float64{cfg.FarFactor, cfg.MidFactor, 1.0, 0.1} {
+	for _, th := range []float64{kernel.FarFactor, kernel.MidFactor, 1.0, 0.1} {
 		if math.Abs(r-th) <= 1e-9*th {
 			return true
 		}
@@ -85,7 +85,7 @@ func TestPanelCensus(t *testing.T) {
 					}
 					outliers++
 					worstOut = max(worstOut, rel)
-					if !onThreshold(cfg, panels[i].Rect, panels[j].Rect) {
+					if !onThreshold(panels[i].Rect, panels[j].Rect) {
 						t.Fatalf("pair (%d, %d): class value %g, %g at its own coordinates (%.2g relative), and no threshold near", i, j, got, want, rel)
 					}
 				}

@@ -86,14 +86,13 @@ func (g isometry) structure(st *geom.Structure) *geom.Structure {
 // dispatchOf names the branch and quadrature order templatePairNear takes
 // for a near pair, from the same quantities it reads.
 func dispatchOf(in *Integrator, ti, tj *basis.Template) string {
-	cfg := in.Cfg
 	d := ti.Support.Dist(tj.Support)
 	diam := 0.5 * (ti.Support.Diameter() + tj.Support.Diameter())
 	par := ti.Support.ParallelTo(tj.Support)
 	switch {
 	case ti.IsFlat() && tj.IsFlat():
 		switch {
-		case d > cfg.MidFactor*diam:
+		case d > kernel.MidFactor*diam:
 			return "rect mid"
 		case par:
 			return "rect parallel"
@@ -103,7 +102,7 @@ func dispatchOf(in *Integrator, ti, tj *basis.Template) string {
 			return "rect perpendicular x2"
 		}
 		return "rect perpendicular"
-	case d > cfg.MidFactor*diam:
+	case d > kernel.MidFactor*diam:
 		return "mid"
 	case !par:
 		return fmt.Sprintf("generic q=%d", in.order(d, diam))
@@ -307,7 +306,7 @@ func TestGenericPairMatchesPerPointSource(t *testing.T) {
 	arch := basis.ArchShape{EdgePos: 0.375, LambdaIn: 0.25, LambdaOut: 0.5}
 	in := NewIntegrator()
 	collocation := func(s geom.Rect, p geom.Vec3) float64 {
-		if s.DistToPoint(p) > in.Cfg.FarFactor*s.Diameter() {
+		if s.DistToPoint(p) > kernel.FarFactor*s.Diameter() {
 			return s.Area() / s.Center().Dist(p)
 		}
 		return kernel.RectPotential(s.U.Lo, s.U.Hi, s.V.Lo, s.V.Hi,

@@ -7,7 +7,7 @@ import (
 
 // LRU is the engine's concurrency-safe least-recently-used cache for
 // immutable expensive state (basis sets keyed by geometry signature,
-// pipeline plans keyed by family, the warmed quadrature rule set).
+// pipeline plans keyed by family).
 // Lookups of missing keys compute the value exactly once even under
 // concurrent demand for the same key (single-flight): late arrivals
 // block on the first caller's computation instead of duplicating it,

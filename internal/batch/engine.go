@@ -2,13 +2,13 @@
 // service front end over the instantiable-basis solver that amortizes
 // per-call setup across a stream of structures.
 //
-// A plain Extract call rebuilds everything from scratch every time —
-// quadrature rules, the template basis — and spawns a fresh worker set
-// for its parallel fill. The engine instead
+// A plain Extract call rebuilds everything from scratch every time — the
+// template basis first — and spawns a fresh worker set for its parallel
+// fill. The engine instead
 //
 //   - caches immutable expensive state behind a concurrency-safe LRU:
 //     template basis sets keyed by an exact geometry signature and
-//     pre-warmed quadrature rule sets;
+//     pipeline plans keyed by family;
 //   - shares one symmetry-class table (assembly.PairCache) across all
 //     extractions, template and panel alike. A lone Extract already
 //     integrates each class of its structure once; the shared table adds
@@ -50,7 +50,6 @@ import (
 	"parbem/internal/kernel"
 	"parbem/internal/op"
 	"parbem/internal/plan"
-	"parbem/internal/quad"
 	"parbem/internal/sched"
 	"parbem/internal/solver"
 )
@@ -75,8 +74,8 @@ type Options struct {
 	// instead of oversubscribing it (sched.Budgeted).
 	PlanWorkers int
 
-	// CacheEntries bounds the state LRU (basis sets, pipeline plans,
-	// the quadrature warm set; 0 = 64).
+	// CacheEntries bounds the state LRU (basis sets and pipeline plans;
+	// 0 = 64).
 	CacheEntries int
 
 	// Artifacts optionally supplies a persistent stage-artifact store
@@ -104,7 +103,7 @@ type Engine struct {
 // tags keep the extraction service's /stats payload on the snake_case
 // convention of the other machine-readable emitters.
 type Stats struct {
-	// StateHits/StateMisses count the basis/table/quad/plan LRU.
+	// StateHits/StateMisses count the basis/plan LRU.
 	StateHits   uint64 `json:"state_hits"`
 	StateMisses uint64 `json:"state_misses"`
 	// PairHits/PairMisses count the lookups of the shared class table:
@@ -124,9 +123,7 @@ type Stats struct {
 	Fill assembly.FillStats `json:"fill"`
 }
 
-// New creates an engine and starts its worker pool. The quadrature rule
-// set is warmed immediately so the first extraction pays no rule-build
-// latency.
+// New creates an engine and starts its worker pool.
 func New(opt Options) *Engine {
 	capEntries := opt.CacheEntries
 	if capEntries == 0 {
@@ -139,23 +136,8 @@ func New(opt Options) *Engine {
 	// at 2^16 classes were dropped before their H value came round again,
 	// 5.2 ms and 152 MB. A constant, not a setting: no caller has asked for
 	// another.
-	e := &Engine{opt: opt, pool: sched.NewPool(opt.Workers),
+	return &Engine{opt: opt, pool: sched.NewPool(opt.Workers),
 		state: NewLRU(capEntries), pairs: assembly.NewPairCache(0)}
-	e.state.GetOrCompute("quad:32", func() (any, error) {
-		return warmQuad(32), nil
-	})
-	return e
-}
-
-// warmQuad forces computation of every Gauss rule the integration engine
-// can request (quad caches them globally; the engine keeps the set alive
-// and pre-paid).
-func warmQuad(maxOrder int) []*quad.Rule {
-	rules := make([]*quad.Rule, 0, maxOrder)
-	for n := 1; n <= maxOrder; n++ {
-		rules = append(rules, quad.Gauss(n))
-	}
-	return rules
 }
 
 // Close shuts down the worker pool. Extractions in flight complete;
@@ -294,7 +276,7 @@ func (e *Engine) ExtractPipelineCtx(ctx context.Context, st *geom.Structure, max
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
-	v, _, err := e.state.GetOrCompute(planSignature(st, maxEdge, opt), func() (any, error) {
+	v, _, err := e.state.GetOrCompute(FamilyKey(st, maxEdge, opt), func() (any, error) {
 		return plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: opt,
 			Exec: e.PlanExec(), Artifacts: e.opt.Artifacts, Pairs: e.pairs})
 	})
@@ -315,13 +297,15 @@ func (e *Engine) ExtractPipelineCtx(ctx context.Context, st *geom.Structure, max
 // (internal/serve.NewRouter) consistent-hashes this key so all variants
 // of a family land on the replica whose warm caches own it.
 func FamilyKey(st *geom.Structure, maxEdge float64, opt op.Options) string {
-	return planSignature(st, maxEdge, opt)
+	return planSignature(st, maxEdge, opt, kernel.DefaultConfig().Fingerprint(kernel.ArithVersion))
 }
 
 // planSignature keys a plan by structural family: conductor/box counts
 // (not coordinates — variants must share the key) plus every scalar
-// solve option that changes results.
-func planSignature(st *geom.Structure, maxEdge float64, opt op.Options) string {
+// solve option that changes results, and fp, the fingerprint of the
+// kernel configuration the plan integrates with (plan.New's default; a
+// parameter so that a test can vary it).
+func planSignature(st *geom.Structure, maxEdge float64, opt op.Options, fp uint64) string {
 	buf := []byte("plan:")
 	f := func(x float64) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
@@ -340,32 +324,15 @@ func planSignature(st *geom.Structure, maxEdge float64, opt op.Options) string {
 	} else {
 		buf = append(buf, 0)
 	}
+	u(fp)
 	// Presence tags keep the encoding unambiguous: without them, a
 	// missing sub-struct followed by other fields could serialize like
 	// a present zero-valued one (geoSignature's collision-free rule).
-	cfg := func(c *kernel.Config) {
-		if c == nil {
-			buf = append(buf, 0)
-			return
-		}
-		buf = append(buf, kernel.ArithVersion) // nonzero: the presence tag
-		f(c.FarFactor)
-		f(c.MidFactor)
-		u(uint64(c.QuadOrder))
-		if c.DisableApprox {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
 	if fo := opt.FMM; fo != nil {
 		buf = append(buf, 'F')
 		u(uint64(fo.LeafSize))
 		f(fo.Theta)
 		f(fo.NearFactor)
-		f(fo.Eps)
-		f(fo.Tol)
-		cfg(fo.Cfg)
 	} else {
 		buf = append(buf, 0)
 	}
@@ -374,9 +341,6 @@ func planSignature(st *geom.Structure, maxEdge float64, opt op.Options) string {
 		f(po.GridSpacing)
 		u(uint64(po.MaxNodes))
 		f(po.NearRadius)
-		f(po.Eps)
-		f(po.Tol)
-		cfg(po.Cfg)
 	} else {
 		buf = append(buf, 0)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parbem/internal/geom"
+	"parbem/internal/kernel"
 	"parbem/internal/op"
 	"parbem/internal/plan"
 	"parbem/internal/sched"
@@ -89,8 +90,8 @@ func TestEngineExtractAllConcurrent(t *testing.T) {
 		}
 	}
 	// Exactly two distinct geometries were built.
-	if _, misses := e.state.Stats(); misses != 2+1 { // two bases + quad warm set
-		t.Errorf("state misses = %d, want 3", misses)
+	if _, misses := e.state.Stats(); misses != 2 { // two bases
+		t.Errorf("state misses = %d, want 2", misses)
 	}
 }
 
@@ -313,5 +314,30 @@ func TestEnginePanelPairsShared(t *testing.T) {
 	}
 	if looked := int64(s.PairHits + s.PairMisses); looked != s.Fill.PairsNear-s.Fill.PairMemo || int64(s.PairMisses) != fill.ClassesIntegrated {
 		t.Errorf("%d hits + %d misses for %d near pairs, %d from memos, in %d classes", s.PairHits, s.PairMisses, s.Fill.PairsNear, s.Fill.PairMemo, fill.ClassesIntegrated)
+	}
+}
+
+// TestFamilyKeyCarriesFingerprint: a plan family key reads the kernel
+// configuration through its fingerprint alone. A configuration that
+// differs in QuadOrder, DisableApprox or arithmetic version is another
+// family; a literal default one is FamilyKey's.
+func TestFamilyKeyCarriesFingerprint(t *testing.T) {
+	st := geom.DefaultCrossingPair().Build()
+	popt := op.Options{Backend: op.BackendDense, Direct: true}
+	key := func(cfg *kernel.Config, arith uint64) string {
+		return planSignature(st, 0.5e-6, popt, cfg.Fingerprint(arith))
+	}
+	def := FamilyKey(st, 0.5e-6, popt)
+	if k := key(&kernel.Config{QuadOrder: 4}, kernel.ArithVersion); k != def {
+		t.Fatalf("a literal default configuration keys %q, FamilyKey %q", k, def)
+	}
+	for name, k := range map[string]string{
+		"QuadOrder 5":       key(&kernel.Config{QuadOrder: 5}, kernel.ArithVersion),
+		"DisableApprox":     key(&kernel.Config{QuadOrder: 4, DisableApprox: true}, kernel.ArithVersion),
+		"arithmetic before": key(kernel.DefaultConfig(), kernel.ArithVersion-1),
+	} {
+		if k == def {
+			t.Errorf("%s shares the default configuration's family key", name)
+		}
 	}
 }

@@ -22,8 +22,12 @@ type Options struct {
 	// entries (the same approximation the far field uses).
 	NearFactor float64
 	Workers    int // parallel workers when Pool is nil (default GOMAXPROCS)
-	Eps        float64
-	Cfg        *kernel.Config
+	// Eps is the permittivity (0 = vacuum) and Cfg the kernel
+	// configuration (nil = defaults). An extraction does not choose them
+	// per backend: op.FMMOptions fills both from the spec, whatever a
+	// caller left here.
+	Eps float64
+	Cfg *kernel.Config
 	// Pairs is the symmetry-class table the exact near entries are read
 	// from and added to (assembly.InternPanels; nil = a table of this
 	// operator's own).
@@ -37,10 +41,6 @@ type Options struct {
 	// sched.Budgeted view of a shared pool, so a service caps how many
 	// pool workers one request's operator occupies.
 	Exec sched.Executor
-	// Tol is the GMRES relative tolerance used by the iterative solves
-	// driven through parbem.ExtractFastCapLike (0 = 1e-4). The operator
-	// itself does not consume it.
-	Tol float64
 }
 
 func (o *Options) defaults() {

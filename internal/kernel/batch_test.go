@@ -22,42 +22,6 @@ func randRect(rng *rand.Rand, spread float64) geom.Rect {
 	}
 }
 
-// TestRectGalerkinBatchMatches pins the batch evaluator to the per-pair
-// path bitwise: the cached target-side quantities and the replicated
-// quadrature loop must not perturb a single ulp.
-func TestRectGalerkinBatchMatches(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  *Config
-	}{
-		{"default", DefaultConfig()},
-		{"exact", func() *Config { c := DefaultConfig(); c.DisableApprox = true; return c }()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			var b Batch
-			for _, spread := range []float64{1, 4, 40} { // close, mid, far regimes
-				for trial := 0; trial < 200; trial++ {
-					tgt := randRect(rng, spread)
-					b.Reset(tc.cfg, tgt)
-					for k := 0; k < 4; k++ {
-						src := randRect(rng, spread)
-						want := RectGalerkin(tc.cfg, tgt, src)
-						if got := b.Eval(src); got != want {
-							t.Fatalf("spread %g: Eval = %.17g, RectGalerkin = %.17g\n  t=%v\n  s=%v",
-								spread, got, want, tgt, src)
-						}
-					}
-					// Self pair: the parallel closed form at Z=0.
-					if got, want := b.Eval(tgt), RectGalerkin(tc.cfg, tgt, tgt); got != want {
-						t.Fatalf("self pair: %.17g vs %.17g (t=%v)", got, want, tgt)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestRectGalerkinBatchSlice covers the slice wrapper.
 func TestRectGalerkinBatchSlice(t *testing.T) {
 	cfg := DefaultConfig()
@@ -76,48 +40,6 @@ func TestRectGalerkinBatchSlice(t *testing.T) {
 	}
 }
 
-// benchBlock builds one target and a block of sources spanning the
-// near/mid/far mix of a leaf-pair near block: same-plane neighbours,
-// perpendicular close pairs and separated pairs.
-func benchBlock() (geom.Rect, []geom.Rect) {
-	rng := rand.New(rand.NewSource(3))
-	tgt := geom.Rect{Normal: geom.Z,
-		U: geom.Interval{Lo: 0, Hi: 1}, V: geom.Interval{Lo: 0, Hi: 1}}
-	src := make([]geom.Rect, 0, 48)
-	for i := 0; i < 48; i++ {
-		src = append(src, randRect(rng, 3))
-	}
-	return tgt, src
-}
-
-func BenchmarkRectGalerkinPairwise(b *testing.B) {
-	cfg := DefaultConfig()
-	tgt, src := benchBlock()
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range src {
-			sink += RectGalerkin(cfg, tgt, s)
-		}
-	}
-	_ = sink
-}
-
-func BenchmarkRectGalerkinBatch(b *testing.B) {
-	cfg := DefaultConfig()
-	tgt, src := benchBlock()
-	var batch Batch
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Reset(cfg, tgt)
-		for _, s := range src {
-			sink += batch.Eval(s)
-		}
-	}
-	_ = sink
-}
-
 // TestSourceMatchesAxisDispatch pins Source to the per-point forms it
 // hoists the axis dispatch out of, bitwise (kernel.ArithVersion does not
 // move with it): Potential to rectPotentialAt, Collocation to the far gate
@@ -126,7 +48,7 @@ func BenchmarkRectGalerkinBatch(b *testing.B) {
 func TestSourceMatchesAxisDispatch(t *testing.T) {
 	cfg := DefaultConfig()
 	collocation := func(s geom.Rect, p geom.Vec3) float64 {
-		if s.DistToPoint(p) > cfg.FarFactor*s.Diameter() {
+		if s.DistToPoint(p) > FarFactor*s.Diameter() {
 			return s.Area() / s.Center().Dist(p)
 		}
 		return rectPotentialAt(s, p)
@@ -145,7 +67,7 @@ func TestSourceMatchesAxisDispatch(t *testing.T) {
 			if got, want := src.Collocation(cfg, &p), collocation(s, pt); got != want {
 				t.Fatalf("Collocation = %.17g, per-point form = %.17g (s=%v p=%v)", got, want, s, pt)
 			}
-			if s.DistToPoint(pt) > cfg.FarFactor*s.Diameter() {
+			if s.DistToPoint(pt) > FarFactor*s.Diameter() {
 				far++
 			}
 			if tgt.ParallelTo(s) {

@@ -7,34 +7,56 @@ import (
 	"parbem/internal/quad"
 )
 
-// Config controls how rectangle-pair Galerkin integrals are evaluated.
-type Config struct {
-	// FarFactor is the approximation distance multiplier (paper Section
-	// 4.1): when the separation exceeds FarFactor times the mean rectangle
-	// diameter, the 4-D integral is collapsed to a point-to-point
-	// interaction. MidFactor gates the intermediate level (collocation at
-	// the target centroid, a 4-D -> 2-D reduction).
-	FarFactor float64
-	MidFactor float64
+// FarFactor and MidFactor are the approximation distances of paper
+// Section 4.1, in mean rectangle diameters (see "Approximation distances"
+// in the package comment). A change to either moves kernel values, so it
+// bumps ArithVersion, which every key over them carries.
+const (
+	FarFactor = 12
+	MidFactor = 4
+)
 
+// Config is what a caller may set of the rectangle-pair integration. The
+// Section 4.1 distances are not in it: no command, example or workload
+// ever set them, and the reductions cost no measurable accuracy at their
+// values (turning them off with DisableApprox leaves the bus ladder's
+// error against a converged quadrature where it is).
+type Config struct {
 	// QuadOrder is the Gauss order per dimension for the outer numerical
 	// integration over the target rectangle (perpendicular orientations
 	// and template-weighted integrals).
 	QuadOrder int
 
-	// DisableApprox forces full-accuracy evaluation everywhere (used by
-	// the ablation benchmarks).
+	// DisableApprox forces full-accuracy evaluation everywhere: the exact
+	// reference the tests hold the Section 4.1 reductions to.
 	DisableApprox bool
 }
 
-// DefaultConfig returns the production configuration: approximation
-// distances tuned for ~1% integral accuracy, and a 4-point outer rule.
+// DefaultConfig returns the production configuration: the Section 4.1
+// reductions on, and a 4-point outer rule.
 func DefaultConfig() *Config {
-	return &Config{
-		FarFactor: 12,
-		MidFactor: 4,
-		QuadOrder: 4,
+	return &Config{QuadOrder: 4}
+}
+
+// Fingerprint condenses the configuration and the arithmetic version arith
+// (ArithVersion; a parameter so that a test can key values as an older
+// build would have) into one word. It is the only encoding of a
+// configuration: the class table's keys, the plan family keys and the
+// plan artifact hashes all carry it, so that values of one configuration
+// or arithmetic are never served to another. FarFactor and MidFactor are
+// covered by arith.
+func (c *Config) Fingerprint(arith uint64) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		h ^= v
+		h *= 1099511628211
 	}
+	mix(arith)
+	mix(uint64(c.QuadOrder))
+	if c.DisableApprox {
+		mix(1)
+	}
+	return h
 }
 
 // RectGalerkin computes int_t int_s 1/|r-r'| ds' ds for two axis-aligned
@@ -44,11 +66,11 @@ func RectGalerkin(cfg *Config, t, s geom.Rect) float64 {
 	if !cfg.DisableApprox {
 		d := t.Dist(s)
 		diam := 0.5 * (t.Diameter() + s.Diameter())
-		if d > cfg.FarFactor*diam {
+		if d > FarFactor*diam {
 			// Far field: both rectangles act as point charges.
 			return t.Area() * s.Area() / t.Center().Dist(s.Center())
 		}
-		if d > cfg.MidFactor*diam {
+		if d > MidFactor*diam {
 			// Intermediate: collocate the target at its centroid
 			// (2-D closed form), keep the source exact.
 			return t.Area() * rectPotentialAt(s, t.Center())
@@ -104,7 +126,7 @@ func (s *Source) Collocation(cfg *Config, p *[3]float64) float64 {
 	if !cfg.DisableApprox {
 		r := &s.r
 		dn, du, dv := p[r.Normal]-r.Offset, r.U.DistTo(p[s.u]), r.V.DistTo(p[s.v])
-		if math.Sqrt(dn*dn+du*du+dv*dv) > cfg.FarFactor*r.Diameter() {
+		if math.Sqrt(dn*dn+du*du+dv*dv) > FarFactor*r.Diameter() {
 			return r.Area() / r.Center().Dist(geom.Vec3{X: p[0], Y: p[1], Z: p[2]})
 		}
 	}

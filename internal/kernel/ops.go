@@ -1,6 +1,21 @@
 // Package kernel implements the closed-form integrals of the free-space
 // Green's function 1/(4*pi*eps*|r-r'|) over axis-aligned rectangles, plus the
 // dimension-reduction ("approximation distance") dispatch of paper Section 4.
+// RectGalerkin is the one evaluator of a rectangle pair.
+//
+// # Approximation distances
+//
+// The Section 4.1 dispatch compares a pair's separation with its mean
+// diameter: beyond FarFactor = 12 the pair is two point charges, beyond
+// MidFactor = 4 the target collocates at its centroid, and nearer pairs
+// get the closed forms of Section 4.2 (parallel) or an outer Gauss rule
+// over the target (perpendicular: order QuadOrder, doubled under one mean
+// diameter, quadrupled under a tenth of one). The two distances are
+// constants, not settings: no caller ever set them, and they cost no
+// measurable accuracy at these values. Config holds what a caller may set,
+// QuadOrder and DisableApprox (the exact reference), and
+// Config.Fingerprint is the one encoding of it that keys over kernel
+// values carry.
 //
 // Naming follows the paper: the definite integrals are obtained by applying
 // finite-difference operators to indefinite antiderivatives:

@@ -208,6 +208,59 @@ func TestApproximationDistanceAccuracy(t *testing.T) {
 	}
 }
 
+// TestConfigFingerprint: the fingerprint tells apart configurations that
+// differ in QuadOrder or DisableApprox, and arithmetic versions, and two
+// equal configurations built separately agree.
+func TestConfigFingerprint(t *testing.T) {
+	def := DefaultConfig().Fingerprint(ArithVersion)
+	if lit := (&Config{QuadOrder: 4}).Fingerprint(ArithVersion); lit != def {
+		t.Fatalf("a literal default configuration fingerprints %#x, DefaultConfig %#x", lit, def)
+	}
+	seen := map[uint64]string{def: "default"}
+	for _, c := range []struct {
+		name string
+		fp   uint64
+	}{
+		{"QuadOrder 5", (&Config{QuadOrder: 5}).Fingerprint(ArithVersion)},
+		{"QuadOrder 12", (&Config{QuadOrder: 12}).Fingerprint(ArithVersion)},
+		{"DisableApprox", (&Config{QuadOrder: 4, DisableApprox: true}).Fingerprint(ArithVersion)},
+		{"exact QuadOrder 12", (&Config{QuadOrder: 12, DisableApprox: true}).Fingerprint(ArithVersion)},
+		{"arithmetic before", DefaultConfig().Fingerprint(ArithVersion - 1)},
+	} {
+		if prev, dup := seen[c.fp]; dup {
+			t.Errorf("%s fingerprints like %s: %#x", c.name, prev, c.fp)
+		}
+		seen[c.fp] = c.name
+	}
+}
+
+// benchBlock builds one target and a block of sources spanning the
+// near/mid/far mix of a leaf-pair near block: same-plane neighbours,
+// perpendicular close pairs and separated pairs.
+func benchBlock() (geom.Rect, []geom.Rect) {
+	rng := rand.New(rand.NewSource(3))
+	tgt := geom.Rect{Normal: geom.Z,
+		U: geom.Interval{Lo: 0, Hi: 1}, V: geom.Interval{Lo: 0, Hi: 1}}
+	src := make([]geom.Rect, 0, 48)
+	for i := 0; i < 48; i++ {
+		src = append(src, randRect(rng, 3))
+	}
+	return tgt, src
+}
+
+func BenchmarkRectGalerkinPairwise(b *testing.B) {
+	cfg := DefaultConfig()
+	tgt, src := benchBlock()
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range src {
+			sink += RectGalerkin(cfg, tgt, s)
+		}
+	}
+	_ = sink
+}
+
 func TestScaleAndPointKernel(t *testing.T) {
 	if got := Scale(FourPi, 1); math.Abs(got-1) > 1e-15 {
 		t.Errorf("Scale(4pi,1) = %g, want 1", got)

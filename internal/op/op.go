@@ -108,9 +108,10 @@ type NearBlocker interface {
 type Spec struct {
 	Panels        []geom.Panel
 	NumConductors int
-	// Eps is the dielectric permittivity (0 = vacuum).
+	// Eps is the dielectric permittivity (0 = vacuum) and Cfg the kernel
+	// configuration (nil = defaults): the extraction's only ones, on every
+	// backend (FMMOptions and PFFTOptions hand them to the operators).
 	Eps float64
-	// Cfg is the integration configuration (nil = defaults).
 	Cfg *kernel.Config
 	// Exec runs parallel assembly, dense matvecs and the reduction
 	// (nil = a throwaway sched.Local sized by GOMAXPROCS).

@@ -97,10 +97,11 @@ type Options struct {
 	// PrecisionAuto (the default) and PrecisionFP64 run fp64. Dense and
 	// direct solves always run fp64.
 	Precision Precision
-	// FMM overrides the multipole operator options (nil = defaults;
-	// Eps/Cfg are filled from the Spec when zero).
+	// FMM tunes the multipole operator (nil = defaults). Its Eps and Cfg
+	// are not read: FMMOptions sets them from the Spec.
 	FMM *fmm.Options
-	// PFFT overrides the precorrected-FFT operator options (likewise).
+	// PFFT tunes the precorrected-FFT operator (likewise, through
+	// PFFTOptions).
 	PFFT *pfft.Options
 }
 
@@ -241,20 +242,17 @@ func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
 }
 
 // FMMOptions resolves the multipole operator options of a spec: the
-// caller override with Eps, Cfg and the class table filled from the spec.
-// The stage builders of internal/plan construct their operators from it.
+// caller's tuning, with the spec's permittivity and kernel configuration
+// (an extraction has one of each, whatever its backend) and, unless the
+// caller gave one, the spec's class table. The stage builders of
+// internal/plan construct their operators from it.
 func FMMOptions(spec Spec, opt Options) fmm.Options {
 	spec = spec.withDefaults()
 	fo := fmm.Options{}
 	if opt.FMM != nil {
 		fo = *opt.FMM
 	}
-	if fo.Eps == 0 {
-		fo.Eps = spec.Eps
-	}
-	if fo.Cfg == nil {
-		fo.Cfg = spec.Cfg
-	}
+	fo.Eps, fo.Cfg = spec.Eps, spec.Cfg
 	if fo.Pairs == nil {
 		fo.Pairs = spec.Pairs
 	}
@@ -275,12 +273,7 @@ func PFFTOptions(spec Spec, opt Options) pfft.Options {
 	if opt.PFFT != nil {
 		po = *opt.PFFT
 	}
-	if po.Eps == 0 {
-		po.Eps = spec.Eps
-	}
-	if po.Cfg == nil {
-		po.Cfg = spec.Cfg
-	}
+	po.Eps, po.Cfg = spec.Eps, spec.Cfg
 	if po.Pairs == nil {
 		po.Pairs = spec.Pairs
 	}

@@ -70,41 +70,38 @@ const (
 )
 
 // artifactKey returns the family content hash for the current build,
-// or "" when persistence is off. The kernel configuration hashed is the
-// effective one the backend integrates with (a backend-level Cfg
-// override wins over the plan's).
+// or "" when persistence is off. The kernel configuration and permittivity
+// hashed are the plan's: the only ones its operators integrate with,
+// whatever the backend (op.FMMOptions, op.PFFTOptions).
 func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, po *pfft.Options) string {
 	if p.opt.Artifacts == nil {
 		return ""
 	}
-	cfg := p.cfg
-	switch {
-	case fo != nil && fo.Cfg != nil:
-		cfg = fo.Cfg
-	case po != nil && po.Cfg != nil:
-		cfg = po.Cfg
-	}
-	return artifactHash(artifactSchema, p.opt.MaxEdge, kernel.Eps0, cfg, be, fo, po, st)
+	return artifactHash(artifactSchema, p.opt.MaxEdge, kernel.Eps0, p.cfg.Fingerprint(kernel.ArithVersion), be, fo, po, st)
 }
 
 // artifactSchema opens every family hash: the version of what an artifact
-// holds, and the arithmetic of its kernel values, so that an artifact
-// written by a build that computed them otherwise — on disk or in a peer's
-// store — is a miss, never adopted. ("pba1" was followed by an
-// elementary-function provider tag; "pba2" near fields — dense, fmm and
-// pfft alike — held each pair's integral at its absolute coordinates, where
-// "pba3" holds the value of the pair's symmetry class: the same arithmetic,
-// kernel.ArithVersion unmoved, but not the same numbers.)
-var artifactSchema = []byte{'p', 'b', 'a', '3', kernel.ArithVersion}
+// holds, so that an artifact written by a build that computed or laid it
+// out otherwise — on disk or in a peer's store — is a miss, never adopted.
+// The arithmetic of its kernel values is the configuration fingerprint's
+// to name. ("pba1" was followed by an elementary-function provider tag;
+// "pba2" near fields — dense, fmm and pfft alike — held each pair's
+// integral at its absolute coordinates, where "pba3" holds the value of
+// the pair's symmetry class; "pba3" hashed the kernel configuration field
+// by field and an operator's own permittivity, where "pba4" hashes
+// kernel.Config.Fingerprint and the plan's one permittivity: the same
+// values under new key bytes, which a "pba3" entry must not alias.)
+var artifactSchema = []byte("pba4")
 
 // artifactHash computes the family content hash under the given schema
-// header.
+// header, fp being the kernel configuration's fingerprint
+// (kernel.Config.Fingerprint).
 //
 // Backend tuning values are hashed raw (unresolved zero defaults are
 // distinct from their explicit equivalents): identical Options always
 // produce identical keys, which is the contract that matters; a
 // zero-vs-explicit-default mismatch only costs a missed dedup.
-func artifactHash(schema []byte, maxEdge, eps float64, cfg *kernel.Config, be op.Backend,
+func artifactHash(schema []byte, maxEdge, eps float64, fp uint64, be op.Backend,
 	fo *fmm.Options, po *pfft.Options, st *geom.Structure) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -117,25 +114,16 @@ func artifactHash(schema []byte, maxEdge, eps float64, cfg *kernel.Config, be op
 	h.Write([]byte{byte(be)})
 	wf(maxEdge)
 	wf(eps)
-	wf(cfg.FarFactor)
-	wf(cfg.MidFactor)
-	w64(uint64(cfg.QuadOrder))
-	if cfg.DisableApprox {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
+	w64(fp)
 	switch {
 	case fo != nil:
 		w64(uint64(fo.LeafSize))
 		wf(fo.Theta)
 		wf(fo.NearFactor)
-		wf(fo.Eps)
 	case po != nil:
 		wf(po.GridSpacing)
 		w64(uint64(po.MaxNodes))
 		wf(po.NearRadius)
-		wf(po.Eps)
 	}
 	w64(uint64(len(st.Conductors)))
 	for _, c := range st.Conductors {

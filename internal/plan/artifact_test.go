@@ -197,6 +197,34 @@ func TestPlanArtifactKeySeparation(t *testing.T) {
 	}
 }
 
+// TestArtifactKeyCarriesFingerprint: the artifact key reads the kernel
+// configuration through its fingerprint alone. A configuration that
+// differs in QuadOrder, DisableApprox or arithmetic version is another
+// key; a literal default one is the plan's key.
+func TestArtifactKeyCarriesFingerprint(t *testing.T) {
+	st := crossingAt(0.5e-6)
+	key := func(cfg *kernel.Config, arith uint64) string {
+		return artifactHash(artifactSchema, 0.5e-6, kernel.Eps0, cfg.Fingerprint(arith), op.BackendDense, nil, nil, st)
+	}
+	p, err := New(Options{MaxEdge: 0.5e-6, Artifacts: newMemStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := p.artifactKey(st, op.BackendDense, nil, nil)
+	if k := key(&kernel.Config{QuadOrder: 4}, kernel.ArithVersion); k != def {
+		t.Fatalf("a literal default configuration keys %s, the plan %s", k, def)
+	}
+	for name, k := range map[string]string{
+		"QuadOrder 5":       key(&kernel.Config{QuadOrder: 5}, kernel.ArithVersion),
+		"DisableApprox":     key(&kernel.Config{QuadOrder: 4, DisableApprox: true}, kernel.ArithVersion),
+		"arithmetic before": key(kernel.DefaultConfig(), kernel.ArithVersion-1),
+	} {
+		if k == def {
+			t.Errorf("%s shares the default configuration's artifact key", name)
+		}
+	}
+}
+
 // TestPlanArtifactLengthMismatchDegrades drops one trailing float from
 // every payload and asserts the shape validation refuses to adopt it.
 // (Value-level integrity — bit flips inside structurally valid floats —
@@ -222,27 +250,39 @@ func TestPlanArtifactLengthMismatchDegrades(t *testing.T) {
 // an older build computed for the same request, a well-formed near-field
 // artifact of the right shape with wrong values — what a disk store kept
 // across an upgrade, or a peer still running the old build, would hand
-// back. Two such builds: the one from before kernel.ArithVersion ("pba1"
-// and its standard-provider tag), and PR 21's ("pba2"), whose near-field
-// values were integrated at each pair's absolute coordinates where this
-// build stores symmetry-class values. The plan must miss the entry,
-// integrate afresh and store under its own key; the stale entry is never
-// read.
+// back. The older builds: the one from before kernel.ArithVersion ("pba1"
+// and its standard-provider tag); the "pba2" ones, whose near-field values
+// were integrated at each pair's absolute coordinates where this build
+// stores symmetry-class values; the "pba3" ones, which encoded the kernel
+// configuration field by field; and one of today's schema whose kernel
+// arithmetic was the version before this one. The plan must
+// miss the entry, integrate afresh and store under its own key; the stale
+// entry is never read.
 func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 	pipe := op.Options{Backend: op.BackendDense, Direct: true}
 	st := crossingAt(0.5e-6)
 	clean := newMemStore()
 	cold := extractVia(t, clean, pipe, 0.5e-6)
 
-	for _, schema := range [][]byte{{'p', 'b', 'a', '1', 0}, {'p', 'b', 'a', '2', kernel.ArithVersion}} {
+	fp := kernel.DefaultConfig().Fingerprint(kernel.ArithVersion)
+	for _, old := range []struct {
+		name   string
+		schema []byte
+		fp     uint64
+	}{
+		{"pba1", []byte{'p', 'b', 'a', '1', 0}, fp},
+		{"pba2", []byte{'p', 'b', 'a', '2', kernel.ArithVersion}, fp},
+		{"pba3", []byte{'p', 'b', 'a', '3', kernel.ArithVersion}, fp},
+		{"arithmetic before", artifactSchema, kernel.DefaultConfig().Fingerprint(kernel.ArithVersion - 1)},
+	} {
 		p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: newMemStore()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		key := p.artifactKey(st, op.BackendDense, nil, nil)
-		oldKey := artifactHash(schema, 0.5e-6, kernel.Eps0, p.cfg, op.BackendDense, nil, nil, st)
+		oldKey := artifactHash(old.schema, 0.5e-6, kernel.Eps0, old.fp, op.BackendDense, nil, nil, st)
 		if oldKey == key {
-			t.Fatalf("schema %q: old key %q, current key %q: want two distinct keys", schema[:4], oldKey, key)
+			t.Fatalf("%s: old key %q, current key %q: want two distinct keys", old.name, oldKey, key)
 		}
 		payload, found := clean.Get(key + nearSuffix)
 		if !found {
@@ -265,16 +305,16 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s := p2.Stats(); s.ArtifactHits != 0 || s.ArtifactMisses == 0 || s.ArtifactPuts == 0 {
-			t.Errorf("schema %q: stats over a store of old artifacts: %+v, want misses and puts only", schema[:4], s)
+			t.Errorf("%s: stats over a store of old artifacts: %+v, want misses and puts only", old.name, s)
 		}
 		if res.Reused.NearField {
-			t.Errorf("schema %q: near field reported as reused", schema[:4])
+			t.Errorf("%s: near field reported as reused", old.name)
 		}
 		if e := capError(res.C, cold.C); e != 0 {
-			t.Errorf("schema %q: result differs from a clean cold build by %.3g", schema[:4], e)
+			t.Errorf("%s: result differs from a clean cold build by %.3g", old.name, e)
 		}
 		if _, found := store.Get(key + nearSuffix); !found {
-			t.Errorf("schema %q: fresh build was not stored under the current key", schema[:4])
+			t.Errorf("%s: fresh build was not stored under the current key", old.name)
 		}
 	}
 }
@@ -395,20 +435,4 @@ func FuzzDecodeDenseArtifact(f *testing.F) {
 			t.Fatal("the adopted matrix does not encode back to its payload")
 		}
 	})
-}
-
-// TestPlanLiteralKernelConfig: a kernel.Config written as a literal, not
-// obtained from DefaultConfig, is a complete configuration. (It used to
-// hash like the default one and then dereference a nil function table in
-// the near-field fill.)
-func TestPlanLiteralKernelConfig(t *testing.T) {
-	run := func(cfg *kernel.Config) *Result {
-		return extractVia(t, newMemStore(), op.Options{Backend: op.BackendFMM, Tol: 1e-8,
-			FMM: &fmm.Options{Workers: 1, Cfg: cfg}}, 0.5e-6)
-	}
-	lit := run(&kernel.Config{FarFactor: 12, MidFactor: 4, QuadOrder: 4})
-	def := run(kernel.DefaultConfig())
-	if e := capError(lit.C, def.C); e != 0 {
-		t.Errorf("literal default-valued config differs from DefaultConfig by %.3g", e)
-	}
 }

@@ -291,7 +291,11 @@ type (
 	Backend = solver.Backend
 	// BuilderOptions tunes instantiable-basis generation.
 	BuilderOptions = basis.BuilderOptions
-	// KernelConfig tunes the integration engine.
+	// KernelConfig is what a template extraction (Options.Kernel) may set
+	// of the integration: the outer Gauss order and the switch that turns
+	// the paper's Section 4.1 approximations off. The approximation
+	// distances themselves are constants of the kernel (12 and 4 mean
+	// diameters); a panel extraction always integrates with the default.
 	KernelConfig = kernel.Config
 	// Network is the simulated distributed-memory interconnect.
 	Network = mpi.Network
@@ -397,8 +401,9 @@ func ExtractReference(st *Structure, maxEdge float64) (*PlanResult, error) {
 	return ExtractPipeline(st, maxEdge, PipelineOptions{Backend: BackendDense, Direct: true})
 }
 
-// FastCapOptions tunes the multipole baseline. Set Tol to override the
-// default 1e-4 GMRES relative tolerance.
+// FastCapOptions tunes the multipole baseline's operator. Its Eps and Cfg
+// are not read (an extraction's are the plan's); for a GMRES tolerance
+// other than 1e-4, call ExtractPipeline with PipelineOptions.Tol.
 type FastCapOptions = fmm.Options
 
 // ExtractFastCapLike solves the structure with the multipole-accelerated
@@ -409,19 +414,19 @@ type FastCapOptions = fmm.Options
 // concurrently).
 func ExtractFastCapLike(st *Structure, maxEdge float64, opt FastCapOptions) (*PlanResult, error) {
 	return ExtractPipeline(st, maxEdge, PipelineOptions{
-		Backend: BackendFMM, Tol: opt.Tol, FMM: &opt,
+		Backend: BackendFMM, FMM: &opt,
 	})
 }
 
-// PFFTOptions tunes the precorrected-FFT baseline. Set Tol to override
-// the default 1e-4 GMRES relative tolerance.
+// PFFTOptions tunes the precorrected-FFT baseline's operator (see
+// FastCapOptions: the tolerance is PipelineOptions.Tol).
 type PFFTOptions = pfft.Options
 
 // ExtractPFFT solves the structure with the precorrected-FFT accelerated
 // piecewise-constant solver (through the same unified pipeline).
 func ExtractPFFT(st *Structure, maxEdge float64, opt PFFTOptions) (*PlanResult, error) {
 	return ExtractPipeline(st, maxEdge, PipelineOptions{
-		Backend: BackendPFFT, Tol: opt.Tol, PFFT: &opt,
+		Backend: BackendPFFT, PFFT: &opt,
 	})
 }
 

@@ -130,8 +130,10 @@ func TestOptionSurface(t *testing.T) {
 		{reflect.TypeOf(par.Options{}), []string{"Workers", "Pool"}},
 		{reflect.TypeOf(assembly.Integrator{}), []string{"Cfg", "Pairs"}},
 		{reflect.TypeOf(op.Spec{}), []string{"Panels", "NumConductors", "Eps", "Cfg", "Exec", "Pairs"}},
-		{reflect.TypeOf(fmm.Options{}), []string{"LeafSize", "Theta", "NearFactor", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec", "Tol"}},
-		{reflect.TypeOf(pfft.Options{}), []string{"GridSpacing", "MaxNodes", "NearRadius", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec", "Tol"}},
+		{reflect.TypeOf(fmm.Options{}), []string{"LeafSize", "Theta", "NearFactor", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec"}},
+		{reflect.TypeOf(pfft.Options{}), []string{"GridSpacing", "MaxNodes", "NearRadius", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec"}},
+		// The Section 4.1 distances are kernel constants, not settings.
+		{reflect.TypeOf(KernelConfig{}), []string{"QuadOrder", "DisableApprox"}},
 		// A variant's fmm or pfft near field is built, never copied from
 		// the previous operator: what is left to offer is a stored near
 		// field and, on pfft, the previous kernel transform.
