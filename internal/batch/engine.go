@@ -27,7 +27,7 @@
 //
 // Solves flow through the unified operator pipeline (internal/op) via
 // solver.ExtractSet, so every engine extraction shares the same direct
-// path (one equilibrated, pivoted LDLᵀ, op.SolveSPD) and capacitance
+// path (one equilibrated, pivoted LDLᵀ, op.Options.Direct) and capacitance
 // reduction as the interactive entry points.
 //
 // Piecewise-constant pipeline extractions (ExtractPipeline) ride the

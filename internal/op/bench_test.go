@@ -53,13 +53,15 @@ func BenchmarkPipelineSolve(b *testing.B) {
 // excluded; factorization + solves + reduction).
 func BenchmarkPipelineDirect(b *testing.B) {
 	spec := busSpec(b, 3, 3, 1.5e-6).withDefaults()
-	pl, err := newPipeline(spec, Options{Backend: BackendDense, Direct: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	pb := Prebuilt{Dense: spec.AssembleDense()}
+	opt := Options{Backend: BackendDense, Direct: true}
 	phi := spec.RHS()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pl, err := NewPrebuilt(spec, opt, pb)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := pl.ExtractRHS(phi); err != nil {
 			b.Fatal(err)
 		}
@@ -83,15 +85,23 @@ func templateSystem(m, n int) (p, phi *linalg.Dense) {
 
 // BenchmarkSolveSPD measures the direct solve on real template
 // matrices: the 8x8 bus (N = 224, positive definite, 16 right-hand
-// sides) and the 16x16 bus (N = 704, indefinite, 32). ns/madd counts
-// the N³/6 of the factorization and the N²·n_c of the two sweeps.
+// sides) and the 16x16 bus (N = 704, indefinite, 32). NewFromDense
+// consumes its matrix, so each iteration refills a working copy first, as
+// BenchmarkFactorSym does. ns/madd counts the N³/6 of the factorization
+// and the N²·n_c of the two sweeps.
 func BenchmarkSolveSPD(b *testing.B) {
 	for _, m := range []int{8, 16} {
 		b.Run(fmt.Sprintf("bus%d", m), func(b *testing.B) {
 			p, phi := templateSystem(m, m)
+			work := p.Clone()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := SolveSPD(p, phi); err != nil {
+				copy(work.Data, p.Data)
+				pl, err := NewFromDense(work, Options{Direct: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := pl.ExtractRHS(phi); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,17 +1,33 @@
 package op
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"parbem/internal/linalg"
 )
 
+// directSolve solves P X = Phi through a NewFromDense pipeline on a copy
+// of P, returning the charges and what the factorization found.
+func directSolve(p, phi *linalg.Dense) (*linalg.Dense, linalg.Inertia, error) {
+	pl, err := NewFromDense(p.Clone(), Options{Direct: true})
+	if err != nil {
+		return nil, linalg.Inertia{}, err
+	}
+	res, err := pl.ExtractRHS(phi)
+	if err != nil {
+		return nil, linalg.Inertia{}, err
+	}
+	return res.Rho, res.Inertia, nil
+}
+
 func TestSolveSPDOnSPDMatrix(t *testing.T) {
 	// Well-conditioned SPD with wildly varying diagonal scales: the
-	// equilibrated factorization must solve it, and leave it alone.
+	// equilibrated factorization must solve it, and leave Phi alone.
 	n := 40
 	P := linalg.NewDense(n, n)
 	for i := 0; i < n; i++ {
@@ -28,16 +44,16 @@ func TestSolveSPDOnSPDMatrix(t *testing.T) {
 		phi.Set(i, 0, 1)
 		phi.Set(i, 1, float64(i))
 	}
-	before, phiBefore := P.Clone(), phi.Clone()
-	x, in, err := solveSym(P, phi)
+	phiBefore := phi.Clone()
+	x, in, err := directSolve(P, phi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if in != (linalg.Inertia{}) {
 		t.Errorf("SPD matrix reported inertia %+v", in)
 	}
-	if linalg.MaxAbsDiff(P, before) != 0 || linalg.MaxAbsDiff(phi, phiBefore) != 0 {
-		t.Error("SolveSPD modified its input")
+	if linalg.MaxAbsDiff(phi, phiBefore) != 0 {
+		t.Error("the direct solve modified its right-hand sides")
 	}
 	// Verify P x = phi.
 	for j := 0; j < 2; j++ {
@@ -60,7 +76,7 @@ func TestSolveSPDOnIndefinite(t *testing.T) {
 	// exists, the pivoted factorization solves it and says so.
 	P := linalg.NewDenseFrom(2, 2, []float64{1, 2, 2, 1})
 	phi := linalg.NewDenseFrom(2, 1, []float64{3, 0})
-	x, in, err := solveSym(P, phi)
+	x, in, err := directSolve(P, phi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +94,7 @@ func TestSolveSPDZeroDiagonalTakes2x2Pivot(t *testing.T) {
 	// by: the scale falls back to 1 and the pivot is the 2x2 block.
 	P := linalg.NewDenseFrom(2, 2, []float64{0, 1, 1, 0})
 	phi := linalg.NewDenseFrom(2, 1, []float64{5, 7})
-	x, in, err := solveSym(P, phi)
+	x, in, err := directSolve(P, phi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +111,7 @@ func TestSolveSPDNegativeDiagonalStillEquilibrates(t *testing.T) {
 	// system and its solution, [[-4,1],[1,9]] x = [-2, 19] at x = [1, 2].
 	P := linalg.NewDenseFrom(2, 2, []float64{-4, 1, 1, 9})
 	phi := linalg.NewDenseFrom(2, 1, []float64{-2, 19})
-	x, err := SolveSPD(P, phi)
+	x, _, err := directSolve(P, phi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +135,7 @@ func TestSolveSPDSingularAndNonFiniteError(t *testing.T) {
 		"Inf in Phi":    {linalg.NewDenseFrom(2, 2, spd), linalg.NewDenseFrom(2, 1, []float64{inf, 1})},
 		"singular 2x2 ": {linalg.NewDenseFrom(3, 3, []float64{0, 1, 1, 1, 0, 1, 1, 1, 2}), linalg.NewDense(3, 1)},
 	} {
-		x, err := SolveSPD(tc.p, tc.phi)
+		x, _, err := directSolve(tc.p, tc.phi)
 		if !errors.Is(err, linalg.ErrSingular) {
 			t.Errorf("%s: x = %v, err = %v, want linalg.ErrSingular", name, x, err)
 			continue
@@ -132,6 +148,90 @@ func TestSolveSPDSingularAndNonFiniteError(t *testing.T) {
 		}
 		if !strings.Contains(name, "Phi") && !strings.Contains(err.Error(), "index") {
 			t.Errorf("%s: error %q does not name the pivot", name, err)
+		}
+	}
+}
+
+// bitwiseEqual reports whether a and b hold the same bits.
+func bitwiseEqual(a, b *linalg.Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNewFromDenseFactorsOnce pins the ownership contract of NewFromDense:
+// the matrix is factored in place when the pipeline is built, so it is no
+// longer the system matrix, and every ExtractRHS after that, sequential
+// or concurrent, solves against the one factor to the same bits.
+func TestNewFromDenseFactorsOnce(t *testing.T) {
+	p, phi := templateSystem(4, 4)
+	m := p.Clone()
+	pl, err := NewFromDense(m, Options{Direct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bitwiseEqual(m, p) {
+		t.Error("NewFromDense left its matrix as it was: nothing was factored in place")
+	}
+	first, err := pl.ExtractRHS(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := pl.ExtractRHS(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitwiseEqual(second.C, first.C) {
+		t.Error("a second ExtractRHS changed C")
+	}
+	var wg sync.WaitGroup
+	cs := make([]*linalg.Dense, 4)
+	errs := make([]error, len(cs))
+	for k := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := pl.ExtractRHS(phi)
+			if errs[k] = err; err == nil {
+				cs[k] = res.C
+			}
+		}()
+	}
+	wg.Wait()
+	for k, c := range cs {
+		if errs[k] != nil {
+			t.Fatalf("concurrent ExtractRHS %d: %v", k, errs[k])
+		}
+		if !bitwiseEqual(c, first.C) {
+			t.Errorf("concurrent ExtractRHS %d: C differs from the sequential one", k)
+		}
+	}
+}
+
+// TestDirectPlanMatrixUnchanged pins the other half of the contract: a
+// dense direct pipeline over a prebuilt matrix factors a copy, so the
+// matrix a plan keeps — and rewrites in place for its next variant — is
+// the system matrix, never a factor, after any number of solves.
+func TestDirectPlanMatrixUnchanged(t *testing.T) {
+	spec := busSpec(t, 2, 2, 1e-6).withDefaults()
+	m := spec.AssembleDense()
+	keep := m.Clone()
+	pl, err := NewPrebuilt(spec, Options{Backend: BackendDense, Direct: true}, Prebuilt{Dense: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		if _, err := pl.ExtractWarmCtx(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bitwiseEqual(m, keep) {
+			t.Fatalf("solve %d changed the prebuilt matrix", k)
 		}
 	}
 }

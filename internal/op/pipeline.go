@@ -88,9 +88,11 @@ type Options struct {
 	// a ring shared by every right-hand side of the call, in which a new
 	// direction overwrites the oldest once it is full. Nothing restarts.
 	Restart int
-	// Direct forces the dense direct solve (SolveSPD: one equilibrated,
-	// pivoted LDLᵀ) instead of Krylov iteration; it requires the dense
-	// backend (auto resolving to dense is fine).
+	// Direct forces the dense direct solve (one equilibrated, pivoted LDLᵀ,
+	// see factorSym) instead of Krylov iteration; it requires the dense
+	// backend (auto resolving to dense is fine). The matrix is factored
+	// once, when the pipeline is built: NewFromDense consumes it, factoring
+	// in place; NewPrebuilt factors a copy. Extract calls only solve.
 	Direct bool
 	// Precision selects the matvec arithmetic of accelerated backends:
 	// PrecisionMixed runs the float32 mirror inside fp64 refinement,
@@ -168,7 +170,7 @@ type Result struct {
 	Precision Precision
 	// Inertia is what the direct solve's factorization found: negative
 	// pivots mean the system matrix was not positive definite (see
-	// SolveSPD). Zero for Krylov solves, which factor nothing.
+	// factorSym). Zero for Krylov solves, which factor nothing.
 	Inertia linalg.Inertia
 }
 
@@ -183,9 +185,12 @@ type Result struct {
 type Pipeline struct {
 	spec    Spec
 	opt     Options
-	a       Operator
+	n       int      // the system's dimension
+	a       Operator // nil for NewFromDense, whose matrix is its factor
 	pre     Preconditioner
 	dense   *linalg.Dense // retained when the backend assembled densely
+	scale   []float64     // the direct solve's equilibration (see factorSym)
+	ldl     *linalg.LDLT  // and its factorization
 	backend Backend
 	// ws is the free list of search-space buffers, one per solve call in
 	// flight. Not a sync.Pool: the runtime keeps a pool that has been Put
@@ -213,7 +218,7 @@ func NewWithOperator(spec Spec, a Operator, opt Options) (*Pipeline, error) {
 	if opt.Direct {
 		return nil, errors.New("op: direct solve needs a dense backend, not a wrapped operator")
 	}
-	p := &Pipeline{spec: spec, opt: opt, a: a, backend: backendOf(a)}
+	p := &Pipeline{spec: spec, opt: opt, n: a.Dim(), a: a, backend: backendOf(a)}
 	if err := p.buildPrecond(); err != nil {
 		return nil, err
 	}
@@ -224,7 +229,8 @@ func NewWithOperator(spec Spec, a Operator, opt Options) (*Pipeline, error) {
 // NewFromDense wraps an already-assembled system matrix for the direct
 // solve (the instantiable-basis solver's path; opt.Direct must be set: a
 // Krylov solve wants the panels behind the matrix, see NewPrebuilt). The
-// spec-free pipeline takes its dimensions from the matrix.
+// spec-free pipeline takes its dimensions from the matrix. It consumes m:
+// m's lower triangle becomes the factor (see factorSym and Options.Direct).
 func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
 	opt = opt.withDefaults()
 	if m.Rows != m.Cols {
@@ -233,12 +239,11 @@ func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
 	if !opt.Direct {
 		return nil, errors.New("op: NewFromDense solves directly (set Options.Direct)")
 	}
-	return &Pipeline{
-		opt:     opt,
-		dense:   m,
-		a:       linalg.DenseOp{M: m},
-		backend: BackendDense,
-	}, nil
+	s, f, err := factorSym(m, m)
+	if err != nil {
+		return nil, err
+	}
+	return &Pipeline{opt: opt, n: m.Rows, scale: s, ldl: f, backend: BackendDense}, nil
 }
 
 // FMMOptions resolves the multipole operator options of a spec: the
@@ -333,11 +338,17 @@ func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 		return nil, errors.New("op: prebuilt operator dimension mismatch")
 	}
 	p := &Pipeline{
-		spec: spec, opt: opt, a: a, dense: pb.Dense,
+		spec: spec, opt: opt, n: a.Dim(), a: a, dense: pb.Dense,
 		backend: backendOf(a), factors: pb.Factors,
 	}
-	if opt.Direct && p.dense == nil {
-		return nil, errors.New("op: direct solve requires an assembled dense matrix")
+	if opt.Direct {
+		if p.dense == nil {
+			return nil, errors.New("op: direct solve requires an assembled dense matrix")
+		}
+		var err error // a copy: a plan rewrites its matrix for the next variant
+		if p.scale, p.ldl, err = factorSym(linalg.NewDense(p.n, p.n), p.dense); err != nil {
+			return nil, err
+		}
 	}
 	if err := p.buildPrecond(); err != nil {
 		return nil, err
@@ -435,9 +446,9 @@ func (p *Pipeline) Preconditioner() Preconditioner { return p.pre }
 // change iteration counts, never the converged solution (which is
 // determined by the tolerance). The solve observes ctx before every
 // operator application, so a deadline or cancellation stops it early with
-// an *Interrupted error carrying the iterations completed; the direct path
-// checks ctx once before factorizing (a dense factorization has no
-// interior checkpoints). A nil ctx means context.Background().
+// an *Interrupted error carrying the iterations completed; the direct path,
+// factored when the pipeline was built, checks ctx once before its
+// triangular solves. A nil ctx means context.Background().
 func (p *Pipeline) ExtractWarmCtx(ctx context.Context, x0 *linalg.Dense) (*Result, error) {
 	if p.spec.NumConductors == 0 {
 		return nil, errors.New("op: pipeline has no spec (use ExtractRHS)")
@@ -452,7 +463,7 @@ func (p *Pipeline) ExtractRHS(phi *linalg.Dense) (*Result, error) {
 }
 
 func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Result, error) {
-	if phi.Rows != p.a.Dim() {
+	if phi.Rows != p.n {
 		return nil, errors.New("op: RHS dimension mismatch")
 	}
 	if ctx == nil {
@@ -461,11 +472,11 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 	if err := ctx.Err(); err != nil {
 		return nil, &Interrupted{Err: err}
 	}
-	res := &Result{NumPanels: p.a.Dim(), Backend: p.backend, Precision: p.Precision()}
+	res := &Result{NumPanels: p.n, Backend: p.backend, Precision: p.Precision()}
 	var err error
-	if p.opt.Direct {
-		// One factorization per call; the inertia is what it found.
-		res.Rho, res.Inertia, err = solveSym(p.dense, phi)
+	if p.ldl != nil {
+		res.Rho, err = p.solveDirect(phi)
+		res.Inertia = p.ldl.Inertia()
 	} else {
 		err = p.solveKrylov(ctx, phi, x0, res)
 	}
@@ -495,7 +506,7 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 // this call only, on buffers from the pipeline's free list. Nothing is
 // spawned: a solve's parallelism is its operator's, on the spec's executor.
 func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense, out *Result) error {
-	n := p.a.Dim()
+	n := p.n
 	nc := phi.Cols
 	rho := linalg.NewDense(n, nc)
 	opt := linalg.GMRESOptions{Tol: p.opt.Tol, Restart: p.opt.Restart, Ctx: ctx}
@@ -595,37 +606,23 @@ func Reduce(ex sched.Executor, phi, rho *linalg.Dense) *linalg.Dense {
 	return c
 }
 
-// SolveSPD solves P X = Phi for the symmetric system matrix of a
-// Galerkin discretization. P is positive definite in exact arithmetic
-// but only nominally so here: the paper's point and collocation
-// approximations of far and mid-range template pairs (Section 4.1) are
-// not Galerkin integrals, and on a large structure they can carry an
-// eigenvalue across zero — the 16x16 bus, scaled to unit diagonal, has
-// one at -0.016 under a spectrum that reaches 60, and none nearer to
-// zero than 0.012, so it is indefinite and perfectly conditioned. The
-// one factorization is therefore a pivoted symmetric-indefinite LDLᵀ
-// (linalg.FactorSym), which costs what a Cholesky costs and reports the
-// inertia it finds. There is no diagonal shift: rescuing a Cholesky by
-// moving the spectrum solves a different system, and this matrix would
-// need a shift far above the integration accuracy. P is first scaled to
-// unit diagonal, S P S y = S Phi with S = diag(|P_ii|^-1/2) (1 where
-// P_ii = 0): the diagonal spans orders of magnitude (face basis moments
-// against small arch templates), and Bunch–Kaufman pivoting compares
-// magnitudes, so unscaled it would interchange on units, not on
-// structure. Only P's lower triangle is read and neither input is
-// modified; a singular matrix, or a NaN or Inf in either, is an error
-// wrapping linalg.ErrSingular.
-func SolveSPD(p, phi *linalg.Dense) (*linalg.Dense, error) {
-	x, _, err := solveSym(p, phi)
-	return x, err
-}
-
-// solveSym is SolveSPD, also returning what the factorization found.
-func solveSym(p, phi *linalg.Dense) (*linalg.Dense, linalg.Inertia, error) {
+// factorSym factors the symmetric system matrix p of a Galerkin
+// discretization for the direct solve. P is positive definite in exact
+// arithmetic but not here: the paper's point and collocation approximations
+// of far and mid-range template pairs (Section 4.1) are not Galerkin
+// integrals and can carry an eigenvalue across zero (the 16x16 bus, at unit
+// diagonal, has one at -0.016 under a spectrum that reaches 60). So the one
+// factorization is a pivoted symmetric-indefinite LDLᵀ (linalg.FactorSym),
+// which costs what a Cholesky costs and reports the inertia it finds; a
+// diagonal shift would solve a different system. It factors S P S with
+// S = diag(|P_ii|^-1/2) (1 where P_ii = 0), returned as scale: the diagonal
+// spans orders of magnitude, and unscaled, Bunch–Kaufman pivoting would
+// interchange on units, not on structure. The lower triangle of S P S is
+// written into dst, which may be p itself, and factored there; no strict
+// upper triangle is read or written. A singular matrix, or a NaN or Inf in
+// it, is an error wrapping linalg.ErrSingular.
+func factorSym(dst, p *linalg.Dense) (scale []float64, f *linalg.LDLT, err error) {
 	nr := p.Rows
-	if phi.Rows != nr {
-		return nil, linalg.Inertia{}, errors.New("op: SolveSPD dimension mismatch")
-	}
 	s := make([]float64, nr)
 	for i := range s {
 		s[i] = 1
@@ -633,18 +630,23 @@ func solveSym(p, phi *linalg.Dense) (*linalg.Dense, linalg.Inertia, error) {
 			s[i] = 1 / math.Sqrt(d)
 		}
 	}
-	// The one working copy: the scaled lower triangle, factored in place.
-	eq := linalg.NewDense(nr, nr)
 	for i := 0; i < nr; i++ {
-		prow, erow, si := p.Row(i), eq.Row(i), s[i]
+		prow, drow, si := p.Row(i), dst.Row(i), s[i]
 		for j := 0; j <= i; j++ {
-			erow[j] = si * prow[j] * s[j]
+			drow[j] = si * prow[j] * s[j]
 		}
 	}
-	f, err := linalg.FactorSym(eq)
-	if err != nil {
-		return nil, linalg.Inertia{}, fmt.Errorf("op: system matrix unsolvable: %w", err)
+	if f, err = linalg.FactorSym(dst); err != nil {
+		return nil, nil, fmt.Errorf("op: system matrix unsolvable: %w", err)
 	}
+	return s, f, nil
+}
+
+// solveDirect returns X with P X = phi. It only reads the factor, so calls
+// may run concurrently; a NaN or Inf in phi is an error wrapping
+// linalg.ErrSingular.
+func (p *Pipeline) solveDirect(phi *linalg.Dense) (*linalg.Dense, error) {
+	nr, s := p.n, p.scale
 	x := linalg.NewDense(nr, phi.Cols)
 	var bad float64 // stays 0 while every entry of Phi is finite
 	for i := 0; i < nr; i++ {
@@ -655,11 +657,11 @@ func solveSym(p, phi *linalg.Dense) (*linalg.Dense, linalg.Inertia, error) {
 		}
 	}
 	if bad != 0 {
-		return nil, linalg.Inertia{}, fmt.Errorf("op: non-finite right-hand side: %w", linalg.ErrSingular)
+		return nil, fmt.Errorf("op: non-finite right-hand side: %w", linalg.ErrSingular)
 	}
-	f.Solve(x)
+	p.ldl.Solve(x)
 	for i := 0; i < nr; i++ {
 		linalg.Scal(s[i], x.Row(i))
 	}
-	return x, f.Inertia(), nil
+	return x, nil
 }

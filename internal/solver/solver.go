@@ -88,7 +88,8 @@ type Result struct {
 	C *linalg.Dense
 	// N and M are the basis-function and template counts.
 	N, M int
-	// MatrixBytes is the memory held by the dense system matrix.
+	// MatrixBytes is the memory held by the dense system matrix, the one
+	// N×N an extraction holds: the direct solve factors it in place.
 	MatrixBytes int
 	Timing      Timing
 	// Fill counts the work of the system setup: far and near template
@@ -96,11 +97,9 @@ type Result struct {
 	Fill assembly.FillStats
 	// Set is the generated basis (exposed for diagnostics and examples).
 	Set *basis.Set
-	// P is the scaled system matrix, retained for diagnostics.
-	P *linalg.Dense
-	// Inertia is what the solve's factorization found: Negative > 0
-	// says P was not positive definite (see op.SolveSPD for why a
-	// template matrix may not be, and why that is still solved exactly).
+	// Inertia is what the solve's factorization found: Negative > 0 says
+	// the system matrix was not positive definite (see op.Options.Direct
+	// for why a template matrix may not be, and why it is still solved).
 	Inertia linalg.Inertia
 }
 
@@ -177,7 +176,6 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 		M:           set.M(),
 		MatrixBytes: 8 * len(P.Data),
 		Set:         set,
-		P:           P,
 		Fill:        in.FillStats(),
 		Timing: Timing{
 			Setup: tSetup,
@@ -210,8 +208,8 @@ func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Dense, 
 
 // solveSystem recovers C = Phi^T rho with Phi the conductor-indicator
 // right-hand sides weighted by basis moments, through the unified
-// pipeline's direct path (one equilibrated, pivoted LDLᵀ — see
-// op.SolveSPD) and its shared capacitance reduction.
+// pipeline's direct path (one equilibrated, pivoted LDLᵀ of P, in P's
+// lower triangle — see op.Options.Direct) and its capacitance reduction.
 func solveSystem(set *basis.Set, P *linalg.Dense) (*op.Result, error) {
 	n := set.NumConductors
 	N := set.N()

@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 
+	"parbem/internal/assembly"
+	"parbem/internal/kernel"
 	"parbem/internal/linalg"
 	"parbem/internal/op"
 )
@@ -15,10 +17,11 @@ import (
 // benchmark's own reference, an order of magnitude inside its limit of
 // 1e-8 (κ ≈ 5e3 and the class table's lattice and isometries leave
 // ~1e-11); the work of the fill, as counts that repeat exactly; what the
-// factorization found on the way; and the solve step's allocation,
-// which must stay at one N² working copy plus the panel workspace — a
-// second copy of the matrix, or a second attempt at factoring it, fails
-// here.
+// factorization found on the way; and the allocation of the solve step and
+// of the whole extraction. The direct solve factors the fill's matrix in
+// place, so the solve step allocates no N×N at all (the panel workspace
+// and the charges are a tenth of one), and an extraction holds one system
+// matrix: a working copy of it fails here.
 func TestDirectSolvePinnedBus16(t *testing.T) {
 	raw, err := os.ReadFile("bench/ref/tmpl_bus16.json")
 	if err != nil {
@@ -61,15 +64,18 @@ func TestDirectSolvePinnedBus16(t *testing.T) {
 	}
 
 	// The solve step again, as solver.ExtractSet runs it, between two
-	// readings of the allocator.
+	// readings of the allocator, on the matrix rebuilt by the serial fill
+	// (bitwise the shared-memory one).
 	moments := res.Set.Moments()
 	phi := linalg.NewDense(res.N, res.Set.NumConductors)
 	for i, f := range res.Set.Functions {
 		phi.Set(i, f.Conductor, moments[i])
 	}
+	P := assembly.FillSerial(res.Set, assembly.NewIntegrator())
+	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), P.Data)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	pl, err := op.NewFromDense(res.P, op.Options{Direct: true})
+	pl, err := op.NewFromDense(P, op.Options{Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +87,31 @@ func TestDirectSolvePinnedBus16(t *testing.T) {
 	if d := CapError(sol.C, res.C); d != 0 {
 		t.Errorf("the recomposed solve step differs from Extract's by %g", d)
 	}
-	alloc, copyBytes := float64(after.TotalAlloc-before.TotalAlloc), 8*float64(res.N)*float64(res.N)
-	t.Logf("solve step allocated %.2f MB = %.2f x 8N²", alloc/1e6, alloc/copyBytes)
-	if alloc > 1.3*copyBytes {
-		t.Errorf("solve step allocated %.0f bytes, over 1.3 x 8N² = %.0f: more than one working copy of the matrix", alloc, 1.3*copyBytes)
+	matrixBytes := 8 * float64(res.N) * float64(res.N)
+	if res.MatrixBytes != int(matrixBytes) {
+		t.Errorf("MatrixBytes = %d, want the one N×N, %.0f", res.MatrixBytes, matrixBytes)
+	}
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("solve step allocated %.2f MB = %.3f x 8N²", alloc/1e6, alloc/matrixBytes)
+	if alloc > 0.25*matrixBytes {
+		t.Errorf("solve step allocated %.0f bytes, over 0.25 x 8N² = %.0f: a working copy of the matrix", alloc, 0.25*matrixBytes)
+	}
+
+	// The whole extraction at one worker: the fill's matrix and its
+	// class table, the basis, and the solve step above.
+	runtime.ReadMemStats(&before)
+	one, err := Extract(NewBus(16, 16).Build(), Options{Backend: SharedMem, Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := CapError(one.C, res.C); d != 0 {
+		t.Errorf("one worker's C differs from the default's by %g", d)
+	}
+	alloc = float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Extract at one worker allocated %.2f MB = %.3f x 8N²", alloc/1e6, alloc/matrixBytes)
+	if alloc > 2.6*matrixBytes {
+		t.Errorf("Extract allocated %.0f bytes, over 2.6 x 8N² = %.0f: a second N×N", alloc, 2.6*matrixBytes)
 	}
 
 	// Buses up to 14x14 are still positive definite.
