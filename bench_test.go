@@ -300,7 +300,7 @@ func BenchmarkAblationCholesky_Direct(b *testing.B) {
 	st := NewBus(6, 6).Build()
 	set := basis.Build(st, basis.DefaultBuilderOptions())
 	in := assembly.NewIntegrator()
-	P := assembly.FillSerial(set, in)
+	P := assembly.FillSerial(set, in).Dense()
 	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), P.Data)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -321,7 +321,7 @@ func BenchmarkAblationCholesky_GMRES(b *testing.B) {
 	st := NewBus(6, 6).Build()
 	set := basis.Build(st, basis.DefaultBuilderOptions())
 	in := assembly.NewIntegrator()
-	P := assembly.FillSerial(set, in)
+	P := assembly.FillSerial(set, in).Dense()
 	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), P.Data)
 	rhs := make([]float64, P.Rows)
 	for j := range rhs {

@@ -263,12 +263,12 @@ func TestBuildCrossingBasis(t *testing.T) {
 func TestFillSerialProducesSPDMatrix(t *testing.T) {
 	set := buildSmallSet(t)
 	in := NewIntegrator()
-	P := FillSerial(set, in)
+	P := FillSerial(set, in).Dense()
 	if P.Rows != set.N() {
 		t.Fatalf("P is %dx%d", P.Rows, P.Cols)
 	}
 	if e := P.SymmetryError(); e != 0 {
-		t.Fatalf("P not exactly symmetric after MirrorUpper: %g", e)
+		t.Fatalf("P not exactly symmetric: %g", e)
 	}
 	// Positive diagonal.
 	for i := 0; i < P.Rows; i++ {
@@ -296,15 +296,14 @@ func TestPartialMergeEqualsSerial(t *testing.T) {
 	}
 	K := NumPairs(set.M())
 	for _, d := range []int{2, 3, 7} {
-		P := linalg.NewDense(set.N(), set.N())
+		P := linalg.NewSym(set.N())
 		bounds := PartitionK(K, d)
 		for p := 0; p < d; p++ {
 			part := NewPartial(set, bounds[p], bounds[p+1])
 			FillRanges(set, in, bounds[p:p+2], sched.Local(1), part)
 			part.MergeInto(P)
 		}
-		P.MirrorUpper()
-		if diff := linalg.MaxAbsDiff(P, want); diff > 1e-12*scale {
+		if diff := linalg.MaxAbsDiff(P.Dense(), want.Dense()); diff > 1e-12*scale {
 			t.Fatalf("d=%d: partition merge differs from serial by %g", d, diff)
 		}
 	}

@@ -13,8 +13,9 @@ import (
 )
 
 // TestFillBitwiseAcrossBackends: a class value is a pure function of its
-// key and column-aligned chunks never split the sum behind an entry of P,
-// so every backend, partition and worker count fills the same bits.
+// key and row-aligned chunks never split the sum behind an entry of P, so
+// every backend, partition and worker count fills the same bits of P's
+// packed lower triangle.
 func TestFillBitwiseAcrossBackends(t *testing.T) {
 	set := basis.Build(geom.DefaultBus(4, 4).Build(), basis.DefaultBuilderOptions())
 	want := assembly.FillSerial(set, assembly.NewIntegrator())
@@ -27,7 +28,7 @@ func TestFillBitwiseAcrossBackends(t *testing.T) {
 		}
 	}
 	for _, w := range []int{1, 2, 4} {
-		P := par.Fill(set, assembly.NewIntegrator(), par.Options{Workers: w})
+		P := par.FillSym(set, assembly.NewIntegrator(), par.Options{Workers: w})
 		check(fmt.Sprintf("par workers=%d", w), P.Data)
 	}
 	// Every rank fills from a table of its own, with class ids in the

@@ -37,33 +37,38 @@ func IJToK(i, j int) int64 {
 }
 
 // Partial is the contribution of one contiguous k-range to the condensed
-// matrix P: a dense slab covering columns [ColLo, ColHi] of P's upper
-// triangle (paper Figure 5). Because the template owner array is
-// non-decreasing, the columns touched by a contiguous k-range are
-// contiguous.
+// matrix P: the contiguous run of rows [RowLo, RowHi] of P's packed lower
+// triangle that the range's columns of P~ condense into (paper Figure 5;
+// row l of P's lower triangle is column l of its upper). Because the
+// template owner array is non-decreasing, the rows touched by a
+// contiguous k-range are contiguous.
 type Partial struct {
-	N            int
-	ColLo, ColHi int           // inclusive column range of P
-	Data         *linalg.Dense // N x (ColHi-ColLo+1)
+	RowLo, RowHi int       // inclusive row range of P
+	Data         []float64 // rows RowLo..RowHi, packed as in linalg.Sym
 }
 
-// NewPartial allocates the zero slab that the k-range [kLo, kHi) of set
+// NewPartial allocates the zero rows that the k-range [kLo, kHi) of set
 // condenses into.
 func NewPartial(set *basis.Set, kLo, kHi int64) *Partial {
-	p := &Partial{N: set.N(), ColLo: 0, ColHi: -1}
+	p := &Partial{RowLo: 0, RowHi: -1}
 	if kHi > kLo {
 		_, jFirst := KToIJ(kLo)
 		_, jLast := KToIJ(kHi - 1)
-		p.ColLo, p.ColHi = set.Owner[jFirst], set.Owner[jLast]
+		p.RowLo, p.RowHi = set.Owner[jFirst], set.Owner[jLast]
 	}
-	p.Data = linalg.NewDense(p.N, p.ColHi-p.ColLo+1)
+	p.Data = make([]float64, linalg.PackedLen(p.RowHi+1)-linalg.PackedLen(p.RowLo))
 	return p
 }
 
-// WholePartial views the full N x N matrix P as the slab of the whole
-// k-range, so a fill can accumulate into P directly.
-func WholePartial(P *linalg.Dense) *Partial {
-	return &Partial{N: P.Rows, ColLo: 0, ColHi: P.Cols - 1, Data: P}
+// WholePartial views every row of P as one partial, so a fill can
+// accumulate into P directly.
+func WholePartial(P *linalg.Sym) *Partial {
+	return &Partial{RowLo: 0, RowHi: P.N - 1, Data: P.Data}
+}
+
+// MergeInto adds the partial's rows into P.
+func (p *Partial) MergeInto(P *linalg.Sym) {
+	linalg.Axpy(1, p.Data, P.Data[linalg.PackedLen(p.RowLo):])
 }
 
 // fillRange computes all P~ entries for k in [kLo, kHi) and condenses
@@ -78,6 +83,7 @@ func WholePartial(P *linalg.Dense) *Partial {
 func (f *Interned) fillRange(dst *Partial, t *classBlocks, kLo, kHi int64) {
 	var c FillStats
 	owner := f.set.Owner
+	base := linalg.PackedLen(dst.RowLo)
 	i, j := KToIJ(kLo)
 	for k := kLo; k < kHi; k++ {
 		v := f.blockPair(t, i, j, &c)
@@ -85,7 +91,7 @@ func (f *Interned) fillRange(dst *Partial, t *classBlocks, kLo, kHi int64) {
 		if i != j && li == lj {
 			v *= 2
 		}
-		dst.Data.Add(li, lj-dst.ColLo, v)
+		dst.Data[linalg.PackedLen(lj)+li-base] += v
 		if i++; i > j {
 			i, j = 0, j+1
 		}
@@ -131,11 +137,11 @@ func (f *Interned) blockPair(t *classBlocks, i, j int, c *FillStats) float64 {
 // builds its block tables (see "Blocks"), then computes each k-chunk
 // [bounds[t], bounds[t+1]) on the executor — whose claimers take the chunks
 // in order from one counter — accumulating straight into dst, which must
-// cover the columns of [bounds[0], bounds[len-1]).
+// cover the rows of [bounds[0], bounds[len-1]).
 //
-// Chunks run concurrently without a lock or a private slab, so no two of
-// them may touch the same column of P: the interior boundaries are moved
-// to column starts first (AlignColumns). Every entry of P is then summed
+// Chunks run concurrently without a lock or private rows, so no two of
+// them may touch the same row of P: the interior boundaries are moved to
+// row starts first (AlignColumns). Every entry of P is then summed
 // by one chunk in k order, whatever the partition, worker count or
 // backend, and since class values are pure functions of their keys the
 // filled matrix is bitwise reproducible — provided callers that split
@@ -143,8 +149,8 @@ func (f *Interned) blockPair(t *classBlocks, i, j int, c *FillStats) float64 {
 //
 // The shared-memory backend passes sched.Local or a shared sched.Pool and
 // the whole matrix; a distributed-memory rank passes a rank-local
-// executor and its private slab, which it then serializes onto the
-// network.
+// executor and its private rows, which it then serializes onto the
+// network, or, on the main rank, the whole matrix.
 func FillRanges(set *basis.Set, in *Integrator, bounds []int64, ex sched.Executor, dst *Partial) {
 	f := in.Intern(set)
 	blocks := f.classBlocks()
@@ -159,26 +165,12 @@ func FillRanges(set *basis.Set, in *Integrator, bounds []int64, ex sched.Executo
 	}
 }
 
-// MergeInto adds the partial slab into the full upper-triangular matrix P.
-func (p *Partial) MergeInto(P *linalg.Dense) {
-	for i := 0; i < p.N; i++ {
-		row := p.Data.Row(i)
-		dst := P.Row(i)
-		for c, v := range row {
-			if v != 0 {
-				dst[p.ColLo+c] += v
-			}
-		}
-	}
-}
-
-// FillSerial runs Algorithm 1 on a single node: the full k-range,
-// symmetrized. The returned matrix is the unscaled P (multiply by
-// 1/(4*pi*eps) for physical units).
-func FillSerial(set *basis.Set, in *Integrator) *linalg.Dense {
-	P := linalg.NewDense(set.N(), set.N())
+// FillSerial runs Algorithm 1 on a single node: the full k-range into
+// the packed lower triangle. The returned matrix is the unscaled P
+// (multiply by 1/(4*pi*eps) for physical units).
+func FillSerial(set *basis.Set, in *Integrator) *linalg.Sym {
+	P := linalg.NewSym(set.N())
 	FillRanges(set, in, []int64{0, NumPairs(set.M())}, sched.Local(1), WholePartial(P))
-	P.MirrorUpper()
 	return P
 }
 
@@ -199,9 +191,10 @@ func PartitionK(K int64, d int) []int64 {
 }
 
 // AlignColumns returns the k-partition with each interior boundary moved
-// to the nearest k at which a new column of P starts (the first pair of a
-// basis function's first template). Aligned chunks touch disjoint columns
-// of P — unaligned neighbours share one (paper Figure 5) — which is what
+// to the nearest k at which a new column of P~ condenses into a new row of
+// P (the first pair of a basis function's first template). Aligned chunks
+// touch disjoint rows of P — unaligned neighbours share one (paper Figure
+// 5, where it is a column of the upper triangle) — which is what
 // lets FillRanges run them without a lock and makes the sum behind every
 // entry of P independent of the partition. Chunks stay contiguous in k
 // and within one column's worth of pairs of the requested sizes.

@@ -167,8 +167,9 @@
 // a steady stream of assemblies through one table allocates none.
 //
 // A template fill (FillRanges) reads its pairs through block memos too, but
-// its order is Algorithm 1's: the upper triangle in k order, every entry of
-// P summed in that order. Templates are not interned in runs — at 16x16 the
+// its order is Algorithm 1's: P~'s upper triangle in k order, pair (i, j)
+// added at (owner(j), owner(i)) of P's packed lower triangle (linalg.Sym),
+// every entry of P summed in that order. Templates are not interned in runs — at 16x16 the
 // bus's 1 728 templates form 1 280 runs of one class, but take 13 classes —
 // so a template fill's groups are classes (cut every groupMax members,
 // classGroupMax groups at most), and a near pair's block is the ordered pair

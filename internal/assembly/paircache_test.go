@@ -332,7 +332,7 @@ func TestLiteralKernelConfig(t *testing.T) {
 			}
 		}
 	}
-	same("template fill", FillSerial(set, &Integrator{Cfg: lit}), FillSerial(set, &Integrator{Cfg: def}))
+	same("template fill", FillSerial(set, &Integrator{Cfg: lit}).Dense(), FillSerial(set, &Integrator{Cfg: def}).Dense())
 	panels := geom.DefaultCrossingPair().Build().Panelize(1e-6)
 	n := len(panels)
 	got, want := linalg.NewDense(n, n), linalg.NewDense(n, n)

@@ -16,9 +16,10 @@ import (
 // TestFillPinnedParent pins every bit of P to commit daa5d1d, the last
 // one where the integrator carried a tabulated-collocation branch in
 // templatePairNear, pairCrossAxis and source.potentialAt: the digests
-// are of FillSerial(set, NewIntegrator()).Data recorded there before
-// those branches were deleted, every element compared by its bits (the
-// sign of an exact zero normalised, as TestConvolvePinnedParent does).
+// are of FillSerial(set, NewIntegrator()).Dense().Data — the full N×N,
+// as the fill returned it then — recorded there before those branches
+// were deleted, every element compared by its bits (the sign of an exact
+// zero normalised, as TestConvolvePinnedParent does).
 // Asserted on amd64, where gc never fuses a multiply-add; other
 // architectures log theirs.
 func TestFillPinnedParent(t *testing.T) {
@@ -31,7 +32,7 @@ func TestFillPinnedParent(t *testing.T) {
 		{"interconnect", "61645ddb03cff5819b49cc1c8147884e6e7b5215438f8db7c93dca449349f28d", geom.DefaultInterconnect().Build()},
 	} {
 		set := basis.Build(c.st, basis.DefaultBuilderOptions())
-		P := assembly.FillSerial(set, assembly.NewIntegrator())
+		P := assembly.FillSerial(set, assembly.NewIntegrator()).Dense()
 		h := sha256.New()
 		var b [8]byte
 		for _, v := range P.Data {

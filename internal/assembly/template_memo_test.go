@@ -17,8 +17,9 @@ import (
 // worker. At 2 and 4 workers the fill's workers share the memo's atomic
 // cells: the classes are the same, a cell two workers miss at once is
 // looked up by both (so the lookups lie between the one-worker count and
-// the near pairs), and P is bitwise FillSerial's. So is the distributed fill's
-// at 2, 4 and 10 ranks, each rank with a table and a memo of its own.
+// the near pairs), and P's packed lower triangle is bitwise FillSerial's. So
+// is the distributed fill's at 2, 4 and 10 ranks, each rank with a table and
+// a memo of its own.
 func TestTemplateLookupsPerFill(t *testing.T) {
 	for _, c := range []struct {
 		n                int
@@ -50,7 +51,7 @@ func TestTemplateLookupsPerFill(t *testing.T) {
 			}
 			for _, w := range []int{2, 4} {
 				in := assembly.NewIntegrator()
-				check(fmt.Sprintf("%d workers", w), par.Fill(set, in, par.Options{Workers: w}).Data)
+				check(fmt.Sprintf("%d workers", w), par.FillSym(set, in, par.Options{Workers: w}).Data)
 				p := in.FillStats()
 				if looked := p.PairsNear - p.PairMemo; p.ClassesIntegrated != s.ClassesIntegrated || p.PairsNear != s.PairsNear ||
 					looked < c.lookups || looked > p.PairsNear {

@@ -32,11 +32,11 @@ type Inertia struct {
 // LDLT is the Bunch–Kaufman factorization P·A·Pᵀ = L·D·Lᵀ of a
 // symmetric, possibly indefinite matrix: L unit lower triangular, D
 // block diagonal with 1x1 and 2x2 blocks, P a product of interchanges.
-// It lives in the lower triangle it was computed from — D on the
+// It lives in the packed lower triangle it was computed from — D on the
 // (block) diagonal, L below it, every interchange applied to whole rows
 // of L, so that a solve permutes once, sweeps, and permutes back.
 type LDLT struct {
-	a *Dense
+	a *Sym
 	// Step k interchanged k with piv[k] >= k, or with ^piv[k] where
 	// piv[k] < 0 marks k as the second row of a 2x2 block (whose first
 	// row stayed where it was).
@@ -44,9 +44,8 @@ type LDLT struct {
 	inertia Inertia
 }
 
-// FactorSym factorizes the symmetric matrix held in the lower triangle
-// of a, in place: a is overwritten by the factor, and the strict upper
-// triangle is neither read nor written. The algorithm is LAPACK's
+// FactorSym factorizes the symmetric matrix a in place: its packed lower
+// triangle is overwritten by the factor. The algorithm is LAPACK's
 // dsytrf — left-looking panels of ldlBlock columns that keep W = L·D
 // in a workspace, each followed by the trailing update A22 -= L21·W21ᵀ
 // in parallel over row chunks — and costs N³/3 whatever the inertia.
@@ -54,11 +53,8 @@ type LDLT struct {
 // order, so the factor is bitwise the same at any worker count. An
 // error wraps ErrSingular and names the pivot at which elimination met
 // a zero or non-finite column.
-func FactorSym(a *Dense) (*LDLT, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("linalg: FactorSym of non-square matrix")
-	}
-	n := a.Rows
+func FactorSym(a *Sym) (*LDLT, error) {
+	n := a.N
 	f := &LDLT{a: a, piv: make([]int, n)}
 	c1, c2 := make([]float64, n), make([]float64, n)
 	k := 0
@@ -93,7 +89,7 @@ func (f *LDLT) Inertia() Inertia { return f.inertia }
 // with room for a 2x2 pivot's second column and returns the first
 // column it did not factor.
 func (f *LDLT) panel(j0 int, w *Dense, c1, c2 []float64) (int, error) {
-	a, n := f.a, f.a.Rows
+	a, n := f.a, f.a.N
 	k := j0
 	for k-j0 < ldlBlock-1 {
 		kp, size, err := f.pivot(k, j0, w, c1, c2)
@@ -107,19 +103,20 @@ func (f *LDLT) panel(j0 int, w *Dense, c1, c2 []float64) (int, error) {
 		}
 		if size == 1 {
 			d := c1[0]
-			a.Data[k*n+k] = d
+			a.Row(k)[k] = d
 			for i := k + 1; i < n; i++ {
 				c := c1[i-k]
-				a.Data[i*n+k] = c / d
+				a.Row(i)[k] = c / d
 				w.Data[i*ldlBlock+done] = c
 			}
 		} else {
 			d := block2x2{c1[0], c1[1], c2[1]}
-			a.Data[k*n+k] = d.d11
-			a.Data[(k+1)*n+k], a.Data[(k+1)*n+k+1] = d.e, d.d22
+			a.Row(k)[k] = d.d11
+			rk1 := a.Row(k + 1)
+			rk1[k], rk1[k+1] = d.e, d.d22
 			for i := k + 2; i < n; i++ {
 				u, v := c1[i-k], c2[i-k]
-				ri := a.Data[i*n+k : i*n+k+2]
+				ri := a.Row(i)[k : k+2]
 				ri[0], ri[1] = d.solve(u, v)
 				wi := w.Data[i*ldlBlock+done : i*ldlBlock+done+2]
 				wi[0], wi[1] = u, v
@@ -136,7 +133,7 @@ func (f *LDLT) panel(j0 int, w *Dense, c1, c2 []float64) (int, error) {
 // pivot column. It finishes what the panels leave and is all a small
 // matrix needs.
 func (f *LDLT) unblocked(k0 int, c1, c2 []float64) error {
-	a, n := f.a, f.a.Rows
+	a, n := f.a, f.a.N
 	for k := k0; k < n; {
 		kp, size, err := f.pivot(k, k, nil, c1, c2)
 		if err != nil {
@@ -177,7 +174,7 @@ func (f *LDLT) unblocked(k0 int, c1, c2 []float64) error {
 // is checked, so a NaN or Inf the elimination reaches ends in an error
 // rather than in a pivot; j0 and w are reducedCol's.
 func (f *LDLT) pivot(k, j0 int, w *Dense, c1, c2 []float64) (kp, size int, err error) {
-	n := f.a.Rows
+	n := f.a.N
 	c1, c2 = c1[:n-k], c2[:n-k]
 	f.reducedCol(c1, k, k, j0, w)
 	absakk := math.Abs(c1[0])
@@ -248,32 +245,32 @@ func (f *LDLT) record(k, kp, size int, d11 float64) {
 // the lower triangle, minus — inside a panel that began at column j0 —
 // the product L(i, j0:k)·W(r, :k-j0)ᵀ the storage has not yet received.
 func (f *LDLT) reducedCol(dst []float64, r, k, j0 int, w *Dense) {
-	a, n := f.a, f.a.Rows
+	a, n := f.a, f.a.N
 	copy(dst, a.Row(r)[k:r+1])
 	for i := r + 1; i < n; i++ {
-		dst[i-k] = a.Data[i*n+r]
+		dst[i-k] = a.Row(i)[r]
 	}
 	if k == j0 {
 		return
 	}
 	wr := w.Row(r)[:k-j0]
 	for i := k; i < n; i++ {
-		dst[i-k] -= Dot(a.Data[i*n+j0:i*n+k], wr)
+		dst[i-k] -= Dot(a.Row(i)[j0:k], wr)
 	}
 }
 
 // swapSym interchanges rows and columns p < q of the symmetric matrix
-// held in a's lower triangle; columns left of p are finished columns of
-// L and have their rows swapped.
-func swapSym(a *Dense, p, q int) {
-	n := a.Rows
+// a; columns left of p are finished columns of L and have their rows
+// swapped.
+func swapSym(a *Sym, p, q int) {
 	rp, rq := a.Row(p), a.Row(q)
 	swap(rp[:p], rq[:p])
 	rp[p], rq[q] = rq[q], rp[p]
 	for i := p + 1; i < q; i++ {
-		a.Data[i*n+p], rq[i] = rq[i], a.Data[i*n+p]
+		ri := a.Row(i)
+		ri[p], rq[i] = rq[i], ri[p]
 	}
-	for i := q + 1; i < n; i++ {
+	for i := q + 1; i < a.N; i++ {
 		ri := a.Row(i)
 		ri[p], ri[q] = ri[q], ri[p]
 	}
@@ -315,7 +312,7 @@ func (d block2x2) solve(u, v float64) (float64, float64) {
 // j1 <= j <= i, loses dot(L(i, j0:j1), W(j, :j1-j0)). Whole 2x2 tiles
 // and the ragged entries next to the diagonal go through the same
 // kernel, so an entry's sum does not depend on how the rows were tiled.
-func symUpdate(a, w *Dense, j0, j1, lo, hi int) {
+func symUpdate(a *Sym, w *Dense, j0, j1, lo, hi int) {
 	kb := j1 - j0
 	for i := lo; i < hi; i += 2 {
 		pair := i+1 < hi // the last row of an odd range goes alone
@@ -372,7 +369,7 @@ func dot2x2(a0, a1, b0, b1 []float64) (s00, s01, s10, s11 float64) {
 // and backward with Lᵀ row by row, so that every inner loop is an axpy
 // over one contiguous row of b and L is only ever read along its rows.
 func (f *LDLT) Solve(b *Dense) {
-	a, n := f.a, f.a.Rows
+	a, n := f.a, f.a.N
 	if b.Rows != n {
 		panic("linalg: LDLT.Solve dimension mismatch")
 	}

@@ -161,7 +161,7 @@ func TestFactorSymResidualAndInertia(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1000*n + len(tc.name))))
 				a, neg := tc.build(n, rng)
 				b := randomDense(n, 3, rng)
-				f, err := FactorSym(a.Clone())
+				f, err := FactorSym(PackLower(a.Clone()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -187,8 +187,8 @@ func TestFactorSymResidualAndInertia(t *testing.T) {
 }
 
 // factorUnblocked is FactorSym with the panels switched off.
-func factorUnblocked(a *Dense) (*LDLT, error) {
-	n := a.Rows
+func factorUnblocked(a *Sym) (*LDLT, error) {
+	n := a.N
 	f := &LDLT{a: a, piv: make([]int, n)}
 	return f, f.unblocked(0, make([]float64, n), make([]float64, n))
 }
@@ -199,11 +199,11 @@ func TestFactorSymBlockedMatchesUnblocked(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			a, _ := tc.build(n, rng)
 			b := randomDense(n, 2, rng)
-			fb, err := FactorSym(a.Clone())
+			fb, err := FactorSym(PackLower(a.Clone()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			fu, err := factorUnblocked(a.Clone())
+			fu, err := factorUnblocked(PackLower(a.Clone()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,11 +229,12 @@ func TestFactorSymBitwiseAcrossWorkers(t *testing.T) {
 	a, _ := ldlCases[1].build(300, rng)
 	b := randomDense(300, 5, rng)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var ref, refX *Dense
+	var ref *Sym
+	var refX *Dense
 	var refPiv []int
 	for _, w := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(w)
-		fa := a.Clone()
+		fa := PackLower(a.Clone())
 		f, err := FactorSym(fa)
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +266,7 @@ func TestFactorSymBitwiseAcrossWorkers(t *testing.T) {
 func TestLDLTSolveKnownAndPerColumn(t *testing.T) {
 	// A known solution: [[1,2],[2,1]]·[-1,2] = [3,0].
 	a := NewDenseFrom(2, 2, []float64{1, 2, 2, 1})
-	f, err := FactorSym(a.Clone())
+	f, err := FactorSym(PackLower(a.Clone()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestLDLTSolveKnownAndPerColumn(t *testing.T) {
 	n, m := 150, 7
 	big, _ := ldlCases[1].build(n, rng)
 	b := randomDense(n, m, rng)
-	fb, err := FactorSym(big.Clone())
+	fb, err := FactorSym(PackLower(big.Clone()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +297,6 @@ func TestLDLTSolveKnownAndPerColumn(t *testing.T) {
 				t.Fatalf("column %d row %d: alone %g, in the block %g", j, i, col.Data[i], all.At(i, j))
 			}
 		}
-	}
-	if _, err := FactorSym(NewDense(2, 3)); err == nil {
-		t.Fatal("non-square accepted")
 	}
 }
 
@@ -322,7 +320,7 @@ func TestFactorSymRejectsSingularAndNonFinite(t *testing.T) {
 		"inf last entry":   big(inf, 2*ldlBlock+4, 2*ldlBlock+4),
 		"-inf mid panel":   big(-inf, ldlBlock+9, ldlBlock+2),
 	} {
-		_, err := FactorSym(a)
+		_, err := FactorSym(PackLower(a))
 		if !errors.Is(err, ErrSingular) {
 			t.Errorf("%s: err = %v, want ErrSingular", name, err)
 		}
@@ -337,10 +335,11 @@ func BenchmarkFactorSym(b *testing.B) {
 		for _, n := range []int{128, 352, 704, 1408} {
 			b.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(b *testing.B) {
 				a, _ := tc.build(n, rand.New(rand.NewSource(int64(n))))
-				work := a.Clone()
+				packed := PackLower(a.Clone())
+				work := NewSym(n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					copy(work.Data, a.Data)
+					copy(work.Data, packed.Data)
 					if _, err := FactorSym(work); err != nil {
 						b.Fatal(err)
 					}

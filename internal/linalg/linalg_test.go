@@ -320,20 +320,25 @@ func TestSymmetryError(t *testing.T) {
 	}
 }
 
-// TestMirrorUpper checks the blocked copy at sizes on both sides of its
-// block edge: the lower triangle becomes the upper's transpose, the
-// upper triangle and the diagonal keep their values.
-func TestMirrorUpper(t *testing.T) {
-	for _, n := range []int{0, 1, 31, 32, 33, 70} {
+// TestSymPacking packs matrices on both sides of the empty and the
+// one-entry case in place: every row lands at its packed offset, the
+// strict upper triangle is dropped, and Dense writes it back from the
+// lower one.
+func TestSymPacking(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 5, 70} {
 		m := NewDense(n, n)
 		for i := range m.Data {
 			m.Data[i] = float64(i + 1)
 		}
-		m.MirrorUpper()
+		s := PackLower(m)
+		if len(s.Data) != n*(n+1)/2 || (n > 0 && &s.Data[0] != &m.Data[0]) {
+			t.Fatalf("n=%d: %d packed entries, want %d in m's own storage", n, len(s.Data), n*(n+1)/2)
+		}
+		d := s.Dense()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if want := float64(min(i, j)*n + max(i, j) + 1); m.At(i, j) != want {
-					t.Fatalf("n=%d: m[%d,%d] = %g, want %g", n, i, j, m.At(i, j), want)
+				if want := float64(max(i, j)*n + min(i, j) + 1); s.At(i, j) != want || d.At(i, j) != want {
+					t.Fatalf("n=%d: (%d,%d) = %g packed, %g dense; want %g", n, i, j, s.At(i, j), d.At(i, j), want)
 				}
 			}
 		}

@@ -20,7 +20,7 @@ func TestFillDistributedMatchesSerial(t *testing.T) {
 		if got == nil {
 			t.Fatalf("size=%d: nil result", size)
 		}
-		if d := linalg.MaxAbsDiff(got, want); d > tol(want) {
+		if d := linalg.MaxAbsDiff(got.Dense(), want.Dense()); d > tol(want) {
 			t.Errorf("size=%d: distributed result differs from serial by %g", size, d)
 		}
 	}
@@ -40,14 +40,14 @@ func TestFillDistributedMoreRanksThanWork(t *testing.T) {
 	in := assembly.NewIntegrator()
 	want := assembly.FillSerial(set, in)
 	got := FillDistributed(set, in, NewNetwork(10))
-	if d := linalg.MaxAbsDiff(got, want); d > tol(want) {
+	if d := linalg.MaxAbsDiff(got.Dense(), want.Dense()); d > tol(want) {
 		t.Errorf("differs from serial by %g", d)
 	}
 }
 
 // tol returns the rounding tolerance for comparing fills (accumulation
 // order differs across partition boundaries).
-func tol(m *linalg.Dense) float64 {
+func tol(m *linalg.Sym) float64 {
 	var scale float64
 	for _, v := range m.Data {
 		if v > scale {
@@ -57,4 +57,36 @@ func tol(m *linalg.Dense) float64 {
 		}
 	}
 	return 1e-12 * scale
+}
+
+// TestFillDistributedSlabsArePackedRows counts what the ranks of the 16x16
+// bus hold and send: each rank's partial is exactly the packed lower rows
+// its partition condenses into, the ranks' rows tile P without a gap or an
+// overlap, so their lengths sum to N(N+1)/2 = 248 160 — half of the N×N
+// slabs whose lower part was zeros — and the distributed P is bitwise the
+// serial one's packed lower triangle.
+func TestFillDistributedSlabsArePackedRows(t *testing.T) {
+	set := basis.Build(geom.DefaultBus(16, 16).Build(), basis.DefaultBuilderOptions())
+	n := set.N()
+	want := assembly.FillSerial(set, assembly.NewIntegrator())
+	for _, size := range []int{1, 2, 4, 10} {
+		bounds := rankBounds(set, size)
+		total, next := 0, 0
+		for r := 0; r < size; r++ {
+			part := assembly.NewPartial(set, bounds[r], bounds[r+1])
+			if rows := linalg.PackedLen(part.RowHi+1) - linalg.PackedLen(part.RowLo); part.RowLo != next || len(part.Data) != rows {
+				t.Fatalf("%d ranks, rank %d: rows %d..%d in %d entries; want rows from %d in %d", size, r, part.RowLo, part.RowHi, len(part.Data), next, rows)
+			}
+			next, total = part.RowHi+1, total+len(part.Data)
+		}
+		if next != n || total != n*(n+1)/2 || total != 248160 {
+			t.Errorf("%d ranks: rows up to %d in %d entries; want %d rows in %d", size, next, total, n, 248160)
+		}
+		got := FillDistributed(set, assembly.NewIntegrator(), NewNetwork(size))
+		for i, v := range want.Data {
+			if got.Data[i] != v {
+				t.Fatalf("%d ranks: P[%d] = %b, serial %b", size, i, got.Data[i], v)
+			}
+		}
+	}
 }

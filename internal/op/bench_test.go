@@ -71,7 +71,7 @@ func BenchmarkPipelineDirect(b *testing.B) {
 // templateSystem fills the instantiable-basis system of an m x n bus
 // the way solver.ExtractSet does: the matrix the direct solve is for,
 // and its moment-weighted indicator right-hand sides.
-func templateSystem(m, n int) (p, phi *linalg.Dense) {
+func templateSystem(m, n int) (p *linalg.Sym, phi *linalg.Dense) {
 	set := basis.Build(geom.DefaultBus(m, n).Build(), basis.DefaultBuilderOptions())
 	p = assembly.FillSerial(set, assembly.NewIntegrator())
 	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), p.Data)
@@ -85,7 +85,7 @@ func templateSystem(m, n int) (p, phi *linalg.Dense) {
 
 // BenchmarkSolveSPD measures the direct solve on real template
 // matrices: the 8x8 bus (N = 224, positive definite, 16 right-hand
-// sides) and the 16x16 bus (N = 704, indefinite, 32). NewFromDense
+// sides) and the 16x16 bus (N = 704, indefinite, 32). NewFromSym
 // consumes its matrix, so each iteration refills a working copy first, as
 // BenchmarkFactorSym does. ns/madd counts the N³/6 of the factorization
 // and the N²·n_c of the two sweeps.
@@ -93,11 +93,11 @@ func BenchmarkSolveSPD(b *testing.B) {
 	for _, m := range []int{8, 16} {
 		b.Run(fmt.Sprintf("bus%d", m), func(b *testing.B) {
 			p, phi := templateSystem(m, m)
-			work := p.Clone()
+			work := linalg.NewSym(p.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(work.Data, p.Data)
-				pl, err := NewFromDense(work, Options{Direct: true})
+				pl, err := NewFromSym(work, Options{Direct: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -105,7 +105,7 @@ func BenchmarkSolveSPD(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			n, nc := float64(p.Rows), float64(phi.Cols)
+			n, nc := float64(p.N), float64(phi.Cols)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n*n/6+n*n*nc), "ns/madd")
 		})
 	}

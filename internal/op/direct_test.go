@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -171,12 +172,12 @@ func bitwiseEqual(a, b *linalg.Dense) bool {
 // or concurrent, solves against the one factor to the same bits.
 func TestNewFromDenseFactorsOnce(t *testing.T) {
 	p, phi := templateSystem(4, 4)
-	m := p.Clone()
+	m := p.Dense()
 	pl, err := NewFromDense(m, Options{Direct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bitwiseEqual(m, p) {
+	if bitwiseEqual(m, p.Dense()) {
 		t.Error("NewFromDense left its matrix as it was: nothing was factored in place")
 	}
 	first, err := pl.ExtractRHS(phi)
@@ -214,8 +215,62 @@ func TestNewFromDenseFactorsOnce(t *testing.T) {
 	}
 }
 
+// TestNewFromDensePacksInPlace pins what the full-matrix wrapper costs: at
+// N = 704 (the 16x16 bus's size) NewFromDense packs its matrix's lower
+// triangle inside the matrix's own storage and factors it there, so it
+// allocates the factorization's workspace and nothing of the matrix's size
+// (under 0.15 x 8N²), and its C is bitwise NewFromSym's on the packed
+// matrix. A singular or NaN packed matrix is an error wrapping
+// linalg.ErrSingular, as a dense one is.
+func TestNewFromDensePacksInPlace(t *testing.T) {
+	const n = 704
+	p := linalg.NewSym(n)
+	for i := 0; i < n; i++ {
+		row := p.Row(i)
+		for j := range row {
+			row[j] = 1 / float64(1+i-j)
+		}
+		row[i] = 2
+	}
+	phi := linalg.NewDense(n, 4)
+	for i := 0; i < n; i++ {
+		phi.Set(i, i%4, 1)
+	}
+	dense := p.Dense()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pd, err := NewFromDense(dense, Options{Direct: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc, bound := float64(after.TotalAlloc-before.TotalAlloc), 0.15*8*n*n; alloc > bound {
+		t.Errorf("NewFromDense allocated %.0f bytes at N = %d, over 0.15 x 8N² = %.0f: a copy of the matrix", alloc, n, bound)
+	}
+	ps, err := NewFromSym(p, Options{Direct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := pd.ExtractRHS(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := ps.ExtractRHS(phi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitwiseEqual(cd.C, cs.C) {
+		t.Error("NewFromDense's C differs from NewFromSym's on the same matrix")
+	}
+	for name, data := range map[string][]float64{"singular": {1, 2, 4}, "NaN": {2, math.NaN(), 2}} {
+		if _, err := NewFromSym(&linalg.Sym{N: 2, Data: data}, Options{Direct: true}); !errors.Is(err, linalg.ErrSingular) {
+			t.Errorf("%s packed matrix: err = %v, want linalg.ErrSingular", name, err)
+		}
+	}
+}
+
 // TestDirectPlanMatrixUnchanged pins the other half of the contract: a
-// dense direct pipeline over a prebuilt matrix factors a copy, so the
+// dense direct pipeline over a prebuilt matrix factors a packed copy, so the
 // matrix a plan keeps — and rewrites in place for its next variant — is
 // the system matrix, never a factor, after any number of solves.
 func TestDirectPlanMatrixUnchanged(t *testing.T) {

@@ -91,8 +91,9 @@ type Options struct {
 	// Direct forces the dense direct solve (one equilibrated, pivoted LDLᵀ,
 	// see factorSym) instead of Krylov iteration; it requires the dense
 	// backend (auto resolving to dense is fine). The matrix is factored
-	// once, when the pipeline is built: NewFromDense consumes it, factoring
-	// in place; NewPrebuilt factors a copy. Extract calls only solve.
+	// once, when the pipeline is built, in packed lower-triangular storage
+	// (linalg.Sym): NewFromSym consumes it, factoring in place; NewPrebuilt
+	// factors a packed copy of its dense matrix. Extract calls only solve.
 	Direct bool
 	// Precision selects the matvec arithmetic of accelerated backends:
 	// PrecisionMixed runs the float32 mirror inside fp64 refinement,
@@ -179,14 +180,14 @@ type Result struct {
 // and capacitance-reduction steps. It never builds an operator: construct
 // with NewPrebuilt (stage artifacts of internal/plan, the one driver of a
 // panel extraction), NewWithOperator (caller-supplied operator) or
-// NewFromDense (already-assembled system matrix). A Pipeline may be
+// NewFromSym (already-assembled system matrix). A Pipeline may be
 // reused for many solves; the Extract methods are safe to call
 // concurrently.
 type Pipeline struct {
 	spec    Spec
 	opt     Options
 	n       int      // the system's dimension
-	a       Operator // nil for NewFromDense, whose matrix is its factor
+	a       Operator // nil for NewFromSym, whose matrix is its factor
 	pre     Preconditioner
 	dense   *linalg.Dense // retained when the backend assembled densely
 	scale   []float64     // the direct solve's equilibration (see factorSym)
@@ -226,24 +227,32 @@ func NewWithOperator(spec Spec, a Operator, opt Options) (*Pipeline, error) {
 	return p, nil
 }
 
-// NewFromDense wraps an already-assembled system matrix for the direct
-// solve (the instantiable-basis solver's path; opt.Direct must be set: a
-// Krylov solve wants the panels behind the matrix, see NewPrebuilt). The
-// spec-free pipeline takes its dimensions from the matrix. It consumes m:
-// m's lower triangle becomes the factor (see factorSym and Options.Direct).
-func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
+// NewFromSym wraps an already-assembled system matrix, held as its packed
+// lower triangle, for the direct solve (the instantiable-basis solver's
+// path; opt.Direct must be set: a Krylov solve wants the panels behind the
+// matrix, see NewPrebuilt). The spec-free pipeline takes its dimensions
+// from the matrix. It consumes m: m becomes the factor, and nothing of
+// its size is allocated (see factorSym and Options.Direct).
+func NewFromSym(m *linalg.Sym, opt Options) (*Pipeline, error) {
 	opt = opt.withDefaults()
-	if m.Rows != m.Cols {
-		return nil, errors.New("op: system matrix not square")
-	}
 	if !opt.Direct {
-		return nil, errors.New("op: NewFromDense solves directly (set Options.Direct)")
+		return nil, errors.New("op: NewFromSym solves directly (set Options.Direct)")
 	}
-	s, f, err := factorSym(m, m)
+	s, f, err := factorSym(m, m.Row)
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{opt: opt, n: m.Rows, scale: s, ldl: f, backend: BackendDense}, nil
+	return &Pipeline{opt: opt, n: m.N, scale: s, ldl: f, backend: BackendDense}, nil
+}
+
+// NewFromDense is NewFromSym on the lower triangle of the square matrix m,
+// packed in place inside m's own storage (linalg.PackLower): it consumes
+// m too, and allocates no copy of it.
+func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
+	if m.Rows != m.Cols {
+		return nil, errors.New("op: system matrix not square")
+	}
+	return NewFromSym(linalg.PackLower(m), opt)
 }
 
 // FMMOptions resolves the multipole operator options of a spec: the
@@ -345,8 +354,8 @@ func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 		if p.dense == nil {
 			return nil, errors.New("op: direct solve requires an assembled dense matrix")
 		}
-		var err error // a copy: a plan rewrites its matrix for the next variant
-		if p.scale, p.ldl, err = factorSym(linalg.NewDense(p.n, p.n), p.dense); err != nil {
+		var err error // a packed copy: a plan rewrites its matrix for the next variant
+		if p.scale, p.ldl, err = factorSym(linalg.NewSym(p.n), p.dense.Row); err != nil {
 			return nil, err
 		}
 	}
@@ -617,22 +626,23 @@ func Reduce(ex sched.Executor, phi, rho *linalg.Dense) *linalg.Dense {
 // diagonal shift would solve a different system. It factors S P S with
 // S = diag(|P_ii|^-1/2) (1 where P_ii = 0), returned as scale: the diagonal
 // spans orders of magnitude, and unscaled, Bunch–Kaufman pivoting would
-// interchange on units, not on structure. The lower triangle of S P S is
-// written into dst, which may be p itself, and factored there; no strict
-// upper triangle is read or written. A singular matrix, or a NaN or Inf in
-// it, is an error wrapping linalg.ErrSingular.
-func factorSym(dst, p *linalg.Dense) (scale []float64, f *linalg.LDLT, err error) {
-	nr := p.Rows
+// interchange on units, not on structure. row(i) is row i of P from
+// column 0 to at least the diagonal (a packed row of dst itself, or a
+// dense row, whose strict upper part is not read); the packed lower
+// triangle of S P S is written into dst and factored there. A singular
+// matrix, or a NaN or Inf in it, is an error wrapping linalg.ErrSingular.
+func factorSym(dst *linalg.Sym, row func(i int) []float64) (scale []float64, f *linalg.LDLT, err error) {
+	nr := dst.N
 	s := make([]float64, nr)
 	for i := range s {
 		s[i] = 1
-		if d := math.Abs(p.At(i, i)); d != 0 {
+		if d := math.Abs(row(i)[i]); d != 0 {
 			s[i] = 1 / math.Sqrt(d)
 		}
 	}
 	for i := 0; i < nr; i++ {
-		prow, drow, si := p.Row(i), dst.Row(i), s[i]
-		for j := 0; j <= i; j++ {
+		prow, drow, si := row(i), dst.Row(i), s[i]
+		for j := range drow {
 			drow[j] = si * prow[j] * s[j]
 		}
 	}

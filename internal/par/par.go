@@ -3,9 +3,9 @@
 // contiguous partitions and D workers (the OpenMP-thread analog) compute
 // their template interactions. Where the paper has each worker fill a
 // private partial matrix and merge it under a mutex, the partitions here
-// are moved to columns of P (assembly.AlignColumns), so they own
-// disjoint parts of the shared system matrix and accumulate into it
-// directly.
+// are moved to rows of P (assembly.AlignColumns), so they own disjoint
+// rows of the shared system matrix's packed lower triangle and accumulate
+// into it directly.
 //
 // There is one schedule. The paper's Algorithm 1 gives each of the D
 // workers one equal partition; that balances pairs, not work, and since
@@ -52,16 +52,15 @@ type Options struct {
 // shared one core, where no schedule has an idle worker to feed.
 const chunksPerWorker = 16
 
-// Fill runs the parallelized system setup and returns the symmetrized,
-// unscaled system matrix P.
-func Fill(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Dense {
+// FillSym runs the parallelized system setup and returns the unscaled
+// system matrix P as its packed lower triangle.
+func FillSym(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Sym {
 	d := opt.Workers
 	if d <= 0 {
 		d = runtime.GOMAXPROCS(0)
 	}
-	n := set.N()
-	P := linalg.NewDense(n, n)
-	// FillRanges moves the boundaries to columns of P.
+	P := linalg.NewSym(set.N())
+	// FillRanges moves the boundaries to rows of P.
 	bounds := assembly.PartitionK(assembly.NumPairs(set.M()), d*chunksPerWorker)
 
 	var ex sched.Executor = opt.Pool
@@ -69,6 +68,12 @@ func Fill(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Dense {
 		ex = sched.Local(d)
 	}
 	assembly.FillRanges(set, in, bounds, ex, assembly.WholePartial(P))
-	P.MirrorUpper()
 	return P
+}
+
+// Fill is FillSym with both triangles of P written out, for callers that
+// want the full N×N (the benchmark's traced recomposition of an
+// extraction).
+func Fill(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Dense {
+	return FillSym(set, in, opt).Dense()
 }

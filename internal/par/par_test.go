@@ -17,7 +17,7 @@ func TestFillMatchesSerial(t *testing.T) {
 
 	for _, d := range []int{1, 2, 4, 8, 13} {
 		got := Fill(set, in, Options{Workers: d})
-		if diff := linalg.MaxAbsDiff(got, want); diff > tol(want) {
+		if diff := linalg.MaxAbsDiff(got, want.Dense()); diff > tol(want) {
 			t.Errorf("workers=%d: parallel fill differs from serial by %g", d, diff)
 		}
 	}
@@ -29,7 +29,7 @@ func TestFillDefaultWorkers(t *testing.T) {
 	in := assembly.NewIntegrator()
 	got := Fill(set, in, Options{})
 	want := assembly.FillSerial(set, in)
-	if diff := linalg.MaxAbsDiff(got, want); diff > tol(want) {
+	if diff := linalg.MaxAbsDiff(got, want.Dense()); diff > tol(want) {
 		t.Errorf("default workers differ from serial by %g", diff)
 	}
 }
@@ -37,7 +37,7 @@ func TestFillDefaultWorkers(t *testing.T) {
 // tol returns the rounding tolerance for comparing fills: partition
 // boundaries can reorder the accumulation of a multi-template basis
 // function's contributions.
-func tol(m *linalg.Dense) float64 {
+func tol(m *linalg.Sym) float64 {
 	var scale float64
 	for _, v := range m.Data {
 		if v > scale {

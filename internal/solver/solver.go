@@ -88,8 +88,9 @@ type Result struct {
 	C *linalg.Dense
 	// N and M are the basis-function and template counts.
 	N, M int
-	// MatrixBytes is the memory held by the dense system matrix, the one
-	// N×N an extraction holds: the direct solve factors it in place.
+	// MatrixBytes is the memory held by the system matrix, the one packed
+	// lower triangle of N(N+1)/2 doubles an extraction holds: the fill
+	// writes it, and the scaling and the direct solve work on it in place.
 	MatrixBytes int
 	Timing      Timing
 	// Fill counts the work of the system setup: far and near template
@@ -186,12 +187,12 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 }
 
 // fill dispatches the system setup to the selected backend.
-func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Dense, error) {
+func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Sym, error) {
 	switch opt.Backend {
 	case Serial:
 		return assembly.FillSerial(set, in), nil
 	case SharedMem:
-		return par.Fill(set, in, par.Options{Workers: opt.Workers, Pool: opt.Pool}), nil
+		return par.FillSym(set, in, par.Options{Workers: opt.Workers, Pool: opt.Pool}), nil
 	case Distributed:
 		net := opt.Network
 		if net == nil {
@@ -209,8 +210,9 @@ func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Dense, 
 // solveSystem recovers C = Phi^T rho with Phi the conductor-indicator
 // right-hand sides weighted by basis moments, through the unified
 // pipeline's direct path (one equilibrated, pivoted LDLᵀ of P, in P's
-// lower triangle — see op.Options.Direct) and its capacitance reduction.
-func solveSystem(set *basis.Set, P *linalg.Dense) (*op.Result, error) {
+// own packed storage — see op.Options.Direct) and its capacitance
+// reduction.
+func solveSystem(set *basis.Set, P *linalg.Sym) (*op.Result, error) {
 	n := set.NumConductors
 	N := set.N()
 	moments := set.Moments()
@@ -219,7 +221,7 @@ func solveSystem(set *basis.Set, P *linalg.Dense) (*op.Result, error) {
 		phi.Set(i, f.Conductor, moments[i])
 	}
 
-	pl, err := op.NewFromDense(P, op.Options{Direct: true})
+	pl, err := op.NewFromSym(P, op.Options{Direct: true})
 	if err != nil {
 		return nil, fmt.Errorf("solver: %w", err)
 	}
