@@ -88,72 +88,73 @@ func Build(st *geom.Structure, opt BuilderOptions) *Set {
 		opt.ArchAmpFactor = 3.5
 	}
 
-	s := &Set{NumConductors: st.NumConductors()}
-	b := &builder{set: s, opt: opt}
-
-	// Face basis functions, one per conductor face.
-	for ci, c := range st.Conductors {
-		for _, f := range c.Faces() {
-			b.collect(ci, KindFace, Template{
-				Support: f, Dir: VaryNone, Shape: FlatShape{}, Amplitude: 1,
-			})
-		}
-	}
-
 	// Facing-pair detection across conductor pairs.
 	pairs := detectFacing(st)
 	gap := opt.MaxCoupleGap
-	if gap == 0 && len(pairs) > 0 {
+	if gap == 0 {
 		// Automatic coupling radius: 3x the median facing gap. The
 		// median is robust to a few very tight gaps (e.g. via landing
 		// clearances) that would otherwise shrink the radius and drop
-		// the real crossings.
-		var hs []float64
-		for _, p := range pairs {
-			if p.h > 0 {
-				hs = append(hs, p.h)
+		// the real crossings. The pairs are sorted by gap, so the
+		// positive gaps are a suffix of them.
+		z := sort.Search(len(pairs), func(i int) bool { return pairs[i].h > 0 })
+		if z < len(pairs) {
+			gap = 3 * pairs[z+(len(pairs)-z)/2].h
+		}
+	}
+	// h == 0 means touching (shorted) conductors: no gap to induce
+	// charge across, and degenerate arch geometry; such pairs, and pairs
+	// beyond the coupling radius, get no induced functions.
+	coupled := func(p *facing) bool { return p.h > 0 && p.h <= gap }
+	// First walk: the shadows that land on each physical face, so that
+	// arch extents can be clipped at the midpoint toward neighboring
+	// shadows: adjacent crossings on a dense bus otherwise grow
+	// overlapping arches whose sum is nearly dependent with the face
+	// basis function (ill-conditioning the Gram matrix).
+	shadowsByFace := map[faceKey][]geom.Rect{}
+	sides := 0
+	for i := range pairs {
+		if p := &pairs[i]; coupled(p) {
+			k := keyOf(p.loFace, p.loCond)
+			shadowsByFace[k] = append(shadowsByFace[k], p.shadow(p.loFace))
+			k = keyOf(p.hiFace, p.hiCond)
+			shadowsByFace[k] = append(shadowsByFace[k], p.shadow(p.hiFace))
+			sides += 2
+		}
+	}
+
+	// Face basis functions, one per conductor face. A face has one
+	// template and a side of a pair at most five (the shadow and two
+	// arches per direction), which sizes the staging array once.
+	faces := st.TotalFaces()
+	b := &builder{set: &Set{NumConductors: st.NumConductors()}, opt: opt}
+	b.staging = make([]Template, 0, faces+5*sides)
+	b.pending[KindFace] = make([]pendingFunc, 0, faces)
+	for ci, c := range st.Conductors {
+		for _, bx := range c.Boxes {
+			for _, f := range bx.Faces() {
+				b.collect(ci, KindFace, Template{
+					Support: f, Dir: VaryNone, Shape: FlatShape{}, Amplitude: 1,
+				})
 			}
 		}
-		if len(hs) > 0 {
-			sort.Float64s(hs)
-			gap = 3 * hs[len(hs)/2]
-		}
 	}
-	// Collect the shadows that land on each physical face, so that arch
-	// extents can be clipped at the midpoint toward neighboring shadows:
-	// adjacent crossings on a dense bus otherwise grow overlapping
-	// arches whose sum is nearly dependent with the face basis function
-	// (ill-conditioning the Gram matrix).
-	type placement struct {
-		face geom.Rect
-		cond int
-		p    facing
-	}
-	var placements []placement
-	shadowsByFace := map[faceKey][]geom.Rect{}
-	for _, p := range pairs {
-		// h == 0 means touching (shorted) conductors: no gap to induce
-		// charge across, and degenerate arch geometry; skip.
-		if p.h <= 0 || p.h > gap {
-			continue
+	// Second walk: the induced functions of both faces of each pair.
+	for i := range pairs {
+		if p := &pairs[i]; coupled(p) {
+			b.addInduced(p.loFace, p.loCond, p, shadowsByFace[keyOf(p.loFace, p.loCond)])
+			b.addInduced(p.hiFace, p.hiCond, p, shadowsByFace[keyOf(p.hiFace, p.hiCond)])
 		}
-		for _, side := range [2]placement{
-			{face: p.loFace, cond: p.loCond, p: p},
-			{face: p.hiFace, cond: p.hiCond, p: p},
-		} {
-			placements = append(placements, side)
-			sh := side.face
-			sh.U = p.overU
-			sh.V = p.overV
-			shadowsByFace[keyOf(side.face, side.cond)] = append(
-				shadowsByFace[keyOf(side.face, side.cond)], sh)
-		}
-	}
-	for _, pl := range placements {
-		b.addInduced(pl.face, pl.cond, pl.p, shadowsByFace[keyOf(pl.face, pl.cond)])
 	}
 	b.emitInterleaved()
-	return s
+	return b.set
+}
+
+// shadow returns the pair's overlap on one of its two faces.
+func (p *facing) shadow(face geom.Rect) geom.Rect {
+	face.U = p.overU
+	face.V = p.overV
+	return face
 }
 
 // faceKey identifies a physical conductor face.
@@ -195,29 +196,42 @@ func clipWindow(sh, face geom.Interval, neighbors []geom.Interval) geom.Interval
 	return geom.Interval{Lo: lo, Hi: hi}
 }
 
+// pendingFunc is a queued basis function: its conductor and the range
+// [lo, hi) of its templates in the builder's staging array.
 type pendingFunc struct {
-	cond int
-	kind Kind
-	tpls []Template
+	cond, lo, hi int
 }
 
+// builder generates a set in two steps. The walk over the facing pairs
+// appends every function's templates to one staging array and queues the
+// function as a range of it, per kind; emitInterleaved then writes each
+// template once into the set's arrays, allocated at their final length.
+// nbU and nbV are the per-placement neighbour intervals, one scratch
+// reused by every placement.
 type builder struct {
-	set     *Set
-	opt     BuilderOptions
-	pending [3][]pendingFunc // indexed by Kind
+	set      *Set
+	opt      BuilderOptions
+	staging  []Template
+	pending  [3][]pendingFunc // indexed by Kind
+	nbU, nbV []geom.Interval
 }
 
-// collect queues a basis function for emission.
+// collect queues a basis function for emission, copying its templates to
+// the staging array.
 func (b *builder) collect(cond int, kind Kind, tpls ...Template) {
-	b.pending[kind] = append(b.pending[kind], pendingFunc{cond: cond, kind: kind, tpls: tpls})
+	lo := len(b.staging)
+	b.staging = append(b.staging, tpls...)
+	b.pending[kind] = append(b.pending[kind], pendingFunc{cond: cond, lo: lo, hi: len(b.staging)})
 }
 
-// emitInterleaved appends the pending functions to the set, riffling the
+// emitInterleaved writes the pending functions to the set, riffling the
 // three kinds proportionally. Basis-function order is free (only the
 // template grouping per function matters for the owner array), and
 // interleaving cheap flat-template functions with expensive shaped ones
 // flattens the per-column cost profile of P~, which is what makes the
 // paper's equal-count k-partition "sufficiently balanced" (Section 3).
+// The set's Functions, Templates and Owner are allocated here, once, at
+// their final length.
 func (b *builder) emitInterleaved() {
 	var total, emitted [3]int
 	remaining := 0
@@ -225,6 +239,10 @@ func (b *builder) emitInterleaved() {
 		total[k] = len(b.pending[k])
 		remaining += total[k]
 	}
+	s := b.set
+	s.Functions = make([]Function, 0, remaining)
+	s.Templates = make([]Template, 0, len(b.staging))
+	s.Owner = make([]int, 0, len(b.staging))
 	for ; remaining > 0; remaining-- {
 		// Pick the kind that is most behind its proportional pace.
 		best, bestLag := -1, -1.0
@@ -239,44 +257,26 @@ func (b *builder) emitInterleaved() {
 		}
 		pf := b.pending[best][emitted[best]]
 		emitted[best]++
-		b.appendFunction(pf)
+		lo, fi := len(s.Templates), len(s.Functions)
+		s.Templates = append(s.Templates, b.staging[pf.lo:pf.hi]...)
+		for range pf.hi - pf.lo {
+			s.Owner = append(s.Owner, fi)
+		}
+		s.Functions = append(s.Functions, Function{
+			Conductor: pf.cond, TplLo: lo, TplHi: len(s.Templates), Kind: Kind(best),
+		})
 	}
-}
-
-// appendFunction appends one basis function and its templates to the set.
-func (b *builder) appendFunction(pf pendingFunc) {
-	lo := len(b.set.Templates)
-	fi := len(b.set.Functions)
-	b.set.Templates = append(b.set.Templates, pf.tpls...)
-	for range pf.tpls {
-		b.set.Owner = append(b.set.Owner, fi)
-	}
-	b.set.Functions = append(b.set.Functions, Function{
-		Conductor: pf.cond, TplLo: lo, TplHi: len(b.set.Templates), Kind: pf.kind,
-	})
 }
 
 // detectFacing finds all facing face pairs between boxes of different
 // conductors: along each axis, the upper face of the lower box and the
 // lower face of the upper box, if their plan extents overlap with positive
-// area.
+// area. It counts the pairs before it allocates.
 func detectFacing(st *geom.Structure) []facing {
-	var out []facing
-	for ci := 0; ci < len(st.Conductors); ci++ {
-		for cj := ci + 1; cj < len(st.Conductors); cj++ {
-			for _, bi := range st.Conductors[ci].Boxes {
-				for _, bj := range st.Conductors[cj].Boxes {
-					for ax := geom.X; ax <= geom.Z; ax++ {
-						if f, ok := facingAlong(bi, bj, ci, cj, ax); ok {
-							out = append(out, f)
-						} else if f, ok := facingAlong(bj, bi, cj, ci, ax); ok {
-							out = append(out, f)
-						}
-					}
-				}
-			}
-		}
-	}
+	n := 0
+	eachFacing(st, func(facing) { n++ })
+	out := make([]facing, 0, n)
+	eachFacing(st, func(f facing) { out = append(out, f) })
 	// Deterministic order regardless of detection order.
 	sort.Slice(out, func(a, b int) bool {
 		fa, fb := out[a], out[b]
@@ -289,6 +289,25 @@ func detectFacing(st *geom.Structure) []facing {
 		return fa.hiCond < fb.hiCond
 	})
 	return out
+}
+
+// eachFacing calls fn on every facing pair, in detection order.
+func eachFacing(st *geom.Structure, fn func(facing)) {
+	for ci := 0; ci < len(st.Conductors); ci++ {
+		for cj := ci + 1; cj < len(st.Conductors); cj++ {
+			for _, bi := range st.Conductors[ci].Boxes {
+				for _, bj := range st.Conductors[cj].Boxes {
+					for ax := geom.X; ax <= geom.Z; ax++ {
+						if f, ok := facingAlong(bi, bj, ci, cj, ax); ok {
+							fn(f)
+						} else if f, ok := facingAlong(bj, bi, cj, ci, ax); ok {
+							fn(f)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // facingAlong tests whether lower box lo sits below upper box hi along ax
@@ -335,10 +354,12 @@ func facingAlong(lo, hi geom.Box, loCond, hiCond int, ax geom.Axis) (facing, boo
 // by the template library's calibration (paper Section 2.2: templates are
 // assembled "with proper parameter vectors p"); in SeparateInduced mode,
 // the shadow and each direction's arch pair become independent functions.
-func (b *builder) addInduced(face geom.Rect, cond int, p facing, faceShadows []geom.Rect) {
-	shadow := face
-	shadow.U = p.overU
-	shadow.V = p.overV
+//
+// The templates are built in one fixed array on the stack (the shadow,
+// then at most two arches per direction) and copied to the staging array
+// by collect; the neighbour intervals go to the builder's reused scratch.
+func (b *builder) addInduced(face geom.Rect, cond int, p *facing, faceShadows []geom.Rect) {
+	shadow := p.shadow(face)
 
 	minEdge := math.Min(face.U.Len(), face.V.Len())
 	if math.Min(shadow.U.Len(), shadow.V.Len()) < b.opt.MinShadowFrac*minEdge {
@@ -349,29 +370,30 @@ func (b *builder) addInduced(face geom.Rect, cond int, p facing, faceShadows []g
 		shadow.V.Len() >= face.V.Len()-1e-15*minEdge
 
 	// Arch windows: clipped at midpoints toward neighboring shadows.
-	var nbU, nbV []geom.Interval
+	b.nbU, b.nbV = b.nbU[:0], b.nbV[:0]
 	for _, other := range faceShadows {
 		if other == shadow {
 			continue
 		}
 		if other.V.Overlaps(shadow.V) {
-			nbU = append(nbU, other.U)
+			b.nbU = append(b.nbU, other.U)
 		}
 		if other.U.Overlaps(shadow.U) {
-			nbV = append(nbV, other.V)
+			b.nbV = append(b.nbV, other.V)
 		}
 	}
-	winU := clipWindow(shadow.U, face.U, nbU)
-	winV := clipWindow(shadow.V, face.V, nbV)
+	winU := clipWindow(shadow.U, face.U, b.nbU)
+	winV := clipWindow(shadow.V, face.V, b.nbV)
 
-	archU := b.archTemplates(winU, shadow, p.h, true)
-	archV := b.archTemplates(winV, shadow, p.h, false)
+	var buf [5]Template
+	buf[0] = Template{Support: shadow, Dir: VaryNone, Shape: FlatShape{}, Amplitude: 1}
+	archU := b.archTemplates(buf[1:1], winU, shadow, p.h, true)
+	archV := b.archTemplates(buf[1+len(archU):1+len(archU)], winV, shadow, p.h, false)
+	arches := buf[1 : 1+len(archU)+len(archV)]
 
 	if b.opt.SeparateInduced {
 		if !covers {
-			b.collect(cond, KindShadow, Template{
-				Support: shadow, Dir: VaryNone, Shape: FlatShape{}, Amplitude: 1,
-			})
+			b.collect(cond, KindShadow, buf[0])
 		}
 		if len(archU) > 0 {
 			b.collect(cond, KindArchPair, archU...)
@@ -382,7 +404,6 @@ func (b *builder) addInduced(face geom.Rect, cond int, p facing, faceShadows []g
 		return
 	}
 
-	arches := append(archU, archV...)
 	if covers {
 		// No shadow template: the arch amplitudes are relative to each
 		// other only (equal, as instantiated).
@@ -400,9 +421,7 @@ func (b *builder) addInduced(face geom.Rect, cond int, p facing, faceShadows []g
 	// determines the amplitudes itself.
 	ratio := b.opt.ArchAmpFactor*math.Min(shadow.U.Len(), shadow.V.Len())/p.h - 1
 	if len(arches) == 0 || ratio < 0.5 || ratio > 4 {
-		b.collect(cond, KindShadow, Template{
-			Support: shadow, Dir: VaryNone, Shape: FlatShape{}, Amplitude: 1,
-		})
+		b.collect(cond, KindShadow, buf[0])
 		if len(archU) > 0 {
 			b.collect(cond, KindArchPair, archU...)
 		}
@@ -411,23 +430,18 @@ func (b *builder) addInduced(face geom.Rect, cond int, p facing, faceShadows []g
 		}
 		return
 	}
-	tpls := make([]Template, 0, 1+len(arches))
-	tpls = append(tpls, Template{
-		Support: shadow, Dir: VaryNone, Shape: FlatShape{}, Amplitude: 1,
-	})
-	for _, a := range arches {
-		a.Amplitude = ratio
-		tpls = append(tpls, a)
+	for i := range arches {
+		arches[i].Amplitude = ratio
 	}
-	b.collect(cond, KindShadow, tpls...)
+	b.collect(cond, KindShadow, buf[:1+len(arches)]...)
 }
 
-// archTemplates creates the reflected arch templates flanking the shadow
-// along the chosen direction (alongU selects the U axis), within the
+// archTemplates appends to dst the reflected arch templates flanking the
+// shadow along the chosen direction (alongU selects the U axis), within the
 // allowed window win (the face clipped at midpoints toward neighboring
 // shadows). Each side with available extension contributes one arch
 // template (the reflected pair of Figure 2), at unit amplitude.
-func (b *builder) archTemplates(win geom.Interval, shadow geom.Rect, h float64, alongU bool) []Template {
+func (b *builder) archTemplates(dst []Template, win geom.Interval, shadow geom.Rect, h float64, alongU bool) []Template {
 	shadowIv := shadow.V
 	if alongU {
 		shadowIv = shadow.U
@@ -437,20 +451,19 @@ func (b *builder) archTemplates(win geom.Interval, shadow geom.Rect, h float64, 
 	decay := b.opt.DecayFactor * h
 
 	minExt := 0.05 * h
-	var tpls []Template
 	// Left arch: extension toward decreasing coordinate.
 	if ext := shadowIv.Lo - win.Lo; ext > minExt {
 		lo := math.Max(win.Lo, shadowIv.Lo-le)
 		hi := shadowIv.Lo + li
-		tpls = append(tpls, archTemplate(shadow, alongU, lo, hi, shadowIv.Lo, decay))
+		dst = append(dst, archTemplate(shadow, alongU, lo, hi, shadowIv.Lo, decay))
 	}
 	// Right arch: extension toward increasing coordinate.
 	if ext := win.Hi - shadowIv.Hi; ext > minExt {
 		lo := shadowIv.Hi - li
 		hi := math.Min(win.Hi, shadowIv.Hi+le)
-		tpls = append(tpls, archTemplate(shadow, alongU, lo, hi, shadowIv.Hi, decay))
+		dst = append(dst, archTemplate(shadow, alongU, lo, hi, shadowIv.Hi, decay))
 	}
-	return tpls
+	return dst
 }
 
 // archTemplate builds one arch template spanning [lo, hi] along the varying

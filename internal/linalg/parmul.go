@@ -2,9 +2,9 @@ package linalg
 
 import "parbem/internal/sched"
 
-// parRowChunk is the row-block granularity of the parallel matrix
-// kernels: large enough that each task amortizes scheduler overhead,
-// small enough to load-balance.
+// parRowChunk is the row-block granularity of ParMulVec: large enough
+// that each task amortizes scheduler overhead, small enough to
+// load-balance.
 const parRowChunk = 32
 
 // ParMulVec computes dst = m * x with row blocks distributed over the
@@ -27,36 +27,6 @@ func ParMulVec(ex sched.Executor, m *Dense, dst, x []float64) {
 		}
 		for i := lo; i < hi; i++ {
 			dst[i] = Dot(m.Row(i), x)
-		}
-	})
-}
-
-// ParMul computes c = a * b with row blocks of c distributed over the
-// executor. Falls back to the serial kernel when ex is nil.
-func ParMul(ex sched.Executor, c, a, b *Dense) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("linalg: ParMul dimension mismatch")
-	}
-	if ex == nil || a.Rows < 2*parRowChunk {
-		Mul(c, a, b)
-		return
-	}
-	chunks := (a.Rows + parRowChunk - 1) / parRowChunk
-	ex.Map(chunks, func(ch int) {
-		lo := ch * parRowChunk
-		hi := lo + parRowChunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for j := range crow {
-				crow[j] = 0
-			}
-			for k, av := range arow {
-				Axpy(av, b.Row(k), crow)
-			}
 		}
 	})
 }

@@ -35,21 +35,6 @@ func TestParMulVecMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParMulMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{5, 64, 130} {
-		a := randDense(rng, n, n+3)
-		b := randDense(rng, n+3, n-1)
-		want := NewDense(n, n-1)
-		Mul(want, a, b)
-		got := NewDense(n, n-1)
-		ParMul(sched.Local(4), got, a, b)
-		if d := MaxAbsDiff(got, want); d != 0 {
-			t.Fatalf("n=%d: ParMul differs from Mul by %g", n, d)
-		}
-	}
-}
-
 func TestDenseOpParallelCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 256 // n*n = 65536 >= DenseOpParCutoff

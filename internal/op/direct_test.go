@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -287,6 +288,43 @@ func TestDirectPlanMatrixUnchanged(t *testing.T) {
 		}
 		if !bitwiseEqual(m, keep) {
 			t.Fatalf("solve %d changed the prebuilt matrix", k)
+		}
+	}
+}
+
+// TestReduceMatchesMul pins Reduce bitwise to Mul(Phiᵀ, X) followed by the
+// same symmetrization: both add the products of each entry in k order,
+// zero coefficients included, on inputs with exact zeros in both factors.
+func TestReduceMatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sz := range [][2]int{{1, 1}, {7, 3}, {130, 5}, {300, 64}, {90, 70}} {
+		N, n := sz[0], sz[1]
+		phi, x := linalg.NewDense(N, n), linalg.NewDense(N, n)
+		for _, m := range []*linalg.Dense{phi, x} {
+			for i := range m.Data {
+				if rng.Intn(3) > 0 { // a third of the entries stay exact zeros
+					m.Data[i] = rng.NormFloat64()
+				}
+			}
+		}
+		// A zero coefficient against an infinite charge: Mul makes the
+		// entry NaN, and so must Reduce.
+		phi.Set(0, 0, 0)
+		x.Set(0, 0, math.Inf(1))
+		want := linalg.NewDense(n, n)
+		linalg.Mul(want, phi.Transpose(), x)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				v := 0.5 * (want.At(i, j) + want.At(j, i))
+				want.Set(i, j, v)
+				want.Set(j, i, v)
+			}
+		}
+		got := Reduce(phi, x)
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%dx%d: entry %d is %v, Mul(Phiᵀ, X) gives %v", N, n, i, v, want.Data[i])
+			}
 		}
 	}
 }

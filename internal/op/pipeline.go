@@ -11,7 +11,6 @@ import (
 	"parbem/internal/fmm"
 	"parbem/internal/linalg"
 	"parbem/internal/pfft"
-	"parbem/internal/sched"
 )
 
 // Backend selects a solve backend for the pipeline.
@@ -496,11 +495,11 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 		// nothing.
 		var oi *Interrupted
 		if errors.As(err, &oi) && oi.Partial != nil {
-			oi.PartialC = Reduce(p.spec.exec(), phi, oi.Partial)
+			oi.PartialC = Reduce(phi, oi.Partial)
 		}
 		return nil, err
 	}
-	res.C = Reduce(p.spec.exec(), phi, res.Rho)
+	res.C = Reduce(phi, res.Rho)
 	return res, nil
 }
 
@@ -599,12 +598,19 @@ func (p *Pipeline) releaseWS(ws *linalg.GMRESWorkspace) {
 	p.wsMu.Unlock()
 }
 
-// Reduce computes the capacitance matrix C = Phi^T Rho on the executor
-// and enforces exact symmetry (P is symmetric, so C is up to roundoff).
-func Reduce(ex sched.Executor, phi, rho *linalg.Dense) *linalg.Dense {
+// Reduce computes the capacitance matrix C = Phi^T Rho and enforces exact
+// symmetry (P is symmetric, so C is up to roundoff). It accumulates over
+// the rows k of Phi in k order, zero coefficients included, so each entry
+// gets the additions of Mul(Phi^T, Rho) in the same order without Phi^T
+// being formed.
+func Reduce(phi, rho *linalg.Dense) *linalg.Dense {
 	n := phi.Cols
 	c := linalg.NewDense(n, rho.Cols)
-	linalg.ParMul(ex, c, phi.Transpose(), rho)
+	for k := 0; k < phi.Rows; k++ {
+		for i, v := range phi.Row(k) {
+			linalg.Axpy(v, rho.Row(k), c.Row(i))
+		}
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			v := 0.5 * (c.At(i, j) + c.At(j, i))

@@ -7,6 +7,7 @@ package solver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"parbem/internal/assembly"
@@ -104,6 +105,12 @@ type Result struct {
 	Inertia linalg.Inertia
 }
 
+// ErrSelfCapacitance reports a capacitance matrix with a self-capacitance
+// C_ii that is not positive or not finite: no physical structure has one,
+// so the system matrix was too inaccurate to solve (see op.Options.Direct
+// for how quadrature error makes a template matrix indefinite).
+var ErrSelfCapacitance = errors.New("solver: self-capacitance not positive")
+
 // Extract runs the full pipeline on a structure.
 func Extract(st *geom.Structure, opt Options) (*Result, error) {
 	if err := st.Validate(); err != nil {
@@ -169,6 +176,9 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 		return nil, err
 	}
 	tSolve := time.Since(t2)
+	if err := checkSelfCapacitance(sol); err != nil {
+		return nil, err
+	}
 
 	return &Result{
 		C:           sol.C,
@@ -205,6 +215,25 @@ func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Sym, er
 		return mpi.FillDistributed(set, in, net), nil
 	}
 	return nil, errors.New("solver: unknown backend")
+}
+
+// checkSelfCapacitance returns an ErrSelfCapacitance naming the first
+// conductor whose C_ii is not positive, how many there are, and the
+// inertia the factorization found.
+func checkSelfCapacitance(sol *op.Result) error {
+	first, bad := -1, 0
+	for i := 0; i < sol.C.Rows; i++ {
+		if v := sol.C.At(i, i); !(v > 0) || math.IsInf(v, 0) {
+			if bad++; first < 0 {
+				first = i
+			}
+		}
+	}
+	if bad == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: conductor %d has C_ii = %g F, %d of %d self-capacitances are not positive; inertia %d negative pivots, %d 2x2 blocks",
+		ErrSelfCapacitance, first, sol.C.At(first, first), bad, sol.C.Rows, sol.Inertia.Negative, sol.Inertia.Blocks2x2)
 }
 
 // solveSystem recovers C = Phi^T rho with Phi the conductor-indicator

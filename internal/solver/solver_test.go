@@ -1,13 +1,17 @@
 package solver
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
 	"parbem/internal/mpi"
+	"parbem/internal/op"
 )
 
 func TestExtractCrossingPair(t *testing.T) {
@@ -180,4 +184,48 @@ func ctol(m *linalg.Dense) float64 {
 		}
 	}
 	return 1e-9 * scale
+}
+
+// TestCheckSelfCapacitance: a result whose diagonal has a non-positive or
+// non-finite entry is an ErrSelfCapacitance naming the first such
+// conductor, the count and the inertia; a positive diagonal passes.
+func TestCheckSelfCapacitance(t *testing.T) {
+	C := linalg.NewDense(4, 4)
+	for i := 0; i < 4; i++ {
+		C.Set(i, i, 2e-15)
+	}
+	C.Set(0, 1, 5e-15) // off-diagonal entries are not checked
+	if err := checkSelfCapacitance(&op.Result{C: C}); err != nil {
+		t.Fatalf("positive diagonal: %v", err)
+	}
+	for _, bad := range []float64{0, -1e-16, math.NaN(), math.Inf(1)} {
+		C.Set(1, 1, bad)
+		C.Set(3, 3, -3e-15)
+		err := checkSelfCapacitance(&op.Result{C: C, Inertia: linalg.Inertia{Negative: 3, Blocks2x2: 1}})
+		if !errors.Is(err, ErrSelfCapacitance) {
+			t.Fatalf("C_11 = %g: error %v does not wrap ErrSelfCapacitance", bad, err)
+		}
+		want := fmt.Sprintf("conductor 1 has C_ii = %g F, 2 of 4 self-capacitances are not positive; inertia 3 negative pivots, 1 2x2 blocks", bad)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("C_11 = %g: error %q, want it to say %q", bad, err, want)
+		}
+	}
+}
+
+// TestExtractBus32SelfCapacitanceError: at the shipped quadrature order
+// the 32x32 bus's system matrix has 30 negative pivots and 15 of its 64
+// self-capacitances come out non-positive; the extraction is an error, not
+// a matrix.
+func TestExtractBus32SelfCapacitanceError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 32x32 bus extraction")
+	}
+	res, err := Extract(geom.DefaultBus(32, 32).Build(), Options{Backend: SharedMem})
+	if !errors.Is(err, ErrSelfCapacitance) {
+		t.Fatalf("32x32 bus: result %v, error %v; want an ErrSelfCapacitance", res, err)
+	}
+	t.Log(err)
+	if want := "15 of 64 self-capacitances are not positive; inertia 30 negative pivots"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q, want it to say %q", err, want)
+	}
 }

@@ -320,6 +320,11 @@ func NewMatrix(rows, cols int) *Matrix { return linalg.NewDense(rows, cols) }
 // DefaultKernelConfig returns the standard integration configuration.
 func DefaultKernelConfig() *KernelConfig { return kernel.DefaultConfig() }
 
+// ErrSelfCapacitance is wrapped by the error a template extraction
+// (Extract, or an Engine's) returns when a self-capacitance of the result
+// is not positive or not finite.
+var ErrSelfCapacitance = solver.ErrSelfCapacitance
+
 // Extract runs instantiable-basis capacitance extraction on a structure.
 func Extract(st *Structure, opt Options) (*Result, error) {
 	return solver.Extract(st, opt)
