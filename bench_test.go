@@ -9,6 +9,7 @@ package parbem
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -294,30 +295,29 @@ func BenchmarkAblationMaterializePt_Materialized(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCholesky compares the blocked Cholesky against GMRES on
-// the (small, dense) instantiable system.
-func BenchmarkAblationCholesky_Direct(b *testing.B) {
+// BenchmarkAblationLDLT compares the direct solve's packed LDLᵀ
+// against GMRES on the (small, dense) instantiable system.
+func BenchmarkAblationLDLT_Direct(b *testing.B) {
 	st := NewBus(6, 6).Build()
 	set := basis.Build(st, basis.DefaultBuilderOptions())
 	in := assembly.NewIntegrator()
-	P := assembly.FillSerial(set, in).Dense()
+	P := assembly.FillSerial(set, in)
 	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), P.Data)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch, err := linalg.NewCholesky(P)
+		f, err := linalg.FactorSym(&linalg.Sym{N: P.N, Data: slices.Clone(P.Data)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		x := make([]float64, P.Rows)
-		rhs := make([]float64, P.Rows)
-		for j := range rhs {
-			rhs[j] = 1e-12
+		x := make([]float64, P.N)
+		for j := range x {
+			x[j] = 1e-12
 		}
-		ch.Solve(x, rhs)
+		f.SolveVec(x)
 	}
 }
 
-func BenchmarkAblationCholesky_GMRES(b *testing.B) {
+func BenchmarkAblationLDLT_GMRES(b *testing.B) {
 	st := NewBus(6, 6).Build()
 	set := basis.Build(st, basis.DefaultBuilderOptions())
 	in := assembly.NewIntegrator()

@@ -1,7 +1,7 @@
 // Package artifact implements the disk-backed content-addressed blob
 // store behind the staged extraction plans' persistent stage artifacts:
 // near-field value arrays, precorrection rows, dense matrices and
-// block-Cholesky factors keyed by a content hash of the exact geometry
+// block-Jacobi LDLᵀ factors keyed by a content hash of the exact geometry
 // and solve options (see internal/plan's artifact codec).
 //
 // # On-disk format

@@ -263,7 +263,8 @@ func TestBuildCrossingBasis(t *testing.T) {
 func TestFillSerialProducesSPDMatrix(t *testing.T) {
 	set := buildSmallSet(t)
 	in := NewIntegrator()
-	P := FillSerial(set, in).Dense()
+	S := FillSerial(set, in)
+	P := S.Dense()
 	if P.Rows != set.N() {
 		t.Fatalf("P is %dx%d", P.Rows, P.Cols)
 	}
@@ -276,8 +277,12 @@ func TestFillSerialProducesSPDMatrix(t *testing.T) {
 			t.Fatalf("P[%d][%d] = %g <= 0", i, i, P.At(i, i))
 		}
 	}
-	if _, err := linalg.NewCholesky(P); err != nil {
+	f, err := linalg.FactorSym(S)
+	if err != nil {
 		t.Fatalf("P not SPD: %v", err)
+	}
+	if in := f.Inertia(); in.Negative != 0 {
+		t.Fatalf("P not SPD: inertia %+v", in)
 	}
 }
 

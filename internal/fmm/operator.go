@@ -274,11 +274,11 @@ func (op *Operator) NearFill() assembly.FillStats { return op.nearFill }
 
 // NearBlocks implements the pipeline's near-block contract
 // (internal/op.NearBlocker): the exact-Galerkin self blocks of the
-// octree leaves, extracted from the near-field CSR. Leaves partition the
-// panels, so the blocks are disjoint and cover every unknown; each block
-// is a principal sub-matrix of the SPD Galerkin matrix and therefore
-// Cholesky-factorizable.
-func (op *Operator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense) {
+// octree leaves, extracted from the near-field CSR as packed lower
+// triangles. Leaves partition the panels, so the blocks are disjoint and
+// cover every unknown; each block is a principal sub-matrix of the
+// positive definite Galerkin matrix and so positive definite itself.
+func (op *Operator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Sym) {
 	// pos[panel] = position of the panel within its own leaf.
 	pos := make([]int32, len(op.panels))
 	for _, lf := range op.leaves {
@@ -289,17 +289,17 @@ func (op *Operator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense
 		}
 		idx = append(idx, append([]int32(nil), pan...))
 	}
-	return idx, func(k int) *linalg.Dense {
+	return idx, func(k int) *linalg.Sym {
 		lf, pan := op.leaves[k], idx[k]
-		b := linalg.NewDense(len(pan), len(pan))
+		b := linalg.NewSym(len(pan))
 		for r, pi := range pan {
 			row := b.Row(r)
 			lo, hi := op.nearOff[pi], op.nearOff[pi+1]
 			cols := op.nearIdx[lo:hi]
 			vals := op.nearVal[lo:hi]
 			for k, pj := range cols {
-				if op.t.leafOf[pj] == lf {
-					row[pos[pj]] = vals[k]
+				if c := int(pos[pj]); op.t.leafOf[pj] == lf && c <= r {
+					row[c] = vals[k]
 				}
 			}
 		}

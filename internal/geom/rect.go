@@ -109,11 +109,6 @@ func (r Rect) Extent(ax Axis) Interval { return r.axisExtent(ax) }
 // ParallelTo reports whether r and s lie in parallel planes.
 func (r Rect) ParallelTo(s Rect) bool { return r.Normal == s.Normal }
 
-// Coplanar reports whether r and s lie in the same plane.
-func (r Rect) Coplanar(s Rect) bool {
-	return r.Normal == s.Normal && r.Offset == s.Offset
-}
-
 // SplitGrid subdivides the rectangle into an nu x nv grid of sub-rectangles,
 // appending them to dst and returning the extended slice.
 func (r Rect) SplitGrid(nu, nv int, dst []Rect) []Rect {

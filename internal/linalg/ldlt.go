@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+
+	"parbem/internal/sched"
 )
 
 // ErrSingular is returned when a factorization meets a zero or
@@ -79,8 +81,39 @@ func FactorSym(a *Sym) (*LDLT, error) {
 	return f, nil
 }
 
+// NewLDLT adopts a stored factor of a positive definite matrix — the
+// packed triangle FactorSym left and its pivots — without factoring. It
+// accepts only what such a factorization produces: every entry finite,
+// every step k a 1x1 pivot that interchanged k with a row in [k, n) (a
+// 2x2 block's marker is negative), every D_kk positive. Anything else is
+// an error.
+func NewLDLT(a *Sym, piv []int) (*LDLT, error) {
+	n := a.N
+	if len(a.Data) != PackedLen(n) || len(piv) != n {
+		return nil, errors.New("linalg: LDLT factor of the wrong size")
+	}
+	for _, v := range a.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, errors.New("linalg: LDLT factor holds a non-finite entry")
+		}
+	}
+	for k, p := range piv {
+		if p < k || p >= n || !(a.Row(k)[k] > 0) {
+			return nil, fmt.Errorf("linalg: LDLT factor step %d is not a positive 1x1 pivot", k)
+		}
+	}
+	return &LDLT{a: a, piv: piv}, nil
+}
+
 // Inertia reports the negative pivots and the 2x2 blocks of D.
 func (f *LDLT) Inertia() Inertia { return f.inertia }
+
+// N is the order of the factored matrix.
+func (f *LDLT) N() int { return f.a.N }
+
+// Packed returns the factor's storage, NewLDLT's arguments: the packed
+// triangle and the pivots, shared and read-only.
+func (f *LDLT) Packed() (*Sym, []int) { return f.a, f.piv }
 
 // panel factors columns j0.. of a left-looking (dlasyf): the storage to
 // the right of the current column keeps its pre-panel values, and the
@@ -259,6 +292,27 @@ func (f *LDLT) reducedCol(dst []float64, r, k, j0 int, w *Dense) {
 	}
 }
 
+// parallelRows runs fn over [lo, hi) in 32-row blocks on the scheduler:
+// per-row work in the trailing update grows with the row index
+// (triangular), so the workers claim blocks one at a time. Blocks write
+// disjoint rows, so the result does not depend on who ran which. Serial
+// when the range is small and the fan-out would dominate.
+func parallelRows(lo, hi, workers int, fn func(lo, hi int)) {
+	n := hi - lo
+	if n <= 0 {
+		return
+	}
+	if workers <= 1 || n < 128 {
+		fn(lo, hi)
+		return
+	}
+	const block = 32
+	sched.Local(workers).Map((n+block-1)/block, func(b int) {
+		a := lo + b*block
+		fn(a, min(a+block, hi))
+	})
+}
+
 // swapSym interchanges rows and columns p < q of the symmetric matrix
 // a; columns left of p are finished columns of L and have their rows
 // swapped.
@@ -410,15 +464,60 @@ func (f *LDLT) Solve(b *Dense) {
 	}
 }
 
+// SolveVec overwrites x with the solution of A·x = b, b given in x: the
+// one-right-hand-side Solve without a Dense around it, for the
+// preconditioner's many small solves. The forward sweep takes one dot
+// product per row of L, the backward sweep one axpy per row (a column of
+// Lᵀ is a row of L); nothing is allocated. Interchange k touches only
+// entries k and beyond, so the forward sweep applies it when it reaches
+// row k, and the backward sweep undoes it once row k is final.
+func (f *LDLT) SolveVec(x []float64) {
+	a, n := f.a, f.a.N
+	if len(x) != n {
+		panic("linalg: LDLT.SolveVec dimension mismatch")
+	}
+	// L·y = P·b.
+	for i := 0; i < n; i++ {
+		if p := f.pivRow(i); p != i {
+			x[i], x[p] = x[p], x[i]
+		}
+		c := f.lcols(i)
+		x[i] -= Dot(a.Row(i)[:c], x[:c])
+	}
+	// D·z = y.
+	for k := 0; k < n; k++ {
+		if k+1 == n || f.piv[k+1] >= 0 {
+			x[k] /= a.Row(k)[k]
+			continue
+		}
+		d := block2x2{a.At(k, k), a.At(k+1, k), a.At(k+1, k+1)}
+		x[k], x[k+1] = d.solve(x[k], x[k+1])
+		k++
+	}
+	// Lᵀ·(P·x) = z, then P·x back to x.
+	for i := n - 1; i >= 0; i-- {
+		c := f.lcols(i)
+		Axpy(-x[i], a.Row(i)[:c], x[:c])
+		if p := f.pivRow(i); p != i {
+			x[i], x[p] = x[p], x[i]
+		}
+	}
+}
+
 // interchange swaps rows k and its pivot row of b.
 func (f *LDLT) interchange(b *Dense, k int) {
-	p := f.piv[k]
-	if p < 0 {
-		p = ^p
-	}
-	if p != k {
+	if p := f.pivRow(k); p != k {
 		swap(b.Row(k), b.Row(p))
 	}
+}
+
+// pivRow is the row that step k interchanged with k.
+func (f *LDLT) pivRow(k int) int {
+	p := f.piv[k]
+	if p < 0 {
+		return ^p
+	}
+	return p
 }
 
 // lcols is how many leading entries of row i belong to L: all i of

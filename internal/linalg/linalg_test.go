@@ -78,45 +78,126 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
-func TestCholeskySolve(t *testing.T) {
+// TestSolveVecMatchesSolve: the one-vector solve of the block-Jacobi
+// preconditioner against the block solve, on positive definite matrices
+// and on indefinite ones whose pivots include 2x2 blocks and
+// interchanges: agreement to 1e-12 of the solution's size, the known
+// solution to rounding, and no allocation.
+func TestSolveVecMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 5, 20, 100, 257} {
-		a := randomSPD(n, rng)
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		// Check A = L L^T.
-		rec := NewDense(n, n)
-		Mul(rec, ch.L, ch.L.Transpose())
-		if d := MaxAbsDiff(rec, a); d > 1e-8*float64(n) {
-			t.Errorf("n=%d: |LL^T - A| = %g", n, d)
-		}
-		// Check solve.
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := make([]float64, n)
-		a.MulVec(b, want)
-		got := make([]float64, n)
-		ch.Solve(got, b)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Errorf("n=%d: x[%d] = %g want %g", n, i, got[i], want[i])
-				break
+	blocks2x2 := 0
+	for _, tc := range []ldlCase{{"random-spd", func(n int, rng *rand.Rand) (*Dense, int) {
+		return randomSPD(n, rng), 0
+	}}, ldlCases[1], ldlCases[2]} {
+		for _, n := range []int{1, 2, 5, 20, 100, 257} {
+			a, neg := tc.build(n, rng)
+			f, err := FactorSym(PackLower(a.Clone()))
+			if err != nil {
+				if n == 1 && tc.name == "zero-diagonal" {
+					continue // the 1x1 zero matrix
+				}
+				t.Fatalf("%s n=%d: %v", tc.name, n, err)
+			}
+			if neg >= 0 && f.Inertia().Negative != neg {
+				t.Errorf("%s n=%d: %d negative pivots, want %d", tc.name, n, f.Inertia().Negative, neg)
+			}
+			blocks2x2 += f.Inertia().Blocks2x2
+			want := make([]float64, n)
+			for i := range want {
+				want[i] = rng.NormFloat64()
+			}
+			b := make([]float64, n)
+			a.MulVec(b, want)
+			x := append([]float64(nil), b...)
+			f.SolveVec(x)
+			col := NewDenseFrom(n, 1, append([]float64(nil), b...))
+			f.Solve(col)
+			scale := 0.0
+			for _, v := range col.Data {
+				scale = math.Max(scale, math.Abs(v))
+			}
+			for i := range x {
+				if d := math.Abs(x[i] - col.Data[i]); d > 1e-12*scale {
+					t.Fatalf("%s n=%d: x[%d] = %g, Solve %g", tc.name, n, i, x[i], col.Data[i])
+				}
+			}
+			if tc.name == "random-spd" {
+				for i := range x {
+					if math.Abs(x[i]-want[i]) > 1e-8 {
+						t.Fatalf("n=%d: x[%d] = %g want %g", n, i, x[i], want[i])
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(5, func() { f.SolveVec(x) }); allocs != 0 {
+				t.Fatalf("%s n=%d: SolveVec allocates %.0f objects", tc.name, n, allocs)
 			}
 		}
 	}
+	if blocks2x2 == 0 {
+		t.Fatal("no 2x2 pivot was met: the indefinite cases test nothing of SolveVec's 2x2 branch")
+	}
 }
 
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewDenseFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := NewCholesky(a); err != ErrNotSPD {
-		t.Fatalf("err = %v, want ErrNotSPD", err)
+// TestNewLDLTRejectsIndefinite: an indefinite matrix factors with a
+// negative pivot — what makes block-Jacobi fall back to a block's
+// diagonal — and NewLDLT adopts only what a positive definite
+// factorization leaves: the right sizes, finite entries, 1x1 pivots that
+// interchange forward, a positive D.
+func TestNewLDLTRejectsIndefinite(t *testing.T) {
+	indef, err := FactorSym(PackLower(NewDenseFrom(2, 2, []float64{1, 2, 2, 1}))) // eigenvalues 3, -1
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewCholesky(NewDense(2, 3)); err == nil {
-		t.Fatal("non-square accepted")
+	if in := indef.Inertia(); in.Negative != 1 {
+		t.Fatalf("inertia %+v, want one negative pivot", in)
+	}
+	if _, err := NewLDLT(indef.Packed()); err == nil {
+		t.Fatal("the factor of an indefinite matrix adopted")
+	}
+	a := randomSPD(6, rand.New(rand.NewSource(5)))
+	a.Set(0, 0, 1e-3) // a small leading diagonal: the first step interchanges
+	for j := 1; j < 6; j++ {
+		a.Set(0, j, 0)
+		a.Set(j, 0, 0)
+	}
+	a.Set(0, 5, 1)
+	a.Set(5, 0, 1)
+	a.Add(5, 5, 1e4)
+	f, err := FactorSym(PackLower(a.Clone()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, piv := f.Packed()
+	if f.Inertia().Negative != 0 || piv[0] == 0 {
+		t.Fatalf("inertia %+v, pivots %v: want a positive definite factor that interchanges", f.Inertia(), piv)
+	}
+	g, err := NewLDLT(s, piv)
+	if err != nil {
+		t.Fatalf("FactorSym's own factor rejected: %v", err)
+	}
+	x, y := []float64{1, 2, 3, 4, 5, 6}, []float64{1, 2, 3, 4, 5, 6}
+	f.SolveVec(x)
+	g.SolveVec(y)
+	for i := range x {
+		if x[i] != y[i] {
+			t.Fatalf("adopted factor solves to %v, FactorSym's to %v", y, x)
+		}
+	}
+	for name, mod := range map[string]func(s *Sym, piv []int) (*Sym, []int){
+		"short data":    func(s *Sym, piv []int) (*Sym, []int) { return &Sym{N: s.N, Data: s.Data[1:]}, piv },
+		"short pivots":  func(s *Sym, piv []int) (*Sym, []int) { return s, piv[1:] },
+		"nan below":     func(s *Sym, piv []int) (*Sym, []int) { s.Row(3)[1] = math.NaN(); return s, piv },
+		"inf diagonal":  func(s *Sym, piv []int) (*Sym, []int) { s.Row(2)[2] = math.Inf(1); return s, piv },
+		"pivot behind":  func(s *Sym, piv []int) (*Sym, []int) { piv[3] = 2; return s, piv },
+		"pivot past n":  func(s *Sym, piv []int) (*Sym, []int) { piv[3] = 6; return s, piv },
+		"2x2 block":     func(s *Sym, piv []int) (*Sym, []int) { piv[3], piv[4] = 3, ^4; return s, piv },
+		"zero diagonal": func(s *Sym, piv []int) (*Sym, []int) { s.Row(4)[4] = 0; return s, piv },
+		"negative D":    func(s *Sym, piv []int) (*Sym, []int) { s.Row(1)[1] = -s.Row(1)[1]; return s, piv },
+	} {
+		bad := &Sym{N: s.N, Data: append([]float64(nil), s.Data...)}
+		if _, err := NewLDLT(mod(bad, append([]int(nil), piv...))); err == nil {
+			t.Errorf("%s: adopted", name)
+		}
 	}
 }
 
@@ -345,7 +426,9 @@ func TestSymPacking(t *testing.T) {
 	}
 }
 
-func TestCholeskyPropertySolveRoundtrip(t *testing.T) {
+// TestSolveVecPropertyRoundtrip: A·x = b recovered by SolveVec on random
+// positive definite matrices of random order.
+func TestSolveVecPropertyRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -357,14 +440,13 @@ func TestCholeskyPropertySolveRoundtrip(t *testing.T) {
 		}
 		b := make([]float64, n)
 		a.MulVec(b, x)
-		ch, err := NewCholesky(a)
-		if err != nil {
+		fa, err := FactorSym(PackLower(a))
+		if err != nil || fa.Inertia().Negative != 0 {
 			return false
 		}
-		got := make([]float64, n)
-		ch.Solve(got, b)
-		for i := range got {
-			if math.Abs(got[i]-x[i]) > 1e-6 {
+		fa.SolveVec(b)
+		for i := range b {
+			if math.Abs(b[i]-x[i]) > 1e-6 {
 				return false
 			}
 		}

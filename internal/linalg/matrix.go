@@ -1,9 +1,9 @@
 // Package linalg is a self-contained dense linear-algebra kit for the
-// extractor: a row-major dense matrix type, a blocked Bunch–Kaufman LDLᵀ
-// for the symmetric system matrix P (FactorSym), blocked Cholesky for the
-// preconditioner's near blocks, Householder QR least-squares (used by
-// rational fitting), and restarted GMRES (used by the piecewise-constant
-// iterative baselines).
+// extractor: a row-major dense matrix type; a blocked Bunch–Kaufman LDLᵀ
+// in packed storage (FactorSym), the one symmetric factorization, of the
+// system matrix P and of the preconditioner's near blocks alike;
+// Householder QR least-squares (used by rational fitting); and restarted
+// GMRES (used by the piecewise-constant iterative baselines).
 //
 // The paper leans on vendor-optimized BLAS for the (tiny) solve step; here
 // blocking and a register-tiled trailing update keep the factorization

@@ -20,14 +20,15 @@
 // DenseOperator all are in serial mode). Backends may additionally
 // implement NearBlocker to expose their near-field diagonal blocks:
 //
-//	NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense)
+//	NearBlocks() (idx [][]int32, block func(k int) *linalg.Sym)
 //
 // idx[k] lists the unknowns of block k (disjoint across blocks) and
-// block(k) copies out the corresponding dense sub-matrix of the operator,
-// which the preconditioner asks for only where it must factor one. The
-// fmm operator returns its exact-Galerkin octree-leaf self blocks, the
-// pfft operator its precorrection-cluster blocks, and DenseOperator
-// spatial clusters of at most 64 panels of one conductor.
+// block(k) copies out the packed lower triangle of the corresponding
+// sub-matrix of the operator, which the preconditioner asks for only
+// where it must factor one. The fmm operator returns its exact-Galerkin
+// octree-leaf self blocks, the pfft operator its precorrection-cluster
+// blocks, and DenseOperator spatial clusters of at most 64 panels of one
+// conductor.
 //
 // # Pipeline
 //
@@ -45,9 +46,11 @@
 //
 // # Preconditioner
 //
-// The block-Jacobi preconditioner (NewBlockJacobi) factorizes each near
-// block once with Cholesky at setup and applies all block solves
-// allocation-free inside the solve; unknowns outside every block fall
+// The block-Jacobi preconditioner (NewBlockJacobiWith) factorizes each
+// near block once at setup with the direct solve's factorization,
+// linalg.FactorSym, in the block's own packed storage, and applies all
+// block solves (LDLT.SolveVec) allocation-free inside the solve; a block
+// that is not positive definite, and every unknown outside the blocks, fall
 // back to the exact point-Jacobi diagonal. Because the near blocks carry
 // the strong interactions of the Galerkin matrix, block-Jacobi cuts
 // Krylov iteration counts across all accelerated backends relative to
@@ -97,10 +100,11 @@ type Operator = linalg.Matvec
 
 // NearBlocker is optionally implemented by operators that can expose
 // disjoint near-field diagonal blocks for block-Jacobi preconditioning.
-// idx[k] holds the unknown indices of block k; block(k) returns a new
-// dense sub-matrix over those unknowns. Blocks must not share unknowns.
+// idx[k] holds the unknown indices of block k; block(k) returns a fresh
+// packed lower triangle of the sub-matrix over those unknowns, which the
+// caller owns. Blocks must not share unknowns.
 type NearBlocker interface {
-	NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense)
+	NearBlocks() (idx [][]int32, block func(k int) *linalg.Sym)
 }
 
 // Spec describes a panelized extraction problem to the pipeline: the
@@ -277,7 +281,7 @@ func NewDenseOperator(m *linalg.Dense, panels []geom.Panel, ex sched.Executor) *
 // conductors, so a conductor that moves rigidly takes its blocks — and
 // their factors — with it, and inside a block the indices ascend, so the
 // same cluster is the same index sequence in every variant.
-func (d *DenseOperator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense) {
+func (d *DenseOperator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Sym) {
 	ctr := make([][3]float64, len(d.panels))
 	var byCond [][]int32
 	for i, pan := range d.panels {
@@ -293,12 +297,12 @@ func (d *DenseOperator) NearBlocks() (idx [][]int32, block func(k int) *linalg.D
 			idx = bisect(idx, ix, ctr)
 		}
 	}
-	return idx, func(k int) *linalg.Dense {
+	return idx, func(k int) *linalg.Sym {
 		ix := idx[k]
-		b := linalg.NewDense(len(ix), len(ix))
+		b := linalg.NewSym(len(ix))
 		for r, i := range ix {
 			row, src := b.Row(r), d.M.Row(int(i))
-			for c, j := range ix {
+			for c, j := range ix[:r+1] {
 				row[c] = src[j]
 			}
 		}

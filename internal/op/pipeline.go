@@ -200,7 +200,7 @@ type Pipeline struct {
 	wsMu sync.Mutex
 	ws   []*linalg.GMRESWorkspace
 	// factors is the optional reused-block lookup of NewPrebuilt.
-	factors func(idx []int32) *linalg.Cholesky
+	factors func(idx []int32) *linalg.LDLT
 	// mixedA is non-nil when the resolved precision is mixed: the
 	// operator with its float32 mirror enabled (see precision.go).
 	mixedA MixedApplier
@@ -321,12 +321,12 @@ type Prebuilt struct {
 	// Dense is the assembled system matrix backing a dense operator;
 	// required for Options.Direct.
 	Dense *linalg.Dense
-	// Factors optionally returns a previously computed Cholesky factor
-	// for the near block over idx (nil result = factorize fresh). A
+	// Factors optionally returns a previously computed factor of the
+	// near block over idx (nil result = factorize fresh). A
 	// factor is only valid if the block's values are unchanged — the
 	// preconditioner is an approximate inverse, so a stale factor
 	// degrades convergence but never correctness.
-	Factors func(idx []int32) *linalg.Cholesky
+	Factors func(idx []int32) *linalg.LDLT
 }
 
 // NewPrebuilt wraps caller-built stage artifacts in a pipeline,
@@ -628,7 +628,7 @@ func Reduce(phi, rho *linalg.Dense) *linalg.Dense {
 // integrals and can carry an eigenvalue across zero (the 16x16 bus, at unit
 // diagonal, has one at -0.016 under a spectrum that reaches 60). So the one
 // factorization is a pivoted symmetric-indefinite LDLᵀ (linalg.FactorSym),
-// which costs what a Cholesky costs and reports the inertia it finds; a
+// which costs N³/6 multiply-adds whatever the inertia and reports it; a
 // diagonal shift would solve a different system. It factors S P S with
 // S = diag(|P_ii|^-1/2) (1 where P_ii = 0), returned as scale: the diagonal
 // spans orders of magnitude, and unscaled, Bunch–Kaufman pivoting would

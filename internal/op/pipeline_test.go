@@ -60,7 +60,7 @@ func capDiff(got, ref *Result) float64 {
 }
 
 // TestPipelineDirectMatchesIterativeDense pins the two dense paths of
-// the pipeline to each other: the direct equilibrated-Cholesky solve and
+// the pipeline to each other: the direct equilibrated LDLᵀ solve and
 // the preconditioned GMRES iteration over the same assembled matrix must
 // produce the same capacitance matrix.
 func TestPipelineDirectMatchesIterativeDense(t *testing.T) {

@@ -46,17 +46,17 @@ func (j *Jacobi) Apply(dst, r []float64) {
 
 // bjBlock is one factorized near block.
 type bjBlock struct {
-	idx  []int32
-	chol *linalg.Cholesky // nil when factorization failed
-	inv  []float64        // diagonal fallback for failed blocks
+	idx []int32
+	f   *linalg.LDLT // nil when the block fell back to its diagonal
+	inv []float64    // diagonal fallback for blocks that are not positive definite
 }
 
 // BlockJacobi is the near-field block-Jacobi preconditioner: the
-// operator's disjoint near blocks are Cholesky-factorized once at
-// construction, and Apply solves every block system in place. Unknowns
-// outside all blocks (and blocks whose factorization fails, e.g. a
-// cluster block assembled from an incomplete pair list) fall back to
-// point-Jacobi on their diagonal.
+// operator's disjoint near blocks are factorized once at construction
+// (linalg.FactorSym, in the packed block itself), and Apply solves every
+// block system in place. Unknowns outside all blocks (and blocks that are
+// not numerically positive definite, e.g. a cluster block assembled from
+// an incomplete pair list) fall back to point-Jacobi on their diagonal.
 type BlockJacobi struct {
 	n      int
 	blocks []bjBlock
@@ -75,25 +75,18 @@ type BlockJacobi struct {
 	reusedFactors int
 }
 
-// NewBlockJacobi factorizes the given disjoint near blocks for dimension
-// n. idx[k] lists block k's unknowns; blocks[k] is the dense sub-matrix
-// over them. diag supplies the exact matrix diagonal used for unknowns
-// no block covers (nil = identity there).
-func NewBlockJacobi(n int, idx [][]int32, blocks []*linalg.Dense, diag []float64) (*BlockJacobi, error) {
-	if len(idx) != len(blocks) {
-		return nil, errors.New("op: block index/matrix count mismatch")
-	}
-	return NewBlockJacobiWith(n, idx, func(k int) *linalg.Dense { return blocks[k] }, diag, nil)
-}
-
-// NewBlockJacobiWith is NewBlockJacobi with the blocks handed over one at a
-// time (NearBlocker's block) and an optional lookup of previously computed
-// factors: when factors returns a non-nil Cholesky of the block's shape, it
-// is adopted instead of re-factorizing, and the block's entries are never
-// asked for (the staged extraction plans carry unchanged blocks' factors
-// across geometry variants this way).
-func NewBlockJacobiWith(n int, idx [][]int32, block func(k int) *linalg.Dense, diag []float64,
-	factors func(idx []int32) *linalg.Cholesky) (*BlockJacobi, error) {
+// NewBlockJacobiWith factorizes the disjoint near blocks of an n-unknown
+// operator. idx[k] lists block k's unknowns and block(k) returns a fresh
+// packed lower triangle of the sub-matrix over them (NearBlocker's
+// block), which is factored in place. diag supplies the exact matrix
+// diagonal used for unknowns no block covers (nil = identity there).
+// factors is an optional lookup of previously computed factors: when it
+// returns a non-nil factor of the block's order, that factor is adopted
+// instead of re-factorizing, and the block's entries are never asked for
+// (the staged extraction plans carry unchanged blocks' factors across
+// geometry variants this way).
+func NewBlockJacobiWith(n int, idx [][]int32, block func(k int) *linalg.Sym, diag []float64,
+	factors func(idx []int32) *linalg.LDLT) (*BlockJacobi, error) {
 	bj := &BlockJacobi{
 		n:       n,
 		covered: make([]bool, n),
@@ -121,22 +114,24 @@ func NewBlockJacobiWith(n int, idx [][]int32, block func(k int) *linalg.Dense, d
 		}
 		blk := bjBlock{idx: ix}
 		if factors != nil {
-			if ch := factors(ix); ch != nil && ch.L.Rows == len(ix) {
-				blk.chol = ch
+			if f := factors(ix); f != nil && f.N() == len(ix) {
+				blk.f = f
 				bj.reusedFactors++
 			}
 		}
-		if blk.chol == nil { // not adopted from a previous variant
+		if blk.f == nil { // not adopted from a previous variant
 			b := block(k)
-			if b.Rows != len(ix) || b.Cols != len(ix) {
+			if b.N != len(ix) {
 				return nil, errors.New("op: near block shape mismatch")
 			}
-			if ch, err := linalg.NewCholesky(b); err == nil {
-				blk.chol = ch
+			if f, err := linalg.FactorSym(b); err == nil && f.Inertia().Negative == 0 {
+				blk.f = f
 			} else {
-				// Not numerically SPD (possible for cluster blocks with
-				// zero-filled missing pairs): fall back to this block's
-				// diagonal.
+				// Not numerically positive definite (possible for cluster
+				// blocks with zero-filled missing pairs): fall back to this
+				// block's diagonal, read from a fresh copy because the
+				// factorization overwrote b.
+				b = block(k)
 				blk.inv = make([]float64, len(ix))
 				for t := range ix {
 					if d := b.At(t, t); d > 0 {
@@ -165,18 +160,18 @@ func (bj *BlockJacobi) Blocks() int { return len(bj.blocks) }
 func (bj *BlockJacobi) ReusedFactors() int { return bj.reusedFactors }
 
 // Factors exposes the factorized blocks (idx[k] lists block k's
-// unknowns, chol[k] its Cholesky factor, nil for diagonal-fallback
-// blocks). Both slices and their contents are shared and must be
-// treated as read-only; the staged extraction plans key them by idx to
-// seed the next variant's NewBlockJacobiWith lookup.
-func (bj *BlockJacobi) Factors() (idx [][]int32, chol []*linalg.Cholesky) {
+// unknowns, f[k] its factor, nil for diagonal-fallback blocks). Both
+// slices and their contents are shared and must be treated as
+// read-only; the staged extraction plans key them by idx to seed the
+// next variant's NewBlockJacobiWith lookup.
+func (bj *BlockJacobi) Factors() (idx [][]int32, f []*linalg.LDLT) {
 	idx = make([][]int32, len(bj.blocks))
-	chol = make([]*linalg.Cholesky, len(bj.blocks))
+	f = make([]*linalg.LDLT, len(bj.blocks))
 	for k := range bj.blocks {
 		idx[k] = bj.blocks[k].idx
-		chol[k] = bj.blocks[k].chol
+		f[k] = bj.blocks[k].f
 	}
-	return idx, chol
+	return idx, f
 }
 
 // Apply implements Preconditioner: gather each block's residual, solve
@@ -193,7 +188,7 @@ func (bj *BlockJacobi) Apply(dst, r []float64) {
 	}
 	for k := range bj.blocks {
 		blk := &bj.blocks[k]
-		if blk.chol == nil {
+		if blk.f == nil {
 			for t, i := range blk.idx {
 				dst[i] = r[i] * blk.inv[t]
 			}
@@ -203,7 +198,7 @@ func (bj *BlockJacobi) Apply(dst, r []float64) {
 		for t, i := range blk.idx {
 			buf[t] = r[i]
 		}
-		blk.chol.Solve(buf, buf)
+		blk.f.SolveVec(buf)
 		for t, i := range blk.idx {
 			dst[i] = buf[t]
 		}

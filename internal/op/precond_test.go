@@ -2,11 +2,18 @@ package op
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"parbem/internal/fmm"
 	"parbem/internal/linalg"
 )
+
+// packed hands the dense blocks to NewBlockJacobiWith as NearBlocker
+// does: a fresh packed lower triangle per call.
+func packed(blocks ...*linalg.Dense) func(k int) *linalg.Sym {
+	return func(k int) *linalg.Sym { return linalg.PackLower(blocks[k].Clone()) }
+}
 
 // TestBlockJacobiSolvesBlockDiagonalExactly pins the preconditioner's
 // algebra: on a block-diagonal SPD matrix, Apply must be the exact
@@ -19,7 +26,7 @@ func TestBlockJacobiSolvesBlockDiagonalExactly(t *testing.T) {
 	b := linalg.NewDenseFrom(2, 2, []float64{2, 0.5, 0.5, 1})
 	idx := [][]int32{{0, 2, 4}, {1, 3}}
 	diag := []float64{4, 2, 3, 1, 2, 4}
-	bj, err := NewBlockJacobi(n, idx, []*linalg.Dense{a, b}, diag)
+	bj, err := NewBlockJacobiWith(n, idx, packed(a, b), diag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +61,76 @@ func TestBlockJacobiSolvesBlockDiagonalExactly(t *testing.T) {
 func TestBlockJacobiRejectsOverlap(t *testing.T) {
 	a := linalg.NewDenseFrom(1, 1, []float64{1})
 	b := linalg.NewDenseFrom(1, 1, []float64{1})
-	if _, err := NewBlockJacobi(2, [][]int32{{0}, {0}}, []*linalg.Dense{a, b}, nil); err == nil {
+	if _, err := NewBlockJacobiWith(2, [][]int32{{0}, {0}}, packed(a, b), nil, nil); err == nil {
 		t.Fatal("overlapping blocks must be rejected")
+	}
+}
+
+// TestBlockJacobiIndefiniteBlockFallsBack: a block that factors with a
+// negative pivot is not used as a block solve; its unknowns get the
+// block's own diagonal, as a failed factorization's do, and the other
+// blocks keep their factors.
+func TestBlockJacobiIndefiniteBlockFallsBack(t *testing.T) {
+	spd := linalg.NewDenseFrom(2, 2, []float64{2, 0.5, 0.5, 1})
+	// Eigenvalues (7 ± √17)/2 and -1 under a positive diagonal: only the
+	// factorization can tell.
+	indef := linalg.NewDenseFrom(3, 3, []float64{2, 3, 1, 3, 2, 1, 1, 1, 2})
+	idx := [][]int32{{0, 1}, {2, 3, 4}}
+	calls := 0
+	block := packed(spd, indef)
+	bj, err := NewBlockJacobiWith(5, idx, func(k int) *linalg.Sym { calls++; return block(k) }, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 3 {
+		t.Errorf("%d block copies, want 3: one per block and the fallback's diagonal", calls)
+	}
+	if _, f := bj.Factors(); f[0] == nil || f[1] != nil {
+		t.Fatalf("factors %v: want the positive definite block's only", f)
+	}
+	r := []float64{1, -2, 4, 6, -8}
+	dst := make([]float64, 5)
+	bj.Apply(dst, r)
+	for c, i := range idx[1] {
+		if want := r[i] / indef.At(c, c); dst[i] != want {
+			t.Errorf("unknown %d: %g, want the diagonal's %g", i, dst[i], want)
+		}
+	}
+	// The positive definite block is still solved exactly.
+	for row := 0; row < 2; row++ {
+		if s := spd.At(row, 0)*dst[0] + spd.At(row, 1)*dst[1]; math.Abs(s-r[row]) > 1e-12 {
+			t.Errorf("block solve residual %g at unknown %d", s-r[row], row)
+		}
+	}
+}
+
+// TestBlockJacobiFactorAllocation bounds what factoring the dense
+// operator's near blocks allocates, on the crossing pair at 0.4 um (ten
+// blocks of about 52 panels): each block is one packed triangle, factored
+// where it lies. A full n x n per block, or a copy of it, is over the
+// bound.
+func TestBlockJacobiFactorAllocation(t *testing.T) {
+	spec := crossingSpec(t, 0.4e-6).withDefaults()
+	m := spec.AssembleDense()
+	idx, block := NewDenseOperator(m, spec.Panels, nil).NearBlocks()
+	diag := make([]float64, m.Rows)
+	for i := range diag {
+		diag[i] = m.At(i, i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bj, err := NewBlockJacobiWith(m.Rows, idx, block, diag, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, f := bj.Factors(); len(f) != 10 {
+		t.Fatalf("%d blocks, want 10", len(f))
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("N = %d: NewBlockJacobiWith allocated %d bytes", m.Rows, got)
+	if got > 150<<10 {
+		t.Errorf("NewBlockJacobiWith allocated %d bytes, over 150 KiB", got)
 	}
 }
 
@@ -100,7 +175,7 @@ func TestFMMNearBlocksMatchEntries(t *testing.T) {
 				t.Fatalf("unknown %d in two blocks", pi)
 			}
 			seen[pi] = true
-			for c, pj := range ix {
+			for c, pj := range ix[:r+1] {
 				// The quadrature is not bit-symmetric in argument
 				// order and each unordered pair is integrated once,
 				// so allow the ~1e-8 argument-order asymmetry.
@@ -156,8 +231,8 @@ func TestDenseNearBlocksFollowConductors(t *testing.T) {
 						t.Fatalf("block %d straddles conductors %d and %d", k,
 							spec.Panels[ix[0]].Conductor, spec.Panels[i].Conductor)
 					}
-					for c, j := range ix {
-						if b.At(r, c) != m.At(int(i), int(j)) {
+					for c, j := range ix[:r+1] {
+						if b.Row(r)[c] != m.At(int(i), int(j)) {
 							t.Fatalf("block %d entry (%d,%d) is not the matrix's (%d,%d)", k, r, c, i, j)
 						}
 					}
@@ -177,7 +252,7 @@ func TestDenseNearBlocksFollowConductors(t *testing.T) {
 // operator had before its blocks followed the conductors.
 type indexRanges struct{ linalg.DenseOp }
 
-func (d indexRanges) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense) {
+func (d indexRanges) NearBlocks() (idx [][]int32, block func(k int) *linalg.Sym) {
 	n := d.M.Rows
 	for lo := 0; lo < n; lo += denseBlockMax {
 		ix := make([]int32, min(lo+denseBlockMax, n)-lo)
@@ -186,11 +261,11 @@ func (d indexRanges) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dens
 		}
 		idx = append(idx, ix)
 	}
-	return idx, func(k int) *linalg.Dense {
+	return idx, func(k int) *linalg.Sym {
 		lo, w := int(idx[k][0]), len(idx[k])
-		b := linalg.NewDense(w, w)
+		b := linalg.NewSym(w)
 		for r := range w {
-			copy(b.Row(r), d.M.Row(lo + r)[lo:lo+w])
+			copy(b.Row(r), d.M.Row(lo + r)[lo:lo+r+1])
 		}
 		return b
 	}

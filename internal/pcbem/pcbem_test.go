@@ -92,8 +92,12 @@ func TestDenseMatrixSPDAndSymmetric(t *testing.T) {
 	if e := P.SymmetryError(); e > 0 {
 		t.Errorf("symmetry error %g", e)
 	}
-	if _, err := linalg.NewCholesky(P); err != nil {
-		t.Errorf("panel Galerkin matrix not SPD: %v", err)
+	f, err := linalg.FactorSym(linalg.PackLower(P))
+	if err != nil {
+		t.Fatalf("panel Galerkin matrix not SPD: %v", err)
+	}
+	if in := f.Inertia(); in.Negative != 0 {
+		t.Errorf("panel Galerkin matrix not SPD: inertia %+v", in)
 	}
 }
 

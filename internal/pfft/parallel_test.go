@@ -89,36 +89,57 @@ func TestConcurrentAppliesMatchSerial(t *testing.T) {
 }
 
 // TestNearBlocksPartition verifies the precorrection clusters exposed to
-// the preconditioner: disjoint, covering every panel, with symmetric
-// positive-diagonal blocks.
+// the preconditioner: disjoint, covering every panel, with a positive
+// diagonal, each block the operator's stored entries, and those entries
+// symmetric. A packed block holds only its lower triangle, so the
+// symmetry is checked on the stored entries (i, j) and (j, i).
 func TestNearBlocksPartition(t *testing.T) {
 	panels := busPanels(t, 3, 3, 1e-6)
 	op := NewOperator(panels, Options{Workers: 1})
+	stored := func(i, j int32) float64 {
+		for k, c := range op.nearIdx[i] {
+			if c == j {
+				return op.nearExact[i][k]
+			}
+		}
+		return 0
+	}
 	idx, block := op.NearBlocks()
 	seen := make([]bool, len(panels))
+	offDiag := 0
 	for k, ix := range idx {
 		blk := block(k)
-		if blk.Rows != len(ix) || blk.Cols != len(ix) {
-			t.Fatalf("block %d shape %dx%d for %d unknowns", k, blk.Rows, blk.Cols, len(ix))
+		if blk.N != len(ix) {
+			t.Fatalf("block %d of order %d for %d unknowns", k, blk.N, len(ix))
 		}
 		for r, pi := range ix {
 			if seen[pi] {
 				t.Fatalf("panel %d in two clusters", pi)
 			}
 			seen[pi] = true
-			if blk.At(r, r) <= 0 {
+			diag := blk.At(r, r)
+			if diag <= 0 {
 				t.Fatalf("block %d diagonal %d not positive", k, r)
 			}
-			for c := range ix {
+			for c, pj := range ix {
+				a, bb := stored(pi, pj), stored(pj, pi)
+				if c <= r && blk.At(r, c) != a {
+					t.Fatalf("block %d entry (%d,%d) = %g, stored %g", k, r, c, blk.At(r, c), a)
+				}
 				// Rows are integrated independently and the quadrature
 				// is not bit-symmetric in argument order; bound the
 				// asymmetry at the quadrature level.
-				a, bb := blk.At(r, c), blk.At(c, r)
-				if d := a - bb; d > 1e-6*blk.At(r, r) || d < -1e-6*blk.At(r, r) {
+				if d := a - bb; d > 1e-6*diag || d < -1e-6*diag {
 					t.Fatalf("block %d asymmetric at (%d,%d): %g vs %g", k, r, c, a, bb)
+				}
+				if c != r && a != 0 {
+					offDiag++
 				}
 			}
 		}
+	}
+	if offDiag == 0 {
+		t.Fatal("no stored off-diagonal entry in any block: the symmetry check saw nothing")
 	}
 	for i, s := range seen {
 		if !s {

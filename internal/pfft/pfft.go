@@ -643,11 +643,12 @@ func (op *Operator) NearEntries() int {
 
 // NearBlocks implements the pipeline's near-block contract
 // (internal/op.NearBlocker): the exact-Galerkin diagonal blocks of the
-// precorrection spatial-hash clusters. Clusters partition the panels;
-// cluster pairs beyond the precorrection radius are not stored and stay
-// zero (the preconditioner falls back to the block diagonal if the
-// zero-filled block loses positive definiteness).
-func (op *Operator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense) {
+// precorrection spatial-hash clusters, as packed lower triangles.
+// Clusters partition the panels; cluster pairs beyond the precorrection
+// radius are not stored and stay zero (the preconditioner falls back to
+// the block diagonal if the zero-filled block loses positive
+// definiteness).
+func (op *Operator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Sym) {
 	pos := make([]int32, len(op.panels))
 	for _, cl := range op.clusters {
 		for k, pi := range cl {
@@ -655,16 +656,16 @@ func (op *Operator) NearBlocks() (idx [][]int32, block func(k int) *linalg.Dense
 		}
 		idx = append(idx, append([]int32(nil), cl...))
 	}
-	return idx, func(k int) *linalg.Dense {
+	return idx, func(k int) *linalg.Sym {
 		cl := idx[k]
-		b := linalg.NewDense(len(cl), len(cl))
+		b := linalg.NewSym(len(cl))
 		for r, pi := range cl {
 			row := b.Row(r)
 			cols := op.nearIdx[pi]
 			vals := op.nearExact[pi]
 			for k, pj := range cols {
-				if op.cluster[pj] == op.cluster[pi] {
-					row[pos[pj]] = vals[k]
+				if c := int(pos[pj]); op.cluster[pj] == op.cluster[pi] && c <= r {
+					row[c] = vals[k]
 				}
 			}
 		}

@@ -1,6 +1,6 @@
 // Artifact persistence: the plan's expensive stage artifacts — the
 // near-field values (dense matrix, FMM CSR values, pFFT precorrection
-// rows) and the preconditioner's block Cholesky factors — survive
+// rows) and the preconditioner's block LDLᵀ factors — survive
 // process restarts and travel between replicas through an ArtifactStore
 // (internal/artifact on disk, fronted by a peer-fetching resolver in
 // internal/serve).
@@ -20,10 +20,11 @@
 // Artifacts can never change results, only construction time: a decoded
 // payload is adopted only when its shape matches the layout the build
 // just produced (length checks in fmm, per-row checks in pfft, dim
-// checks here) and, for the dense and fmm near fields, its values could
-// have come from an assembly (finite; a dense matrix mirrored bitwise with
-// a positive diagonal), and any mismatch or corruption degrades to a fresh
-// integration.
+// checks here) and, for the dense and fmm near fields and the block
+// factors, its values could have come from this program (finite; a dense
+// matrix mirrored bitwise with a positive diagonal; a factor of a positive
+// definite block, linalg.NewLDLT), and any mismatch or corruption degrades
+// to a fresh integration or factorization.
 package plan
 
 import (
@@ -57,7 +58,7 @@ type ArtifactStore interface {
 // stage.
 const (
 	nearSuffix = "-near" // near-field values (backend-tagged payload)
-	factSuffix = "-fact" // block-Jacobi Cholesky factors
+	factSuffix = "-fact" // block-Jacobi LDLᵀ factors
 )
 
 // Payload tags (first byte) keep a near-field blob from being decoded
@@ -90,8 +91,10 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 // the pair's symmetry class; "pba3" hashed the kernel configuration field
 // by field and an operator's own permittivity, where "pba4" hashes
 // kernel.Config.Fingerprint and the plan's one permittivity: the same
-// values under new key bytes, which a "pba3" entry must not alias.)
-var artifactSchema = []byte("pba4")
+// values under new key bytes, which a "pba3" entry must not alias; "pba4"
+// block factors were Cholesky factors stored as full n x n matrices, where
+// "pba5" stores each block's packed LDLᵀ triangle and its pivots.)
+var artifactSchema = []byte("pba5")
 
 // artifactHash computes the family content hash under the given schema
 // header, fp being the kernel configuration's fingerprint
@@ -288,10 +291,10 @@ func decodePFFTNearArtifact(data []byte, n int) *pfft.NearArtifact {
 }
 
 // encodeFactorArtifact serializes the Factorization stage: each
-// factorized near block's Cholesky L keyed by its exact unknown
-// sequence (blockKey bytes). Keys are sorted so identical factor maps
-// serialize to identical bytes.
-func encodeFactorArtifact(m map[string]*linalg.Cholesky) []byte {
+// factorized near block's packed LDLᵀ triangle and pivots (linalg.LDLT's
+// Packed), keyed by its exact unknown sequence (blockKey bytes). Keys are
+// sorted so identical factor maps serialize to identical bytes.
+func encodeFactorArtifact(m map[string]*linalg.LDLT) []byte {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -300,16 +303,24 @@ func encodeFactorArtifact(m map[string]*linalg.Cholesky) []byte {
 	b := []byte{artTagFact}
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(keys)))
 	for _, k := range keys {
-		l := m[k].L
+		a, piv := m[k].Packed()
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(k)))
 		b = append(b, k...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(l.Rows))
-		b = appendFloats(b, l.Data)
+		b = binary.LittleEndian.AppendUint32(b, uint32(a.N))
+		b = appendFloats(b, a.Data)
+		for _, p := range piv {
+			b = binary.LittleEndian.AppendUint32(b, uint32(int32(p)))
+		}
 	}
 	return b
 }
 
-func decodeFactorArtifact(data []byte) map[string]*linalg.Cholesky {
+// decodeFactorArtifact rejects a payload whose block order disagrees with
+// its key, whose length is wrong, or holding a factor that no positive
+// definite block produces — a non-finite entry, a pivot outside [k, n), a
+// 2x2 block (a negative pivot marker), a D_kk <= 0: linalg.NewLDLT's
+// checks. A block-Jacobi factor is positive definite by construction.
+func decodeFactorArtifact(data []byte) map[string]*linalg.LDLT {
 	if len(data) < 9 || data[0] != artTagFact {
 		return nil
 	}
@@ -318,7 +329,7 @@ func decodeFactorArtifact(data []byte) map[string]*linalg.Cholesky {
 	if count > uint64(len(data)) { // each entry takes well over one byte
 		return nil
 	}
-	m := make(map[string]*linalg.Cholesky, count)
+	m := make(map[string]*linalg.LDLT, count)
 	for e := uint64(0); e < count; e++ {
 		if len(data) < 4 {
 			return nil
@@ -332,17 +343,25 @@ func decodeFactorArtifact(data []byte) map[string]*linalg.Cholesky {
 		data = data[kl:]
 		nu := binary.LittleEndian.Uint32(data)
 		data = data[4:]
+		// A block's key holds one uint32 per unknown — orders must agree.
+		if uint64(nu)*4 != uint64(kl) {
+			return nil
+		}
 		n := int(nu)
-		// A block's key holds one uint32 per unknown — dims must agree.
-		if n < 0 || uint32(n*4) != kl {
+		vals, rest, ok := readFloats(data, linalg.PackedLen(n))
+		if !ok || uint64(len(rest)) < uint64(n)*4 {
 			return nil
 		}
-		vals, rest, ok := readFloats(data, n*n)
-		if !ok {
+		piv := make([]int, n)
+		for k := range piv {
+			piv[k] = int(int32(binary.LittleEndian.Uint32(rest[4*k:])))
+		}
+		data = rest[4*n:]
+		f, err := linalg.NewLDLT(&linalg.Sym{N: n, Data: vals}, piv)
+		if err != nil {
 			return nil
 		}
-		data = rest
-		m[key] = &linalg.Cholesky{L: &linalg.Dense{Rows: n, Cols: n, Data: vals}}
+		m[key] = f
 	}
 	if len(data) != 0 {
 		return nil
@@ -354,23 +373,23 @@ func decodeFactorArtifact(data []byte) map[string]*linalg.Cholesky {
 // No rigid-motion class check is needed: the store key pins the exact
 // geometry, so a block covering the same unknown sequence has bitwise
 // the same matrix.
-func artifactFactors(m map[string]*linalg.Cholesky) func(idx []int32) *linalg.Cholesky {
+func artifactFactors(m map[string]*linalg.LDLT) func(idx []int32) *linalg.LDLT {
 	var buf []byte
-	return func(ix []int32) *linalg.Cholesky {
+	return func(ix []int32) *linalg.LDLT {
 		return m[string(blockKey(&buf, ix))]
 	}
 }
 
 // chainFactors tries lookups in order (in-memory previous variant
 // first, then the decoded artifact).
-func chainFactors(a, b func(idx []int32) *linalg.Cholesky) func(idx []int32) *linalg.Cholesky {
+func chainFactors(a, b func(idx []int32) *linalg.LDLT) func(idx []int32) *linalg.LDLT {
 	if a == nil {
 		return b
 	}
 	if b == nil {
 		return a
 	}
-	return func(ix []int32) *linalg.Cholesky {
+	return func(ix []int32) *linalg.LDLT {
 		if c := a(ix); c != nil {
 			return c
 		}

@@ -254,7 +254,8 @@ func TestPlanArtifactLengthMismatchDegrades(t *testing.T) {
 // and its standard-provider tag); the "pba2" ones, whose near-field values
 // were integrated at each pair's absolute coordinates where this build
 // stores symmetry-class values; the "pba3" ones, which encoded the kernel
-// configuration field by field; and one of today's schema whose kernel
+// configuration field by field; the "pba4" ones, whose block factors were
+// full Cholesky matrices; and one of today's schema whose kernel
 // arithmetic was the version before this one. The plan must
 // miss the entry, integrate afresh and store under its own key; the stale
 // entry is never read.
@@ -273,6 +274,7 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 		{"pba1", []byte{'p', 'b', 'a', '1', 0}, fp},
 		{"pba2", []byte{'p', 'b', 'a', '2', kernel.ArithVersion}, fp},
 		{"pba3", []byte{'p', 'b', 'a', '3', kernel.ArithVersion}, fp},
+		{"pba4", []byte("pba4"), fp},
 		{"arithmetic before", artifactSchema, kernel.DefaultConfig().Fingerprint(kernel.ArithVersion - 1)},
 	} {
 		p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: newMemStore()})
@@ -433,6 +435,77 @@ func FuzzDecodeDenseArtifact(f *testing.F) {
 		}
 		if !bytes.Equal(encodeDenseArtifact(d), data) {
 			t.Fatal("the adopted matrix does not encode back to its payload")
+		}
+	})
+}
+
+// FuzzDecodeFactorArtifact: whatever the bytes, the decoder does not
+// panic, and every factor it returns is one a positive definite block
+// produces — order one per key unknown, finite entries, 1x1 pivots
+// interchanging forward, a positive D — whose solve stays in range, and
+// the map survives an encode and decode bit for bit.
+func FuzzDecodeFactorArtifact(f *testing.F) {
+	factors := func(blocks ...*linalg.Dense) []byte {
+		m := map[string]*linalg.LDLT{}
+		var buf []byte
+		for k, b := range blocks {
+			fa, err := linalg.FactorSym(linalg.PackLower(b))
+			if err != nil {
+				f.Fatal(err)
+			}
+			ix := make([]int32, b.Rows)
+			for i := range ix {
+				ix[i] = int32(10*k + i)
+			}
+			m[string(blockKey(&buf, ix))] = fa
+		}
+		return encodeFactorArtifact(m)
+	}
+	good := factors(linalg.NewDenseFrom(2, 2, []float64{1e-3, 1, 1, 1e4}), linalg.NewDenseFrom(1, 1, []float64{3}))
+	twoByTwo := factors(linalg.NewDenseFrom(2, 2, []float64{1, 2, 2, 1}))
+	negative := factors(linalg.NewDenseFrom(1, 1, []float64{-2}))
+	if len(decodeFactorArtifact(good)) != 2 || decodeFactorArtifact(twoByTwo) != nil || decodeFactorArtifact(negative) != nil {
+		f.Fatal("a positive definite block's factors must be adopted, an indefinite one's refused")
+	}
+	for _, seed := range [][]byte{good, twoByTwo, negative, factors(), {artTagFact}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := decodeFactorArtifact(data)
+		if m == nil {
+			return
+		}
+		back := decodeFactorArtifact(encodeFactorArtifact(m))
+		if len(back) != len(m) {
+			t.Fatalf("%d factors re-decode to %d", len(m), len(back))
+		}
+		for key, fa := range m {
+			a, piv := fa.Packed()
+			n := a.N
+			if len(key) != 4*n || len(a.Data) != linalg.PackedLen(n) || len(piv) != n {
+				t.Fatalf("order %d under a %d-byte key, %d entries, %d pivots", n, len(key), len(a.Data), len(piv))
+			}
+			for k, p := range piv {
+				if p < k || p >= n || !(a.Row(k)[k] > 0) || math.IsInf(a.Row(k)[k], 1) {
+					t.Fatalf("step %d: pivot %d, D = %v", k, p, a.Row(k)[k])
+				}
+			}
+			if !finite(a.Data) {
+				t.Fatal("a non-finite entry adopted")
+			}
+			x := make([]float64, n)
+			fa.SolveVec(x)
+			b, bpiv := back[key].Packed()
+			for i, v := range a.Data {
+				if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+					t.Fatalf("entry %d: %v re-decodes to %v", i, v, b.Data[i])
+				}
+			}
+			for k := range piv {
+				if piv[k] != bpiv[k] {
+					t.Fatalf("pivot %d: %d re-decodes to %d", k, piv[k], bpiv[k])
+				}
+			}
 		}
 	})
 }

@@ -14,7 +14,7 @@
 //	NearField       exact-Galerkin near entries   <- pairwise relative
 //	                (fmm CSR, pfft precorrection,    panel geometry,
 //	                dense matrix)                    kernel cfg, eps
-//	Factorization   block-Jacobi Cholesky factors <- near-field blocks
+//	Factorization   block-Jacobi LDLᵀ factors     <- near-field blocks
 //	Solve           Krylov/direct solve + C       <- all above, tol
 //
 // # Invalidation keys and reuse rules
@@ -31,7 +31,7 @@
 //     bit-identical relative geometry: on the dense backend their entry
 //     is kept where it is, in the previous variant's matrix, which the
 //     variant rewrites in place, and near blocks whose panels share one
-//     class keep their Cholesky factors on every backend (their entries
+//     class keep their LDLᵀ factors on every backend (their entries
 //     are not even copied out). The Discretization and Topology stages
 //     are rebuilt — both are O(N log N) with no kernel integration, noise
 //     next to the integral-bearing stages they feed — and so are the fmm
@@ -264,8 +264,8 @@ type variant struct {
 	pfftOp *pfft.Operator
 	dense  *linalg.Dense
 	// factors maps a near block's exact unknown sequence to its
-	// Cholesky factor (Factorization stage artifact).
-	factors map[string]*linalg.Cholesky
+	// factor (Factorization stage artifact).
+	factors map[string]*linalg.LDLT
 	res     *Result
 }
 
@@ -539,7 +539,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		return nil, errors.New("plan: unknown backend")
 	}
 
-	// Factorization: adopt unchanged blocks' Cholesky factors — from the
+	// Factorization: adopt unchanged blocks' factors — from the
 	// previous in-memory variant when rigid-motion classes align, else
 	// from the persistent store (same family hash, so block matrices are
 	// bitwise identical).
@@ -684,15 +684,15 @@ func motionClasses(cur *variant, st *geom.Structure, prov []geom.BoxRef) []int32
 
 // factorMap keys a preconditioner's factorized blocks by their exact
 // unknown sequence.
-func factorMap(bj *op.BlockJacobi) map[string]*linalg.Cholesky {
-	idx, chol := bj.Factors()
-	m := make(map[string]*linalg.Cholesky, len(idx))
+func factorMap(bj *op.BlockJacobi) map[string]*linalg.LDLT {
+	idx, f := bj.Factors()
+	m := make(map[string]*linalg.LDLT, len(idx))
 	var buf []byte
 	for k := range idx {
-		if chol[k] == nil {
+		if f[k] == nil {
 			continue
 		}
-		m[string(blockKey(&buf, idx[k]))] = chol[k]
+		m[string(blockKey(&buf, idx[k]))] = f[k]
 	}
 	return m
 }
@@ -712,13 +712,13 @@ func blockKey(buf *[]byte, ix []int32) []byte {
 // sequence and every unknown kept its rigid-motion class (so the block
 // matrix is bitwise the previous one). Factor reuse can never
 // change results — the preconditioner only steers iteration counts.
-func factorLookup(cur *variant, class []int32) func(idx []int32) *linalg.Cholesky {
+func factorLookup(cur *variant, class []int32) func(idx []int32) *linalg.LDLT {
 	if cur == nil || cur.factors == nil || class == nil {
 		return nil
 	}
 	factors := cur.factors
 	var buf []byte
-	return func(ix []int32) *linalg.Cholesky {
+	return func(ix []int32) *linalg.LDLT {
 		if len(ix) == 0 {
 			return nil
 		}

@@ -3,7 +3,6 @@ package ratfit
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Grid is a piecewise-rational approximation: the domain box is divided
@@ -92,28 +91,4 @@ func (g *Grid) Bytes() int {
 		n += 8 * (len(f.NumCoef) + len(f.DenCoef))
 	}
 	return n
-}
-
-// CheckDomain reports the max relative error of the grid against f on a
-// lattice of nProbe points (diagnostics).
-func (g *Grid) CheckDomain(f func(w []float64) float64, nProbe int) float64 {
-	w := make([]float64, g.dim)
-	u := make([]float64, g.dim)
-	var maxRel float64
-	for p := 0; p < nProbe; p++ {
-		WeylPoint(u, p)
-		for i := 0; i < g.dim; i++ {
-			w[i] = g.lo[i] + u[i]*(g.hi[i]-g.lo[i])
-		}
-		want := f(w)
-		got := g.Eval(w...)
-		den := math.Abs(want)
-		if den < 1e-12 {
-			den = 1e-12
-		}
-		if rel := math.Abs(got-want) / den; rel > maxRel {
-			maxRel = rel
-		}
-	}
-	return maxRel
 }

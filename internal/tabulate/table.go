@@ -72,9 +72,6 @@ func Build(dims []Dim, f func(x []float64) float64) *Table {
 // Bytes returns the memory footprint of the table payload.
 func (t *Table) Bytes() int { return 8 * len(t.data) }
 
-// NumDims returns the table's parameter count.
-func (t *Table) NumDims() int { return len(t.dims) }
-
 // Eval interpolates the table multilinearly at x. Coordinates are clamped
 // to the tabulated ranges (callers are responsible for staying within the
 // approximation-distance-limited domain, as the paper prescribes).
