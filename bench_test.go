@@ -1,17 +1,15 @@
 package parbem
 
 // Benchmark harness: one bench (or bench family) per paper table/figure,
-// plus ablations of the design choices called out in DESIGN.md. The cmd/
-// tools regenerate the tables at paper scale; these benches use reduced
-// sizes so `go test -bench=.` completes in minutes. See EXPERIMENTS.md for
-// the measured-vs-paper comparison.
+// plus ablations of the design choices. The cmd/ tools regenerate the
+// tables at paper scale; these benches use reduced sizes so
+// `go test -bench=.` completes in minutes.
 
 import (
 	"context"
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"parbem/internal/assembly"
 	"parbem/internal/basis"
@@ -20,7 +18,6 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
-	"parbem/internal/mpi"
 	"parbem/internal/op"
 	"parbem/internal/pcbem"
 	"parbem/internal/pfft"
@@ -233,13 +230,13 @@ func BenchmarkFig2_CrossingProfileExtraction(b *testing.B) {
 	}
 }
 
-// ---- Ablations (design choices from DESIGN.md) ----
+// ---- Ablations (design choices) ----
 
 // BenchmarkAblationApproxDistance quantifies the approximation-distance
 // dimension reduction (paper Section 4.1).
 func BenchmarkAblationApproxDistance_On(b *testing.B) {
 	st := NewBus(4, 4).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -249,7 +246,7 @@ func BenchmarkAblationApproxDistance_On(b *testing.B) {
 
 func BenchmarkAblationApproxDistance_Off(b *testing.B) {
 	st := NewBus(4, 4).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	in.Cfg.DisableApprox = true
 	b.ResetTimer()
@@ -263,7 +260,7 @@ func BenchmarkAblationApproxDistance_Off(b *testing.B) {
 // optimization of paper Section 3).
 func BenchmarkAblationMaterializePt_Direct(b *testing.B) {
 	st := NewBus(4, 4).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -273,7 +270,7 @@ func BenchmarkAblationMaterializePt_Direct(b *testing.B) {
 
 func BenchmarkAblationMaterializePt_Materialized(b *testing.B) {
 	st := NewBus(4, 4).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	m := set.M()
 	b.ResetTimer()
@@ -299,7 +296,7 @@ func BenchmarkAblationMaterializePt_Materialized(b *testing.B) {
 // against GMRES on the (small, dense) instantiable system.
 func BenchmarkAblationLDLT_Direct(b *testing.B) {
 	st := NewBus(6, 6).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	P := assembly.FillSerial(set, in)
 	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), P.Data)
@@ -319,7 +316,7 @@ func BenchmarkAblationLDLT_Direct(b *testing.B) {
 
 func BenchmarkAblationLDLT_GMRES(b *testing.B) {
 	st := NewBus(6, 6).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	P := assembly.FillSerial(set, in).Dense()
 	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), P.Data)
@@ -337,24 +334,12 @@ func BenchmarkAblationLDLT_GMRES(b *testing.B) {
 	}
 }
 
-// ---- Distributed-memory overhead: ideal vs slow interconnect ----
+// ---- Distributed-memory overhead: a simulated network of four ranks ----
 
 func BenchmarkMPI_IdealNetwork(b *testing.B) {
 	st := NewBus(4, 4).Build()
 	for i := 0; i < b.N; i++ {
-		net := mpi.NewNetwork(4)
-		if _, err := Extract(st, Options{Backend: Distributed, Network: net}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMPI_SlowNetwork(b *testing.B) {
-	st := NewBus(4, 4).Build()
-	for i := 0; i < b.N; i++ {
-		net := mpi.NewNetwork(4)
-		net.Latency = 200 * time.Microsecond
-		if _, err := Extract(st, Options{Backend: Distributed, Network: net}); err != nil {
+		if _, err := Extract(st, Options{Backend: Distributed, Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,7 +349,7 @@ func BenchmarkMPI_SlowNetwork(b *testing.B) {
 func BenchmarkBasisGeneration24x24(b *testing.B) {
 	st := geom.DefaultBus(24, 24).Build()
 	for i := 0; i < b.N; i++ {
-		set := basis.Build(st, basis.DefaultBuilderOptions())
+		set := basis.Build(st, basis.BuilderOptions{})
 		if err := set.Validate(); err != nil {
 			b.Fatal(err)
 		}

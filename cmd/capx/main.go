@@ -272,47 +272,23 @@ func isPipelineBackend(name string) bool {
 	return false
 }
 
-// pipelineOptions maps the -backend/-precond/-precision/-tol/-workers
-// flags to pipeline options (shared by the single-shot and sweep modes).
+// pipelineOptions maps the -backend/-precond/-precision/-tol flags to
+// pipeline options as the service maps its request's selectors
+// (serve.PipelineOptions), and hands -workers to whichever accelerated
+// operator may run (shared by the single-shot and sweep modes).
 func pipelineOptions(kind, precond, precision string, tol float64, workers int) parbem.PipelineOptions {
-	prec, err := parbem.ParsePrecision(precision)
+	opt, err := serve.PipelineOptions(kind, precond, precision, tol)
 	if err != nil {
-		log.Fatalf("unknown precision %q (want auto, fp64 or mixed)", precision)
+		log.Fatal(err)
 	}
-	opt := parbem.PipelineOptions{Tol: tol, Precision: prec}
-	switch kind {
-	case "auto":
-		opt.Backend = parbem.BackendAuto
-		// Whichever accelerated operator the cost model picks must see
-		// the worker count.
+	switch opt.Backend {
+	case parbem.BackendAuto:
 		opt.FMM = &parbem.FastCapOptions{Workers: workers}
 		opt.PFFT = &parbem.PFFTOptions{Workers: workers}
-	case "fastcap", "fmm":
-		opt.Backend = parbem.BackendFMM
+	case parbem.BackendFMM:
 		opt.FMM = &parbem.FastCapOptions{Workers: workers}
-	case "pfft":
-		opt.Backend = parbem.BackendPFFT
+	case parbem.BackendPFFT:
 		opt.PFFT = &parbem.PFFTOptions{Workers: workers}
-	case "dense":
-		opt.Backend = parbem.BackendDense
-		// An explicit -precond request means the user wants the
-		// preconditioned iterative path; the default is the direct
-		// factorization.
-		opt.Direct = precond == "" || precond == "auto"
-	default:
-		log.Fatalf("unknown pipeline backend %q (want auto, dense, fastcap or pfft)", kind)
-	}
-	switch precond {
-	case "", "auto":
-		opt.Precond = parbem.PrecondAuto
-	case "none":
-		opt.Precond = parbem.PrecondNone
-	case "jacobi":
-		opt.Precond = parbem.PrecondJacobi
-	case "block":
-		opt.Precond = parbem.PrecondBlockJacobi
-	default:
-		log.Fatalf("unknown preconditioner %q (want auto, none, jacobi or block)", precond)
 	}
 	return opt
 }

@@ -137,23 +137,6 @@ func TestScaleInvarianceOfCapacitance(t *testing.T) {
 	}
 }
 
-func TestDielectricScaling(t *testing.T) {
-	// C is proportional to the permittivity.
-	st := NewCrossingPair().Build()
-	vac, err := Extract(st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ox, err := Extract(st, Options{Eps: 3.9 * Eps0}) // SiO2
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := ox.C.At(0, 1) / vac.C.At(0, 1)
-	if math.Abs(ratio-3.9) > 1e-9 {
-		t.Errorf("permittivity ratio = %.6f, want 3.9", ratio)
-	}
-}
-
 func TestMergedVsSeparateBasisAccuracy(t *testing.T) {
 	// The ablation behind BuilderOptions.SeparateInduced: both modes must
 	// deliver engineering accuracy on the crossing pair; separate mode
@@ -167,10 +150,7 @@ func TestMergedVsSeparateBasisAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sopt := Options{}
-	sopt.Basis = DefaultBuilderOptionsPub()
-	sopt.Basis.SeparateInduced = true
-	sep, err := Extract(st, sopt)
+	sep, err := Extract(st, Options{Basis: BuilderOptions{SeparateInduced: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

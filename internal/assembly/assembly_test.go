@@ -226,7 +226,7 @@ func TestAmplitudeBilinearity(t *testing.T) {
 func buildSmallSet(t *testing.T) *basis.Set {
 	t.Helper()
 	st := geom.DefaultCrossingPair().Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // every backend, partition and worker count fills the same bits of P's
 // packed lower triangle.
 func TestFillBitwiseAcrossBackends(t *testing.T) {
-	set := basis.Build(geom.DefaultBus(4, 4).Build(), basis.DefaultBuilderOptions())
+	set := basis.Build(geom.DefaultBus(4, 4).Build(), basis.BuilderOptions{})
 	want := assembly.FillSerial(set, assembly.NewIntegrator())
 	check := func(name string, got []float64) {
 		t.Helper()
@@ -58,7 +58,7 @@ func TestFillBitwiseAcrossBackends(t *testing.T) {
 // pair, nothing else. Hit ratio and time per pair are logged for the
 // reader.
 func TestIrregularGeometryBookkeeping(t *testing.T) {
-	set := basis.Build(geom.DefaultInterconnect().Build(), basis.DefaultBuilderOptions())
+	set := basis.Build(geom.DefaultInterconnect().Build(), basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	in.Pairs = assembly.NewPairCache(0)
 	t0 := time.Now()

@@ -158,7 +158,7 @@ func gap2(alo, ahi, blo, bhi float64) float64 {
 
 // FillUpper writes the interned panels' scaled Galerkin matrix into m, both
 // triangles from the upper: entries (i, j) and (j, i), i <= j, are
-// kernel.Scale(PairInto(i, j), eps) to the bit, panel i the target. The
+// kernel.Scale(PairInto(i, j)) to the bit, panel i the target. The
 // exception are the entries whose two panels share a non-negative class in
 // class (nil: none do): m is then the matrix of the same panels before they
 // moved, and those entries, in both triangles, are kept as m holds them.
@@ -166,7 +166,7 @@ func gap2(alo, ahi, blo, bhi float64) float64 {
 // of the panel groups run as tasks on ex, each with scratch from the class
 // table's free list (see "Blocks"). It returns the number of upper entries
 // kept and the pair work of the rest. f must hold panels.
-func (f *Interned) FillUpper(ex sched.Executor, m *linalg.Dense, class []int32, eps float64) (int64, FillStats) {
+func (f *Interned) FillUpper(ex sched.Executor, m *linalg.Dense, class []int32) (int64, FillStats) {
 	starts := f.tasks()
 	var gcls []int32 // per group: the class all its panels share, else -1
 	if class != nil {
@@ -192,7 +192,7 @@ func (f *Interned) FillUpper(ex sched.Executor, m *linalg.Dense, class []int32, 
 			if gcls != nil && gcls[p.a] >= 0 && gcls[p.a] == gcls[p.b] {
 				nr += pairs
 			} else {
-				nr += f.fillPiece(w, p, m, class, eps, &c)
+				nr += f.fillPiece(w, p, m, class, &c)
 			}
 			pos = f.after(p)
 		}
@@ -505,7 +505,7 @@ func (f *Interned) classBlocks() *classBlocks {
 
 // fillPiece fills piece p (see FillUpper) with w's tables, each entry and
 // its mirror, counting into c, and returns the number of entries kept.
-func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m *linalg.Dense, class []int32, eps float64, c *FillStats) (nr int64) {
+func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m *linalg.Dense, class []int32, c *FillStats) (nr int64) {
 	B := &f.groups[p.b]
 	mode := w.prepare(f, &f.groups[p.a], B)
 	for i := int(p.rlo); i < int(p.rhi); i++ {
@@ -537,10 +537,10 @@ func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m *linalg.Dense, cla
 			b, rb := &f.tpl[j], &f.rank[j]
 			switch {
 			case mode == blockDirect:
-				v = kernel.Scale(f.PairInto(i, j, c), eps)
+				v = kernel.Scale(f.PairInto(i, j, c))
 			case mode == blockFar || mode == blockMixed && f.beyond((g0[rb[0]]+g1[rb[1]])+g2[rb[2]], a, b):
 				c.PairsFar++
-				v = kernel.Scale(farValue(a, b), eps)
+				v = kernel.Scale(farValue(a, b))
 			default:
 				cell := int(k0[rb[0]]) + int(k1[rb[1]]) + int(k2[rb[2]])
 				if w.stamp[cell] == w.epoch {
@@ -548,7 +548,7 @@ func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m *linalg.Dense, cla
 					c.PairMemo++
 					v = w.memo[cell]
 				} else {
-					v = kernel.Scale(f.PairInto(i, j, c), eps)
+					v = kernel.Scale(f.PairInto(i, j, c))
 					w.memo[cell], w.stamp[cell] = v, w.epoch
 				}
 			}

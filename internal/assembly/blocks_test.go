@@ -37,13 +37,13 @@ func TestFillUpperSplitsLargeBlocks(t *testing.T) {
 	var wantFill FillStats
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			want[i*n+j] = kernel.Scale(f.PairInto(i, j, &wantFill), kernel.Eps0)
+			want[i*n+j] = kernel.Scale(f.PairInto(i, j, &wantFill))
 		}
 	}
 	var first FillStats
 	for _, workers := range []int{1, 2, 3} {
 		m := linalg.NewDense(n, n)
-		_, fill := InternPanels(cfg, nil, panels).FillUpper(sched.Local(workers), m, nil, kernel.Eps0)
+		_, fill := InternPanels(cfg, nil, panels).FillUpper(sched.Local(workers), m, nil)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				if math.Float64bits(m.At(i, j)) != math.Float64bits(want[i*n+j]) {
@@ -87,11 +87,11 @@ func TestFillUpperInPlaceTwoTriangleWrites(t *testing.T) {
 		}
 	}
 	want := linalg.NewDense(n, n)
-	_, cold := InternPanels(cfg, nil, after).FillUpper(sched.Local(1), want, nil, kernel.Eps0)
+	_, cold := InternPanels(cfg, nil, after).FillUpper(sched.Local(1), want, nil)
 	for _, workers := range []int{1, 2, 4} {
 		m := linalg.NewDense(n, n)
-		InternPanels(cfg, nil, before).FillUpper(sched.Local(workers), m, nil, kernel.Eps0)
-		nr, fill := InternPanels(cfg, nil, after).FillUpper(sched.Local(workers), m, class, kernel.Eps0)
+		InternPanels(cfg, nil, before).FillUpper(sched.Local(workers), m, nil)
+		nr, fill := InternPanels(cfg, nil, after).FillUpper(sched.Local(workers), m, class)
 		for k, v := range m.Data {
 			if math.Float64bits(v) != math.Float64bits(want.Data[k]) {
 				t.Fatalf("%d workers: P[%d][%d] = %v, a fresh fill's %v", workers, k/n, k%n, v, want.Data[k])
@@ -156,10 +156,10 @@ func TestBlockGateModes(t *testing.T) {
 					mode := w.prepare(f, A, &f.groups[b])
 					modes[mode]++
 					var got, want FillStats
-					f.fillPiece(&w, blockPiece{int32(a), int32(b), A.lo, A.hi}, m, nil, kernel.Eps0, &got)
+					f.fillPiece(&w, blockPiece{int32(a), int32(b), A.lo, A.hi}, m, nil, &got)
 					for i := A.lo; i < A.hi; i++ {
 						for j := max(i, f.groups[b].lo); j < f.groups[b].hi; j++ {
-							v := kernel.Scale(ref.PairInto(int(i), int(j), &want), kernel.Eps0)
+							v := kernel.Scale(ref.PairInto(int(i), int(j), &want))
 							if math.Float64bits(m.At(int(i), int(j))) != math.Float64bits(v) {
 								t.Fatalf("block (%d, %d), mode %d: P[%d][%d] = %v, pair by pair %v", a, b, mode, i, j, m.At(int(i), int(j)), v)
 							}
@@ -196,8 +196,8 @@ func TestFillUpperScratchReused(t *testing.T) {
 	} {
 		f := InternPanels(cfg, NewPairCache(0), panels)
 		m := linalg.NewDense(len(panels), len(panels))
-		f.FillUpper(sched.Local(1), m, nil, kernel.Eps0)
-		allocs := testing.AllocsPerRun(5, func() { f.FillUpper(sched.Local(1), m, nil, kernel.Eps0) })
+		f.FillUpper(sched.Local(1), m, nil)
+		allocs := testing.AllocsPerRun(5, func() { f.FillUpper(sched.Local(1), m, nil) })
 		t.Logf("%d panels in %d groups: %v objects a fill", len(panels), len(f.groups), allocs)
 		if allocs > 5 {
 			t.Errorf("%d panels: %v objects a fill, want the task list and the closure's few", len(panels), allocs)
@@ -211,7 +211,7 @@ func TestFillUpperScratchReused(t *testing.T) {
 // builder's scratch (a cold table adds the scratch and its two buffers).
 func TestClassBlocksSlabs(t *testing.T) {
 	for _, n := range []int{3, 8, 16, 24} {
-		f := NewIntegrator().Intern(basis.Build(geom.DefaultBus(n, n).Build(), basis.DefaultBuilderOptions()))
+		f := NewIntegrator().Intern(basis.Build(geom.DefaultBus(n, n).Build(), basis.BuilderOptions{}))
 		b := f.classBlocks()
 		allocs := testing.AllocsPerRun(5, func() { f.classBlocks() })
 		t.Logf("%dx%d bus: %d templates in %d groups, %d cells (%d KB of memo), %v objects", n, n, len(f.tpl), len(f.groups), len(b.memo), len(b.memo)*8>>10, allocs)

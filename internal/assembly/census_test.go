@@ -68,7 +68,7 @@ func censusAspect(r geom.Rect) string {
 // Σ|amp_i amp_j| over its pairs: a route's share is its part of
 // Σ weight·|v12 − v4| over all classes, what the order leaves in P.
 func takeCensus(m int) census {
-	set := basis.Build(geom.DefaultBus(m, m).Build(), basis.DefaultBuilderOptions())
+	set := basis.Build(geom.DefaultBus(m, m).Build(), basis.BuilderOptions{})
 	in := NewIntegrator()
 	hi := &Integrator{Cfg: &kernel.Config{QuadOrder: 12}}
 	f := in.Intern(set)

@@ -14,7 +14,7 @@ import (
 
 func busSet() *basis.Set {
 	st := geom.DefaultBus(3, 3).Build()
-	return basis.Build(st, basis.DefaultBuilderOptions())
+	return basis.Build(st, basis.BuilderOptions{})
 }
 
 // pairSet wraps two templates as a two-function basis set.
@@ -210,7 +210,7 @@ func TestPairCacheTranslatedStructuresShareClasses(t *testing.T) {
 				c.Boxes[bi].Max.X += off
 			}
 		}
-		return basis.Build(st, basis.DefaultBuilderOptions())
+		return basis.Build(st, basis.BuilderOptions{})
 	}
 	in := NewIntegrator()
 	in.Pairs = NewPairCache(0)
@@ -336,8 +336,8 @@ func TestLiteralKernelConfig(t *testing.T) {
 	panels := geom.DefaultCrossingPair().Build().Panelize(1e-6)
 	n := len(panels)
 	got, want := linalg.NewDense(n, n), linalg.NewDense(n, n)
-	InternPanels(lit, nil, panels).FillUpper(sched.Local(1), got, nil, kernel.Eps0)
-	InternPanels(def, nil, panels).FillUpper(sched.Local(1), want, nil, kernel.Eps0)
+	InternPanels(lit, nil, panels).FillUpper(sched.Local(1), got, nil)
+	InternPanels(def, nil, panels).FillUpper(sched.Local(1), want, nil)
 	same("panel fill", got, want)
 }
 

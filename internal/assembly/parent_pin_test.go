@@ -31,7 +31,7 @@ func TestFillPinnedParent(t *testing.T) {
 		{"bus4x4", "585375b13e34f83a4c4b91401db7cb6db4a3ebf20a68672b4c20fe271e21c37f", geom.DefaultBus(4, 4).Build()},
 		{"interconnect", "61645ddb03cff5819b49cc1c8147884e6e7b5215438f8db7c93dca449349f28d", geom.DefaultInterconnect().Build()},
 	} {
-		set := basis.Build(c.st, basis.DefaultBuilderOptions())
+		set := basis.Build(c.st, basis.BuilderOptions{})
 		P := assembly.FillSerial(set, assembly.NewIntegrator()).Dense()
 		h := sha256.New()
 		var b [8]byte

@@ -242,8 +242,8 @@ func TestSymmetryImagesShareOneClass(t *testing.T) {
 func TestSymmetryTiesIgnoreTableHistory(t *testing.T) {
 	st := geom.DefaultBus(3, 3).Build()
 	turned := isometry{to: [3]geom.Axis{geom.Y, geom.X, geom.Z}, neg: [3]bool{true, false, true}}.structure(st)
-	setA := basis.Build(st, basis.DefaultBuilderOptions())
-	setB := basis.Build(turned, basis.DefaultBuilderOptions())
+	setA := basis.Build(st, basis.BuilderOptions{})
+	setB := basis.Build(turned, basis.BuilderOptions{})
 
 	want := FillSerial(setB, NewIntegrator())
 	in := NewIntegrator()
@@ -271,7 +271,7 @@ func TestArchMirrorIsAClassOfTheSet(t *testing.T) {
 		"crossing": geom.DefaultCrossingPair().Build(),
 		"bus4x4":   geom.DefaultBus(4, 4).Build(),
 	} {
-		set := basis.Build(st, basis.DefaultBuilderOptions())
+		set := basis.Build(st, basis.BuilderOptions{})
 		f := NewIntegrator().Intern(set)
 		used := map[*tplClass]bool{}
 		for i := range f.tpl {
@@ -380,7 +380,7 @@ func TestGenericPairMatchesPerPointSource(t *testing.T) {
 // lookup: the centre displacement, its reflections and axis order, and the
 // two image classes.
 func BenchmarkCanonicalKey(b *testing.B) {
-	set := basis.Build(geom.DefaultBus(4, 4).Build(), basis.DefaultBuilderOptions())
+	set := basis.Build(geom.DefaultBus(4, 4).Build(), basis.BuilderOptions{})
 	f := NewIntegrator().Intern(set)
 	m := set.M()
 	var k pairKey

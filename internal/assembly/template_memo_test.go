@@ -33,7 +33,7 @@ func TestTemplateLookupsPerFill(t *testing.T) {
 			if c.n > 16 && testing.Short() {
 				t.Skip("a 24x24 bus fill, six times")
 			}
-			set := basis.Build(geom.DefaultBus(c.n, c.n).Build(), basis.DefaultBuilderOptions())
+			set := basis.Build(geom.DefaultBus(c.n, c.n).Build(), basis.BuilderOptions{})
 			in := assembly.NewIntegrator()
 			want := assembly.FillSerial(set, in)
 			s := in.FillStats()

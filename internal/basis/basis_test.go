@@ -95,7 +95,7 @@ func mergedRangePair() *geom.Structure {
 }
 
 func TestBuildCrossingPairMerged(t *testing.T) {
-	set := Build(mergedRangePair(), DefaultBuilderOptions())
+	set := Build(mergedRangePair(), BuilderOptions{})
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestBuildOutOfRangeRatioFallsBack(t *testing.T) {
 	// library's validity range: the builder must emit independent
 	// shadow and arch-pair functions instead of a merged one.
 	st := geom.DefaultCrossingPair().Build()
-	set := Build(st, DefaultBuilderOptions())
+	set := Build(st, BuilderOptions{})
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestBuildOutOfRangeRatioFallsBack(t *testing.T) {
 
 func TestBuildCrossingPairSeparate(t *testing.T) {
 	st := mergedRangePair()
-	opt := DefaultBuilderOptions()
+	opt := BuilderOptions{}
 	opt.SeparateInduced = true
 	set := Build(st, opt)
 	if err := set.Validate(); err != nil {
@@ -169,7 +169,7 @@ func TestBuildCrossingPairSeparate(t *testing.T) {
 	}
 	// Separate mode has more functions than merged mode (the ablation's
 	// degrees-of-freedom trade) on an in-range geometry.
-	merged := Build(st, DefaultBuilderOptions())
+	merged := Build(st, BuilderOptions{})
 	if set.N() <= merged.N() {
 		t.Errorf("separate N = %d not larger than merged N = %d", set.N(), merged.N())
 	}
@@ -190,7 +190,7 @@ func TestBuildSkipsTouchingConductors(t *testing.T) {
 				geom.Vec3{X: 0, Y: 0, Z: 1e-6}, geom.Vec3{X: 1e-6, Y: 1e-6, Z: 2e-6})}},
 		},
 	}
-	set := Build(st, DefaultBuilderOptions())
+	set := Build(st, BuilderOptions{})
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestBuildShadowSkippedWhenCoveringFace(t *testing.T) {
 				geom.Vec3{X: 0, Y: 0, Z: 2e-6}, geom.Vec3{X: 4e-6, Y: 4e-6, Z: 3e-6})}},
 		},
 	}
-	set := Build(st, DefaultBuilderOptions())
+	set := Build(st, BuilderOptions{})
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestBuildShadowSkippedWhenCoveringFace(t *testing.T) {
 
 func TestMomentsAndClone(t *testing.T) {
 	st := geom.DefaultCrossingPair().Build()
-	set := Build(st, DefaultBuilderOptions())
+	set := Build(st, BuilderOptions{})
 	m := set.Moments()
 	if len(m) != set.N() {
 		t.Fatalf("moments length %d", len(m))
@@ -246,7 +246,7 @@ func TestMomentsAndClone(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	st := geom.DefaultCrossingPair().Build()
-	set := Build(st, DefaultBuilderOptions())
+	set := Build(st, BuilderOptions{})
 
 	bad := set.Clone()
 	bad.Owner[len(bad.Owner)-1] = 0
@@ -282,7 +282,7 @@ func TestInterleavedEmissionBalancesKinds(t *testing.T) {
 	// must be interleaved (not all faces first): check that the first
 	// quarter of the function list contains some of each.
 	st := geom.DefaultBus(6, 6).Build()
-	set := Build(st, DefaultBuilderOptions())
+	set := Build(st, BuilderOptions{})
 	quarter := set.N() / 4
 	var faces, induced int
 	for _, f := range set.Functions[:quarter] {

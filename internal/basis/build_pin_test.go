@@ -82,7 +82,7 @@ func TestBuildPinnedDigests(t *testing.T) {
 			if separate {
 				name = c.name + "/separate"
 			}
-			opt := DefaultBuilderOptions()
+			opt := BuilderOptions{}
 			opt.SeparateInduced = separate
 			set := Build(c.st, opt)
 			if err := set.Validate(); err != nil {
@@ -99,7 +99,7 @@ func TestBuildPinnedDigests(t *testing.T) {
 // mean over a few runs.
 func buildAllocs(st *geom.Structure) (bytes, mallocs float64) {
 	const runs = 4
-	opt := DefaultBuilderOptions()
+	opt := BuilderOptions{}
 	Build(st, opt)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -136,7 +136,7 @@ var buildSink *Set
 // builder's whole allocation, the returned set included.
 func BenchmarkBuild(b *testing.B) {
 	st := geom.DefaultBus(16, 16).Build()
-	opt := DefaultBuilderOptions()
+	opt := BuilderOptions{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

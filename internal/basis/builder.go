@@ -7,31 +7,31 @@ import (
 	"parbem/internal/geom"
 )
 
+// The template library's calibration, fitted once against the fine
+// piecewise-constant solution of the elementary crossing problem: the a(h)
+// and b(h) that extract.SweepH measures (examples/templates prints them).
+const (
+	// extFactor and inFactor size the arch templates relative to the
+	// facing gap h: the extension length is extFactor*h beyond the shadow
+	// edge and the ingrowing length is inFactor*h inside it (clipped to
+	// the available face).
+	extFactor = 2.0
+	inFactor  = 1.5
+	// decayFactor sets the arch profile decay length to decayFactor*h.
+	decayFactor = 0.6
+	// minShadowFrac skips induced bases whose shadow would cover less
+	// than this fraction of the face's shorter edge (negligible overlap).
+	minShadowFrac = 0.02
+	// archAmpFactor calibrates the library's arch-to-flat amplitude
+	// ratio: R(h) = archAmpFactor * min(shadow edge)/h - 1, from the
+	// b(h)/a(h) fits. Pairs whose ratio falls outside the calibration's
+	// validity range ([0.5, 4]) use independent shadow/arch functions
+	// instead.
+	archAmpFactor = 3.5
+)
+
 // BuilderOptions tunes instantiable-basis generation.
 type BuilderOptions struct {
-	// MaxCoupleGap limits which facing face pairs receive induced basis
-	// functions. Zero means automatic: 3x the median facing gap found in
-	// the structure (nearer pairs dominate the induced charge; farther
-	// pairs are represented well enough by face basis functions).
-	MaxCoupleGap float64
-
-	// ExtFactor and InFactor size the arch templates relative to the
-	// facing gap h: the extension length is ExtFactor*h beyond the shadow
-	// edge and the ingrowing length is InFactor*h inside it (clipped to
-	// the available face). Defaults (2.0, 1.5) were calibrated against
-	// the fine piecewise-constant solution of the elementary crossing
-	// problem (see internal/extract and EXPERIMENTS.md).
-	ExtFactor float64
-	InFactor  float64
-
-	// DecayFactor sets the arch profile decay length to DecayFactor*h.
-	// Default 0.6.
-	DecayFactor float64
-
-	// MinShadowFrac skips induced bases whose shadow would cover less
-	// than this fraction of the face's shorter edge (negligible overlap).
-	MinShadowFrac float64
-
 	// SeparateInduced splits each induced basis into independent shadow
 	// and arch-pair functions (more degrees of freedom, larger N and a
 	// correspondingly larger direct solve). The default (false) follows
@@ -39,25 +39,6 @@ type BuilderOptions struct {
 	// assembling the flat shadow template and its arch templates with
 	// relative amplitudes fixed by the template library.
 	SeparateInduced bool
-
-	// ArchAmpFactor calibrates the library's arch-to-flat amplitude
-	// ratio: R(h) = ArchAmpFactor * min(shadow edge)/h - 1. The default
-	// 3.5 comes from the b(h)/a(h) fits of the extraction pipeline
-	// (internal/extract; see EXPERIMENTS.md). Pairs whose ratio falls
-	// outside the calibration's validity range ([0.5, 4]) automatically
-	// use independent shadow/arch functions instead.
-	ArchAmpFactor float64
-}
-
-// DefaultBuilderOptions returns the calibrated defaults.
-func DefaultBuilderOptions() BuilderOptions {
-	return BuilderOptions{
-		ExtFactor:     2.0,
-		InFactor:      1.5,
-		DecayFactor:   0.6,
-		MinShadowFrac: 0.02,
-		ArchAmpFactor: 3.5,
-	}
 }
 
 // facing is a detected facing-face pair: two parallel planes of different
@@ -72,35 +53,18 @@ type facing struct {
 
 // Build generates the instantiable basis set for a Manhattan structure.
 func Build(st *geom.Structure, opt BuilderOptions) *Set {
-	if opt.ExtFactor == 0 {
-		opt.ExtFactor = 2.0
-	}
-	if opt.InFactor == 0 {
-		opt.InFactor = 1.5
-	}
-	if opt.DecayFactor == 0 {
-		opt.DecayFactor = 0.6
-	}
-	if opt.MinShadowFrac == 0 {
-		opt.MinShadowFrac = 0.02
-	}
-	if opt.ArchAmpFactor == 0 {
-		opt.ArchAmpFactor = 3.5
-	}
-
 	// Facing-pair detection across conductor pairs.
 	pairs := detectFacing(st)
-	gap := opt.MaxCoupleGap
-	if gap == 0 {
-		// Automatic coupling radius: 3x the median facing gap. The
-		// median is robust to a few very tight gaps (e.g. via landing
-		// clearances) that would otherwise shrink the radius and drop
-		// the real crossings. The pairs are sorted by gap, so the
-		// positive gaps are a suffix of them.
-		z := sort.Search(len(pairs), func(i int) bool { return pairs[i].h > 0 })
-		if z < len(pairs) {
-			gap = 3 * pairs[z+(len(pairs)-z)/2].h
-		}
+	// The coupling radius, 3x the median facing gap, limits which facing
+	// face pairs receive induced basis functions: nearer pairs dominate
+	// the induced charge, and farther pairs are represented well enough
+	// by face basis functions. The median is robust to a few very tight
+	// gaps (e.g. via landing clearances) that would otherwise shrink the
+	// radius and drop the real crossings. The pairs are sorted by gap, so
+	// the positive gaps are a suffix of them.
+	var gap float64
+	if z := sort.Search(len(pairs), func(i int) bool { return pairs[i].h > 0 }); z < len(pairs) {
+		gap = 3 * pairs[z+(len(pairs)-z)/2].h
 	}
 	// h == 0 means touching (shorted) conductors: no gap to induce
 	// charge across, and degenerate arch geometry; such pairs, and pairs
@@ -362,7 +326,7 @@ func (b *builder) addInduced(face geom.Rect, cond int, p *facing, faceShadows []
 	shadow := p.shadow(face)
 
 	minEdge := math.Min(face.U.Len(), face.V.Len())
-	if math.Min(shadow.U.Len(), shadow.V.Len()) < b.opt.MinShadowFrac*minEdge {
+	if math.Min(shadow.U.Len(), shadow.V.Len()) < minShadowFrac*minEdge {
 		return
 	}
 
@@ -413,13 +377,13 @@ func (b *builder) addInduced(face geom.Rect, cond int, p *facing, faceShadows []
 		return
 	}
 	// Merged: shadow flat at amplitude 1, arches at the library ratio
-	// R(h) = ArchAmpFactor * min(shadow edge)/h - 1 (from the b(h)/a(h)
+	// R(h) = archAmpFactor * min(shadow edge)/h - 1 (from the b(h)/a(h)
 	// fits of the extraction pipeline). The calibration only covers
 	// ordinary crossing geometries (R in roughly [0.5, 4]); outside that
 	// range — extreme aspect ratios such as via landing gaps — the pair
 	// falls back to independent shadow/arch functions so the solver
 	// determines the amplitudes itself.
-	ratio := b.opt.ArchAmpFactor*math.Min(shadow.U.Len(), shadow.V.Len())/p.h - 1
+	ratio := archAmpFactor*math.Min(shadow.U.Len(), shadow.V.Len())/p.h - 1
 	if len(arches) == 0 || ratio < 0.5 || ratio > 4 {
 		b.collect(cond, KindShadow, buf[0])
 		if len(archU) > 0 {
@@ -446,9 +410,9 @@ func (b *builder) archTemplates(dst []Template, win geom.Interval, shadow geom.R
 	if alongU {
 		shadowIv = shadow.U
 	}
-	le := b.opt.ExtFactor * h
-	li := math.Min(b.opt.InFactor*h, shadowIv.Len()/2)
-	decay := b.opt.DecayFactor * h
+	le := extFactor * h
+	li := math.Min(inFactor*h, shadowIv.Len()/2)
+	decay := decayFactor * h
 
 	minExt := 0.05 * h
 	// Left arch: extension toward decreasing coordinate.

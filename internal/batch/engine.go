@@ -56,9 +56,8 @@ import (
 
 // Options configures an Engine. The zero value is a SharedMem engine
 // with GOMAXPROCS workers. The template path has no other settings:
-// default basis and kernel configuration, vacuum permittivity, the state
-// LRU and one shared class table of assembly.NewPairCache's default
-// size, always on.
+// default basis and kernel configuration, the state LRU and one shared
+// class table of assembly.NewPairCache's default size, always on.
 type Options struct {
 	// Backend selects the fill backend (default SharedMem; SharedMem
 	// fills run on the engine's persistent pool).
@@ -318,7 +317,6 @@ func planSignature(st *geom.Structure, maxEdge float64, opt op.Options, fp uint6
 	u(uint64(opt.Precond))
 	u(uint64(opt.Precision))
 	f(opt.Tol)
-	u(uint64(opt.Restart))
 	if opt.Direct {
 		buf = append(buf, 1)
 	} else {
@@ -330,7 +328,6 @@ func planSignature(st *geom.Structure, maxEdge float64, opt op.Options, fp uint6
 	// a present zero-valued one (geoSignature's collision-free rule).
 	if fo := opt.FMM; fo != nil {
 		buf = append(buf, 'F')
-		u(uint64(fo.LeafSize))
 		f(fo.Theta)
 		f(fo.NearFactor)
 	} else {
@@ -338,7 +335,6 @@ func planSignature(st *geom.Structure, maxEdge float64, opt op.Options, fp uint6
 	}
 	if po := opt.PFFT; po != nil {
 		buf = append(buf, 'P')
-		f(po.GridSpacing)
 		u(uint64(po.MaxNodes))
 		f(po.NearRadius)
 	} else {

@@ -34,20 +34,6 @@ func (m Model) Efficiency(d int) float64 {
 	return 1 / (1 + m.Gamma*float64(d-1))
 }
 
-// Speedup returns d * Efficiency(d).
-func (m Model) Speedup(d int) float64 {
-	return float64(d) * m.Efficiency(d)
-}
-
-// Curve evaluates efficiency at 1..dmax.
-func (m Model) Curve(dmax int) []float64 {
-	out := make([]float64, dmax)
-	for d := 1; d <= dmax; d++ {
-		out[d-1] = m.Efficiency(d)
-	}
-	return out
-}
-
 // CalibrateGamma solves for gamma from one anchor (efficiency e at d nodes).
 func CalibrateGamma(d int, e float64) float64 {
 	if d <= 1 || e <= 0 || e >= 1 {

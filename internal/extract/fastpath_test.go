@@ -11,9 +11,10 @@ import (
 	"parbem/internal/sched"
 )
 
-// sweep is SweepH as the library runs it.
+// sweep is SweepH as the library runs it, its point errors joined.
 func sweep(base geom.CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, error) {
-	return SweepH(context.Background(), sched.Local(0), base, hs, maxEdge)
+	fits, errs := SweepH(context.Background(), sched.Local(0), base, hs, maxEdge)
+	return fits, errors.Join(errs...)
 }
 
 // TestIterativeCrossingMatchesDense verifies the accelerated template
@@ -103,66 +104,24 @@ func TestSweepHMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSweepHPartialErrors verifies per-point error propagation: a
-// poisoned h value fails alone, tagged with its separation, while the
-// healthy points still produce fits.
+// TestSweepHPartialErrors verifies per-point error propagation: each
+// poisoned h value (NaN, +Inf) fails alone, at its own index of the
+// errors, while the healthy points still produce fits and no error.
 func TestSweepHPartialErrors(t *testing.T) {
 	base := smallSpec()
-	hs := []float64{0.4e-6, math.NaN(), 0.8e-6}
-	fits, err := sweep(base, hs, 0.5e-6)
-	if err == nil {
-		t.Fatal("poisoned sweep returned no error")
-	}
-	var pe *PointError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v does not expose a PointError", err)
-	}
-	if !math.IsNaN(pe.H) {
-		t.Errorf("PointError tagged h=%g, want the NaN point", pe.H)
-	}
-	if fits[0] == nil || fits[2] == nil {
-		t.Error("healthy points lost their fits")
-	}
-	if fits[1] != nil {
-		t.Error("failed point produced a fit")
-	}
-}
-
-// TestPointErrorsDecomposition pins the service-edge contract: every
-// failed point of a sweep is recoverable from the joined error, tagged
-// with its own separation, so a streaming caller can emit one error
-// entry per point instead of dropping points behind the first failure.
-func TestPointErrorsDecomposition(t *testing.T) {
-	base := smallSpec()
-	hs := []float64{math.NaN(), 0.5e-6, math.Inf(1), 0.8e-6}
-	fits, err := sweep(base, hs, 0.5e-6)
-	pes := PointErrors(err)
-	if len(pes) != 2 {
-		t.Fatalf("got %d point errors, want 2 (err: %v)", len(pes), err)
-	}
-	var sawNaN, sawInf bool
-	for _, pe := range pes {
-		switch {
-		case math.IsNaN(pe.H):
-			sawNaN = true
-		case math.IsInf(pe.H, 1):
-			sawInf = true
-		}
-	}
-	if !sawNaN || !sawInf {
-		t.Errorf("point errors tag h values %v, want the NaN and +Inf points", pes)
+	hs := []float64{0.4e-6, math.NaN(), 0.8e-6, math.Inf(1)}
+	fits, errs := SweepH(context.Background(), sched.Local(0), base, hs, 0.5e-6)
+	if len(fits) != len(hs) || len(errs) != len(hs) {
+		t.Fatalf("%d fits and %d errors for %d points", len(fits), len(errs), len(hs))
 	}
 	for i, h := range hs {
 		healthy := !math.IsNaN(h) && !math.IsInf(h, 0)
-		if healthy && fits[i] == nil {
-			t.Errorf("healthy point h=%g lost its fit", h)
+		if healthy && (errs[i] != nil || fits[i] == nil) {
+			t.Errorf("healthy point h=%g: fit %v, error %v", h, fits[i], errs[i])
 		}
-		if !healthy && fits[i] != nil {
-			t.Errorf("failed point h=%g produced a fit", h)
+		if !healthy && (errs[i] == nil || fits[i] != nil) {
+			t.Errorf("poisoned point h=%g: fit %v, error %v; want an error and no fit", h, fits[i], errs[i])
 		}
-	}
-	if PointErrors(nil) != nil {
-		t.Error("PointErrors(nil) != nil")
 	}
 }
 
@@ -173,14 +132,10 @@ func TestSweepHCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	hs := []float64{0.4e-6, 0.6e-6, 0.8e-6}
-	fits, plans, err := sweepH(ctx, sched.Local(2), smallSpec(), hs, 0.5e-6)
-	pes := PointErrors(err)
-	if len(pes) != len(hs) {
-		t.Fatalf("%d point errors for %d points (err: %v)", len(pes), len(hs), err)
-	}
-	for i, pe := range pes {
-		if !errors.Is(pe, context.Canceled) {
-			t.Errorf("h=%g: error %v does not wrap context.Canceled", pe.H, pe.Err)
+	fits, errs, plans := sweepH(ctx, sched.Local(2), smallSpec(), hs, 0.5e-6)
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("h=%g: error %v does not wrap context.Canceled", hs[i], err)
 		}
 		if fits[i] != nil {
 			t.Errorf("point %d produced a fit under a cancelled context", i)

@@ -26,9 +26,11 @@ func TestInteractionListsPartition(t *testing.T) {
 		{2, 2, 0.75e-6, 8, 0.5},
 	} {
 		panels := busPanels(t, tc.m, tc.n, tc.edge)
-		op := NewOperator(panels, Options{
-			LeafSize: tc.leafSize, Theta: tc.theta, Workers: 1,
-		})
+		opt := Options{Theta: tc.theta, Workers: 1}
+		opt.defaults()
+		tr := buildTree(panels, tc.leafSize)
+		topo := &Topology{t: tr, inter: tr.buildInteractions(opt.Theta, opt.NearFactor)}
+		op := NewOperatorWith(topo, panels, opt, nil)
 		n := len(panels)
 		count := make([]int, n)
 		for pi := 0; pi < n; pi++ {

@@ -14,19 +14,16 @@ import (
 
 // Options tunes the multipole operator.
 type Options struct {
-	LeafSize int     // max panels per leaf (default 16)
-	Theta    float64 // multipole opening parameter (default 0.5)
+	Theta float64 // multipole opening parameter (default 0.5)
 	// NearFactor scales the exact-integration radius (default 1.5):
 	// near leaf pairs within NearFactor * 2*max(halfSize) get exact
 	// Galerkin entries; remaining near pairs get center monopole
 	// entries (the same approximation the far field uses).
 	NearFactor float64
 	Workers    int // parallel workers when Pool is nil (default GOMAXPROCS)
-	// Eps is the permittivity (0 = vacuum) and Cfg the kernel
-	// configuration (nil = defaults). An extraction does not choose them
-	// per backend: op.FMMOptions fills both from the spec, whatever a
-	// caller left here.
-	Eps float64
+	// Cfg is the kernel configuration (nil = defaults). An extraction
+	// does not choose it per backend: op.FMMOptions fills it from the
+	// spec, whatever a caller left here.
 	Cfg *kernel.Config
 	// Pairs is the symmetry-class table the exact near entries are read
 	// from and added to (assembly.InternPanels; nil = a table of this
@@ -44,9 +41,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.LeafSize == 0 {
-		o.LeafSize = 16
-	}
 	if o.Theta == 0 {
 		o.Theta = 0.5
 	}
@@ -55,9 +49,6 @@ func (o *Options) defaults() {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Eps == 0 {
-		o.Eps = kernel.Eps0
 	}
 	if o.Cfg == nil {
 		o.Cfg = kernel.DefaultConfig()
@@ -116,7 +107,7 @@ type Operator struct {
 	m2lSrc []int32
 
 	leaves []int32
-	scale  float64 // 1/(4*pi*eps)
+	scale  float64 // 1/(4*pi*eps0)
 
 	// nearFill is the pair work of the exact entries read from the class
 	// table at construction; fillMu guards it while the blocks fill.
@@ -159,7 +150,7 @@ func NewOperatorWith(tp *Topology, panels []geom.Panel, opt Options, reuse *Reus
 		m2lOff:  inter.m2lOff,
 		m2lSrc:  inter.m2lSrc,
 		leaves:  t.leaves(),
-		scale:   1 / (kernel.FourPi * opt.Eps),
+		scale:   1 / kernel.FourPiEps0,
 		pairs:   assembly.InternPanels(opt.Cfg, opt.Pairs, panels),
 	}
 	if opt.Exec != nil {

@@ -37,7 +37,7 @@ type refOperator struct {
 
 func newRefOperator(panels []geom.Panel, opt Options) *refOperator {
 	opt.defaults()
-	t := buildTree(panels, opt.LeafSize)
+	t := buildTree(panels, leafSize)
 
 	op := &refOperator{
 		panels:  panels,
@@ -52,7 +52,7 @@ func newRefOperator(panels []geom.Panel, opt Options) *refOperator {
 		dip:     make([][3]float64, len(t.nodes)),
 		quad:    make([][6]float64, len(t.nodes)),
 		charges: make([]float64, len(panels)),
-		scale:   1 / (kernel.FourPi * opt.Eps),
+		scale:   1 / kernel.FourPiEps0,
 	}
 	for i, p := range panels {
 		op.centers[i] = p.Center()

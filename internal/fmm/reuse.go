@@ -15,11 +15,11 @@ type Topology struct {
 }
 
 // NewTopology builds the octree and interaction lists for the given
-// panelization (LeafSize, Theta and NearFactor are the options
-// consumed; the rest are ignored).
+// panelization (Theta and NearFactor are the options consumed; the rest
+// are ignored).
 func NewTopology(panels []geom.Panel, opt Options) *Topology {
 	opt.defaults()
-	t := buildTree(panels, opt.LeafSize)
+	t := buildTree(panels, leafSize)
 	return &Topology{t: t, inter: t.buildInteractions(opt.Theta, opt.NearFactor)}
 }
 

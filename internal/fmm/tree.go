@@ -61,6 +61,9 @@ type tree struct {
 	leafOf []int32 // panel -> containing leaf node id
 }
 
+// leafSize is the most panels an extraction's octree puts in one leaf.
+const leafSize = 16
+
 // buildTree constructs the octree with at most leafSize panels per leaf.
 func buildTree(panels []geom.Panel, leafSize int) *tree {
 	n := len(panels)

@@ -175,7 +175,7 @@ func PointKernel(a, b geom.Vec3) float64 {
 }
 
 // Scale converts an unscaled integral (in units of m^3 for 4-D Galerkin) to
-// the physical coefficient by applying 1/(4*pi*eps).
-func Scale(integral, eps float64) float64 {
-	return integral / (FourPi * eps)
+// the physical coefficient by applying 1/(4*pi*eps0).
+func Scale(integral float64) float64 {
+	return integral / FourPiEps0
 }

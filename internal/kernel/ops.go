@@ -77,6 +77,15 @@ const Eps0 = 8.8541878128e-12
 // FourPi is 4*pi.
 const FourPi = 4 * math.Pi
 
+// eps0 is Eps0 as a float64 variable, so that FourPiEps0 is the rounded
+// float64 product 4*pi * eps0 that the system scaling has always divided
+// by, not the exactly folded constant, which lies 1 ulp away.
+var eps0 float64 = Eps0
+
+// FourPiEps0 is 4*pi*Eps0, the one permittivity prefactor: a uniform
+// dielectric would only multiply the capacitance matrix by its eps_r.
+var FourPiEps0 = FourPi * eps0
+
 // ArithVersion names the arithmetic behind every value this package
 // returns (the logarithm, the pairing of corners). It is part of every
 // content-addressed key over kernel values — class tables, plan artifacts

@@ -262,8 +262,8 @@ func BenchmarkRectGalerkinPairwise(b *testing.B) {
 }
 
 func TestScaleAndPointKernel(t *testing.T) {
-	if got := Scale(FourPi, 1); math.Abs(got-1) > 1e-15 {
-		t.Errorf("Scale(4pi,1) = %g, want 1", got)
+	if got := Scale(FourPiEps0); got != 1 {
+		t.Errorf("Scale(4pi eps0) = %g, want 1", got)
 	}
 	a := geom.Vec3{X: 1}
 	b := geom.Vec3{X: 4}

@@ -11,7 +11,7 @@ import (
 
 func TestFillDistributedMatchesSerial(t *testing.T) {
 	st := geom.DefaultCrossingPair().Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	want := assembly.FillSerial(set, in)
 
@@ -36,7 +36,7 @@ func TestFillDistributedMoreRanksThanWork(t *testing.T) {
 				geom.Vec3{X: 0, Y: 0, Z: 0}, geom.Vec3{X: 1e-6, Y: 1e-6, Z: 1e-7})}},
 		},
 	}
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	want := assembly.FillSerial(set, in)
 	got := FillDistributed(set, in, NewNetwork(10))
@@ -66,7 +66,7 @@ func tol(m *linalg.Sym) float64 {
 // slabs whose lower part was zeros — and the distributed P is bitwise the
 // serial one's packed lower triangle.
 func TestFillDistributedSlabsArePackedRows(t *testing.T) {
-	set := basis.Build(geom.DefaultBus(16, 16).Build(), basis.DefaultBuilderOptions())
+	set := basis.Build(geom.DefaultBus(16, 16).Build(), basis.BuilderOptions{})
 	n := set.N()
 	want := assembly.FillSerial(set, assembly.NewIntegrator())
 	for _, size := range []int{1, 2, 4, 10} {

@@ -6,9 +6,7 @@
 //
 // Each rank runs as a goroutine with private state; ranks exchange only
 // byte-serialized messages over per-pair ordered channels, so there is no
-// hidden memory sharing on the data path. An optional cost model injects
-// per-message latency and per-byte transfer time to emulate a slower
-// interconnect.
+// hidden memory sharing on the data path.
 package mpi
 
 import (
@@ -16,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 )
 
 // Message is one point-to-point transfer.
@@ -30,12 +27,6 @@ type Network struct {
 	size int
 	// queues[to][from] preserves per-pair ordering like MPI.
 	queues [][]chan Message
-
-	// Latency is added per message, InvBandwidth per payload byte, both
-	// charged to the sender (eager-send model). Zero means an ideal
-	// interconnect.
-	Latency      time.Duration
-	InvBandwidth time.Duration
 }
 
 // NewNetwork creates a network of the given size.
@@ -61,8 +52,8 @@ func (n *Network) Comm(rank int) *Comm {
 	return &Comm{net: n, rank: rank}
 }
 
-// Run spawns fn on every rank of a fresh ideal network and waits for all
-// ranks to return.
+// Run spawns fn on every rank of a fresh network and waits for all ranks
+// to return.
 func Run(size int, fn func(c *Comm)) {
 	RunOn(NewNetwork(size), fn)
 }
@@ -95,9 +86,6 @@ func (c *Comm) Size() int { return c.net.size }
 // Send transmits data to rank `to` with a tag. The payload is copied, so
 // the caller may reuse its buffer: ranks never share backing arrays.
 func (c *Comm) Send(to, tag int, data []byte) {
-	if cost := c.net.Latency + time.Duration(len(data))*c.net.InvBandwidth; cost > 0 {
-		time.Sleep(cost)
-	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	c.net.queues[to][c.rank] <- Message{From: c.rank, Tag: tag, Data: cp}
@@ -160,62 +148,4 @@ func (c *Comm) RecvInts(from, tag int) []int {
 		xs[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 	}
 	return xs
-}
-
-// Reserved collective tags (outside the user range by convention).
-const (
-	tagBarrierIn  = -101
-	tagBarrierOut = -102
-	tagBcast      = -103
-	tagReduce     = -104
-)
-
-// Barrier blocks until all ranks have entered (centralized at rank 0,
-// implemented purely with messages).
-func (c *Comm) Barrier() {
-	if c.rank == 0 {
-		for r := 1; r < c.Size(); r++ {
-			c.Recv(r, tagBarrierIn)
-		}
-		for r := 1; r < c.Size(); r++ {
-			c.Send(r, tagBarrierOut, nil)
-		}
-		return
-	}
-	c.Send(0, tagBarrierIn, nil)
-	c.Recv(0, tagBarrierOut)
-}
-
-// BcastFloat64s broadcasts root's xs to all ranks, returning the local copy.
-func (c *Comm) BcastFloat64s(root int, xs []float64) []float64 {
-	if c.rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if r != root {
-				c.SendFloat64s(r, tagBcast, xs)
-			}
-		}
-		return xs
-	}
-	return c.RecvFloat64s(root, tagBcast)
-}
-
-// ReduceSumFloat64s element-wise sums xs across ranks onto root; non-root
-// ranks return nil.
-func (c *Comm) ReduceSumFloat64s(root int, xs []float64) []float64 {
-	if c.rank != root {
-		c.SendFloat64s(root, tagReduce, xs)
-		return nil
-	}
-	acc := make([]float64, len(xs))
-	copy(acc, xs)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		part := c.RecvFloat64s(r, tagReduce)
-		for i, v := range part {
-			acc[i] += v
-		}
-	}
-	return acc
 }

@@ -2,9 +2,7 @@ package mpi
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestSendRecvRoundtrip(t *testing.T) {
@@ -59,47 +57,6 @@ func TestMessageOrderingPerPair(t *testing.T) {
 	})
 }
 
-func TestBarrier(t *testing.T) {
-	var phase atomic.Int32
-	Run(4, func(c *Comm) {
-		if c.Rank() == 2 {
-			time.Sleep(10 * time.Millisecond)
-			phase.Store(1)
-		}
-		c.Barrier()
-		if phase.Load() != 1 {
-			t.Errorf("rank %d passed barrier before rank 2 arrived", c.Rank())
-		}
-	})
-}
-
-func TestBcast(t *testing.T) {
-	Run(5, func(c *Comm) {
-		var xs []float64
-		if c.Rank() == 2 {
-			xs = []float64{3.14, 2.71}
-		}
-		got := c.BcastFloat64s(2, xs)
-		if len(got) != 2 || got[0] != 3.14 || got[1] != 2.71 {
-			t.Errorf("rank %d bcast = %v", c.Rank(), got)
-		}
-	})
-}
-
-func TestReduceSum(t *testing.T) {
-	Run(4, func(c *Comm) {
-		xs := []float64{float64(c.Rank()), 1}
-		got := c.ReduceSumFloat64s(0, xs)
-		if c.Rank() == 0 {
-			if got[0] != 6 || got[1] != 4 { // 0+1+2+3, 1*4
-				t.Errorf("reduce = %v", got)
-			}
-		} else if got != nil {
-			t.Errorf("non-root got %v", got)
-		}
-	})
-}
-
 func TestEncodeDecodeFloat64s(t *testing.T) {
 	xs := []float64{0, 1, -1, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64}
 	got := DecodeFloat64s(EncodeFloat64s(xs))
@@ -112,35 +69,6 @@ func TestEncodeDecodeFloat64s(t *testing.T) {
 	n := DecodeFloat64s(EncodeFloat64s([]float64{math.NaN()}))
 	if !math.IsNaN(n[0]) {
 		t.Fatal("NaN lost")
-	}
-}
-
-func TestNetworkCostModelSlowsTransfer(t *testing.T) {
-	fast := NewNetwork(2)
-	slow := NewNetwork(2)
-	slow.Latency = 2 * time.Millisecond
-
-	elapsed := func(n *Network) time.Duration {
-		start := time.Now()
-		RunOn(n, func(c *Comm) {
-			if c.Rank() == 0 {
-				for i := 0; i < 10; i++ {
-					c.Send(1, 1, make([]byte, 8))
-				}
-			} else {
-				for i := 0; i < 10; i++ {
-					c.Recv(0, 1)
-				}
-			}
-		})
-		return time.Since(start)
-	}
-	tf, ts := elapsed(fast), elapsed(slow)
-	if ts < 15*time.Millisecond {
-		t.Errorf("slow network too fast: %v", ts)
-	}
-	if tf > ts {
-		t.Errorf("fast network slower than slow one: %v vs %v", tf, ts)
 	}
 }
 

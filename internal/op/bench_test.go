@@ -19,7 +19,7 @@ import (
 // application behind it (iterations and residual checks; no seeds here).
 func BenchmarkPipelineSolve(b *testing.B) {
 	spec := busSpec(b, 4, 4, 1e-6).withDefaults()
-	a := fmm.NewOperator(spec.Panels, fmm.Options{Eps: spec.Eps, Cfg: spec.Cfg})
+	a := fmm.NewOperator(spec.Panels, fmm.Options{Cfg: spec.Cfg})
 	phi := spec.RHS()
 	for _, bc := range []struct {
 		name string
@@ -72,7 +72,7 @@ func BenchmarkPipelineDirect(b *testing.B) {
 // the way solver.ExtractSet does: the matrix the direct solve is for,
 // and its moment-weighted indicator right-hand sides.
 func templateSystem(m, n int) (p *linalg.Sym, phi *linalg.Dense) {
-	set := basis.Build(geom.DefaultBus(m, n).Build(), basis.DefaultBuilderOptions())
+	set := basis.Build(geom.DefaultBus(m, n).Build(), basis.BuilderOptions{})
 	p = assembly.FillSerial(set, assembly.NewIntegrator())
 	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), p.Data)
 	moments := set.Moments()

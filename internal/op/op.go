@@ -42,7 +42,7 @@
 // the space — each projects onto the directions the earlier ones added
 // before it pays for new ones — and a variant's solve seeds it with the
 // previous variant's charges (ExtractWarmCtx). The space holds
-// Options.Restart directions, never restarts, and dies with the call.
+// its last 60 directions (restart), never restarts, and dies with the call.
 //
 // # Preconditioner
 //
@@ -112,10 +112,9 @@ type NearBlocker interface {
 type Spec struct {
 	Panels        []geom.Panel
 	NumConductors int
-	// Eps is the dielectric permittivity (0 = vacuum) and Cfg the kernel
-	// configuration (nil = defaults): the extraction's only ones, on every
-	// backend (FMMOptions and PFFTOptions hand them to the operators).
-	Eps float64
+	// Cfg is the kernel configuration (nil = defaults): the extraction's
+	// only one, on every backend (FMMOptions and PFFTOptions hand it to the
+	// operators). Every backend scales by the vacuum permittivity.
 	Cfg *kernel.Config
 	// Exec runs parallel assembly, dense matvecs and the reduction
 	// (nil = a throwaway sched.Local sized by GOMAXPROCS).
@@ -136,9 +135,6 @@ type Spec struct {
 // withDefaults fills zero fields (value receiver: the caller's spec is
 // not mutated).
 func (s Spec) withDefaults() Spec {
-	if s.Eps == 0 {
-		s.Eps = kernel.Eps0
-	}
 	if s.Cfg == nil {
 		s.Cfg = kernel.DefaultConfig()
 	}
@@ -173,7 +169,7 @@ func (s *Spec) pairs() *assembly.Interned {
 // or took it from a pair of the same displacement.
 func (s *Spec) Entry(i, j int) float64 {
 	var c assembly.FillStats
-	return kernel.Scale(s.pairs().PairInto(i, j, &c), s.Eps)
+	return kernel.Scale(s.pairs().PairInto(i, j, &c))
 }
 
 // RHS builds the N x n right-hand-side matrix Phi: row i has the panel
@@ -220,7 +216,7 @@ func (s *Spec) AssembleDenseReuse(prev *linalg.Dense, class []int32) (*linalg.De
 	if len(class) != n {
 		class = nil
 	}
-	reused, fill := s.pairs().FillUpper(s.exec(), m, class, s.Eps)
+	reused, fill := s.pairs().FillUpper(s.exec(), m, class)
 	return m, reused, fill
 }
 

@@ -83,10 +83,6 @@ type Options struct {
 	Precond PrecondKind
 	// Tol is the Krylov relative residual tolerance (0 = 1e-4).
 	Tol float64
-	// Restart bounds the directions a solve's search space keeps (0 = 60):
-	// a ring shared by every right-hand side of the call, in which a new
-	// direction overwrites the oldest once it is full. Nothing restarts.
-	Restart int
 	// Direct forces the dense direct solve (one equilibrated, pivoted LDLᵀ,
 	// see factorSym) instead of Krylov iteration; it requires the dense
 	// backend (auto resolving to dense is fine). The matrix is factored
@@ -99,21 +95,23 @@ type Options struct {
 	// PrecisionAuto (the default) and PrecisionFP64 run fp64. Dense and
 	// direct solves always run fp64.
 	Precision Precision
-	// FMM tunes the multipole operator (nil = defaults). Its Eps and Cfg
-	// are not read: FMMOptions sets them from the Spec.
+	// FMM tunes the multipole operator (nil = defaults). Its Cfg is not
+	// read: FMMOptions sets it from the Spec.
 	FMM *fmm.Options
 	// PFFT tunes the precorrected-FFT operator (likewise, through
 	// PFFTOptions).
 	PFFT *pfft.Options
 }
 
+// restart bounds the directions a solve's search space keeps: a ring
+// shared by every right-hand side of the call, in which a new direction
+// overwrites the oldest once it is full. Nothing restarts.
+const restart = 60
+
 // withDefaults normalizes zero fields.
 func (o Options) withDefaults() Options {
 	if o.Tol == 0 {
 		o.Tol = 1e-4
-	}
-	if o.Restart == 0 {
-		o.Restart = 60
 	}
 	return o
 }
@@ -255,17 +253,17 @@ func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
 }
 
 // FMMOptions resolves the multipole operator options of a spec: the
-// caller's tuning, with the spec's permittivity and kernel configuration
-// (an extraction has one of each, whatever its backend) and, unless the
-// caller gave one, the spec's class table. The stage builders of
-// internal/plan construct their operators from it.
+// caller's tuning, with the spec's kernel configuration (an extraction
+// has one, whatever its backend) and, unless the caller gave one, the
+// spec's class table. The stage builders of internal/plan construct their
+// operators from it.
 func FMMOptions(spec Spec, opt Options) fmm.Options {
 	spec = spec.withDefaults()
 	fo := fmm.Options{}
 	if opt.FMM != nil {
 		fo = *opt.FMM
 	}
-	fo.Eps, fo.Cfg = spec.Eps, spec.Cfg
+	fo.Cfg = spec.Cfg
 	if fo.Pairs == nil {
 		fo.Pairs = spec.Pairs
 	}
@@ -286,7 +284,7 @@ func PFFTOptions(spec Spec, opt Options) pfft.Options {
 	if opt.PFFT != nil {
 		po = *opt.PFFT
 	}
-	po.Eps, po.Cfg = spec.Eps, spec.Cfg
+	po.Cfg = spec.Cfg
 	if po.Pairs == nil {
 		po.Pairs = spec.Pairs
 	}
@@ -517,13 +515,13 @@ func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense, out *
 	n := p.n
 	nc := phi.Cols
 	rho := linalg.NewDense(n, nc)
-	opt := linalg.GMRESOptions{Tol: p.opt.Tol, Restart: p.opt.Restart, Ctx: ctx}
+	opt := linalg.GMRESOptions{Tol: p.opt.Tol, Restart: restart, Ctx: ctx}
 	if p.pre != nil {
 		opt.Precond = p.pre.Apply
 	}
 	ws := p.acquireWS()
 	defer p.releaseWS(ws)
-	ws.Reset(n, p.opt.Restart)
+	ws.Reset(n, restart)
 	b := make([]float64, n)
 	x := make([]float64, n)
 	if x0 != nil && x0.Rows == n && x0.Cols == nc && p.mixedA == nil {

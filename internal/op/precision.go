@@ -169,7 +169,7 @@ func (p *Pipeline) solveRefined(ctx context.Context, ws *linalg.GMRESWorkspace, 
 			d[i] = 0
 		}
 		res, err := linalg.GMRESWith(ws, inner, d, r, linalg.GMRESOptions{
-			Tol: innerTol, Restart: p.opt.Restart, Precond: pre, Ctx: ctx,
+			Tol: innerTol, Restart: restart, Precond: pre, Ctx: ctx,
 		})
 		total += res.Iterations
 		applies += res.Applies
@@ -188,7 +188,7 @@ func (p *Pipeline) solveRefined(ctx context.Context, ws *linalg.GMRESWorkspace, 
 	// Full-fp64 finish from the current iterate: reached on stall,
 	// inner breakdown, or outer-iteration exhaustion.
 	res, err := linalg.GMRESWith(ws, p.a, x, b, linalg.GMRESOptions{
-		Tol: tol, Restart: p.opt.Restart, Precond: pre, Ctx: ctx,
+		Tol: tol, Restart: restart, Precond: pre, Ctx: ctx,
 	})
 	res.Iterations += total
 	res.Applies += applies

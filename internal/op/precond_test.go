@@ -138,7 +138,7 @@ func TestBlockJacobiFactorAllocation(t *testing.T) {
 // allocates nothing (the contract GMRESWith relies on).
 func TestBlockJacobiApplyAllocFree(t *testing.T) {
 	spec := busSpec(t, 3, 3, 1.5e-6).withDefaults()
-	a := fmm.NewOperator(spec.Panels, fmm.Options{Workers: 1, Eps: spec.Eps, Cfg: spec.Cfg})
+	a := fmm.NewOperator(spec.Panels, fmm.Options{Workers: 1, Cfg: spec.Cfg})
 	idx, block := a.NearBlocks()
 	bj, err := NewBlockJacobiWith(a.Dim(), idx, block, spec.diagonal(), nil)
 	if err != nil {
@@ -165,7 +165,7 @@ func TestBlockJacobiApplyAllocFree(t *testing.T) {
 // unknowns.
 func TestFMMNearBlocksMatchEntries(t *testing.T) {
 	spec := busSpec(t, 2, 2, 1.5e-6).withDefaults()
-	a := fmm.NewOperator(spec.Panels, fmm.Options{Workers: 1, Eps: spec.Eps, Cfg: spec.Cfg})
+	a := fmm.NewOperator(spec.Panels, fmm.Options{Workers: 1, Cfg: spec.Cfg})
 	idx, block := a.NearBlocks()
 	seen := make([]bool, spec.N())
 	for k, ix := range idx {
@@ -317,7 +317,7 @@ func testBlockJacobiReducesIterationsFMM(t *testing.T) {
 	if spec.N() < 2000 {
 		t.Fatalf("test geometry too small: N=%d, want >= 2000", spec.N())
 	}
-	a := fmm.NewOperator(spec.Panels, fmm.Options{Eps: spec.Eps, Cfg: spec.Cfg})
+	a := fmm.NewOperator(spec.Panels, fmm.Options{Cfg: spec.Cfg})
 
 	plain, err := NewWithOperator(spec, a, Options{Precond: PrecondNone, Tol: 1e-4})
 	if err != nil {

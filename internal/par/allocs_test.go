@@ -18,7 +18,7 @@ import (
 
 func TestTemplatePairAllocationFree(t *testing.T) {
 	st := geom.DefaultBus(4, 4).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 
 	// Warm the global Gauss-rule cache: rule construction is a one-time
@@ -59,7 +59,7 @@ func TestTemplatePairAllocationFree(t *testing.T) {
 func TestInternedPairAllocationFree(t *testing.T) {
 	const genObjects, bound = 5, 256
 	st := geom.DefaultBus(4, 4).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	m := set.M()
 	sweep := func(f *assembly.Interned) func() {
 		return func() {
@@ -126,7 +126,7 @@ func TestInternedPairAllocationFree(t *testing.T) {
 // the integration inner loop contributes nothing.
 func TestFillSteadyStateAllocs(t *testing.T) {
 	st := geom.DefaultBus(3, 3).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	opt := Options{Workers: 2}
 	Fill(set, in, opt) // warm rule caches and partition code paths

@@ -17,7 +17,7 @@ import (
 func benchFillWorkers(b *testing.B, workers int) {
 	b.Helper()
 	st := geom.DefaultBus(8, 8).Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

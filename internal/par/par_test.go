@@ -11,7 +11,7 @@ import (
 
 func TestFillMatchesSerial(t *testing.T) {
 	st := geom.DefaultCrossingPair().Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	want := assembly.FillSerial(set, in)
 
@@ -25,7 +25,7 @@ func TestFillMatchesSerial(t *testing.T) {
 
 func TestFillDefaultWorkers(t *testing.T) {
 	st := geom.DefaultCrossingPair().Build()
-	set := basis.Build(st, basis.DefaultBuilderOptions())
+	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
 	got := Fill(set, in, Options{})
 	want := assembly.FillSerial(set, in)

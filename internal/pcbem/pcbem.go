@@ -5,7 +5,7 @@
 // from the closed-form integrals of internal/kernel.
 //
 // What is left of it here is the geometric front end: Problem owns the
-// panelization and the physics constants, and Spec hands them to the
+// panelization and the kernel configuration, and Spec hands them to the
 // operator/solve layer (internal/op). A panel extraction is staged, timed
 // and solved in one place, internal/plan; the measuring harnesses that
 // build an operator of their own (bench/, cmd/benchfig8) start from a
@@ -25,7 +25,6 @@ import (
 type Problem struct {
 	Panels        []geom.Panel
 	NumConductors int
-	Eps           float64
 	Cfg           *kernel.Config
 	// Par optionally supplies the executor for parallel assembly and
 	// dense matvecs (e.g. a shared sched.Pool); nil means a throwaway
@@ -45,7 +44,6 @@ func NewProblem(st *geom.Structure, maxEdge float64) (*Problem, error) {
 	return &Problem{
 		Panels:        panels,
 		NumConductors: st.NumConductors(),
-		Eps:           kernel.Eps0,
 		Cfg:           kernel.DefaultConfig(),
 	}, nil
 }
@@ -55,7 +53,6 @@ func (p *Problem) Spec() op.Spec {
 	return op.Spec{
 		Panels:        p.Panels,
 		NumConductors: p.NumConductors,
-		Eps:           p.Eps,
 		Cfg:           p.Cfg,
 		Exec:          p.Par,
 	}

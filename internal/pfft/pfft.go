@@ -43,21 +43,16 @@ import (
 
 // Options tunes the precorrected-FFT operator.
 type Options struct {
-	// GridSpacing is the grid pitch h (0 = automatic: fit the structure
-	// in at most MaxNodes nodes per axis, but no finer than half the
-	// median panel edge).
-	GridSpacing float64
-	// MaxNodes caps the logical grid nodes per axis for automatic
-	// spacing (default 48).
+	// MaxNodes caps the logical grid nodes per axis (default 48): the
+	// grid pitch h fits the structure in at most MaxNodes nodes per axis,
+	// but is no finer than half the median panel edge.
 	MaxNodes int
 	// NearRadius is the precorrection radius in units of h (default 3).
 	NearRadius float64
 	Workers    int // parallel workers when Pool is nil (default GOMAXPROCS)
-	// Eps is the permittivity (0 = vacuum) and Cfg the kernel
-	// configuration (nil = defaults). An extraction does not choose them
-	// per backend: op.PFFTOptions fills both from the spec, whatever a
-	// caller left here.
-	Eps float64
+	// Cfg is the kernel configuration (nil = defaults). An extraction
+	// does not choose it per backend: op.PFFTOptions fills it from the
+	// spec, whatever a caller left here.
 	Cfg *kernel.Config
 	// Pairs is the symmetry-class table the exact precorrection entries
 	// are read from and added to (assembly.InternPanels; nil = a table of
@@ -83,9 +78,6 @@ func (o *Options) defaults() {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Eps == 0 {
-		o.Eps = kernel.Eps0
 	}
 	if o.Cfg == nil {
 		o.Cfg = kernel.DefaultConfig()
@@ -189,7 +181,7 @@ type Reuse struct {
 	// captured by NearArtifact from an operator built over bit-identical
 	// panels and options (the disk artifact store's path; internal/plan
 	// keys it by a content hash of exact geometry + options, so values
-	// baked with a different Eps/Cfg never reach here). The spatial-hash
+	// baked with a different Cfg never reach here). The spatial-hash
 	// row structure is a deterministic function of the geometry, so the
 	// stored values land in the rows a fresh integration would fill; any
 	// row whose stored length disagrees with the rebuilt row is
@@ -245,7 +237,7 @@ func NewOperatorReuse(panels []geom.Panel, opt Options, reuse *Reuse) *Operator 
 		sten:    make([]stencil, len(panels)),
 		nearIdx: make([][]int32, len(panels)),
 		nearVal: make([][]float64, len(panels)),
-		scale:   1 / (kernel.FourPi * opt.Eps),
+		scale:   1 / kernel.FourPiEps0,
 	}
 	op.nearExact = make([][]float64, len(panels))
 	if opt.Exec != nil {
@@ -277,12 +269,9 @@ func NewOperatorReuse(panels []geom.Panel, opt Options, reuse *Reuse) *Operator 
 	span := hi.Sub(lo)
 	maxSpan := math.Max(span.X, math.Max(span.Y, span.Z))
 
-	h := opt.GridSpacing
+	h := math.Max(medEdge/2, maxSpan/float64(opt.MaxNodes-1))
 	if h == 0 {
-		h = math.Max(medEdge/2, maxSpan/float64(opt.MaxNodes-1))
-		if h == 0 {
-			h = 1
-		}
+		h = 1
 	}
 	op.h = h
 	op.origin = lo

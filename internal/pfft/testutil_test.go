@@ -29,7 +29,7 @@ func denseRef(panels []geom.Panel) *linalg.Dense {
 	m := linalg.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			v := kernel.Scale(kernel.RectGalerkin(cfg, panels[i].Rect, panels[j].Rect), kernel.Eps0)
+			v := kernel.Scale(kernel.RectGalerkin(cfg, panels[i].Rect, panels[j].Rect))
 			m.Set(i, j, v)
 			m.Set(j, i, v)
 		}

@@ -71,14 +71,14 @@ const (
 )
 
 // artifactKey returns the family content hash for the current build,
-// or "" when persistence is off. The kernel configuration and permittivity
-// hashed are the plan's: the only ones its operators integrate with,
-// whatever the backend (op.FMMOptions, op.PFFTOptions).
+// or "" when persistence is off. The kernel configuration hashed is the
+// plan's: the only one its operators integrate with, whatever the backend
+// (op.FMMOptions, op.PFFTOptions).
 func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, po *pfft.Options) string {
 	if p.opt.Artifacts == nil {
 		return ""
 	}
-	return artifactHash(artifactSchema, p.opt.MaxEdge, kernel.Eps0, p.cfg.Fingerprint(kernel.ArithVersion), be, fo, po, st)
+	return artifactHash(artifactSchema, p.opt.MaxEdge, p.cfg.Fingerprint(kernel.ArithVersion), be, fo, po, st)
 }
 
 // artifactSchema opens every family hash: the version of what an artifact
@@ -93,8 +93,11 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 // kernel.Config.Fingerprint and the plan's one permittivity: the same
 // values under new key bytes, which a "pba3" entry must not alias; "pba4"
 // block factors were Cholesky factors stored as full n x n matrices, where
-// "pba5" stores each block's packed LDLᵀ triangle and its pivots.)
-var artifactSchema = []byte("pba5")
+// "pba5" stores each block's packed LDLᵀ triangle and its pivots; "pba5"
+// hashed the permittivity, the fmm leaf size and the pfft grid pitch,
+// which "pba6" does not, as they are constants: the same values under new
+// key bytes again.)
+var artifactSchema = []byte("pba6")
 
 // artifactHash computes the family content hash under the given schema
 // header, fp being the kernel configuration's fingerprint
@@ -104,7 +107,7 @@ var artifactSchema = []byte("pba5")
 // distinct from their explicit equivalents): identical Options always
 // produce identical keys, which is the contract that matters; a
 // zero-vs-explicit-default mismatch only costs a missed dedup.
-func artifactHash(schema []byte, maxEdge, eps float64, fp uint64, be op.Backend,
+func artifactHash(schema []byte, maxEdge float64, fp uint64, be op.Backend,
 	fo *fmm.Options, po *pfft.Options, st *geom.Structure) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -116,15 +119,12 @@ func artifactHash(schema []byte, maxEdge, eps float64, fp uint64, be op.Backend,
 	h.Write(schema)
 	h.Write([]byte{byte(be)})
 	wf(maxEdge)
-	wf(eps)
 	w64(fp)
 	switch {
 	case fo != nil:
-		w64(uint64(fo.LeafSize))
 		wf(fo.Theta)
 		wf(fo.NearFactor)
 	case po != nil:
-		wf(po.GridSpacing)
 		w64(uint64(po.MaxNodes))
 		wf(po.NearRadius)
 	}

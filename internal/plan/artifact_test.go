@@ -180,7 +180,7 @@ func TestPlanArtifactKeySeparation(t *testing.T) {
 	if kA == kB {
 		t.Error("distinct geometries share a family hash")
 	}
-	fo := fmm.Options{LeafSize: 16}
+	fo := fmm.Options{Theta: 0.5}
 	kF := p.artifactKey(stA, op.BackendFMM, &fo, nil)
 	if kF == kA {
 		t.Error("distinct backends share a family hash")
@@ -204,7 +204,7 @@ func TestPlanArtifactKeySeparation(t *testing.T) {
 func TestArtifactKeyCarriesFingerprint(t *testing.T) {
 	st := crossingAt(0.5e-6)
 	key := func(cfg *kernel.Config, arith uint64) string {
-		return artifactHash(artifactSchema, 0.5e-6, kernel.Eps0, cfg.Fingerprint(arith), op.BackendDense, nil, nil, st)
+		return artifactHash(artifactSchema, 0.5e-6, cfg.Fingerprint(arith), op.BackendDense, nil, nil, st)
 	}
 	p, err := New(Options{MaxEdge: 0.5e-6, Artifacts: newMemStore()})
 	if err != nil {
@@ -255,8 +255,9 @@ func TestPlanArtifactLengthMismatchDegrades(t *testing.T) {
 // were integrated at each pair's absolute coordinates where this build
 // stores symmetry-class values; the "pba3" ones, which encoded the kernel
 // configuration field by field; the "pba4" ones, whose block factors were
-// full Cholesky matrices; and one of today's schema whose kernel
-// arithmetic was the version before this one. The plan must
+// full Cholesky matrices; the "pba5" ones, which hashed the permittivity,
+// the fmm leaf size and the pfft grid pitch; and one of today's schema
+// whose kernel arithmetic was the version before this one. The plan must
 // miss the entry, integrate afresh and store under its own key; the stale
 // entry is never read.
 func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
@@ -275,6 +276,7 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 		{"pba2", []byte{'p', 'b', 'a', '2', kernel.ArithVersion}, fp},
 		{"pba3", []byte{'p', 'b', 'a', '3', kernel.ArithVersion}, fp},
 		{"pba4", []byte("pba4"), fp},
+		{"pba5", []byte("pba5"), fp},
 		{"arithmetic before", artifactSchema, kernel.DefaultConfig().Fingerprint(kernel.ArithVersion - 1)},
 	} {
 		p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: newMemStore()})
@@ -282,7 +284,7 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := p.artifactKey(st, op.BackendDense, nil, nil)
-		oldKey := artifactHash(old.schema, 0.5e-6, kernel.Eps0, old.fp, op.BackendDense, nil, nil, st)
+		oldKey := artifactHash(old.schema, 0.5e-6, old.fp, op.BackendDense, nil, nil, st)
 		if oldKey == key {
 			t.Fatalf("%s: old key %q, current key %q: want two distinct keys", old.name, oldKey, key)
 		}

@@ -379,7 +379,6 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 	spec := op.Spec{
 		Panels:        panels,
 		NumConductors: snap.NumConductors(),
-		Eps:           kernel.Eps0,
 		Cfg:           p.cfg,
 		Exec:          p.opt.Exec,
 		Pairs:         p.opt.Pairs,

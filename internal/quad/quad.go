@@ -119,19 +119,6 @@ func Integrate4D(f func(x, y, xp, yp float64) float64,
 	}, ax, bx, ay, by, n, n)
 }
 
-// Mapped returns the rule's nodes mapped to [a, b] along with the matching
-// weights (scaled by the interval half-length), appended to the dst slices.
-func Mapped(n int, a, b float64, dstX, dstW []float64) ([]float64, []float64) {
-	r := Gauss(n)
-	half := 0.5 * (b - a)
-	mid := 0.5 * (a + b)
-	for i, x := range r.Nodes {
-		dstX = append(dstX, mid+half*x)
-		dstW = append(dstW, half*r.Weights[i])
-	}
-	return dstX, dstW
-}
-
 // FillMapped writes the n mapped nodes and weights for [a, b] into
 // xs[:n] and ws[:n] without allocating. xs and ws must have length >= n.
 func FillMapped(n int, a, b float64, xs, ws []float64) {

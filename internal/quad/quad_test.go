@@ -97,10 +97,8 @@ func TestIntegrate4D(t *testing.T) {
 }
 
 func TestMapped(t *testing.T) {
-	xs, ws := Mapped(8, 2, 5, nil, nil)
-	if len(xs) != 8 || len(ws) != 8 {
-		t.Fatalf("lengths %d %d", len(xs), len(ws))
-	}
+	xs, ws := make([]float64, 8), make([]float64, 8)
+	FillMapped(8, 2, 5, xs, ws)
 	var s, m float64
 	for i := range xs {
 		s += ws[i]

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"parbem/internal/extract"
 	"parbem/internal/geom"
 	"parbem/internal/linalg"
 	"parbem/internal/op"
@@ -523,7 +522,7 @@ func (s *Server) runVariantSweep(j *job, req *SweepRequest, sts []*geom.Structur
 
 // runTemplateSweep runs the template-extraction h-sweep of the
 // elementary crossing pair. extract.SweepH keeps healthy points on a
-// mid-sweep failure and joins one PointError per failed separation;
+// mid-sweep failure and returns each failed point's error at its index;
 // here, at the service edge, each failure becomes that point's error
 // entry in the stream.
 func (s *Server) runTemplateSweep(j *job, req *SweepRequest, emit func(*SweepPoint) bool) {
@@ -531,26 +530,22 @@ func (s *Server) runTemplateSweep(j *job, req *SweepRequest, emit func(*SweepPoi
 	// budgeted executor, like a pipeline job's, and observe the job's
 	// deadline and cancellation at every stage boundary and iteration.
 	hs := req.TemplateHs
-	fits, err := s.sweepH(j.ctx, s.eng.PlanExec(), geom.DefaultCrossingPair(), hs, req.EdgeM)
+	fits, errs := s.sweepH(j.ctx, s.eng.PlanExec(), geom.DefaultCrossingPair(), hs, req.EdgeM)
 	if j.ctx.Err() != nil {
 		// The whole sweep is over, not its points one by one: runSweep
 		// reports the deadline or disconnect in place of the trailer.
 		return
 	}
-	if len(fits) < len(hs) {
-		fits = append(fits, make([]*extract.ArchFit, len(hs)-len(fits))...)
-	}
-	perr := perPointErrors(err, hs)
 	for i, h := range hs {
 		p := &SweepPoint{Index: i, HM: h}
 		switch {
-		case fits[i] != nil:
+		case i < len(fits) && fits[i] != nil:
 			p.Fit = &SweepFit{
 				Flat: fits[i].Flat, Peak: fits[i].Peak,
 				PeakPos: fits[i].PeakPos, Decay: fits[i].Decay,
 			}
-		case perr[i] != nil:
-			p.Error = &RequestError{Code: CodePointFailed, Message: perr[i].Error()}
+		case i < len(errs) && errs[i] != nil:
+			p.Error = &RequestError{Code: CodePointFailed, Message: errs[i].Error()}
 		default:
 			p.Error = &RequestError{Code: CodePointFailed, Message: "point produced no fit"}
 		}
@@ -558,33 +553,6 @@ func (s *Server) runTemplateSweep(j *job, req *SweepRequest, emit func(*SweepPoi
 			return
 		}
 	}
-}
-
-// perPointErrors maps a joined SweepH error back onto the h indices it
-// belongs to. Separations are matched bitwise so duplicate h values
-// claim one error each, in order.
-func perPointErrors(err error, hs []float64) []error {
-	out := make([]error, len(hs))
-	if err == nil {
-		return out
-	}
-	pes := extract.PointErrors(err)
-	claimed := make([]bool, len(pes))
-	for i, h := range hs {
-		for k, pe := range pes {
-			if claimed[k] || !sameFloat(pe.H, h) {
-				continue
-			}
-			out[i], claimed[k] = pe.Err, true
-			break
-		}
-	}
-	return out
-}
-
-// sameFloat is bitwise float equality (NaN-safe).
-func sameFloat(a, b float64) bool {
-	return a == b || (a != a && b != b)
 }
 
 // requestedName normalizes an empty selector to "auto" for telemetry.

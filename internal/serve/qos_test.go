@@ -196,7 +196,7 @@ func TestServeSweepPointsCountDelivered(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s.sweepH = func(_ context.Context, _ sched.Executor, _ geom.CrossingPairSpec, hs []float64, _ float64) ([]*extract.ArchFit, error) {
+	s.sweepH = func(_ context.Context, _ sched.Executor, _ geom.CrossingPairSpec, hs []float64, _ float64) ([]*extract.ArchFit, []error) {
 		// The client vanishes while the solver is running; every point
 		// emitted afterwards races delivery against the dead context.
 		cancel()
@@ -246,15 +246,15 @@ func TestServeTemplateSweepDeadline(t *testing.T) {
 	s, c := startServer(t, Options{Workers: 1})
 	hs := []float64{0.4e-6, 0.5e-6, 0.6e-6}
 	var expired atomic.Int32
-	s.sweepH = func(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, edge float64) ([]*extract.ArchFit, error) {
+	s.sweepH = func(ctx context.Context, ex sched.Executor, base geom.CrossingPairSpec, hs []float64, edge float64) ([]*extract.ArchFit, []error) {
 		<-ctx.Done() // the deadline expires mid-sweep
-		fits, err := extract.SweepH(ctx, ex, base, hs, edge)
-		for _, pe := range extract.PointErrors(err) {
-			if errors.Is(pe, context.DeadlineExceeded) {
+		fits, errs := extract.SweepH(ctx, ex, base, hs, edge)
+		for _, err := range errs {
+			if errors.Is(err, context.DeadlineExceeded) {
 				expired.Add(1)
 			}
 		}
-		return fits, err
+		return fits, errs
 	}
 	streamed := 0
 	_, err := c.Sweep(context.Background(),

@@ -279,7 +279,7 @@ type Server struct {
 	// sweepH runs the template h-sweep (extract.SweepH, on the engine's
 	// budgeted executor); tests inject mid-sweep failures through it to
 	// pin the per-point error reporting at the service edge.
-	sweepH func(context.Context, sched.Executor, geom.CrossingPairSpec, []float64, float64) ([]*extract.ArchFit, error)
+	sweepH func(context.Context, sched.Executor, geom.CrossingPairSpec, []float64, float64) ([]*extract.ArchFit, []error)
 }
 
 // counters are the monotonic job/request counters of /stats. Queued

@@ -274,7 +274,7 @@ func freshPlan(t *testing.T, st *geom.Structure, edge float64, popt op.Options) 
 func TestServeSweepWorkerBudget(t *testing.T) {
 	s, c := startServer(t, Options{Workers: 2, WorkerBudget: 1})
 	var running, widest atomic.Int32
-	s.sweepH = func(_ context.Context, ex sched.Executor, _ geom.CrossingPairSpec, in []float64, _ float64) ([]*extract.ArchFit, error) {
+	s.sweepH = func(_ context.Context, ex sched.Executor, _ geom.CrossingPairSpec, in []float64, _ float64) ([]*extract.ArchFit, []error) {
 		ex.Map(8, func(int) {
 			if n := running.Add(1); n > widest.Load() {
 				widest.Store(n)
@@ -299,27 +299,26 @@ func TestServeSweepWorkerBudget(t *testing.T) {
 	}
 }
 
-// TestServeSweepTemplatePointError pins the service-edge fix for
-// extract.SweepH partial failures: a mid-sweep PointError surfaces as
-// that point's error entry in the streamed JSON — tagged with its h —
+// TestServeSweepTemplatePointError pins the service edge of
+// extract.SweepH partial failures: a mid-sweep point error surfaces as
+// that point's error entry in the streamed JSON — at its index and h —
 // while the healthy points still stream their fits. No dropped points.
 func TestServeSweepTemplatePointError(t *testing.T) {
 	s, c := startServer(t, Options{Workers: 2})
 	hs := []float64{0.4e-6, 0.5e-6, 0.6e-6}
 	// Inject the exact failure shape SweepH produces when a point dies
-	// mid-sweep: fits[i] nil for the failed point, the joined error
-	// carrying one PointError per failure.
-	s.sweepH = func(_ context.Context, _ sched.Executor, _ geom.CrossingPairSpec, in []float64, _ float64) ([]*extract.ArchFit, error) {
+	// mid-sweep: fits[i] nil and errs[i] set for the failed point.
+	s.sweepH = func(_ context.Context, _ sched.Executor, _ geom.CrossingPairSpec, in []float64, _ float64) ([]*extract.ArchFit, []error) {
 		fits := make([]*extract.ArchFit, len(in))
-		var errs []error
-		for i, h := range in {
+		errs := make([]error, len(in))
+		for i := range in {
 			if i == 1 {
-				errs = append(errs, &extract.PointError{H: h, Err: fmt.Errorf("injected mid-sweep failure")})
+				errs[i] = errors.New("injected mid-sweep failure")
 				continue
 			}
 			fits[i] = &extract.ArchFit{Flat: 1 + float64(i), Peak: 2, PeakPos: 0, Decay: 1e-7}
 		}
-		return fits, errors.Join(errs...)
+		return fits, errs
 	}
 
 	var pts []*SweepPoint
@@ -547,7 +546,7 @@ func TestServeCancelledQueuedJobSkipped(t *testing.T) {
 // the daemon keeps serving.
 func TestServePanicContainment(t *testing.T) {
 	s, c := startServer(t, Options{Workers: 1})
-	s.sweepH = func(context.Context, sched.Executor, geom.CrossingPairSpec, []float64, float64) ([]*extract.ArchFit, error) {
+	s.sweepH = func(context.Context, sched.Executor, geom.CrossingPairSpec, []float64, float64) ([]*extract.ArchFit, []error) {
 		panic("injected solver panic")
 	}
 	_, err := c.Sweep(context.Background(),

@@ -47,20 +47,15 @@ func (b Backend) String() string {
 // Options configures extraction.
 type Options struct {
 	Backend Backend
-	Workers int // parallel nodes D (0 = GOMAXPROCS for SharedMem, 1 for others)
+	// Workers is the parallel nodes D (0 = GOMAXPROCS for SharedMem, 1
+	// for others): for Distributed, the ranks of the simulated network.
+	Workers int
 
 	// Basis tunes instantiable-basis generation; zero value = defaults.
 	Basis basis.BuilderOptions
 
 	// Kernel overrides the integration configuration (nil = defaults).
 	Kernel *kernel.Config
-
-	// Eps is the dielectric permittivity (0 = vacuum).
-	Eps float64
-
-	// Network supplies the simulated interconnect for the Distributed
-	// backend (nil = ideal network of Workers ranks).
-	Network *mpi.Network
 
 	// Pairs, when non-nil, is the symmetry-class table this fill
 	// reads and extends (the batch engine shares one across its
@@ -133,12 +128,9 @@ func Extract(st *geom.Structure, opt Options) (*Result, error) {
 }
 
 // BuildBasis generates and validates the instantiable basis for a
-// structure (zero options = calibrated defaults). It is the basis-stage
-// entry point the batch engine caches behind its geometry-signature key.
+// structure. It is the basis-stage entry point the batch engine caches
+// behind its geometry-signature key.
 func BuildBasis(st *geom.Structure, bopt basis.BuilderOptions) (*basis.Set, error) {
-	if bopt == (basis.BuilderOptions{}) {
-		bopt = basis.DefaultBuilderOptions()
-	}
 	set := basis.Build(st, bopt)
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("solver: generated basis invalid: %w", err)
@@ -150,10 +142,6 @@ func BuildBasis(st *geom.Structure, bopt basis.BuilderOptions) (*basis.Set, erro
 // (which is read shared, never mutated, so one cached set may serve many
 // concurrent calls). Timing.BasisGen is zero.
 func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
-	eps := opt.Eps
-	if eps == 0 {
-		eps = kernel.Eps0
-	}
 	cfg := opt.Kernel
 	if cfg == nil {
 		cfg = kernel.DefaultConfig()
@@ -166,8 +154,8 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Physical scaling 1/(4*pi*eps).
-	linalg.Scal(1/(kernel.FourPi*eps), P.Data)
+	// Physical scaling 1/(4*pi*eps0).
+	linalg.Scal(1/kernel.FourPiEps0, P.Data)
 	tSetup := time.Since(t1)
 
 	t2 := time.Now()
@@ -204,15 +192,7 @@ func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Sym, er
 	case SharedMem:
 		return par.FillSym(set, in, par.Options{Workers: opt.Workers, Pool: opt.Pool}), nil
 	case Distributed:
-		net := opt.Network
-		if net == nil {
-			d := opt.Workers
-			if d <= 0 {
-				d = 1
-			}
-			net = mpi.NewNetwork(d)
-		}
-		return mpi.FillDistributed(set, in, net), nil
+		return mpi.FillDistributed(set, in, mpi.NewNetwork(max(opt.Workers, 1))), nil
 	}
 	return nil, errors.New("solver: unknown backend")
 }

@@ -10,7 +10,6 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
-	"parbem/internal/mpi"
 	"parbem/internal/op"
 )
 
@@ -99,16 +98,17 @@ func TestBackendsAgree(t *testing.T) {
 	}
 }
 
-func TestExtractWithCustomNetwork(t *testing.T) {
+// TestExtractDistributedFourRanks: Distributed runs on a network of
+// Workers ranks and agrees with the serial fill.
+func TestExtractDistributedFourRanks(t *testing.T) {
 	st := geom.DefaultCrossingPair().Build()
-	net := mpi.NewNetwork(4)
-	res, err := Extract(st, Options{Backend: Distributed, Network: net})
+	res, err := Extract(st, Options{Backend: Distributed, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial, _ := Extract(st, Options{})
 	if d := linalg.MaxAbsDiff(serial.C, res.C); d > ctol(serial.C) {
-		t.Errorf("networked result differs by %g", d)
+		t.Errorf("four-rank result differs by %g", d)
 	}
 }
 

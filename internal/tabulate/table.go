@@ -162,8 +162,7 @@ func (t *Table) interp(base int, fracs []float64, strides []int) float64 {
 
 // MaxInterpError estimates the interpolation error by comparing the table
 // against f at the centers of nProbe random-ish cells (low-discrepancy
-// lattice), returning the max relative error observed. It is used by tests
-// and by the error-control documentation in EXPERIMENTS.md.
+// lattice), returning the max relative error observed.
 func (t *Table) MaxInterpError(f func(x []float64) float64, nProbe int) float64 {
 	k := len(t.dims)
 	x := make([]float64, k)

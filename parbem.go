@@ -50,7 +50,7 @@
 // every conductor excitation through the unified pipeline of
 // internal/op: one preconditioned Krylov search space that all the
 // excitations of a solve share (each starts from what the earlier ones
-// found; PipelineOptions.Restart bounds the directions it keeps), or
+// found; it keeps the last 60 directions), or
 // for dense with PipelineOptions.Direct one equilibrated
 // symmetric-indefinite LDLᵀ, then the shared charge-to-capacitance
 // reduction (which the template solver behind Extract uses too). Three
@@ -209,6 +209,8 @@ package parbem
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 
 	"parbem/internal/assembly"
@@ -220,7 +222,6 @@ import (
 	"parbem/internal/geomio"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
-	"parbem/internal/mpi"
 	"parbem/internal/op"
 	"parbem/internal/pfft"
 	"parbem/internal/plan"
@@ -297,8 +298,6 @@ type (
 	// distances themselves are constants of the kernel (12 and 4 mean
 	// diameters); a panel extraction always integrates with the default.
 	KernelConfig = kernel.Config
-	// Network is the simulated distributed-memory interconnect.
-	Network = mpi.Network
 	// Matrix is the dense matrix type used for capacitance results.
 	Matrix = linalg.Dense
 )
@@ -316,9 +315,6 @@ const Eps0 = kernel.Eps0
 // NewMatrix allocates a zeroed rows x cols dense matrix (the type
 // capacitance results use).
 func NewMatrix(rows, cols int) *Matrix { return linalg.NewDense(rows, cols) }
-
-// DefaultKernelConfig returns the standard integration configuration.
-func DefaultKernelConfig() *KernelConfig { return kernel.DefaultConfig() }
 
 // ErrSelfCapacitance is wrapped by the error a template extraction
 // (Extract, or an Engine's) returns when a self-capacitance of the result
@@ -346,11 +342,6 @@ type (
 // NewEngine creates a batch extraction engine and starts its worker
 // pool. Call Close when done with it.
 func NewEngine(opt EngineOptions) *Engine { return batch.New(opt) }
-
-// NewNetwork creates a simulated message-passing network of the given
-// size for the Distributed backend (fields Latency/InvBandwidth add an
-// interconnect cost model).
-func NewNetwork(size int) *Network { return mpi.NewNetwork(size) }
 
 // PipelineOptions configures the unified piecewise-constant solve
 // pipeline: operator backend, preconditioner, tolerance and per-backend
@@ -406,8 +397,8 @@ func ExtractReference(st *Structure, maxEdge float64) (*PlanResult, error) {
 	return ExtractPipeline(st, maxEdge, PipelineOptions{Backend: BackendDense, Direct: true})
 }
 
-// FastCapOptions tunes the multipole baseline's operator. Its Eps and Cfg
-// are not read (an extraction's are the plan's); for a GMRES tolerance
+// FastCapOptions tunes the multipole baseline's operator. Its Cfg is not
+// read (an extraction's are the plan's); for a GMRES tolerance
 // other than 1e-4, call ExtractPipeline with PipelineOptions.Tol.
 type FastCapOptions = fmm.Options
 
@@ -504,9 +495,17 @@ func FitArch(p *Profile, sp CrossingPairSpec) (*ArchFit, error) {
 	return extract.FitArch(p, sp)
 }
 
-// SweepH extracts a(h), b(h) over a range of separations.
+// SweepH extracts a(h), b(h) over a range of separations. A failed point
+// has a nil fit and its error, tagged with its h, joined into the one
+// returned.
 func SweepH(base CrossingPairSpec, hs []float64, maxEdge float64) ([]*ArchFit, error) {
-	return extract.SweepH(context.Background(), sched.Local(0), base, hs, maxEdge)
+	fits, errs := extract.SweepH(context.Background(), sched.Local(0), base, hs, maxEdge)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("sweep point h=%g: %w", hs[i], err)
+		}
+	}
+	return fits, errors.Join(errs...)
 }
 
 // CapError returns the maximum relative difference between two capacitance
@@ -531,6 +530,3 @@ func CapError(got, ref *Matrix) float64 {
 	}
 	return maxRel
 }
-
-// DefaultBuilderOptionsPub exposes the calibrated basis-builder defaults.
-func DefaultBuilderOptionsPub() BuilderOptions { return basis.DefaultBuilderOptions() }

@@ -8,6 +8,7 @@ import (
 
 	"parbem/internal/assembly"
 	"parbem/internal/fmm"
+	"parbem/internal/mpi"
 	"parbem/internal/op"
 	"parbem/internal/par"
 	"parbem/internal/pfft"
@@ -117,21 +118,31 @@ func TestSetupDominatesTotal(t *testing.T) {
 // use it is a constant. PR 22's Pairs is a resource handle, like Exec and
 // Artifacts beside it: the batch engine passes its shared class table and
 // everything else leaves it nil; it travels plan -> op.Spec -> the fmm and
-// pfft operators, whose option structs are listed from here on.
+// pfft operators, whose option structs are listed from here on. The 17
+// fields that went later under the same rule are the permittivity of
+// Options, op.Spec, pcbem.Problem and the fmm and pfft operators, the
+// simulated interconnect (Options.Network and mpi.Network's latency and
+// bandwidth), the basis builder's six calibration factors, the Krylov
+// ring (PipelineOptions.Restart), the fmm leaf size and the pfft grid
+// pitch.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
 		want []string
 	}{
-		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Basis", "Kernel", "Eps", "Network", "Pairs", "Pool"}},
+		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Basis", "Kernel", "Pairs", "Pool"}},
 		{reflect.TypeOf(EngineOptions{}), []string{"Backend", "Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
 		{reflect.TypeOf(PlanOptions{}), []string{"MaxEdge", "Pipeline", "Exec", "Artifacts", "Pairs"}},
-		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Precond", "Tol", "Restart", "Direct", "Precision", "FMM", "PFFT"}},
+		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Precond", "Tol", "Direct", "Precision", "FMM", "PFFT"}},
 		{reflect.TypeOf(par.Options{}), []string{"Workers", "Pool"}},
 		{reflect.TypeOf(assembly.Integrator{}), []string{"Cfg", "Pairs"}},
-		{reflect.TypeOf(op.Spec{}), []string{"Panels", "NumConductors", "Eps", "Cfg", "Exec", "Pairs"}},
-		{reflect.TypeOf(fmm.Options{}), []string{"LeafSize", "Theta", "NearFactor", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec"}},
-		{reflect.TypeOf(pfft.Options{}), []string{"GridSpacing", "MaxNodes", "NearRadius", "Workers", "Eps", "Cfg", "Pairs", "Pool", "Exec"}},
+		{reflect.TypeOf(op.Spec{}), []string{"Panels", "NumConductors", "Cfg", "Exec", "Pairs"}},
+		{reflect.TypeOf(fmm.Options{}), []string{"Theta", "NearFactor", "Workers", "Cfg", "Pairs", "Pool", "Exec"}},
+		{reflect.TypeOf(pfft.Options{}), []string{"MaxNodes", "NearRadius", "Workers", "Cfg", "Pairs", "Pool", "Exec"}},
+		// The template library's calibration is constants of basis; the
+		// simulated network has no cost model.
+		{reflect.TypeOf(BuilderOptions{}), []string{"SeparateInduced"}},
+		{reflect.TypeOf(mpi.Network{}), nil},
 		// The Section 4.1 distances are kernel constants, not settings.
 		{reflect.TypeOf(KernelConfig{}), []string{"QuadOrder", "DisableApprox"}},
 		// A variant's fmm or pfft near field is built, never copied from
