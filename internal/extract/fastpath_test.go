@@ -104,24 +104,56 @@ func TestSweepHMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSweepHPartialErrors verifies per-point error propagation: each
-// poisoned h value (NaN, +Inf) fails alone, at its own index of the
-// errors, while the healthy points still produce fits and no error.
+// TestSweepHPartialErrors verifies per-point error propagation: a
+// poisoned h value fails alone, at its own index of the errors, while
+// the healthy points still produce fits and no error.
 func TestSweepHPartialErrors(t *testing.T) {
 	base := smallSpec()
-	hs := []float64{0.4e-6, math.NaN(), 0.8e-6, math.Inf(1)}
+	hs := []float64{0.4e-6, math.NaN(), 0.8e-6}
 	fits, errs := SweepH(context.Background(), sched.Local(0), base, hs, 0.5e-6)
 	if len(fits) != len(hs) || len(errs) != len(hs) {
 		t.Fatalf("%d fits and %d errors for %d points", len(fits), len(errs), len(hs))
 	}
+	if errs[1] == nil {
+		t.Fatal("poisoned point returned no error")
+	}
+	if errs[0] != nil || errs[2] != nil {
+		t.Errorf("healthy points returned errors %v, %v", errs[0], errs[2])
+	}
+	if fits[0] == nil || fits[2] == nil {
+		t.Error("healthy points lost their fits")
+	}
+	if fits[1] != nil {
+		t.Error("failed point produced a fit")
+	}
+}
+
+// TestPointErrorsDecomposition pins the service-edge contract: every
+// failed point of a sweep has its own error at its own index, so a
+// streaming caller can emit one error entry per point instead of
+// dropping points behind the first failure.
+func TestPointErrorsDecomposition(t *testing.T) {
+	base := smallSpec()
+	hs := []float64{math.NaN(), 0.5e-6, math.Inf(1), 0.8e-6}
+	fits, errs := SweepH(context.Background(), sched.Local(0), base, hs, 0.5e-6)
+	if len(fits) != len(hs) || len(errs) != len(hs) {
+		t.Fatalf("%d fits and %d errors for %d points", len(fits), len(errs), len(hs))
+	}
+	failed := 0
 	for i, h := range hs {
 		healthy := !math.IsNaN(h) && !math.IsInf(h, 0)
+		if errs[i] != nil {
+			failed++
+		}
 		if healthy && (errs[i] != nil || fits[i] == nil) {
 			t.Errorf("healthy point h=%g: fit %v, error %v", h, fits[i], errs[i])
 		}
 		if !healthy && (errs[i] == nil || fits[i] != nil) {
 			t.Errorf("poisoned point h=%g: fit %v, error %v; want an error and no fit", h, fits[i], errs[i])
 		}
+	}
+	if failed != 2 {
+		t.Errorf("got %d point errors, want 2 (the NaN and +Inf points)", failed)
 	}
 }
 
