@@ -318,16 +318,17 @@ func BenchmarkAblationLDLT_GMRES(b *testing.B) {
 	st := NewBus(6, 6).Build()
 	set := basis.Build(st, basis.BuilderOptions{})
 	in := assembly.NewIntegrator()
-	P := assembly.FillSerial(set, in).Dense()
+	P := assembly.FillSerial(set, in)
 	linalg.Scal(1/(kernel.FourPi*kernel.Eps0), P.Data)
-	rhs := make([]float64, P.Rows)
+	rhs := make([]float64, P.N)
 	for j := range rhs {
 		rhs[j] = 1e-12
 	}
+	a := op.NewDenseOperator(P, nil, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x := make([]float64, P.Rows)
-		if _, err := linalg.GMRES(linalg.DenseOp{M: P}, x, rhs,
+		x := make([]float64, P.N)
+		if _, err := linalg.GMRES(a, x, rhs,
 			linalg.GMRESOptions{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}

@@ -156,17 +156,17 @@ func gap2(alo, ahi, blo, bhi float64) float64 {
 	return 0
 }
 
-// FillUpper writes the interned panels' scaled Galerkin matrix into m, both
-// triangles from the upper: entries (i, j) and (j, i), i <= j, are
+// FillUpper writes the interned panels' scaled Galerkin matrix into m, its
+// packed lower triangle from the upper: entry (j, i), i <= j, is
 // kernel.Scale(PairInto(i, j)) to the bit, panel i the target. The
 // exception are the entries whose two panels share a non-negative class in
 // class (nil: none do): m is then the matrix of the same panels before they
-// moved, and those entries, in both triangles, are kept as m holds them.
+// moved, and those entries are kept as m holds them.
 // A block whose two groups lie in one class is skipped whole. The blocks
 // of the panel groups run as tasks on ex, each with scratch from the class
 // table's free list (see "Blocks"). It returns the number of upper entries
 // kept and the pair work of the rest. f must hold panels.
-func (f *Interned) FillUpper(ex sched.Executor, m *linalg.Dense, class []int32) (int64, FillStats) {
+func (f *Interned) FillUpper(ex sched.Executor, m *linalg.Sym, class []int32) (int64, FillStats) {
 	starts := f.tasks()
 	var gcls []int32 // per group: the class all its panels share, else -1
 	if class != nil {
@@ -503,13 +503,12 @@ func (f *Interned) classBlocks() *classBlocks {
 	return t
 }
 
-// fillPiece fills piece p (see FillUpper) with w's tables, each entry and
-// its mirror, counting into c, and returns the number of entries kept.
-func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m *linalg.Dense, class []int32, c *FillStats) (nr int64) {
+// fillPiece fills piece p (see FillUpper) with w's tables, counting into
+// c, and returns the number of entries kept.
+func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m *linalg.Sym, class []int32, c *FillStats) (nr int64) {
 	B := &f.groups[p.b]
 	mode := w.prepare(f, &f.groups[p.a], B)
 	for i := int(p.rlo); i < int(p.rhi); i++ {
-		row := m.Row(i)
 		ci := int32(-1) // no class: no entry of the row is kept
 		if class != nil {
 			ci = class[i]
@@ -552,7 +551,7 @@ func (f *Interned) fillPiece(w *blockScratch, p blockPiece, m *linalg.Dense, cla
 					w.memo[cell], w.stamp[cell] = v, w.epoch
 				}
 			}
-			row[j], m.Data[j*m.Cols+i] = v, v
+			m.Data[linalg.PackedLen(j)+i] = v
 		}
 	}
 	return nr

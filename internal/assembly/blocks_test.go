@@ -42,15 +42,12 @@ func TestFillUpperSplitsLargeBlocks(t *testing.T) {
 	}
 	var first FillStats
 	for _, workers := range []int{1, 2, 3} {
-		m := linalg.NewDense(n, n)
+		m := linalg.NewSym(n)
 		_, fill := InternPanels(cfg, nil, panels).FillUpper(sched.Local(workers), m, nil)
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				if math.Float64bits(m.At(i, j)) != math.Float64bits(want[i*n+j]) {
 					t.Fatalf("%d workers: P[%d][%d] = %v, pair by pair %v", workers, i, j, m.At(i, j), want[i*n+j])
-				}
-				if math.Float64bits(m.At(j, i)) != math.Float64bits(want[i*n+j]) {
-					t.Fatalf("%d workers: P[%d][%d] = %v, not its mirror's %v", workers, j, i, m.At(j, i), want[i*n+j])
 				}
 			}
 		}
@@ -64,13 +61,13 @@ func TestFillUpperSplitsLargeBlocks(t *testing.T) {
 	}
 }
 
-// TestFillUpperInPlaceTwoTriangleWrites: a rigid-motion variant — the top
-// plate raised, the bottom one kept — filled in place over the matrix of
-// the geometry before it is bitwise a fresh fill of the variant, in both
-// triangles, at one, two and four workers, whose tasks write every value
-// they compute at (i, j) and at (j, i). It keeps exactly the pairs within
-// one plate and computes the rest.
-func TestFillUpperInPlaceTwoTriangleWrites(t *testing.T) {
+// TestFillUpperInPlaceOneTriangle: a rigid-motion variant — the top plate
+// raised, the bottom one kept — filled in place over the packed matrix of
+// the geometry before it is bitwise a fresh fill of the variant, every
+// packed entry, at one, two and four workers, whose tasks write every
+// value they compute once, into the lower triangle. It keeps exactly the
+// pairs within one plate and computes the rest.
+func TestFillUpperInPlaceOneTriangle(t *testing.T) {
 	cfg := kernel.DefaultConfig()
 	before, after := plates(0.5e-6).Panelize(1e-6), plates(0.7e-6).Panelize(1e-6)
 	n := len(after)
@@ -86,15 +83,17 @@ func TestFillUpperInPlaceTwoTriangleWrites(t *testing.T) {
 			}
 		}
 	}
-	want := linalg.NewDense(n, n)
+	want := linalg.NewSym(n)
 	_, cold := InternPanels(cfg, nil, after).FillUpper(sched.Local(1), want, nil)
 	for _, workers := range []int{1, 2, 4} {
-		m := linalg.NewDense(n, n)
+		m := linalg.NewSym(n)
 		InternPanels(cfg, nil, before).FillUpper(sched.Local(workers), m, nil)
 		nr, fill := InternPanels(cfg, nil, after).FillUpper(sched.Local(workers), m, class)
-		for k, v := range m.Data {
-			if math.Float64bits(v) != math.Float64bits(want.Data[k]) {
-				t.Fatalf("%d workers: P[%d][%d] = %v, a fresh fill's %v", workers, k/n, k%n, v, want.Data[k])
+		for i := 0; i < n; i++ {
+			for j, v := range m.Row(i) {
+				if math.Float64bits(v) != math.Float64bits(want.At(i, j)) {
+					t.Fatalf("%d workers: P[%d][%d] = %v, a fresh fill's %v", workers, i, j, v, want.At(i, j))
+				}
 			}
 		}
 		if nr != kept || nr+fill.PairsNear+fill.PairsFar != cold.PairsNear+cold.PairsFar {
@@ -148,7 +147,7 @@ func TestBlockGateModes(t *testing.T) {
 			if c.name == "irregular" && (len(f.groups) != n || f.groups[5].cls != nil || f.groups[4].cls == nil) {
 				t.Fatalf("%d groups of %d panels, the thin one's class %v", len(f.groups), n, f.groups[5].cls)
 			}
-			m := linalg.NewDense(n, n)
+			m := linalg.NewSym(n)
 			var w blockScratch
 			for a := range f.groups {
 				for b := a; b < len(f.groups); b++ {
@@ -195,7 +194,7 @@ func TestFillUpperScratchReused(t *testing.T) {
 		geom.DefaultCrossingPair().Build().Panelize(0.4e-6),
 	} {
 		f := InternPanels(cfg, NewPairCache(0), panels)
-		m := linalg.NewDense(len(panels), len(panels))
+		m := linalg.NewSym(len(panels))
 		f.FillUpper(sched.Local(1), m, nil)
 		allocs := testing.AllocsPerRun(5, func() { f.FillUpper(sched.Local(1), m, nil) })
 		t.Logf("%d panels in %d groups: %v objects a fill", len(panels), len(f.groups), allocs)

@@ -154,11 +154,12 @@
 // Blocks of classless panels, single-pair blocks and blocks whose tables
 // would be too large go through PairInto pair by pair in the same loop.
 //
-// A block writes each value it computes at (i, j) and at (j, i), so the
-// assembly needs no mirror pass. A geometry variant fills the matrix of the
-// variant before it in place: a pair of panels that moved rigidly together
-// keeps its value in both triangles, unread and unwritten, and a block
-// whose two groups lie in one rigid-motion class is skipped whole.
+// A block writes each value it computes once, at (j, i) of the packed
+// lower triangle (linalg.Sym), the one storage of a symmetric matrix. A
+// geometry variant fills the matrix of the variant before it in place: a
+// pair of panels that moved rigidly together keeps its value, unread and
+// unwritten, and a block whose two groups lie in one rigid-motion class is
+// skipped whole.
 //
 // Blocks over pieceMax pairs are cut into row ranges, and the block order
 // is cut into tasks of about that many pairs; the cut depends on the panels

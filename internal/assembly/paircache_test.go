@@ -325,17 +325,17 @@ func TestPairCacheKeysCarryFingerprint(t *testing.T) {
 func TestLiteralKernelConfig(t *testing.T) {
 	lit, def := &kernel.Config{QuadOrder: 4}, kernel.DefaultConfig()
 	set := busSet()
-	same := func(what string, got, want *linalg.Dense) {
+	same := func(what string, got, want *linalg.Sym) {
 		for k, v := range want.Data {
 			if math.Float64bits(got.Data[k]) != math.Float64bits(v) {
 				t.Fatalf("%s: P[%d] = %v under a literal configuration, %v under DefaultConfig", what, k, got.Data[k], v)
 			}
 		}
 	}
-	same("template fill", FillSerial(set, &Integrator{Cfg: lit}).Dense(), FillSerial(set, &Integrator{Cfg: def}).Dense())
+	same("template fill", FillSerial(set, &Integrator{Cfg: lit}), FillSerial(set, &Integrator{Cfg: def}))
 	panels := geom.DefaultCrossingPair().Build().Panelize(1e-6)
 	n := len(panels)
-	got, want := linalg.NewDense(n, n), linalg.NewDense(n, n)
+	got, want := linalg.NewSym(n), linalg.NewSym(n)
 	InternPanels(lit, nil, panels).FillUpper(sched.Local(1), got, nil)
 	InternPanels(def, nil, panels).FillUpper(sched.Local(1), want, nil)
 	same("panel fill", got, want)

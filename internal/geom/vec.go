@@ -62,9 +62,6 @@ func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Norm2 returns the squared Euclidean length of v.
-func (v Vec3) Norm2() float64 { return v.Dot(v) }
-
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
 
@@ -103,9 +100,6 @@ func (iv Interval) Len() float64 { return iv.Hi - iv.Lo }
 
 // Mid returns the midpoint of the interval.
 func (iv Interval) Mid() float64 { return 0.5 * (iv.Lo + iv.Hi) }
-
-// Contains reports whether x lies in [Lo, Hi].
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
 // Overlaps reports whether the two intervals intersect (including touching).
 func (iv Interval) Overlaps(o Interval) bool { return iv.Lo <= o.Hi && o.Lo <= iv.Hi }

@@ -3,8 +3,6 @@ package linalg
 import (
 	"context"
 	"errors"
-
-	"parbem/internal/sched"
 )
 
 // Matvec abstracts y = A*x for iterative solvers; implementations include
@@ -16,30 +14,6 @@ type Matvec interface {
 	// Dim returns the operator's (square) dimension.
 	Dim() int
 }
-
-// DenseOpParCutoff is the element count above which DenseOp uses the
-// parallel row-blocked matvec when an executor is configured.
-const DenseOpParCutoff = 1 << 15
-
-// DenseOp adapts a Dense matrix to the Matvec interface. When Exec is
-// non-nil and the matrix is at least DenseOpParCutoff elements, Apply
-// runs the row-blocked parallel kernel on it.
-type DenseOp struct {
-	M    *Dense
-	Exec sched.Executor
-}
-
-// Apply implements Matvec.
-func (d DenseOp) Apply(dst, x []float64) {
-	if d.Exec != nil && d.M.Rows*d.M.Cols >= DenseOpParCutoff {
-		ParMulVec(d.Exec, d.M, dst, x)
-		return
-	}
-	d.M.MulVec(dst, x)
-}
-
-// Dim implements Matvec.
-func (d DenseOp) Dim() int { return d.M.Rows }
 
 // GMRESOptions configures a solve in a search space (GMRESWorkspace).
 type GMRESOptions struct {

@@ -53,7 +53,7 @@ func TestGMRESContextCheckpoints(t *testing.T) {
 	// Undeadlined reference: how many iterations the solve needs (full
 	// GMRES, no restart — the 1-D Laplacian takes ≈n of them).
 	x := make([]float64, n)
-	ref, err := GMRES(DenseOp{M: a}, x, b, GMRESOptions{Tol: 1e-10, Restart: n})
+	ref, err := GMRES(denseOp{a}, x, b, GMRESOptions{Tol: 1e-10, Restart: n})
 	if err != nil || !ref.Converged {
 		t.Fatalf("reference solve: %+v, %v", ref, err)
 	}
@@ -80,7 +80,7 @@ func TestGMRESContextCheckpoints(t *testing.T) {
 	done, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
 	x3 := make([]float64, n)
-	res, err = GMRES(DenseOp{M: a}, x3, b, GMRESOptions{Tol: 1e-10, Ctx: done})
+	res, err = GMRES(denseOp{a}, x3, b, GMRESOptions{Tol: 1e-10, Ctx: done})
 	if !errors.Is(err, context.Canceled) || res.Iterations != 0 {
 		t.Errorf("pre-cancelled solve ran %d iterations with err %v, want 0 and context.Canceled",
 			res.Iterations, err)

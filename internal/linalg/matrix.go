@@ -115,23 +115,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 	return m
 }
 
-// SymmetryError returns max_ij |m_ij - m_ji| for a square matrix.
-func (m *Dense) SymmetryError() float64 {
-	if m.Rows != m.Cols {
-		panic("linalg: SymmetryError on non-square matrix")
-	}
-	var e float64
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			d := math.Abs(m.At(i, j) - m.At(j, i))
-			if d > e {
-				e = d
-			}
-		}
-	}
-	return e
-}
-
 // Dot returns the inner product of x and y. The loop is 4-way unrolled
 // with independent accumulators so the FMA chains overlap; this kernel
 // is the inner loop of both GMRES (Gram-Schmidt) and MulVec.

@@ -3,8 +3,6 @@ package linalg
 import (
 	"math/rand"
 	"testing"
-
-	"parbem/internal/sched"
 )
 
 func randDense(rng *rand.Rand, r, c int) *Dense {
@@ -13,45 +11,6 @@ func randDense(rng *rand.Rand, r, c int) *Dense {
 		m.Data[i] = rng.NormFloat64()
 	}
 	return m
-}
-
-func TestParMulVecMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{5, 63, 64, 200, 301} {
-		m := randDense(rng, n, n)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, n)
-		m.MulVec(want, x)
-		got := make([]float64, n)
-		ParMulVec(sched.Local(4), m, got, x)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: row %d differs: %g vs %g", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestDenseOpParallelCutoff(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 256 // n*n = 65536 >= DenseOpParCutoff
-	m := randDense(rng, n, n)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	m.MulVec(want, x)
-	got := make([]float64, n)
-	DenseOp{M: m, Exec: sched.Local(4)}.Apply(got, x)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d differs: %g vs %g", i, got[i], want[i])
-		}
-	}
 }
 
 func TestGMRESWorkspaceReuse(t *testing.T) {
@@ -72,7 +31,7 @@ func TestGMRESWorkspaceReuse(t *testing.T) {
 	var first GMRESResult
 	for rep := 0; rep < 3; rep++ {
 		x := make([]float64, n)
-		res, err := GMRESWith(ws, DenseOp{M: a}, x, b, GMRESOptions{Tol: 1e-10, Restart: 20})
+		res, err := GMRESWith(ws, denseOp{a}, x, b, GMRESOptions{Tol: 1e-10, Restart: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,9 +46,7 @@ func TestGMRESWorkspaceReuse(t *testing.T) {
 	}
 
 	// Steady-state solves through a warm workspace must not allocate.
-	// (The interface conversion is hoisted: DenseOp is a multi-word
-	// struct, so boxing it per call would itself allocate.)
-	var op Matvec = DenseOp{M: a}
+	var op Matvec = denseOp{a}
 	x := make([]float64, n)
 	if allocs := testing.AllocsPerRun(10, func() {
 		for i := range x {
@@ -166,23 +123,6 @@ func BenchmarkMulVec(b *testing.B) {
 	}
 }
 
-func BenchmarkParMulVec(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n := 512
-	m := randDense(rng, n, n)
-	x := make([]float64, n)
-	dst := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	pool := sched.NewPool(0)
-	defer pool.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParMulVec(pool, m, dst, x)
-	}
-}
-
 func BenchmarkGMRESWarmWorkspace(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	n := 200
@@ -204,7 +144,7 @@ func BenchmarkGMRESWarmWorkspace(b *testing.B) {
 		for j := range x {
 			x[j] = 0
 		}
-		if _, err := GMRESWith(ws, DenseOp{M: a}, x, rhs, GMRESOptions{Tol: 1e-8}); err != nil {
+		if _, err := GMRESWith(ws, denseOp{a}, x, rhs, GMRESOptions{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -116,7 +116,7 @@ func TestSpaceIteratesAreGMRES(t *testing.T) {
 			}
 			x := make([]float64, n)
 			k := 0 // iterations completed when the hook runs
-			res, err := GMRES(DenseOp{M: tc.a}, x, b, GMRESOptions{
+			res, err := GMRES(denseOp{tc.a}, x, b, GMRESOptions{
 				Tol: 1e-300, Restart: n, MaxIter: steps,
 				Precond: func(dst, r []float64) {
 					if k > 0 {
@@ -157,7 +157,7 @@ func TestSpaceSharedAcrossRightHandSides(t *testing.T) {
 	}
 	opt := GMRESOptions{Tol: 1e-8, Restart: n}
 	applies := 0
-	op := countingOp{DenseOp{M: a}, &applies}
+	op := countingOp{denseOp{a}, &applies}
 	solve := func(ws *GMRESWorkspace, b []float64) ([]float64, GMRESResult) {
 		t.Helper()
 		x := make([]float64, n)
@@ -208,7 +208,7 @@ func TestSpaceRingWraps(t *testing.T) {
 	}
 	var hist []float64
 	x := make([]float64, n)
-	res, err := GMRES(DenseOp{M: a}, x, b, GMRESOptions{
+	res, err := GMRES(denseOp{a}, x, b, GMRESOptions{
 		Tol: 1e-9, Restart: 5,
 		Precond: func(dst, r []float64) {
 			hist = append(hist, Norm2(r))
@@ -251,7 +251,7 @@ func TestSpaceBreakdown(t *testing.T) {
 	a.Set(0, 0, 1)
 	b := []float64{1, 1, 0, 0}
 	x := make([]float64, 4)
-	res, err := GMRES(DenseOp{M: a}, x, b, GMRESOptions{Tol: 1e-10})
+	res, err := GMRES(denseOp{a}, x, b, GMRESOptions{Tol: 1e-10})
 	if !errors.Is(err, ErrGMRESBreakdown) {
 		t.Fatalf("collapsed image: %+v, %v, want ErrGMRESBreakdown", res, err)
 	}
@@ -268,10 +268,10 @@ func TestSpaceBreakdown(t *testing.T) {
 	// A seed without an image is dropped, one in the span of the held ones
 	// too; the space stays usable.
 	ws := newSpace(4, 4)
-	if ws.Seed(DenseOp{M: a}, []float64{0, 1, 0, 0}) {
+	if ws.Seed(denseOp{a}, []float64{0, 1, 0, 0}) {
 		t.Error("space took a seed with a zero image")
 	}
-	if !ws.Seed(DenseOp{M: a}, []float64{2, 0, 0, 0}) || ws.Seed(DenseOp{M: a}, []float64{1, 5, 0, 0}) {
+	if !ws.Seed(denseOp{a}, []float64{2, 0, 0, 0}) || ws.Seed(denseOp{a}, []float64{1, 5, 0, 0}) {
 		t.Error("want the first seed along e0 taken and the second dropped")
 	}
 }

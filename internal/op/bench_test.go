@@ -120,11 +120,11 @@ func BenchmarkBlockJacobi(b *testing.B) {
 	spec := crossingSpec(b, 0.4e-6).withDefaults()
 	m := spec.AssembleDense()
 	a := NewDenseOperator(m, spec.Panels, nil)
-	diag := make([]float64, m.Rows)
+	diag := make([]float64, m.N)
 	for i := range diag {
 		diag[i] = m.At(i, i)
 	}
-	r, dst := make([]float64, m.Rows), make([]float64, m.Rows)
+	r, dst := make([]float64, m.N), make([]float64, m.N)
 	for i := range r {
 		r[i] = float64(i%7) + 1
 	}
@@ -132,7 +132,7 @@ func BenchmarkBlockJacobi(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx, block := a.NearBlocks()
-		bj, err := NewBlockJacobiWith(m.Rows, idx, block, diag, nil)
+		bj, err := NewBlockJacobiWith(m.N, idx, block, diag, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

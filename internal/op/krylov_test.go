@@ -23,7 +23,7 @@ func crossingSpec(tb testing.TB, edge float64) Spec {
 // hookOp is a dense matvec that calls hook with the number of the
 // application about to run.
 type hookOp struct {
-	linalg.DenseOp
+	Operator
 	applies *int
 	hook    func(k int)
 }
@@ -31,17 +31,17 @@ type hookOp struct {
 func (h hookOp) Apply(dst, x []float64) {
 	*h.applies++
 	h.hook(*h.applies)
-	h.DenseOp.Apply(dst, x)
+	h.Operator.Apply(dst, x)
 }
 
 // colResidual is |phi_j - M rho_j| / |phi_j|.
-func colResidual(m, phi, rho *linalg.Dense, j int) float64 {
-	n := m.Rows
+func colResidual(m Operator, phi, rho *linalg.Dense, j int) float64 {
+	n := m.Dim()
 	b, x, r := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := 0; i < n; i++ {
 		b[i], x[i] = phi.At(i, j), rho.At(i, j)
 	}
-	m.MulVec(r, x)
+	m.Apply(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
@@ -59,7 +59,7 @@ func colResidual(m, phi, rho *linalg.Dense, j int) float64 {
 // on a column not started — whatever the first had reached.
 func TestInterruptedReportsItsIterate(t *testing.T) {
 	spec := crossingSpec(t, 1e-6).withDefaults()
-	m := spec.AssembleDense()
+	m := NewDenseOperator(spec.AssembleDense(), spec.Panels, nil)
 	phi := spec.RHS()
 	const tol = 1e-6
 
@@ -67,7 +67,7 @@ func TestInterruptedReportsItsIterate(t *testing.T) {
 		applies := 0
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		a := hookOp{linalg.DenseOp{M: m}, &applies, func(k int) {
+		a := hookOp{m, &applies, func(k int) {
 			if k == cancelAt {
 				cancel()
 			}
@@ -89,7 +89,7 @@ func TestInterruptedReportsItsIterate(t *testing.T) {
 	first := 0
 	{
 		applies := 0
-		pl, err := NewWithOperator(spec, hookOp{linalg.DenseOp{M: m}, &applies, func(int) {}}, Options{Tol: tol})
+		pl, err := NewWithOperator(spec, hookOp{m, &applies, func(int) {}}, Options{Tol: tol})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestInterruptedReportsItsIterate(t *testing.T) {
 
 // overlapOp counts how many of its applications are in flight at once.
 type overlapOp struct {
-	linalg.DenseOp
+	Operator
 	inFlight, worst *atomic.Int32
 }
 
@@ -165,7 +165,7 @@ func (o overlapOp) Apply(dst, x []float64) {
 	for w := o.worst.Load(); n > w && !o.worst.CompareAndSwap(w, n); w = o.worst.Load() {
 	}
 	runtime.Gosched() // let a concurrent column in, if there is one
-	o.DenseOp.Apply(dst, x)
+	o.Operator.Apply(dst, x)
 	o.inFlight.Add(-1)
 }
 
@@ -177,7 +177,7 @@ func TestSolveKeepsToItsExecutor(t *testing.T) {
 	spec := busSpec(t, 3, 3, 1.5e-6).withDefaults()
 	spec.Exec = sched.Local(1)
 	var inFlight, worst atomic.Int32
-	a := overlapOp{linalg.DenseOp{M: spec.AssembleDense(), Exec: spec.Exec}, &inFlight, &worst}
+	a := overlapOp{NewDenseOperator(spec.AssembleDense(), spec.Panels, spec.Exec), &inFlight, &worst}
 	pl, err := NewWithOperator(spec, a, Options{})
 	if err != nil {
 		t.Fatal(err)

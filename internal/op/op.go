@@ -164,9 +164,9 @@ func (s *Spec) pairs() *assembly.Interned {
 
 // Entry computes one scaled Galerkin matrix entry P_ij, panel i the target:
 // the value of the pair's symmetry class (assembly.InternPanels), which is
-// what AssembleDense stores at (i, j) for i <= j, to the bit, whatever else
-// the table has served and whether the pair's block looked the class up
-// or took it from a pair of the same displacement.
+// what AssembleDense stores as entry (j, i) for i <= j, to the bit,
+// whatever else the table has served and whether the pair's block looked
+// the class up or took it from a pair of the same displacement.
 func (s *Spec) Entry(i, j int) float64 {
 	var c assembly.FillStats
 	return kernel.Scale(s.pairs().PairInto(i, j, &c))
@@ -183,10 +183,10 @@ func (s *Spec) RHS() *linalg.Dense {
 	return phi
 }
 
-// AssembleDense builds the full N x N Galerkin matrix in parallel, block
-// by block of panel groups; each entry is computed once and written to
-// both triangles.
-func (s *Spec) AssembleDense() *linalg.Dense {
+// AssembleDense builds the Galerkin matrix, its packed lower triangle, in
+// parallel, block by block of panel groups; each entry is computed and
+// written once.
+func (s *Spec) AssembleDense() *linalg.Sym {
 	m, _, _ := s.AssembleDenseReuse(nil, nil)
 	return m
 }
@@ -196,22 +196,22 @@ func (s *Spec) AssembleDense() *linalg.Dense {
 // or shape-mismatched prev gets a new matrix. Entries whose panel pair
 // moved rigidly as a unit since prev was assembled (equal non-negative
 // class values, panels aligned 1:1 by index; see geom.Diff and
-// internal/plan) keep prev's value, in both triangles, and are neither
-// read nor written; every other entry (i, j), i <= j, and its mirror are
-// the value of its symmetry class in the spec's table with panel i the
-// target (see Entry). The matrix is filled by blocks of panel groups
-// (assembly.Interned.FillUpper): a block whose two groups moved as one is
-// skipped; inside any other block, the first near pair of each distinct
-// centre displacement looks its class up — integrated only if the table
-// has not met it — and the pairs that share the displacement take the same
-// bits from the block's memo. A variant therefore allocates, zeroes and
-// mirrors no matrix, and touches only what moved. It returns the matrix,
-// the number of unordered entries kept, and the pair work of the rest.
-func (s *Spec) AssembleDenseReuse(prev *linalg.Dense, class []int32) (*linalg.Dense, int64, assembly.FillStats) {
+// internal/plan) keep prev's value and are neither read nor written; every
+// other entry (j, i), i <= j, is the value of its symmetry class in the
+// spec's table with panel i the target (see Entry). The matrix is filled
+// by blocks of panel groups (assembly.Interned.FillUpper): a block whose
+// two groups moved as one is skipped; inside any other block, the first
+// near pair of each distinct centre displacement looks its class up —
+// integrated only if the table has not met it — and the pairs that share
+// the displacement take the same bits from the block's memo. A variant
+// therefore allocates and zeroes no matrix, and touches only what moved.
+// It returns the matrix, the number of entries kept, and the pair work of
+// the rest.
+func (s *Spec) AssembleDenseReuse(prev *linalg.Sym, class []int32) (*linalg.Sym, int64, assembly.FillStats) {
 	n := s.N()
 	m := prev
-	if m == nil || m.Rows != n || m.Cols != n {
-		m, class = linalg.NewDense(n, n), nil
+	if m == nil || m.N != n {
+		m, class = linalg.NewSym(n), nil
 	}
 	if len(class) != n {
 		class = nil
@@ -256,18 +256,87 @@ func (s *Spec) stats() (span [3]float64, medianEdge float64) {
 // on the same clusters left the iteration counts flat.
 const denseBlockMax = 64
 
-// DenseOperator adapts an assembled dense system matrix to the pipeline.
-// Its matvec delegates to linalg.DenseOp (row-blocked parallel above the
-// cutoff when an executor is configured) and its near blocks are the
-// sub-matrices over spatial clusters of its panels.
+// Apply's row chunks: each holds about denseChunk packed entries, and there
+// are at most denseChunks of them, so the accumulators of the transposed
+// half stay below denseChunks x N doubles.
+const (
+	denseChunk  = 1 << 14
+	denseChunks = 16
+)
+
+// DenseOperator adapts an assembled system matrix, held as its packed
+// lower triangle, to the pipeline. Its matvec reads each packed entry
+// once, for both triangles, and its near blocks are the sub-matrices over
+// spatial clusters of its panels.
 type DenseOperator struct {
-	linalg.DenseOp
+	m      *linalg.Sym
 	panels []geom.Panel
+	ex     sched.Executor
+	// bounds cut the rows into Apply's chunks: chunk c is rows
+	// [bounds[c], bounds[c+1]), balanced by packed entries. They depend on
+	// N alone, so Apply gives the same bits at every executor width.
+	bounds  []int
+	scratch *sched.Scratch[*[][]float64]
 }
 
 // NewDenseOperator wraps the assembled matrix of panels for the pipeline.
-func NewDenseOperator(m *linalg.Dense, panels []geom.Panel, ex sched.Executor) *DenseOperator {
-	return &DenseOperator{DenseOp: linalg.DenseOp{M: m, Exec: ex}, panels: panels}
+// A nil ex applies it serially.
+func NewDenseOperator(m *linalg.Sym, panels []geom.Panel, ex sched.Executor) *DenseOperator {
+	total := linalg.PackedLen(m.N)
+	k := min(max((total+denseChunk-1)/denseChunk, 1), denseChunks)
+	bounds := make([]int, k+1)
+	for c, i := 1, 0; c <= k; c++ {
+		for i < m.N && linalg.PackedLen(i+1) <= c*total/k {
+			i++
+		}
+		bounds[c] = i
+	}
+	d := &DenseOperator{m: m, panels: panels, ex: ex, bounds: bounds}
+	d.scratch = sched.NewScratch(func() *[][]float64 {
+		acc := make([][]float64, k)
+		for c := 1; c < k; c++ {
+			acc[c] = make([]float64, bounds[c+1])
+		}
+		return &acc
+	})
+	return d
+}
+
+// Dim implements Operator.
+func (d *DenseOperator) Dim() int { return d.m.N }
+
+// Apply implements Operator: one Dot and one Axpy per packed row. Row i's
+// Dot is entry i of the lower triangle's product; its Axpy adds x_i times
+// the row's strict part into its chunk's accumulator of the transposed
+// half — dst itself for the first chunk, whose earlier rows are its own —
+// and the other accumulators are added to dst in chunk order.
+func (d *DenseOperator) Apply(dst, x []float64) {
+	acc := d.scratch.Acquire()
+	defer d.scratch.Release(acc)
+	if k := len(d.bounds) - 1; d.ex == nil {
+		for c := range k {
+			d.chunk(c, dst, x, *acc)
+		}
+	} else {
+		d.ex.Map(k, func(c int) { d.chunk(c, dst, x, *acc) })
+	}
+	for _, t := range (*acc)[1:] {
+		linalg.Axpy(1, t, dst)
+	}
+}
+
+// chunk applies rows [bounds[c], bounds[c+1]).
+func (d *DenseOperator) chunk(c int, dst, x []float64, acc [][]float64) {
+	t := dst
+	if c > 0 {
+		t = acc[c]
+		clear(t)
+	}
+	for i := d.bounds[c]; i < d.bounds[c+1]; i++ {
+		row := d.m.Row(i)
+		dst[i] = linalg.Dot(row, x)
+		linalg.Axpy(x[i], row[:i], t)
+	}
 }
 
 // NearBlocks implements NearBlocker with spatial clusters that follow the
@@ -297,7 +366,7 @@ func (d *DenseOperator) NearBlocks() (idx [][]int32, block func(k int) *linalg.S
 		ix := idx[k]
 		b := linalg.NewSym(len(ix))
 		for r, i := range ix {
-			row, src := b.Row(r), d.M.Row(int(i))
+			row, src := b.Row(r), d.m.Row(int(i))
 			for c, j := range ix[:r+1] {
 				row[c] = src[j]
 			}

@@ -88,7 +88,7 @@ type Options struct {
 	// backend (auto resolving to dense is fine). The matrix is factored
 	// once, when the pipeline is built, in packed lower-triangular storage
 	// (linalg.Sym): NewFromSym consumes it, factoring in place; NewPrebuilt
-	// factors a packed copy of its dense matrix. Extract calls only solve.
+	// factors a copy of its matrix. Extract calls only solve.
 	Direct bool
 	// Precision selects the matvec arithmetic of accelerated backends:
 	// PrecisionMixed runs the float32 mirror inside fp64 refinement,
@@ -186,9 +186,9 @@ type Pipeline struct {
 	n       int      // the system's dimension
 	a       Operator // nil for NewFromSym, whose matrix is its factor
 	pre     Preconditioner
-	dense   *linalg.Dense // retained when the backend assembled densely
-	scale   []float64     // the direct solve's equilibration (see factorSym)
-	ldl     *linalg.LDLT  // and its factorization
+	dense   *linalg.Sym  // retained when the backend assembled densely
+	scale   []float64    // the direct solve's equilibration (see factorSym)
+	ldl     *linalg.LDLT // and its factorization
 	backend Backend
 	// ws is the free list of search-space buffers, one per solve call in
 	// flight. Not a sync.Pool: the runtime keeps a pool that has been Put
@@ -235,7 +235,7 @@ func NewFromSym(m *linalg.Sym, opt Options) (*Pipeline, error) {
 	if !opt.Direct {
 		return nil, errors.New("op: NewFromSym solves directly (set Options.Direct)")
 	}
-	s, f, err := factorSym(m, m.Row)
+	s, f, err := factorSym(m, m)
 	if err != nil {
 		return nil, err
 	}
@@ -316,9 +316,9 @@ type Prebuilt struct {
 	// Operator is the solve backend (required unless Dense is set, in
 	// which case a DenseOperator is wrapped around it).
 	Operator Operator
-	// Dense is the assembled system matrix backing a dense operator;
-	// required for Options.Direct.
-	Dense *linalg.Dense
+	// Dense is the assembled system matrix, its packed lower triangle,
+	// backing a dense operator; required for Options.Direct.
+	Dense *linalg.Sym
 	// Factors optionally returns a previously computed factor of the
 	// near block over idx (nil result = factorize fresh). A
 	// factor is only valid if the block's values are unchanged — the
@@ -351,8 +351,8 @@ func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 		if p.dense == nil {
 			return nil, errors.New("op: direct solve requires an assembled dense matrix")
 		}
-		var err error // a packed copy: a plan rewrites its matrix for the next variant
-		if p.scale, p.ldl, err = factorSym(linalg.NewSym(p.n), p.dense.Row); err != nil {
+		var err error // a copy: a plan rewrites its matrix for the next variant
+		if p.scale, p.ldl, err = factorSym(linalg.NewSym(p.n), p.dense); err != nil {
 			return nil, err
 		}
 	}
@@ -431,7 +431,7 @@ func (p *Pipeline) buildPrecond() error {
 // available: the assembled matrix, else the spec's entry integrals.
 func (p *Pipeline) diagonal() []float64 {
 	if p.dense != nil {
-		d := make([]float64, p.dense.Rows)
+		d := make([]float64, p.dense.N)
 		for i := range d {
 			d[i] = p.dense.At(i, i)
 		}
@@ -630,22 +630,21 @@ func Reduce(phi, rho *linalg.Dense) *linalg.Dense {
 // diagonal shift would solve a different system. It factors S P S with
 // S = diag(|P_ii|^-1/2) (1 where P_ii = 0), returned as scale: the diagonal
 // spans orders of magnitude, and unscaled, Bunch–Kaufman pivoting would
-// interchange on units, not on structure. row(i) is row i of P from
-// column 0 to at least the diagonal (a packed row of dst itself, or a
-// dense row, whose strict upper part is not read); the packed lower
-// triangle of S P S is written into dst and factored there. A singular
-// matrix, or a NaN or Inf in it, is an error wrapping linalg.ErrSingular.
-func factorSym(dst *linalg.Sym, row func(i int) []float64) (scale []float64, f *linalg.LDLT, err error) {
+// interchange on units, not on structure. The packed lower triangle of
+// S P S, P being src, is written into dst (which may be src) and factored
+// there. A singular matrix, or a NaN or Inf in it, is an error wrapping
+// linalg.ErrSingular.
+func factorSym(dst, src *linalg.Sym) (scale []float64, f *linalg.LDLT, err error) {
 	nr := dst.N
 	s := make([]float64, nr)
 	for i := range s {
 		s[i] = 1
-		if d := math.Abs(row(i)[i]); d != 0 {
+		if d := math.Abs(src.Row(i)[i]); d != 0 {
 			s[i] = 1 / math.Sqrt(d)
 		}
 	}
 	for i := 0; i < nr; i++ {
-		prow, drow, si := row(i), dst.Row(i), s[i]
+		prow, drow, si := src.Row(i), dst.Row(i), s[i]
 		for j := range drow {
 			drow[j] = si * prow[j] * s[j]
 		}

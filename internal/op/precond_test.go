@@ -113,13 +113,13 @@ func TestBlockJacobiFactorAllocation(t *testing.T) {
 	spec := crossingSpec(t, 0.4e-6).withDefaults()
 	m := spec.AssembleDense()
 	idx, block := NewDenseOperator(m, spec.Panels, nil).NearBlocks()
-	diag := make([]float64, m.Rows)
+	diag := make([]float64, m.N)
 	for i := range diag {
 		diag[i] = m.At(i, i)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	bj, err := NewBlockJacobiWith(m.Rows, idx, block, diag, nil)
+	bj, err := NewBlockJacobiWith(m.N, idx, block, diag, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestBlockJacobiFactorAllocation(t *testing.T) {
 		t.Fatalf("%d blocks, want 10", len(f))
 	}
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("N = %d: NewBlockJacobiWith allocated %d bytes", m.Rows, got)
+	t.Logf("N = %d: NewBlockJacobiWith allocated %d bytes", m.N, got)
 	if got > 150<<10 {
 		t.Errorf("NewBlockJacobiWith allocated %d bytes, over 150 KiB", got)
 	}
@@ -250,10 +250,10 @@ func TestDenseNearBlocksFollowConductors(t *testing.T) {
 // indexRanges is a dense matvec whose near blocks are runs of consecutive
 // indices, which straddle faces and conductors: the rule the dense
 // operator had before its blocks followed the conductors.
-type indexRanges struct{ linalg.DenseOp }
+type indexRanges struct{ *DenseOperator }
 
 func (d indexRanges) NearBlocks() (idx [][]int32, block func(k int) *linalg.Sym) {
-	n := d.M.Rows
+	n := d.m.N
 	for lo := 0; lo < n; lo += denseBlockMax {
 		ix := make([]int32, min(lo+denseBlockMax, n)-lo)
 		for r := range ix {
@@ -265,7 +265,7 @@ func (d indexRanges) NearBlocks() (idx [][]int32, block func(k int) *linalg.Sym)
 		lo, w := int(idx[k][0]), len(idx[k])
 		b := linalg.NewSym(w)
 		for r := range w {
-			copy(b.Row(r), d.M.Row(lo + r)[lo:lo+r+1])
+			copy(b.Row(r), d.m.Row(lo + r)[lo:lo+r+1])
 		}
 		return b
 	}
@@ -282,7 +282,7 @@ func TestBlockJacobiReducesIterations(t *testing.T) {
 	t.Run("dense", func(t *testing.T) {
 		spec := crossingSpec(t, 0.4e-6).withDefaults()
 		m := spec.AssembleDense()
-		ranges, err := NewWithOperator(spec, indexRanges{linalg.DenseOp{M: m}}, Options{Precond: PrecondBlockJacobi})
+		ranges, err := NewWithOperator(spec, indexRanges{NewDenseOperator(m, spec.Panels, nil)}, Options{Precond: PrecondBlockJacobi})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,10 +71,10 @@ func denseCases(t *testing.T) []denseCase {
 
 // TestAssembleDenseMatchesEntries pins the block fill to the entry
 // definition: on every case, at every executor, cold and as a rigid-motion
-// variant (prev and class given, prev filled in place), every upper entry
-// is bitwise Entry(i, j) — or prev's where the two panels share a class —
-// the lower triangle is the mirror, and the near and far pair counts are
-// what asking PairInto pair by pair counts.
+// variant (prev and class given, prev filled in place), every packed entry
+// (j, i), i <= j, is bitwise Entry(i, j) — or prev's where the two panels
+// share a class — and the near and far pair counts are what asking
+// PairInto pair by pair counts.
 func TestAssembleDenseMatchesEntries(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
@@ -94,12 +95,11 @@ func TestAssembleDenseMatchesEntries(t *testing.T) {
 					class[i] = int32(pan.Conductor)
 				}
 			}
-			// A symmetric stand-in for the previous variant's matrix.
-			prev := linalg.NewDense(n, n)
+			// A stand-in for the previous variant's matrix.
+			prev := linalg.NewSym(n)
 			for i := 0; i < n; i++ {
 				for j := i; j < n; j++ {
-					prev.Set(i, j, -float64(i*n+j+1))
-					prev.Set(j, i, -float64(i*n+j+1))
+					prev.Row(j)[i] = -float64(i*n + j + 1)
 				}
 			}
 			want := make([]float64, n*n)
@@ -123,12 +123,12 @@ func TestAssembleDenseMatchesEntries(t *testing.T) {
 				p.Par = ex
 				for _, moved := range []bool{false, true} {
 					spec := p.Spec()
-					var m *linalg.Dense
+					var m *linalg.Sym
 					var reused int64
 					var fill assembly.FillStats
 					wantFill, wantReused := cold, int64(0)
 					if moved {
-						in := prev.Clone()
+						in := &linalg.Sym{N: n, Data: slices.Clone(prev.Data)}
 						if m, reused, fill = spec.AssembleDenseReuse(in, class); m != in {
 							t.Fatalf("executor %T: the variant was not filled into prev", ex)
 						}
@@ -144,11 +144,6 @@ func TestAssembleDenseMatchesEntries(t *testing.T) {
 							}
 							if got := m.At(i, j); math.Float64bits(got) != math.Float64bits(w) {
 								t.Fatalf("executor %T, moved %v: P[%d][%d] = %v, want %v", ex, moved, i, j, got, w)
-							}
-							// Lower triangle is mirrored from the upper (the
-							// quadrature is not bit-symmetric in argument order).
-							if math.Float64bits(m.At(j, i)) != math.Float64bits(m.At(i, j)) {
-								t.Fatalf("executor %T, moved %v: P[%d][%d] not mirrored", ex, moved, j, i)
 							}
 						}
 					}
@@ -199,9 +194,10 @@ func TestDenseLookupsPerAssembly(t *testing.T) {
 // returns the same capacitance matrix, to the bit, and the same iteration
 // total on every run and at 1, 2 and 4 workers. The columns are solved in
 // index order in one search space, so the only parallelism is the
-// operator's own — and the row-blocked dense matvec computes each row with
-// one Dot whoever runs it. (The columns used to be concurrent and
-// independent; the name is kept for the test's history.)
+// operator's own — and the packed dense matvec, which fans out here, cuts
+// its rows into chunks by N alone and adds them in chunk order whoever
+// runs them. (The columns used to be concurrent and independent; the name
+// is kept for the test's history.)
 func TestSolveIterativeConcurrentColumnsDeterministic(t *testing.T) {
 	p, err := NewProblem(geom.DefaultBus(3, 3).Build(), 1e-6)
 	if err != nil {
@@ -209,14 +205,16 @@ func TestSolveIterativeConcurrentColumnsDeterministic(t *testing.T) {
 	}
 	base := p.Spec()
 	m := base.AssembleDense()
+	fan := mapWidth{sched.Local(2), new(int)}
+	op.NewDenseOperator(m, base.Panels, fan).Apply(make([]float64, m.N), make([]float64, m.N))
+	if *fan.tasks < 2 {
+		t.Fatalf("N=%d: the matvec would not fan out", m.N)
+	}
 	var first *op.Result
 	for _, workers := range []int{1, 1, 2, 4} {
 		p.Par = sched.Local(workers)
 		spec := p.Spec()
-		if spec.N()*spec.N() < linalg.DenseOpParCutoff {
-			t.Fatalf("N=%d: the matvec would not fan out", spec.N())
-		}
-		res := solveIterative(t, spec, linalg.DenseOp{M: m, Exec: spec.Exec}, 1e-8)
+		res := solveIterative(t, spec, plainOp{op.NewDenseOperator(m, spec.Panels, spec.Exec)}, 1e-8)
 		if first == nil {
 			first = res
 			continue
@@ -232,6 +230,17 @@ func TestSolveIterativeConcurrentColumnsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mapWidth records the task count of the last Map its executor ran.
+type mapWidth struct {
+	sched.Executor
+	tasks *int
+}
+
+func (w mapWidth) Map(n int, fn func(task int)) {
+	*w.tasks = n
+	w.Executor.Map(n, fn)
 }
 
 // BenchmarkAssembleDense is one cold dense assembly per iteration: each

@@ -21,10 +21,10 @@
 // payload is adopted only when its shape matches the layout the build
 // just produced (length checks in fmm, per-row checks in pfft, dim
 // checks here) and, for the dense and fmm near fields and the block
-// factors, its values could have come from this program (finite; a dense
-// matrix mirrored bitwise with a positive diagonal; a factor of a positive
-// definite block, linalg.NewLDLT), and any mismatch or corruption degrades
-// to a fresh integration or factorization.
+// factors, its values could have come from this program (finite; a packed
+// dense triangle with a positive diagonal; a factor of a positive definite
+// block, linalg.NewLDLT), and any mismatch or corruption degrades to a
+// fresh integration or factorization.
 package plan
 
 import (
@@ -96,8 +96,9 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 // "pba5" stores each block's packed LDLᵀ triangle and its pivots; "pba5"
 // hashed the permittivity, the fmm leaf size and the pfft grid pitch,
 // which "pba6" does not, as they are constants: the same values under new
-// key bytes again.)
-var artifactSchema = []byte("pba6")
+// key bytes again; a "pba6" dense near field was the full n x n matrix,
+// where "pba7" ships its packed lower triangle.)
+var artifactSchema = []byte("pba7")
 
 // artifactHash computes the family content hash under the given schema
 // header, fp being the kernel configuration's fingerprint
@@ -165,43 +166,38 @@ func readFloats(data []byte, n int) ([]float64, []byte, bool) {
 	return v, data[need:], true
 }
 
-func encodeDenseArtifact(d *linalg.Dense) []byte {
-	b := make([]byte, 0, 1+16+8*len(d.Data))
+// denseHeader is a dense near field's framing: its tag and its order n.
+const denseHeader = 1 + 8
+
+// encodeDenseArtifact lays out a dense near field: the tag, n, then the
+// n(n+1)/2 entries of the packed lower triangle, row by row.
+func encodeDenseArtifact(d *linalg.Sym) []byte {
+	b := make([]byte, 0, denseHeader+8*len(d.Data))
 	b = append(b, artTagDense)
-	b = binary.LittleEndian.AppendUint64(b, uint64(d.Rows))
-	b = binary.LittleEndian.AppendUint64(b, uint64(d.Cols))
+	b = binary.LittleEndian.AppendUint64(b, uint64(d.N))
 	return appendFloats(b, d.Data)
 }
 
-// decodeDenseArtifact rejects any payload whose dims disagree with the
-// n-panel build it is being adopted into, and any matrix no assembly
-// produces: a non-finite value, an entry that is not bitwise its mirror's
-// (the assembly mirrors its upper triangle), a diagonal entry that is not
+// decodeDenseArtifact rejects any payload whose order disagrees with the
+// n-panel build it is being adopted into, any that holds other than
+// n(n+1)/2 values (a "pba6" full matrix among them), and any matrix no
+// assembly produces: a non-finite value, or a diagonal entry that is not
 // positive (a self term is).
-func decodeDenseArtifact(data []byte, n int) *linalg.Dense {
-	if len(data) < 17 || data[0] != artTagDense {
+func decodeDenseArtifact(data []byte, n int) *linalg.Sym {
+	if len(data) < denseHeader || data[0] != artTagDense || binary.LittleEndian.Uint64(data[1:]) != uint64(n) {
 		return nil
 	}
-	rows := binary.LittleEndian.Uint64(data[1:])
-	cols := binary.LittleEndian.Uint64(data[9:])
-	if rows != uint64(n) || cols != uint64(n) {
-		return nil
-	}
-	vals, rest, ok := readFloats(data[17:], n*n)
+	vals, rest, ok := readFloats(data[denseHeader:], linalg.PackedLen(n))
 	if !ok || len(rest) != 0 || !finite(vals) {
 		return nil
 	}
+	s := &linalg.Sym{N: n, Data: vals}
 	for i := 0; i < n; i++ {
-		if !(vals[i*n+i] > 0) {
+		if !(s.Row(i)[i] > 0) {
 			return nil
 		}
-		for j := i + 1; j < n; j++ {
-			if math.Float64bits(vals[i*n+j]) != math.Float64bits(vals[j*n+i]) {
-				return nil
-			}
-		}
 	}
-	return &linalg.Dense{Rows: n, Cols: n, Data: vals}
+	return s
 }
 
 // finite reports whether every value of v is a finite number.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"parbem/internal/fmm"
+	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/linalg"
 	"parbem/internal/op"
@@ -256,7 +257,8 @@ func TestPlanArtifactLengthMismatchDegrades(t *testing.T) {
 // stores symmetry-class values; the "pba3" ones, which encoded the kernel
 // configuration field by field; the "pba4" ones, whose block factors were
 // full Cholesky matrices; the "pba5" ones, which hashed the permittivity,
-// the fmm leaf size and the pfft grid pitch; and one of today's schema
+// the fmm leaf size and the pfft grid pitch; the "pba6" ones, whose dense
+// near field was the full matrix; and one of today's schema
 // whose kernel arithmetic was the version before this one. The plan must
 // miss the entry, integrate afresh and store under its own key; the stale
 // entry is never read.
@@ -277,6 +279,7 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 		{"pba3", []byte{'p', 'b', 'a', '3', kernel.ArithVersion}, fp},
 		{"pba4", []byte("pba4"), fp},
 		{"pba5", []byte("pba5"), fp},
+		{"pba6", []byte("pba6"), fp},
 		{"arithmetic before", artifactSchema, kernel.DefaultConfig().Fingerprint(kernel.ArithVersion - 1)},
 	} {
 		p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: newMemStore()})
@@ -293,7 +296,7 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 			t.Fatal("cold build stored no near-field artifact under the current key")
 		}
 		stale := append([]byte(nil), payload...)
-		for i := len(stale) - 8; i >= 17; i -= 8 { // every value doubled: adoption would show in C
+		for i := len(stale) - 8; i >= denseHeader; i -= 8 { // every value doubled: adoption would show in C
 			v := math.Float64frombits(binary.LittleEndian.Uint64(stale[i:]))
 			binary.LittleEndian.PutUint64(stale[i:], math.Float64bits(2*v))
 		}
@@ -324,8 +327,8 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 }
 
 // TestPlanArtifactImplausibleValuesNeverAdopted plants, under the family's
-// own key, a well-framed dense near field of the right shape that no
-// assembly produces — NaNs, or one entry that is not its mirror's — as a
+// own key, a dense near field of the right order that this build does not
+// produce — NaNs, or the full matrix a "pba6" build shipped — as a
 // corrupted disk or a faulty peer could hand back. The plan must count a
 // miss, build afresh, store the good payload over the bad one and return
 // C bitwise equal to a build without a store.
@@ -348,21 +351,19 @@ func TestPlanArtifactImplausibleValuesNeverAdopted(t *testing.T) {
 		t.Fatal("cold build stored no near-field artifact under the family key")
 	}
 	n := int(binary.LittleEndian.Uint64(good[1:]))
-	for name, spoil := range map[string]func(b []byte){
-		"nan": func(b []byte) {
-			for i := 17; i < len(b); i += 8 {
+	for name, spoil := range map[string]func(b []byte) []byte{
+		"nan": func(b []byte) []byte {
+			for i := denseHeader; i < len(b); i += 8 {
 				binary.LittleEndian.PutUint64(b[i:], math.Float64bits(math.NaN()))
 			}
+			return b
 		},
-		"asymmetric": func(b []byte) {
-			at := 17 + 8*(0*n+1) // entry (0, 1); (1, 0) keeps its bits
-			v := math.Float64frombits(binary.LittleEndian.Uint64(b[at:]))
-			binary.LittleEndian.PutUint64(b[at:], math.Float64bits(math.Nextafter(v, 0)))
+		"full matrix": func(b []byte) []byte {
+			return fullMatrixPayload(decodeDenseArtifact(b, n))
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			bad := append([]byte(nil), good...)
-			spoil(bad)
+			bad := spoil(append([]byte(nil), good...))
 			if decodeDenseArtifact(bad, n) != nil {
 				t.Fatal("the decoder adopts the spoiled payload")
 			}
@@ -404,35 +405,78 @@ func TestDecodeFMMNearRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// fullMatrixPayload is d as a "pba6" build laid it out: the tag, the row
+// and column counts, then all n x n entries.
+func fullMatrixPayload(d *linalg.Sym) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte{artTagDense}, uint64(d.N))
+	b = binary.LittleEndian.AppendUint64(b, uint64(d.N))
+	return appendFloats(b, d.Dense().Data)
+}
+
+// TestDenseArtifactBytes: the crossing pair's dense near field at 0.4 um
+// (N = 524) ships exactly its packed triangle, 8 N(N+1)/2 bytes, after a
+// header of its tag and its order — half the full matrix's 8 N².
+func TestDenseArtifactBytes(t *testing.T) {
+	store := newMemStore()
+	p, err := New(Options{MaxEdge: 0.4e-6, Pipeline: op.Options{Backend: op.BackendDense, Direct: true}, Artifacts: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := geom.DefaultCrossingPair().Build()
+	res, err := p.Extract(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok := store.Get(p.artifactKey(st, op.BackendDense, nil, nil) + nearSuffix)
+	if n := len(res.Panels); !ok || n != 524 || len(data) != 1+8+8*n*(n+1)/2 {
+		t.Fatalf("N = %d: %d bytes stored (found %v), want 9 + %d", n, len(data), ok, 8*n*(n+1)/2)
+	}
+}
+
 // FuzzDecodeDenseArtifact: whatever the bytes, the decoder does not panic,
-// and a matrix it returns has the build's shape, finite entries, a positive
-// diagonal and bitwise mirrored off-diagonal entries, and encodes back to
-// the same bytes.
+// and a matrix it returns has the build's order, n(n+1)/2 finite entries
+// and a positive diagonal, and encodes back to the same bytes. The seeds
+// are a valid payload, which is adopted, and six the decoder refuses: it
+// truncated by one double; it against the wrong order; one holding a NaN;
+// the same matrix as a "pba6" build laid it out, in full; a negative
+// diagonal; and a bare tag.
 func FuzzDecodeDenseArtifact(f *testing.F) {
-	sym := linalg.NewDenseFrom(2, 2, []float64{2, -1, -1, 3})
-	f.Add(encodeDenseArtifact(sym), uint8(2))
-	f.Add(encodeDenseArtifact(linalg.NewDenseFrom(2, 2, []float64{2, -1, -0.5, 3})), uint8(2))
-	f.Add(encodeDenseArtifact(linalg.NewDenseFrom(1, 1, []float64{math.NaN()})), uint8(1))
-	f.Add(encodeDenseArtifact(linalg.NewDenseFrom(1, 1, []float64{-1})), uint8(1))
-	f.Add([]byte{artTagDense}, uint8(0))
+	sym := &linalg.Sym{N: 2, Data: []float64{2, -1, 3}}
+	good := encodeDenseArtifact(sym)
+	for k, s := range []struct {
+		data []byte
+		n    int
+	}{
+		{good, 2},
+		{good[:len(good)-8], 2},
+		{good, 3},
+		{encodeDenseArtifact(&linalg.Sym{N: 2, Data: []float64{2, math.NaN(), 3}}), 2},
+		{fullMatrixPayload(sym), 2},
+		{encodeDenseArtifact(&linalg.Sym{N: 1, Data: []float64{-1}}), 1},
+		{[]byte{artTagDense}, 0},
+	} {
+		if adopted := decodeDenseArtifact(s.data, s.n) != nil; adopted != (k == 0) {
+			f.Fatalf("seed %d adopted %v", k, adopted)
+		}
+		f.Add(s.data, uint8(s.n))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, nb uint8) {
 		n := int(nb % 16)
 		d := decodeDenseArtifact(data, n)
 		if d == nil {
 			return
 		}
-		if d.Rows != n || d.Cols != n || len(d.Data) != n*n {
-			t.Fatalf("%dx%d matrix of %d values for n = %d", d.Rows, d.Cols, len(d.Data), n)
+		if d.N != n || len(d.Data) != n*(n+1)/2 {
+			t.Fatalf("order %d, %d values for n = %d", d.N, len(d.Data), n)
 		}
 		for i := 0; i < n; i++ {
 			if v := d.At(i, i); !(v > 0) || math.IsInf(v, 1) {
 				t.Fatalf("diagonal entry %d = %v", i, v)
 			}
-			for j := 0; j < n; j++ {
-				v := d.At(i, j)
-				if math.IsNaN(v) || math.IsInf(v, 0) || math.Float64bits(v) != math.Float64bits(d.At(j, i)) {
-					t.Fatalf("entry (%d, %d) = %v, its mirror %v", i, j, v, d.At(j, i))
-				}
+		}
+		for k, v := range d.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("packed entry %d = %v", k, v)
 			}
 		}
 		if !bytes.Equal(encodeDenseArtifact(d), data) {

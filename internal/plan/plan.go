@@ -57,10 +57,10 @@
 // bitwise a fresh plan's (TestVariantNearFieldBitwise): a kept dense
 // entry is the value the previous build read.
 //
-// A dense variant takes the previous variant's matrix as its own and
-// rewrites, in both triangles, only the entries whose pair did not move as
-// one; a block of panel groups that moved as one is skipped whole, so a
-// variant allocates, zeroes and mirrors no N x N matrix. The fmm and pfft
+// A dense variant takes the previous variant's matrix, a packed lower
+// triangle, as its own and rewrites only the entries whose pair did not
+// move as one; a block of panel groups that moved as one is skipped whole,
+// so a variant allocates and zeroes no matrix. The fmm and pfft
 // variants build their near fields afresh: a copy from the previous
 // operator saved a lookup, never an integration, and was deleted.
 // Preconditioner factor reuse cannot affect results at all — only
@@ -149,7 +149,7 @@ type Stats struct {
 	NearReused        int64 `json:"near_reused"`
 	NearComputed      int64 `json:"near_computed"`
 	ClassesIntegrated int64 `json:"classes_integrated"`
-	DenseReused       int64 `json:"dense_reused"` // dense upper-triangle entries kept in place
+	DenseReused       int64 `json:"dense_reused"` // dense packed-triangle entries kept in place
 	FactReused        int   `json:"fact_reused"`  // block factors adopted across variants
 	WarmStarts        int   `json:"warm_starts"`  // solves offered the previous variant's charges as seeds
 
@@ -262,7 +262,7 @@ type variant struct {
 	be     op.Backend
 	fmmOp  *fmm.Operator
 	pfftOp *pfft.Operator
-	dense  *linalg.Dense
+	dense  *linalg.Sym
 	// factors maps a near block's exact unknown sequence to its
 	// factor (Factorization stage artifact).
 	factors map[string]*linalg.LDLT
@@ -435,7 +435,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 			// The previous variant's matrix (nil unless it was dense) is the
 			// storage this one is written into. It leaves cur first, so an
 			// interrupted build leaves no half-rewritten matrix installed.
-			var prev *linalg.Dense
+			var prev *linalg.Sym
 			if cur != nil {
 				prev, cur.dense = cur.dense, nil
 			}

@@ -107,9 +107,10 @@ func TestPlanIncrementalConsistency(t *testing.T) {
 // rows (corrections and exact entries) and the dense matrix, entry by
 // entry. An fmm or pfft variant builds its near field as a fresh build
 // does, from the class table; a dense variant rewrites the previous
-// variant's matrix in place and keeps, in both triangles, the entries of
-// rigidly co-moved panel pairs, which must be the values a fresh build
-// reads — as many as Stats.DenseReused pins. The crossing's x/y span fixes
+// variant's packed matrix in place and keeps the entries of rigidly
+// co-moved panel pairs, which must be the values a fresh build reads — as
+// many as Stats.DenseReused pins. A dense near field's entries are its
+// packed triangle's, N(N+1)/2. The crossing's x/y span fixes
 // the pfft grid, so a z-only H change shares the previous variant's kernel
 // transform.
 func TestVariantNearFieldBitwise(t *testing.T) {
@@ -126,7 +127,7 @@ func TestVariantNearFieldBitwise(t *testing.T) {
 		h0, h1  float64
 		opt     op.Options
 		entries int
-		kept    int64 // upper entries the dense variant keeps
+		kept    int64 // entries the dense variant keeps
 	}{
 		{"fmm/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6,
 			op.Options{Backend: op.BackendFMM, FMM: &fmm.Options{Workers: 1}}, 122182, 0},
@@ -139,8 +140,8 @@ func TestVariantNearFieldBitwise(t *testing.T) {
 		// solve's convolutions are what the race detector is slow at.)
 		{"pfft/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6,
 			op.Options{Backend: op.BackendPFFT, Tol: 0.5, PFFT: &pfft.Options{Workers: 1}}, 7610, 0},
-		{"dense/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6, dense, 274576, 68906},
-		{"dense/bus3x3", 1e-6, busAt, 0.6e-6, 1.3e-6, dense, 51984, 6555},
+		{"dense/crossing", 0.4e-6, crossingAt, 0.5e-6, 0.6e-6, dense, 137550, 68906},
+		{"dense/bus3x3", 1e-6, busAt, 0.6e-6, 1.3e-6, dense, 26106, 6555},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// run extracts the given separations through one plan and
