@@ -335,7 +335,7 @@ func BenchmarkAblationLDLT_GMRES(b *testing.B) {
 	}
 }
 
-// ---- Distributed-memory overhead: a simulated network of four ranks ----
+// ---- Distributed-memory overhead: four ranks, each filling private rows ----
 
 func BenchmarkMPI_IdealNetwork(b *testing.B) {
 	st := NewBus(4, 4).Build()

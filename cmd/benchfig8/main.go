@@ -1,6 +1,7 @@
 // Benchfig8 regenerates the data of paper Figure 8: parallel efficiency
 // versus processor count for (a) this work's shared-memory backend, (b)
-// this work's distributed-memory (simulated MPI) backend — both measured
+// this work's distributed-memory backend (the MPI ranks as private
+// partitions of one fill, one thread each) — both measured
 // on the local machine on the bus structure — and (c, d) the parallel
 // fast-multipole and parallel precorrected-FFT rivals, both re-measured
 // with the from-scratch baselines on the 2x2 bus (the example their

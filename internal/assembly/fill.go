@@ -149,8 +149,8 @@ func (f *Interned) blockPair(t *classBlocks, i, j int, c *FillStats) float64 {
 //
 // The shared-memory backend passes sched.Local or a shared sched.Pool and
 // the whole matrix; a distributed-memory rank passes a rank-local
-// executor and its private rows, which it then serializes onto the
-// network, or, on the main rank, the whole matrix.
+// executor and its private rows, which the main rank adds into P
+// afterwards, or, on the main rank, the whole matrix.
 func FillRanges(set *basis.Set, in *Integrator, bounds []int64, ex sched.Executor, dst *Partial) {
 	f := in.Intern(set)
 	blocks := f.classBlocks()

@@ -279,8 +279,8 @@ func (in *Integrator) FillStats() FillStats {
 }
 
 // AddFillStats folds s into the counters. Fills call it once per chunk;
-// the distributed backend uses it to credit the ranks' work, which
-// arrives by message, to the caller's integrator.
+// the distributed backend uses it to credit the ranks' work, counted on
+// their own integrators, to the caller's.
 func (in *Integrator) AddFillStats(s FillStats) {
 	in.mu.Lock()
 	in.stats.Add(s)

@@ -120,9 +120,9 @@ func TestAssembleDenseMatchesEntries(t *testing.T) {
 				}
 			}
 			for _, ex := range []sched.Executor{nil, sched.Local(1), sched.Local(7), pool} {
-				p.Par = ex
 				for _, moved := range []bool{false, true} {
 					spec := p.Spec()
+					spec.Exec = ex
 					var m *linalg.Sym
 					var reused int64
 					var fill assembly.FillStats
@@ -177,8 +177,8 @@ func TestDenseLookupsPerAssembly(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 2} {
-			p.Par = sched.Local(w)
 			spec := p.Spec()
+			spec.Exec = sched.Local(w)
 			_, _, fill := spec.AssembleDenseReuse(nil, nil)
 			looked := fill.PairsNear - fill.PairMemo
 			t.Logf("%s, %d workers: %d near pairs, %d looked up (%.1f%%), %d classes",
@@ -212,8 +212,8 @@ func TestSolveIterativeConcurrentColumnsDeterministic(t *testing.T) {
 	}
 	var first *op.Result
 	for _, workers := range []int{1, 1, 2, 4} {
-		p.Par = sched.Local(workers)
 		spec := p.Spec()
+		spec.Exec = sched.Local(workers)
 		res := solveIterative(t, spec, plainOp{op.NewDenseOperator(m, spec.Panels, spec.Exec)}, 1e-8)
 		if first == nil {
 			first = res
@@ -255,11 +255,11 @@ func benchAssembleDense(b *testing.B, ex sched.Executor) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Par = ex
+	spec := p.Spec()
+	spec.Exec = ex
 	var fill assembly.FillStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec := p.Spec()
 		_, _, fill = spec.AssembleDenseReuse(nil, nil)
 	}
 	b.ReportMetric(float64(fill.PairsNear-fill.PairMemo), "lookups/op")

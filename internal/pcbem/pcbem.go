@@ -18,7 +18,6 @@ import (
 	"parbem/internal/geom"
 	"parbem/internal/kernel"
 	"parbem/internal/op"
-	"parbem/internal/sched"
 )
 
 // Problem is a panelized extraction problem.
@@ -26,10 +25,6 @@ type Problem struct {
 	Panels        []geom.Panel
 	NumConductors int
 	Cfg           *kernel.Config
-	// Par optionally supplies the executor for parallel assembly and
-	// dense matvecs (e.g. a shared sched.Pool); nil means a throwaway
-	// sched.Local executor sized by GOMAXPROCS.
-	Par sched.Executor
 }
 
 // NewProblem panelizes a structure with the given maximum panel edge.
@@ -54,6 +49,5 @@ func (p *Problem) Spec() op.Spec {
 		Panels:        p.Panels,
 		NumConductors: p.NumConductors,
 		Cfg:           p.Cfg,
-		Exec:          p.Par,
 	}
 }

@@ -87,37 +87,30 @@ func badRequest(format string, args ...any) *RequestError {
 // Limits bound what one request may ask of the server; everything over
 // a limit is rejected at decode time with a structured error, before
 // any solver state is touched. The zero value selects the defaults.
+// Beside the two settable limits, every request is held to 1024
+// conductors and 16384 boxes per structure and 256 sweep points.
 type Limits struct {
 	// MaxBodyBytes caps the request body (default 8 MiB).
 	MaxBodyBytes int64
-	// MaxConductors caps conductors per structure (default 1024).
-	MaxConductors int
-	// MaxBoxes caps total boxes per structure (default 16384).
-	MaxBoxes int
 	// MaxPanels caps the estimated panel count of geometry/edge_m
 	// (default 200000): the admission guard against a tiny edge on a
 	// large structure allocating unbounded memory.
 	MaxPanels int
-	// MaxSweepPoints caps variants/template points per sweep
-	// (default 256).
-	MaxSweepPoints int
 }
+
+// The limits no server varies.
+const (
+	maxConductors  = 1024  // conductors per structure
+	maxBoxes       = 16384 // total boxes per structure
+	maxSweepPoints = 256   // variants/template points per sweep
+)
 
 func (l Limits) withDefaults() Limits {
 	if l.MaxBodyBytes == 0 {
 		l.MaxBodyBytes = 8 << 20
 	}
-	if l.MaxConductors == 0 {
-		l.MaxConductors = 1024
-	}
-	if l.MaxBoxes == 0 {
-		l.MaxBoxes = 16384
-	}
 	if l.MaxPanels == 0 {
 		l.MaxPanels = 200000
-	}
-	if l.MaxSweepPoints == 0 {
-		l.MaxSweepPoints = 256
 	}
 	return l
 }
@@ -240,8 +233,8 @@ func (l Limits) DecodeSweep(r io.Reader) (*SweepRequest, []*geom.Structure, erro
 	if (len(req.Variants) == 0) == (len(req.TemplateHs) == 0) {
 		return nil, nil, badRequest("exactly one of variants and template_hs_m must be non-empty")
 	}
-	if n := len(req.Variants) + len(req.TemplateHs); n > l.MaxSweepPoints {
-		return nil, nil, badRequest("%d sweep points exceed the limit of %d", n, l.MaxSweepPoints)
+	if n := len(req.Variants) + len(req.TemplateHs); n > maxSweepPoints {
+		return nil, nil, badRequest("%d sweep points exceed the limit of %d", n, maxSweepPoints)
 	}
 	if err := l.validateSolve(req.EdgeM, req.Backend, req.Precond, req.Precision, req.Tol); err != nil {
 		return nil, nil, err
@@ -313,15 +306,15 @@ func (l Limits) parseGeometry(text string, edge float64) (*geom.Structure, error
 // coordinate sanity (geom.Validate accepts NaN sizes, the service must
 // not), count caps and the estimated panel budget.
 func checkStructure(st *geom.Structure, edge float64, l Limits) error {
-	if len(st.Conductors) > l.MaxConductors {
-		return badRequest("%d conductors exceed the limit of %d", len(st.Conductors), l.MaxConductors)
+	if len(st.Conductors) > maxConductors {
+		return badRequest("%d conductors exceed the limit of %d", len(st.Conductors), maxConductors)
 	}
 	boxes := 0
 	var panels float64
 	for ci, c := range st.Conductors {
 		boxes += len(c.Boxes)
-		if boxes > l.MaxBoxes {
-			return badRequest("more than %d boxes", l.MaxBoxes)
+		if boxes > maxBoxes {
+			return badRequest("more than %d boxes", maxBoxes)
 		}
 		for bi, b := range c.Boxes {
 			for _, v := range [6]float64{b.Min.X, b.Min.Y, b.Min.Z, b.Max.X, b.Max.Y, b.Max.Z} {

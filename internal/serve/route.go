@@ -54,10 +54,6 @@ type RouterOptions struct {
 	Limits Limits
 	// Retry paces failover rounds over the ring (nil = DefaultRetry).
 	Retry *RetryPolicy
-	// Client optionally overrides the forwarding transport. The default
-	// has no overall timeout: extracts legitimately run for minutes,
-	// and the requester's context bounds each forward.
-	Client *http.Client
 	// Logf receives forwarding diagnostics (nil = discard).
 	Logf func(format string, args ...any)
 }
@@ -83,12 +79,11 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 		opt:    opt,
 		limits: opt.Limits.withDefaults(),
 		ring:   buildRing(replicas),
-		client: opt.Client,
+		// No overall timeout: extracts legitimately run for minutes, and
+		// the requester's context bounds each forward.
+		client: &http.Client{},
 		logf:   opt.Logf,
 		start:  time.Now(),
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
 	}
 	if rt.logf == nil {
 		rt.logf = func(string, ...any) {}

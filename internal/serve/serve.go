@@ -102,7 +102,7 @@
 // # Running a replica set
 //
 // Cache sharing extends across processes. With Options.ArtifactDir
-// set, an owned engine's plans read the expensive solver by-products —
+// set, the engine's plans read the expensive solver by-products —
 // near-field matrix values and preconditioner factors, keyed by a
 // content hash of geometry and solve options — through a disk artifact
 // store (internal/artifact) before building, and write through after,
@@ -147,16 +147,10 @@ import (
 // GOMAXPROCS engine, queues of 64, one runner, no worker budget (each
 // job may use the whole pool) and no tenant rate limits.
 type Options struct {
-	// Engine optionally supplies the batch engine; nil creates one
-	// owned by the server (closed by Close) from the fields below.
-	Engine *batch.Engine
-	// Workers sizes an owned engine's persistent pool (0 = GOMAXPROCS).
+	// Workers sizes the engine's persistent pool (0 = GOMAXPROCS).
 	Workers int
 	// WorkerBudget caps how many pool workers one job occupies
-	// (0 = the whole pool) via the engine's PlanWorkers budget. It
-	// applies to an owned engine only; a supplied Engine keeps its own
-	// PlanWorkers setting, which becomes the server's effective budget
-	// (reported by /stats and used to derive Runners).
+	// (0 = the whole pool) via the engine's PlanWorkers budget.
 	WorkerBudget int
 	// QueueDepth bounds the interactive (extract) admission queue
 	// (0 = 64).
@@ -173,8 +167,7 @@ type Options struct {
 	// TenantRate 0 disables tenant limiting.
 	TenantRate  float64
 	TenantBurst int
-	// CacheEntries sizes an owned engine's state LRU (0 = engine
-	// default).
+	// CacheEntries sizes the engine's state LRU (0 = engine default).
 	CacheEntries int
 	// DefaultPrecision is the matvec arithmetic applied to requests that
 	// leave their precision selector empty or "auto" (capxd -precision).
@@ -194,12 +187,10 @@ type Options struct {
 	// results die with the connection, so the fsyncs would buy nothing.
 	DataDir string
 	// ArtifactDir, when set, enables the persistent stage-artifact
-	// store (capxd defaults it to DataDir/artifacts): an owned engine's
+	// store (capxd defaults it to DataDir/artifacts): the engine's
 	// plans read near-field values and block factors through it before
 	// building and write through after, so identical-family requests
-	// skip integration across restarts. It applies to an owned engine
-	// only (a supplied Engine keeps its own artifact wiring). Empty
-	// disables persistence.
+	// skip integration across restarts. Empty disables persistence.
 	ArtifactDir string
 	// ArtifactMaxBytes bounds the resident artifact bytes under
 	// ArtifactDir (LRU eviction; 0 = the store's 1 GiB default).
@@ -232,7 +223,6 @@ type Server struct {
 	opt     Options
 	limits  Limits
 	eng     *batch.Engine
-	ownEng  bool
 	limiter *tenantLimiter
 	logf    func(format string, args ...any)
 
@@ -242,7 +232,7 @@ type Server struct {
 	idem map[string]string
 
 	// artifacts is the persistent stage-artifact resolver (nil without
-	// Options.ArtifactDir): the owned engine's plans read/write through
+	// Options.ArtifactDir): the engine's plans read/write through
 	// it, and GET /artifacts/{key} serves its local store to peers.
 	artifacts *artifactResolver
 
@@ -399,7 +389,6 @@ func Open(opt Options) (*Server, error) {
 	s := &Server{
 		opt:    opt,
 		limits: opt.Limits.withDefaults(),
-		eng:    opt.Engine,
 		jobs:   make(map[string]*job),
 		idem:   make(map[string]string),
 		start:  time.Now(),
@@ -421,24 +410,16 @@ func Open(opt Options) (*Server, error) {
 		}
 		s.artifacts = newArtifactResolver(store, opt.Peers, s.logf)
 	}
-	if s.eng == nil {
-		var arts plan.ArtifactStore
-		if s.artifacts != nil {
-			arts = s.artifacts
-		}
-		s.eng = batch.New(batch.Options{
-			Workers:      opt.Workers,
-			PlanWorkers:  opt.WorkerBudget,
-			CacheEntries: opt.CacheEntries,
-			Artifacts:    arts,
-		})
-		s.ownEng = true
+	var arts plan.ArtifactStore
+	if s.artifacts != nil {
+		arts = s.artifacts
 	}
-	// The effective budget is whatever the engine actually enforces: a
-	// supplied engine keeps its own PlanWorkers, and deriving runner
-	// counts (or reporting /stats) from an unenforced request-level
-	// budget would oversubscribe the pool.
-	s.opt.WorkerBudget = s.eng.PlanWorkers()
+	s.eng = batch.New(batch.Options{
+		Workers:      opt.Workers,
+		PlanWorkers:  opt.WorkerBudget,
+		CacheEntries: opt.CacheEntries,
+		Artifacts:    arts,
+	})
 	depth := opt.QueueDepth
 	if depth <= 0 {
 		depth = 64
@@ -465,9 +446,7 @@ func Open(opt Options) (*Server, error) {
 	// registration of restored ones.
 	if opt.DataDir != "" {
 		if err := s.openJournal(opt.DataDir); err != nil {
-			if s.ownEng {
-				s.eng.Close()
-			}
+			s.eng.Close()
 			return nil, err
 		}
 	}
@@ -482,7 +461,7 @@ func Open(opt Options) (*Server, error) {
 func (s *Server) Engine() *batch.Engine { return s.eng }
 
 // Close stops admitting jobs, drains the queues, waits for running
-// jobs, compacts and closes the journal, and closes an owned engine.
+// jobs, compacts and closes the journal, and closes the engine.
 // Call Drain first for a graceful stop that bounds how long running
 // jobs may take.
 func (s *Server) Close() {
@@ -507,9 +486,7 @@ func (s *Server) Close() {
 			s.logf("serve: closing journal: %v", err)
 		}
 	}
-	if s.ownEng {
-		s.eng.Close()
-	}
+	s.eng.Close()
 }
 
 // admit registers and enqueues a job on its class queue; a full queue,

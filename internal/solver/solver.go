@@ -28,7 +28,7 @@ type Backend int
 const (
 	Serial      Backend = iota // single node (Algorithm 1 on the full k-range)
 	SharedMem                  // goroutine worker pool (OpenMP analog, Fig. 4)
-	Distributed                // simulated message passing (MPI analog, Fig. 6)
+	Distributed                // private-memory ranks, one partial each (MPI analog, Fig. 6)
 )
 
 // String implements fmt.Stringer.
@@ -48,7 +48,7 @@ func (b Backend) String() string {
 type Options struct {
 	Backend Backend
 	// Workers is the parallel nodes D (0 = GOMAXPROCS for SharedMem, 1
-	// for others): for Distributed, the ranks of the simulated network.
+	// for others): for Distributed, the ranks, each filling its own rows.
 	Workers int
 
 	// Basis tunes instantiable-basis generation; zero value = defaults.

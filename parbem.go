@@ -5,9 +5,12 @@
 // a small number of rich, template-built functions instantiated near wire
 // crossings — instead of thousands of piecewise-constant panels. The
 // resulting dense system is tiny, so nearly all work is in the
-// embarrassingly parallel matrix-fill step, which scales at ~90% parallel
-// efficiency on both shared-memory and (simulated) distributed-memory
-// backends.
+// embarrassingly parallel matrix-fill step, which the paper runs at ~90%
+// parallel efficiency on shared memory and on distributed memory. Here
+// the distributed-memory backend is a partition of the same fill: each
+// of its ranks fills its own rows of the matrix with a private copy of
+// the templates and a class table of its own, and the main rank adds the
+// ranks' rows into the matrix.
 //
 // Quick start:
 //

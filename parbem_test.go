@@ -11,7 +11,9 @@ import (
 	"parbem/internal/mpi"
 	"parbem/internal/op"
 	"parbem/internal/par"
+	"parbem/internal/pcbem"
 	"parbem/internal/pfft"
+	"parbem/internal/serve"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -124,7 +126,9 @@ func TestSetupDominatesTotal(t *testing.T) {
 // simulated interconnect (Options.Network and mpi.Network's latency and
 // bandwidth), the basis builder's six calibration factors, the Krylov
 // ring (PipelineOptions.Restart), the fmm leaf size and the pfft grid
-// pitch.
+// pitch. Six more went after them: serve.Options.Engine,
+// serve.RouterOptions.Client, serve.Limits' caps on conductors, boxes and
+// sweep points, and pcbem.Problem.Par.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
@@ -140,7 +144,7 @@ func TestOptionSurface(t *testing.T) {
 		{reflect.TypeOf(fmm.Options{}), []string{"Theta", "NearFactor", "Workers", "Cfg", "Pairs", "Pool", "Exec"}},
 		{reflect.TypeOf(pfft.Options{}), []string{"MaxNodes", "NearRadius", "Workers", "Cfg", "Pairs", "Pool", "Exec"}},
 		// The template library's calibration is constants of basis; the
-		// simulated network has no cost model.
+		// distributed fill's network is a rank count.
 		{reflect.TypeOf(BuilderOptions{}), []string{"SeparateInduced"}},
 		{reflect.TypeOf(mpi.Network{}), nil},
 		// The Section 4.1 distances are kernel constants, not settings.
@@ -150,6 +154,15 @@ func TestOptionSurface(t *testing.T) {
 		// field and, on pfft, the previous kernel transform.
 		{reflect.TypeOf(fmm.Reuse{}), []string{"Vals"}},
 		{reflect.TypeOf(pfft.Reuse{}), []string{"Prev", "Artifact"}},
+		// The service: the server builds its own engine, capxd's flags set
+		// the two request limits left, and the router always forwards on
+		// a plain http.Client. A panel problem's executor is its Spec's.
+		{reflect.TypeOf(serve.Options{}), []string{"Workers", "WorkerBudget", "QueueDepth", "SweepQueueDepth", "Runners",
+			"TenantRate", "TenantBurst", "CacheEntries", "DefaultPrecision", "Limits", "JobHistory", "DataDir",
+			"ArtifactDir", "ArtifactMaxBytes", "Peers", "Logf"}},
+		{reflect.TypeOf(serve.Limits{}), []string{"MaxBodyBytes", "MaxPanels"}},
+		{reflect.TypeOf(serve.RouterOptions{}), []string{"Replicas", "Limits", "Retry", "Logf"}},
+		{reflect.TypeOf(pcbem.Problem{}), []string{"Panels", "NumConductors", "Cfg"}},
 	} {
 		var got []string
 		for _, f := range reflect.VisibleFields(c.typ) {
