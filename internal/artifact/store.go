@@ -236,6 +236,18 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
+// encodeFrame returns the entry file of payload under key, the frame
+// verifyFrame accepts.
+func encodeFrame(key string, payload []byte) []byte {
+	frame := make([]byte, 0, len(magic)+4+len(key)+8+len(payload))
+	frame = append(frame, magic...)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(key)))
+	frame = append(frame, key...)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	return append(frame, payload...)
+}
+
 // verifyFrame checks an entry file against the expected key and returns
 // the payload.
 func verifyFrame(key string, data []byte) ([]byte, error) {
@@ -293,13 +305,7 @@ func (s *Store) Put(key string, payload []byte) error {
 		// everything and then itself; skip.
 		return fmt.Errorf("artifact: payload of %d bytes exceeds the %d byte budget", len(payload), s.maxBytes)
 	}
-	frame := make([]byte, 0, len(magic)+4+len(key)+8+len(payload))
-	frame = append(frame, magic...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(key)))
-	frame = append(frame, key...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-	frame = append(frame, payload...)
+	frame := encodeFrame(key, payload)
 
 	s.evictFor(key, int64(len(payload)))
 

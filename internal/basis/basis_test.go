@@ -147,37 +147,6 @@ func TestBuildOutOfRangeRatioFallsBack(t *testing.T) {
 	}
 }
 
-func TestBuildCrossingPairSeparate(t *testing.T) {
-	st := mergedRangePair()
-	opt := BuilderOptions{}
-	opt.SeparateInduced = true
-	set := Build(st, opt)
-	if err := set.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	kinds := set.CountKinds()
-	if kinds[KindShadow] != 2 {
-		t.Errorf("shadow functions = %d want 2", kinds[KindShadow])
-	}
-	if kinds[KindArchPair] != 2 {
-		t.Errorf("arch-pair functions = %d want 2", kinds[KindArchPair])
-	}
-	for _, f := range set.Functions {
-		if f.Kind == KindArchPair && f.TplHi-f.TplLo != 2 {
-			t.Errorf("arch pair with %d templates", f.TplHi-f.TplLo)
-		}
-	}
-	// Separate mode has more functions than merged mode (the ablation's
-	// degrees-of-freedom trade) on an in-range geometry.
-	merged := Build(st, BuilderOptions{})
-	if set.N() <= merged.N() {
-		t.Errorf("separate N = %d not larger than merged N = %d", set.N(), merged.N())
-	}
-	if set.M() != merged.M() {
-		t.Errorf("template count changed: %d vs %d (must be identical)", set.M(), merged.M())
-	}
-}
-
 func TestBuildSkipsTouchingConductors(t *testing.T) {
 	// Two boxes of different conductors touching (h = 0): no induced
 	// bases should be created for that pair.

@@ -69,28 +69,17 @@ func TestBuildPinnedDigests(t *testing.T) {
 		{"interconnect", geom.DefaultInterconnect().Build()},
 	}
 	want := map[string]string{
-		"bus16/merged":          "a2de23572de46021b777905a1c01c5b698a92faca1e9f984282270aece050dc8",
-		"bus16/separate":        "1384de3bf1b913e6bfe93c1171c8e7eb0baf4de06b8494ac16b5ad0160679b9a",
-		"crossing/merged":       "561b83b9d223d8ff6ce702ef2cd7df73c5ac5862f6dc6df6cc66d292c19945e2",
-		"crossing/separate":     "561b83b9d223d8ff6ce702ef2cd7df73c5ac5862f6dc6df6cc66d292c19945e2",
-		"interconnect/merged":   "07738f49ebf399120573fe833a313c873eb3b079a1d97c97ef7ca9e5e2ccde34",
-		"interconnect/separate": "3e7cbadf5355feee19a025e14813f9386a7bb821641dd42de27ba65d38d2b932",
+		"bus16":        "a2de23572de46021b777905a1c01c5b698a92faca1e9f984282270aece050dc8",
+		"crossing":     "561b83b9d223d8ff6ce702ef2cd7df73c5ac5862f6dc6df6cc66d292c19945e2",
+		"interconnect": "07738f49ebf399120573fe833a313c873eb3b079a1d97c97ef7ca9e5e2ccde34",
 	}
 	for _, c := range structures {
-		for _, separate := range []bool{false, true} {
-			name := c.name + "/merged"
-			if separate {
-				name = c.name + "/separate"
-			}
-			opt := BuilderOptions{}
-			opt.SeparateInduced = separate
-			set := Build(c.st, opt)
-			if err := set.Validate(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if got := setDigest(set); got != want[name] {
-				t.Errorf("%s (N = %d, M = %d): digest %s, want %s", name, set.N(), set.M(), got, want[name])
-			}
+		set := Build(c.st, BuilderOptions{})
+		if err := set.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := setDigest(set); got != want[c.name] {
+			t.Errorf("%s (N = %d, M = %d): digest %s, want %s", c.name, set.N(), set.M(), got, want[c.name])
 		}
 	}
 }

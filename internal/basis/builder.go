@@ -30,16 +30,11 @@ const (
 	archAmpFactor = 3.5
 )
 
-// BuilderOptions tunes instantiable-basis generation.
-type BuilderOptions struct {
-	// SeparateInduced splits each induced basis into independent shadow
-	// and arch-pair functions (more degrees of freedom, larger N and a
-	// correspondingly larger direct solve). The default (false) follows
-	// the paper: one induced basis function per facing surface,
-	// assembling the flat shadow template and its arch templates with
-	// relative amplitudes fixed by the template library.
-	SeparateInduced bool
-}
+// BuilderOptions is what a caller may set of basis generation: nothing.
+// The basis has one construction, the paper's (one induced basis
+// function per facing surface, see addInduced), and its calibration is
+// the constants above.
+type BuilderOptions struct{}
 
 // facing is a detected facing-face pair: two parallel planes of different
 // conductors looking at each other across gap H with a positive-area
@@ -52,7 +47,7 @@ type facing struct {
 }
 
 // Build generates the instantiable basis set for a Manhattan structure.
-func Build(st *geom.Structure, opt BuilderOptions) *Set {
+func Build(st *geom.Structure, _ BuilderOptions) *Set {
 	// Facing-pair detection across conductor pairs.
 	pairs := detectFacing(st)
 	// The coupling radius, 3x the median facing gap, limits which facing
@@ -91,7 +86,7 @@ func Build(st *geom.Structure, opt BuilderOptions) *Set {
 	// template and a side of a pair at most five (the shadow and two
 	// arches per direction), which sizes the staging array once.
 	faces := st.TotalFaces()
-	b := &builder{set: &Set{NumConductors: st.NumConductors()}, opt: opt}
+	b := &builder{set: &Set{NumConductors: st.NumConductors()}}
 	b.staging = make([]Template, 0, faces+5*sides)
 	b.pending[KindFace] = make([]pendingFunc, 0, faces)
 	for ci, c := range st.Conductors {
@@ -174,7 +169,6 @@ type pendingFunc struct {
 // reused by every placement.
 type builder struct {
 	set      *Set
-	opt      BuilderOptions
 	staging  []Template
 	pending  [3][]pendingFunc // indexed by Kind
 	nbU, nbV []geom.Interval
@@ -313,11 +307,10 @@ func facingAlong(lo, hi geom.Box, loCond, hiCond int, ax geom.Axis) (facing, boo
 // reflected arch templates along each direction in which the face extends
 // beyond the shadow (paper Figure 2).
 //
-// In the default merged mode, the flat and arch templates are assembled
-// into a single basis function with the arch-to-flat amplitude ratio fixed
-// by the template library's calibration (paper Section 2.2: templates are
-// assembled "with proper parameter vectors p"); in SeparateInduced mode,
-// the shadow and each direction's arch pair become independent functions.
+// The flat and arch templates are assembled into a single basis function
+// with the arch-to-flat amplitude ratio fixed by the template library's
+// calibration (paper Section 2.2: templates are assembled "with proper
+// parameter vectors p").
 //
 // The templates are built in one fixed array on the stack (the shadow,
 // then at most two arches per direction) and copied to the staging array
@@ -354,19 +347,6 @@ func (b *builder) addInduced(face geom.Rect, cond int, p *facing, faceShadows []
 	archU := b.archTemplates(buf[1:1], winU, shadow, p.h, true)
 	archV := b.archTemplates(buf[1+len(archU):1+len(archU)], winV, shadow, p.h, false)
 	arches := buf[1 : 1+len(archU)+len(archV)]
-
-	if b.opt.SeparateInduced {
-		if !covers {
-			b.collect(cond, KindShadow, buf[0])
-		}
-		if len(archU) > 0 {
-			b.collect(cond, KindArchPair, archU...)
-		}
-		if len(archV) > 0 {
-			b.collect(cond, KindArchPair, archV...)
-		}
-		return
-	}
 
 	if covers {
 		// No shadow template: the arch amplitudes are relative to each

@@ -2,8 +2,9 @@
 // extractor: a row-major dense matrix type; a blocked Bunch–Kaufman LDLᵀ
 // in packed storage (FactorSym), the one symmetric factorization, of the
 // system matrix P and of the preconditioner's near blocks alike;
-// Householder QR least-squares (used by rational fitting); and restarted
-// GMRES (used by the piecewise-constant iterative baselines).
+// Householder QR least-squares (the independent reference the search-space
+// tests check GMRES's minimisation against); and restarted GMRES (used by
+// the piecewise-constant iterative baselines).
 //
 // The paper leans on vendor-optimized BLAS for the (tiny) solve step; here
 // blocking and a register-tiled trailing update keep the factorization

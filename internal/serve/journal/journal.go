@@ -16,12 +16,12 @@
 // crashed process may be torn; Open tolerates it: a partial frame or
 // failed checksum at the tail is truncated away (the transition it
 // described never became durable, exactly as if the crash had landed
-// one instruction earlier). A CRC failure in the *middle* of the file
-// (disk corruption, not a torn write) skips that one record and keeps
-// scanning — one damaged transition must not take out every other
-// job's history. A header from a newer schema than this build
-// understands is a structured *SchemaError, never a panic: downgrades
-// refuse loudly instead of misreading the log.
+// one instruction earlier). A CRC failure in the *middle* of the file,
+// one an intact record follows (disk corruption, not a torn write),
+// skips that one record and keeps scanning — one damaged transition
+// must not take out every other job's history. A header from a newer
+// schema than this build understands is a structured *SchemaError,
+// never a panic: downgrades refuse loudly instead of misreading the log.
 //
 // # Replay
 //
@@ -157,7 +157,7 @@ func Open(dir string) (*Journal, []Entry, ReplayStats, error) {
 		return nil, nil, stats, fmt.Errorf("journal: %w", err)
 	}
 	j := &Journal{f: f, dir: dir, path: path, Logf: func(string, ...any) {}}
-	entries, good, stats, err := j.scan()
+	entries, good, sawHeader, stats, err := j.scan()
 	if err != nil {
 		f.Close()
 		return nil, nil, stats, err
@@ -174,8 +174,9 @@ func Open(dir string) (*Journal, []Entry, ReplayStats, error) {
 		f.Close()
 		return nil, nil, stats, fmt.Errorf("journal: %w", err)
 	}
-	if good == 0 {
-		// Fresh (or fully torn) file: write the schema header.
+	if !sawHeader {
+		// Fresh (or fully torn, or all-damaged) file: write the schema
+		// header, so that the next record appended is not read as one.
 		if err := j.append(Record{Schema: Schema}); err != nil {
 			f.Close()
 			return nil, nil, stats, err
@@ -185,26 +186,27 @@ func Open(dir string) (*Journal, []Entry, ReplayStats, error) {
 }
 
 // scan reads the file from the start, folding intact records into
-// entries. good is the offset just past the last intact record.
-func (j *Journal) scan() ([]Entry, int64, ReplayStats, error) {
-	var stats ReplayStats
+// entries. good is the offset just past the last intact record: a
+// CRC-corrupt record is skipped as mid-file damage only when an intact
+// one follows it, and is otherwise part of the torn tail.
+func (j *Journal) scan() (entries []Entry, good int64, sawHeader bool, stats ReplayStats, err error) {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, stats, fmt.Errorf("journal: %w", err)
+		return nil, 0, false, stats, fmt.Errorf("journal: %w", err)
 	}
 	size, err := j.f.Seek(0, io.SeekEnd)
 	if err != nil {
-		return nil, 0, stats, fmt.Errorf("journal: %w", err)
+		return nil, 0, false, stats, fmt.Errorf("journal: %w", err)
 	}
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, stats, fmt.Errorf("journal: %w", err)
+		return nil, 0, false, stats, fmt.Errorf("journal: %w", err)
 	}
 	r := io.NewSectionReader(j.f, 0, size)
 
 	byID := make(map[string]*Entry)
 	byKey := make(map[string]string) // idem key -> job id
 	var order []string
-	var good int64
-	sawHeader := false
+	var pos int64   // just past the last frame read
+	var skipped int // CRC-corrupt frames since good
 	var hdr [8]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -214,7 +216,7 @@ func (j *Journal) scan() ([]Entry, int64, ReplayStats, error) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxRecordBytes || int64(n) > size-good-8 {
+		if n > maxRecordBytes || int64(n) > size-pos-8 {
 			// A length pointing past the file (torn write) or into
 			// absurdity (corrupted length): everything from here on is
 			// unframeable.
@@ -224,22 +226,23 @@ func (j *Journal) scan() ([]Entry, int64, ReplayStats, error) {
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break
 		}
-		next := good + 8 + int64(n)
+		at := pos
+		next := at + 8 + int64(n)
+		pos = next
 		if crc32.Checksum(payload, castagnoli) != want {
-			if next < size {
-				// Mid-file damage: the frame after this one is intact,
-				// so skip just this record and keep the rest.
-				j.Logf("journal: skipping CRC-corrupt record at offset %d (%d bytes)", good, n)
-				stats.Corrupt++
-				good = next
-				continue
-			}
-			// Tail damage: a torn final write, truncated by Open.
-			break
+			// Mid-file damage if an intact frame follows, skipped then;
+			// a torn final write, truncated by Open, if none does.
+			skipped++
+			continue
+		}
+		if skipped > 0 {
+			j.Logf("journal: skipping %d CRC-corrupt record(s) between offsets %d and %d", skipped, good, at)
+			stats.Corrupt += skipped
+			skipped = 0
 		}
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			j.Logf("journal: skipping undecodable record at offset %d: %v", good, err)
+			j.Logf("journal: skipping undecodable record at offset %d: %v", at, err)
 			stats.Corrupt++
 			good = next
 			continue
@@ -248,12 +251,12 @@ func (j *Journal) scan() ([]Entry, int64, ReplayStats, error) {
 		if !sawHeader {
 			sawHeader = true
 			if rec.Schema > Schema || rec.Schema < 1 {
-				return nil, 0, stats, &SchemaError{Found: rec.Schema}
+				return nil, 0, false, stats, &SchemaError{Found: rec.Schema}
 			}
 			continue
 		}
 		if rec.JobID == "" {
-			j.Logf("journal: skipping record with no job id at offset %d", good)
+			j.Logf("journal: skipping record with no job id at offset %d", at)
 			stats.Corrupt++
 			continue
 		}
@@ -281,11 +284,11 @@ func (j *Journal) scan() ([]Entry, int64, ReplayStats, error) {
 		}
 		e.fold(rec)
 	}
-	out := make([]Entry, 0, len(order))
+	entries = make([]Entry, 0, len(order))
 	for _, id := range order {
-		out = append(out, *byID[id])
+		entries = append(entries, *byID[id])
 	}
-	return out, good, stats, nil
+	return entries, good, sawHeader, stats, nil
 }
 
 // fold applies one transition record onto the entry (last state wins;

@@ -15,7 +15,7 @@ import (
 )
 
 // Router is the thin coordinator mode of capxd (-route): it owns no
-// engine and runs no solves. It decodes each /extract и /sweep request
+// engine and runs no solves. It decodes each /extract and /sweep request
 // just far enough to compute the geometry family key the replicas'
 // engines cache plans under (batch.FamilyKey), consistent-hashes that
 // key over the replica set, and forwards the request to the owning

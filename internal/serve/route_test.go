@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,16 +10,36 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"parbem/internal/batch"
+	"parbem/internal/geom"
 )
 
 // fakeReplica is a canned backend for router tests: it records which
 // paths arrive and answers every POST with its own name so tests can
-// tell which replica served a forwarded request.
+// tell which replica served a forwarded request. A /sweep it answers
+// with 200 streams sweepPoints NDJSON point lines and a trailer, each
+// flushed on its own; with step set, it writes the next line only once
+// a token arrives on step, so a reader that receives a line before
+// sending the token proves that line was relayed as it was flushed.
 type fakeReplica struct {
 	name   string
 	status int // response status for POST endpoints
 	srv    *httptest.Server
 	hits   chan string // request paths, buffered
+	step   chan struct{}
+}
+
+// sweepPoints is the number of point lines a fake replica's sweep
+// streams before its trailer.
+const sweepPoints = 3
+
+// sweepLine is one NDJSON line of a fake replica's sweep: a point, or
+// the trailer.
+type sweepLine struct {
+	Replica string `json:"replica"`
+	Point   int    `json:"point"`
+	Trailer bool   `json:"trailer,omitempty"`
 }
 
 func newFakeReplica(name string, status int) *fakeReplica {
@@ -37,11 +58,36 @@ func newFakeReplica(name string, status int) *fakeReplica {
 			return
 		}
 		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/sweep" && f.status == http.StatusOK {
+			f.streamSweep(w, r)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(f.status)
 		json.NewEncoder(w).Encode(map[string]string{"replica": f.name})
 	}))
 	return f
+}
+
+// streamSweep writes the fake sweep's lines, flushing each, and waits
+// for a token on f.step between lines when step is set.
+func (f *fakeReplica) streamSweep(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	for i := 0; i <= sweepPoints; i++ {
+		if i > 0 && f.step != nil {
+			select {
+			case <-f.step:
+			case <-r.Context().Done():
+				return
+			case <-time.After(5 * time.Second):
+				return // the reader never saw the last line: end the stream short
+			}
+		}
+		enc.Encode(sweepLine{Replica: f.name, Point: i, Trailer: i == sweepPoints})
+		w.(http.Flusher).Flush()
+	}
 }
 
 func (f *fakeReplica) drain() int {
@@ -334,5 +380,183 @@ func TestRouterStatsAndMetrics(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+func sweepBody(t *testing.T, req *SweepRequest) string {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// postSweep posts a sweep through the router and reads its stream line
+// by line, sending a token on step after every line but the trailer
+// (step may be nil); a token no replica takes within 5 s fails the test.
+func postSweep(t *testing.T, url, body string, step chan struct{}) (*http.Response, []sweepLine) {
+	t.Helper()
+	resp, err := http.Post(url+"/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /sweep: %v", err)
+	}
+	defer resp.Body.Close()
+	var lines []sweepLine
+	br := bufio.NewReader(resp.Body)
+	for {
+		text, err := br.ReadString('\n')
+		if text != "" {
+			var l sweepLine
+			if jerr := json.Unmarshal([]byte(text), &l); jerr != nil {
+				t.Fatalf("undecodable sweep line %q: %v", text, jerr)
+			}
+			lines = append(lines, l)
+			if step != nil && !l.Trailer {
+				select {
+				case step <- struct{}{}:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("sweep line %d arrived only after the replica gave up waiting for it to be read: the stream was not relayed line by line", len(lines)-1)
+				}
+			}
+		}
+		if err != nil {
+			return resp, lines
+		}
+	}
+}
+
+// TestRouterSweepStreams checks POST /sweep through the router: the
+// replica's NDJSON lines reach the client one at a time, in order and
+// under the replica's Content-Type; a variant sweep routes by its first
+// variant's family and a template sweep by its options; an undecodable
+// body is a 400 that no replica sees.
+func TestRouterSweepStreams(t *testing.T) {
+	step := make(chan struct{})
+	reps := []*fakeReplica{newFakeReplica("a", http.StatusOK), newFakeReplica("b", http.StatusOK), newFakeReplica("c", http.StatusOK)}
+	for _, f := range reps {
+		f.step = step
+		defer f.srv.Close()
+	}
+	rt := routerFor(t, reps...)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	// serves posts a sweep and returns the replica that streamed it,
+	// after checking the stream is whole and in order.
+	serves := func(req *SweepRequest) string {
+		t.Helper()
+		resp, lines := postSweep(t, front.URL, sweepBody(t, req), step)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep: status %d, want 200", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Errorf("sweep: Content-Type %q, want the replica's application/x-ndjson", ct)
+		}
+		if len(lines) != sweepPoints+1 {
+			t.Fatalf("sweep: %d lines, want %d points and a trailer", len(lines), sweepPoints)
+		}
+		for i, l := range lines {
+			if l.Point != i || l.Trailer != (i == sweepPoints) || l.Replica != lines[0].Replica {
+				t.Errorf("sweep line %d = %+v, want point %d of replica %s", i, l, i, lines[0].Replica)
+			}
+		}
+		return lines[0].Replica
+	}
+	owner := func(key string) string {
+		for _, f := range reps {
+			if f.srv.URL == rt.ring.owner(key) {
+				return f.name
+			}
+		}
+		t.Fatalf("key %q has no owner", key)
+		return ""
+	}
+
+	// Two sweeps whose first variants are one family (the crossing pair
+	// at other separations) reach one replica, the family's owner.
+	const edge = 0.5e-6
+	first := serves(&SweepRequest{EdgeM: edge, Backend: "dense",
+		Variants: []string{geoText(t, crossingAt(0.4e-6)), geoText(t, crossingAt(0.5e-6))}})
+	second := serves(&SweepRequest{EdgeM: edge, Backend: "dense",
+		Variants: []string{geoText(t, crossingAt(0.7e-6)), geoText(t, crossingAt(0.3e-6))}})
+	if first != second {
+		t.Errorf("one family's sweeps reached replicas %s and %s, want one", first, second)
+	}
+	opt, err := PipelineOptions("dense", "", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := owner(batch.FamilyKey(crossingAt(0.4e-6), edge, opt)); first != want {
+		t.Errorf("variant sweep reached %s, want its family's owner %s", first, want)
+	}
+
+	// A template sweep carries no geometry: it routes by its options.
+	for _, c := range []struct {
+		backend string
+		edge    float64
+	}{{"dense", 0.5e-6}, {"fastcap", 0.5e-6}, {"dense", 0.3e-6}, {"pfft", 0.4e-6}} {
+		opt, err := PipelineOptions(c.backend, "", "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := owner(batch.FamilyKey(&geom.Structure{}, c.edge, opt) + "-template")
+		for _, hs := range [][]float64{{0.4e-6, 0.5e-6}, {0.8e-6}} {
+			if got := serves(&SweepRequest{EdgeM: c.edge, Backend: c.backend, TemplateHs: hs}); got != want {
+				t.Errorf("template sweep %s at edge %g, hs %v: reached %s, want %s", c.backend, c.edge, hs, got, want)
+			}
+		}
+	}
+
+	for _, f := range reps {
+		f.drain()
+	}
+	before := rt.Stats().BadRequests
+	resp, err := http.Post(front.URL+"/sweep", "application/json", strings.NewReader(`{"variants": [`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("undecodable sweep: status %d, want 400", resp.StatusCode)
+	}
+	if got := rt.Stats().BadRequests; got != before+1 {
+		t.Errorf("bad_requests = %d after an undecodable sweep, want %d", got, before+1)
+	}
+	for _, f := range reps {
+		if hits := f.drain(); hits != 0 {
+			t.Errorf("undecodable sweep reached replica %s %d times", f.name, hits)
+		}
+	}
+}
+
+// TestRouterHealthz checks the coordinator answers its own health probe:
+// 200, role router and the replica count, without asking a replica.
+func TestRouterHealthz(t *testing.T) {
+	a := newFakeReplica("a", http.StatusOK)
+	b := newFakeReplica("b", http.StatusOK)
+	defer a.srv.Close()
+	defer b.srv.Close()
+	front := httptest.NewServer(routerFor(t, a, b).Handler())
+	defer front.Close()
+
+	resp, err := http.Get(front.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Status   string `json:"status"`
+		Role     string `json:"role"`
+		Replicas int    `json:"replicas"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatalf("decoding /healthz: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || got.Status != "ok" || got.Role != "router" || got.Replicas != 2 {
+		t.Errorf("/healthz = %d %+v, want 200 status ok, role router, 2 replicas", resp.StatusCode, got)
+	}
+	if hits := a.drain() + b.drain(); hits != 0 {
+		t.Errorf("/healthz reached the replicas %d times", hits)
 	}
 }

@@ -51,9 +51,6 @@ type Options struct {
 	// for others): for Distributed, the ranks, each filling its own rows.
 	Workers int
 
-	// Basis tunes instantiable-basis generation; zero value = defaults.
-	Basis basis.BuilderOptions
-
 	// Kernel overrides the integration configuration (nil = defaults).
 	Kernel *kernel.Config
 
@@ -112,7 +109,7 @@ func Extract(st *geom.Structure, opt Options) (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	set, err := BuildBasis(st, opt.Basis)
+	set, err := BuildBasis(st, basis.BuilderOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -281,8 +281,8 @@ func NewInterconnect() InterconnectSpec { return geom.DefaultInterconnect() }
 
 // Solver types.
 type (
-	// Options configures extraction (backend, worker count, basis and
-	// kernel tuning).
+	// Options configures extraction (backend, worker count and kernel
+	// tuning).
 	Options = solver.Options
 	// Result is a completed extraction with the capacitance matrix,
 	// sizes and per-phase timing.
@@ -293,7 +293,8 @@ type (
 	FillStats = assembly.FillStats
 	// Backend selects serial, shared-memory or distributed execution.
 	Backend = solver.Backend
-	// BuilderOptions tunes instantiable-basis generation.
+	// BuilderOptions is what may be set of instantiable-basis
+	// generation: nothing, since the basis has one construction.
 	BuilderOptions = basis.BuilderOptions
 	// KernelConfig is what a template extraction (Options.Kernel) may set
 	// of the integration: the outer Gauss order and the switch that turns

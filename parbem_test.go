@@ -134,7 +134,7 @@ func TestOptionSurface(t *testing.T) {
 		typ  reflect.Type
 		want []string
 	}{
-		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Basis", "Kernel", "Pairs", "Pool"}},
+		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Kernel", "Pairs", "Pool"}},
 		{reflect.TypeOf(EngineOptions{}), []string{"Backend", "Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
 		{reflect.TypeOf(PlanOptions{}), []string{"MaxEdge", "Pipeline", "Exec", "Artifacts", "Pairs"}},
 		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Precond", "Tol", "Direct", "Precision", "FMM", "PFFT"}},
@@ -143,9 +143,10 @@ func TestOptionSurface(t *testing.T) {
 		{reflect.TypeOf(op.Spec{}), []string{"Panels", "NumConductors", "Cfg", "Exec", "Pairs"}},
 		{reflect.TypeOf(fmm.Options{}), []string{"Theta", "NearFactor", "Workers", "Cfg", "Pairs", "Pool", "Exec"}},
 		{reflect.TypeOf(pfft.Options{}), []string{"MaxNodes", "NearRadius", "Workers", "Cfg", "Pairs", "Pool", "Exec"}},
-		// The template library's calibration is constants of basis; the
-		// distributed fill's network is a rank count.
-		{reflect.TypeOf(BuilderOptions{}), []string{"SeparateInduced"}},
+		// The template library's calibration is constants of basis and
+		// the basis has one construction; the distributed fill's network
+		// is a rank count.
+		{reflect.TypeOf(BuilderOptions{}), nil},
 		{reflect.TypeOf(mpi.Network{}), nil},
 		// The Section 4.1 distances are kernel constants, not settings.
 		{reflect.TypeOf(KernelConfig{}), []string{"QuadOrder", "DisableApprox"}},
