@@ -55,13 +55,33 @@ type LDLT struct {
 // order, so the factor is bitwise the same at any worker count. An
 // error wraps ErrSingular and names the pivot at which elimination met
 // a zero or non-finite column.
-func FactorSym(a *Sym) (*LDLT, error) {
+func FactorSym(a *Sym) (*LDLT, error) { return FactorSymWork(a, nil) }
+
+// FactorWork is the length of the workspace FactorSym needs at order n:
+// the n x ldlBlock panel of W, or nothing when one unblocked pass
+// factors the whole matrix.
+func FactorWork(n int) int {
+	if n > ldlBlock {
+		return n * ldlBlock
+	}
+	return 0
+}
+
+// FactorSymWork is FactorSym in the caller's workspace work, which it
+// allocates itself when work is shorter than FactorWork(a.N). It gives
+// the same factor whatever work holds on entry, because every workspace
+// entry is written before it is read, and keeps no reference to it: the
+// caller may reuse work once it returns.
+func FactorSymWork(a *Sym, work []float64) (*LDLT, error) {
 	n := a.N
 	f := &LDLT{a: a, piv: make([]int, n)}
 	c1, c2 := make([]float64, n), make([]float64, n)
 	k := 0
 	if n > ldlBlock {
-		w := NewDense(n, ldlBlock)
+		if len(work) < FactorWork(n) {
+			work = make([]float64, FactorWork(n))
+		}
+		w := NewDenseFrom(n, ldlBlock, work[:FactorWork(n)])
 		workers := runtime.GOMAXPROCS(0)
 		for n-k > ldlBlock {
 			j0 := k
@@ -419,25 +439,40 @@ func dot2x2(a0, a1, b0, b1 []float64) (s00, s01, s10, s11 float64) {
 }
 
 // Solve overwrites the n x m block b with the solution X of A·X = B,
-// all right-hand sides at once: interchange rows, sweep forward with L
-// and backward with Lᵀ row by row, so that every inner loop is an axpy
-// over one contiguous row of b and L is only ever read along its rows.
+// all right-hand sides at once: Forward, then Backward.
 func (f *LDLT) Solve(b *Dense) {
+	f.Forward(b)
+	f.Backward(b)
+}
+
+// Forward overwrites the n x m block b with Y = L⁻¹·P·B: interchange
+// rows, then sweep forward with L row by row, so that every inner loop
+// is an axpy over one contiguous row of b and L is only ever read along
+// its rows. Bᵀ·A⁻¹·B is then Yᵀ·D⁻¹·Y (QuadForm), and A⁻¹·B is
+// Backward's.
+func (f *LDLT) Forward(b *Dense) {
 	a, n := f.a, f.a.N
 	if b.Rows != n {
-		panic("linalg: LDLT.Solve dimension mismatch")
+		panic("linalg: LDLT.Forward dimension mismatch")
 	}
 	for k := 0; k < n; k++ {
 		f.interchange(b, k)
 	}
-	// L·Y = P·B.
 	for i := 1; i < n; i++ {
 		bi := b.Row(i)
 		for k, l := range a.Row(i)[:f.lcols(i)] {
 			Axpy(-l, b.Row(k), bi)
 		}
 	}
-	// D·Z = Y.
+}
+
+// Backward overwrites Forward's Y, held in b, with X = A⁻¹·B: solve
+// D·Z = Y, sweep backward with Lᵀ, and undo the interchanges.
+func (f *LDLT) Backward(b *Dense) {
+	a, n := f.a, f.a.N
+	if b.Rows != n {
+		panic("linalg: LDLT.Backward dimension mismatch")
+	}
 	for k := 0; k < n; k++ {
 		bk := b.Row(k)
 		if k+1 == n || f.piv[k+1] >= 0 {
@@ -462,6 +497,49 @@ func (f *LDLT) Solve(b *Dense) {
 	for k := n - 1; k >= 0; k-- {
 		f.interchange(b, k)
 	}
+}
+
+// QuadForm returns the m x m matrix Yᵀ·D⁻¹·Y of Forward's Y, which is
+// Bᵀ·A⁻¹·B without a backward sweep. It adds the steps of D in order,
+// each into the lower triangle only, and mirrors that triangle, so the
+// result is exactly symmetric. y is only read.
+func (f *LDLT) QuadForm(y *Dense) *Dense {
+	a, n, m := f.a, f.a.N, y.Cols
+	if y.Rows != n {
+		panic("linalg: LDLT.QuadForm dimension mismatch")
+	}
+	c := NewDense(m, m)
+	z0, z1 := make([]float64, m), make([]float64, m)
+	for k := 0; k < n; k++ {
+		yk := y.Row(k)
+		if k+1 == n || f.piv[k+1] >= 0 {
+			d := a.Row(k)[k]
+			for j, v := range yk {
+				z0[j] = v / d
+			}
+			for i, v := range yk {
+				Axpy(v, z0[:i+1], c.Row(i)[:i+1])
+			}
+			continue
+		}
+		d := block2x2{a.At(k, k), a.At(k+1, k), a.At(k+1, k+1)}
+		k++
+		yk1 := y.Row(k)
+		for j := range yk {
+			z0[j], z1[j] = d.solve(yk[j], yk1[j])
+		}
+		for i := range yk {
+			ci := c.Row(i)[:i+1]
+			Axpy(yk[i], z0[:i+1], ci)
+			Axpy(yk1[i], z1[:i+1], ci)
+		}
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < i; j++ {
+			c.Data[j*m+i] = c.Data[i*m+j]
+		}
+	}
+	return c
 }
 
 // SolveVec overwrites x with the solution of A·x = b, b given in x: the

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -295,6 +296,90 @@ func TestLDLTSolveKnownAndPerColumn(t *testing.T) {
 		for i := 0; i < n; i++ {
 			if col.Data[i] != all.At(i, j) {
 				t.Fatalf("column %d row %d: alone %g, in the block %g", j, i, col.Data[i], all.At(i, j))
+			}
+		}
+	}
+}
+
+// TestLDLTQuadFormMatchesSolve checks C = Yᵀ·D⁻¹·Y of Forward's Y
+// against Bᵀ·X of the full solve, on every test family across the panel
+// width and at the 16x16 bus's N, 1x1 and 2x2 steps of D alike: C is
+// exactly symmetric, agrees to the solve's backward error, and QuadForm
+// leaves Y as it found it.
+func TestLDLTQuadFormMatchesSolve(t *testing.T) {
+	for _, tc := range ldlCases {
+		for _, n := range []int{2, 3, ldlBlock + 1, 3*ldlBlock + 7, 704} {
+			if n == 704 && testing.Short() {
+				continue
+			}
+			rng := rand.New(rand.NewSource(int64(7*n + len(tc.name))))
+			a, _ := tc.build(n, rng)
+			b := randomDense(n, 6, rng)
+			f, err := FactorSym(PackLower(a.Clone()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := b.Clone()
+			f.Solve(x)
+			want := NewDense(b.Cols, b.Cols)
+			Mul(want, b.Transpose(), x)
+			y := b.Clone()
+			f.Forward(y)
+			keep := y.Clone()
+			c := f.QuadForm(y)
+			if MaxAbsDiff(y, keep) != 0 {
+				t.Fatalf("%s n=%d: QuadForm wrote to Y", tc.name, n)
+			}
+			for i := 0; i < c.Rows; i++ {
+				for j := 0; j < i; j++ {
+					if math.Float64bits(c.At(i, j)) != math.Float64bits(c.At(j, i)) {
+						t.Fatalf("%s n=%d: C(%d,%d) = %v, C(%d,%d) = %v", tc.name, n, i, j, c.At(i, j), j, i, c.At(j, i))
+					}
+				}
+			}
+			if d, bound := MaxAbsDiff(c, want), 1e-9*frob(b)*frob(x); !(d <= bound) {
+				t.Errorf("%s n=%d: Yᵀ·D⁻¹·Y differs from Bᵀ·X by %.3g, over %.3g", tc.name, n, d, bound)
+			}
+		}
+	}
+}
+
+// TestFactorSymWorkIgnoresWorkspace pins FactorSymWork's contract: the
+// factor is bitwise FactorSym's whatever the workspace holds on entry (a
+// NaN in every entry here), and a workspace shorter than FactorWork is
+// replaced, not overrun.
+func TestFactorSymWorkIgnoresWorkspace(t *testing.T) {
+	for _, n := range []int{ldlBlock, ldlBlock + 1, 3*ldlBlock + 7} {
+		a, _ := ldlCases[1].build(n, rand.New(rand.NewSource(int64(n))))
+		ref := PackLower(a.Clone())
+		fr, err := FactorSym(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0 // one unblocked pass
+		if n > ldlBlock {
+			want = n * ldlBlock
+		}
+		if FactorWork(n) != want {
+			t.Errorf("n=%d: FactorWork = %d, want %d", n, FactorWork(n), want)
+		}
+		poison := make([]float64, FactorWork(n)+5)
+		for i := range poison {
+			poison[i] = math.NaN()
+		}
+		for name, work := range map[string][]float64{"poisoned": poison, "short": poison[:1]} {
+			got := PackLower(a.Clone())
+			f, err := FactorSymWork(got, work)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(ref.Data[i]) {
+					t.Fatalf("n=%d %s workspace: factor entry %d differs from FactorSym's", n, name, i)
+				}
+			}
+			if !slices.Equal(f.piv, fr.piv) {
+				t.Fatalf("n=%d %s workspace: pivots differ from FactorSym's", n, name)
 			}
 		}
 	}

@@ -85,29 +85,54 @@ func templateSystem(m, n int) (p *linalg.Sym, phi *linalg.Dense) {
 
 // BenchmarkSolveSPD measures the direct solve on real template
 // matrices: the 8x8 bus (N = 224, positive definite, 16 right-hand
-// sides) and the 16x16 bus (N = 704, indefinite, 32). NewFromSym
-// consumes its matrix, so each iteration refills a working copy first, as
-// BenchmarkFactorSym does. ns/madd counts the N³/6 of the factorization
-// and the N²·n_c of the two sweeps.
+// sides) and the 16x16 bus (N = 704, indefinite, 32), as ExtractRHS runs
+// it (rhs: charges and C, two sweeps) and as the template solver does
+// (c: DirectCapacitance, C = Yᵀ D⁻¹ Y from the forward sweep alone).
+// Both consume their matrix, so each iteration refills a working copy
+// first, as BenchmarkFactorSym does. ns/madd counts the N³/6 of the
+// factorization and the N²·n_c/2 of each sweep.
 func BenchmarkSolveSPD(b *testing.B) {
 	for _, m := range []int{8, 16} {
-		b.Run(fmt.Sprintf("bus%d", m), func(b *testing.B) {
-			p, phi := templateSystem(m, m)
-			work := linalg.NewSym(p.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(work.Data, p.Data)
-				pl, err := NewFromSym(work, Options{Direct: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := pl.ExtractRHS(phi); err != nil {
-					b.Fatal(err)
+		p, phi := templateSystem(m, m)
+		cond, moment := make([]int, p.N), make([]float64, p.N)
+		for i := range cond {
+			for j, v := range phi.Row(i) {
+				if v != 0 {
+					cond[i], moment[i] = j, v
 				}
 			}
-			n, nc := float64(p.N), float64(phi.Cols)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n*n/6+n*n*nc), "ns/madd")
-		})
+		}
+		work := linalg.NewSym(p.N)
+		for _, c := range []struct {
+			name   string
+			sweeps float64
+			solve  func() error
+		}{
+			{"rhs", 2, func() error {
+				pl, err := NewFromSym(work, Options{Direct: true})
+				if err == nil {
+					_, err = pl.ExtractRHS(phi)
+				}
+				return err
+			}},
+			{"c", 1, func() error {
+				_, err := DirectCapacitance(work, cond, moment, phi.Cols)
+				return err
+			}},
+		} {
+			b.Run(fmt.Sprintf("bus%d/%s", m, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(work.Data, p.Data)
+					if err := c.solve(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				n, nc := float64(p.N), float64(phi.Cols)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*n*n/6+c.sweeps*n*n*nc/2), "ns/madd")
+			})
+		}
 	}
 }
 

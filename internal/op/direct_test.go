@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -325,6 +326,95 @@ func TestReduceMatchesMul(t *testing.T) {
 			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%dx%d: entry %d is %v, Mul(Phiᵀ, X) gives %v", N, n, i, v, want.Data[i])
 			}
+		}
+	}
+}
+
+// TestDirectCapacitanceMatchesExtractRHS pins the two direct paths to one
+// C: DirectCapacitance, which builds Y = L⁻¹ Πᵀ S Φ from each unknown's
+// conductor and moment in the factorization's workspace, gives bitwise the
+// C of NewFromSym and ExtractRHS on the dense Φ, exactly symmetric and
+// within rounding of the charges' Φᵀ·Rho, and ExtractRHS's Rho is bitwise
+// S·(S P S)⁻¹·S Φ by LDLT.Solve, as before the forward sweep carried C.
+// The sizes cover no panel workspace (N = 40), conductors that fit in it
+// (N = 200, 5) and conductors that do not (N = 200, 70).
+func TestDirectCapacitanceMatchesExtractRHS(t *testing.T) {
+	for _, sz := range [][2]int{{40, 3}, {200, 5}, {200, 70}} {
+		n, nc := sz[0], sz[1]
+		rng := rand.New(rand.NewSource(int64(n + nc)))
+		p := linalg.NewSym(n)
+		for i := 0; i < n; i++ {
+			row := p.Row(i)
+			for j := range row {
+				row[j] = 0.3 * rng.NormFloat64() / float64(1+i-j)
+			}
+			row[i] = math.Pow(10, float64(i%5)-2) * float64(n)
+		}
+		cond, moment := make([]int, n), make([]float64, n)
+		phi := linalg.NewDense(n, nc)
+		for i := range cond {
+			cond[i], moment[i] = rng.Intn(nc), 0.5+rng.Float64()
+			phi.Set(i, cond[i], moment[i])
+		}
+		m := &linalg.Sym{N: n, Data: slices.Clone(p.Data)}
+		pl, err := NewFromSym(m, Options{Direct: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := pl.ExtractRHS(phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cOnly, err := DirectCapacitance(&linalg.Sym{N: n, Data: slices.Clone(p.Data)}, cond, moment, nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitwiseEqual(cOnly.C, full.C) || cOnly.Rho != nil || cOnly.Inertia != full.Inertia {
+			t.Errorf("N=%d n=%d: DirectCapacitance's C differs from ExtractRHS's (or it returned charges)", n, nc)
+		}
+		for i := 0; i < nc; i++ {
+			for j := 0; j < i; j++ {
+				if math.Float64bits(full.C.At(i, j)) != math.Float64bits(full.C.At(j, i)) {
+					t.Fatalf("N=%d n=%d: C(%d,%d) and C(%d,%d) differ in their bits", n, nc, i, j, j, i)
+				}
+			}
+		}
+		if d, scale := linalg.MaxAbsDiff(full.C, Reduce(phi, full.Rho)), linalg.Norm2(full.C.Data); !(d <= 1e-13*scale) {
+			t.Errorf("N=%d n=%d: Yᵀ D⁻¹ Y differs from Φᵀ·Rho by %.3g of %.3g", n, nc, d, scale)
+		}
+		s, f, err := factorSym(linalg.NewSym(n), p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := linalg.NewDense(n, nc)
+		for i := 0; i < n; i++ {
+			for j, v := range phi.Row(i) {
+				want.Set(i, j, s[i]*v)
+			}
+		}
+		f.Solve(want)
+		for i := 0; i < n; i++ {
+			linalg.Scal(s[i], want.Row(i))
+		}
+		if !bitwiseEqual(full.Rho, want) {
+			t.Errorf("N=%d n=%d: ExtractRHS's charges differ from S·Solve(S·Φ)", n, nc)
+		}
+	}
+	ok := linalg.Sym{N: 2, Data: []float64{2, 1, 2}}
+	for name, tc := range map[string]struct {
+		cond   []int
+		moment []float64
+		err    error
+	}{
+		"NaN moment":        {[]int{0, 1}, []float64{1, math.NaN()}, linalg.ErrSingular},
+		"Inf moment":        {[]int{0, 1}, []float64{math.Inf(1), 1}, linalg.ErrSingular},
+		"unknown conductor": {[]int{0, 2}, []float64{1, 1}, nil},
+		"short moments":     {[]int{0, 1}, []float64{1}, nil},
+	} {
+		m := &linalg.Sym{N: 2, Data: slices.Clone(ok.Data)}
+		res, err := DirectCapacitance(m, tc.cond, tc.moment, 2)
+		if err == nil || tc.err != nil && !errors.Is(err, tc.err) {
+			t.Errorf("%s: C = %v, err = %v, want an error (%v)", name, res, err, tc.err)
 		}
 	}
 }

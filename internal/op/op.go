@@ -35,10 +35,12 @@
 // Pipeline owns the three steps every entry point used to re-implement:
 // right-hand-side construction (unit-potential excitation per conductor,
 // Galerkin-tested with panel areas), the multi-RHS solve, and the
-// charge-to-capacitance reduction C = Phi^T Rho (symmetrized). The solve
-// is the direct path for dense backends (one equilibrated, pivoted LDLᵀ)
-// or one preconditioned, residual-minimising Krylov search space per call
-// (linalg.GMRESWorkspace): the columns share the operator, so they share
+// capacitance C = Phi^T P^-1 Phi. The solve is the direct path for dense
+// backends — one equilibrated, pivoted LDLᵀ, whose forward sweep alone
+// gives C = Yᵀ D⁻¹ Y (see Options.Direct) — or one preconditioned,
+// residual-minimising Krylov search space per call
+// (linalg.GMRESWorkspace), whose charges Rho reduce to C = Phi^T Rho,
+// symmetrized (Reduce): the columns share the operator, so they share
 // the space — each projects onto the directions the earlier ones added
 // before it pays for new ones — and a variant's solve seeds it with the
 // previous variant's charges (ExtractWarmCtx). The space holds

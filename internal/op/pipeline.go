@@ -88,7 +88,10 @@ type Options struct {
 	// backend (auto resolving to dense is fine). The matrix is factored
 	// once, when the pipeline is built, in packed lower-triangular storage
 	// (linalg.Sym): NewFromSym consumes it, factoring in place; NewPrebuilt
-	// factors a copy of its matrix. Extract calls only solve.
+	// factors a copy of its matrix. Extract calls only solve: with
+	// S P S = Π L D Lᵀ Πᵀ, one forward sweep gives Y = L⁻¹ Πᵀ S Φ and
+	// C = Φᵀ P⁻¹ Φ = Yᵀ D⁻¹ Y, exactly symmetric (linalg.LDLT.QuadForm);
+	// the charges are D⁻¹ and the backward sweep of that same Y.
 	Direct bool
 	// Precision selects the matvec arithmetic of accelerated backends:
 	// PrecisionMixed runs the float32 mirror inside fp64 refinement,
@@ -235,11 +238,48 @@ func NewFromSym(m *linalg.Sym, opt Options) (*Pipeline, error) {
 	if !opt.Direct {
 		return nil, errors.New("op: NewFromSym solves directly (set Options.Direct)")
 	}
-	s, f, err := factorSym(m, m)
+	s, f, err := factorSym(m, m, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Pipeline{opt: opt, n: m.N, scale: s, ldl: f, backend: BackendDense}, nil
+}
+
+// DirectCapacitance is NewFromSym and ExtractRHS for a caller that wants
+// C alone, of a right-hand side with one nonzero per row: row i of Φ holds
+// moment[i] in column cond[i] of nc. It runs the forward sweep and
+// C = Yᵀ D⁻¹ Y (see Options.Direct), bitwise ExtractRHS's C on that Φ, and
+// no backward sweep: Result.Rho is nil. Like NewFromSym it consumes m. One
+// buffer of max(linalg.FactorWork(N), N·nc) doubles is the factorization's
+// panel workspace and then Y, and dies with the call.
+func DirectCapacitance(m *linalg.Sym, cond []int, moment []float64, nc int) (*Result, error) {
+	n := m.N
+	if len(cond) != n || len(moment) != n {
+		return nil, errors.New("op: RHS dimension mismatch")
+	}
+	work := make([]float64, max(linalg.FactorWork(n), n*nc))
+	s, f, err := factorSym(m, m, work)
+	if err != nil {
+		return nil, err
+	}
+	y := linalg.NewDenseFrom(n, nc, work[:n*nc])
+	clear(y.Data)
+	var bad float64 // stays 0 while every moment is finite
+	for i, c := range cond {
+		if c < 0 || c >= nc {
+			return nil, fmt.Errorf("op: unknown %d on conductor %d of %d", i, c, nc)
+		}
+		y.Set(i, c, s[i]*moment[i])
+		bad += moment[i] * 0
+	}
+	if bad != 0 {
+		return nil, fmt.Errorf("op: non-finite right-hand side: %w", linalg.ErrSingular)
+	}
+	f.Forward(y)
+	return &Result{
+		C: f.QuadForm(y), NumPanels: n, Backend: BackendDense,
+		Precision: PrecisionFP64, Inertia: f.Inertia(),
+	}, nil
 }
 
 // NewFromDense is NewFromSym on the lower triangle of the square matrix m,
@@ -352,7 +392,7 @@ func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 			return nil, errors.New("op: direct solve requires an assembled dense matrix")
 		}
 		var err error // a copy: a plan rewrites its matrix for the next variant
-		if p.scale, p.ldl, err = factorSym(linalg.NewSym(p.n), p.dense); err != nil {
+		if p.scale, p.ldl, err = factorSym(linalg.NewSym(p.n), p.dense, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -463,7 +503,9 @@ func (p *Pipeline) ExtractWarmCtx(ctx context.Context, x0 *linalg.Dense) (*Resul
 }
 
 // ExtractRHS solves P Rho = Phi for a caller-built right-hand-side
-// matrix and reduces C = Phi^T Rho (symmetrized).
+// matrix and returns C = Phi^T P^-1 Phi with the charges Rho: on the direct
+// path C = Yᵀ D⁻¹ Y from the forward sweep (see Options.Direct), exactly
+// symmetric; on the Krylov path C = Phi^T Rho, symmetrized (Reduce).
 func (p *Pipeline) ExtractRHS(phi *linalg.Dense) (*Result, error) {
 	return p.extractRHS(context.Background(), phi, nil)
 }
@@ -479,14 +521,15 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 		return nil, &Interrupted{Err: err}
 	}
 	res := &Result{NumPanels: p.n, Backend: p.backend, Precision: p.Precision()}
-	var err error
 	if p.ldl != nil {
-		res.Rho, err = p.solveDirect(phi)
+		var err error
+		if res.C, res.Rho, err = p.solveDirect(phi); err != nil {
+			return nil, err
+		}
 		res.Inertia = p.ldl.Inertia()
-	} else {
-		err = p.solveKrylov(ctx, phi, x0, res)
+		return res, nil
 	}
-	if err != nil {
+	if err := p.solveKrylov(ctx, phi, x0, res); err != nil {
 		// A context interruption still reduces whatever iterate the
 		// solve reached into a best-effort capacitance estimate, so a
 		// deadline-aware caller can return a partial result instead of
@@ -596,11 +639,11 @@ func (p *Pipeline) releaseWS(ws *linalg.GMRESWorkspace) {
 	p.wsMu.Unlock()
 }
 
-// Reduce computes the capacitance matrix C = Phi^T Rho and enforces exact
-// symmetry (P is symmetric, so C is up to roundoff). It accumulates over
-// the rows k of Phi in k order, zero coefficients included, so each entry
-// gets the additions of Mul(Phi^T, Rho) in the same order without Phi^T
-// being formed.
+// Reduce computes the capacitance matrix C = Phi^T Rho of a Krylov solve
+// and enforces exact symmetry (P is symmetric, so C is up to roundoff and
+// the solve's tolerance). It accumulates over the rows k of Phi in k
+// order, zero coefficients included, so each entry gets the additions of
+// Mul(Phi^T, Rho) in the same order without Phi^T being formed.
 func Reduce(phi, rho *linalg.Dense) *linalg.Dense {
 	n := phi.Cols
 	c := linalg.NewDense(n, rho.Cols)
@@ -632,9 +675,10 @@ func Reduce(phi, rho *linalg.Dense) *linalg.Dense {
 // spans orders of magnitude, and unscaled, Bunch–Kaufman pivoting would
 // interchange on units, not on structure. The packed lower triangle of
 // S P S, P being src, is written into dst (which may be src) and factored
-// there. A singular matrix, or a NaN or Inf in it, is an error wrapping
+// there, in the panel workspace work (see linalg.FactorSymWork; nil = its
+// own). A singular matrix, or a NaN or Inf in it, is an error wrapping
 // linalg.ErrSingular.
-func factorSym(dst, src *linalg.Sym) (scale []float64, f *linalg.LDLT, err error) {
+func factorSym(dst, src *linalg.Sym, work []float64) (scale []float64, f *linalg.LDLT, err error) {
 	nr := dst.N
 	s := make([]float64, nr)
 	for i := range s {
@@ -649,18 +693,20 @@ func factorSym(dst, src *linalg.Sym) (scale []float64, f *linalg.LDLT, err error
 			drow[j] = si * prow[j] * s[j]
 		}
 	}
-	if f, err = linalg.FactorSym(dst); err != nil {
+	if f, err = linalg.FactorSymWork(dst, work); err != nil {
 		return nil, nil, fmt.Errorf("op: system matrix unsolvable: %w", err)
 	}
 	return s, f, nil
 }
 
-// solveDirect returns X with P X = phi. It only reads the factor, so calls
-// may run concurrently; a NaN or Inf in phi is an error wrapping
+// solveDirect returns C = Phi^T P^-1 Phi and X with P X = phi from one
+// forward sweep of S Phi: C = Yᵀ D⁻¹ Y, and X is S times D⁻¹ and the
+// backward sweep of that Y. It only reads the factor, so calls may run
+// concurrently; a NaN or Inf in phi is an error wrapping
 // linalg.ErrSingular.
-func (p *Pipeline) solveDirect(phi *linalg.Dense) (*linalg.Dense, error) {
+func (p *Pipeline) solveDirect(phi *linalg.Dense) (c, x *linalg.Dense, err error) {
 	nr, s := p.n, p.scale
-	x := linalg.NewDense(nr, phi.Cols)
+	x = linalg.NewDense(nr, phi.Cols)
 	var bad float64 // stays 0 while every entry of Phi is finite
 	for i := 0; i < nr; i++ {
 		xrow, si := x.Row(i), s[i]
@@ -670,11 +716,13 @@ func (p *Pipeline) solveDirect(phi *linalg.Dense) (*linalg.Dense, error) {
 		}
 	}
 	if bad != 0 {
-		return nil, fmt.Errorf("op: non-finite right-hand side: %w", linalg.ErrSingular)
+		return nil, nil, fmt.Errorf("op: non-finite right-hand side: %w", linalg.ErrSingular)
 	}
-	p.ldl.Solve(x)
+	p.ldl.Forward(x)
+	c = p.ldl.QuadForm(x)
+	p.ldl.Backward(x)
 	for i := 0; i < nr; i++ {
 		linalg.Scal(s[i], x.Row(i))
 	}
-	return x, nil
+	return c, x, nil
 }

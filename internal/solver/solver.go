@@ -1,7 +1,9 @@
 // Package solver drives end-to-end capacitance extraction with
 // instantiable basis functions: basis generation, (optionally parallel)
-// system setup, direct solve, and capacitance recovery C = Phi^T rho
-// (paper Section 2.1).
+// system setup, and the direct solve. The paper recovers C = Phi^T rho
+// with rho = P^-1 Phi (Section 2.1); with the factorization
+// S P S = Π L D Lᵀ Πᵀ that is C = Yᵀ D⁻¹ Y, Y = L⁻¹ Πᵀ S Phi, one forward
+// sweep and no charges (op.DirectCapacitance).
 package solver
 
 import (
@@ -71,7 +73,7 @@ type Options struct {
 type Timing struct {
 	BasisGen time.Duration
 	Setup    time.Duration // system matrix fill (the dominant phase)
-	Solve    time.Duration // factorization + triangular solves + C recovery
+	Solve    time.Duration // factorization + forward sweep + C = Yᵀ D⁻¹ Y
 	Total    time.Duration
 }
 
@@ -213,25 +215,18 @@ func checkSelfCapacitance(sol *op.Result) error {
 		ErrSelfCapacitance, first, sol.C.At(first, first), bad, sol.C.Rows, sol.Inertia.Negative, sol.Inertia.Blocks2x2)
 }
 
-// solveSystem recovers C = Phi^T rho with Phi the conductor-indicator
-// right-hand sides weighted by basis moments, through the unified
-// pipeline's direct path (one equilibrated, pivoted LDLᵀ of P, in P's
-// own packed storage — see op.Options.Direct) and its capacitance
-// reduction.
+// solveSystem recovers C = Phi^T P^-1 Phi, Phi the conductor-indicator
+// right-hand sides weighted by basis moments, by the unified pipeline's
+// direct solve (one equilibrated, pivoted LDLᵀ of P, in P's own packed
+// storage — see op.Options.Direct). The charges are not wanted, so it
+// hands op each unknown's conductor and moment, and C = Yᵀ D⁻¹ Y comes
+// from the forward sweep alone.
 func solveSystem(set *basis.Set, P *linalg.Sym) (*op.Result, error) {
-	n := set.NumConductors
-	N := set.N()
-	moments := set.Moments()
-	phi := linalg.NewDense(N, n)
+	cond := make([]int, set.N())
 	for i, f := range set.Functions {
-		phi.Set(i, f.Conductor, moments[i])
+		cond[i] = f.Conductor
 	}
-
-	pl, err := op.NewFromSym(P, op.Options{Direct: true})
-	if err != nil {
-		return nil, fmt.Errorf("solver: %w", err)
-	}
-	res, err := pl.ExtractRHS(phi)
+	res, err := op.DirectCapacitance(P, cond, set.Moments(), set.NumConductors)
 	if err != nil {
 		return nil, fmt.Errorf("solver: %w", err)
 	}

@@ -2,9 +2,12 @@ package parbem
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"parbem/internal/assembly"
+	"parbem/internal/linalg"
 )
 
 // mapBoxes returns st with every box corner sent through f.
@@ -64,4 +67,157 @@ func TestPanelIsometryOracle(t *testing.T) {
 	// The swap exchanges the two layers' roles, not the conductor order.
 	t.Logf("x<->y swapped: CapError %.3g, %d classes integrated (renumbered panels: other quadrature targets)",
 		CapError(swapped.C, ref.C), third.ClassesIntegrated)
+}
+
+// exactlySymmetric reports the first (i, j) where C's two triangles hold
+// different bits; ok when there is none. A direct solve takes C = Yᵀ D⁻¹ Y
+// from one triangle and mirrors it, so its C has none.
+func exactlySymmetric(c *Matrix) (i, j int, ok bool) {
+	for i = 0; i < c.Rows; i++ {
+		for j = 0; j < i; j++ {
+			if math.Float64bits(c.At(i, j)) != math.Float64bits(c.At(j, i)) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// oracleStructures are the template path's reference-free cases.
+var oracleStructures = []struct {
+	name string
+	st   *Structure
+}{
+	{"crossing", NewCrossingPair().Build()},
+	{"bus4x4", NewBus(4, 4).Build()},
+	{"bus8x8", NewBus(8, 8).Build()},
+}
+
+// TestTemplateIsometryOracle is ROADMAP items 4(b) and 4(c) on the
+// template path: the crossing pair and the 4x4 and 8x8 buses through
+// Extract, against their images under a translation off every lattice and
+// under scalings of every length. Neither renumbers the templates, so the
+// quadrature collocates the same member of every pair. A translation gives
+// C to rounding and the same classes. Scaling by 2 or by ½ keeps the class
+// lattice, so it gives αC to rounding and the same census; by 3 or 1.7 the
+// census moves with the lattice, so it is logged, and αC holds to 1e-10.
+func TestTemplateIsometryOracle(t *testing.T) {
+	extract := func(name string, st *Structure) *Result {
+		t.Helper()
+		res, err := Extract(st, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if i, j, ok := exactlySymmetric(res.C); !ok {
+			t.Errorf("%s: C(%d,%d) and C(%d,%d) differ in their bits", name, i, j, j, i)
+		}
+		return res
+	}
+	census := func(r *Result) [3]int64 {
+		return [3]int64{r.Fill.PairsFar, r.Fill.PairsNear, r.Fill.ClassesIntegrated}
+	}
+	shift := Vec3{X: 0.7310585786e-6, Y: -1.6180339887e-6, Z: 0.5772156649e-6}
+	for _, s := range oracleStructures {
+		ref := extract(s.name, s.st)
+		moved := extract(s.name+" translated", mapBoxes(s.st, func(p Vec3) Vec3 { return p.Add(shift) }))
+		e := CapError(moved.C, ref.C)
+		t.Logf("%s translated: CapError %.3g, classes %d vs %d", s.name, e, moved.Fill.ClassesIntegrated, ref.Fill.ClassesIntegrated)
+		if !(e <= 1e-14) {
+			t.Errorf("%s translated: CapError %.3g, want <= 1e-14", s.name, e)
+		}
+		if moved.Fill.ClassesIntegrated != ref.Fill.ClassesIntegrated {
+			t.Errorf("%s translated: %d classes integrated, the original %d", s.name, moved.Fill.ClassesIntegrated, ref.Fill.ClassesIntegrated)
+		}
+		for _, c := range []struct {
+			alpha, limit float64
+			sameCensus   bool
+		}{{2, 1e-12, true}, {0.5, 1e-12, true}, {3, 1e-10, false}, {1.7, 1e-10, false}} {
+			scaled := extract(s.name+" scaled", mapBoxes(s.st, func(p Vec3) Vec3 { return p.Scale(c.alpha) }))
+			want := ref.C.Clone()
+			linalg.Scal(c.alpha, want.Data)
+			e := CapError(scaled.C, want)
+			t.Logf("%s x%g: CapError vs %gC %.3g, census (far, near, classes) %v vs %v", s.name, c.alpha, c.alpha, e, census(scaled), census(ref))
+			if !(e <= c.limit) {
+				t.Errorf("%s x%g: CapError vs %gC %.3g, want <= %g", s.name, c.alpha, c.alpha, e, c.limit)
+			}
+			if c.sameCensus && census(scaled) != census(ref) {
+				t.Errorf("%s x%g: census %v, the original %v", s.name, c.alpha, census(scaled), census(ref))
+			}
+		}
+	}
+}
+
+// reversed returns st with its conductors in the opposite order.
+func reversed(st *Structure) *Structure {
+	out := &Structure{Name: st.Name, Conductors: slices.Clone(st.Conductors)}
+	slices.Reverse(out.Conductors)
+	return out
+}
+
+// relabelError is CapError of C' against C with rows and columns
+// reversed: zero when reversing the conductors permutes C.
+func relabelError(c, cr *Matrix) float64 {
+	n := c.Rows
+	perm := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			perm.Set(i, j, c.At(n-1-i, n-1-j))
+		}
+	}
+	return CapError(cr, perm)
+}
+
+// TestRelabelOracle is ROADMAP item 4(d): reversing the conductor order
+// permutes C, on the template path and on dense direct. Not to rounding:
+// the quadrature integrates on one member of a pair, the lower-indexed
+// template (or panel), so relabelling swaps which member is the target and
+// C moves by the quadrature's asymmetry. Measured: 0.93e-3 (crossing),
+// 1.16e-3 (4x4) and 1.02e-3 (8x8) on the template path; 4.0e-5 (crossing
+// at 0.5 um) and 7.9e-5 (3x3 bus at 1 um) on dense direct. The bounds,
+// 2e-3 and 2e-4, catch a regression; a class key that is the same for
+// (a, b) as for (b, a) would make this exact (ROADMAP).
+func TestRelabelOracle(t *testing.T) {
+	check := func(name string, c, cr *Matrix, limit float64) {
+		t.Helper()
+		for k, m := range []*Matrix{c, cr} {
+			if i, j, ok := exactlySymmetric(m); !ok {
+				t.Errorf("%s (%d): C(%d,%d) and C(%d,%d) differ in their bits", name, k, i, j, j, i)
+			}
+		}
+		e := relabelError(c, cr)
+		t.Logf("%s reversed: CapError vs permuted C %.3g (limit %g)", name, e, limit)
+		if !(e <= limit) {
+			t.Errorf("%s reversed: CapError vs permuted C %.3g, want <= %g", name, e, limit)
+		}
+	}
+	for _, s := range oracleStructures {
+		a, err := Extract(s.st, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Extract(reversed(s.st), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(s.name+" template", a.C, b.C, 2e-3)
+	}
+	for _, s := range []struct {
+		name string
+		st   *Structure
+		edge float64
+	}{
+		{"crossing 0.5um", NewCrossingPair().Build(), 0.5e-6},
+		{"bus3x3 1um", NewBus(3, 3).Build(), 1e-6},
+	} {
+		opt := PipelineOptions{Backend: BackendDense, Direct: true}
+		a, err := ExtractPipeline(s.st, s.edge, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ExtractPipeline(reversed(s.st), s.edge, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(s.name+" dense direct", a.C, b.C, 2e-4)
+	}
 }

@@ -111,8 +111,10 @@ func TestDirectSolvePinnedBus16(t *testing.T) {
 	}
 	alloc = float64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("Extract at one worker allocated %.2f MB = %.3f x 8N²", alloc/1e6, alloc/matrixBytes)
-	if alloc > 1.6*matrixBytes {
-		t.Errorf("Extract allocated %.0f bytes, over 1.6 x 8N² = %.0f: a full N×N", alloc, 1.6*matrixBytes)
+	// ≈ 1.46 while the solve built a dense Phi and its charges beside the
+	// factor's panel workspace; C = Yᵀ D⁻¹ Y in that workspace reads 1.370.
+	if alloc > 1.40*matrixBytes {
+		t.Errorf("Extract allocated %.0f bytes, over 1.40 x 8N² = %.0f: a full N×N, or right-hand sides beside the factor's workspace", alloc, 1.40*matrixBytes)
 	}
 
 	// Buses up to 14x14 are still positive definite.
@@ -139,5 +141,20 @@ func TestTable2MatrixBytes(t *testing.T) {
 	}
 	if res.N != 138 || res.MatrixBytes != 76728 {
 		t.Errorf("interconnect: N = %d, MatrixBytes = %d; want N = 138 and 8·N(N+1)/2 = 76 728", res.N, res.MatrixBytes)
+	}
+}
+
+// TestTable2Unknowns is the other count behind Table 2 (ROADMAP item
+// 9(c)): the interconnect's 138 instantiable unknowns against the 1 640
+// panels the FASTCAP-analog solves at its 0.4 um edge, the discretization
+// whose memory cmd/benchtables -table 2 charges that row.
+func TestTable2Unknowns(t *testing.T) {
+	st := NewInterconnect().Build()
+	res, err := Extract(st, Options{Backend: Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if panels := len(st.Panelize(0.4e-6)); res.N != 138 || panels != 1640 {
+		t.Errorf("interconnect: %d instantiable unknowns against %d panels at 0.4 um; want 138 against 1 640", res.N, panels)
 	}
 }
