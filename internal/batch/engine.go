@@ -205,16 +205,17 @@ func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 		return nil, err
 	}
 
-	opt := solver.Options{Backend: e.opt.Backend, Workers: e.opt.Workers, Pairs: e.pairs}
+	opt := solver.Options{Backend: e.opt.Backend, Workers: e.opt.Workers}
+	var pool *sched.Pool
 	if opt.Backend == solver.SharedMem {
 		e.mu.Lock()
 		if !e.closed {
-			opt.Pool = e.pool
+			pool = e.pool
 			opt.Workers = e.pool.Workers()
 		}
 		e.mu.Unlock()
 	}
-	res, err := solver.ExtractSet(v.(*basis.Set), opt)
+	res, err := solver.ExtractSet(v.(*basis.Set), opt, e.pairs, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -267,10 +268,11 @@ func (e *Engine) ExtractPipeline(st *geom.Structure, maxEdge float64, opt op.Opt
 // ExtractPipelineCtx is ExtractPipeline bounded by a context: the
 // plan's stage boundaries and the GMRES iteration loop observe ctx, so
 // a request deadline (or a client cancellation) stops the extraction at
-// the next checkpoint with a *plan.Interrupted error instead of running
-// to completion. An interrupted extraction never corrupts the cached
-// family plan — the previous variant's artifacts stay installed and the
-// next request proceeds normally. A nil ctx means context.Background().
+// the next checkpoint with an *op.Interrupted error, its Stage the stage
+// that was stopped, instead of running to completion. An interrupted
+// extraction never corrupts the cached family plan — the previous
+// variant's artifacts stay installed and the next request proceeds
+// normally. A nil ctx means context.Background().
 func (e *Engine) ExtractPipelineCtx(ctx context.Context, st *geom.Structure, maxEdge float64, opt op.Options) (*plan.Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err

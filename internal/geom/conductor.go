@@ -1,6 +1,9 @@
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Conductor is a named conductor built from one or more axis-aligned boxes
 // (e.g. a routed wire with vias). All boxes of a conductor are held at the
@@ -120,8 +123,10 @@ func gridCount(length, maxEdge float64) int {
 	return n
 }
 
-// Validate checks basic well-formedness: non-empty conductors and
-// positive-volume boxes. It returns the first problem found.
+// Validate checks basic well-formedness: non-empty conductors and boxes
+// of finite coordinates and a positive, finite size along every axis
+// (which rejects NaN, infinite, zero-thickness and inverted boxes). It
+// returns the first problem found.
 func (s *Structure) Validate() error {
 	if len(s.Conductors) == 0 {
 		return fmt.Errorf("geom: structure %q has no conductors", s.Name)
@@ -131,12 +136,20 @@ func (s *Structure) Validate() error {
 			return fmt.Errorf("geom: conductor %d (%q) has no boxes", ci, c.Name)
 		}
 		for bi, b := range c.Boxes {
-			sz := b.Size()
-			if sz.X <= 0 || sz.Y <= 0 || sz.Z <= 0 {
-				return fmt.Errorf("geom: conductor %d (%q) box %d has non-positive size %v",
+			for _, v := range [6]float64{b.Min.X, b.Min.Y, b.Min.Z, b.Max.X, b.Max.Y, b.Max.Z} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("geom: conductor %d (%q) box %d has a non-finite coordinate: %v to %v",
+						ci, c.Name, bi, b.Min, b.Max)
+				}
+			}
+			if sz := b.Size(); !(positiveFinite(sz.X) && positiveFinite(sz.Y) && positiveFinite(sz.Z)) {
+				return fmt.Errorf("geom: conductor %d (%q) box %d has size %v, not positive and finite (zero-area, inverted or overflowing)",
 					ci, c.Name, bi, sz)
 			}
 		}
 	}
 	return nil
 }
+
+// positiveFinite reports 0 < v < +Inf; it is false for NaN.
+func positiveFinite(v float64) bool { return v > 0 && v <= math.MaxFloat64 }

@@ -1,7 +1,9 @@
 package geom
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -310,5 +312,48 @@ func TestValidateErrors(t *testing.T) {
 	}}
 	if err := st.Validate(); err == nil {
 		t.Error("zero-thickness box should fail validation")
+	}
+}
+
+// TestValidateRejectsNonFiniteBoxes: a NaN or infinite coordinate, and a
+// size that is not positive and finite, fail validation naming the
+// conductor and the box. A NaN size compares false with 0, so a check
+// written as size <= 0 lets it through.
+func TestValidateRejectsNonFiniteBoxes(t *testing.T) {
+	good := Box{Min: Vec3{0, 0, 0}, Max: Vec3{1, 1, 1}}
+	type tc struct {
+		name string
+		box  Box
+	}
+	var cases []tc
+	for k := 0; k < 6; k++ {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			b := good
+			c := [6]*float64{&b.Min.X, &b.Min.Y, &b.Min.Z, &b.Max.X, &b.Max.Y, &b.Max.Z}
+			*c[k] = v
+			cases = append(cases, tc{fmt.Sprintf("coordinate %d = %v", k, v), b})
+		}
+	}
+	cases = append(cases,
+		tc{"zero size", Box{Min: Vec3{0, 0, 0}, Max: Vec3{1, 0, 1}}},
+		tc{"inverted", Box{Min: Vec3{0, 0, 0}, Max: Vec3{1, 1, -1}}},
+		tc{"overflowing size", Box{Min: Vec3{-math.MaxFloat64, 0, 0}, Max: Vec3{math.MaxFloat64, 1, 1}}},
+	)
+	for _, c := range cases {
+		st := &Structure{Name: "s", Conductors: []*Conductor{
+			{Name: "ok", Boxes: []Box{good}},
+			{Name: "bad", Boxes: []Box{good, c.box}},
+		}}
+		err := st.Validate()
+		if err == nil {
+			t.Errorf("%s: %v to %v passes validation", c.name, c.box.Min, c.box.Max)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, `conductor 1 ("bad") box 1`) {
+			t.Errorf("%s: %q does not name the conductor and the box", c.name, msg)
+		}
+	}
+	if err := (&Structure{Name: "s", Conductors: []*Conductor{{Name: "ok", Boxes: []Box{good}}}}).Validate(); err != nil {
+		t.Errorf("a unit cube fails validation: %v", err)
 	}
 }

@@ -22,7 +22,7 @@
 //
 //	F1(X,Y,Z) = d/dX-antiderivative of 1/r              (collocation, 1 dim)
 //	F2(X,Y,Z) = dX dY antiderivative of 1/r             (collocation over a rect)
-//	F3(X,Y,Z) = dX dX dY antiderivative of 1/r          (mixed Galerkin/collocation)
+//	F3(X,Y,Z) = dX dX dY antiderivative of 1/r          (a line against a rectangle, GalerkinStrip)
 //	F4(X,Y,Z) = dX dX dY dY antiderivative of 1/r       (Galerkin over parallel rects)
 //
 // where X = x - x', Y = y - y', Z = z - z' and r = sqrt(X^2+Y^2+Z^2).
@@ -284,27 +284,4 @@ func signPair(i, ip int) float64 {
 		return -1
 	}
 	return 1
-}
-
-// GalerkinMixed computes the 3-D integral with Galerkin pairing in x and a
-// fixed source line in y': target [tx1,tx2] x [ty1,ty2] integrated against
-// source x' in [sx1,sx2] at y' = sy, plane separation Z:
-//
-//	int_{tx} int_{ty} int_{sx'} 1/|r-r'| dx' dy dx
-//
-// It backs the intermediate approximation level between the 4-D and 2-D
-// expressions (paper Section 4.1: quadrature points in one source dimension).
-func GalerkinMixed(tx1, tx2, ty1, ty2, sx1, sx2, sy, Z float64) float64 {
-	xs := [2]float64{tx1, tx2}
-	xps := [2]float64{sx1, sx2}
-	var sum float64
-	for i := 0; i < 2; i++ {
-		for ip := 0; ip < 2; ip++ {
-			s := signPair(i, ip)
-			X := xs[i] - xps[ip]
-			// Single difference in y (target side only).
-			sum += s * f3DiffY(X, ty2-sy, ty1-sy, Z)
-		}
-	}
-	return sum
 }

@@ -148,22 +148,6 @@ func TestGalerkinSelfTermUnitSquareKnownValue(t *testing.T) {
 	}
 }
 
-func TestGalerkinMixedAgainstQuadrature(t *testing.T) {
-	// Target [0,1]x[0,1] at Z-plane 0, source line x' in [0.2,1.4] at
-	// y'=0.3 in plane Z=0.8.
-	Z := 0.8
-	got := GalerkinMixed(0, 1, 0, 1, 0.2, 1.4, 0.3, Z)
-	want := quad.Integrate2D(func(x, y float64) float64 {
-		return quad.Integrate1D(func(xp float64) float64 {
-			dx, dy := x-xp, y-0.3
-			return 1 / math.Sqrt(dx*dx+dy*dy+Z*Z)
-		}, 0.2, 1.4, 24)
-	}, 0, 1, 0, 1, 24, 24)
-	if rel := math.Abs(got-want) / math.Abs(want); rel > 1e-8 {
-		t.Errorf("GalerkinMixed = %g, quadrature = %g (rel %g)", got, want, rel)
-	}
-}
-
 func TestRectGalerkinPerpendicular(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableApprox = true

@@ -119,13 +119,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Interrupted reports a solve stopped at a context checkpoint (deadline
-// or cancellation) rather than by convergence or failure. Iterations is
-// the total Krylov work completed before the stop — the partial
-// telemetry a deadline-aware service surfaces to the client. Unwrap
-// exposes the context error, so errors.Is(err, context.DeadlineExceeded)
+// Interrupted reports an extraction stopped at a context checkpoint
+// (deadline or cancellation) rather than by convergence or failure. It is
+// the one stop report from the solve to the wire: the pipeline returns it
+// from its solve, internal/plan from the stage boundaries before it, and
+// the service reads it into a request error. Iterations is the total
+// Krylov work completed before the stop — the partial telemetry a
+// deadline-aware service surfaces to the client. Unwrap exposes the
+// context error, so errors.Is(err, context.DeadlineExceeded)
 // distinguishes a deadline from a client cancellation.
 type Interrupted struct {
+	// Stage is the stage that was running, or about to run, at the stop:
+	// "solve" from the pipeline; "discretize", "topology", "near-field"
+	// or "factorize" from a plan's stage boundaries.
+	Stage string
 	// Iterations completed across all RHS columns before the stop.
 	Iterations int
 	// Residual is the worst (largest) relative residual across the RHS
@@ -150,7 +157,7 @@ type Interrupted struct {
 
 // Error implements the error interface.
 func (e *Interrupted) Error() string {
-	return fmt.Sprintf("op: solve interrupted after %d iterations: %v", e.Iterations, e.Err)
+	return fmt.Sprintf("op: %s stage interrupted after %d iterations: %v", e.Stage, e.Iterations, e.Err)
 }
 
 // Unwrap exposes the underlying context error.
@@ -518,7 +525,7 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, &Interrupted{Err: err}
+		return nil, &Interrupted{Stage: "solve", Err: err}
 	}
 	res := &Result{NumPanels: p.n, Backend: p.backend, Precision: p.Precision()}
 	if p.ldl != nil {
@@ -570,7 +577,7 @@ func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense, out *
 	if x0 != nil && x0.Rows == n && x0.Cols == nc && p.mixedA == nil {
 		for j := 0; j < nc; j++ {
 			if err := ctx.Err(); err != nil {
-				return &Interrupted{Err: err}
+				return &Interrupted{Stage: "solve", Err: err}
 			}
 			for i := range x {
 				x[i] = x0.At(i, j)
@@ -605,7 +612,7 @@ func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense, out *
 				worst = math.Max(worst, 1) // no progress on a column not started
 			}
 			return &Interrupted{
-				Iterations: out.Iterations, Residual: worst, Partial: rho, Err: cerr,
+				Stage: "solve", Iterations: out.Iterations, Residual: worst, Partial: rho, Err: cerr,
 			}
 		}
 		if err != nil {

@@ -49,7 +49,7 @@ func TestInterruptedDenseVariant(t *testing.T) {
 	ex.cancel = cancel
 	_, err = p.ExtractCtx(ctx, crossingAt(0.6e-6))
 	ex.cancel = nil
-	var ie *Interrupted
+	var ie *op.Interrupted
 	if !errors.As(err, &ie) || ie.Stage != "factorize" {
 		t.Fatalf("want an interrupt at the factorize checkpoint, got %v", err)
 	}

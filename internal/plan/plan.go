@@ -68,11 +68,19 @@
 //
 // # Interrupts
 //
-// A build stopped at a checkpoint (Interrupted) installs nothing: the
-// previous variant stays current, with its geometry, result, charges and
-// factors, so its geometry is still a cache hit. The one artifact it does
-// not keep is its dense matrix, which the interrupted build took to
-// rewrite; the next dense variant therefore assembles from scratch.
+// The stage boundaries of the build chain and the solve's GMRES
+// iterations observe the caller's context, so a deadline or cancellation
+// stops an extraction with the pipeline's own stop report, an
+// *op.Interrupted: a boundary sets its Stage to the stage about to run,
+// and a stop inside the solve reaches the caller as the pipeline returned
+// it, Stage "solve", with the iterations, residual and partial
+// capacitance it reached. A build stopped at a checkpoint installs
+// nothing: the previous variant stays current, with its geometry, result,
+// charges and factors, so its geometry is still a cache hit. The one
+// artifact it does not keep is its dense matrix, which the interrupted
+// build took to rewrite; the next dense variant therefore assembles from
+// scratch (Stats.DenseReused does not grow), and gets every result bit a
+// fresh plan would.
 //
 // A Plan is safe for concurrent use but serializes extractions; for
 // concurrent sweeps, spread the variants over plans (extract.SweepH
@@ -86,7 +94,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -165,10 +172,9 @@ type Stats struct {
 // for a shared pfft kernel transform, Factorization for adopted block
 // factors.
 type StageReuse struct {
-	Discretization bool
-	Topology       bool
-	NearField      bool
-	Factorization  bool
+	Topology      bool
+	NearField     bool
+	Factorization bool
 }
 
 // StageTimings is the per-stage wall time of one Extract.
@@ -180,70 +186,21 @@ type StageTimings struct {
 	Solve      time.Duration
 }
 
-// Result is a completed plan extraction. It is shared with the plan's
+// Result is a completed plan extraction: the *op.Result its solve
+// returned — C, the charges Rho, the panel count, the Krylov iterations
+// and applications, the resolved backend and arithmetic, a direct solve's
+// inertia — and what the plan adds to it. It is shared with the plan's
 // internal state (cache hits return the same object; Rho seeds the next
 // variant's solve) and must be treated as read-only.
 type Result struct {
-	C   *linalg.Dense // n x n capacitance matrix (F)
-	Rho *linalg.Dense // N x n panel charge densities per excitation
+	*op.Result
 	// Panels is the discretization the charges live on (shared).
 	Panels        []geom.Panel
-	NumPanels     int
 	NumConductors int
-	Iterations    int // total Krylov iterations (0 for direct)
-	// Applies counts the solve's operator applications: the iterations,
-	// one per seed and one true-residual check per column.
-	Applies   int
-	Backend   op.Backend
-	Precision op.Precision // resolved matvec arithmetic (never auto)
-	Reused    StageReuse
-	Stages    StageTimings
-	Total     time.Duration
+	Reused        StageReuse
+	Stages        StageTimings
+	Total         time.Duration
 }
-
-// Interrupted reports an extraction stopped at a context checkpoint:
-// the stage boundaries of the build chain and the per-iteration GMRES
-// checkpoints all observe the caller's context, so a deadline or client
-// cancellation exits early instead of completing work nobody will read.
-// Stage names the stage that was running (or about to run) when the
-// context fired; Iterations is the Krylov work completed before the
-// stop. Unwrap exposes the context error, so
-// errors.Is(err, context.DeadlineExceeded) distinguishes a deadline
-// from a cancellation.
-//
-// An interrupted extraction never corrupts the plan: stage artifacts of
-// the previous variant stay installed, except its dense matrix, which a
-// dense build takes as the storage it rewrites. A repeat of the previous
-// geometry is still a cache hit, and the next variant gets every result
-// bit a fresh plan would, only without the matrix to rewrite: it assembles
-// from scratch (Stats.DenseReused does not grow).
-type Interrupted struct {
-	// Stage is the interrupted stage: "discretize", "topology",
-	// "near-field", "factorize" or "solve".
-	Stage string
-	// Elapsed is the wall time spent in this extraction before the stop.
-	Elapsed time.Duration
-	// Iterations is the Krylov iteration count completed (solve stage).
-	Iterations int
-	// Residual is the worst relative GMRES residual at the stop (solve
-	// stage; 0 = unknown, 1 = no progress beyond the initial guess).
-	Residual float64
-	// PartialC is the best-effort capacitance matrix reduced from the
-	// last GMRES iterates (solve stage only; nil when the stop landed
-	// before any iterate). Its accuracy is bounded by Residual, not the
-	// requested tolerance.
-	PartialC *linalg.Dense
-	// Err is the context error.
-	Err error
-}
-
-// Error implements the error interface.
-func (e *Interrupted) Error() string {
-	return fmt.Sprintf("plan: %s stage interrupted after %v: %v", e.Stage, e.Elapsed, e.Err)
-}
-
-// Unwrap exposes the underlying context error.
-func (e *Interrupted) Unwrap() error { return e.Err }
 
 // Plan caches stage artifacts across geometry variants. Create with
 // New; Extract may be called concurrently (calls serialize).
@@ -296,9 +253,10 @@ func (p *Plan) Extract(st *geom.Structure) (*Result, error) {
 // ExtractCtx is Extract bounded by a context: the stage boundaries of
 // the build chain and the solve's GMRES iterations observe ctx, so a
 // deadline or cancellation stops the extraction early with an
-// *Interrupted error instead of completing work nobody will read. A nil
-// ctx means context.Background(). Identical-geometry cache hits are
-// served regardless (they cost microseconds).
+// *op.Interrupted error (see "Interrupts") instead of completing work
+// nobody will read. A nil ctx means context.Background().
+// Identical-geometry cache hits are served regardless (they cost
+// microseconds).
 func (p *Plan) ExtractCtx(ctx context.Context, st *geom.Structure) (*Result, error) {
 	res, _, err := p.ExtractFillCtx(ctx, st)
 	return res, err
@@ -328,40 +286,20 @@ func (p *Plan) ExtractFillCtx(ctx context.Context, st *geom.Structure) (*Result,
 	return res, fill, err
 }
 
-// interrupted wraps a context-checkpoint error from the solve layer as
-// a stage-tagged *Interrupted; non-context errors pass through
-// unchanged.
-func interrupted(err error, stage string, elapsed time.Duration) error {
-	var oi *op.Interrupted
-	if errors.As(err, &oi) {
-		return &Interrupted{
-			Stage: stage, Elapsed: elapsed, Iterations: oi.Iterations,
-			Residual: oi.Residual, PartialC: oi.PartialC, Err: oi.Err,
-		}
-	}
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		cause := context.Canceled
-		if errors.Is(err, context.DeadlineExceeded) {
-			cause = context.DeadlineExceeded
-		}
-		return &Interrupted{Stage: stage, Elapsed: elapsed, Err: cause}
-	}
-	return err
-}
-
 // build runs the staged chain for a new geometry variant, adding the pair
 // work of its near-field stage to fill.
 func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.FillStats) (*Result, error) {
 	t0 := time.Now()
 	cur := p.cur
 	// check is the stage-boundary context checkpoint: the expensive
-	// stages (near-field integration, factorization, solve) never start
-	// once the deadline has passed. An interrupted build leaves p.cur on
+	// stages (near-field integration, factorization) never start once the
+	// deadline has passed, and the solve checks ctx on entry and at every
+	// operator application itself. An interrupted build leaves p.cur on
 	// the previous variant — no partial artifacts are ever installed, and
 	// its dense matrix, once taken, is gone (see "Interrupts").
 	check := func(stage string) error {
 		if err := ctx.Err(); err != nil {
-			return &Interrupted{Stage: stage, Elapsed: time.Since(t0), Err: err}
+			return &op.Interrupted{Stage: stage, Err: err}
 		}
 		return nil
 	}
@@ -394,12 +332,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 	be := op.ResolveBackend(spec, p.opt.Pipeline)
 
 	nv := &variant{st: snap, prov: prov, be: be}
-	res := &Result{
-		Panels:        panels,
-		NumPanels:     len(panels),
-		NumConductors: spec.NumConductors,
-		Backend:       be,
-	}
+	res := &Result{Panels: panels, NumConductors: spec.NumConductors}
 	res.Stages.Discretize = dDisc
 	if err := check("topology"); err != nil {
 		return nil, err
@@ -580,9 +513,6 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 
 	// Solve (in a space seeded by the previous variant's charges when
 	// aligned).
-	if err := check("solve"); err != nil {
-		return nil, err
-	}
 	tS := time.Now()
 	var x0 *linalg.Dense
 	if !popt.Direct && cur != nil &&
@@ -590,14 +520,10 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		x0 = cur.res.Rho
 		p.stats.WarmStarts++
 	}
-	opres, err := pipe.ExtractWarmCtx(ctx, x0)
-	if err != nil {
-		return nil, interrupted(err, "solve", time.Since(t0))
+	if res.Result, err = pipe.ExtractWarmCtx(ctx, x0); err != nil {
+		return nil, err
 	}
 	res.Stages.Solve = time.Since(tS)
-	res.C, res.Rho = opres.C, opres.Rho
-	res.Iterations, res.Applies = opres.Iterations, opres.Applies
-	res.Precision = opres.Precision
 	res.Total = time.Since(t0)
 
 	nv.res = res

@@ -231,42 +231,33 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // requestErrorFor maps an engine error onto the structured service
-// shape. A plan.Interrupted — the deadline or disconnect observed at a
-// stage boundary or GMRES iteration checkpoint — keeps its partial
-// telemetry (the stage that was running, elapsed wall time of the
-// request, Krylov iterations completed) and, when the solve stage got
-// far enough to produce one, the best-effort partial result: the last
-// iterates' worst relative residual and the capacitance matrix reduced
-// from them, accurate only to that residual.
+// shape. An *op.Interrupted — the deadline or disconnect observed at a
+// plan's stage boundary or a GMRES iteration checkpoint — keeps its
+// partial telemetry (the stage that was running, the Krylov iterations
+// completed) and, when the solve got far enough to produce one, the
+// best-effort partial result: the last iterates' worst relative residual
+// and the capacitance matrix reduced from them, accurate only to that
+// residual. elapsed is the request's wall time before the stop.
 func requestErrorFor(err error, elapsed time.Duration) *RequestError {
-	var pi *plan.Interrupted
-	code, stage, iters := "", "", 0
-	residual := 0.0
-	var partial [][]float64
-	if errors.As(err, &pi) {
-		stage, iters = pi.Stage, pi.Iterations
-		residual = pi.Residual
-		if pi.PartialC != nil {
-			partial = matrixRows(pi.PartialC)
-		}
-	}
+	re := &RequestError{Message: err.Error()}
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		code = CodeDeadlineExceeded
+		re.Code = CodeDeadlineExceeded
 	case errors.Is(err, context.Canceled):
-		code = CodeCancelled
+		re.Code = CodeCancelled
 	default:
-		return &RequestError{Code: CodeExtractionFailed, Message: err.Error()}
+		re.Code = CodeExtractionFailed
+		return re
 	}
-	return &RequestError{
-		Code:           code,
-		Message:        err.Error(),
-		Stage:          stage,
-		ElapsedMs:      elapsed.Seconds() * 1e3,
-		Iterations:     iters,
-		Residual:       residual,
-		PartialCFarads: partial,
+	re.ElapsedMs = elapsed.Seconds() * 1e3
+	var oi *op.Interrupted
+	if errors.As(err, &oi) {
+		re.Stage, re.Iterations, re.Residual = oi.Stage, oi.Iterations, oi.Residual
+		if oi.PartialC != nil {
+			re.PartialCFarads = matrixRows(oi.PartialC)
+		}
 	}
+	return re
 }
 
 // runExtract executes one admitted extract job on the shared engine,
@@ -340,26 +331,23 @@ type SweepFit struct {
 	Decay   float64 `json:"decay"`
 }
 
-// SweepPoint is one NDJSON line of a /sweep response. A failed point
-// carries Error and no result fields — mid-sweep failures surface as
+// SweepPoint is one NDJSON line of a /sweep response. A solved variant
+// point embeds the ExtractResponse of its extraction, as POST /extract
+// answers one less the job id; a template point carries its Fit; a failed
+// point carries Error and neither — mid-sweep failures surface as
 // per-point entries, never dropped points.
 type SweepPoint struct {
-	Index     int    `json:"index"`
+	Index int `json:"index"`
+	// Structure names a variant point's geometry, failed or not; on a
+	// solved point it shadows the embedded response's, which holds the
+	// same name.
 	Structure string `json:"structure,omitempty"`
-	// HM, Iterations and TotalMs carry no omitempty: a zero there is a
-	// legitimate value (h=0 contact sweeps, direct solves with zero
-	// Krylov iterations, sub-millisecond cache hits rounding to 0) and
-	// must survive the round trip to capx -remote.
-	HM         float64 `json:"h_m"`
-	Backend    string  `json:"backend,omitempty"`
-	Iterations int     `json:"iterations"`
-	// Reused is ExtractResponse.Reused's name for the point's build.
-	Reused     string        `json:"reused,omitempty"`
-	TotalMs    float64       `json:"total_ms"`
-	CFarads    [][]float64   `json:"c_farads,omitempty"`
-	Conductors []string      `json:"conductors,omitempty"`
-	Fit        *SweepFit     `json:"fit,omitempty"`
-	Error      *RequestError `json:"error,omitempty"`
+	// HM carries no omitempty: h=0 is a legitimate contact sweep, and the
+	// zero must survive the round trip to capx -remote.
+	HM float64 `json:"h_m"`
+	*ExtractResponse
+	Fit   *SweepFit     `json:"fit,omitempty"`
+	Error *RequestError `json:"error,omitempty"`
 }
 
 // SweepTrailer is the final NDJSON line of a /sweep response.
@@ -506,15 +494,9 @@ func (s *Server) runVariantSweep(j *job, req *SweepRequest, sts []*geom.Structur
 		}
 		total := time.Since(t0)
 		s.m.observeStages(res.Backend.String(), res.Stages, total)
-		if !emit(&SweepPoint{
-			Index: i, Structure: st.Name,
-			Backend:    res.Backend.String(),
-			Iterations: res.Iterations,
-			Reused:     ReusedName(res.Reused),
-			TotalMs:    total.Seconds() * 1e3,
-			CFarads:    matrixRows(res.C),
-			Conductors: conductorNames(st),
-		}) {
+		out := NewExtractResponse(st, res, req.Backend, req.Precond, req.EdgeM, req.Tol, total)
+		out.Reused = ReusedName(res.Reused)
+		if !emit(&SweepPoint{Index: i, Structure: st.Name, ExtractResponse: out}) {
 			return
 		}
 	}

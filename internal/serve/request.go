@@ -303,40 +303,30 @@ func (l Limits) parseGeometry(text string, edge float64) (*geom.Structure, error
 }
 
 // checkStructure enforces the admission limits on a parsed structure:
-// coordinate sanity (geom.Validate accepts NaN sizes, the service must
-// not), count caps and the estimated panel budget.
+// well-formedness (geom.Structure.Validate: conductors with boxes of
+// finite coordinates and positive size), count caps and the estimated
+// panel budget.
 func checkStructure(st *geom.Structure, edge float64, l Limits) error {
+	if err := st.Validate(); err != nil {
+		return badRequest("bad geometry: %v", err)
+	}
 	if len(st.Conductors) > maxConductors {
 		return badRequest("%d conductors exceed the limit of %d", len(st.Conductors), maxConductors)
 	}
 	boxes := 0
 	var panels float64
-	for ci, c := range st.Conductors {
+	for _, c := range st.Conductors {
 		boxes += len(c.Boxes)
 		if boxes > maxBoxes {
 			return badRequest("more than %d boxes", maxBoxes)
 		}
-		for bi, b := range c.Boxes {
-			for _, v := range [6]float64{b.Min.X, b.Min.Y, b.Min.Z, b.Max.X, b.Max.Y, b.Max.Z} {
-				if !isFinite(v) {
-					return badRequest("conductor %d (%q) box %d has a non-finite coordinate", ci, c.Name, bi)
-				}
-			}
-			sz := b.Size()
-			if !(sz.X > 0 && sz.Y > 0 && sz.Z > 0) {
-				return badRequest("conductor %d (%q) box %d has non-positive size (zero-area or inverted)", ci, c.Name, bi)
-			}
-			panels += estimatePanels(sz, edge)
+		for _, b := range c.Boxes {
+			panels += estimatePanels(b.Size(), edge)
 			if panels > float64(l.MaxPanels) {
 				return badRequest("geometry at edge_m=%g estimates over %d panels (limit %d)",
 					edge, int64(panels), l.MaxPanels)
 			}
 		}
-	}
-	// Validate still runs for everything it checks beyond the above
-	// (empty conductor lists etc.).
-	if err := st.Validate(); err != nil {
-		return badRequest("bad geometry: %v", err)
 	}
 	return nil
 }

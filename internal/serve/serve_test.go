@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -568,5 +571,115 @@ func TestServePanicContainment(t *testing.T) {
 	st := s.Stats()
 	if st.Failed != 1 || st.Completed != 1 {
 		t.Errorf("stats after panic: failed %d completed %d, want 1/1", st.Failed, st.Completed)
+	}
+}
+
+// wireObjects posts body to path and returns the JSON objects of the
+// response, one per NDJSON line (one for /extract).
+func wireObjects(t *testing.T, c *Client, path string, body any) []map[string]json.RawMessage {
+	t.Helper()
+	resp, err := c.post(context.Background(), path, body)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	var out []map[string]json.RawMessage
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var m map[string]json.RawMessage
+		if err := dec.Decode(&m); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, m)
+	}
+}
+
+// keysOf lists an object's keys in order, less maxwell_warnings, which
+// is present only on a matrix that breaks the Maxwell structure.
+func keysOf(m map[string]json.RawMessage) []string {
+	var ks []string
+	for k := range m {
+		if k != "maxwell_warnings" {
+			ks = append(ks, k)
+		}
+	}
+	slices.Sort(ks)
+	return ks
+}
+
+// TestWireKeys pins the JSON keys of /extract and of every kind of sweep
+// point. A solved variant point is the point fields around the
+// ExtractResponse of its extraction: every key a variant point held
+// before it embedded one, with its value, plus the response's. A failed
+// point and a template point hold no extraction, so they carry no
+// iterations or total_ms.
+func TestWireKeys(t *testing.T) {
+	s, c := startServer(t, Options{Workers: 2})
+	const edge = 1e-6
+	sorted := func(ks ...string) []string { slices.Sort(ks); return ks }
+	extractKeys := []string{"structure", "backend", "requested", "precond", "precision", "num_panels",
+		"edge_m", "tol", "iterations", "reused", "setup_ms", "solve_ms", "total_ms", "conductors", "c_farads"}
+
+	ex := wireObjects(t, c, "/extract", &ExtractRequest{Geometry: geoText(t, crossingAt(0.5e-6)), EdgeM: edge, Backend: "dense"})
+	if len(ex) != 1 {
+		t.Fatalf("/extract answered %d objects", len(ex))
+	}
+	if got, want := keysOf(ex[0]), sorted(append([]string{"job_id"}, extractKeys...)...); !slices.Equal(got, want) {
+		t.Errorf("/extract keys %v, want %v", got, want)
+	}
+
+	req := &SweepRequest{EdgeM: edge, Backend: "dense"}
+	for _, h := range []float64{0.5e-6, 0.6e-6} {
+		req.Variants = append(req.Variants, geoText(t, crossingAt(h)))
+	}
+	lines := wireObjects(t, c, "/sweep", req)
+	if len(lines) != 4 {
+		t.Fatalf("variant sweep streamed %d lines, want header, 2 points, trailer", len(lines))
+	}
+	want := sorted(append([]string{"index", "h_m"}, extractKeys...)...)
+	for i, p := range lines[1:3] {
+		if got := keysOf(p); !slices.Equal(got, want) {
+			t.Errorf("variant point %d keys %v, want %v", i, got, want)
+		}
+		for k, v := range map[string]string{"index": fmt.Sprint(i), "structure": `"crossing-pair"`, "h_m": "0",
+			"backend": `"dense"`, "iterations": "0"} {
+			if string(p[k]) != v {
+				t.Errorf("variant point %d: %s = %s, want %s", i, k, p[k], v)
+			}
+		}
+	}
+	if string(lines[2]["reused"]) == `"none"` {
+		t.Error("the warm variant point reused nothing")
+	}
+
+	// A variant that fails is an error entry; no admissible geometry makes
+	// one, so the point is encoded as runVariantSweep builds it.
+	buf, err := json.Marshal(&SweepPoint{Index: 1, Structure: "crossing",
+		Error: &RequestError{Code: CodePointFailed, Message: "failed"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed map[string]json.RawMessage
+	if err := json.Unmarshal(buf, &failed); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := keysOf(failed), sorted("index", "structure", "h_m", "error"); !slices.Equal(got, want) {
+		t.Errorf("failed variant point keys %v, want %v", got, want)
+	}
+
+	s.sweepH = func(_ context.Context, _ sched.Executor, _ geom.CrossingPairSpec, in []float64, _ float64) ([]*extract.ArchFit, []error) {
+		return []*extract.ArchFit{{Flat: 1, Peak: 2, Decay: 1e-7}, nil}, []error{nil, errors.New("injected")}
+	}
+	lines = wireObjects(t, c, "/sweep", &SweepRequest{EdgeM: edge, TemplateHs: []float64{0.4e-6, 0.5e-6}})
+	if len(lines) != 4 {
+		t.Fatalf("template sweep streamed %d lines, want header, 2 points, trailer", len(lines))
+	}
+	if got, want := keysOf(lines[1]), sorted("index", "h_m", "fit"); !slices.Equal(got, want) {
+		t.Errorf("template point keys %v, want %v", got, want)
+	}
+	if got, want := keysOf(lines[2]), sorted("index", "h_m", "error"); !slices.Equal(got, want) {
+		t.Errorf("failed template point keys %v, want %v", got, want)
 	}
 }

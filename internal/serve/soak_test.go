@@ -83,7 +83,11 @@ func TestServeConcurrentSoak(t *testing.T) {
 			}
 			comparable := make([]any, 0, len(pts))
 			for _, p := range pts {
-				comparable = append(comparable, []any{p.Index, p.CFarads, p.Fit})
+				var c [][]float64 // a template point has no extraction
+				if p.ExtractResponse != nil {
+					c = p.CFarads
+				}
+				comparable = append(comparable, []any{p.Index, c, p.Fit})
 			}
 			buf, _ := json.Marshal(comparable)
 			return string(buf), nil

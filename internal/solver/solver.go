@@ -55,18 +55,6 @@ type Options struct {
 
 	// Kernel overrides the integration configuration (nil = defaults).
 	Kernel *kernel.Config
-
-	// Pairs, when non-nil, is the symmetry-class table this fill
-	// reads and extends (the batch engine shares one across its
-	// extractions). Nil gives the fill a table of its own, so a lone
-	// extraction still integrates each class of its structure once. See
-	// assembly.PairCache for what a class value is.
-	Pairs *assembly.PairCache
-
-	// Pool, when non-nil, runs the SharedMem fill chunks on a shared
-	// persistent worker pool (and the caller) instead of spawning
-	// per-call workers.
-	Pool *sched.Pool
 }
 
 // Timing is the phase breakdown of one extraction.
@@ -117,7 +105,7 @@ func Extract(st *geom.Structure, opt Options) (*Result, error) {
 	}
 	tBasis := time.Since(t0)
 
-	res, err := ExtractSet(set, opt)
+	res, err := ExtractSet(set, opt, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -139,17 +127,22 @@ func BuildBasis(st *geom.Structure, bopt basis.BuilderOptions) (*basis.Set, erro
 
 // ExtractSet runs system setup and solve on an already-built basis set
 // (which is read shared, never mutated, so one cached set may serve many
-// concurrent calls). Timing.BasisGen is zero.
-func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
+// concurrent calls). Timing.BasisGen is zero. A non-nil pairs is the
+// symmetry-class table the fill reads and extends (the batch engine shares
+// one across its extractions); nil gives the fill a table of its own, so
+// a lone extraction still integrates each class of its structure once. A
+// non-nil pool runs the SharedMem fill chunks on that persistent worker
+// pool (and the caller) instead of spawning per-call workers.
+func ExtractSet(set *basis.Set, opt Options, pairs *assembly.PairCache, pool *sched.Pool) (*Result, error) {
 	cfg := opt.Kernel
 	if cfg == nil {
 		cfg = kernel.DefaultConfig()
 	}
 
-	in := &assembly.Integrator{Cfg: cfg, Pairs: opt.Pairs}
+	in := &assembly.Integrator{Cfg: cfg, Pairs: pairs}
 
 	t1 := time.Now()
-	P, err := fill(set, in, opt)
+	P, err := fill(set, in, opt, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -184,12 +177,12 @@ func ExtractSet(set *basis.Set, opt Options) (*Result, error) {
 }
 
 // fill dispatches the system setup to the selected backend.
-func fill(set *basis.Set, in *assembly.Integrator, opt Options) (*linalg.Sym, error) {
+func fill(set *basis.Set, in *assembly.Integrator, opt Options, pool *sched.Pool) (*linalg.Sym, error) {
 	switch opt.Backend {
 	case Serial:
 		return assembly.FillSerial(set, in), nil
 	case SharedMem:
-		return par.FillSym(set, in, par.Options{Workers: opt.Workers, Pool: opt.Pool}), nil
+		return par.FillSym(set, in, par.Options{Workers: opt.Workers, Pool: pool}), nil
 	case Distributed:
 		return mpi.FillDistributed(set, in, mpi.NewNetwork(max(opt.Workers, 1))), nil
 	}

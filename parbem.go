@@ -91,7 +91,8 @@
 // point-Jacobi or near-field block-Jacobi (PrecondAuto uses the
 // operator's near blocks when it exposes them) — cuts Krylov iteration
 // counts across all accelerated backends. The result is a PlanResult: the
-// resolved backend, the Krylov iteration total and per-stage timings. The
+// solve's own outcome (C, charges, resolved backend and arithmetic, Krylov
+// iteration total, a direct solve's inertia) and per-stage timings. The
 // same controls are available on the command line via
 // `capx -backend auto|dense|fastcap|pfft -precond auto|none|jacobi|block`.
 //
@@ -439,8 +440,9 @@ type (
 	// mirrors PipelineOptions).
 	PlanOptions = plan.Options
 	// PlanResult is a completed piecewise-constant extraction — of one
-	// variant of a Plan, or of an ExtractPipeline call — with per-stage
-	// timings and reuse flags. Treat it as read-only.
+	// variant of a Plan, or of an ExtractPipeline call: the pipeline's
+	// result it embeds, with the panels, per-stage timings and reuse
+	// flags. Treat it as read-only.
 	PlanResult = plan.Result
 	// PlanStats counts a plan's stage builds and reuse.
 	PlanStats = plan.Stats

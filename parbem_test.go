@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"parbem/internal/assembly"
@@ -111,6 +112,20 @@ func TestSetupDominatesTotal(t *testing.T) {
 	}
 }
 
+// TestNonFiniteGeometryRejected: a crossing pair with one NaN coordinate
+// is refused by validation, naming the box, on the template path and the
+// panel path alike — before any fill, factorization or GMRES sees it.
+func TestNonFiniteGeometryRejected(t *testing.T) {
+	st := NewCrossingPair().Build()
+	st.Conductors[0].Boxes[0].Max.X = math.NaN()
+	if _, err := Extract(st, Options{}); err == nil || !strings.Contains(err.Error(), "non-finite coordinate") {
+		t.Errorf("Extract: %v, want a non-finite coordinate error", err)
+	}
+	if _, err := ExtractPipeline(st, 0.5e-6, PipelineOptions{Backend: BackendDense}); err == nil || !strings.Contains(err.Error(), "non-finite coordinate") {
+		t.Errorf("ExtractPipeline: %v, want a non-finite coordinate error", err)
+	}
+}
+
 // TestOptionSurface pins the settable values on the paper's path, from
 // Extract to the pair integrals, and on the panel path, from a Plan to
 // the pipeline's solve. PR 19 deleted 23 that no workload, command
@@ -134,7 +149,7 @@ func TestOptionSurface(t *testing.T) {
 		typ  reflect.Type
 		want []string
 	}{
-		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Kernel", "Pairs", "Pool"}},
+		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Kernel"}},
 		{reflect.TypeOf(EngineOptions{}), []string{"Backend", "Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
 		{reflect.TypeOf(PlanOptions{}), []string{"MaxEdge", "Pipeline", "Exec", "Artifacts", "Pairs"}},
 		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Precond", "Tol", "Direct", "Precision", "FMM", "PFFT"}},
