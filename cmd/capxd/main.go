@@ -135,7 +135,7 @@ func run(args []string) int {
 		sweepQueue   = fs.Int("sweep-queue", 0, "bulk (sweep) admission queue depth (0 = same as -queue)")
 		tenantRate   = fs.Float64("tenant-rate", 0, "per-tenant admitted requests/sec via X-Tenant header (0 = unlimited)")
 		tenantBurst  = fs.Int("tenant-burst", 0, "per-tenant burst capacity (0 = ceil(rate))")
-		cache        = fs.Int("cache", 0, "state/plan LRU entries (0 = default 64)")
+		cache        = fs.Int("cache", 0, "state/plan LRU entries (0 = default 64); a plan keeps its last result, and its matrix and factors only while newest or once it has two variants")
 		maxBody      = fs.Int64("maxbody", 0, "request body cap in bytes (0 = default 8 MiB)")
 		maxPanels    = fs.Int("maxpanels", 0, "per-request estimated panel cap (0 = default 200000)")
 		history      = fs.Int("jobhistory", 0, "finished jobs kept for GET /jobs/{id} (0 = default 256)")

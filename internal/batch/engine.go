@@ -96,6 +96,10 @@ type Engine struct {
 	mu     sync.Mutex
 	closed bool
 	fill   assembly.FillStats
+	// newest is the pipeline plan created last; released counts the plans
+	// that took a Release when a newer one was created.
+	newest   *plan.Plan
+	released uint64
 }
 
 // Stats is a snapshot of the engine's cache effectiveness. The JSON
@@ -120,6 +124,10 @@ type Stats struct {
 	// and the pair work of its pipeline plans' builds, except that its
 	// TableBytes is the shared table's size now.
 	Fill assembly.FillStats `json:"fill"`
+	// PlansReleased counts the pipeline plans that gave up their reusable
+	// stages (plan.Plan.Release) because a newer plan was created while
+	// they had installed at most one variant (see ExtractPipelineCtx).
+	PlansReleased uint64 `json:"plans_released"`
 }
 
 // New creates an engine and starts its worker pool.
@@ -129,12 +137,17 @@ func New(opt Options) *Engine {
 		capEntries = 64
 	}
 	// The class table keeps assembly's default bound, 2^18 classes (13 MB
-	// full). Measured on the serve_mix workload, whose four families visit
-	// 8 H values each — 187 k classes, 180 k of them the crossing pair's,
-	// 9.6 MB: everything fits, op_s 3.4-3.8 ms and peak RSS 168 MB at PR 22;
-	// at 2^16 classes were dropped before their H value came round again,
-	// 5.2 ms and 152 MB. A constant, not a setting: no caller has asked for
-	// another.
+	// full). The serve_mix workload's four families visit 8 H values each,
+	// and its cold requests, whose edge drifts into a family key never seen
+	// again, add their classes to the same table: once the drift crosses a
+	// panel-count threshold the table rolls generations whose classes the
+	// next such request integrates again (ROADMAP item 16). Measured there
+	// (2 vCPU, one client) with one-shot plans released: op_s 2.2 ms, peak
+	// RSS 59 MB, 107 MB while every cached plan kept its matrix, and 15 MB
+	// of live heap after a collection, the table included. At 2^16 classes
+	// were dropped before their H value came round again: 5.2 ms against
+	// 3.4-3.8 ms when the two bounds were last compared. A constant, not a
+	// setting: no caller has asked for another.
 	return &Engine{opt: opt, pool: sched.NewPool(opt.Workers),
 		state: NewLRU(capEntries), pairs: assembly.NewPairCache(0)}
 }
@@ -175,6 +188,7 @@ func (e *Engine) Stats() Stats {
 	s.PairEntries = e.pairs.Len()
 	e.mu.Lock()
 	s.Fill = e.fill
+	s.PlansReleased = e.released
 	e.mu.Unlock()
 	s.PairMisses = uint64(s.Fill.ClassesIntegrated)
 	s.PairHits = uint64(s.Fill.PairsNear-s.Fill.PairMemo) - s.PairMisses
@@ -273,13 +287,34 @@ func (e *Engine) ExtractPipeline(st *geom.Structure, maxEdge float64, opt op.Opt
 // extraction never corrupts the cached family plan — the previous
 // variant's artifacts stay installed and the next request proceeds
 // normally. A nil ctx means context.Background().
+//
+// A cached plan always keeps its last geometry and result, so an
+// identical repeat is served without work for as long as the plan stays
+// in the state LRU. Its matrix, operator and block factors it keeps only
+// while they may serve a variant: when a request creates a plan for a new
+// family key, the engine's previous newest plan gives them up
+// (plan.Plan.Release, counted in Stats.PlansReleased) if it has installed
+// only one variant, since a family key seen once — serve_mix's cold
+// requests — rarely comes back with another geometry. A plan with two or
+// more variants keeps them until the LRU evicts it, and a released family
+// that does come back builds its next variant from scratch once, seeded
+// with the kept charges.
 func (e *Engine) ExtractPipelineCtx(ctx context.Context, st *geom.Structure, maxEdge float64, opt op.Options) (*plan.Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
 	v, _, err := e.state.GetOrCompute(FamilyKey(st, maxEdge, opt), func() (any, error) {
-		return plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: opt,
+		p, err := plan.New(plan.Options{MaxEdge: maxEdge, Pipeline: opt,
 			Exec: e.PlanExec(), Artifacts: e.opt.Artifacts, Pairs: e.pairs})
+		if err == nil {
+			e.mu.Lock()
+			if e.newest != nil && e.newest.Release() {
+				e.released++
+			}
+			e.newest = p
+			e.mu.Unlock()
+		}
+		return p, err
 	})
 	if err != nil {
 		return nil, err

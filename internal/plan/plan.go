@@ -82,6 +82,24 @@
 // scratch (Stats.DenseReused does not grow), and gets every result bit a
 // fresh plan would.
 //
+// # Release
+//
+// A plan keeps two kinds of state. Its geometry snapshot and Result are
+// what an identical repeat returns and what the next variant is diffed
+// against and seeded with; they stay as long as the plan does. Its
+// reusable stages — the dense matrix, the fmm or pfft operator with its
+// near field, the block factors — serve only the next variant, and an
+// owner of many plans that expects no next variant (the batch engine,
+// for a family that has installed one variant and is no longer its
+// newest) gives them up with Release. The plan then behaves as after an
+// interrupted build: an identical repeat is still a cache hit with the
+// same *Result, and the next variant builds every stage as a fresh plan
+// would, its Krylov solve seeded with the kept charges.
+// Release never waits: a plan busy with a build gives its stages up when
+// that build ends, if it has still installed at most one variant then. A
+// plan that has installed two or more variants refuses the request and
+// keeps its stages.
+//
 // A Plan is safe for concurrent use but serializes extractions; for
 // concurrent sweeps, spread the variants over plans (extract.SweepH
 // keeps one plan per point being solved at once).
@@ -95,6 +113,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parbem/internal/assembly"
@@ -210,6 +229,11 @@ type Plan struct {
 	cfg   *kernel.Config
 	cur   *variant
 	stats Stats
+	// variants counts the variants installed; release is a Release not
+	// yet carried out. Both are read without mu, so that Release never
+	// waits on a build.
+	variants atomic.Int32
+	release  atomic.Bool
 }
 
 // variant is the cached state of the most recent geometry.
@@ -240,7 +264,7 @@ func New(opt Options) (*Plan, error) {
 // Stats returns a snapshot of the plan's build/reuse counters.
 func (p *Plan) Stats() Stats {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	return p.stats
 }
 
@@ -271,7 +295,7 @@ func (p *Plan) ExtractFillCtx(ctx context.Context, st *geom.Structure) (*Result,
 		ctx = context.Background()
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	p.stats.Extracts++
 	if err := st.Validate(); err != nil {
 		return nil, assembly.FillStats{}, err
@@ -284,6 +308,54 @@ func (p *Plan) ExtractFillCtx(ctx context.Context, st *geom.Structure) (*Result,
 	res, err := p.build(ctx, st, &fill)
 	p.stats.ClassesIntegrated += fill.ClassesIntegrated
 	return res, fill, err
+}
+
+// Release asks the plan to give up its reusable stages (see "Release").
+// It reports whether the plan took the request: false once it has
+// installed two or more variants. It never waits: when another call holds
+// the plan, that call drops the stages as it lets go (see unlock) — a
+// build once it has ended, if it left the plan at most one variant.
+func (p *Plan) Release() bool {
+	if p.variants.Load() > 1 {
+		return false
+	}
+	p.release.Store(true)
+	if p.mu.TryLock() {
+		p.unlock()
+	}
+	return true
+}
+
+// Holds reports whether the plan holds reusable stages of its current
+// variant: a dense matrix, an fmm or pfft operator, or block factors. It
+// waits for a build in progress.
+func (p *Plan) Holds() bool {
+	p.mu.Lock()
+	defer p.unlock()
+	c := p.cur
+	return c != nil && (c.dense != nil || c.fmmOp != nil || c.pfftOp != nil || c.factors != nil)
+}
+
+// unlock releases p.mu, first carrying out a Release taken while it was
+// held. A Release that arrives between that check and the unlock found
+// the lock held and left the drop to this holder, which therefore looks
+// again afterwards.
+func (p *Plan) unlock() {
+	for {
+		if p.release.Load() && p.cur != nil {
+			if p.variants.Load() <= 1 {
+				c := p.cur
+				c.dense, c.fmmOp, c.pfftOp, c.factors = nil, nil, nil, nil
+			}
+			p.release.Store(false)
+		}
+		p.mu.Unlock()
+		// A variant to act on (the request of a plan with none waits for
+		// its first build) and no other holder to leave it to.
+		if !p.release.Load() || p.variants.Load() == 0 || !p.mu.TryLock() {
+			return
+		}
+	}
 }
 
 // build runs the staged chain for a new geometry variant, adding the pair
@@ -528,6 +600,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 
 	nv.res = res
 	p.cur = nv
+	p.variants.Add(1)
 	return res, nil
 }
 

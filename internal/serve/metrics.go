@@ -40,6 +40,7 @@ import (
 //	parbem_engine_state_hits_total / _misses_total counters
 //	parbem_engine_pair_hits_total / _misses_total  counters
 //	parbem_engine_pair_entries                gauge
+//	parbem_engine_plans_released_total        counter
 //	parbem_artifact_entries / parbem_artifact_bytes gauges
 //	parbem_artifact_local_hits_total /
 //	parbem_artifact_peer_hits_total /
@@ -228,6 +229,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter(&b, "parbem_engine_pair_sequential_total", "Symmetry-class table hits served next to the sweep's last hit in the table's log, without the index.", uint64(st.Engine.Fill.PairSequential))
 	writeCounter(&b, "parbem_engine_pair_memo_total", "Near pairs of the block fills (template fills and dense panel assembly) served by their block's memo, without a table lookup.", uint64(st.Engine.Fill.PairMemo))
 	writeGauge(&b, "parbem_engine_pair_entries", "Symmetry classes held by the engine's table.", float64(st.Engine.PairEntries))
+	writeCounter(&b, "parbem_engine_plans_released_total", "Pipeline plans that gave up their matrices, operators and factors when a newer plan was created while they had installed at most one variant.", st.Engine.PlansReleased)
 
 	if a := st.Artifacts; a != nil {
 		writeGauge(&b, "parbem_artifact_entries", "Resident artifacts in the persistent store.", float64(a.Entries))

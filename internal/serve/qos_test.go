@@ -384,6 +384,15 @@ func TestServeMetricsAgreesWithStats(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
+	// Two one-shot family keys (the edge moved in its fourth digit): the
+	// second one's plan releases the first's, which has one variant; the
+	// first finds the family plan with three and leaves it alone.
+	for _, edge := range []float64{0.5e-6 * (1 + 1e-4), 0.5e-6 * (1 + 2e-4)} {
+		if _, err := c.Extract(ctx, &ExtractRequest{
+			Geometry: geoText(t, crossingAt(0.5e-6)), EdgeM: edge, Backend: "dense"}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	resp, err := http.Get(c.BaseURL + "/metrics")
 	if err != nil {
@@ -402,6 +411,9 @@ func TestServeMetricsAgreesWithStats(t *testing.T) {
 	if st.Engine.Fill.PairMemo == 0 {
 		t.Error("dense extracts of the crossing pair: no near pair served by a block memo")
 	}
+	if st.Engine.PlansReleased != 1 {
+		t.Errorf("%d plans released after two one-shot family keys, want 1", st.Engine.PlansReleased)
+	}
 
 	for name, want := range map[string]uint64{
 		"parbem_jobs_accepted_total":              st.Accepted,
@@ -419,6 +431,7 @@ func TestServeMetricsAgreesWithStats(t *testing.T) {
 		"parbem_engine_pair_misses_total":         st.Engine.PairMisses,
 		"parbem_engine_pair_sequential_total":     uint64(st.Engine.Fill.PairSequential),
 		"parbem_engine_pair_memo_total":           uint64(st.Engine.Fill.PairMemo),
+		"parbem_engine_plans_released_total":      st.Engine.PlansReleased,
 		"parbem_bad_requests_total":               st.BadRequests,
 		"parbem_jobs_rejected_queue_full_total":   st.RejectedQueueFull,
 		"parbem_jobs_rejected_rate_limited_total": st.RejectedRateLimited,

@@ -167,7 +167,12 @@ type Options struct {
 	// TenantRate 0 disables tenant limiting.
 	TenantRate  float64
 	TenantBurst int
-	// CacheEntries sizes the engine's state LRU (0 = engine default).
+	// CacheEntries sizes the engine's state LRU (0 = engine default, 64):
+	// template basis sets and family plans. Every cached plan keeps its
+	// last geometry and result, so an identical repeat costs no solve; a
+	// plan keeps its matrix, operator and factors only while it is the
+	// newest or once it has served two variants (batch.Engine's
+	// ExtractPipelineCtx).
 	CacheEntries int
 	// DefaultPrecision is the matvec arithmetic applied to requests that
 	// leave their precision selector empty or "auto" (capxd -precision).
