@@ -48,32 +48,31 @@
 //
 // # Running a replica set
 //
-// Several capxd replicas can share work without shared storage. Each
-// replica persists the expensive solver by-products — near-field
+// Each replica persists the expensive solver by-products — near-field
 // matrix values and preconditioner factors, keyed by a content hash of
-// geometry and solve options — in a disk artifact store under
-// <data-dir>/artifacts (size-bounded by -artifact-max-bytes, LRU).
-// With -peers set to the sibling replicas' base URLs, a replica that
-// misses locally fetches the artifact from the first peer that holds
-// it (GET /artifacts/{key}) before falling back to computing it, so a
-// cold replica joining a warm set skips most integration work:
+// geometry and solve options — in its own disk artifact store under
+// <data-dir>/artifacts (size-bounded by -artifact-max-bytes, LRU), so a
+// restarted replica skips the integration work of the families it has
+// built before. Replicas share no storage and fetch nothing from each
+// other:
 //
-//	capxd -addr :8437 -data-dir /var/lib/capxd-a -peers http://b:8437,http://c:8437
-//	capxd -addr :8437 -data-dir /var/lib/capxd-b -peers http://a:8437,http://c:8437
+//	capxd -addr :8437 -data-dir /var/lib/capxd-a
+//	capxd -addr :8437 -data-dir /var/lib/capxd-b
 //
-// A thin coordinator in front of the set maximizes those cache hits:
-// capxd -route runs no engine at all — it consistent-hashes each
-// request's geometry-family key over -peers and forwards to the owning
-// replica, so every variant of a family lands where its plans and
-// artifacts are already warm. The coordinator fails over to ring
-// successors (with backoff) when the owner is down or shedding, and
-// fans GET /jobs/{id} out to all replicas:
+// A thin coordinator in front of the set keeps their caches warm: capxd
+// -route runs no engine at all — it consistent-hashes each request's
+// geometry-family key over the replicas listed in -peers and forwards
+// to the owning replica, so every variant of a family lands where its
+// plans and artifacts are already warm. The coordinator fails over to
+// ring successors (with backoff) when the owner is down or shedding —
+// the family then rebuilds on its new owner — and fans GET /jobs/{id}
+// out to all replicas:
 //
-//	capxd -route -addr :8400 -peers http://a:8437,http://b:8437,http://c:8437
+//	capxd -route -addr :8400 -peers http://a:8437,http://b:8437
 //
 // Clients talk to the coordinator exactly as they would to a replica;
 // its /stats and /metrics expose forwarding and failover counters
-// instead of engine state.
+// instead of engine state. -peers without -route is an error.
 //
 // # Precision
 //
@@ -140,7 +139,7 @@ func run(args []string) int {
 		maxPanels    = fs.Int("maxpanels", 0, "per-request estimated panel cap (0 = default 200000)")
 		history      = fs.Int("jobhistory", 0, "finished jobs kept for GET /jobs/{id} (0 = default 256)")
 		dataDir      = fs.String("data-dir", "", "durable job journal directory (empty = no persistence)")
-		peers        = fs.String("peers", "", "comma-separated sibling replica base URLs (artifact fetch; with -route, the replica set)")
+		peers        = fs.String("peers", "", "with -route: comma-separated replica base URLs, the replica set")
 		route        = fs.Bool("route", false, "coordinator mode: run no engine, consistent-hash /extract and /sweep over -peers")
 		artifactMax  = fs.Int64("artifact-max-bytes", 0, "artifact store size budget under <data-dir>/artifacts (0 = 1 GiB)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT before running jobs are interrupted")
@@ -149,6 +148,11 @@ func run(args []string) int {
 		faults       = fs.String("faults", os.Getenv("CAPXD_FAULTS"), "fault-injection spec, e.g. journal.sync@3:crash (testing only)")
 	)
 	fs.Parse(args)
+
+	if *peers != "" && !*route {
+		log.Print("capxd: -peers lists the replica set of a -route coordinator; a replica takes no peers")
+		return 2
+	}
 
 	defPrec, err := parbem.ParsePrecision(*precision)
 	if err != nil {
@@ -206,7 +210,6 @@ func run(args []string) int {
 		DataDir:          *dataDir,
 		ArtifactDir:      artifactDir,
 		ArtifactMaxBytes: *artifactMax,
-		Peers:            splitPeers(*peers),
 		DefaultPrecision: defPrec,
 		Logf:             log.Printf,
 		Limits: serve.Limits{

@@ -379,3 +379,18 @@ func TestCapxdSigtermDrain(t *testing.T) {
 			state, journal.StateCompleted, d.logs)
 	}
 }
+
+// TestCapxdPeersNeedRoute: -peers names a coordinator's replica set, so
+// a replica given -peers without -route exits 2 and says why instead of
+// running with a list it would never read.
+func TestCapxdPeersNeedRoute(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-peers", "http://127.0.0.1:1")
+	cmd.Env = append(os.Environ(), "CAPXD_TEST_CHILD=1")
+	out, err := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 2 {
+		t.Fatalf("capxd -peers without -route exited %d (%v), want 2; output:\n%s", code, err, out)
+	}
+	if !strings.Contains(string(out), "-route") {
+		t.Errorf("capxd -peers without -route does not say why; output:\n%s", out)
+	}
+}

@@ -21,12 +21,12 @@
 // smoke run with no process orchestration.
 //
 // -replicas N (in-process only) embeds N servers instead of one, each
-// with its own journal and artifact directory and the others as
-// artifact peers, behind an embedded consistent-hash coordinator
-// (capxd -route) — the whole replica-set topology in one process. The
-// workers drive the coordinator, and the summary adds the aggregate
-// cross-replica artifact traffic, so CI can smoke the peer-fetch and
-// routing paths with zero orchestration.
+// with its own journal and artifact directory, behind an embedded
+// consistent-hash coordinator (capxd -route) — the whole replica-set
+// topology in one process. The workers drive the coordinator, and the
+// summary adds the coordinator's forwarding and failover counters and
+// the replicas' summed artifact hits and misses, so CI can smoke the
+// routing path with zero orchestration.
 //
 // -chaos (in-process only) turns the run into a resilience smoke: a
 // chaos goroutine drains, closes and reopens the embedded server on the
@@ -187,11 +187,10 @@ type summary struct {
 	Retried      int `json:"retried,omitempty"`
 	HonoredWaits int `json:"honored_waits,omitempty"`
 	Restarts     int `json:"restarts,omitempty"`
-	// Replica-set tallies (-replicas > 1): aggregate artifact traffic
-	// across the set and the coordinator's forwarding counters.
+	// Replica-set tallies (-replicas > 1): artifact store traffic summed
+	// over the set and the coordinator's forwarding counters.
 	Replicas        int    `json:"replicas,omitempty"`
-	ArtifactLocal   uint64 `json:"artifact_local_hits,omitempty"`
-	ArtifactPeer    uint64 `json:"artifact_peer_hits,omitempty"`
+	ArtifactHits    uint64 `json:"artifact_hits,omitempty"`
 	ArtifactMisses  uint64 `json:"artifact_misses,omitempty"`
 	RouterForwarded uint64 `json:"router_forwarded,omitempty"`
 	RouterFailovers uint64 `json:"router_failovers,omitempty"`
@@ -261,42 +260,27 @@ func main() {
 		router      *serve.Router
 	)
 	if *inproc && *replicas > 1 {
-		// Listeners first (their URLs seed each replica's peer list and
-		// the ring), handlers swapped in once the servers exist.
-		sws := make([]*swapHandler, *replicas)
-		urls := make([]string, *replicas)
-		for i := range sws {
-			sws[i] = &swapHandler{}
-			sws[i].set(http.NotFoundHandler())
-			ts := httptest.NewServer(sws[i])
-			defer ts.Close()
-			urls[i] = ts.URL
-		}
+		var urls []string
 		for i := 0; i < *replicas; i++ {
 			dir, err := os.MkdirTemp("", fmt.Sprintf("capxload-replica%d-", i))
 			if err != nil {
 				log.Fatalf("capxload: %v", err)
 			}
 			defer os.RemoveAll(dir)
-			var peers []string
-			for j, u := range urls {
-				if j != i {
-					peers = append(peers, u)
-				}
-			}
 			s, err := serve.Open(serve.Options{
 				Workers: *workers, WorkerBudget: *budget,
 				Runners: *runners, QueueDepth: *queue, TenantRate: *rate,
 				DataDir:     dir,
 				ArtifactDir: filepath.Join(dir, "artifacts"),
-				Peers:       peers,
 			})
 			if err != nil {
 				log.Fatalf("capxload: replica %d: %v", i, err)
 			}
 			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 			replicaSrvs = append(replicaSrvs, s)
-			sws[i].set(s.Handler())
+			urls = append(urls, ts.URL)
 		}
 		rt, err := serve.NewRouter(serve.RouterOptions{Replicas: urls})
 		if err != nil {
@@ -453,8 +437,7 @@ func main() {
 		sum.RouterFailovers = rst.Failovers
 		for _, s := range replicaSrvs {
 			if a := s.Stats().Artifacts; a != nil {
-				sum.ArtifactLocal += a.LocalHits
-				sum.ArtifactPeer += a.PeerHits
+				sum.ArtifactHits += a.Hits
 				sum.ArtifactMisses += a.Misses
 			}
 		}
@@ -479,9 +462,9 @@ func main() {
 				sum.Retried, sum.HonoredWaits, sum.Restarts)
 		}
 		if sum.Replicas > 0 {
-			fmt.Printf("  replica set: %d replicas, %d forwarded (%d failovers), artifacts: %d local / %d peer hits, %d misses\n",
+			fmt.Printf("  replica set: %d replicas, %d forwarded (%d failovers), artifacts: %d hits, %d misses\n",
 				sum.Replicas, sum.RouterForwarded, sum.RouterFailovers,
-				sum.ArtifactLocal, sum.ArtifactPeer, sum.ArtifactMisses)
+				sum.ArtifactHits, sum.ArtifactMisses)
 		}
 	}
 	// Saturation outcomes (rejections, deadline expiries) are data, not

@@ -50,8 +50,7 @@ const magic = "PBART1\r\n"
 // suffix is the entry file extension.
 const suffix = ".art"
 
-// maxKeyLen bounds key length: keys are file names and URL path
-// segments of the peer protocol.
+// maxKeyLen bounds key length: keys are file names.
 const maxKeyLen = 128
 
 // MaxEntryBytes caps one entry's payload (a defense against framing
@@ -61,10 +60,9 @@ const MaxEntryBytes = 256 << 20
 // castagnoli is the CRC-32C table (matches serve/journal framing).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ValidKey reports whether key is safe as an entry name and a peer-
-// protocol path segment: 1-128 chars of lowercase hex plus '-' and '.'
-// separators, not starting with '.' or '-' (no dotfiles, no flag-like
-// names, no path traversal).
+// ValidKey reports whether key is safe as an entry name: 1-128 chars of
+// lowercase hex plus '-' and '.' separators, not starting with '.' or
+// '-' (no dotfiles, no flag-like names, no path traversal).
 func ValidKey(key string) bool {
 	if len(key) == 0 || len(key) > maxKeyLen {
 		return false
@@ -379,13 +377,6 @@ func (s *Store) evictFor(key string, size int64) {
 		s.logf("artifact: evicting %s (LRU, budget %d bytes)", k, s.maxBytes)
 		os.Remove(s.path(k))
 	}
-}
-
-// Len returns the number of resident entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
 }
 
 // Bytes returns the resident payload bytes.

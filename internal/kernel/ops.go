@@ -89,9 +89,9 @@ var FourPiEps0 = FourPi * eps0
 // ArithVersion names the arithmetic behind every value this package
 // returns (the logarithm, the pairing of corners). It is part of every
 // content-addressed key over kernel values — class tables, plan artifacts
-// on disk or fetched from peers, plan family keys — and must change with
-// any edit that can move a result by even one bit, so that values of one
-// arithmetic are never adopted by another. 1 and 2 were the two
+// on disk, plan family keys — and must change with any edit that can move
+// a result by even one bit, so that values of one arithmetic are never
+// adopted by another. 1 and 2 were the two
 // elementary-function providers of the releases before it existed.
 const ArithVersion = 3
 

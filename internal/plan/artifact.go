@@ -1,9 +1,8 @@
 // Artifact persistence: the plan's expensive stage artifacts — the
 // near-field values (dense matrix, FMM CSR values, pFFT precorrection
 // rows) and the preconditioner's block LDLᵀ factors — survive
-// process restarts and travel between replicas through an ArtifactStore
-// (internal/artifact on disk, fronted by a peer-fetching resolver in
-// internal/serve).
+// process restarts through an ArtifactStore (internal/artifact on
+// disk).
 //
 // The store is content-addressed: the key is a sha256 over the exact
 // inputs that determine the artifact bit-for-bit — panelization edge,
@@ -45,10 +44,10 @@ import (
 // ArtifactStore is the persistence hook a Plan reads stage artifacts
 // through before building and writes through after. Implementations
 // must be safe for concurrent use and are free to drop entries (LRU
-// budget, corruption, peer miss): Get returning ok=false simply costs a
-// fresh build, and Put is fire-and-forget (a failed write is the
+// budget, corruption): Get returning ok=false simply costs a fresh
+// build, and Put is fire-and-forget (a failed write is the
 // implementation's to log). internal/artifact provides the disk-backed
-// implementation; internal/serve layers peer fetching on top.
+// store; internal/serve adapts it, logging failed writes.
 type ArtifactStore interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, data []byte)
@@ -82,10 +81,9 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 }
 
 // artifactSchema opens every family hash: the version of what an artifact
-// holds, so that an artifact written by a build that computed or laid it
-// out otherwise — on disk or in a peer's store — is a miss, never adopted.
-// The arithmetic of its kernel values is the configuration fingerprint's
-// to name. ("pba1" was followed by an elementary-function provider tag;
+// holds, so that an artifact on disk written by a build that computed or
+// laid it out otherwise is a miss, never adopted. The arithmetic of its
+// kernel values is the configuration fingerprint's to name. ("pba1" was followed by an elementary-function provider tag;
 // "pba2" near fields — dense, fmm and pfft alike — held each pair's
 // integral at its absolute coordinates, where "pba3" holds the value of
 // the pair's symmetry class; "pba3" hashed the kernel configuration field

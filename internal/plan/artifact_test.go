@@ -250,8 +250,7 @@ func TestPlanArtifactLengthMismatchDegrades(t *testing.T) {
 // TestPlanArtifactOldArithmeticNeverAdopted plants, under the family key
 // an older build computed for the same request, a well-formed near-field
 // artifact of the right shape with wrong values — what a disk store kept
-// across an upgrade, or a peer still running the old build, would hand
-// back. The older builds: the one from before kernel.ArithVersion ("pba1"
+// across an upgrade would hand back. The older builds: the one from before kernel.ArithVersion ("pba1"
 // and its standard-provider tag); the "pba2" ones, whose near-field values
 // were integrated at each pair's absolute coordinates where this build
 // stores symmetry-class values; the "pba3" ones, which encoded the kernel
@@ -329,7 +328,7 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 // TestPlanArtifactImplausibleValuesNeverAdopted plants, under the family's
 // own key, a dense near field of the right order that this build does not
 // produce — NaNs, or the full matrix a "pba6" build shipped — as a
-// corrupted disk or a faulty peer could hand back. The plan must count a
+// corrupted disk could hand back. The plan must count a
 // miss, build afresh, store the good payload over the bad one and return
 // C bitwise equal to a build without a store.
 func TestPlanArtifactImplausibleValuesNeverAdopted(t *testing.T) {

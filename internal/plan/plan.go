@@ -141,9 +141,8 @@ type Options struct {
 	// Artifacts optionally supplies a persistent stage-artifact store
 	// (see artifact.go): near-field values and block factors are read
 	// through it before building and written through after, so a
-	// restarted or freshly-started process skips the integration cost
-	// for families it (or a peer) has built before. Nil disables
-	// persistence.
+	// restarted process skips the integration cost for families it
+	// built before. Nil disables persistence.
 	Artifacts ArtifactStore
 	// Pairs optionally supplies the symmetry-class table every exact
 	// panel-pair integral of the plan's builds is read from and added to

@@ -71,11 +71,10 @@ func benchWarm(b *testing.B, ctx context.Context, req *ExtractRequest, opt Optio
 // BenchmarkReplicaColdJoin is the number behind ROADMAP item 8: what one
 // request for a family costs a replica that has never seen it, by where
 // the stage artifacts come from. Per shape: "cold" builds everything and
-// keeps nothing; "write-through" builds everything and persists it (the
-// price of having a store); "peer" is a fresh replica with an empty
-// store beside a warm peer (the failover case: one HTTP fetch per
-// artifact over loopback); "disk" is a replica restarted over the store
-// it filled before. Only the request is timed, not the server start.
+// keeps nothing — what a family costs its new owner after a failover;
+// "write-through" builds everything and persists it (the price of
+// having a store); "disk" is a replica restarted over the store it
+// filled before. Only the request is timed, not the server start.
 func BenchmarkReplicaColdJoin(b *testing.B) {
 	ctx := context.Background()
 	for _, sh := range []struct {
@@ -125,15 +124,6 @@ func BenchmarkReplicaColdJoin(b *testing.B) {
 		})
 		b.Run(sh.name+"/write-through", func(b *testing.B) {
 			each(b, func() Options { return Options{ArtifactDir: b.TempDir()} })
-		})
-		b.Run(sh.name+"/peer", func(b *testing.B) {
-			warm, wts := once(b, Options{ArtifactDir: b.TempDir()})
-			defer warm.Close()
-			defer wts.Close()
-			b.ResetTimer()
-			each(b, func() Options {
-				return Options{ArtifactDir: b.TempDir(), Peers: []string{wts.URL}}
-			})
 		})
 		b.Run(sh.name+"/disk", func(b *testing.B) {
 			dir := b.TempDir()

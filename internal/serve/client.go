@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	mrand "math/rand"
 	"net/http"
 	"strconv"
@@ -123,10 +124,11 @@ func (c *Client) do(ctx context.Context, mk func() (*http.Request, error)) (*htt
 // attempt count can never overflow into a negative Duration), capped at
 // maxWait, then jittered down by up to 50% so a fleet of rejected
 // clients does not re-arrive in lockstep. Server Retry-After advice
-// overrides the backoff when longer (honored=true), but every outcome —
+// overrides the backoff when longer, and advice at or above maxWait is
+// always honored at maxWait (honored=true), but every outcome —
 // including zero, negative or malformed advice, which parses as 0 — is
 // clamped into [floor, maxWait] where floor is half the base delay: a
-// misbehaving peer can slow this client down, never spin it into a hot
+// misbehaving server can slow this client down, never spin it into a hot
 // retry loop.
 func backoffWait(base, maxWait time.Duration, attempt int, advice time.Duration) (wait time.Duration, honored bool) {
 	wait = base
@@ -141,7 +143,7 @@ func backoffWait(base, maxWait time.Duration, attempt int, advice time.Duration)
 		wait = maxWait
 	}
 	wait = wait/2 + time.Duration(mrand.Int63n(int64(wait/2)+1))
-	if advice > wait {
+	if advice > wait || advice >= maxWait {
 		honored = true
 		wait = advice
 	}
@@ -185,7 +187,7 @@ func retryable(err error) bool {
 func retryAfterOf(err error) time.Duration {
 	var re *RequestError
 	if errors.As(err, &re) && re.RetryAfterSec > 0 {
-		return time.Duration(re.RetryAfterSec * float64(time.Second))
+		return secondsDuration(re.RetryAfterSec)
 	}
 	var herr *httpStatusError
 	if errors.As(err, &herr) {
@@ -255,16 +257,24 @@ func decodeError(resp *http.Response) error {
 }
 
 // parseRetryAfter reads a delay-seconds Retry-After value (the only
-// form capxd emits; HTTP-date forms are ignored).
+// form capxd emits; HTTP-date forms are ignored). A value past int64
+// saturates like one past time.Duration's range.
 func parseRetryAfter(v string) time.Duration {
-	if v == "" {
+	sec, err := strconv.ParseInt(v, 10, 64)
+	if sec <= 0 || (err != nil && !errors.Is(err, strconv.ErrRange)) {
 		return 0
 	}
-	sec, err := strconv.Atoi(v)
-	if err != nil || sec < 0 {
-		return 0
+	return secondsDuration(float64(sec))
+}
+
+// secondsDuration converts positive seconds of advice to a Duration,
+// saturating at the largest one instead of overflowing into a negative
+// or short wait.
+func secondsDuration(sec float64) time.Duration {
+	if ns := sec * float64(time.Second); ns < math.MaxInt64 {
+		return time.Duration(ns)
 	}
-	return time.Duration(sec) * time.Second
+	return math.MaxInt64
 }
 
 // newIdemKey generates a random idempotency key for an async submit.

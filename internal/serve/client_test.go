@@ -1,13 +1,14 @@
 package serve
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
 // TestBackoffWaitClamps pins the retry-wait guarantees: every wait —
 // whatever the attempt count or server advice — lands in
-// [BaseDelay/2, MaxDelay], so a misbehaving peer can never induce a hot
+// [BaseDelay/2, MaxDelay], so a misbehaving server can never induce a hot
 // retry loop (zero/negative/malformed Retry-After) and a huge attempt
 // count can never overflow into a negative (panicking) wait.
 func TestBackoffWaitClamps(t *testing.T) {
@@ -90,5 +91,40 @@ func TestParseRetryAfterMalformed(t *testing.T) {
 	wait, honored := backoffWait(100*time.Millisecond, 10*time.Second, 1, parseRetryAfter("0"))
 	if honored || wait < 50*time.Millisecond {
 		t.Errorf("zero Retry-After produced wait %v (honored %v)", wait, honored)
+	}
+}
+
+// TestRetryAdviceSaturates pins advice past time.Duration's range: a
+// header or a structured retry_after_sec whose nanoseconds overflow
+// int64 saturates, so the server asking for a longer wait gets MaxDelay
+// (honored) — never a negative or short wait that falls back to the
+// jittered backoff.
+func TestRetryAdviceSaturates(t *testing.T) {
+	const base, maxWait = 100 * time.Millisecond, 10 * time.Second
+	for _, tc := range []struct {
+		name   string
+		advice time.Duration
+	}{
+		{"header 3600", parseRetryAfter("3600")},
+		{"header 9223372037", parseRetryAfter("9223372037")},
+		{"header 18446744074", parseRetryAfter("18446744074")},
+		{"header past int64", parseRetryAfter("99999999999999999999")},
+		{"retry_after_sec 9.3e9", retryAfterOf(&RequestError{Code: CodeQueueFull, RetryAfterSec: 9.3e9})},
+		{"retry_after_sec 1e300", retryAfterOf(&RequestError{Code: CodeQueueFull, RetryAfterSec: 1e300})},
+	} {
+		if tc.advice < time.Hour {
+			t.Errorf("%s: advice %v, want at least the 1h of Retry-After: 3600", tc.name, tc.advice)
+		}
+		for attempt := 1; attempt <= 40; attempt += 13 {
+			if wait, honored := backoffWait(base, maxWait, attempt, tc.advice); wait != maxWait || !honored {
+				t.Errorf("%s, attempt %d: wait %v honored %v, want %v true", tc.name, attempt, wait, honored, maxWait)
+			}
+		}
+	}
+	if d := parseRetryAfter("9223372037"); d != math.MaxInt64 {
+		t.Errorf("parseRetryAfter(9223372037) = %v, want the largest Duration", d)
+	}
+	if d := parseRetryAfter("-99999999999999999999"); d != 0 {
+		t.Errorf("parseRetryAfter of a negative past int64 = %v, want 0", d)
 	}
 }

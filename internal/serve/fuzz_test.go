@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"io"
+	"net/http"
 	"testing"
+	"time"
 )
 
 // FuzzDecodeRequest drives arbitrary bytes through both request decode
@@ -79,6 +82,39 @@ func FuzzDecodeRequest(f *testing.F) {
 					t.Fatalf("accepted non-finite template separation %v", h)
 				}
 			}
+		}
+	})
+}
+
+// FuzzRetryAdvice drives any status, Retry-After header and body through
+// the client's retry path — decodeError, retryAfterOf, backoffWait —
+// and checks the wait's contract: it lies in [min(base/2, maxWait),
+// maxWait] whatever the server sends, and advice at or above maxWait is
+// honored at exactly maxWait.
+func FuzzRetryAdvice(f *testing.F) {
+	f.Add(429, "3", []byte(`{"error":{"code":"queue_full","message":"full","retry_after_sec":2}}`), uint16(1))
+	f.Add(503, "", []byte(`{"error":{"code":"draining","message":"bye","retry_after_sec":9.3e9}}`), uint16(2))
+	f.Add(503, "9223372037", []byte(`upstream gone`), uint16(1))
+	f.Add(429, "18446744074", []byte(`{"error":{"code":"rate_limited","message":"slow"}}`), uint16(3))
+	f.Add(503, "99999999999999999999", []byte(``), uint16(60))
+	f.Add(429, "-3", []byte(`{"error":{"code":"queue_full","retry_after_sec":-1}}`), uint16(1))
+	f.Add(500, "Tue, 29 Feb", []byte(`{"error":null}`), uint16(9))
+	f.Add(429, "0", []byte(`{"error":{"code":"queue_full","retry_after_sec":1e-12}}`), uint16(1))
+
+	const base, maxWait = 100 * time.Millisecond, 10 * time.Second
+	f.Fuzz(func(t *testing.T, status int, header string, body []byte, attempt uint16) {
+		resp := &http.Response{
+			StatusCode: status,
+			Header:     http.Header{"Retry-After": {header}},
+			Body:       io.NopCloser(bytes.NewReader(body)),
+		}
+		advice := retryAfterOf(decodeError(resp))
+		wait, honored := backoffWait(base, maxWait, int(attempt)+1, advice)
+		if floor := min(base/2, maxWait); wait < floor || wait > maxWait {
+			t.Fatalf("wait %v outside [%v, %v] (advice %v)", wait, floor, maxWait, advice)
+		}
+		if advice >= maxWait && (wait != maxWait || !honored) {
+			t.Fatalf("advice %v: wait %v honored %v, want %v true", advice, wait, honored, maxWait)
 		}
 	})
 }

@@ -42,11 +42,9 @@ import (
 //	parbem_engine_pair_entries                gauge
 //	parbem_engine_plans_released_total        counter
 //	parbem_artifact_entries / parbem_artifact_bytes gauges
-//	parbem_artifact_local_hits_total /
-//	parbem_artifact_peer_hits_total /
+//	parbem_artifact_hits_total /
 //	parbem_artifact_misses_total /
 //	parbem_artifact_puts_total /
-//	parbem_artifact_peer_errors_total /
 //	parbem_artifact_evictions_total /
 //	parbem_artifact_corrupt_total             counters (ArtifactDir set)
 //	parbem_queue_wait_seconds{class=}         histogram
@@ -234,11 +232,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if a := st.Artifacts; a != nil {
 		writeGauge(&b, "parbem_artifact_entries", "Resident artifacts in the persistent store.", float64(a.Entries))
 		writeGauge(&b, "parbem_artifact_bytes", "Resident artifact payload bytes.", float64(a.Bytes))
-		writeCounter(&b, "parbem_artifact_local_hits_total", "Stage artifacts served from the local disk store.", a.LocalHits)
-		writeCounter(&b, "parbem_artifact_peer_hits_total", "Stage artifacts fetched from a replica peer.", a.PeerHits)
-		writeCounter(&b, "parbem_artifact_misses_total", "Stage artifact lookups that missed everywhere.", a.Misses)
+		writeCounter(&b, "parbem_artifact_hits_total", "Stage artifacts served from the disk store.", a.Hits)
+		writeCounter(&b, "parbem_artifact_misses_total", "Stage artifact lookups the disk store could not serve.", a.Misses)
 		writeCounter(&b, "parbem_artifact_puts_total", "Stage artifacts written through to the store.", a.Puts)
-		writeCounter(&b, "parbem_artifact_peer_errors_total", "Peer artifact fetches that failed (transport or non-200).", a.PeerErrors)
 		writeCounter(&b, "parbem_artifact_evictions_total", "Artifacts evicted by the size budget.", a.Evictions)
 		writeCounter(&b, "parbem_artifact_corrupt_total", "Artifacts dropped for failing frame verification.", a.Corrupt)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -19,23 +20,21 @@ import (
 	"parbem/internal/geom"
 )
 
-// replicaT is one in-process replica: a Server with its own artifact
-// directory behind an httptest listener.
+// replicaT is one in-process replica: a Server behind an httptest
+// listener.
 type replicaT struct {
 	srv *Server
 	ts  *httptest.Server
 }
 
-// openReplica starts a replica whose artifact store lives under a fresh
-// temp dir; peers is the sibling base URLs.
-func openReplica(t *testing.T, peers []string) *replicaT {
+// openReplica starts a replica over dataDir, its artifact store in
+// dataDir/artifacts as capxd lays it out.
+func openReplica(t *testing.T, dataDir string) *replicaT {
 	t.Helper()
-	dir := t.TempDir()
 	s, err := Open(Options{
 		Workers:     2,
-		DataDir:     dir,
-		ArtifactDir: filepath.Join(dir, "artifacts"),
-		Peers:       peers,
+		DataDir:     dataDir,
+		ArtifactDir: filepath.Join(dataDir, "artifacts"),
 	})
 	if err != nil {
 		t.Fatalf("opening replica: %v", err)
@@ -44,6 +43,14 @@ func openReplica(t *testing.T, peers []string) *replicaT {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return &replicaT{srv: s, ts: ts}
+}
+
+// close stops the replica: in-flight connections reset, the listener
+// goes away, the server shuts down.
+func (r *replicaT) close() {
+	r.ts.CloseClientConnections()
+	r.ts.Close()
+	r.srv.Close()
 }
 
 // barsN builds a structurally distinct family: n parallel bar
@@ -82,76 +89,88 @@ func metricValue(t *testing.T, body, name string) float64 {
 	return 0
 }
 
-// TestReplicaColdJoinPeerArtifacts is the core replica-set promise: a
-// cold replica joining a warm peer serves the same family without
-// redoing the expensive work — its plan adopts the peer's artifact
-// (visible as a cross-replica artifact hit in /stats and /metrics) and
-// the answer is numerically identical.
-func TestReplicaColdJoinPeerArtifacts(t *testing.T) {
-	warm := openReplica(t, nil)
+// TestReplicaRestartAdoptsDiskArtifacts is the artifact store's
+// service-level promise: a replica restarted over the artifact
+// directory of one that served a family adopts the stored stages
+// instead of integrating them again — visible as store hits on Stats,
+// GET /stats and /metrics — and answers with the same C.
+func TestReplicaRestartAdoptsDiskArtifacts(t *testing.T) {
+	dataDir := t.TempDir()
 	req := &ExtractRequest{Geometry: geoText(t, crossingAt(0.5e-6)), EdgeM: 0.5e-6, Backend: "dense"}
 
-	cw := NewClient(warm.ts.URL)
-	ref, err := cw.Extract(context.Background(), req)
+	first := openReplica(t, dataDir)
+	ref, err := NewClient(first.ts.URL).Extract(context.Background(), req)
 	if err != nil {
-		t.Fatalf("warming replica A: %v", err)
+		t.Fatalf("warming the first replica: %v", err)
 	}
-	ws := warm.srv.Stats()
-	if ws.Artifacts == nil || ws.Artifacts.Puts == 0 {
-		t.Fatalf("warm replica persisted no artifacts: %+v", ws.Artifacts)
+	if a := first.srv.Stats().Artifacts; a == nil || a.Puts == 0 {
+		t.Fatalf("first replica persisted no artifacts: %+v", a)
 	}
+	first.close()
 
-	cold := openReplica(t, []string{warm.ts.URL})
-	cc := NewClient(cold.ts.URL)
-	got, err := cc.Extract(context.Background(), req)
+	restarted := openReplica(t, dataDir)
+	c := NewClient(restarted.ts.URL)
+	got, err := c.Extract(context.Background(), req)
 	if err != nil {
-		t.Fatalf("extract on cold replica: %v", err)
+		t.Fatalf("extract on the restarted replica: %v", err)
 	}
 	if e := capError(got.CFarads, ref.CFarads); e > 1e-10 {
-		t.Errorf("cold-replica result diverges from warm: capError %g", e)
+		t.Errorf("restarted replica's result diverges from the first: capError %g", e)
 	}
 
-	st := cold.srv.Stats()
-	if st.Artifacts == nil {
-		t.Fatal("cold replica reports no artifact stats")
+	st := restarted.srv.Stats()
+	if st.Artifacts == nil || st.Artifacts.Hits < 1 {
+		t.Errorf("Stats().Artifacts = %+v, want hits >= 1 (the restart should read the stored stages)", st.Artifacts)
 	}
-	if st.Artifacts.PeerHits < 1 {
-		t.Errorf("peer_hits = %d, want >= 1 (cold replica should fetch from the warm peer)", st.Artifacts.PeerHits)
-	}
-
-	// The same hit must be visible through both observability surfaces.
+	// The same hits must be visible through both observability surfaces.
 	var stats Stats
-	if err := cc.get(context.Background(), "/stats", &stats); err != nil {
+	if err := c.get(context.Background(), "/stats", &stats); err != nil {
 		t.Fatalf("GET /stats: %v", err)
 	}
-	if stats.Artifacts == nil || stats.Artifacts.PeerHits < 1 {
-		t.Errorf("/stats artifacts = %+v, want peer_hits >= 1", stats.Artifacts)
+	if stats.Artifacts == nil || stats.Artifacts.Hits < 1 {
+		t.Errorf("/stats artifacts = %+v, want hits >= 1", stats.Artifacts)
 	}
-	resp, err := http.Get(cold.ts.URL + "/metrics")
+	resp, err := http.Get(restarted.ts.URL + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if v := metricValue(t, string(body), "parbem_artifact_peer_hits_total"); v < 1 {
-		t.Errorf("parbem_artifact_peer_hits_total = %g, want >= 1", v)
+	if v := metricValue(t, string(body), "parbem_artifact_hits_total"); v < 1 {
+		t.Errorf("parbem_artifact_hits_total = %g, want >= 1", v)
+	}
+
+	// A stored artifact is read by its own replica only: no route
+	// serves it to anyone else.
+	ents, err := os.ReadDir(filepath.Join(dataDir, "artifacts"))
+	if err != nil || len(ents) == 0 {
+		t.Fatalf("artifact directory: %d entries, %v", len(ents), err)
+	}
+	key := strings.TrimSuffix(ents[0].Name(), ".art")
+	resp, err = http.Get(restarted.ts.URL + "/artifacts/" + key)
+	if err != nil {
+		t.Fatalf("GET /artifacts/%s: %v", key, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /artifacts/%s: HTTP %d, want 404", key, resp.StatusCode)
 	}
 }
 
 // TestReplicaSetCoordinatorSoak runs the full topology under load: 3
-// artifact-peered replicas behind the consistent-hash coordinator,
-// several structurally distinct families in flight concurrently, one
-// replica killed mid-run. It asserts the three acceptance properties:
-// every routed result matches a direct single-server solve to 1e-10,
-// the kill costs zero failed client requests (the router absorbs it as
-// failovers), and cross-replica artifact traffic actually happened.
+// replicas behind the consistent-hash coordinator, several structurally
+// distinct families in flight concurrently, one replica killed mid-run.
+// It asserts that every routed result matches a direct single-server
+// solve to 1e-10, that the kill costs zero failed client requests (the
+// router absorbs it as failovers and the family rebuilds on its new
+// owner), and that a replica sent a family it does not own rebuilds it.
 func TestReplicaSetCoordinatorSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-replica soak is not a -short test")
 	}
 
 	// Direct reference solves from an isolated server: no artifacts, no
-	// peers, no router.
+	// router.
 	direct, err := Open(Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -186,39 +205,12 @@ func TestReplicaSetCoordinatorSoak(t *testing.T) {
 		families = append(families, f)
 	}
 
-	// The replica set: listeners first (their URLs seed the peer lists
-	// and the ring), handlers swapped in once the servers exist.
 	const nReplicas = 3
+	reps := make([]*replicaT, nReplicas)
 	urls := make([]string, nReplicas)
-	sws := make([]*swapServer, nReplicas)
-	for i := range sws {
-		sws[i] = &swapServer{}
-		ts := httptest.NewServer(sws[i])
-		t.Cleanup(ts.Close)
-		urls[i] = ts.URL
-		sws[i].ts = ts
-	}
-	servers := make([]*Server, nReplicas)
-	for i := range servers {
-		dir := t.TempDir()
-		var peers []string
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		s, err := Open(Options{
-			Workers:     2,
-			DataDir:     dir,
-			ArtifactDir: filepath.Join(dir, "artifacts"),
-			Peers:       peers,
-		})
-		if err != nil {
-			t.Fatalf("replica %d: %v", i, err)
-		}
-		t.Cleanup(s.Close)
-		servers[i] = s
-		sws[i].set(s.Handler())
+	for i := range reps {
+		reps[i] = openReplica(t, t.TempDir())
+		urls[i] = reps[i].ts.URL
 	}
 
 	rt, err := NewRouter(RouterOptions{
@@ -245,27 +237,24 @@ func TestReplicaSetCoordinatorSoak(t *testing.T) {
 		}
 	}
 
-	// Cold-replica cross-traffic: hit a non-owner replica directly for
-	// family 0, forcing it to fetch the owner's artifacts over the peer
-	// protocol.
+	// A family sent straight to a replica that does not own it is
+	// rebuilt there: the replica's store misses and is written through.
 	owner0 := rt.ring.owner(families[0].key)
-	for _, u := range urls {
-		if u != owner0 {
-			nc := NewClient(u)
-			if _, err := nc.Extract(context.Background(), families[0].req); err != nil {
-				t.Fatalf("cold non-owner extract: %v", err)
-			}
-			break
-		}
+	other := reps[0]
+	if other.ts.URL == owner0 {
+		other = reps[1]
 	}
-	var peerHits uint64
-	for _, s := range servers {
-		if a := s.Stats().Artifacts; a != nil {
-			peerHits += a.PeerHits
-		}
+	before := *other.srv.Stats().Artifacts
+	res, err := NewClient(other.ts.URL).Extract(context.Background(), families[0].req)
+	if err != nil {
+		t.Fatalf("non-owner extract: %v", err)
 	}
-	if peerHits == 0 {
-		t.Error("no cross-replica artifact hits after cold non-owner extract")
+	if e := capError(res.CFarads, families[0].ref); e > 1e-10 {
+		t.Errorf("non-owner result off by %g vs direct", e)
+	}
+	if after := other.srv.Stats().Artifacts; after.Misses <= before.Misses || after.Puts <= before.Puts {
+		t.Errorf("non-owner did not rebuild: artifact misses %d -> %d, puts %d -> %d",
+			before.Misses, after.Misses, before.Puts, after.Puts)
 	}
 
 	// Soak: concurrent routed extracts across all families while the
@@ -305,11 +294,8 @@ func TestReplicaSetCoordinatorSoak(t *testing.T) {
 					maxErr.Unlock()
 				}
 				if w == 0 && n == 1 {
-					// Kill the owner of family 1 mid-soak: in-flight
-					// connections reset, the listener goes away.
-					sws[victim].ts.CloseClientConnections()
-					sws[victim].ts.Close()
-					servers[victim].Close()
+					// Kill the owner of family 1 mid-soak.
+					reps[victim].close()
 					close(killed)
 				}
 				if n == 1 && w != 0 {
@@ -332,29 +318,4 @@ func TestReplicaSetCoordinatorSoak(t *testing.T) {
 	if rt.Stats().Unavailable != 0 {
 		t.Errorf("router recorded %d unavailable requests; want 0", rt.Stats().Unavailable)
 	}
-}
-
-// swapServer pairs a swappable handler with its listener so the soak
-// can kill a replica by closing both.
-type swapServer struct {
-	ts *httptest.Server
-	mu sync.RWMutex
-	h  http.Handler
-}
-
-func (s *swapServer) set(h http.Handler) {
-	s.mu.Lock()
-	s.h = h
-	s.mu.Unlock()
-}
-
-func (s *swapServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	h := s.h
-	s.mu.RUnlock()
-	if h == nil {
-		http.NotFound(w, r)
-		return
-	}
-	h.ServeHTTP(w, r)
 }

@@ -101,26 +101,24 @@
 //
 // # Running a replica set
 //
-// Cache sharing extends across processes. With Options.ArtifactDir
-// set, the engine's plans read the expensive solver by-products —
-// near-field matrix values and preconditioner factors, keyed by a
-// content hash of geometry and solve options — through a disk artifact
-// store (internal/artifact) before building, and write through after,
-// so identical-family work survives restarts. With Options.Peers set,
-// a local miss first tries each sibling replica's GET /artifacts/{key}
-// endpoint and populates the local store on a hit: a cold replica
-// joining a warm set skips most integration work. /stats and /metrics
-// report the artifact traffic (local hits, peer hits, misses, puts,
-// peer errors).
+// With Options.ArtifactDir set, the engine's plans read the expensive
+// solver by-products — near-field matrix values and preconditioner
+// factors, keyed by a content hash of geometry and solve options —
+// from a disk artifact store (internal/artifact) before building, and
+// write them through after, so identical-family work survives restarts
+// (TestReplicaRestartAdoptsDiskArtifacts). /stats and /metrics report
+// the store's counters (entries, bytes, hits, misses, puts, evictions,
+// corrupt). Replicas share no artifacts: each store is its own.
 //
-// NewRouter is the matching thin coordinator (capxd -route): it owns
-// no engine, consistent-hashes each request's geometry family key
-// (batch.FamilyKey) over the replica set, and forwards to the owning
-// replica, so every variant of a family lands where its plans and
-// artifacts are already warm. When the owner is down or shedding, the
-// router walks the ring's successors with backoff — a killed replica
-// costs affinity, not availability (TestReplicaSetCoordinatorSoak pins
-// zero failed client requests through a mid-soak kill).
+// NewRouter is the thin coordinator in front of a replica set (capxd
+// -route): it owns no engine, consistent-hashes each request's geometry
+// family key (batch.FamilyKey) over the replicas, and forwards to the
+// owning replica, so every variant of a family lands where its plans
+// and artifacts are already warm. When the owner is down or shedding,
+// the router walks the ring's successors with backoff and the family
+// rebuilds on its new owner — a killed replica costs affinity, not
+// availability (TestReplicaSetCoordinatorSoak pins zero failed client
+// requests through a mid-soak kill).
 package serve
 
 import (
@@ -200,11 +198,6 @@ type Options struct {
 	// ArtifactMaxBytes bounds the resident artifact bytes under
 	// ArtifactDir (LRU eviction; 0 = the store's 1 GiB default).
 	ArtifactMaxBytes int64
-	// Peers lists sibling replicas' base URLs (e.g.
-	// "http://10.0.0.2:8080"): a locally-missing artifact is fetched
-	// from the first peer that holds it (GET /artifacts/{key}) before
-	// being computed. Peers are only consulted when ArtifactDir is set.
-	Peers []string
 	// Logf receives replay, drain, journal and artifact diagnostics
 	// (nil = discard).
 	Logf func(format string, args ...any)
@@ -236,10 +229,9 @@ type Server struct {
 	jrnl *journal.Journal
 	idem map[string]string
 
-	// artifacts is the persistent stage-artifact resolver (nil without
-	// Options.ArtifactDir): the engine's plans read/write through
-	// it, and GET /artifacts/{key} serves its local store to peers.
-	artifacts *artifactResolver
+	// artifacts is the persistent stage-artifact store (nil without
+	// Options.ArtifactDir) the engine's plans read and write through.
+	artifacts *artifact.Store
 
 	// draining gates admission once Drain starts; baseCtx is the
 	// ancestor of every job context and is cancelled when a drain
@@ -376,6 +368,21 @@ func (j *job) release() {
 	}
 }
 
+// artifactStore is the disk store as the engine's plans see it
+// (plan.ArtifactStore): a failed write is logged and costs only a
+// future rebuild.
+type artifactStore struct {
+	*artifact.Store
+	logf func(format string, args ...any)
+}
+
+// Put implements plan.ArtifactStore.
+func (a artifactStore) Put(key string, data []byte) {
+	if err := a.Store.Put(key, data); err != nil {
+		a.logf("serve: artifact %s: put failed: %v", key, err)
+	}
+}
+
 // New creates a server and starts its runner goroutines. It panics when
 // the journal under Options.DataDir cannot be opened or replayed; use
 // Open to handle that error. Without a DataDir, New cannot fail.
@@ -405,6 +412,7 @@ func Open(opt Options) (*Server, error) {
 		s.logf = func(string, ...any) {}
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	var arts plan.ArtifactStore
 	if opt.ArtifactDir != "" {
 		store, err := artifact.Open(opt.ArtifactDir, artifact.Options{
 			MaxBytes: opt.ArtifactMaxBytes,
@@ -413,11 +421,8 @@ func Open(opt Options) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: artifact store: %w", err)
 		}
-		s.artifacts = newArtifactResolver(store, opt.Peers, s.logf)
-	}
-	var arts plan.ArtifactStore
-	if s.artifacts != nil {
-		arts = s.artifacts
+		s.artifacts = store
+		arts = artifactStore{store, s.logf}
 	}
 	s.eng = batch.New(batch.Options{
 		Workers:      opt.Workers,
@@ -871,17 +876,17 @@ type Stats struct {
 
 	Engine batch.Stats `json:"engine"`
 
-	// Artifacts is the persistent stage-artifact store section (nil
-	// without Options.ArtifactDir). PeerHits > 0 is the cross-replica
-	// signal: a stage was adopted from a sibling instead of integrated.
-	Artifacts *ArtifactStats `json:"artifacts,omitempty"`
+	// Artifacts is the persistent stage-artifact store's counters (nil
+	// without Options.ArtifactDir).
+	Artifacts *artifact.Stats `json:"artifacts,omitempty"`
 }
 
 // Stats snapshots the server and engine counters.
 func (s *Server) Stats() Stats {
-	var arts *ArtifactStats
+	var arts *artifact.Stats
 	if s.artifacts != nil {
-		arts = s.artifacts.stats()
+		st := s.artifacts.Stats()
+		arts = &st
 	}
 	return Stats{
 		Artifacts:    arts,

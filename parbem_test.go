@@ -175,7 +175,7 @@ func TestOptionSurface(t *testing.T) {
 		// a plain http.Client. A panel problem's executor is its Spec's.
 		{reflect.TypeOf(serve.Options{}), []string{"Workers", "WorkerBudget", "QueueDepth", "SweepQueueDepth", "Runners",
 			"TenantRate", "TenantBurst", "CacheEntries", "DefaultPrecision", "Limits", "JobHistory", "DataDir",
-			"ArtifactDir", "ArtifactMaxBytes", "Peers", "Logf"}},
+			"ArtifactDir", "ArtifactMaxBytes", "Logf"}},
 		{reflect.TypeOf(serve.Limits{}), []string{"MaxBodyBytes", "MaxPanels"}},
 		{reflect.TypeOf(serve.RouterOptions{}), []string{"Replicas", "Limits", "Retry", "Logf"}},
 		{reflect.TypeOf(pcbem.Problem{}), []string{"Panels", "NumConductors", "Cfg"}},
