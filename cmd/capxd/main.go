@@ -48,9 +48,9 @@
 //
 // # Running a replica set
 //
-// Each replica persists the expensive solver by-products — near-field
-// matrix values and preconditioner factors, keyed by a content hash of
-// geometry and solve options — in its own disk artifact store under
+// Each replica persists the expensive solver by-product — near-field
+// matrix values, keyed by a content hash of geometry and solve
+// options — in its own disk artifact store under
 // <data-dir>/artifacts (size-bounded by -artifact-max-bytes, LRU), so a
 // restarted replica skips the integration work of the families it has
 // built before. Replicas share no storage and fetch nothing from each
@@ -78,10 +78,9 @@
 //
 // Requests may carry a "precision" selector (auto | fp64 | mixed); the
 // mixed setting runs the accelerated matvec through a float32 operator
-// inside float64 iterative refinement (capx -precision). -precision
-// sets the daemon-wide default applied to requests that leave theirs
-// empty or on auto; the response reports the arithmetic that actually
-// ran.
+// inside float64 iterative refinement (capx -precision). A request that
+// leaves it empty or on auto runs fp64; the response reports the
+// arithmetic that actually ran.
 //
 // # Profiling
 //
@@ -111,7 +110,6 @@ import (
 	"syscall"
 	"time"
 
-	"parbem"
 	"parbem/internal/faultpoint"
 	"parbem/internal/serve"
 )
@@ -143,7 +141,6 @@ func run(args []string) int {
 		route        = fs.Bool("route", false, "coordinator mode: run no engine, consistent-hash /extract and /sweep over -peers")
 		artifactMax  = fs.Int64("artifact-max-bytes", 0, "artifact store size budget under <data-dir>/artifacts (0 = 1 GiB)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM/SIGINT before running jobs are interrupted")
-		precision    = fs.String("precision", "auto", "default matvec arithmetic for requests that leave theirs on auto: auto | fp64 | mixed")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this side listener (empty = disabled; keep it off the public address)")
 		faults       = fs.String("faults", os.Getenv("CAPXD_FAULTS"), "fault-injection spec, e.g. journal.sync@3:crash (testing only)")
 	)
@@ -151,12 +148,6 @@ func run(args []string) int {
 
 	if *peers != "" && !*route {
 		log.Print("capxd: -peers lists the replica set of a -route coordinator; a replica takes no peers")
-		return 2
-	}
-
-	defPrec, err := parbem.ParsePrecision(*precision)
-	if err != nil {
-		log.Printf("capxd: -precision: %v", err)
 		return 2
 	}
 
@@ -210,7 +201,6 @@ func run(args []string) int {
 		DataDir:          *dataDir,
 		ArtifactDir:      artifactDir,
 		ArtifactMaxBytes: *artifactMax,
-		DefaultPrecision: defPrec,
 		Logf:             log.Printf,
 		Limits: serve.Limits{
 			MaxBodyBytes: *maxBody,

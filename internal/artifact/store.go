@@ -1,8 +1,8 @@
 // Package artifact implements the disk-backed content-addressed blob
 // store behind the staged extraction plans' persistent stage artifacts:
-// near-field value arrays, precorrection rows, dense matrices and
-// block-Jacobi LDLᵀ factors keyed by a content hash of the exact geometry
-// and solve options (see internal/plan's artifact codec).
+// near-field value arrays, precorrection rows and dense matrices keyed by
+// a content hash of the exact geometry and solve options (see
+// internal/plan's artifact codec).
 //
 // # On-disk format
 //

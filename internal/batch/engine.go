@@ -79,9 +79,8 @@ type Options struct {
 
 	// Artifacts optionally supplies a persistent stage-artifact store
 	// shared by every pipeline plan the engine caches (see
-	// plan.Options.Artifacts): near-field values and block factors
-	// survive process restarts and, behind internal/serve's resolver,
-	// travel between replicas. Nil disables persistence.
+	// plan.Options.Artifacts): near-field values survive process
+	// restarts. Nil disables persistence.
 	Artifacts plan.ArtifactStore
 }
 

@@ -101,39 +101,11 @@ func FactorSymWork(a *Sym, work []float64) (*LDLT, error) {
 	return f, nil
 }
 
-// NewLDLT adopts a stored factor of a positive definite matrix — the
-// packed triangle FactorSym left and its pivots — without factoring. It
-// accepts only what such a factorization produces: every entry finite,
-// every step k a 1x1 pivot that interchanged k with a row in [k, n) (a
-// 2x2 block's marker is negative), every D_kk positive. Anything else is
-// an error.
-func NewLDLT(a *Sym, piv []int) (*LDLT, error) {
-	n := a.N
-	if len(a.Data) != PackedLen(n) || len(piv) != n {
-		return nil, errors.New("linalg: LDLT factor of the wrong size")
-	}
-	for _, v := range a.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, errors.New("linalg: LDLT factor holds a non-finite entry")
-		}
-	}
-	for k, p := range piv {
-		if p < k || p >= n || !(a.Row(k)[k] > 0) {
-			return nil, fmt.Errorf("linalg: LDLT factor step %d is not a positive 1x1 pivot", k)
-		}
-	}
-	return &LDLT{a: a, piv: piv}, nil
-}
-
 // Inertia reports the negative pivots and the 2x2 blocks of D.
 func (f *LDLT) Inertia() Inertia { return f.inertia }
 
 // N is the order of the factored matrix.
 func (f *LDLT) N() int { return f.a.N }
-
-// Packed returns the factor's storage, NewLDLT's arguments: the packed
-// triangle and the pivots, shared and read-only.
-func (f *LDLT) Packed() (*Sym, []int) { return f.a, f.piv }
 
 // panel factors columns j0.. of a left-looking (dlasyf): the storage to
 // the right of the current column keeps its pre-panel values, and the

@@ -138,69 +138,6 @@ func TestSolveVecMatchesSolve(t *testing.T) {
 	}
 }
 
-// TestNewLDLTRejectsIndefinite: an indefinite matrix factors with a
-// negative pivot — what makes block-Jacobi fall back to a block's
-// diagonal — and NewLDLT adopts only what a positive definite
-// factorization leaves: the right sizes, finite entries, 1x1 pivots that
-// interchange forward, a positive D.
-func TestNewLDLTRejectsIndefinite(t *testing.T) {
-	indef, err := FactorSym(PackLower(NewDenseFrom(2, 2, []float64{1, 2, 2, 1}))) // eigenvalues 3, -1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in := indef.Inertia(); in.Negative != 1 {
-		t.Fatalf("inertia %+v, want one negative pivot", in)
-	}
-	if _, err := NewLDLT(indef.Packed()); err == nil {
-		t.Fatal("the factor of an indefinite matrix adopted")
-	}
-	a := randomSPD(6, rand.New(rand.NewSource(5)))
-	a.Set(0, 0, 1e-3) // a small leading diagonal: the first step interchanges
-	for j := 1; j < 6; j++ {
-		a.Set(0, j, 0)
-		a.Set(j, 0, 0)
-	}
-	a.Set(0, 5, 1)
-	a.Set(5, 0, 1)
-	a.Add(5, 5, 1e4)
-	f, err := FactorSym(PackLower(a.Clone()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, piv := f.Packed()
-	if f.Inertia().Negative != 0 || piv[0] == 0 {
-		t.Fatalf("inertia %+v, pivots %v: want a positive definite factor that interchanges", f.Inertia(), piv)
-	}
-	g, err := NewLDLT(s, piv)
-	if err != nil {
-		t.Fatalf("FactorSym's own factor rejected: %v", err)
-	}
-	x, y := []float64{1, 2, 3, 4, 5, 6}, []float64{1, 2, 3, 4, 5, 6}
-	f.SolveVec(x)
-	g.SolveVec(y)
-	for i := range x {
-		if x[i] != y[i] {
-			t.Fatalf("adopted factor solves to %v, FactorSym's to %v", y, x)
-		}
-	}
-	for name, mod := range map[string]func(s *Sym, piv []int) (*Sym, []int){
-		"short data":    func(s *Sym, piv []int) (*Sym, []int) { return &Sym{N: s.N, Data: s.Data[1:]}, piv },
-		"short pivots":  func(s *Sym, piv []int) (*Sym, []int) { return s, piv[1:] },
-		"nan below":     func(s *Sym, piv []int) (*Sym, []int) { s.Row(3)[1] = math.NaN(); return s, piv },
-		"inf diagonal":  func(s *Sym, piv []int) (*Sym, []int) { s.Row(2)[2] = math.Inf(1); return s, piv },
-		"pivot behind":  func(s *Sym, piv []int) (*Sym, []int) { piv[3] = 2; return s, piv },
-		"pivot past n":  func(s *Sym, piv []int) (*Sym, []int) { piv[3] = 6; return s, piv },
-		"2x2 block":     func(s *Sym, piv []int) (*Sym, []int) { piv[3], piv[4] = 3, ^4; return s, piv },
-		"zero diagonal": func(s *Sym, piv []int) (*Sym, []int) { s.Row(4)[4] = 0; return s, piv },
-		"negative D":    func(s *Sym, piv []int) (*Sym, []int) { s.Row(1)[1] = -s.Row(1)[1]; return s, piv },
-	} {
-		bad := &Sym{N: s.N, Data: append([]float64(nil), s.Data...)}
-		if _, err := NewLDLT(mod(bad, append([]int(nil), piv...))); err == nil {
-			t.Errorf("%s: adopted", name)
-		}
-	}
-}
-
 func TestQRLeastSquares(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	m, n := 50, 8

@@ -1,8 +1,10 @@
-// Artifact persistence: the plan's expensive stage artifacts — the
+// Artifact persistence: the plan's expensive stage artifact — the
 // near-field values (dense matrix, FMM CSR values, pFFT precorrection
-// rows) and the preconditioner's block LDLᵀ factors — survive
-// process restarts through an ArtifactStore (internal/artifact on
-// disk).
+// rows) — survives process restarts through an ArtifactStore
+// (internal/artifact on disk). Block-Jacobi factors are not persisted: a
+// restarted plan factorizes its near blocks afresh, which costs
+// milliseconds where the integrals they are read from cost tens to
+// hundreds.
 //
 // The store is content-addressed: the key is a sha256 over the exact
 // inputs that determine the artifact bit-for-bit — panelization edge,
@@ -18,12 +20,10 @@
 //
 // Artifacts can never change results, only construction time: a decoded
 // payload is adopted only when its shape matches the layout the build
-// just produced (length checks in fmm, per-row checks in pfft, dim
-// checks here) and, for the dense and fmm near fields and the block
-// factors, its values could have come from this program (finite; a packed
-// dense triangle with a positive diagonal; a factor of a positive definite
-// block, linalg.NewLDLT), and any mismatch or corruption degrades to a
-// fresh integration or factorization.
+// just produced (length checks in fmm, per-row checks in pfft, the order
+// here) and its values could have come from this program (finite, and a
+// dense one a packed triangle with a positive diagonal), and any mismatch
+// or corruption degrades to a fresh integration.
 package plan
 
 import (
@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
 
 	"parbem/internal/fmm"
 	"parbem/internal/geom"
@@ -53,12 +52,9 @@ type ArtifactStore interface {
 	Put(key string, data []byte)
 }
 
-// Artifact key suffixes: one family hash owns one entry per persisted
-// stage.
-const (
-	nearSuffix = "-near" // near-field values (backend-tagged payload)
-	factSuffix = "-fact" // block-Jacobi LDLᵀ factors
-)
+// nearSuffix names a family's one entry: its near-field values, a
+// backend-tagged payload.
+const nearSuffix = "-near"
 
 // Payload tags (first byte) keep a near-field blob from being decoded
 // by the wrong backend after a store mixup.
@@ -66,7 +62,6 @@ const (
 	artTagDense = 'D'
 	artTagFMM   = 'F'
 	artTagPFFT  = 'P'
-	artTagFact  = 'K'
 )
 
 // artifactKey returns the family content hash for the current build,
@@ -80,6 +75,18 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 	return artifactHash(artifactSchema, p.opt.MaxEdge, p.cfg.Fingerprint(kernel.ArithVersion), be, fo, po, st)
 }
 
+// storedNear returns the near-field payload the store holds under the
+// family hash key, nil when persistence is off or the store has none.
+func (p *Plan) storedNear(key string) []byte {
+	if key == "" {
+		return nil
+	}
+	if data, ok := p.opt.Artifacts.Get(key + nearSuffix); ok {
+		return data
+	}
+	return nil
+}
+
 // artifactSchema opens every family hash: the version of what an artifact
 // holds, so that an artifact on disk written by a build that computed or
 // laid it out otherwise is a miss, never adopted. The arithmetic of its
@@ -91,11 +98,12 @@ func (p *Plan) artifactKey(st *geom.Structure, be op.Backend, fo *fmm.Options, p
 // kernel.Config.Fingerprint and the plan's one permittivity: the same
 // values under new key bytes, which a "pba3" entry must not alias; "pba4"
 // block factors were Cholesky factors stored as full n x n matrices, where
-// "pba5" stores each block's packed LDLᵀ triangle and its pivots; "pba5"
+// "pba5" stored each block's packed LDLᵀ triangle and its pivots; "pba5"
 // hashed the permittivity, the fmm leaf size and the pfft grid pitch,
 // which "pba6" does not, as they are constants: the same values under new
 // key bytes again; a "pba6" dense near field was the full n x n matrix,
-// where "pba7" ships its packed lower triangle.)
+// where "pba7" ships its packed lower triangle. A "pba7" family's "-fact"
+// entry of block factors, which earlier builds wrote, is never read.)
 var artifactSchema = []byte("pba7")
 
 // artifactHash computes the family content hash under the given schema
@@ -245,8 +253,8 @@ func encodePFFTNearArtifact(a *pfft.NearArtifact) []byte {
 }
 
 // decodePFFTNearArtifact rejects any payload whose row count disagrees
-// with the n-panel build, whose row lengths are negative, or whose flat
-// arrays do not sum to the row total.
+// with the n-panel build, whose row lengths are negative, whose flat
+// arrays do not sum to the row total, or that holds a non-finite value.
 func decodePFFTNearArtifact(data []byte, n int) *pfft.NearArtifact {
 	if len(data) < 9 || data[0] != artTagPFFT {
 		return nil
@@ -278,115 +286,8 @@ func decodePFFTNearArtifact(data []byte, n int) *pfft.NearArtifact {
 		return nil
 	}
 	var rest []byte
-	if a.Exact, rest, ok = readFloats(data, int(total)); !ok || len(rest) != 0 {
+	if a.Exact, rest, ok = readFloats(data, int(total)); !ok || len(rest) != 0 || !finite(a.Val) || !finite(a.Exact) {
 		return nil
 	}
 	return a
-}
-
-// encodeFactorArtifact serializes the Factorization stage: each
-// factorized near block's packed LDLᵀ triangle and pivots (linalg.LDLT's
-// Packed), keyed by its exact unknown sequence (blockKey bytes). Keys are
-// sorted so identical factor maps serialize to identical bytes.
-func encodeFactorArtifact(m map[string]*linalg.LDLT) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b := []byte{artTagFact}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(keys)))
-	for _, k := range keys {
-		a, piv := m[k].Packed()
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(k)))
-		b = append(b, k...)
-		b = binary.LittleEndian.AppendUint32(b, uint32(a.N))
-		b = appendFloats(b, a.Data)
-		for _, p := range piv {
-			b = binary.LittleEndian.AppendUint32(b, uint32(int32(p)))
-		}
-	}
-	return b
-}
-
-// decodeFactorArtifact rejects a payload whose block order disagrees with
-// its key, whose length is wrong, or holding a factor that no positive
-// definite block produces — a non-finite entry, a pivot outside [k, n), a
-// 2x2 block (a negative pivot marker), a D_kk <= 0: linalg.NewLDLT's
-// checks. A block-Jacobi factor is positive definite by construction.
-func decodeFactorArtifact(data []byte) map[string]*linalg.LDLT {
-	if len(data) < 9 || data[0] != artTagFact {
-		return nil
-	}
-	count := binary.LittleEndian.Uint64(data[1:])
-	data = data[9:]
-	if count > uint64(len(data)) { // each entry takes well over one byte
-		return nil
-	}
-	m := make(map[string]*linalg.LDLT, count)
-	for e := uint64(0); e < count; e++ {
-		if len(data) < 4 {
-			return nil
-		}
-		kl := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		if uint64(len(data)) < uint64(kl)+4 {
-			return nil
-		}
-		key := string(data[:kl])
-		data = data[kl:]
-		nu := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		// A block's key holds one uint32 per unknown — orders must agree.
-		if uint64(nu)*4 != uint64(kl) {
-			return nil
-		}
-		n := int(nu)
-		vals, rest, ok := readFloats(data, linalg.PackedLen(n))
-		if !ok || uint64(len(rest)) < uint64(n)*4 {
-			return nil
-		}
-		piv := make([]int, n)
-		for k := range piv {
-			piv[k] = int(int32(binary.LittleEndian.Uint32(rest[4*k:])))
-		}
-		data = rest[4*n:]
-		f, err := linalg.NewLDLT(&linalg.Sym{N: n, Data: vals}, piv)
-		if err != nil {
-			return nil
-		}
-		m[key] = f
-	}
-	if len(data) != 0 {
-		return nil
-	}
-	return m
-}
-
-// artifactFactors turns a decoded factor map into a NewPrebuilt lookup.
-// No rigid-motion class check is needed: the store key pins the exact
-// geometry, so a block covering the same unknown sequence has bitwise
-// the same matrix.
-func artifactFactors(m map[string]*linalg.LDLT) func(idx []int32) *linalg.LDLT {
-	var buf []byte
-	return func(ix []int32) *linalg.LDLT {
-		return m[string(blockKey(&buf, ix))]
-	}
-}
-
-// chainFactors tries lookups in order (in-memory previous variant
-// first, then the decoded artifact).
-func chainFactors(a, b func(idx []int32) *linalg.LDLT) func(idx []int32) *linalg.LDLT {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(ix []int32) *linalg.LDLT {
-		if c := a(ix); c != nil {
-			return c
-		}
-		return b(ix)
-	}
 }

@@ -17,12 +17,12 @@ import (
 )
 
 // memStore is an in-memory ArtifactStore for tests (the disk-backed one
-// lives in internal/artifact and is wired up by internal/serve).
+// lives in internal/artifact and is wired up by internal/serve). It counts
+// its lookups, the lookups that found an entry, and its writes.
 type memStore struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	gets int
-	puts int
+	mu               sync.Mutex
+	m                map[string][]byte
+	gets, hits, puts int
 }
 
 func newMemStore() *memStore { return &memStore{m: map[string][]byte{}} }
@@ -32,6 +32,9 @@ func (s *memStore) Get(key string) ([]byte, bool) {
 	defer s.mu.Unlock()
 	s.gets++
 	data, ok := s.m[key]
+	if ok {
+		s.hits++
+	}
 	return data, ok
 }
 
@@ -40,6 +43,13 @@ func (s *memStore) Put(key string, data []byte) {
 	defer s.mu.Unlock()
 	s.puts++
 	s.m[key] = append([]byte(nil), data...)
+}
+
+// counts returns the store's lookups, hits and writes so far.
+func (s *memStore) counts() (gets, hits, puts int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gets, s.hits, s.puts
 }
 
 func (s *memStore) keys() []string {
@@ -69,15 +79,18 @@ func extractVia(t *testing.T, store ArtifactStore, pipe op.Options, h float64) *
 
 // TestPlanArtifactRoundTrip pins the persistence contract per backend:
 // a fresh plan (no in-memory state, as after a process restart) wired
-// to a store warmed by another plan adopts the near-field payload, its
-// result matches the cold build to 1e-12, and the reuse flag reports
-// the adoption.
+// to a store warmed by another plan adopts the near-field payload and
+// factorizes its near blocks afresh, its result matches the cold build to
+// 1e-12, and the reuse flags report just that. The store holds one entry
+// per family, the near field: the dense GMRES row is the one dense case
+// with block factors to persist, and none are.
 func TestPlanArtifactRoundTrip(t *testing.T) {
 	backends := []struct {
 		name string
 		pipe op.Options
 	}{
 		{"dense", op.Options{Backend: op.BackendDense, Direct: true}},
+		{"dense gmres", op.Options{Backend: op.BackendDense, Precond: op.PrecondBlockJacobi, Tol: 1e-10}},
 		{"fmm", op.Options{Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi,
 			Tol: 1e-10, FMM: &fmm.Options{Workers: 1}}},
 		{"pfft", op.Options{Backend: op.BackendPFFT, Tol: 1e-10,
@@ -90,54 +103,37 @@ func TestPlanArtifactRoundTrip(t *testing.T) {
 			if cold.Reused.NearField {
 				t.Error("cold build claims near-field reuse")
 			}
-			if len(store.keys()) == 0 {
-				t.Fatal("cold build wrote no artifacts")
+			if ks := store.keys(); len(ks) != 1 || !strings.HasSuffix(ks[0], nearSuffix) {
+				t.Fatalf("cold build stored %q, want one near-field key", ks)
 			}
 			warm := extractVia(t, store, be.pipe, 0.5e-6)
-			if !warm.Reused.NearField {
-				t.Error("restarted plan did not adopt the near-field artifact")
+			if !warm.Reused.NearField || warm.Reused.Factorization {
+				t.Errorf("restarted plan reused %+v, want the near field alone", warm.Reused)
 			}
 			if e := capError(warm.C, cold.C); e > 1e-12 {
 				t.Errorf("artifact-adopted result deviates by %.3g", e)
+			}
+			if ks := store.keys(); len(ks) != 1 {
+				t.Errorf("restarted plan left %d keys, want 1", len(ks))
 			}
 		})
 	}
 }
 
-// TestPlanArtifactStats checks the hit/miss/put counters: a cold build
-// misses then writes, a warm restart hits and writes nothing new.
+// TestPlanArtifactStats counts the store's own traffic: a cold build looks
+// its family's near field up once, misses and writes it; a restarted plan
+// looks it up once, hits and writes nothing.
 func TestPlanArtifactStats(t *testing.T) {
 	store := newMemStore()
 	pipe := op.Options{Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi,
 		Tol: 1e-8, FMM: &fmm.Options{Workers: 1}}
-
-	p1, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: store})
-	if err != nil {
-		t.Fatal(err)
+	extractVia(t, store, pipe, 0.5e-6)
+	if gets, hits, puts := store.counts(); gets != 1 || hits != 0 || puts != 1 {
+		t.Errorf("cold build: %d gets, %d hits, %d puts, want 1, 0, 1", gets, hits, puts)
 	}
-	if _, err := p1.Extract(crossingAt(0.5e-6)); err != nil {
-		t.Fatal(err)
-	}
-	s1 := p1.Stats()
-	if s1.ArtifactHits != 0 || s1.ArtifactMisses == 0 || s1.ArtifactPuts == 0 {
-		t.Errorf("cold stats: %+v", s1)
-	}
-	putsAfterCold := store.puts
-
-	p2, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Extract(crossingAt(0.5e-6)); err != nil {
-		t.Fatal(err)
-	}
-	s2 := p2.Stats()
-	// Near payload and factor payload both hit.
-	if s2.ArtifactHits < 2 || s2.ArtifactPuts != 0 {
-		t.Errorf("warm stats: %+v", s2)
-	}
-	if store.puts != putsAfterCold {
-		t.Errorf("warm build re-wrote artifacts: %d puts, want %d", store.puts, putsAfterCold)
+	extractVia(t, store, pipe, 0.5e-6)
+	if gets, hits, puts := store.counts(); gets != 2 || hits != 1 || puts != 1 {
+		t.Errorf("after a restart: %d gets, %d hits, %d puts, want 2, 1, 1", gets, hits, puts)
 	}
 }
 
@@ -301,6 +297,7 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 		}
 		store := newMemStore()
 		store.Put(oldKey+nearSuffix, stale)
+		_, _, planted := store.counts()
 
 		p2, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: store})
 		if err != nil {
@@ -310,8 +307,8 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := p2.Stats(); s.ArtifactHits != 0 || s.ArtifactMisses == 0 || s.ArtifactPuts == 0 {
-			t.Errorf("%s: stats over a store of old artifacts: %+v, want misses and puts only", old.name, s)
+		if gets, hits, puts := store.counts(); gets == 0 || hits != 0 || puts != planted+1 {
+			t.Errorf("%s: %d gets, %d hits, %d puts over a store of old artifacts, want misses and one put", old.name, gets, hits, puts-planted)
 		}
 		if res.Reused.NearField {
 			t.Errorf("%s: near field reported as reused", old.name)
@@ -326,49 +323,79 @@ func TestPlanArtifactOldArithmeticNeverAdopted(t *testing.T) {
 }
 
 // TestPlanArtifactImplausibleValuesNeverAdopted plants, under the family's
-// own key, a dense near field of the right order that this build does not
-// produce — NaNs, or the full matrix a "pba6" build shipped — as a
-// corrupted disk could hand back. The plan must count a
-// miss, build afresh, store the good payload over the bad one and return
-// C bitwise equal to a build without a store.
+// own key, a near field of the right shape that this build does not
+// produce — NaNs on every backend, or the full matrix a "pba6" dense build
+// shipped — as a corrupted disk could hand back. The plan must adopt
+// nothing (its stats are an empty store's), build afresh, return C bitwise
+// equal to a build without a store and store the good payload over the
+// bad one.
 func TestPlanArtifactImplausibleValuesNeverAdopted(t *testing.T) {
-	pipe := op.Options{Backend: op.BackendDense, Direct: true}
-	st := crossingAt(0.5e-6)
-	plain := extractVia(t, nil, pipe, 0.5e-6)
-	clean := newMemStore()
-	p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: clean})
-	if err != nil {
-		t.Fatal(err)
+	dense := op.Options{Backend: op.BackendDense, Direct: true}
+	denseNaN := func(b []byte, n int) []byte {
+		d := decodeDenseArtifact(b, n)
+		for i := range d.Data {
+			d.Data[i] = math.NaN()
+		}
+		return encodeDenseArtifact(d)
 	}
-	if _, err := p.Extract(st); err != nil {
-		t.Fatal(err)
-	}
-	cold := p.Stats() // what an empty store costs
-	key := p.artifactKey(st, op.BackendDense, nil, nil) + nearSuffix
-	good, found := clean.Get(key)
-	if !found {
-		t.Fatal("cold build stored no near-field artifact under the family key")
-	}
-	n := int(binary.LittleEndian.Uint64(good[1:]))
-	for name, spoil := range map[string]func(b []byte) []byte{
-		"nan": func(b []byte) []byte {
-			for i := denseHeader; i < len(b); i += 8 {
-				binary.LittleEndian.PutUint64(b[i:], math.Float64bits(math.NaN()))
-			}
-			return b
-		},
-		"full matrix": func(b []byte) []byte {
-			return fullMatrixPayload(decodeDenseArtifact(b, n))
-		},
+	for _, tc := range []struct {
+		name    string
+		pipe    op.Options
+		adopted func(b []byte, n int) bool
+		spoil   func(b []byte, n int) []byte
+	}{
+		{"nan", dense, func(b []byte, n int) bool { return decodeDenseArtifact(b, n) != nil }, denseNaN},
+		{"full matrix", dense, func(b []byte, n int) bool { return decodeDenseArtifact(b, n) != nil },
+			func(b []byte, n int) []byte { return fullMatrixPayload(decodeDenseArtifact(b, n)) }},
+		{"fmm nan", op.Options{Backend: op.BackendFMM, Tol: 1e-8, FMM: &fmm.Options{Workers: 1}},
+			func(b []byte, _ int) bool { return decodeFMMNearArtifact(b) != nil },
+			func(b []byte, _ int) []byte {
+				v := decodeFMMNearArtifact(b)
+				for i := range v {
+					v[i] = math.NaN()
+				}
+				return encodeFMMNearArtifact(v)
+			}},
+		{"pfft nan", op.Options{Backend: op.BackendPFFT, Tol: 1e-8, PFFT: &pfft.Options{Workers: 1}},
+			func(b []byte, n int) bool { return decodePFFTNearArtifact(b, n) != nil },
+			func(b []byte, n int) []byte {
+				a := decodePFFTNearArtifact(b, n)
+				for i := range a.Val {
+					a.Val[i], a.Exact[i] = math.NaN(), math.NaN()
+				}
+				return encodePFFTNearArtifact(a)
+			}},
 	} {
-		t.Run(name, func(t *testing.T) {
-			bad := spoil(append([]byte(nil), good...))
-			if decodeDenseArtifact(bad, n) != nil {
+		t.Run(tc.name, func(t *testing.T) {
+			st := crossingAt(0.5e-6)
+			plain := extractVia(t, nil, tc.pipe, 0.5e-6)
+			n := len(plain.Panels)
+			clean := newMemStore()
+			p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: tc.pipe, Artifacts: clean})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Extract(st); err != nil {
+				t.Fatal(err)
+			}
+			cold := p.Stats() // what an empty store costs
+			var key string
+			for _, k := range clean.keys() {
+				if strings.HasSuffix(k, nearSuffix) {
+					key = k
+				}
+			}
+			good, found := clean.Get(key)
+			if !found {
+				t.Fatal("cold build stored no near-field artifact")
+			}
+			bad := tc.spoil(append([]byte(nil), good...), n)
+			if tc.adopted(bad, n) {
 				t.Fatal("the decoder adopts the spoiled payload")
 			}
 			store := newMemStore()
 			store.Put(key, bad)
-			p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: pipe, Artifacts: store})
+			p, err = New(Options{MaxEdge: 0.5e-6, Pipeline: tc.pipe, Artifacts: store})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,7 +403,7 @@ func TestPlanArtifactImplausibleValuesNeverAdopted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := p.Stats(); s != cold || s.ArtifactHits != 0 || s.ArtifactMisses == 0 || res.Reused.NearField {
+			if s := p.Stats(); s != cold || res.Reused.NearField {
 				t.Errorf("stats %+v, near field reused %v: want an empty store's %+v", s, res.Reused.NearField, cold)
 			}
 			for i, v := range res.C.Data {
@@ -384,7 +411,7 @@ func TestPlanArtifactImplausibleValuesNeverAdopted(t *testing.T) {
 					t.Fatalf("C[%d] = %v, %v without a store", i, v, plain.C.Data[i])
 				}
 			}
-			if data, _ := store.Get(key); decodeDenseArtifact(data, n) == nil {
+			if data, _ := store.Get(key); !tc.adopted(data, n) {
 				t.Error("the fresh build did not replace the spoiled payload")
 			}
 		})
@@ -484,73 +511,99 @@ func FuzzDecodeDenseArtifact(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFactorArtifact: whatever the bytes, the decoder does not
-// panic, and every factor it returns is one a positive definite block
-// produces — order one per key unknown, finite entries, 1x1 pivots
-// interchanging forward, a positive D — whose solve stays in range, and
-// the map survives an encode and decode bit for bit.
-func FuzzDecodeFactorArtifact(f *testing.F) {
-	factors := func(blocks ...*linalg.Dense) []byte {
-		m := map[string]*linalg.LDLT{}
-		var buf []byte
-		for k, b := range blocks {
-			fa, err := linalg.FactorSym(linalg.PackLower(b))
-			if err != nil {
-				f.Fatal(err)
-			}
-			ix := make([]int32, b.Rows)
-			for i := range ix {
-				ix[i] = int32(10*k + i)
-			}
-			m[string(blockKey(&buf, ix))] = fa
+// FuzzDecodeFMMNearArtifact: whatever the bytes, the decoder does not
+// panic, and values it returns are finite and encode back to the same
+// bytes. The seeds are a valid payload, which is adopted, and six the
+// decoder refuses: it truncated by one double; one holding a NaN; one
+// holding an infinity; a count past the bytes that follow; another
+// backend's tag; and a bare tag.
+func FuzzDecodeFMMNearArtifact(f *testing.F) {
+	good := encodeFMMNearArtifact([]float64{2, -1, 0.5})
+	long := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(long[1:], 1<<60)
+	for k, seed := range [][]byte{
+		good,
+		good[:len(good)-8],
+		encodeFMMNearArtifact([]float64{2, math.NaN(), 0.5}),
+		encodeFMMNearArtifact([]float64{math.Inf(-1)}),
+		long,
+		append([]byte{artTagPFFT}, good[1:]...),
+		{artTagFMM},
+	} {
+		if adopted := decodeFMMNearArtifact(seed) != nil; adopted != (k == 0) {
+			f.Fatalf("seed %d adopted %v", k, adopted)
 		}
-		return encodeFactorArtifact(m)
-	}
-	good := factors(linalg.NewDenseFrom(2, 2, []float64{1e-3, 1, 1, 1e4}), linalg.NewDenseFrom(1, 1, []float64{3}))
-	twoByTwo := factors(linalg.NewDenseFrom(2, 2, []float64{1, 2, 2, 1}))
-	negative := factors(linalg.NewDenseFrom(1, 1, []float64{-2}))
-	if len(decodeFactorArtifact(good)) != 2 || decodeFactorArtifact(twoByTwo) != nil || decodeFactorArtifact(negative) != nil {
-		f.Fatal("a positive definite block's factors must be adopted, an indefinite one's refused")
-	}
-	for _, seed := range [][]byte{good, twoByTwo, negative, factors(), {artTagFact}} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := decodeFactorArtifact(data)
-		if m == nil {
+		v := decodeFMMNearArtifact(data)
+		if v == nil {
 			return
 		}
-		back := decodeFactorArtifact(encodeFactorArtifact(m))
-		if len(back) != len(m) {
-			t.Fatalf("%d factors re-decode to %d", len(m), len(back))
+		if !finite(v) {
+			t.Fatalf("non-finite values adopted: %v", v)
 		}
-		for key, fa := range m {
-			a, piv := fa.Packed()
-			n := a.N
-			if len(key) != 4*n || len(a.Data) != linalg.PackedLen(n) || len(piv) != n {
-				t.Fatalf("order %d under a %d-byte key, %d entries, %d pivots", n, len(key), len(a.Data), len(piv))
+		if !bytes.Equal(encodeFMMNearArtifact(v), data) {
+			t.Fatal("the adopted values do not encode back to their payload")
+		}
+	})
+}
+
+// FuzzDecodePFFTNearArtifact: whatever the bytes, the decoder does not
+// panic, and a near field it returns has one row length per panel of the
+// build, row lengths summing to len(Val) == len(Exact), finite values, and
+// encodes back to the same bytes. The seeds are a valid payload, which is
+// adopted, and six the decoder refuses: one with a NaN correction and an
+// infinite exact entry; it against the wrong panel count; a negative row
+// length; it truncated by one double; a value total that disagrees with
+// the rows; and a bare tag.
+func FuzzDecodePFFTNearArtifact(f *testing.F) {
+	good := encodePFFTNearArtifact(&pfft.NearArtifact{RowLen: []int32{1, 2},
+		Val: []float64{1, -0.5, 0.25}, Exact: []float64{2, -1, 0.5}})
+	negative := encodePFFTNearArtifact(&pfft.NearArtifact{RowLen: []int32{-1, 4},
+		Val: []float64{1, -0.5, 0.25}, Exact: []float64{2, -1, 0.5}})
+	total := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(total[9+4*2:], 2)
+	for k, s := range []struct {
+		data []byte
+		n    int
+	}{
+		{good, 2},
+		{encodePFFTNearArtifact(&pfft.NearArtifact{RowLen: []int32{1, 1},
+			Val: []float64{math.NaN(), 1}, Exact: []float64{1, math.Inf(1)}}), 2},
+		{good, 3},
+		{negative, 2},
+		{good[:len(good)-8], 2},
+		{total, 2},
+		{[]byte{artTagPFFT}, 0},
+	} {
+		if adopted := decodePFFTNearArtifact(s.data, s.n) != nil; adopted != (k == 0) {
+			f.Fatalf("seed %d adopted %v", k, adopted)
+		}
+		f.Add(s.data, uint8(s.n))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, nb uint8) {
+		n := int(nb % 16)
+		a := decodePFFTNearArtifact(data, n)
+		if a == nil {
+			return
+		}
+		var sum int64
+		for _, l := range a.RowLen {
+			if l < 0 {
+				t.Fatalf("row length %d", l)
 			}
-			for k, p := range piv {
-				if p < k || p >= n || !(a.Row(k)[k] > 0) || math.IsInf(a.Row(k)[k], 1) {
-					t.Fatalf("step %d: pivot %d, D = %v", k, p, a.Row(k)[k])
-				}
-			}
-			if !finite(a.Data) {
-				t.Fatal("a non-finite entry adopted")
-			}
-			x := make([]float64, n)
-			fa.SolveVec(x)
-			b, bpiv := back[key].Packed()
-			for i, v := range a.Data {
-				if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
-					t.Fatalf("entry %d: %v re-decodes to %v", i, v, b.Data[i])
-				}
-			}
-			for k := range piv {
-				if piv[k] != bpiv[k] {
-					t.Fatalf("pivot %d: %d re-decodes to %d", k, piv[k], bpiv[k])
-				}
-			}
+			sum += int64(l)
+		}
+		if len(a.RowLen) != n || int64(len(a.Val)) != sum || len(a.Exact) != len(a.Val) {
+			t.Fatalf("%d rows summing to %d, %d corrections, %d exact entries for n = %d",
+				len(a.RowLen), sum, len(a.Val), len(a.Exact), n)
+		}
+		if !finite(a.Val) || !finite(a.Exact) {
+			t.Fatal("a non-finite value adopted")
+		}
+		if !bytes.Equal(encodePFFTNearArtifact(a), data) {
+			t.Fatal("the adopted near field does not encode back to its payload")
 		}
 	})
 }

@@ -139,10 +139,10 @@ type Options struct {
 	// reductions (nil = throwaway sched.Local per stage build).
 	Exec sched.Executor
 	// Artifacts optionally supplies a persistent stage-artifact store
-	// (see artifact.go): near-field values and block factors are read
-	// through it before building and written through after, so a
-	// restarted process skips the integration cost for families it
-	// built before. Nil disables persistence.
+	// (see artifact.go): a family's near-field values are read through it
+	// before building and written through after, so a restarted process
+	// skips the integration cost for families it built before. Nil
+	// disables persistence.
 	Artifacts ArtifactStore
 	// Pairs optionally supplies the symmetry-class table every exact
 	// panel-pair integral of the plan's builds is read from and added to
@@ -168,27 +168,23 @@ type Stats struct {
 	// NearReused counts the near-field entries the builds produced without
 	// integrating, on every backend: class-table hits, block-memo loads,
 	// dense entries kept in the previous variant's matrix and entries
-	// adopted from the artifact store. NearComputed counts the classes they
-	// integrated instead; so does ClassesIntegrated, which an owner of
-	// many plans sums with the rest of a call's pair work.
+	// adopted from the artifact store (whose traffic the store counts).
+	// NearComputed counts the classes they integrated instead; so does
+	// ClassesIntegrated, which an owner of many plans sums with the rest of
+	// a call's pair work.
 	NearReused        int64 `json:"near_reused"`
 	NearComputed      int64 `json:"near_computed"`
 	ClassesIntegrated int64 `json:"classes_integrated"`
 	DenseReused       int64 `json:"dense_reused"` // dense packed-triangle entries kept in place
 	FactReused        int   `json:"fact_reused"`  // block factors adopted across variants
 	WarmStarts        int   `json:"warm_starts"`  // solves offered the previous variant's charges as seeds
-
-	// Persistent-store traffic (zero unless Options.Artifacts is set).
-	ArtifactHits   int64 `json:"artifact_hits"`   // stage payloads decoded from the store
-	ArtifactMisses int64 `json:"artifact_misses"` // store lookups that found nothing usable
-	ArtifactPuts   int64 `json:"artifact_puts"`   // stage payloads written through
 }
 
 // StageReuse flags which stage artifacts of a Result came (at least
 // partially) from the previous variant or the artifact store: NearField
-// for dense entries kept in place or a near field adopted whole, Topology
-// for a shared pfft kernel transform, Factorization for adopted block
-// factors.
+// for dense entries kept in place or a near field adopted whole from the
+// store, Topology for a shared pfft kernel transform, Factorization for
+// block factors adopted from the previous variant (the store holds none).
 type StageReuse struct {
 	Topology      bool
 	NearField     bool
@@ -413,24 +409,12 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 	// family hash ("" = persistence off); the near-field payload is
 	// adopted on a store hit and written through on a miss.
 	var pb op.Prebuilt
-	var akey string
 	switch be {
 	case op.BackendDense:
-		akey = p.artifactKey(snap, be, nil, nil)
+		akey := p.artifactKey(snap, be, nil, nil)
 		tN := time.Now()
-		adopted := false
-		if akey != "" {
-			if data, ok := p.opt.Artifacts.Get(akey + nearSuffix); ok {
-				if d := decodeDenseArtifact(data, len(panels)); d != nil {
-					nv.dense = d
-					adopted = true
-					p.stats.ArtifactHits++
-				}
-			}
-			if !adopted {
-				p.stats.ArtifactMisses++
-			}
-		}
+		nv.dense = decodeDenseArtifact(p.storedNear(akey), len(panels))
+		adopted := nv.dense != nil
 		if adopted {
 			n := int64(len(panels))
 			p.countNear(assembly.FillStats{}, n*(n+1)/2)
@@ -453,14 +437,13 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		}
 		if akey != "" && !adopted {
 			p.opt.Artifacts.Put(akey+nearSuffix, encodeDenseArtifact(nv.dense))
-			p.stats.ArtifactPuts++
 		}
 		p.stats.NearBuilds++
 		res.Stages.NearField = time.Since(tN)
 		pb.Dense = nv.dense
 	case op.BackendFMM:
 		fo := op.FMMOptions(spec, p.opt.Pipeline)
-		akey = p.artifactKey(snap, be, &fo, nil)
+		akey := p.artifactKey(snap, be, &fo, nil)
 		tT := time.Now()
 		topo := fmm.NewTopology(spec.Panels, fo)
 		p.stats.TopoBuilds++
@@ -469,16 +452,8 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 			return nil, err
 		}
 		var r *fmm.Reuse
-		if akey != "" {
-			if data, ok := p.opt.Artifacts.Get(akey + nearSuffix); ok {
-				if vals := decodeFMMNearArtifact(data); vals != nil {
-					r = &fmm.Reuse{Vals: vals}
-					p.stats.ArtifactHits++
-				}
-			}
-			if r == nil {
-				p.stats.ArtifactMisses++
-			}
+		if vals := decodeFMMNearArtifact(p.storedNear(akey)); vals != nil {
+			r = &fmm.Reuse{Vals: vals}
 		}
 		tN := time.Now()
 		nv.fmmOp = fmm.NewOperatorWith(topo, spec.Panels, fo, r)
@@ -496,28 +471,16 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		res.Stages.NearField = time.Since(tN)
 		if akey != "" && r == nil {
 			p.opt.Artifacts.Put(akey+nearSuffix, encodeFMMNearArtifact(nv.fmmOp.NearVals()))
-			p.stats.ArtifactPuts++
 		}
 		pb.Operator = nv.fmmOp
 	case op.BackendPFFT:
 		po := op.PFFTOptions(spec, p.opt.Pipeline)
-		akey = p.artifactKey(snap, be, nil, &po)
+		akey := p.artifactKey(snap, be, nil, &po)
+		r := &pfft.Reuse{Artifact: decodePFFTNearArtifact(p.storedNear(akey), len(panels))}
 		// The previous operator, when it was pfft, offers its kernel
 		// transform.
-		r := &pfft.Reuse{}
 		if cur != nil {
 			r.Prev = cur.pfftOp
-		}
-		if akey != "" {
-			if data, ok := p.opt.Artifacts.Get(akey + nearSuffix); ok {
-				if a := decodePFFTNearArtifact(data, len(panels)); a != nil {
-					r.Artifact = a
-					p.stats.ArtifactHits++
-				}
-			}
-			if r.Artifact == nil {
-				p.stats.ArtifactMisses++
-			}
 		}
 		nv.pfftOp = pfft.NewOperatorReuse(spec.Panels, po, r)
 		f := nv.pfftOp.NearFill()
@@ -535,34 +498,18 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		res.Stages.Topology, res.Stages.NearField = nv.pfftOp.PhaseTimes()
 		if akey != "" && r.Artifact == nil {
 			p.opt.Artifacts.Put(akey+nearSuffix, encodePFFTNearArtifact(nv.pfftOp.NearArtifact()))
-			p.stats.ArtifactPuts++
 		}
 		pb.Operator = nv.pfftOp
 	default:
 		return nil, errors.New("plan: unknown backend")
 	}
 
-	// Factorization: adopt unchanged blocks' factors — from the
-	// previous in-memory variant when rigid-motion classes align, else
-	// from the persistent store (same family hash, so block matrices are
-	// bitwise identical).
+	// Factorization: adopt unchanged blocks' factors from the previous
+	// variant when rigid-motion classes align; factorize the rest.
 	if err := check("factorize"); err != nil {
 		return nil, err
 	}
 	pb.Factors = factorLookup(cur, class)
-	factHit := false
-	if akey != "" {
-		if data, ok := p.opt.Artifacts.Get(akey + factSuffix); ok {
-			if m := decodeFactorArtifact(data); m != nil {
-				pb.Factors = chainFactors(pb.Factors, artifactFactors(m))
-				factHit = true
-				p.stats.ArtifactHits++
-			}
-		}
-		if !factHit {
-			p.stats.ArtifactMisses++
-		}
-	}
 	tF := time.Now()
 	popt := p.opt.Pipeline
 	popt.Backend = be
@@ -576,10 +523,6 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		p.stats.FactReused += bj.ReusedFactors()
 		res.Reused.Factorization = bj.ReusedFactors() > 0
 		nv.factors = factorMap(bj)
-		if akey != "" && !factHit && len(nv.factors) > 0 {
-			p.opt.Artifacts.Put(akey+factSuffix, encodeFactorArtifact(nv.factors))
-			p.stats.ArtifactPuts++
-		}
 	}
 
 	// Solve (in a space seeded by the previous variant's charges when

@@ -266,11 +266,6 @@ func (s *Server) runExtract(j *job, req *ExtractRequest, st *geom.Structure) (*E
 	if err != nil {
 		return nil, err
 	}
-	if opt.Precision == op.PrecisionAuto {
-		// A request that leaves the arithmetic to "auto" inherits the
-		// daemon-wide default (capxd -precision).
-		opt.Precision = s.opt.DefaultPrecision
-	}
 	t0 := time.Now()
 	res, err := s.eng.ExtractPipelineCtx(j.ctx, st, req.EdgeM, opt)
 	if err != nil {
@@ -466,9 +461,6 @@ func (s *Server) runVariantSweep(j *job, req *SweepRequest, sts []*geom.Structur
 			}
 		}
 		return
-	}
-	if opt.Precision == op.PrecisionAuto {
-		opt.Precision = s.opt.DefaultPrecision
 	}
 	for i, st := range sts {
 		if j.ctx.Err() != nil {

@@ -102,10 +102,10 @@
 // # Running a replica set
 //
 // With Options.ArtifactDir set, the engine's plans read the expensive
-// solver by-products — near-field matrix values and preconditioner
-// factors, keyed by a content hash of geometry and solve options —
-// from a disk artifact store (internal/artifact) before building, and
-// write them through after, so identical-family work survives restarts
+// solver by-product — near-field matrix values, keyed by a content hash
+// of geometry and solve options — from a disk artifact store
+// (internal/artifact) before building, and write it through after, so
+// identical-family integration work survives restarts
 // (TestReplicaRestartAdoptsDiskArtifacts). /stats and /metrics report
 // the store's counters (entries, bytes, hits, misses, puts, evictions,
 // corrupt). Replicas share no artifacts: each store is its own.
@@ -135,7 +135,6 @@ import (
 	"parbem/internal/extract"
 	"parbem/internal/faultpoint"
 	"parbem/internal/geom"
-	"parbem/internal/op"
 	"parbem/internal/plan"
 	"parbem/internal/sched"
 	"parbem/internal/serve/journal"
@@ -172,10 +171,6 @@ type Options struct {
 	// newest or once it has served two variants (batch.Engine's
 	// ExtractPipelineCtx).
 	CacheEntries int
-	// DefaultPrecision is the matvec arithmetic applied to requests that
-	// leave their precision selector empty or "auto" (capxd -precision).
-	// The zero value (op.PrecisionAuto) means fp64.
-	DefaultPrecision op.Precision
 	// Limits bound individual requests (zero value = defaults).
 	Limits Limits
 	// JobHistory is how many finished jobs stay queryable via
@@ -191,9 +186,9 @@ type Options struct {
 	DataDir string
 	// ArtifactDir, when set, enables the persistent stage-artifact
 	// store (capxd defaults it to DataDir/artifacts): the engine's
-	// plans read near-field values and block factors through it before
-	// building and write through after, so identical-family requests
-	// skip integration across restarts. Empty disables persistence.
+	// plans read near-field values through it before building and write
+	// through after, so identical-family requests skip integration across
+	// restarts. Empty disables persistence.
 	ArtifactDir string
 	// ArtifactMaxBytes bounds the resident artifact bytes under
 	// ArtifactDir (LRU eviction; 0 = the store's 1 GiB default).

@@ -174,7 +174,7 @@ func TestOptionSurface(t *testing.T) {
 		// the two request limits left, and the router always forwards on
 		// a plain http.Client. A panel problem's executor is its Spec's.
 		{reflect.TypeOf(serve.Options{}), []string{"Workers", "WorkerBudget", "QueueDepth", "SweepQueueDepth", "Runners",
-			"TenantRate", "TenantBurst", "CacheEntries", "DefaultPrecision", "Limits", "JobHistory", "DataDir",
+			"TenantRate", "TenantBurst", "CacheEntries", "Limits", "JobHistory", "DataDir",
 			"ArtifactDir", "ArtifactMaxBytes", "Logf"}},
 		{reflect.TypeOf(serve.Limits{}), []string{"MaxBodyBytes", "MaxPanels"}},
 		{reflect.TypeOf(serve.RouterOptions{}), []string{"Replicas", "Limits", "Retry", "Logf"}},
