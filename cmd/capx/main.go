@@ -9,12 +9,6 @@
 //	capx -structure bus -m 24 -n 24 -backend shared -workers 4
 //	capx -structure interconnect -backend mpi -workers 10
 //
-// Batch mode extracts many geometry files through one shared engine
-// (persistent worker pool, basis and symmetry-class caches), which is
-// several times faster than separate runs when structures repeat:
-//
-//	capx -batch -workers 8 bus1.geo bus2.geo bus3.geo
-//
 // Piecewise-constant pipeline mode runs the unified operator pipeline
 // instead: -backend auto|dense|fastcap|pfft selects the solve backend
 // (auto picks per the cost model from panel count and grid fill factor)
@@ -71,13 +65,11 @@ func main() {
 		n         = flag.Int("n", 8, "bus: upper-layer wire count")
 		backend   = flag.String("backend", "serial", "instantiable-basis solver, by fill backend: serial | shared | mpi; piecewise-constant pipeline, by operator: auto | dense | fastcap | pfft")
 		precond   = flag.String("precond", "auto", "pipeline preconditioner: auto | none | jacobi | block")
-		precision = flag.String("precision", "auto", "pipeline matvec arithmetic: auto | fp64 | mixed (float32 operator inside float64 refinement)")
 		workers   = flag.Int("workers", 4, "parallel nodes D")
 		units     = flag.Float64("unit", 1e15, "output scale (1e15 = fF)")
 		maxPrint  = flag.Int("maxprint", 12, "largest matrix printed in full")
 		spice     = flag.String("spice", "", "also write a SPICE netlist to this file")
 		check     = flag.Bool("check", true, "validate the Maxwell matrix structure")
-		batchMode = flag.Bool("batch", false, "batch mode: extract the geometry files given as arguments through one shared engine")
 		tol       = flag.Float64("tol", 1e-4, "pipeline iterative solver relative tolerance")
 		edge      = flag.Float64("edge", 0.5e-6, "pipeline max panel edge (m)")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON (capacitance matrix, backend/precond, iterations, per-stage timings) instead of text")
@@ -88,27 +80,15 @@ func main() {
 	)
 	flag.Parse()
 
-	if *remote != "" && *batchMode {
-		log.Fatal("-remote does not support -batch; POST the geometries to /extract individually")
-	}
-
-	if *batchMode {
-		if *spice != "" {
-			log.Fatal("-spice is not supported in batch mode")
-		}
-		runBatch(flag.Args(), *backend, *workers, *check, *units, *maxPrint)
-		return
-	}
-
 	if *sweep > 0 {
 		if *input != "" {
 			log.Fatal("-sweep varies the built-in crossing/bus separation and does not support -input")
 		}
 		if *remote != "" {
-			runRemoteSweep(*remote, *structure, *m, *n, *sweep, *hmin, *hmax, *backend, *precond, *precision, *edge, *tol, *jsonOut)
+			runRemoteSweep(*remote, *structure, *m, *n, *sweep, *hmin, *hmax, *backend, *precond, *edge, *tol, *jsonOut)
 			return
 		}
-		runSweep(*structure, *m, *n, *sweep, *hmin, *hmax, *backend, *precond, *precision, *edge, *tol, *workers, *jsonOut)
+		runSweep(*structure, *m, *n, *sweep, *hmin, *hmax, *backend, *precond, *edge, *tol, *workers, *jsonOut)
 		return
 	}
 
@@ -132,11 +112,11 @@ func main() {
 		if !isPipelineBackend(*backend) {
 			log.Fatalf("-remote needs a pipeline backend (auto|dense|fastcap|pfft), got %q", *backend)
 		}
-		runRemote(*remote, st, *backend, *precond, *precision, *edge, *tol, *units, *maxPrint, *check, *jsonOut)
+		runRemote(*remote, st, *backend, *precond, *edge, *tol, *units, *maxPrint, *check, *jsonOut)
 		return
 	}
 	if isPipelineBackend(*backend) {
-		runPipeline(st, *backend, *precond, *precision, *edge, *tol, *workers, *units, *maxPrint, *check, *jsonOut)
+		runPipeline(st, *backend, *precond, *edge, *tol, *workers, *units, *maxPrint, *check, *jsonOut)
 		return
 	}
 	be, err := parseBackend(*backend)
@@ -196,25 +176,16 @@ func main() {
 	fmt.Printf("fill      : %d far pairs | %d near pairs in %d symmetry classes | table %.1f KB\n\n",
 		res.Fill.PairsFar, res.Fill.PairsNear, res.Fill.ClassesIntegrated, float64(res.Fill.TableBytes)/1024)
 
-	printCapacitance(conductorNames(st), res.C, *check, *spice, false, *units, *maxPrint)
+	printCapacitance(conductorNames(st), res.C, *check, *spice, *units, *maxPrint)
 }
 
 // printCapacitance ends every local report: under -check the violations
 // of the Maxwell structure, then the matrix under the conductors' names.
 // A non-empty spice also writes the matrix there as a SPICE netlist.
-// Batch mode prints one of these per file and asks for the compact form:
-// a "warning:" line per violation, no headings.
-func printCapacitance(names []string, c *parbem.Matrix, check bool, spice string, compact bool, units float64, maxPrint int) {
+func printCapacitance(names []string, c *parbem.Matrix, check bool, spice string, units float64, maxPrint int) {
 	var violations []string
 	if check {
 		violations = parbem.CheckMaxwell(c, 0)
-	}
-	if compact {
-		for _, v := range violations {
-			fmt.Printf("  warning: %s\n", v)
-		}
-		printMatrix(c, units, names, maxPrint)
-		return
 	}
 	if len(violations) > 0 {
 		fmt.Println("Maxwell-matrix warnings:")
@@ -272,12 +243,12 @@ func isPipelineBackend(name string) bool {
 	return false
 }
 
-// pipelineOptions maps the -backend/-precond/-precision/-tol flags to
-// pipeline options as the service maps its request's selectors
+// pipelineOptions maps the -backend/-precond/-tol flags to pipeline
+// options as the service maps its request's selectors
 // (serve.PipelineOptions), and hands -workers to whichever accelerated
 // operator may run (shared by the single-shot and sweep modes).
-func pipelineOptions(kind, precond, precision string, tol float64, workers int) parbem.PipelineOptions {
-	opt, err := serve.PipelineOptions(kind, precond, precision, tol)
+func pipelineOptions(kind, precond string, tol float64, workers int) parbem.PipelineOptions {
+	opt, err := serve.PipelineOptions(kind, precond, tol)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -323,8 +294,8 @@ func emitJSON(v any) {
 // runPipeline solves the structure through the unified operator pipeline
 // and reports it in the daemon's record: -json prints exactly what POST
 // /extract would answer, less the job id and the reuse marker.
-func runPipeline(st *parbem.Structure, kind, precond, precision string, edge, tol float64, workers int, units float64, maxPrint int, check bool, jsonOut bool) {
-	opt := pipelineOptions(kind, precond, precision, tol, workers)
+func runPipeline(st *parbem.Structure, kind, precond string, edge, tol float64, workers int, units float64, maxPrint int, check bool, jsonOut bool) {
+	opt := pipelineOptions(kind, precond, tol, workers)
 
 	t0 := time.Now()
 	res, err := parbem.ExtractPipeline(st, edge, opt)
@@ -354,7 +325,7 @@ func printExtract(res *serve.ExtractResponse, served string, units float64, maxP
 	}
 	fmt.Printf("timing    : setup %.2f ms | solve %.2f ms | total %.2f ms\n\n",
 		res.SetupMs, res.SolveMs, res.TotalMs)
-	printCapacitance(res.Conductors, rowsToMatrix(res.CFarads), check, "", false, units, maxPrint)
+	printCapacitance(res.Conductors, rowsToMatrix(res.CFarads), check, "", units, maxPrint)
 }
 
 // sweepPoint is the per-variant record of a sweep (shared by the text
@@ -415,12 +386,12 @@ func sweepRange(structure string, m, n, points int, hmin, hmax float64, backend 
 // runSweep extracts a separation sweep through one staged plan
 // (parbem.NewPlan) and reports per-point timings, reuse and the
 // cold-vs-warm amortization.
-func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, precond, precision string, edge, tol float64, workers int, jsonOut bool) {
+func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, precond string, edge, tol float64, workers int, jsonOut bool) {
 	variant, hmin, hmax := sweepRange(structure, m, n, points, hmin, hmax, backend)
 
 	p, err := parbem.NewPlan(parbem.PlanOptions{
 		MaxEdge:  edge,
-		Pipeline: pipelineOptions(backend, precond, precision, tol, workers),
+		Pipeline: pipelineOptions(backend, precond, tol, workers),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -462,7 +433,6 @@ func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, p
 			Structure string           `json:"structure"`
 			Backend   string           `json:"backend"`
 			Precond   string           `json:"precond"`
-			Precision string           `json:"precision"`
 			Edge      float64          `json:"edge_m"`
 			Tol       float64          `json:"tol"`
 			Points    []sweepPoint     `json:"points"`
@@ -472,7 +442,7 @@ func runSweep(structure string, m, n, points int, hmin, hmax float64, backend, p
 			Stats     parbem.PlanStats `json:"stats"`
 		}{
 			Structure: structure, Backend: backend, Precond: precond,
-			Precision: precision, Edge: edge, Tol: tol, Points: recs,
+			Edge: edge, Tol: tol, Points: recs,
 			ColdMs: coldMs, WarmMs: warmPer, TotalMs: total.Seconds() * 1e3,
 			Stats: stats,
 		})
@@ -506,15 +476,14 @@ func geometryText(st *parbem.Structure) string {
 
 // runRemote sends one pipeline extraction to a capxd daemon and prints
 // the response as runPipeline prints its own.
-func runRemote(base string, st *parbem.Structure, kind, precond, precision string, edge, tol, units float64, maxPrint int, check, jsonOut bool) {
+func runRemote(base string, st *parbem.Structure, kind, precond string, edge, tol, units float64, maxPrint int, check, jsonOut bool) {
 	c := serve.NewClient(base)
 	res, err := c.Extract(context.Background(), &serve.ExtractRequest{
-		Geometry:  geometryText(st),
-		EdgeM:     edge,
-		Backend:   kind,
-		Precond:   precond,
-		Precision: precision,
-		Tol:       tol,
+		Geometry: geometryText(st),
+		EdgeM:    edge,
+		Backend:  kind,
+		Precond:  precond,
+		Tol:      tol,
 	})
 	if err != nil {
 		log.Fatalf("remote extract: %v", err)
@@ -529,10 +498,10 @@ func runRemote(base string, st *parbem.Structure, kind, precond, precision strin
 // runRemoteSweep streams an h-sweep through a capxd daemon: the variant
 // geometries are built locally (sweepRange, as in runSweep) and ride the
 // server's family-keyed plan cache.
-func runRemoteSweep(base, structure string, m, n, points int, hmin, hmax float64, backend, precond, precision string, edge, tol float64, jsonOut bool) {
+func runRemoteSweep(base, structure string, m, n, points int, hmin, hmax float64, backend, precond string, edge, tol float64, jsonOut bool) {
 	variant, hmin, hmax := sweepRange(structure, m, n, points, hmin, hmax, backend)
 
-	req := &serve.SweepRequest{EdgeM: edge, Backend: backend, Precond: precond, Precision: precision, Tol: tol}
+	req := &serve.SweepRequest{EdgeM: edge, Backend: backend, Precond: precond, Tol: tol}
 	hs := make([]float64, points)
 	for i := range hs {
 		hs[i] = hmin + (hmax-hmin)*float64(i)/float64(points-1)
@@ -550,12 +519,11 @@ func runRemoteSweep(base, structure string, m, n, points int, hmin, hmax float64
 			Structure string              `json:"structure"`
 			Backend   string              `json:"backend"`
 			Precond   string              `json:"precond"`
-			Precision string              `json:"precision"`
 			EdgeM     float64             `json:"edge_m"`
 			Tol       float64             `json:"tol"`
 			Points    []*serve.SweepPoint `json:"points"`
 			Trailer   *serve.SweepTrailer `json:"trailer"`
-		}{structure, backend, precond, precision, edge, tol, pts, tr})
+		}{structure, backend, precond, edge, tol, pts, tr})
 		return
 	}
 	fmt.Printf("sweep     : %s, %d points over H = [%g, %g] m via %s, backend %s, edge %g m\n",
@@ -607,55 +575,6 @@ func parseBackend(name string) (parbem.Backend, error) {
 		return parbem.Distributed, nil
 	}
 	return 0, fmt.Errorf("unknown backend %q", name)
-}
-
-// runBatch extracts every geometry file through one shared engine and
-// prints a per-structure summary plus aggregate cache statistics.
-func runBatch(files []string, backend string, workers int, check bool, units float64, maxPrint int) {
-	if len(files) == 0 {
-		log.Fatal("batch mode needs geometry files as arguments")
-	}
-	be, err := parseBackend(backend)
-	if err != nil {
-		log.Fatal(err)
-	}
-	structures := make([]*parbem.Structure, len(files))
-	for i, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st, err := parbem.ReadStructure(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("%s: %v", path, err)
-		}
-		structures[i] = st
-	}
-
-	eng := parbem.NewEngine(parbem.EngineOptions{Backend: be, Workers: workers})
-	defer eng.Close()
-
-	t0 := time.Now()
-	results, err := eng.ExtractAll(structures)
-	elapsed := time.Since(t0)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	for i, res := range results {
-		fmt.Printf("%-24s %3d conductors  N=%4d  M=%4d  setup %v\n",
-			files[i], structures[i].NumConductors(), res.N, res.M, res.Timing.Setup)
-		printCapacitance(conductorNames(structures[i]), res.C, check, "", true, units, maxPrint)
-		fmt.Println()
-	}
-	s := eng.Stats()
-	fmt.Printf("batch     : %d structures in %v (%.1f/s)\n",
-		len(files), elapsed, float64(len(files))/elapsed.Seconds())
-	fmt.Printf("caches    : state %d hits / %d misses, pair classes %d hits / %d misses (%d entries, %.1f KB)\n",
-		s.StateHits, s.StateMisses, s.PairHits, s.PairMisses, s.PairEntries, float64(s.Fill.TableBytes)/1024)
-	fmt.Printf("fill      : %d far pairs | %d near pairs in %d symmetry classes\n",
-		s.Fill.PairsFar, s.Fill.PairsNear, s.Fill.ClassesIntegrated)
 }
 
 func buildStructure(kind string, m, n int) (*parbem.Structure, error) {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -112,6 +113,21 @@ func TestCapxSweepJSON(t *testing.T) {
 		checkSymmetric(t, p.CFarads)
 		if i > 0 && p.Reused == "none" {
 			t.Errorf("warm point %d reused nothing", i)
+		}
+	}
+}
+
+// TestCapxRemovedFlags: modes without a measured case are not selectable.
+// -precision (the float32 mirror) and -batch (the engine's template
+// driver) are undefined flags, so the command exits 2 without solving.
+func TestCapxRemovedFlags(t *testing.T) {
+	for _, args := range [][]string{{"-precision", "mixed"}, {"-batch", "a.geo"}} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "CAPX_TEST_CHILD=1")
+		out, err := cmd.CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("capx %v: %v\n%s", args, err, out)
 		}
 	}
 }

@@ -76,11 +76,7 @@
 //
 // # Precision
 //
-// Requests may carry a "precision" selector (auto | fp64 | mixed); the
-// mixed setting runs the accelerated matvec through a float32 operator
-// inside float64 iterative refinement (capx -precision). A request that
-// leaves it empty or on auto runs fp64; the response reports the
-// arithmetic that actually ran.
+// Every solve runs fp64; a "precision" other than "", auto or fp64 is a 400.
 //
 // # Profiling
 //

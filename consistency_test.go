@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"parbem/internal/op"
 )
 
 // consistencyTol is the cross-backend agreement bound. The backends run
@@ -99,7 +101,10 @@ func TestPipelineBackendConsistency(t *testing.T) {
 // accelerated backends' capacitance matrices by at most 5e-3 relative
 // against their own fp64 solves — the refinement loop converges the
 // outer residual in float64, so the float32 storage must not leak into
-// the answer beyond the solver tolerance. The warm ApplyMixed paths are
+// the answer beyond the solver tolerance. No command, wire field or
+// exported constant selects mixed; only the Precision field of
+// op.Options (which PipelineOptions aliases) does, so the test sets it
+// there to op.PrecisionMixed. The warm ApplyMixed paths are
 // separately pinned allocation-free by the AllocsPerRun guards in the
 // fmm and pfft package tests.
 func TestPipelinePrecisionConsistency(t *testing.T) {
@@ -114,20 +119,20 @@ func TestPipelinePrecisionConsistency(t *testing.T) {
 		{Backend: BackendPFFT, Tol: 1e-6},
 	} {
 		opt := backend
-		opt.Precision = PrecisionFP64
+		opt.Precision = op.PrecisionFP64
 		ref, err := ExtractPipeline(st, edge, opt)
 		if err != nil {
 			t.Fatalf("%v fp64: %v", opt.Backend, err)
 		}
-		if ref.Precision != PrecisionFP64 {
+		if ref.Precision != op.PrecisionFP64 {
 			t.Fatalf("%v: forced fp64 resolved to %v", opt.Backend, ref.Precision)
 		}
-		opt.Precision = PrecisionMixed
+		opt.Precision = op.PrecisionMixed
 		mix, err := ExtractPipeline(st, edge, opt)
 		if err != nil {
 			t.Fatalf("%v mixed: %v", opt.Backend, err)
 		}
-		if mix.Precision != PrecisionMixed {
+		if mix.Precision != op.PrecisionMixed {
 			t.Fatalf("%v: forced mixed resolved to %v", opt.Backend, mix.Precision)
 		}
 		if e := CapError(mix.C, ref.C); e > 5e-3 {

@@ -11,8 +11,8 @@ import (
 // Lookups of missing keys compute the value exactly once even under
 // concurrent demand for the same key (single-flight): late arrivals
 // block on the first caller's computation instead of duplicating it,
-// which is what makes ExtractAll over a repeated-template corpus do one
-// basis build in total.
+// which is what makes concurrent Extract calls over a repeated-template
+// corpus do one basis build in total.
 type LRU struct {
 	mu   sync.Mutex
 	cap  int

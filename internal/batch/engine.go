@@ -54,17 +54,14 @@ import (
 	"parbem/internal/solver"
 )
 
-// Options configures an Engine. The zero value is a SharedMem engine
-// with GOMAXPROCS workers. The template path has no other settings:
-// default basis and kernel configuration, the state LRU and one shared
-// class table of assembly.NewPairCache's default size, always on.
+// Options configures an Engine. The zero value is an engine with
+// GOMAXPROCS workers. The template path has no other settings: a
+// SharedMem fill on the engine's pool, default basis and kernel
+// configuration, the state LRU and one shared class table of
+// assembly.NewPairCache's default size, always on.
 type Options struct {
-	// Backend selects the fill backend (default SharedMem; SharedMem
-	// fills run on the engine's persistent pool).
-	Backend solver.Backend
-	// Workers sizes the shared worker pool (0 = GOMAXPROCS). ExtractAll
-	// runs max(2, Workers) extractions at once; their fills interleave
-	// on the pool.
+	// Workers sizes the shared worker pool (0 = GOMAXPROCS). Concurrent
+	// Extract calls' fills interleave on the pool.
 	Workers int
 	// PlanWorkers caps how many pool workers one ExtractPipeline
 	// request's stage builds and operator applies occupy (0 = the whole
@@ -195,10 +192,12 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Extract runs one extraction through the engine's caches and pool.
-// The returned Result shares the cached basis set (read-only); its
-// Timing.BasisGen is zero on a cache hit — that is the amortization the
-// engine exists for.
+// Extract runs one extraction through the engine's caches and pool: a
+// SharedMem fill on the pool (per-call workers after Close). It is safe
+// for concurrent use; concurrent calls share the basis LRU, the class
+// table and the pool. The returned Result shares the cached basis set
+// (read-only); its Timing.BasisGen is zero on a cache hit — that is the
+// amortization the engine exists for.
 func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -218,16 +217,14 @@ func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 		return nil, err
 	}
 
-	opt := solver.Options{Backend: e.opt.Backend, Workers: e.opt.Workers}
+	opt := solver.Options{Backend: solver.SharedMem, Workers: e.opt.Workers}
 	var pool *sched.Pool
-	if opt.Backend == solver.SharedMem {
-		e.mu.Lock()
-		if !e.closed {
-			pool = e.pool
-			opt.Workers = e.pool.Workers()
-		}
-		e.mu.Unlock()
+	e.mu.Lock()
+	if !e.closed {
+		pool = e.pool
+		opt.Workers = e.pool.Workers()
 	}
+	e.mu.Unlock()
 	res, err := solver.ExtractSet(v.(*basis.Set), opt, e.pairs, pool)
 	if err != nil {
 		return nil, err
@@ -238,24 +235,6 @@ func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 	e.fill.Add(res.Fill)
 	e.mu.Unlock()
 	return res, nil
-}
-
-// ExtractAll extracts every structure, running up to max(2, Workers)
-// extractions at once over the shared pool and caches. results[i]
-// corresponds to sts[i]; on error, results for structures that failed
-// are nil and the first error is returned (the rest still complete).
-func (e *Engine) ExtractAll(sts []*geom.Structure) ([]*solver.Result, error) {
-	results := make([]*solver.Result, len(sts))
-	errs := make([]error, len(sts))
-	sched.Local(max(2, e.pool.Workers())).Map(len(sts), func(i int) {
-		results[i], errs[i] = e.Extract(sts[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
 }
 
 // ExtractPipeline runs a piecewise-constant pipeline extraction through

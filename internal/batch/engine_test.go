@@ -2,6 +2,7 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"parbem/internal/geom"
@@ -61,7 +62,20 @@ func TestEngineMatchesSerialExtract(t *testing.T) {
 	}
 }
 
-func TestEngineExtractAllConcurrent(t *testing.T) {
+// extractConcurrently extracts every structure through the engine from
+// max(2, Workers) goroutines at once, as a service's concurrent requests
+// would: their fills interleave on the engine's pool and share its basis
+// LRU and class table. results[i] and errs[i] are sts[i]'s.
+func extractConcurrently(e *Engine, sts []*geom.Structure) ([]*solver.Result, []error) {
+	results := make([]*solver.Result, len(sts))
+	errs := make([]error, len(sts))
+	sched.Local(max(2, e.Workers())).Map(len(sts), func(i int) {
+		results[i], errs[i] = e.Extract(sts[i])
+	})
+	return results, errs
+}
+
+func TestEngineExtractConcurrent(t *testing.T) {
 	// A mixed corpus: repeated copies of two distinct structures,
 	// extracted concurrently over the shared pool and caches.
 	var corpus []*geom.Structure
@@ -72,19 +86,16 @@ func TestEngineExtractAllConcurrent(t *testing.T) {
 	}
 	e := New(Options{Workers: 4}) // four extractions at once
 	defer e.Close()
-	results, err := e.ExtractAll(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results, errs := extractConcurrently(e, corpus)
 	refA, _ := solver.Extract(stA, solver.Options{Backend: solver.Serial})
 	refB, _ := solver.Extract(stB, solver.Options{Backend: solver.Serial})
 	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("result %d: %v", i, errs[i])
+		}
 		ref := refA
 		if i%2 == 1 {
 			ref = refB
-		}
-		if res == nil {
-			t.Fatalf("result %d missing", i)
 		}
 		if e := relErr(res.C, ref.C); e > 1e-10 {
 			t.Fatalf("result %d deviates by %g", i, e)
@@ -96,20 +107,19 @@ func TestEngineExtractAllConcurrent(t *testing.T) {
 	}
 }
 
-func TestEngineExtractAllError(t *testing.T) {
+// TestEngineExtractError: an invalid structure fails its own extraction
+// and no other running beside it.
+func TestEngineExtractError(t *testing.T) {
 	bad := &geom.Structure{Name: "empty"} // no conductors: Validate fails
 	good := geom.DefaultCrossingPair().Build()
 	e := New(Options{Workers: 1})
 	defer e.Close()
-	results, err := e.ExtractAll([]*geom.Structure{good, bad})
-	if err == nil {
-		t.Fatal("expected error from invalid structure")
+	results, errs := extractConcurrently(e, []*geom.Structure{good, bad})
+	if errs[0] != nil || results[0] == nil {
+		t.Errorf("valid structure did not extract: %v", errs[0])
 	}
-	if results[0] == nil {
-		t.Error("valid structure should still have extracted")
-	}
-	if results[1] != nil {
-		t.Error("invalid structure should have nil result")
+	if errs[1] == nil || results[1] != nil {
+		t.Errorf("invalid structure returned %v, %v; want an error and no result", results[1], errs[1])
 	}
 }
 
@@ -158,8 +168,8 @@ func TestEngineBatchWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := e.Stats()
-	if _, err := e.ExtractAll(corpus[1:]); err != nil {
-		t.Fatal(err)
+	if _, errs := extractConcurrently(e, corpus[1:]); errors.Join(errs...) != nil {
+		t.Fatal(errors.Join(errs...))
 	}
 	all := e.Stats()
 	if int64(first.PairMisses) != lone.Fill.ClassesIntegrated || all.PairMisses != first.PairMisses {
@@ -178,8 +188,9 @@ func TestEngineBatchWork(t *testing.T) {
 
 // BenchmarkEngineBatch compares a corpus of 16 repeated-template bus
 // structures extracted by 16 sequential Extract calls against the batch
-// engine (fresh engine per iteration, so every iteration pays the
-// cache-cold first fill and then reaps the 15 repeats).
+// engine's concurrent Extract calls (fresh engine per iteration, so every
+// iteration pays the cache-cold first fill and then reaps the 15
+// repeats).
 func BenchmarkEngineBatch(b *testing.B) {
 	corpus := corpus16()
 
@@ -196,8 +207,8 @@ func BenchmarkEngineBatch(b *testing.B) {
 	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := New(Options{})
-			if _, err := e.ExtractAll(corpus); err != nil {
-				b.Fatal(err)
+			if _, errs := extractConcurrently(e, corpus); errors.Join(errs...) != nil {
+				b.Fatal(errors.Join(errs...))
 			}
 			e.Close()
 		}

@@ -17,7 +17,11 @@ const (
 	// PrecisionAuto (the zero value) resolves to PrecisionFP64: the
 	// float32 mirror never showed an end-to-end win and its refinement
 	// intermittently blew up (bench/README.md), so it runs only when
-	// asked for by name.
+	// asked for by name, and only bench/'s probes and this module's tests
+	// ask. No command or wire field selects it, and the facade names no
+	// constant for it; parbem.PipelineOptions.Precision, an alias of this
+	// package's Options.Precision, still reaches it when a caller sets
+	// the mixed value by number, until that field goes.
 	PrecisionAuto Precision = iota
 	// PrecisionFP64 runs every apply in float64.
 	PrecisionFP64
@@ -39,19 +43,6 @@ func (p Precision) String() string {
 		return "mixed"
 	}
 	return fmt.Sprintf("Precision(%d)", int(p))
-}
-
-// ParsePrecision parses a -precision flag value.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "auto", "":
-		return PrecisionAuto, nil
-	case "fp64":
-		return PrecisionFP64, nil
-	case "mixed":
-		return PrecisionMixed, nil
-	}
-	return PrecisionAuto, fmt.Errorf("op: unknown precision %q (want auto, fp64 or mixed)", s)
 }
 
 // MixedApplier is implemented by operators carrying an optional float32

@@ -19,19 +19,15 @@ func (s *stubMirror) ApplyMixed(dst, x []float64) {
 	copy(dst, x)
 }
 
-// TestPrecisionParseString pins the flag round trip.
-func TestPrecisionParseString(t *testing.T) {
-	for _, p := range []Precision{PrecisionAuto, PrecisionFP64, PrecisionMixed} {
-		got, err := ParsePrecision(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
+// TestPrecisionString pins the names the wire reports (the
+// "precision" of serve.ExtractResponse).
+func TestPrecisionString(t *testing.T) {
+	for p, want := range map[Precision]string{
+		PrecisionAuto: "auto", PrecisionFP64: "fp64", PrecisionMixed: "mixed", 7: "Precision(7)",
+	} {
+		if got := p.String(); got != want {
+			t.Errorf("Precision(%d).String() = %q, want %q", int(p), got, want)
 		}
-	}
-	if _, err := ParsePrecision("fp16"); err == nil {
-		t.Error("ParsePrecision accepted fp16")
-	}
-	if p, err := ParsePrecision(""); err != nil || p != PrecisionAuto {
-		t.Errorf("empty precision = %v, %v; want auto", p, err)
 	}
 }
 

@@ -418,6 +418,84 @@ func TestPlanArtifactImplausibleValuesNeverAdopted(t *testing.T) {
 	}
 }
 
+// TestPlanArtifactRefusedPayloadReplaced plants, under the family's own
+// key, a near field the decoder accepts and the operator refuses in part
+// or whole: an fmm value array one value short of the layout, and a pfft
+// payload whose last row is one entry longer than the rebuilt row. The
+// first restart integrates what it refused, returns C bitwise equal to a
+// build without a store and writes its near field over the planted one,
+// once; the second restart adopts the whole payload, integrating no class
+// and writing nothing.
+func TestPlanArtifactRefusedPayloadReplaced(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		pipe  op.Options
+		spoil func(b []byte, n int) []byte
+	}{
+		{"fmm one value short", op.Options{Backend: op.BackendFMM, Tol: 1e-8, FMM: &fmm.Options{Workers: 1}},
+			func(b []byte, _ int) []byte {
+				v := decodeFMMNearArtifact(b)
+				return encodeFMMNearArtifact(v[:len(v)-1])
+			}},
+		{"pfft one wrong row length", op.Options{Backend: op.BackendPFFT, Tol: 1e-8, PFFT: &pfft.Options{Workers: 1}},
+			func(b []byte, n int) []byte {
+				a := decodePFFTNearArtifact(b, n)
+				a.RowLen[n-1]++
+				a.Val, a.Exact = append(a.Val, 0), append(a.Exact, 0)
+				return encodePFFTNearArtifact(a)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := crossingAt(0.5e-6)
+			plain := extractVia(t, nil, tc.pipe, 0.5e-6)
+			n := len(plain.Panels)
+			clean := newMemStore()
+			extractVia(t, clean, tc.pipe, 0.5e-6)
+			ks := clean.keys()
+			if len(ks) != 1 || !strings.HasSuffix(ks[0], nearSuffix) {
+				t.Fatalf("cold build stored %q, want one near-field key", ks)
+			}
+			good, _ := clean.Get(ks[0])
+			bad := tc.spoil(append([]byte(nil), good...), n)
+			if decodeFMMNearArtifact(bad) == nil && decodePFFTNearArtifact(bad, n) == nil {
+				t.Fatal("the decoder refuses the planted payload; the operator must be the one to refuse it")
+			}
+			store := newMemStore()
+			store.Put(ks[0], bad)
+
+			restart := func() (*Result, Stats, int) {
+				p, err := New(Options{MaxEdge: 0.5e-6, Pipeline: tc.pipe, Artifacts: store})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := p.Extract(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, puts := store.counts()
+				return res, p.Stats(), puts
+			}
+			first, _, puts1 := restart()
+			if puts1 != 2 {
+				t.Errorf("first restart wrote %d times over the refused payload, want once", puts1-1)
+			}
+			for i, v := range first.C.Data {
+				if math.Float64bits(v) != math.Float64bits(plain.C.Data[i]) {
+					t.Fatalf("first restart: C[%d] = %v, %v without a store", i, v, plain.C.Data[i])
+				}
+			}
+			second, stats, puts2 := restart()
+			if !second.Reused.NearField || stats.ClassesIntegrated != 0 || puts2 != puts1 {
+				t.Errorf("second restart: near field reused %v, %d classes integrated, %d writes; want the whole payload adopted",
+					second.Reused.NearField, stats.ClassesIntegrated, puts2-puts1)
+			}
+			if e := capError(second.C, plain.C); e > 1e-12 {
+				t.Errorf("second restart deviates by %.3g", e)
+			}
+		})
+	}
+}
+
 // TestDecodeFMMNearRejectsNonFinite: an fmm near field holding a NaN or an
 // infinity is no artifact; a finite one round-trips.
 func TestDecodeFMMNearRejectsNonFinite(t *testing.T) {

@@ -407,7 +407,8 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 
 	// Topology + NearField per backend. akey is the persistent-store
 	// family hash ("" = persistence off); the near-field payload is
-	// adopted on a store hit and written through on a miss.
+	// adopted on a store hit and written through whenever the build
+	// integrated anything.
 	var pb op.Prebuilt
 	switch be {
 	case op.BackendDense:
@@ -469,7 +470,10 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		res.Reused.NearField = adopted > 0
 		p.stats.NearBuilds++
 		res.Stages.NearField = time.Since(tN)
-		if akey != "" && r == nil {
+		// A build that integrated anything did not adopt the whole stored
+		// payload — there was none, or the decoder or the operator refused
+		// it — so it replaces it.
+		if akey != "" && f.PairsNear+f.PairsFar > 0 {
 			p.opt.Artifacts.Put(akey+nearSuffix, encodeFMMNearArtifact(nv.fmmOp.NearVals()))
 		}
 		pb.Operator = nv.fmmOp
@@ -496,7 +500,9 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		p.stats.TopoBuilds++
 		p.stats.NearBuilds++
 		res.Stages.Topology, res.Stages.NearField = nv.pfftOp.PhaseTimes()
-		if akey != "" && r.Artifact == nil {
+		// As on fmm: a row refused is a row integrated, and the payload is
+		// replaced.
+		if akey != "" && f.PairsNear+f.PairsFar > 0 {
 			p.opt.Artifacts.Put(akey+nearSuffix, encodePFFTNearArtifact(nv.pfftOp.NearArtifact()))
 		}
 		pb.Operator = nv.pfftOp

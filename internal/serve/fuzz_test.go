@@ -30,6 +30,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"template_hs_m":[-1],"edge_m":5e-7}`))
 	f.Add([]byte(`{"geometry":"conductor a\nbox 0 0 0 1 1 1","edge_m":1e-6,"backend":"cuda"}`))
 	f.Add([]byte(`{"geometry":"conductor a\nbox 0 0 0 1 1 1","edge_m":1e-6,"tol":1e308}`))
+	f.Add([]byte(`{"geometry":"conductor a\nbox 0 0 0 1 1 1","edge_m":1e-6,"precision":"mixed"}`))
+	f.Add([]byte(`{"variants":["conductor a\nbox 0 0 0 1 1 1"],"edge_m":1e-6,"precision":"fp64"}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[1,2,3]`))
@@ -57,6 +59,9 @@ func FuzzDecodeRequest(f *testing.F) {
 			if !isFinite(req.EdgeM) || req.EdgeM <= 0 {
 				t.Fatalf("accepted non-positive edge %v", req.EdgeM)
 			}
+			if p := req.Precision; p != "" && p != "auto" && p != "fp64" {
+				t.Fatalf("accepted precision %q: every solve runs fp64", p)
+			}
 		}
 
 		sreq, sts, err := l.DecodeSweep(bytes.NewReader(data))
@@ -71,6 +76,9 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			if (len(sreq.Variants) == 0) == (len(sreq.TemplateHs) == 0) {
 				t.Fatal("accepted sweep without exactly one mode")
+			}
+			if p := sreq.Precision; p != "" && p != "auto" && p != "fp64" {
+				t.Fatalf("accepted sweep precision %q: every solve runs fp64", p)
 			}
 			for _, st := range sts {
 				if err := checkStructure(st, sreq.EdgeM, l.withDefaults()); err != nil {

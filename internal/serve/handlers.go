@@ -86,8 +86,8 @@ type ExtractResponse struct {
 	Backend   string `json:"backend"`
 	Requested string `json:"requested"`
 	Precond   string `json:"precond"`
-	// Precision is the resolved matvec arithmetic of the solve ("fp64",
-	// or "mixed" where the request or the daemon's default asked for it).
+	// Precision is the matvec arithmetic of the solve: always "fp64",
+	// the only arithmetic a request can select.
 	Precision  string  `json:"precision"`
 	NumPanels  int     `json:"num_panels"`
 	EdgeM      float64 `json:"edge_m"`
@@ -262,7 +262,7 @@ func requestErrorFor(err error, elapsed time.Duration) *RequestError {
 // runExtract executes one admitted extract job on the shared engine,
 // bounded by the job's deadline/cancellation context.
 func (s *Server) runExtract(j *job, req *ExtractRequest, st *geom.Structure) (*ExtractResponse, error) {
-	opt, err := PipelineOptions(req.Backend, req.Precond, req.Precision, req.Tol)
+	opt, err := PipelineOptions(req.Backend, req.Precond, req.Tol)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +452,7 @@ func (s *Server) runSweep(j *job, req *SweepRequest, sts []*geom.Structure) (any
 // family-keyed plan cache; a failing point becomes an error entry and
 // the sweep continues.
 func (s *Server) runVariantSweep(j *job, req *SweepRequest, sts []*geom.Structure, emit func(*SweepPoint) bool) {
-	opt, err := PipelineOptions(req.Backend, req.Precond, req.Precision, req.Tol)
+	opt, err := PipelineOptions(req.Backend, req.Precond, req.Tol)
 	if err != nil {
 		// Unreachable: DecodeSweep validated the options.
 		for i := range sts {

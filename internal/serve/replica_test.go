@@ -186,7 +186,7 @@ func TestReplicaSetCoordinatorSoak(t *testing.T) {
 		ref [][]float64
 		key string
 	}
-	opt, err := PipelineOptions("dense", "", "", 0)
+	opt, err := PipelineOptions("dense", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,9 +127,10 @@ type ExtractRequest struct {
 	Backend string `json:"backend,omitempty"`
 	// Precond: auto | none | jacobi | block ("" = auto).
 	Precond string `json:"precond,omitempty"`
-	// Precision: auto | fp64 | mixed ("" = auto). Selects the matvec
-	// arithmetic of the accelerated backends; mixed runs a float32
-	// operator inside float64 iterative refinement (see op.Precision).
+	// Precision: "", auto or fp64, all of which solve in float64; any
+	// other value (mixed included) is a bad_request. The field stays
+	// parseable so that clients written when it selected a float32
+	// operator keep working.
 	Precision string `json:"precision,omitempty"`
 	// Tol is the Krylov relative tolerance (0 = 1e-4).
 	Tol float64 `json:"tol,omitempty"`
@@ -171,7 +172,7 @@ type SweepRequest struct {
 	// EdgeM is the max panel edge in meters (required, > 0).
 	EdgeM float64 `json:"edge_m"`
 	// Backend, Precond, Precision, Tol: as in ExtractRequest (variants
-	// mode only).
+	// mode only; Precision is checked in both modes).
 	Backend   string  `json:"backend,omitempty"`
 	Precond   string  `json:"precond,omitempty"`
 	Precision string  `json:"precision,omitempty"`
@@ -278,10 +279,13 @@ func (l Limits) validateSolve(edge float64, backend, precond, precision string, 
 	if !isFinite(edge) || edge <= 0 {
 		return badRequest("edge_m = %v is not a positive finite panel edge", edge)
 	}
-	if _, err := PipelineOptions(backend, precond, precision, tol); err != nil {
-		return err
+	switch precision {
+	case "", "auto", "fp64":
+	default:
+		return badRequest("unsupported precision %q (want auto or fp64: every solve runs in float64)", precision)
 	}
-	return nil
+	_, err := PipelineOptions(backend, precond, tol)
+	return err
 }
 
 // parseGeometry parses geomio text and enforces the geometry limits.
@@ -343,20 +347,15 @@ func estimatePanels(sz geom.Vec3, edge float64) float64 {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// PipelineOptions maps the wire-format backend/precond/precision/tol
-// selectors onto op.Options, with the same semantics as the capx
-// command line: an explicit preconditioner on the dense backend selects
-// the iterative path, the default dense solve is the direct
-// factorization.
-func PipelineOptions(backend, precond, precision string, tol float64) (op.Options, error) {
+// PipelineOptions maps the wire-format backend/precond/tol selectors
+// onto op.Options, with the same semantics as the capx command line: an
+// explicit preconditioner on the dense backend selects the iterative
+// path, the default dense solve is the direct factorization.
+func PipelineOptions(backend, precond string, tol float64) (op.Options, error) {
 	if tol != 0 && (!isFinite(tol) || tol < 0 || tol >= 1) {
 		return op.Options{}, badRequest("tol = %v is not in (0, 1)", tol)
 	}
-	prec, err := op.ParsePrecision(precision)
-	if err != nil {
-		return op.Options{}, badRequest("unknown precision %q (want auto, fp64 or mixed)", precision)
-	}
-	opt := op.Options{Tol: tol, Precision: prec}
+	opt := op.Options{Tol: tol}
 	switch backend {
 	case "", "auto":
 		opt.Backend = op.BackendAuto

@@ -119,7 +119,7 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opt, err := PipelineOptions(req.Backend, req.Precond, req.Precision, req.Tol)
+	opt, err := PipelineOptions(req.Backend, req.Precond, req.Tol)
 	if err != nil {
 		rt.badRequests.Add(1)
 		writeError(w, err)
@@ -144,7 +144,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opt, err := PipelineOptions(req.Backend, req.Precond, req.Precision, req.Tol)
+	opt, err := PipelineOptions(req.Backend, req.Precond, req.Tol)
 	if err != nil {
 		rt.badRequests.Add(1)
 		writeError(w, err)

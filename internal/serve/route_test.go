@@ -483,7 +483,7 @@ func TestRouterSweepStreams(t *testing.T) {
 	if first != second {
 		t.Errorf("one family's sweeps reached replicas %s and %s, want one", first, second)
 	}
-	opt, err := PipelineOptions("dense", "", "", 0)
+	opt, err := PipelineOptions("dense", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestRouterSweepStreams(t *testing.T) {
 		backend string
 		edge    float64
 	}{{"dense", 0.5e-6}, {"fastcap", 0.5e-6}, {"dense", 0.3e-6}, {"pfft", 0.4e-6}} {
-		opt, err := PipelineOptions(c.backend, "", "", 0)
+		opt, err := PipelineOptions(c.backend, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,13 +35,11 @@
 //
 //	eng := parbem.NewEngine(parbem.EngineOptions{Workers: 8})
 //	defer eng.Close()
-//	results, err := eng.ExtractAll(structures) // concurrent, cache-shared
-//	res, err = eng.Extract(st)                 // one at a time also works
+//	res, err := eng.Extract(st) // safe to call from several goroutines
 //
 // On a corpus of repeated bus structures the engine integrates the
 // corpus' classes once and builds its basis once (BenchmarkEngineBatch
-// in internal/batch has the timing). The same engine is available
-// on the command line as `capx -batch file1.geo file2.geo ...`.
+// in internal/batch has the timing).
 //
 // # Choosing a backend
 //
@@ -96,16 +94,11 @@
 // same controls are available on the command line via
 // `capx -backend auto|dense|fastcap|pfft -precond auto|none|jacobi|block`.
 //
-// Orthogonally to the backend, PipelineOptions.Precision picks the
-// matvec arithmetic of the accelerated operators. PrecisionMixed runs
-// the Krylov applies through a float32 mirror of the fmm or pfft
-// operator — half the operator memory traffic — inside float64
-// iterative refinement, so the result still converges to the requested
-// tolerance in full precision; a stalling refinement falls back to pure
-// fp64 automatically. PrecisionAuto (default) is fp64: the mirror has
-// shown no end-to-end win and runs only when asked for by name. Dense
-// solves always run fp64. On the command line:
-// `capx -precision auto|fp64|mixed`.
+// Solves run in float64. A float32 mirror of the fmm and pfft operators
+// is kept internally for bench/'s probes; it never showed an end-to-end
+// win, so no command, wire field or constant here selects it, though
+// PipelineOptions.Precision (aliased from the internal options) still
+// reaches it when set to the mixed value by number, until that field goes.
 //
 // # Sweeps and variants
 //
@@ -337,8 +330,8 @@ type (
 	// caches of basis sets and symmetry-class integrals shared across
 	// extractions.
 	Engine = batch.Engine
-	// EngineOptions configures NewEngine; the zero value is a
-	// SharedMem engine with GOMAXPROCS workers.
+	// EngineOptions configures NewEngine; the zero value is an engine
+	// with GOMAXPROCS workers, which fills on them (SharedMem).
 	EngineOptions = batch.Options
 	// EngineStats reports the engine's cache effectiveness.
 	EngineStats = batch.Stats
@@ -365,19 +358,7 @@ const (
 	PrecondNone        = op.PrecondNone
 	PrecondJacobi      = op.PrecondJacobi
 	PrecondBlockJacobi = op.PrecondBlockJacobi
-	PrecisionAuto      = op.PrecisionAuto
-	PrecisionFP64      = op.PrecisionFP64
-	PrecisionMixed     = op.PrecisionMixed
 )
-
-// Precision selects the matvec arithmetic of the accelerated backends:
-// fp64, mixed (float32 operator inside float64 iterative refinement) or
-// auto (= fp64). See the "Choosing a backend" section.
-type Precision = op.Precision
-
-// ParsePrecision parses a -precision selector ("auto", "fp64",
-// "mixed"; "" = auto).
-func ParsePrecision(s string) (Precision, error) { return op.ParsePrecision(s) }
 
 // ExtractPipeline solves the structure with the selected (or cost-model
 // chosen) piecewise-constant backend on a throwaway Plan: panelize at

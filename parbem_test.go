@@ -143,14 +143,15 @@ func TestNonFiniteGeometryRejected(t *testing.T) {
 // ring (PipelineOptions.Restart), the fmm leaf size and the pfft grid
 // pitch. Six more went after them: serve.Options.Engine,
 // serve.RouterOptions.Client, serve.Limits' caps on conductors, boxes and
-// sweep points, and pcbem.Problem.Par.
+// sweep points, and pcbem.Problem.Par. So did EngineOptions.Backend: an
+// engine's template fill is always SharedMem on its pool.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
 		want []string
 	}{
 		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Kernel"}},
-		{reflect.TypeOf(EngineOptions{}), []string{"Backend", "Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
+		{reflect.TypeOf(EngineOptions{}), []string{"Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
 		{reflect.TypeOf(PlanOptions{}), []string{"MaxEdge", "Pipeline", "Exec", "Artifacts", "Pairs"}},
 		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Precond", "Tol", "Direct", "Precision", "FMM", "PFFT"}},
 		{reflect.TypeOf(par.Options{}), []string{"Workers", "Pool"}},
