@@ -11,12 +11,14 @@
 //
 // Piecewise-constant pipeline mode runs the unified operator pipeline
 // instead: -backend auto|dense|fastcap|pfft selects the solve backend
-// (auto picks per the cost model from panel count and grid fill factor)
-// and -precond auto|none|jacobi|block the preconditioner, reporting the
-// resolved backend, panel count and Krylov iteration totals:
+// (auto picks per the cost model from panel count and grid fill factor),
+// reporting the resolved backend, panel count and Krylov iteration
+// totals. Every Krylov solve is preconditioned by near-field block-Jacobi;
+// -precond auto|block only chooses the dense path, where block solves by
+// GMRES instead of the default direct factorization:
 //
 //	capx -structure bus -m 16 -n 16 -backend auto -edge 4e-7 -tol 1e-5
-//	capx -structure bus -backend fastcap -precond block
+//	capx -structure bus -m 3 -n 3 -backend dense -precond block
 //
 // Sweep mode runs a separation (H) sweep of the crossing or bus
 // structure through one staged extraction plan: after the first point,
@@ -64,7 +66,7 @@ func main() {
 		m         = flag.Int("m", 8, "bus: lower-layer wire count")
 		n         = flag.Int("n", 8, "bus: upper-layer wire count")
 		backend   = flag.String("backend", "serial", "instantiable-basis solver, by fill backend: serial | shared | mpi; piecewise-constant pipeline, by operator: auto | dense | fastcap | pfft")
-		precond   = flag.String("precond", "auto", "pipeline preconditioner: auto | none | jacobi | block")
+		precond   = flag.String("precond", "auto", "pipeline preconditioner, always near-field block-Jacobi: auto | block (block with -backend dense solves by GMRES instead of the direct factorization)")
 		workers   = flag.Int("workers", 4, "parallel nodes D")
 		units     = flag.Float64("unit", 1e15, "output scale (1e15 = fF)")
 		maxPrint  = flag.Int("maxprint", 12, "largest matrix printed in full")

@@ -42,8 +42,8 @@ func randomStructures(seed int64, n int) []*Structure {
 }
 
 // TestPipelineBackendConsistency asserts that every operator backend of
-// the unified pipeline — dense direct, dense iterative, multipole
-// (preconditioned and unpreconditioned) and precorrected-FFT — agrees on
+// the unified pipeline — dense direct, dense iterative, multipole and
+// precorrected-FFT, every Krylov solve block-Jacobi preconditioned — agrees on
 // the bus corpus to 1e-3 relative (the operators share the exact
 // Galerkin near field; they differ only in far-field approximation, well
 // inside the bound at the conservative settings used here).
@@ -69,11 +69,7 @@ func TestPipelineBackendConsistency(t *testing.T) {
 	}{
 		{"dense-iterative", PipelineOptions{Backend: BackendDense, Tol: 1e-6}},
 		{"fmm-blockjacobi", PipelineOptions{Backend: BackendFMM, Tol: 1e-6,
-			Precond: PrecondBlockJacobi, FMM: &FastCapOptions{Theta: 0.35}}},
-		{"fmm-unpreconditioned", PipelineOptions{Backend: BackendFMM, Tol: 1e-6,
-			Precond: PrecondNone, FMM: &FastCapOptions{Theta: 0.35}}},
-		{"fmm-jacobi", PipelineOptions{Backend: BackendFMM, Tol: 1e-6,
-			Precond: PrecondJacobi, FMM: &FastCapOptions{Theta: 0.35}}},
+			FMM: &FastCapOptions{Theta: 0.35}}},
 		{"pfft", PipelineOptions{Backend: BackendPFFT, Tol: 1e-6,
 			PFFT: &PFFTOptions{NearRadius: 8}}},
 		{"auto", PipelineOptions{Backend: BackendAuto, Tol: 1e-6}},

@@ -3,9 +3,15 @@ package parbem
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"parbem/internal/fmm"
+	"parbem/internal/linalg"
+	"parbem/internal/op"
+	"parbem/internal/pfft"
 )
 
 // updateGolden regenerates the golden-corpus reference matrices (and
@@ -85,25 +91,65 @@ type goldenFile struct {
 	CFarads    [][]float64 `json:"c_farads"`
 }
 
-// goldenBackends is the backend x preconditioner matrix every case must
-// reproduce its golden under. Conservative operator settings (fmm Theta
-// 0.35, pfft NearRadius 8) keep the far-field error well inside the
-// per-case bounds, as in TestPipelineBackendConsistency.
+// goldenBackends is the backend matrix every case must reproduce its
+// golden under. Every pipeline solve is block-Jacobi preconditioned; the
+// -none rows solve the same fmm and pfft operators with no preconditioner
+// at all (unpreconditioned), so the golden matrix is shown to be the
+// operator's answer, not the preconditioner's. Conservative operator
+// settings (fmm Theta 0.35, pfft NearRadius 8) keep the far-field error
+// well inside the per-case bounds, as in TestPipelineBackendConsistency.
 var goldenBackends = []struct {
 	name string
 	opt  PipelineOptions
+	none bool // solve by unpreconditioned, not by ExtractPipeline
 }{
-	{"dense-direct", PipelineOptions{Backend: BackendDense, Direct: true}},
-	{"dense-block", PipelineOptions{Backend: BackendDense, Tol: 1e-6, Precond: PrecondBlockJacobi}},
-	{"fmm-none", PipelineOptions{Backend: BackendFMM, Tol: 1e-6, Precond: PrecondNone,
-		FMM: &FastCapOptions{Theta: 0.35}}},
-	{"fmm-block", PipelineOptions{Backend: BackendFMM, Tol: 1e-6, Precond: PrecondBlockJacobi,
-		FMM: &FastCapOptions{Theta: 0.35}}},
-	{"pfft-none", PipelineOptions{Backend: BackendPFFT, Tol: 1e-6, Precond: PrecondNone,
-		PFFT: &PFFTOptions{NearRadius: 8}}},
-	{"pfft-block", PipelineOptions{Backend: BackendPFFT, Tol: 1e-6, Precond: PrecondBlockJacobi,
-		PFFT: &PFFTOptions{NearRadius: 8}}},
-	{"auto", PipelineOptions{Backend: BackendAuto, Tol: 1e-6}},
+	{"dense-direct", PipelineOptions{Backend: BackendDense, Direct: true}, false},
+	{"dense-block", PipelineOptions{Backend: BackendDense, Tol: 1e-6}, false},
+	{"fmm-none", PipelineOptions{Backend: BackendFMM, Tol: 1e-6,
+		FMM: &FastCapOptions{Theta: 0.35}}, true},
+	{"fmm-block", PipelineOptions{Backend: BackendFMM, Tol: 1e-6,
+		FMM: &FastCapOptions{Theta: 0.35}}, false},
+	{"pfft-none", PipelineOptions{Backend: BackendPFFT, Tol: 1e-6,
+		PFFT: &PFFTOptions{NearRadius: 8}}, true},
+	{"pfft-block", PipelineOptions{Backend: BackendPFFT, Tol: 1e-6,
+		PFFT: &PFFTOptions{NearRadius: 8}}, false},
+	{"auto", PipelineOptions{Backend: BackendAuto, Tol: 1e-6}, false},
+}
+
+// unpreconditioned solves st at edge on the fmm or pfft operator opt
+// selects, built as a plan builds it, column by column by GMRES with no
+// preconditioner, and reduces the charges to C. No library path solves
+// unpreconditioned: this is the golden corpus's preconditioner-free
+// oracle.
+func unpreconditioned(st *Structure, edge float64, opt PipelineOptions) (c *Matrix, iters int, err error) {
+	panels := st.Panelize(edge)
+	spec := op.Spec{Panels: panels, NumConductors: st.NumConductors()}
+	var a op.Operator
+	if opt.Backend == BackendFMM {
+		a = fmm.NewOperator(panels, op.FMMOptions(spec, opt))
+	} else {
+		a = pfft.NewOperator(panels, op.PFFTOptions(spec, opt))
+	}
+	phi := spec.RHS()
+	rho := NewMatrix(len(panels), phi.Cols)
+	x, b := make([]float64, len(panels)), make([]float64, len(panels))
+	for j := 0; j < phi.Cols; j++ {
+		for i := range b {
+			b[i], x[i] = phi.At(i, j), 0
+		}
+		res, err := linalg.GMRES(a, x, b, linalg.GMRESOptions{Tol: opt.Tol, Restart: 60})
+		if err != nil {
+			return nil, 0, err
+		}
+		if !res.Converged {
+			return nil, 0, fmt.Errorf("column %d stalled at residual %g", j, res.Residual)
+		}
+		iters += res.Iterations
+		for i := range x {
+			rho.Set(i, j, x[i])
+		}
+	}
+	return op.Reduce(phi, rho), iters, nil
 }
 
 func goldenPath(name, ext string) string {
@@ -173,7 +219,7 @@ func regenerateGolden(t *testing.T, gc goldenCase) {
 }
 
 // TestGoldenCorpus is the golden-corpus regression harness: every
-// backend/preconditioner combination must reproduce each stored
+// backend, preconditioned and not, must reproduce each stored
 // reference capacitance matrix to its per-case tolerance. It pins the
 // whole stack — geomio parsing, panelization, operator assembly,
 // preconditioning, Krylov solves, the capacitance reduction — so
@@ -218,21 +264,31 @@ func TestGoldenCorpus(t *testing.T) {
 			for _, be := range goldenBackends {
 				be := be
 				t.Run(be.name, func(t *testing.T) {
-					res, err := ExtractPipeline(st, gc.edge, be.opt)
+					var c *Matrix
+					var iters int
+					var err error
+					if be.none {
+						c, iters, err = unpreconditioned(st, gc.edge, be.opt)
+					} else {
+						var res *PlanResult
+						if res, err = ExtractPipeline(st, gc.edge, be.opt); err == nil {
+							c, iters = res.C, res.Iterations
+						}
+					}
 					if err != nil {
 						t.Fatalf("%s/%s: %v", gc.name, be.name, err)
 					}
-					if res.C.Rows != ref.Rows {
-						t.Fatalf("C is %dx%d, golden %dx%d", res.C.Rows, res.C.Cols, ref.Rows, ref.Cols)
+					if c.Rows != ref.Rows {
+						t.Fatalf("C is %dx%d, golden %dx%d", c.Rows, c.Cols, ref.Rows, ref.Cols)
 					}
-					if e := CapError(res.C, ref); e > want.RelTol {
+					if e := CapError(c, ref); e > want.RelTol {
 						t.Errorf("%s/%s deviates from golden by %.3g (tol %g)",
 							gc.name, be.name, e, want.RelTol)
 					}
-					if !be.opt.Direct && res.Iterations == 0 {
+					if !be.opt.Direct && iters == 0 {
 						t.Errorf("%s/%s: no Krylov iterations reported", gc.name, be.name)
 					}
-					if warnings := CheckMaxwell(res.C, 1e-6); len(warnings) > 0 {
+					if warnings := CheckMaxwell(c, 1e-6); len(warnings) > 0 {
 						t.Errorf("%s/%s Maxwell violations: %v", gc.name, be.name, warnings)
 					}
 				})

@@ -329,7 +329,6 @@ func planSignature(st *geom.Structure, maxEdge float64, opt op.Options, fp uint6
 	}
 	f(maxEdge)
 	u(uint64(opt.Backend))
-	u(uint64(opt.Precond))
 	u(uint64(opt.Precision))
 	f(opt.Tol)
 	if opt.Direct {

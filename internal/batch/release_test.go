@@ -38,7 +38,7 @@ func cachedPlan(e *Engine, key string) *plan.Plan {
 // its next variant afresh, as exact as a fresh plan.
 func TestEngineReleasesOneShotPlans(t *testing.T) {
 	const edge = 0.5e-6
-	popt := op.Options{Backend: op.BackendDense, Precond: op.PrecondBlockJacobi, Tol: 1e-12}
+	popt := op.Options{Backend: op.BackendDense, Tol: 1e-12}
 	hs := []float64{0.4e-6, 0.5e-6, 0.6e-6, 0.7e-6}
 	cold := func(k int) float64 { return edge * (1 + 1e-4*float64(k+1)) }
 	eng := New(Options{Workers: 2})

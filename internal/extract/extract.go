@@ -52,7 +52,6 @@ func crossingOptions(ex sched.Executor, sp geom.CrossingPairSpec, maxEdge float6
 		// would oversubscribe ~P^2.
 		opt.Pipeline = op.Options{
 			Backend: op.BackendFMM,
-			Precond: op.PrecondBlockJacobi,
 			Tol:     iterativeTol,
 			FMM:     &fmm.Options{Theta: 0.3, NearFactor: 2, Workers: 1},
 		}

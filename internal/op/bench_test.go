@@ -13,24 +13,24 @@ import (
 )
 
 // BenchmarkPipelineSolve compares the unified pipeline's multi-RHS solve
-// over the fmm operator with and without the near-field block-Jacobi
-// preconditioner (equal tolerance). The iters/op metric is the total
-// Krylov count across all conductor columns, applies/op every operator
-// application behind it (iterations and residual checks; no seeds here).
+// over the fmm operator with its near-field blocks (block-Jacobi) and with
+// them hidden (the preconditioner's point-Jacobi fallback alone), at equal
+// tolerance. The iters/op metric is the total Krylov count across all
+// conductor columns, applies/op every operator application behind it
+// (iterations and residual checks; no seeds here).
 func BenchmarkPipelineSolve(b *testing.B) {
 	spec := busSpec(b, 4, 4, 1e-6).withDefaults()
 	a := fmm.NewOperator(spec.Panels, fmm.Options{Cfg: spec.Cfg})
 	phi := spec.RHS()
 	for _, bc := range []struct {
 		name string
-		kind PrecondKind
+		a    Operator
 	}{
-		{"plain", PrecondNone},
-		{"jacobi", PrecondJacobi},
-		{"block-jacobi", PrecondBlockJacobi},
+		{"diagonal", diagonalOnly{a}},
+		{"block-jacobi", a},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			pl, err := NewWithOperator(spec, a, Options{Precond: bc.kind, Tol: 1e-4})
+			pl, err := NewWithOperator(spec, bc.a, Options{Tol: 1e-4})
 			if err != nil {
 				b.Fatal(err)
 			}

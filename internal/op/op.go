@@ -48,16 +48,18 @@
 //
 // # Preconditioner
 //
-// The block-Jacobi preconditioner (NewBlockJacobiWith) factorizes each
-// near block once at setup with the direct solve's factorization,
-// linalg.FactorSym, in the block's own packed storage, and applies all
-// block solves (LDLT.SolveVec) allocation-free inside the solve; a block
-// that is not positive definite, and every unknown outside the blocks, fall
-// back to the exact point-Jacobi diagonal. Because the near blocks carry
-// the strong interactions of the Galerkin matrix, block-Jacobi cuts
-// Krylov iteration counts across all accelerated backends relative to
-// both plain and point-Jacobi iteration (see TestBlockJacobiReducesIterations
-// and BenchmarkPipelineSolve).
+// Every Krylov solve has one preconditioner, near-field block-Jacobi
+// (BlockJacobi, built by NewBlockJacobiWith): it factorizes each near block
+// once at setup with the direct solve's factorization, linalg.FactorSym,
+// in the block's own packed storage, and applies all block solves
+// (LDLT.SolveVec) allocation-free inside the solve; a block that is not
+// positive definite, and every unknown outside the blocks, fall back to the
+// exact point-Jacobi diagonal. An operator that exposes no near blocks
+// (NearBlocker) therefore gets point-Jacobi from the same type. Because
+// the near blocks carry the strong interactions of the Galerkin matrix,
+// block-Jacobi cuts Krylov iteration counts on every backend relative to
+// the diagonal alone (see TestBlockJacobiReducesIterations and
+// BenchmarkPipelineSolve); there is nothing to select.
 //
 // Backend selection under Options.Backend == BackendAuto is delegated to
 // internal/costmodel.Select, which picks dense, fmm or pfft from the
@@ -222,7 +224,8 @@ func (s *Spec) AssembleDenseReuse(prev *linalg.Sym, class []int32) (*linalg.Sym,
 	return m, reused, fill
 }
 
-// diagonal computes the exact matrix diagonal (point-Jacobi data).
+// diagonal computes the exact matrix diagonal (the preconditioner's
+// point-Jacobi fallback).
 func (s *Spec) diagonal() []float64 {
 	d := make([]float64, s.N())
 	for i := range d {

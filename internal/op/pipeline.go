@@ -44,43 +44,10 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// PrecondKind selects the pipeline preconditioner.
-type PrecondKind int
-
-// Preconditioner kinds.
-const (
-	// PrecondAuto uses block-Jacobi when the operator exposes near
-	// blocks, point-Jacobi otherwise.
-	PrecondAuto PrecondKind = iota
-	// PrecondNone iterates unpreconditioned.
-	PrecondNone
-	// PrecondJacobi scales by the exact matrix diagonal.
-	PrecondJacobi
-	// PrecondBlockJacobi solves the operator's factorized near blocks.
-	PrecondBlockJacobi
-)
-
-// String implements fmt.Stringer.
-func (p PrecondKind) String() string {
-	switch p {
-	case PrecondAuto:
-		return "auto"
-	case PrecondNone:
-		return "none"
-	case PrecondJacobi:
-		return "jacobi"
-	case PrecondBlockJacobi:
-		return "block-jacobi"
-	}
-	return fmt.Sprintf("PrecondKind(%d)", int(p))
-}
-
 // Options configures a Pipeline.
 type Options struct {
 	// Backend selects the operator (default BackendAuto).
 	Backend Backend
-	// Precond selects the preconditioner (default PrecondAuto).
-	Precond PrecondKind
 	// Tol is the Krylov relative residual tolerance (0 = 1e-4).
 	Tol float64
 	// Direct forces the dense direct solve (one equilibrated, pivoted LDLᵀ,
@@ -193,9 +160,9 @@ type Result struct {
 type Pipeline struct {
 	spec    Spec
 	opt     Options
-	n       int      // the system's dimension
-	a       Operator // nil for NewFromSym, whose matrix is its factor
-	pre     Preconditioner
+	n       int          // the system's dimension
+	a       Operator     // nil for NewFromSym, whose matrix is its factor
+	pre     *BlockJacobi // nil on the direct path
 	dense   *linalg.Sym  // retained when the backend assembled densely
 	scale   []float64    // the direct solve's equilibration (see factorSym)
 	ldl     *linalg.LDLT // and its factorization
@@ -216,7 +183,7 @@ type Pipeline struct {
 
 // NewWithOperator wraps a caller-constructed operator (any Matvec) in
 // the pipeline; spec supplies the RHS data, the executor and the exact
-// diagonal for point-Jacobi preconditioning.
+// diagonal the preconditioner falls back to.
 func NewWithOperator(spec Spec, a Operator, opt Options) (*Pipeline, error) {
 	spec = spec.withDefaults()
 	opt = opt.withDefaults()
@@ -376,7 +343,7 @@ type Prebuilt struct {
 
 // NewPrebuilt wraps caller-built stage artifacts in a pipeline,
 // skipping operator construction entirely. The spec supplies RHS data,
-// the executor and the point-Jacobi diagonal.
+// the executor and the exact diagonal the preconditioner falls back to.
 func NewPrebuilt(spec Spec, opt Options, pb Prebuilt) (*Pipeline, error) {
 	spec = spec.withDefaults()
 	opt = opt.withDefaults()
@@ -438,40 +405,25 @@ func backendOf(a Operator) Backend {
 	return BackendDense
 }
 
-// buildPrecond constructs the configured preconditioner. For the direct
-// path no preconditioner is needed.
+// buildPrecond constructs the block-Jacobi preconditioner over the
+// operator's near blocks; an operator that exposes none gets it over no
+// blocks, which is point-Jacobi on the exact diagonal. The direct path
+// needs no preconditioner.
 func (p *Pipeline) buildPrecond() error {
 	if p.opt.Direct {
 		return nil
 	}
-	kind := p.opt.Precond
-	nb, hasBlocks := p.a.(NearBlocker)
-	if kind == PrecondAuto {
-		if hasBlocks {
-			kind = PrecondBlockJacobi
-		} else {
-			kind = PrecondJacobi
-		}
+	var idx [][]int32
+	var block func(k int) *linalg.Sym
+	if nb, ok := p.a.(NearBlocker); ok {
+		idx, block = nb.NearBlocks()
 	}
-	switch kind {
-	case PrecondNone:
-		return nil
-	case PrecondJacobi:
-		p.pre = NewJacobi(p.diagonal())
-		return nil
-	case PrecondBlockJacobi:
-		if !hasBlocks {
-			return fmt.Errorf("op: %v operator exposes no near blocks for block-Jacobi", p.backend)
-		}
-		idx, block := nb.NearBlocks()
-		bj, err := NewBlockJacobiWith(p.a.Dim(), idx, block, p.diagonal(), p.factors)
-		if err != nil {
-			return err
-		}
-		p.pre = bj
-		return nil
+	bj, err := NewBlockJacobiWith(p.a.Dim(), idx, block, p.diagonal(), p.factors)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("op: unknown preconditioner %v", p.opt.Precond)
+	p.pre = bj
+	return nil
 }
 
 // diagonal returns the exact matrix diagonal from the cheapest source
@@ -487,8 +439,9 @@ func (p *Pipeline) diagonal() []float64 {
 	return p.spec.diagonal()
 }
 
-// Preconditioner exposes the built preconditioner (nil = none).
-func (p *Pipeline) Preconditioner() Preconditioner { return p.pre }
+// Preconditioner exposes the built preconditioner (nil on the direct
+// path).
+func (p *Pipeline) Preconditioner() *BlockJacobi { return p.pre }
 
 // ExtractWarmCtx builds the unit-potential RHS from the spec, solves and
 // reduces to the capacitance matrix. The columns of x0 (typically the
@@ -565,10 +518,7 @@ func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense, out *
 	n := p.n
 	nc := phi.Cols
 	rho := linalg.NewDense(n, nc)
-	opt := linalg.GMRESOptions{Tol: p.opt.Tol, Restart: restart, Ctx: ctx}
-	if p.pre != nil {
-		opt.Precond = p.pre.Apply
-	}
+	opt := linalg.GMRESOptions{Tol: p.opt.Tol, Restart: restart, Ctx: ctx, Precond: p.pre.Apply}
 	ws := p.acquireWS()
 	defer p.releaseWS(ws)
 	ws.Reset(n, restart)

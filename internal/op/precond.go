@@ -7,43 +7,6 @@ import (
 	"parbem/internal/sched"
 )
 
-// Preconditioner approximates dst = M^{-1} r for the pipeline's right-
-// preconditioned Krylov solve. One solve applies it one call at a time
-// (the columns are solved in order); Apply must still be safe for
-// concurrent use, because a Pipeline's Extract methods are, and
-// allocation-free after warmup.
-type Preconditioner interface {
-	Apply(dst, r []float64)
-}
-
-// Jacobi is the point-Jacobi (diagonal) preconditioner.
-type Jacobi struct {
-	inv []float64
-}
-
-// NewJacobi builds a point-Jacobi preconditioner from the exact matrix
-// diagonal. Non-positive diagonal entries (impossible for the Galerkin
-// matrix, but cheap to guard) pass through unscaled.
-func NewJacobi(diag []float64) *Jacobi {
-	inv := make([]float64, len(diag))
-	for i, d := range diag {
-		if d > 0 {
-			inv[i] = 1 / d
-		} else {
-			inv[i] = 1
-		}
-	}
-	return &Jacobi{inv: inv}
-}
-
-// Apply implements Preconditioner.
-func (j *Jacobi) Apply(dst, r []float64) {
-	inv := j.inv
-	for i := range dst {
-		dst[i] = r[i] * inv[i]
-	}
-}
-
 // bjBlock is one factorized near block.
 type bjBlock struct {
 	idx []int32
@@ -51,12 +14,14 @@ type bjBlock struct {
 	inv []float64    // diagonal fallback for blocks that are not positive definite
 }
 
-// BlockJacobi is the near-field block-Jacobi preconditioner: the
-// operator's disjoint near blocks are factorized once at construction
-// (linalg.FactorSym, in the packed block itself), and Apply solves every
-// block system in place. Unknowns outside all blocks (and blocks that are
-// not numerically positive definite, e.g. a cluster block assembled from
-// an incomplete pair list) fall back to point-Jacobi on their diagonal.
+// BlockJacobi is the pipeline's one preconditioner, near-field
+// block-Jacobi: it approximates dst = M^{-1} r for the right-preconditioned
+// Krylov solve. The operator's disjoint near blocks are factorized once at
+// construction (linalg.FactorSym, in the packed block itself), and Apply
+// solves every block system in place. Unknowns outside all blocks (and
+// blocks that are not numerically positive definite, e.g. a cluster block
+// assembled from an incomplete pair list) fall back to point-Jacobi on
+// their diagonal, so over no blocks at all it is point-Jacobi.
 type BlockJacobi struct {
 	n      int
 	blocks []bjBlock
@@ -174,10 +139,11 @@ func (bj *BlockJacobi) Factors() (idx [][]int32, f []*linalg.LDLT) {
 	return idx, f
 }
 
-// Apply implements Preconditioner: gather each block's residual, solve
-// the factorized block system, scatter the result; uncovered unknowns
-// get the point-Jacobi fallback. Allocation-free after warmup and safe
-// for concurrent use.
+// Apply gathers each block's residual, solves the factorized block
+// system and scatters the result; uncovered unknowns get the point-Jacobi
+// fallback. One solve applies it one call at a time (the columns are
+// solved in order); it is still safe for concurrent use, because a
+// Pipeline's Extract methods are, and allocation-free after warmup.
 func (bj *BlockJacobi) Apply(dst, r []float64) {
 	sp := bj.scratch.Acquire()
 	scratch := *sp

@@ -90,9 +90,8 @@ func TestPlanArtifactRoundTrip(t *testing.T) {
 		pipe op.Options
 	}{
 		{"dense", op.Options{Backend: op.BackendDense, Direct: true}},
-		{"dense gmres", op.Options{Backend: op.BackendDense, Precond: op.PrecondBlockJacobi, Tol: 1e-10}},
-		{"fmm", op.Options{Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi,
-			Tol: 1e-10, FMM: &fmm.Options{Workers: 1}}},
+		{"dense gmres", op.Options{Backend: op.BackendDense, Tol: 1e-10}},
+		{"fmm", op.Options{Backend: op.BackendFMM, Tol: 1e-10, FMM: &fmm.Options{Workers: 1}}},
 		{"pfft", op.Options{Backend: op.BackendPFFT, Tol: 1e-10,
 			PFFT: &pfft.Options{Workers: 1}}},
 	}
@@ -125,8 +124,7 @@ func TestPlanArtifactRoundTrip(t *testing.T) {
 // looks it up once, hits and writes nothing.
 func TestPlanArtifactStats(t *testing.T) {
 	store := newMemStore()
-	pipe := op.Options{Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi,
-		Tol: 1e-8, FMM: &fmm.Options{Workers: 1}}
+	pipe := op.Options{Backend: op.BackendFMM, Tol: 1e-8, FMM: &fmm.Options{Workers: 1}}
 	extractVia(t, store, pipe, 0.5e-6)
 	if gets, hits, puts := store.counts(); gets != 1 || hits != 0 || puts != 1 {
 		t.Errorf("cold build: %d gets, %d hits, %d puts, want 1, 0, 1", gets, hits, puts)

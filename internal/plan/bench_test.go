@@ -22,8 +22,7 @@ func BenchmarkSweepIncremental(b *testing.B) {
 		hs[i] = 0.3e-6 + 0.05e-6*float64(i)
 	}
 	opt := Options{MaxEdge: edge, Pipeline: op.Options{
-		Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi,
-		Tol: 1e-8, FMM: &fmm.Options{Workers: 1},
+		Backend: op.BackendFMM, Tol: 1e-8, FMM: &fmm.Options{Workers: 1},
 	}}
 	b.ResetTimer()
 	var cold, warm float64

@@ -49,7 +49,7 @@ func TestInterruptReachesCallerAsOpReport(t *testing.T) {
 		after int64
 		stage string
 	}{
-		{"dense-krylov/mid-gmres", op.Options{Backend: op.BackendDense, Precond: op.PrecondBlockJacobi, Tol: 1e-10}, 12, "solve"},
+		{"dense-krylov/mid-gmres", op.Options{Backend: op.BackendDense, Tol: 1e-10}, 12, "solve"},
 		{"fmm/mid-gmres", op.Options{Backend: op.BackendFMM, Tol: 1e-10, FMM: &fmm.Options{Workers: 1}}, 12, "solve"},
 		{"fmm/near-field", op.Options{Backend: op.BackendFMM, Tol: 1e-10, FMM: &fmm.Options{Workers: 1}}, 2, "near-field"},
 	} {

@@ -525,7 +525,7 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 	}
 	p.stats.FactBuilds++
 	res.Stages.Factorize = time.Since(tF)
-	if bj, ok := pipe.Preconditioner().(*op.BlockJacobi); ok {
+	if bj := pipe.Preconditioner(); bj != nil { // nil on the direct path
 		p.stats.FactReused += bj.ReusedFactors()
 		res.Reused.Factorization = bj.ReusedFactors() > 0
 		nv.factors = factorMap(bj)

@@ -66,8 +66,7 @@ func TestPlanIncrementalConsistency(t *testing.T) {
 		{"dense-direct", 0.4e-6, []float64{0.4e-6, 0.55e-6, 0.7e-6, 0.85e-6},
 			op.Options{Backend: op.BackendDense, Direct: true}},
 		{"fmm", 0.4e-6, []float64{0.4e-6, 0.55e-6, 0.7e-6, 0.85e-6},
-			op.Options{Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi,
-				Tol: 1e-12, FMM: &fmm.Options{Workers: 1}}},
+			op.Options{Backend: op.BackendFMM, Tol: 1e-12, FMM: &fmm.Options{Workers: 1}}},
 		// The pfft leg runs a coarser discretization: at a 1e-12
 		// tolerance its grid-convolution matvec converges slowly, and
 		// the point of this leg is reuse consistency, not operator
@@ -240,8 +239,7 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 func TestPlanStageReuse(t *testing.T) {
 	const edge = 0.4e-6
 	p, err := New(Options{MaxEdge: edge, Pipeline: op.Options{
-		Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi,
-		Tol: 1e-6, FMM: &fmm.Options{Workers: 1},
+		Backend: op.BackendFMM, Tol: 1e-6, FMM: &fmm.Options{Workers: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)

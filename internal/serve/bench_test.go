@@ -29,7 +29,7 @@ func BenchmarkServeExtract(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := New(Options{Workers: 2})
+			s := openServer(b, Options{Workers: 2})
 			hs := httptest.NewServer(s.Handler())
 			if _, err := NewClient(hs.URL).Extract(ctx, req); err != nil {
 				b.Fatal(err)
@@ -52,7 +52,7 @@ func BenchmarkServeExtract(b *testing.B) {
 // benchWarm measures steady-state /extract latency against one
 // long-running server configured by opt.
 func benchWarm(b *testing.B, ctx context.Context, req *ExtractRequest, opt Options) {
-	s := New(opt)
+	s := openServer(b, opt)
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	defer s.Close()

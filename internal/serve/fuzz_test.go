@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"parbem/internal/geom"
 )
 
 // FuzzDecodeRequest drives arbitrary bytes through both request decode
@@ -36,6 +38,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"geometry":1}`))
+	f.Add([]byte(`{"geometry":"conductor a\nbox 0 0 0 1 1 1","edge_m":1e-6,"precond":"jacobi"}`))
+	f.Add([]byte(`{"template_hs_m":[4e-7],"edge_m":1e-9}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var l Limits
@@ -61,6 +65,9 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			if p := req.Precision; p != "" && p != "auto" && p != "fp64" {
 				t.Fatalf("accepted precision %q: every solve runs fp64", p)
+			}
+			if p := req.Precond; p != "" && p != "auto" && p != "block" {
+				t.Fatalf("accepted precond %q: every Krylov solve is block-Jacobi", p)
 			}
 		}
 
@@ -88,6 +95,11 @@ func FuzzDecodeRequest(f *testing.F) {
 			for _, h := range sreq.TemplateHs {
 				if !isFinite(h) || h <= 0 {
 					t.Fatalf("accepted non-finite template separation %v", h)
+				}
+			}
+			if len(sreq.TemplateHs) > 0 {
+				if err := checkStructure(geom.DefaultCrossingPair().Build(), sreq.EdgeM, l.withDefaults()); err != nil {
+					t.Fatalf("accepted template sweep's crossing pair fails the admission check: %v", err)
 				}
 			}
 		}

@@ -125,7 +125,12 @@ type ExtractRequest struct {
 	EdgeM float64 `json:"edge_m"`
 	// Backend: auto | dense | fastcap | fmm | pfft ("" = auto).
 	Backend string `json:"backend,omitempty"`
-	// Precond: auto | none | jacobi | block ("" = auto).
+	// Precond: "", auto or block. Every Krylov solve is preconditioned
+	// by near-field block-Jacobi, so the field only chooses the dense
+	// path: block with the dense backend solves by GMRES instead of the
+	// direct factorization. Any other value (none and jacobi included)
+	// is a bad_request; the field stays parseable so that clients written
+	// when it selected among preconditioners keep working.
 	Precond string `json:"precond,omitempty"`
 	// Precision: "", auto or fp64, all of which solve in float64; any
 	// other value (mixed included) is a bad_request. The field stays
@@ -172,7 +177,7 @@ type SweepRequest struct {
 	// EdgeM is the max panel edge in meters (required, > 0).
 	EdgeM float64 `json:"edge_m"`
 	// Backend, Precond, Precision, Tol: as in ExtractRequest (variants
-	// mode only; Precision is checked in both modes).
+	// mode only; all four are checked in both modes).
 	Backend   string  `json:"backend,omitempty"`
 	Precond   string  `json:"precond,omitempty"`
 	Precision string  `json:"precision,omitempty"`
@@ -248,6 +253,11 @@ func (l Limits) DecodeSweep(r io.Reader) (*SweepRequest, []*geom.Structure, erro
 			if !isFinite(h) || h <= 0 {
 				return nil, nil, badRequest("template_hs_m[%d] = %v is not a positive finite separation", i, h)
 			}
+		}
+		// The sweep panelizes the elementary crossing pair at edge_m; its
+		// panel count is the same at every separation.
+		if err := checkStructure(geom.DefaultCrossingPair().Build(), req.EdgeM, l); err != nil {
+			return nil, nil, err
 		}
 		return &req, nil, nil
 	}
@@ -348,9 +358,11 @@ func estimatePanels(sz geom.Vec3, edge float64) float64 {
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // PipelineOptions maps the wire-format backend/precond/tol selectors
-// onto op.Options, with the same semantics as the capx command line: an
-// explicit preconditioner on the dense backend selects the iterative
-// path, the default dense solve is the direct factorization.
+// onto op.Options, with the same semantics as the capx command line.
+// Every Krylov solve is block-Jacobi preconditioned, so precond selects
+// nothing but the dense path: block on the dense backend asks for the
+// iterative solve, while the default dense solve is the direct
+// factorization.
 func PipelineOptions(backend, precond string, tol float64) (op.Options, error) {
 	if tol != 0 && (!isFinite(tol) || tol < 0 || tol >= 1) {
 		return op.Options{}, badRequest("tol = %v is not in (0, 1)", tol)
@@ -370,16 +382,9 @@ func PipelineOptions(backend, precond string, tol float64) (op.Options, error) {
 		return op.Options{}, badRequest("unknown backend %q (want auto, dense, fastcap or pfft)", backend)
 	}
 	switch precond {
-	case "", "auto":
-		opt.Precond = op.PrecondAuto
-	case "none":
-		opt.Precond = op.PrecondNone
-	case "jacobi":
-		opt.Precond = op.PrecondJacobi
-	case "block":
-		opt.Precond = op.PrecondBlockJacobi
+	case "", "auto", "block":
 	default:
-		return op.Options{}, badRequest("unknown preconditioner %q (want auto, none, jacobi or block)", precond)
+		return op.Options{}, badRequest("unsupported preconditioner %q (want auto or block: every Krylov solve is block-Jacobi preconditioned)", precond)
 	}
 	return opt, nil
 }

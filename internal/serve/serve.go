@@ -210,7 +210,7 @@ const (
 // classNames are the metric label values of the priority classes.
 var classNames = [numClasses]string{"interactive", "bulk"}
 
-// Server is the extraction service. Create with New, expose with
+// Server is the extraction service. Create with Open, expose with
 // Handler, release with Close. Safe for concurrent use.
 type Server struct {
 	opt     Options
@@ -378,20 +378,11 @@ func (a artifactStore) Put(key string, data []byte) {
 	}
 }
 
-// New creates a server and starts its runner goroutines. It panics when
-// the journal under Options.DataDir cannot be opened or replayed; use
-// Open to handle that error. Without a DataDir, New cannot fail.
-func New(opt Options) *Server {
-	s, err := Open(opt)
-	if err != nil {
-		panic(fmt.Sprintf("serve: %v", err))
-	}
-	return s
-}
-
-// Open creates a server, replaying the durable job journal under
-// Options.DataDir when one is configured: finished async jobs come back
-// queryable via GET /jobs/{id}, unfinished ones are re-enqueued.
+// Open creates a server and starts its runner goroutines, replaying the
+// durable job journal under Options.DataDir when one is configured:
+// finished async jobs come back queryable via GET /jobs/{id}, unfinished
+// ones are re-enqueued. It fails only when that journal cannot be opened
+// or replayed.
 func Open(opt Options) (*Server, error) {
 	s := &Server{
 		opt:    opt,

@@ -60,13 +60,23 @@ func capError(got, ref [][]float64) float64 {
 	return maxRel
 }
 
+// openServer is Open for a test, which fails on its error.
+func openServer(t testing.TB, opt Options) *Server {
+	t.Helper()
+	s, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // denseRows flattens a linalg matrix result for comparison.
 func denseRows(rows [][]float64) [][]float64 { return rows }
 
 // startServer spins up a Server over httptest and returns a client.
 func startServer(t testing.TB, opt Options) (*Server, *Client) {
 	t.Helper()
-	s := New(opt)
+	s := openServer(t, opt)
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()
@@ -171,8 +181,8 @@ func TestServeWarmCacheSpeedup(t *testing.T) {
 	}{
 		// Tight tolerance so plan warm starts are invisible next to the
 		// 1e-10 agreement bound (the TestSweepIncrementalSpeedup setup).
-		{"fastcap", op.Options{Backend: op.BackendFMM, Precond: op.PrecondBlockJacobi, Tol: 1e-12}, "factors"},
-		{"dense", op.Options{Backend: op.BackendDense, Precond: op.PrecondBlockJacobi, Tol: 1e-12}, "near-field+factors"},
+		{"fastcap", op.Options{Backend: op.BackendFMM, Tol: 1e-12}, "factors"},
+		{"dense", op.Options{Backend: op.BackendDense, Tol: 1e-12}, "near-field+factors"},
 	} {
 		cold := s.Stats().Engine
 		served := make([]*ExtractResponse, len(hs))

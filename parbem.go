@@ -85,14 +85,14 @@
 // has served before.
 //
 // BackendAuto picks one of the three from the panel count and grid fill
-// factor (internal/costmodel.Select), and the preconditioner —
-// point-Jacobi or near-field block-Jacobi (PrecondAuto uses the
-// operator's near blocks when it exposes them) — cuts Krylov iteration
-// counts across all accelerated backends. The result is a PlanResult: the
-// solve's own outcome (C, charges, resolved backend and arithmetic, Krylov
-// iteration total, a direct solve's inertia) and per-stage timings. The
-// same controls are available on the command line via
-// `capx -backend auto|dense|fastcap|pfft -precond auto|none|jacobi|block`.
+// factor (internal/costmodel.Select). Every Krylov solve is preconditioned
+// by near-field block-Jacobi over the operator's near blocks, which cuts
+// iteration counts on all three backends; there is no preconditioner to
+// choose. The result is a PlanResult: the solve's own outcome (C,
+// charges, resolved backend and arithmetic, Krylov iteration total, a
+// direct solve's inertia) and per-stage timings. The same controls are
+// available on the command line via
+// `capx -backend auto|dense|fastcap|pfft`.
 //
 // Solves run in float64. A float32 mirror of the fmm and pfft operators
 // is kept internally for bench/'s probes; it never showed an end-to-end
@@ -342,22 +342,18 @@ type (
 func NewEngine(opt EngineOptions) *Engine { return batch.New(opt) }
 
 // PipelineOptions configures the unified piecewise-constant solve
-// pipeline: operator backend, preconditioner, tolerance and per-backend
-// operator tuning. The zero value selects the backend with the cost
-// model, the preconditioner automatically and a 1e-4 tolerance.
+// pipeline: operator backend, tolerance, the dense direct solve and
+// per-backend operator tuning. The zero value selects the backend with
+// the cost model and a 1e-4 tolerance.
 type PipelineOptions = op.Options
 
-// Pipeline backend and preconditioner selectors (see the "Choosing a
-// backend" section above).
+// Pipeline backend selectors (see the "Choosing a backend" section
+// above).
 const (
-	BackendAuto        = op.BackendAuto
-	BackendDense       = op.BackendDense
-	BackendFMM         = op.BackendFMM
-	BackendPFFT        = op.BackendPFFT
-	PrecondAuto        = op.PrecondAuto
-	PrecondNone        = op.PrecondNone
-	PrecondJacobi      = op.PrecondJacobi
-	PrecondBlockJacobi = op.PrecondBlockJacobi
+	BackendAuto  = op.BackendAuto
+	BackendDense = op.BackendDense
+	BackendFMM   = op.BackendFMM
+	BackendPFFT  = op.BackendPFFT
 )
 
 // ExtractPipeline solves the structure with the selected (or cost-model

@@ -144,7 +144,9 @@ func TestNonFiniteGeometryRejected(t *testing.T) {
 // pitch. Six more went after them: serve.Options.Engine,
 // serve.RouterOptions.Client, serve.Limits' caps on conductors, boxes and
 // sweep points, and pcbem.Problem.Par. So did EngineOptions.Backend: an
-// engine's template fill is always SharedMem on its pool.
+// engine's template fill is always SharedMem on its pool, and
+// PipelineOptions.Precond: every Krylov solve is block-Jacobi
+// preconditioned, point-Jacobi where an operator has no near blocks.
 func TestOptionSurface(t *testing.T) {
 	for _, c := range []struct {
 		typ  reflect.Type
@@ -153,7 +155,7 @@ func TestOptionSurface(t *testing.T) {
 		{reflect.TypeOf(Options{}), []string{"Backend", "Workers", "Kernel"}},
 		{reflect.TypeOf(EngineOptions{}), []string{"Workers", "PlanWorkers", "CacheEntries", "Artifacts"}},
 		{reflect.TypeOf(PlanOptions{}), []string{"MaxEdge", "Pipeline", "Exec", "Artifacts", "Pairs"}},
-		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Precond", "Tol", "Direct", "Precision", "FMM", "PFFT"}},
+		{reflect.TypeOf(PipelineOptions{}), []string{"Backend", "Tol", "Direct", "Precision", "FMM", "PFFT"}},
 		{reflect.TypeOf(par.Options{}), []string{"Workers", "Pool"}},
 		{reflect.TypeOf(assembly.Integrator{}), []string{"Cfg", "Pairs"}},
 		{reflect.TypeOf(op.Spec{}), []string{"Panels", "NumConductors", "Cfg", "Exec", "Pairs"}},

@@ -29,7 +29,6 @@ func TestSweepIncrementalSpeedup(t *testing.T) {
 	}
 	popt := PipelineOptions{
 		Backend: BackendFMM,
-		Precond: PrecondBlockJacobi,
 		// Tight tolerance: both paths must converge far below the
 		// 1e-10 agreement bound so warm starts are invisible.
 		Tol: 1e-12,
