@@ -313,7 +313,7 @@ func BenchmarkAblationLDLT_GMRES(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := make([]float64, P.N)
-		if _, err := linalg.GMRES(a, x, rhs,
+		if _, err := linalg.GMRESWith(nil, a, x, rhs,
 			linalg.GMRESOptions{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}

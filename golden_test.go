@@ -137,7 +137,7 @@ func unpreconditioned(st *Structure, edge float64, opt PipelineOptions) (c *Matr
 		for i := range b {
 			b[i], x[i] = phi.At(i, j), 0
 		}
-		res, err := linalg.GMRES(a, x, b, linalg.GMRESOptions{Tol: opt.Tol, Restart: 60})
+		res, err := linalg.GMRESWith(nil, a, x, b, linalg.GMRESOptions{Tol: opt.Tol, Restart: 60})
 		if err != nil {
 			return nil, 0, err
 		}

@@ -287,7 +287,8 @@ func (in *Integrator) AddFillStats(s FillStats) {
 	in.mu.Unlock()
 }
 
-// NewIntegrator returns an integrator with the default configuration.
+// NewIntegrator returns an integrator with the default configuration
+// (callers: bench/ and the tests of assembly, par, mpi, op and parbem).
 func NewIntegrator() *Integrator { return &Integrator{Cfg: kernel.DefaultConfig()} }
 
 // maxNodes bounds the per-direction quadrature nodes: up to 3 kink-split
@@ -352,7 +353,8 @@ func (nb *nodeBuf) fillFlat(iv geom.Interval, order int) {
 //
 // (the 1/(4*pi*eps) prefactor is applied once at the system level) at the
 // templates' absolute coordinates. It is the reference the class values
-// of a fill are tested against; fills go through Interned.Pair.
+// of a fill are tested against (in assembly's and par's tests and the
+// facade's ablation benchmark); fills go through Interned.Pair.
 func (in *Integrator) TemplatePair(ti, tj *basis.Template) float64 {
 	cfg := in.Cfg
 	d := ti.Support.Dist(tj.Support)

@@ -100,7 +100,7 @@ func (in *Integrator) intern(f *Interned, m int, fp uint64) *Interned {
 	return f
 }
 
-// Pair returns the P~ entry of templates i and j.
+// Pair returns the P~ entry of templates i and j (assembly's, par's tests).
 func (f *Interned) Pair(i, j int) float64 {
 	var c FillStats
 	v := f.PairInto(i, j, &c)

@@ -122,7 +122,7 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// CountKinds returns how many basis functions exist of each kind.
+// CountKinds counts the basis functions of each kind (basis, assembly tests).
 func (s *Set) CountKinds() map[Kind]int {
 	c := make(map[Kind]int)
 	for _, f := range s.Functions {

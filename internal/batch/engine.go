@@ -30,7 +30,7 @@
 // path (one equilibrated, pivoted LDLᵀ, op.Options.Direct) and capacitance
 // reduction as the interactive entry points.
 //
-// Piecewise-constant pipeline extractions (ExtractPipeline) ride the
+// Piecewise-constant pipeline extractions (ExtractPipelineCtx) ride the
 // same LRU with staged extraction plans (internal/plan) keyed by
 // structural family, so a stream of geometry variants — h-sweeps,
 // width studies, near-identical cells — reuses near-field integrals,
@@ -63,7 +63,7 @@ type Options struct {
 	// Workers sizes the shared worker pool (0 = GOMAXPROCS). Concurrent
 	// Extract calls' fills interleave on the pool.
 	Workers int
-	// PlanWorkers caps how many pool workers one ExtractPipeline
+	// PlanWorkers caps how many pool workers one ExtractPipelineCtx
 	// request's stage builds and operator applies occupy (0 = the whole
 	// pool). A service running several pipeline extractions at once
 	// sets this so concurrent requests divide the persistent pool
@@ -108,7 +108,7 @@ type Stats struct {
 	// PairHits/PairMisses count the lookups of the shared class table:
 	// one per non-far pair that no block memo served — of templates
 	// (Extract) or of panels whose entry no previous variant supplied
-	// (ExtractPipeline) — a miss being an integration. The table's lookups
+	// (ExtractPipelineCtx) — a miss being an integration. The table's lookups
 	// take no lock and count nothing; these are Fill's counts, which the
 	// fills' workers keep: misses are its ClassesIntegrated, hits the rest
 	// of its PairsNear less its PairMemo. (With the Distributed backend
@@ -163,10 +163,6 @@ func (e *Engine) Close() {
 
 // Workers returns the size of the engine's persistent worker pool.
 func (e *Engine) Workers() int { return e.pool.Workers() }
-
-// PlanWorkers returns the per-request worker budget pipeline plans run
-// under (0 = the whole pool).
-func (e *Engine) PlanWorkers() int { return e.opt.PlanWorkers }
 
 // PlanExec returns the executor one request's parallel work runs on —
 // the stage builds and operator applies of a pipeline plan, the points
@@ -237,7 +233,7 @@ func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 	return res, nil
 }
 
-// ExtractPipeline runs a piecewise-constant pipeline extraction through
+// ExtractPipelineCtx runs a piecewise-constant pipeline extraction through
 // the engine's plan cache: where parbem.ExtractPipeline extracts on a
 // throwaway plan, here structures route to a cached one keyed by
 // their structural family — conductor/box layout plus the solve options
@@ -253,18 +249,14 @@ func (e *Engine) Extract(st *geom.Structure) (*solver.Result, error) {
 // Caveat: an opt.FMM/PFFT worker-pool override (Pool) is not part of the
 // family key; callers varying it per request should use explicit
 // parbem.NewPlan instances instead.
-func (e *Engine) ExtractPipeline(st *geom.Structure, maxEdge float64, opt op.Options) (*plan.Result, error) {
-	return e.ExtractPipelineCtx(context.Background(), st, maxEdge, opt)
-}
-
-// ExtractPipelineCtx is ExtractPipeline bounded by a context: the
-// plan's stage boundaries and the GMRES iteration loop observe ctx, so
-// a request deadline (or a client cancellation) stops the extraction at
-// the next checkpoint with an *op.Interrupted error, its Stage the stage
-// that was stopped, instead of running to completion. An interrupted
-// extraction never corrupts the cached family plan — the previous
-// variant's artifacts stay installed and the next request proceeds
-// normally. A nil ctx means context.Background().
+//
+// ctx bounds the extraction: the plan's stage boundaries and the GMRES
+// iteration loop observe it, so a request deadline (or a client
+// cancellation) stops the extraction at the next checkpoint with an
+// *op.Interrupted error, its Stage the stage that was stopped. An
+// interrupted extraction never corrupts the cached family plan — the
+// previous variant's artifacts stay installed and the next request
+// proceeds normally. A nil ctx means context.Background().
 //
 // A cached plan always keeps its last geometry and result, so an
 // identical repeat is served without work for as long as the plan stays
@@ -304,7 +296,7 @@ func (e *Engine) ExtractPipelineCtx(ctx context.Context, st *geom.Structure, max
 	return res, err
 }
 
-// FamilyKey returns the geometry-family key ExtractPipeline caches
+// FamilyKey returns the geometry-family key ExtractPipelineCtx caches
 // plans under: structural shape (conductor/box counts, not coordinates —
 // variants of one family must share the key) plus every scalar solve
 // option that changes results. The multi-replica coordinator

@@ -229,7 +229,7 @@ func TestEnginePipelinePlanReuse(t *testing.T) {
 		sp := geom.DefaultCrossingPair()
 		sp.H = h
 		st := sp.Build()
-		res, err := eng.ExtractPipeline(st, edge, popt)
+		res, err := eng.ExtractPipelineCtx(context.Background(), st, edge, popt)
 		if err != nil {
 			t.Fatalf("h=%g: %v", h, err)
 		}
@@ -296,7 +296,7 @@ func TestEnginePanelPairsShared(t *testing.T) {
 	sched.Local(4).Map(requests, func(k int) {
 		// The edge moves in its fourth digit: another family key, the
 		// same panel counts.
-		got[k], errs[k] = eng.ExtractPipeline(st, edge*(1+1e-4*float64(k)), popt)
+		got[k], errs[k] = eng.ExtractPipelineCtx(context.Background(), st, edge*(1+1e-4*float64(k)), popt)
 	})
 	for k, res := range got {
 		if errs[k] != nil {

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestEngineReleasesOneShotPlans(t *testing.T) {
 			}
 			newest = e
 		}
-		res, err := eng.ExtractPipeline(st, e, popt)
+		res, err := eng.ExtractPipelineCtx(context.Background(), st, e, popt)
 		if err != nil {
 			t.Fatalf("edge %g: %v", e, err)
 		}
@@ -76,7 +77,7 @@ func TestEngineReleasesOneShotPlans(t *testing.T) {
 			// An identical repeat of the one-shot key before: released, and
 			// still a cache hit on the same result with no pair work.
 			before := eng.Stats().Fill
-			res, err := eng.ExtractPipeline(crossingAt(hs[1]), cold(k-1), popt)
+			res, err := eng.ExtractPipelineCtx(context.Background(), crossingAt(hs[1]), cold(k-1), popt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,13 +182,13 @@ func TestEngineReleaseNeverWaits(t *testing.T) {
 
 	buildErr := make(chan error, 1)
 	go func() {
-		_, err := eng.ExtractPipeline(st, edge, popt)
+		_, err := eng.ExtractPipelineCtx(context.Background(), st, edge, popt)
 		buildErr <- err
 	}()
 	<-g.entered
 	releaseErr := make(chan error, 1)
 	go func() {
-		_, err := eng.ExtractPipeline(st, edge*(1+1e-4), popt)
+		_, err := eng.ExtractPipelineCtx(context.Background(), st, edge*(1+1e-4), popt)
 		releaseErr <- err
 	}()
 	select {

@@ -42,14 +42,10 @@ func CalibrateGamma(d int, e float64) float64 {
 	return (1/e - 1) / float64(d-1)
 }
 
-// Published anchor calibrations for Figure 8.
+// Published anchor calibrations of Figure 8's rival curves.
 var (
 	// ParallelPFFT models reference [1] (42% at 8 nodes).
 	ParallelPFFT = Model{Name: "parallel pre-corrected FFT [1]", Gamma: CalibrateGamma(8, 0.42)}
 	// ParallelFMM models reference [7] (65% at 8 nodes).
 	ParallelFMM = Model{Name: "parallel fast multipole [7]", Gamma: CalibrateGamma(8, 0.65)}
-	// ThisWorkOpenMP models the paper's shared-memory result (91% at 4).
-	ThisWorkOpenMP = Model{Name: "this work, OpenMP (paper)", Gamma: CalibrateGamma(4, 0.91)}
-	// ThisWorkMPI models the paper's distributed result (89% at 10).
-	ThisWorkMPI = Model{Name: "this work, MPI (paper)", Gamma: CalibrateGamma(10, 0.89)}
 )

@@ -13,8 +13,6 @@ func TestAnchorsReproduced(t *testing.T) {
 	}{
 		{ParallelPFFT, 8, 0.42},
 		{ParallelFMM, 8, 0.65},
-		{ThisWorkOpenMP, 4, 0.91},
-		{ThisWorkMPI, 10, 0.89},
 	}
 	for _, c := range cases {
 		if got := c.m.Efficiency(c.d); math.Abs(got-c.e) > 1e-12 {
@@ -24,7 +22,7 @@ func TestAnchorsReproduced(t *testing.T) {
 }
 
 func TestEfficiencyMonotoneDecreasing(t *testing.T) {
-	for _, m := range []Model{ParallelPFFT, ParallelFMM, ThisWorkOpenMP, ThisWorkMPI} {
+	for _, m := range []Model{ParallelPFFT, ParallelFMM} {
 		prev := 1.1
 		for d := 1; d <= 16; d++ {
 			e := m.Efficiency(d)
@@ -40,23 +38,21 @@ func TestEfficiencyMonotoneDecreasing(t *testing.T) {
 }
 
 func TestOrderingMatchesFigure8(t *testing.T) {
-	// At every node count >= 2: this-work curves above FMM above pFFT.
+	// At every node count >= 2: FMM above pFFT.
 	for d := 2; d <= 10; d++ {
-		omp := ThisWorkOpenMP.Efficiency(d)
-		mpi := ThisWorkMPI.Efficiency(d)
 		fmm := ParallelFMM.Efficiency(d)
 		pfft := ParallelPFFT.Efficiency(d)
-		if !(omp > fmm && mpi > fmm && fmm > pfft) {
-			t.Fatalf("d=%d: ordering broken: omp=%.3f mpi=%.3f fmm=%.3f pfft=%.3f",
-				d, omp, mpi, fmm, pfft)
+		if fmm <= pfft {
+			t.Fatalf("d=%d: ordering broken: fmm=%.3f pfft=%.3f", d, fmm, pfft)
 		}
 	}
 }
 
-// TestSpeedupAndCurve checks the MPI curve's speedup d * Efficiency(d):
-// 1 at one node, and paper Table 3's 8.91x at 10 nodes.
+// TestSpeedupAndCurve checks the speedup d * Efficiency(d) of a model
+// calibrated at the paper's MPI anchor (89% at 10 nodes): 1 at one node,
+// and paper Table 3's 8.91x at 10 nodes.
 func TestSpeedupAndCurve(t *testing.T) {
-	m := ThisWorkMPI
+	m := Model{Gamma: CalibrateGamma(10, 0.89)}
 	if s := m.Efficiency(1); s != 1 {
 		t.Errorf("speedup at 1 node = %g", s)
 	}

@@ -50,10 +50,8 @@ type action struct {
 var (
 	armed atomic.Bool
 	mu    sync.Mutex
-	// points maps point name -> armed action; counts tallies every Hit
-	// of a named point whether or not an action is armed for it.
+	// points maps point name -> armed action.
 	points map[string]*action
-	counts map[string]*atomic.Uint64
 )
 
 // Configure arms the given fault spec, replacing any previous one. An
@@ -62,7 +60,6 @@ func Configure(spec string) error {
 	mu.Lock()
 	defer mu.Unlock()
 	points = make(map[string]*action)
-	counts = make(map[string]*atomic.Uint64)
 	armed.Store(false)
 	if strings.TrimSpace(spec) == "" {
 		return nil
@@ -102,12 +99,6 @@ func Configure(spec string) error {
 	return nil
 }
 
-// Reset disarms every point and clears the hit counters.
-func Reset() { Configure("") }
-
-// Enabled reports whether any point is armed.
-func Enabled() bool { return armed.Load() }
-
 // Hit fires the named point: a no-op returning nil unless a spec armed
 // an action for it. An error action returns ErrInjected; a crash action
 // never returns.
@@ -117,13 +108,7 @@ func Hit(name string) error {
 	}
 	mu.Lock()
 	a := points[name]
-	c := counts[name]
-	if c == nil {
-		c = &atomic.Uint64{}
-		counts[name] = c
-	}
 	mu.Unlock()
-	c.Add(1)
 	if a == nil {
 		return nil
 	}
@@ -142,15 +127,4 @@ func Hit(name string) error {
 		time.Sleep(a.sleep)
 	}
 	return nil
-}
-
-// Count returns how many times the named point was hit since the last
-// Configure/Reset (0 when disarmed: disarmed hits are not tallied).
-func Count(name string) uint64 {
-	mu.Lock()
-	defer mu.Unlock()
-	if c := counts[name]; c != nil {
-		return c.Load()
-	}
-	return 0
 }

@@ -43,8 +43,8 @@
 //
 // Each 3-D transform is Nx*Ny (z), Nx*Hz (y) and Ny*Hz (x) independent
 // 1-D line transforms. When a grid's Exec executor is set, the line
-// loops and the pointwise spectral multiply are chunked over it with
-// per-task line buffers drawn from a sched.Scratch pool; results are
+// loops and the pointwise spectral multiply are chunked over it, each
+// line task with a line buffer of the grid's own; results are
 // bit-identical to the serial path regardless of scheduling (every
 // line is transformed by the same kernel). With Exec nil everything
 // runs inline and the warm paths are allocation-free. A grid serves one

@@ -23,11 +23,11 @@ type RGrid[T float] struct {
 	// Set it before transforming; a grid serves one transform at a time
 	// either way.
 	Exec sched.Executor
-	// lines pools the pack/gather buffers of the line transforms, each
-	// as long as the longest line: the warm serial value keeps repeated
-	// transforms (one per matvec in pfft) allocation-free, parallel
-	// tasks draw per-task buffers from the overflow pool.
-	lines *sched.Scratch[*[]T]
+	// lines holds one pack/gather buffer per line task of the longest
+	// axis pass, each as long as the longest line; buffer t serves task
+	// t of a pass, so repeated transforms (one per matvec in pfft)
+	// allocate none.
+	lines []T
 }
 
 // RGrid3 is the float64 grid of the fp64 pfft operator.
@@ -47,16 +47,18 @@ func newRGrid[T float](nx, ny, nz int) *RGrid[T] {
 	if !IsPow2(nx) || !IsPow2(ny) || !IsPow2(nz) || nz < 2 {
 		panic("fft: real grid dimensions must be powers of two with Nz >= 2")
 	}
-	longest := max(nx, ny, nz/2)
+	hz := nz/2 + 1
+	tasks := chunkTasks(max(nx*ny, nx*hz, ny*hz), lineChunk)
 	return &RGrid[T]{
-		Nx: nx, Ny: ny, Nz: nz, Hz: nz/2 + 1,
-		Data: make([]T, nx*ny*(nz+2)),
-		lines: sched.NewScratch(func() *[]T {
-			b := make([]T, 2*longest)
-			return &b
-		}),
+		Nx: nx, Ny: ny, Nz: nz, Hz: hz,
+		Data:  make([]T, nx*ny*(nz+2)),
+		lines: make([]T, tasks*lineLen(nx, ny, nz)),
 	}
 }
+
+// lineLen is the length of one line buffer: a complex line of the
+// longest axis pass.
+func lineLen(nx, ny, nz int) int { return 2 * max(nx, ny, nz/2) }
 
 // RIdx returns the Data index of real sample (ix, iy, iz). Lines are
 // padded by two slots (the Nz/2-th spectral bin), so the stride between
@@ -151,20 +153,17 @@ func (g *RGrid[T]) transformAll(inv bool) {
 	if inv {
 		order[0], order[2] = order[2], order[0]
 	}
+	n := lineLen(nx, ny, nz)
 	if g.Exec == nil {
-		b := g.lines.Acquire()
 		for _, p := range order {
-			g.runLines(p, inv, 0, p.lines, *b)
+			g.runLines(p, inv, 0, p.lines, g.lines[:n])
 		}
-		g.lines.Release(b)
 		return
 	}
 	for _, p := range order {
 		g.Exec.Map(chunkTasks(p.lines, lineChunk), func(t int) {
 			lo, hi := chunkSpan(t, p.lines, lineChunk)
-			b := g.lines.Acquire()
-			g.runLines(p, inv, lo, hi, *b)
-			g.lines.Release(b)
+			g.runLines(p, inv, lo, hi, g.lines[t*n:(t+1)*n])
 		})
 	}
 }

@@ -23,7 +23,7 @@ func NewTopology(panels []geom.Panel, opt Options) *Topology {
 	return &Topology{t: t, inter: t.buildInteractions(opt.Theta, opt.NearFactor)}
 }
 
-// Leaves returns the number of octree leaves (diagnostics).
+// Leaves returns the number of octree leaves (bench/'s fmm.leaves).
 func (tp *Topology) Leaves() int {
 	n := 0
 	for id := range tp.t.nodes {

@@ -55,7 +55,7 @@ func (r Rect) Center() Vec3 {
 }
 
 // Point maps in-plane coordinates (u, v) to a 3-D point on the rectangle's
-// plane (u and v need not lie inside the intervals).
+// plane; u and v may lie outside the intervals (geom, kernel, assembly tests).
 func (r Rect) Point(u, v float64) Vec3 {
 	var p Vec3
 	p = p.WithComponent(r.Normal, r.Offset)
@@ -83,7 +83,7 @@ func (r Rect) Dist(s Rect) float64 {
 	return math.Sqrt(d2)
 }
 
-// DistToPoint returns the distance from p to the closest point of r.
+// DistToPoint returns the distance from p to r (geom, kernel, assembly tests).
 func (r Rect) DistToPoint(p Vec3) float64 {
 	dn := p.Component(r.Normal) - r.Offset
 	du := r.U.DistTo(p.Component(r.UAxis()))

@@ -37,11 +37,6 @@ func (a Axis) String() string {
 	return fmt.Sprintf("Axis(%d)", int(a))
 }
 
-// Other returns the axis that is neither a nor b. a and b must differ.
-func Other(a, b Axis) Axis {
-	return Axis(3 - int(a) - int(b))
-}
-
 // Vec3 is a point or displacement in 3-D space.
 type Vec3 struct {
 	X, Y, Z float64

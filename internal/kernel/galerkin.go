@@ -162,16 +162,11 @@ func rectGalerkinPerp(cfg *Config, t, s geom.Rect) float64 {
 // integral of 1/|r-r'| over the rectangle paired with itself. The analytic
 // F4 expression remains finite here; for a unit square the value is
 // 8/3*(ln(1+sqrt2) + (1-sqrt2)/... ) ~= 3.5255 (verified in tests against a
-// Duffy-transformed numerical reference).
+// Duffy-transformed reference); kernel's and assembly's tests call it.
 func SelfGalerkin(r geom.Rect) float64 {
 	return GalerkinParallel(
 		r.U.Lo, r.U.Hi, r.V.Lo, r.V.Hi,
 		r.U.Lo, r.U.Hi, r.V.Lo, r.V.Hi, 0)
-}
-
-// PointKernel is the bare Green's function without prefactor: 1/|a-b|.
-func PointKernel(a, b geom.Vec3) float64 {
-	return 1 / a.Dist(b)
 }
 
 // Scale converts an unscaled integral (in units of m^3 for 4-D Galerkin) to

@@ -158,15 +158,6 @@ func F2(X, Y, Z float64) float64 {
 	return s
 }
 
-// F3 is the antiderivative of 1/r taken twice in X and once in Y:
-//
-//	F3 = X*Y*ln(X+r) + (X^2-Z^2)/2*ln(Y+r)
-//	   + X*Z*atan2(Y*Z, X^2+Z^2+X*r) - X*Y - Y*r/2
-func F3(X, Y, Z float64) float64 {
-	s, yr := f3Rest(X, Y, Z)
-	return s + logTerm(0.5*(X*X-Z*Z), yr)
-}
-
 // f3Rest is F3 less its (X^2-Z^2)/2*ln(Y+r) term, whose coefficient does
 // not depend on Y; yr is that logarithm's guarded argument.
 func f3Rest(X, Y, Z float64) (s, yr float64) {

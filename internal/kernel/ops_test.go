@@ -249,11 +249,6 @@ func TestScaleAndPointKernel(t *testing.T) {
 	if got := Scale(FourPiEps0); got != 1 {
 		t.Errorf("Scale(4pi eps0) = %g, want 1", got)
 	}
-	a := geom.Vec3{X: 1}
-	b := geom.Vec3{X: 4}
-	if got := PointKernel(a, b); math.Abs(got-1.0/3) > 1e-15 {
-		t.Errorf("PointKernel = %g, want 1/3", got)
-	}
 }
 
 // rectPotentialRef is the unpaired second difference of F2: eight
@@ -296,6 +291,18 @@ func TestRectPotentialPairedMatchesFourF2(t *testing.T) {
 		check("centre", u1, u2, v1, v2, 0.5*(u1+u2), 0.5*(v1+v2), 0)
 		check("far", u1, u2, v1, v2, 50*p(), 50*p(), p())
 	}
+}
+
+// F3 is the antiderivative of 1/r taken twice in X and once in Y:
+//
+//	F3 = X*Y*ln(X+r) + (X^2-Z^2)/2*ln(Y+r)
+//	   + X*Z*atan2(Y*Z, X^2+Z^2+X*r) - X*Y - Y*r/2
+//
+// f3DiffY, the form the strip integrals evaluate, is checked against the
+// difference of two of these.
+func F3(X, Y, Z float64) float64 {
+	s, yr := f3Rest(X, Y, Z)
+	return s + logTerm(0.5*(X*X-Z*Z), yr)
 }
 
 func TestF3DiffYMatchesF3(t *testing.T) {

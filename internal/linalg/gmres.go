@@ -171,16 +171,11 @@ func allZero(x []float64) bool {
 	return true
 }
 
-// GMRES solves A x = b by right-preconditioned GMRES, writing the solution
-// into x (which also provides the initial guess). It allocates a fresh
-// space; use GMRESWith to reuse one's buffers across solves.
-func GMRES(a Matvec, x, b []float64, opt GMRESOptions) (GMRESResult, error) {
-	return GMRESWith(nil, a, x, b, opt)
-}
-
-// GMRESWith is GMRES in caller-provided scratch: ws is emptied, sized for
-// the solve (opt.Restart directions) and solved in, so steady-state solves
-// are allocation-free. ws may be nil.
+// GMRESWith solves A x = b by right-preconditioned GMRES, writing the
+// solution into x (which also provides the initial guess). It solves in
+// caller-provided scratch: ws is emptied, sized for the solve
+// (opt.Restart directions) and solved in, so steady-state solves are
+// allocation-free. ws nil allocates a fresh space.
 func GMRESWith(ws *GMRESWorkspace, a Matvec, x, b []float64, opt GMRESOptions) (GMRESResult, error) {
 	if ws == nil {
 		ws = &GMRESWorkspace{}

@@ -410,13 +410,6 @@ func dot2x2(a0, a1, b0, b1 []float64) (s00, s01, s10, s11 float64) {
 	return
 }
 
-// Solve overwrites the n x m block b with the solution X of A·X = B,
-// all right-hand sides at once: Forward, then Backward.
-func (f *LDLT) Solve(b *Dense) {
-	f.Forward(b)
-	f.Backward(b)
-}
-
 // Forward overwrites the n x m block b with Y = L⁻¹·P·B: interchange
 // rows, then sweep forward with L row by row, so that every inner loop
 // is an axpy over one contiguous row of b and L is only ever read along
@@ -515,7 +508,7 @@ func (f *LDLT) QuadForm(y *Dense) *Dense {
 }
 
 // SolveVec overwrites x with the solution of A·x = b, b given in x: the
-// one-right-hand-side Solve without a Dense around it, for the
+// one-right-hand-side Forward and Backward without a Dense around it, for the
 // preconditioner's many small solves. The forward sweep takes one dot
 // product per row of L, the backward sweep one axpy per row (a column of
 // Lᵀ is a row of L); nothing is allocated. Interchange k touches only

@@ -15,6 +15,13 @@ import (
 // headline N of the 16x16 bus.
 var ldlSizes = []int{1, 2, 3, ldlBlock - 1, ldlBlock, ldlBlock + 1, 2 * ldlBlock, 3*ldlBlock + 7, 704}
 
+// Solve overwrites the n x m block b with the solution X of A·X = B,
+// all right-hand sides at once: Forward, then Backward.
+func (f *LDLT) Solve(b *Dense) {
+	f.Forward(b)
+	f.Backward(b)
+}
+
 // symFromSpectrum returns Q·diag(d)·Qᵀ with Q a product of three random
 // Householder reflectors: a dense symmetric matrix whose eigenvalues,
 // and so whose inertia, are known by construction.

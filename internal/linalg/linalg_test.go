@@ -210,7 +210,7 @@ func TestGMRESDense(t *testing.T) {
 	b := make([]float64, n)
 	a.MulVec(b, want)
 	x := make([]float64, n)
-	res, err := GMRES(denseOp{a}, x, b, GMRESOptions{Tol: 1e-10})
+	res, err := GMRESWith(nil, denseOp{a}, x, b, GMRESOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestGMRESRestartedAndPreconditioned(t *testing.T) {
 
 	// Small restart forces the restart path.
 	x := make([]float64, n)
-	res, err := GMRES(denseOp{a}, x, b, GMRESOptions{Tol: 1e-9, Restart: 10})
+	res, err := GMRESWith(nil, denseOp{a}, x, b, GMRESOptions{Tol: 1e-9, Restart: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestGMRESRestartedAndPreconditioned(t *testing.T) {
 		diag[i] = a.At(i, i)
 	}
 	x2 := make([]float64, n)
-	res2, err := GMRES(denseOp{a}, x2, b, GMRESOptions{
+	res2, err := GMRESWith(nil, denseOp{a}, x2, b, GMRESOptions{
 		Tol: 1e-9, Restart: 10,
 		Precond: func(dst, r []float64) {
 			for i := range dst {
@@ -308,7 +308,7 @@ func TestGMRESZeroGuessSpendsNoMatvecOnIt(t *testing.T) {
 		x := make([]float64, n)
 		x[n/2] = guess
 		applies := 0
-		res, err := GMRES(countingOp{denseOp{a}, &applies}, x, b, GMRESOptions{Tol: 1e-10, Restart: n})
+		res, err := GMRESWith(nil, countingOp{denseOp{a}, &applies}, x, b, GMRESOptions{Tol: 1e-10, Restart: n})
 		if err != nil || !res.Converged {
 			t.Fatalf("guess %g: %v %+v", guess, err, res)
 		}
@@ -326,7 +326,7 @@ func TestGMRESZeroGuessSpendsNoMatvecOnIt(t *testing.T) {
 func TestGMRESZeroRHS(t *testing.T) {
 	a := randomSPD(5, rand.New(rand.NewSource(8)))
 	x := []float64{1, 2, 3, 4, 5}
-	res, err := GMRES(denseOp{a}, x, make([]float64, 5), GMRESOptions{})
+	res, err := GMRESWith(nil, denseOp{a}, x, make([]float64, 5), GMRESOptions{})
 	if err != nil || !res.Converged {
 		t.Fatalf("zero rhs: %v %+v", err, res)
 	}

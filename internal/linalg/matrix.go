@@ -59,7 +59,7 @@ func (m *Dense) Clone() *Dense {
 	return &Dense{Rows: m.Rows, Cols: m.Cols, Data: d}
 }
 
-// Transpose returns a newly allocated transpose.
+// Transpose returns a newly allocated transpose (linalg's and op's tests).
 func (m *Dense) Transpose() *Dense {
 	t := NewDense(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
@@ -72,7 +72,7 @@ func (m *Dense) Transpose() *Dense {
 }
 
 // MulVec computes dst = m * x. dst must have length m.Rows and may not
-// alias x.
+// alias x; the dense reference of linalg's, op's, fmm's and pfft's tests.
 func (m *Dense) MulVec(dst, x []float64) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic("linalg: MulVec dimension mismatch")
@@ -84,7 +84,7 @@ func (m *Dense) MulVec(dst, x []float64) {
 
 // Mul computes c = a * b with an ikj loop ordering that streams rows of
 // b through the unrolled Axpy kernel. c must be pre-allocated with shape
-// a.Rows x b.Cols.
+// a.Rows x b.Cols. Only linalg's and op's tests call it.
 func Mul(c, a, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("linalg: Mul dimension mismatch")
@@ -101,7 +101,8 @@ func Mul(c, a, b *Dense) {
 	}
 }
 
-// MaxAbsDiff returns max_ij |a_ij - b_ij|; shapes must match.
+// MaxAbsDiff returns max_ij |a_ij - b_ij|; shapes must match. The tests
+// of assembly, par, mpi, solver, op and linalg compare matrices with it.
 func MaxAbsDiff(a, b *Dense) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("linalg: shape mismatch")

@@ -5,6 +5,9 @@ import (
 	"math"
 )
 
+// QR is the least-squares reference of the GMRES tests (space_test.go's
+// per-step minimum): nothing outside the tests solves by QR.
+//
 // QR holds a Householder QR factorization of an m x n matrix (m >= n).
 // Reflector vectors are stored in and below the diagonal of qr; the strict
 // upper triangle of qr holds R's off-diagonal entries, and diag holds R's
@@ -99,9 +102,7 @@ func (f *QR) LeastSquares(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Residual returns ||A x - b||_2 for a given solution candidate, using the
-// original matrix reconstructed from the factorization is not available;
-// callers should keep A. This helper computes the norm directly from A.
+// Residual returns ||A x - b||_2.
 func Residual(a *Dense, x, b []float64) float64 {
 	r := make([]float64, a.Rows)
 	a.MulVec(r, x)

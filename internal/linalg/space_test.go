@@ -116,7 +116,7 @@ func TestSpaceIteratesAreGMRES(t *testing.T) {
 			}
 			x := make([]float64, n)
 			k := 0 // iterations completed when the hook runs
-			res, err := GMRES(denseOp{tc.a}, x, b, GMRESOptions{
+			res, err := GMRESWith(nil, denseOp{tc.a}, x, b, GMRESOptions{
 				Tol: 1e-300, Restart: n, MaxIter: steps,
 				Precond: func(dst, r []float64) {
 					if k > 0 {
@@ -208,7 +208,7 @@ func TestSpaceRingWraps(t *testing.T) {
 	}
 	var hist []float64
 	x := make([]float64, n)
-	res, err := GMRES(denseOp{a}, x, b, GMRESOptions{
+	res, err := GMRESWith(nil, denseOp{a}, x, b, GMRESOptions{
 		Tol: 1e-9, Restart: 5,
 		Precond: func(dst, r []float64) {
 			hist = append(hist, Norm2(r))
@@ -251,7 +251,7 @@ func TestSpaceBreakdown(t *testing.T) {
 	a.Set(0, 0, 1)
 	b := []float64{1, 1, 0, 0}
 	x := make([]float64, 4)
-	res, err := GMRES(denseOp{a}, x, b, GMRESOptions{Tol: 1e-10})
+	res, err := GMRESWith(nil, denseOp{a}, x, b, GMRESOptions{Tol: 1e-10})
 	if !errors.Is(err, ErrGMRESBreakdown) {
 		t.Fatalf("collapsed image: %+v, %v, want ErrGMRESBreakdown", res, err)
 	}
@@ -260,7 +260,7 @@ func TestSpaceBreakdown(t *testing.T) {
 	}
 
 	x = make([]float64, 4)
-	res, err = GMRES(nanOp(4), x, b, GMRESOptions{Tol: 1e-10})
+	res, err = GMRESWith(nil, nanOp(4), x, b, GMRESOptions{Tol: 1e-10})
 	if !errors.Is(err, ErrGMRESBreakdown) || !allZero(x) || res.Residual != 1 {
 		t.Fatalf("NaN image: x = %v, %+v, %v, want ErrGMRESBreakdown and the untouched guess", x, res, err)
 	}

@@ -335,7 +335,7 @@ func TestReduceMatchesMul(t *testing.T) {
 // conductor and moment in the factorization's workspace, gives bitwise the
 // C of NewFromSym and ExtractRHS on the dense Φ, exactly symmetric and
 // within rounding of the charges' Φᵀ·Rho, and ExtractRHS's Rho is bitwise
-// S·(S P S)⁻¹·S Φ by LDLT.Solve, as before the forward sweep carried C.
+// S·(S P S)⁻¹·S Φ by LDLT.Forward and Backward, as before the forward sweep carried C.
 // The sizes cover no panel workspace (N = 40), conductors that fit in it
 // (N = 200, 5) and conductors that do not (N = 200, 70).
 func TestDirectCapacitanceMatchesExtractRHS(t *testing.T) {
@@ -392,12 +392,13 @@ func TestDirectCapacitanceMatchesExtractRHS(t *testing.T) {
 				want.Set(i, j, s[i]*v)
 			}
 		}
-		f.Solve(want)
+		f.Forward(want)
+		f.Backward(want)
 		for i := 0; i < n; i++ {
 			linalg.Scal(s[i], want.Row(i))
 		}
 		if !bitwiseEqual(full.Rho, want) {
-			t.Errorf("N=%d n=%d: ExtractRHS's charges differ from S·Solve(S·Φ)", n, nc)
+			t.Errorf("N=%d n=%d: ExtractRHS's charges differ from S·A⁻¹(S·Φ)", n, nc)
 		}
 	}
 	ok := linalg.Sym{N: 2, Data: []float64{2, 1, 2}}

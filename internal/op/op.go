@@ -189,7 +189,7 @@ func (s *Spec) RHS() *linalg.Dense {
 
 // AssembleDense builds the Galerkin matrix, its packed lower triangle, in
 // parallel, block by block of panel groups; each entry is computed and
-// written once.
+// written once. Only op's and pcbem's tests call it.
 func (s *Spec) AssembleDense() *linalg.Sym {
 	m, _, _ := s.AssembleDenseReuse(nil, nil)
 	return m

@@ -258,7 +258,7 @@ func DirectCapacitance(m *linalg.Sym, cond []int, moment []float64, nc int) (*Re
 
 // NewFromDense is NewFromSym on the lower triangle of the square matrix m,
 // packed in place inside m's own storage (linalg.PackLower): it consumes
-// m too, and allocates no copy of it.
+// m too, and allocates no copy of it. Callers: bench/ and op's tests.
 func NewFromDense(m *linalg.Dense, opt Options) (*Pipeline, error) {
 	if m.Rows != m.Cols {
 		return nil, errors.New("op: system matrix not square")
@@ -466,6 +466,7 @@ func (p *Pipeline) ExtractWarmCtx(ctx context.Context, x0 *linalg.Dense) (*Resul
 // matrix and returns C = Phi^T P^-1 Phi with the charges Rho: on the direct
 // path C = Yᵀ D⁻¹ Y from the forward sweep (see Options.Direct), exactly
 // symmetric; on the Krylov path C = Phi^T Rho, symmetrized (Reduce).
+// Callers: bench/ and the tests of op and the facade.
 func (p *Pipeline) ExtractRHS(phi *linalg.Dense) (*Result, error) {
 	return p.extractRHS(context.Background(), phi, nil)
 }

@@ -117,9 +117,6 @@ func NewBlockJacobiWith(n int, idx [][]int32, block func(k int) *linalg.Sym, dia
 	return bj, nil
 }
 
-// Blocks returns the number of factorized blocks (diagnostics).
-func (bj *BlockJacobi) Blocks() int { return len(bj.blocks) }
-
 // ReusedFactors reports how many block factors were adopted through the
 // NewBlockJacobiWith lookup instead of factorized fresh.
 func (bj *BlockJacobi) ReusedFactors() int { return bj.reusedFactors }

@@ -30,8 +30,8 @@ func TestBlockJacobiSolvesBlockDiagonalExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bj.Blocks() != 2 {
-		t.Fatalf("got %d blocks, want 2", bj.Blocks())
+	if len(bj.blocks) != 2 {
+		t.Fatalf("got %d blocks, want 2", len(bj.blocks))
 	}
 	r := []float64{1, -2, 3, 0.5, -1, 8}
 	dst := make([]float64, n)
@@ -285,8 +285,8 @@ func TestNoNearBlocksIsPointJacobi(t *testing.T) {
 		t.Fatal(err)
 	}
 	bj := pl.Preconditioner()
-	if bj.Blocks() != 0 {
-		t.Fatalf("%d blocks over an operator without near blocks", bj.Blocks())
+	if len(bj.blocks) != 0 {
+		t.Fatalf("%d blocks over an operator without near blocks", len(bj.blocks))
 	}
 	d := spec.diagonal()
 	r := make([]float64, len(d))

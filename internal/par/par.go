@@ -72,8 +72,8 @@ func FillSym(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Sym {
 }
 
 // Fill is FillSym with both triangles of P written out, for callers that
-// want the full N×N (the benchmark's traced recomposition of an
-// extraction).
+// want the full N×N: bench/'s traced recomposition of an extraction, and
+// par's tests.
 func Fill(set *basis.Set, in *assembly.Integrator, opt Options) *linalg.Dense {
 	return FillSym(set, in, opt).Dense()
 }

@@ -323,7 +323,7 @@ func (p *Plan) Release() bool {
 
 // Holds reports whether the plan holds reusable stages of its current
 // variant: a dense matrix, an fmm or pfft operator, or block factors. It
-// waits for a build in progress.
+// waits for a build in progress. internal/batch's release tests read it.
 func (p *Plan) Holds() bool {
 	p.mu.Lock()
 	defer p.unlock()

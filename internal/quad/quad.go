@@ -75,7 +75,8 @@ func computeGauss(n int) *Rule {
 	return r
 }
 
-// Integrate1D integrates f over [a, b] with an n-point rule.
+// Integrate1D integrates f over [a, b] by an n-point rule (tests of quad,
+// kernel and basis).
 func Integrate1D(f func(float64) float64, a, b float64, n int) float64 {
 	r := Gauss(n)
 	half := 0.5 * (b - a)
@@ -108,8 +109,8 @@ func Integrate2D(f func(x, y float64) float64, ax, bx, ay, by float64, nx, ny in
 
 // Integrate4D integrates f over the product of two rectangles with a
 // tensor-product rule of n points per dimension. It is used only as a
-// brute-force reference in tests (the production path uses closed forms for
-// the inner 2-D integral).
+// brute-force reference in the quad and kernel tests (the production path
+// uses closed forms for the inner 2-D integral).
 func Integrate4D(f func(x, y, xp, yp float64) float64,
 	ax, bx, ay, by, axp, bxp, ayp, byp float64, n int) float64 {
 	return Integrate2D(func(x, y float64) float64 {

@@ -13,7 +13,7 @@ import (
 // next (bumped on every claim) and left (on every completion), are a
 // false-sharing range apart from each other, from the read-only header
 // the claimers load on every task, and from whatever the allocator puts
-// after the job.
+// after the job; a Scratch's busy flag is as far from the Scratch's end.
 func TestFalseSharingPadding(t *testing.T) {
 	var j job
 	headerEnd := unsafe.Offsetof(j.done) + unsafe.Sizeof(j.done)
@@ -30,9 +30,37 @@ func TestFalseSharingPadding(t *testing.T) {
 		}
 	}
 	var s Scratch[*int]
-	if unsafe.Offsetof(s.extra)-unsafe.Offsetof(s.busy) < falseSharingRange {
-		t.Errorf("Scratch.busy only %d bytes from extra (want >= %d)",
-			unsafe.Offsetof(s.extra)-unsafe.Offsetof(s.busy), falseSharingRange)
+	if unsafe.Sizeof(s)-unsafe.Offsetof(s.busy) < falseSharingRange {
+		t.Errorf("Scratch.busy only %d bytes from the end (want >= %d)",
+			unsafe.Sizeof(s)-unsafe.Offsetof(s.busy), falseSharingRange)
+	}
+}
+
+// TestScratchOverflow pins the overflow path: a value held while another
+// Acquire runs is never handed out twice, releasing the value that call
+// allocated leaves the dedicated one as it was, and one call at a time
+// allocates nothing.
+func TestScratchOverflow(t *testing.T) {
+	s := NewScratch(func() *int { return new(int) })
+	own := s.Acquire()
+	extra := s.Acquire()
+	if own == extra {
+		t.Fatal("two held Acquires returned one value")
+	}
+	s.Release(extra)
+	if v := s.Acquire(); v == own {
+		t.Fatal("releasing the overflow value freed the held dedicated one")
+	} else {
+		s.Release(v)
+	}
+	s.Release(own)
+	if v := s.Acquire(); v != own {
+		t.Error("the dedicated value is not handed out once free")
+	} else {
+		s.Release(v)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Release(s.Acquire()) }); n != 0 {
+		t.Errorf("Acquire/Release one at a time: %v allocs, want 0", n)
 	}
 }
 
@@ -69,8 +97,9 @@ func BenchmarkMapContention(b *testing.B) {
 }
 
 // BenchmarkScratchContention measures concurrent Acquire/Release on one
-// Scratch: the hot CAS on busy plus sync.Pool overflow, the pattern of
-// concurrent solves sharing one operator.
+// Scratch: the hot CAS on busy plus an allocation for each call that finds
+// the dedicated value busy, the pattern of concurrent solves sharing one
+// operator.
 func BenchmarkScratchContention(b *testing.B) {
 	for _, w := range contentionWorkers() {
 		b.Run(fmt.Sprintf("g=%d", w), func(b *testing.B) {

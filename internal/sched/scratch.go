@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // MapOrInline runs n tasks on ex, or inline in index order when ex is
 // nil (the serial mode of the operators: no closure scheduling, so hot
@@ -27,20 +24,20 @@ func inline(n int, fn func(task int)) {
 // Scratch manages the per-call mutable state of concurrency-safe
 // operators (fmm/pfft Apply buffers, preconditioner solve buffers): the
 // common one-call-at-a-time case reuses one dedicated warm value, so the
-// steady state is allocation-free; concurrent overflow calls draw from a
-// sync.Pool. T must be a comparable handle (typically a pointer).
+// steady state is allocation-free; a call that finds it busy allocates a
+// value of its own, which Release drops. T must be a comparable handle
+// (typically a pointer).
 type Scratch[T comparable] struct {
 	newFn func() T
 	own   T
 	// busy is CAS-hammered by every concurrent Acquire (one per operator
 	// Apply), so it lives on its own cache-line pair: sharing a line with
 	// newFn/own would invalidate those read-only fields on every CAS, and
-	// sharing with the sync.Pool header would contend with overflow
-	// Put/Get traffic.
-	_     [falseSharingRange]byte
-	busy  atomic.Bool
-	_     [falseSharingRange - 1]byte
-	extra sync.Pool
+	// sharing with whatever the allocator puts after the Scratch would
+	// contend with that object's traffic.
+	_    [falseSharingRange]byte
+	busy atomic.Bool
+	_    [falseSharingRange - 1]byte
 }
 
 // NewScratch builds the manager and warms the dedicated value.
@@ -53,9 +50,6 @@ func (s *Scratch[T]) Acquire() T {
 	if s.busy.CompareAndSwap(false, true) {
 		return s.own
 	}
-	if v, ok := s.extra.Get().(T); ok {
-		return v
-	}
 	return s.newFn()
 }
 
@@ -63,7 +57,5 @@ func (s *Scratch[T]) Acquire() T {
 func (s *Scratch[T]) Release(v T) {
 	if v == s.own {
 		s.busy.Store(false)
-		return
 	}
-	s.extra.Put(v)
 }

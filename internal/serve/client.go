@@ -187,7 +187,7 @@ func retryable(err error) bool {
 func retryAfterOf(err error) time.Duration {
 	var re *RequestError
 	if errors.As(err, &re) && re.RetryAfterSec > 0 {
-		return secondsDuration(re.RetryAfterSec)
+		return saturatingDuration(re.RetryAfterSec, time.Second)
 	}
 	var herr *httpStatusError
 	if errors.As(err, &herr) {
@@ -264,14 +264,14 @@ func parseRetryAfter(v string) time.Duration {
 	if sec <= 0 || (err != nil && !errors.Is(err, strconv.ErrRange)) {
 		return 0
 	}
-	return secondsDuration(float64(sec))
+	return saturatingDuration(float64(sec), time.Second)
 }
 
-// secondsDuration converts positive seconds of advice to a Duration,
+// saturatingDuration converts a positive count of units to a Duration,
 // saturating at the largest one instead of overflowing into a negative
 // or short wait.
-func secondsDuration(sec float64) time.Duration {
-	if ns := sec * float64(time.Second); ns < math.MaxInt64 {
+func saturatingDuration(n float64, unit time.Duration) time.Duration {
+	if ns := n * float64(unit); ns < math.MaxInt64 {
 		return time.Duration(ns)
 	}
 	return math.MaxInt64
@@ -306,7 +306,7 @@ func (c *Client) Extract(ctx context.Context, req *ExtractRequest) (*ExtractResp
 // ExtractAsync enqueues an extraction and returns its job id. When the
 // request carries no idempotency key, a random one is generated, so a
 // retried submit (lost 202, transport error) resolves to the same job
-// instead of double-running.
+// instead of double-running. Only serve's and cmd/capxd's tests call it.
 func (c *Client) ExtractAsync(ctx context.Context, req *ExtractRequest) (string, error) {
 	r := *req
 	r.Async = true
@@ -325,7 +325,7 @@ func (c *Client) ExtractAsync(ctx context.Context, req *ExtractRequest) (string,
 	return out.JobID, nil
 }
 
-// Job fetches the status (and result, when done) of a submitted job.
+// Job fetches a job's status and result (serve's and cmd/capxd's tests).
 func (c *Client) Job(ctx context.Context, id string) (*JobResponse, error) {
 	var out JobResponse
 	if err := c.get(ctx, "/jobs/"+id, &out); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,6 +41,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"geometry":1}`))
 	f.Add([]byte(`{"geometry":"conductor a\nbox 0 0 0 1 1 1","edge_m":1e-6,"precond":"jacobi"}`))
 	f.Add([]byte(`{"template_hs_m":[4e-7],"edge_m":1e-9}`))
+	f.Add([]byte(`{"geometry":"conductor a\nbox 0 0 0 1 1 1","edge_m":1e-6,"backend":"dense","precond":"block","tol":1e-6}`))
+	f.Add([]byte(`{"variants":["conductor a\nbox 0 0 0 1 1 1"],"edge_m":1e-6,"backend":"pfft","tol":0.5}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var l Limits
@@ -69,6 +72,9 @@ func FuzzDecodeRequest(f *testing.F) {
 			if p := req.Precond; p != "" && p != "auto" && p != "block" {
 				t.Fatalf("accepted precond %q: every Krylov solve is block-Jacobi", p)
 			}
+			if want, err := PipelineOptions(req.Backend, req.Precond, req.Tol); err != nil || !reflect.DeepEqual(req.opt, want) {
+				t.Fatalf("accepted extract carries options %+v, want %+v (%v)", req.opt, want, err)
+			}
 		}
 
 		sreq, sts, err := l.DecodeSweep(bytes.NewReader(data))
@@ -83,6 +89,9 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			if (len(sreq.Variants) == 0) == (len(sreq.TemplateHs) == 0) {
 				t.Fatal("accepted sweep without exactly one mode")
+			}
+			if want, err := PipelineOptions(sreq.Backend, sreq.Precond, sreq.Tol); err != nil || !reflect.DeepEqual(sreq.opt, want) {
+				t.Fatalf("accepted sweep carries options %+v, want %+v (%v)", sreq.opt, want, err)
 			}
 			if p := sreq.Precision; p != "" && p != "auto" && p != "fp64" {
 				t.Fatalf("accepted sweep precision %q: every solve runs fp64", p)

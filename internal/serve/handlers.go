@@ -262,12 +262,8 @@ func requestErrorFor(err error, elapsed time.Duration) *RequestError {
 // runExtract executes one admitted extract job on the shared engine,
 // bounded by the job's deadline/cancellation context.
 func (s *Server) runExtract(j *job, req *ExtractRequest, st *geom.Structure) (*ExtractResponse, error) {
-	opt, err := PipelineOptions(req.Backend, req.Precond, req.Tol)
-	if err != nil {
-		return nil, err
-	}
 	t0 := time.Now()
-	res, err := s.eng.ExtractPipelineCtx(j.ctx, st, req.EdgeM, opt)
+	res, err := s.eng.ExtractPipelineCtx(j.ctx, st, req.EdgeM, req.opt)
 	if err != nil {
 		return nil, requestErrorFor(err, time.Since(t0))
 	}
@@ -452,22 +448,12 @@ func (s *Server) runSweep(j *job, req *SweepRequest, sts []*geom.Structure) (any
 // family-keyed plan cache; a failing point becomes an error entry and
 // the sweep continues.
 func (s *Server) runVariantSweep(j *job, req *SweepRequest, sts []*geom.Structure, emit func(*SweepPoint) bool) {
-	opt, err := PipelineOptions(req.Backend, req.Precond, req.Tol)
-	if err != nil {
-		// Unreachable: DecodeSweep validated the options.
-		for i := range sts {
-			if !emit(&SweepPoint{Index: i, Error: &RequestError{Code: CodePointFailed, Message: err.Error()}}) {
-				return
-			}
-		}
-		return
-	}
 	for i, st := range sts {
 		if j.ctx.Err() != nil {
 			return
 		}
 		t0 := time.Now()
-		res, err := s.eng.ExtractPipelineCtx(j.ctx, st, req.EdgeM, opt)
+		res, err := s.eng.ExtractPipelineCtx(j.ctx, st, req.EdgeM, req.opt)
 		if err != nil {
 			if j.ctx.Err() != nil {
 				// Deadline or disconnect observed inside the solve:

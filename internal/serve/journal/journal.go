@@ -451,7 +451,4 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Path returns the journal file's path (for tests and diagnostics).
-func (j *Journal) Path() string { return j.path }
-
 var errClosed = errors.New("journal: closed")

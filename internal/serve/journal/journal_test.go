@@ -202,7 +202,7 @@ func TestCompactBoundsAndPreserves(t *testing.T) {
 		IdemKey: "k", Result: json.RawMessage(`{"ok":true}`)})
 	appendT(t, j, Record{JobID: "j2", State: StateAccepted, Kind: "extract",
 		Request: json.RawMessage(`{"edge_m":3}`)})
-	big, err := os.Stat(j.Path())
+	big, err := os.Stat(j.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCompactBoundsAndPreserves(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	small, err := os.Stat(j.Path())
+	small, err := os.Stat(j.path)
 	if err != nil {
 		t.Fatal(err)
 	}

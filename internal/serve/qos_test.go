@@ -75,6 +75,29 @@ func TestServeDeadline504(t *testing.T) {
 	}
 }
 
+// TestServeLongTimeoutSolves pins timeout_ms values past time.Duration's
+// range: from about 9.22e12 ms up, milliseconds times 1e6 overflow int64,
+// and a deadline computed by a plain conversion lies in the past, so the
+// job fails as deadline_exceeded while it is still queued. The deadline
+// saturates instead, and both request kinds solve.
+func TestServeLongTimeoutSolves(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1})
+	ctx := context.Background()
+	geo := geoText(t, crossingAt(0.5e-6))
+	for _, ms := range []float64{1e13, 1e300} {
+		res, err := c.Extract(ctx, &ExtractRequest{Geometry: geo, EdgeM: 1e-6, Backend: "dense", TimeoutMs: ms})
+		if err != nil || len(res.CFarads) != 2 {
+			t.Errorf("timeout_ms %g: /extract returned %v", ms, err)
+		}
+		req := &SweepRequest{Variants: []string{geo}, EdgeM: 1e-6, Backend: "dense", TimeoutMs: ms}
+		var pts []*SweepPoint
+		tr, err := c.Sweep(ctx, req, func(p *SweepPoint) { pts = append(pts, p) })
+		if err != nil || tr.Failed != 0 || len(pts) != 1 || pts[0].Error != nil {
+			t.Errorf("timeout_ms %g: /sweep returned %v, trailer %+v, points %+v", ms, err, tr, pts)
+		}
+	}
+}
+
 // TestServePriorityOrdering pins the two-tier admission queue: with one
 // runner and a backlog of both classes, every queued interactive job
 // runs before the first bulk job, regardless of arrival order.

@@ -156,6 +156,9 @@ type ExtractRequest struct {
 	// deadline returns a structured deadline_exceeded error (HTTP 504)
 	// with partial telemetry instead of burning pool workers.
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`
+	// opt is Backend, Precond and Tol as op.Options, set by DecodeExtract;
+	// a job runs a request only as the decode left it.
+	opt op.Options
 }
 
 // SweepRequest is the POST /sweep payload. Exactly one of Variants and
@@ -186,6 +189,9 @@ type SweepRequest struct {
 	// ExtractRequest.TimeoutMs. An expiring sweep ends its stream with
 	// a deadline_exceeded error line in place of the trailer.
 	TimeoutMs float64 `json:"timeout_ms,omitempty"`
+	// opt is Backend, Precond and Tol as op.Options, set by DecodeSweep;
+	// a job runs a request only as the decode left it.
+	opt op.Options
 }
 
 // decodeJSON unmarshals one JSON value from r under the body cap,
@@ -208,10 +214,11 @@ func decodeJSON(r io.Reader, maxBytes int64, v any) error {
 func (l Limits) DecodeExtract(r io.Reader) (*ExtractRequest, *geom.Structure, error) {
 	l = l.withDefaults()
 	var req ExtractRequest
-	if err := decodeJSON(r, l.MaxBodyBytes, &req); err != nil {
+	err := decodeJSON(r, l.MaxBodyBytes, &req)
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := l.validateSolve(req.EdgeM, req.Backend, req.Precond, req.Precision, req.Tol); err != nil {
+	if req.opt, err = l.validateSolve(req.EdgeM, req.Backend, req.Precond, req.Precision, req.Tol); err != nil {
 		return nil, nil, err
 	}
 	if err := validateTimeout(req.TimeoutMs); err != nil {
@@ -233,7 +240,8 @@ func (l Limits) DecodeExtract(r io.Reader) (*ExtractRequest, *geom.Structure, er
 func (l Limits) DecodeSweep(r io.Reader) (*SweepRequest, []*geom.Structure, error) {
 	l = l.withDefaults()
 	var req SweepRequest
-	if err := decodeJSON(r, l.MaxBodyBytes, &req); err != nil {
+	err := decodeJSON(r, l.MaxBodyBytes, &req)
+	if err != nil {
 		return nil, nil, err
 	}
 	if (len(req.Variants) == 0) == (len(req.TemplateHs) == 0) {
@@ -242,7 +250,7 @@ func (l Limits) DecodeSweep(r io.Reader) (*SweepRequest, []*geom.Structure, erro
 	if n := len(req.Variants) + len(req.TemplateHs); n > maxSweepPoints {
 		return nil, nil, badRequest("%d sweep points exceed the limit of %d", n, maxSweepPoints)
 	}
-	if err := l.validateSolve(req.EdgeM, req.Backend, req.Precond, req.Precision, req.Tol); err != nil {
+	if req.opt, err = l.validateSolve(req.EdgeM, req.Backend, req.Precond, req.Precision, req.Tol); err != nil {
 		return nil, nil, err
 	}
 	if err := validateTimeout(req.TimeoutMs); err != nil {
@@ -284,18 +292,17 @@ func validateTimeout(ms float64) error {
 	return nil
 }
 
-// validateSolve checks the option fields shared by both request kinds.
-func (l Limits) validateSolve(edge float64, backend, precond, precision string, tol float64) error {
+// validateSolve checks the option fields of both request kinds and maps them.
+func (l Limits) validateSolve(edge float64, backend, precond, precision string, tol float64) (op.Options, error) {
 	if !isFinite(edge) || edge <= 0 {
-		return badRequest("edge_m = %v is not a positive finite panel edge", edge)
+		return op.Options{}, badRequest("edge_m = %v is not a positive finite panel edge", edge)
 	}
 	switch precision {
 	case "", "auto", "fp64":
 	default:
-		return badRequest("unsupported precision %q (want auto or fp64: every solve runs in float64)", precision)
+		return op.Options{}, badRequest("unsupported precision %q (want auto or fp64: every solve runs in float64)", precision)
 	}
-	_, err := PipelineOptions(backend, precond, tol)
-	return err
+	return PipelineOptions(backend, precond, tol)
 }
 
 // parseGeometry parses geomio text and enforces the geometry limits.

@@ -119,13 +119,7 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opt, err := PipelineOptions(req.Backend, req.Precond, req.Tol)
-	if err != nil {
-		rt.badRequests.Add(1)
-		writeError(w, err)
-		return
-	}
-	rt.forward(w, r, batch.FamilyKey(st, req.EdgeM, opt), "/extract", body, false)
+	rt.forward(w, r, batch.FamilyKey(st, req.EdgeM, req.opt), "/extract", body, false)
 }
 
 // handleSweep routes a whole sweep by its first variant's family (a
@@ -144,17 +138,11 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	opt, err := PipelineOptions(req.Backend, req.Precond, req.Tol)
-	if err != nil {
-		rt.badRequests.Add(1)
-		writeError(w, err)
-		return
-	}
 	var key string
 	if len(sts) > 0 {
-		key = batch.FamilyKey(sts[0], req.EdgeM, opt)
+		key = batch.FamilyKey(sts[0], req.EdgeM, req.opt)
 	} else {
-		key = batch.FamilyKey(&geom.Structure{}, req.EdgeM, opt) + "-template"
+		key = batch.FamilyKey(&geom.Structure{}, req.EdgeM, req.opt) + "-template"
 	}
 	rt.forward(w, r, key, "/sweep", body, true)
 }

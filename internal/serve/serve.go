@@ -766,7 +766,7 @@ func withDeadline(ctx context.Context, timeoutMs float64) (context.Context, cont
 	if timeoutMs <= 0 {
 		return ctx, nil
 	}
-	return context.WithTimeout(ctx, time.Duration(timeoutMs*float64(time.Millisecond)))
+	return context.WithTimeout(ctx, saturatingDuration(timeoutMs, time.Millisecond))
 }
 
 // jobContext derives a job's context: bounded by the request's

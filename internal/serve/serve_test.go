@@ -488,7 +488,12 @@ func TestServeCancelledQueuedJobSkipped(t *testing.T) {
 	// context propagation from a real disconnect is asynchronous).
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dead := s.newExtractJob(ctx, &ExtractRequest{EdgeM: 0.5e-6, Backend: "dense"}, crossingAt(0.5e-6))
+	// A job's request carries the options its decode derives.
+	deadOpt, err := PipelineOptions("dense", "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := s.newExtractJob(ctx, &ExtractRequest{EdgeM: 0.5e-6, Backend: "dense", opt: deadOpt}, crossingAt(0.5e-6))
 	if _, err := s.admit(dead); err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,7 @@
 // Table and time them against the closed form.
 package tabulate
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dim describes one tabulated parameter: a closed range [Min, Max] sampled
 // at N grid points (N >= 2).
@@ -158,33 +155,4 @@ func (t *Table) interp(base int, fracs []float64, strides []int) float64 {
 		}
 	}
 	return sum
-}
-
-// MaxInterpError estimates the interpolation error by comparing the table
-// against f at the centers of nProbe random-ish cells (low-discrepancy
-// lattice), returning the max relative error observed.
-func (t *Table) MaxInterpError(f func(x []float64) float64, nProbe int) float64 {
-	k := len(t.dims)
-	x := make([]float64, k)
-	// Weyl sequence with rationally independent generators (square roots
-	// of square-free integers) for genuine k-dimensional coverage.
-	alphas := [...]float64{math.Sqrt2, 1.7320508075688772, 2.23606797749979,
-		2.6457513110645907, 3.3166247903554, 3.605551275463989}
-	var maxRel float64
-	for p := 0; p < nProbe; p++ {
-		for i, d := range t.dims {
-			frac := math.Mod(alphas[i%len(alphas)]*float64(p+1), 1)
-			x[i] = d.Min + frac*(d.Max-d.Min)
-		}
-		want := f(x)
-		got := t.Eval(x...)
-		den := math.Abs(want)
-		if den < 1e-12 {
-			den = 1e-12
-		}
-		if rel := math.Abs(got-want) / den; rel > maxRel {
-			maxRel = rel
-		}
-	}
-	return maxRel
 }

@@ -52,15 +52,22 @@ func TestEval2FastPath(t *testing.T) {
 	}
 }
 
+// TestMaxInterpError compares the table against f at 500 points of a
+// Weyl sequence (generators √2 and √3, rationally independent, so the
+// points cover the square) and bounds the worst relative error.
 func TestMaxInterpError(t *testing.T) {
-	tab := Build([]Dim{{0, 1, 200}, {0, 1, 200}}, func(x []float64) float64 {
-		return math.Exp(x[0] + x[1])
-	})
-	e := tab.MaxInterpError(func(x []float64) float64 {
-		return math.Exp(x[0] + x[1])
-	}, 500)
-	if e > 1e-3 {
-		t.Fatalf("interp error %g too large for smooth function", e)
+	f := func(x []float64) float64 { return math.Exp(x[0] + x[1]) }
+	tab := Build([]Dim{{0, 1, 200}, {0, 1, 200}}, f)
+	var worst float64
+	for p := 1; p <= 500; p++ {
+		x := []float64{math.Mod(math.Sqrt2*float64(p), 1), math.Mod(math.Sqrt(3)*float64(p), 1)}
+		want := f(x)
+		if rel := math.Abs(tab.Eval(x...)-want) / want; rel > worst {
+			worst = rel
+		}
+	}
+	if worst > 1e-3 {
+		t.Fatalf("interp error %g too large for smooth function", worst)
 	}
 }
 
