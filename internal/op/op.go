@@ -44,7 +44,8 @@
 // the space — each projects onto the directions the earlier ones added
 // before it pays for new ones — and a variant's solve seeds it with the
 // previous variant's charges (ExtractWarmCtx). The space holds
-// its last 60 directions (restart), never restarts, and dies with the call.
+// its last 60 directions (restart), never restarts, and is emptied with the
+// call; its buffers serve the next solve of its size class.
 //
 // # Preconditioner
 //
@@ -88,8 +89,10 @@ package op
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"parbem/internal/assembly"
 	"parbem/internal/geom"
@@ -197,8 +200,10 @@ func (s *Spec) AssembleDense() *linalg.Sym {
 
 // AssembleDenseReuse is AssembleDense into prev, the matrix of the
 // previous variant of these panels, which it overwrites and returns; a nil
-// or shape-mismatched prev gets a new matrix. Entries whose panel pair
-// moved rigidly as a unit since prev was assembled (equal non-negative
+// or shape-mismatched prev is left alone, and the matrix is then one given
+// to RecycleSym or a new one: every entry of it is written, so what it
+// held does not matter. Entries whose panel pair moved rigidly as a unit
+// since prev was assembled (equal non-negative
 // class values, panels aligned 1:1 by index; see geom.Diff and
 // internal/plan) keep prev's value and are neither read nor written; every
 // other entry (j, i), i <= j, is the value of its symmetry class in the
@@ -215,13 +220,57 @@ func (s *Spec) AssembleDenseReuse(prev *linalg.Sym, class []int32) (*linalg.Sym,
 	n := s.N()
 	m := prev
 	if m == nil || m.N != n {
-		m, class = linalg.NewSym(n), nil
+		m, class = recycledSym(n), nil
 	}
 	if len(class) != n {
 		class = nil
 	}
 	reused, fill := s.pairs().FillUpper(s.exec(), m, class)
 	return m, reused, fill
+}
+
+// classPool is one sync.Pool per power-of-two size class: a value whose
+// buffers hold l float64s goes to class bits.Len(l), which holds lengths
+// in [2^(k-1), 2^k). A value therefore serves only requests less than
+// twice as large or small as itself, and one a large request leaves is
+// taken by no small one: the two collections after the last request of
+// its class free it. The classes are fixed, whatever sizes a service's
+// clients send.
+type classPool [bits.UintSize + 1]sync.Pool
+
+// get returns a value put in the class of size l, or nil.
+func (c *classPool) get(l int) any { return c[bits.Len(uint(l))].Get() }
+
+// put keeps v, whose buffers hold l float64s, in its class.
+func (c *classPool) put(l int, v any) { c[bits.Len(uint(l))].Put(v) }
+
+// syms holds the packed matrices given to RecycleSym: a service's
+// one-shot plans give theirs up (plan.Plan.Release) as the next plan,
+// often of a corpus shape seen before, assembles one of a size close by.
+var syms classPool
+
+// RecycleSym hands m (nil: nothing) to the next AssembleDenseReuse of its
+// size class that has no matrix of its own to rewrite. The caller gives m
+// up: nothing may read or write it afterwards.
+func RecycleSym(m *linalg.Sym) {
+	if m != nil {
+		syms.put(cap(m.Data), m)
+	}
+}
+
+// recycledSym returns a matrix of dimension n on the storage of one given
+// to RecycleSym, if that holds the packed triangle, or a new one. Its
+// entries are whatever they were.
+func recycledSym(n int) *linalg.Sym {
+	l := linalg.PackedLen(n)
+	if m, ok := syms.get(l).(*linalg.Sym); ok {
+		if cap(m.Data) >= l {
+			m.N, m.Data = n, m.Data[:l]
+			return m
+		}
+		syms.put(cap(m.Data), m)
+	}
+	return linalg.NewSym(n)
 }
 
 // diagonal computes the exact matrix diagonal (the preconditioner's

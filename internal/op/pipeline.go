@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"parbem/internal/costmodel"
 	"parbem/internal/fmm"
@@ -167,19 +166,21 @@ type Pipeline struct {
 	scale   []float64    // the direct solve's equilibration (see factorSym)
 	ldl     *linalg.LDLT // and its factorization
 	backend Backend
-	// ws is the free list of search-space buffers, one per solve call in
-	// flight. Not a sync.Pool: the runtime keeps a pool that has been Put
-	// to reachable for two collections, and as a field this one kept every
-	// dead pipeline of a service that builds one per request — matrix and
-	// block factors — with it: 100 of serve_mix's 168 MB live heap.
-	wsMu sync.Mutex
-	ws   []*linalg.GMRESWorkspace
 	// factors is the optional reused-block lookup of NewPrebuilt.
 	factors func(idx []int32) *linalg.LDLT
 	// mixedA is non-nil when the resolved precision is mixed: the
 	// operator with its float32 mirror enabled (see precision.go).
 	mixedA MixedApplier
 }
+
+// workspaces holds the search-space buffers of finished solves for the
+// next solve of any pipeline in their size class (GMRESWorkspace.Reset
+// keeps them, and a solve sizes them up as it needs): a service builds a
+// pipeline per request, so buffers kept per pipeline would serve no second
+// solve. It holds float buffers only; a pool field of the pipeline would
+// keep every dead pipeline — matrix and block factors — reachable for the
+// two collections the runtime keeps a pool that has been Put to.
+var workspaces classPool
 
 // NewWithOperator wraps a caller-constructed operator (any Matvec) in
 // the pipeline; spec supplies the RHS data, the executor and the exact
@@ -513,15 +514,18 @@ func (p *Pipeline) extractRHS(ctx context.Context, phi, x0 *linalg.Dense) (*Resu
 // variant's charges — go in first as seeds, one application each; the
 // mixed-precision refinement solves against two operators, so it takes
 // none and empties the space for every inner solve. The space lives for
-// this call only, on buffers from the pipeline's free list. Nothing is
+// this call only, on buffers from workspaces. Nothing is
 // spawned: a solve's parallelism is its operator's, on the spec's executor.
 func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense, out *Result) error {
 	n := p.n
 	nc := phi.Cols
 	rho := linalg.NewDense(n, nc)
 	opt := linalg.GMRESOptions{Tol: p.opt.Tol, Restart: restart, Ctx: ctx, Precond: p.pre.Apply}
-	ws := p.acquireWS()
-	defer p.releaseWS(ws)
+	ws, _ := workspaces.get(n).(*linalg.GMRESWorkspace)
+	if ws == nil {
+		ws = new(linalg.GMRESWorkspace)
+	}
+	defer workspaces.put(n, ws)
 	ws.Reset(n, restart)
 	b := make([]float64, n)
 	x := make([]float64, n)
@@ -575,26 +579,6 @@ func (p *Pipeline) solveKrylov(ctx context.Context, phi, x0 *linalg.Dense, out *
 	}
 	out.Rho = rho
 	return nil
-}
-
-// acquireWS takes a search space's buffers from the free list.
-func (p *Pipeline) acquireWS() *linalg.GMRESWorkspace {
-	p.wsMu.Lock()
-	defer p.wsMu.Unlock()
-	k := len(p.ws)
-	if k == 0 {
-		return &linalg.GMRESWorkspace{}
-	}
-	ws := p.ws[k-1]
-	p.ws = p.ws[:k-1]
-	return ws
-}
-
-// releaseWS returns a workspace to the free list.
-func (p *Pipeline) releaseWS(ws *linalg.GMRESWorkspace) {
-	p.wsMu.Lock()
-	p.ws = append(p.ws, ws)
-	p.wsMu.Unlock()
 }
 
 // Reduce computes the capacitance matrix C = Phi^T Rho of a Krylov solve

@@ -3,11 +3,15 @@ package op
 import (
 	"context"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"parbem/internal/costmodel"
 	"parbem/internal/fmm"
 	"parbem/internal/geom"
+	"parbem/internal/linalg"
 	"parbem/internal/pfft"
 )
 
@@ -176,5 +180,89 @@ func TestAutoBackendFollowsCostModel(t *testing.T) {
 	}
 	if got == BackendDense {
 		t.Errorf("auto stayed dense above the cutoff (N=%d)", big.N())
+	}
+}
+
+// TestPooledWorkspaceDirtyBitwise: a solve on the search-space buffers a
+// larger solve left in the pool gives the bits of a solve on fresh ones —
+// Reset empties the space, and the solve writes every buffer before it
+// reads it. The larger solve's workspace is moved into the smaller one's
+// size class, as a solve of a size between the two would leave it; one P
+// and no collection make a Put the next Get's.
+func TestPooledWorkspaceDirtyBitwise(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small, err := newPipeline(busSpec(t, 2, 2, 1e-6), Options{Backend: BackendDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := newPipeline(crossingSpec(t, 0.4e-6), Options{Backend: BackendDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC() // two collections empty the pools, their victim caches too
+	runtime.GC()
+	want, err := extract(small) // on a new workspace
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := extract(large); err != nil {
+		t.Fatal(err)
+	}
+	ws := workspaces.get(large.n)
+	if ws == nil && !raceBuild {
+		t.Fatal("the larger solve left no workspace")
+	}
+	for workspaces.get(small.n) != nil { // the first small solve's
+	}
+	workspaces.put(small.n, ws)
+	got, err := extract(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := workspaces.get(small.n); again != ws && !raceBuild {
+		t.Fatal("the second solve did not run on the workspace the larger one left")
+	}
+	t.Logf("N = %d after N = %d: %d iterations", small.n, large.n, got.Iterations)
+	if got.Iterations != want.Iterations {
+		t.Errorf("%d iterations on the pooled workspace, %d on a new one", got.Iterations, want.Iterations)
+	}
+	for _, c := range []struct{ got, want []float64 }{{got.C.Data, want.C.Data}, {got.Rho.Data, want.Rho.Data}} {
+		for k, v := range c.want {
+			if math.Float64bits(c.got[k]) != math.Float64bits(v) {
+				t.Fatalf("entry %d = %v on the pooled workspace, %v on a new one", k, c.got[k], v)
+			}
+		}
+	}
+}
+
+// TestSmallSolvesFreeLargeWorkspace: the search space a solve at
+// MaxPanels leaves in the pool (what a large fmm or pfft request leaves)
+// is unreachable two collections later, however many small dense solves
+// run in between: they take no workspace of its size class. One P makes
+// a small solve's Get the one that would find it in a shared pool.
+func TestSmallSolvesFreeLargeWorkspace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	small, err := newPipeline(busSpec(t, 2, 2, 1e-6), Options{Backend: BackendDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const big = 200_000
+	ws := new(linalg.GMRESWorkspace)
+	ws.Reset(big, restart)
+	freed := make(chan struct{})
+	runtime.SetFinalizer(ws, func(*linalg.GMRESWorkspace) { close(freed) })
+	workspaces.put(big, ws)
+	ws = nil
+	for range 3 {
+		if _, err := extract(small); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+	}
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("small solves keep the N = 200 000 workspace reachable")
 	}
 }

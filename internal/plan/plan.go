@@ -94,7 +94,10 @@
 // newest) gives them up with Release. The plan then behaves as after an
 // interrupted build: an identical repeat is still a cache hit with the
 // same *Result, and the next variant builds every stage as a fresh plan
-// would, its Krylov solve seeded with the kept charges.
+// would, its Krylov solve seeded with the kept charges. A released dense
+// matrix is recycled (op.RecycleSym), as is one a variant of another
+// dimension abandons: the next dense build of its size class, in this
+// plan or another, without a matrix of its own writes into it.
 // Release never waits: a plan busy with a build gives its stages up when
 // that build ends, if it has still installed at most one variant then. A
 // plan that has installed two or more variants refuses the request and
@@ -340,6 +343,7 @@ func (p *Plan) unlock() {
 		if p.release.Load() && p.cur != nil {
 			if p.variants.Load() <= 1 {
 				c := p.cur
+				op.RecycleSym(c.dense) // refilled by the next dense build of its size class
 				c.dense, c.fmmOp, c.pfftOp, c.factors = nil, nil, nil, nil
 			}
 			p.release.Store(false)
@@ -423,10 +427,15 @@ func (p *Plan) build(ctx context.Context, st *geom.Structure, fill *assembly.Fil
 		} else {
 			// The previous variant's matrix (nil unless it was dense) is the
 			// storage this one is written into. It leaves cur first, so an
-			// interrupted build leaves no half-rewritten matrix installed.
+			// interrupted build leaves no half-rewritten matrix installed;
+			// one of another dimension is recycled instead.
 			var prev *linalg.Sym
 			if cur != nil {
 				prev, cur.dense = cur.dense, nil
+			}
+			if prev != nil && prev.N != len(panels) {
+				op.RecycleSym(prev)
+				prev = nil
 			}
 			var nr int64
 			var f assembly.FillStats

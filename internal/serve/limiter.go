@@ -74,14 +74,14 @@ func (l *tenantLimiter) allow(tenant string, now time.Time) (bool, time.Duration
 		b.tokens--
 		return true, 0
 	}
-	return false, time.Duration((1 - b.tokens) / l.rate * float64(time.Second))
+	return false, saturatingDuration((1-b.tokens)/l.rate, time.Second)
 }
 
 // evictFull drops tenants whose buckets have refilled completely —
 // idle at least burst/rate seconds — to cap the map. Called with mu
 // held.
 func (l *tenantLimiter) evictFull(now time.Time) {
-	idle := time.Duration(l.burst / l.rate * float64(time.Second))
+	idle := saturatingDuration(l.burst/l.rate, time.Second)
 	for k, b := range l.buckets {
 		if now.Sub(b.last) >= idle {
 			delete(l.buckets, k)

@@ -69,3 +69,24 @@ func TestTenantLimiterStillPrefersRefilled(t *testing.T) {
 		t.Errorf("bulk eviction left %d buckets, want 1", n)
 	}
 }
+
+// TestTenantLimiterSlowRateSaturates: at 1e-11 tokens/s a token takes
+// 1e11 s, past time.Duration's range. The second request's Retry-After
+// advice saturates to a positive wait instead of overflowing, and
+// evictFull's idle bound, burst/rate, saturates too, so the bucket just
+// brought up to date by that request stays.
+func TestTenantLimiterSlowRateSaturates(t *testing.T) {
+	l := newTenantLimiter(1e-11, 1)
+	now := time.Now()
+	if ok, _ := l.allow("slow", now); !ok {
+		t.Fatal("the first request was refused")
+	}
+	ok, wait := l.allow("slow", now.Add(time.Second))
+	if ok || wait <= 0 {
+		t.Fatalf("the second request: admitted %v, Retry-After %v, want refused with a positive wait", ok, wait)
+	}
+	l.evictFull(now.Add(2 * time.Second))
+	if _, kept := l.buckets["slow"]; !kept {
+		t.Error("evictFull dropped a bucket refilled a second ago")
+	}
+}
