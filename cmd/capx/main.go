@@ -10,7 +10,7 @@
 //	capx -structure interconnect -backend mpi -workers 10
 //
 // Piecewise-constant pipeline mode runs the unified operator pipeline
-// instead: -backend auto|dense|fastcap|pfft selects the solve backend
+// instead: -backend auto|dense|fastcap|fmm|pfft selects the solve backend
 // (auto picks per the cost model from panel count and grid fill factor),
 // reporting the resolved backend, panel count and Krylov iteration
 // totals. Every Krylov solve is preconditioned by near-field block-Jacobi;
@@ -65,7 +65,7 @@ func main() {
 		input     = flag.String("input", "", "read structure from a geometry file instead")
 		m         = flag.Int("m", 8, "bus: lower-layer wire count")
 		n         = flag.Int("n", 8, "bus: upper-layer wire count")
-		backend   = flag.String("backend", "serial", "instantiable-basis solver, by fill backend: serial | shared | mpi; piecewise-constant pipeline, by operator: auto | dense | fastcap | pfft")
+		backend   = flag.String("backend", "serial", "instantiable-basis solver, by fill backend: serial | shared | mpi; piecewise-constant pipeline, by operator: auto | dense | fastcap | fmm | pfft")
 		precond   = flag.String("precond", "auto", "pipeline preconditioner, always near-field block-Jacobi: auto | block (block with -backend dense solves by GMRES instead of the direct factorization)")
 		workers   = flag.Int("workers", 4, "parallel nodes D")
 		units     = flag.Float64("unit", 1e15, "output scale (1e15 = fF)")
@@ -112,7 +112,7 @@ func main() {
 
 	if *remote != "" {
 		if !isPipelineBackend(*backend) {
-			log.Fatalf("-remote needs a pipeline backend (auto|dense|fastcap|pfft), got %q", *backend)
+			log.Fatalf("-remote needs a pipeline backend (auto|dense|fastcap|fmm|pfft), got %q", *backend)
 		}
 		runRemote(*remote, st, *backend, *precond, *edge, *tol, *units, *maxPrint, *check, *jsonOut)
 		return
@@ -351,7 +351,7 @@ type sweepPoint struct {
 // separation).
 func sweepRange(structure string, m, n, points int, hmin, hmax float64, backend string) (func(h float64) *parbem.Structure, float64, float64) {
 	if !isPipelineBackend(backend) {
-		log.Fatalf("-sweep needs a pipeline backend (auto|dense|fastcap|pfft), got %q", backend)
+		log.Fatalf("-sweep needs a pipeline backend (auto|dense|fastcap|fmm|pfft), got %q", backend)
 	}
 	var defH float64
 	var variant func(h float64) *parbem.Structure

@@ -166,13 +166,28 @@ func (d *daemon) wait(timeout time.Duration) int {
 	}
 }
 
+// stats fetches the server's /stats snapshot.
+func stats(ctx context.Context, c *serve.Client) (*serve.Stats, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/stats", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var out serve.Stats
+	return &out, json.NewDecoder(resp.Body).Decode(&out)
+}
+
 // waitRunning polls /stats until at least one job is executing.
 func (d *daemon) waitRunning(c *serve.Client) {
 	d.t.Helper()
 	ctx := context.Background()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		st, err := c.Stats(ctx)
+		st, err := stats(ctx, c)
 		if err == nil && st.Running >= 1 {
 			return
 		}
@@ -246,7 +261,7 @@ func TestCapxdKillAndRecover(t *testing.T) {
 			t.Errorf("job %s deviates from direct solve by %.3g (tol 1e-10)", id, e)
 		}
 	}
-	st, err := c2.Stats(ctx)
+	st, err := stats(ctx, c2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,16 +236,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestKindString(t *testing.T) {
-	if KindFace.String() != "face" || KindShadow.String() != "shadow" ||
-		KindArchPair.String() != "arch-pair" {
-		t.Error("Kind.String wrong")
-	}
-	if Kind(99).String() == "" {
-		t.Error("unknown kind should still format")
-	}
-}
-
 func TestInterleavedEmissionBalancesKinds(t *testing.T) {
 	// On a structure with many induced bases, face and induced functions
 	// must be interleaved (not all faces first): check that the first
@@ -263,5 +253,19 @@ func TestInterleavedEmissionBalancesKinds(t *testing.T) {
 	}
 	if faces == 0 || induced == 0 {
 		t.Errorf("first quarter not interleaved: %d faces, %d induced", faces, induced)
+	}
+}
+
+// Value evaluates the template at in-plane coordinates (u, v) of its
+// support (outside the support the template is zero; callers integrate
+// over the support only and need not check).
+func (t *Template) Value(u, v float64) float64 {
+	switch t.Dir {
+	case VaryU:
+		return t.Amplitude * t.Shape.Eval(normCoord(u, t.Support.U))
+	case VaryV:
+		return t.Amplitude * t.Shape.Eval(normCoord(v, t.Support.V))
+	default:
+		return t.Amplitude
 	}
 }

@@ -22,19 +22,6 @@ const (
 	KindArchPair             // induced reflected arch templates
 )
 
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindFace:
-		return "face"
-	case KindShadow:
-		return "shadow"
-	case KindArchPair:
-		return "arch-pair"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Set is a complete instantiable basis for an extraction problem: N basis
 // functions expanded into M >= N templates, with the owner array l of
 // paper Figure 3 mapping template index to basis index.

@@ -127,20 +127,6 @@ type Template struct {
 	Amplitude float64
 }
 
-// Value evaluates the template at in-plane coordinates (u, v) of its
-// support (outside the support the template is zero; callers integrate
-// over the support only and need not check).
-func (t *Template) Value(u, v float64) float64 {
-	switch t.Dir {
-	case VaryU:
-		return t.Amplitude * t.Shape.Eval(normCoord(u, t.Support.U))
-	case VaryV:
-		return t.Amplitude * t.Shape.Eval(normCoord(v, t.Support.V))
-	default:
-		return t.Amplitude
-	}
-}
-
 // Moment returns the integral of the template over its support.
 func (t *Template) Moment() float64 {
 	mean := 1.0

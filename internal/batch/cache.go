@@ -92,13 +92,6 @@ func (c *LRU) evictOldestReadyLocked() {
 	}
 }
 
-// Len returns the current entry count.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats returns cumulative hit and miss counts.
 func (c *LRU) Stats() (hits, misses uint64) {
 	c.mu.Lock()

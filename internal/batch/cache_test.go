@@ -80,3 +80,10 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("k2 evicted (v=%v computed=%v)", v, computed)
 	}
 }
+
+// Len returns the current entry count.
+func (c *LRU) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}

@@ -7,10 +7,14 @@ import "math"
 // (internal/op). The heuristics encode the asymptotic cost structure of
 // the three operator backends:
 //
-//   - dense direct: O(N^2) memory, O(N^3) factorization. Below a couple
-//     of thousand panels the cubic term is cheaper than any accelerated
-//     operator's construction cost, and the answer is exact — so small
-//     problems always go dense.
+//   - dense: O(N^2) memory and O(N^2) per matvec. Below a couple of
+//     thousand panels the quadratic matrix is cheaper than any accelerated
+//     operator's construction cost, so small problems always go to the
+//     dense operator. Selection picks the operator, not the solve: auto
+//     on dense solves by block-Jacobi-preconditioned Krylov, and only a
+//     caller that sets op.Options.Direct (serve.PipelineOptions and capx
+//     do so for backend "dense" only) gets the exact direct
+//     factorization.
 //   - precorrected FFT: the grid convolution costs O(G log G) in the
 //     number of grid nodes G, *independent of N*. It wins when panels
 //     densely fill a compact volume (G comparable to N); it loses badly
@@ -26,8 +30,10 @@ import "math"
 // Selection thresholds. Exported so callers can report or test the
 // decision boundary explicitly.
 const (
-	// DenseMaxPanels is the largest panel count solved with the dense
-	// direct backend under automatic selection.
+	// DenseMaxPanels is the largest panel count that automatic selection
+	// sends to the dense operator. That operator is solved by Krylov
+	// iteration unless op.Options.Direct is set, which serve and capx do
+	// only when the request names backend "dense".
 	DenseMaxPanels = 1800
 	// PFFTMinFill is the minimum panels-per-grid-node fill factor at
 	// which the uniform grid is considered efficient.
@@ -46,19 +52,6 @@ const (
 	ChooseFMM
 	ChoosePFFT
 )
-
-// String implements fmt.Stringer.
-func (c Choice) String() string {
-	switch c {
-	case ChooseDense:
-		return "dense"
-	case ChooseFMM:
-		return "fmm"
-	case ChoosePFFT:
-		return "pfft"
-	}
-	return "unknown"
-}
 
 // Workload summarizes a panelized extraction problem for backend
 // selection. All statistics are O(N) to compute from the panel list.

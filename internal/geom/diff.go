@@ -17,17 +17,6 @@ const (
 	BoxChanged
 )
 
-// String implements fmt.Stringer.
-func (c BoxChange) String() string {
-	switch c {
-	case BoxSame:
-		return "same"
-	case BoxTranslated:
-		return "translated"
-	}
-	return "changed"
-}
-
 // BoxDelta is the per-box entry of a structural diff.
 type BoxDelta struct {
 	Change BoxChange

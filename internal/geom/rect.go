@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Rect is an axis-aligned rectangle embedded in 3-D space. It lies in the
 // plane normal to Normal at offset Offset, and spans U x V in the two
@@ -131,12 +128,6 @@ func (r Rect) SplitGrid(nu, nv int, dst []Rect) []Rect {
 		}
 	}
 	return dst
-}
-
-// String implements fmt.Stringer.
-func (r Rect) String() string {
-	return fmt.Sprintf("Rect{n=%v@%.3g u=[%.3g,%.3g] v=[%.3g,%.3g]}",
-		r.Normal, r.Offset, r.U.Lo, r.U.Hi, r.V.Lo, r.V.Hi)
 }
 
 // Box is an axis-aligned 3-D box, the building block of Manhattan conductors.

@@ -395,15 +395,6 @@ func (c *Client) Sweep(ctx context.Context, req *SweepRequest, point func(*Sweep
 	return nil, fmt.Errorf("serve: sweep stream ended without a trailer")
 }
 
-// Stats fetches the server's /stats snapshot.
-func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	var out Stats
-	if err := c.get(ctx, "/stats", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Health checks /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	var out map[string]any

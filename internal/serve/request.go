@@ -386,7 +386,7 @@ func PipelineOptions(backend, precond string, tol float64) (op.Options, error) {
 		opt.Backend = op.BackendDense
 		opt.Direct = precond == "" || precond == "auto"
 	default:
-		return op.Options{}, badRequest("unknown backend %q (want auto, dense, fastcap or pfft)", backend)
+		return op.Options{}, badRequest("unknown backend %q (want auto, dense, fastcap, fmm or pfft)", backend)
 	}
 	switch precond {
 	case "", "auto", "block":

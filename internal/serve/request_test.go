@@ -43,3 +43,21 @@ func TestTemplateSweepPanelBudget(t *testing.T) {
 		t.Errorf("the router forwarded %d over-budget template sweeps", hits)
 	}
 }
+
+// TestUnknownBackendNamesEvery: the 400 for an unknown backend lists every
+// backend PipelineOptions accepts.
+func TestUnknownBackendNamesEvery(t *testing.T) {
+	_, err := PipelineOptions("cuda", "", 0)
+	re := new(RequestError)
+	if !errors.As(err, &re) || re.Code != CodeBadRequest {
+		t.Fatalf("got %v, want a bad_request", err)
+	}
+	for _, name := range []string{"auto", "dense", "fastcap", "fmm", "pfft"} {
+		if _, err := PipelineOptions(name, "", 0); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if !strings.Contains(re.Message, name) {
+			t.Errorf("the 400 %q does not name %s", re.Message, name)
+		}
+	}
+}

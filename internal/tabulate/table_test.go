@@ -87,3 +87,57 @@ func TestBuildPanics(t *testing.T) {
 		}()
 	}
 }
+
+// Eval interpolates the table multilinearly at x, for any number of
+// parameters, clamping coordinates to the tabulated ranges: the reference
+// Eval2 is checked against.
+func (t *Table) Eval(x ...float64) float64 {
+	if len(x) != len(t.dims) {
+		panic("tabulate: Eval arity mismatch")
+	}
+	// Locate the cell and fractional offsets.
+	var base int
+	// frac and stride per dimension for the 2^k corner walk.
+	fracs := make([]float64, len(t.dims))
+	strides := make([]int, len(t.dims))
+	for i, d := range t.dims {
+		u := (x[i] - d.Min) / d.step()
+		if u < 0 {
+			u = 0
+		}
+		if u > float64(d.N-1) {
+			u = float64(d.N - 1)
+		}
+		i0 := int(u)
+		if i0 > d.N-2 {
+			i0 = d.N - 2
+		}
+		fracs[i] = u - float64(i0)
+		base += i0 * t.strides[i]
+		strides[i] = t.strides[i]
+	}
+	return t.interp(base, fracs, strides)
+}
+
+// interp walks the 2^k corners of the containing cell.
+func (t *Table) interp(base int, fracs []float64, strides []int) float64 {
+	k := len(fracs)
+	corners := 1 << k
+	var sum float64
+	for c := 0; c < corners; c++ {
+		off := 0
+		w := 1.0
+		for i := 0; i < k; i++ {
+			if c&(1<<i) != 0 {
+				off += strides[i]
+				w *= fracs[i]
+			} else {
+				w *= 1 - fracs[i]
+			}
+		}
+		if w != 0 {
+			sum += w * t.data[base+off]
+		}
+	}
+	return sum
+}

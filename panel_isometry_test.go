@@ -24,20 +24,27 @@ func mapBoxes(st *Structure, f func(Vec3) Vec3) *Structure {
 }
 
 // TestPanelIsometryOracle is the reference-free check of the panel path's
-// class key (ROADMAP item 4(b), at small size): the 2x2 bus and its image
-// under a translation by a vector off every lattice, extracted dense
-// through one shared class table. A translation keeps the panel order, and
-// with it which panel of a pair the quadrature collocates, so the two
-// capacitance matrices agree to rounding and the second extraction finds
-// its classes in the table. The x<->y swap is an isometry too, but it
-// renumbers the panels (U is the lower-numbered in-plane axis), so for
+// class key (ROADMAP items 4(b) and 4(c), at small size): the 2x2 bus and
+// its image under a translation by a vector off every lattice, extracted
+// dense through one shared class table. A translation keeps the panel
+// order, and with it which panel of a pair the quadrature collocates, so
+// the two capacitance matrices agree to rounding and the second extraction
+// finds its classes in the table. The x<->y swap is an isometry too, but
+// it renumbers the panels (U is the lower-numbered in-plane axis), so for
 // perpendicular pairs the other panel becomes the quadrature target — at
 // any commit — and C moves by the quadrature's asymmetry: reported, not
 // asserted.
+//
+// Scaling the bus and the edge by s scales C by s. A power of two scales
+// every coordinate exactly, so C/s repeats s = 1 to rounding. Any other s
+// rounds the coordinates, and at s = 1 this lattice geometry puts a
+// dispatch decision of the panel path exactly on its threshold: C/s moves
+// by about 7e-6 against s = 1 (reported, not asserted), while those
+// scales agree with each other to rounding.
 func TestPanelIsometryOracle(t *testing.T) {
 	const edge = 1e-6
 	table := assembly.NewPairCache(0)
-	extract := func(st *Structure) (*PlanResult, assembly.FillStats) {
+	extractAt := func(st *Structure, edge float64) (*PlanResult, assembly.FillStats) {
 		t.Helper()
 		p, err := NewPlan(PlanOptions{MaxEdge: edge, Pipeline: PipelineOptions{Backend: BackendDense, Direct: true}, Pairs: table})
 		if err != nil {
@@ -49,6 +56,7 @@ func TestPanelIsometryOracle(t *testing.T) {
 		}
 		return res, fill
 	}
+	extract := func(st *Structure) (*PlanResult, assembly.FillStats) { return extractAt(st, edge) }
 	bus := NewBus(2, 2).Build()
 	ref, first := extract(bus)
 
@@ -67,6 +75,29 @@ func TestPanelIsometryOracle(t *testing.T) {
 	// The swap exchanges the two layers' roles, not the conductor order.
 	t.Logf("x<->y swapped: CapError %.3g, %d classes integrated (renumbered panels: other quadrature targets)",
 		CapError(swapped.C, ref.C), third.ClassesIntegrated)
+
+	scaled := func(s float64) *Matrix {
+		res, _ := extractAt(mapBoxes(bus, func(p Vec3) Vec3 { return p.Scale(s) }), s*edge)
+		c := res.C.Clone()
+		linalg.Scal(1/s, c.Data)
+		return c
+	}
+	for _, s := range []float64{2, 4, 0.5} {
+		e := CapError(scaled(s), ref.C)
+		t.Logf("x%g: CapError of C/s vs C %.3g", s, e)
+		if !(e <= 1e-12) {
+			t.Errorf("x%g: C/s differs from C by %.3g of the diagonal, want <= 1e-12", s, e)
+		}
+	}
+	ten := scaled(10)
+	t.Logf("x10: CapError of C/s vs C %.3g (a dispatch threshold at s = 1)", CapError(ten, ref.C))
+	for _, s := range []float64{2.5, 1.0000001} {
+		e := CapError(scaled(s), ten)
+		t.Logf("x%g: CapError of C/s vs x10's %.3g", s, e)
+		if !(e <= 1e-10) {
+			t.Errorf("x%g: C/s differs from x10's by %.3g of the diagonal, want <= 1e-10", s, e)
+		}
+	}
 }
 
 // exactlySymmetric reports the first (i, j) where C's two triangles hold

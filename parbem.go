@@ -92,7 +92,7 @@
 // charges, resolved backend and arithmetic, Krylov iteration total, a
 // direct solve's inertia) and per-stage timings. The same controls are
 // available on the command line via
-// `capx -backend auto|dense|fastcap|pfft`.
+// `capx -backend auto|dense|fastcap|fmm|pfft`.
 //
 // Solves run in float64. A float32 mirror of the fmm and pfft operators
 // is kept internally for bench/'s probes; it never showed an end-to-end
